@@ -31,6 +31,12 @@
 //! 7. `controller` — ns per adaptive-controller decision over a
 //!    scripted signal tape, and that cost as a fraction of the chunked
 //!    compress wall (`overhead_frac`, gated < 1% by bench_check.sh).
+//! 8. `eigen` — `sym_eig` on seeded K-FAC-shaped factors at n = 145 and
+//!    289 (fastest of 5, the two sizes timed back to back) and
+//!    `cliff_289 = t289 / (8·t145)`, the n³-normalised slowdown past the
+//!    point where the solver's two f64 n×n buffers stop fitting L2
+//!    (gated ≤ 2.0 by bench_check.sh; a ratio of neighbouring timings
+//!    survives a noisy host where an absolute ms gate would not).
 //!
 //! Environment knobs: `COMPSO_BENCH_ELEMS` (default 4 Mi f32 = 16 MiB),
 //! `COMPSO_BENCH_REPS` (default 3; best-of-N is reported),
@@ -51,8 +57,10 @@ use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed};
 use compso_core::{ChunkedCompso, Compressor, Compso, CompsoConfig};
 use compso_ctrl::{ControlConfig, Controller, Signals};
+use compso_kfac::kfac::covariance;
 use compso_obs::Recorder;
-use compso_tensor::Rng;
+use compso_tensor::{sym_eig, Matrix, Rng};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -433,11 +441,40 @@ fn main() {
     }
     pipeline.push('}');
 
+    // Eigensolver cache-cliff gate. Jacobi costs O(n³) per sweep, so at
+    // equal sweep counts t289 ≈ 8·t145; what is left of the ratio is the
+    // price of the working set (2·n²·8 B: 336 KB at 145, 1.3 MB at 289)
+    // leaving L2. Fixed sizes and reps: the gate must not move with the
+    // smoke run's COMPSO_BENCH_ELEMS/REPS.
+    let eigen = {
+        let factor = |n: usize| {
+            let mut rng = Rng::new(31 + n as u64);
+            covariance(&Matrix::random_normal(4 * n, n, &mut rng))
+        };
+        let sizes = [factor(145), factor(289)];
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..5 {
+            for (f, t) in sizes.iter().zip(&mut best) {
+                let t0 = Instant::now();
+                let e = black_box(sym_eig(black_box(f)));
+                *t = t.min(t0.elapsed().as_secs_f64());
+                assert_eq!(e.values.len(), f.rows());
+            }
+        }
+        format!(
+            "{{\"sym_eig_ms_145\": {:.3}, \"sym_eig_ms_289\": {:.3}, \"cliff_289\": {:.2}}}",
+            best[0] * 1e3,
+            best[1] * 1e3,
+            best[1] / (8.0 * best[0]).max(1e-12),
+        )
+    };
+
     let json = format!(
         "{{\n  \"elems\": {elems},\n  \"bytes\": {bytes},\n  \"reps\": {reps},\n  \
          \"threads\": {threads},\n  \"serial\": {},\n  \"chunked_1thread\": {},\n  \
          \"chunked_nthread\": {},\n  \"ckpt\": {},\n  \"powersgd\": {},\n  \
          \"controller\": {controller},\n  \"pipeline\": {pipeline},\n  \
+         \"eigen\": {eigen},\n  \
          \"speedup_compress_chunked_vs_serial\": {:.2},\n  \
          \"speedup_decompress_chunked_vs_serial\": {:.2}\n}}\n",
         serial.json(),

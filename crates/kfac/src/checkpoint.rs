@@ -3,12 +3,13 @@
 //! Each rank persists exactly the state only it can reproduce — its
 //! stochastic-compression RNG stream, its degradation-ladder last-good
 //! store — plus the K-FAC factor states of the layers it *owns* under
-//! the KAISA schedule. Factor state is replicated across ranks (every
-//! rank folds the all-reduced covariances and refreshes inverses for
-//! every layer), so sharding the save by owner writes each factor to
-//! disk exactly once; at restore the shards are redistributed with one
-//! variable-size all-gather and every rank reconstructs the full
-//! replicated state. Rank 0 additionally carries the globals: model
+//! the KAISA schedule. The running factors are replicated across ranks
+//! (every rank folds the all-reduced covariances for every layer) while
+//! a layer's cached inverse lives on its owner alone, so sharding the
+//! save by owner writes each factor — with the one live copy of its
+//! inverse — to disk exactly once; at restore the shards are
+//! redistributed with one variable-size all-gather and every rank
+//! installs every layer's state. Rank 0 additionally carries the globals: model
 //! parameters, the ownership map, the step counter, and any caller
 //! extras (optimizer moment buffers), broadcast to everyone at restore.
 //!
@@ -513,9 +514,11 @@ pub fn decode_rejoin_delta(bytes: &[u8]) -> Result<(u64, u32, Vec<TensorEntry>),
 /// member `k` of `m` contributes the layers at positions `pos % m == k`
 /// of [`Kfac::state_indices`] — so the joiner receives every layer
 /// exactly once while no single member uploads the whole state. The
-/// joiner contributes an empty delta. One variable-size all-gather
-/// (`comm/allgather_rejoin`) moves the shards; the joiner imports them
-/// and counts `comm/allgather_rejoin` traffic like any collective. The
+/// joiner contributes an empty delta (a shard carries a cached inverse
+/// only where its sender owns the layer; whatever the joiner ends up
+/// owning without one it rebuilds on adoption). One variable-size
+/// all-gather (`comm/allgather_rejoin`) moves the shards; the joiner
+/// imports them and counts the traffic like any collective. The
 /// members then broadcast the current model parameters from the lowest
 /// live member rank, which the joiner installs — its checkpoint restore
 /// may be several steps behind the group.

@@ -10,15 +10,23 @@
 //!    values are scattered back in place — one collective per step
 //!    instead of one per layer (the gradient-fusion argument of the
 //!    adaptive-compression systems line of work);
-//! 3. per-K-FAC-layer covariances, **bucketed** like step 2: every
-//!    layer's `a_cov`/`g_cov` is flattened into a reusable factor fusion
-//!    buffer and one `allreduce_mean` moves the whole bucket (one
-//!    collective per step instead of two per K-FAC layer), then the
-//!    averaged factors are folded into running averages (identical on
-//!    every rank);
+//! 3. per-K-FAC-layer covariances, **bucketed** like step 2 and
+//!    **packed**: the factors are symmetric, so only each `a_cov`/`g_cov`
+//!    upper triangle (n(n+1)/2 values) is flattened into the reusable
+//!    fusion buffer, one `allreduce_mean` moves the whole bucket (one
+//!    collective per step instead of two per K-FAC layer, at half the
+//!    bytes of the full squares), the unpack mirrors the triangle, and
+//!    every rank folds the averaged factors into its running averages —
+//!    the running factors are replicated state;
 //! 4. the *owner* of each layer (greedy cost-balanced assignment, as in
-//!    KAISA) refreshes eigendecompositions on schedule and preconditions
-//!    the layer's gradient;
+//!    KAISA, built before step 3 from the static layer shapes) — and
+//!    only the owner — refreshes the layer's inverse
+//!    (eigendecompositions or Cholesky factors) on schedule and
+//!    preconditions its gradient. Inverses are **not** replicated: a
+//!    non-owner drops its cached copy on a refresh step, so a stale one
+//!    can never be applied, and a rank that finds no inverse for a layer
+//!    it now owns (elastic reshard, rejoin catch-up) rebuilds it on
+//!    adoption from the replicated running factors;
 //! 5. **pipelined** ring all-gather of the preconditioned gradients.
 //!    This is the traffic COMPSO compresses: owners compress their
 //!    layers' preconditioned gradients (aggregating up to `aggregation`
@@ -114,7 +122,8 @@ pub struct StepStats {
     /// Bytes actually all-gathered (equals original without compression).
     pub gather_bytes_wire: u64,
     /// All-reduce volume in bytes: the step-2 gradient bucket plus the
-    /// step-3 fused factor bucket (both always travel uncompressed).
+    /// step-3 fused factor bucket of packed upper triangles (both always
+    /// travel uncompressed).
     pub allreduce_bytes: u64,
 }
 
@@ -311,49 +320,9 @@ impl DistKfac {
             }
         }
 
-        // (3) Factor statistics, bucketed like step 2: every layer's
-        // local `a_cov`/`g_cov` is flattened into the (now free) fusion
-        // buffer and ONE `allreduce_mean` moves the whole factor bucket —
-        // 2·layers collectives fused into one per step. The f32 reduction
-        // order changes (blocks span factor boundaries) but identically
-        // on every rank, so replicas stay bit-identical.
-        {
-            let _span = self.recorder.span(names::KFAC_FACTOR);
-            let mut covs: Vec<(usize, Matrix, Matrix)> = Vec::with_capacity(kfac_layers.len());
-            self.fusion.clear();
-            for &idx in &kfac_layers {
-                let s = model.kfac_stats(idx).ok_or(CommError::Protocol {
-                    expected: "kfac layer with captured statistics",
-                })?;
-                let a_cov = covariance(&s.a);
-                let g_cov = covariance(&s.g);
-                self.fusion.extend_from_slice(a_cov.as_slice());
-                self.fusion.extend_from_slice(g_cov.as_slice());
-                covs.push((idx, a_cov, g_cov));
-            }
-            let fused_bytes = self.fusion.len() as u64 * 4;
-            stats.allreduce_bytes += fused_bytes;
-            self.recorder
-                .add(names::KFAC_FACTOR_FUSED_BYTES, fused_bytes);
-            allreduce_mean(comm, &mut self.fusion)?;
-            let mut off = 0usize;
-            for (idx, mut a_cov, mut g_cov) in covs {
-                let n = a_cov.len();
-                a_cov
-                    .as_mut_slice()
-                    .copy_from_slice(&self.fusion[off..off + n]);
-                off += n;
-                let n = g_cov.len();
-                g_cov
-                    .as_mut_slice()
-                    .copy_from_slice(&self.fusion[off..off + n]);
-                off += n;
-                self.kfac.absorb_covariances(idx, &a_cov, &g_cov);
-            }
-            debug_assert_eq!(off, self.fusion.len());
-        }
-
-        // (4) Ownership map: built once (layer shapes are static).
+        // Ownership map: built once, *before* the factor phase (the costs
+        // depend only on the static layer shapes), so step 4 knows whose
+        // inverses to refresh.
         let owners = match &self.owners {
             Some(o) => o.clone(),
             None => {
@@ -372,24 +341,69 @@ impl DistKfac {
             }
         };
 
-        // Precondition owned layers (the eigendecomposition / inverse
-        // application phase of Fig. 1).
+        // (3) Factor statistics, bucketed like step 2. `covariance()`
+        // symmetrizes, so only each factor's upper triangle (n(n+1)/2
+        // values) is flattened into the (now free) fusion buffer; ONE
+        // `allreduce_mean` moves the whole packed bucket and the unpack
+        // mirrors it, leaving every averaged factor exactly symmetric.
+        // Every rank then folds every layer into its running averages
+        // (replicated state). The f32 reduction order differs from a
+        // per-factor sync (blocks span factor boundaries) but identically
+        // on every rank, so replicas stay bit-identical.
+        let mut due: Vec<bool> = Vec::with_capacity(kfac_layers.len());
+        {
+            let _span = self.recorder.span(names::KFAC_FACTOR);
+            let mut covs: Vec<(usize, Matrix, Matrix)> = Vec::with_capacity(kfac_layers.len());
+            self.fusion.clear();
+            for &idx in &kfac_layers {
+                let s = model.kfac_stats(idx).ok_or(CommError::Protocol {
+                    expected: "kfac layer with captured statistics",
+                })?;
+                let a_cov = covariance(&s.a);
+                let g_cov = covariance(&s.g);
+                a_cov.pack_upper(&mut self.fusion);
+                g_cov.pack_upper(&mut self.fusion);
+                covs.push((idx, a_cov, g_cov));
+            }
+            let fused_bytes = self.fusion.len() as u64 * 4;
+            stats.allreduce_bytes += fused_bytes;
+            self.recorder
+                .add(names::KFAC_FACTOR_FUSED_BYTES, fused_bytes);
+            allreduce_mean(comm, &mut self.fusion)?;
+            let mut off = 0usize;
+            for (idx, mut a_cov, mut g_cov) in covs {
+                off += a_cov.unpack_upper(&self.fusion[off..]);
+                off += g_cov.unpack_upper(&self.fusion[off..]);
+                due.push(self.kfac.fold_covariances(idx, &a_cov, &g_cov));
+            }
+            debug_assert_eq!(off, self.fusion.len());
+        }
+
+        // (4) Owner-only inverses, then precondition owned layers (the
+        // eigendecomposition / inverse-application phase of Fig. 1). The
+        // owner refreshes on the layer's schedule — or on adoption, when
+        // it holds no inverse for a layer it now owns (elastic reshard,
+        // rejoin catch-up): the running factors are replicated, so any
+        // rank can rebuild it. A non-owner drops its copy on a refresh
+        // step so a stale inverse can never be applied later.
         let me = comm.rank();
         let mut owned: Vec<(usize, Matrix)> = Vec::new();
         {
             let _span = self.recorder.span(names::KFAC_INVERSE);
             for (pos, &idx) in kfac_layers.iter().enumerate() {
-                if owners[pos] == me {
-                    let grad = model
-                        .layer(idx)
-                        .grads()
-                        .ok_or(CommError::Protocol {
-                            expected: "owned kfac layer with a gradient",
-                        })?
-                        .clone();
-                    let pre = self.kfac.precondition_layer(idx, &grad);
-                    owned.push((idx, pre));
+                if owners[pos] != me {
+                    if due[pos] {
+                        self.kfac.drop_inverse(idx);
+                    }
+                    continue;
                 }
+                if (due[pos] || !self.kfac.has_inverse(idx)) && self.kfac.refresh_inverse(idx) {
+                    self.recorder.add(names::KFAC_INVERSE_REFRESHES, 2);
+                }
+                let grad = model.layer(idx).grads().ok_or(CommError::Protocol {
+                    expected: "owned kfac layer with a gradient",
+                })?;
+                owned.push((idx, self.kfac.precondition_layer(idx, grad)));
             }
         }
 
@@ -1531,12 +1545,13 @@ mod tests {
         };
         let results = run(true);
         // Step-2 gradient bucket: two linear layers, (6+1)*8 + (8+1)*3 =
-        // 83 params -> 332 bytes. Step-3 fused factor bucket: a_cov is
-        // (in+1)², g_cov is out² per layer, (6+1)² + 8² + (8+1)² + 3² =
-        // 203 floats -> 812 bytes. Total allreduced per rank per step:
-        // 1144 bytes.
+        // 83 params -> 332 bytes. Step-3 fused factor bucket: the packed
+        // upper triangles, n(n+1)/2 per factor with a_cov (in+1)-dim and
+        // g_cov out-dim per layer, 28 + 36 + 45 + 6 = 115 floats -> 460
+        // bytes (the full squares would be 812). Total allreduced per
+        // rank per step: 792 bytes.
         for s in &results {
-            assert_eq!(s.allreduce_bytes, 332 + 812);
+            assert_eq!(s.allreduce_bytes, 332 + 460);
             assert!(s.gather_bytes_original > 0);
             // NoCompression wire size ≈ original + headers.
             assert!(s.gather_bytes_wire >= s.gather_bytes_original);
@@ -1649,35 +1664,254 @@ mod tests {
 
     #[test]
     fn fused_factor_sync_matches_per_layer_sync_within_f32_tolerance() {
-        // The step-3 fusion changes the f32 reduction order (ring blocks
-        // span factor boundaries). Per-factor allreduce_mean is the
-        // semantic reference; fused values must agree to f32 tolerance.
-        let ranks = 3;
-        let results = run_ranks(ranks, |comm| {
-            let r = comm.rank();
-            let mut rng = Rng::new(900 + r as u64);
-            // Heterogeneous fake factors, different on every rank.
-            let factors: Vec<Vec<f32>> = [49usize, 64, 81, 9]
-                .iter()
-                .map(|&n| (0..n).map(|_| rng.normal(0.0, 1.0)).collect())
-                .collect();
-            let mut per_factor = factors.clone();
-            for f in &mut per_factor {
-                allreduce_mean(comm, f).unwrap();
+        // Per-factor allreduce_mean of the full squares is the semantic
+        // reference for the packed, fused step-3 bucket. At 2 ranks the
+        // ring sum has two terms, so it is commutative and the fused
+        // values must be BIT-equal wherever a block boundary falls; at 4
+        // ranks the boundaries move each value's reduction order, so
+        // only f32 tolerance holds there.
+        for ranks in [2usize, 4] {
+            let results = run_ranks(ranks, |comm| {
+                let mut rng = Rng::new(900 + comm.rank() as u64);
+                // Heterogeneous symmetric factors, different on every rank.
+                let factors: Vec<Matrix> = [7usize, 8, 9, 3]
+                    .iter()
+                    .map(|&n| covariance(&Matrix::random_normal(12, n, &mut rng)))
+                    .collect();
+                let mut per_factor = factors.clone();
+                for f in &mut per_factor {
+                    allreduce_mean(comm, f.as_mut_slice()).unwrap();
+                }
+                let mut fused: Vec<f32> = Vec::new();
+                for f in &factors {
+                    f.pack_upper(&mut fused);
+                }
+                allreduce_mean(comm, &mut fused).unwrap();
+                let mut unpacked = factors;
+                let mut off = 0;
+                for f in &mut unpacked {
+                    off += f.unpack_upper(&fused[off..]);
+                    assert_eq!(f.asymmetry(), 0.0);
+                }
+                (per_factor, unpacked)
+            });
+            for (per_factor, unpacked) in &results {
+                for (reference, got) in per_factor.iter().zip(unpacked) {
+                    for (a, b) in reference.as_slice().iter().zip(got.as_slice()) {
+                        if ranks == 2 {
+                            assert_eq!(a.to_bits(), b.to_bits(), "fused {b} vs per-factor {a}");
+                        } else {
+                            assert!(
+                                (a - b).abs() <= 1e-6 + a.abs() * 1e-5,
+                                "fused factor {b} vs per-factor {a}"
+                            );
+                        }
+                    }
+                }
             }
-            let mut fused: Vec<f32> = factors.iter().flatten().copied().collect();
-            allreduce_mean(comm, &mut fused).unwrap();
-            (per_factor, fused)
+        }
+    }
+
+    /// One training step of the shared test loop.
+    fn train_step(
+        comm: &mut Communicator,
+        opt: &mut DistKfac,
+        model: &mut Sequential,
+        x: &Matrix,
+        y: &[usize],
+    ) -> Result<StepStats, CommError> {
+        let logits = model.forward(x, true);
+        let (_, grad) = softmax_cross_entropy(&logits, y);
+        model.backward(&grad);
+        let stats = opt.step_elastic(comm, model, &no_compression())?;
+        model.update_params(|p, g| p.axpy(-0.02, g));
+        Ok(stats)
+    }
+
+    /// Whether rank `me` holds an inverse for every layer it owns.
+    fn owned_have_inverses(opt: &DistKfac, model: &Sequential, me: usize) -> bool {
+        model
+            .kfac_indices()
+            .iter()
+            .zip(opt.owners().unwrap())
+            .filter(|(_, &o)| o == me)
+            .all(|(&idx, _)| opt.kfac().has_inverse(idx))
+    }
+
+    #[test]
+    fn ownership_bounds_the_inverse_work_at_1_2_4_ranks() {
+        use compso_obs::StepReport;
+        // Two refresh periods (steps 0 and 3 of 6): every layer is
+        // decomposed (A and G) exactly once per refresh *group-wide*, by
+        // its owner — not once per rank.
+        let (steps, refreshes) = (6, 2u64);
+        let d = data::gaussian_blobs(240, 6, 3, 0.3, 101);
+        for ranks in [1usize, 2, 4] {
+            let results = run_ranks(ranks, |comm| {
+                let mut rng = Rng::new(102);
+                let mut model = models::mlp(&[6, 16, 16, 3], &mut rng);
+                let shard = d.shard(comm.rank(), ranks);
+                let config = DistKfacConfig {
+                    kfac: KfacConfig {
+                        eigen_refresh: 3,
+                        ..KfacConfig::default()
+                    },
+                    ..DistKfacConfig::default()
+                };
+                let mut opt = DistKfac::new(config, 7);
+                let rec = Recorder::enabled();
+                opt.set_recorder(rec.clone());
+                for step in 0..steps {
+                    let (x, y) = shard.batch(step, 8);
+                    train_step(comm, &mut opt, &mut model, &x, &y).unwrap();
+                }
+                let report = StepReport::from_snapshot(0, &rec.snapshot());
+                let holds: Vec<bool> = model
+                    .kfac_indices()
+                    .iter()
+                    .map(|&idx| opt.kfac().has_inverse(idx))
+                    .collect();
+                let owners = opt.owners().unwrap().to_vec();
+                (comm.rank(), report.inverse_refreshes, owners, holds)
+            });
+            let layers = results[0].2.len() as u64;
+            let total: u64 = results.iter().map(|r| r.1).sum();
+            assert_eq!(total, 2 * layers * refreshes, "{ranks} ranks");
+            for (me, mine, owners, holds) in &results {
+                let owned = owners.iter().filter(|&&o| o == *me).count() as u64;
+                assert_eq!(*mine, 2 * owned * refreshes, "rank {me}/{ranks}");
+                // A rank holds an inverse for exactly the layers it owns.
+                for (pos, &o) in owners.iter().enumerate() {
+                    assert_eq!(holds[pos], o == *me, "rank {me}/{ranks} layer {pos}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adopting_owner_refreshes_after_an_elastic_shrink() {
+        use compso_comm::{run_ranks_elastic, CommConfig, FaultConfig, FaultPlane};
+        // Rank 1 (owner of one of the three layers) crashes at the top
+        // of step 2, between refreshes. The survivors shrink 4→3 and
+        // reshard: two layers land on ranks that hold no inverse for
+        // them, which must decompose them on adoption (2 × 2) rather
+        // than precondition with nothing; the third keeps its owner.
+        let steps = 5u64;
+        let plane = FaultPlane::new(FaultConfig {
+            crash_at: Some((1, 2)),
+            ..FaultConfig::default()
         });
-        for (per_factor, fused) in &results {
-            let flat_ref: Vec<f32> = per_factor.iter().flatten().copied().collect();
-            assert_eq!(flat_ref.len(), fused.len());
-            for (a, b) in flat_ref.iter().zip(fused) {
-                assert!(
-                    (a - b).abs() <= 1e-6 + a.abs() * 1e-5,
-                    "fused factor {b} vs per-layer {a}"
-                );
+        let d = data::gaussian_blobs(320, 6, 3, 0.3, 103);
+        let results = run_ranks_elastic(4, plane, CommConfig::default(), |comm, revived| {
+            if revived {
+                return None; // stays out of the group
             }
+            let mut rng = Rng::new(104);
+            let mut model = models::mlp(&[6, 16, 16, 3], &mut rng);
+            let shard = d.shard(comm.phys_rank(), 4);
+            let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
+            let rec = Recorder::enabled();
+            opt.set_recorder(rec.clone());
+            let mut before_crash = 0;
+            while comm.current_step() < steps {
+                if comm.current_step() == 2 {
+                    before_crash = rec.snapshot().counter(names::KFAC_INVERSE_REFRESHES);
+                }
+                let (x, y) = shard.batch(comm.current_step() as usize, 8);
+                train_step(comm, &mut opt, &mut model, &x, &y).unwrap();
+            }
+            let owned_have_inverses = owned_have_inverses(&opt, &model, comm.rank());
+            let adopted = rec.snapshot().counter(names::KFAC_INVERSE_REFRESHES) - before_crash;
+            let params: Vec<Matrix> = (0..model.len())
+                .filter_map(|i| model.layer(i).params().cloned())
+                .collect();
+            Some((
+                before_crash,
+                adopted,
+                owned_have_inverses,
+                comm.size(),
+                params,
+            ))
+        });
+        let survivors: Vec<_> = results.into_iter().flatten().flatten().collect();
+        assert_eq!(survivors.len(), 3);
+        // Step 0 decomposed the three layers on ranks 0–2 (rank 3 owned
+        // nothing); rank 1's share died with it.
+        assert_eq!(survivors.iter().map(|s| s.0).sum::<u64>(), 2 * 2);
+        assert_eq!(survivors.iter().map(|s| s.1).sum::<u64>(), 2 * 2);
+        for s in &survivors {
+            assert!(s.2, "an owner is missing an inverse after the reshard");
+            assert_eq!(s.3, 3);
+            assert_eq!(s.4, survivors[0].4, "replica diverged across the shrink");
+        }
+    }
+
+    #[test]
+    fn poisoned_statistics_keep_the_previous_inverse_and_replicas_equal() {
+        // A NaN input on one rank poisons the first layer's all-reduced
+        // `A` factor on a refresh step (the ReLU swallows it before the
+        // second layer). `step` must return (sym_eig used to panic
+        // sorting NaN eigenvalues), the poisoned layer's owner keeps the
+        // inverse it had, and — the caller skipping the non-finite
+        // update, as a loss scaler would — training continues
+        // replica-equal.
+        let d = data::gaussian_blobs(200, 6, 3, 0.3, 105);
+        let results = run_ranks(2, |comm| {
+            let mut rng = Rng::new(106);
+            let mut model = models::mlp(&[6, 16, 3], &mut rng);
+            let shard = d.shard(comm.rank(), 2);
+            let config = DistKfacConfig {
+                kfac: KfacConfig {
+                    eigen_refresh: 2,
+                    ..KfacConfig::default()
+                },
+                ..DistKfacConfig::default()
+            };
+            let mut opt = DistKfac::new(config, 7);
+            let rec = Recorder::enabled();
+            opt.set_recorder(rec.clone());
+            let nc = no_compression();
+            let mut refreshes = Vec::new();
+            for step in 0..5 {
+                let (mut x, y) = shard.batch(step, 8);
+                let poisoned = step == 2;
+                if poisoned && comm.rank() == 0 {
+                    x.set(0, 0, f32::NAN);
+                }
+                let logits = model.forward(&x, true);
+                let (_, grad) = softmax_cross_entropy(&logits, &y);
+                model.backward(&grad);
+                opt.step(comm, &mut model, &nc).expect("step is total");
+                if !poisoned {
+                    model.update_params(|p, g| p.axpy(-0.02, g));
+                }
+                refreshes.push(rec.snapshot().counter(names::KFAC_INVERSE_REFRESHES));
+            }
+            let me = comm.rank();
+            let (a0, _) = opt.kfac().factors(model.kfac_indices()[0]).unwrap();
+            assert!(a0.as_slice().iter().any(|v| v.is_nan()), "poison missed");
+            let owners = opt.owners().unwrap();
+            let owned_have_inverses = owned_have_inverses(&opt, &model, me);
+            let params: Vec<Matrix> = (0..model.len())
+                .filter_map(|i| model.layer(i).params().cloned())
+                .collect();
+            (owners[0] == me, refreshes, owned_have_inverses, params)
+        });
+        for (owns_poisoned, refreshes, owned_have_inverses, params) in &results {
+            // One owned layer per rank, refreshes due at steps 0, 2, 4.
+            // The poisoned layer's running factor stays NaN, so its owner
+            // decomposes at step 0 only and keeps that inverse.
+            let expect: [u64; 5] = if *owns_poisoned {
+                [2, 2, 2, 2, 2]
+            } else {
+                [2, 2, 4, 4, 6]
+            };
+            assert_eq!(refreshes, &expect);
+            assert!(owned_have_inverses);
+            assert!(params
+                .iter()
+                .all(|p| p.as_slice().iter().all(|v| v.is_finite())));
+            assert_eq!(params, &results[0].3, "replicas diverged");
         }
     }
 }

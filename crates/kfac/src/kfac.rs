@@ -177,8 +177,19 @@ impl Kfac {
     }
 
     /// Like [`Kfac::update_layer`] but takes precomputed (possibly
-    /// all-reduced) covariances — the distributed path.
+    /// all-reduced) covariances: folds them, then refreshes the cached
+    /// inverse on schedule.
     pub fn absorb_covariances(&mut self, idx: usize, a_cov: &Matrix, g_cov: &Matrix) -> bool {
+        if self.fold_covariances(idx, a_cov, g_cov) {
+            self.refresh_inverse(idx);
+        }
+        self.has_inverse(idx)
+    }
+
+    /// Folds covariances into the layer's running averages — in the
+    /// distributed path every rank does this for every layer — and
+    /// returns whether this step is on the layer's refresh schedule.
+    pub fn fold_covariances(&mut self, idx: usize, a_cov: &Matrix, g_cov: &Matrix) -> bool {
         let state = self
             .states
             .entry(idx)
@@ -188,25 +199,55 @@ impl Kfac {
         ema_fold(&mut state.a_factor, a_cov, decay, steps);
         ema_fold(&mut state.g_factor, g_cov, decay, steps);
         state.steps += 1;
-        if (state.steps - 1).is_multiple_of(self.config.eigen_refresh) {
-            match self.config.inversion {
-                InversionMethod::Eigen => {
-                    state.eig_a = Some(sym_eig(&state.a_factor));
-                    state.eig_g = Some(sym_eig(&state.g_factor));
-                }
-                InversionMethod::Implicit => {
-                    let pi = pi_factor(&state.a_factor, &state.g_factor);
-                    let sqrt_gamma = self.config.damping.sqrt();
-                    let mut a = state.a_factor.clone();
-                    a.add_diag(pi * sqrt_gamma);
-                    let mut g = state.g_factor.clone();
-                    g.add_diag(sqrt_gamma / pi);
-                    state.chol_a = Cholesky::new(&a).ok();
-                    state.chol_g = Cholesky::new(&g).ok();
-                }
+        steps.is_multiple_of(self.config.eigen_refresh)
+    }
+
+    /// Recomputes the layer's cached inverse (two `sym_eig`s or two
+    /// Cholesky factorizations) from its running factors — the O(n³)
+    /// work only the layer's owner does in the distributed path. A
+    /// non-finite factor keeps the previous inverse: a diverged step
+    /// must not poison the preconditioner. Returns whether the
+    /// decompositions ran.
+    pub fn refresh_inverse(&mut self, idx: usize) -> bool {
+        let finite = |m: &Matrix| m.as_slice().iter().all(|v| v.is_finite());
+        let Some(state) = self.states.get_mut(&idx) else {
+            return false;
+        };
+        if !(finite(&state.a_factor) && finite(&state.g_factor)) {
+            return false;
+        }
+        match self.config.inversion {
+            InversionMethod::Eigen => {
+                state.eig_a = Some(sym_eig(&state.a_factor));
+                state.eig_g = Some(sym_eig(&state.g_factor));
+            }
+            InversionMethod::Implicit => {
+                let pi = pi_factor(&state.a_factor, &state.g_factor);
+                let sqrt_gamma = self.config.damping.sqrt();
+                let mut a = state.a_factor.clone();
+                a.add_diag(pi * sqrt_gamma);
+                let mut g = state.g_factor.clone();
+                g.add_diag(sqrt_gamma / pi);
+                state.chol_a = Cholesky::new(&a).ok();
+                state.chol_g = Cholesky::new(&g).ok();
             }
         }
-        state.eig_a.is_some() || state.chol_a.is_some()
+        true
+    }
+
+    /// Drops the layer's cached inverse (a distributed non-owner on a
+    /// refresh step: the copy it holds just went stale).
+    pub fn drop_inverse(&mut self, idx: usize) {
+        if let Some(state) = self.states.get_mut(&idx) {
+            (state.eig_a, state.eig_g, state.chol_a, state.chol_g) = (None, None, None, None);
+        }
+    }
+
+    /// Whether the layer has a cached inverse to precondition with.
+    pub fn has_inverse(&self, idx: usize) -> bool {
+        self.states
+            .get(&idx)
+            .is_some_and(|s| s.eig_a.is_some() || s.chol_a.is_some())
     }
 
     /// Preconditions one layer's gradient (Eq. 2); identity when the

@@ -158,6 +158,10 @@ pub const KFAC_FACTOR: &str = "kfac/step/factor";
 /// `compso-kfac`: eigendecomposition / preconditioning of owned layers
 /// (Fig. 1 "inverse").
 pub const KFAC_INVERSE: &str = "kfac/step/inverse";
+/// `compso-kfac`: factor decompositions (`sym_eig` or Cholesky, two per
+/// layer refresh) performed by *this* rank — owners only, so the sum
+/// over ranks is `2 × layers × refreshes` at any world size.
+pub const KFAC_INVERSE_REFRESHES: &str = "kfac/inverse_refreshes";
 /// `compso-kfac`: compress + all-gather of preconditioned gradients.
 pub const KFAC_ALLGATHER: &str = "kfac/step/allgather";
 /// `compso-kfac`: decode + install of gathered gradients.
@@ -171,7 +175,8 @@ pub const KFAC_STEP_OTHER: &str = "kfac/step/other";
 /// directly; absent on the compress-then-gather path).
 pub const KFAC_OVERLAP_FRAC: &str = "kfac/overlap_frac";
 /// `compso-kfac`: bytes moved by the single fused factor all-reduce
-/// (step 3's `a_cov`/`g_cov` bucket; 2·layers collectives fused into 1).
+/// (step 3's bucket of packed `a_cov`/`g_cov` upper triangles,
+/// n(n+1)/2 floats per factor; 2·layers collectives fused into 1).
 pub const KFAC_FACTOR_FUSED_BYTES: &str = "kfac/factor_fused_bytes";
 /// `compso-kfac`: ownership-map + schedule rebuilds forced by a
 /// membership epoch change (the dead rank's aggregation groups are
@@ -293,6 +298,7 @@ pub const ALL: &[&str] = &[
     KFAC_PEER_DECODE,
     KFAC_FACTOR,
     KFAC_INVERSE,
+    KFAC_INVERSE_REFRESHES,
     KFAC_ALLGATHER,
     KFAC_UPDATE,
     KFAC_STEP_OTHER,

@@ -211,6 +211,9 @@ pub struct StepReport {
     /// clamped to `[0, 1]`. The measured counterpart of the §4.4 model's
     /// predicted overlap.
     pub overlap_frac: Option<f64>,
+    /// Factor decompositions this rank performed (`kfac/inverse_refreshes`:
+    /// two per refresh of a layer it owns; zero off refresh steps).
+    pub inverse_refreshes: u64,
     /// Structured fault-handling / degradation-ladder view of the step.
     pub resilience: Resilience,
     /// Adaptive-compression control-plane view of the step; `None` when
@@ -264,6 +267,7 @@ impl StepReport {
             counters: snap.counters.clone(),
             ratio,
             overlap_frac,
+            inverse_refreshes: snap.counter(names::KFAC_INVERSE_REFRESHES),
             resilience: Resilience::from_snapshot(snap),
             control: ControlBlock::from_snapshot(snap),
         }
@@ -302,6 +306,10 @@ impl StepReport {
             Some(v) => out.push_str(&format!(",\"overlap_frac\":{}", fmt_f64(v))),
             None => out.push_str(",\"overlap_frac\":null"),
         }
+        out.push_str(&format!(
+            ",\"inverse_refreshes\":{}",
+            self.inverse_refreshes
+        ));
         let rz = &self.resilience;
         out.push_str(&format!(
             ",\"resilience\":{{\"crc_detected\":{},\"resends\":{},\"nacks_sent\":{},\
@@ -406,6 +414,7 @@ mod tests {
         rec.add_time_ns(names::KFAC_UPDATE, 100_000);
         rec.add(names::CORE_BYTES_IN, 4000);
         rec.add(names::CORE_BYTES_OUT, 200);
+        rec.add(names::KFAC_INVERSE_REFRESHES, 4);
         rec.snapshot()
     }
 
@@ -430,6 +439,8 @@ mod tests {
         let doc = report.to_json();
         validate(&doc).unwrap_or_else(|(pos, msg)| panic!("{msg} at {pos} in {doc}"));
         assert!(doc.contains("\"ratio\":2e1"), "{doc}");
+        assert_eq!(report.inverse_refreshes, 4);
+        assert!(doc.contains("\"inverse_refreshes\":4"), "{doc}");
         assert!(doc.contains(&format!("\"{}\"", names::KFAC_FACTOR)));
     }
 

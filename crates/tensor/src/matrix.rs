@@ -432,6 +432,36 @@ impl Matrix {
         }
     }
 
+    /// Appends the upper triangle (diagonal included, row-major —
+    /// `n(n+1)/2` values) to `out`: all a symmetric matrix needs on the
+    /// wire. Inverse: [`Matrix::unpack_upper`].
+    pub fn pack_upper(&self, out: &mut Vec<f32>) {
+        assert_eq!(self.rows, self.cols, "pack_upper needs a square matrix");
+        let n = self.rows;
+        for i in 0..n {
+            out.extend_from_slice(&self.data[i * n + i..(i + 1) * n]);
+        }
+    }
+
+    /// Overwrites this square matrix from the [`Matrix::pack_upper`]
+    /// triangle at the head of `packed`, mirroring it below the diagonal
+    /// — the result is exactly symmetric whatever produced `packed` —
+    /// and returns the `n(n+1)/2` values consumed.
+    pub fn unpack_upper(&mut self, packed: &[f32]) -> usize {
+        assert_eq!(self.rows, self.cols, "unpack_upper needs a square matrix");
+        let n = self.rows;
+        let mut off = 0usize;
+        for i in 0..n {
+            let row = &packed[off..off + n - i];
+            self.data[i * n + i..(i + 1) * n].copy_from_slice(row);
+            for (k, &v) in row.iter().enumerate().skip(1) {
+                self.data[(i + k) * n + i] = v;
+            }
+            off += n - i;
+        }
+        off
+    }
+
     /// Maximum absolute asymmetry `max |A - Aᵀ|`.
     pub fn asymmetry(&self) -> f32 {
         assert_eq!(self.rows, self.cols);
@@ -801,6 +831,28 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The packed triangle is `n(n+1)/2` long, round-trips a
+            /// symmetric matrix exactly, and unpacks to an exactly
+            /// symmetric matrix whatever the destination held.
+            #[test]
+            fn pack_upper_roundtrips_symmetric_input(
+                n in (0usize..44).prop_map(|k| if k < 4 { [0, 1, 2, 129][k] } else { k - 1 }),
+                seed in any::<u64>(),
+            ) {
+                let mut rng = CRng::new(seed);
+                let mut m = Matrix::zeros(n, n);
+                rng.fill_normal(m.as_mut_slice());
+                m.symmetrize();
+                let mut packed = vec![7.0f32]; // appends, never clears
+                m.pack_upper(&mut packed);
+                prop_assert_eq!(packed.len(), 1 + n * (n + 1) / 2);
+                let mut back = Matrix::zeros(n, n);
+                rng.fill_normal(back.as_mut_slice());
+                prop_assert_eq!(back.unpack_upper(&packed[1..]), n * (n + 1) / 2);
+                assert_bits_equal(&back, &m, "pack/unpack roundtrip");
+                prop_assert_eq!(back.asymmetry(), 0.0);
+            }
 
             #[test]
             fn transpose_is_an_involution(m in small_matrix(20)) {

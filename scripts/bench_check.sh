@@ -15,6 +15,11 @@
 #   - powersgd.compress_MBps                (low-rank encode throughput)
 #   - controller.overhead_frac              (absolute gate: an adaptive
 #     decision must cost < 1% of the chunked compress wall)
+#   - eigen.cliff_289                       (absolute gate: sym_eig at
+#     n = 289 may cost at most 2.0x its n^3 share of the n = 145 time —
+#     the strided eigenvector accumulation this guards against read 2.6
+#     to 3.4; a ratio of two timings taken back to back holds through
+#     this host's noisy stretches where a ms floor would not)
 #
 # The smoke run is much smaller than the committed snapshot (2^18 vs
 # 2^22 elements, single rep) and CI machines are noisy, so the floor is
@@ -89,6 +94,15 @@ print(
 )
 if not ok:
     failed.append("controller.overhead_frac")
+
+cliff = smoke["eigen"]["cliff_289"]
+ok = cliff <= 2.0
+print(
+    f"bench_check: eigen.cliff_289: smoke={cliff:.2f} "
+    f"ceiling=2.00 -> {'ok' if ok else 'REGRESSION'}"
+)
+if not ok:
+    failed.append("eigen.cliff_289")
 
 if failed:
     print(f"bench_check: regression in {', '.join(failed)}", file=sys.stderr)

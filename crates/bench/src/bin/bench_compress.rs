@@ -37,6 +37,12 @@
 //!    point where the solver's two f64 n×n buffers stop fitting L2
 //!    (gated ≤ 2.0 by bench_check.sh; a ratio of neighbouring timings
 //!    survives a noisy host where an absolute ms gate would not).
+//! 9. `covariance` — the factor phase's kernel: `Matrix::gram` (the SYRK
+//!    `covariance()` runs) against `t_matmul` of the same matrix with
+//!    itself (what it ran before) on one seeded ReLU-sparse statistics
+//!    matrix at the CNN proxy's conv-factor shape (1152 × 289), fastest
+//!    of 5, interleaved; `syrk_speedup = t_matmul_ms / gram_ms` is gated
+//!    ≥ 1.3 by bench_check.sh (half the flops, so ≈ 2 in the limit).
 //!
 //! Environment knobs: `COMPSO_BENCH_ELEMS` (default 4 Mi f32 = 16 MiB),
 //! `COMPSO_BENCH_REPS` (default 3; best-of-N is reported),
@@ -469,12 +475,39 @@ fn main() {
         )
     };
 
+    // Covariance kernel ratio gate, fixed shape and reps like `eigen`:
+    // 32 samples × 36 positions of a 3×3 patch over 32 channels + bias,
+    // behind a ReLU (so about half the entries are exact zeros and take
+    // the kernels' zero-skip).
+    let syrk = {
+        let mut s = Matrix::random_normal(1152, 289, &mut Rng::new(289));
+        for v in s.as_mut_slice() {
+            *v = v.max(0.0);
+        }
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            let full = black_box(black_box(&s).t_matmul(&s));
+            best[0] = best[0].min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            let half = black_box(black_box(&s).gram());
+            best[1] = best[1].min(t0.elapsed().as_secs_f64());
+            assert_eq!(full, half, "gram diverged from t_matmul");
+        }
+        format!(
+            "{{\"t_matmul_ms\": {:.3}, \"gram_ms\": {:.3}, \"syrk_speedup\": {:.2}}}",
+            best[0] * 1e3,
+            best[1] * 1e3,
+            best[0] / best[1].max(1e-12),
+        )
+    };
+
     let json = format!(
         "{{\n  \"elems\": {elems},\n  \"bytes\": {bytes},\n  \"reps\": {reps},\n  \
          \"threads\": {threads},\n  \"serial\": {},\n  \"chunked_1thread\": {},\n  \
          \"chunked_nthread\": {},\n  \"ckpt\": {},\n  \"powersgd\": {},\n  \
          \"controller\": {controller},\n  \"pipeline\": {pipeline},\n  \
-         \"eigen\": {eigen},\n  \
+         \"eigen\": {eigen},\n  \"covariance\": {syrk},\n  \
          \"speedup_compress_chunked_vs_serial\": {:.2},\n  \
          \"speedup_decompress_chunked_vs_serial\": {:.2}\n}}\n",
         serial.json(),

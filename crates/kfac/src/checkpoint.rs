@@ -2,14 +2,21 @@
 //!
 //! Each rank persists exactly the state only it can reproduce — its
 //! stochastic-compression RNG stream, its degradation-ladder last-good
-//! store — plus the K-FAC factor states of the layers it *owns* under
-//! the KAISA schedule. The running factors are replicated across ranks
-//! (every rank folds the all-reduced covariances for every layer) while
-//! a layer's cached inverse lives on its owner alone, so sharding the
-//! save by owner writes each factor — with the one live copy of its
-//! inverse — to disk exactly once; at restore the shards are
-//! redistributed with one variable-size all-gather and every rank
-//! installs every layer's state. Rank 0 additionally carries the globals: model
+//! store, the running factors of the layers it does *not* own — plus the
+//! K-FAC factor states of the layers it *owns* under the KAISA schedule.
+//! A layer's cached inverse lives on its owner alone, so sharding the
+//! save by owner writes each inverse — with the owner's running factors
+//! — to disk exactly once; at restore the shards are redistributed with
+//! one variable-size all-gather and every rank installs every layer's
+//! state. The running factors are replicated only as of the last factor
+//! sync (ranks fold their own shard's covariances in between), so each
+//! rank also stores its copy of the others' layers as packed upper
+//! triangles under `rank/factors/<idx>`, and an equal-world restore
+//! installs them over the owners' copies — that is what keeps a resumed
+//! run bit-identical across the next sync. A cross-world or local
+//! restore drops them like every `rank/` entry: all ranks then hold the
+//! owner's copy, which is replicated and deterministic, and the next
+//! sync re-averages. Rank 0 additionally carries the globals: model
 //! parameters, the ownership map, the step counter, and any caller
 //! extras (optimizer moment buffers), broadcast to everyone at restore.
 //!
@@ -39,7 +46,7 @@ use compso_core::encoders::Codec;
 use compso_core::wire::{frame_checksummed, magic, unframe_checksummed, Reader, Writer};
 use compso_dnn::Sequential;
 use compso_obs::names;
-use compso_tensor::{Cholesky, EigenDecomposition};
+use compso_tensor::{Cholesky, EigenDecomposition, Matrix};
 use std::path::PathBuf;
 
 /// Checkpoint coordination configuration.
@@ -257,8 +264,8 @@ impl CheckpointCoordinator {
         }
 
         // Redistribute the owner-sharded factor states: one all-gather,
-        // then every rank imports every layer (factor state is
-        // replicated by design).
+        // then every rank imports every layer (the owner's copy; an
+        // equal-world restore overlays this rank's own factors below).
         let mine: Vec<TensorEntry> = snap.with_prefix("kfac/").cloned().collect();
         let blobs = allgather_var(comm, frame_checksummed(&encode_tensors(&mine)))?;
         for blob in &blobs {
@@ -322,6 +329,22 @@ impl CheckpointCoordinator {
             for &idx in snap.require_u64s("rank/last_good_idx")? {
                 let idx = idx as usize;
                 last_good.push((idx, snap.require_matrix(&format!("rank/last_good/{idx}"))?));
+            }
+            // This rank's own running factors for the layers it does not
+            // own, over the owners' copies the all-gather installed.
+            for t in snap.with_prefix("rank/factors/") {
+                let idx = t.name["rank/factors/".len()..].parse::<usize>();
+                let (Ok(idx), TensorData::F32(packed)) = (idx, &t.data) else {
+                    return Err(CkptError::Corrupt("rank-local factor entry").into());
+                };
+                let (a, g) = (dist.kfac_mut().factors_mut(idx))
+                    .ok_or(CkptError::Corrupt("rank-local factors of an unknown layer"))?;
+                let tri = |m: &Matrix| m.rows() * (m.rows() + 1) / 2;
+                if packed.len() != tri(a) + tri(g) {
+                    return Err(CkptError::Corrupt("rank-local factor size").into());
+                }
+                let off = a.unpack_upper(packed);
+                g.unpack_upper(&packed[off..]);
             }
             dist.import_state(DistKfacState {
                 owners,
@@ -389,8 +412,8 @@ impl CheckpointCoordinator {
     /// *outside* the group (before [`compso_comm::rejoin`]): walks
     /// snapshots newest-first and loads the newest one that is fully
     /// readable locally — manifest plus **every** rank file, since with
-    /// no peers the factor shards cannot be all-gathered. Installs the
-    /// full replicated factor state and the rank-0 globals (model
+    /// no peers the factor shards cannot be all-gathered. Installs
+    /// every layer's owner-saved factor state and the rank-0 globals (model
     /// parameters); the ownership map and rank-local state are dropped
     /// exactly as in a cross-world restore, because the view this rank
     /// will rejoin may have any size. Factor state newer than the
@@ -510,7 +533,9 @@ pub fn decode_rejoin_delta(bytes: &[u8]) -> Result<(u64, u32, Vec<TensorEntry>),
 /// after [`compso_comm::admit_pending`] / [`compso_comm::rejoin`]
 /// commit the admission.
 ///
-/// The members shard the replicated factor state among themselves —
+/// The members shard the factor state among themselves (each hands out
+/// its own copy of the running factors; the epoch change makes the next
+/// step re-average every layer) —
 /// member `k` of `m` contributes the layers at positions `pos % m == k`
 /// of [`Kfac::state_indices`] — so the joiner receives every layer
 /// exactly once while no single member uploads the whole state. The
@@ -566,7 +591,7 @@ pub fn catch_up_rejoined(
     let deltas = allgather_var_quiet(comm, payload, names::COMM_ALLGATHER_REJOIN)?;
 
     // The joiner installs every shard; members validate the envelopes
-    // (same epoch, sane senders) but keep their own replicated state.
+    // (same epoch, sane senders) but keep their own factor state.
     for delta in &deltas {
         let (d_epoch, _, d_entries) =
             decode_rejoin_delta(delta).map_err(|_| bad("a decodable rejoin delta"))?;
@@ -625,7 +650,8 @@ fn build_rank_snapshot(
     let state = dist.export_state();
     let mut snap = Snapshot::new(step);
 
-    // Rank-local: RNG stream + ladder last-good store.
+    // Rank-local: RNG stream, ladder last-good store, and (below) the
+    // running factors of layers owned elsewhere.
     let (s, spare) = state.rng;
     snap.push_u64s(
         "rank/rng",
@@ -665,9 +691,20 @@ fn build_rank_snapshot(
             }
         }
     };
-    for idx in owned {
+    for &idx in &owned {
         if let Some(layer) = dist.kfac().export_layer_state(idx) {
             push_layer_state(&mut snap, idx, &layer);
+        }
+    }
+    // Everything else this rank holds diverged from the owner's copy at
+    // the last factor sync (exactly symmetric, so the triangle is all).
+    for idx in kfac_layers.into_iter().filter(|idx| !owned.contains(idx)) {
+        if let Some((a, g)) = dist.kfac().factors(idx) {
+            let mut packed = Vec::new();
+            a.pack_upper(&mut packed);
+            g.pack_upper(&mut packed);
+            let name = format!("rank/factors/{idx}");
+            snap.push(TensorEntry::vector(name, TensorData::F32(packed)));
         }
     }
 

@@ -10,14 +10,19 @@
 //!    values are scattered back in place — one collective per step
 //!    instead of one per layer (the gradient-fusion argument of the
 //!    adaptive-compression systems line of work);
-//! 3. per-K-FAC-layer covariances, **bucketed** like step 2 and
-//!    **packed**: the factors are symmetric, so only each `a_cov`/`g_cov`
-//!    upper triangle (n(n+1)/2 values) is flattened into the reusable
-//!    fusion buffer, one `allreduce_mean` moves the whole bucket (one
-//!    collective per step instead of two per K-FAC layer, at half the
-//!    bytes of the full squares), the unpack mirrors the triangle, and
-//!    every rank folds the averaged factors into its running averages —
-//!    the running factors are replicated state;
+//! 3. per-K-FAC-layer covariances, folded **locally** into the running
+//!    factors every step with no communication, and synced **on
+//!    consume**: the EMA is linear, so the mean of the ranks' running
+//!    factors *is* the running factor of the mean covariances, and the
+//!    only reader is step 4's refresh. On a step where a layer's refresh
+//!    is due (`steps % eigen_refresh == 0`, step 0 included, identical on
+//!    every rank) the due layers' running `A`/`G` upper triangles
+//!    (n(n+1)/2 values each) are packed into the fusion buffer, ONE
+//!    `allreduce_mean` moves the bucket, and the unpack mirrors it back —
+//!    replicated and exactly symmetric at that instant, rank-local in
+//!    between. A membership epoch change syncs *all* layers on the next
+//!    step (adoption, rejoin catch-up and cross-world restore hand out
+//!    one rank's copy);
 //! 4. the *owner* of each layer (greedy cost-balanced assignment, as in
 //!    KAISA, built before step 3 from the static layer shapes) — and
 //!    only the owner — refreshes the layer's inverse
@@ -26,7 +31,7 @@
 //!    non-owner drops its cached copy on a refresh step, so a stale one
 //!    can never be applied, and a rank that finds no inverse for a layer
 //!    it now owns (elastic reshard, rejoin catch-up) rebuilds it on
-//!    adoption from the replicated running factors;
+//!    adoption from the just-synced running factors;
 //! 5. **pipelined** ring all-gather of the preconditioned gradients.
 //!    This is the traffic COMPSO compresses: owners compress their
 //!    layers' preconditioned gradients (aggregating up to `aggregation`
@@ -121,9 +126,9 @@ pub struct StepStats {
     pub gather_bytes_original: u64,
     /// Bytes actually all-gathered (equals original without compression).
     pub gather_bytes_wire: u64,
-    /// All-reduce volume in bytes: the step-2 gradient bucket plus the
-    /// step-3 fused factor bucket of packed upper triangles (both always
-    /// travel uncompressed).
+    /// All-reduce volume in bytes *this step*: the step-2 gradient
+    /// bucket plus, on a factor-sync step only, the step-3 bucket of
+    /// packed upper triangles (both always travel uncompressed).
     pub allreduce_bytes: u64,
 }
 
@@ -185,6 +190,16 @@ pub struct DistKfac {
     /// drops the map and schedules so they rebuild for the new view
     /// (`kfac/elastic/reshards`).
     view_epoch: u64,
+    /// An epoch change is pending: the next factor phase syncs every
+    /// layer, due or not. Cleared once that sync went through.
+    resync: bool,
+    /// Whether the current `step`/`step_elastic` call has folded its
+    /// covariances: the fold belongs to the backward pass, not to the
+    /// attempt, so an elastic retry must not repeat it.
+    folded: bool,
+    /// Per K-FAC layer, whether this call's fold fell on the refresh
+    /// schedule — kept across elastic retries with `folded`.
+    due: Vec<bool>,
     /// Reusable fusion buffer for the bucketed step-2 gradient sync and
     /// the step-3 factor bucket (no per-step allocation churn).
     fusion: Vec<f32>,
@@ -211,6 +226,9 @@ impl DistKfac {
             schedule_builds: 0,
             active_compressor: None,
             view_epoch: 0,
+            resync: false,
+            folded: false,
+            due: Vec::new(),
             fusion: Vec::new(),
             last_good: BTreeMap::new(),
             rng: Rng::new(seed ^ 0xFACADE),
@@ -247,6 +265,18 @@ impl DistKfac {
         model: &mut Sequential,
         compressor: &dyn Compressor,
     ) -> Result<StepStats, CommError> {
+        self.folded = false;
+        self.step_attempt(comm, model, compressor)
+    }
+
+    /// One attempt at the step; [`DistKfac::step_elastic`] re-enters it
+    /// after a shrink.
+    fn step_attempt(
+        &mut self,
+        comm: &mut Communicator,
+        model: &mut Sequential,
+        compressor: &dyn Compressor,
+    ) -> Result<StepStats, CommError> {
         // Elastic resharding: a membership epoch change (shrink or
         // rejoin) invalidates the ownership map — it was computed for a
         // different world size — and with it the schedule cache. Every
@@ -256,6 +286,7 @@ impl DistKfac {
         // survivors, a rejoined rank picks its share back up.
         if comm.epoch() != self.view_epoch {
             self.view_epoch = comm.epoch();
+            self.resync = true;
             if self.owners.take().is_some() {
                 self.schedules = None;
                 self.recorder.incr(names::KFAC_ELASTIC_RESHARDS);
@@ -341,63 +372,79 @@ impl DistKfac {
             }
         };
 
-        // (3) Factor statistics, bucketed like step 2. `covariance()`
-        // symmetrizes, so only each factor's upper triangle (n(n+1)/2
-        // values) is flattened into the (now free) fusion buffer; ONE
-        // `allreduce_mean` moves the whole packed bucket and the unpack
-        // mirrors it, leaving every averaged factor exactly symmetric.
-        // Every rank then folds every layer into its running averages
-        // (replicated state). The f32 reduction order differs from a
-        // per-factor sync (blocks span factor boundaries) but identically
-        // on every rank, so replicas stay bit-identical.
-        let mut due: Vec<bool> = Vec::with_capacity(kfac_layers.len());
+        // (3) Factor statistics. Every rank folds its LOCAL covariances
+        // into its running factors — once per call, however many elastic
+        // attempts the call takes. Only a layer whose refresh is due (or
+        // every layer after an epoch change) is synced: its running
+        // factors' packed upper triangles go through ONE `allreduce_mean`
+        // and are mirrored back, replicated and exactly symmetric for
+        // step 4 to consume. The condition is replicated state, so every
+        // rank issues the collective on the same steps.
         {
             let _span = self.recorder.span(names::KFAC_FACTOR);
-            let mut covs: Vec<(usize, Matrix, Matrix)> = Vec::with_capacity(kfac_layers.len());
+            if !self.folded {
+                self.due.clear();
+                for &idx in &kfac_layers {
+                    let s = model.kfac_stats(idx).ok_or(CommError::Protocol {
+                        expected: "kfac layer with captured statistics",
+                    })?;
+                    let (a_cov, g_cov) = (covariance(&s.a), covariance(&s.g));
+                    self.due
+                        .push(self.kfac.fold_covariances(idx, &a_cov, &g_cov));
+                }
+                self.folded = true;
+            }
+            let resync = self.resync;
+            let synced = || {
+                (kfac_layers.iter().zip(&self.due))
+                    .filter(move |(_, &due)| due || resync)
+                    .map(|(&idx, _)| idx)
+            };
             self.fusion.clear();
-            for &idx in &kfac_layers {
-                let s = model.kfac_stats(idx).ok_or(CommError::Protocol {
-                    expected: "kfac layer with captured statistics",
-                })?;
-                let a_cov = covariance(&s.a);
-                let g_cov = covariance(&s.g);
-                a_cov.pack_upper(&mut self.fusion);
-                g_cov.pack_upper(&mut self.fusion);
-                covs.push((idx, a_cov, g_cov));
+            for (a, g) in synced().filter_map(|idx| self.kfac.factors(idx)) {
+                a.pack_upper(&mut self.fusion);
+                g.pack_upper(&mut self.fusion);
             }
-            let fused_bytes = self.fusion.len() as u64 * 4;
-            stats.allreduce_bytes += fused_bytes;
-            self.recorder
-                .add(names::KFAC_FACTOR_FUSED_BYTES, fused_bytes);
-            allreduce_mean(comm, &mut self.fusion)?;
-            let mut off = 0usize;
-            for (idx, mut a_cov, mut g_cov) in covs {
-                off += a_cov.unpack_upper(&self.fusion[off..]);
-                off += g_cov.unpack_upper(&self.fusion[off..]);
-                due.push(self.kfac.fold_covariances(idx, &a_cov, &g_cov));
+            if !self.fusion.is_empty() {
+                let fused_bytes = self.fusion.len() as u64 * 4;
+                stats.allreduce_bytes += fused_bytes;
+                self.recorder
+                    .add(names::KFAC_FACTOR_FUSED_BYTES, fused_bytes);
+                self.recorder.incr(names::KFAC_FACTOR_SYNCS);
+                allreduce_mean(comm, &mut self.fusion)?;
+                let mut off = 0usize;
+                for idx in synced() {
+                    if let Some((a, g)) = self.kfac.factors_mut(idx) {
+                        off += a.unpack_upper(&self.fusion[off..]);
+                        off += g.unpack_upper(&self.fusion[off..]);
+                    }
+                }
+                debug_assert_eq!(off, self.fusion.len());
             }
-            debug_assert_eq!(off, self.fusion.len());
+            self.resync = false;
         }
 
         // (4) Owner-only inverses, then precondition owned layers (the
         // eigendecomposition / inverse-application phase of Fig. 1). The
         // owner refreshes on the layer's schedule — or on adoption, when
         // it holds no inverse for a layer it now owns (elastic reshard,
-        // rejoin catch-up): the running factors are replicated, so any
-        // rank can rebuild it. A non-owner drops its copy on a refresh
-        // step so a stale inverse can never be applied later.
+        // rejoin catch-up): the epoch change synced every running factor
+        // just above, so any rank can rebuild it. A non-owner drops its
+        // copy on a refresh step so a stale inverse can never be applied
+        // later.
         let me = comm.rank();
         let mut owned: Vec<(usize, Matrix)> = Vec::new();
         {
             let _span = self.recorder.span(names::KFAC_INVERSE);
             for (pos, &idx) in kfac_layers.iter().enumerate() {
                 if owners[pos] != me {
-                    if due[pos] {
+                    if self.due[pos] {
                         self.kfac.drop_inverse(idx);
                     }
                     continue;
                 }
-                if (due[pos] || !self.kfac.has_inverse(idx)) && self.kfac.refresh_inverse(idx) {
+                if (self.due[pos] || !self.kfac.has_inverse(idx)) && self.kfac.refresh_inverse(idx)
+                {
                     self.recorder.add(names::KFAC_INVERSE_REFRESHES, 2);
                 }
                 let grad = model.layer(idx).grads().ok_or(CommError::Protocol {
@@ -737,8 +784,9 @@ impl DistKfac {
         model: &mut Sequential,
         compressor: &dyn Compressor,
     ) -> Result<StepStats, CommError> {
+        self.folded = false;
         loop {
-            match self.step(comm, model, compressor) {
+            match self.step_attempt(comm, model, compressor) {
                 Ok(stats) => return Ok(stats),
                 Err(e) => {
                     let Some(culprit) = e.culprit() else {
@@ -756,7 +804,9 @@ impl DistKfac {
         self.owners.as_deref()
     }
 
-    /// The inner (replicated) K-FAC optimizer, for factor-state export.
+    /// The inner K-FAC optimizer, for factor-state export. Its running
+    /// factors are replicated as of the last sync (rank-local folds
+    /// since); each cached inverse lives on the layer's owner only.
     pub fn kfac(&self) -> &Kfac {
         &self.kfac
     }
@@ -1312,12 +1362,17 @@ mod tests {
             }
         });
         let snap = rec.snapshot();
-        // Per rank per step: exactly ONE gradient-sync allreduce (the
-        // step-2 bucket) plus exactly ONE fused factor allreduce (the
-        // step-3 bucket) — regardless of how many K-FAC layers the model
-        // has.
-        let expected = (ranks * steps) as u64 * 2;
+        // Per rank: exactly ONE gradient-sync allreduce per step (the
+        // step-2 bucket) plus ONE fused factor allreduce per refresh
+        // period (the step-3 bucket, ⌈steps / eigen_refresh⌉ of them) —
+        // regardless of how many K-FAC layers the model has.
+        let syncs = steps.div_ceil(KfacConfig::default().eigen_refresh);
+        let expected = (ranks * (steps + syncs)) as u64;
         assert_eq!(snap.counter(names::COMM_ALLREDUCE_CALLS), expected);
+        assert_eq!(
+            snap.counter(names::KFAC_FACTOR_SYNCS),
+            (ranks * syncs) as u64
+        );
         // The fused factor bucket actually moved bytes.
         assert!(snap.counter(names::KFAC_FACTOR_FUSED_BYTES) > 0);
         // One pipelined compressed all-gather per step completes the
@@ -1608,11 +1663,12 @@ mod tests {
             (ranks * steps) as u64
         );
         assert_eq!(snap.counter(names::COMM_PIPELINED_ALLGATHER_CALLS), 0);
-        // The factor fusion is mode-independent: still exactly two
-        // allreduces per rank per step.
+        // The factor sync is mode-independent: still one gradient
+        // allreduce per step plus one factor allreduce per refresh period.
+        let syncs = steps.div_ceil(KfacConfig::default().eigen_refresh);
         assert_eq!(
             snap.counter(names::COMM_ALLREDUCE_CALLS),
-            (ranks * steps) as u64 * 2
+            (ranks * (steps + syncs)) as u64
         );
     }
 

@@ -39,7 +39,9 @@ pub struct KfacConfig {
     /// Running-average decay for the covariance factors.
     pub ema_decay: f32,
     /// Recompute eigendecompositions every this many steps (factor
-    /// statistics still update every step).
+    /// statistics still update every step). In the distributed path this
+    /// is also the factor all-reduce cadence: the refresh is the running
+    /// factors' only reader, so ranks fold locally in between.
     pub eigen_refresh: usize,
     /// Factor-inversion route.
     pub inversion: InversionMethod,
@@ -81,12 +83,12 @@ impl LayerState {
     }
 }
 
-/// Computes the batch covariance of a statistics matrix: `sᵀ s / rows`.
+/// Computes the batch covariance of a statistics matrix: `sᵀ s / rows`
+/// (exactly symmetric: [`Matrix::gram`] mirrors its upper triangle).
 pub fn covariance(s: &Matrix) -> Matrix {
     let rows = s.rows().max(1) as f32;
-    let mut c = s.t_matmul(s);
+    let mut c = s.gram();
     c.scale(1.0 / rows);
-    c.symmetrize();
     c
 }
 
@@ -187,8 +189,9 @@ impl Kfac {
     }
 
     /// Folds covariances into the layer's running averages — in the
-    /// distributed path every rank does this for every layer — and
-    /// returns whether this step is on the layer's refresh schedule.
+    /// distributed path every rank does this for every layer with its
+    /// *local* covariances — and returns whether this step is on the
+    /// layer's refresh schedule.
     pub fn fold_covariances(&mut self, idx: usize, a_cov: &Matrix, g_cov: &Matrix) -> bool {
         let state = self
             .states
@@ -285,6 +288,13 @@ impl Kfac {
     /// Read-only access to a layer's running factors (tests, diagnostics).
     pub fn factors(&self, idx: usize) -> Option<(&Matrix, &Matrix)> {
         self.states.get(&idx).map(|s| (&s.a_factor, &s.g_factor))
+    }
+
+    /// Mutable access to a layer's running factors (the distributed
+    /// factor sync and checkpoint restore overwrite them in place).
+    pub fn factors_mut(&mut self, idx: usize) -> Option<(&mut Matrix, &mut Matrix)> {
+        let s = self.states.get_mut(&idx)?;
+        Some((&mut s.a_factor, &mut s.g_factor))
     }
 
     /// Layer indices with factor state, sorted ascending (a deterministic

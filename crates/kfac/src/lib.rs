@@ -12,8 +12,10 @@
 //!
 //! 1. local forward/backward on the rank's data shard;
 //! 2. all-reduce of the raw gradients (data-parallel sync);
-//! 3. covariance factors `A = E[ããᵀ]`, `G = E[ggᵀ]` computed locally,
-//!    all-reduced, folded into running averages;
+//! 3. covariance factors `A = E[ããᵀ]`, `G = E[ggᵀ]` computed and folded
+//!    into running averages locally; the running averages are
+//!    all-reduced once per `eigen_refresh` iterations, when step 4 reads
+//!    them;
 //! 4. each layer's eigendecomposition + preconditioning on its *owner*
 //!    rank (greedy cost-balanced assignment, refreshed factors every
 //!    `eigen_refresh` iterations);

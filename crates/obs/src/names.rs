@@ -152,8 +152,9 @@ pub const KFAC_BUCKET: &str = "kfac/step/grad_sync/bucket";
 /// `compso-kfac`: parallel decode of the N−1 peer all-gather payloads
 /// (nested inside `update`).
 pub const KFAC_PEER_DECODE: &str = "kfac/step/update/peer_decode";
-/// `compso-kfac`: covariance factor compute + all-reduce (Fig. 1
-/// "KFAC Computations" + "Factor Allreduce").
+/// `compso-kfac`: local covariance compute + EMA fold every step, plus
+/// the packed factor all-reduce on sync steps only (Fig. 1 "KFAC
+/// Computations" + "Factor Allreduce").
 pub const KFAC_FACTOR: &str = "kfac/step/factor";
 /// `compso-kfac`: eigendecomposition / preconditioning of owned layers
 /// (Fig. 1 "inverse").
@@ -174,10 +175,15 @@ pub const KFAC_STEP_OTHER: &str = "kfac/step/other";
 /// (computed by `StepReport` from the pipeline timers, never recorded
 /// directly; absent on the compress-then-gather path).
 pub const KFAC_OVERLAP_FRAC: &str = "kfac/overlap_frac";
-/// `compso-kfac`: bytes moved by the single fused factor all-reduce
-/// (step 3's bucket of packed `a_cov`/`g_cov` upper triangles,
-/// n(n+1)/2 floats per factor; 2·layers collectives fused into 1).
+/// `compso-kfac`: bytes moved by the fused factor all-reduce (step 3's
+/// bucket of the synced layers' packed running-factor upper triangles,
+/// n(n+1)/2 floats per factor). Zero on a step that syncs nothing.
 pub const KFAC_FACTOR_FUSED_BYTES: &str = "kfac/factor_fused_bytes";
+/// `compso-kfac`: factor all-reduces issued by *this* rank — one per
+/// step on which some layer's refresh is due, plus one after each
+/// membership epoch change; `⌈steps / eigen_refresh⌉` in a
+/// fixed-membership run.
+pub const KFAC_FACTOR_SYNCS: &str = "kfac/factor_syncs";
 /// `compso-kfac`: ownership-map + schedule rebuilds forced by a
 /// membership epoch change (the dead rank's aggregation groups are
 /// re-owned across the survivors). Zero in a fixed-membership run.
@@ -304,6 +310,7 @@ pub const ALL: &[&str] = &[
     KFAC_STEP_OTHER,
     KFAC_OVERLAP_FRAC,
     KFAC_FACTOR_FUSED_BYTES,
+    KFAC_FACTOR_SYNCS,
     KFAC_ELASTIC_RESHARDS,
     CKPT_SAVE,
     CKPT_LOAD,

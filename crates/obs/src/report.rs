@@ -214,6 +214,9 @@ pub struct StepReport {
     /// Factor decompositions this rank performed (`kfac/inverse_refreshes`:
     /// two per refresh of a layer it owns; zero off refresh steps).
     pub inverse_refreshes: u64,
+    /// Factor all-reduces this rank issued (`kfac/factor_syncs`: one on
+    /// a step whose refresh consumes the factors, zero otherwise).
+    pub factor_syncs: u64,
     /// Structured fault-handling / degradation-ladder view of the step.
     pub resilience: Resilience,
     /// Adaptive-compression control-plane view of the step; `None` when
@@ -268,6 +271,7 @@ impl StepReport {
             ratio,
             overlap_frac,
             inverse_refreshes: snap.counter(names::KFAC_INVERSE_REFRESHES),
+            factor_syncs: snap.counter(names::KFAC_FACTOR_SYNCS),
             resilience: Resilience::from_snapshot(snap),
             control: ControlBlock::from_snapshot(snap),
         }
@@ -307,8 +311,8 @@ impl StepReport {
             None => out.push_str(",\"overlap_frac\":null"),
         }
         out.push_str(&format!(
-            ",\"inverse_refreshes\":{}",
-            self.inverse_refreshes
+            ",\"inverse_refreshes\":{},\"factor_syncs\":{}",
+            self.inverse_refreshes, self.factor_syncs
         ));
         let rz = &self.resilience;
         out.push_str(&format!(
@@ -415,6 +419,7 @@ mod tests {
         rec.add(names::CORE_BYTES_IN, 4000);
         rec.add(names::CORE_BYTES_OUT, 200);
         rec.add(names::KFAC_INVERSE_REFRESHES, 4);
+        rec.incr(names::KFAC_FACTOR_SYNCS);
         rec.snapshot()
     }
 
@@ -441,6 +446,8 @@ mod tests {
         assert!(doc.contains("\"ratio\":2e1"), "{doc}");
         assert_eq!(report.inverse_refreshes, 4);
         assert!(doc.contains("\"inverse_refreshes\":4"), "{doc}");
+        assert_eq!(report.factor_syncs, 1);
+        assert!(doc.contains("\"factor_syncs\":1"), "{doc}");
         assert!(doc.contains(&format!("\"{}\"", names::KFAC_FACTOR)));
     }
 

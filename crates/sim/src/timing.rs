@@ -9,7 +9,9 @@
 //!   non-tensor-core math — hence its own efficiency constant);
 //! * **KFAC Allreduce** — the covariance factors, amortized over the
 //!   factor update interval (KAISA refreshes factors periodically; the
-//!   per-iteration wire cost is the amortized share);
+//!   per-iteration wire cost is the amortized share — which is what
+//!   `DistKfac::step` pays: one all-reduce of the running factors per
+//!   `eigen_refresh` steps, local folds in between);
 //! * **KFAC Allgather** — the per-layer preconditioned-gradient
 //!   broadcasts from each layer's owner, discounted by the
 //!   computation-communication overlap factor; this is the phase

@@ -238,9 +238,31 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ * other` without materializing the transpose — the covariance
-    /// product K-FAC computes (`aᵀa`, `gᵀg` over a batch).
+    /// `selfᵀ * other` without materializing the transpose.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+        self.t_matmul_from(other, |_| 0)
+    }
+
+    /// The Gram matrix `selfᵀ * self` as a symmetric rank-k update — the
+    /// covariance product K-FAC computes (`aᵀa`, `gᵀg` over a batch). Row
+    /// `i` starts at the diagonal's panel and the rest is mirrored: half
+    /// the flops of [`Matrix::t_matmul`] with itself, every computed
+    /// element keeping its r-ascending sum, so the result is bit-identical
+    /// to it on finite input and exactly symmetric on any.
+    pub fn gram(&self) -> Matrix {
+        let mut out = self.t_matmul_from(self, |i| (i / NR) * NR);
+        let n = self.cols;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                out.data[j * n + i] = out.data[i * n + j];
+            }
+        }
+        out
+    }
+
+    /// [`Matrix::t_matmul`] with row `i`'s columns left of
+    /// `first_panel(i)` (a multiple of [`NR`]) skipped, i.e. left zero.
+    fn t_matmul_from(&self, other: &Matrix, first_panel: impl Fn(usize) -> usize + Sync) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "t_matmul dims {}x{}ᵀ * {}x{}",
@@ -257,7 +279,7 @@ impl Matrix {
         let kernel = |i: usize, out_row: &mut [f32]| {
             // Same register-tiled panel structure as `matmul`, with the
             // batch dimension r playing the role of k.
-            let mut jb = 0;
+            let mut jb = first_panel(i);
             while jb + NR <= n {
                 let mut acc = [0.0f32; NR];
                 for r in 0..rows {
@@ -916,6 +938,34 @@ mod tests {
                 assert_bits_equal(&a.matmul(&b), &scalar_oracle::matmul(&a, &b), "matmul");
                 assert_bits_equal(&a.t_matmul(&d), &scalar_oracle::t_matmul(&a, &d), "t_matmul");
                 assert_bits_equal(&a.matmul_t(&c), &scalar_oracle::matmul_t(&a, &c), "matmul_t");
+            }
+
+            /// The SYRK is `to_bits`-equal to the product it replaced in
+            /// `covariance()` — `t_matmul` with itself, then `symmetrize`
+            /// — on ReLU-style statistics (clamped entries, whole dead
+            /// columns), across the panel edges (n = NR ± 1), the parallel
+            /// path (n = 129) and an empty batch.
+            #[test]
+            fn gram_bit_identical_to_t_matmul_then_symmetrize(
+                rows in (0usize..3).prop_map(|k| [0, 1, 33][k]),
+                n in (0usize..5).prop_map(|k| [1, 15, 16, 17, 129][k]),
+                seed in any::<u64>(),
+            ) {
+                let mut rng = CRng::new(seed);
+                let mut s = Matrix::random_normal(rows, n, &mut rng);
+                for v in s.as_mut_slice() {
+                    *v = v.max(0.0);
+                }
+                for r in 0..rows {
+                    for c in (seed as usize % 3..n).step_by(5) {
+                        s.set(r, c, 0.0);
+                    }
+                }
+                let mut oracle = s.t_matmul(&s);
+                oracle.symmetrize();
+                let gram = s.gram();
+                assert_bits_equal(&gram, &oracle, "gram");
+                prop_assert_eq!(gram.asymmetry(), 0.0);
             }
 
             #[test]

@@ -20,6 +20,10 @@
 #     the strided eigenvector accumulation this guards against read 2.6
 #     to 3.4; a ratio of two timings taken back to back holds through
 #     this host's noisy stretches where a ms floor would not)
+#   - covariance.syrk_speedup               (absolute gate: Matrix::gram,
+#     the SYRK covariance() runs, must beat t_matmul of the matrix with
+#     itself by >= 1.3x — it does half the flops; again a back-to-back
+#     ratio)
 #
 # The smoke run is much smaller than the committed snapshot (2^18 vs
 # 2^22 elements, single rep) and CI machines are noisy, so the floor is
@@ -103,6 +107,15 @@ print(
 )
 if not ok:
     failed.append("eigen.cliff_289")
+
+syrk = smoke["covariance"]["syrk_speedup"]
+ok = syrk >= 1.3
+print(
+    f"bench_check: covariance.syrk_speedup: smoke={syrk:.2f} "
+    f"floor=1.30 -> {'ok' if ok else 'REGRESSION'}"
+)
+if not ok:
+    failed.append("covariance.syrk_speedup")
 
 if failed:
     print(f"bench_check: regression in {', '.join(failed)}", file=sys.stderr)

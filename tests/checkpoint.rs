@@ -160,33 +160,39 @@ fn resumed(
 
 #[test]
 fn resume_is_bit_identical_at_every_world_size_and_compressor() {
-    let steps = 8;
-    for ranks in [1usize, 2, 4] {
-        for quantized in [false, true] {
-            let dir = temp_root(&format!("resume-{ranks}-{quantized}"));
-            let rec = Recorder::enabled();
-            let direct = straight(ranks, steps, quantized);
-            let rejoined = resumed(ranks, steps, quantized, &dir, &rec);
-            for r in 0..ranks {
-                assert_eq!(
-                    direct[r], rejoined[r],
-                    "ranks={ranks} quantized={quantized} rank {r}: \
-                     resumed trajectory diverged from the straight run"
-                );
+    // 8 steps resume inside a refresh period (`eigen_refresh` is 10);
+    // 16 steps save at 8, so the resumed half crosses step 10's factor
+    // sync + refresh and reads the restored running factors — including
+    // the rank-local ones of layers a rank does not own.
+    for steps in [8usize, 16] {
+        for ranks in [1usize, 2, 4] {
+            for quantized in [false, true] {
+                let dir = temp_root(&format!("resume-{steps}-{ranks}-{quantized}"));
+                let rec = Recorder::enabled();
+                let direct = straight(ranks, steps, quantized);
+                let rejoined = resumed(ranks, steps, quantized, &dir, &rec);
+                for r in 0..ranks {
+                    assert_eq!(
+                        direct[r], rejoined[r],
+                        "steps={steps} ranks={ranks} quantized={quantized} rank {r}: \
+                         resumed trajectory diverged from the straight run"
+                    );
+                }
+                // Counter reconciliation: one coordinated save per rank,
+                // real bytes on disk, zero restore rungs (the snapshot was
+                // clean) — and a clean checkpointing run stays "quiet" in
+                // the report.
+                let snap = rec.snapshot();
+                assert_eq!(snap.counter(names::CKPT_SAVES), ranks as u64);
+                assert!(snap.counter(names::CKPT_BYTES) > 0);
+                assert!(snap.counter(names::CKPT_RAW_BYTES) > 0);
+                assert_eq!(snap.counter(names::CKPT_RESTORE_RUNGS), 0);
+                assert_eq!(snap.timers[names::CKPT_SAVE].count, ranks as u64);
+                assert_eq!(snap.timers[names::CKPT_LOAD].count, ranks as u64);
+                let rz = Resilience::from_snapshot(&snap);
+                assert!(rz.is_quiet(), "clean save/restore must stay quiet: {rz:?}");
+                let _ = std::fs::remove_dir_all(&dir);
             }
-            // Counter reconciliation: one coordinated save per rank, real
-            // bytes on disk, zero restore rungs (the snapshot was clean) —
-            // and a clean checkpointing run stays "quiet" in the report.
-            let snap = rec.snapshot();
-            assert_eq!(snap.counter(names::CKPT_SAVES), ranks as u64);
-            assert!(snap.counter(names::CKPT_BYTES) > 0);
-            assert!(snap.counter(names::CKPT_RAW_BYTES) > 0);
-            assert_eq!(snap.counter(names::CKPT_RESTORE_RUNGS), 0);
-            assert_eq!(snap.timers[names::CKPT_SAVE].count, ranks as u64);
-            assert_eq!(snap.timers[names::CKPT_LOAD].count, ranks as u64);
-            let rz = Resilience::from_snapshot(&snap);
-            assert!(rz.is_quiet(), "clean save/restore must stay quiet: {rz:?}");
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -441,19 +447,31 @@ fn cross_world_restore_reshards_and_stays_deterministic() {
                 // The resharded ownership map rebuilds at the next step.
                 assert!(opt.owners().is_none(), "stale N-rank ownership survived");
                 let installed = params_of(&model);
+                let factors: Vec<Matrix> = (model.kfac_indices().iter())
+                    .flat_map(|&idx| {
+                        let (a, g) = opt.kfac().factors(idx).expect("restored factors");
+                        [a.clone(), g.clone()]
+                    })
+                    .collect();
                 for step in SAVE_STEP..SAVE_STEP + EXTRA {
                     train_step(comm, &mut model, &mut opt, &shard, &compso, step);
                 }
-                (installed, params_of(&model))
+                (installed, params_of(&model), factors)
             })
         };
 
         let rec = Recorder::enabled();
         let first = resharded_run(&rec);
-        for (r, (installed, _)) in first.iter().enumerate() {
+        for (r, (installed, _, factors)) in first.iter().enumerate() {
             assert_eq!(
                 installed, saved_params,
                 "{n}->{m} rank {r}: restored parameters differ from the saved ones"
+            );
+            // The old world's rank-local factors are dropped: every rank
+            // holds the owner's copy, so the factors are replicated.
+            assert_eq!(
+                factors, &first[0].2,
+                "{n}->{m} rank {r}: cross-world restore left rank-local factors"
             );
         }
         // Counter reconciliation: every rank took the world-size path

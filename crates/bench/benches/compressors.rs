@@ -54,25 +54,25 @@ fn bench_decompress(c: &mut Criterion) {
     group.finish();
 }
 
-/// The no-op recorder acceptance check: compressing 16 MiB through the
-/// recorded entry point with a disabled recorder must cost the same as
-/// the plain path (every record call is one `Option` branch).
+/// The no-op recorder acceptance check: compressing 16 MiB with a
+/// disabled recorder (every record call is one `Option` branch) beside
+/// the same call with recording on.
 fn bench_noop_recorder_overhead(c: &mut Criterion) {
     let elems = 4 << 20; // 16 MiB of f32
     let data = generate(elems, 5, GradientProfile::kfac());
     let compso = Compso::new(CompsoConfig::aggressive(4e-3));
-    let rec = compso_obs::Recorder::disabled();
     let mut group = c.benchmark_group("noop-recorder-16MiB");
     group.throughput(Throughput::Bytes((elems * 4) as u64));
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("plain"), &data, |b, data| {
-        let mut rng = Rng::new(6);
-        b.iter(|| compso.compress_layers(&[data], &mut rng));
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("recorded"), &data, |b, data| {
-        let mut rng = Rng::new(6);
-        b.iter(|| compso.compress_layers_recorded(&[data], &mut rng, &rec));
-    });
+    for (arm, rec) in [
+        ("disabled", compso_obs::Recorder::disabled()),
+        ("enabled", compso_obs::Recorder::enabled()),
+    ] {
+        group.bench_with_input(BenchmarkId::from_parameter(arm), &data, |b, data| {
+            let mut rng = Rng::new(6);
+            b.iter(|| compso.compress_layers(&[data], &mut rng, &rec));
+        });
+    }
     group.finish();
 }
 

@@ -4,6 +4,7 @@
 use compso_core::kernels::{compress_chunked, decompress_chunked, KernelConfig, LayerSchedule};
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::{Codec, Compso, CompsoConfig};
+use compso_obs::Recorder;
 use compso_tensor::reduce::{minmax_flat, minmax_hierarchical};
 use compso_tensor::Rng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -25,7 +26,7 @@ fn bench_fusion(c: &mut Criterion) {
         let schedule = LayerSchedule::build(&[data.len()], kc.chunk_elems);
         group.bench_with_input(BenchmarkId::from_parameter(name), &data, |b, data| {
             let rng = Rng::new(2);
-            b.iter(|| compress_chunked(&[data], &cfg, &kc, &schedule, &rng));
+            b.iter(|| compress_chunked(&[data], &cfg, &kc, &schedule, &rng, &Recorder::disabled()));
         });
     }
     group.finish();
@@ -57,7 +58,7 @@ fn bench_chunk_size(c: &mut Criterion) {
         let schedule = LayerSchedule::build(&[data.len()], chunk);
         group.bench_with_input(BenchmarkId::from_parameter(chunk), &data, |b, data| {
             let rng = Rng::new(5);
-            b.iter(|| compress_chunked(&[data], &cfg, &kc, &schedule, &rng));
+            b.iter(|| compress_chunked(&[data], &cfg, &kc, &schedule, &rng, &Recorder::disabled()));
         });
     }
     group.finish();
@@ -79,8 +80,10 @@ fn bench_e2e_serial_vs_chunked(c: &mut Criterion) {
         let compso = Compso::new(cfg);
         b.iter(|| {
             let mut rng = Rng::new(11);
-            let bytes = compso.compress_layers(&[data], &mut rng);
-            compso.decompress_layers(&bytes).expect("roundtrip")
+            let bytes = compso.compress_layers(&[data], &mut rng, &Recorder::disabled());
+            compso
+                .decompress_layers(&bytes, &Recorder::disabled())
+                .expect("roundtrip")
         });
     });
     group.bench_with_input(BenchmarkId::from_parameter("chunked"), &data, |b, data| {
@@ -88,8 +91,9 @@ fn bench_e2e_serial_vs_chunked(c: &mut Criterion) {
         let schedule = LayerSchedule::build(&[data.len()], kc.chunk_elems);
         b.iter(|| {
             let rng = Rng::new(11);
-            let bytes = compress_chunked(&[data], &cfg, &kc, &schedule, &rng);
-            decompress_chunked(&bytes).expect("roundtrip")
+            let bytes =
+                compress_chunked(&[data], &cfg, &kc, &schedule, &rng, &Recorder::disabled());
+            decompress_chunked(&bytes, &Recorder::disabled()).expect("roundtrip")
         });
     });
     group.finish();

@@ -21,6 +21,7 @@ use compso_core::tuning::{tune_bounds, TuningGrid};
 use compso_core::{Compressor, Compso, CompsoConfig, RoundingMode};
 use compso_dnn::ModelSpec;
 use compso_kfac::kfac::covariance;
+use compso_obs::Recorder;
 use compso_sim::{IterationModel, Platform};
 use compso_tensor::{Matrix, Rng};
 use std::time::Instant;
@@ -172,10 +173,11 @@ fn kernel_ablation() {
         };
         let schedule = LayerSchedule::build(&[data.len()], kc.chunk_elems);
         let rng = Rng::new(304);
-        let _ = compress_chunked(&[&data], &cfg, &kc, &schedule, &rng);
+        let off = Recorder::disabled();
+        let _ = compress_chunked(&[&data], &cfg, &kc, &schedule, &rng, &off);
         let t0 = Instant::now();
         for _ in 0..3 {
-            std::hint::black_box(compress_chunked(&[&data], &cfg, &kc, &schedule, &rng));
+            std::hint::black_box(compress_chunked(&[&data], &cfg, &kc, &schedule, &rng, &off));
         }
         let tput = (data.len() * 4 * 3) as f64 / t0.elapsed().as_secs_f64();
         row(&[name.into(), gbps(tput)]);

@@ -300,13 +300,16 @@ fn main() {
     let schedule = LayerSchedule::build(&[data.len()], kc.chunk_elems);
 
     let compso = Compso::new(cfg);
+    let off = Recorder::disabled();
     let serial = measure(reps, bytes, || {
         let mut rng = Rng::new(11);
         let t0 = Instant::now();
-        let enc = compso.compress_layers(&[&data], &mut rng);
+        let enc = compso.compress_layers(&[&data], &mut rng, &off);
         let ct = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let dec = compso.decompress_layers(&enc).expect("serial roundtrip");
+        let dec = compso
+            .decompress_layers(&enc, &off)
+            .expect("serial roundtrip");
         let dt = t1.elapsed().as_secs_f64();
         assert_eq!(dec[0].len(), elems);
         (ct, dt, enc.len())
@@ -317,10 +320,10 @@ fn main() {
         measure(reps, bytes, || {
             let rng = Rng::new(11);
             let t0 = Instant::now();
-            let enc = compress_chunked(&[&data], &cfg, &kc, &schedule, &rng);
+            let enc = compress_chunked(&[&data], &cfg, &kc, &schedule, &rng, &off);
             let ct = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
-            let dec = decompress_chunked(&enc).expect("chunked roundtrip");
+            let dec = decompress_chunked(&enc, &off).expect("chunked roundtrip");
             let dt = t1.elapsed().as_secs_f64();
             assert_eq!(dec[0].len(), elems);
             (ct, dt, enc.len())
@@ -379,12 +382,11 @@ fn main() {
     let powersgd = {
         let c = PowerSgd::rank(4);
         measure(reps, bytes, || {
-            let mut rng = Rng::new(11);
             let t0 = Instant::now();
-            let enc = c.compress(&data, &mut rng);
+            let enc = c.encode(&data);
             let ct = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
-            let dec = c.decompress(&enc).expect("powersgd roundtrip");
+            let dec = PowerSgd::decode(&enc).expect("powersgd roundtrip");
             let dt = t1.elapsed().as_secs_f64();
             assert_eq!(dec.len(), elems);
             (ct, dt, enc.len())

@@ -18,6 +18,7 @@ use compso_core::baselines::{CocktailSgd, Qsgd, Sz};
 use compso_core::kernels::{compress_chunked, KernelConfig, LayerSchedule};
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::{Compressor, Compso, CompsoConfig};
+use compso_obs::Recorder;
 use compso_tensor::Rng;
 use std::time::Instant;
 
@@ -39,10 +40,11 @@ fn time_chunked(data: &[f32], fused: bool, reps: usize) -> f64 {
     };
     let schedule = LayerSchedule::build(&[data.len()], kc.chunk_elems);
     let rng = Rng::new(9);
-    let _ = compress_chunked(&[data], &cfg, &kc, &schedule, &rng); // warm-up
+    let off = Recorder::disabled();
+    let _ = compress_chunked(&[data], &cfg, &kc, &schedule, &rng, &off); // warm-up
     let t0 = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(compress_chunked(&[data], &cfg, &kc, &schedule, &rng));
+        std::hint::black_box(compress_chunked(&[data], &cfg, &kc, &schedule, &rng, &off));
     }
     (data.len() * 4 * reps) as f64 / t0.elapsed().as_secs_f64()
 }

@@ -12,8 +12,10 @@
 
 use crate::bitmap::Bitmap;
 use crate::encoders::huffman;
+use crate::kernels::LayerSchedule;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
+use compso_obs::Recorder;
 use compso_tensor::rng::Rng;
 
 /// Sample size used for threshold estimation.
@@ -54,14 +56,11 @@ impl CocktailSgd {
         let k = ((mags.len() as f32 * self.density).ceil() as usize).clamp(1, mags.len());
         mags[k - 1]
     }
-}
 
-impl Compressor for CocktailSgd {
-    fn name(&self) -> &'static str {
-        "CocktailSGD"
-    }
-
-    fn compress(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
+    /// One layer's block: count, scale, bit width, the Huffman-coded
+    /// position bitmap, then one quantized byte per kept value. `rng`
+    /// draws the threshold sample.
+    pub fn encode(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
         let thr = self.threshold(data, rng);
         let mut kept: Vec<f32> = Vec::new();
         let bitmap = Bitmap::from_fn(data.len(), |i| {
@@ -103,7 +102,9 @@ impl Compressor for CocktailSgd {
         w.into_bytes()
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
+    /// Inverse of [`CocktailSgd::encode`] (the block carries its own
+    /// bit width).
+    pub fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
         let mut r = Reader::new(bytes);
         let n = crate::wire::checked_count(r.u64()?)?;
         let scale = r.f32()?;
@@ -137,6 +138,32 @@ impl Compressor for CocktailSgd {
             }
         }
         Ok(out)
+    }
+}
+
+impl Compressor for CocktailSgd {
+    fn name(&self) -> &'static str {
+        "CocktailSGD"
+    }
+
+    /// Layer-parallel ([`super::compress_layers`]): each layer samples its
+    /// threshold from its own forked generator.
+    fn compress_group_keyed(
+        &self,
+        layers: &[(u64, &[f32])],
+        _schedule: Option<&LayerSchedule>,
+        rng: &mut Rng,
+        _rec: &Recorder,
+    ) -> Vec<u8> {
+        super::compress_layers(layers, rng, |layer, rng| self.encode(layer, rng))
+    }
+
+    fn decompress_group(
+        &self,
+        bytes: &[u8],
+        _rec: &Recorder,
+    ) -> Result<Vec<Vec<f32>>, CompressError> {
+        super::decompress_layers(bytes, Self::decode)
     }
 }
 

@@ -20,9 +20,11 @@
 //! `DistKfac`), never by position: each layer is compressed exactly once
 //! per step by whichever rank owns it, over bit-identical inputs, so the
 //! per-layer state — and therefore the wire bytes — are identical at any
-//! world size. The plain [`Compressor::compress`] path is stateless
-//! (deterministically seeded Q, no feedback): a pure function of the
-//! input, which is what the round-trip and fuzz harnesses exercise.
+//! world size. [`Compressor::compress_group`] and
+//! [`Compressor::compress`] key by position like any other caller; a
+//! fresh instance has no state yet, so its first call per key is the
+//! cold start — a pure function of the input, which is what the
+//! round-trip and fuzz harnesses exercise.
 //!
 //! Wire format, magic [`MAGIC_POWERSGD`] (`0xCA`):
 //!
@@ -44,8 +46,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::kernels::LayerSchedule;
-use crate::traits::{CompressError, Compressor, MAGIC_GROUP};
-use crate::wire::{checked_count, Reader, WireError, Writer};
+use crate::traits::{CompressError, Compressor};
+use crate::wire::{checked_count, frame_group, unframe_group, Reader, WireError, Writer};
 use compso_obs::Recorder;
 use compso_tensor::rng::Rng;
 use compso_tensor::Matrix;
@@ -145,9 +147,15 @@ impl PowerSgd {
         self.state.lock().unwrap().clear();
     }
 
+    /// One layer's stateless block: deterministically seeded Q, no warm
+    /// start, no error feedback — a pure function of `data`.
+    pub fn encode(&self, data: &[f32]) -> Vec<u8> {
+        self.encode_with(data, None)
+    }
+
     /// Core encoder. `state = None` is the stateless pure-function path;
     /// `Some` threads warm starts and error feedback through.
-    fn encode(&self, data: &[f32], mut state: Option<&mut LayerState>) -> Vec<u8> {
+    fn encode_with(&self, data: &[f32], mut state: Option<&mut LayerState>) -> Vec<u8> {
         let n = data.len();
         let (rows, cols) = Self::shape_for(n);
         let r = self.rank.min(rows).min(cols).min(MAX_WIRE_RANK);
@@ -224,28 +232,9 @@ impl PowerSgd {
         }
         w.into_bytes()
     }
-}
 
-impl Compressor for PowerSgd {
-    fn name(&self) -> &'static str {
-        match self.rank {
-            1 => "PowerSGD-r1",
-            2 => "PowerSGD-r2",
-            4 => "PowerSGD-r4",
-            8 => "PowerSGD-r8",
-            16 => "PowerSGD-r16",
-            _ => "PowerSGD",
-        }
-    }
-
-    /// Stateless compression: deterministically seeded Q, no warm start,
-    /// no error feedback. A pure function of `data` (the RNG is unused),
-    /// so round-trips are reproducible anywhere.
-    fn compress(&self, data: &[f32], _rng: &mut Rng) -> Vec<u8> {
-        self.encode(data, None)
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
+    /// Inverse of [`PowerSgd::encode`]: a pure function of the block.
+    pub fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
         let mut r = Reader::new(bytes);
         if r.u8()? != MAGIC_POWERSGD {
             return Err(WireError::Invalid("powersgd magic").into());
@@ -298,14 +287,24 @@ impl Compressor for PowerSgd {
             _ => Err(WireError::Invalid("powersgd mode").into()),
         }
     }
+}
 
-    /// Keyed group path: per-layer warm starts and error feedback looked
-    /// up by the caller's stable ids, framed under the generic
-    /// [`MAGIC_GROUP`] header so the default
-    /// [`Compressor::decompress_group`] decodes it. Layers run
-    /// sequentially — the GEMMs inside are already rayon-parallel — and
-    /// the caller's RNG is untouched (the factorization is
-    /// deterministic).
+impl Compressor for PowerSgd {
+    fn name(&self) -> &'static str {
+        match self.rank {
+            1 => "PowerSGD-r1",
+            2 => "PowerSGD-r2",
+            4 => "PowerSGD-r4",
+            8 => "PowerSGD-r8",
+            16 => "PowerSGD-r16",
+            _ => "PowerSGD",
+        }
+    }
+
+    /// Per-layer warm starts and error feedback looked up by the caller's
+    /// stable ids. Layers run sequentially — the GEMMs inside are already
+    /// rayon-parallel — and the caller's RNG is untouched (the
+    /// factorization is deterministic).
     fn compress_group_keyed(
         &self,
         layers: &[(u64, &[f32])],
@@ -314,24 +313,36 @@ impl Compressor for PowerSgd {
         _rec: &Recorder,
     ) -> Vec<u8> {
         let mut state = self.state.lock().unwrap();
-        let mut w = Writer::new();
-        w.u8(MAGIC_GROUP);
-        w.u32(layers.len() as u32);
-        for &(key, layer) in layers {
-            let st = state.entry(key).or_insert_with(|| LayerState {
-                q: Matrix::zeros(0, 0),
-                residual: Vec::new(),
-                residual_rel: 0.0,
-            });
-            w.block(&self.encode(layer, Some(st)));
-        }
-        w.into_bytes()
+        let blocks: Vec<Vec<u8>> = layers
+            .iter()
+            .map(|&(key, layer)| {
+                let st = state.entry(key).or_insert_with(|| LayerState {
+                    q: Matrix::zeros(0, 0),
+                    residual: Vec::new(),
+                    residual_rel: 0.0,
+                });
+                self.encode_with(layer, Some(st))
+            })
+            .collect();
+        frame_group(&blocks)
+    }
+
+    fn decompress_group(
+        &self,
+        bytes: &[u8],
+        _rec: &Recorder,
+    ) -> Result<Vec<Vec<f32>>, CompressError> {
+        unframe_group(bytes)?
+            .into_iter()
+            .map(Self::decode)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::magic::MAGIC_GROUP;
     use proptest::prelude::*;
     // Explicit import: proptest's prelude also globs a `Rng` trait.
     use compso_tensor::rng::Rng;
@@ -368,11 +379,10 @@ mod tests {
         // f32 round-off.
         let data = lowrank_buffer(40, 40, 2, 1);
         let c = PowerSgd::rank(4).with_power_iters(2);
-        let mut rng = Rng::new(2);
-        let bytes = c.compress(&data, &mut rng);
+        let bytes = c.encode(&data);
         assert_eq!(bytes[0], MAGIC_POWERSGD);
         assert_eq!(bytes[1], 1, "low-rank mode");
-        let back = c.decompress(&bytes).unwrap();
+        let back = PowerSgd::decode(&bytes).unwrap();
         assert_eq!(back.len(), data.len());
         let scale = data.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         for (&x, &y) in data.iter().zip(&back) {
@@ -393,12 +403,11 @@ mod tests {
     #[test]
     fn tiny_buffers_take_the_raw_escape() {
         let c = PowerSgd::rank(8);
-        let mut rng = Rng::new(5);
         for n in [0usize, 1, 2, 7, 16] {
             let data = gradient_like(n, 6);
-            let bytes = c.compress(&data, &mut rng);
+            let bytes = c.encode(&data);
             assert_eq!(bytes[1], 0, "n={n} should escape to raw");
-            let back = c.decompress(&bytes).unwrap();
+            let back = PowerSgd::decode(&bytes).unwrap();
             assert_eq!(back.len(), n);
             for (&x, &y) in data.iter().zip(&back) {
                 assert_eq!(x.to_bits(), y.to_bits(), "raw mode is lossless");
@@ -407,17 +416,35 @@ mod tests {
     }
 
     #[test]
-    fn compress_is_pure_and_ignores_rng() {
+    fn cold_compress_is_pure_and_ignores_rng() {
+        // A fresh instance has no state for any key, so its first
+        // compress is the stateless block, whatever the generator holds.
         let data = gradient_like(5000, 7);
-        let c = PowerSgd::rank(4);
         let mut a = Rng::new(1);
         let mut b = Rng::new(999);
-        assert_eq!(c.compress(&data, &mut a), c.compress(&data, &mut b));
+        let cold = PowerSgd::rank(4).compress(&data, &mut a);
+        assert_eq!(cold, PowerSgd::rank(4).compress(&data, &mut b));
+        assert_eq!(
+            unframe_group(&cold).unwrap(),
+            vec![PowerSgd::rank(4).encode(&data).as_slice()]
+        );
         // And the caller's generator is untouched.
-        let mut before = Rng::new(42);
-        let mut after = Rng::new(42);
-        let _ = c.compress(&data, &mut after);
-        assert_eq!(before.next_u64(), after.next_u64());
+        assert_eq!(a.next_u64(), Rng::new(1).next_u64());
+    }
+
+    #[test]
+    fn positional_group_path_is_stateful() {
+        // `compress_group` keys by position, so repeating it on one
+        // instance feeds the residual back instead of silently taking a
+        // stateless path.
+        let base = lowrank_buffer(30, 30, 6, 8);
+        let c = PowerSgd::rank(2);
+        let rec = Recorder::disabled();
+        let mut rng = Rng::new(9);
+        let first = c.compress_group(&[&base], None, &mut rng, &rec);
+        assert!(c.ef_residual_rel() > 0.0);
+        let second = c.compress_group(&[&base], None, &mut rng, &rec);
+        assert_ne!(first, second, "error feedback did not reach step 2");
     }
 
     #[test]
@@ -491,9 +518,7 @@ mod tests {
     #[test]
     fn truncation_detected_at_every_prefix() {
         let data = gradient_like(1200, 13);
-        let c = PowerSgd::rank(2);
-        let mut rng = Rng::new(14);
-        let bytes = c.compress(&data, &mut rng);
+        let bytes = PowerSgd::rank(2).encode(&data);
         for cut in [
             0usize,
             1,
@@ -505,45 +530,43 @@ mod tests {
             bytes.len() / 2,
             bytes.len() - 1,
         ] {
-            assert!(c.decompress(&bytes[..cut]).is_err(), "cut={cut}");
+            assert!(PowerSgd::decode(&bytes[..cut]).is_err(), "cut={cut}");
         }
         // Trailing garbage is rejected too.
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(c.decompress(&padded).is_err());
+        assert!(PowerSgd::decode(&padded).is_err());
     }
 
     #[test]
     fn header_mutations_rejected() {
         let data = gradient_like(1200, 15);
-        let c = PowerSgd::rank(2);
-        let mut rng = Rng::new(16);
-        let bytes = c.compress(&data, &mut rng);
+        let bytes = PowerSgd::rank(2).encode(&data);
         assert_eq!(bytes[1], 1);
         // Wrong magic.
         let mut b = bytes.clone();
         b[0] = 0x00;
-        assert!(c.decompress(&b).is_err());
+        assert!(PowerSgd::decode(&b).is_err());
         // Unknown mode.
         let mut b = bytes.clone();
         b[1] = 2;
-        assert!(c.decompress(&b).is_err());
+        assert!(PowerSgd::decode(&b).is_err());
         // Inflated n no longer matches the canonical shape.
         let mut b = bytes.clone();
         b[5] = 0xFF;
-        assert!(c.decompress(&b).is_err());
+        assert!(PowerSgd::decode(&b).is_err());
         // Zero / oversized rank.
         let rank_off = 1 + 1 + 8 + 4 + 4;
         let mut b = bytes.clone();
         b[rank_off] = 0;
-        assert!(c.decompress(&b).is_err());
+        assert!(PowerSgd::decode(&b).is_err());
         let mut b = bytes.clone();
         b[rank_off] = 200;
-        assert!(c.decompress(&b).is_err());
+        assert!(PowerSgd::decode(&b).is_err());
     }
 
     #[test]
-    fn group_api_roundtrips_via_default_framing() {
+    fn group_api_roundtrips_via_shared_framing() {
         let layers: Vec<Vec<f32>> = vec![
             gradient_like(2304, 17),
             vec![],

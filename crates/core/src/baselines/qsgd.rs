@@ -6,8 +6,10 @@
 //! along as single bits. This is the §2.4 description: "QSGD includes
 //! SR-based quantization and Elias Encoding".
 
+use crate::kernels::LayerSchedule;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
+use compso_obs::Recorder;
 use compso_tensor::rng::Rng;
 
 /// The QSGD compressor at a fixed bit width.
@@ -119,36 +121,35 @@ impl<'a> BitReader<'a> {
     }
 }
 
-impl Compressor for Qsgd {
-    fn name(&self) -> &'static str {
-        match self.bits {
-            4 => "QSGD-4bit",
-            8 => "QSGD-8bit",
-            _ => "QSGD",
-        }
-    }
-
-    fn compress(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
+impl Qsgd {
+    /// One layer's block: bit width, count, L∞ scale, then the
+    /// gamma-coded levels and sign bits.
+    pub fn encode(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
         let s = self.levels();
         let scale = compso_tensor::reduce::absmax_flat(data);
         let mut bits = BitWriter::new();
-        if scale > 0.0 {
-            let sf = s as f64 / scale as f64;
-            for &v in data {
-                let mag = (v.abs() as f64) * sf;
-                // Stochastic rounding of the magnitude (Eq. 4).
-                let floor = mag.floor();
-                let level = if rng.uniform_f64() < mag - floor {
-                    floor as u32 + 1
-                } else {
-                    floor as u32
-                }
-                .min(s);
-                // Gamma codes start at 1; level 0 -> 1, etc.
-                bits.gamma(level + 1);
-                if level > 0 {
-                    bits.bit(u32::from(v < 0.0));
-                }
+        // An all-zero layer still spends its one bit per element (every
+        // level is 0), so the count a block declares is always backed by
+        // payload bits.
+        let sf = if scale > 0.0 {
+            s as f64 / scale as f64
+        } else {
+            0.0
+        };
+        for &v in data {
+            let mag = (v.abs() as f64) * sf;
+            // Stochastic rounding of the magnitude (Eq. 4).
+            let floor = mag.floor();
+            let level = if rng.uniform_f64() < mag - floor {
+                floor as u32 + 1
+            } else {
+                floor as u32
+            }
+            .min(s);
+            // Gamma codes start at 1; level 0 -> 1, etc.
+            bits.gamma(level + 1);
+            if level > 0 {
+                bits.bit(u32::from(v < 0.0));
             }
         }
         let payload = bits.finish();
@@ -160,35 +161,8 @@ impl Compressor for Qsgd {
         w.into_bytes()
     }
 
-    /// Layer-parallel multi-layer frame (magic `0xC8`): each layer is
-    /// quantized on its own rayon worker with an RNG forked from the
-    /// layer index, so bytes are deterministic at any thread count and
-    /// the caller's generator advances exactly once. QSGD has no use
-    /// for a chunk schedule (its unit of work is the whole layer), so
-    /// the hint is ignored.
-    fn compress_group(
-        &self,
-        layers: &[&[f32]],
-        _schedule: Option<&crate::kernels::LayerSchedule>,
-        rng: &mut Rng,
-        _rec: &compso_obs::Recorder,
-    ) -> Vec<u8> {
-        let base = Rng::new(rng.next_u64());
-        super::pargroup::compress(layers, |i, layer| {
-            let mut layer_rng = base.fork(i as u64);
-            self.compress(layer, &mut layer_rng)
-        })
-    }
-
-    fn decompress_group(
-        &self,
-        bytes: &[u8],
-        _rec: &compso_obs::Recorder,
-    ) -> Result<Vec<Vec<f32>>, CompressError> {
-        super::pargroup::decompress(bytes, |block| self.decompress(block))
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
+    /// Inverse of [`Qsgd::encode`] (the block carries its own bit width).
+    pub fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
         let mut r = Reader::new(bytes);
         let bits_field = r.u8()? as u32;
         if !(2..=16).contains(&bits_field) {
@@ -200,10 +174,10 @@ impl Compressor for Qsgd {
         if !scale.is_finite() || scale < 0.0 {
             return Err(WireError::Invalid("qsgd scale").into());
         }
-        if scale == 0.0 {
-            return Ok(vec![0.0; n]);
-        }
         let payload = r.block()?;
+        if n > payload.len() * 8 {
+            return Err(CompressError::Corrupt("qsgd count vs payload bits"));
+        }
         let mut br = BitReader::new(payload);
         let mut out = Vec::with_capacity(n);
         let inv = scale as f64 / s as f64;
@@ -223,6 +197,36 @@ impl Compressor for Qsgd {
             }
         }
         Ok(out)
+    }
+}
+
+impl Compressor for Qsgd {
+    fn name(&self) -> &'static str {
+        match self.bits {
+            4 => "QSGD-4bit",
+            8 => "QSGD-8bit",
+            _ => "QSGD",
+        }
+    }
+
+    /// Layer-parallel ([`super::compress_layers`]); QSGD has no use for
+    /// keys or a chunk schedule (its unit of work is the whole layer).
+    fn compress_group_keyed(
+        &self,
+        layers: &[(u64, &[f32])],
+        _schedule: Option<&LayerSchedule>,
+        rng: &mut Rng,
+        _rec: &Recorder,
+    ) -> Vec<u8> {
+        super::compress_layers(layers, rng, |layer, rng| self.encode(layer, rng))
+    }
+
+    fn decompress_group(
+        &self,
+        bytes: &[u8],
+        _rec: &Recorder,
+    ) -> Result<Vec<Vec<f32>>, CompressError> {
+        super::decompress_layers(bytes, Self::decode)
     }
 }
 
@@ -295,6 +299,17 @@ mod tests {
     }
 
     #[test]
+    fn declared_count_is_backed_by_payload_bits() {
+        // An all-zero layer spends one bit per element like any other, so
+        // a flipped count byte cannot buy an unbacked allocation.
+        let q = Qsgd::bits8();
+        let mut block = q.encode(&[0.0f32; 64], &mut Rng::new(1));
+        assert_eq!(Qsgd::decode(&block).unwrap(), vec![0.0; 64]);
+        block[4] ^= 0x01; // count += 2^24 (u8 bits, then the u64 count)
+        assert!(Qsgd::decode(&block).is_err());
+    }
+
+    #[test]
     fn signs_preserved() {
         let data = vec![0.9f32, -0.9, 0.5, -0.5];
         let q = Qsgd::bits8();
@@ -340,14 +355,14 @@ mod tests {
         ];
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let q = Qsgd::bits8();
-        let rec = compso_obs::Recorder::disabled();
+        let rec = Recorder::disabled();
         let run = |threads: usize| {
             let _guard = rayon::scoped_thread_override(threads);
             let mut rng = Rng::new(22);
             q.compress_group(&refs, None, &mut rng, &rec)
         };
         let bytes = run(1);
-        assert_eq!(bytes[0], super::super::pargroup::MAGIC_PARGROUP);
+        assert_eq!(bytes[0], crate::wire::magic::MAGIC_GROUP);
         for threads in [2usize, 4] {
             assert_eq!(run(threads), bytes, "threads={threads}");
         }

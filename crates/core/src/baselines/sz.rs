@@ -17,8 +17,10 @@
 //! capacity-faithful substitute (see DESIGN.md §1).
 
 use crate::encoders::rans;
+use crate::kernels::LayerSchedule;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
+use compso_obs::Recorder;
 use compso_tensor::rng::Rng;
 
 /// Code values are zigzag-mapped into u16; this sentinel marks outliers.
@@ -54,12 +56,10 @@ fn unzigzag(v: u16) -> i64 {
     (v >> 1) ^ -(v & 1)
 }
 
-impl Compressor for Sz {
-    fn name(&self) -> &'static str {
-        "SZ"
-    }
-
-    fn compress(&self, data: &[f32], _rng: &mut Rng) -> Vec<u8> {
+impl Sz {
+    /// One layer's block: count, absolute bound, the rANS-coded
+    /// prediction-error codes, then the raw outliers.
+    pub fn encode(&self, data: &[f32]) -> Vec<u8> {
         let mm = compso_tensor::reduce::minmax_flat(data);
         let range = if data.is_empty() {
             0.0
@@ -115,33 +115,8 @@ impl Compressor for Sz {
         w.into_bytes()
     }
 
-    /// Layer-parallel multi-layer frame (magic `0xC8`): SZ's predictor
-    /// is per-layer (the first value always predicts from 0), so layers
-    /// encode independently on rayon workers. SZ is deterministic — the
-    /// caller's RNG is left untouched, matching the serial path — and a
-    /// chunk schedule is meaningless to it.
-    fn compress_group(
-        &self,
-        layers: &[&[f32]],
-        _schedule: Option<&crate::kernels::LayerSchedule>,
-        _rng: &mut Rng,
-        _rec: &compso_obs::Recorder,
-    ) -> Vec<u8> {
-        super::pargroup::compress(layers, |_, layer| {
-            let mut unused = Rng::new(0);
-            self.compress(layer, &mut unused)
-        })
-    }
-
-    fn decompress_group(
-        &self,
-        bytes: &[u8],
-        _rec: &compso_obs::Recorder,
-    ) -> Result<Vec<Vec<f32>>, CompressError> {
-        super::pargroup::decompress(bytes, |block| self.decompress(block))
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
+    /// Inverse of [`Sz::encode`] (the block carries its own bound).
+    pub fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
         let mut r = Reader::new(bytes);
         let n = crate::wire::checked_count(r.u64()?)?;
         let eb = r.f32()?;
@@ -180,6 +155,33 @@ impl Compressor for Sz {
             }
         }
         Ok(out)
+    }
+}
+
+impl Compressor for Sz {
+    fn name(&self) -> &'static str {
+        "SZ"
+    }
+
+    /// Layer-parallel ([`super::compress_layers`]): SZ's predictor is per
+    /// layer (the first value always predicts from 0) and deterministic,
+    /// so the per-layer generators go unused.
+    fn compress_group_keyed(
+        &self,
+        layers: &[(u64, &[f32])],
+        _schedule: Option<&LayerSchedule>,
+        rng: &mut Rng,
+        _rec: &Recorder,
+    ) -> Vec<u8> {
+        super::compress_layers(layers, rng, |layer, _| self.encode(layer))
+    }
+
+    fn decompress_group(
+        &self,
+        bytes: &[u8],
+        _rec: &Recorder,
+    ) -> Result<Vec<Vec<f32>>, CompressError> {
+        super::decompress_layers(bytes, Self::decode)
     }
 }
 
@@ -305,22 +307,25 @@ mod tests {
         ];
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let sz = Sz::new(4e-3);
-        let rec = compso_obs::Recorder::disabled();
+        let rec = Recorder::disabled();
         let run = |threads: usize| {
             let _guard = rayon::scoped_thread_override(threads);
             let mut rng = Rng::new(22);
             sz.compress_group(&refs, None, &mut rng, &rec)
         };
         let bytes = run(1);
-        assert_eq!(bytes[0], super::super::pargroup::MAGIC_PARGROUP);
+        assert_eq!(bytes[0], crate::wire::magic::MAGIC_GROUP);
         for threads in [2usize, 4] {
             assert_eq!(run(threads), bytes, "threads={threads}");
         }
-        // SZ is deterministic: the group call leaves the RNG untouched,
-        // exactly like its serial compress.
+        // One RNG rule for every layer-parallel family: the caller's
+        // generator advances exactly once per group, even though SZ never
+        // reads the per-layer forks.
         let mut rng = Rng::new(22);
         let _ = sz.compress_group(&refs, None, &mut rng, &rec);
-        assert_eq!(rng.next_u64(), Rng::new(22).next_u64());
+        let mut once = Rng::new(22);
+        once.next_u64();
+        assert_eq!(rng.next_u64(), once.next_u64());
         let back = sz.decompress_group(&bytes, &rec).unwrap();
         assert_eq!(back.len(), layers.len());
         for (li, (orig, dec)) in layers.iter().zip(&back).enumerate() {

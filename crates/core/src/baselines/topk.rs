@@ -10,8 +10,10 @@
 
 use crate::bitmap::Bitmap;
 use crate::encoders::huffman;
+use crate::kernels::LayerSchedule;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
+use compso_obs::Recorder;
 use compso_tensor::rng::Rng;
 
 /// Exact Top-k sparsification at a fixed density.
@@ -38,14 +40,10 @@ impl TopK {
         let exact = n as f64 * self.density as f64 * (1.0 - 1e-6);
         (exact.ceil() as usize).clamp(usize::from(n > 0), n.max(1))
     }
-}
 
-impl Compressor for TopK {
-    fn name(&self) -> &'static str {
-        "TopK"
-    }
-
-    fn compress(&self, data: &[f32], _rng: &mut Rng) -> Vec<u8> {
+    /// One layer's block: count, the Huffman-coded position bitmap, then
+    /// the kept values at full precision.
+    pub fn encode(&self, data: &[f32]) -> Vec<u8> {
         let n = data.len();
         let k = if n == 0 { 0 } else { self.k_for(n) };
         // Exact selection: nth_element by |v| (O(n) average).
@@ -80,7 +78,8 @@ impl Compressor for TopK {
         w.into_bytes()
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
+    /// Inverse of [`TopK::encode`].
+    pub fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
         let mut r = Reader::new(bytes);
         let n = crate::wire::checked_count(r.u64()?)?;
         let bitmap_bytes = huffman::decode(r.block()?)?;
@@ -96,6 +95,32 @@ impl Compressor for TopK {
             }
         }
         Ok(out)
+    }
+}
+
+impl Compressor for TopK {
+    fn name(&self) -> &'static str {
+        "TopK"
+    }
+
+    /// Layer-parallel ([`super::compress_layers`]): selection is per
+    /// layer and deterministic, so the per-layer generators go unused.
+    fn compress_group_keyed(
+        &self,
+        layers: &[(u64, &[f32])],
+        _schedule: Option<&LayerSchedule>,
+        rng: &mut Rng,
+        _rec: &Recorder,
+    ) -> Vec<u8> {
+        super::compress_layers(layers, rng, |layer, _| self.encode(layer))
+    }
+
+    fn decompress_group(
+        &self,
+        bytes: &[u8],
+        _rec: &Recorder,
+    ) -> Result<Vec<Vec<f32>>, CompressError> {
+        super::decompress_layers(bytes, Self::decode)
     }
 }
 

@@ -330,13 +330,20 @@ fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mu
 /// serial format; decode with [`decompress_chunked`]. The result is
 /// deterministic for a fixed `rng` seed regardless of thread count: each
 /// chunk forks its own RNG stream by chunk index.
+///
+/// The whole kernel sweep is timed under `rec`'s `core/chunked_compress`
+/// span and in/out traffic counted in the same `core/bytes_in` /
+/// `core/bytes_out` counters the serial pipeline uses, so live
+/// compression-ratio dashboards see both paths uniformly.
 pub fn compress_chunked(
     layers: &[&[f32]],
     cfg: &CompsoConfig,
     kc: &KernelConfig,
     schedule: &LayerSchedule,
     rng: &Rng,
+    rec: &Recorder,
 ) -> Vec<u8> {
+    let span = rec.span(names::CORE_CHUNKED_COMPRESS);
     assert_eq!(
         schedule.layer_sizes,
         layers.iter().map(|l| l.len()).collect::<Vec<_>>(),
@@ -438,25 +445,8 @@ pub fn compress_chunked(
     }
     w.block(&enc_bitmaps);
     w.block(&enc_codes);
-    w.into_bytes()
-}
-
-/// [`compress_chunked`] with the whole kernel sweep timed under the
-/// `core/chunked_compress` span and in/out traffic counted in the same
-/// `core/bytes_in` / `core/bytes_out` counters the serial pipeline uses,
-/// so live compression-ratio dashboards see both paths uniformly.
-pub fn compress_chunked_recorded(
-    layers: &[&[f32]],
-    cfg: &CompsoConfig,
-    kc: &KernelConfig,
-    schedule: &LayerSchedule,
-    rng: &Rng,
-    rec: &Recorder,
-) -> Vec<u8> {
-    let out = {
-        let _span = rec.span(names::CORE_CHUNKED_COMPRESS);
-        compress_chunked(layers, cfg, kc, schedule, rng)
-    };
+    let out = w.into_bytes();
+    drop(span);
     if rec.is_enabled() {
         let n: usize = layers.iter().map(|l| l.len()).sum();
         rec.add(names::CORE_BYTES_IN, (n * 4) as u64);
@@ -649,30 +639,21 @@ fn decompress_chunk_ref(
     Ok(out)
 }
 
-/// Reusable decode scratch: the two concatenated record streams that
-/// [`decompress_chunked_scratch`] materializes between entropy decoding
-/// and the chunk-parallel scatter.
-///
-/// These are the only per-call allocations whose size tracks the full
-/// gradient volume rather than one chunk, so holding one `DecodeScratch`
-/// per training loop (as `DistKfac` does) removes the dominant
-/// steady-state decode allocation (ROADMAP item d). The buffers are
-/// cleared — not shrunk — between calls.
+/// Decode scratch: the two concatenated record streams materialized
+/// between entropy decoding and the chunk-parallel scatter. These are the
+/// only per-call allocations whose size tracks the full gradient volume
+/// rather than one chunk; the buffers are cleared — not shrunk — between
+/// calls.
 #[derive(Debug, Default)]
-pub struct DecodeScratch {
+struct DecodeScratch {
     bitmaps: Vec<u8>,
     codes: Vec<u8>,
 }
 
+#[cfg(test)]
 impl DecodeScratch {
-    /// A fresh, empty scratch pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes currently reserved across both stream buffers (observability
-    /// for tests and memory dashboards).
-    pub fn capacity_bytes(&self) -> usize {
+    /// Bytes currently reserved across both stream buffers.
+    fn capacity_bytes(&self) -> usize {
         self.bitmaps.capacity() + self.codes.capacity()
     }
 }
@@ -680,19 +661,14 @@ impl DecodeScratch {
 thread_local! {
     /// Per-thread [`DecodeScratch`] pool backing [`decompress_chunked`]:
     /// repeat decodes on a training loop's thread reuse the same stream
-    /// buffers instead of reallocating the full gradient volume each step
-    /// (ROADMAP item d), with zero API churn for callers.
+    /// buffers instead of reallocating the full gradient volume each step.
     static DECODE_SCRATCH: std::cell::RefCell<DecodeScratch> =
-        std::cell::RefCell::new(DecodeScratch::new());
+        std::cell::RefCell::new(DecodeScratch::default());
 }
 
-/// Bytes currently reserved by this thread's [`decompress_chunked`]
-/// scratch pool (observability for the reuse-invariant tests).
-pub fn decode_scratch_capacity_bytes() -> usize {
-    DECODE_SCRATCH.with(|s| s.borrow().capacity_bytes())
-}
-
-/// Inverse of [`compress_chunked`].
+/// Inverse of [`compress_chunked`], timed under the same `core/decode`
+/// span and `core/decode_bytes_in` counter as the serial pipeline's
+/// decode.
 ///
 /// The v2 offset index turns decode into a chunk-parallel scatter: every
 /// chunk's records are located by direct byte offset, decoded on rayon
@@ -707,15 +683,17 @@ pub fn decode_scratch_capacity_bytes() -> usize {
 /// peer-payload decode — finds a fresh empty scratch instead of a held
 /// `RefCell` borrow. Re-entrant calls simply allocate; the common
 /// steady-state path reuses.
-pub fn decompress_chunked(bytes: &[u8]) -> Result<Vec<Vec<f32>>, CompressError> {
+pub fn decompress_chunked(bytes: &[u8], rec: &Recorder) -> Result<Vec<Vec<f32>>, CompressError> {
+    let _span = rec.span(names::CORE_DECODE);
+    rec.add(names::CORE_DECODE_BYTES_IN, bytes.len() as u64);
     let mut scratch = DECODE_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
     let result = decompress_chunked_scratch(bytes, &mut scratch);
     DECODE_SCRATCH.with(|s| *s.borrow_mut() = scratch);
     result
 }
 
-/// [`decompress_chunked`] decoding through a caller-owned
-/// [`DecodeScratch`], reusing the bitmap/code stream buffers across calls.
+/// [`decompress_chunked`] decoding through a given [`DecodeScratch`],
+/// reusing the bitmap/code stream buffers across calls.
 ///
 /// Every length field read from the (untrusted) header is validated
 /// against arithmetic identities and the bytes actually received before
@@ -723,7 +701,7 @@ pub fn decompress_chunked(bytes: &[u8]) -> Result<Vec<Vec<f32>>, CompressError> 
 /// header bytes, the chunk count must equal the count the layer sizes
 /// imply *and* fit the offset index that follows, so a corrupted stream
 /// can never drive an allocation larger than the buffer it arrived in.
-pub fn decompress_chunked_scratch(
+fn decompress_chunked_scratch(
     bytes: &[u8],
     scratch: &mut DecodeScratch,
 ) -> Result<Vec<Vec<f32>>, CompressError> {
@@ -837,25 +815,14 @@ pub fn decompress_chunked_scratch(
     Ok(out)
 }
 
-/// [`decompress_chunked`] timed under the same `core/decode` span and
-/// `core/decode_bytes_in` counter as the serial pipeline's decode.
-pub fn decompress_chunked_recorded(
-    bytes: &[u8],
-    rec: &Recorder,
-) -> Result<Vec<Vec<f32>>, CompressError> {
-    let _span = rec.span(names::CORE_DECODE);
-    rec.add(names::CORE_DECODE_BYTES_IN, bytes.len() as u64);
-    decompress_chunked(bytes)
-}
-
 /// The chunked-parallel COMPSO compressor: the same strategy knobs as
 /// [`Compso`] (`CompsoConfig`) executed by the §4.5 kernels.
 ///
 /// Single-buffer [`Compressor::compress`] calls tile the buffer with a
 /// throwaway one-layer [`LayerSchedule`]; the production hot path is
-/// [`Compressor::compress_group`], where the caller (e.g. `DistKfac`)
-/// passes a schedule built once at optimizer init and reused every
-/// iteration. Output bytes are identical either way for matching layer
+/// [`Compressor::compress_group_keyed`], where the caller (e.g.
+/// `DistKfac`) passes a schedule built once at optimizer init and reused
+/// every iteration. Output bytes are identical either way for matching layer
 /// shapes, and deterministic at any thread count.
 ///
 /// [`Compso`]: crate::pipeline::Compso
@@ -910,13 +877,6 @@ impl ChunkedCompso {
             self.kernel.chunk_elems
         }
     }
-
-    /// Derives the per-call base RNG, advancing the caller's generator
-    /// exactly once so repeated calls never reuse randomness while chunk
-    /// workers still fork deterministic per-chunk streams from it.
-    fn base_rng(rng: &mut Rng) -> Rng {
-        Rng::new(rng.next_u64())
-    }
 }
 
 impl Compressor for ChunkedCompso {
@@ -924,42 +884,24 @@ impl Compressor for ChunkedCompso {
         "COMPSO-chunked"
     }
 
-    fn compress(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
-        self.compress_recorded(data, rng, &Recorder::disabled())
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
-        self.decompress_recorded(bytes, &Recorder::disabled())
-    }
-
-    fn compress_recorded(&self, data: &[f32], rng: &mut Rng, rec: &Recorder) -> Vec<u8> {
-        let schedule = LayerSchedule::build(&[data.len()], self.chunk_choice(data.len()));
-        let base = Self::base_rng(rng);
-        compress_chunked_recorded(&[data], &self.config, &self.kernel, &schedule, &base, rec)
-    }
-
-    fn decompress_recorded(&self, bytes: &[u8], rec: &Recorder) -> Result<Vec<f32>, CompressError> {
-        let mut layers = decompress_chunked_recorded(bytes, rec)?;
-        if layers.len() != 1 {
-            return Err(CompressError::Corrupt("expected a single layer"));
-        }
-        Ok(layers.pop().unwrap())
-    }
-
-    fn compress_group(
+    fn compress_group_keyed(
         &self,
-        layers: &[&[f32]],
+        layers: &[(u64, &[f32])],
         schedule: Option<&LayerSchedule>,
         rng: &mut Rng,
         rec: &Recorder,
     ) -> Vec<u8> {
-        let base = Self::base_rng(rng);
+        let layers: Vec<&[f32]> = layers.iter().map(|&(_, l)| l).collect();
+        // The caller's generator advances exactly once per group, so
+        // repeated calls never reuse randomness while chunk workers still
+        // fork deterministic per-chunk streams from the base.
+        let base = Rng::new(rng.next_u64());
         match schedule {
-            Some(s) => compress_chunked_recorded(layers, &self.config, &self.kernel, s, &base, rec),
+            Some(s) => compress_chunked(&layers, &self.config, &self.kernel, s, &base, rec),
             None => {
                 let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
                 let s = LayerSchedule::build(&sizes, self.chunk_choice(sizes.iter().sum()));
-                compress_chunked_recorded(layers, &self.config, &self.kernel, &s, &base, rec)
+                compress_chunked(&layers, &self.config, &self.kernel, &s, &base, rec)
             }
         }
     }
@@ -969,11 +911,7 @@ impl Compressor for ChunkedCompso {
         bytes: &[u8],
         rec: &Recorder,
     ) -> Result<Vec<Vec<f32>>, CompressError> {
-        decompress_chunked_recorded(bytes, rec)
-    }
-
-    fn preferred_chunk_elems(&self) -> Option<usize> {
-        Some(self.kernel.chunk_elems)
+        decompress_chunked(bytes, rec)
     }
 
     fn chunk_elems_for(&self, total_elems: usize) -> Option<usize> {
@@ -986,6 +924,22 @@ mod tests {
     use super::*;
     use crate::rounding::RoundingMode;
     use crate::synthetic::{generate_layers, GradientProfile};
+
+    /// [`compress_chunked`] with recording off.
+    fn compress_quiet(
+        layers: &[&[f32]],
+        cfg: &CompsoConfig,
+        kc: &KernelConfig,
+        schedule: &LayerSchedule,
+        rng: &Rng,
+    ) -> Vec<u8> {
+        compress_chunked(layers, cfg, kc, schedule, rng, &Recorder::disabled())
+    }
+
+    /// [`decompress_chunked`] with recording off.
+    fn decompress_quiet(bytes: &[u8]) -> Result<Vec<Vec<f32>>, CompressError> {
+        decompress_chunked(bytes, &Recorder::disabled())
+    }
 
     fn layers_fixture(seed: u64) -> Vec<Vec<f32>> {
         generate_layers(&[50_000, 1234, 0, 70_001, 8], seed, GradientProfile::kfac())
@@ -1022,8 +976,8 @@ mod tests {
             kc.chunk_elems,
         );
         let rng = Rng::new(2);
-        let bytes = compress_chunked(&refs, &cfg, &kc, &schedule, &rng);
-        let back = decompress_chunked(&bytes).unwrap();
+        let bytes = compress_quiet(&refs, &cfg, &kc, &schedule, &rng);
+        let back = decompress_quiet(&bytes).unwrap();
         assert_eq!(back.len(), layers.len());
         for (orig, dec) in layers.iter().zip(&back) {
             assert_eq!(orig.len(), dec.len());
@@ -1053,7 +1007,7 @@ mod tests {
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 16 * 1024);
         let rng = Rng::new(4);
-        let fused = compress_chunked(
+        let fused = compress_quiet(
             &refs,
             &cfg,
             &KernelConfig {
@@ -1063,7 +1017,7 @@ mod tests {
             &schedule,
             &rng,
         );
-        let staged = compress_chunked(
+        let staged = compress_quiet(
             &refs,
             &cfg,
             &KernelConfig {
@@ -1130,12 +1084,12 @@ mod tests {
         let kc = KernelConfig::default();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, kc.chunk_elems);
-        let first = compress_chunked(&refs, &cfg, &kc, &schedule, &Rng::new(44));
+        let first = compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(44));
         let cap = microkernel::compress_scratch_capacity_bytes();
         assert!(cap > 0, "compress arena untouched");
         for _ in 0..3 {
             assert_eq!(
-                compress_chunked(&refs, &cfg, &kc, &schedule, &Rng::new(44)),
+                compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(44)),
                 first
             );
             assert_eq!(microkernel::compress_scratch_capacity_bytes(), cap);
@@ -1212,8 +1166,8 @@ mod tests {
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 8192);
         let rng = Rng::new(6);
-        let a = compress_chunked(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
-        let b = compress_chunked(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+        let a = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+        let b = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
         assert_eq!(a, b);
     }
 
@@ -1231,15 +1185,15 @@ mod tests {
         let rng = Rng::new(22);
         let (serial_bytes, serial_back) = {
             let _guard = rayon::scoped_thread_override(1);
-            let b = compress_chunked(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
-            let d = decompress_chunked(&b).unwrap();
+            let b = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+            let d = decompress_quiet(&b).unwrap();
             (b, d)
         };
         for threads in [2usize, 4, 8] {
             let _guard = rayon::scoped_thread_override(threads);
-            let b = compress_chunked(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+            let b = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
             assert_eq!(b, serial_bytes, "compress differs at {threads} threads");
-            let d = decompress_chunked(&b).unwrap();
+            let d = decompress_quiet(&b).unwrap();
             assert_eq!(d, serial_back, "decode differs at {threads} threads");
         }
     }
@@ -1252,7 +1206,7 @@ mod tests {
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 8192);
         let rng = Rng::new(8);
-        let h = compress_chunked(
+        let h = compress_quiet(
             &refs,
             &cfg,
             &KernelConfig {
@@ -1262,7 +1216,7 @@ mod tests {
             &schedule,
             &rng,
         );
-        let f = compress_chunked(
+        let f = compress_quiet(
             &refs,
             &cfg,
             &KernelConfig {
@@ -1283,8 +1237,8 @@ mod tests {
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 4096);
         let rng = Rng::new(10);
-        let bytes = compress_chunked(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
-        let back = decompress_chunked(&bytes).unwrap();
+        let bytes = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+        let back = decompress_quiet(&bytes).unwrap();
         for (orig, dec) in layers.iter().zip(&back) {
             let mm = minmax_flat(orig);
             let range = if orig.is_empty() {
@@ -1306,9 +1260,9 @@ mod tests {
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 8192);
         let rng = Rng::new(12);
-        let bytes = compress_chunked(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+        let bytes = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
         for cut in [0usize, 2, 10, 40, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decompress_chunked(&bytes[..cut]).is_err(), "cut={cut}");
+            assert!(decompress_quiet(&bytes[..cut]).is_err(), "cut={cut}");
         }
     }
 
@@ -1319,7 +1273,7 @@ mod tests {
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 8192);
         let rng = Rng::new(14);
-        let mut bytes = compress_chunked(
+        let mut bytes = compress_quiet(
             &refs,
             &CompsoConfig::aggressive(4e-3),
             &KernelConfig::default(),
@@ -1328,7 +1282,7 @@ mod tests {
         );
         assert_eq!(bytes[1], CHUNKED_VERSION);
         bytes[1] = 1; // the pre-index v1 layout is gone; readers must refuse
-        assert!(decompress_chunked(&bytes).is_err());
+        assert!(decompress_quiet(&bytes).is_err());
     }
 
     #[test]
@@ -1338,7 +1292,7 @@ mod tests {
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 8192);
         let rng = Rng::new(16);
-        let bytes = compress_chunked(
+        let bytes = compress_quiet(
             &refs,
             &CompsoConfig::aggressive(4e-3),
             &KernelConfig::default(),
@@ -1357,21 +1311,21 @@ mod tests {
         let mut nudged = bytes.clone();
         let mid = index_base + 4 + 16 * (n_chunks / 2);
         nudged[mid] = nudged[mid].wrapping_add(1);
-        assert!(decompress_chunked(&nudged).is_err());
+        assert!(decompress_quiet(&nudged).is_err());
         // (b) blow an offset out of bounds entirely.
         let mut blown = bytes.clone();
         for b in &mut blown[mid..mid + 8] {
             *b = 0xFF;
         }
-        assert!(decompress_chunked(&blown).is_err());
+        assert!(decompress_quiet(&blown).is_err());
         // (c) a non-zero first offset implies a leading gap.
         let mut shifted = bytes.clone();
         shifted[index_base + 4] = shifted[index_base + 4].wrapping_add(1);
-        assert!(decompress_chunked(&shifted).is_err());
+        assert!(decompress_quiet(&shifted).is_err());
         // (d) wrong chunk count vs. the schedule implied by the header.
         let mut miscounted = bytes;
         miscounted[index_base] = miscounted[index_base].wrapping_add(1);
-        assert!(decompress_chunked(&miscounted).is_err());
+        assert!(decompress_quiet(&miscounted).is_err());
     }
 
     #[test]
@@ -1395,7 +1349,7 @@ mod tests {
         let ratio = c.ratio(&data, &mut rng);
         assert!(ratio > 5.0, "ratio {ratio}");
         assert_eq!(
-            c.preferred_chunk_elems(),
+            c.chunk_elems_for(data.len()),
             Some(KernelConfig::default().chunk_elems)
         );
     }
@@ -1440,7 +1394,7 @@ mod tests {
     }
 
     #[test]
-    fn recorded_chunked_paths_track_traffic_and_match_plain() {
+    fn recorded_chunked_paths_track_traffic_and_match_unrecorded() {
         let layers = layers_fixture(25);
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
@@ -1449,10 +1403,10 @@ mod tests {
         let kc = KernelConfig::default();
         let rng = Rng::new(26);
         let rec = Recorder::enabled();
-        let bytes = compress_chunked_recorded(&refs, &cfg, &kc, &schedule, &rng, &rec);
-        assert_eq!(bytes, compress_chunked(&refs, &cfg, &kc, &schedule, &rng));
-        let back = decompress_chunked_recorded(&bytes, &rec).unwrap();
-        assert_eq!(back, decompress_chunked(&bytes).unwrap());
+        let bytes = compress_chunked(&refs, &cfg, &kc, &schedule, &rng, &rec);
+        assert_eq!(bytes, compress_quiet(&refs, &cfg, &kc, &schedule, &rng));
+        let back = decompress_chunked(&bytes, &rec).unwrap();
+        assert_eq!(back, decompress_quiet(&bytes).unwrap());
         let snap = rec.snapshot();
         let total: usize = sizes.iter().sum();
         assert_eq!(snap.counter(names::CORE_BYTES_IN), (total * 4) as u64);
@@ -1486,8 +1440,8 @@ mod tests {
             };
             let schedule = LayerSchedule::build(&sizes, chunk);
             let rng = Rng::new(seed ^ 0xABCD);
-            let bytes = compress_chunked(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
-            let back = decompress_chunked(&bytes).unwrap();
+            let bytes = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+            let back = decompress_quiet(&bytes).unwrap();
             proptest::prop_assert_eq!(back.len(), layers.len());
             for (orig, dec) in layers.iter().zip(&back) {
                 proptest::prop_assert_eq!(orig.len(), dec.len());
@@ -1517,9 +1471,9 @@ mod tests {
         let kc = KernelConfig::default();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, kc.chunk_elems);
-        let bytes = compress_chunked(&refs, &cfg, &kc, &schedule, &Rng::new(10));
+        let bytes = compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(10));
 
-        let mut scratch = DecodeScratch::new();
+        let mut scratch = DecodeScratch::default();
         assert_eq!(scratch.capacity_bytes(), 0);
         let first = decompress_chunked_scratch(&bytes, &mut scratch).unwrap();
         let cap = scratch.capacity_bytes();
@@ -1542,14 +1496,15 @@ mod tests {
         let kc = KernelConfig::default();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, kc.chunk_elems);
-        let bytes = compress_chunked(&refs, &cfg, &kc, &schedule, &Rng::new(12));
+        let bytes = compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(12));
 
-        let first = decompress_chunked(&bytes).unwrap();
-        let cap = decode_scratch_capacity_bytes();
+        let first = decompress_quiet(&bytes).unwrap();
+        let pool_cap = || DECODE_SCRATCH.with(|s| s.borrow().capacity_bytes());
+        let cap = pool_cap();
         assert!(cap > 0, "pool untouched after decode");
         for _ in 0..3 {
-            assert_eq!(decompress_chunked(&bytes).unwrap(), first);
-            assert_eq!(decode_scratch_capacity_bytes(), cap);
+            assert_eq!(decompress_quiet(&bytes).unwrap(), first);
+            assert_eq!(pool_cap(), cap);
         }
     }
 
@@ -1560,7 +1515,7 @@ mod tests {
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let schedule = LayerSchedule::build(&[20], 8);
         let rng = Rng::new(13);
-        compress_chunked(
+        compress_quiet(
             &refs,
             &CompsoConfig::default(),
             &KernelConfig::default(),
@@ -1584,7 +1539,7 @@ mod tests {
         let data = crate::synthetic::generate(60_000, 23, GradientProfile::kfac());
         assert_eq!(
             adaptive.chunk_elems_for(data.len()),
-            fixed.preferred_chunk_elems(),
+            fixed.chunk_elems_for(data.len()),
             "60k elems is far below the 1Mi adaptive threshold"
         );
         let mut rng_f = Rng::new(31);

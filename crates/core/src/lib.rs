@@ -29,7 +29,11 @@
 //!   selects the encoder and the layer-aggregation factor;
 //! * [`kernels`] — fused single-pass vs. staged multi-pass compression
 //!   kernels, the CPU analogue of the paper's §4.5 GPU optimizations;
-//! * [`baselines`] — QSGD, SZ, and CocktailSGD reimplementations;
+//! * [`baselines`] — QSGD, SZ, CocktailSGD, TopK and PowerSGD
+//!   reimplementations;
+//! * [`traits`] — the [`Compressor`] surface every family sits behind:
+//!   one keyed group encode/decode pair ([`wire`] holds the group
+//!   framing the per-layer families share);
 //! * [`synthetic`] — K-FAC/SGD-gradient-like data generators used by the
 //!   compression-ratio experiments.
 

@@ -175,21 +175,12 @@ impl Compso {
     /// layer-aggregation factor `m`). Each layer keeps its own
     /// normalization range; the bitmap and code streams are concatenated
     /// across layers before the single lossless-encoder invocation.
-    pub fn compress_layers(&self, layers: &[&[f32]], rng: &mut Rng) -> Vec<u8> {
-        self.compress_layers_recorded(layers, rng, &Recorder::disabled())
-    }
-
-    /// [`Compso::compress_layers`] with phase timings and traffic counters
-    /// recorded into `rec`: spans `core/filter`, `core/quantize`,
-    /// `core/encode`; counters `core/bytes_in` (uncompressed f32 bytes)
-    /// and `core/bytes_out` (wire bytes), whose running quotient is the
-    /// live compression ratio.
-    pub fn compress_layers_recorded(
-        &self,
-        layers: &[&[f32]],
-        rng: &mut Rng,
-        rec: &Recorder,
-    ) -> Vec<u8> {
+    ///
+    /// Phase timings and traffic counters go to `rec`: spans
+    /// `core/filter`, `core/quantize`, `core/encode`; counters
+    /// `core/bytes_in` (uncompressed f32 bytes) and `core/bytes_out` (wire
+    /// bytes), whose running quotient is the live compression ratio.
+    pub fn compress_layers(&self, layers: &[&[f32]], rng: &mut Rng, rec: &Recorder) -> Vec<u8> {
         // Pre-size both working buffers from the layer sizes: the bitmap
         // stream is exactly one bit per element when the filter runs, and
         // the code stream is bounded by ~2 bytes/element plus small
@@ -233,15 +224,10 @@ impl Compso {
         out
     }
 
-    /// Inverse of [`Compso::compress_layers`].
-    pub fn decompress_layers(&self, bytes: &[u8]) -> Result<Vec<Vec<f32>>, CompressError> {
-        self.decompress_layers_recorded(bytes, &Recorder::disabled())
-    }
-
-    /// [`Compso::decompress_layers`] with the whole decode path timed
-    /// under the `core/decode` span and incoming wire bytes counted in
+    /// Inverse of [`Compso::compress_layers`], timed under the
+    /// `core/decode` span with incoming wire bytes counted in
     /// `core/decode_bytes_in`.
-    pub fn decompress_layers_recorded(
+    pub fn decompress_layers(
         &self,
         bytes: &[u8],
         rec: &Recorder,
@@ -260,6 +246,9 @@ impl Compso {
         let n_layers = crate::wire::checked_count(r.u32()? as u64)?;
         let bitmaps = codec.decode(r.block()?)?;
         let codes = codec.decode(r.block()?)?;
+        if !r.is_exhausted() {
+            return Err(CompressError::Corrupt("trailing bytes"));
+        }
         let mut bitmaps_r = Reader::new(&bitmaps);
         let mut codes_r = Reader::new(&codes);
         let mut out = Vec::with_capacity(n_layers);
@@ -275,37 +264,17 @@ impl Compressor for Compso {
         "COMPSO"
     }
 
-    fn compress(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
-        self.compress_layers(&[data], rng)
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
-        self.decompress_recorded(bytes, &Recorder::disabled())
-    }
-
-    fn compress_recorded(&self, data: &[f32], rng: &mut Rng, rec: &Recorder) -> Vec<u8> {
-        self.compress_layers_recorded(&[data], rng, rec)
-    }
-
-    fn decompress_recorded(&self, bytes: &[u8], rec: &Recorder) -> Result<Vec<f32>, CompressError> {
-        let mut layers = self.decompress_layers_recorded(bytes, rec)?;
-        if layers.len() != 1 {
-            return Err(CompressError::Corrupt("expected a single layer"));
-        }
-        Ok(layers.pop().unwrap())
-    }
-
-    fn compress_group(
+    /// The serial pipeline has its own native multi-layer aggregation
+    /// (§4.4); keys and the chunk schedule mean nothing to it.
+    fn compress_group_keyed(
         &self,
-        layers: &[&[f32]],
-        schedule: Option<&crate::kernels::LayerSchedule>,
+        layers: &[(u64, &[f32])],
+        _schedule: Option<&crate::kernels::LayerSchedule>,
         rng: &mut Rng,
         rec: &Recorder,
     ) -> Vec<u8> {
-        // The serial pipeline has its own native multi-layer aggregation
-        // (§4.4); the chunk schedule is a no-op hint for it.
-        let _ = schedule;
-        self.compress_layers_recorded(layers, rng, rec)
+        let layers: Vec<&[f32]> = layers.iter().map(|&(_, l)| l).collect();
+        self.compress_layers(&layers, rng, rec)
     }
 
     fn decompress_group(
@@ -313,7 +282,7 @@ impl Compressor for Compso {
         bytes: &[u8],
         rec: &Recorder,
     ) -> Result<Vec<Vec<f32>>, CompressError> {
-        self.decompress_layers_recorded(bytes, rec)
+        self.decompress_layers(bytes, rec)
     }
 }
 
@@ -407,8 +376,10 @@ mod tests {
         let l4: Vec<f32> = Vec::new();
         let compso = Compso::new(CompsoConfig::aggressive(4e-3));
         let mut rng = Rng::new(11);
-        let bytes = compso.compress_layers(&[&l1, &l2, &l3, &l4], &mut rng);
-        let back = compso.decompress_layers(&bytes).unwrap();
+        let bytes = compso.compress_layers(&[&l1, &l2, &l3, &l4], &mut rng, &Recorder::disabled());
+        let back = compso
+            .decompress_layers(&bytes, &Recorder::disabled())
+            .unwrap();
         assert_eq!(back.len(), 4);
         assert_eq!(back[0].len(), 1000);
         assert_eq!(back[1].len(), 5000);
@@ -433,10 +404,16 @@ mod tests {
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let compso = Compso::new(CompsoConfig::aggressive(4e-3));
         let mut rng = Rng::new(30);
-        let together = compso.compress_layers(&refs, &mut rng).len();
+        let together = compso
+            .compress_layers(&refs, &mut rng, &Recorder::disabled())
+            .len();
         let separate: usize = refs
             .iter()
-            .map(|l| compso.compress_layers(&[l], &mut rng).len())
+            .map(|l| {
+                compso
+                    .compress_layers(&[l], &mut rng, &Recorder::disabled())
+                    .len()
+            })
             .sum();
         // Per-layer fixed costs are already small (codecs fall back to
         // stored blocks on tiny inputs), so the win is real but modest.
@@ -457,10 +434,16 @@ mod tests {
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let compso = Compso::new(CompsoConfig::aggressive(4e-3));
         let mut rng = Rng::new(30);
-        let together = compso.compress_layers(&refs, &mut rng).len();
+        let together = compso
+            .compress_layers(&refs, &mut rng, &Recorder::disabled())
+            .len();
         let separate: usize = refs
             .iter()
-            .map(|l| compso.compress_layers(&[l], &mut rng).len())
+            .map(|l| {
+                compso
+                    .compress_layers(&[l], &mut rng, &Recorder::disabled())
+                    .len()
+            })
             .sum();
         assert!(
             (together as f64) < separate as f64 * 1.5,
@@ -530,8 +513,8 @@ mod tests {
         let compso = Compso::new(CompsoConfig::aggressive(4e-3));
         let mut rng = Rng::new(71);
         let rec = compso_obs::Recorder::enabled();
-        let bytes = compso.compress_layers_recorded(&[&data], &mut rng, &rec);
-        let back = compso.decompress_layers_recorded(&bytes, &rec).unwrap();
+        let bytes = compso.compress_layers(&[&data], &mut rng, &rec);
+        let back = compso.decompress_layers(&bytes, &rec).unwrap();
         assert_eq!(back[0].len(), data.len());
         let snap = rec.snapshot();
         assert_eq!(
@@ -554,9 +537,12 @@ mod tests {
         ] {
             assert!(snap.timers[name].count > 0, "{name} never timed");
         }
-        // The recorded and plain paths produce identical bytes.
+        // Recording never changes the bytes.
         let mut rng2 = Rng::new(71);
-        assert_eq!(bytes, compso.compress_layers(&[&data], &mut rng2));
+        assert_eq!(
+            bytes,
+            compso.compress_layers(&[&data], &mut rng2, &Recorder::disabled())
+        );
     }
 
     #[test]
@@ -565,9 +551,9 @@ mod tests {
         let compso = Compso::default();
         let rec = compso_obs::Recorder::disabled();
         let mut rng = Rng::new(81);
-        let a = compso.compress_layers_recorded(&[&data], &mut rng, &rec);
+        let a = compso.compress_layers(&[&data], &mut rng, &rec);
         let mut rng = Rng::new(81);
-        let b = compso.compress_layers(&[&data], &mut rng);
+        let b = compso.compress_layers(&[&data], &mut rng, &Recorder::enabled());
         assert_eq!(a, b);
         assert!(rec.snapshot().counters.is_empty());
     }

@@ -6,15 +6,9 @@
 //! over the method under test.
 
 use crate::kernels::LayerSchedule;
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{checked_count, frame_group, unframe_group, Reader, WireError, Writer};
 use compso_obs::Recorder;
 use compso_tensor::rng::Rng;
-
-/// Magic byte of the generic per-layer group framing used by the default
-/// [`Compressor::compress_group`] implementation (distinct from the
-/// serial COMPSO stream's v1 and the chunked v2 magics; re-exported
-/// from the central [`crate::wire::magic`] registry).
-pub use crate::wire::magic::MAGIC_GROUP;
 
 /// Error produced by decompression.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,43 +38,58 @@ impl std::error::Error for CompressError {}
 
 /// A lossy (or lossless) gradient compressor.
 ///
-/// `compress` consumes randomness for stochastic rounding; deterministic
-/// compressors simply ignore the generator. Implementations must be
-/// self-describing: `decompress(compress(x))` needs no side information.
+/// The unit of compression is the aggregated layer group (§4.4's factor
+/// `m`): an implementation supplies [`Compressor::name`], the keyed group
+/// pair [`Compressor::compress_group_keyed`] /
+/// [`Compressor::decompress_group`] and, if it tiles layers, overrides
+/// [`Compressor::chunk_elems_for`]. Everything else is provided on top of
+/// that pair and is not meant to be overridden. Streams are
+/// self-describing: decoding needs no side information.
 pub trait Compressor: Send + Sync {
     /// Display name used in result tables.
     fn name(&self) -> &'static str;
 
-    /// Compresses a gradient buffer into bytes.
-    fn compress(&self, data: &[f32], rng: &mut Rng) -> Vec<u8>;
+    /// Compresses several layers as one self-describing unit. Each layer
+    /// carries a caller-stable identity key (`DistKfac` passes the global
+    /// layer index): stateless compressors ignore it, stateful ones
+    /// ([`crate::baselines::PowerSgd`]) look up per-layer error-feedback /
+    /// warm-start state by it — keys are stable across world sizes
+    /// (unlike positions within an aggregation group), which is what
+    /// keeps 1/2/4-rank runs bit-identical. `schedule` is an optional
+    /// caller-cached [`LayerSchedule`] (the paper's "pre-determined
+    /// layer-block hashmap" built once at K-FAC-optimizer init), a pure
+    /// hint that only tiling compressors read. `rng` feeds stochastic
+    /// rounding; deterministic compressors leave it untouched. Phase
+    /// timings and traffic counters go to `rec`.
+    fn compress_group_keyed(
+        &self,
+        layers: &[(u64, &[f32])],
+        schedule: Option<&LayerSchedule>,
+        rng: &mut Rng,
+        rec: &Recorder,
+    ) -> Vec<u8>;
 
-    /// Reconstructs the (lossy) gradient buffer.
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError>;
+    /// Inverse of [`Compressor::compress_group_keyed`]: one buffer per
+    /// layer, in order.
+    fn decompress_group(
+        &self,
+        bytes: &[u8],
+        rec: &Recorder,
+    ) -> Result<Vec<Vec<f32>>, CompressError>;
 
-    /// [`Compressor::compress`] with phase timings / traffic counters
-    /// recorded into `rec`. The default implementation ignores the
-    /// recorder; instrumented compressors (COMPSO) override it.
-    fn compress_recorded(&self, data: &[f32], rng: &mut Rng, rec: &Recorder) -> Vec<u8> {
-        let _ = rec;
-        self.compress(data, rng)
+    /// Chunk tile size this compressor wants the [`LayerSchedule`] of a
+    /// `total_elems`-element group built with, or `None` (the default)
+    /// when it has no use for a schedule. Must be a **pure function of
+    /// `total_elems`** — never of live thread counts or timings — so
+    /// every rank builds identical schedules and replicas stay
+    /// bit-identical.
+    fn chunk_elems_for(&self, total_elems: usize) -> Option<usize> {
+        let _ = total_elems;
+        None
     }
 
-    /// [`Compressor::decompress`] with decode timing recorded into `rec`.
-    /// The default implementation ignores the recorder.
-    fn decompress_recorded(&self, bytes: &[u8], rec: &Recorder) -> Result<Vec<f32>, CompressError> {
-        let _ = rec;
-        self.decompress(bytes)
-    }
-
-    /// Compresses several layers as one self-describing unit, optionally
-    /// reusing a caller-cached [`LayerSchedule`] (the paper's
-    /// "pre-determined layer-block hashmap" built once at K-FAC-optimizer
-    /// init). The default implementation ignores the schedule and frames
-    /// each layer's [`Compressor::compress_recorded`] output under a
-    /// [`MAGIC_GROUP`] header; schedule-aware compressors
-    /// ([`crate::kernels::ChunkedCompso`]) and aggregating ones
-    /// ([`crate::pipeline::Compso`]) override it with their native
-    /// multi-layer formats.
+    /// [`Compressor::compress_group_keyed`] with each layer keyed by its
+    /// position in `layers`.
     fn compress_group(
         &self,
         layers: &[&[f32]],
@@ -88,81 +97,22 @@ pub trait Compressor: Send + Sync {
         rng: &mut Rng,
         rec: &Recorder,
     ) -> Vec<u8> {
-        let _ = schedule;
-        let mut w = Writer::new();
-        w.u8(MAGIC_GROUP);
-        w.u32(layers.len() as u32);
-        for layer in layers {
-            w.block(&self.compress_recorded(layer, rng, rec));
-        }
-        w.into_bytes()
+        let keyed: Vec<(u64, &[f32])> = (0u64..).zip(layers.iter().copied()).collect();
+        self.compress_group_keyed(&keyed, schedule, rng, rec)
     }
 
-    /// [`Compressor::compress_group`] with a caller-stable identity key
-    /// per layer (`DistKfac` passes the global layer index). Stateless
-    /// compressors ignore the keys — the default strips them and defers
-    /// to `compress_group`, so existing implementations keep their native
-    /// formats. Stateful compressors ([`crate::baselines::PowerSgd`])
-    /// override this to look up per-layer error-feedback / warm-start
-    /// state: keys are stable across world sizes (unlike positions within
-    /// an aggregation group), which is what keeps 1/2/4-rank runs
-    /// bit-identical. The output must stay decodable by
-    /// [`Compressor::decompress_group`].
-    fn compress_group_keyed(
-        &self,
-        layers: &[(u64, &[f32])],
-        schedule: Option<&LayerSchedule>,
-        rng: &mut Rng,
-        rec: &Recorder,
-    ) -> Vec<u8> {
-        let refs: Vec<&[f32]> = layers.iter().map(|&(_, l)| l).collect();
-        self.compress_group(&refs, schedule, rng, rec)
+    /// Compresses one buffer: a one-layer group.
+    fn compress(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
+        self.compress_group(&[data], None, rng, &Recorder::disabled())
     }
 
-    /// Inverse of [`Compressor::compress_group`].
-    fn decompress_group(
-        &self,
-        bytes: &[u8],
-        rec: &Recorder,
-    ) -> Result<Vec<Vec<f32>>, CompressError> {
-        let mut r = Reader::new(bytes);
-        if r.u8()? != MAGIC_GROUP {
-            return Err(WireError::Invalid("group magic").into());
+    /// Inverse of [`Compressor::compress`].
+    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
+        let mut layers = self.decompress_group(bytes, &Recorder::disabled())?;
+        match (layers.pop(), layers.is_empty()) {
+            (Some(layer), true) => Ok(layer),
+            _ => Err(CompressError::Corrupt("expected a single layer")),
         }
-        let n_layers = r.u32()? as usize;
-        if n_layers > 1_000_000 {
-            return Err(WireError::Invalid("group layer count").into());
-        }
-        let mut out = Vec::with_capacity(n_layers);
-        for _ in 0..n_layers {
-            out.push(self.decompress_recorded(r.block()?, rec)?);
-        }
-        if !r.is_exhausted() {
-            return Err(CompressError::Corrupt("trailing group bytes"));
-        }
-        Ok(out)
-    }
-
-    /// Chunk tile size this compressor wants [`LayerSchedule`]s built
-    /// with, or `None` when it has no use for a schedule. Callers that
-    /// cache schedules across iterations (`DistKfac`) consult this at
-    /// init time.
-    fn preferred_chunk_elems(&self) -> Option<usize> {
-        None
-    }
-
-    /// Chunk tile size for a specific workload of `total_elems`
-    /// elements. The default defers to the fixed
-    /// [`Compressor::preferred_chunk_elems`]; compressors with adaptive
-    /// chunking ([`crate::kernels::ChunkedCompso`] built with
-    /// [`crate::kernels::ChunkedCompso::with_adaptive_chunking`])
-    /// override it with the §4.4 performance-model choice. Must be a
-    /// **pure function of `total_elems`** — never of live thread counts
-    /// or timings — so every rank builds identical schedules and
-    /// replicas stay bit-identical.
-    fn chunk_elems_for(&self, total_elems: usize) -> Option<usize> {
-        let _ = total_elems;
-        self.preferred_chunk_elems()
     }
 
     /// Compression ratio achieved on `data` (original bytes / compressed
@@ -181,28 +131,51 @@ pub trait Compressor: Send + Sync {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoCompression;
 
+impl NoCompression {
+    /// One layer's block: `u64 n` then `n` little-endian f32s.
+    pub fn encode(data: &[f32]) -> Vec<u8> {
+        let mut w = Writer::with_capacity(data.len() * 4 + 8);
+        w.u64(data.len() as u64);
+        w.bytes(&f32s_to_bytes(data));
+        w.into_bytes()
+    }
+
+    /// Inverse of [`NoCompression::encode`].
+    pub fn decode(block: &[u8]) -> Result<Vec<f32>, CompressError> {
+        let mut r = Reader::new(block);
+        let n = checked_count(r.u64()?)?;
+        if r.remaining() != n * 4 {
+            return Err(CompressError::Corrupt("value bytes vs element count"));
+        }
+        Ok(bytes_to_f32s(r.bytes(n * 4)?)?)
+    }
+}
+
 impl Compressor for NoCompression {
     fn name(&self) -> &'static str {
         "NoCompression"
     }
 
-    fn compress(&self, data: &[f32], _rng: &mut Rng) -> Vec<u8> {
-        let mut w = Writer::with_capacity(data.len() * 4 + 8);
-        w.u64(data.len() as u64);
-        for &v in data {
-            w.f32(v);
-        }
-        w.into_bytes()
+    fn compress_group_keyed(
+        &self,
+        layers: &[(u64, &[f32])],
+        _schedule: Option<&LayerSchedule>,
+        _rng: &mut Rng,
+        _rec: &Recorder,
+    ) -> Vec<u8> {
+        let blocks: Vec<Vec<u8>> = layers.iter().map(|&(_, l)| Self::encode(l)).collect();
+        frame_group(&blocks)
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
-        let mut r = Reader::new(bytes);
-        let n = crate::wire::checked_count(r.u64()?)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(r.f32()?);
-        }
-        Ok(out)
+    fn decompress_group(
+        &self,
+        bytes: &[u8],
+        _rec: &Recorder,
+    ) -> Result<Vec<Vec<f32>>, CompressError> {
+        unframe_group(bytes)?
+            .into_iter()
+            .map(Self::decode)
+            .collect()
     }
 }
 
@@ -229,6 +202,7 @@ pub fn bytes_to_f32s(bytes: &[u8]) -> Result<Vec<f32>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::magic::MAGIC_GROUP;
 
     #[test]
     fn no_compression_roundtrip() {
@@ -237,6 +211,10 @@ mod tests {
         let c = NoCompression;
         let bytes = c.compress(&data, &mut rng);
         assert_eq!(c.decompress(&bytes).unwrap(), data);
+        assert_eq!(
+            NoCompression::decode(&NoCompression::encode(&data)).unwrap(),
+            data
+        );
     }
 
     #[test]
@@ -248,11 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn no_compression_truncation_detected() {
-        let data = vec![1.0f32; 10];
-        let mut rng = Rng::new(3);
-        let bytes = NoCompression.compress(&data, &mut rng);
-        assert!(NoCompression.decompress(&bytes[..bytes.len() - 2]).is_err());
+    fn no_compression_block_length_checked_against_count() {
+        let mut block = NoCompression::encode(&[1.0f32; 10]);
+        assert!(NoCompression::decode(&block[..block.len() - 2]).is_err());
+        block.extend_from_slice(&[0; 4]);
+        assert!(NoCompression::decode(&block).is_err(), "trailing value");
+        // A count the block cannot back never sizes an allocation.
+        block[..8].copy_from_slice(&(1u64 << 27).to_le_bytes());
+        assert!(NoCompression::decode(&block).is_err());
     }
 
     #[test]
@@ -272,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn default_group_framing_roundtrips_and_ignores_schedule() {
+    fn group_framing_roundtrips_and_ignores_schedule_and_keys() {
         let layers: Vec<Vec<f32>> = vec![vec![1.0, -2.0, 3.5], vec![], vec![0.25; 17]];
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let rec = Recorder::disabled();
@@ -282,19 +263,36 @@ mod tests {
         assert_eq!(bytes[0], MAGIC_GROUP);
         let back = c.decompress_group(&bytes, &rec).unwrap();
         assert_eq!(back, layers);
-        // A schedule is a pure hint: providing one changes nothing for the
-        // default implementation.
+        // A schedule is a pure hint and the keys are identity only:
+        // neither changes a byte of a stateless compressor's output.
         let schedule = crate::kernels::LayerSchedule::build(&[3, 0, 17], 8);
-        let mut rng2 = Rng::new(5);
+        let keyed: Vec<(u64, &[f32])> = refs.iter().map(|&l| (99, l)).collect();
         assert_eq!(
-            c.compress_group(&refs, Some(&schedule), &mut rng2, &rec),
+            c.compress_group_keyed(&keyed, Some(&schedule), &mut rng, &rec),
             bytes
         );
-        assert_eq!(c.preferred_chunk_elems(), None);
+        assert_eq!(c.chunk_elems_for(20), None);
     }
 
     #[test]
-    fn default_group_framing_rejects_corruption() {
+    fn single_buffer_wrappers_are_one_layer_groups() {
+        let data = vec![0.5f32, -0.25, 8.0];
+        let rec = Recorder::disabled();
+        let c = NoCompression;
+        let bytes = c.compress(&data, &mut Rng::new(6));
+        assert_eq!(
+            bytes,
+            c.compress_group(&[&data], None, &mut Rng::new(6), &rec)
+        );
+        // `decompress` refuses anything but exactly one layer.
+        let two = c.compress_group(&[&data, &data], None, &mut Rng::new(6), &rec);
+        assert!(c.decompress(&two).is_err());
+        let none = c.compress_group(&[], None, &mut Rng::new(6), &rec);
+        assert!(c.decompress(&none).is_err());
+    }
+
+    #[test]
+    fn group_framing_rejects_corruption() {
         let layers: Vec<Vec<f32>> = vec![vec![1.0; 9], vec![2.0; 4]];
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let rec = Recorder::disabled();

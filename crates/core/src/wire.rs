@@ -21,12 +21,11 @@ pub mod magic {
     /// Chunked-parallel stream (v2) with a per-chunk byte-offset index,
     /// [`crate::kernels`].
     pub const MAGIC_STREAM_V2: u8 = 0xC6;
-    /// Generic multi-layer group framing (serial fallback of
-    /// `Compressor::compress_group`), [`crate::traits`].
+    /// Multi-layer group framing of every per-layer compressor family
+    /// (NoCompression, QSGD, SZ, TopK, CocktailSGD, PowerSGD),
+    /// [`super::frame_group`]. `0xC8`, the retired layer-parallel twin of
+    /// this framing, stays unassigned.
     pub const MAGIC_GROUP: u8 = 0xC7;
-    /// Layer-parallel baseline group framing (QSGD/SZ),
-    /// [`crate::baselines::pargroup`].
-    pub const MAGIC_PARGROUP: u8 = 0xC8;
     /// Elastic membership-view frame (proposal / rejoin-request /
     /// welcome), `compso-comm`'s membership protocol.
     pub const MAGIC_MEMBERSHIP: u8 = 0xC9;
@@ -51,7 +50,6 @@ pub mod magic {
         ("stream_v1", MAGIC_STREAM_V1),
         ("stream_v2", MAGIC_STREAM_V2),
         ("group", MAGIC_GROUP),
-        ("pargroup", MAGIC_PARGROUP),
         ("membership", MAGIC_MEMBERSHIP),
         ("powersgd", MAGIC_POWERSGD),
         ("tensors", MAGIC_TENSORS),
@@ -236,6 +234,44 @@ pub fn framed_len(buf: &[u8]) -> Option<usize> {
     let len = usize::try_from(len).ok()?;
     let total = HEADER.checked_add(len)?;
     (total <= buf.len()).then_some(total)
+}
+
+/// Frames per-layer blocks as one multi-layer group:
+/// `[MAGIC_GROUP][u32 n]` then, per layer, `[u64 len][block]`. A pure
+/// format: whether the blocks were produced serially or one rayon worker
+/// per layer is the compressor family's business, and [`unframe_group`]
+/// hands them back as slices so the decode side can fan out the same way.
+pub fn frame_group(blocks: &[Vec<u8>]) -> Vec<u8> {
+    let total: usize = blocks.iter().map(|b| 8 + b.len()).sum();
+    let mut w = Writer::with_capacity(5 + total);
+    w.u8(magic::MAGIC_GROUP);
+    w.u32(blocks.len() as u32);
+    for b in blocks {
+        w.block(b);
+    }
+    w.into_bytes()
+}
+
+/// Inverse of [`frame_group`]: the per-layer blocks, borrowed from
+/// `bytes`. The layer count must fit the length prefixes the buffer
+/// actually holds, every block length is checked against the bytes that
+/// remain, and trailing bytes are rejected.
+pub fn unframe_group(bytes: &[u8]) -> Result<Vec<&[u8]>, WireError> {
+    let mut r = Reader::new(bytes);
+    if r.u8()? != magic::MAGIC_GROUP {
+        return Err(WireError::Invalid("group magic"));
+    }
+    let n_layers = r.u32()? as usize;
+    if n_layers > 1_000_000 || n_layers > r.remaining() / 8 {
+        return Err(WireError::Invalid("group layer count"));
+    }
+    let blocks = (0..n_layers)
+        .map(|_| r.block())
+        .collect::<Result<Vec<_>, _>>()?;
+    if !r.is_exhausted() {
+        return Err(WireError::Invalid("trailing group bytes"));
+    }
+    Ok(blocks)
 }
 
 /// Error produced when decoding a malformed or truncated stream.
@@ -467,14 +503,13 @@ mod tests {
         assert_eq!(magic::MAGIC_STREAM_V1, 0xC5);
         assert_eq!(magic::MAGIC_STREAM_V2, 0xC6);
         assert_eq!(magic::MAGIC_GROUP, 0xC7);
-        assert_eq!(magic::MAGIC_PARGROUP, 0xC8);
         assert_eq!(magic::MAGIC_MEMBERSHIP, 0xC9);
         assert_eq!(magic::MAGIC_POWERSGD, 0xCA);
         assert_eq!(magic::MAGIC_TENSORS, 0xCB);
         assert_eq!(magic::MAGIC_REJOIN, 0xCC);
         assert_eq!(magic::MAGIC_MANIFEST, 0xCD);
         assert_eq!(magic::MAGIC_FRAME, 0xCF);
-        assert_eq!(magic::ALL.len(), 10);
+        assert_eq!(magic::ALL.len(), 9);
     }
 
     #[test]
@@ -575,6 +610,42 @@ mod tests {
         assert_eq!(framed_len(&hostile), None);
         // Truncated body: header claims more than the buffer holds.
         assert_eq!(framed_len(&c[..c.len() - 1]), None);
+    }
+
+    #[test]
+    fn group_frame_roundtrips_including_empty_blocks() {
+        let blocks = vec![vec![1u8, 2, 3], vec![], vec![9u8; 33]];
+        let frame = frame_group(&blocks);
+        assert_eq!(frame[0], magic::MAGIC_GROUP);
+        assert_eq!(frame.len(), 5 + 3 * 8 + 36);
+        let back = unframe_group(&frame).unwrap();
+        assert_eq!(back, blocks.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        // Zero layers is a valid (tiny) frame too.
+        assert!(unframe_group(&frame_group(&[])).unwrap().is_empty());
+    }
+
+    #[test]
+    fn group_frame_rejects_truncation_trailing_bytes_and_hostile_headers() {
+        let mut frame = frame_group(&[vec![7u8; 9], vec![8u8; 4]]);
+        for cut in 0..frame.len() {
+            assert!(unframe_group(&frame[..cut]).is_err(), "cut={cut}");
+        }
+        frame.push(0xAB);
+        assert!(unframe_group(&frame).is_err(), "trailing byte");
+        frame.pop();
+        frame[0] = magic::MAGIC_STREAM_V2;
+        assert!(unframe_group(&frame).is_err(), "magic");
+        // An absurd layer count with no prefixes behind it, and a block
+        // length far past the buffer: both error before any allocation.
+        let mut w = Writer::new();
+        w.u8(magic::MAGIC_GROUP);
+        w.u32(u32::MAX);
+        assert!(unframe_group(&w.into_bytes()).is_err());
+        let mut w = Writer::new();
+        w.u8(magic::MAGIC_GROUP);
+        w.u32(1);
+        w.u64(u64::MAX / 2);
+        assert!(unframe_group(&w.into_bytes()).is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! 5. **pipelined** ring all-gather of the preconditioned gradients.
 //!    This is the traffic COMPSO compresses: owners compress their
 //!    layers' preconditioned gradients (aggregating up to `aggregation`
-//!    layers per compressed unit, via [`Compressor::compress_group`]
+//!    layers per compressed unit, via [`Compressor::compress_group_keyed`]
 //!    with a cached [`LayerSchedule`] so chunked compressors reuse the
 //!    paper's "pre-determined layer-block hashmap" every iteration).
 //!    Each aggregation group travels in its own CRC-32 checksum frame,
@@ -87,7 +87,7 @@ use compso_comm::collectives::{
 };
 use compso_comm::{CommError, Communicator, Payload};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed, Reader, Writer};
-use compso_core::{CompressError, Compressor, LayerSchedule, NoCompression};
+use compso_core::{CompressError, Compressor, LayerSchedule};
 use compso_dnn::Sequential;
 use compso_obs::{names, Recorder};
 use compso_tensor::{Matrix, Rng};
@@ -173,9 +173,9 @@ pub struct DistKfac {
     /// group)`. Built once alongside the ownership map (the paper's
     /// layer-block hashmap "built during the initialization of the KFAC
     /// optimizer and reused for the rest of the iterations") when the
-    /// compressor advertises a preferred chunk size; with adaptive
-    /// chunking the per-group choices come from the §4.4 model via
-    /// [`Compressor::chunk_elems_for`].
+    /// compressor names a chunk size through
+    /// [`Compressor::chunk_elems_for`]; with adaptive chunking the
+    /// per-group choices come from the §4.4 model.
     schedules: Option<(Vec<usize>, Vec<LayerSchedule>)>,
     /// Times the schedule cache was (re)built. Stays at ≤ 1 for any fixed
     /// compressor; exposed for the reuse-invariant tests.
@@ -240,14 +240,14 @@ impl DistKfac {
     /// records the `kfac/step` wall time and its sub-phases
     /// (`kfac/step/{grad_sync,factor,inverse,allgather,update}`), and the
     /// compressor's per-phase timers / traffic counters flow into the same
-    /// registry via [`Compressor::compress_recorded`].
+    /// registry (it is the `rec` of [`Compressor::compress_group_keyed`]).
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
 
     /// One distributed optimization step after a local forward/backward.
     /// `compressor` handles the preconditioned-gradient all-gather
-    /// (pass [`NoCompression`] for the paper's baseline).
+    /// (pass [`compso_core::NoCompression`] for the paper's baseline).
     ///
     /// Returns the step's communication statistics, or the first
     /// unrecoverable transport error ([`CommError`]) — timeouts, exhausted
@@ -455,27 +455,22 @@ impl DistKfac {
         }
 
         // Build (once) the per-group layer schedules for chunked
-        // compressors: the §4.5 layer-block hashmap, keyed on the
-        // compressor's preferred chunk size. Layer shapes are static, so
-        // for any fixed compressor this runs exactly once per optimizer
-        // lifetime and every later step reuses the cache.
+        // compressors: the §4.5 layer-block hashmap, keyed on the chunk
+        // size the compressor names for each group (fixed compressors
+        // name their default for every total; adaptive ones scale the
+        // tile with the group's element count, §4.4 model; schedule-less
+        // ones name none). The choice is a pure function of the static
+        // layer shapes, so for any fixed compressor this runs exactly once
+        // per optimizer lifetime and every later step reuses the cache.
         let m = self.config.aggregation.max(1);
-        if compressor.preferred_chunk_elems().is_some() {
-            // Per-group chunk choice: fixed compressors return their
-            // default for every total; adaptive ones scale the tile
-            // with the group's element count (§4.4 model). Either way
-            // the choice is a pure function of the static layer shapes,
-            // so the cache still builds exactly once per compressor.
-            let choices: Vec<usize> = owned
-                .chunks(m)
-                .map(|group| {
-                    let total: usize = group.iter().map(|(_, pre)| pre.len()).sum();
-                    compressor
-                        .chunk_elems_for(total)
-                        // lint:allow(no-unwrap-on-comm-path): guarded by the preferred_chunk_elems().is_some() branch above
-                        .expect("chunked compressor without chunk choice")
-                })
-                .collect();
+        let choices: Option<Vec<usize>> = owned
+            .chunks(m)
+            .map(|group| {
+                let total: usize = group.iter().map(|(_, pre)| pre.len()).sum();
+                compressor.chunk_elems_for(total)
+            })
+            .collect();
+        if let Some(choices) = choices.filter(|c| !c.is_empty()) {
             let stale = match &self.schedules {
                 Some((cached, _)) => *cached != choices,
                 None => true,
@@ -882,11 +877,6 @@ pub struct DistKfacState {
     pub last_good: Vec<(usize, Matrix)>,
 }
 
-/// Convenience: the no-compression baseline compressor.
-pub fn no_compression() -> NoCompression {
-    NoCompression
-}
-
 /// Compresses one aggregation group into its self-contained CRC-32
 /// checksum frame: `[group header][compressed block]` framed by
 /// [`frame_checksummed`]. The unit of transfer for both gather modes —
@@ -1043,7 +1033,7 @@ fn flatten_entries(
 mod tests {
     use super::*;
     use compso_comm::run_ranks;
-    use compso_core::{Compso, CompsoConfig};
+    use compso_core::{Compso, CompsoConfig, NoCompression};
     use compso_dnn::loss::{accuracy, softmax_cross_entropy};
     use compso_dnn::{data, models};
 
@@ -1114,7 +1104,7 @@ mod tests {
             let mut model = models::mlp(&[6, 16, 3], &mut rng);
             let shard = d.shard(comm.rank(), ranks);
             let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
-            let nc = no_compression();
+            let nc = NoCompression;
             for step in 0..steps {
                 let (x, y) = shard.batch(step, batch_per_rank);
                 let logits = model.forward(&x, true);
@@ -1230,7 +1220,7 @@ mod tests {
                     },
                     7,
                 );
-                let nc = no_compression();
+                let nc = NoCompression;
                 for step in 0..5 {
                     let (x, y) = shard.batch(step, 8);
                     let logits = model.forward(&x, true);
@@ -1590,7 +1580,7 @@ mod tests {
                     ..DistKfacConfig::default()
                 };
                 let mut opt = DistKfac::new(config, 7);
-                let nc = no_compression();
+                let nc = NoCompression;
                 let (x, y) = shard.batch(0, 8);
                 let logits = model.forward(&x, true);
                 let (_, grad) = softmax_cross_entropy(&logits, &y);
@@ -1779,7 +1769,7 @@ mod tests {
         let logits = model.forward(x, true);
         let (_, grad) = softmax_cross_entropy(&logits, y);
         model.backward(&grad);
-        let stats = opt.step_elastic(comm, model, &no_compression())?;
+        let stats = opt.step_elastic(comm, model, &NoCompression)?;
         model.update_params(|p, g| p.axpy(-0.02, g));
         Ok(stats)
     }
@@ -1926,7 +1916,7 @@ mod tests {
             let mut opt = DistKfac::new(config, 7);
             let rec = Recorder::enabled();
             opt.set_recorder(rec.clone());
-            let nc = no_compression();
+            let nc = NoCompression;
             let mut refreshes = Vec::new();
             for step in 0..5 {
                 let (mut x, y) = shard.batch(step, 8);

@@ -133,6 +133,16 @@ timeout --kill-after=10 300 \
   || { echo "checkpoint crash smoke failed or timed out" >&2; exit 1; }
 step_end
 
+step_start "benchmark surface: selfcheck (hard 300s wall-clock cap)"
+# benchmark/ is its own workspace and names the program only through
+# benchmark/src/surface.rs. Building it and running every workload twice
+# at a tenth of its steps fails here — not in the BENCHMARK.json driver —
+# when a change breaks that surface or replica determinism.
+timeout --kill-after=10 300 \
+  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- selfcheck \
+  || { echo "benchmark selfcheck failed or timed out" >&2; exit 1; }
+step_end
+
 step_start "bench smoke: fig1"
 cargo run -p compso-bench --release --bin fig1 >/dev/null
 step_end

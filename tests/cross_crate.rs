@@ -8,6 +8,7 @@ use compso::core::perfmodel::{comm_speedup, end_to_end_gain, CompressorProfile};
 use compso::core::synthetic::{generate, generate_layers, GradientProfile};
 use compso::core::{Compressor, Compso, CompsoConfig};
 use compso::dnn::ModelSpec;
+use compso::obs::Recorder;
 use compso::sim::{IterationModel, Platform};
 use compso::tensor::Rng;
 
@@ -44,20 +45,18 @@ fn chunked_kernels_and_serial_pipeline_agree_on_error_contract() {
     let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
     let schedule = LayerSchedule::build(&sizes, 4096);
     let rng = Rng::new(22);
-    let chunked = decompress_chunked(&compress_chunked(
-        &refs,
-        &cfg,
-        &KernelConfig::default(),
-        &schedule,
-        &rng,
-    ))
+    let off = Recorder::disabled();
+    let chunked = decompress_chunked(
+        &compress_chunked(&refs, &cfg, &KernelConfig::default(), &schedule, &rng, &off),
+        &off,
+    )
     .unwrap();
 
     // Serial path.
     let compso = Compso::new(cfg);
     let mut rng2 = Rng::new(22);
     let serial = compso
-        .decompress_layers(&compso.compress_layers(&refs, &mut rng2))
+        .decompress_layers(&compso.compress_layers(&refs, &mut rng2, &off), &off)
         .unwrap();
 
     // Different streams (chunk-forked vs serial RNG), same contract.

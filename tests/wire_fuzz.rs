@@ -5,8 +5,9 @@
 //!
 //! * `0xC5` — the serial COMPSO pipeline stream ([`Compso::decompress`]),
 //! * `0xC6` — the chunked-parallel v2 stream ([`decompress_chunked`]),
-//! * `0xC7` — the generic multi-layer group framing
-//!   ([`Compressor::decompress_group`]),
+//! * `0xC7` — the one multi-layer group framing every per-layer family
+//!   fills ([`Compressor::decompress_group`]; exercised family by family
+//!   in the conformance table at the end of this file),
 //!
 //! plus `0xCF`, the CRC32 checksum frame ([`unframe_checksummed`]) that
 //! the distributed K-FAC step wraps around all of them.
@@ -20,10 +21,8 @@
 //! * `0xCD` — the snapshot manifest ([`Manifest::decode`]) and the
 //!   standalone per-rank file metadata ([`RankFileMeta::decode`])
 //!   exchanged in the save-time all-gather,
-//! * `0xC8` — the layer-parallel baseline group framing
-//!   ([`pargroup::decompress`]),
 //! * `0xCA` — the PowerSGD low-rank factor stream
-//!   ([`PowerSgd::decompress`], last section of this file).
+//!   ([`PowerSgd::decode`]).
 //!
 //! All obey the same contract as the gradient formats below.
 //!
@@ -56,12 +55,15 @@ use compso::ckpt::{
     TensorMeta,
 };
 use compso::comm::MembershipFrame;
-use compso::core::baselines::{pargroup, PowerSgd};
+use compso::core::baselines::{CocktailSgd, PowerSgd, Qsgd, Sz, TopK};
 use compso::core::kernels::{compress_chunked, decompress_chunked};
 use compso::core::wire::{frame_checksummed, unframe_checksummed};
-use compso::core::{Compressor, Compso, CompsoConfig, KernelConfig, LayerSchedule, NoCompression};
+use compso::core::{
+    ChunkedCompso, Compressor, Compso, CompsoConfig, KernelConfig, LayerSchedule, NoCompression,
+};
 use compso::kfac::checkpoint::{decode_rejoin_delta, encode_rejoin_delta};
 use compso::obs::Recorder;
+use compso::tensor::reduce::{absmax_flat, minmax_flat};
 use compso::tensor::Rng;
 use proptest::prelude::*;
 
@@ -106,17 +108,8 @@ fn v2_stream(data: &[f32], seed: u64) -> Vec<u8> {
         &kc,
         &schedule,
         &Rng::new(seed),
+        &Recorder::disabled(),
     )
-}
-
-/// A valid generic group (`0xC7`) stream over `data` split into layers.
-/// `NoCompression` uses the default trait framing, which is the `0xC7`
-/// format under test (schedule-aware compressors override it).
-fn group_stream(data: &[f32], seed: u64) -> Vec<u8> {
-    let (a, b) = data.split_at(data.len() / 3);
-    let layers: Vec<&[f32]> = vec![a, b];
-    let mut rng = Rng::new(seed);
-    NoCompression.compress_group(&layers, None, &mut rng, &Recorder::disabled())
 }
 
 fn v1_decode(bytes: &[u8]) -> Result<usize, ()> {
@@ -127,14 +120,7 @@ fn v1_decode(bytes: &[u8]) -> Result<usize, ()> {
 }
 
 fn v2_decode(bytes: &[u8]) -> Result<usize, ()> {
-    decompress_chunked(bytes)
-        .map(|out| total_elems(&out))
-        .map_err(|_| ())
-}
-
-fn group_decode(bytes: &[u8]) -> Result<usize, ()> {
-    NoCompression
-        .decompress_group(bytes, &Recorder::disabled())
+    decompress_chunked(bytes, &Recorder::disabled())
         .map(|out| total_elems(&out))
         .map_err(|_| ())
 }
@@ -209,39 +195,6 @@ proptest! {
     }
 
     #[test]
-    fn group_truncated_stream_always_errs(
-        data in proptest::collection::vec(-10.0f32..10.0, 8..900),
-        seed in any::<u64>(),
-        cut_seed in any::<u64>(),
-    ) {
-        let stream = group_stream(&data, seed);
-        let cut = (cut_seed % stream.len() as u64) as usize;
-        prop_assert!(
-            group_decode(&stream[..cut]).is_err(),
-            "truncation to {cut}/{} bytes decoded Ok",
-            stream.len()
-        );
-    }
-
-    #[test]
-    fn group_byte_mutation_never_panics_or_amplifies(
-        data in proptest::collection::vec(-10.0f32..10.0, 8..900),
-        seed in any::<u64>(),
-        offset_seed in any::<u64>(),
-        xor in any::<u8>(),
-    ) {
-        let mut stream = group_stream(&data, seed);
-        flip_byte(&mut stream, offset_seed, xor);
-        if let Ok(n) = group_decode(&stream) {
-            prop_assert!(
-                n <= data.len() + SLACK_ELEMS,
-                "mutated stream amplified {} -> {n} elems",
-                data.len()
-            );
-        }
-    }
-
-    #[test]
     fn checksum_frame_rejects_every_single_byte_mutation(
         payload in proptest::collection::vec(any::<u8>(), 0..600),
         offset_seed in any::<u64>(),
@@ -275,7 +228,7 @@ proptest! {
     ) {
         // Any of these may return Ok by astronomical coincidence; the
         // contract is only "no panic, no amplification".
-        for decode in [v1_decode, v2_decode, group_decode] {
+        for decode in [v1_decode, v2_decode] {
             if let Ok(n) = decode(&garbage) {
                 prop_assert!(
                     n <= 8 * garbage.len() + SLACK_ELEMS,
@@ -297,7 +250,6 @@ proptest! {
         // parsers rather than vacuous Errs.
         prop_assert_eq!(v1_decode(&v1_stream(&data, seed)), Ok(data.len()));
         prop_assert_eq!(v2_decode(&v2_stream(&data, seed)), Ok(data.len()));
-        prop_assert_eq!(group_decode(&group_stream(&data, seed)), Ok(data.len()));
         let framed = frame_checksummed(&v1_stream(&data, seed));
         prop_assert!(unframe_checksummed(&framed).is_ok());
     }
@@ -305,8 +257,7 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Checkpoint formats (ISSUE: compso-ckpt satellite): manifest (0xCD),
-// standalone rank metadata, tensor blob (0xCB), and the layer-parallel
-// baseline group (0xC8).
+// standalone rank metadata, and the tensor blob (0xCB).
 // ---------------------------------------------------------------------
 
 /// A structurally valid per-rank file description: offsets tile the
@@ -380,16 +331,6 @@ fn tensors_stream(data: &[f32], seed: u64) -> Vec<u8> {
     encode_tensors(&entries)
 }
 
-fn pargroup_stream(data: &[f32], seed: u64) -> Vec<u8> {
-    let (a, b) = data.split_at(data.len() / 3);
-    let layers: Vec<&[f32]> = vec![a, b];
-    let rng = Rng::new(seed);
-    pargroup::compress(&layers, |i, layer| {
-        let mut lrng = rng.fork(i as u64);
-        NoCompression.compress(layer, &mut lrng)
-    })
-}
-
 /// Decoded "size" of a manifest: total index entries across ranks.
 fn manifest_decode(bytes: &[u8]) -> Result<usize, ()> {
     Manifest::decode(bytes)
@@ -416,12 +357,6 @@ fn tensors_decode(bytes: &[u8]) -> Result<usize, ()> {
                 })
                 .sum()
         })
-        .map_err(|_| ())
-}
-
-fn pargroup_decode(bytes: &[u8]) -> Result<usize, ()> {
-    pargroup::decompress(bytes, |b| NoCompression.decompress(b))
-        .map(|out| total_elems(&out))
         .map_err(|_| ())
 }
 
@@ -509,43 +444,10 @@ proptest! {
     }
 
     #[test]
-    fn pargroup_truncation_always_errs(
-        data in proptest::collection::vec(-10.0f32..10.0, 8..900),
-        seed in any::<u64>(),
-        cut_seed in any::<u64>(),
-    ) {
-        let stream = pargroup_stream(&data, seed);
-        let cut = (cut_seed % stream.len() as u64) as usize;
-        prop_assert!(
-            pargroup_decode(&stream[..cut]).is_err(),
-            "pargroup prefix {cut}/{} decoded Ok",
-            stream.len()
-        );
-    }
-
-    #[test]
-    fn pargroup_mutation_never_panics_or_amplifies(
-        data in proptest::collection::vec(-10.0f32..10.0, 8..900),
-        seed in any::<u64>(),
-        offset_seed in any::<u64>(),
-        xor in any::<u8>(),
-    ) {
-        let mut stream = pargroup_stream(&data, seed);
-        flip_byte(&mut stream, offset_seed, xor);
-        if let Ok(n) = pargroup_decode(&stream) {
-            prop_assert!(
-                n <= data.len() + SLACK_ELEMS,
-                "mutated pargroup amplified {} -> {n} elems",
-                data.len()
-            );
-        }
-    }
-
-    #[test]
     fn random_garbage_never_panics_checkpoint_parsers(
         garbage in proptest::collection::vec(any::<u8>(), 0..1500),
     ) {
-        for decode in [manifest_decode, rank_meta_decode, tensors_decode, pargroup_decode] {
+        for decode in [manifest_decode, rank_meta_decode, tensors_decode] {
             if let Ok(n) = decode(&garbage) {
                 prop_assert!(
                     n <= 8 * garbage.len() + SLACK_ELEMS,
@@ -566,7 +468,6 @@ proptest! {
         prop_assert!(rank_meta_decode(&rank_meta_stream(seed)).is_ok());
         let expected_raw = data.len() * 4 + 9 * 8 + 5 * 8;
         prop_assert_eq!(tensors_decode(&tensors_stream(&data, seed)), Ok(expected_raw));
-        prop_assert_eq!(pargroup_decode(&pargroup_stream(&data, seed)), Ok(data.len()));
     }
 }
 
@@ -758,16 +659,12 @@ proptest! {
 // rows×cols allocation unbacked by the declared count.
 // ---------------------------------------------------------------------
 
-fn powersgd_stream(data: &[f32], seed: u64) -> Vec<u8> {
-    let mut rng = Rng::new(seed);
-    PowerSgd::rank(2).compress(data, &mut rng)
+fn powersgd_stream(data: &[f32]) -> Vec<u8> {
+    PowerSgd::rank(2).encode(data)
 }
 
 fn powersgd_decode(bytes: &[u8]) -> Result<usize, ()> {
-    PowerSgd::rank(2)
-        .decompress(bytes)
-        .map(|out| out.len())
-        .map_err(|_| ())
+    PowerSgd::decode(bytes).map(|out| out.len()).map_err(|_| ())
 }
 
 proptest! {
@@ -776,10 +673,9 @@ proptest! {
     #[test]
     fn powersgd_truncation_always_errs(
         data in proptest::collection::vec(-10.0f32..10.0, 2..1200),
-        seed in any::<u64>(),
         cut_seed in any::<u64>(),
     ) {
-        let stream = powersgd_stream(&data, seed);
+        let stream = powersgd_stream(&data);
         let cut = (cut_seed % stream.len() as u64) as usize;
         prop_assert!(
             powersgd_decode(&stream[..cut]).is_err(),
@@ -791,7 +687,6 @@ proptest! {
     #[test]
     fn powersgd_mutation_never_panics_or_amplifies(
         data in proptest::collection::vec(-10.0f32..10.0, 2..1200),
-        seed in any::<u64>(),
         offset_seed in any::<u64>(),
         xor in any::<u8>(),
     ) {
@@ -800,7 +695,7 @@ proptest! {
         // canonical-shape cross-check pins the decoded length to the
         // declared count, which a flipped count byte can move by at most
         // its byte weight before the shape/exhaustion checks fire.
-        let mut stream = powersgd_stream(&data, seed);
+        let mut stream = powersgd_stream(&data);
         flip_byte(&mut stream, offset_seed, xor);
         if let Ok(n) = powersgd_decode(&stream) {
             prop_assert!(
@@ -827,10 +722,227 @@ proptest! {
     #[test]
     fn powersgd_valid_streams_still_roundtrip(
         data in proptest::collection::vec(-10.0f32..10.0, 2..1200),
-        seed in any::<u64>(),
     ) {
         // Sanity anchor: both wire modes (raw escape for tiny inputs,
         // low-rank factors for larger ones) decode to the input length.
-        prop_assert_eq!(powersgd_decode(&powersgd_stream(&data, seed)), Ok(data.len()));
+        prop_assert_eq!(powersgd_decode(&powersgd_stream(&data)), Ok(data.len()));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Compressor conformance: one table, one campaign, every family behind
+// the surviving surface (`compress_group`, `compress_group_keyed`,
+// `decompress_group`). A new family costs one row.
+// ---------------------------------------------------------------------
+
+/// A family's stated per-element error contract.
+enum Contract {
+    /// Every decoded element sits within `bound(layer)` of the original.
+    Within(fn(&[f32]) -> f32),
+    /// As `Within`, or the element was dropped and decodes to exactly 0.0.
+    WithinOrDropped(fn(&[f32]) -> f32),
+    /// No per-element bound is stated.
+    Unstated,
+}
+
+/// One compressor family under the conformance campaign.
+struct Family {
+    /// A fresh instance (stateful families must start cold each time).
+    make: fn() -> Box<dyn Compressor>,
+    contract: Contract,
+}
+
+fn value_range(layer: &[f32]) -> f32 {
+    let mm = minmax_flat(layer);
+    if layer.is_empty() {
+        0.0
+    } else {
+        mm.max - mm.min
+    }
+}
+
+/// COMPSO at 4e-3: the filter and the quantizer are both bounded by
+/// `eb × range` (a filtered value decodes to 0.0 *within* that bound).
+fn compso_bound(layer: &[f32]) -> f32 {
+    4e-3 * value_range(layer) * 1.01 + 1e-7
+}
+
+const FAMILIES: &[Family] = &[
+    Family {
+        make: || Box::new(NoCompression),
+        contract: Contract::Within(|_| 0.0),
+    },
+    Family {
+        make: || Box::new(Compso::new(CompsoConfig::aggressive(4e-3))),
+        contract: Contract::Within(compso_bound),
+    },
+    Family {
+        make: || Box::new(ChunkedCompso::new(CompsoConfig::aggressive(4e-3))),
+        contract: Contract::Within(compso_bound),
+    },
+    Family {
+        make: || Box::new(Qsgd::bits4()),
+        contract: Contract::Within(|l| absmax_flat(l) / Qsgd::bits4().levels() as f32 * 1.001),
+    },
+    Family {
+        make: || Box::new(Qsgd::bits8()),
+        contract: Contract::Within(|l| absmax_flat(l) / Qsgd::bits8().levels() as f32 * 1.001),
+    },
+    Family {
+        make: || Box::new(Sz::new(4e-3)),
+        contract: Contract::Within(|l| 4e-3 * value_range(l) * 1.001 + 1e-7),
+    },
+    Family {
+        make: || Box::new(TopK::new(0.2)),
+        contract: Contract::WithinOrDropped(|_| 0.0),
+    },
+    Family {
+        make: || Box::new(CocktailSgd::standard()),
+        contract: Contract::WithinOrDropped(|l| absmax_flat(l) / 127.0),
+    },
+    Family {
+        // Low-rank: the error lives in the tail singular values, no
+        // per-element bound is stated.
+        make: || Box::new(PowerSgd::rank(2)),
+        contract: Contract::Unstated,
+    },
+];
+
+/// Three layers of very different scale with an empty one between them
+/// (the shapes a K-FAC aggregation group really has).
+fn conformance_layers(seed: u64) -> Vec<Vec<f32>> {
+    let mut rng = Rng::new(seed);
+    let small: Vec<f32> = (0..150).map(|_| rng.laplace(0.01)).collect();
+    let large: Vec<f32> = (0..97).map(|_| rng.range_f32(-10.0, 10.0)).collect();
+    vec![small, Vec::new(), large]
+}
+
+fn group_decode(c: &dyn Compressor, bytes: &[u8]) -> Result<usize, ()> {
+    c.decompress_group(bytes, &Recorder::disabled())
+        .map(|out| total_elems(&out))
+        .map_err(|_| ())
+}
+
+/// Runs `check(family, compressor, layers, stream)` for every row of the
+/// table on two fixtures; `stream` is the row's `compress_group` output.
+fn for_every_family(check: impl Fn(&Family, &dyn Compressor, &[Vec<f32>], &[u8])) {
+    for family in FAMILIES {
+        for seed in [11u64, 12] {
+            let layers = conformance_layers(seed);
+            let refs: Vec<&[f32]> = layers.iter().map(Vec::as_slice).collect();
+            let c = (family.make)();
+            let mut rng = Rng::new(seed ^ 0xC0DE);
+            let stream = c.compress_group(&refs, None, &mut rng, &Recorder::disabled());
+
+            // `compress_group` is `compress_group_keyed` with positional
+            // keys: same bytes, same generator afterwards.
+            let keyed: Vec<(u64, &[f32])> = (0u64..).zip(refs.iter().copied()).collect();
+            let mut rng_keyed = Rng::new(seed ^ 0xC0DE);
+            let from_keys = (family.make)().compress_group_keyed(
+                &keyed,
+                None,
+                &mut rng_keyed,
+                &Recorder::disabled(),
+            );
+            assert_eq!(from_keys, stream, "{}: positional keys", c.name());
+            assert_eq!(rng.next_u64(), rng_keyed.next_u64(), "{}: rng", c.name());
+
+            check(family, c.as_ref(), &layers, &stream);
+        }
+    }
+}
+
+#[test]
+fn every_family_roundtrips_within_its_contract() {
+    for_every_family(|family, c, layers, stream| {
+        let name = c.name();
+        let back = c
+            .decompress_group(stream, &Recorder::disabled())
+            .expect(name);
+        assert_eq!(back.len(), layers.len(), "{name}: layer count");
+        for (li, (orig, dec)) in layers.iter().zip(&back).enumerate() {
+            assert_eq!(orig.len(), dec.len(), "{name}: layer {li} length");
+            let (bound, may_drop) = match family.contract {
+                Contract::Within(bound) => (bound(orig), false),
+                Contract::WithinOrDropped(bound) => (bound(orig), true),
+                Contract::Unstated => continue,
+            };
+            for (&x, &y) in orig.iter().zip(dec) {
+                assert!(
+                    (x - y).abs() <= bound || (may_drop && y == 0.0),
+                    "{name}: layer {li}: {x} decoded as {y}, bound {bound}"
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn every_family_is_total_on_hostile_bytes() {
+    for_every_family(|_, c, layers, stream| {
+        let name = c.name();
+        // Truncation at every strict prefix errs; so does one trailing
+        // byte.
+        for cut in 0..stream.len() {
+            assert!(
+                group_decode(c, &stream[..cut]).is_err(),
+                "{name}: prefix {cut}/{} decoded Ok",
+                stream.len()
+            );
+        }
+        let mut padded = stream.to_vec();
+        padded.push(0);
+        assert!(
+            group_decode(c, &padded).is_err(),
+            "{name}: trailing byte accepted"
+        );
+
+        // A single-byte mutation anywhere never panics and never
+        // amplifies (values may silently change: that is the 0xCF
+        // frame's job).
+        let mut xors = Rng::new(stream.len() as u64);
+        for at in 0..stream.len() {
+            let mut mutated = stream.to_vec();
+            flip_byte(&mut mutated, at as u64, xors.next_u64() as u8);
+            if let Ok(n) = group_decode(c, &mutated) {
+                assert!(
+                    n <= total_elems(layers) + SLACK_ELEMS,
+                    "{name}: byte {at} amplified {} -> {n} elems",
+                    total_elems(layers)
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn no_compression_group_size_is_pinned() {
+    // magic + u32 count, then per layer a u64 block length, the block's
+    // own u64 element count and the raw values: 5 + Σ(16 + 4·nᵢ).
+    let layers = conformance_layers(13);
+    let refs: Vec<&[f32]> = layers.iter().map(Vec::as_slice).collect();
+    let stream = NoCompression.compress_group(&refs, None, &mut Rng::new(1), &Recorder::disabled());
+    let expected: usize = 5 + layers.iter().map(|l| 16 + 4 * l.len()).sum::<usize>();
+    assert_eq!(stream.len(), expected);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn random_garbage_never_panics_any_family(
+        garbage in proptest::collection::vec(any::<u8>(), 0..1500),
+    ) {
+        for family in FAMILIES {
+            let c = (family.make)();
+            if let Ok(n) = group_decode(c.as_ref(), &garbage) {
+                prop_assert!(
+                    n <= 8 * garbage.len() + SLACK_ELEMS,
+                    "{}: garbage decoded to {n} elems from {} bytes",
+                    c.name(),
+                    garbage.len()
+                );
+            }
+        }
     }
 }

@@ -9,9 +9,10 @@
 //!   with a variable-size variant for compressed payloads whose per-rank
 //!   sizes differ (§4.3: "KFAC uses AllGather, avoiding [ring-allreduce
 //!   error propagation]");
-//! * **broadcast** is a flat fan-out from the root (some K-FAC
-//!   implementations overlap broadcasts per layer; flat is enough for the
-//!   correctness role this substrate plays).
+//! * **broadcast** (of bytes: checkpoint globals, rejoin catch-up) is a
+//!   flat fan-out from the root (some K-FAC implementations overlap
+//!   broadcasts per layer; flat is enough for the correctness role this
+//!   substrate plays).
 //!
 //! Every collective is **fallible**: receives are deadline-bounded and
 //! surface [`CommError::Timeout`] naming the peer and the collective
@@ -90,42 +91,6 @@ pub fn allreduce_mean(comm: &mut Communicator, data: &mut [f32]) -> Result<(), C
         *v *= inv;
     }
     Ok(())
-}
-
-/// Ring reduce-scatter: each rank returns the fully reduced block for its
-/// own index (`block_ranges(data.len(), p)[rank]`).
-pub fn reduce_scatter_sum(comm: &mut Communicator, data: &[f32]) -> Result<Vec<f32>, CommError> {
-    let _span = comm.recorder().span(names::COMM_REDUCE_SCATTER);
-    let p = comm.size();
-    let ranges = block_ranges(data.len(), p);
-    if p == 1 {
-        return Ok(data.to_vec());
-    }
-    let r = comm.rank();
-    let left = comm.left();
-    let right = comm.right();
-    let mut work = data.to_vec();
-    // Same schedule as allreduce phase 1, then rotate ownership so rank r
-    // ends with block r (one extra hop of the owned block).
-    for s in 0..p - 1 {
-        let send_block = (r + p - s) % p;
-        let recv_block = (r + p - s - 1) % p;
-        let chunk = work[ranges[send_block].clone()].to_vec();
-        comm.send(right, Payload::F32(chunk))?;
-        let incoming = comm
-            .recv_labeled(left, names::COMM_REDUCE_SCATTER)?
-            .try_f32()?;
-        let dst = &mut work[ranges[recv_block].clone()];
-        for (d, v) in dst.iter_mut().zip(incoming) {
-            *d += v;
-        }
-    }
-    // Rank r now owns block (r + 1) mod p; forward it one step so rank r
-    // holds block r.
-    let owned = (r + 1) % p;
-    comm.send(right, Payload::F32(work[ranges[owned].clone()].to_vec()))?;
-    comm.recv_labeled(left, names::COMM_REDUCE_SCATTER)?
-        .try_f32()
 }
 
 /// Fixed-size ring all-gather of f32 blocks. Every rank contributes
@@ -396,29 +361,7 @@ pub fn compressed_allreduce_mean(
     Ok(())
 }
 
-/// Broadcast `data` from `root` to all ranks (flat fan-out).
-pub fn broadcast(
-    comm: &mut Communicator,
-    root: usize,
-    data: &mut Vec<f32>,
-) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
-    }
-    if comm.rank() == root {
-        for dst in 0..p {
-            if dst != root {
-                comm.send(dst, Payload::F32(data.clone()))?;
-            }
-        }
-    } else {
-        *data = comm.recv_labeled(root, names::COMM_BROADCAST)?.try_f32()?;
-    }
-    Ok(())
-}
-
-/// Broadcast opaque bytes from `root`.
+/// Broadcast opaque bytes from `root` to all ranks (flat fan-out).
 pub fn broadcast_bytes(
     comm: &mut Communicator,
     root: usize,
@@ -503,21 +446,6 @@ mod tests {
             for v in res {
                 assert!((v - 1.5).abs() < 1e-6); // (0+1+2+3)/4
             }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_gives_each_rank_its_block() {
-        let p = 4;
-        let len = 10;
-        let results = run_ranks(p, |comm| {
-            let data: Vec<f32> = (0..len).map(|i| i as f32).collect();
-            reduce_scatter_sum(comm, &data).unwrap()
-        });
-        let ranges = block_ranges(len, p);
-        for (rank, res) in results.iter().enumerate() {
-            let expected: Vec<f32> = ranges[rank].clone().map(|i| i as f32 * p as f32).collect();
-            assert_eq!(res, &expected, "rank {rank}");
         }
     }
 
@@ -686,24 +614,6 @@ mod tests {
         // No retries or faults on the clean path.
         assert_eq!(snap.counter(names::COMM_RETRY_RESENDS), 0);
         assert_eq!(snap.counter(names::COMM_FAULT_CRC_DETECTED), 0);
-    }
-
-    #[test]
-    fn broadcast_from_each_root() {
-        for root in 0..3 {
-            let results = run_ranks(3, move |comm| {
-                let mut data = if comm.rank() == root {
-                    vec![42.0, -1.0]
-                } else {
-                    Vec::new()
-                };
-                broadcast(comm, root, &mut data).unwrap();
-                data
-            });
-            for res in results {
-                assert_eq!(res, vec![42.0, -1.0]);
-            }
-        }
     }
 
     #[test]

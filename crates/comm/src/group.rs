@@ -35,7 +35,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Granularity of the receive poll loop: how often a blocked receiver
@@ -346,6 +346,25 @@ fn payload_crc(p: &Payload) -> u32 {
     !crc
 }
 
+/// Splits membership frames off the data plane: the frame's bytes when
+/// `p` is one (a byte payload opening with the membership magic), the
+/// payload back untouched otherwise.
+fn membership_frame(p: Payload) -> Result<Vec<u8>, Payload> {
+    match p {
+        Payload::Bytes(b) if b.first() == Some(&crate::membership::MAGIC) => Ok(b),
+        other => Err(other),
+    }
+}
+
+/// The membership frame in a message read straight off a channel,
+/// bypassing the ARQ stream: CRC-checked, anything else is `None`.
+fn raw_membership(msg: DataMsg) -> Option<Vec<u8>> {
+    if msg.crc != payload_crc(&msg.payload) {
+        return None;
+    }
+    membership_frame(msg.payload).ok()
+}
+
 /// Flips bit `hash % wire_bits` of the payload's wire representation.
 fn flip_payload_bit(p: &mut Payload, hash: u64) {
     match p {
@@ -608,26 +627,27 @@ impl Communicator {
     /// survivors' poll loops surface [`CommError::Poisoned`] naming this
     /// rank and can shrink it out instead of aborting the whole group.
     pub fn mark_departed(&self) {
-        let mut d = self.departed.lock().unwrap_or_else(|p| p.into_inner());
+        let mut d = self.departed_ranks();
         if !d.contains(&self.rank) {
             d.push(self.rank);
         }
     }
 
+    /// The shared departure list. A poisoned lock is recovered: every
+    /// update is a single push or retain, so the list is valid at every
+    /// step.
+    fn departed_ranks(&self) -> MutexGuard<'_, Vec<usize>> {
+        self.departed.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Removes this physical rank from the departure list (on rejoin).
     fn clear_departed(&self) {
-        self.departed
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .retain(|&r| r != self.rank);
+        self.departed_ranks().retain(|&r| r != self.rank);
     }
 
     /// Whether physical rank `p` is currently marked departed.
     fn is_departed(&self, p: usize) -> bool {
-        self.departed
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .contains(&p)
+        self.departed_ranks().contains(&p)
     }
 
     /// First active poison: a poisoned rank already shrunk out of the
@@ -647,7 +667,7 @@ impl Communicator {
         if let Some(r) = self.poison_active() {
             return Some(r);
         }
-        let d = self.departed.lock().unwrap_or_else(|p| p.into_inner());
+        let d = self.departed_ranks();
         d.iter()
             .copied()
             .find(|&r| r != self.rank && self.live.contains(&r) && !self.absorbing.contains(&r))
@@ -882,30 +902,13 @@ impl Communicator {
         if msg.seq == RAW_SEQ {
             // Sequence-less membership frame (rejoin traffic sent
             // outside the ARQ stream): divert it, never ACK it.
-            if let Payload::Bytes(b) = msg.payload {
-                if b.first() == Some(&crate::membership::MAGIC) {
-                    self.rejoin_stash[src].push_back(b);
-                }
+            if let Ok(frame) = membership_frame(msg.payload) {
+                self.rejoin_stash[src].push_back(frame);
             }
             return Ok(None);
         }
         if msg.seq == expect {
-            self.recv_expect[src] = expect + 1;
-            self.send_ack(src, expect + 1);
-            // A membership frame slipped into the data stream: the peer
-            // entered its shrink round while we were still inside a
-            // collective. Divert it so the data plane stays typed;
-            // `shrink` picks it up from the stash.
-            if let Payload::Bytes(b) = &msg.payload {
-                if b.first() == Some(&crate::membership::MAGIC) {
-                    if want_membership {
-                        return Ok(Some(msg.payload));
-                    }
-                    self.membership_stash[src].push_back(msg.payload.into_bytes());
-                    return Ok(None);
-                }
-            }
-            return Ok(Some(msg.payload));
+            return Ok(self.accept_in_order(src, msg.payload, want_membership));
         } else if msg.seq > expect {
             // Out of order: a later message overtook a lost one. Keep
             // it; the NACK timer recovers `expect`.
@@ -916,6 +919,31 @@ impl Communicator {
             self.send_ack(src, expect);
         }
         Ok(None)
+    }
+
+    /// Takes the payload at `src`'s expected sequence number: advances
+    /// the stream, ACKs, and hands the payload to the caller — unless it
+    /// is a membership frame that slipped into the data stream (the peer
+    /// entered its shrink round while we were still inside a
+    /// collective), which is diverted so the data plane stays typed;
+    /// `shrink` picks it up from the stash, or asks for it directly with
+    /// `want_membership`.
+    fn accept_in_order(
+        &mut self,
+        src: usize,
+        payload: Payload,
+        want_membership: bool,
+    ) -> Option<Payload> {
+        self.recv_expect[src] += 1;
+        self.send_ack(src, self.recv_expect[src]);
+        match membership_frame(payload) {
+            Ok(frame) if want_membership => Some(Payload::Bytes(frame)),
+            Ok(frame) => {
+                self.membership_stash[src].push_back(frame);
+                None
+            }
+            Err(payload) => Some(payload),
+        }
     }
 
     /// [`recv_arq`] core. With `want_membership`, diverted membership
@@ -930,23 +958,10 @@ impl Communicator {
         collective: &'static str,
         want_membership: bool,
     ) -> Result<Payload, CommError> {
-        loop {
-            let expect = self.recv_expect[src];
-            let Some(p) = self.stash[src].remove(&expect) else {
-                break;
-            };
-            self.recv_expect[src] = expect + 1;
-            self.send_ack(src, expect + 1);
-            if let Payload::Bytes(b) = &p {
-                if b.first() == Some(&crate::membership::MAGIC) {
-                    if want_membership {
-                        return Ok(p);
-                    }
-                    self.membership_stash[src].push_back(p.into_bytes());
-                    continue;
-                }
+        while let Some(p) = self.stash[src].remove(&self.recv_expect[src]) {
+            if let Some(out) = self.accept_in_order(src, p, want_membership) {
+                return Ok(out);
             }
-            return Ok(p);
         }
         let start = Instant::now();
         let deadline = start + self.config.recv_timeout;
@@ -1138,13 +1153,8 @@ impl Communicator {
             return Some(b);
         }
         while let Some(msg) = self.data_rx[src].try_recv() {
-            if msg.crc != payload_crc(&msg.payload) {
-                continue;
-            }
-            if let Payload::Bytes(b) = msg.payload {
-                if b.first() == Some(&crate::membership::MAGIC) {
-                    return Some(b);
-                }
+            if let Some(frame) = raw_membership(msg) {
+                return Some(frame);
             }
         }
         None
@@ -1170,17 +1180,12 @@ impl Communicator {
                 });
             }
             match self.data_rx[src].recv_timeout(POLL_SLICE.min(deadline - now)) {
+                // Anything else on a rejoining channel is stale
+                // collective traffic: discard unacknowledged.
                 Ok(msg) => {
-                    if msg.crc != payload_crc(&msg.payload) {
-                        continue;
+                    if let Some(frame) = raw_membership(msg) {
+                        return Ok(frame);
                     }
-                    if let Payload::Bytes(b) = msg.payload {
-                        if b.first() == Some(&crate::membership::MAGIC) {
-                            return Ok(b);
-                        }
-                    }
-                    // Anything else on a rejoining channel is stale
-                    // collective traffic: discard unacknowledged.
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return Err(self.disconnect_error(src)),
@@ -1198,11 +1203,11 @@ impl Communicator {
             if let Some(b) = self.membership_stash[src].pop_front() {
                 return Ok(b);
             }
-            match self.recv_arq_inner(src, names::COMM_MEMBERSHIP, true)? {
-                Payload::Bytes(b) if b.first() == Some(&crate::membership::MAGIC) => {
-                    return Ok(b);
-                }
-                _ => continue, // stale collective payload: discard
+            // Anything else is a stale collective payload: discard.
+            if let Ok(frame) =
+                membership_frame(self.recv_arq_inner(src, names::COMM_MEMBERSHIP, true)?)
+            {
+                return Ok(frame);
             }
         }
     }
@@ -1223,10 +1228,7 @@ impl Communicator {
         if let Some(r) = self.poison_active() {
             suspects.push(r);
         }
-        {
-            let d = self.departed.lock().unwrap_or_else(|p| p.into_inner());
-            suspects.extend(d.iter().copied());
-        }
+        suspects.extend(self.departed_ranks().iter().copied());
         suspects.retain(|&s| s != self.rank && self.live.contains(&s));
         suspects.sort_unstable();
         suspects.dedup();
@@ -1335,10 +1337,7 @@ impl Communicator {
                 if !self.dead.contains(&s) {
                     self.dead.push(s);
                 }
-                self.outbox[s].clear();
-                self.stash[s].clear();
-                self.membership_stash[s].clear();
-                self.barrier_stash[s].clear();
+                self.reset_peer(s);
                 // Requests queued before this death are from a previous
                 // incarnation — a ghost that could trigger admission of
                 // a rank that is no longer asking. A revived rank
@@ -1358,6 +1357,21 @@ impl Communicator {
         }
     }
 
+    /// Restarts the pairwise ARQ stream with physical rank `p`: both
+    /// directions back to sequence 0, nothing in flight, nothing stashed.
+    /// The raw-plane `rejoin_stash` follows incarnations, not streams, and
+    /// the channels may still hold old-stream frames: callers wipe the one
+    /// and [`Communicator::drain_stale_channels`] the other as their view
+    /// change requires.
+    fn reset_peer(&mut self, p: usize) {
+        self.send_seq[p] = 0;
+        self.recv_expect[p] = 0;
+        self.outbox[p].clear();
+        self.stash[p].clear();
+        self.membership_stash[p].clear();
+        self.barrier_stash[p].clear();
+    }
+
     /// Discards every frame queued in the channels from `src`, keeping
     /// only barrier traffic (exact-generation matched, so a stale entry
     /// is inert in the stash). Must accompany a pairwise sequence reset:
@@ -1373,11 +1387,9 @@ impl Communicator {
             // Raw-plane membership frames are sequence-less and valid
             // across the reset (a rejoin request queued mid-flush is the
             // one the next admission sweep needs): keep them, CRC-checked.
-            if msg.seq == RAW_SEQ && msg.crc == payload_crc(&msg.payload) {
-                if let Payload::Bytes(b) = msg.payload {
-                    if b.first() == Some(&crate::membership::MAGIC) {
-                        self.rejoin_stash[src].push_back(b);
-                    }
+            if msg.seq == RAW_SEQ {
+                if let Some(frame) = raw_membership(msg) {
+                    self.rejoin_stash[src].push_back(frame);
                 }
             }
         }
@@ -1403,12 +1415,7 @@ impl Communicator {
             if p == self.rank {
                 continue;
             }
-            self.send_seq[p] = 0;
-            self.recv_expect[p] = 0;
-            self.outbox[p].clear();
-            self.stash[p].clear();
-            self.membership_stash[p].clear();
-            self.barrier_stash[p].clear();
+            self.reset_peer(p);
             self.drain_stale_channels(p);
         }
         Ok(())
@@ -1429,17 +1436,9 @@ impl Communicator {
         // Clear the joiner's departure notice *here*, not only when the
         // joiner adopts its welcome: otherwise the window between this
         // commit and the adoption re-fails the joiner on every member.
-        self.departed
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .retain(|&r| r != joiner);
-        self.send_seq[joiner] = 0;
-        self.recv_expect[joiner] = 0;
-        self.outbox[joiner].clear();
-        self.stash[joiner].clear();
-        self.membership_stash[joiner].clear();
+        self.departed_ranks().retain(|&r| r != joiner);
+        self.reset_peer(joiner);
         self.rejoin_stash[joiner].clear();
-        self.barrier_stash[joiner].clear();
         self.drain_stale_channels(joiner);
         self.step = step;
         self.epoch += 1;
@@ -1461,13 +1460,8 @@ impl Communicator {
             if p == self.rank {
                 continue;
             }
-            self.send_seq[p] = 0;
-            self.recv_expect[p] = 0;
-            self.outbox[p].clear();
-            self.stash[p].clear();
-            self.membership_stash[p].clear();
+            self.reset_peer(p);
             self.rejoin_stash[p].clear();
-            self.barrier_stash[p].clear();
             self.drain_stale_channels(p);
         }
         self.clear_departed();

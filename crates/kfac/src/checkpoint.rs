@@ -55,8 +55,6 @@ pub struct CheckpointConfig {
     pub dir: PathBuf,
     /// Committed snapshots to keep after GC.
     pub retain_last: usize,
-    /// Lossless codec for the tensor payloads.
-    pub codec: Codec,
     /// Fingerprint of the training configuration (see [`fingerprint`]).
     /// Restore rejects snapshots taken under a different fingerprint:
     /// resuming under a changed config could not be bit-identical.
@@ -64,16 +62,11 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Sensible defaults: keep the last two snapshots, rANS payloads.
-    /// The interleaved entropy coder is an order of magnitude faster than
-    /// the LZ+rANS chain on float tensor payloads while compressing them
-    /// almost as well (raw f32 bits carry little LZ-exploitable
-    /// repetition), so snapshots stop being a ~20 MB/s stall.
+    /// Sensible defaults: keep the last two snapshots.
     pub fn new(dir: impl Into<PathBuf>, fingerprint: u64) -> Self {
         CheckpointConfig {
             dir: dir.into(),
             retain_last: 2,
-            codec: Codec::Ans,
             fingerprint,
         }
     }
@@ -142,10 +135,16 @@ pub struct Restored {
     pub globals: Snapshot,
 }
 
+/// Lossless codec of the snapshot tensor payloads. The interleaved
+/// entropy coder is an order of magnitude faster than the LZ+rANS chain
+/// on float tensor payloads while compressing them almost as well (raw
+/// f32 bits carry little LZ-exploitable repetition), so snapshots stop
+/// being a ~20 MB/s stall.
+const PAYLOAD_CODEC: Codec = Codec::Ans;
+
 /// The per-rank driver of coordinated snapshots.
 pub struct CheckpointCoordinator {
     store: CheckpointStore,
-    codec: Codec,
     fingerprint: u64,
 }
 
@@ -154,7 +153,6 @@ impl CheckpointCoordinator {
     pub fn new(config: CheckpointConfig) -> Result<Self, CkptError> {
         Ok(CheckpointCoordinator {
             store: CheckpointStore::new(config.dir, config.retain_last)?,
-            codec: config.codec,
             fingerprint: config.fingerprint,
         })
     }
@@ -188,7 +186,7 @@ impl CheckpointCoordinator {
         comm.barrier()?;
         let (meta, stats) = self
             .store
-            .write_rank_file(step, me as u32, &snap, self.codec)?;
+            .write_rank_file(step, me as u32, &snap, PAYLOAD_CODEC)?;
         rec.add(names::CKPT_BYTES, stats.bytes_written);
         rec.add(names::CKPT_RAW_BYTES, stats.raw_bytes);
         let metas = allgather_var(comm, meta.encode())?;

@@ -32,26 +32,22 @@
 //!    can never be applied, and a rank that finds no inverse for a layer
 //!    it now owns (elastic reshard, rejoin catch-up) rebuilds it on
 //!    adoption from the just-synced running factors;
-//! 5. **pipelined** ring all-gather of the preconditioned gradients.
-//!    This is the traffic COMPSO compresses: owners compress their
-//!    layers' preconditioned gradients (aggregating up to `aggregation`
-//!    layers per compressed unit, via [`Compressor::compress_group_keyed`]
-//!    with a cached [`LayerSchedule`] so chunked compressors reuse the
-//!    paper's "pre-determined layer-block hashmap" every iteration).
-//!    Each aggregation group travels in its own CRC-32 checksum frame,
-//!    and on the default pipelined path
-//!    ([`DistKfacConfig::pipeline_gather`]) the groups stream through
-//!    the ring in slots: compression of group *k+1* overlaps the hops of
-//!    group *k*, and peers decode each group **as it lands** instead of
-//!    after the full gather — the paper's headline
-//!    compression–communication overlap. With `pipeline_gather: false`
-//!    the same frames travel concatenated through one
-//!    compress-then-`allgather_var` call (the measurable baseline);
-//!    group framing, compression order, and the RNG stream are identical
-//!    in both modes, so the two paths are bit-identical;
-//! 6. every rank installs the decoded preconditioned gradients (decoded
-//!    in parallel over the N−1 peer buffers on the serial path; already
-//!    streamed in on the pipelined path) and applies the identical
+//! 5. **pipelined** ring all-gather of the preconditioned gradients — the
+//!    traffic COMPSO compresses, and the one schedule this step has.
+//!    Owners compress their layers in aggregation groups of up to
+//!    `aggregation` layers ([`Compressor::compress_group_keyed`] with a
+//!    cached [`LayerSchedule`], the paper's "pre-determined layer-block
+//!    hashmap"); each group travels in its own CRC-32 checksum frame, and
+//!    a ring slot carries a *run* of consecutive frames — one group per
+//!    slot, so compression of group *k+1* overlaps the hops of group *k*
+//!    and peers validate and decode each group **as it lands**: the
+//!    paper's headline compression–communication overlap.
+//!    Compress-then-gather is the degenerate run (all of a rank's groups
+//!    in one slot, [`DistKfacConfig::pipeline_gather`]): same frames,
+//!    same compression order, same RNG stream, same code;
+//! 6. every rank decodes its own frames (the ring never brings them
+//!    back), repairs what failed to decode (below), installs the
+//!    preconditioned gradients in rank order and applies the identical
 //!    SGD(+momentum) update.
 //!
 //! # Fault model and the degradation ladder
@@ -82,17 +78,16 @@
 //! degradations against the fault plane's injection ledger exactly.
 
 use crate::kfac::{covariance, Kfac, KfacConfig};
-use compso_comm::collectives::{
-    allgather_var, allgather_var_quiet, allreduce_mean, pipelined_allgather,
-};
+use compso_comm::collectives::{allgather_var_quiet, allreduce_mean, pipelined_allgather};
 use compso_comm::{CommError, Communicator, Payload};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed, Reader, Writer};
 use compso_core::{CompressError, Compressor, LayerSchedule};
 use compso_dnn::Sequential;
 use compso_obs::{names, Recorder};
 use compso_tensor::{Matrix, Rng};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Distributed K-FAC configuration.
 pub struct DistKfacConfig {
@@ -100,12 +95,11 @@ pub struct DistKfacConfig {
     pub kfac: KfacConfig,
     /// Layers aggregated per compressed unit (§4.4's factor `m`).
     pub aggregation: usize,
-    /// Stream the step-5 aggregation groups through the ring (compress
-    /// group *k+1* while group *k*'s hops are in flight, decode each
-    /// group as it lands) instead of compress-then-gather. Bit-identical
-    /// to the serial path — same per-group frames, same compression
-    /// order, same RNG stream — so `false` is purely the A/B baseline
-    /// for measuring the overlap win.
+    /// Aggregation groups per ring slot of the step-5 gather: one
+    /// (`true`: compress group *k+1* while group *k*'s hops are in
+    /// flight) or all of a rank's (`false`: compress-then-gather). It
+    /// selects that integer and nothing else — one code path,
+    /// bit-identical results; the overlap A/B lives in `bench_compress`.
     pub pipeline_gather: bool,
 }
 
@@ -162,37 +156,89 @@ pub fn assign_layers(costs: &[f64], ranks: usize) -> Vec<usize> {
     owner
 }
 
+/// A broken expectation about the model that blames no rank.
+fn protocol(expected: &'static str) -> CommError {
+    CommError::Protocol { expected }
+}
+
+/// One layer of a rank's gather payload: `(layer idx, rows, cols)`.
+type LayerShape = (usize, usize, usize);
+
+/// One origin's decoded layers, or why it takes the degradation ladder.
+type Decoded = Result<Vec<(usize, Matrix)>, CompressError>;
+
+/// What step 5 hands to step 6.
+struct Gathered {
+    /// This rank's preconditioned gradients, in layer order.
+    owned: Vec<(usize, Matrix)>,
+    /// Clean copy of the frames this rank sent: the source of its own
+    /// decode and the ladder's rung-1 resend body.
+    clean: Vec<u8>,
+    /// Per origin, what its slots decoded to as they landed (this rank's
+    /// own entry is filled in by step 6).
+    results: Vec<Decoded>,
+}
+
+/// The step's one cache: everything that is a pure function of the
+/// static layer shapes, the membership view, `aggregation` and the
+/// compressor's chunk choices. Laid out once where the ownership map is
+/// computed; dropped whole by a membership epoch change
+/// (`kfac/elastic/reshards`) or by a compressor switch or changed chunk
+/// choice (`ctrl/schedule_invalidations`).
+#[derive(Default)]
+struct GatherPlan {
+    /// Membership epoch the ownership map was computed under.
+    epoch: u64,
+    /// Compressor the schedules were laid out for; `None` while only
+    /// `owners` is known (imported from a checkpoint, where it decides
+    /// who saves what until the next step lays the plan out).
+    compressor: Option<&'static str>,
+    /// The model's K-FAC layer indices, and each one's owner rank.
+    layers: Vec<usize>,
+    owners: Vec<usize>,
+    /// Per rank, the layers its payload must carry, in layer order: what
+    /// hostile payload headers are validated against before any decode
+    /// work, and the layers an undecodable origin leaves to rung 3.
+    expected: Vec<Vec<LayerShape>>,
+    /// Layers per aggregation group (`aggregation`, at least 1) and per
+    /// ring slot (× the groups a slot carries), and the resulting ring
+    /// slots per rank.
+    m: usize,
+    slot_layers: usize,
+    slots: Vec<usize>,
+    /// Per aggregation group this rank owns: its element count and the
+    /// chunk size the compressor named for it (fixed compressors name
+    /// their default, adaptive ones scale it with the count — §4.4 —
+    /// and schedule-less ones name none).
+    groups: Vec<(usize, Option<usize>)>,
+    /// One [`LayerSchedule`] per owned group — the paper's layer-block
+    /// hashmap "built during the initialization of the KFAC optimizer and
+    /// reused for the rest of the iterations" — or none when the
+    /// compressor named no chunk size.
+    schedules: Vec<LayerSchedule>,
+}
+
+impl GatherPlan {
+    /// The layers ring slot `slot` carries, as a range into a rank's
+    /// `len` layers. Always in bounds; empty past the rank's last slot.
+    fn run(&self, len: usize, slot: usize) -> Range<usize> {
+        let lo = slot.saturating_mul(self.slot_layers).min(len);
+        lo..lo.saturating_add(self.slot_layers).min(len)
+    }
+}
+
 /// One rank's distributed K-FAC optimizer instance.
 pub struct DistKfac {
     kfac: Kfac,
     config: DistKfacConfig,
-    /// Owner rank per K-FAC layer (indexed by position in `kfac_indices`).
-    owners: Option<Vec<usize>>,
-    /// Cached per-aggregation-group [`LayerSchedule`]s for this rank's
-    /// owned layers: `(per-group chunk_elems choices, one schedule per
-    /// group)`. Built once alongside the ownership map (the paper's
-    /// layer-block hashmap "built during the initialization of the KFAC
-    /// optimizer and reused for the rest of the iterations") when the
-    /// compressor names a chunk size through
-    /// [`Compressor::chunk_elems_for`]; with adaptive chunking the
-    /// per-group choices come from the §4.4 model.
-    schedules: Option<(Vec<usize>, Vec<LayerSchedule>)>,
-    /// Times the schedule cache was (re)built. Stays at ≤ 1 for any fixed
-    /// compressor; exposed for the reuse-invariant tests.
+    /// The cached [`GatherPlan`], shared with the running step.
+    plan: Option<Arc<GatherPlan>>,
+    /// Times the plan laid out layer schedules. Stays at ≤ 1 for any
+    /// fixed compressor; exposed for the reuse-invariant tests.
     schedule_builds: u32,
-    /// Name of the compressor the schedule cache was built for. A
-    /// controller-driven family switch changes it, which drops the cache
-    /// (`ctrl/schedule_invalidations`): chunk geometry is a function of
-    /// the family, and stale schedules would mis-tile the new one.
-    active_compressor: Option<&'static str>,
-    /// The membership epoch the ownership map was computed under. A
-    /// mismatch with [`Communicator::epoch`] at the next step boundary
-    /// drops the map and schedules so they rebuild for the new view
-    /// (`kfac/elastic/reshards`).
-    view_epoch: u64,
-    /// An epoch change is pending: the next factor phase syncs every
-    /// layer, due or not. Cleared once that sync went through.
-    resync: bool,
+    /// Membership epoch of the last completed factor phase; until it
+    /// equals [`Communicator::epoch`] that phase syncs every layer.
+    synced_epoch: u64,
     /// Whether the current `step`/`step_elastic` call has folded its
     /// covariances: the fold belongs to the backward pass, not to the
     /// attempt, so an elastic retry must not repeat it.
@@ -221,12 +267,9 @@ impl DistKfac {
         DistKfac {
             kfac: Kfac::new(config.kfac),
             config,
-            owners: None,
-            schedules: None,
+            plan: None,
             schedule_builds: 0,
-            active_compressor: None,
-            view_epoch: 0,
-            resync: false,
+            synced_epoch: 0,
             folded: false,
             due: Vec::new(),
             fusion: Vec::new(),
@@ -238,9 +281,10 @@ impl DistKfac {
 
     /// Attaches an observability recorder. Each subsequent [`DistKfac::step`]
     /// records the `kfac/step` wall time and its sub-phases
-    /// (`kfac/step/{grad_sync,factor,inverse,allgather,update}`), and the
-    /// compressor's per-phase timers / traffic counters flow into the same
-    /// registry (it is the `rec` of [`Compressor::compress_group_keyed`]).
+    /// (`kfac/step/{grad_sync,factor,inverse,allgather,update}`, plus the
+    /// own-frame decode nested in `update`), and the compressor's
+    /// per-phase timers / traffic counters flow into the same registry
+    /// (it is the `rec` of [`Compressor::compress_group_keyed`]).
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -270,481 +314,336 @@ impl DistKfac {
     }
 
     /// One attempt at the step; [`DistKfac::step_elastic`] re-enters it
-    /// after a shrink.
+    /// after a shrink. Each phase opens its own span and owns its own `?`
+    /// boundary.
     fn step_attempt(
         &mut self,
         comm: &mut Communicator,
         model: &mut Sequential,
         compressor: &dyn Compressor,
     ) -> Result<StepStats, CommError> {
-        // Elastic resharding: a membership epoch change (shrink or
-        // rejoin) invalidates the ownership map — it was computed for a
-        // different world size — and with it the schedule cache. Every
-        // rank observes the same epoch at the same step boundary, so the
-        // rebuilt map (over virtual ranks `0..comm.size()`) is identical
-        // group-wide: the dead rank's aggregation groups land on
-        // survivors, a rejoined rank picks its share back up.
-        if comm.epoch() != self.view_epoch {
-            self.view_epoch = comm.epoch();
-            self.resync = true;
-            if self.owners.take().is_some() {
-                self.schedules = None;
+        // Two events drop the plan. A membership epoch change (shrink or
+        // rejoin): the ownership map was computed for another world
+        // size; rebuilt over virtual ranks `0..comm.size()`, it lands a
+        // dead rank's groups on survivors and hands a rejoined rank its
+        // share back. A compressor switch or changed chunk choice: the
+        // schedules' geometry would mis-tile the new one. Every rank
+        // observes both at the same step boundary (the controller is
+        // deterministic and replica-identical), so plans stay in lockstep.
+        if let Some(plan) = &self.plan {
+            let resharded = plan.epoch != comm.epoch();
+            let switched = plan.compressor.is_some_and(|c| c != compressor.name())
+                || (plan.groups.iter())
+                    .any(|&(elems, choice)| compressor.chunk_elems_for(elems) != choice);
+            if resharded {
                 self.recorder.incr(names::KFAC_ELASTIC_RESHARDS);
             }
-        }
-        // Control-plane compressor switches likewise invalidate the
-        // schedule cache: its chunk geometry was chosen by (and for) the
-        // previous family. Every rank sees the same switch at the same
-        // step (the controller is deterministic and replica-identical),
-        // so the caches stay in lockstep.
-        let compressor_tag = compressor.name();
-        if self.active_compressor != Some(compressor_tag) {
-            if self.active_compressor.is_some() {
-                self.schedules = None;
+            if switched {
                 self.recorder.incr(names::CTRL_SCHEDULE_INVALIDATIONS);
             }
-            self.active_compressor = Some(compressor_tag);
+            if resharded || switched || plan.compressor.is_none() {
+                self.plan = None;
+            }
         }
         let step_idx = comm.begin_step();
         let _step_span = self.recorder.span(names::KFAC_STEP);
         let mut stats = StepStats::default();
+        self.sync_gradients(comm, model, &mut stats)?;
+        let plan = self.plan_for(comm, model, compressor)?;
+        self.sync_factors(comm, model, &plan, &mut stats)?;
+        let owned = self.precondition_owned(comm.rank(), model, &plan)?;
+        let gathered = self.gather(comm, compressor, &plan, owned, step_idx, &mut stats)?;
+        self.repair_and_install(comm, model, compressor, &plan, gathered, step_idx)?;
+        Ok(stats)
+    }
+
+    /// (2) Bucketed gradient sync: flatten into the fusion buffer, ONE
+    /// `allreduce_mean`, scatter back in place. Ring blocks span layer
+    /// boundaries, but the f32 reduction order is identical on every
+    /// rank, so replicas stay bit-identical.
+    fn sync_gradients(
+        &mut self,
+        comm: &mut Communicator,
+        model: &mut Sequential,
+        stats: &mut StepStats,
+    ) -> Result<(), CommError> {
+        let _span = self.recorder.span(names::KFAC_GRAD_SYNC);
         let trainable = model.trainable_indices();
-        let kfac_layers = model.kfac_indices();
-
-        // (2) Data-parallel gradient sync, bucketed: flatten every
-        // trainable layer's gradient into the reusable fusion buffer,
-        // all-reduce the whole bucket with ONE collective, and scatter
-        // the averaged values back in place. Per-layer collective latency
-        // and per-step gradient clones are gone; the f32 reduction order
-        // changes (blocks span layer boundaries) but is identical on
-        // every rank, so replicas stay bit-identical.
         {
-            let _span = self.recorder.span(names::KFAC_GRAD_SYNC);
-            {
-                let _bucket = self.recorder.span(names::KFAC_BUCKET);
-                self.fusion.clear();
-                for &idx in &trainable {
-                    let grad = model.layer(idx).grads().ok_or(CommError::Protocol {
-                        expected: "trainable layer with a gradient",
-                    })?;
-                    self.fusion.extend_from_slice(grad.as_slice());
-                }
-            }
-            stats.allreduce_bytes += self.fusion.len() as u64 * 4;
-            allreduce_mean(comm, &mut self.fusion)?;
-            {
-                let _bucket = self.recorder.span(names::KFAC_BUCKET);
-                let mut offset = 0usize;
-                for &idx in &trainable {
-                    let grad = model
-                        .layer_mut(idx)
-                        .grads_mut()
-                        .ok_or(CommError::Protocol {
-                            expected: "trainable layer with a mutable gradient",
-                        })?;
-                    let n = grad.len();
-                    grad.as_mut_slice()
-                        .copy_from_slice(&self.fusion[offset..offset + n]);
-                    offset += n;
-                }
-                debug_assert_eq!(offset, self.fusion.len());
-            }
-        }
-
-        // Ownership map: built once, *before* the factor phase (the costs
-        // depend only on the static layer shapes), so step 4 knows whose
-        // inverses to refresh.
-        let owners = match &self.owners {
-            Some(o) => o.clone(),
-            None => {
-                let mut costs: Vec<f64> = Vec::with_capacity(kfac_layers.len());
-                for &idx in &kfac_layers {
-                    let s = model.kfac_stats(idx).ok_or(CommError::Protocol {
-                        expected: "kfac layer with captured statistics",
-                    })?;
-                    let a = s.a.cols() as f64;
-                    let g = s.g.cols() as f64;
-                    costs.push(a * a * a + g * g * g);
-                }
-                let o = assign_layers(&costs, comm.size());
-                self.owners = Some(o.clone());
-                o
-            }
-        };
-
-        // (3) Factor statistics. Every rank folds its LOCAL covariances
-        // into its running factors — once per call, however many elastic
-        // attempts the call takes. Only a layer whose refresh is due (or
-        // every layer after an epoch change) is synced: its running
-        // factors' packed upper triangles go through ONE `allreduce_mean`
-        // and are mirrored back, replicated and exactly symmetric for
-        // step 4 to consume. The condition is replicated state, so every
-        // rank issues the collective on the same steps.
-        {
-            let _span = self.recorder.span(names::KFAC_FACTOR);
-            if !self.folded {
-                self.due.clear();
-                for &idx in &kfac_layers {
-                    let s = model.kfac_stats(idx).ok_or(CommError::Protocol {
-                        expected: "kfac layer with captured statistics",
-                    })?;
-                    let (a_cov, g_cov) = (covariance(&s.a), covariance(&s.g));
-                    self.due
-                        .push(self.kfac.fold_covariances(idx, &a_cov, &g_cov));
-                }
-                self.folded = true;
-            }
-            let resync = self.resync;
-            let synced = || {
-                (kfac_layers.iter().zip(&self.due))
-                    .filter(move |(_, &due)| due || resync)
-                    .map(|(&idx, _)| idx)
-            };
+            let _bucket = self.recorder.span(names::KFAC_BUCKET);
             self.fusion.clear();
-            for (a, g) in synced().filter_map(|idx| self.kfac.factors(idx)) {
-                a.pack_upper(&mut self.fusion);
-                g.pack_upper(&mut self.fusion);
-            }
-            if !self.fusion.is_empty() {
-                let fused_bytes = self.fusion.len() as u64 * 4;
-                stats.allreduce_bytes += fused_bytes;
-                self.recorder
-                    .add(names::KFAC_FACTOR_FUSED_BYTES, fused_bytes);
-                self.recorder.incr(names::KFAC_FACTOR_SYNCS);
-                allreduce_mean(comm, &mut self.fusion)?;
-                let mut off = 0usize;
-                for idx in synced() {
-                    if let Some((a, g)) = self.kfac.factors_mut(idx) {
-                        off += a.unpack_upper(&self.fusion[off..]);
-                        off += g.unpack_upper(&self.fusion[off..]);
-                    }
-                }
-                debug_assert_eq!(off, self.fusion.len());
-            }
-            self.resync = false;
-        }
-
-        // (4) Owner-only inverses, then precondition owned layers (the
-        // eigendecomposition / inverse-application phase of Fig. 1). The
-        // owner refreshes on the layer's schedule — or on adoption, when
-        // it holds no inverse for a layer it now owns (elastic reshard,
-        // rejoin catch-up): the epoch change synced every running factor
-        // just above, so any rank can rebuild it. A non-owner drops its
-        // copy on a refresh step so a stale inverse can never be applied
-        // later.
-        let me = comm.rank();
-        let mut owned: Vec<(usize, Matrix)> = Vec::new();
-        {
-            let _span = self.recorder.span(names::KFAC_INVERSE);
-            for (pos, &idx) in kfac_layers.iter().enumerate() {
-                if owners[pos] != me {
-                    if self.due[pos] {
-                        self.kfac.drop_inverse(idx);
-                    }
-                    continue;
-                }
-                if (self.due[pos] || !self.kfac.has_inverse(idx)) && self.kfac.refresh_inverse(idx)
-                {
-                    self.recorder.add(names::KFAC_INVERSE_REFRESHES, 2);
-                }
-                let grad = model.layer(idx).grads().ok_or(CommError::Protocol {
-                    expected: "owned kfac layer with a gradient",
-                })?;
-                owned.push((idx, self.kfac.precondition_layer(idx, grad)));
+            for &idx in &trainable {
+                let grad = (model.layer(idx).grads())
+                    .ok_or(protocol("trainable layer with a gradient"))?;
+                self.fusion.extend_from_slice(grad.as_slice());
             }
         }
+        stats.allreduce_bytes += self.fusion.len() as u64 * 4;
+        allreduce_mean(comm, &mut self.fusion)?;
+        let _bucket = self.recorder.span(names::KFAC_BUCKET);
+        let mut offset = 0usize;
+        for &idx in &trainable {
+            let grad = (model.layer_mut(idx).grads_mut())
+                .ok_or(protocol("trainable layer with a mutable gradient"))?;
+            let n = grad.len();
+            grad.as_mut_slice()
+                .copy_from_slice(&self.fusion[offset..offset + n]);
+            offset += n;
+        }
+        debug_assert_eq!(offset, self.fusion.len());
+        Ok(())
+    }
 
-        // Build (once) the per-group layer schedules for chunked
-        // compressors: the §4.5 layer-block hashmap, keyed on the chunk
-        // size the compressor names for each group (fixed compressors
-        // name their default for every total; adaptive ones scale the
-        // tile with the group's element count, §4.4 model; schedule-less
-        // ones name none). The choice is a pure function of the static
-        // layer shapes, so for any fixed compressor this runs exactly once
-        // per optimizer lifetime and every later step reuses the cache.
+    /// The cached plan, laid out first if there is none: *before* the
+    /// factor phase (the costs depend only on the static layer shapes),
+    /// so step 4 knows whose inverses to refresh, and once per optimizer
+    /// lifetime for any fixed compressor and membership.
+    fn plan_for(
+        &mut self,
+        comm: &Communicator,
+        model: &Sequential,
+        compressor: &dyn Compressor,
+    ) -> Result<Arc<GatherPlan>, CommError> {
+        if let Some(plan) = &self.plan {
+            return Ok(Arc::clone(plan));
+        }
+        let layers = model.kfac_indices();
+        let mut costs: Vec<f64> = Vec::with_capacity(layers.len());
+        let mut shapes: Vec<LayerShape> = Vec::with_capacity(layers.len());
+        for &idx in &layers {
+            let s =
+                (model.kfac_stats(idx)).ok_or(protocol("kfac layer with captured statistics"))?;
+            let a = s.a.cols() as f64;
+            let g = s.g.cols() as f64;
+            costs.push(a * a * a + g * g * g);
+            let grad = (model.layer(idx).grads()).ok_or(protocol("kfac layer with a gradient"))?;
+            shapes.push((idx, grad.rows(), grad.cols()));
+        }
+        let owners = assign_layers(&costs, comm.size());
+        let mut expected: Vec<Vec<LayerShape>> = vec![Vec::new(); comm.size()];
+        for (&owner, &shape) in owners.iter().zip(&shapes) {
+            expected[owner].push(shape);
+        }
+        // One aggregation group per ring slot, or — the no-overlap
+        // degenerate — every group a rank owns in its slot 0.
         let m = self.config.aggregation.max(1);
-        let choices: Option<Vec<usize>> = owned
-            .chunks(m)
+        let slot_layers = if self.config.pipeline_gather {
+            m
+        } else {
+            layers.len().max(1)
+        };
+        let slots = (expected.iter())
+            .map(|e| e.len().div_ceil(slot_layers))
+            .collect();
+        let mine = &expected[comm.rank()];
+        let groups: Vec<(usize, Option<usize>)> = (mine.chunks(m))
             .map(|group| {
-                let total: usize = group.iter().map(|(_, pre)| pre.len()).sum();
-                compressor.chunk_elems_for(total)
+                let elems = group.iter().map(|&(_, rows, cols)| rows * cols).sum();
+                (elems, compressor.chunk_elems_for(elems))
             })
             .collect();
-        if let Some(choices) = choices.filter(|c| !c.is_empty()) {
-            let stale = match &self.schedules {
-                Some((cached, _)) => *cached != choices,
-                None => true,
-            };
-            if stale {
-                let groups: Vec<LayerSchedule> = owned
-                    .chunks(m)
-                    .zip(&choices)
-                    .map(|(group, &chunk_elems)| {
-                        let sizes: Vec<usize> = group.iter().map(|(_, pre)| pre.len()).collect();
-                        LayerSchedule::build(&sizes, chunk_elems)
-                    })
-                    .collect();
-                self.schedules = Some((choices, groups));
-                self.schedule_builds += 1;
-            }
-        }
-
-        // Deterministic per-rank expectation: which layers (and shapes)
-        // each rank's payload must carry, grouped by the aggregation
-        // factor. Identical on all ranks, computed *before* the gather so
-        // the pipelined path can validate and decode each group the
-        // moment it lands; it is also the yardstick hostile payload
-        // headers are validated against.
-        let p = comm.size();
-        let mut expected: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); p];
-        for (pos, &idx) in kfac_layers.iter().enumerate() {
-            let g = model.layer(idx).grads().ok_or(CommError::Protocol {
-                expected: "kfac layer with a gradient",
-            })?;
-            expected[owners[pos]].push((idx, g.rows(), g.cols()));
-        }
-        let n_groups: Vec<usize> = expected.iter().map(|e| e.chunks(m).count()).collect();
-
-        // (5) All-gather the preconditioned gradients, compressed in
-        // aggregation groups through the compressor's multi-layer entry
-        // point (chunked compressors run the §4.5 parallel kernels here,
-        // reusing the cached schedule; the layer slices are borrowed, so
-        // no flatten copy happens on this side either). Each group
-        // travels in its own CRC-32 checksum frame — frames are
-        // self-delimiting, so a rank's canonical payload is simply their
-        // concatenation — and clean copies stay behind for the ladder's
-        // repair rungs. On the default pipelined path the groups stream
-        // through the ring: compression of group k+1 overlaps the hops
-        // of group k, and every peer group is decoded as it lands. Both
-        // modes produce the frames in the same order with the same RNG
-        // stream, so they are bit-identical.
-        let allgather_span = self.recorder.span(names::KFAC_ALLGATHER);
-        for (_, pre) in &owned {
-            stats.gather_bytes_original += pre.len() as u64 * 4;
-        }
-        let plane = comm.fault_plane().clone();
-        let mut clean_frames: Vec<Vec<u8>> = Vec::with_capacity(n_groups[me]);
-        // Per-(origin, group) streaming decode slots for the pipelined
-        // path.
-        type DecodedGroup = Option<Result<Vec<(usize, Matrix)>, CompressError>>;
-        let mut decoded: Vec<Vec<DecodedGroup>> = n_groups
-            .iter()
-            .map(|&g| (0..g).map(|_| None).collect())
+        let schedules: Option<Vec<LayerSchedule>> = (mine.chunks(m).zip(&groups))
+            .map(|(group, &(_, chunk_elems))| {
+                let sizes: Vec<usize> = group.iter().map(|&(_, r, c)| r * c).collect();
+                Some(LayerSchedule::build(&sizes, chunk_elems?))
+            })
             .collect();
-        let gathered: Vec<Vec<u8>> = if self.config.pipeline_gather {
-            let rng = &mut self.rng;
-            let rec = &self.recorder;
-            let schedules = &self.schedules;
-            let owned_ref = &owned;
-            let clean = &mut clean_frames;
-            let out = &mut decoded;
-            let expected_ref = &expected;
-            pipelined_allgather(
-                comm,
-                &n_groups,
-                |g| {
-                    // lint:allow(no-unwrap-on-comm-path): pipelined_allgather only calls produce for g < n_groups[me]
-                    let group = owned_ref.chunks(m).nth(g).expect("produce group in range");
-                    let schedule = schedules.as_ref().and_then(|(_, gs)| gs.get(g));
-                    let frame = encode_group_frame(group, schedule, compressor, rng, rec);
-                    clean.push(frame.clone());
-                    let mut tx = frame;
-                    if g == 0 {
-                        // Origin-side payload corruption (fault class the
-                        // ladder absorbs; no-op with the plane disabled).
-                        // The per-(rank, step) corruption decision lands
-                        // in the first group's frame; detection is
-                        // per-group but repair stays at origin
-                        // granularity, so the ladder behaves exactly as
-                        // on the serial path.
-                        plane.maybe_corrupt_payload(me, step_idx, &mut tx);
-                    }
-                    tx
-                },
-                |origin, g, bytes| {
-                    let chunk = expected_ref[origin].chunks(m).nth(g);
-                    out[origin][g] = Some(match chunk {
-                        Some(chunk) => decode_group_frame(&bytes, chunk, compressor, rec),
-                        None => Err(CompressError::Corrupt("pipeline group out of range")),
-                    });
-                },
-            )?;
-            Vec::new()
-        } else {
-            for (gi, group) in owned.chunks(m).enumerate() {
-                let schedule = self.schedules.as_ref().and_then(|(_, gs)| gs.get(gi));
-                clean_frames.push(encode_group_frame(
-                    group,
-                    schedule,
-                    compressor,
-                    &mut self.rng,
-                    &self.recorder,
-                ));
-            }
-            let mut tx = clean_frames.concat();
-            // Origin-side payload corruption (fault class the ladder
-            // absorbs; no-op with the plane disabled).
-            plane.maybe_corrupt_payload(me, step_idx, &mut tx);
-            allgather_var(comm, tx)?
-        };
-        // Canonical per-rank wire payload: the frames' concatenation —
-        // identical in both modes, so the traffic stats agree whichever
-        // path ran. Also the ladder's rung-1 resend body.
-        let clean_payload: Vec<u8> = clean_frames.concat();
-        stats.gather_bytes_wire += clean_payload.len() as u64;
-        drop(allgather_span);
+        let schedules = schedules.unwrap_or_default();
+        self.schedule_builds += u32::from(!schedules.is_empty());
+        let plan = Arc::new(GatherPlan {
+            epoch: comm.epoch(),
+            compressor: Some(compressor.name()),
+            layers,
+            owners,
+            expected,
+            m,
+            slot_layers,
+            slots,
+            groups,
+            schedules,
+        });
+        self.plan = Some(Arc::clone(&plan));
+        Ok(plan)
+    }
 
-        // (6) Assemble every rank's contribution, then repair/degrade,
-        // then install serially in rank order so the result is
-        // independent of worker scheduling. Our own contribution decodes
-        // from the clean frames — the origin never needs its own repair.
-        let _update_span = self.recorder.span(names::KFAC_UPDATE);
-        let mut results: Vec<Result<Vec<(usize, Matrix)>, CompressError>> = {
-            let _decode_span = self.recorder.span(names::KFAC_PEER_DECODE);
-            if self.config.pipeline_gather {
-                // Peer groups already streamed in during the collective;
-                // decode our own groups and fold per-group results into
-                // one result per origin (any failed group marks the whole
-                // origin for the ladder, which repairs at origin
-                // granularity).
-                for (g, frame) in clean_frames.iter().enumerate() {
-                    // lint:allow(no-unwrap-on-comm-path): clean_frames holds exactly n_groups[me] frames
-                    let chunk = expected[me].chunks(m).nth(g).expect("own group in range");
-                    decoded[me][g] =
-                        Some(decode_group_frame(frame, chunk, compressor, &self.recorder));
-                }
-                decoded
-                    .into_iter()
-                    .map(|groups| {
-                        let mut entries = Vec::new();
-                        for slot in groups {
-                            match slot {
-                                Some(Ok(e)) => entries.extend(e),
-                                Some(Err(e)) => return Err(e),
-                                None => {
-                                    return Err(CompressError::Corrupt(
-                                        "pipeline group never delivered",
-                                    ))
-                                }
-                            }
-                        }
-                        Ok(entries)
-                    })
-                    .collect()
-            } else {
-                // Compress-then-gather baseline: validate + decode every
-                // rank's concatenated payload in parallel (one rayon task
-                // per payload).
-                let rec = &self.recorder;
-                let frames: Vec<(usize, &[u8])> = (0..p)
-                    .map(|r| {
-                        let bytes: &[u8] = if r == me {
-                            &clean_payload
-                        } else {
-                            &gathered[r]
-                        };
-                        (r, bytes)
-                    })
-                    .collect();
-                frames
-                    .par_iter()
-                    .map(|&(r, bytes)| decode_rank_frames(bytes, &expected[r], m, compressor, rec))
-                    .collect()
+    /// (3) Factor statistics: fold the LOCAL covariances — once per call,
+    /// however many elastic attempts it takes — then sync the running
+    /// factors of the layers whose refresh is due (all of them after an
+    /// epoch change) with ONE `allreduce_mean` over their packed upper
+    /// triangles. The condition is replicated state, so every rank
+    /// issues the collective on the same steps.
+    fn sync_factors(
+        &mut self,
+        comm: &mut Communicator,
+        model: &Sequential,
+        plan: &GatherPlan,
+        stats: &mut StepStats,
+    ) -> Result<(), CommError> {
+        let _span = self.recorder.span(names::KFAC_FACTOR);
+        if !self.folded {
+            self.due.clear();
+            for &idx in &plan.layers {
+                let s = (model.kfac_stats(idx))
+                    .ok_or(protocol("kfac layer with captured statistics"))?;
+                let (a_cov, g_cov) = (covariance(&s.a), covariance(&s.g));
+                self.due
+                    .push(self.kfac.fold_covariances(idx, &a_cov, &g_cov));
             }
-        };
-
-        // Degradation ladder rungs 1–2: a tiny always-on status exchange
-        // tells every rank which (requester, origin) pairs need repair —
-        // the schedule stays deterministic, so the point-to-point repair
-        // handshakes below cannot deadlock.
-        let needs: Vec<u8> = results.iter().map(|r| u8::from(r.is_err())).collect();
-        for (r, &n) in needs.iter().enumerate() {
-            if n == 1 {
-                debug_assert_ne!(r, me, "own clean payload failed to decode");
-                self.recorder.incr(names::KFAC_DEGRADE_CHECKSUM_FAILURES);
-                self.recorder.incr(names::KFAC_DEGRADE_REPAIR_REQUESTS);
-            }
+            self.folded = true;
         }
-        let statuses = {
-            let _repair_span = self.recorder.span(names::COMM_ALLGATHER_REPAIR);
-            allgather_var_quiet(comm, needs, names::COMM_ALLGATHER_REPAIR)?
+        let resync = comm.epoch() != self.synced_epoch;
+        let synced = || {
+            (plan.layers.iter().zip(&self.due))
+                .filter(move |(_, &due)| due || resync)
+                .map(|(&idx, _)| idx)
         };
-        let repair_from = |q: usize, o: usize| -> bool {
-            q != o && statuses[q].get(o).copied().unwrap_or(0) == 1
-        };
-        // Precompute the rung-2 bytes once if anyone needs my payload:
-        // the values *I installed* — decoded, not raw — so a rung-2
-        // repair keeps replicas consistent.
-        let rung2_clean = (0..p)
-            .any(|q| repair_from(q, me))
-            .then(|| frame_checksummed(&flatten_entries(&results[me], &owned)));
-        // Walk every (origin, requester) repair pair in the SAME global
-        // order on every rank. Each handshake involves exactly two ranks
-        // and strictly alternates send/recv between them, so processing
-        // the pairs in one shared order makes the phase deadlock-free
-        // even when repairs are mutual (A needs B's payload while B
-        // needs A's) or chained across several ranks.
-        for o in 0..p {
-            for q in 0..p {
-                if !repair_from(q, o) {
-                    continue;
-                }
-                if me == o {
-                    // Origin side. Rung 1: compressed resend of the
-                    // clean framed copy (all groups, concatenated).
-                    let mut r1 = clean_payload.clone();
-                    plane.maybe_corrupt_repair(me, q, step_idx, 1, &mut r1);
-                    comm.send(q, Payload::Bytes(r1))?;
-                    let ack = comm
-                        .recv_labeled(q, names::KFAC_REPAIR_STATUS)?
-                        .try_sizes()?;
-                    if ack.first() != Some(&1) {
-                        // Rung 2: uncompressed resend.
-                        // lint:allow(no-unwrap-on-comm-path): repair_from(q, me) implies rung2_clean was precomputed above
-                        let mut r2 = rung2_clean.clone().expect("rung2 precomputed");
-                        plane.maybe_corrupt_repair(me, q, step_idx, 2, &mut r2);
-                        comm.send(q, Payload::Bytes(r2))?;
-                    }
-                } else if me == q {
-                    // Requester side.
-                    let r1 = comm.recv_labeled(o, names::KFAC_REPAIR)?.try_bytes()?;
-                    match decode_rank_frames(&r1, &expected[o], m, compressor, &self.recorder) {
-                        Ok(entries) => {
-                            comm.send(o, Payload::Sizes(vec![1]))?;
-                            self.recorder.incr(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK);
-                            results[o] = Ok(entries);
-                        }
-                        Err(_) => {
-                            comm.send(o, Payload::Sizes(vec![0]))?;
-                            let r2 = comm.recv_labeled(o, names::KFAC_REPAIR)?.try_bytes()?;
-                            if let Ok(entries) = decode_uncompressed(&r2, &expected[o]) {
-                                self.recorder
-                                    .incr(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK);
-                                results[o] = Ok(entries);
-                            }
-                            // Still broken: rung 3 handles it at install.
-                        }
-                    }
+        self.fusion.clear();
+        for (a, g) in synced().filter_map(|idx| self.kfac.factors(idx)) {
+            a.pack_upper(&mut self.fusion);
+            g.pack_upper(&mut self.fusion);
+        }
+        if !self.fusion.is_empty() {
+            let fused_bytes = self.fusion.len() as u64 * 4;
+            stats.allreduce_bytes += fused_bytes;
+            self.recorder
+                .add(names::KFAC_FACTOR_FUSED_BYTES, fused_bytes);
+            self.recorder.incr(names::KFAC_FACTOR_SYNCS);
+            allreduce_mean(comm, &mut self.fusion)?;
+            let mut off = 0usize;
+            for idx in synced() {
+                if let Some((a, g)) = self.kfac.factors_mut(idx) {
+                    off += a.unpack_upper(&self.fusion[off..]);
+                    off += g.unpack_upper(&self.fusion[off..]);
                 }
             }
+            debug_assert_eq!(off, self.fusion.len());
         }
+        self.synced_epoch = comm.epoch();
+        Ok(())
+    }
 
+    /// (4) Owner-only inverses (Fig. 1's eigendecomposition phase) —
+    /// refreshed on schedule, or on adoption of a layer this rank holds
+    /// no inverse for (the epoch change behind it made step 3 sync every
+    /// running factor), and dropped by a non-owner on a refresh step —
+    /// then rank `me`'s preconditioned gradients, in layer order.
+    fn precondition_owned(
+        &mut self,
+        me: usize,
+        model: &Sequential,
+        plan: &GatherPlan,
+    ) -> Result<Vec<(usize, Matrix)>, CommError> {
+        let _span = self.recorder.span(names::KFAC_INVERSE);
+        let mut owned: Vec<(usize, Matrix)> = Vec::with_capacity(plan.expected[me].len());
+        for (pos, &idx) in plan.layers.iter().enumerate() {
+            if plan.owners[pos] != me {
+                if self.due[pos] {
+                    self.kfac.drop_inverse(idx);
+                }
+                continue;
+            }
+            if (self.due[pos] || !self.kfac.has_inverse(idx)) && self.kfac.refresh_inverse(idx) {
+                self.recorder.add(names::KFAC_INVERSE_REFRESHES, 2);
+            }
+            let grad =
+                (model.layer(idx).grads()).ok_or(protocol("owned kfac layer with a gradient"))?;
+            owned.push((idx, self.kfac.precondition_layer(idx, grad)));
+        }
+        Ok(owned)
+    }
+
+    /// (5) The compressed all-gather: one `pipelined_allgather` whose
+    /// slots carry runs of group frames (chunked compressors run the
+    /// §4.5 parallel kernels in `produce`, reusing the plan's schedules
+    /// on borrowed layer slices), a clean copy staying behind for the
+    /// ladder. One origin's slots land in slot order, so its layers
+    /// accumulate in layer order, and a failed group marks the whole
+    /// origin for the ladder, which repairs at origin granularity.
+    fn gather(
+        &mut self,
+        comm: &mut Communicator,
+        compressor: &dyn Compressor,
+        plan: &GatherPlan,
+        owned: Vec<(usize, Matrix)>,
+        step_idx: u64,
+        stats: &mut StepStats,
+    ) -> Result<Gathered, CommError> {
+        let _span = self.recorder.span(names::KFAC_ALLGATHER);
+        let (me, m) = (comm.rank(), plan.m);
+        let plane = comm.fault_plane().clone();
+        let (rng, rec) = (&mut self.rng, &self.recorder);
+        let mut clean: Vec<u8> = Vec::new();
+        let mut results: Vec<Decoded> = plan.expected.iter().map(|_| Ok(Vec::new())).collect();
+        pipelined_allgather(
+            comm,
+            &plan.slots,
+            |slot| {
+                let run = plan.run(owned.len(), slot);
+                let schedules = plan.schedules.get(run.start / m..).unwrap_or(&[]);
+                let mut tx = encode_run(&owned[run], m, schedules, compressor, rng, rec);
+                clean.extend_from_slice(&tx);
+                if slot == 0 {
+                    // Origin-side payload corruption (fault class the
+                    // ladder absorbs; no-op with the plane disabled): the
+                    // per-(rank, step) decision lands in the first slot.
+                    plane.maybe_corrupt_payload(me, step_idx, &mut tx);
+                }
+                tx
+            },
+            |origin, slot, bytes| {
+                let layers = &plan.expected[origin];
+                let run = &layers[plan.run(layers.len(), slot)];
+                if let Ok(entries) = &mut results[origin] {
+                    match decode_run(&bytes, run, m, compressor, rec) {
+                        Ok(decoded) => entries.extend(decoded),
+                        Err(e) => results[origin] = Err(e),
+                    }
+                }
+            },
+        )?;
+        let elems: usize = owned.iter().map(|(_, pre)| pre.len()).sum();
+        stats.gather_bytes_original += elems as u64 * 4;
+        // The canonical wire payload: the frames, however spread over slots.
+        stats.gather_bytes_wire += clean.len() as u64;
+        Ok(Gathered {
+            owned,
+            clean,
+            results,
+        })
+    }
+
+    /// (6) Complete every rank's contribution — our own decodes from the
+    /// clean frames, the origin never needs its own repair — and repair
+    /// what failed, then install serially in rank order so the result is
+    /// independent of arrival order.
+    fn repair_and_install(
+        &mut self,
+        comm: &mut Communicator,
+        model: &mut Sequential,
+        compressor: &dyn Compressor,
+        plan: &GatherPlan,
+        mut gathered: Gathered,
+        step_idx: u64,
+    ) -> Result<(), CommError> {
+        let _span = self.recorder.span(names::KFAC_UPDATE);
+        self.repair(comm, compressor, plan, step_idx, &mut gathered)?;
         // Install in rank order. Unrepairable payloads take rung 3 per
         // aggregation group: last good preconditioned gradient when one
         // exists, else the step-2 averaged raw gradient already sitting in
         // the model (a plain SGD step for those layers).
-        for (r, res) in results.into_iter().enumerate() {
+        let keep_last_good = comm.fault_plane().is_enabled();
+        for (res, expected) in gathered.results.into_iter().zip(&plan.expected) {
             match res {
                 Ok(entries) => {
                     for (idx, grad) in entries {
-                        if plane.is_enabled() {
+                        if keep_last_good {
                             self.last_good.insert(idx, grad.clone());
                         }
                         model.layer_mut(idx).set_grads(grad);
                     }
                 }
                 Err(_) => {
-                    for group in expected[r].chunks(m) {
+                    for group in expected.chunks(plan.m) {
                         let have_all = group
                             .iter()
                             .all(|(idx, _, _)| self.last_good.contains_key(idx));
@@ -761,7 +660,103 @@ impl DistKfac {
                 }
             }
         }
-        Ok(stats)
+        Ok(())
+    }
+
+    /// Completes `gathered.results` with this rank's own entry, then
+    /// walks degradation ladder rungs 1–2 over it: a tiny always-on
+    /// status exchange tells every rank which (requester, origin) pairs
+    /// need repair — the schedule stays deterministic, so the
+    /// point-to-point repair handshakes cannot deadlock. What is still an
+    /// `Err` afterwards takes rung 3 at install.
+    fn repair(
+        &mut self,
+        comm: &mut Communicator,
+        compressor: &dyn Compressor,
+        plan: &GatherPlan,
+        step_idx: u64,
+        gathered: &mut Gathered,
+    ) -> Result<(), CommError> {
+        let (me, p, m) = (comm.rank(), comm.size(), plan.m);
+        let plane = comm.fault_plane().clone();
+        let rec = &self.recorder;
+        {
+            let _decode_span = rec.span(names::KFAC_PEER_DECODE);
+            gathered.results[me] =
+                decode_run(&gathered.clean, &plan.expected[me], m, compressor, rec);
+        }
+        let failed = |r: &Decoded| u8::from(r.is_err());
+        let needs: Vec<u8> = gathered.results.iter().map(failed).collect();
+        for (r, &n) in needs.iter().enumerate() {
+            if n == 1 {
+                debug_assert_ne!(r, me, "own clean payload failed to decode");
+                rec.incr(names::KFAC_DEGRADE_CHECKSUM_FAILURES);
+                rec.incr(names::KFAC_DEGRADE_REPAIR_REQUESTS);
+            }
+        }
+        let statuses = {
+            let _repair_span = rec.span(names::COMM_ALLGATHER_REPAIR);
+            allgather_var_quiet(comm, needs, names::COMM_ALLGATHER_REPAIR)?
+        };
+        let repair_from = |q: usize, o: usize| -> bool {
+            q != o && statuses[q].get(o).copied().unwrap_or(0) == 1
+        };
+        // Precompute the rung-2 bytes once if anyone needs my payload:
+        // the values *I installed* — decoded, not raw — so a rung-2
+        // repair keeps replicas consistent.
+        let rung2_clean = (0..p)
+            .any(|q| repair_from(q, me))
+            .then(|| frame_checksummed(&flatten_entries(&gathered.results[me], &gathered.owned)));
+        // Walk every (origin, requester) repair pair in the SAME global
+        // order on every rank. Each handshake involves exactly two ranks
+        // and strictly alternates send/recv between them, so processing
+        // the pairs in one shared order makes the phase deadlock-free
+        // even when repairs are mutual (A needs B's payload while B
+        // needs A's) or chained across several ranks.
+        for o in 0..p {
+            for q in 0..p {
+                if !repair_from(q, o) {
+                    continue;
+                }
+                if me == o {
+                    // Origin side. Rung 1: compressed resend of the
+                    // clean framed copy (all groups, concatenated).
+                    let mut r1 = gathered.clean.clone();
+                    plane.maybe_corrupt_repair(me, q, step_idx, 1, &mut r1);
+                    comm.send(q, Payload::Bytes(r1))?;
+                    let ack = comm
+                        .recv_labeled(q, names::KFAC_REPAIR_STATUS)?
+                        .try_sizes()?;
+                    if ack.first() != Some(&1) {
+                        // Rung 2: uncompressed resend.
+                        // lint:allow(no-unwrap-on-comm-path): repair_from(q, me) implies rung2_clean was precomputed above
+                        let mut r2 = rung2_clean.clone().expect("rung2 precomputed");
+                        plane.maybe_corrupt_repair(me, q, step_idx, 2, &mut r2);
+                        comm.send(q, Payload::Bytes(r2))?;
+                    }
+                } else if me == q {
+                    // Requester side.
+                    let r1 = comm.recv_labeled(o, names::KFAC_REPAIR)?.try_bytes()?;
+                    match decode_run(&r1, &plan.expected[o], m, compressor, rec) {
+                        Ok(entries) => {
+                            comm.send(o, Payload::Sizes(vec![1]))?;
+                            rec.incr(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK);
+                            gathered.results[o] = Ok(entries);
+                        }
+                        Err(_) => {
+                            comm.send(o, Payload::Sizes(vec![0]))?;
+                            let r2 = comm.recv_labeled(o, names::KFAC_REPAIR)?.try_bytes()?;
+                            if let Ok(entries) = decode_uncompressed(&r2, &plan.expected[o]) {
+                                rec.incr(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK);
+                                gathered.results[o] = Ok(entries);
+                            }
+                            // Still broken: rung 3 handles it at install.
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// [`DistKfac::step`] with elastic fault handling: a transport error
@@ -796,7 +791,7 @@ impl DistKfac {
 
     /// The greedy ownership map, once built.
     pub fn owners(&self) -> Option<&[usize]> {
-        self.owners.as_deref()
+        self.plan.as_ref().map(|plan| plan.owners.as_slice())
     }
 
     /// The inner K-FAC optimizer, for factor-state export. Its running
@@ -822,9 +817,8 @@ impl DistKfac {
     /// stream (ranks consume different amounts, so each rank must save
     /// its own), and the degradation ladder's last-good store. The
     /// factor state itself travels separately via
-    /// [`Kfac::export_layer_state`]; the schedule cache is rebuilt
-    /// deterministically from the restored ownership map and is not
-    /// serialized.
+    /// [`Kfac::export_layer_state`]; the rest of the gather plan is laid
+    /// out deterministically again after a restore and is not serialized.
     pub fn export_state(&self) -> DistKfacState {
         // BTreeMap iterates in layer order, so the exported state is a
         // pure function of the map's contents.
@@ -834,7 +828,7 @@ impl DistKfac {
             .map(|(&idx, m)| (idx, m.clone()))
             .collect();
         DistKfacState {
-            owners: self.owners.clone(),
+            owners: self.owners().map(<[usize]>::to_vec),
             rng: self.rng.state(),
             last_good,
         }
@@ -845,18 +839,25 @@ impl DistKfac {
     /// bit-identically (given the model, factor state, and communicator
     /// step counter are restored alongside).
     pub fn import_state(&mut self, state: DistKfacState) {
-        self.owners = state.owners;
+        // Only the map is kept — it decides who saves what until the
+        // next step — and that step lays the whole plan out again: the
+        // schedules key on the compressor's chunk sizes and the owned
+        // shapes, which are not known here.
+        self.plan = state.owners.map(|owners| {
+            Arc::new(GatherPlan {
+                epoch: self.synced_epoch,
+                owners,
+                ..GatherPlan::default()
+            })
+        });
         let (s, spare) = state.rng;
         self.rng = Rng::from_state(s, spare);
         self.last_good = state.last_good.into_iter().collect();
-        // The schedule cache keys on the compressor's chunk size and the
-        // owned shapes; dropping it forces a deterministic rebuild.
-        self.schedules = None;
     }
 
-    /// How many times the owned-layer schedule cache has been built.
-    /// For any fixed compressor this is 0 (schedule-less compressors)
-    /// or 1 (chunked compressors) for the optimizer's whole lifetime.
+    /// How many times the owned-layer schedules have been built. For any
+    /// fixed compressor this is 0 (schedule-less compressors) or 1
+    /// (chunked compressors) for the optimizer's whole lifetime.
     pub fn schedule_builds(&self) -> u32 {
         self.schedule_builds
     }
@@ -877,105 +878,88 @@ pub struct DistKfacState {
     pub last_good: Vec<(usize, Matrix)>,
 }
 
-/// Compresses one aggregation group into its self-contained CRC-32
-/// checksum frame: `[group header][compressed block]` framed by
-/// [`frame_checksummed`]. The unit of transfer for both gather modes —
-/// the pipelined path streams one frame per ring slot, the serial path
-/// concatenates them into one payload.
-fn encode_group_frame(
-    group: &[(usize, Matrix)],
-    schedule: Option<&LayerSchedule>,
+/// Encodes a run of consecutive aggregation groups — `layers` chunked by
+/// the aggregation factor `m`, `schedules` aligned with the chunks when
+/// the compressor uses any — as the concatenation of their
+/// self-contained CRC-32 checksum frames, `[group header][compressed
+/// block]` under [`frame_checksummed`], in group order: the unit a ring
+/// slot carries. The RNG advances once per group whatever the run
+/// length, so how groups are spread over slots never shows in the bytes.
+fn encode_run(
+    layers: &[(usize, Matrix)],
+    m: usize,
+    schedules: &[LayerSchedule],
     compressor: &dyn Compressor,
     rng: &mut Rng,
     rec: &Recorder,
 ) -> Vec<u8> {
-    let mut payload = Writer::new();
-    // Group header: layer ids and shapes. The global layer index doubles
-    // as the stable per-layer key for stateful compressors (PowerSGD
-    // warm starts / error feedback): it is invariant to ownership splits,
-    // so the keyed state — and the wire bytes — agree at any world size.
-    payload.u32(group.len() as u32);
-    let mut keyed: Vec<(u64, &[f32])> = Vec::with_capacity(group.len());
-    for (idx, pre) in group {
-        payload.u32(*idx as u32);
-        payload.u32(pre.rows() as u32);
-        payload.u32(pre.cols() as u32);
-        keyed.push((*idx as u64, pre.as_slice()));
+    let mut run = Vec::new();
+    for (g, group) in layers.chunks(m).enumerate() {
+        // Group header: layer ids and shapes. The global layer index
+        // doubles as the stable per-layer key for stateful compressors
+        // (PowerSGD warm starts / error feedback): it is invariant to
+        // ownership splits, so the keyed state — and the wire bytes —
+        // agree at any world size.
+        let mut payload = Writer::new();
+        payload.u32(group.len() as u32);
+        let mut keyed: Vec<(u64, &[f32])> = Vec::with_capacity(group.len());
+        for (idx, pre) in group {
+            payload.u32(*idx as u32);
+            payload.u32(pre.rows() as u32);
+            payload.u32(pre.cols() as u32);
+            keyed.push((*idx as u64, pre.as_slice()));
+        }
+        payload.block(&compressor.compress_group_keyed(&keyed, schedules.get(g), rng, rec));
+        run.extend_from_slice(&frame_checksummed(&payload.into_bytes()));
     }
-    let compressed = compressor.compress_group_keyed(&keyed, schedule, rng, rec);
-    payload.block(&compressed);
-    frame_checksummed(&payload.into_bytes())
+    run
 }
 
-/// Validates and decodes one aggregation-group frame against its
-/// deterministic expectation (`(layer idx, rows, cols)` per layer of the
-/// group). Every header field is checked against the expectation *before*
-/// any decode work, so a hostile or bit-flipped frame fails fast instead
-/// of driving allocations.
-fn decode_group_frame(
-    frame: &[u8],
-    chunk: &[(usize, usize, usize)],
-    compressor: &dyn Compressor,
-    rec: &Recorder,
-) -> Result<Vec<(usize, Matrix)>, CompressError> {
-    let payload = unframe_checksummed(frame)?;
-    let mut r = Reader::new(payload);
-    let group_len = r.u32()? as usize;
-    if group_len != chunk.len() {
-        return Err(CompressError::Corrupt("group length mismatch"));
-    }
-    for &(idx, rows, cols) in chunk {
-        let got_idx = r.u32()? as usize;
-        let got_rows = r.u32()? as usize;
-        let got_cols = r.u32()? as usize;
-        if got_idx != idx || got_rows != rows || got_cols != cols {
-            return Err(CompressError::Corrupt("layer header mismatch"));
-        }
-    }
-    let block = r.block()?;
-    let layers = compressor.decompress_group(block, rec)?;
-    if layers.len() != chunk.len() {
-        return Err(CompressError::Corrupt("decoded layer count mismatch"));
-    }
-    let mut out = Vec::with_capacity(chunk.len());
-    for (flat, &(idx, rows, cols)) in layers.into_iter().zip(chunk) {
-        if flat.len() != rows * cols {
-            return Err(CompressError::Corrupt("decoded layer size mismatch"));
-        }
-        out.push((idx, Matrix::from_vec(rows, cols, flat)));
-    }
-    if !r.is_exhausted() {
-        return Err(CompressError::Corrupt("trailing group bytes"));
-    }
-    Ok(out)
-}
-
-/// Validates and decodes one rank's full all-gather payload — the
-/// concatenation of its self-delimiting group frames, walked with
-/// [`framed_len`] — against the deterministic expectation grouped by the
-/// aggregation factor `m`. The serial gather path and the ladder's rung-1
-/// repair both decode through here.
-fn decode_rank_frames(
+/// Inverse of [`encode_run`]: walks the concatenated frames with
+/// [`framed_len`] and validates each against the run's deterministic
+/// expectation `expected`, grouped by `m` — every header field *before*
+/// any decode work, so a hostile or bit-flipped run fails fast instead of
+/// driving allocations. Ring slots as they land, a rank's own clean
+/// frames and the ladder's rung-1 resend (one run holding all of a rank's
+/// groups) all decode through here.
+fn decode_run(
     bytes: &[u8],
-    expected: &[(usize, usize, usize)],
+    expected: &[LayerShape],
     m: usize,
     compressor: &dyn Compressor,
     rec: &Recorder,
-) -> Result<Vec<(usize, Matrix)>, CompressError> {
+) -> Decoded {
     let mut out: Vec<(usize, Matrix)> = Vec::with_capacity(expected.len());
-    let mut off = 0usize;
+    let mut rest = bytes;
     for chunk in expected.chunks(m) {
-        let len = framed_len(&bytes[off..])
-            .ok_or(CompressError::Corrupt("bad or truncated group frame"))?;
-        out.extend(decode_group_frame(
-            &bytes[off..off + len],
-            chunk,
-            compressor,
-            rec,
-        )?);
-        off += len;
+        let len = framed_len(rest).ok_or(CompressError::Corrupt("bad or truncated group frame"))?;
+        let (frame, tail) = rest.split_at(len);
+        rest = tail;
+        let mut r = Reader::new(unframe_checksummed(frame)?);
+        if r.u32()? as usize != chunk.len() {
+            return Err(CompressError::Corrupt("group length mismatch"));
+        }
+        for &shape in chunk {
+            if (r.u32()? as usize, r.u32()? as usize, r.u32()? as usize) != shape {
+                return Err(CompressError::Corrupt("layer header mismatch"));
+            }
+        }
+        let block = r.block()?;
+        if !r.is_exhausted() {
+            return Err(CompressError::Corrupt("trailing group bytes"));
+        }
+        let layers = compressor.decompress_group(block, rec)?;
+        if layers.len() != chunk.len() {
+            return Err(CompressError::Corrupt("decoded layer count mismatch"));
+        }
+        for (flat, &(idx, rows, cols)) in layers.into_iter().zip(chunk) {
+            if flat.len() != rows * cols {
+                return Err(CompressError::Corrupt("decoded layer size mismatch"));
+            }
+            out.push((idx, Matrix::from_vec(rows, cols, flat)));
+        }
     }
-    if off != bytes.len() {
+    if !rest.is_empty() {
         return Err(CompressError::Corrupt("trailing payload bytes"));
     }
     Ok(out)
@@ -983,27 +967,19 @@ fn decode_rank_frames(
 
 /// Decodes a rung-2 (uncompressed) repair frame: the origin's installed
 /// values as raw little-endian f32s, in `expected` order.
-fn decode_uncompressed(
-    frame: &[u8],
-    expected: &[(usize, usize, usize)],
-) -> Result<Vec<(usize, Matrix)>, CompressError> {
+fn decode_uncompressed(frame: &[u8], expected: &[LayerShape]) -> Decoded {
     let payload = unframe_checksummed(frame)?;
     let total: usize = expected.iter().map(|&(_, r, c)| r * c).sum();
     if payload.len() != total * 4 {
         return Err(CompressError::Corrupt("uncompressed repair size mismatch"));
     }
-    let mut out = Vec::with_capacity(expected.len());
-    let mut off = 0usize;
-    for &(idx, rows, cols) in expected {
-        let n = rows * cols;
-        let flat: Vec<f32> = payload[off..off + n * 4]
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect();
-        off += n * 4;
-        out.push((idx, Matrix::from_vec(rows, cols, flat)));
-    }
-    Ok(out)
+    let mut floats =
+        (payload.chunks_exact(4)).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+    let layer = |&(idx, rows, cols): &LayerShape| {
+        let flat = floats.by_ref().take(rows * cols).collect();
+        (idx, Matrix::from_vec(rows, cols, flat))
+    };
+    Ok(expected.iter().map(layer).collect())
 }
 
 /// Serializes the values this rank *installed* for its owned layers (the
@@ -1011,22 +987,13 @@ fn decode_uncompressed(
 /// preconditioned matrices otherwise) as raw little-endian f32s — the
 /// rung-2 repair body. Sending installed values keeps a repaired replica
 /// bit-identical to the origin.
-fn flatten_entries(
-    result: &Result<Vec<(usize, Matrix)>, CompressError>,
-    owned: &[(usize, Matrix)],
-) -> Vec<u8> {
+fn flatten_entries(result: &Decoded, owned: &[(usize, Matrix)]) -> Vec<u8> {
     let entries: &[(usize, Matrix)] = match result {
         Ok(entries) => entries,
         Err(_) => owned,
     };
-    let total: usize = entries.iter().map(|(_, m)| m.len()).sum();
-    let mut bytes = Vec::with_capacity(total * 4);
-    for (_, m) in entries {
-        for v in m.as_slice() {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    bytes
+    let floats = entries.iter().flat_map(|(_, m)| m.as_slice());
+    floats.flat_map(|v| v.to_le_bytes()).collect()
 }
 
 #[cfg(test)]
@@ -1366,7 +1333,7 @@ mod tests {
         // The fused factor bucket actually moved bytes.
         assert!(snap.counter(names::KFAC_FACTOR_FUSED_BYTES) > 0);
         // One pipelined compressed all-gather per step completes the
-        // picture; the serial allgather_var path stays cold by default.
+        // picture; step 5 has no other collective.
         assert_eq!(
             snap.counter(names::COMM_PIPELINED_ALLGATHER_CALLS),
             (ranks * steps) as u64
@@ -1377,7 +1344,8 @@ mod tests {
             snap.timers[names::KFAC_BUCKET].count,
             (ranks * steps * 2) as u64
         );
-        // And the peer-decode span ran once per step per rank.
+        // And the own-frame decode span (peers decode inside the
+        // collective's deliver) ran once per step per rank.
         assert_eq!(
             snap.timers[names::KFAC_PEER_DECODE].count,
             (ranks * steps) as u64
@@ -1388,7 +1356,7 @@ mod tests {
     fn chunked_compressed_training_bit_identical_across_thread_counts() {
         // Full-stack determinism: DistKfac + ChunkedCompso must produce
         // bit-identical parameters on every rank no matter how many rayon
-        // workers the chunk kernels and peer decode fan out over, and the
+        // workers the chunk kernels fan out over, and the
         // LayerSchedule must be built exactly once per optimizer lifetime.
         let ranks = 3;
         let steps = 6;
@@ -1569,26 +1537,18 @@ mod tests {
     #[test]
     fn step_stats_account_traffic() {
         let d = data::gaussian_blobs(100, 6, 3, 0.3, 23);
-        let run = |pipeline: bool| {
-            let d = d.clone();
-            run_ranks(2, move |comm| {
-                let mut rng = Rng::new(44);
-                let mut model = models::mlp(&[6, 8, 3], &mut rng);
-                let shard = d.shard(comm.rank(), 2);
-                let config = DistKfacConfig {
-                    pipeline_gather: pipeline,
-                    ..DistKfacConfig::default()
-                };
-                let mut opt = DistKfac::new(config, 7);
-                let nc = NoCompression;
-                let (x, y) = shard.batch(0, 8);
-                let logits = model.forward(&x, true);
-                let (_, grad) = softmax_cross_entropy(&logits, &y);
-                model.backward(&grad);
-                opt.step(comm, &mut model, &nc).unwrap()
-            })
-        };
-        let results = run(true);
+        let results = run_ranks(2, |comm| {
+            let mut rng = Rng::new(44);
+            let mut model = models::mlp(&[6, 8, 3], &mut rng);
+            let shard = d.shard(comm.rank(), 2);
+            let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
+            let nc = NoCompression;
+            let (x, y) = shard.batch(0, 8);
+            let logits = model.forward(&x, true);
+            let (_, grad) = softmax_cross_entropy(&logits, &y);
+            model.backward(&grad);
+            opt.step(comm, &mut model, &nc).unwrap()
+        });
         // Step-2 gradient bucket: two linear layers, (6+1)*8 + (8+1)*3 =
         // 83 params -> 332 bytes. Step-3 fused factor bucket: the packed
         // upper triangles, n(n+1)/2 per factor with a_cov (in+1)-dim and
@@ -1604,108 +1564,40 @@ mod tests {
         // Every layer is owned exactly once across ranks.
         let total_original: u64 = results.iter().map(|s| s.gather_bytes_original).sum();
         assert_eq!(total_original, 332);
-        // The serial compress-then-gather baseline accounts the exact
-        // same traffic: the canonical wire payload (concatenated group
-        // frames) is identical in both modes.
-        let serial = run(false);
-        for (a, b) in results.iter().zip(&serial) {
-            assert_eq!(a.allreduce_bytes, b.allreduce_bytes);
-            assert_eq!(a.gather_bytes_original, b.gather_bytes_original);
-            assert_eq!(a.gather_bytes_wire, b.gather_bytes_wire);
-        }
     }
 
     #[test]
-    fn serial_gather_mode_keeps_allgather_var_baseline() {
-        use compso_obs::{names, Recorder};
-        let ranks = 2;
-        let steps = 3;
-        let d = data::gaussian_blobs(160, 6, 3, 0.3, 91);
-        let rec = Recorder::enabled();
-        let rec_ref = &rec;
-        run_ranks(ranks, |comm| {
-            let mut rng = Rng::new(92);
-            let mut model = models::mlp(&[6, 16, 3], &mut rng);
-            let shard = d.shard(comm.rank(), ranks);
-            let config = DistKfacConfig {
-                pipeline_gather: false,
-                ..DistKfacConfig::default()
-            };
-            let mut opt = DistKfac::new(config, 7);
-            opt.set_recorder(rec_ref.clone());
-            comm.set_recorder(rec_ref.clone());
-            let compso = compso_core::ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
-            for step in 0..steps {
-                let (x, y) = shard.batch(step, 8);
-                let logits = model.forward(&x, true);
-                let (_, grad) = softmax_cross_entropy(&logits, &y);
-                model.backward(&grad);
-                opt.step(comm, &mut model, &compso).unwrap();
-                model.update_params(|p, g| p.axpy(-0.02, g));
-            }
-        });
-        let snap = rec.snapshot();
-        // With pipeline_gather disabled the step-5 gather runs through
-        // the classic compress-then-allgather_var path, and the pipelined
-        // collective stays cold.
-        assert_eq!(
-            snap.counter(names::COMM_ALLGATHER_VAR_CALLS),
-            (ranks * steps) as u64
-        );
-        assert_eq!(snap.counter(names::COMM_PIPELINED_ALLGATHER_CALLS), 0);
-        // The factor sync is mode-independent: still one gradient
-        // allreduce per step plus one factor allreduce per refresh period.
-        let syncs = steps.div_ceil(KfacConfig::default().eigen_refresh);
-        assert_eq!(
-            snap.counter(names::COMM_ALLREDUCE_CALLS),
-            (ranks * (steps + syncs)) as u64
-        );
-    }
-
-    #[test]
-    fn pipelined_gather_is_bit_identical_to_serial_at_1_2_4_ranks() {
-        // The tentpole invariant: streaming groups through the ring
-        // (compress k+1 while k's hops are in flight, decode on arrival)
-        // must not change a single bit of the training trajectory
-        // relative to compress-then-gather, at any rank count.
-        let steps = 5;
-        let d = data::gaussian_blobs(240, 6, 3, 0.3, 87);
-        let run = |ranks: usize, pipeline: bool| {
-            let d = d.clone();
-            run_ranks(ranks, move |comm| {
-                let mut rng = Rng::new(88);
-                let mut model = models::mlp(&[6, 16, 16, 3], &mut rng);
-                let shard = d.shard(comm.rank(), ranks);
-                let config = DistKfacConfig {
-                    pipeline_gather: pipeline,
-                    ..DistKfacConfig::default()
-                };
-                let mut opt = DistKfac::new(config, 7);
-                let compso = compso_core::ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
-                for step in 0..steps {
-                    let (x, y) = shard.batch(step, 8);
-                    let logits = model.forward(&x, true);
-                    let (_, grad) = softmax_cross_entropy(&logits, &y);
-                    model.backward(&grad);
-                    opt.step(comm, &mut model, &compso).unwrap();
-                    model.update_params(|p, g| p.axpy(-0.02, g));
-                }
-                let params: Vec<Matrix> = (0..model.len())
-                    .filter_map(|i| model.layer(i).params().cloned())
-                    .collect();
-                params
-            })
-        };
-        for &ranks in &[1usize, 2, 4] {
-            let pipelined = run(ranks, true);
-            let serial = run(ranks, false);
-            for (r, (a, b)) in pipelined.iter().zip(&serial).enumerate() {
-                assert_eq!(
-                    a, b,
-                    "rank {r}/{ranks} params differ between pipelined and serial gather"
-                );
+    fn run_decoder_rejects_every_prefix_mutation_and_trailing_byte() {
+        // Two groups of two layers: the unit a ring slot carries when
+        // `pipeline_gather` is off, and the ladder's rung-1 body.
+        let mut rng = Rng::new(5);
+        let layers: Vec<(usize, Matrix)> =
+            [(0usize, 3usize, 4usize), (2, 4, 2), (5, 2, 2), (7, 1, 6)]
+                .iter()
+                .map(|&(idx, r, c)| (idx, Matrix::random_normal(r, c, &mut rng)))
+                .collect();
+        let expected: Vec<LayerShape> = layers
+            .iter()
+            .map(|(idx, m)| (*idx, m.rows(), m.cols()))
+            .collect();
+        let (m, rec) = (2, Recorder::disabled());
+        let decode = |bytes: &[u8]| decode_run(bytes, &expected, m, &NoCompression, &rec);
+        let run = encode_run(&layers, m, &[], &NoCompression, &mut rng, &rec);
+        assert_eq!(framed_len(&run).map(|len| len < run.len()), Some(true));
+        assert_eq!(decode(&run).expect("clean run decodes"), layers);
+        for cut in 0..run.len() {
+            assert!(decode(&run[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        let mut hostile = run.clone();
+        for i in 0..run.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                hostile[i] ^= flip;
+                assert!(decode(&hostile).is_err(), "byte {i} ^ {flip:#x}");
+                hostile[i] ^= flip;
             }
         }
+        hostile.push(0);
+        assert!(decode(&hostile).is_err(), "trailing byte");
     }
 
     #[test]

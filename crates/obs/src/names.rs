@@ -32,8 +32,6 @@ pub const CORE_DECODE_BYTES_IN: &str = "core/decode_bytes_in";
 
 /// `compso-comm`: ring sum all-reduce wall time.
 pub const COMM_ALLREDUCE: &str = "comm/allreduce_sum";
-/// `compso-comm`: ring reduce-scatter wall time.
-pub const COMM_REDUCE_SCATTER: &str = "comm/reduce_scatter_sum";
 /// `compso-comm`: variable-size ring all-gather wall time.
 pub const COMM_ALLGATHER_VAR: &str = "comm/allgather_var";
 /// `compso-comm`: fixed-size ring all-gather wall time.
@@ -78,8 +76,6 @@ pub const COMM_RECV: &str = "comm/recv";
 /// `compso-comm`: label of the group barrier in `CommError`s (a barrier
 /// timeout names the straggler under this collective).
 pub const COMM_BARRIER: &str = "comm/barrier";
-/// `compso-comm`: label of the flat f32 broadcast in `CommError`s.
-pub const COMM_BROADCAST: &str = "comm/broadcast";
 /// `compso-comm`: label of the flat byte broadcast in `CommError`s.
 pub const COMM_BROADCAST_BYTES: &str = "comm/broadcast_bytes";
 
@@ -149,8 +145,10 @@ pub const KFAC_GRAD_SYNC: &str = "kfac/step/grad_sync";
 /// `compso-kfac`: fusion-buffer flatten + scatter-back around the
 /// single bucketed gradient all-reduce (nested inside `grad_sync`).
 pub const KFAC_BUCKET: &str = "kfac/step/grad_sync/bucket";
-/// `compso-kfac`: parallel decode of the N−1 peer all-gather payloads
-/// (nested inside `update`).
+/// `compso-kfac`: decode of the rank's *own* all-gather frames (nested
+/// inside `update`; the ring never brings them back, and the N−1 peers'
+/// frames decode as they land, under `comm/pipeline/deliver`). The string
+/// predates that split and is kept so reports stay comparable.
 pub const KFAC_PEER_DECODE: &str = "kfac/step/update/peer_decode";
 /// `compso-kfac`: local covariance compute + EMA fold every step, plus
 /// the packed factor all-reduce on sync steps only (Fig. 1 "KFAC
@@ -262,7 +260,6 @@ pub const ALL: &[&str] = &[
     CORE_BYTES_OUT,
     CORE_DECODE_BYTES_IN,
     COMM_ALLREDUCE,
-    COMM_REDUCE_SCATTER,
     COMM_ALLGATHER_VAR,
     COMM_ALLGATHER,
     COMM_COMPRESSED_ALLREDUCE,
@@ -278,7 +275,6 @@ pub const ALL: &[&str] = &[
     COMM_PIPELINE_WAIT,
     COMM_RECV,
     COMM_BARRIER,
-    COMM_BROADCAST,
     COMM_BROADCAST_BYTES,
     COMM_FAULT_CRC_DETECTED,
     COMM_RETRY_RESENDS,

@@ -4,7 +4,9 @@
 //! the same family NCCL uses on the paper's clusters:
 //!
 //! * **all-reduce** = ring reduce-scatter (each rank ends up owning the
-//!   fully-reduced `r`-th block) followed by ring all-gather;
+//!   fully-reduced `r`-th block) followed by ring all-gather; the first
+//!   half alone is [`reduce_scatter_sum`], over caller-chosen blocks, for
+//!   data only one rank reads (K-FAC's gradients: a layer's owner);
 //! * **all-gather** circulates blocks around the ring for `p - 1` steps,
 //!   with a variable-size variant for compressed payloads whose per-rank
 //!   sizes differ (§4.3: "KFAC uses AllGather, avoiding [ring-allreduce
@@ -22,10 +24,11 @@
 
 use crate::group::{CommError, Communicator, Payload};
 use compso_obs::names;
+use std::ops::Range;
 
 /// Splits `len` into `parts` contiguous block ranges, sizes differing by at
 /// most one (first `len % parts` blocks are one longer).
-pub fn block_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+pub fn block_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     assert!(parts > 0);
     let base = len / parts;
     let extra = len % parts;
@@ -39,6 +42,84 @@ pub fn block_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
+/// Receives one ring-reduction hop from `left` and checks it is the
+/// `len` values the schedule says it must be: a peer reducing a buffer
+/// of another size is a protocol breach, not a reason to sum garbage or
+/// panic.
+fn recv_hop(
+    comm: &mut Communicator,
+    left: usize,
+    label: &'static str,
+    len: usize,
+) -> Result<Vec<f32>, CommError> {
+    let incoming = comm.recv_labeled(left, label)?.try_f32()?;
+    if incoming.len() != len {
+        return Err(CommError::Protocol {
+            expected: "reduction block of matching size",
+        });
+    }
+    Ok(incoming)
+}
+
+/// The reduce-scatter half of the ring: `p - 1` hops, one message each.
+/// At hop `s`, rank `r` sends block `r - s - 1` and accumulates the
+/// incoming block `r - s - 2` into its own copy, so the last hop lands
+/// the fully reduced `ranges[r]` on rank `r`.
+fn ring_reduce_scatter(
+    comm: &mut Communicator,
+    data: &mut [f32],
+    ranges: &[Range<usize>],
+) -> Result<(), CommError> {
+    let p = comm.size();
+    let r = comm.rank();
+    let left = comm.left();
+    let right = comm.right();
+    for s in 0..p - 1 {
+        let send_block = (r + p - s - 1) % p;
+        let recv_block = (r + p - s - 2) % p;
+        let chunk = data[ranges[send_block].clone()].to_vec();
+        comm.send(right, Payload::F32(chunk))?;
+        let dst = &mut data[ranges[recv_block].clone()];
+        let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, dst.len())?;
+        for (d, v) in dst.iter_mut().zip(incoming) {
+            *d += v;
+        }
+    }
+    Ok(())
+}
+
+/// Sum reduce-scatter — the first half of [`allreduce_sum`], for callers
+/// where only one rank reads each block: on return rank `r`'s
+/// `data[ranges[r]]` holds the elementwise sum across ranks; the rest of
+/// `data` holds partial sums and is unspecified. `ranges` gives one block
+/// per rank, in rank order; together they must tile `data`, in any
+/// order, and a block may be empty (a rank that reduces nothing still
+/// forwards). Every rank must pass the same `ranges`. Each rank sends
+/// every block but its own exactly once — `(p - 1)/p` of the buffer for
+/// even blocks, half what the all-reduce moves.
+///
+/// Recorded like the all-reduce it is half of: the `comm/allreduce_sum`
+/// span and one `comm/allreduce_calls` per call.
+pub fn reduce_scatter_sum(
+    comm: &mut Communicator,
+    data: &mut [f32],
+    ranges: &[Range<usize>],
+) -> Result<(), CommError> {
+    let _span = comm.recorder().span(names::COMM_ALLREDUCE);
+    comm.recorder().incr(names::COMM_ALLREDUCE_CALLS);
+    let tiles = ranges.len() == comm.size()
+        && ranges
+            .iter()
+            .all(|b| b.start <= b.end && b.end <= data.len())
+        && ranges.iter().map(|b| b.len()).sum::<usize>() == data.len();
+    if !tiles {
+        return Err(CommError::Protocol {
+            expected: "one block range per rank, tiling the buffer",
+        });
+    }
+    ring_reduce_scatter(comm, data, ranges)
+}
+
 /// Sum all-reduce: on return every rank's `data` holds the elementwise sum
 /// across ranks. Bandwidth-optimal ring (reduce-scatter + all-gather).
 pub fn allreduce_sum(comm: &mut Communicator, data: &mut [f32]) -> Result<(), CommError> {
@@ -48,36 +129,28 @@ pub fn allreduce_sum(comm: &mut Communicator, data: &mut [f32]) -> Result<(), Co
     if p == 1 {
         return Ok(());
     }
-    let ranges = block_ranges(data.len(), p);
+    // Blocks indexed by the rank that reduces — and then owns — them:
+    // rank q takes block (q + 1) mod p, the ring's natural landing spot.
+    let mut ranges = block_ranges(data.len(), p);
+    ranges.rotate_left(1);
     let r = comm.rank();
     let left = comm.left();
     let right = comm.right();
 
-    // Phase 1: reduce-scatter. At step s, send block (r - s) and receive
-    // block (r - s - 1), accumulating into it. After p-1 steps, rank r owns
-    // the fully reduced block (r + 1) mod p.
+    // Phase 1: reduce-scatter.
+    ring_reduce_scatter(comm, data, &ranges)?;
+
+    // Phase 2: all-gather the reduced blocks. At step s, rank r forwards
+    // rank (r - s)'s block — its own to start with — and receives rank
+    // (r - s - 1)'s.
     for s in 0..p - 1 {
         let send_block = (r + p - s) % p;
         let recv_block = (r + p - s - 1) % p;
         let chunk = data[ranges[send_block].clone()].to_vec();
         comm.send(right, Payload::F32(chunk))?;
-        let incoming = comm.recv_labeled(left, names::COMM_ALLREDUCE)?.try_f32()?;
         let dst = &mut data[ranges[recv_block].clone()];
-        debug_assert_eq!(incoming.len(), dst.len());
-        for (d, v) in dst.iter_mut().zip(incoming) {
-            *d += v;
-        }
-    }
-
-    // Phase 2: all-gather the reduced blocks. Rank r starts by sending its
-    // owned block (r + 1) mod p.
-    for s in 0..p - 1 {
-        let send_block = (r + 1 + p - s) % p;
-        let recv_block = (r + p - s) % p;
-        let chunk = data[ranges[send_block].clone()].to_vec();
-        comm.send(right, Payload::F32(chunk))?;
-        let incoming = comm.recv_labeled(left, names::COMM_ALLREDUCE)?.try_f32()?;
-        data[ranges[recv_block].clone()].copy_from_slice(&incoming);
+        let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, dst.len())?;
+        dst.copy_from_slice(&incoming);
     }
     Ok(())
 }
@@ -331,11 +404,8 @@ pub fn compressed_allreduce_mean(
         let recv_block = (r + p - s - 1) % p;
         let chunk = codec(&data[ranges[send_block].clone()]);
         comm.send(right, Payload::F32(chunk))?;
-        let incoming = comm
-            .recv_labeled(left, names::COMM_COMPRESSED_ALLREDUCE)?
-            .try_f32()?;
         let dst = &mut data[ranges[recv_block].clone()];
-        debug_assert_eq!(incoming.len(), dst.len());
+        let incoming = recv_hop(comm, left, names::COMM_COMPRESSED_ALLREDUCE, dst.len())?;
         for (d, v) in dst.iter_mut().zip(incoming) {
             *d += v;
         }
@@ -348,10 +418,9 @@ pub fn compressed_allreduce_mean(
         let recv_block = (r + p - s) % p;
         let chunk = codec(&data[ranges[send_block].clone()]);
         comm.send(right, Payload::F32(chunk))?;
-        let incoming = comm
-            .recv_labeled(left, names::COMM_COMPRESSED_ALLREDUCE)?
-            .try_f32()?;
-        data[ranges[recv_block].clone()].copy_from_slice(&incoming);
+        let dst = &mut data[ranges[recv_block].clone()];
+        let incoming = recv_hop(comm, left, names::COMM_COMPRESSED_ALLREDUCE, dst.len())?;
+        dst.copy_from_slice(&incoming);
     }
 
     let inv = 1.0 / p as f32;
@@ -433,6 +502,190 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The parent commit's `allreduce_sum` (b214b47), verbatim but for
+    /// the span: the oracle the refactored routine must equal bit for bit.
+    fn parent_allreduce_sum(comm: &mut Communicator, data: &mut [f32]) -> Result<(), CommError> {
+        let p = comm.size();
+        if p == 1 {
+            return Ok(());
+        }
+        let ranges = block_ranges(data.len(), p);
+        let r = comm.rank();
+        let left = comm.left();
+        let right = comm.right();
+        for s in 0..p - 1 {
+            let send_block = (r + p - s) % p;
+            let recv_block = (r + p - s - 1) % p;
+            let chunk = data[ranges[send_block].clone()].to_vec();
+            comm.send(right, Payload::F32(chunk))?;
+            let incoming = comm.recv_labeled(left, names::COMM_ALLREDUCE)?.try_f32()?;
+            let dst = &mut data[ranges[recv_block].clone()];
+            assert_eq!(incoming.len(), dst.len());
+            for (d, v) in dst.iter_mut().zip(incoming) {
+                *d += v;
+            }
+        }
+        for s in 0..p - 1 {
+            let send_block = (r + 1 + p - s) % p;
+            let recv_block = (r + p - s) % p;
+            let chunk = data[ranges[send_block].clone()].to_vec();
+            comm.send(right, Payload::F32(chunk))?;
+            let incoming = comm.recv_labeled(left, names::COMM_ALLREDUCE)?.try_f32()?;
+            data[ranges[recv_block].clone()].copy_from_slice(&incoming);
+        }
+        Ok(())
+    }
+
+    /// Rank `r`'s test buffer: irrational-ish values, so a changed
+    /// summation order would show in the low bits.
+    fn noisy(r: usize, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((r + 1) as f32 * 0.731 + i as f32 * 0.113).sin())
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn allreduce_is_bit_equal_to_the_parent_routine() {
+        for p in [1usize, 2, 3, 4, 7] {
+            for len in [1usize, 5, 64, 129] {
+                let results = run_ranks(p, |comm| {
+                    let mut want = noisy(comm.rank(), len);
+                    parent_allreduce_sum(comm, &mut want).unwrap();
+                    let mut sum = noisy(comm.rank(), len);
+                    allreduce_sum(comm, &mut sum).unwrap();
+                    let mut mean = noisy(comm.rank(), len);
+                    allreduce_mean(comm, &mut mean).unwrap();
+                    (want, sum, mean)
+                });
+                for (rank, (want, sum, mean)) in results.iter().enumerate() {
+                    assert_eq!(bits(sum), bits(want), "p={p} len={len} rank={rank}");
+                    let scaled: Vec<f32> = want.iter().map(|v| v * (1.0 / p as f32)).collect();
+                    assert_eq!(bits(mean), bits(&scaled), "p={p} len={len} rank={rank}");
+                }
+            }
+        }
+    }
+
+    /// Consecutive blocks of the given sizes, then rotated left by
+    /// `rotate` ranks: still a tiling, no longer in buffer order.
+    fn tiling(sizes: &[usize], rotate: usize) -> Vec<Range<usize>> {
+        let mut start = 0;
+        let mut out: Vec<Range<usize>> = sizes
+            .iter()
+            .map(|&n| {
+                start += n;
+                start - n..start
+            })
+            .collect();
+        out.rotate_left(rotate % sizes.len());
+        out
+    }
+
+    #[test]
+    fn reduce_scatter_lands_each_block_on_its_rank_and_sends_the_rest_once() {
+        for p in [1usize, 2, 3, 4, 7] {
+            let even = vec![6usize; p];
+            // Uneven with empty blocks: sizes 5, 0, 15, 10, 5, 0, 15.
+            let uneven: Vec<usize> = (0..p).map(|q| 5 * ((q * 3 + 1) % 4)).collect();
+            for (sizes, rotate) in [(&even, 0), (&uneven, 0), (&uneven, 1), (&even, p / 2)] {
+                let ranges = tiling(sizes, rotate);
+                let n: usize = sizes.iter().sum();
+                let ranges_ref = &ranges;
+                let results = run_ranks(p, move |comm| {
+                    // Small integers: every summation order is exact.
+                    let mut data: Vec<f32> =
+                        (0..n).map(|i| (comm.rank() * 100 + i) as f32).collect();
+                    let before = comm.sent_bytes();
+                    reduce_scatter_sum(comm, &mut data, ranges_ref).unwrap();
+                    (data, comm.sent_bytes() - before)
+                });
+                for (rank, (data, sent)) in results.iter().enumerate() {
+                    let tag = format!("p={p} sizes={sizes:?} rotate={rotate} rank={rank}");
+                    let mine = ranges[rank].clone();
+                    let want: Vec<f32> = (mine.clone())
+                        .map(|i| (0..p).map(|r| (r * 100 + i) as f32).sum())
+                        .collect();
+                    assert_eq!(&data[mine.clone()], &want[..], "{tag}");
+                    assert_eq!(*sent, 4 * (n - mine.len()) as u64, "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_scatter_rejects_ranges_that_do_not_tile_the_buffer() {
+        let results = run_ranks(2, |comm| {
+            let mut data = vec![1.0f32; 8];
+            // A block too many, past the end, a gap.
+            [vec![0..2, 2..5, 5..8], vec![0..4, 4..9], vec![0..3, 4..8]]
+                .map(|ranges| reduce_scatter_sum(comm, &mut data, &ranges))
+        });
+        for res in results.iter().flatten() {
+            assert!(matches!(res, Err(CommError::Protocol { .. })), "{res:?}");
+        }
+    }
+
+    #[test]
+    fn mismatched_buffer_lengths_are_errors_not_panics_or_wrong_sums() {
+        // Rank 1 reduces two more values than rank 0, so some hop carries
+        // a block the receiver's schedule sizes differently.
+        let config = CommConfig {
+            recv_timeout: Duration::from_millis(300),
+            ..CommConfig::default()
+        };
+        type Collective = fn(&mut Communicator, &mut [f32]) -> Result<(), CommError>;
+        let collectives: [Collective; 3] = [
+            |comm, data| allreduce_sum(comm, data),
+            |comm, data| {
+                let ranges = block_ranges(data.len(), comm.size());
+                reduce_scatter_sum(comm, data, &ranges)
+            },
+            |comm, data| compressed_allreduce_mean(comm, data, |c| c.to_vec()),
+        ];
+        for collective in collectives {
+            for p in [2usize, 3] {
+                let results = run_ranks_with(p, FaultPlane::disabled(), config.clone(), |comm| {
+                    let mut data = vec![1.0f32; 10 + 2 * usize::from(comm.rank() == 1)];
+                    collective(comm, &mut data)
+                });
+                // The rank that sees the mismatch names it — at two ranks
+                // that is both. On a longer ring a peer left waiting for
+                // it surfaces a deadline error at worst, and a rank whose
+                // own hops all matched may finish.
+                let named =
+                    |r: &Result<(), CommError>| matches!(r, Err(CommError::Protocol { .. }));
+                assert!(results.iter().any(named), "{results:?}");
+                assert!(p > 2 || results.iter().all(named), "{results:?}");
+                let unblamed =
+                    |r: &Result<(), CommError>| !matches!(r, Err(CommError::Poisoned { .. }));
+                assert!(results.iter().all(unblamed), "a rank panicked: {results:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_short_all_gather_hop_is_a_protocol_error() {
+        // Phase 2 only sees a wrong size from a peer that got phase 1
+        // right, so rank 1 plays the ring by hand: a correct
+        // reduce-scatter hop, then a short all-gather hop.
+        let results = run_ranks(2, |comm| {
+            if comm.rank() == 0 {
+                return allreduce_sum(comm, &mut [1.0f32; 10]);
+            }
+            comm.send(0, Payload::F32(vec![1.0; 5]))?;
+            comm.recv_labeled(0, names::COMM_ALLREDUCE)?;
+            comm.send(0, Payload::F32(vec![2.0; 3]))?;
+            // Rank 0 sends before it receives: stay for its hop.
+            comm.recv_labeled(0, names::COMM_ALLREDUCE)?;
+            Ok(())
+        });
+        assert!(matches!(results[0], Err(CommError::Protocol { .. })));
     }
 
     #[test]
@@ -593,24 +846,28 @@ mod tests {
             comm.set_recorder(rec_ref.clone());
             let mut data = vec![comm.rank() as f32; 64];
             allreduce_sum(comm, &mut data).unwrap();
+            reduce_scatter_sum(comm, &mut data, &block_ranges(64, 4)).unwrap();
             let gathered = allgather_var(comm, vec![0u8; 16 * (comm.rank() + 1)]).unwrap();
             assert_eq!(gathered.len(), 4);
         });
         let snap = rec.snapshot();
-        // One timed span per rank per collective.
-        assert_eq!(snap.timers[names::COMM_ALLREDUCE].count, 4);
+        // One timed span per rank per collective; the reduce-scatter
+        // records as the all-reduce it is half of, once — reached
+        // through `allreduce_sum` it adds nothing.
+        assert_eq!(snap.timers[names::COMM_ALLREDUCE].count, 8);
         assert_eq!(snap.timers[names::COMM_ALLGATHER_VAR].count, 4);
         // Invocation counters match the span counts (the bucketing
         // acceptance check in compso-kfac leans on these).
-        assert_eq!(snap.counter(names::COMM_ALLREDUCE_CALLS), 4);
+        assert_eq!(snap.counter(names::COMM_ALLREDUCE_CALLS), 8);
         assert_eq!(snap.counter(names::COMM_ALLGATHER_VAR_CALLS), 4);
         // Every send was counted and histogrammed.
         let sent = snap.counter(names::COMM_BYTES_SENT);
         assert!(sent > 0);
         let hist = &snap.hists[names::COMM_MSG_BYTES];
         assert_eq!(hist.sum, sent);
-        // allreduce: 4 ranks × 2(p-1)=6 sends; allgather_var: 4 ranks × 3.
-        assert_eq!(hist.count, 4 * 6 + 4 * 3);
+        // allreduce: 4 ranks × 2(p-1)=6 sends; reduce-scatter and
+        // allgather_var: 4 ranks × 3 each.
+        assert_eq!(hist.count, 4 * 6 + 4 * 3 + 4 * 3);
         // No retries or faults on the clean path.
         assert_eq!(snap.counter(names::COMM_RETRY_RESENDS), 0);
         assert_eq!(snap.counter(names::COMM_FAULT_CRC_DETECTED), 0);

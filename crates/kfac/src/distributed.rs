@@ -4,12 +4,20 @@
 //! (Fig. 2 of the paper):
 //!
 //! 1. local forward/backward;
-//! 2. **bucketed** ring all-reduce of the raw gradients: every trainable
-//!    layer's gradient is flattened into one reusable fusion buffer, a
-//!    single `allreduce_mean` moves the whole bucket, and the averaged
-//!    values are scattered back in place — one collective per step
-//!    instead of one per layer (the gradient-fusion argument of the
-//!    adaptive-compression systems line of work);
+//! 2. **bucketed** ring reduce of the raw gradients *to their owners*:
+//!    only a layer's owner reads its averaged gradient (step 4) — every
+//!    other rank receives the layer through step 5 — so the K-FAC
+//!    layers' gradients are flattened into one reusable fusion buffer in
+//!    ownership order (rank 0's layers, rank 1's, …) and a single
+//!    `reduce_scatter_sum`, the first half of the ring all-reduce, lands
+//!    each rank's span on that rank: one collective per step instead of
+//!    one per layer (the gradient-fusion argument of the
+//!    adaptive-compression systems line of work) and half an
+//!    all-reduce's bytes. The owner's means stay in the buffer; the
+//!    model keeps each rank's local gradients until step 6 overwrites
+//!    them. Trainable layers without K-FAC statistics (`LayerNorm`)
+//!    ride at the buffer's end and keep an `allreduce_mean` of their
+//!    own;
 //! 3. per-K-FAC-layer covariances, folded **locally** into the running
 //!    factors every step with no communication, and synced **on
 //!    consume**: the EMA is linear, so the mean of the ranks' running
@@ -17,7 +25,7 @@
 //!    only reader is step 4's refresh. On a step where a layer's refresh
 //!    is due (`steps % eigen_refresh == 0`, step 0 included, identical on
 //!    every rank) the due layers' running `A`/`G` upper triangles
-//!    (n(n+1)/2 values each) are packed into the fusion buffer, ONE
+//!    (n(n+1)/2 values each) are packed into one bucket, ONE
 //!    `allreduce_mean` moves the bucket, and the unpack mirrors it back —
 //!    replicated and exactly symmetric at that instant, rank-local in
 //!    between. A membership epoch change syncs *all* layers on the next
@@ -67,8 +75,9 @@
 //!   consistent);
 //! * **rung 3** — degrade locally: reuse the last good preconditioned
 //!   gradient for the affected layer group, or — when none exists yet —
-//!   leave the step-2 averaged raw gradient in place, i.e. take a plain
-//!   SGD step for those layers. Training continues either way.
+//!   leave this rank's local raw gradient in place (step 2 averages a
+//!   layer on its owner only), i.e. take a plain SGD step on the local
+//!   batch for those layers. Training continues either way.
 //!
 //! A tiny always-on repair status exchange after the all-gather keeps the
 //! repair schedule deterministic across ranks (everyone learns which
@@ -78,7 +87,9 @@
 //! degradations against the fault plane's injection ledger exactly.
 
 use crate::kfac::{covariance, Kfac, KfacConfig};
-use compso_comm::collectives::{allgather_var_quiet, allreduce_mean, pipelined_allgather};
+use compso_comm::collectives::{
+    allgather_var_quiet, allreduce_mean, pipelined_allgather, reduce_scatter_sum,
+};
 use compso_comm::{CommError, Communicator, Payload};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed, Reader, Writer};
 use compso_core::{CompressError, Compressor, LayerSchedule};
@@ -120,9 +131,11 @@ pub struct StepStats {
     pub gather_bytes_original: u64,
     /// Bytes actually all-gathered (equals original without compression).
     pub gather_bytes_wire: u64,
-    /// All-reduce volume in bytes *this step*: the step-2 gradient
-    /// bucket plus, on a factor-sync step only, the step-3 bucket of
-    /// packed upper triangles (both always travel uncompressed).
+    /// Reduction volume in bytes *this step* — the size of the buffers
+    /// reduced, not the wire bytes a ring spends reducing them: the
+    /// step-2 gradient bucket plus, on a factor-sync step only, the
+    /// step-3 bucket of packed upper triangles (both always travel
+    /// uncompressed).
     pub allreduce_bytes: u64,
 }
 
@@ -200,6 +213,13 @@ struct GatherPlan {
     /// hostile payload headers are validated against before any decode
     /// work, and the layers an undecodable origin leaves to rung 3.
     expected: Vec<Vec<LayerShape>>,
+    /// Per rank, the span of the step-2 gradient bucket its layers fill:
+    /// the bucket is laid out in `expected` order, so what a rank must
+    /// reduce is one contiguous block (empty when it owns nothing).
+    spans: Vec<Range<usize>>,
+    /// The trainable layers without K-FAC statistics, which nobody
+    /// owns: their gradients follow the last span and are all-reduced.
+    tail: Vec<usize>,
     /// Layers per aggregation group (`aggregation`, at least 1) and per
     /// ring slot (× the groups a slot carries), and the resulting ring
     /// slots per rank.
@@ -225,6 +245,12 @@ impl GatherPlan {
         let lo = slot.saturating_mul(self.slot_layers).min(len);
         lo..lo.saturating_add(self.slot_layers).min(len)
     }
+
+    /// Where the owned spans end and the non-K-FAC tail begins in the
+    /// step-2 gradient bucket.
+    fn tail_start(&self) -> usize {
+        self.spans.last().map_or(0, |span| span.end)
+    }
 }
 
 /// One rank's distributed K-FAC optimizer instance.
@@ -246,8 +272,9 @@ pub struct DistKfac {
     /// Per K-FAC layer, whether this call's fold fell on the refresh
     /// schedule — kept across elastic retries with `folded`.
     due: Vec<bool>,
-    /// Reusable fusion buffer for the bucketed step-2 gradient sync and
-    /// the step-3 factor bucket (no per-step allocation churn).
+    /// Reusable fusion buffer of the bucketed step-2 gradient sync (no
+    /// per-step allocation churn). From step 2 to step 6 it holds this
+    /// rank's averaged gradients: its own span and the non-K-FAC tail.
     fusion: Vec<f32>,
     /// Last successfully decoded preconditioned gradient per layer — the
     /// ladder's rung-3 fallback store. Populated only while a fault
@@ -348,56 +375,58 @@ impl DistKfac {
         let step_idx = comm.begin_step();
         let _step_span = self.recorder.span(names::KFAC_STEP);
         let mut stats = StepStats::default();
-        self.sync_gradients(comm, model, &mut stats)?;
         let plan = self.plan_for(comm, model, compressor)?;
+        self.sync_gradients(comm, model, &plan, &mut stats)?;
         self.sync_factors(comm, model, &plan, &mut stats)?;
-        let owned = self.precondition_owned(comm.rank(), model, &plan)?;
+        let owned = self.precondition_owned(comm.rank(), &plan);
         let gathered = self.gather(comm, compressor, &plan, owned, step_idx, &mut stats)?;
         self.repair_and_install(comm, model, compressor, &plan, gathered, step_idx)?;
         Ok(stats)
     }
 
-    /// (2) Bucketed gradient sync: flatten into the fusion buffer, ONE
-    /// `allreduce_mean`, scatter back in place. Ring blocks span layer
-    /// boundaries, but the f32 reduction order is identical on every
-    /// rank, so replicas stay bit-identical.
+    /// (2) Bucketed gradient sync: flatten into the fusion buffer in
+    /// ownership order, ONE `reduce_scatter_sum` that lands each rank's
+    /// span on it, and the mean taken over that span only. The model is
+    /// not written: a retry after a shrink re-reduces the same local
+    /// gradients over the survivors. The non-K-FAC tail, when the model
+    /// has one (its structure is replicated, so every rank agrees), is
+    /// all-reduced where it lies.
     fn sync_gradients(
         &mut self,
         comm: &mut Communicator,
-        model: &mut Sequential,
+        model: &Sequential,
+        plan: &GatherPlan,
         stats: &mut StepStats,
     ) -> Result<(), CommError> {
         let _span = self.recorder.span(names::KFAC_GRAD_SYNC);
-        let trainable = model.trainable_indices();
         {
             let _bucket = self.recorder.span(names::KFAC_BUCKET);
             self.fusion.clear();
-            for &idx in &trainable {
+            let by_owner = plan.expected.iter().flatten().map(|&(idx, _, _)| idx);
+            for idx in by_owner.chain(plan.tail.iter().copied()) {
                 let grad = (model.layer(idx).grads())
                     .ok_or(protocol("trainable layer with a gradient"))?;
                 self.fusion.extend_from_slice(grad.as_slice());
             }
         }
         stats.allreduce_bytes += self.fusion.len() as u64 * 4;
-        allreduce_mean(comm, &mut self.fusion)?;
-        let _bucket = self.recorder.span(names::KFAC_BUCKET);
-        let mut offset = 0usize;
-        for &idx in &trainable {
-            let grad = (model.layer_mut(idx).grads_mut())
-                .ok_or(protocol("trainable layer with a mutable gradient"))?;
-            let n = grad.len();
-            grad.as_mut_slice()
-                .copy_from_slice(&self.fusion[offset..offset + n]);
-            offset += n;
+        let (owned, tail) = self.fusion.split_at_mut(plan.tail_start());
+        reduce_scatter_sum(comm, owned, &plan.spans)?;
+        let inv = 1.0 / comm.size() as f32;
+        for v in &mut owned[plan.spans[comm.rank()].clone()] {
+            *v *= inv;
         }
-        debug_assert_eq!(offset, self.fusion.len());
+        if !tail.is_empty() {
+            allreduce_mean(comm, tail)?;
+        }
         Ok(())
     }
 
     /// The cached plan, laid out first if there is none: *before* the
-    /// factor phase (the costs depend only on the static layer shapes),
-    /// so step 4 knows whose inverses to refresh, and once per optimizer
-    /// lifetime for any fixed compressor and membership.
+    /// gradient sync (the costs depend only on the static layer shapes),
+    /// so step 2 knows whose span is whose and step 4 whose inverses to
+    /// refresh, and once per optimizer lifetime for any fixed compressor
+    /// and membership.
     fn plan_for(
         &mut self,
         comm: &Communicator,
@@ -424,6 +453,16 @@ impl DistKfac {
         for (&owner, &shape) in owners.iter().zip(&shapes) {
             expected[owner].push(shape);
         }
+        let mut end = 0usize;
+        let spans = (expected.iter())
+            .map(|layers| {
+                let start = end;
+                end += layers.iter().map(|&(_, r, c)| r * c).sum::<usize>();
+                start..end
+            })
+            .collect();
+        let mut tail = model.trainable_indices();
+        tail.retain(|idx| !layers.contains(idx));
         // One aggregation group per ring slot, or — the no-overlap
         // degenerate — every group a rank owns in its slot 0.
         let m = self.config.aggregation.max(1);
@@ -456,6 +495,8 @@ impl DistKfac {
             layers,
             owners,
             expected,
+            spans,
+            tail,
             m,
             slot_layers,
             slots,
@@ -497,26 +538,27 @@ impl DistKfac {
                 .filter(move |(_, &due)| due || resync)
                 .map(|(&idx, _)| idx)
         };
-        self.fusion.clear();
+        // Refresh steps only, so the bucket is not worth keeping around.
+        let mut bucket: Vec<f32> = Vec::new();
         for (a, g) in synced().filter_map(|idx| self.kfac.factors(idx)) {
-            a.pack_upper(&mut self.fusion);
-            g.pack_upper(&mut self.fusion);
+            a.pack_upper(&mut bucket);
+            g.pack_upper(&mut bucket);
         }
-        if !self.fusion.is_empty() {
-            let fused_bytes = self.fusion.len() as u64 * 4;
+        if !bucket.is_empty() {
+            let fused_bytes = bucket.len() as u64 * 4;
             stats.allreduce_bytes += fused_bytes;
             self.recorder
                 .add(names::KFAC_FACTOR_FUSED_BYTES, fused_bytes);
             self.recorder.incr(names::KFAC_FACTOR_SYNCS);
-            allreduce_mean(comm, &mut self.fusion)?;
+            allreduce_mean(comm, &mut bucket)?;
             let mut off = 0usize;
             for idx in synced() {
                 if let Some((a, g)) = self.kfac.factors_mut(idx) {
-                    off += a.unpack_upper(&self.fusion[off..]);
-                    off += g.unpack_upper(&self.fusion[off..]);
+                    off += a.unpack_upper(&bucket[off..]);
+                    off += g.unpack_upper(&bucket[off..]);
                 }
             }
-            debug_assert_eq!(off, self.fusion.len());
+            debug_assert_eq!(off, bucket.len());
         }
         self.synced_epoch = comm.epoch();
         Ok(())
@@ -526,30 +568,30 @@ impl DistKfac {
     /// refreshed on schedule, or on adoption of a layer this rank holds
     /// no inverse for (the epoch change behind it made step 3 sync every
     /// running factor), and dropped by a non-owner on a refresh step —
-    /// then rank `me`'s preconditioned gradients, in layer order.
-    fn precondition_owned(
-        &mut self,
-        me: usize,
-        model: &Sequential,
-        plan: &GatherPlan,
-    ) -> Result<Vec<(usize, Matrix)>, CommError> {
+    /// then rank `me`'s preconditioned gradients, in layer order, from
+    /// the means step 2 left in its span of the fusion buffer.
+    fn precondition_owned(&mut self, me: usize, plan: &GatherPlan) -> Vec<(usize, Matrix)> {
         let _span = self.recorder.span(names::KFAC_INVERSE);
-        let mut owned: Vec<(usize, Matrix)> = Vec::with_capacity(plan.expected[me].len());
         for (pos, &idx) in plan.layers.iter().enumerate() {
             if plan.owners[pos] != me {
                 if self.due[pos] {
                     self.kfac.drop_inverse(idx);
                 }
-                continue;
-            }
-            if (self.due[pos] || !self.kfac.has_inverse(idx)) && self.kfac.refresh_inverse(idx) {
+            } else if (self.due[pos] || !self.kfac.has_inverse(idx))
+                && self.kfac.refresh_inverse(idx)
+            {
                 self.recorder.add(names::KFAC_INVERSE_REFRESHES, 2);
             }
-            let grad =
-                (model.layer(idx).grads()).ok_or(protocol("owned kfac layer with a gradient"))?;
-            owned.push((idx, self.kfac.precondition_layer(idx, grad)));
         }
-        Ok(owned)
+        let mut offset = plan.spans[me].start;
+        (plan.expected[me].iter())
+            .map(|&(idx, rows, cols)| {
+                let mean = self.fusion[offset..offset + rows * cols].to_vec();
+                offset += rows * cols;
+                let mean = Matrix::from_vec(rows, cols, mean);
+                (idx, self.kfac.precondition_layer(idx, &mean))
+            })
+            .collect()
     }
 
     /// (5) The compressed all-gather: one `pipelined_allgather` whose
@@ -629,8 +671,9 @@ impl DistKfac {
         self.repair(comm, compressor, plan, step_idx, &mut gathered)?;
         // Install in rank order. Unrepairable payloads take rung 3 per
         // aggregation group: last good preconditioned gradient when one
-        // exists, else the step-2 averaged raw gradient already sitting in
-        // the model (a plain SGD step for those layers).
+        // exists, else this rank's local raw gradient, still sitting in
+        // the model (a plain SGD step on the local batch for those
+        // layers; replicas may diverge at this rung, DESIGN.md §9.4).
         let keep_last_good = comm.fault_plane().is_enabled();
         for (res, expected) in gathered.results.into_iter().zip(&plan.expected) {
             match res {
@@ -659,6 +702,16 @@ impl DistKfac {
                     }
                 }
             }
+        }
+        // The layers nobody preconditions take their step-2 means.
+        let mut offset = plan.tail_start();
+        for &idx in &plan.tail {
+            let grad = (model.layer_mut(idx).grads_mut())
+                .ok_or(protocol("trainable layer with a mutable gradient"))?;
+            let n = grad.len();
+            grad.as_mut_slice()
+                .copy_from_slice(&self.fusion[offset..offset + n]);
+            offset += n;
         }
         Ok(())
     }
@@ -1252,39 +1305,45 @@ mod tests {
     #[test]
     fn bucketed_sync_matches_per_layer_sync_within_f32_tolerance() {
         // The semantic claim behind the step-2 bucketing: one fused
-        // allreduce over the concatenated gradients equals per-layer
-        // allreduces up to f32 reduction order (ring blocks now span
-        // layer boundaries).
+        // reduce over the owner-ordered concatenation leaves in a rank's
+        // span what per-layer `allreduce_mean`s of its layers would, up
+        // to f32 reduction order (a ring block is now an owner's whole
+        // span, where the per-layer ring cuts each layer in `p`).
         let ranks = 3;
         let d = data::gaussian_blobs(120, 6, 3, 0.3, 61);
         let results = run_ranks(ranks, |comm| {
             let mut rng = Rng::new(62);
-            let mut model = models::mlp(&[6, 16, 3], &mut rng);
+            // Four layers over three ranks: one span holds two layers.
+            let mut model = models::mlp(&[6, 16, 16, 16, 3], &mut rng);
             let shard = d.shard(comm.rank(), ranks);
             let (x, y) = shard.batch(0, 8);
             let logits = model.forward(&x, true);
             let (_, grad) = softmax_cross_entropy(&logits, &y);
             model.backward(&grad);
-            let trainable = model.trainable_indices();
-            // Reference: per-layer collectives on clones.
-            let mut per_layer: Vec<Vec<f32>> = Vec::new();
-            for &idx in &trainable {
+            let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
+            let plan = opt.plan_for(comm, &model, &NoCompression).unwrap();
+            assert!(plan.expected.iter().any(|layers| layers.len() == 2));
+            let me = comm.rank();
+            // Reference: per-layer collectives on clones, kept by the owner.
+            let mut per_layer: Vec<f32> = Vec::new();
+            for (&idx, &owner) in plan.layers.iter().zip(&plan.owners) {
                 let mut g = model.layer(idx).grads().unwrap().clone();
                 allreduce_mean(comm, g.as_mut_slice()).unwrap();
-                per_layer.push(g.as_slice().to_vec());
+                if owner == me {
+                    per_layer.extend_from_slice(g.as_slice());
+                }
             }
-            // Bucketed: one collective over the concatenation.
-            let mut fusion: Vec<f32> = Vec::new();
-            for &idx in &trainable {
-                fusion.extend_from_slice(model.layer(idx).grads().unwrap().as_slice());
-            }
-            allreduce_mean(comm, &mut fusion).unwrap();
-            (per_layer, fusion)
+            let mut stats = StepStats::default();
+            opt.sync_gradients(comm, &model, &plan, &mut stats).unwrap();
+            // The model still holds the local gradients.
+            let untouched =
+                (plan.layers.iter()).all(|&idx| model.layer(idx).grads().unwrap().max_abs() > 0.0);
+            assert!(untouched);
+            (per_layer, opt.fusion[plan.spans[me].clone()].to_vec())
         });
-        for (per_layer, fusion) in &results {
-            let flat_ref: Vec<f32> = per_layer.iter().flatten().copied().collect();
-            assert_eq!(flat_ref.len(), fusion.len());
-            for (a, b) in flat_ref.iter().zip(fusion) {
+        for (reference, span) in &results {
+            assert_eq!(reference.len(), span.len());
+            for (a, b) in reference.iter().zip(span) {
                 assert!(
                     (a - b).abs() <= 1e-6 + a.abs() * 1e-5,
                     "bucketed {b} vs per-layer {a}"
@@ -1319,8 +1378,9 @@ mod tests {
             }
         });
         let snap = rec.snapshot();
-        // Per rank: exactly ONE gradient-sync allreduce per step (the
-        // step-2 bucket) plus ONE fused factor allreduce per refresh
+        // Per rank: exactly ONE gradient reduction per step (the step-2
+        // bucket's owner-reduce, counted with the all-reduce it is half
+        // of) plus ONE fused factor allreduce per refresh
         // period (the step-3 bucket, ⌈steps / eigen_refresh⌉ of them) —
         // regardless of how many K-FAC layers the model has.
         let syncs = steps.div_ceil(KfacConfig::default().eigen_refresh);
@@ -1339,10 +1399,11 @@ mod tests {
             (ranks * steps) as u64
         );
         assert_eq!(snap.counter(names::COMM_ALLGATHER_VAR_CALLS), 0);
-        // The bucket flatten/scatter spans wrap the sync (2 per step).
+        // The bucket flatten span precedes the reduce (1 per step; the
+        // model is first written at install, so nothing is scattered back).
         assert_eq!(
             snap.timers[names::KFAC_BUCKET].count,
-            (ranks * steps * 2) as u64
+            (ranks * steps) as u64
         );
         // And the own-frame decode span (peers decode inside the
         // collective's deliver) ran once per step per rank.

@@ -11,7 +11,8 @@
 //! Distributed step anatomy (Fig. 2 of the paper):
 //!
 //! 1. local forward/backward on the rank's data shard;
-//! 2. all-reduce of the raw gradients (data-parallel sync);
+//! 2. ring reduce of the raw gradients, each layer to its *owner* (the
+//!    reduce-scatter half of the data-parallel all-reduce);
 //! 3. covariance factors `A = E[ããᵀ]`, `G = E[ggᵀ]` computed and folded
 //!    into running averages locally; the running averages are
 //!    all-reduced once per `eigen_refresh` iterations, when step 4 reads

@@ -28,4 +28,11 @@ impl Group {
         self.barrier()?;
         Ok(())
     }
+
+    pub fn owners_only(&mut self, grads: &mut [f32]) -> Result<(), CommError> {
+        if self.owned[self.my_rank] > 0 {
+            reduce_scatter_sum(self, grads, &self.spans)?; //~ collective-order
+        }
+        Ok(())
+    }
 }

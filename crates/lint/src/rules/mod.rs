@@ -208,6 +208,7 @@ pub fn severity_of(rule: &str) -> Severity {
 pub const COLLECTIVES: &[&str] = &[
     "allreduce_sum",
     "allreduce_mean",
+    "reduce_scatter_sum",
     "allgather",
     "allgather_var",
     "allgather_var_quiet",

@@ -30,7 +30,9 @@ pub const CORE_BYTES_OUT: &str = "core/bytes_out";
 /// `compso-core`: wire bytes entering the decompressor.
 pub const CORE_DECODE_BYTES_IN: &str = "core/decode_bytes_in";
 
-/// `compso-comm`: ring sum all-reduce wall time.
+/// `compso-comm`: wall time of the ring reductions: reduce-scatter,
+/// optionally followed by the all-gather half (`reduce_scatter_sum`,
+/// `allreduce_sum`/`allreduce_mean`).
 pub const COMM_ALLREDUCE: &str = "comm/allreduce_sum";
 /// `compso-comm`: variable-size ring all-gather wall time.
 pub const COMM_ALLGATHER_VAR: &str = "comm/allgather_var";
@@ -42,9 +44,11 @@ pub const COMM_COMPRESSED_ALLREDUCE: &str = "comm/compressed_allreduce_mean";
 pub const COMM_BYTES_SENT: &str = "comm/bytes_sent";
 /// `compso-comm`: per-message wire sizes (log2 histogram).
 pub const COMM_MSG_BYTES: &str = "comm/msg_bytes";
-/// `compso-comm`: number of `allreduce_sum`/`allreduce_mean`
-/// collective invocations (the bucketing win shows up here: one call
-/// per step for gradient sync instead of one per layer).
+/// `compso-comm`: number of ring reductions issued: reduce-scatter,
+/// optionally followed by the all-gather half — `reduce_scatter_sum`
+/// and `allreduce_sum`/`allreduce_mean` each count once per call (the
+/// bucketing win shows up here: one call per step for gradient sync
+/// instead of one per layer).
 pub const COMM_ALLREDUCE_CALLS: &str = "comm/allreduce_calls";
 /// `compso-comm`: number of variable-size all-gather invocations.
 pub const COMM_ALLGATHER_VAR_CALLS: &str = "comm/allgather_var_calls";
@@ -140,10 +144,11 @@ pub const KFAC_REPAIR_STATUS: &str = "kfac/repair_status";
 
 /// `compso-kfac`: whole `DistKfac::step`.
 pub const KFAC_STEP: &str = "kfac/step";
-/// `compso-kfac`: data-parallel gradient all-reduce.
+/// `compso-kfac`: data-parallel gradient sync: each layer's gradient
+/// reduced to its owner.
 pub const KFAC_GRAD_SYNC: &str = "kfac/step/grad_sync";
-/// `compso-kfac`: fusion-buffer flatten + scatter-back around the
-/// single bucketed gradient all-reduce (nested inside `grad_sync`).
+/// `compso-kfac`: fusion-buffer flatten ahead of the single bucketed
+/// gradient reduce (nested inside `grad_sync`).
 pub const KFAC_BUCKET: &str = "kfac/step/grad_sync/bucket";
 /// `compso-kfac`: decode of the rank's *own* all-gather frames (nested
 /// inside `update`; the ring never brings them back, and the N−1 peers'

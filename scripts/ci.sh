@@ -72,6 +72,19 @@ if grep -Eq 'allgather_var\(|par_iter|use rayon' <<<"$GATHER_SRC" \
 fi
 step_end
 
+step_start "one gradient collective (kfac/src/distributed.rs ahead of mod tests)"
+# Step 2 is one reduce_scatter_sum to the owners; the only all-reduces
+# left in the step are the factor bucket and the non-K-FAC tail.
+if [ "$(grep -c 'reduce_scatter_sum(' <<<"$GATHER_SRC")" -ne 1 ] \
+  || [ "$(grep -c 'allreduce_mean(' <<<"$GATHER_SRC")" -gt 2 ]; then
+  echo "DistKfac step 2 must stay one reduce_scatter_sum, no all-reduce of K-FAC gradients" >&2; exit 1
+fi
+step_end
+
+step_start "gradient sync smoke (tests/grad_sync.rs)"
+cargo test --release --test grad_sync -q
+step_end
+
 step_start "chaos smoke (hard 300s wall-clock cap)"
 # The chaos campaigns assert liveness ("no collective can block
 # forever"); a regression there would otherwise hang CI instead of

@@ -8,7 +8,7 @@
 //! many collectives a run issues, and that membership changes and
 //! elastic retries neither skip a sync nor fold twice.
 
-use compso::comm::collectives::allreduce_mean;
+use compso::comm::collectives::{allreduce_mean, reduce_scatter_sum};
 use compso::comm::{run_ranks, run_ranks_elastic, CommConfig, Communicator};
 use compso::comm::{FaultConfig, FaultPlane};
 use compso::core::{ChunkedCompso, CompsoConfig, NoCompression};
@@ -274,7 +274,7 @@ fn a_membership_change_syncs_every_layer_off_schedule() {
 
 #[test]
 fn a_retried_refresh_step_folds_once_and_still_refreshes() {
-    // Rank 1 takes part in step 4's gradient all-reduce and dies before
+    // Rank 1 takes part in step 4's gradient reduce and dies before
     // the factor all-reduce of that refresh step, so the survivors fail
     // *inside* the factor sync, shrink and retry. The abandoned attempt
     // already folded: the retry must neither fold again nor lose `due`.
@@ -297,11 +297,20 @@ fn a_retried_refresh_step_folds_once_and_still_refreshes() {
         if comm.phys_rank() == 1 {
             backward(&mut model, &shard, REFRESH);
             comm.begin_step();
-            let mut bucket: Vec<f32> = (model.trainable_indices().iter())
-                .flat_map(|&i| model.layer(i).grads().unwrap().as_slice().to_vec())
-                .collect();
-            allreduce_mean(comm, &mut bucket).unwrap();
-            panic!("injected fault: rank 1 dies between the two all-reduces");
+            // Step 2 by hand: the K-FAC gradients rank by rank in
+            // ownership order, each rank's span reduced onto it.
+            let owners = opt.owners().unwrap();
+            let mut bucket: Vec<f32> = Vec::new();
+            let mut spans = Vec::new();
+            for r in 0..comm.size() {
+                let start = bucket.len();
+                for (&idx, _) in (model.kfac_indices().iter().zip(owners)).filter(|o| *o.1 == r) {
+                    bucket.extend_from_slice(model.layer(idx).grads().unwrap().as_slice());
+                }
+                spans.push(start..bucket.len());
+            }
+            reduce_scatter_sum(comm, &mut bucket, &spans).unwrap();
+            panic!("injected fault: rank 1 dies between the two reductions");
         }
         let refreshes = |rec: &Recorder| rec.snapshot().counter(names::KFAC_INVERSE_REFRESHES);
         let before = refreshes(&rec);

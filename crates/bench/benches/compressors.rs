@@ -2,7 +2,7 @@
 
 use compso_core::baselines::{CocktailSgd, Qsgd, Sz};
 use compso_core::synthetic::{generate, GradientProfile};
-use compso_core::{Compressor, Compso, CompsoConfig};
+use compso_core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso_tensor::Rng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -12,11 +12,11 @@ fn compressors() -> Vec<(&'static str, Box<dyn Compressor>)> {
     vec![
         (
             "compso-aggressive",
-            Box::new(Compso::new(CompsoConfig::aggressive(4e-3))),
+            Box::new(ChunkedCompso::new(CompsoConfig::aggressive(4e-3))),
         ),
         (
             "compso-conservative",
-            Box::new(Compso::new(CompsoConfig::conservative(4e-3))),
+            Box::new(ChunkedCompso::new(CompsoConfig::conservative(4e-3))),
         ),
         ("qsgd-8bit", Box::new(Qsgd::bits8())),
         ("qsgd-4bit", Box::new(Qsgd::bits4())),
@@ -60,7 +60,7 @@ fn bench_decompress(c: &mut Criterion) {
 fn bench_noop_recorder_overhead(c: &mut Criterion) {
     let elems = 4 << 20; // 16 MiB of f32
     let data = generate(elems, 5, GradientProfile::kfac());
-    let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+    let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
     let mut group = c.benchmark_group("noop-recorder-16MiB");
     group.throughput(Throughput::Bytes((elems * 4) as u64));
     group.sample_size(10);
@@ -70,7 +70,7 @@ fn bench_noop_recorder_overhead(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(arm), &data, |b, data| {
             let mut rng = Rng::new(6);
-            b.iter(|| compso.compress_layers(&[data], &mut rng, &rec));
+            b.iter(|| compso.compress_group(&[data], None, &mut rng, &rec));
         });
     }
     group.finish();

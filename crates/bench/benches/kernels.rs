@@ -3,7 +3,7 @@
 
 use compso_core::kernels::{compress_chunked, decompress_chunked, KernelConfig, LayerSchedule};
 use compso_core::synthetic::{generate, GradientProfile};
-use compso_core::{Codec, Compso, CompsoConfig};
+use compso_core::{Codec, CompsoConfig};
 use compso_obs::Recorder;
 use compso_tensor::reduce::{minmax_flat, minmax_hierarchical};
 use compso_tensor::Rng;
@@ -64,28 +64,15 @@ fn bench_chunk_size(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end serial (`Compso`) vs chunked-parallel (`compress_chunked` +
-/// `decompress_chunked`) round-trip at 16 MiB — the acceptance number for
-/// the parallel hot path. Both sides run the full pipeline with the
-/// default codec so the comparison includes entropy coding. The >=2x
-/// chunked-over-serial expectation only holds on hosts with >=4 cores;
-/// on smaller machines this group still reports honest numbers.
-fn bench_e2e_serial_vs_chunked(c: &mut Criterion) {
+/// End-to-end round-trip (`compress_chunked` + `decompress_chunked`) at
+/// 16 MiB with the default codec, so the number includes entropy coding —
+/// the acceptance number for the hot path.
+fn bench_e2e_roundtrip(c: &mut Criterion) {
     let data = generate(ELEMS, 7, GradientProfile::kfac());
     let cfg = CompsoConfig::aggressive(4e-3);
-    let mut group = c.benchmark_group("e2e-serial-vs-chunked");
+    let mut group = c.benchmark_group("e2e-roundtrip");
     group.throughput(Throughput::Bytes((ELEMS * 4) as u64));
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::from_parameter("serial"), &data, |b, data| {
-        let compso = Compso::new(cfg);
-        b.iter(|| {
-            let mut rng = Rng::new(11);
-            let bytes = compso.compress_layers(&[data], &mut rng, &Recorder::disabled());
-            compso
-                .decompress_layers(&bytes, &Recorder::disabled())
-                .expect("roundtrip")
-        });
-    });
     group.bench_with_input(BenchmarkId::from_parameter("chunked"), &data, |b, data| {
         let kc = KernelConfig::default();
         let schedule = LayerSchedule::build(&[data.len()], kc.chunk_elems);
@@ -104,6 +91,6 @@ criterion_group!(
     bench_fusion,
     bench_extrema,
     bench_chunk_size,
-    bench_e2e_serial_vs_chunked
+    bench_e2e_roundtrip
 );
 criterion_main!(benches);

@@ -18,7 +18,7 @@ use compso_core::factors::{compress_symmetric, decompress_symmetric};
 use compso_core::kernels::{compress_chunked, KernelConfig, LayerSchedule};
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::tuning::{tune_bounds, TuningGrid};
-use compso_core::{Compressor, Compso, CompsoConfig, RoundingMode};
+use compso_core::{ChunkedCompso, Compressor, CompsoConfig, RoundingMode};
 use compso_dnn::ModelSpec;
 use compso_kfac::kfac::covariance;
 use compso_obs::Recorder;
@@ -120,7 +120,7 @@ fn rounding_ablation() {
         RoundingMode::HalfProbability,
     ] {
         let acc = avg(&|| {
-            Method::Fixed(Box::new(Compso::new(
+            Method::Fixed(Box::new(ChunkedCompso::new(
                 CompsoConfig::aggressive(3e-2).with_mode(mode),
             )))
         });
@@ -136,7 +136,7 @@ fn filter_ablation() {
         ("filter + SR (aggressive)", CompsoConfig::aggressive(4e-3)),
         ("SR only (conservative)", CompsoConfig::conservative(4e-3)),
     ] {
-        let c = Compso::new(cfg);
+        let c = ChunkedCompso::new(cfg);
         let mut cells = vec![name.to_string()];
         for spec in [ModelSpec::resnet50(), ModelSpec::bert_large()] {
             let layers = spec_gradients(&spec, SAMPLE_BUDGET / 2, 301);
@@ -190,7 +190,11 @@ fn aggregation_sweep() {
     let model = IterationModel::new(Platform::platform1());
     let spec = ModelSpec::resnet50();
     let layers = spec_gradients(&spec, SAMPLE_BUDGET / 2, 305);
-    let cpu = measure_profile(&Compso::new(CompsoConfig::aggressive(4e-3)), &layers, 306);
+    let cpu = measure_profile(
+        &ChunkedCompso::new(CompsoConfig::aggressive(4e-3)),
+        &layers,
+        306,
+    );
     let profile = gpu_profile(&cpu, model.platform.gpu_membw, measure_membw());
     header(&["m", "all-gather+codec @64 GPUs (ms)", "@256 GPUs (ms)"]);
     for m in [1usize, 2, 4, 8, 16] {
@@ -215,7 +219,7 @@ fn tuner_extension() {
     header(&["configuration", "eb_f", "eb_q", "CR", "bounded L2 error"]);
     let hand = CompsoConfig::aggressive(4e-3);
     for (name, cfg) in [("hand-set (paper)", hand), ("auto-tuned", tuned.config)] {
-        let c = Compso::new(cfg);
+        let c = ChunkedCompso::new(cfg);
         let mut rng = Rng::new(308);
         let bytes = c.compress(&data, &mut rng);
         let back = c.decompress(&bytes).unwrap();
@@ -242,7 +246,7 @@ fn factor_compression_extension() {
     let mut rng = Rng::new(309);
     let acts = Matrix::random_normal(4096, 256, &mut rng);
     let factor = covariance(&acts);
-    let compso = Compso::new(CompsoConfig::conservative(1e-3));
+    let compso = ChunkedCompso::new(CompsoConfig::conservative(1e-3));
     let bytes = compress_symmetric(&factor, &compso, &mut rng);
     let back = decompress_symmetric(&bytes, &compso).unwrap();
     let full_bytes = factor.len() * 4;

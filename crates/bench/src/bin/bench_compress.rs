@@ -1,18 +1,17 @@
 //! Snapshot benchmark for the parallel compression hot path.
 //!
-//! Round-trips a synthetic K-FAC gradient buffer through three
-//! configurations and emits a JSON snapshot (`BENCH_compress.json` via
+//! Round-trips a synthetic K-FAC gradient buffer through the kernels and
+//! emits a JSON snapshot (`BENCH_compress.json` via
 //! `scripts/bench_snapshot.sh`):
 //!
-//! 1. `serial` — the reference [`Compso`] pipeline,
-//! 2. `chunked_1thread` — the chunked kernels pinned to one worker
-//!    (measures chunking overhead in isolation),
-//! 3. `chunked_nthread` — the chunked kernels at the host's natural
-//!    worker count (the production configuration),
-//! 4. `ckpt` — the checkpoint store's rank-file save/load over the same
+//! 1. `chunked_1thread` — the chunked kernels pinned to one worker,
+//! 2. `chunked_nthread` — the chunked kernels at the host's natural
+//!    worker count (the production configuration); `"n/a"` when that
+//!    count is 1, where it would only repeat the row above,
+//! 3. `ckpt` — the checkpoint store's rank-file save/load over the same
 //!    buffer (lossless rANS payloads, CRC framing, fsync'd commit), so
 //!    snapshot cost is tracked alongside the gradient hot path.
-//! 5. `pipeline` — the step-5 gather scheduling A/B: compress-then-
+//! 4. `pipeline` — the step-5 gather scheduling A/B: compress-then-
 //!    `allgather_var` vs `pipelined_allgather` (compression of group
 //!    k+1 overlapped with group k's ring hops, streaming per-group
 //!    decode) at 1/2/4 in-process workers, on the imbalanced-ownership
@@ -26,18 +25,18 @@
 //!    group's compression. Serial and pipelined passes are interleaved
 //!    within each rep (ambient host noise hits both sides equally) and
 //!    every rep asserts the two schedules decode bit-identical values.
-//! 6. `powersgd` — the rank-4 low-rank family's stateless encode/decode
+//! 5. `powersgd` — the rank-4 low-rank family's stateless encode/decode
 //!    over the same buffer (cold-start Q, the worst case).
-//! 7. `controller` — ns per adaptive-controller decision over a
+//! 6. `controller` — ns per adaptive-controller decision over a
 //!    scripted signal tape, and that cost as a fraction of the chunked
 //!    compress wall (`overhead_frac`, gated < 1% by bench_check.sh).
-//! 8. `eigen` — `sym_eig` on seeded K-FAC-shaped factors at n = 145 and
+//! 7. `eigen` — `sym_eig` on seeded K-FAC-shaped factors at n = 145 and
 //!    289 (fastest of 5, the two sizes timed back to back) and
 //!    `cliff_289 = t289 / (8·t145)`, the n³-normalised slowdown past the
 //!    point where the solver's two f64 n×n buffers stop fitting L2
 //!    (gated ≤ 2.0 by bench_check.sh; a ratio of neighbouring timings
 //!    survives a noisy host where an absolute ms gate would not).
-//! 9. `covariance` — the factor phase's kernel: `Matrix::gram` (the SYRK
+//! 8. `covariance` — the factor phase's kernel: `Matrix::gram` (the SYRK
 //!    `covariance()` runs) against `t_matmul` of the same matrix with
 //!    itself (what it ran before) on one seeded ReLU-sparse statistics
 //!    matrix at the CNN proxy's conv-factor shape (1152 × 289), fastest
@@ -49,10 +48,8 @@
 //! `COMPSO_BENCH_PIPE_GROUPS` (default 8 groups on the big-owner rank)
 //! and `COMPSO_BENCH_WIRE_MBPS` (default 50 — see the justification at
 //! the call site). The output path is `argv[1]`, defaulting to
-//! `BENCH_compress.json`.
-//!
-//! The chunked-vs-serial speedup target (>=2x) only applies on hosts
-//! with >=4 cores; the JSON records `threads` so readers can judge.
+//! `BENCH_compress.json`. The JSON records `threads` so readers can
+//! judge the `chunked_nthread` row.
 
 use compso_comm::collectives::{allgather_var, pipelined_allgather};
 use compso_comm::fault::FaultPlane;
@@ -61,7 +58,7 @@ use compso_core::baselines::PowerSgd;
 use compso_core::kernels::{compress_chunked, decompress_chunked, KernelConfig, LayerSchedule};
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed};
-use compso_core::{ChunkedCompso, Compressor, Compso, CompsoConfig};
+use compso_core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso_ctrl::{ControlConfig, Controller, Signals};
 use compso_kfac::kfac::covariance;
 use compso_obs::Recorder;
@@ -299,22 +296,7 @@ fn main() {
     let kc = KernelConfig::default();
     let schedule = LayerSchedule::build(&[data.len()], kc.chunk_elems);
 
-    let compso = Compso::new(cfg);
     let off = Recorder::disabled();
-    let serial = measure(reps, bytes, || {
-        let mut rng = Rng::new(11);
-        let t0 = Instant::now();
-        let enc = compso.compress_layers(&[&data], &mut rng, &off);
-        let ct = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let dec = compso
-            .decompress_layers(&enc, &off)
-            .expect("serial roundtrip");
-        let dt = t1.elapsed().as_secs_f64();
-        assert_eq!(dec[0].len(), elems);
-        (ct, dt, enc.len())
-    });
-
     let chunked_at = |threads: Option<usize>| {
         let _guard = threads.map(rayon::scoped_thread_override);
         measure(reps, bytes, || {
@@ -332,7 +314,9 @@ fn main() {
 
     let chunked_1 = chunked_at(Some(1));
     let threads = rayon::current_num_threads().max(1);
-    let chunked_n = chunked_at(None);
+    let chunked_n = (threads > 1).then(|| chunked_at(None));
+    // The production row: the natural worker count where there is one.
+    let chunked = chunked_n.as_ref().unwrap_or(&chunked_1);
 
     // Checkpoint store round-trip: the same buffer as snapshot tensors
     // through the full on-disk path (encode + CRC frame + fsync'd
@@ -413,7 +397,7 @@ fn main() {
             ctl.observe(&sig, &rec);
         }
         let decide_ns = t0.elapsed().as_nanos() as f64 / decide_steps as f64;
-        let step_wall_ns = bytes as f64 / (chunked_n.compress_mbps.max(1e-9) * 1e6) * 1e9;
+        let step_wall_ns = bytes as f64 / (chunked.compress_mbps.max(1e-9) * 1e6) * 1e9;
         format!(
             "{{\"steps\": {decide_steps}, \"decide_ns\": {decide_ns:.1}, \
              \"step_wall_ns\": {step_wall_ns:.0}, \"overhead_frac\": {:.8}}}",
@@ -506,19 +490,16 @@ fn main() {
 
     let json = format!(
         "{{\n  \"elems\": {elems},\n  \"bytes\": {bytes},\n  \"reps\": {reps},\n  \
-         \"threads\": {threads},\n  \"serial\": {},\n  \"chunked_1thread\": {},\n  \
+         \"threads\": {threads},\n  \"chunked_1thread\": {},\n  \
          \"chunked_nthread\": {},\n  \"ckpt\": {},\n  \"powersgd\": {},\n  \
          \"controller\": {controller},\n  \"pipeline\": {pipeline},\n  \
-         \"eigen\": {eigen},\n  \"covariance\": {syrk},\n  \
-         \"speedup_compress_chunked_vs_serial\": {:.2},\n  \
-         \"speedup_decompress_chunked_vs_serial\": {:.2}\n}}\n",
-        serial.json(),
+         \"eigen\": {eigen},\n  \"covariance\": {syrk}\n}}\n",
         chunked_1.json(),
-        chunked_n.json(),
+        chunked_n
+            .as_ref()
+            .map_or("\"n/a\"".to_string(), Sample::json),
         ckpt.json(),
         powersgd.json(),
-        chunked_n.compress_mbps / serial.compress_mbps.max(1e-12),
-        chunked_n.decompress_mbps / serial.decompress_mbps.max(1e-12),
     );
     print!("{json}");
     std::fs::write(&out_path, &json).expect("write snapshot");

@@ -10,7 +10,7 @@
 
 use compso_bench::{f, header, measure_profile, row, spec_gradients, SAMPLE_BUDGET};
 use compso_core::baselines::{CocktailSgd, Qsgd, Sz};
-use compso_core::{Compressor, Compso, CompsoConfig};
+use compso_core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso_dnn::ModelSpec;
 use compso_sim::{comm_speedup_on, IterationModel, Platform};
 
@@ -22,7 +22,7 @@ fn main() {
         ("CocktailSGD", Box::new(CocktailSgd::standard())),
         (
             "COMPSO",
-            Box::new(Compso::new(CompsoConfig::aggressive(4e-3))),
+            Box::new(ChunkedCompso::new(CompsoConfig::aggressive(4e-3))),
         ),
     ];
 

@@ -3,10 +3,12 @@
 //! The paper compares fused CUDA implementations against PyTorch
 //! multi-kernel ones on an A100. The CPU analogues (DESIGN.md §1):
 //! single-threaded single-buffer compressors play the "PyTorch"
-//! role (one pass per tensor op, no intra-buffer parallelism), and the
-//! chunked-parallel kernels of `compso_core::kernels` play the "CUDA"
-//! role — with its fused/staged toggle reproducing the kernel-fusion
-//! ablation. Sizes sweep 1 MB – 128 MB as in the figure.
+//! role (one pass per tensor op, no intra-buffer parallelism) — for
+//! COMPSO, the staged kernels pinned to one thread, unfused and
+//! unparallel — and the chunked-parallel kernels of
+//! `compso_core::kernels` play the "CUDA" role, with the fused/staged
+//! toggle reproducing the kernel-fusion ablation. Sizes sweep
+//! 1 MB – 128 MB as in the figure.
 //!
 //! Paper shape: the parallel fused pipeline dominates the serial
 //! implementations and its own staged variant; CocktailSGD (top-k with
@@ -17,7 +19,7 @@ use compso_bench::{gbps, header, row};
 use compso_core::baselines::{CocktailSgd, Qsgd, Sz};
 use compso_core::kernels::{compress_chunked, KernelConfig, LayerSchedule};
 use compso_core::synthetic::{generate, GradientProfile};
-use compso_core::{Compressor, Compso, CompsoConfig};
+use compso_core::{Compressor, CompsoConfig};
 use compso_obs::Recorder;
 use compso_tensor::Rng;
 use std::time::Instant;
@@ -62,7 +64,7 @@ fn main() {
         "SZ (serial)",
         "QSGD (serial)",
         "CocktailSGD (serial)",
-        "COMPSO (serial)",
+        "COMPSO (1 thread, staged)",
         "COMPSO (parallel, staged)",
         "COMPSO (parallel, fused)",
     ]);
@@ -75,11 +77,10 @@ fn main() {
             gbps(time_compressor(&Sz::new(4e-3), &data, reps)),
             gbps(time_compressor(&Qsgd::bits8(), &data, reps)),
             gbps(time_compressor(&CocktailSgd::standard(), &data, reps)),
-            gbps(time_compressor(
-                &Compso::new(CompsoConfig::aggressive(4e-3)),
-                &data,
-                reps,
-            )),
+            gbps({
+                let _one = rayon::scoped_thread_override(1);
+                time_chunked(&data, false, reps)
+            }),
             gbps(time_chunked(&data, false, reps)),
             gbps(time_chunked(&data, true, reps)),
         ]);

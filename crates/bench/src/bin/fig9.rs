@@ -13,7 +13,7 @@ use compso_bench::{
     f, gpu_profile, header, measure_membw, measure_profile, row, spec_gradients, SAMPLE_BUDGET,
 };
 use compso_core::baselines::{CocktailSgd, Qsgd, Sz};
-use compso_core::{Compressor, Compso, CompsoConfig};
+use compso_core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso_dnn::ModelSpec;
 use compso_sim::{end_to_end_gain_on, AggregationPolicy, IterationModel, Platform};
 
@@ -34,12 +34,12 @@ fn main() {
         ),
         (
             "COMPSO-f",
-            Box::new(Compso::new(CompsoConfig::aggressive(4e-3))),
+            Box::new(ChunkedCompso::new(CompsoConfig::aggressive(4e-3))),
             AggregationPolicy::Fixed(4),
         ),
         (
             "COMPSO-p",
-            Box::new(Compso::new(CompsoConfig::aggressive(4e-3))),
+            Box::new(ChunkedCompso::new(CompsoConfig::aggressive(4e-3))),
             AggregationPolicy::PerformanceModel,
         ),
     ];

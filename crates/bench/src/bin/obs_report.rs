@@ -20,7 +20,7 @@
 use compso_bench::{f, header, row};
 use compso_comm::run_ranks;
 use compso_core::perfmodel::CompressorProfile;
-use compso_core::{Compso, CompsoConfig};
+use compso_core::{ChunkedCompso, CompsoConfig};
 use compso_dnn::loss::softmax_cross_entropy;
 use compso_dnn::{data, models, ModelSpec};
 use compso_kfac::{DistKfac, DistKfacConfig};
@@ -51,7 +51,7 @@ fn main() {
         let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
         opt.set_recorder(rec_ref.clone());
         comm.set_recorder(rec_ref.clone());
-        let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+        let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
 
         let mut reports: Vec<StepReport> = Vec::new();
         let mut prev = Snapshot::default();
@@ -103,9 +103,11 @@ fn main() {
     let snap = rec.snapshot();
     let bytes_in = snap.counter(names::CORE_BYTES_IN) as f64;
     let bytes_out = snap.counter(names::CORE_BYTES_OUT) as f64;
-    let compress_s = snap.timer_seconds(names::CORE_FILTER)
-        + snap.timer_seconds(names::CORE_QUANTIZE)
-        + snap.timer_seconds(names::CORE_ENCODE);
+    let compress_s = snap.timer_seconds(names::CORE_CHUNKED_COMPRESS);
+    assert!(
+        compress_s > 0.0,
+        "the step's compress span (core/chunked_compress) never fired"
+    );
     let decode_bytes = snap.counter(names::CORE_DECODE_BYTES_IN) as f64;
     let decode_s = snap.timer_seconds(names::CORE_DECODE);
     let profile = CompressorProfile {
@@ -114,11 +116,7 @@ fn main() {
         } else {
             1.0
         },
-        compress_tput: if compress_s > 0.0 {
-            bytes_in / compress_s
-        } else {
-            1e9
-        },
+        compress_tput: bytes_in / compress_s,
         decompress_tput: if decode_s > 0.0 {
             decode_bytes / decode_s
         } else {

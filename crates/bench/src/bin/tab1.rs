@@ -14,7 +14,7 @@ use compso_bench::proxy::EfState;
 use compso_bench::{f, header, row};
 use compso_core::adaptive::BoundSchedule;
 use compso_core::baselines::{CocktailSgd, Qsgd, Sz};
-use compso_core::{Compressor, Compso, RoundingMode};
+use compso_core::{ChunkedCompso, Compressor, RoundingMode};
 use compso_dnn::loss::{accuracy, softmax_cross_entropy};
 use compso_dnn::{data, models};
 use compso_tensor::{Matrix, Rng};
@@ -144,7 +144,7 @@ fn main() {
             Box::new(|step| {
                 // 400 total iterations in four stages, 4E-3 -> 2E-3.
                 let sched = BoundSchedule::smooth_paper(400, 4);
-                Some(Box::new(Compso::new(
+                Some(Box::new(ChunkedCompso::new(
                     sched.strategy_at(step).to_config(RoundingMode::Stochastic),
                 )) as Box<dyn Compressor>)
             }),

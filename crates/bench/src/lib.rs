@@ -163,7 +163,7 @@ pub fn gbps(bytes_per_sec: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use compso_core::{Compso, CompsoConfig, NoCompression};
+    use compso_core::{ChunkedCompso, CompsoConfig, NoCompression};
 
     #[test]
     fn spec_gradients_respect_budget_and_shape() {
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn measure_profile_compso_beats_ten_x() {
         let layers = spec_gradients(&ModelSpec::resnet50(), 1 << 20, 4);
-        let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+        let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
         let p = measure_profile(&compso, &layers, 5);
         assert!(p.ratio > 10.0, "ratio {}", p.ratio);
     }

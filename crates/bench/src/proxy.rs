@@ -9,7 +9,7 @@
 //! preserves the optimizer/compressor interaction the paper measures.
 
 use compso_core::adaptive::BoundSchedule;
-use compso_core::{Compressor, Compso, RoundingMode};
+use compso_core::{ChunkedCompso, Compressor, RoundingMode};
 use compso_dnn::loss::{accuracy, softmax_cross_entropy};
 use compso_dnn::{data, models, Sequential};
 use compso_kfac::schedule::LrSchedule;
@@ -221,7 +221,7 @@ pub fn run(config: &ProxyConfig, method: &Method) -> ProxyRun {
         let compressor: Option<Box<dyn Compressor>> = match method {
             Method::None => None,
             Method::Fixed(_) | Method::FixedEf(_) => None, // borrowed below
-            Method::Adaptive(sched) => Some(Box::new(Compso::new(
+            Method::Adaptive(sched) => Some(Box::new(ChunkedCompso::new(
                 sched.strategy_at(step).to_config(RoundingMode::Stochastic),
             ))),
         };
@@ -340,7 +340,7 @@ mod tests {
         );
         let always_aggressive = run(
             &cfg,
-            &Method::Fixed(Box::new(Compso::new(CompsoConfig::aggressive(4e-2)))),
+            &Method::Fixed(Box::new(ChunkedCompso::new(CompsoConfig::aggressive(4e-2)))),
         );
         assert!(
             adaptive.final_accuracy >= always_aggressive.final_accuracy - 0.02,

@@ -10,7 +10,7 @@
 //!   0 is aggressive, later stages decay both bounds by `α` per stage and
 //!   drop the filter.
 
-use crate::pipeline::CompsoConfig;
+use crate::kernels::CompsoConfig;
 use crate::rounding::RoundingMode;
 
 /// Which learning-rate schedule the training run uses.

@@ -146,7 +146,7 @@ impl Compressor for CocktailSgd {
         "CocktailSGD"
     }
 
-    /// Layer-parallel ([`super::compress_layers`]): each layer samples its
+    /// Layer-parallel ([`super::compress_per_layer`]): each layer samples its
     /// threshold from its own forked generator.
     fn compress_group_keyed(
         &self,
@@ -155,7 +155,7 @@ impl Compressor for CocktailSgd {
         rng: &mut Rng,
         _rec: &Recorder,
     ) -> Vec<u8> {
-        super::compress_layers(layers, rng, |layer, rng| self.encode(layer, rng))
+        super::compress_per_layer(layers, rng, |layer, rng| self.encode(layer, rng))
     }
 
     fn decompress_group(
@@ -163,7 +163,7 @@ impl Compressor for CocktailSgd {
         bytes: &[u8],
         _rec: &Recorder,
     ) -> Result<Vec<Vec<f32>>, CompressError> {
-        super::decompress_layers(bytes, Self::decode)
+        super::decompress_per_layer(bytes, Self::decode)
     }
 }
 

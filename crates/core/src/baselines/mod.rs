@@ -42,7 +42,7 @@ pub use topk::TopK;
 /// generator advances exactly once and layer `i` encodes on its own rayon
 /// worker with the fork `base.fork(i)`, so the bytes never depend on
 /// which worker ran first; the blocks go under the shared framing.
-fn compress_layers<F>(layers: &[(u64, &[f32])], rng: &mut Rng, encode: F) -> Vec<u8>
+fn compress_per_layer<F>(layers: &[(u64, &[f32])], rng: &mut Rng, encode: F) -> Vec<u8>
 where
     F: Fn(&[f32], &mut Rng) -> Vec<u8> + Sync,
 {
@@ -55,8 +55,8 @@ where
     frame_group(&blocks)
 }
 
-/// Inverse of [`compress_layers`]: the blocks decode on rayon workers.
-fn decompress_layers(
+/// Inverse of [`compress_per_layer`]: the blocks decode on rayon workers.
+fn decompress_per_layer(
     bytes: &[u8],
     decode: fn(&[u8]) -> Result<Vec<f32>, CompressError>,
 ) -> Result<Vec<Vec<f32>>, CompressError> {

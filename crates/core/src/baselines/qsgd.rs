@@ -209,7 +209,7 @@ impl Compressor for Qsgd {
         }
     }
 
-    /// Layer-parallel ([`super::compress_layers`]); QSGD has no use for
+    /// Layer-parallel ([`super::compress_per_layer`]); QSGD has no use for
     /// keys or a chunk schedule (its unit of work is the whole layer).
     fn compress_group_keyed(
         &self,
@@ -218,7 +218,7 @@ impl Compressor for Qsgd {
         rng: &mut Rng,
         _rec: &Recorder,
     ) -> Vec<u8> {
-        super::compress_layers(layers, rng, |layer, rng| self.encode(layer, rng))
+        super::compress_per_layer(layers, rng, |layer, rng| self.encode(layer, rng))
     }
 
     fn decompress_group(
@@ -226,7 +226,7 @@ impl Compressor for Qsgd {
         bytes: &[u8],
         _rec: &Recorder,
     ) -> Result<Vec<Vec<f32>>, CompressError> {
-        super::decompress_layers(bytes, Self::decode)
+        super::decompress_per_layer(bytes, Self::decode)
     }
 }
 

@@ -163,7 +163,7 @@ impl Compressor for Sz {
         "SZ"
     }
 
-    /// Layer-parallel ([`super::compress_layers`]): SZ's predictor is per
+    /// Layer-parallel ([`super::compress_per_layer`]): SZ's predictor is per
     /// layer (the first value always predicts from 0) and deterministic,
     /// so the per-layer generators go unused.
     fn compress_group_keyed(
@@ -173,7 +173,7 @@ impl Compressor for Sz {
         rng: &mut Rng,
         _rec: &Recorder,
     ) -> Vec<u8> {
-        super::compress_layers(layers, rng, |layer, _| self.encode(layer))
+        super::compress_per_layer(layers, rng, |layer, _| self.encode(layer))
     }
 
     fn decompress_group(
@@ -181,7 +181,7 @@ impl Compressor for Sz {
         bytes: &[u8],
         _rec: &Recorder,
     ) -> Result<Vec<Vec<f32>>, CompressError> {
-        super::decompress_layers(bytes, Self::decode)
+        super::decompress_per_layer(bytes, Self::decode)
     }
 }
 

@@ -103,7 +103,7 @@ impl Compressor for TopK {
         "TopK"
     }
 
-    /// Layer-parallel ([`super::compress_layers`]): selection is per
+    /// Layer-parallel ([`super::compress_per_layer`]): selection is per
     /// layer and deterministic, so the per-layer generators go unused.
     fn compress_group_keyed(
         &self,
@@ -112,7 +112,7 @@ impl Compressor for TopK {
         rng: &mut Rng,
         _rec: &Recorder,
     ) -> Vec<u8> {
-        super::compress_layers(layers, rng, |layer, _| self.encode(layer))
+        super::compress_per_layer(layers, rng, |layer, _| self.encode(layer))
     }
 
     fn decompress_group(
@@ -120,7 +120,7 @@ impl Compressor for TopK {
         bytes: &[u8],
         _rec: &Recorder,
     ) -> Result<Vec<Vec<f32>>, CompressError> {
-        super::decompress_layers(bytes, Self::decode)
+        super::decompress_per_layer(bytes, Self::decode)
     }
 }
 

@@ -117,7 +117,7 @@ impl Codec {
     /// whose reciprocal-multiply division and independent dependency
     /// chains lift single-core throughput. The output stays
     /// self-describing — [`Codec::decode`] reads both layouts via the
-    /// mode byte — so only encode call sites opt in; the serial pipeline
+    /// mode byte — so only encode call sites opt in; [`Codec::encode`]
     /// keeps the single-lane encoder as the scalar oracle.
     pub fn encode_fast(self, input: &[u8]) -> Vec<u8> {
         match self {

@@ -206,9 +206,9 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
 /// instead of serializing on one state, and the divide is a
 /// multiply-by-reciprocal ([`Recip`]). Decoding is self-describing via
 /// the mode byte, so [`decode`] reads both layouts; the single-lane
-/// [`encode`] is retained as the scalar oracle (the serial pipeline
-/// still uses it, and `interleaved_and_serial_agree_on_content` pins the
-/// decoded bytes against it).
+/// [`encode`] is retained as the scalar oracle
+/// (`interleaved_and_serial_agree_on_content` pins the decoded bytes
+/// against it).
 pub fn encode_interleaved(input: &[u8]) -> Vec<u8> {
     let stored = |input: &[u8]| {
         let mut w = Writer::with_capacity(input.len() + 16);

@@ -17,14 +17,9 @@ use compso_tensor::{Matrix, Rng};
 /// # Panics
 /// If the matrix is not square.
 pub fn compress_symmetric(m: &Matrix, compressor: &dyn Compressor, rng: &mut Rng) -> Vec<u8> {
-    assert_eq!(m.rows(), m.cols(), "factor matrices are square");
     let n = m.rows();
     let mut triangle = Vec::with_capacity(n * (n + 1) / 2);
-    for i in 0..n {
-        for j in i..n {
-            triangle.push(m.get(i, j));
-        }
-    }
+    m.pack_upper(&mut triangle);
     let compressed = compressor.compress(&triangle, rng);
     let mut w = Writer::with_capacity(compressed.len() + 16);
     w.u64(n as u64);
@@ -44,21 +39,14 @@ pub fn decompress_symmetric(
         return Err(CompressError::Corrupt("triangle length"));
     }
     let mut m = Matrix::zeros(n, n);
-    let mut k = 0usize;
-    for i in 0..n {
-        for j in i..n {
-            m.set(i, j, triangle[k]);
-            m.set(j, i, triangle[k]);
-            k += 1;
-        }
-    }
+    m.unpack_upper(&triangle);
     Ok(m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Compso, CompsoConfig};
+    use crate::kernels::{ChunkedCompso, CompsoConfig};
     use crate::traits::NoCompression;
 
     fn random_factor(n: usize, seed: u64) -> Matrix {
@@ -91,7 +79,7 @@ mod tests {
     #[test]
     fn lossy_roundtrip_preserves_symmetry_and_bound() {
         let f = random_factor(48, 5);
-        let compso = Compso::new(CompsoConfig::conservative(1e-3));
+        let compso = ChunkedCompso::new(CompsoConfig::conservative(1e-3));
         let mut rng = Rng::new(6);
         let bytes = compress_symmetric(&f, &compso, &mut rng);
         let back = decompress_symmetric(&bytes, &compso).unwrap();
@@ -115,7 +103,7 @@ mod tests {
         // The downstream use: damped inversion of the decompressed factor
         // must stay close to the original's.
         let f = random_factor(24, 7);
-        let compso = Compso::new(CompsoConfig::conservative(1e-4));
+        let compso = ChunkedCompso::new(CompsoConfig::conservative(1e-4));
         let mut rng = Rng::new(8);
         let back =
             decompress_symmetric(&compress_symmetric(&f, &compso, &mut rng), &compso).unwrap();

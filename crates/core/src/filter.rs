@@ -44,29 +44,6 @@ pub fn filter(data: &[f32], eb_f: f32) -> Filtered {
     Filtered { bitmap, kept }
 }
 
-/// Inverse of [`filter`]: scatters `kept` back to the positions whose bits
-/// are clear, zero-filling dropped positions.
-///
-/// # Panics
-/// If `kept.len()` disagrees with the bitmap's zero count — a corrupt
-/// stream should have been caught by wire validation before reaching here.
-pub fn unfilter(bitmap: &Bitmap, kept: &[f32]) -> Vec<f32> {
-    assert_eq!(
-        kept.len(),
-        bitmap.count_zeros(),
-        "kept-value count does not match bitmap"
-    );
-    let mut out = vec![0.0f32; bitmap.len()];
-    let mut next = 0usize;
-    for (i, slot) in out.iter_mut().enumerate() {
-        if !bitmap.get(i) {
-            *slot = kept[next];
-            next += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,33 +60,25 @@ mod tests {
         assert!(!f.bitmap.get(0) && !f.bitmap.get(2) && !f.bitmap.get(4));
     }
 
-    #[test]
-    fn roundtrip_restores_kept_and_zeros_dropped() {
-        let mut rng = Rng::new(1);
-        let mut data = vec![0.0f32; 5000];
-        rng.fill_normal(&mut data);
-        let eb = 0.5;
-        let f = filter(&data, eb);
-        let back = unfilter(&f.bitmap, &f.kept);
-        for (&x, &y) in data.iter().zip(&back) {
-            if x.abs() < eb {
-                assert_eq!(y, 0.0);
-            } else {
-                assert_eq!(y, x);
-            }
+    /// Bit `i` is set exactly when `|data[i]| < eb` — so rebuilding a
+    /// dropped element as 0.0 errs by less than `eb` — and `kept` holds
+    /// every other element, bit-exact and in order.
+    fn assert_split(data: &[f32], eb: f32, f: &Filtered) {
+        assert_eq!(f.bitmap.len(), data.len());
+        for (i, &x) in data.iter().enumerate() {
+            assert_eq!(f.bitmap.get(i), x.abs() < eb, "i={i} x={x}");
         }
+        let survivors: Vec<f32> = data.iter().copied().filter(|x| x.abs() >= eb).collect();
+        assert_eq!(f.kept, survivors);
     }
 
     #[test]
-    fn filter_error_is_bounded() {
-        let mut rng = Rng::new(2);
-        let mut data = vec![0.0f32; 10_000];
-        rng.fill_normal(&mut data);
-        let eb = 0.3;
-        let f = filter(&data, eb);
-        let back = unfilter(&f.bitmap, &f.kept);
-        for (&x, &y) in data.iter().zip(&back) {
-            assert!((x - y).abs() < eb, "{x} -> {y}");
+    fn split_keeps_survivors_exactly_and_drops_only_below_the_bound() {
+        for (seed, n, eb) in [(1, 5000, 0.5), (2, 10_000, 0.3)] {
+            let mut rng = Rng::new(seed);
+            let mut data = vec![0.0f32; n];
+            rng.fill_normal(&mut data);
+            assert_split(&data, eb, &filter(&data, eb));
         }
     }
 
@@ -145,32 +114,16 @@ mod tests {
         let f = filter(&[], 0.1);
         assert!(f.kept.is_empty());
         assert_eq!(f.drop_ratio(), 0.0);
-        assert!(unfilter(&f.bitmap, &f.kept).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "kept-value count")]
-    fn mismatched_kept_count_panics() {
-        let f = filter(&[1.0f32, 2.0], 0.5);
-        unfilter(&f.bitmap, &[1.0]);
+        assert!(f.bitmap.is_empty());
     }
 
     proptest! {
         #[test]
-        fn prop_roundtrip_semantics(
+        fn prop_split_semantics(
             data in proptest::collection::vec(-2.0f32..2.0, 0..400),
             eb in 0.0f32..1.0,
         ) {
-            let f = filter(&data, eb);
-            let back = unfilter(&f.bitmap, &f.kept);
-            prop_assert_eq!(back.len(), data.len());
-            for (&x, &y) in data.iter().zip(&back) {
-                if x.abs() < eb {
-                    prop_assert_eq!(y, 0.0);
-                } else {
-                    prop_assert_eq!(y, x);
-                }
-            }
+            assert_split(&data, eb, &filter(&data, eb));
         }
 
         #[test]

@@ -18,9 +18,10 @@
 //! trait so `DistKfac` can drive them as the production compression path.
 
 use crate::bitpack::bits_for;
+use crate::encoders::Codec;
 use crate::microkernel;
-use crate::pipeline::CompsoConfig;
 use crate::quantize::{ErrorBound, Quantized, Quantizer};
+use crate::rounding::RoundingMode;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
 use compso_obs::{names, Recorder};
@@ -28,8 +29,7 @@ use compso_tensor::reduce::{minmax_flat, minmax_hierarchical, MinMax};
 use compso_tensor::rng::Rng;
 use rayon::prelude::*;
 
-/// Magic byte of the chunked-parallel wire format (distinct from the
-/// serial pipeline's v1 magic; registered as
+/// Magic byte of the chunked-parallel wire format (registered as
 /// [`crate::wire::magic::MAGIC_STREAM_V2`]).
 pub const MAGIC_CHUNKED: u8 = crate::wire::magic::MAGIC_STREAM_V2;
 
@@ -42,6 +42,62 @@ pub const CHUNKED_VERSION: u8 = 2;
 
 /// Byte-block granularity of the parallel entropy-coding stage.
 pub const CODEC_BLOCK: usize = 256 * 1024;
+
+/// One COMPSO compression strategy.
+#[derive(Clone, Copy, Debug)]
+pub struct CompsoConfig {
+    /// Filter bound, relative to the layer's value range. `None` disables
+    /// the filter branch (the "conservative, SR-only" mode of §5.1).
+    pub eb_filter: Option<f32>,
+    /// Quantizer bound, relative to the surviving values' range.
+    pub eb_quant: f32,
+    /// Rounding rule for the quantizer (SR for COMPSO proper; RN and P0.5
+    /// exist for the §4.2 ablation).
+    pub mode: RoundingMode,
+    /// Lossless encoder applied to the bitmap and the packed codes.
+    pub codec: Codec,
+}
+
+impl CompsoConfig {
+    /// The paper's aggressive strategy: filter + SR at a loose bound
+    /// (4E-3 in the ResNet-50/Mask R-CNN experiments).
+    pub fn aggressive(eb: f32) -> Self {
+        CompsoConfig {
+            eb_filter: Some(eb),
+            eb_quant: eb,
+            mode: RoundingMode::Stochastic,
+            codec: Codec::Ans,
+        }
+    }
+
+    /// The paper's conservative strategy: SR only, no filtering.
+    pub fn conservative(eb: f32) -> Self {
+        CompsoConfig {
+            eb_filter: None,
+            eb_quant: eb,
+            mode: RoundingMode::Stochastic,
+            codec: Codec::Ans,
+        }
+    }
+
+    /// Replaces the lossless codec (encoder selection, §4.4).
+    pub fn with_codec(mut self, codec: Codec) -> Self {
+        self.codec = codec;
+        self
+    }
+
+    /// Replaces the rounding mode (§4.2 ablations).
+    pub fn with_mode(mut self, mode: RoundingMode) -> Self {
+        self.mode = mode;
+        self
+    }
+}
+
+impl Default for CompsoConfig {
+    fn default() -> Self {
+        CompsoConfig::aggressive(4e-3)
+    }
+}
 
 /// Kernel structure knobs (the §4.5 ablation axes).
 #[derive(Clone, Copy, Debug)]
@@ -326,15 +382,13 @@ fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mu
 /// Compresses multiple layers with the chunked-parallel kernels.
 ///
 /// The output is the self-describing v2 chunked format (see
-/// [`CHUNKED_VERSION`]), distinct from [`crate::pipeline::Compso`]'s
-/// serial format; decode with [`decompress_chunked`]. The result is
+/// [`CHUNKED_VERSION`]); decode with [`decompress_chunked`]. The result is
 /// deterministic for a fixed `rng` seed regardless of thread count: each
 /// chunk forks its own RNG stream by chunk index.
 ///
 /// The whole kernel sweep is timed under `rec`'s `core/chunked_compress`
-/// span and in/out traffic counted in the same `core/bytes_in` /
-/// `core/bytes_out` counters the serial pipeline uses, so live
-/// compression-ratio dashboards see both paths uniformly.
+/// span and in/out traffic counted in `core/bytes_in` / `core/bytes_out`,
+/// whose running quotient is the live compression ratio.
 pub fn compress_chunked(
     layers: &[&[f32]],
     cfg: &CompsoConfig,
@@ -666,9 +720,8 @@ thread_local! {
         std::cell::RefCell::new(DecodeScratch::default());
 }
 
-/// Inverse of [`compress_chunked`], timed under the same `core/decode`
-/// span and `core/decode_bytes_in` counter as the serial pipeline's
-/// decode.
+/// Inverse of [`compress_chunked`], timed under the `core/decode` span
+/// with incoming wire bytes counted in `core/decode_bytes_in`.
 ///
 /// The v2 offset index turns decode into a chunk-parallel scatter: every
 /// chunk's records are located by direct byte offset, decoded on rayon
@@ -815,8 +868,8 @@ fn decompress_chunked_scratch(
     Ok(out)
 }
 
-/// The chunked-parallel COMPSO compressor: the same strategy knobs as
-/// [`Compso`] (`CompsoConfig`) executed by the §4.5 kernels.
+/// The COMPSO compressor: one strategy ([`CompsoConfig`]) executed by the
+/// §4.5 kernels at [`KernelConfig::default`].
 ///
 /// Single-buffer [`Compressor::compress`] calls tile the buffer with a
 /// throwaway one-layer [`LayerSchedule`]; the production hot path is
@@ -825,58 +878,28 @@ fn decompress_chunked_scratch(
 /// every iteration. Output bytes are identical either way for matching layer
 /// shapes, and deterministic at any thread count.
 ///
-/// [`Compso`]: crate::pipeline::Compso
+/// The chunk tile is computed, not configured: the §4.4 overhead model's
+/// choice ([`crate::perfmodel::choose_chunk_elems`]) for the group's
+/// total element count, floored at the default tile. It is a pure
+/// function of the element count — never of live thread counts — so
+/// replicas stay bit-identical, and it *equals* the default tile for
+/// groups up to `chunk_elems × MODELED_PARALLEL_WIDTH` (1 Mi) elements.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChunkedCompso {
-    /// The active compression strategy (shared with the serial pipeline).
+    /// The active compression strategy.
     pub config: CompsoConfig,
-    /// Kernel structure knobs (chunk size, fused/staged, extrema path).
-    pub kernel: KernelConfig,
-    /// Scale the chunk tile with the workload via the §4.4 overhead
-    /// model ([`crate::perfmodel::choose_chunk_elems`]) instead of
-    /// always using the fixed `kernel.chunk_elems`.
-    pub adaptive_chunking: bool,
 }
 
 impl ChunkedCompso {
-    /// Creates a chunked compressor with the given strategy and default
-    /// kernel structure.
+    /// Creates a compressor with the given strategy.
     pub fn new(config: CompsoConfig) -> Self {
-        ChunkedCompso {
-            config,
-            kernel: KernelConfig::default(),
-            adaptive_chunking: false,
-        }
+        ChunkedCompso { config }
     }
+}
 
-    /// Replaces the kernel configuration.
-    pub fn with_kernel(mut self, kernel: KernelConfig) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Enables workload-adaptive chunk sizing: schedules are built with
-    /// the §4.4 model's choice for the group's total element count
-    /// (floored at the fixed `kernel.chunk_elems`) instead of the fixed
-    /// default. The choice is a pure function of the element count —
-    /// never of live thread counts — so replicas stay bit-identical;
-    /// for workloads under `chunk_elems × MODELED_PARALLEL_WIDTH`
-    /// elements it *equals* the fixed default, making adaptive and
-    /// fixed chunking byte-identical on typical training layers.
-    pub fn with_adaptive_chunking(mut self) -> Self {
-        self.adaptive_chunking = true;
-        self
-    }
-
-    /// The chunk tile for a workload of `total_elems` (the fixed
-    /// default, or the §4.4 model choice with adaptive chunking on).
-    fn chunk_choice(&self, total_elems: usize) -> usize {
-        if self.adaptive_chunking {
-            crate::perfmodel::choose_chunk_elems(total_elems, self.kernel.chunk_elems)
-        } else {
-            self.kernel.chunk_elems
-        }
-    }
+/// The chunk tile for a group of `total_elems` elements.
+fn chunk_choice(total_elems: usize) -> usize {
+    crate::perfmodel::choose_chunk_elems(total_elems, KernelConfig::default().chunk_elems)
 }
 
 impl Compressor for ChunkedCompso {
@@ -896,12 +919,13 @@ impl Compressor for ChunkedCompso {
         // repeated calls never reuse randomness while chunk workers still
         // fork deterministic per-chunk streams from the base.
         let base = Rng::new(rng.next_u64());
+        let kc = KernelConfig::default();
         match schedule {
-            Some(s) => compress_chunked(&layers, &self.config, &self.kernel, s, &base, rec),
+            Some(s) => compress_chunked(&layers, &self.config, &kc, s, &base, rec),
             None => {
                 let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
-                let s = LayerSchedule::build(&sizes, self.chunk_choice(sizes.iter().sum()));
-                compress_chunked(&layers, &self.config, &self.kernel, &s, &base, rec)
+                let s = LayerSchedule::build(&sizes, chunk_choice(sizes.iter().sum()));
+                compress_chunked(&layers, &self.config, &kc, &s, &base, rec)
             }
         }
     }
@@ -915,14 +939,13 @@ impl Compressor for ChunkedCompso {
     }
 
     fn chunk_elems_for(&self, total_elems: usize) -> Option<usize> {
-        Some(self.chunk_choice(total_elems))
+        Some(chunk_choice(total_elems))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rounding::RoundingMode;
     use crate::synthetic::{generate_layers, GradientProfile};
 
     /// [`compress_chunked`] with recording off.
@@ -1000,8 +1023,10 @@ mod tests {
     #[test]
     fn fused_and_staged_produce_identical_bytes() {
         // Same RNG forking discipline -> bit-identical outputs, so the
-        // ablation is purely about kernel structure.
-        let layers = layers_fixture(3);
+        // ablation is purely about kernel structure. The last layer's
+        // range is subnormal, so `eb × range` underflows in both.
+        let mut layers = layers_fixture(3);
+        layers.push(vec![0.0, 1e-44, 4e-45]);
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let cfg = CompsoConfig::aggressive(4e-3);
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
@@ -1043,6 +1068,7 @@ mod tests {
             vec![0.25f32; 513], // constant: degenerate zero-span range
             vec![],
             vec![1.0, -1.0, 0.0, -0.0, f32::MIN_POSITIVE],
+            vec![0.0, 1e-44, 4e-45], // subnormal span: eb × range underflows
         ];
         for data in &datasets {
             let range = minmax_flat(data);
@@ -1250,6 +1276,15 @@ mod tests {
                 assert!((x - y).abs() <= 2e-3 * range * 1.01 + 1e-7);
             }
         }
+        // Through the trait: no filter, so no large value is ever zeroed —
+        // every element reconstructs within the quantizer bound.
+        let data = crate::synthetic::generate(10_000, 3, GradientProfile::kfac());
+        let c = ChunkedCompso::new(CompsoConfig::conservative(4e-3));
+        let back = c.decompress(&c.compress(&data, &mut Rng::new(4))).unwrap();
+        let mm = minmax_flat(&data);
+        for (&x, &y) in data.iter().zip(&back) {
+            assert!((x - y).abs() <= 4e-3 * (mm.max - mm.min) + 1e-6);
+        }
     }
 
     #[test]
@@ -1331,19 +1366,27 @@ mod tests {
     #[test]
     fn chunked_compso_roundtrips_via_compressor_trait() {
         let data = crate::synthetic::generate(60_000, 17, GradientProfile::kfac());
-        let c = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
         let mut rng = Rng::new(18);
-        let bytes = c.compress(&data, &mut rng);
-        let back = c.decompress(&bytes).unwrap();
-        assert_eq!(back.len(), data.len());
         let mm = minmax_flat(&data);
         let range = mm.max - mm.min;
-        for (&x, &y) in data.iter().zip(&back) {
-            if y == 0.0 {
-                assert!(x.abs() <= 4e-3 * range * 1.001 + 1e-7);
-            } else {
-                assert!((x - y).abs() <= 4e-3 * range * 1.01 + 1e-7);
+        // Every lossless codec carries the same error contract.
+        for codec in Codec::all() {
+            let c = ChunkedCompso::new(CompsoConfig::aggressive(4e-3).with_codec(codec));
+            let bytes = c.compress(&data, &mut rng);
+            let back = c.decompress(&bytes).unwrap();
+            assert_eq!(back.len(), data.len(), "{}", codec.name());
+            for (&x, &y) in data.iter().zip(&back) {
+                if y == 0.0 {
+                    assert!(x.abs() <= 4e-3 * range * 1.001 + 1e-7);
+                } else {
+                    assert!((x - y).abs() <= 4e-3 * range * 1.01 + 1e-7);
+                }
             }
+        }
+        let c = ChunkedCompso::default();
+        for data in [vec![], vec![0.0f32; 100], vec![7.5f32; 64]] {
+            let back = c.decompress(&c.compress(&data, &mut rng)).unwrap();
+            assert_eq!(back, data, "degenerate inputs are exact");
         }
         // Ratio plumbing works through the trait too.
         let ratio = c.ratio(&data, &mut rng);
@@ -1360,7 +1403,7 @@ mod tests {
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let c = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
-        let schedule = LayerSchedule::build(&sizes, c.kernel.chunk_elems);
+        let schedule = LayerSchedule::build(&sizes, KernelConfig::default().chunk_elems);
         let rec = Recorder::disabled();
         // Same RNG state, with vs. without a caller-provided schedule:
         // identical bytes (the schedule is a pure cache).
@@ -1524,74 +1567,82 @@ mod tests {
         );
     }
 
-    /// §4.4 satellite pin: below the `floor × MODELED_PARALLEL_WIDTH`
-    /// threshold the adaptive choice *equals* the fixed default, so
-    /// enabling adaptive chunking changes nothing — byte-identical
-    /// streams from the same RNG seed. Training-regime layer groups in
-    /// this repo sit well under the default threshold (16Ki × 64 = 1Mi
-    /// elements), which is what keeps the distributed trajectories
-    /// bit-identical when the flag is flipped.
+    /// Above 1 Mi elements the computed tile grows (a pure function of
+    /// the element count), and the output matches the free kernels run on
+    /// a schedule of that exact tile — the model only *selects* the chunk
+    /// size, the kernels stay the same.
     #[test]
-    fn adaptive_chunking_is_bit_identical_to_fixed_below_threshold() {
-        let fixed = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
-        let adaptive = ChunkedCompso::new(CompsoConfig::aggressive(4e-3)).with_adaptive_chunking();
-        // Single-buffer path.
-        let data = crate::synthetic::generate(60_000, 23, GradientProfile::kfac());
+    fn computed_tile_scales_and_matches_explicit_schedule() {
+        let c = ChunkedCompso::default();
+        let floor = KernelConfig::default().chunk_elems;
+        let data = crate::synthetic::generate((1 << 20) + 5000, 25, GradientProfile::kfac());
+        let choice = c.chunk_elems_for(data.len()).unwrap();
         assert_eq!(
-            adaptive.chunk_elems_for(data.len()),
-            fixed.chunk_elems_for(data.len()),
-            "60k elems is far below the 1Mi adaptive threshold"
+            choice,
+            crate::perfmodel::choose_chunk_elems(data.len(), floor)
         );
-        let mut rng_f = Rng::new(31);
-        let mut rng_a = Rng::new(31);
-        assert_eq!(
-            fixed.compress(&data, &mut rng_f),
-            adaptive.compress(&data, &mut rng_a)
+        assert_eq!(choice, 2 * floor, "just past the 1 Mi threshold");
+        let mut rng = Rng::new(33);
+        let bytes = c.compress(&data, &mut rng);
+        let explicit = compress_quiet(
+            &[&data],
+            &c.config,
+            &KernelConfig::default(),
+            &LayerSchedule::build(&[data.len()], choice),
+            &Rng::new(Rng::new(33).next_u64()),
         );
-        // Grouped path, with and without a caller-cached schedule.
-        let layers = layers_fixture(24);
-        let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
-        let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
-        let total: usize = sizes.iter().sum();
-        let schedule = LayerSchedule::build(&sizes, adaptive.chunk_elems_for(total).unwrap());
-        let rec = Recorder::disabled();
-        let mut rng_f = Rng::new(32);
-        let mut rng_a = Rng::new(32);
-        let bytes_fixed = fixed.compress_group(&refs, None, &mut rng_f, &rec);
-        let bytes_adaptive = adaptive.compress_group(&refs, Some(&schedule), &mut rng_a, &rec);
-        assert_eq!(bytes_fixed, bytes_adaptive);
+        assert_eq!(bytes, explicit);
+        assert_eq!(c.decompress(&bytes).unwrap().len(), data.len());
     }
 
-    /// Above the threshold the adaptive tile grows (a pure function of
-    /// the element count), and the output matches a fixed compressor
-    /// configured with that exact tile — the model only *selects* the
-    /// chunk size, the kernels stay the same.
+    /// §4.4's aggregation trade through the trait: one stream (one header,
+    /// one frequency table) over many small layers beats per-layer fixed
+    /// costs, and on large layers with shifted per-layer code
+    /// distributions the shared entropy table costs a bounded ratio.
     #[test]
-    fn adaptive_chunking_scales_and_matches_explicit_tile() {
-        // Shrink the floor so the threshold (64 × 64 = 4096 elems) is
-        // cheap to cross in a unit test.
-        let small = KernelConfig {
-            chunk_elems: 64,
-            ..KernelConfig::default()
+    fn aggregation_amortizes_headers_on_small_layers() {
+        let c = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+        let rec = Recorder::disabled();
+        let sizes = |n: usize, count: u64| -> (usize, usize) {
+            let layers: Vec<Vec<f32>> = (0..count)
+                .map(|i| crate::synthetic::generate(n, 20 + i, GradientProfile::kfac()))
+                .collect();
+            let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
+            let mut rng = Rng::new(30);
+            let together = c.compress_group(&refs, None, &mut rng, &rec).len();
+            let separate = refs
+                .iter()
+                .map(|l| c.compress_group(&[l], None, &mut rng, &rec).len())
+                .sum();
+            (together, separate)
         };
-        let adaptive = ChunkedCompso::new(CompsoConfig::aggressive(4e-3))
-            .with_kernel(small)
-            .with_adaptive_chunking();
-        let data = crate::synthetic::generate(5_000, 25, GradientProfile::kfac());
-        let choice = adaptive.chunk_elems_for(data.len()).unwrap();
-        assert_eq!(choice, crate::perfmodel::choose_chunk_elems(data.len(), 64));
-        assert!(choice > 64, "5000 elems crosses the 4096 threshold");
-        assert!(choice.is_power_of_two());
-        let explicit =
-            ChunkedCompso::new(CompsoConfig::aggressive(4e-3)).with_kernel(KernelConfig {
-                chunk_elems: choice,
-                ..KernelConfig::default()
-            });
-        let mut rng_a = Rng::new(33);
-        let mut rng_e = Rng::new(33);
-        let bytes = adaptive.compress(&data, &mut rng_a);
-        assert_eq!(bytes, explicit.compress(&data, &mut rng_e));
-        let back = adaptive.decompress(&bytes).unwrap();
-        assert_eq!(back.len(), data.len());
+        let (together, separate) = sizes(400, 64);
+        assert!(
+            together < separate,
+            "together {together} separate {separate}"
+        );
+        let (together, separate) = sizes(20_000, 8);
+        assert!(
+            (together as f64) < separate as f64 * 1.5,
+            "together {together} separate {separate}"
+        );
+    }
+
+    #[test]
+    fn smaller_eb_means_lower_ratio_higher_fidelity() {
+        let ratio = |cfg: CompsoConfig, data: &[f32]| {
+            ChunkedCompso::new(cfg).ratio(data, &mut Rng::new(65))
+        };
+        let data = crate::synthetic::generate(100_000, 64, GradientProfile::kfac());
+        let loose = ratio(CompsoConfig::aggressive(1e-1), &data);
+        let tight = ratio(CompsoConfig::aggressive(4e-3), &data);
+        assert!(loose > tight, "loose {loose} tight {tight}");
+        // The filter is what buys the ratio over SR alone.
+        let sr_only = ratio(CompsoConfig::conservative(4e-3), &data);
+        assert!(tight > sr_only, "filter {tight} vs sr-only {sr_only}");
+        // The headline claim: >10x on K-FAC-gradient-like data.
+        let data = crate::synthetic::generate(200_000, 5, GradientProfile::kfac());
+        let headline = ratio(CompsoConfig::aggressive(4e-3), &data);
+        assert!(headline > 10.0, "ratio {headline}");
     }
 }

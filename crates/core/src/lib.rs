@@ -22,13 +22,13 @@
 //! * [`encoders`] — eight from-scratch lossless codecs mirroring the
 //!   nvCOMP families of Table 2 (ANS, Bitcomp, Cascaded, Deflate,
 //!   Gdeflate, LZ4, Snappy, Zstd);
-//! * [`pipeline`] — the end-to-end COMPSO compressor with layer
-//!   aggregation and per-layer normalization ranges;
 //! * [`adaptive`] — the iteration-wise error-bound schedule (Alg. 1);
 //! * [`perfmodel`] — the offline-online performance model (Eq. 5) that
 //!   selects the encoder and the layer-aggregation factor;
-//! * [`kernels`] — fused single-pass vs. staged multi-pass compression
-//!   kernels, the CPU analogue of the paper's §4.5 GPU optimizations;
+//! * [`kernels`] — the end-to-end COMPSO compressor ([`ChunkedCompso`]:
+//!   layer aggregation, per-layer normalization ranges) on the fused
+//!   single-pass kernels, the CPU analogue of the paper's §4.5 GPU
+//!   optimizations, with the staged multi-pass ablation beside them;
 //! * [`baselines`] — QSGD, SZ, CocktailSGD, TopK and PowerSGD
 //!   reimplementations;
 //! * [`traits`] — the [`Compressor`] surface every family sits behind:
@@ -47,7 +47,6 @@ pub mod filter;
 pub mod kernels;
 pub mod microkernel;
 pub mod perfmodel;
-pub mod pipeline;
 pub mod quantize;
 pub mod rounding;
 pub mod synthetic;
@@ -57,8 +56,7 @@ pub mod wire;
 
 pub use adaptive::{BoundSchedule, CompressionStrategy, LrScheduleKind};
 pub use encoders::Codec;
-pub use kernels::{ChunkedCompso, KernelConfig, LayerSchedule};
-pub use pipeline::{Compso, CompsoConfig};
+pub use kernels::{ChunkedCompso, CompsoConfig, KernelConfig, LayerSchedule};
 pub use quantize::Quantizer;
 pub use rounding::RoundingMode;
 pub use traits::{CompressError, Compressor, NoCompression};

@@ -26,9 +26,20 @@ pub enum ErrorBound {
 
 impl ErrorBound {
     /// The absolute bound for a dataset with the given value range.
+    ///
+    /// A relative bound over a subnormal range (`[0.0, 1e-44]` at
+    /// `4e-3`) underflows the product to zero; the bin width is then the
+    /// smallest positive f32, the tightest bound such data can be held to.
     pub fn absolute_for_range(self, range: f32) -> f32 {
         match self {
-            ErrorBound::Relative(r) => r * range,
+            ErrorBound::Relative(r) => {
+                let eb = r * range;
+                if eb == 0.0 && r > 0.0 && range > 0.0 {
+                    f32::from_bits(1)
+                } else {
+                    eb
+                }
+            }
             ErrorBound::Absolute(a) => a,
         }
     }
@@ -161,21 +172,16 @@ impl Quantized {
         }
     }
 
-    /// Deserializes a block written by [`Quantized::write`].
-    pub fn read(r: &mut Reader) -> Result<Self, WireError> {
-        Self::read_capped(r, crate::wire::MAX_DECODE_ELEMS)
-    }
-
-    /// [`Quantized::read`] with a caller-supplied element cap.
+    /// Deserializes a block written by [`Quantized::write`], refusing an
+    /// element count above the caller's cap.
     ///
     /// The degenerate `n_bins == 0` encoding (constant-valued blocks)
     /// carries *no* code bytes — that is the whole point of the encoding —
     /// so its element count cannot be validated against the remaining
     /// buffer the way packed codes can. Callers that know the expected
     /// element count from outer framing (the chunked decoder knows every
-    /// chunk's length from its schedule; the serial decoder knows each
-    /// layer's declared length) pass it here so a hostile count in a
-    /// corrupted stream cannot drive an oversized allocation.
+    /// chunk's length from its schedule) pass it here so a hostile count
+    /// in a corrupted stream cannot drive an oversized allocation.
     pub fn read_capped(r: &mut Reader, max_count: usize) -> Result<Self, WireError> {
         let lo = r.f32()?;
         let bin_width = r.f32()?;
@@ -326,7 +332,7 @@ mod tests {
         quant.write(&mut w);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        let back = Quantized::read(&mut r).unwrap();
+        let back = Quantized::read_capped(&mut r, data.len()).unwrap();
         assert_eq!(back, quant);
         assert!(r.is_exhausted());
     }
@@ -342,7 +348,10 @@ mod tests {
         let bytes = w.into_bytes();
         for cut in [0usize, 3, 8, 15, bytes.len() - 1] {
             let mut r = Reader::new(&bytes[..cut]);
-            assert!(Quantized::read(&mut r).is_err(), "cut={cut}");
+            assert!(
+                Quantized::read_capped(&mut r, data.len()).is_err(),
+                "cut={cut}"
+            );
         }
     }
 
@@ -414,7 +423,7 @@ mod tests {
             let mut w = Writer::new();
             quant.write(&mut w);
             let bytes = w.into_bytes();
-            let back = Quantized::read(&mut Reader::new(&bytes)).unwrap();
+            let back = Quantized::read_capped(&mut Reader::new(&bytes), data.len()).unwrap();
             prop_assert_eq!(back, quant);
         }
     }

@@ -9,7 +9,7 @@
 //! error preserves accuracy better, so bounding it bounds the accuracy
 //! impact.
 
-use crate::pipeline::{Compso, CompsoConfig};
+use crate::kernels::{ChunkedCompso, CompsoConfig};
 use crate::rounding::RoundingMode;
 use crate::traits::Compressor;
 use compso_tensor::rng::Rng;
@@ -70,7 +70,7 @@ pub fn tune_bounds(sample: &[f32], grid: &TuningGrid, seed: u64) -> TunedBounds 
             mode: RoundingMode::Stochastic,
             codec: CompsoConfig::default().codec,
         };
-        let compso = Compso::new(config);
+        let compso = ChunkedCompso::new(config);
         let mut rng = Rng::new(seed);
         let bytes = compso.compress(sample, &mut rng);
         let back = compso
@@ -120,7 +120,7 @@ mod tests {
         let tuned = tune_bounds(&data, &grid, 4);
         // The tightest grid point is (no filter, 1e-3): the tuner must
         // find at least that ratio.
-        let tight = Compso::new(CompsoConfig::conservative(1e-3));
+        let tight = ChunkedCompso::new(CompsoConfig::conservative(1e-3));
         let mut rng = Rng::new(4);
         let tight_ratio = tight.ratio(&data, &mut rng);
         assert!(

@@ -8,7 +8,7 @@
 
 /// Central registry of every wire-format magic byte in the workspace.
 ///
-/// Nine hand-rolled binary formats travel between ranks or to disk; each
+/// Eight hand-rolled binary formats travel between ranks or to disk; each
 /// one's first byte is a magic from this module, and **only** this module
 /// may spell the literal values (`compso-lint`'s `wire-magic-registry`
 /// rule rejects bare `0xC?` byte literals anywhere else in prod code, and
@@ -16,10 +16,9 @@
 /// enforced at compile time by the `const` assertion below, so two
 /// formats can never become indistinguishable on the wire.
 pub mod magic {
-    /// Serial COMPSO pipeline stream (v1), [`crate::pipeline`].
-    pub const MAGIC_STREAM_V1: u8 = 0xC5;
-    /// Chunked-parallel stream (v2) with a per-chunk byte-offset index,
-    /// [`crate::kernels`].
+    /// The COMPSO stream: chunked-parallel (v2) with a per-chunk
+    /// byte-offset index, [`crate::kernels`]. `0xC5`, the retired serial
+    /// v1 stream, stays unassigned.
     pub const MAGIC_STREAM_V2: u8 = 0xC6;
     /// Multi-layer group framing of every per-layer compressor family
     /// (NoCompression, QSGD, SZ, TopK, CocktailSGD, PowerSGD),
@@ -47,7 +46,6 @@ pub mod magic {
     /// Every registered magic with its format name, for diagnostics and
     /// the uniqueness tests.
     pub const ALL: &[(&str, u8)] = &[
-        ("stream_v1", MAGIC_STREAM_V1),
         ("stream_v2", MAGIC_STREAM_V2),
         ("group", MAGIC_GROUP),
         ("membership", MAGIC_MEMBERSHIP),
@@ -500,7 +498,6 @@ mod tests {
         // Wire compatibility: the registered values are frozen — changing
         // any of them silently orphans every previously written stream,
         // snapshot, and checkpoint.
-        assert_eq!(magic::MAGIC_STREAM_V1, 0xC5);
         assert_eq!(magic::MAGIC_STREAM_V2, 0xC6);
         assert_eq!(magic::MAGIC_GROUP, 0xC7);
         assert_eq!(magic::MAGIC_MEMBERSHIP, 0xC9);
@@ -509,7 +506,7 @@ mod tests {
         assert_eq!(magic::MAGIC_REJOIN, 0xCC);
         assert_eq!(magic::MAGIC_MANIFEST, 0xCD);
         assert_eq!(magic::MAGIC_FRAME, 0xCF);
-        assert_eq!(magic::ALL.len(), 9);
+        assert_eq!(magic::ALL.len(), 8);
     }
 
     #[test]

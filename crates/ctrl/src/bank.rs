@@ -2,8 +2,8 @@
 //!
 //! The controller reasons about abstract operating points; the training
 //! loop needs concrete compressors behind the group API. Instantiation
-//! is centralized here so family→implementation mapping (and the chunked
-//! hot path / adaptive-chunking choices for COMPSO) lives in one place.
+//! is centralized here so family→implementation mapping lives in one
+//! place.
 //! Callers should cache the instance per setting — PowerSGD in
 //! particular accumulates per-layer warm-start/error-feedback state that
 //! must survive across steps while the setting is held.
@@ -16,10 +16,9 @@ use compso_core::{ChunkedCompso, Compressor, CompsoConfig, NoCompression};
 pub fn instantiate(setting: &Setting) -> Box<dyn Compressor> {
     match setting.family {
         Family::None => Box::new(NoCompression),
-        Family::Compso => Box::new(
-            ChunkedCompso::new(CompsoConfig::aggressive(setting.threshold as f32))
-                .with_adaptive_chunking(),
-        ),
+        Family::Compso => Box::new(ChunkedCompso::new(CompsoConfig::aggressive(
+            setting.threshold as f32,
+        ))),
         Family::Qsgd => Box::new(Qsgd {
             bits: u32::from(setting.bits.clamp(2, 16)),
         }),
@@ -71,13 +70,5 @@ mod tests {
         assert!(instantiate(&Setting::qsgd(8)).name().contains("QSGD"));
         let c = instantiate(&Setting::compso(4e-3));
         assert!(c.name().to_lowercase().contains("compso"), "{}", c.name());
-    }
-
-    #[test]
-    fn compso_settings_carry_adaptive_chunking() {
-        let c = instantiate(&Setting::compso(4e-3));
-        // Adaptive chunking answers per-workload (a pure function of the
-        // element count, so schedules agree across ranks).
-        assert!(c.chunk_elems_for(1 << 20).is_some());
     }
 }

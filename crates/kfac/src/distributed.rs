@@ -1053,7 +1053,7 @@ fn flatten_entries(result: &Decoded, owned: &[(usize, Matrix)]) -> Vec<u8> {
 mod tests {
     use super::*;
     use compso_comm::run_ranks;
-    use compso_core::{Compso, CompsoConfig, NoCompression};
+    use compso_core::{ChunkedCompso, CompsoConfig, NoCompression};
     use compso_dnn::loss::{accuracy, softmax_cross_entropy};
     use compso_dnn::{data, models};
 
@@ -1171,7 +1171,7 @@ mod tests {
                 },
                 7,
             );
-            let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+            let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
             let mut last = StepStats::default();
             for step in 0..80 {
                 let (x, y) = shard.batch(step, 16);
@@ -1207,7 +1207,7 @@ mod tests {
             let mut model = models::mlp(&[6, 12, 3], &mut rng);
             let shard = d.shard(comm.rank(), ranks);
             let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
-            let compso = Compso::new(CompsoConfig::aggressive(1e-2));
+            let compso = ChunkedCompso::new(CompsoConfig::aggressive(1e-2));
             for step in 0..10 {
                 let (x, y) = shard.batch(step, 8);
                 let logits = model.forward(&x, true);
@@ -1271,7 +1271,7 @@ mod tests {
             let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
             opt.set_recorder(rec_ref.clone());
             comm.set_recorder(rec_ref.clone());
-            let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+            let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
             for step in 0..3 {
                 let (x, y) = shard.batch(step, 8);
                 let logits = model.forward(&x, true);
@@ -1367,7 +1367,7 @@ mod tests {
             let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
             opt.set_recorder(rec_ref.clone());
             comm.set_recorder(rec_ref.clone());
-            let compso = compso_core::ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+            let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
             for step in 0..steps {
                 let (x, y) = shard.batch(step, 8);
                 let logits = model.forward(&x, true);
@@ -1430,7 +1430,7 @@ mod tests {
                 let mut model = models::mlp(&[6, 16, 16, 3], &mut rng);
                 let shard = d.shard(comm.rank(), ranks);
                 let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
-                let compso = compso_core::ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+                let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
                 for step in 0..steps {
                     let (x, y) = shard.batch(step, 8);
                     let logits = model.forward(&x, true);
@@ -1474,10 +1474,10 @@ mod tests {
                 let mut model = models::mlp(&[6, 16, 3], &mut rng);
                 let shard = d.shard(comm.rank(), ranks);
                 let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
-                let chunked = compso_core::ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
-                let serial = Compso::new(CompsoConfig::aggressive(4e-3));
+                let chunked = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+                let qsgd = compso_core::baselines::Qsgd { bits: 8 };
                 let compressor: &dyn compso_core::Compressor =
-                    if use_chunked { &chunked } else { &serial };
+                    if use_chunked { &chunked } else { &qsgd };
                 for step in 0..5 {
                     let (x, y) = shard.batch(step, 8);
                     let logits = model.forward(&x, true);
@@ -1493,51 +1493,7 @@ mod tests {
             assert_eq!(builds, 1, "chunked compressor: schedule built once");
         }
         for builds in run(false) {
-            assert_eq!(builds, 0, "serial compressor needs no schedule");
-        }
-    }
-
-    #[test]
-    fn adaptive_chunking_pins_bit_identical_training() {
-        // §4.4 satellite pin: at training-regime layer-group sizes the
-        // perf-model chunk choice equals the fixed default, so flipping
-        // `with_adaptive_chunking()` must not move a single bit of the
-        // trajectory — and the schedule cache still builds exactly once
-        // (the per-group choices are pure functions of static shapes).
-        let ranks = 2;
-        let steps = 6;
-        let d = data::gaussian_blobs(200, 6, 3, 0.3, 81);
-        let run = |adaptive: bool| {
-            let d = d.clone();
-            run_ranks(ranks, move |comm| {
-                let mut rng = Rng::new(82);
-                let mut model = models::mlp(&[6, 16, 16, 3], &mut rng);
-                let shard = d.shard(comm.rank(), ranks);
-                let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
-                let mut compso = compso_core::ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
-                if adaptive {
-                    compso = compso.with_adaptive_chunking();
-                }
-                for step in 0..steps {
-                    let (x, y) = shard.batch(step, 8);
-                    let logits = model.forward(&x, true);
-                    let (_, grad) = softmax_cross_entropy(&logits, &y);
-                    model.backward(&grad);
-                    opt.step(comm, &mut model, &compso).unwrap();
-                    model.update_params(|p, g| p.axpy(-0.02, g));
-                }
-                let params: Vec<Matrix> = (0..model.len())
-                    .filter_map(|i| model.layer(i).params().cloned())
-                    .collect();
-                (params, opt.schedule_builds())
-            })
-        };
-        let fixed = run(false);
-        let chosen = run(true);
-        for (r, ((pf, bf), (pa, ba))) in fixed.iter().zip(&chosen).enumerate() {
-            assert_eq!(bf, ba);
-            assert_eq!(*ba, 1, "schedule rebuilt on rank {r}");
-            assert_eq!(pf, pa, "rank {r}: adaptive chunking moved the trajectory");
+            assert_eq!(builds, 0, "a per-layer family needs no schedule");
         }
     }
 
@@ -1561,7 +1517,7 @@ mod tests {
                 },
                 7,
             );
-            let compso = compso_core::ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+            let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
             let mut last = StepStats::default();
             for step in 0..60 {
                 let (x, y) = shard.batch(step, 16);

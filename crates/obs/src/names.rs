@@ -12,16 +12,10 @@
 //! typo in a test pin is caught at lint time instead of silently
 //! asserting against a counter that never fires.
 
-/// `compso-core`: per-layer filter pass.
-pub const CORE_FILTER: &str = "core/filter";
-/// `compso-core`: per-layer quantize pass.
-pub const CORE_QUANTIZE: &str = "core/quantize";
-/// `compso-core`: lossless encode of aggregated streams.
-pub const CORE_ENCODE: &str = "core/encode";
 /// `compso-core`: whole chunked-parallel kernel sweep (filter +
 /// quantize + serialize + block encode) of one multi-layer group.
 pub const CORE_CHUNKED_COMPRESS: &str = "core/chunked_compress";
-/// `compso-core`: lossless decode + dequantize + unfilter.
+/// `compso-core`: lossless decode + dequantize + keep-mask scatter.
 pub const CORE_DECODE: &str = "core/decode";
 /// `compso-core`: raw f32 bytes entering the compressor.
 pub const CORE_BYTES_IN: &str = "core/bytes_in";
@@ -256,9 +250,6 @@ pub const CTRL_SCHEDULE_INVALIDATIONS: &str = "ctrl/schedule_invalidations";
 /// `registry_lists_every_constant` test cross-checks it against the
 /// constants this module exports).
 pub const ALL: &[&str] = &[
-    CORE_FILTER,
-    CORE_QUANTIZE,
-    CORE_ENCODE,
     CORE_CHUNKED_COMPRESS,
     CORE_DECODE,
     CORE_BYTES_IN,

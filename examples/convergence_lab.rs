@@ -24,7 +24,7 @@
 
 use compso::core::adaptive::BoundSchedule;
 use compso::core::baselines::{PowerSgd, Qsgd, Sz};
-use compso::core::{Compressor, Compso, CompsoConfig, RoundingMode};
+use compso::core::{ChunkedCompso, Compressor, CompsoConfig, RoundingMode};
 use compso::ctrl::{
     instantiate, Candidate, ControlConfig, Controller, Family, Reason, Setting, Signals,
 };
@@ -242,7 +242,8 @@ fn controller_ab(seed: u64) -> i32 {
         (
             "static compso(eb=4e-3)",
             Box::new(|_| {
-                Some(Box::new(Compso::new(CompsoConfig::aggressive(4e-3))) as Box<dyn Compressor>)
+                Some(Box::new(ChunkedCompso::new(CompsoConfig::aggressive(4e-3)))
+                    as Box<dyn Compressor>)
             }),
         ),
         (
@@ -343,7 +344,7 @@ fn main() {
             "KFAC+COMPSO (adaptive)",
             Box::new(|step| {
                 let sched = BoundSchedule::step_paper(ITERS / 2);
-                Some(Box::new(Compso::new(
+                Some(Box::new(ChunkedCompso::new(
                     sched.strategy_at(step).to_config(RoundingMode::Stochastic),
                 )) as Box<dyn Compressor>)
             }),

@@ -25,7 +25,7 @@ use compso::comm::{
     admit_pending, rejoin, run_ranks, run_ranks_elastic, CommConfig, FaultConfig, FaultPlane,
 };
 use compso::core::adaptive::BoundSchedule;
-use compso::core::{Compressor, Compso, NoCompression};
+use compso::core::{ChunkedCompso, Compressor, NoCompression};
 use compso::dnn::loss::{accuracy, softmax_cross_entropy};
 use compso::dnn::{data, models};
 use compso::kfac::checkpoint::{catch_up_rejoined, fingerprint};
@@ -58,7 +58,7 @@ fn train(compressed: bool) -> (f64, u64, u64) {
             // Iteration-wise adaptive strategy (Alg. 1): aggressive
             // before the LR drop, conservative after.
             let stats = if compressed {
-                let compso = Compso::new(schedule.config_at(step));
+                let compso = ChunkedCompso::new(schedule.config_at(step));
                 opt.step(comm, &mut model, &compso).expect("step")
             } else {
                 opt.step(comm, &mut model, &NoCompression).expect("step")
@@ -107,7 +107,7 @@ fn train_with_checkpoints(dir: &std::path::Path, resume: bool) -> f64 {
             let logits = model.forward(&x, true);
             let (_, grad) = softmax_cross_entropy(&logits, &y);
             model.backward(&grad);
-            let compso = Compso::new(schedule.config_at(step));
+            let compso = ChunkedCompso::new(schedule.config_at(step));
             opt.step(comm, &mut model, &compso).expect("step");
             model.update_params(|p, g| p.axpy(-0.01, g));
             let done = step + 1;
@@ -177,7 +177,7 @@ fn train_elastic(dir: &std::path::Path) -> (f32, f32, Resilience) {
         let mut opt = DistKfac::new(DistKfacConfig::default(), 5);
         opt.set_recorder(rec_ref.clone());
         comm.set_recorder(rec_ref.clone());
-        let compso = Compso::default();
+        let compso = ChunkedCompso::default();
         let coord = CheckpointCoordinator::new(CheckpointConfig::new(dir, fp))
             .expect("open checkpoint store");
         if revived {
@@ -265,7 +265,7 @@ fn train_elastic(dir: &std::path::Path) -> (f32, f32, Resilience) {
         let mut model = models::mlp(&[10, 48, 48, 4], &mut rng);
         let shard = dataset_ref.shard(comm.rank(), RANKS);
         let mut opt = DistKfac::new(DistKfacConfig::default(), 5);
-        let compso = Compso::default();
+        let compso = ChunkedCompso::default();
         let mut loss = f32::NAN;
         for step in 0..ELASTIC_STEPS as usize {
             let (x, y) = shard.batch(step, 16);
@@ -345,6 +345,6 @@ fn main() {
         acc_compso - acc_plain
     );
     // Also show the name so readers see where to plug their own method.
-    let c = Compso::default();
+    let c = ChunkedCompso::default();
     println!("compressor under test: {}", c.name());
 }

@@ -12,7 +12,7 @@ use compso::core::perfmodel::{
     OnlineProfiler,
 };
 use compso::core::synthetic::{generate_layers, GradientProfile};
-use compso::core::{Compressor, Compso, CompsoConfig};
+use compso::core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso::dnn::ModelSpec;
 use compso::sim::{IterationModel, Platform};
 use compso::tensor::Rng;
@@ -24,7 +24,7 @@ fn main() {
     println!("system: {}, model: {}\n", platform.name, spec.name);
 
     // --- online phase: profile the first k warm-up iterations ---------
-    let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+    let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
     let mut rng = Rng::new(3);
     let mut profiler = OnlineProfiler::new();
     let k = 5;

@@ -5,7 +5,7 @@
 //! ```
 
 use compso::core::synthetic::{generate, GradientProfile};
-use compso::core::{Compressor, Compso, CompsoConfig};
+use compso::core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso::tensor::Rng;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
 
     // The paper's aggressive strategy: filter + stochastic rounding at a
     // 4E-3 (relative to value range) error bound, ANS entropy coding.
-    let compressor = Compso::new(CompsoConfig::aggressive(4e-3));
+    let compressor = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
     let mut rng = Rng::new(7);
 
     let compressed = compressor.compress(&gradient, &mut rng);

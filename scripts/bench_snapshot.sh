@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Emits BENCH_compress.json: serial vs chunked-parallel compressor
-# throughput (MB/s) on this host, best-of-N round trips at 16 MiB.
+# Emits BENCH_compress.json: chunked compressor throughput (MB/s) on
+# this host, best-of-N round trips at 16 MiB.
 #
 # Usage: scripts/bench_snapshot.sh [output.json]
 # For the committed snapshot run it pinned to one core

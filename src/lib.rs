@@ -17,11 +17,11 @@
 //! Quick start:
 //!
 //! ```
-//! use compso::core::{Compso, CompsoConfig, Compressor};
+//! use compso::core::{ChunkedCompso, CompsoConfig, Compressor};
 //! use compso::tensor::Rng;
 //!
 //! let gradients = vec![0.001f32, -0.0002, 0.04, 0.0, -0.015];
-//! let compressor = Compso::new(CompsoConfig::aggressive(4e-3));
+//! let compressor = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
 //! let mut rng = Rng::new(42);
 //! let bytes = compressor.compress(&gradients, &mut rng);
 //! let restored = compressor.decompress(&bytes).unwrap();

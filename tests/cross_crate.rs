@@ -6,7 +6,7 @@ use compso::comm::run_ranks;
 use compso::core::kernels::{compress_chunked, decompress_chunked, KernelConfig, LayerSchedule};
 use compso::core::perfmodel::{comm_speedup, end_to_end_gain, CompressorProfile};
 use compso::core::synthetic::{generate, generate_layers, GradientProfile};
-use compso::core::{Compressor, Compso, CompsoConfig};
+use compso::core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso::dnn::ModelSpec;
 use compso::obs::Recorder;
 use compso::sim::{IterationModel, Platform};
@@ -17,7 +17,7 @@ fn compressed_allgather_is_bit_consistent_across_ranks() {
     // Each rank compresses its own gradient; after the all-gather every
     // rank must decode byte-identical buffers for every source.
     let decoded_per_rank = run_ranks(4, |comm| {
-        let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+        let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
         let mut rng = Rng::new(100 + comm.rank() as u64);
         let mine = generate(20_000, 7 + comm.rank() as u64, GradientProfile::kfac());
         let bytes = compso.compress(&mine, &mut rng);
@@ -36,12 +36,12 @@ fn compressed_allgather_is_bit_consistent_across_ranks() {
 }
 
 #[test]
-fn chunked_kernels_and_serial_pipeline_agree_on_error_contract() {
+fn free_kernels_and_compressor_trait_agree_on_error_contract() {
     let layers = generate_layers(&[30_000, 500, 8_000], 21, GradientProfile::kfac());
     let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
     let cfg = CompsoConfig::aggressive(4e-3);
 
-    // Chunked-parallel path.
+    // The free kernels on a caller-built 4 Ki-tile schedule.
     let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
     let schedule = LayerSchedule::build(&sizes, 4096);
     let rng = Rng::new(22);
@@ -52,15 +52,15 @@ fn chunked_kernels_and_serial_pipeline_agree_on_error_contract() {
     )
     .unwrap();
 
-    // Serial path.
-    let compso = Compso::new(cfg);
+    // The group surface, which computes its own tile.
+    let compso = ChunkedCompso::new(cfg);
     let mut rng2 = Rng::new(22);
-    let serial = compso
-        .decompress_layers(&compso.compress_layers(&refs, &mut rng2, &off), &off)
+    let grouped = compso
+        .decompress_group(&compso.compress_group(&refs, None, &mut rng2, &off), &off)
         .unwrap();
 
-    // Different streams (chunk-forked vs serial RNG), same contract.
-    for (layer, (c, s)) in layers.iter().zip(chunked.iter().zip(&serial)) {
+    // Different streams (different tiles and RNG forks), same contract.
+    for (layer, (c, s)) in layers.iter().zip(chunked.iter().zip(&grouped)) {
         let mm = compso::tensor::reduce::minmax_flat(layer);
         let bound = 4e-3 * (mm.max - mm.min) * 1.01 + 1e-7;
         for ((&x, &yc), &ys) in layer.iter().zip(c).zip(s) {
@@ -79,7 +79,7 @@ fn measured_profile_feeds_the_simulator_sensibly() {
     // Compress real synthetic gradients, feed the measured ratio into the
     // simulator with GPU-class codec throughput, and check the end-to-end
     // verdict lands in the paper's band.
-    let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+    let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
     let mut rng = Rng::new(31);
     let data = generate(1 << 20, 32, GradientProfile::kfac());
     let ratio = compso.ratio(&data, &mut rng);
@@ -118,7 +118,7 @@ fn eq5_algebra_matches_hand_computation() {
 fn corrupted_peer_traffic_fails_loudly_not_silently() {
     // A corrupted compressed block must error at decode — never decode to
     // garbage gradients silently.
-    let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+    let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
     let mut rng = Rng::new(41);
     let data = generate(50_000, 42, GradientProfile::kfac());
     let mut bytes = compso.compress(&data, &mut rng);

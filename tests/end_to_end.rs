@@ -3,7 +3,7 @@
 
 use compso::comm::run_ranks;
 use compso::core::adaptive::BoundSchedule;
-use compso::core::{Compso, NoCompression};
+use compso::core::{ChunkedCompso, NoCompression};
 use compso::dnn::loss::{accuracy, softmax_cross_entropy};
 use compso::dnn::{data, models};
 use compso::kfac::{DistKfac, DistKfacConfig};
@@ -30,7 +30,7 @@ fn train_distributed(
             let (_, grad) = softmax_cross_entropy(&logits, &y);
             model.backward(&grad);
             let stats = if use_compso {
-                let compso = Compso::new(schedule.config_at(step));
+                let compso = ChunkedCompso::new(schedule.config_at(step));
                 opt.step(comm, &mut model, &compso).unwrap()
             } else {
                 opt.step(comm, &mut model, &NoCompression).unwrap()

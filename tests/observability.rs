@@ -4,7 +4,7 @@
 //! the disabled recorder must leave the training trajectory untouched.
 
 use compso::comm::run_ranks;
-use compso::core::{Compso, CompsoConfig};
+use compso::core::{ChunkedCompso, CompsoConfig};
 use compso::dnn::loss::softmax_cross_entropy;
 use compso::dnn::{data, models};
 use compso::kfac::{DistKfac, DistKfacConfig};
@@ -27,7 +27,7 @@ fn instrumented_run(rec: &Recorder, seed: u64) -> (Vec<StepReport>, Vec<Vec<f32>
         let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
         opt.set_recorder(rec.clone());
         comm.set_recorder(rec.clone());
-        let compso = Compso::new(CompsoConfig::aggressive(4e-3));
+        let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
         let mut reports = Vec::new();
         let mut prev = Snapshot::default();
         for step in 0..STEPS {
@@ -97,7 +97,7 @@ fn recorder_sees_every_layer_of_the_stack() {
         assert_eq!(snap.timers[*phase].count, expect, "{phase}");
     }
     // core: compressor phases and byte counters flowed in.
-    assert!(snap.timers[names::CORE_QUANTIZE].count > 0);
+    assert!(snap.timers[names::CORE_CHUNKED_COMPRESS].count > 0);
     assert!(snap.counter(names::CORE_BYTES_IN) > snap.counter(names::CORE_BYTES_OUT));
     // comm: collectives timed, traffic counted and histogrammed. The
     // default step-5 gather is the pipelined ring, so the pipelined

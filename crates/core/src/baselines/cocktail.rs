@@ -52,7 +52,9 @@ impl CocktailSgd {
                 .map(|_| data[rng.below(data.len() as u64) as usize].abs())
                 .collect()
         };
-        mags.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        // Total order: a sampled NaN sorts first and, as a threshold,
+        // keeps nothing.
+        mags.sort_by(|a, b| b.total_cmp(a));
         let k = ((mags.len() as f32 * self.density).ceil() as usize).clamp(1, mags.len());
         mags[k - 1]
     }

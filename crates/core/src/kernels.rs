@@ -404,14 +404,21 @@ pub fn compress_chunked(
         "schedule does not match layer sizes"
     );
 
-    // Pass 1: per-layer extrema.
+    // Pass 1: per-layer extrema. min/max skip NaN, so an all-NaN layer
+    // comes back unordered like an empty one; both take the [0, 0] range
+    // (no filter, zero bins) the chunk kernels give an empty chunk.
     let ranges: Vec<MinMax> = layers
         .iter()
         .map(|l| {
-            if kc.hierarchical_extrema {
+            let mm = if kc.hierarchical_extrema {
                 minmax_hierarchical(l)
             } else {
                 minmax_flat(l)
+            };
+            if mm.min > mm.max {
+                MinMax { min: 0.0, max: 0.0 }
+            } else {
+                mm
             }
         })
         .collect();

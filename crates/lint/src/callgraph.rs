@@ -226,9 +226,8 @@ pub fn summarize(file: &SourceFile) -> FileSummaries {
 /// fixpoint. See the module docs for the propagation rules.
 ///
 /// Names are interned to dense ids up front so the fixpoint and root
-/// BFS walk integer edges over flat arrays — this runs on every warm
-/// cached invocation, and string-keyed maps put it outside the 10ms
-/// budget.
+/// BFS walk integer edges over flat arrays instead of hashing strings
+/// on every edge of every round.
 pub fn solve(files: &[FileSummaries]) -> BTreeMap<String, FnFacts> {
     let mut ids: BTreeMap<&str, usize> = BTreeMap::new();
     for f in files.iter().flat_map(|fs| &fs.fns) {

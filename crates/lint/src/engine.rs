@@ -10,7 +10,7 @@
 //! invariant surface, not an escape hatch).
 
 use crate::callgraph::{self, FileSummaries, FnFacts};
-use crate::rules::{severity_of, RULES, RULE_NAMES};
+use crate::rules::{RULES, RULE_NAMES};
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -65,10 +65,9 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
     for (i, d) in diags.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"rule\": \"{}\", \"severity\": \"{}\", \"path\": \"{}\", \
-             \"line\": {}, \"col\": {}, \"message\": \"{}\"}}",
+            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"col\": {}, \
+             \"message\": \"{}\"}}",
             json_escape(d.rule),
-            severity_of(d.rule).as_str(),
             json_escape(&d.path),
             d.line,
             d.col,
@@ -91,39 +90,30 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
 }
 
 /// Workspace-level facts the rules consult: the obs name registry, the
-/// wire-magic registry (value → constant name, for `--fix`), the
 /// length-source set (PR 8 cross-function taint), and the call-graph
 /// facts (v3 — see [`crate::callgraph`]).
 ///
-/// The registries are recovered by lexing their defining files
-/// (`crates/obs/src/names.rs`, `crates/core/src/wire.rs`) — the same
-/// shapes their own self-parsing tests pin, so the two cannot drift.
+/// The registry is recovered by lexing its defining file
+/// (`crates/obs/src/names.rs`) — the same shape its own self-parsing
+/// test pins, so the two cannot drift.
 pub struct Context {
     pub registered_names: BTreeSet<String>,
     pub length_sources: BTreeSet<String>,
     /// Workspace call-graph facts by function name (empty in
     /// single-file runs; rules union in a local per-file solve).
     pub facts: BTreeMap<String, FnFacts>,
-    /// Wire magic value → constant name (`0xC5` → `MAGIC_STREAM_V1`).
-    pub magic_names: BTreeMap<u8, String>,
 }
 
 impl Context {
     /// Build the context from a workspace root on disk. Length sources
-    /// and call-graph facts start empty; the workspace drivers fill
-    /// them in from the summary pre-pass (see [`with_graph`]).
+    /// and call-graph facts start empty; [`check_files`] fills them in
+    /// from the summary pre-pass.
     pub fn from_workspace(root: &Path) -> std::io::Result<Context> {
         let names_src = std::fs::read_to_string(root.join("crates/obs/src/names.rs"))?;
-        // The magic registry is optional (mini test workspaces): no
-        // wire.rs just means `--fix` has no names to rewrite to.
-        let magic_names = std::fs::read_to_string(root.join("crates/core/src/wire.rs"))
-            .map(|src| parse_magic_names(&src))
-            .unwrap_or_default();
         Ok(Context {
             registered_names: parse_registered_names(&names_src),
             length_sources: BTreeSet::new(),
             facts: BTreeMap::new(),
-            magic_names,
         })
     }
 
@@ -133,39 +123,8 @@ impl Context {
             registered_names: names.into_iter().collect(),
             length_sources: BTreeSet::new(),
             facts: BTreeMap::new(),
-            magic_names: BTreeMap::new(),
         }
     }
-}
-
-/// Complete a base context with the workspace call graph: solve the
-/// summaries into [`Context::facts`] and derive the length-source set
-/// from the summary flags.
-pub fn with_graph(base: &Context, summaries: &[FileSummaries]) -> Context {
-    let facts = callgraph::solve(summaries);
-    let mut length_sources = base.length_sources.clone();
-    length_sources.extend(
-        facts
-            .iter()
-            .filter(|(_, f)| f.length_source)
-            .map(|(n, _)| n.clone()),
-    );
-    Context {
-        registered_names: base.registered_names.clone(),
-        length_sources,
-        facts,
-        magic_names: base.magic_names.clone(),
-    }
-}
-
-/// Pre-pass for cross-function length taint: union the length-source
-/// function names contributed by every file in the set.
-pub fn collect_length_sources_from(files: &[SourceFile]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for f in files {
-        out.extend(crate::rules::length_prefix::collect_length_sources(f));
-    }
-    out
 }
 
 /// Extract every `const IDENT: &str = "value";` string from a source
@@ -187,29 +146,6 @@ pub fn parse_registered_names(src: &str) -> BTreeSet<String> {
             let lit = text(i + 6);
             if let Some(stripped) = lit.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
                 out.insert(stripped.to_string());
-            }
-        }
-    }
-    out
-}
-
-/// Extract `const NAME: u8 = 0xCx;` magic definitions (value → name)
-/// from the wire registry source.
-pub fn parse_magic_names(src: &str) -> BTreeMap<u8, String> {
-    let f = SourceFile::new("wire.rs".into(), src.to_string());
-    let code = f.code_tokens();
-    let text = |ci: usize| f.tokens[code[ci]].text(&f.src);
-    let mut out = BTreeMap::new();
-    for i in 0..code.len() {
-        // const NAME : u8 = 0xC5
-        if text(i) == "const"
-            && i + 5 < code.len()
-            && text(i + 2) == ":"
-            && text(i + 3) == "u8"
-            && text(i + 4) == "="
-        {
-            if let Some(value) = crate::rules::wire_magic_value(text(i + 5)) {
-                out.entry(value).or_insert_with(|| text(i + 1).to_string());
             }
         }
     }
@@ -262,15 +198,6 @@ pub fn check_file(file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
     });
 }
 
-/// The one canonical diagnostic order: path, line, column, rule — used
-/// by both the cold driver and the incremental cache so their outputs
-/// compare equal byte-for-byte.
-pub fn sort_diags(diags: &mut [Diagnostic]) {
-    diags.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-    });
-}
-
 /// Check a whole file set, returning diagnostics sorted by path, line,
 /// column, rule — a stable order for golden tests and CI artifacts.
 ///
@@ -279,12 +206,26 @@ pub fn sort_diags(diags: &mut [Diagnostic]) {
 /// cross-function rules see helpers defined in *other* files.
 pub fn check_files(files: &[SourceFile], ctx: &Context) -> Vec<Diagnostic> {
     let summaries: Vec<FileSummaries> = files.iter().map(callgraph::summarize).collect();
-    let ctx_full = with_graph(ctx, &summaries);
+    let facts = callgraph::solve(&summaries);
+    let mut length_sources = ctx.length_sources.clone();
+    length_sources.extend(
+        facts
+            .iter()
+            .filter(|(_, f)| f.length_source)
+            .map(|(n, _)| n.clone()),
+    );
+    let ctx = Context {
+        registered_names: ctx.registered_names.clone(),
+        length_sources,
+        facts,
+    };
     let mut out = Vec::new();
     for f in files {
-        check_file(f, &ctx_full, &mut out);
+        check_file(f, &ctx, &mut out);
     }
-    sort_diags(&mut out);
+    out.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
+    });
     out
 }
 
@@ -312,23 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn magic_parsing_matches_const_shape() {
-        let src = "pub mod magic {\n\
-                       pub const MAGIC_STREAM_V1: u8 = 0xC5;\n\
-                       pub const MAGIC_FRAME: u8 = 0xCF;\n\
-                       pub const NOT_MAGIC: u8 = 0x17;\n\
-                       pub const NOT_U8: u32 = 0xC5C5;\n\
-                   }\n";
-        let magics = parse_magic_names(src);
-        assert_eq!(
-            magics.get(&0xC5).map(String::as_str),
-            Some("MAGIC_STREAM_V1")
-        );
-        assert_eq!(magics.get(&0xCF).map(String::as_str), Some("MAGIC_FRAME"));
-        assert_eq!(magics.len(), 2);
-    }
-
-    #[test]
     fn unknown_rule_and_missing_reason_are_flagged() {
         let src = "// lint:allow(no-such-rule): whatever\n\
                    // lint:allow(no-unwrap-on-comm-path)\n\
@@ -344,6 +268,62 @@ mod tests {
     }
 
     #[test]
+    fn findings_follow_helpers_across_files() {
+        let run = |wire_len: &str, helper_b: &str| -> Vec<(&str, String)> {
+            let files = [
+                (
+                    "crates/ctrl/src/controller.rs",
+                    "pub fn decide(&mut self) -> u64 { helper_a() }\n",
+                ),
+                (
+                    "crates/foo/src/caller.rs",
+                    "pub fn decode(r: &mut Reader<'_>) -> Vec<u8> {\n    \
+                         let n = wire_len(r);\n    \
+                         let out = Vec::with_capacity(n);\n    \
+                         out\n}\n",
+                ),
+                ("crates/foo/src/helper.rs", wire_len),
+                (
+                    "crates/foo/src/helpers.rs",
+                    "pub fn helper_a() -> u64 { helper_b() }\n",
+                ),
+                ("crates/foo/src/leaf.rs", helper_b),
+            ]
+            .map(|(path, src)| SourceFile::new(path.into(), src.into()));
+            check_files(&files, &Context::with_names(Vec::new()))
+                .into_iter()
+                .map(|d| (d.rule, d.path))
+                .collect()
+        };
+        // An unclamped wire length in one file taints its caller in
+        // another; a clock read two calls below a critical root fires
+        // at the read, in the leaf's file.
+        assert_eq!(
+            run(
+                "pub fn wire_len(r: &mut Reader<'_>) -> usize {\n    r.u32() as usize\n}\n",
+                "pub fn helper_b() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
+            ),
+            [
+                (
+                    "unchecked-length-prefix",
+                    "crates/foo/src/caller.rs".to_string()
+                ),
+                ("deterministic-state", "crates/foo/src/leaf.rs".to_string()),
+            ]
+        );
+        // Clamping the helper clears the finding in the unchanged
+        // caller; a pure leaf leaves the root's cone clean.
+        assert_eq!(
+            run(
+                "pub fn wire_len(r: &mut Reader<'_>) -> usize {\n    \
+                     checked_count(r.u32() as u64)\n}\n",
+                "pub fn helper_b() -> u64 { 7 }\n",
+            ),
+            []
+        );
+    }
+
+    #[test]
     fn json_is_well_formed_ish() {
         let diags = vec![Diagnostic {
             rule: "wire-magic-registry",
@@ -355,7 +335,6 @@ mod tests {
         let j = to_json(&diags);
         assert!(j.contains("\"count\": 1"));
         assert!(j.contains("\\\"magic\\\""));
-        assert!(j.contains("\"severity\": \"deny\""));
         assert!(j.contains("\"wire-magic-registry\": 1"));
         assert!(
             j.contains("\"collective-order\": 0"),

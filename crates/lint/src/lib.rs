@@ -15,32 +15,24 @@
 //!   summaries (callees, impurity sources, collectives, length
 //!   sources) and a fixpoint solver for transitive facts;
 //! - [`rules`] — the rule catalogue as declarative tables (match
-//!   patterns, path scopes, severities — see `DESIGN.md` §11);
-//! - [`engine`] + [`walker`] — diagnostics, the registry contexts,
-//!   suppression hygiene, and deterministic file discovery;
-//! - [`cache`] — the incremental cache (v3): file identity plus
-//!   per-file dependency fingerprints over call-graph facts, so
-//!   editing a helper re-runs exactly its transitive dependents;
-//! - [`fix`] — mechanical `--fix` rewrites for registry findings and
-//!   swallowed comm errors.
+//!   patterns, path scopes — see `DESIGN.md` §11);
+//! - [`engine`] + [`walker`] — diagnostics, the registry context,
+//!   suppression hygiene, and deterministic file discovery.
 //!
-//! The binary (`cargo run -p compso-lint`) walks the workspace, runs
-//! every rule over production code, and in `--deny` mode exits non-zero
-//! on any deny-severity finding — wired into `scripts/ci.sh` with a
-//! hard runtime budget. Fixture corpora under `fixtures/` pin each
-//! rule's firing, clean, and suppressed behavior via golden
-//! diagnostics.
+//! Every run is one cold pass ([`check_workspace`]): lex each file,
+//! summarize it, solve the call graph once, run the rule table. The
+//! binary (`cargo run -p compso-lint`) does that over the workspace and
+//! in `--deny` mode exits non-zero on any finding — wired into
+//! `scripts/ci.sh`. Fixture corpora under `fixtures/` pin each rule's
+//! firing, clean, and suppressed behavior via golden diagnostics.
 
-pub mod cache;
 pub mod callgraph;
 pub mod engine;
-pub mod fix;
 pub mod lexer;
 pub mod rules;
 pub mod source;
 pub mod walker;
 
-pub use cache::{check_workspace_cached, CacheStats};
 pub use engine::{check_file, check_files, to_json, Context, Diagnostic};
 pub use source::SourceFile;
 
@@ -61,14 +53,6 @@ pub fn rules_apply_to(rel_path: &str) -> bool {
 /// Load and check the whole workspace rooted at `root`. Returns sorted
 /// diagnostics; IO failures surface as `Err`.
 pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    Ok(engine::check_files(
-        &load_workspace(root)?,
-        &Context::from_workspace(root)?,
-    ))
-}
-
-/// Read every first-party source file under `root` that rules apply to.
-pub fn load_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     for path in walker::collect_files(root, false) {
         let rel = walker::rel_path(root, &path);
@@ -78,5 +62,5 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
         let src = std::fs::read_to_string(&path)?;
         files.push(SourceFile::new(rel, src));
     }
-    Ok(files)
+    Ok(check_files(&files, &Context::from_workspace(root)?))
 }

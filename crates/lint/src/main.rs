@@ -1,8 +1,7 @@
 //! The `compso-lint` CLI.
 //!
 //! ```text
-//! compso-lint [--deny] [--json] [--json-out PATH] [--cache PATH] [--root PATH]
-//!             [--fix | --fix-dry-run] [--budget-ms N]
+//! compso-lint [--deny] [--json] [--json-out PATH] [--root PATH]
 //! ```
 //!
 //! Walks the workspace (auto-detected by searching upward for the
@@ -10,23 +9,12 @@
 //! production code, and prints human-readable `path:line:col` findings.
 //! `--json` prints the machine-readable document to stdout instead;
 //! `--json-out` writes it to a file (the CI artifact) in addition to
-//! the human output. `--cache` enables the incremental file cache (see
-//! [`compso_lint::cache`]) — diagnostics are identical either way, only
-//! untouched files skip re-analysis.
+//! the human output.
 //!
-//! `--fix` applies the mechanical rewrites (see [`compso_lint::fix`])
-//! and then lints the rewritten tree; `--fix-dry-run` only reports what
-//! would be rewritten and exits 1 if any fix is pending (the CI gate
-//! against committing auto-fixable findings). `--budget-ms N` fails the
-//! run (exit 1) when the analysis takes longer than `N` milliseconds —
-//! CI pins the cold and warm budgets with it.
-//!
-//! Exit status: `0` when clean, `1` on deny findings with `--deny`, on
-//! pending fixes with `--fix-dry-run`, or on a blown `--budget-ms`;
-//! `2` on usage or IO errors.
+//! Exit status: `0` when clean, `1` on any finding with `--deny`, `2`
+//! on usage or IO errors.
 
-use compso_lint::rules::{severity_of, Severity};
-use compso_lint::{check_workspace, check_workspace_cached, fix, to_json};
+use compso_lint::{check_workspace, to_json};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -50,36 +38,16 @@ fn main() -> ExitCode {
     let mut deny = false;
     let mut json = false;
     let mut json_out: Option<PathBuf> = None;
-    let mut cache: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
-    let mut fix_apply = false;
-    let mut fix_dry = false;
-    let mut budget_ms: Option<u128> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
             "--json" => json = true,
-            "--fix" => fix_apply = true,
-            "--fix-dry-run" => fix_dry = true,
-            "--budget-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => budget_ms = Some(ms),
-                None => {
-                    eprintln!("compso-lint: --budget-ms needs a number");
-                    return ExitCode::from(2);
-                }
-            },
             "--json-out" => match args.next() {
                 Some(p) => json_out = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("compso-lint: --json-out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--cache" => match args.next() {
-                Some(p) => cache = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("compso-lint: --cache needs a path");
                     return ExitCode::from(2);
                 }
             },
@@ -91,11 +59,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!(
-                    "usage: compso-lint [--deny] [--json] [--json-out PATH] \
-                     [--cache PATH] [--root PATH] [--fix | --fix-dry-run] \
-                     [--budget-ms N]"
-                );
+                println!("usage: compso-lint [--deny] [--json] [--json-out PATH] [--root PATH]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -110,47 +74,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    if fix_apply && fix_dry {
-        eprintln!("compso-lint: --fix and --fix-dry-run are mutually exclusive");
-        return ExitCode::from(2);
-    }
-    if fix_apply || fix_dry {
-        let report = match fix::run_fix(&root, fix_dry) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("compso-lint: fix: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let verb = if fix_dry { "would fix" } else { "fixed" };
-        for d in &report.fixed {
-            println!("{verb}: {}", d.human());
-        }
-        for (d, why) in &report.refused {
-            println!("refused ({why}): {}", d.human());
-        }
-        if fix_dry {
-            println!(
-                "compso-lint: {} pending fix{}, {} refused",
-                report.fixed.len(),
-                if report.fixed.len() == 1 { "" } else { "es" },
-                report.refused.len(),
-            );
-            return if report.fixed.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
-        // --fix falls through to a fresh lint of the rewritten tree.
-    }
-
     let start = Instant::now();
-    let checked = match &cache {
-        Some(path) => check_workspace_cached(&root, path).map(|(d, s)| (d, Some(s))),
-        None => check_workspace(&root).map(|d| (d, None)),
-    };
-    let (diags, stats) = match checked {
+    let diags = match check_workspace(&root) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("compso-lint: {e}");
@@ -171,33 +96,16 @@ fn main() -> ExitCode {
         for d in &diags {
             println!("{}", d.human());
         }
-        let cache_note = match stats {
-            Some(s) => format!(" (cache: {}/{} hits)", s.hits, s.files),
-            None => String::new(),
-        };
         println!(
-            "compso-lint: {} finding{} in {:.2?}{}{}",
+            "compso-lint: {} finding{} in {:.2?}{}",
             diags.len(),
             if diags.len() == 1 { "" } else { "s" },
             elapsed,
-            cache_note,
             if deny { " (--deny)" } else { "" },
         );
     }
 
-    if let Some(budget) = budget_ms {
-        // Compare in µs: as_millis() truncates, which would let a
-        // 10.9ms run sneak under a 10ms budget.
-        if elapsed.as_micros() > budget.saturating_mul(1000) {
-            eprintln!(
-                "compso-lint: blew the --budget-ms {budget} budget ({:.2?})",
-                elapsed
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    let denied = diags.iter().any(|d| severity_of(d.rule) == Severity::Deny);
-    if deny && denied {
+    if deny && !diags.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -9,8 +9,8 @@
 //!
 //! v3 moved all scoping out of the rule bodies and into data:
 //!
-//! - [`RULES`] — one [`RuleSpec`] per rule: severity, include/exclude
-//!   path prefixes, constructor. The engine consults `applies_to`
+//! - [`RULES`] — one [`RuleSpec`] per rule: include/exclude path
+//!   prefixes, constructor. The engine consults `applies_to`
 //!   before running a rule on a file, so rules no longer hard-code
 //!   their own path checks or self-exclusion carve-outs.
 //! - [`GLOBAL_EXCLUDE`] — paths no rule ever runs on (the analyzer
@@ -46,8 +46,6 @@ pub use swallowed::SwallowedCommError;
 pub use wire_magic::WireMagicRegistry;
 
 pub(crate) use hashmap_iter::{hashmap_idents, in_for_header, is_iter_call};
-pub(crate) use swallowed::let_underscore_stmts;
-pub(crate) use wire_magic::wire_magic_value;
 
 /// A single analysis rule.
 pub trait Rule {
@@ -55,29 +53,11 @@ pub trait Rule {
     fn check(&self, file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>);
 }
 
-/// Finding severity. `--deny` exit status is driven by `Deny` findings;
-/// `Warn` findings print (and serialize) but never fail the build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    Deny,
-    Warn,
-}
-
-impl Severity {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
 /// One row of the rule table: everything the engine needs to decide
-/// *whether* and *how seriously* to run a rule on a file, separated
-/// from the rule's token-level logic.
+/// *whether* to run a rule on a file, separated from the rule's
+/// token-level logic. Every finding fails `--deny`.
 pub struct RuleSpec {
     pub name: &'static str,
-    pub severity: Severity,
     /// Path prefixes the rule is confined to; empty = whole workspace.
     pub include: &'static [&'static str],
     /// Path prefixes excluded on top of [`GLOBAL_EXCLUDE`].
@@ -109,14 +89,12 @@ pub const GLOBAL_EXCLUDE: &[&str] = &["crates/lint/"];
 pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         name: "wire-magic-registry",
-        severity: Severity::Deny,
         include: &[],
         exclude: &[],
         make: || Box::new(WireMagicRegistry),
     },
     RuleSpec {
         name: "no-unwrap-on-comm-path",
-        severity: Severity::Deny,
         // The comm crate *is* the fallible path; kfac is in scope only
         // inside Result-returning fns (a behavioral refinement the rule
         // keeps — it is not a path scope).
@@ -126,28 +104,24 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "unchecked-length-prefix",
-        severity: Severity::Deny,
         include: &[],
         exclude: &[],
         make: || Box::new(UncheckedLengthPrefix),
     },
     RuleSpec {
         name: "counter-registry",
-        severity: Severity::Deny,
         include: &[],
         exclude: &[],
         make: || Box::new(CounterRegistry),
     },
     RuleSpec {
         name: "nondeterministic-wire-iteration",
-        severity: Severity::Deny,
         include: &[],
         exclude: &[],
         make: || Box::new(NondeterministicWireIteration),
     },
     RuleSpec {
         name: "collective-order",
-        severity: Severity::Deny,
         // Deadlocks need a group: only comm/kfac issue collectives.
         include: &["crates/comm/src/", "crates/kfac/src/"],
         exclude: &[],
@@ -155,14 +129,12 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "deterministic-state",
-        severity: Severity::Deny,
         include: &[],
         exclude: &[],
         make: || Box::new(DeterministicState),
     },
     RuleSpec {
         name: "float-reduction-order",
-        severity: Severity::Deny,
         include: &[],
         // The sanctioned scalar oracles: fixed-order reference
         // reductions every parallel kernel is pinned against.
@@ -171,7 +143,6 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "swallowed-comm-error",
-        severity: Severity::Deny,
         include: &["crates/comm/src/", "crates/kfac/src/"],
         exclude: &[],
         make: || Box::new(SwallowedCommError),
@@ -192,15 +163,6 @@ pub const RULE_NAMES: &[&str] = &[
     "swallowed-comm-error",
     SUPPRESSION_HYGIENE,
 ];
-
-/// Severity of a rule name (hygiene findings always deny).
-pub fn severity_of(rule: &str) -> Severity {
-    RULES
-        .iter()
-        .find(|r| r.name == rule)
-        .map(|r| r.severity)
-        .unwrap_or(Severity::Deny)
-}
 
 /// The workspace's collective-call vocabulary: a call to any of these
 /// names is a synchronization point every rank must reach in the same

@@ -15,9 +15,8 @@
 //! error already propagated (`let _ = x?;` discards only the Ok value)
 //! and is clean.
 //!
-//! `--fix` rewrites `let _ = EXPR;` to `EXPR?;` when the enclosing
-//! function returns `Result` (see `crate::fix`). Genuinely best-effort
-//! sends (ACKs, rejoin advertisements) must say so:
+//! The remedy in a `Result`-returning function is `EXPR?;`. Genuinely
+//! best-effort sends (ACKs, rejoin advertisements) must say so:
 //! `lint:allow(swallowed-comm-error): <why best-effort is correct>`.
 
 use super::{Rule, View, COLLECTIVES};
@@ -65,7 +64,7 @@ impl Rule for SwallowedCommError {
                     ci,
                     format!(
                         "`let _ = …` discards the Result of comm call `{callee}`; \
-                         propagate it (`{callee}(…)?`, see --fix) or annotate \
+                         propagate it (`{callee}(…)?`) or annotate \
                          lint:allow({NAME}): <why best-effort is correct here>"
                     ),
                 ));
@@ -77,7 +76,7 @@ impl Rule for SwallowedCommError {
 
 /// Code-index ranges of `let _ = … ;` statements: from the `let` token
 /// through the terminating `;` (exclusive), tracked at bracket depth 0.
-pub(crate) fn let_underscore_stmts(v: &View) -> Vec<std::ops::Range<usize>> {
+fn let_underscore_stmts(v: &View) -> Vec<std::ops::Range<usize>> {
     let mut out = Vec::new();
     for ci in 0..v.len().saturating_sub(2) {
         if !(v.is_ident(ci, "let") && v.text(ci + 1) == "_" && v.is_punct(ci + 2, "=")) {

@@ -60,9 +60,7 @@ impl Rule for WireMagicRegistry {
 /// Parse a literal like `0xC5` / `0xC5u8` / `0xC_5`; `Some(value)` when
 /// it is a two-hex-digit literal in the reserved `0xC0..=0xCF` range.
 /// Wider literals (`0xCBF4_3926` CRC polynomials, …) never match.
-/// Shared with the engine's magic-registry parser and the `--fix`
-/// rewriter.
-pub(crate) fn wire_magic_value(text: &str) -> Option<u8> {
+fn wire_magic_value(text: &str) -> Option<u8> {
     let rest = text
         .strip_prefix("0x")
         .or_else(|| text.strip_prefix("0X"))?;

@@ -39,29 +39,26 @@ step_start "cargo test"
 cargo test -q --workspace
 step_end
 
-step_start "compso-lint --deny (cold 150ms / warm 10ms budgets)"
+step_start "compso-lint --deny"
 # Invariant lint over the whole workspace: wire magics, comm-path
 # unwraps, unchecked length prefixes, counter registry, nondeterministic
 # wire iteration, plus the call-graph rules (collective-order,
 # deterministic-state, float-reduction-order, swallowed-comm-error).
-# The binary was just built by the release build above, so the budgets
-# measure analysis, not compilation. The cold run (cache removed first)
-# must finish inside 150ms; the warm re-run replays the cache and must
-# finish inside 10ms — both enforced by --budget-ms, with an outer
-# timeout as the hang backstop. The JSON report (per-rule counts) is
-# uploaded as a CI artifact (see .github/workflows/ci.yml).
-rm -f target/lint-cache
+# One cold pass of the binary the release build above just produced; the
+# outer timeout is the hang backstop and the timing summary below shows
+# a slow run. The JSON report (per-rule counts) is uploaded as a CI
+# artifact (see .github/workflows/ci.yml).
 timeout --kill-after=5 10 \
   target/release/compso-lint --deny --json-out target/lint-report.json \
-  --cache target/lint-cache --budget-ms 150 \
-  || { echo "compso-lint: violations or blown 150ms cold budget" >&2; exit 1; }
-timeout --kill-after=5 10 \
-  target/release/compso-lint --deny --cache target/lint-cache --budget-ms 10 \
-  || { echo "compso-lint: violations or blown 10ms warm budget" >&2; exit 1; }
-# No auto-fixable finding may be committed: --fix exists, use it.
-timeout --kill-after=5 10 \
-  target/release/compso-lint --fix-dry-run \
-  || { echo "compso-lint: pending --fix rewrites; run compso-lint --fix" >&2; exit 1; }
+  || { echo "compso-lint: violations (or the 10s hang backstop fired)" >&2; exit 1; }
+step_end
+
+step_start "one lint pass (no cache, no rewriter, no millisecond budget)"
+# scripts/ is not searched: this line would match itself.
+if grep -rnE -e 'check_workspace_cached|CacheStats|run_fix|--cache|--fix|--budget-ms' \
+  crates/lint/src README.md DESIGN.md .github .claude; then
+  echo "compso-lint's incremental cache, --fix or --budget-ms is back" >&2; exit 1
+fi
 step_end
 
 step_start "one gather path (kfac/src/distributed.rs ahead of mod tests)"

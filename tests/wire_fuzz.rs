@@ -872,6 +872,37 @@ fn every_family_is_total_on_hostile_bytes() {
 }
 
 #[test]
+fn every_family_survives_non_finite_layers() {
+    let finite = conformance_layers(14).swap_remove(2);
+    let with = |at: usize, v: f32| {
+        let mut layer = finite.clone();
+        layer[at] = v;
+        layer
+    };
+    // A diverged layer must not kill the rank that compresses it: NaN
+    // encodes without a panic and decodes `Ok` at the input's lengths
+    // (which values come back is not stated).
+    let nan_group = vec![vec![f32::NAN; 40], with(3, f32::NAN)];
+    // ±Inf only has to stay panic-free: COMPSO, QSGD, SZ and Cocktail
+    // emit a stream their own decoder rejects there, which the
+    // degradation ladder absorbs. Making those `Ok` is a later issue.
+    let inf_group = vec![with(5, f32::INFINITY), with(7, f32::NEG_INFINITY)];
+    for family in FAMILIES {
+        for (layers, must_decode) in [(&nan_group, true), (&inf_group, false)] {
+            let refs: Vec<&[f32]> = layers.iter().map(Vec::as_slice).collect();
+            let c = (family.make)();
+            let stream = c.compress_group(&refs, None, &mut Rng::new(14), &Recorder::disabled());
+            let back = c.decompress_group(&stream, &Recorder::disabled());
+            if must_decode {
+                let name = c.name();
+                let lens = |ls: &[Vec<f32>]| ls.iter().map(Vec::len).collect::<Vec<_>>();
+                assert_eq!(lens(&back.expect(name)), lens(layers), "{name}");
+            }
+        }
+    }
+}
+
+#[test]
 fn no_compression_group_size_is_pinned() {
     // magic + u32 count, then per layer a u64 block length, the block's
     // own u64 element count and the raw values: 5 + Σ(16 + 4·nᵢ).

@@ -31,11 +31,14 @@
 //!    scripted signal tape, and that cost as a fraction of the chunked
 //!    compress wall (`overhead_frac`, gated < 1% by bench_check.sh).
 //! 7. `eigen` — `sym_eig` on seeded K-FAC-shaped factors at n = 145 and
-//!    289 (fastest of 5, the two sizes timed back to back) and
-//!    `cliff_289 = t289 / (8·t145)`, the n³-normalised slowdown past the
-//!    point where the solver's two f64 n×n buffers stop fitting L2
-//!    (gated ≤ 2.0 by bench_check.sh; a ratio of neighbouring timings
-//!    survives a noisy host where an absolute ms gate would not).
+//!    289 and one 289³ `Matrix::matmul` (fastest of 5, the three timed
+//!    back to back). `cliff_289 = t289 / (8·t145)` is the n³-normalised
+//!    slowdown past the point where the solver's f64 n×n buffer stops
+//!    fitting the near cache (gated ≤ 2.0 by bench_check.sh);
+//!    `gemm_ratio_289 = t289 / t_matmul` prices the solver in units of
+//!    a same-size product, so a relapse to a Jacobi-class flop count
+//!    fails its ceiling. Ratios of neighbouring timings survive a noisy
+//!    host where an absolute ms gate would not.
 //! 8. `covariance` — the factor phase's kernel: `Matrix::gram` (the SYRK
 //!    `covariance()` runs) against `t_matmul` of the same matrix with
 //!    itself (what it ran before) on one seeded ReLU-sparse statistics
@@ -433,18 +436,19 @@ fn main() {
     }
     pipeline.push('}');
 
-    // Eigensolver cache-cliff gate. Jacobi costs O(n³) per sweep, so at
-    // equal sweep counts t289 ≈ 8·t145; what is left of the ratio is the
-    // price of the working set (2·n²·8 B: 336 KB at 145, 1.3 MB at 289)
-    // leaving L2. Fixed sizes and reps: the gate must not move with the
-    // smoke run's COMPSO_BENCH_ELEMS/REPS.
+    // Eigensolver gates. Tridiagonalisation + QL is n³-scaling, so
+    // t289 ≈ 8·t145 and what is left of that ratio is the price of the
+    // working set (n²·8 B: 168 KB at 145, 668 KB at 289) leaving the
+    // near cache; against one same-size matmul the solver's flop count
+    // shows (≈ 9n³ in f64 vs 2n³ in f32). Fixed sizes and reps: the
+    // gates must not move with the smoke run's COMPSO_BENCH_ELEMS/REPS.
     let eigen = {
         let factor = |n: usize| {
             let mut rng = Rng::new(31 + n as u64);
             covariance(&Matrix::random_normal(4 * n, n, &mut rng))
         };
         let sizes = [factor(145), factor(289)];
-        let mut best = [f64::INFINITY; 2];
+        let mut best = [f64::INFINITY; 3];
         for _ in 0..5 {
             for (f, t) in sizes.iter().zip(&mut best) {
                 let t0 = Instant::now();
@@ -452,12 +456,18 @@ fn main() {
                 *t = t.min(t0.elapsed().as_secs_f64());
                 assert_eq!(e.values.len(), f.rows());
             }
+            let t0 = Instant::now();
+            black_box(black_box(&sizes[1]).matmul(&sizes[1]));
+            best[2] = best[2].min(t0.elapsed().as_secs_f64());
         }
         format!(
-            "{{\"sym_eig_ms_145\": {:.3}, \"sym_eig_ms_289\": {:.3}, \"cliff_289\": {:.2}}}",
+            "{{\"sym_eig_ms_145\": {:.3}, \"sym_eig_ms_289\": {:.3}, \"cliff_289\": {:.2}, \
+             \"matmul_ms_289\": {:.3}, \"gemm_ratio_289\": {:.2}}}",
             best[0] * 1e3,
             best[1] * 1e3,
             best[1] / (8.0 * best[0]).max(1e-12),
+            best[2] * 1e3,
+            best[1] / best[2].max(1e-12),
         )
     };
 

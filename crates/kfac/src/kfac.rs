@@ -427,6 +427,48 @@ mod tests {
         );
     }
 
+    /// Why swapping one correct eigensolver for another moves a training
+    /// trajectory by round-off only: negating an eigenvector is exact and
+    /// cancels in `Q f(Λ) Qᵀ`, so the sign convention a solver happens to
+    /// pick never reaches the preconditioned gradient. What can differ is
+    /// an entry that rounds the other way, or the basis inside a cluster
+    /// of equal eigenvalues.
+    #[test]
+    fn preconditioner_is_bit_identical_under_eigenvector_sign_flips() {
+        let mut rng = Rng::new(19);
+        let flipped = |eig: &EigenDecomposition, rng: &mut Rng| {
+            let mut out = eig.clone();
+            for j in 0..eig.values.len() {
+                if rng.next_u64() & 1 == 1 {
+                    for i in 0..eig.values.len() {
+                        out.vectors.set(i, j, -eig.vectors.get(i, j));
+                    }
+                }
+            }
+            out
+        };
+        let bits = |m: &Matrix| {
+            m.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<u32>>()
+        };
+        for (a_dim, g_dim) in [(33usize, 4usize), (129, 128), (145, 32)] {
+            let factor =
+                |n: usize, rng: &mut Rng| covariance(&Matrix::random_normal(2 * n, n, rng));
+            let eig_a = sym_eig(&factor(a_dim, &mut rng));
+            let eig_g = sym_eig(&factor(g_dim, &mut rng));
+            let grad = Matrix::random_normal(a_dim, g_dim, &mut rng);
+            let base = bits(&precondition(&grad, &eig_a, &eig_g, 0.05));
+            for _ in 0..3 {
+                let (fa, fg) = (flipped(&eig_a, &mut rng), flipped(&eig_g, &mut rng));
+                assert_eq!(bits(&precondition(&grad, &fa, &eig_g, 0.05)), base);
+                assert_eq!(bits(&precondition(&grad, &eig_a, &fg, 0.05)), base);
+                assert_eq!(bits(&precondition(&grad, &fa, &fg, 0.05)), base);
+            }
+        }
+    }
+
     #[test]
     fn preconditioning_with_identity_factors_is_scaling() {
         // A = I, G = I -> preconditioner divides by (1 + γ).

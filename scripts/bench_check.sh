@@ -18,9 +18,15 @@
 #     decision must cost < 1% of the chunked compress wall)
 #   - eigen.cliff_289                       (absolute gate: sym_eig at
 #     n = 289 may cost at most 2.0x its n^3 share of the n = 145 time —
-#     the strided eigenvector accumulation this guards against read 2.6
-#     to 3.4; a ratio of two timings taken back to back holds through
-#     this host's noisy stretches where a ms floor would not)
+#     a stride-n walk in an O(n^3) loop reads 2.6 to 3.4; a ratio of two
+#     timings taken back to back holds through this host's noisy
+#     stretches where a ms floor would not)
+#   - eigen.gemm_ratio_289                  (absolute gate: sym_eig at
+#     n = 289 may cost at most GEMM_CEILING 289^3 Matrix::matmul calls.
+#     Tridiagonalisation + QL reads 6.4 to 7.5, the cyclic Jacobi it
+#     replaced 94 to 115; the ceiling is the geometric mean of the two
+#     pinned readings, so a relapse to a Jacobi-class flop count fails
+#     without a millisecond floor)
 #   - covariance.syrk_speedup               (absolute gate: Matrix::gram,
 #     the SYRK covariance() runs, must beat t_matmul of the matrix with
 #     itself by >= 1.3x — it does half the flops; again a back-to-back
@@ -113,6 +119,16 @@ print(
 )
 if not ok:
     failed.append("eigen.cliff_289")
+
+GEMM_CEILING = 26.5
+gemm = smoke["eigen"]["gemm_ratio_289"]
+ok = gemm <= GEMM_CEILING
+print(
+    f"bench_check: eigen.gemm_ratio_289: smoke={gemm:.2f} "
+    f"ceiling={GEMM_CEILING:.2f} -> {'ok' if ok else 'REGRESSION'}"
+)
+if not ok:
+    failed.append("eigen.gemm_ratio_289")
 
 syrk = smoke["covariance"]["syrk_speedup"]
 ok = syrk >= 1.3

@@ -202,7 +202,7 @@ fn main() {
         overlaps.iter().sum::<f64>() / overlaps.len() as f64
     };
     let predicted_overlap = model.overlap_frac(&spec, 64, 4, Some(&profile));
-    println!("\n## Pipelined gather overlap (kfac/overlap_frac)\n");
+    println!("\n## Pipelined gather overlap (StepReport.overlap_frac)\n");
     header(&["overlap fraction", "measured", "model"]);
     row(&[
         "1 - wait/allgather".to_string(),

@@ -1,7 +1,7 @@
 //! Component-level profile of the checkpoint lossless path: times the
 //! CRC kernel and the block entropy coder separately over a synthetic
-//! K-FAC buffer, so a regression in `ckpt` throughput in
-//! `BENCH_compress.json` can be attributed without guessing.
+//! K-FAC buffer, so a regression in the benchmark's `ckpt.save_MBps` can
+//! be attributed without guessing.
 
 use compso_core::encoders::Codec;
 use compso_core::synthetic::{generate, GradientProfile};

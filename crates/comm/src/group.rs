@@ -30,6 +30,7 @@
 
 use crate::fault::{flip_bit, FaultPlane};
 use crate::membership::ViewChange;
+use compso_core::wire::crc32_update;
 use compso_obs::{names, Recorder};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
@@ -64,34 +65,7 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Unwraps an f32 buffer.
-    ///
-    /// # Panics
-    /// If the payload has a different variant — a protocol bug.
-    pub fn into_f32(self) -> Vec<f32> {
-        match self {
-            Payload::F32(v) => v,
-            other => panic!("protocol error: expected F32, got {other:?}"),
-        }
-    }
-
-    /// Unwraps a byte buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(v) => v,
-            other => panic!("protocol error: expected Bytes, got {other:?}"),
-        }
-    }
-
-    /// Unwraps a size vector.
-    pub fn into_sizes(self) -> Vec<u64> {
-        match self {
-            Payload::Sizes(v) => v,
-            other => panic!("protocol error: expected Sizes, got {other:?}"),
-        }
-    }
-
-    /// Non-panicking variant of [`Payload::into_f32`].
+    /// Unwraps an f32 buffer; a different variant is a protocol error.
     pub fn try_f32(self) -> Result<Vec<f32>, CommError> {
         match self {
             Payload::F32(v) => Ok(v),
@@ -99,7 +73,7 @@ impl Payload {
         }
     }
 
-    /// Non-panicking variant of [`Payload::into_bytes`].
+    /// Unwraps a byte buffer; a different variant is a protocol error.
     pub fn try_bytes(self) -> Result<Vec<u8>, CommError> {
         match self {
             Payload::Bytes(v) => Ok(v),
@@ -107,7 +81,7 @@ impl Payload {
         }
     }
 
-    /// Non-panicking variant of [`Payload::into_sizes`].
+    /// Unwraps a size vector; a different variant is a protocol error.
     pub fn try_sizes(self) -> Result<Vec<u64>, CommError> {
         match self {
             Payload::Sizes(v) => Ok(v),
@@ -295,36 +269,11 @@ impl PoisonCell {
     }
 }
 
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// Streaming IEEE CRC-32 over a payload's wire representation, domain
-/// separated by variant tag. (Deliberately local to `compso-comm`: the
-/// transport envelope does not depend on `compso-core`'s frame format.)
+/// IEEE CRC-32 over a payload's wire representation, domain separated
+/// by variant tag.
 fn payload_crc(p: &Payload) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-        }
-    };
+    let mut feed = |bytes: &[u8]| crc = crc32_update(crc, bytes);
     match p {
         Payload::F32(v) => {
             feed(&[0x01]);
@@ -1695,7 +1644,7 @@ mod tests {
                 comm.send(1, Payload::F32(vec![1.0, 2.0, 3.0])).unwrap();
                 Vec::new()
             } else {
-                comm.recv(0).unwrap().into_f32()
+                comm.recv(0).unwrap().try_f32().unwrap()
             }
         });
         assert_eq!(results[1], vec![1.0, 2.0, 3.0]);
@@ -1715,8 +1664,8 @@ mod tests {
             _ => {
                 // Receive in the opposite order of likely arrival; per-source
                 // channels mean ordering across sources cannot interfere.
-                let from1 = comm.recv(1).unwrap().into_sizes();
-                let from0 = comm.recv(0).unwrap().into_sizes();
+                let from1 = comm.recv(1).unwrap().try_sizes().unwrap();
+                let from0 = comm.recv(0).unwrap().try_sizes().unwrap();
                 (from0[0] * 10 + from1[0]) as i32
             }
         });
@@ -1733,7 +1682,7 @@ mod tests {
                 Vec::new()
             } else {
                 (0..10)
-                    .map(|_| comm.recv(0).unwrap().into_sizes()[0])
+                    .map(|_| comm.recv(0).unwrap().try_sizes().unwrap()[0])
                     .collect()
             }
         });
@@ -1786,12 +1735,6 @@ mod tests {
             comm.size()
         });
         assert_eq!(results, vec![1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected F32")]
-    fn payload_type_confusion_panics() {
-        Payload::Bytes(vec![1, 2]).into_f32();
     }
 
     #[test]
@@ -1950,7 +1893,7 @@ mod tests {
                 Vec::new()
             } else {
                 let got: Vec<u64> = (0..n_msgs)
-                    .map(|_| comm.recv(0).unwrap().into_sizes()[0])
+                    .map(|_| comm.recv(0).unwrap().try_sizes().unwrap()[0])
                     .collect();
                 comm.barrier().unwrap();
                 got

@@ -111,22 +111,6 @@ impl Codec {
         }
     }
 
-    /// [`Codec::encode`] with the throughput-optimized encoder substituted
-    /// where a wire-compatible one exists: rANS entropy stages switch to
-    /// the 4-lane interleaved encoder ([`rans::encode_interleaved`]),
-    /// whose reciprocal-multiply division and independent dependency
-    /// chains lift single-core throughput. The output stays
-    /// self-describing — [`Codec::decode`] reads both layouts via the
-    /// mode byte — so only encode call sites opt in; [`Codec::encode`]
-    /// keeps the single-lane encoder as the scalar oracle.
-    pub fn encode_fast(self, input: &[u8]) -> Vec<u8> {
-        match self {
-            Codec::Ans => rans::encode_interleaved(input),
-            Codec::Zstd => rans::encode_interleaved(&lz::encode(input, LzParams::gdeflate())),
-            other => other.encode(input),
-        }
-    }
-
     /// Inverse of [`Codec::encode`]; errors on corrupt or truncated input.
     pub fn decode(self, input: &[u8]) -> Result<Vec<u8>, WireError> {
         match self {
@@ -145,16 +129,11 @@ impl Codec {
     /// chunks, each encoded independently (rayon), concatenated with a
     /// small frame header. This is nvCOMP's execution model — "parallel
     /// execution on GPUs via a block processing scheme" (§5.2) — at the
-    /// cost of per-block table overhead. Blocks are encoded with
-    /// [`Codec::encode_fast`]; each frame stays self-describing, so
-    /// [`Codec::decode_blocks`] is unchanged.
+    /// cost of per-block table overhead.
     pub fn encode_blocks(self, input: &[u8], block: usize) -> Vec<u8> {
         use rayon::prelude::*;
         assert!(block > 0, "block size must be positive");
-        let encoded: Vec<Vec<u8>> = input
-            .par_chunks(block)
-            .map(|c| self.encode_fast(c))
-            .collect();
+        let encoded: Vec<Vec<u8>> = input.par_chunks(block).map(|c| self.encode(c)).collect();
         let mut w = crate::wire::Writer::with_capacity(input.len() / 2 + 32);
         w.u8(self.tag());
         w.u64(input.len() as u64);
@@ -263,19 +242,6 @@ mod tests {
                 let enc = codec.encode(data);
                 assert_eq!(&codec.decode(&enc).unwrap(), data, "{}", codec.name());
             }
-        }
-    }
-
-    #[test]
-    fn encode_fast_roundtrips_and_decodes_serial_output() {
-        // encode_fast output must decode through the plain decoder for
-        // every codec, to the same bytes the serial encoder preserves.
-        let data = gradient_codes(30_000, 21);
-        for codec in Codec::all() {
-            let fast = codec.encode_fast(&data);
-            let serial = codec.encode(&data);
-            assert_eq!(codec.decode(&fast).unwrap(), data, "{}", codec.name());
-            assert_eq!(codec.decode(&serial).unwrap(), data, "{}", codec.name());
         }
     }
 

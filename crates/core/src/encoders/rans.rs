@@ -16,7 +16,6 @@ const SCALE_BITS: u32 = 12;
 const SCALE: u32 = 1 << SCALE_BITS; // 4096
 const RANS_L: u32 = 1 << 23; // lower renormalization bound
 const MODE_STORED: u8 = 0;
-const MODE_RANS: u8 = 1;
 const MODE_ILEAVE: u8 = 2;
 
 /// Interleaved encoder lane count (symbol `i` belongs to lane
@@ -143,73 +142,16 @@ fn cumulative(freqs: &[u32; 256]) -> [u32; 257] {
     cum
 }
 
-/// Compresses `input` with static rANS.
-pub fn encode(input: &[u8]) -> Vec<u8> {
-    let stored = |input: &[u8]| {
-        let mut w = Writer::with_capacity(input.len() + 16);
-        w.u8(MODE_STORED);
-        w.block(input);
-        w.into_bytes()
-    };
-    if input.is_empty() {
-        return stored(input);
-    }
-    let mut counts = [0u64; 256];
-    for &b in input {
-        counts[b as usize] += 1;
-    }
-    let Some(freqs) = normalize_freqs(&counts) else {
-        return stored(input);
-    };
-    let cum = cumulative(&freqs);
-
-    // Encode backwards.
-    let mut state: u32 = RANS_L;
-    let mut stream: Vec<u8> = Vec::with_capacity(input.len() / 2 + 16);
-    for &b in input.iter().rev() {
-        let f = freqs[b as usize];
-        let c = cum[b as usize];
-        // Renormalize: keep state < max for this symbol.
-        let x_max = ((RANS_L >> SCALE_BITS) << 8) * f;
-        while state >= x_max {
-            stream.push(state as u8);
-            state >>= 8;
-        }
-        state = ((state / f) << SCALE_BITS) + (state % f) + c;
-    }
-    stream.reverse();
-
-    let mut w = Writer::with_capacity(stream.len() + 600);
-    w.u8(MODE_RANS);
-    w.u64(input.len() as u64);
-    // Frequency table: 12-bit entries would pack into 384 bytes; u16 keeps
-    // the header trivial at 512 bytes, negligible at gradient sizes.
-    for &f in &freqs {
-        w.u16(f as u16);
-    }
-    w.u32(state);
-    w.block(&stream);
-    let out = w.into_bytes();
-    if out.len() >= input.len() + 9 {
-        stored(input)
-    } else {
-        out
-    }
-}
-
 /// Compresses `input` with [`N_LANES`]-lane interleaved static rANS.
 ///
-/// Same frequency model as [`encode`], but the symbol stream is split
-/// round-robin over [`N_LANES`] independent rANS states sharing one
-/// renormalization byte stream — the CPU analogue of the paper's
-/// block-parallel ANS: the dependency chains keep the multiplier busy
-/// instead of serializing on one state, and the divide is a
-/// multiply-by-reciprocal ([`Recip`]). Decoding is self-describing via
-/// the mode byte, so [`decode`] reads both layouts; the single-lane
-/// [`encode`] is retained as the scalar oracle
-/// (`interleaved_and_serial_agree_on_content` pins the decoded bytes
-/// against it).
-pub fn encode_interleaved(input: &[u8]) -> Vec<u8> {
+/// The symbol stream is split round-robin over [`N_LANES`] independent
+/// rANS states sharing one renormalization byte stream — the CPU
+/// analogue of the paper's block-parallel ANS: the dependency chains keep
+/// the multiplier busy instead of serializing on one state, and the
+/// divide is a multiply-by-reciprocal ([`Recip`]). Inputs the frequency
+/// table would not pay for are stored verbatim; the mode byte tells
+/// [`decode`] which.
+pub fn encode(input: &[u8]) -> Vec<u8> {
     let stored = |input: &[u8]| {
         let mut w = Writer::with_capacity(input.len() + 16);
         w.u8(MODE_STORED);
@@ -271,56 +213,12 @@ pub fn encode_interleaved(input: &[u8]) -> Vec<u8> {
     }
 }
 
-/// Inverse of [`encode`] / [`encode_interleaved`] (the mode byte selects
-/// the layout).
+/// Inverse of [`encode`]. Mode byte 1 was the single-lane layout; no
+/// encoder emits it any more and it is rejected like any unknown mode.
 pub fn decode(input: &[u8]) -> Result<Vec<u8>, WireError> {
     let mut r = Reader::new(input);
     match r.u8()? {
         MODE_STORED => Ok(r.block()?.to_vec()),
-        MODE_RANS => {
-            let n = crate::wire::checked_count(r.u64()?)?;
-            let mut freqs = [0u32; 256];
-            for f in freqs.iter_mut() {
-                *f = r.u16()? as u32;
-            }
-            if freqs.iter().map(|&f| f as u64).sum::<u64>() != SCALE as u64 {
-                return Err(WireError::Invalid("rans frequency table sum"));
-            }
-            let cum = cumulative(&freqs);
-            // Slot -> symbol lookup.
-            let mut slot2sym = [0u8; SCALE as usize];
-            for s in 0..256 {
-                for slot in cum[s]..cum[s + 1] {
-                    slot2sym[slot as usize] = s as u8;
-                }
-            }
-            let mut state = r.u32()?;
-            let stream = r.block()?;
-            let mut pos = 0usize;
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                let slot = state & (SCALE - 1);
-                let s = slot2sym[slot as usize];
-                let f = freqs[s as usize];
-                let c = cum[s as usize];
-                state = f * (state >> SCALE_BITS) + slot - c;
-                while state < RANS_L {
-                    if pos >= stream.len() {
-                        return Err(WireError::Truncated {
-                            need: pos + 1,
-                            have: stream.len(),
-                        });
-                    }
-                    state = (state << 8) | stream[pos] as u32;
-                    pos += 1;
-                }
-                out.push(s);
-            }
-            if state != RANS_L {
-                return Err(WireError::Invalid("rans final state"));
-            }
-            Ok(out)
-        }
         MODE_ILEAVE => {
             let n = crate::wire::checked_count(r.u64()?)?;
             let mut freqs = [0u32; 256];
@@ -379,6 +277,82 @@ mod tests {
     use proptest::prelude::*;
     // Explicit import: proptest's prelude also globs a `Rng` trait.
     use compso_tensor::rng::Rng;
+
+    /// The single-lane layout (stream mode 1) that the eight-lane coder
+    /// replaced: one state, a hardware divide, a slot→symbol table.
+    /// Kept whole — encoder and its decoder — as the scalar reference
+    /// [`encode`] is compared against; nothing outside this module reads
+    /// or writes the layout, and [`decode`] rejects it.
+    mod single_lane {
+        use super::super::*;
+
+        pub const MODE: u8 = 1;
+
+        /// Always emits the rANS layout (no stored fallback); `input` must
+        /// be non-empty.
+        pub fn encode(input: &[u8]) -> Vec<u8> {
+            let mut counts = [0u64; 256];
+            for &b in input {
+                counts[b as usize] += 1;
+            }
+            let freqs = normalize_freqs(&counts).expect("non-empty input");
+            let cum = cumulative(&freqs);
+            let mut state: u32 = RANS_L;
+            let mut stream: Vec<u8> = Vec::new();
+            for &b in input.iter().rev() {
+                let f = freqs[b as usize];
+                let x_max = ((RANS_L >> SCALE_BITS) << 8) * f;
+                while state >= x_max {
+                    stream.push(state as u8);
+                    state >>= 8;
+                }
+                state = ((state / f) << SCALE_BITS) + (state % f) + cum[b as usize];
+            }
+            stream.reverse();
+            let mut w = Writer::new();
+            w.u8(MODE);
+            w.u64(input.len() as u64);
+            for &f in &freqs {
+                w.u16(f as u16);
+            }
+            w.u32(state);
+            w.block(&stream);
+            w.into_bytes()
+        }
+
+        pub fn decode(input: &[u8]) -> Vec<u8> {
+            let mut r = Reader::new(input);
+            assert_eq!(r.u8().unwrap(), MODE);
+            let n = r.u64().unwrap() as usize;
+            let mut freqs = [0u32; 256];
+            for f in freqs.iter_mut() {
+                *f = r.u16().unwrap() as u32;
+            }
+            let cum = cumulative(&freqs);
+            let mut slot2sym = [0u8; SCALE as usize];
+            for s in 0..256 {
+                for slot in cum[s]..cum[s + 1] {
+                    slot2sym[slot as usize] = s as u8;
+                }
+            }
+            let mut state = r.u32().unwrap();
+            let stream = r.block().unwrap();
+            let mut pos = 0usize;
+            let mut out = Vec::with_capacity(n);
+            for _ in 0..n {
+                let slot = state & (SCALE - 1);
+                let s = slot2sym[slot as usize];
+                state = freqs[s as usize] * (state >> SCALE_BITS) + slot - cum[s as usize];
+                while state < RANS_L {
+                    state = (state << 8) | stream[pos] as u32;
+                    pos += 1;
+                }
+                out.push(s);
+            }
+            assert_eq!(state, RANS_L, "oracle final state");
+            out
+        }
+    }
 
     #[test]
     fn roundtrip_text() {
@@ -462,15 +436,48 @@ mod tests {
     }
 
     #[test]
+    fn roundtrips_at_lane_boundaries_and_marks_mode() {
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 4095, 20_000] {
+            let data: Vec<u8> = (0..n).map(|i| (i % 7) as u8).collect();
+            let enc = encode(&data);
+            assert_eq!(
+                enc[0],
+                if n > 600 { MODE_ILEAVE } else { MODE_STORED },
+                "n={n}"
+            );
+            assert_eq!(decode(&enc).unwrap(), data, "n={n}");
+        }
+    }
+
+    #[test]
+    fn truncation_and_final_state_detected() {
+        let data: Vec<u8> = (0..20_000).map(|i| (i % 13) as u8).collect();
+        let enc = encode(&data);
+        assert_eq!(enc[0], MODE_ILEAVE);
+        for cut in [0usize, 1, 8, 200, enc.len() - 1] {
+            assert!(decode(&enc[..cut]).is_err(), "cut={cut}");
+        }
+        // Smash one of the initial lane states: the lane cannot land
+        // back on RANS_L.
+        let mut bad = enc.clone();
+        let state_base = 1 + 8 + 512; // mode + len + freq table
+        bad[state_base + 2] ^= 0x40;
+        assert!(decode(&bad).is_err());
+    }
+
+    #[test]
     fn corrupt_freq_table_detected() {
         // Large enough that the 512-byte frequency table amortizes and the
         // stream stays in rans mode.
         let data: Vec<u8> = (0..20_000).map(|i| (i % 7) as u8).collect();
         let mut enc = encode(&data);
-        assert_eq!(enc[0], MODE_RANS, "test assumes rans mode");
+        assert_eq!(enc[0], MODE_ILEAVE, "test assumes rans mode");
         // Smash a frequency entry; the sum check must fire.
         enc[10] ^= 0xFF;
-        assert!(decode(&enc).is_err());
+        assert_eq!(
+            decode(&enc),
+            Err(WireError::Invalid("rans frequency table sum"))
+        );
     }
 
     #[test]
@@ -493,22 +500,10 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_roundtrips_and_marks_mode() {
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 4095, 20_000] {
-            let data: Vec<u8> = (0..n).map(|i| (i % 7) as u8).collect();
-            let enc = encode_interleaved(&data);
-            if n > 600 {
-                assert_eq!(enc[0], MODE_ILEAVE, "n={n}");
-            }
-            assert_eq!(decode(&enc).unwrap(), data, "n={n}");
-        }
-        assert_eq!(decode(&encode_interleaved(&[])).unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn interleaved_and_serial_agree_on_content() {
-        // Same frequency model => same compressed size class and the same
-        // decoded bytes; the serial encoder stays the oracle.
+    fn eight_lanes_track_the_single_lane_oracle() {
+        // Same frequency model, so the payload entropy is identical and
+        // the sizes differ by the seven extra u32 lane states plus at
+        // most a few renormalization bytes per lane.
         let mut rng = Rng::new(7);
         let data: Vec<u8> = (0..60_000)
             .map(|_| {
@@ -519,35 +514,20 @@ mod tests {
                 }
             })
             .collect();
-        let serial = encode(&data);
-        let ileave = encode_interleaved(&data);
-        assert_eq!(decode(&serial).unwrap(), data);
-        assert_eq!(decode(&ileave).unwrap(), data);
-        // Four extra u32 states vs one: headers differ by 12 bytes, the
-        // payload entropy is identical, so sizes track each other.
-        let diff = serial.len().abs_diff(ileave.len());
-        assert!(
-            diff <= 64,
-            "serial {} ileave {}",
-            serial.len(),
-            ileave.len()
-        );
+        let oracle = single_lane::encode(&data);
+        let lanes = encode(&data);
+        assert_eq!(single_lane::decode(&oracle), data);
+        assert_eq!(decode(&lanes).unwrap(), data);
+        let diff = oracle.len().abs_diff(lanes.len());
+        assert!(diff <= 64, "oracle {} lanes {}", oracle.len(), lanes.len());
     }
 
     #[test]
-    fn interleaved_truncation_and_final_state_detected() {
-        let data: Vec<u8> = (0..20_000).map(|i| (i % 13) as u8).collect();
-        let enc = encode_interleaved(&data);
-        assert_eq!(enc[0], MODE_ILEAVE);
-        for cut in [0usize, 1, 8, 200, enc.len() - 1] {
-            assert!(decode(&enc[..cut]).is_err(), "cut={cut}");
-        }
-        // Smash one of the initial lane states: the lane cannot land
-        // back on RANS_L.
-        let mut bad = enc.clone();
-        let state_base = 1 + 8 + 512; // mode + len + freq table
-        bad[state_base + 2] ^= 0x40;
-        assert!(decode(&bad).is_err());
+    fn retired_single_lane_layout_is_rejected() {
+        let data: Vec<u8> = (0..20_000).map(|i| (i % 7) as u8).collect();
+        let retired = single_lane::encode(&data);
+        assert_eq!(retired[0], single_lane::MODE);
+        assert_eq!(decode(&retired), Err(WireError::Invalid("rans mode byte")));
     }
 
     #[test]
@@ -563,31 +543,20 @@ mod tests {
     }
 
     proptest! {
+        /// Any input survives the eight-lane coder, and — whichever mode
+        /// it fell back to — to the bytes the single-lane oracle keeps.
         #[test]
         fn prop_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..3000)) {
             let enc = encode(&data);
-            prop_assert_eq!(decode(&enc).unwrap(), data);
+            prop_assert_eq!(decode(&enc).unwrap(), data.clone());
+            if !data.is_empty() {
+                prop_assert_eq!(single_lane::decode(&single_lane::encode(&data)), data);
+            }
         }
 
         #[test]
         fn prop_roundtrip_low_entropy(data in proptest::collection::vec(0u8..3, 0..3000)) {
             let enc = encode(&data);
-            prop_assert_eq!(decode(&enc).unwrap(), data);
-        }
-
-        /// Interleaved-vs-serial bit-identity at the content level: both
-        /// encoders must decode back to the same bytes for any input,
-        /// regardless of which mode each falls back to.
-        #[test]
-        fn prop_interleaved_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..3000)) {
-            let enc = encode_interleaved(&data);
-            prop_assert_eq!(decode(&enc).unwrap(), data.clone());
-            prop_assert_eq!(decode(&encode(&data)).unwrap(), data);
-        }
-
-        #[test]
-        fn prop_interleaved_roundtrip_low_entropy(data in proptest::collection::vec(0u8..3, 0..3000)) {
-            let enc = encode_interleaved(&data);
             prop_assert_eq!(decode(&enc).unwrap(), data);
         }
     }

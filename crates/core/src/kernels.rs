@@ -12,7 +12,7 @@
 //!
 //! Compression is memory-bound with O(1) arithmetic intensity (§4.5), so
 //! pass-count is the first-order cost and the fused/staged ablation is
-//! directly measurable (the `kernels` criterion bench).
+//! directly measurable (`compso-bench`'s `fig8` and `ablations`).
 //!
 //! [`ChunkedCompso`] packages these kernels behind the [`Compressor`]
 //! trait so `DistKfac` can drive them as the production compression path.

@@ -279,11 +279,17 @@ pub fn choose_encoder(measurements: &[EncoderMeasurement], comm_tput: f64) -> Co
             + m.compressed_bytes as f64 / comm_tput
             + m.compressed_bytes as f64 / m.decode_tput
     };
+    // `total_cmp`: an empty sample prices every codec at 0/0. Ties go to
+    // the lower codec index.
     measurements
         .iter()
-        .min_by(|a, b| total(a).partial_cmp(&total(b)).unwrap())
+        .min_by(|a, b| {
+            total(a)
+                .total_cmp(&total(b))
+                .then(a.codec.tag().cmp(&b.codec.tag()))
+        })
         .map(|m| m.codec)
-        .unwrap()
+        .expect("measurements is non-empty")
 }
 
 #[cfg(test)]
@@ -499,6 +505,18 @@ mod tests {
             return;
         }
         panic!("encoder selection failed 3 measurement rounds: {last_err}");
+    }
+
+    #[test]
+    fn encoder_selection_is_total_on_an_empty_sample() {
+        // Nothing to time: every cost is 0/0, the choice is a tie, and a
+        // tie goes to the first codec of the menu instead of a panic.
+        let ms = measure_encoders(&[]);
+        assert_eq!(ms.len(), 8);
+        assert_eq!(choose_encoder(&ms, 1e6), Codec::Ans);
+        // Ties break on the codec index, not on the slice order.
+        let reversed: Vec<_> = ms.into_iter().rev().collect();
+        assert_eq!(choose_encoder(&reversed, 25e9), Codec::Ans);
     }
 
     #[test]

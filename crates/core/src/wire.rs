@@ -146,7 +146,14 @@ const CRC32_TABLE8: [[u32; 256]; 8] = {
 /// result is identical to the canonical bytewise definition for every
 /// input.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    !crc32_update(0xFFFF_FFFF, bytes)
+}
+
+/// Streaming form of [`crc32`] for input that arrives in pieces: start
+/// from `0xFFFF_FFFF`, feed each piece's result into the next call, and
+/// invert the last one. Splitting the input anywhere gives the same
+/// checksum.
+pub fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for c in chunks.by_ref() {
         let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
@@ -163,7 +170,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 /// The canonical one-byte-at-a-time CRC loop, retained as the oracle
@@ -529,6 +536,12 @@ mod tests {
                 buf.push((x >> 24) as u8);
             }
             assert_eq!(crc32(&buf), crc32_bytewise(&buf), "n={n}");
+            // Fed in two pieces, split anywhere: the same checksum.
+            for split in 0..=n {
+                let (a, b) = buf.split_at(split);
+                let streamed = !crc32_update(crc32_update(!0, a), b);
+                assert_eq!(streamed, crc32(&buf), "n={n} split={split}");
+            }
         }
         // One large buffer exercising sustained 8-byte folding.
         buf.clear();

@@ -34,7 +34,7 @@
 //! snapshot increments `ckpt/restore_rungs`.
 
 use crate::distributed::{DistKfac, DistKfacState};
-use crate::kfac::LayerStateExport;
+use crate::kfac::LayerState;
 use crate::optim::{Adam, Sgd};
 use compso_ckpt::{
     decode_tensors, encode_tensors, CheckpointStore, CkptError, Manifest, RankFileMeta, Snapshot,
@@ -727,7 +727,7 @@ fn build_rank_snapshot(
 /// The cached eigendecompositions and Cholesky factors travel with the
 /// running averages: recomputing them at restore would see a newer
 /// average than the interrupted run did and fork the trajectory.
-fn push_layer_state(snap: &mut Snapshot, idx: usize, st: &LayerStateExport) {
+fn push_layer_state(snap: &mut Snapshot, idx: usize, st: &LayerState) {
     let p = format!("kfac/{idx}");
     snap.push_u64s(
         format!("{p}/meta"),
@@ -767,7 +767,7 @@ fn push_layer_state(snap: &mut Snapshot, idx: usize, st: &LayerStateExport) {
 /// redistributed shard).
 fn layer_states_from_entries(
     entries: &[TensorEntry],
-) -> Result<Vec<(usize, LayerStateExport)>, CkptError> {
+) -> Result<Vec<(usize, LayerState)>, CkptError> {
     let mut lookup = Snapshot::new(0);
     lookup.tensors = entries.to_vec();
     let mut out = Vec::new();
@@ -818,7 +818,7 @@ fn layer_states_from_entries(
         };
         out.push((
             idx,
-            LayerStateExport {
+            LayerState {
                 a_factor: lookup.require_matrix(&format!("{p}/a_factor"))?,
                 g_factor: lookup.require_matrix(&format!("{p}/g_factor"))?,
                 eig_a: eig("eig_a", meta[1] == 1)?,
@@ -910,7 +910,7 @@ mod tests {
             vectors: Matrix::identity(3),
         };
         let chol = Cholesky::from_raw(4, (0..16).map(|i| i as f64 * 0.25).collect()).unwrap();
-        let st = LayerStateExport {
+        let st = LayerState {
             a_factor: a.clone(),
             g_factor: g.clone(),
             eig_a: None,

@@ -110,7 +110,7 @@ pub struct DistKfacConfig {
     /// (`true`: compress group *k+1* while group *k*'s hops are in
     /// flight) or all of a rank's (`false`: compress-then-gather). It
     /// selects that integer and nothing else — one code path,
-    /// bit-identical results; the overlap A/B lives in `bench_compress`.
+    /// bit-identical results; the overlap A/B lives in `kernel_gates`.
     pub pipeline_gather: bool,
 }
 

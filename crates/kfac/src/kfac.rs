@@ -58,14 +58,23 @@ impl Default for KfacConfig {
     }
 }
 
-/// Per-layer factor state.
-pub(crate) struct LayerState {
+/// One layer's complete factor state; also what a checkpoint carries
+/// (see [`Kfac::export_layer_state`]).
+#[derive(Clone, Debug)]
+pub struct LayerState {
+    /// Running average of `A = E[ã ãᵀ]`.
     pub a_factor: Matrix,
+    /// Running average of `G = E[g gᵀ]`.
     pub g_factor: Matrix,
+    /// Cached eigendecomposition of `a_factor` (Eigen inversion route).
     pub eig_a: Option<EigenDecomposition>,
+    /// Cached eigendecomposition of `g_factor`.
     pub eig_g: Option<EigenDecomposition>,
+    /// Cached damped Cholesky factor of `a_factor` (Implicit route).
     pub chol_a: Option<Cholesky>,
+    /// Cached damped Cholesky factor of `g_factor`.
     pub chol_g: Option<Cholesky>,
+    /// Per-layer statistics step counter (drives the refresh schedule).
     pub steps: usize,
 }
 
@@ -312,54 +321,15 @@ impl Kfac {
     /// [`KfacConfig::eigen_refresh`] steps, so recomputing them at restore
     /// time would see a newer running average and silently fork the
     /// resumed trajectory from the uninterrupted one.
-    pub fn export_layer_state(&self, idx: usize) -> Option<LayerStateExport> {
-        self.states.get(&idx).map(|s| LayerStateExport {
-            a_factor: s.a_factor.clone(),
-            g_factor: s.g_factor.clone(),
-            eig_a: s.eig_a.clone(),
-            eig_g: s.eig_g.clone(),
-            chol_a: s.chol_a.clone(),
-            chol_g: s.chol_g.clone(),
-            steps: s.steps,
-        })
+    pub fn export_layer_state(&self, idx: usize) -> Option<LayerState> {
+        self.states.get(&idx).cloned()
     }
 
     /// Installs a layer's factor state from a checkpoint, replacing any
     /// existing state for `idx`. Inverse of [`Kfac::export_layer_state`].
-    pub fn import_layer_state(&mut self, idx: usize, state: LayerStateExport) {
-        self.states.insert(
-            idx,
-            LayerState {
-                a_factor: state.a_factor,
-                g_factor: state.g_factor,
-                eig_a: state.eig_a,
-                eig_g: state.eig_g,
-                chol_a: state.chol_a,
-                chol_g: state.chol_g,
-                steps: state.steps,
-            },
-        );
+    pub fn import_layer_state(&mut self, idx: usize, state: LayerState) {
+        self.states.insert(idx, state);
     }
-}
-
-/// A serializable copy of one layer's factor state (see
-/// [`Kfac::export_layer_state`]).
-#[derive(Clone, Debug)]
-pub struct LayerStateExport {
-    /// Running average of `A = E[ã ãᵀ]`.
-    pub a_factor: Matrix,
-    /// Running average of `G = E[g gᵀ]`.
-    pub g_factor: Matrix,
-    /// Cached eigendecomposition of `a_factor` (Eigen inversion route).
-    pub eig_a: Option<EigenDecomposition>,
-    /// Cached eigendecomposition of `g_factor`.
-    pub eig_g: Option<EigenDecomposition>,
-    /// Cached damped Cholesky factor of `a_factor` (Implicit route).
-    pub chol_a: Option<Cholesky>,
-    /// Cached damped Cholesky factor of `g_factor`.
-    pub chol_g: Option<Cholesky>,
-    /// Per-layer statistics step counter (drives the refresh schedule).
-    pub steps: usize,
 }
 
 #[cfg(test)]

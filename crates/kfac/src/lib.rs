@@ -32,6 +32,6 @@ pub mod schedule;
 
 pub use checkpoint::{CheckpointConfig, CheckpointCoordinator, CoordError, Restored};
 pub use distributed::{DistKfac, DistKfacConfig, DistKfacState, StepStats};
-pub use kfac::{Kfac, KfacConfig, LayerStateExport};
+pub use kfac::{Kfac, KfacConfig, LayerState};
 pub use optim::{Adam, Sgd};
 pub use schedule::{LrSchedule, SmoothLr, StepLr};

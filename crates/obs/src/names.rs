@@ -167,11 +167,6 @@ pub const KFAC_UPDATE: &str = "kfac/step/update";
 /// Synthetic report phase covering step time outside the tracked
 /// sub-phases (computed by `StepReport`, never recorded directly).
 pub const KFAC_STEP_OTHER: &str = "kfac/step/other";
-/// Synthetic report metric: achieved compression–communication overlap
-/// fraction of the all-gather phase, `1 − pipeline-wait/allgather-span`
-/// (computed by `StepReport` from the pipeline timers, never recorded
-/// directly; absent on the compress-then-gather path).
-pub const KFAC_OVERLAP_FRAC: &str = "kfac/overlap_frac";
 /// `compso-kfac`: bytes moved by the fused factor all-reduce (step 3's
 /// bucket of the synced layers' packed running-factor upper triangles,
 /// n(n+1)/2 floats per factor). Zero on a step that syncs nothing.
@@ -216,8 +211,8 @@ pub const CKPT_RESTORE_RUNGS_WORLD_SIZE: &str = "ckpt/restore_rungs_world_size";
 /// step, whether or not the setting changed).
 pub const CTRL_DECISIONS: &str = "ctrl/decisions";
 /// `compso-ctrl`: wall time of one `Controller::observe` evaluation —
-/// the control plane's overhead, gated by `scripts/bench_check.sh` at
-/// <1% of the step wall.
+/// the control plane's overhead, priced per decision by the benchmark's
+/// `ctrl.decide_ns`.
 pub const CTRL_DECIDE: &str = "ctrl/decide";
 /// `compso-ctrl`: decisions that changed the active setting in any way
 /// (family, bits, threshold, rank, or chunking).
@@ -300,7 +295,6 @@ pub const ALL: &[&str] = &[
     KFAC_ALLGATHER,
     KFAC_UPDATE,
     KFAC_STEP_OTHER,
-    KFAC_OVERLAP_FRAC,
     KFAC_FACTOR_FUSED_BYTES,
     KFAC_FACTOR_SYNCS,
     KFAC_ELASTIC_RESHARDS,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: format, lint, build, test, and a bench smoke run.
+# Tier-1 CI gate: format, lint, build, test, smoke runs and the kernel gates.
 # Everything here must pass before a change lands (see ROADMAP.md).
 #
 # Each step is timed; a wall-clock summary prints at the end so a CI
@@ -84,6 +84,17 @@ step_start "one COMPSO (no serial pipeline, no configured kernel or tile)"
 if grep -rnE 'MAGIC_STREAM_V1|struct Compso\b|compress_layers|with_adaptive_chunking|with_kernel' \
   crates/core crates/ctrl crates/kfac crates/bench src tests examples; then
   echo "the serial COMPSO pipeline or a ChunkedCompso kernel/tile knob is back" >&2; exit 1
+fi
+step_end
+
+step_start "one perf instrument, one rANS layout"
+# benchmark/ is the only thing that reports throughput and kernel_gates
+# carries no baseline, tolerance or env knob; rans::encode is the encoder
+# production runs. scripts/ci.sh is not searched: this line would match
+# itself.
+if grep -rnE 'BENCH_compress|bench_check|bench_snapshot|COMPSO_BENCH_|criterion|encode_fast|encode_interleaved' \
+  crates shims scripts .github Cargo.toml --exclude=ci.sh; then
+  echo "the snapshot bench, its knobs, the criterion shim or the second rANS encoder is back" >&2; exit 1
 fi
 step_end
 
@@ -178,16 +189,8 @@ step_start "bench smoke: obs_report"
 cargo run -p compso-bench --release --bin obs_report >/dev/null
 step_end
 
-step_start "bench smoke: bench_compress (reduced size)"
-# Best of 3 like the committed snapshot: a single rep times the cold
-# decode (first-touch scratch) at ~60% of the warm MB/s the gate floors.
-COMPSO_BENCH_ELEMS=$((1 << 18)) COMPSO_BENCH_REPS=3 \
-  cargo run -p compso-bench --release --bin bench_compress -- \
-  target/BENCH_compress_smoke.json >/dev/null
-step_end
-
-step_start "bench regression gate (bench_check.sh)"
-scripts/bench_check.sh
+step_start "kernel gates (back-to-back ratios; the binary fails by itself)"
+cargo run -p compso-bench --release --bin kernel_gates
 step_end
 
 echo "==> step timing summary"

@@ -56,9 +56,12 @@ use compso::ckpt::{
 use compso::comm::MembershipFrame;
 use compso::core::baselines::{CocktailSgd, PowerSgd, Qsgd, Sz, TopK};
 use compso::core::kernels::{compress_chunked, decompress_chunked};
-use compso::core::wire::{frame_checksummed, unframe_checksummed};
+use compso::core::wire::{
+    crc32, frame_checksummed, unframe_checksummed, WireError, Writer, MAX_DECODE_ELEMS,
+};
 use compso::core::{
-    ChunkedCompso, Compressor, CompsoConfig, KernelConfig, LayerSchedule, NoCompression,
+    ChunkedCompso, Codec, CompressError, Compressor, CompsoConfig, KernelConfig, LayerSchedule,
+    NoCompression,
 };
 use compso::kfac::checkpoint::{decode_rejoin_delta, encode_rejoin_delta};
 use compso::obs::Recorder;
@@ -911,6 +914,108 @@ fn no_compression_group_size_is_pinned() {
     let stream = NoCompression.compress_group(&refs, None, &mut Rng::new(1), &Recorder::disabled());
     let expected: usize = 5 + layers.iter().map(|l| 16 + 4 * l.len()).sum::<usize>();
     assert_eq!(stream.len(), expected);
+}
+
+/// A well-formed block of the retired single-lane rANS layout (stream
+/// mode 1): `n` copies of one symbol. The whole frequency table sits on
+/// that symbol, so the coder's state never leaves its lower bound and the
+/// renormalization stream is empty — the parent commit decoded these
+/// bytes to `n` copies of `symbol`.
+fn retired_rans_block(n: u64, symbol: u8) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u8(1); // mode: single-lane rANS
+    w.u64(n);
+    for s in 0..=255u8 {
+        w.u16(if s == symbol { 4096 } else { 0 });
+    }
+    w.u32(1 << 23); // final state = the lower renormalization bound
+    w.block(&[]);
+    w.into_bytes()
+}
+
+/// One container an rANS block travels in.
+struct RansContainer {
+    name: &'static str,
+    /// Wraps `block`, an rANS stream that declares `n` decoded bytes.
+    wrap: fn(block: &[u8], n: u64) -> Vec<u8>,
+    decode: fn(&[u8]) -> Result<usize, CompressError>,
+}
+
+fn block_frame(codec: Codec, block: &[u8], n: u64) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u8(codec.tag());
+    w.u64(n); // total bytes
+    w.u64(n); // block size: one block
+    w.u32(1);
+    w.block(block);
+    w.into_bytes()
+}
+
+fn decode_block_frame(bytes: &[u8]) -> Result<usize, CompressError> {
+    Ok(Codec::decode_blocks(bytes)?.len())
+}
+
+const RANS_CONTAINERS: &[RansContainer] = &[
+    RansContainer {
+        name: "Ans block frame",
+        wrap: |block, n| block_frame(Codec::Ans, block, n),
+        decode: decode_block_frame,
+    },
+    RansContainer {
+        name: "Zstd block frame",
+        wrap: |block, n| block_frame(Codec::Zstd, block, n),
+        decode: decode_block_frame,
+    },
+    RansContainer {
+        name: "SZ stream",
+        wrap: |block, n| {
+            let mut w = Writer::new();
+            w.u64(n / 2); // two code bytes per element
+            w.f32(1e-3);
+            w.block(block);
+            w.u64(0); // no outliers
+            w.into_bytes()
+        },
+        decode: |bytes| Sz::decode(bytes).map(|v| v.len()),
+    },
+];
+
+#[test]
+fn retired_rans_layout_is_rejected_in_every_container() {
+    // The block declares the largest count a header may (symbol 0: SZ's
+    // code 0 is two zero bytes). The error names the mode byte, so the
+    // block was refused before that count was read and nothing was
+    // allocated from it.
+    let n = MAX_DECODE_ELEMS as u64;
+    let retired = retired_rans_block(n, 0);
+    for c in RANS_CONTAINERS {
+        assert_eq!(
+            (c.decode)(&(c.wrap)(&retired, n)),
+            Err(CompressError::Wire(WireError::Invalid("rans mode byte"))),
+            "{}",
+            c.name
+        );
+    }
+}
+
+#[test]
+fn block_encoder_output_is_pinned() {
+    // Length and CRC-32 of `encode_blocks` over a seeded code stream,
+    // captured at the commit before the single-lane coder was retired:
+    // the bytes production puts on the wire and into checkpoints did not
+    // move when the eight-lane coder took the `rans::encode` name.
+    let mut rng = Rng::new(0xB10C);
+    let codes: Vec<u8> = (0..300_000)
+        .map(|_| (64.0 + rng.laplace(3.0)).clamp(0.0, 127.0) as u8)
+        .collect();
+    for (codec, len, crc) in [
+        (Codec::Ans, 154_298usize, 3_520_547_638u32),
+        (Codec::Zstd, 217_074, 462_161_131),
+    ] {
+        let enc = codec.encode_blocks(&codes, 64 * 1024);
+        assert_eq!((enc.len(), crc32(&enc)), (len, crc), "{}", codec.name());
+        assert_eq!(Codec::decode_blocks(&enc).unwrap(), codes);
+    }
 }
 
 proptest! {

@@ -15,14 +15,15 @@
 //!   buffer stops fitting the near cache. A stride-n walk in an O(n³)
 //!   loop reads 2.6 to 3.4.
 //! * `eigen.gemm_ratio_289 <= 26.5` — the same `t289` in units of one
-//!   289³ `Matrix::matmul`. Tridiagonalisation + QL reads 6.4 to 7.5, the
+//!   289³ `Matrix::matmul`. Tridiagonalisation + QL reads 7.2 to 7.5, the
 //!   cyclic Jacobi it replaced 94 to 115; the ceiling is the geometric
 //!   mean of the two, so a relapse to a Jacobi-class flop count fails.
 //! * `covariance.syrk_speedup >= 1.3` — `Matrix::gram` (the SYRK
 //!   `covariance()` runs) against `t_matmul` of the same matrix with
 //!   itself on one seeded ReLU-sparse statistics matrix at the CNN
 //!   proxy's conv-factor shape (1152 × 289), fastest of 5, interleaved,
-//!   on one rayon worker. Half the flops, so ≈ 2 in the limit.
+//!   on one rayon worker. Half the flops, so ≈ 2 in the limit; the
+//!   pack of B and the mirror are the same on both sides.
 //! * `pipeline.speedup_2w >= 1.0`, `pipeline.speedup_4w >= 1.0` — the
 //!   step-5 gather scheduling A/B: compress-then-`allgather_var` against
 //!   `pipelined_allgather` (compression of group k+1 overlapped with
@@ -294,9 +295,11 @@ fn main() {
     // Covariance kernel: 32 samples × 36 positions of a 3×3 patch over
     // 32 channels + bias, behind a ReLU (so about half the entries are
     // exact zeros and take the kernels' zero-skip). One rayon worker: the
-    // gate prices the kernel's flop count, and at two workers the shim's
-    // contiguous row split hands gram's first worker 3/4 of its triangle,
-    // which caps the ratio at 1.33 however good the kernel is.
+    // gate prices the kernel's flop count. gram's triangle is split
+    // between workers by area, but at two workers both sides also pay
+    // the shim's thread spawn and the serial pack of B, and on a shared
+    // 2-core host the second core is not always there: ten runs read
+    // 1.26-1.62, one below the floor, where one worker reads 1.55-1.76.
     {
         let _guard = rayon::scoped_thread_override(1);
         let mut s = Matrix::random_normal(1152, 289, &mut Rng::new(289));

@@ -82,17 +82,17 @@ impl Conv2d {
         self.shape
     }
 
-    /// Lowers one sample (CHW slice) to its bias-augmented patch matrix:
-    /// `out_h*out_w` rows × `patch+1` cols.
-    fn im2col(&self, sample: &[f32]) -> Matrix {
+    /// Lowers one sample (CHW slice) into its rows of the bias-augmented
+    /// batch patch matrix: `patches` is `out_h*out_w` zeroed rows of
+    /// `patch+1` columns.
+    fn im2col(&self, sample: &[f32], patches: &mut [f32]) {
         let s = &self.shape;
         let (oh, ow) = (s.out_h(), s.out_w());
         let pw = s.patch();
-        let mut p = Matrix::zeros(oh * ow, pw + 1);
         for oy in 0..oh {
             for ox in 0..ow {
                 let row = oy * ow + ox;
-                let out_row = p.row_mut(row);
+                let out_row = &mut patches[row * (pw + 1)..(row + 1) * (pw + 1)];
                 let mut col = 0usize;
                 for c in 0..s.in_c {
                     for ky in 0..s.kernel {
@@ -114,17 +114,18 @@ impl Conv2d {
                 out_row[pw] = 1.0;
             }
         }
-        p
     }
 
-    /// Scatter-adds a patch-gradient matrix back into an input-gradient
-    /// CHW slice (col2im).
-    fn col2im(&self, dpatch: &Matrix, dx: &mut [f32]) {
+    /// Scatter-adds one sample's patch-gradient rows (`out_h*out_w` rows of
+    /// `patch+1` columns, the bias column ignored) back into an
+    /// input-gradient CHW slice (col2im).
+    fn col2im(&self, dpatch: &[f32], dx: &mut [f32]) {
         let s = &self.shape;
         let (oh, ow) = (s.out_h(), s.out_w());
+        let pw = s.patch();
         for oy in 0..oh {
             for ox in 0..ow {
-                let row = dpatch.row(oy * ow + ox);
+                let row = &dpatch[(oy * ow + ox) * (pw + 1)..][..pw];
                 let mut col = 0usize;
                 for c in 0..s.in_c {
                     for ky in 0..s.kernel {
@@ -156,31 +157,24 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         let s = self.shape;
         assert_eq!(x.cols(), s.in_elems(), "Conv2d input width");
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let positions = oh * ow;
+        let positions = s.out_h() * s.out_w();
+        let per_sample = positions * (s.patch() + 1);
+        let mut patches = Matrix::zeros(x.rows() * positions, s.patch() + 1);
+        for (b, rows) in patches.as_mut_slice().chunks_mut(per_sample).enumerate() {
+            self.im2col(x.row(b), rows);
+        }
+        let o = patches.matmul(&self.weight); // (batch*positions) × out_c
         let mut y = Matrix::zeros(x.rows(), s.out_elems());
-        let mut all_patches = if train {
-            Some(Matrix::zeros(x.rows() * positions, s.patch() + 1))
-        } else {
-            None
-        };
         for b in 0..x.rows() {
-            let p = self.im2col(x.row(b));
-            let o = p.matmul(&self.weight); // positions × out_c
             let yrow = y.row_mut(b);
             for pos in 0..positions {
-                for oc in 0..s.out_c {
-                    yrow[oc * positions + pos] = o.get(pos, oc);
-                }
-            }
-            if let Some(ap) = all_patches.as_mut() {
-                for pos in 0..positions {
-                    ap.row_mut(b * positions + pos).copy_from_slice(p.row(pos));
+                for (oc, &v) in o.row(b * positions + pos).iter().enumerate() {
+                    yrow[oc * positions + pos] = v;
                 }
             }
         }
         if train {
-            self.cached_a = all_patches;
+            self.cached_a = Some(patches);
         }
         y
     }
@@ -191,8 +185,7 @@ impl Layer for Conv2d {
             .cached_a
             .as_ref()
             .expect("backward without a training forward");
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let positions = oh * ow;
+        let positions = s.out_h() * s.out_w();
         let batch = grad_out.rows();
         assert_eq!(grad_out.cols(), s.out_elems(), "Conv2d grad width");
         assert_eq!(a.rows(), batch * positions, "cached patch rows");
@@ -214,21 +207,12 @@ impl Layer for Conv2d {
         grad.scale(1.0 / batch as f32);
         self.grad = grad;
 
-        // dX: per sample, dpatch = g_b Wᵀ (minus bias column), col2im.
+        // dX: dpatch = g Wᵀ over the whole batch, col2im per sample.
+        let dpatch = g.matmul_t(&self.weight); // (batch*positions) × (patch+1)
+        let per_sample = positions * (s.patch() + 1);
         let mut dx = Matrix::zeros(batch, s.in_elems());
-        for b in 0..batch {
-            let mut g_b = Matrix::zeros(positions, s.out_c);
-            for pos in 0..positions {
-                g_b.row_mut(pos).copy_from_slice(g.row(b * positions + pos));
-            }
-            let dpatch_full = g_b.matmul_t(&self.weight); // positions × (patch+1)
-            let mut dpatch = Matrix::zeros(positions, s.patch());
-            for pos in 0..positions {
-                dpatch
-                    .row_mut(pos)
-                    .copy_from_slice(&dpatch_full.row(pos)[..s.patch()]);
-            }
-            self.col2im(&dpatch, dx.row_mut(b));
+        for (b, rows) in dpatch.as_slice().chunks(per_sample).enumerate() {
+            self.col2im(rows, dx.row_mut(b));
         }
         self.cached_g = Some(g);
         dx

@@ -122,21 +122,16 @@ pub fn precondition(
     // grad is (a_dim × g_dim): rows follow A, columns follow G.
     let qa = &eig_a.vectors;
     let qg = &eig_g.vectors;
-    // V1 = Q_Aᵀ grad Q_G
-    let v1 = qa.t_matmul(grad).matmul(qg);
-    // V2 = V1 ⊘ (v_A v_Gᵀ + γ)
-    let mut v2 = v1;
-    for i in 0..v2.rows() {
-        let va = eig_a.values[i].max(0.0);
-        for j in 0..v2.cols() {
-            let vg = eig_g.values[j].max(0.0);
-            let denom = va * vg + damping;
-            let v = v2.get(i, j) / denom;
-            v2.set(i, j, v);
+    // V = Q_Aᵀ grad Q_G, then V ⊘ (v_A v_Gᵀ + γ) in place
+    let mut v = qa.t_matmul(grad).matmul(qg);
+    for (i, &va) in eig_a.values.iter().enumerate() {
+        let va = va.max(0.0);
+        for (x, &vg) in v.row_mut(i).iter_mut().zip(&eig_g.values) {
+            *x /= va * vg.max(0.0) + damping;
         }
     }
-    // out = Q_A V2 Q_Gᵀ
-    qa.matmul(&v2).matmul_t(qg)
+    // out = Q_A V Q_Gᵀ
+    qa.matmul(&v).matmul_t(qg)
 }
 
 /// The Martens-Grosse norm-balancing factor π = √(tr(A)/dim_A ÷

@@ -9,20 +9,67 @@ use rayon::prelude::*;
 /// below this the rayon dispatch overhead dominates.
 const PAR_THRESHOLD: usize = 64 * 64;
 
-/// Cache-block edge used by the GEMM micro-kernel.
+/// Cache-block edge of the blocked transpose.
 const BLOCK: usize = 64;
 
-/// Register-tile width of the GEMM microkernels: output columns per
-/// accumulator block. 16 f32 lanes = four 128-bit (or two 256-bit) vector
-/// registers of accumulators that live across the whole k loop, instead
-/// of a load/store of the output row per k step.
+/// Register-tile width of the GEMM microkernel: output columns per
+/// accumulator row, and the width of a packed `B` panel. 16 f32 lanes =
+/// four 128-bit (or two 256-bit) vector registers per tile row.
 ///
-/// Bit-identity note (DESIGN.md §12): tiling only hoists `out[i][j]` into
-/// a register — each output element still accumulates the same
-/// multiply-add sequence in the same k order, with the same zero-skip, so
-/// the result is bit-identical to the scalar reference kernels (pinned by
-/// the `*_bit_identical_to_scalar` proptests below).
+/// Bit-identity note (DESIGN.md §12.4): packing and tiling only move
+/// operands and hoist `out[i][j]` into a register — each output element
+/// still accumulates the same multiply-then-add sequence in ascending k,
+/// with the same zero-skip, so the result is bit-identical to the scalar
+/// reference kernels (pinned by the `*_bit_identical_to_scalar` tests).
 const NR: usize = 16;
+
+/// Register-tile height: rows of `A` whose sums are in flight together.
+/// 2 × 16 accumulators fill half of a baseline x86-64 build's sixteen
+/// 128-bit registers; 4 × 16 measured 0–18 % slower there. Divides
+/// [`NR`], so a strip's rows share one diagonal panel in [`Matrix::gram`].
+const MR: usize = 2;
+
+/// Depth of a k-block: a `KC × NR` panel of packed `B` (16 KiB) stays in
+/// L1 across a strip, and a block's panels in L2 across all strips.
+const KC: usize = 256;
+
+/// The microkernel's accumulators: one output tile.
+type Tile = [[f32; NR]; MR];
+
+/// One row of a packed `A` strip within one k-block: the values the
+/// product uses, k ascending, each with the offset of its `B` row in a
+/// packed panel.
+#[derive(Clone, Copy)]
+struct APackRow {
+    vals: [f32; KC],
+    offs: [usize; KC],
+    len: usize,
+}
+
+/// A strided read-only GEMM operand: element `(r, c)` of its
+/// `rows × cols` is `data[r * rs + c * cs]`.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    rs: usize,
+    cs: usize,
+}
+
+impl View<'_> {
+    /// The transposed operand: the same data, dimensions and strides
+    /// swapped.
+    fn t(self) -> Self {
+        View {
+            rows: self.cols,
+            cols: self.rows,
+            rs: self.cs,
+            cs: self.rs,
+            ..self
+        }
+    }
+}
 
 /// A dense row-major `f32` matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -157,6 +204,16 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    fn view(&self) -> View<'_> {
+        View {
+            data: &self.data,
+            rows: self.rows,
+            cols: self.cols,
+            rs: self.cols,
+            cs: 1,
+        }
+    }
+
     /// The transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -175,9 +232,6 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Uses an i-k-j loop order (streaming the `other` rows) with row-level
-    /// rayon parallelism for larger problems.
-    ///
     /// # Panics
     /// If inner dimensions disagree.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
@@ -186,72 +240,28 @@ impl Matrix {
             "matmul dims {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let n = other.cols;
-        let k = self.cols;
-        let a = &self.data;
-        let b = &other.data;
-        let kernel = |row: usize, out_row: &mut [f32]| {
-            let arow = &a[row * k..row * k + k];
-            // Register-tiled panels: NR output columns accumulate in
-            // registers across the whole k loop. The zero-skip is
-            // semantically load-bearing (it preserves a -0.0 accumulator
-            // and avoids 0 × ∞), not just a flop saver.
-            let mut jb = 0;
-            while jb + NR <= n {
-                let mut acc = [0.0f32; NR];
-                for (kk, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let bb = &b[kk * n + jb..kk * n + jb + NR];
-                    for jj in 0..NR {
-                        acc[jj] += aik * bb[jj];
-                    }
-                }
-                out_row[jb..jb + NR].copy_from_slice(&acc);
-                jb += NR;
-            }
-            // Column tail: same k-outer traversal as the scalar kernel.
-            if jb < n {
-                for (kk, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[kk * n..kk * n + n];
-                    for j in jb..n {
-                        out_row[j] += aik * brow[j];
-                    }
-                }
-            }
-        };
-        if self.rows * n >= PAR_THRESHOLD {
-            out.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(row, out_row)| kernel(row, out_row));
-        } else {
-            for (row, out_row) in out.data.chunks_mut(n).enumerate() {
-                kernel(row, out_row);
-            }
-        }
-        out
+        gemm(self.view(), other.view(), true, false)
     }
 
     /// `selfᵀ * other` without materializing the transpose.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        self.t_matmul_from(other, |_| 0)
+        assert_eq!(
+            self.rows, other.rows,
+            "t_matmul dims {}x{}ᵀ * {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        gemm(self.view().t(), other.view(), true, false)
     }
 
     /// The Gram matrix `selfᵀ * self` as a symmetric rank-k update — the
-    /// covariance product K-FAC computes (`aᵀa`, `gᵀg` over a batch). Row
-    /// `i` starts at the diagonal's panel and the rest is mirrored: half
-    /// the flops of [`Matrix::t_matmul`] with itself, every computed
+    /// covariance product K-FAC computes (`aᵀa`, `gᵀg` over a batch). Each
+    /// row strip starts at its diagonal's panel and the rest is mirrored:
+    /// half the flops of [`Matrix::t_matmul`] with itself, every computed
     /// element keeping its r-ascending sum, so the result is bit-identical
     /// to it on finite input and exactly symmetric on any.
     pub fn gram(&self) -> Matrix {
-        let mut out = self.t_matmul_from(self, |i| (i / NR) * NR);
         let n = self.cols;
+        let mut out = gemm(self.view().t(), self.view(), true, true);
         for i in 0..n {
             for j in (i + 1)..n {
                 out.data[j * n + i] = out.data[i * n + j];
@@ -260,124 +270,16 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::t_matmul`] with row `i`'s columns left of
-    /// `first_panel(i)` (a multiple of [`NR`]) skipped, i.e. left zero.
-    fn t_matmul_from(&self, other: &Matrix, first_panel: impl Fn(usize) -> usize + Sync) -> Matrix {
-        assert_eq!(
-            self.rows, other.rows,
-            "t_matmul dims {}x{}ᵀ * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let m = self.cols;
-        let n = other.cols;
-        let mut out = Matrix::zeros(m, n);
-        // Accumulate rank-1 updates row by row of the common dimension.
-        // Parallelize over output rows: out[i][:] = sum_r a[r][i] * b[r][:].
-        let a = &self.data;
-        let b = &other.data;
-        let rows = self.rows;
-        let kernel = |i: usize, out_row: &mut [f32]| {
-            // Same register-tiled panel structure as `matmul`, with the
-            // batch dimension r playing the role of k.
-            let mut jb = first_panel(i);
-            while jb + NR <= n {
-                let mut acc = [0.0f32; NR];
-                for r in 0..rows {
-                    let ari = a[r * m + i];
-                    if ari == 0.0 {
-                        continue;
-                    }
-                    let bb = &b[r * n + jb..r * n + jb + NR];
-                    for jj in 0..NR {
-                        acc[jj] += ari * bb[jj];
-                    }
-                }
-                out_row[jb..jb + NR].copy_from_slice(&acc);
-                jb += NR;
-            }
-            if jb < n {
-                for r in 0..rows {
-                    let ari = a[r * m + i];
-                    if ari == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[r * n..r * n + n];
-                    for j in jb..n {
-                        out_row[j] += ari * brow[j];
-                    }
-                }
-            }
-        };
-        if m * n >= PAR_THRESHOLD {
-            out.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, row)| kernel(i, row));
-        } else {
-            for (i, row) in out.data.chunks_mut(n).enumerate() {
-                kernel(i, row);
-            }
-        }
-        out
-    }
-
-    /// `self * otherᵀ` without materializing the transpose.
+    /// `self * otherᵀ` without materializing the transpose. Unlike the
+    /// other three products it has no zero-skip: a zero in `self` against
+    /// a non-finite entry of `other` yields NaN.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_t dims {}x{} * {}x{}ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let m = self.rows;
-        let n = other.rows;
-        let k = self.cols;
-        let mut out = Matrix::zeros(m, n);
-        let a = &self.data;
-        let b = &other.data;
-        let kernel = |i: usize, out_row: &mut [f32]| {
-            let arow = &a[i * k..i * k + k];
-            // Four output columns at a time: four *independent* dot
-            // products share one pass over `arow`, each still summing in
-            // strict k order — bit-identical to the one-column kernel.
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &b[j * k..j * k + k];
-                let b1 = &b[(j + 1) * k..(j + 1) * k + k];
-                let b2 = &b[(j + 2) * k..(j + 2) * k + k];
-                let b3 = &b[(j + 3) * k..(j + 3) * k + k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (kk, &av) in arow.iter().enumerate() {
-                    s0 += av * b0[kk];
-                    s1 += av * b1[kk];
-                    s2 += av * b2[kk];
-                    s3 += av * b3[kk];
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                j += 4;
-            }
-            for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
-                let brow = &b[jj * k..jj * k + k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        };
-        if m * n >= PAR_THRESHOLD {
-            out.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, row)| kernel(i, row));
-        } else {
-            for (i, row) in out.data.chunks_mut(n).enumerate() {
-                kernel(i, row);
-            }
-        }
-        out
+        gemm(self.view(), other.view().t(), false, false)
     }
 
     /// Matrix-vector product.
@@ -589,6 +491,117 @@ impl Matrix {
         }
         rank
     }
+}
+
+/// The one GEMM core: `a` (`m × k`) times `b` (`k × n`), both strided
+/// views whose k the caller has checked. k runs in [`KC`] blocks; `b` is
+/// packed once into [`NR`]-wide k-major panels shared by every worker, its
+/// ragged edge zero-padded; each [`MR`]-row strip of `a` is packed per
+/// block into one k-ascending list per row; accumulators round-trip
+/// through `out` between blocks. `skip_zero` keeps the row kernels' skip
+/// of zero `a` values (it avoids 0 × ∞) by leaving them out of the packed
+/// lists, so a sparse `a` costs only its non-zeros; `upper` skips the
+/// panels wholly left of each strip's diagonal, leaving them zero.
+/// Workers take contiguous strip ranges of about equal panel count.
+fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    let mut out = Matrix::zeros(m, n);
+    let (strips, panels) = (m.div_ceil(MR), n.div_ceil(NR));
+    let mut bpack = vec![0.0f32; k * panels * NR];
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        let block = &mut bpack[k0 * panels * NR..][..kc * panels * NR];
+        for (jp, panel) in block.chunks_exact_mut(kc * NR).enumerate() {
+            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                for (jj, d) in dst.iter_mut().take(n - jp * NR).enumerate() {
+                    *d = b.data[(k0 + p) * b.rs + (jp * NR + jj) * b.cs];
+                }
+            }
+        }
+    }
+    let first_panel = |s: usize| if upper { s * MR / NR } else { 0 };
+    let weight = |s: usize| panels - first_panel(s);
+    let run = |(strips, out): (std::ops::Range<usize>, &mut [f32])| {
+        let mut apack = [APackRow {
+            vals: [0.0; KC],
+            offs: [0; KC],
+            len: 0,
+        }; MR];
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            let block = &bpack[k0 * panels * NR..][..kc * panels * NR];
+            for s in strips.clone() {
+                let i0 = s * MR;
+                let mr = MR.min(m - i0);
+                for (r, row) in apack.iter_mut().enumerate() {
+                    row.len = 0;
+                    // A ragged strip's missing rows keep empty lists.
+                    let row_k = if r < mr { kc } else { 0 };
+                    for p in 0..row_k {
+                        let v = a.data[(i0 + r) * a.rs + (k0 + p) * a.cs];
+                        (row.vals[row.len], row.offs[row.len]) = (v, p * NR);
+                        row.len += usize::from(!(skip_zero && v == 0.0));
+                    }
+                }
+                let rows = &mut out[(i0 - strips.start * MR) * n..][..mr * n];
+                for jp in first_panel(s)..panels {
+                    let (j0, w) = (jp * NR, NR.min(n - jp * NR));
+                    let mut acc: Tile = [[0.0; NR]; MR];
+                    for (row, acc) in rows.chunks_exact(n).zip(&mut acc) {
+                        acc[..w].copy_from_slice(&row[j0..j0 + w]);
+                    }
+                    let acc = tile(&apack, &block[jp * kc * NR..][..kc * NR], acc);
+                    for (row, acc) in rows.chunks_exact_mut(n).zip(&acc) {
+                        row[j0..j0 + w].copy_from_slice(&acc[..w]);
+                    }
+                }
+            }
+        }
+    };
+    let workers = if m * n >= PAR_THRESHOLD {
+        rayon::current_num_threads().min(strips)
+    } else {
+        1
+    };
+    let total: usize = (0..strips).map(weight).sum();
+    let mut jobs = Vec::with_capacity(workers);
+    let (mut rest, mut lo, mut done) = (out.data.as_mut_slice(), 0, 0);
+    for w in 1..=workers {
+        let mut hi = lo;
+        while hi < strips && (w == workers || done * workers < total * w) {
+            done += weight(hi);
+            hi += 1;
+        }
+        let (head, tail) = rest.split_at_mut(((hi * MR).min(m) - (lo * MR).min(m)) * n);
+        jobs.push((lo..hi, head));
+        (rest, lo) = (tail, hi);
+    }
+    jobs.into_par_iter().for_each(run);
+    out
+}
+
+/// The one multiply-accumulate microkernel: an [`MR`] × [`NR`] register
+/// tile over one packed strip of `a` and one packed panel of `b`. Each row
+/// walks its own list — ascending k, a separate multiply and add per
+/// element — and the rows advance together while all have entries left,
+/// which keeps `MR` × `NR` independent sums in flight. The tile travels by
+/// value so it lives in registers across the loop.
+#[inline(always)]
+fn tile(apack: &[APackRow; MR], bpanel: &[f32], mut acc: Tile) -> Tile {
+    let mut mac = |r: usize, t: usize| {
+        let (a, bv) = (apack[r].vals[t], &bpanel[apack[r].offs[t]..][..NR]);
+        for (o, &b) in acc[r].iter_mut().zip(bv) {
+            *o += a * b;
+        }
+    };
+    let common = apack.iter().map(|row| row.len).min().unwrap_or(0);
+    for t in 0..common {
+        (0..MR).for_each(|r| mac(r, t));
+    }
+    for (r, row) in apack.iter().enumerate() {
+        (common..row.len).for_each(|t| mac(r, t));
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -838,6 +851,123 @@ mod tests {
         );
     }
 
+    /// A seeded operand with every fifth entry an exact zero, so the
+    /// zero-skip runs wherever the entry point has one.
+    fn sparse_normal(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
+        let mut m = Matrix::random_normal(rows, cols, rng);
+        for idx in (0..m.len()).step_by(5) {
+            m.as_mut_slice()[idx] = 0.0;
+        }
+        m
+    }
+
+    /// All four entry points against the scalar oracles at `m × k × n`.
+    fn assert_entry_points_match_oracle(m: usize, k: usize, n: usize, rng: &mut Rng) {
+        let what = |name: &str| format!("{name} at m={m} k={k} n={n}");
+        let a = sparse_normal(m, k, rng);
+        let b = Matrix::random_normal(k, n, rng);
+        assert_bits_equal(
+            &a.matmul(&b),
+            &scalar_oracle::matmul(&a, &b),
+            &what("matmul"),
+        );
+        let at = sparse_normal(k, m, rng);
+        assert_bits_equal(
+            &at.t_matmul(&b),
+            &scalar_oracle::t_matmul(&at, &b),
+            &what("t_matmul"),
+        );
+        let bt = Matrix::random_normal(n, k, rng);
+        assert_bits_equal(
+            &a.matmul_t(&bt),
+            &scalar_oracle::matmul_t(&a, &bt),
+            &what("matmul_t"),
+        );
+        let mut sym = scalar_oracle::t_matmul(&at, &at);
+        sym.symmetrize();
+        assert_bits_equal(&at.gram(), &sym, &what("gram"));
+    }
+
+    #[test]
+    fn gemm_core_edges_bit_identical_to_scalar() {
+        // One k-block short of, at and past its edge, and three blocks with
+        // a ragged last one; strips and panels one short of, at and past
+        // the tile; then every way an operand can be empty.
+        let mut rng = Rng::new(21);
+        for k in [KC - 1, KC, KC + 1, 2 * KC + 3] {
+            for m in [1, MR - 1, MR + 1] {
+                for n in [1, NR - 1, NR, NR + 1] {
+                    assert_entry_points_match_oracle(m, k, n, &mut rng);
+                }
+            }
+        }
+        for (m, k, n) in [(0, 5, 7), (5, 0, 7), (5, 7, 0), (0, 0, 0)] {
+            assert_entry_points_match_oracle(m, k, n, &mut rng);
+        }
+    }
+
+    #[test]
+    fn entry_points_bit_identical_at_one_two_three_workers() {
+        // Past PAR_THRESHOLD in every product's output, k past KC, nothing
+        // a multiple of MR·workers or NR: the strip split and the shared
+        // packed panels must not show in the bits.
+        let mut rng = Rng::new(22);
+        let a = sparse_normal(71, 300, &mut rng);
+        let b = Matrix::random_normal(300, 101, &mut rng);
+        let at = sparse_normal(300, 71, &mut rng);
+        let bt = Matrix::random_normal(101, 300, &mut rng);
+        const { assert!(71 * 71 >= PAR_THRESHOLD && 300 > KC) };
+        let products = || [a.matmul(&b), at.t_matmul(&b), a.matmul_t(&bt), at.gram()];
+        let mut sym = scalar_oracle::t_matmul(&at, &at);
+        sym.symmetrize();
+        let oracles = [
+            scalar_oracle::matmul(&a, &b),
+            scalar_oracle::t_matmul(&at, &b),
+            scalar_oracle::matmul_t(&a, &bt),
+            sym,
+        ];
+        for workers in 1..=3 {
+            let _guard = rayon::scoped_thread_override(workers);
+            for (got, want) in products().iter().zip(&oracles) {
+                assert_bits_equal(got, want, &format!("{workers} workers"));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_skip_semantics_on_non_finite_input_are_pinned() {
+        // The skip flag is a stated property of each entry point: a zero in
+        // `A` never meets `B` in matmul / t_matmul / gram (0 × ∞ would be
+        // NaN) and always does in matmul_t.
+        for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 2.0, 0.0]);
+            let b = Matrix::from_vec(2, 2, vec![poison, 3.0, 4.0, 5.0]);
+            // Row 0 of a·b is 0·(poison, 3) + 1·(4, 5).
+            assert_eq!(a.matmul(&b).row(0), [4.0, 5.0]);
+            // Row 0 of aᵀ·b is 0·(poison, 3) + 2·(4, 5).
+            assert_eq!(a.t_matmul(&b).row(0), [8.0, 10.0]);
+            // Row 0 of a·bᵀ is (0·poison + 1·3, 0·4 + 1·5).
+            let abt = a.matmul_t(&b);
+            assert!(abt.get(0, 0).is_nan(), "0 × {poison} must reach the sum");
+            assert_eq!(abt.get(0, 1), 5.0);
+            // (sᵀs)[0][1] is 0·poison + 2·1; the full product's [1][0] is
+            // poison·0 + 1·2 = NaN, the SYRK mirrors the finite half.
+            let s = Matrix::from_vec(2, 2, vec![0.0, poison, 2.0, 1.0]);
+            assert!(s.t_matmul(&s).get(1, 0).is_nan());
+            let g = s.gram();
+            assert_eq!((g.get(0, 1), g.get(1, 0)), (2.0, 2.0));
+            // Exactly symmetric on any input, across a panel edge.
+            let mut wide = sparse_normal(5, NR + 4, &mut Rng::new(23));
+            for idx in (3..wide.len()).step_by(7) {
+                wide.as_mut_slice()[idx] = poison;
+            }
+            let g = wide.gram();
+            for (i, j) in (0..NR + 4).flat_map(|i| (0..i).map(move |j| (i, j))) {
+                assert_eq!(g.get(i, j).to_bits(), g.get(j, i).to_bits());
+            }
+        }
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -938,6 +1068,16 @@ mod tests {
                 assert_bits_equal(&a.matmul(&b), &scalar_oracle::matmul(&a, &b), "matmul");
                 assert_bits_equal(&a.t_matmul(&d), &scalar_oracle::t_matmul(&a, &d), "t_matmul");
                 assert_bits_equal(&a.matmul_t(&c), &scalar_oracle::matmul_t(&a, &c), "matmul_t");
+            }
+
+            /// The same bits with the common dimension of every product
+            /// drawn past one and two k-blocks, so accumulators round-trip
+            /// through `out` (and `gram` rides along).
+            #[test]
+            fn prop_gemm_kernels_bit_identical_to_scalar_past_kc(
+                m in 1usize..40, k in 1usize..2 * KC + 40, n in 1usize..40, seed in any::<u64>(),
+            ) {
+                assert_entry_points_match_oracle(m, k, n, &mut CRng::new(seed));
             }
 
             /// The SYRK is `to_bits`-equal to the product it replaced in

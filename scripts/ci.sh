@@ -98,6 +98,22 @@ if grep -rnE 'BENCH_compress|bench_check|bench_snapshot|COMPSO_BENCH_|criterion|
 fi
 step_end
 
+step_start "one GEMM core (tensor/src/matrix.rs ahead of mod tests)"
+# matmul / t_matmul / gram / matmul_t are entry points of one packed
+# `gemm`, and `tile` is the only multiply-accumulate microkernel: besides
+# axpy's `scale * b` and the Gram–Schmidt norms' `v * v`, exactly one
+# line accumulates a product.
+GEMM_SRC=$(sed '/^mod tests/,$d' crates/tensor/src/matrix.rs)
+GEMM_MACS=$(grep -E '\+= [a-z_0-9]+(\[[a-z_0-9]+\])? \* [a-z_0-9]+(\[[a-z_0-9]+\])?;' <<<"$GEMM_SRC" \
+  | grep -vcE 'scale \* b;|v \* v;' || true)
+if grep -q 't_matmul_from' <<<"$GEMM_SRC" \
+  || [ "$GEMM_MACS" -ne 1 ] \
+  || [ "$(grep -c '^fn tile(' <<<"$GEMM_SRC")" -ne 1 ] \
+  || [ "$(grep -c ' gemm(' <<<"$GEMM_SRC")" -ne 5 ]; then
+  echo "a second GEMM kernel is back: one gemm, one tile, four entry points" >&2; exit 1
+fi
+step_end
+
 step_start "gradient sync smoke (tests/grad_sync.rs)"
 cargo test --release --test grad_sync -q
 step_end

@@ -154,15 +154,28 @@ impl Codec {
 
     /// [`Codec::decode_blocks`] writing into a caller-owned buffer.
     ///
-    /// The buffer is cleared but its capacity is kept, so steady-state
-    /// decode loops (one per training step) stop paying an allocation for
-    /// the concatenated output stream. All length fields are validated
-    /// against the bytes actually received before anything is reserved:
-    /// a hostile block count cannot outrun the buffer because every block
-    /// frame costs at least its 8-byte length prefix.
+    /// The buffer's capacity is kept, so steady-state decode loops (one
+    /// per training step) stop paying an allocation for the output
+    /// stream, and on an error it is left empty. All length fields are
+    /// validated against the bytes actually received before anything is
+    /// reserved: a hostile block count cannot outrun the buffer because
+    /// every block frame costs at least its 8-byte length prefix.
+    ///
+    /// Every block decodes into its own window of the buffer —
+    /// `min(block, total − i·block)` bytes, fixed by the frame header —
+    /// and a block that declares any other length is refused; no block's
+    /// own header sizes anything.
     pub fn decode_blocks_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
+        let result = Self::decode_blocks_windowed(input, out);
+        if result.is_err() {
+            out.clear();
+        }
+        result
+    }
+
+    /// [`Codec::decode_blocks_into`], leaving `out` unspecified on error.
+    fn decode_blocks_windowed(input: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
         use rayon::prelude::*;
-        out.clear();
         let mut r = crate::wire::Reader::new(input);
         let codec = Codec::from_tag(r.u8()?).ok_or(WireError::Invalid("codec tag"))?;
         let total = crate::wire::checked_count(r.u64()?)?;
@@ -184,18 +197,31 @@ impl Codec {
         if !r.is_exhausted() {
             return Err(WireError::Invalid("trailing block bytes"));
         }
-        let decoded: Result<Vec<Vec<u8>>, WireError> =
-            frames.par_iter().map(|f| codec.decode(f)).collect();
-        let decoded = decoded?;
-        let produced: usize = decoded.iter().map(|d| d.len()).sum();
-        if produced != total {
-            return Err(WireError::Invalid("block payload length"));
+        // Every byte of `out[..total]` is overwritten on success, so what
+        // the buffer held is not cleared first. A buffer that has to grow
+        // is taken fresh from the zeroed allocator: until a block passes
+        // its checks and writes, a hostile `total` has cost address
+        // space, not memory.
+        if out.capacity() < total {
+            *out = vec![0u8; total];
+        } else {
+            out.resize(total, 0);
         }
-        out.reserve(produced);
-        for d in &decoded {
-            out.extend_from_slice(d);
-        }
-        Ok(())
+        out.par_chunks_mut(block)
+            .zip(frames)
+            .map(|(window, frame)| match codec {
+                Codec::Ans => rans::decode_into(frame, window),
+                _ => {
+                    let bytes = codec.decode(frame)?;
+                    if bytes.len() != window.len() {
+                        return Err(WireError::Invalid("block payload length"));
+                    }
+                    window.copy_from_slice(&bytes);
+                    Ok(())
+                }
+            })
+            .collect::<Result<Vec<()>, WireError>>()
+            .map(drop)
     }
 }
 

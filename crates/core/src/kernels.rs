@@ -307,8 +307,8 @@ fn compress_chunk_fused(
 }
 
 /// The production fused sweep, rebuilt on the [`microkernel`] layer: the
-/// u64-window filter kernel, the mode-hoisted (branchless-SR) quantize
-/// kernel, and the u64-window bit-packer, all writing through the
+/// word-at-a-time filter kernel, the mode-hoisted (branchless-SR) quantize
+/// kernel, and the register-window bit-packer, all writing through the
 /// per-thread compress arena instead of fresh `Vec`s.
 ///
 /// Bit-identical to [`compress_chunk_fused`] by construction: the
@@ -331,12 +331,12 @@ fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mu
         };
         let use_filter = threshold > 0.0;
         let mut bitmap = Vec::new();
-        if use_filter {
+        let kept = if use_filter {
             microkernel::filter_kernel(data, threshold, &mut bitmap, &mut s.kept);
+            s.kept.as_slice()
         } else {
-            s.kept.clear();
-            s.kept.extend_from_slice(data);
-        }
+            data
+        };
 
         // Quantizer header: identical derivation to `quantize_chunk` /
         // `Quantizer::quantize_with_range` (layer-global range, f32 span,
@@ -348,7 +348,7 @@ fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mu
         };
         assert!(hi >= lo, "invalid range [{lo}, {hi}]");
         let qrange = hi - lo;
-        let (bin_width, n_bins) = if qrange == 0.0 || s.kept.is_empty() {
+        let (bin_width, n_bins) = if qrange == 0.0 || kept.is_empty() {
             (0.0f32, 0u32)
         } else {
             let eb_abs = ErrorBound::Relative(cfg.eb_quant).absolute_for_range(qrange);
@@ -357,7 +357,7 @@ fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mu
         };
         if n_bins > 0 {
             let inv_w = 1.0 / bin_width as f64;
-            microkernel::quantize_kernel(&s.kept, lo, inv_w, n_bins, cfg.mode, rng, &mut s.codes);
+            microkernel::quantize_kernel(kept, lo, inv_w, n_bins, cfg.mode, rng, &mut s.codes);
             microkernel::pack_into(&s.codes, bits_for(n_bins), &mut s.packed);
         }
 
@@ -370,7 +370,7 @@ fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mu
         w.f32(lo);
         w.f32(bin_width);
         w.u32(n_bins);
-        w.u64(s.kept.len() as u64);
+        w.u64(kept.len() as u64);
         w.bytes(packed);
         ChunkOut {
             bitmap,
@@ -520,16 +520,16 @@ pub fn compress_chunked(
 /// must be fully consumed — a chunk that under- or over-runs its indexed
 /// slice is corrupt.
 ///
-/// Microkernel rewrite of [`decompress_chunk_ref`]: the quantized record
-/// is unpacked through the u64-window [`microkernel::unpack_into`] into a
-/// per-thread code buffer (no per-chunk `Vec<u32>` churn), and the
-/// dequantize + keep-mask scatter are fused — values materialize directly
-/// into the caller's pre-zeroed output window via
-/// [`microkernel::scatter_kept`] instead of through intermediate `kept`
-/// and per-chunk output vectors (the window is the chunk's slice of the
-/// final layer buffer, so decode has no assembly copy at all). Every
-/// validation check and error string of the scalar reference is
-/// preserved, in the same order.
+/// Microkernel rewrite of [`decompress_chunk_ref`] in which values
+/// materialize directly in the caller's pre-zeroed output window (the
+/// chunk's slice of the final layer buffer, so decode has no assembly
+/// copy at all). An unfiltered chunk dequantizes as it unpacks
+/// ([`microkernel::unpack_map`]); a filtered one unpacks through the
+/// u64-window [`microkernel::unpack_into`] into a per-thread code buffer
+/// (no per-chunk `Vec<u32>` churn) and fuses dequantize with the
+/// keep-mask scatter ([`microkernel::scatter_kept`]). Every validation
+/// check and error string of the scalar reference is preserved, in the
+/// same order.
 ///
 /// `out` must be zero-filled and exactly `c.len` long.
 fn decompress_chunk_into(
@@ -562,66 +562,78 @@ fn decompress_chunk_into(
     if !lo.is_finite() || !bin_width.is_finite() || bin_width < 0.0 {
         return Err(WireError::Invalid("quantized header").into());
     }
-    microkernel::with_decode_codes(|qcodes| {
-        // A zero-bin or zero-count record is the constant block: `count`
-        // codes of value 0, backed by zero stream bytes.
-        let constant = count == 0 || n_bins == 0;
-        if constant {
-            qcodes.clear();
+    // A zero-bin or zero-count record is the constant block: `count`
+    // codes of value 0, backed by zero stream bytes.
+    let constant = count == 0 || n_bins == 0;
+    let bits = bits_for(n_bins);
+    let packed = if constant {
+        &[][..]
+    } else {
+        cr.bytes((count * bits as usize).div_ceil(8))?
+    };
+    let check_max = |maxc: u32| {
+        if maxc > n_bins {
+            Err(WireError::Invalid("quantized code out of range"))
         } else {
-            let bits = bits_for(n_bins);
-            let need = (count * bits as usize).div_ceil(8);
-            let bytes = cr.bytes(need)?;
-            let maxc = microkernel::unpack_into(bytes, bits, count, qcodes)?;
-            if maxc > n_bins {
-                return Err(WireError::Invalid("quantized code out of range").into());
-            }
+            Ok(())
+        }
+    };
+    let lo64 = lo as f64;
+    let bw64 = bin_width as f64;
+    let dequantize = |code: u32| (lo64 + code as f64 * bw64) as f32;
+    if !used_filter {
+        // Every value is kept, so the codes dequantize as they unpack
+        // (`count ≤ c.len` was checked above; a short count is refused
+        // below, behind the checks that have always come before it).
+        // Code 0 dequantizes to exactly `lo` (f32→f64→f32 is exact),
+        // independent of the carried bin width.
+        if constant {
+            out[..count].fill(lo);
+        } else {
+            check_max(microkernel::unpack_map(
+                packed,
+                bits,
+                &mut out[..count],
+                dequantize,
+            )?)?;
         }
         if !cr.is_exhausted() {
             return Err(CompressError::Corrupt("chunk codes overrun"));
         }
-        let lo64 = lo as f64;
-        let bw64 = bin_width as f64;
-        if used_filter {
-            let mut br = Reader::new(bitmaps);
-            let bm = br.bytes(n.div_ceil(8))?;
-            if !br.is_exhausted() {
-                return Err(CompressError::Corrupt("chunk bitmap overrun"));
-            }
-            let res = if constant {
-                // Code 0 dequantizes to exactly `lo` (f32→f64→f32 is
-                // exact), independent of the carried bin width.
-                microkernel::scatter_kept(bm, n, count, out, |_| lo)
-            } else {
-                let qc: &[u32] = qcodes;
-                microkernel::scatter_kept(bm, n, count, out, |k| {
-                    (lo64 + qc[k] as f64 * bw64) as f32
-                })
-            };
-            match res {
-                Ok(()) => Ok(()),
-                Err(microkernel::ScatterError::Underrun) => {
-                    Err(CompressError::Corrupt("kept underrun"))
-                }
-                Err(microkernel::ScatterError::Overrun) => {
-                    Err(CompressError::Corrupt("kept overrun"))
-                }
-            }
+        if !bitmaps.is_empty() {
+            return Err(CompressError::Corrupt("unexpected bitmap bytes"));
+        }
+        if count != n {
+            return Err(CompressError::Corrupt("unfiltered chunk size"));
+        }
+        return Ok(());
+    }
+    microkernel::with_decode_codes(|qcodes| {
+        if constant {
+            qcodes.clear();
         } else {
-            if !bitmaps.is_empty() {
-                return Err(CompressError::Corrupt("unexpected bitmap bytes"));
+            check_max(microkernel::unpack_into(packed, bits, count, qcodes)?)?;
+        }
+        if !cr.is_exhausted() {
+            return Err(CompressError::Corrupt("chunk codes overrun"));
+        }
+        let mut br = Reader::new(bitmaps);
+        let bm = br.bytes(n.div_ceil(8))?;
+        if !br.is_exhausted() {
+            return Err(CompressError::Corrupt("chunk bitmap overrun"));
+        }
+        let res = if constant {
+            microkernel::scatter_kept(bm, n, count, out, |_| lo)
+        } else {
+            let qc: &[u32] = qcodes;
+            microkernel::scatter_kept(bm, n, count, out, |k| dequantize(qc[k]))
+        };
+        match res {
+            Ok(()) => Ok(()),
+            Err(microkernel::ScatterError::Underrun) => {
+                Err(CompressError::Corrupt("kept underrun"))
             }
-            if count != n {
-                return Err(CompressError::Corrupt("unfiltered chunk size"));
-            }
-            if constant {
-                out.fill(lo);
-            } else {
-                for (o, &code) in out.iter_mut().zip(qcodes.iter()) {
-                    *o = (lo64 + code as f64 * bw64) as f32;
-                }
-            }
-            Ok(())
+            Err(microkernel::ScatterError::Overrun) => Err(CompressError::Corrupt("kept overrun")),
         }
     })
 }

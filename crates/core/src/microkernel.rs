@@ -11,19 +11,24 @@
 //!
 //! What makes bit-identity possible (and cheap to maintain):
 //!
-//! * [`pack_into`] / [`unpack_into`] move whole codes through unaligned
-//!   u64 windows instead of a per-bit carry loop. A code is ≤ 32 bits and
-//!   the in-byte shift is ≤ 7 bits, so every window fits u64 exactly;
-//!   the emitted bytes are the same LSB-first layout as the scalar
-//!   packer, not merely an equivalent one.
-//! * [`filter_kernel`] builds the drop bitmap branchlessly and compacts
-//!   kept values with an unconditional store + predicated index bump.
-//!   The bit layout (LSB-first, set ⇔ dropped) matches the scalar filter.
+//! * [`pack_into`] accumulates codes in a `u64` register and flushes 32
+//!   bits at a time; [`unpack_into`] reads each code through one
+//!   unaligned u64 load. A code is ≤ 32 bits and the pending bits (or
+//!   the in-byte shift) stay below 32 (7), so every window fits u64
+//!   exactly; the emitted bytes are the same LSB-first layout as the
+//!   scalar packer, not merely an equivalent one.
+//! * [`filter_kernel`] builds the drop bitmap 64 decisions to a word,
+//!   branchlessly, and copies the survivors out by walking the inverted
+//!   word. The bit layout (LSB-first, set ⇔ dropped) matches the scalar
+//!   filter.
 //! * [`quantize_kernel`] hoists the per-element rounding-mode dispatch
-//!   out of the loop. Stochastic rounding becomes branchless because the
-//!   scalar path *already* draws one uniform per element unconditionally;
-//!   `P0.5` consumes randomness conditionally (exact grid points draw
-//!   nothing), so that mode keeps the scalar rounding call per element.
+//!   out of the loop and clamps the bin coordinate before rounding, which
+//!   commutes with the scalar path's clamp after it and lets `floor` and
+//!   round-to-even be a cast and an add instead of libm calls. Stochastic
+//!   rounding is branchless because the scalar path *already* draws one
+//!   uniform per element unconditionally; `P0.5` consumes randomness
+//!   conditionally (exact grid points draw nothing), so that mode keeps
+//!   the scalar rounding call per element.
 //! * [`scatter_kept`] walks the keep-mask as u64 words with
 //!   `trailing_zeros`, so decode scatter cost scales with the *kept*
 //!   count, not the chunk length — the dropped majority is covered by a
@@ -36,35 +41,53 @@ use crate::rounding::RoundingMode;
 use crate::wire::WireError;
 use compso_tensor::rng::Rng;
 
+/// 2⁵²: the `f64` magnitude at which the unit in the last place is 1.
+const TWO_POW_52: f64 = (1u64 << 52) as f64;
+
 /// Packs `width`-bit codes LSB-first into `out` (cleared first), emitting
 /// byte-identical output to [`crate::bitpack::pack`].
 ///
+/// The bit window lives in a `u64` register: a code is OR-ed in above the
+/// `bits < 32` pending bits (a code is ≤ 32 bits, so the window never
+/// overflows) and the low 32 bits are flushed whenever that many are
+/// ready. Nothing is read back from `out`, so consecutive codes do not
+/// wait on each other's stores.
+///
 /// # Panics
 /// If `width` is 0 or > 32, or any code does not fit in `width` bits —
-/// the same contract as the scalar packer.
+/// the same contract and message as the scalar packer (the first
+/// offending code is named; `out` is unspecified after the panic).
 pub fn pack_into(codes: &[u32], width: u32, out: &mut Vec<u8>) {
     assert!((1..=32).contains(&width), "width {width} out of range");
+    let n_bytes = (codes.len() * width as usize).div_ceil(8);
     out.clear();
-    let total_bits = codes.len() * width as usize;
-    let n_bytes = total_bits.div_ceil(8);
-    // Eight slack bytes let every code be written as one whole u64 store
-    // at its byte offset; the slack stays zero and is truncated off.
-    out.resize(n_bytes + 8, 0);
-    let buf = &mut out[..];
-    let mut bitpos = 0usize;
+    out.resize(n_bytes, 0);
+    // Bits a code must not carry; OR-accumulated and checked once.
+    let too_wide = if width == 32 { 0 } else { u32::MAX << width };
+    let mut over = 0u32;
+    let mut acc = 0u64;
+    let mut bits = 0u32;
+    let mut pos = 0usize;
     for &code in codes {
-        assert!(
-            width == 32 || code < (1u32 << width),
-            "code {code} does not fit in {width} bits"
-        );
-        let byte = bitpos >> 3;
-        let shift = (bitpos & 7) as u32;
-        let window = &mut buf[byte..byte + 8];
-        let cur = u64::from_le_bytes(window.try_into().unwrap());
-        window.copy_from_slice(&(cur | ((code as u64) << shift)).to_le_bytes());
-        bitpos += width as usize;
+        over |= code & too_wide;
+        acc |= (code as u64) << bits;
+        bits += width;
+        if bits >= 32 {
+            out[pos..pos + 4].copy_from_slice(&(acc as u32).to_le_bytes());
+            pos += 4;
+            acc >>= 32;
+            bits -= 32;
+        }
     }
-    out.truncate(n_bytes);
+    if over != 0 {
+        let code = codes.iter().find(|&&c| c & too_wide != 0);
+        let code = code.expect("a bit in `over` came from some code");
+        panic!("code {code} does not fit in {width} bits");
+    }
+    // Fewer than 32 bits are left: the last `⌈bits / 8⌉ ≤ 4` bytes.
+    let tail = &mut out[pos..];
+    let n = tail.len();
+    tail.copy_from_slice(&acc.to_le_bytes()[..n]);
 }
 
 /// Unpacks `count` codes of `width` bits into `out` (cleared first),
@@ -77,41 +100,72 @@ pub fn unpack_into(
     count: usize,
     out: &mut Vec<u32>,
 ) -> Result<u32, WireError> {
+    check_packed(bytes, width, count)?;
+    out.clear();
+    out.resize(count, 0);
+    Ok(unpack_each(bytes, width, out, |code| code))
+}
+
+/// [`unpack_into`] through a per-code map, straight into a caller-sized
+/// slice (`out.len()` codes): the chunk decoder dequantizes as it unpacks
+/// instead of materializing codes it would only read back. Same checks,
+/// same errors, same returned maximum (of the codes, not of `map`).
+pub(crate) fn unpack_map<T>(
+    bytes: &[u8],
+    width: u32,
+    out: &mut [T],
+    map: impl Fn(u32) -> T,
+) -> Result<u32, WireError> {
+    check_packed(bytes, width, out.len())?;
+    Ok(unpack_each(bytes, width, out, map))
+}
+
+/// The scalar unpacker's two refusals, in its order.
+fn check_packed(bytes: &[u8], width: u32, count: usize) -> Result<(), WireError> {
     if !(1..=32).contains(&width) {
         return Err(WireError::Invalid("bit width"));
     }
-    let total_bits = count * width as usize;
-    let need = total_bits.div_ceil(8);
+    let need = (count * width as usize).div_ceil(8);
     if bytes.len() < need {
         return Err(WireError::Truncated {
             need,
             have: bytes.len(),
         });
     }
-    out.clear();
-    out.reserve(count);
+    Ok(())
+}
+
+/// The unpack loop behind [`unpack_into`] and [`unpack_map`]; the caller
+/// has run [`check_packed`].
+fn unpack_each<T>(bytes: &[u8], width: u32, out: &mut [T], map: impl Fn(u32) -> T) -> u32 {
+    let w = width as usize;
     let mask = if width == 32 {
         u32::MAX
     } else {
         (1u32 << width) - 1
     };
+    // Fast path: a code whose whole u64 window is in bounds is one
+    // unaligned load + shift + mask (shift ≤ 7 + width ≤ 32 fits u64).
+    // Code `i` starts in byte `i·w / 8`, so the window fits for every
+    // `i` up to the count below.
+    let fast = if bytes.len() >= 8 {
+        (((bytes.len() - 8) * 8 + 7) / w + 1).min(out.len())
+    } else {
+        0
+    };
+    let (head, tail) = out.split_at_mut(fast);
     let mut maxc = 0u32;
     let mut bitpos = 0usize;
-    // Fast path: while a full u64 window is in bounds, a code is one
-    // unaligned load + shift + mask (shift ≤ 7 + width ≤ 32 fits u64).
-    while out.len() < count {
+    for o in head {
         let byte = bitpos >> 3;
-        if byte + 8 > bytes.len() {
-            break;
-        }
-        let w = u64::from_le_bytes(bytes[byte..byte + 8].try_into().unwrap());
-        let v = ((w >> (bitpos & 7)) as u32) & mask;
+        let window = u64::from_le_bytes(bytes[byte..byte + 8].try_into().unwrap());
+        let v = ((window >> (bitpos & 7)) as u32) & mask;
         maxc = maxc.max(v);
-        out.push(v);
-        bitpos += width as usize;
+        *o = map(v);
+        bitpos += w;
     }
     // Scalar tail: identical to the reference per-bit loop.
-    while out.len() < count {
+    for o in tail {
         let mut value: u64 = 0;
         let mut got: u32 = 0;
         while got < width {
@@ -126,9 +180,9 @@ pub fn unpack_into(
         }
         let v = value as u32;
         maxc = maxc.max(v);
-        out.push(v);
+        *o = map(v);
     }
-    Ok(maxc)
+    maxc
 }
 
 /// The filter sweep as a branchless microkernel: builds the LSB-first
@@ -139,24 +193,24 @@ pub fn filter_kernel(data: &[f32], threshold: f32, bitmap: &mut Vec<u8>, kept: &
     bitmap.clear();
     bitmap.reserve(data.len().div_ceil(8));
     kept.clear();
-    kept.resize(data.len(), 0.0);
-    let mut kn = 0usize;
-    {
-        let kbuf = &mut kept[..];
-        for chunk8 in data.chunks(8) {
-            let mut b = 0u8;
-            for (j, &v) in chunk8.iter().enumerate() {
-                // `abs` is a sign-bit mask and the comparison feeds a
-                // predicated store: no branch per element.
-                let dropped = v.abs() < threshold;
-                b |= (dropped as u8) << j;
-                kbuf[kn] = v;
-                kn += (!dropped) as usize;
-            }
-            bitmap.push(b);
+    kept.reserve(data.len());
+    // 64 values at a time: the comparisons build one bitmap word with no
+    // branch per element, and the survivors are then picked off the
+    // inverted word, so the copy costs per kept value — the filter's
+    // point is that those are the minority — and `kept` is never
+    // zero-filled.
+    for chunk in data.chunks(64) {
+        let mut word = 0u64;
+        for (j, &v) in chunk.iter().enumerate() {
+            word |= ((v.abs() < threshold) as u64) << j;
+        }
+        bitmap.extend_from_slice(&word.to_le_bytes()[..chunk.len().div_ceil(8)]);
+        let mut keep = !word & (u64::MAX >> (64 - chunk.len()));
+        while keep != 0 {
+            kept.push(chunk[keep.trailing_zeros() as usize]);
+            keep &= keep - 1;
         }
     }
-    kept.truncate(kn);
 }
 
 /// The quantize sweep with the rounding-mode dispatch hoisted out of the
@@ -176,38 +230,56 @@ pub fn quantize_kernel(
     codes: &mut Vec<u32>,
 ) {
     codes.clear();
-    codes.reserve(kept.len());
+    codes.resize(kept.len(), 0);
     let lo64 = lo as f64;
     let cap = n_bins as i64;
+    let cap64 = n_bins as f64;
+    // The bin coordinate, clamped to `[0, n_bins]` ahead of rounding.
+    // Both ends are integers and rounding is monotone, so this commutes
+    // with the scalar path's clamp of the rounded index: a coordinate
+    // below 0 — or NaN, which fails `> 0.0` — ends at code 0 there too,
+    // one at or above `n_bins` at `n_bins`. Written as compare-selects so
+    // each is one `maxsd`/`minsd`; what the clamp buys is a coordinate
+    // that fits a `u32`, which takes `floor` and `round_ties_even` out of
+    // libm (neither is an instruction on baseline x86-64).
+    let coord_of = |x: f32| {
+        let coord = (x as f64 - lo64) * inv_w;
+        let coord = if coord > 0.0 { coord } else { 0.0 };
+        if coord < cap64 {
+            coord
+        } else {
+            cap64
+        }
+    };
     match mode {
         RoundingMode::Nearest => {
-            for &x in kept {
-                let coord = (x as f64 - lo64) * inv_w;
-                let c = coord.round_ties_even() as i64;
-                codes.push(c.clamp(0, cap) as u32);
+            for (c, &x) in codes.iter_mut().zip(kept) {
+                // Adding 2⁵² leaves no fraction bits, so the add itself
+                // rounds to nearest, ties to even, and the integer is the
+                // low mantissa bits.
+                *c = (coord_of(x) + TWO_POW_52).to_bits() as u32;
             }
         }
         RoundingMode::Stochastic => {
             // The scalar path draws one uniform per element no matter
             // which way it rounds, so the branchless form below keeps the
             // RNG stream position and every rounding decision identical.
-            for &x in kept {
-                let coord = (x as f64 - lo64) * inv_w;
-                let floor = coord.floor();
-                let p = coord - floor;
-                let up = (rng.uniform_f64() < p) as i64;
-                let c = floor as i64 + up;
-                codes.push(c.clamp(0, cap) as u32);
+            for (c, &x) in codes.iter_mut().zip(kept) {
+                let coord = coord_of(x);
+                // Truncation is `floor` for a non-negative coordinate; a
+                // clamped one has fraction 0 and never rounds up.
+                let floor = coord as u32;
+                let p = coord - floor as f64;
+                *c = floor + (rng.uniform_f64() < p) as u32;
             }
         }
         RoundingMode::HalfProbability => {
             // P0.5 draws randomness *conditionally* (exact grid points
             // consume nothing), so it cannot be made branchless without
             // desyncing the stream; keep the scalar rounding call.
-            for &x in kept {
+            for (c, &x) in codes.iter_mut().zip(kept) {
                 let coord = (x as f64 - lo64) * inv_w;
-                let c = mode.round(coord, rng);
-                codes.push(c.clamp(0, cap) as u32);
+                *c = mode.round(coord, rng).clamp(0, cap) as u32;
             }
         }
     }
@@ -385,6 +457,155 @@ mod tests {
     #[should_panic(expected = "does not fit")]
     fn pack_into_oversized_code_panics_like_scalar() {
         pack_into(&[8u32], 3, &mut Vec::new());
+    }
+
+    /// Every width × every short length, random and all-ones codes: the
+    /// register-window packer against the scalar packer, and both unpack
+    /// entry points against the codes (the flush, the ≤ 4-byte tail and
+    /// the u64-window/scalar-tail split all move with `len · width`).
+    #[test]
+    fn pack_and_unpack_match_scalar_at_every_width_and_short_length() {
+        let mut rng = Rng::new(0xB17);
+        let (mut packed, mut codes_back) = (Vec::new(), vec![7u32; 3]);
+        for width in 1u32..=32 {
+            let mask = u32::MAX >> (32 - width);
+            for len in 0..=130usize {
+                for all_ones in [false, true] {
+                    let codes: Vec<u32> = (0..len)
+                        .map(|_| {
+                            if all_ones {
+                                mask
+                            } else {
+                                rng.next_u32() & mask
+                            }
+                        })
+                        .collect();
+                    let want = bitpack::pack(&codes, width);
+                    pack_into(&codes, width, &mut packed);
+                    assert_eq!(packed, want, "width={width} len={len}");
+                    let maxc = codes.iter().copied().max().unwrap_or(0);
+                    assert_eq!(
+                        unpack_into(&want, width, len, &mut codes_back),
+                        Ok(maxc),
+                        "width={width} len={len}"
+                    );
+                    assert_eq!(codes_back, codes, "width={width} len={len}");
+                    let mut mapped = vec![0u64; len];
+                    assert_eq!(
+                        unpack_map(&want, width, &mut mapped, |c| c as u64 + 1),
+                        Ok(maxc)
+                    );
+                    assert!(mapped.iter().zip(&codes).all(|(&m, &c)| m == c as u64 + 1));
+                }
+            }
+        }
+        let short = bitpack::pack(&[5u32; 16], 5);
+        assert_eq!(
+            unpack_map(&short[..9], 5, &mut [0u32; 16], |c| c),
+            Err(WireError::Truncated { need: 10, have: 9 })
+        );
+        assert_eq!(
+            unpack_map(&short, 33, &mut [0u32; 1], |c| c),
+            Err(WireError::Invalid("bit width"))
+        );
+    }
+
+    /// The "does not fit" check is accumulated and raised once, after the
+    /// loop; the message must still name the first offender, as the
+    /// scalar packer's does.
+    #[test]
+    fn pack_into_names_the_first_oversized_code_like_scalar() {
+        fn message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+            let payload = std::panic::catch_unwind(f).expect_err("must panic");
+            payload.downcast_ref::<String>().expect("formatted").clone()
+        }
+        for (codes, width) in [
+            (vec![1u32, 7, 9, 3, 200], 3u32),
+            (vec![8], 3),
+            (vec![0, 1 << 31], 31),
+            (vec![u32::MAX; 40], 9),
+        ] {
+            let want = {
+                let codes = codes.clone();
+                message(move || drop(bitpack::pack(&codes, width)))
+            };
+            assert!(want.contains("does not fit"), "{want}");
+            assert_eq!(
+                message(move || pack_into(&codes, width, &mut Vec::new())),
+                want
+            );
+        }
+    }
+
+    /// The values the happy path never sees, against the retained scalar
+    /// quantizer: same codes and same RNG position for NaN, ±∞,
+    /// subnormals, both range ends, values outside the range, every exact
+    /// grid point, every bin midpoint (RN's tie) and a neighbour of each —
+    /// the cases that decide whether clamping the coordinate first and
+    /// rounding without libm is the same function.
+    #[test]
+    fn quantize_kernel_matches_scalar_quantizer_on_edge_values() {
+        use crate::quantize::Quantizer;
+        // Bin widths exact in f32 (one of them subnormal), so `lo + k·w`
+        // lands on the grid exactly.
+        for (lo, w) in [(-3.0f32, 0.125f32), (0.0, f32::from_bits(1))] {
+            for n_bins in [1u32, 2, 255, 256, 500] {
+                let hi = lo + n_bins as f32 * w;
+                let mut data = vec![
+                    f32::NAN,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    f32::MAX,
+                    f32::MIN,
+                    f32::MIN_POSITIVE,
+                    -f32::MIN_POSITIVE,
+                    f32::from_bits(1),
+                    -f32::from_bits(1),
+                    0.0,
+                    -0.0,
+                    lo,
+                    hi,
+                    lo - w,
+                    hi + w,
+                    lo - 1e-3,
+                    hi + 1e-3,
+                ];
+                for k in 0..=n_bins {
+                    let g = lo + k as f32 * w;
+                    data.extend([
+                        g,
+                        g + w / 2.0,
+                        g + w / 3.0,
+                        f32::from_bits(g.to_bits().wrapping_add(1)),
+                        f32::from_bits(g.to_bits().wrapping_sub(1)),
+                    ]);
+                }
+                for mode in [
+                    RoundingMode::Nearest,
+                    RoundingMode::Stochastic,
+                    RoundingMode::HalfProbability,
+                ] {
+                    let mut rng_ref = Rng::new(0x5EED);
+                    let want = Quantizer::absolute(w, mode).quantize_with_range(
+                        &data,
+                        lo,
+                        hi,
+                        &mut rng_ref,
+                    );
+                    assert_eq!(want.n_bins, n_bins);
+                    let mut rng = Rng::new(0x5EED);
+                    let mut codes = vec![9u32; 2];
+                    let inv_w = 1.0 / w as f64;
+                    quantize_kernel(&data, lo, inv_w, n_bins, mode, &mut rng, &mut codes);
+                    assert_eq!(codes, want.codes, "lo={lo} w={w} n_bins={n_bins} {mode:?}");
+                    assert_eq!(
+                        rng.next_u64(),
+                        rng_ref.next_u64(),
+                        "RNG position, n_bins={n_bins} {mode:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -998,6 +998,62 @@ fn retired_rans_layout_is_rejected_in_every_container() {
     }
 }
 
+/// A well-formed block of the live eight-lane layout (stream mode 2)
+/// that decodes to `n` copies of `symbol` from an empty stream: the whole
+/// frequency table sits on the symbol, so no lane's state ever moves.
+fn constant_rans_block(n: u64, symbol: u8) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u8(2); // mode: eight-lane rANS
+    w.u64(n);
+    for s in 0..=255u8 {
+        w.u16(if s == symbol { 4096 } else { 0 });
+    }
+    for _ in 0..8 {
+        w.u32(1 << 23);
+    }
+    w.block(&[]);
+    w.into_bytes()
+}
+
+#[test]
+fn a_block_is_held_to_its_window_not_to_its_own_header() {
+    // Eight blocks of an 8 KiB frame, each a valid stream declaring the
+    // largest count a header may. The parent commit decoded every one —
+    // 8 × 256 MiB — before comparing the sum with the frame's total;
+    // each is now refused against its 1 KiB window before a symbol is
+    // decoded, and the buffer handed in never grows past the total.
+    let (block, k) = (1024u64, 8u64);
+    let frame = |blocks: &[Vec<u8>]| {
+        let mut w = Writer::new();
+        w.u8(Codec::Ans.tag());
+        w.u64(block * k);
+        w.u64(block);
+        w.u32(k as u32);
+        for b in blocks {
+            w.block(b);
+        }
+        w.into_bytes()
+    };
+    let honest = constant_rans_block(block, 0);
+    let mut out = Vec::new();
+    Codec::decode_blocks_into(&frame(&vec![honest.clone(); 8]), &mut out).unwrap();
+    assert_eq!(out, vec![0u8; 8 * 1024]);
+
+    let hostile = constant_rans_block(MAX_DECODE_ELEMS as u64, 0);
+    for bad in [hostile, constant_rans_block(block - 1, 0)] {
+        // Every block hostile, then one hostile block among honest ones.
+        let mut mixed = vec![honest.clone(); 8];
+        mixed[5] = bad.clone();
+        for blocks in [vec![bad.clone(); 8], mixed] {
+            assert_eq!(
+                Codec::decode_blocks_into(&frame(&blocks), &mut out),
+                Err(WireError::Invalid("block payload length"))
+            );
+            assert!(out.is_empty() && out.capacity() <= 8 * 1024);
+        }
+    }
+}
+
 #[test]
 fn block_encoder_output_is_pinned() {
     // Length and CRC-32 of `encode_blocks` over a seeded code stream,

@@ -32,11 +32,17 @@
 //!   0.68, slower than the per-bit loop it exists to replace.
 //! * `pipeline.speedup_2w >= 1.0`, `pipeline.speedup_4w >= 1.0` — the
 //!   step-5 gather scheduling A/B: compress-then-`allgather_var` against
-//!   `pipelined_allgather` (compression of group k+1 overlapped with
-//!   group k's ring hops, streaming per-group decode) on an
+//!   `pipelined_allgather` (each group on the wire as soon as it is
+//!   compressed, decode in the waits for the link) on an
 //!   imbalanced-ownership workload over a modeled wire. Overlap must
 //!   never lose to compress-then-gather. (At one worker there is no wire
 //!   to overlap and the ratio is 1.0 by construction; it is not run.)
+//! * `pipeline.wire_floor_2w >= 1.0`, `pipeline.wire_floor_4w >= 1.0` —
+//!   the same passes against physics: from the first rank's start to the
+//!   last rank's end, no pass of either schedule may take less than the
+//!   busiest rank's sent bytes ÷ the modeled bandwidth (the lowest
+//!   wall ÷ floor over every timed pass). A modeled wire that drains the
+//!   messages on one link concurrently reads ≈ 0.5 here.
 
 use compso_comm::collectives::{allgather_var, pipelined_allgather};
 use compso_comm::fault::FaultPlane;
@@ -87,8 +93,11 @@ const GATHER_REPS: usize = 3;
 /// decode bit-identical values (same per-rep RNG seed → same stochastic
 /// rounding → same wire bytes, the §4.2 determinism contract). Returns
 /// `(serial, pipelined)` best-of-[`GATHER_REPS`] slowest-rank walls in
-/// seconds.
-fn gather_walls(workers: usize) -> (f64, f64) {
+/// seconds, and the `(wall, wire floor)` of the timed pass of either mode
+/// with the lowest `wall ÷ floor` — wall from the earliest rank's start
+/// to the latest rank's end, floor the busiest rank's sent bytes over
+/// [`WIRE_MBPS`].
+fn gather_walls(workers: usize) -> (f64, f64, (f64, f64)) {
     let _guard = rayon::scoped_thread_override(1);
     // The modeled wire is what makes the overlap physical: a sender
     // sleeping through a payload's drain releases its core, so peers
@@ -98,7 +107,9 @@ fn gather_walls(workers: usize) -> (f64, f64) {
         modeled_wire_mbps: Some(WIRE_MBPS),
         ..CommConfig::default()
     };
-    let times: Vec<Vec<(f64, f64)>> =
+    /// One rank's view of one pass: start, end, bytes it sent.
+    type Pass = (Instant, Instant, u64);
+    let times: Vec<Vec<[Pass; 2]>> =
         run_ranks_with(workers, FaultPlane::disabled(), config, move |comm| {
             let me = comm.rank();
             let p = comm.size();
@@ -132,10 +143,11 @@ fn gather_walls(workers: usize) -> (f64, f64) {
                 .collect();
             let rec = Recorder::disabled();
 
-            // One gather pass in the given mode; returns (wall seconds,
-            // checksum over every decoded f32 of the step).
-            let mut pass = |pipelined: bool, seed: u64| -> (f64, u64) {
+            // One gather pass in the given mode; returns its span and sent
+            // bytes, and a checksum over every decoded f32 of the step.
+            let mut pass = |pipelined: bool, seed: u64| -> (Pass, u64) {
                 comm.barrier().expect("barrier");
+                let sent_before = comm.sent_bytes();
                 let t0 = Instant::now();
                 let mut rng = Rng::new(seed);
                 let mut clean: Vec<Vec<u8>> = Vec::with_capacity(mine.len());
@@ -208,12 +220,12 @@ fn gather_walls(workers: usize) -> (f64, f64) {
                     let body = unframe_checksummed(frame).expect("clean frame");
                     absorb(compressor.decompress_group(body, &rec).expect("own group"));
                 }
-                let wall = t0.elapsed().as_secs_f64();
+                let end = Instant::now();
                 assert_eq!(
                     decoded_elems,
                     BIG_GROUPS * BIG_ELEMS + (p - 1) * SMALL_ELEMS
                 );
-                (wall, checksum)
+                ((t0, end, comm.sent_bytes() - sent_before), checksum)
             };
 
             // One untimed warm-up pass per mode (cold caches, lazy codec
@@ -223,23 +235,38 @@ fn gather_walls(workers: usize) -> (f64, f64) {
             let mut walls = Vec::with_capacity(GATHER_REPS);
             for rep in 0..GATHER_REPS {
                 let seed = 100 + rep as u64;
-                let (serial_wall, serial_sum) = pass(false, seed);
-                let (pipe_wall, pipe_sum) = pass(true, seed);
+                let (serial, serial_sum) = pass(false, seed);
+                let (pipelined, pipe_sum) = pass(true, seed);
                 assert_eq!(
                     serial_sum, pipe_sum,
                     "pipelined gather must decode bit-identical values"
                 );
-                walls.push((serial_wall, pipe_wall));
+                walls.push([serial, pipelined]);
             }
             walls
         });
     // Per rep the slowest rank defines the wall; report the best rep.
-    let best = |pick: fn(&(f64, f64)) -> f64| {
+    let secs = |d: std::time::Duration| d.as_secs_f64();
+    let best = |mode: usize| {
         (0..GATHER_REPS)
-            .map(|i| times.iter().map(|t| pick(&t[i])).fold(0.0f64, f64::max))
+            .map(|i| {
+                let rank_wall = |t: &Vec<[Pass; 2]>| secs(t[i][mode].1 - t[i][mode].0);
+                times.iter().map(rank_wall).fold(0.0f64, f64::max)
+            })
             .fold(f64::INFINITY, f64::min)
     };
-    (best(|t| t.0), best(|t| t.1))
+    let tightest = (0..GATHER_REPS)
+        .flat_map(|i| [(i, 0), (i, 1)])
+        .map(|(i, mode)| {
+            let passes = || times.iter().map(move |t| t[i][mode]);
+            let start = passes().map(|p| p.0).min().expect("ranks");
+            let end = passes().map(|p| p.1).max().expect("ranks");
+            let busiest = passes().map(|p| p.2).max().expect("ranks");
+            (secs(end - start), busiest as f64 / (WIRE_MBPS * 1e6))
+        })
+        .min_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)))
+        .expect("passes");
+    (best(0), best(1), tightest)
 }
 
 fn main() {
@@ -363,7 +390,7 @@ fn main() {
     // Gather scheduling: serial compress-then-gather vs the pipelined
     // ring, imbalanced ownership.
     for workers in [2usize, 4] {
-        let (serial, pipelined) = gather_walls(workers);
+        let (serial, pipelined, (wall, floor)) = gather_walls(workers);
         gate(
             &format!("pipeline.speedup_{workers}w"),
             serial / pipelined,
@@ -373,6 +400,18 @@ fn main() {
                 "serial {:.3} ms, pipelined {:.3} ms",
                 serial * 1e3,
                 pipelined * 1e3
+            ),
+        );
+        gate(
+            &format!("pipeline.wire_floor_{workers}w"),
+            wall / floor,
+            ">=",
+            1.0,
+            format!(
+                "tightest of {} passes: wall {:.3} ms, busiest rank's bytes / {WIRE_MBPS} MB/s {:.3} ms",
+                2 * GATHER_REPS,
+                wall * 1e3,
+                floor * 1e3
             ),
         );
     }

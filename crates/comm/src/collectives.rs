@@ -24,7 +24,9 @@
 
 use crate::group::{CommError, Communicator, Payload};
 use compso_obs::names;
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::time::Instant;
 
 /// Splits `len` into `parts` contiguous block ranges, sizes differing by at
 /// most one (first `len % parts` blocks are one longer).
@@ -250,37 +252,61 @@ pub fn allgather_var_quiet(
 ///
 /// Each rank contributes `groups_per_rank[rank]` byte blocks (one per
 /// aggregation group) that are **produced lazily** while earlier blocks
-/// circulate the ring, and every received block is **delivered as it
-/// lands** instead of after the full gather. `groups_per_rank` must be
-/// identical on every rank (in the hot path it is derived from the
-/// globally known layer shapes); every rank computes the same hop
-/// schedule from it, so slots past a rank's last group circulate no
-/// filler traffic at all — on imbalanced ownership only the widest
-/// rank's blocks keep hopping. Per pipeline slot `g`:
+/// circulate the ring. `groups_per_rank` must be identical on every rank
+/// (in the hot path it is derived from the globally known layer shapes);
+/// every rank computes the same hop schedule from it, so slots past a
+/// rank's last group circulate no filler traffic at all — on imbalanced
+/// ownership only the widest rank's blocks keep hopping. The schedule is
+/// **send-ahead**, three rules:
 ///
-/// 1. the rank sends its own `g`-th block right (nothing when `g` is
-///    past its last group);
-/// 2. it immediately calls `produce(g + 1)` — rank-local compression of
-///    the *next* group overlaps the `p − 1` ring hops of the current
-///    slot;
-/// 3. it runs the `p − 1` hops, skipping origins with no block in this
-///    slot: receive from the left, forward right *before* delivering
-///    (so downstream ranks are never stalled behind this rank's
-///    decode), then hand the block to `deliver(origin, g, bytes)` —
-///    streaming per-group decode overlapping later hops.
+/// 1. *The link order is fixed.* On every directed link the bytes leave
+///    in slot order: the rank's own block `k`, then slot `k`'s forwards
+///    (the blocks of origins `rank − 1, rank − 2, …` that have a `k`-th
+///    group, each forwarded unless the right neighbour is its origin).
+///    Messages therefore need no tag, and ARQ sequence numbers and seeded
+///    fault decisions fall on the same messages whatever the timing.
+/// 2. *Receive lazily.* The rank pulls from its left link only as far as
+///    the block its next forward needs (blocks that end their journey
+///    here are dequeued on the way, never waited for on their own
+///    account). A terminal block therefore never stands in front of a
+///    send: own block `k + 1` goes on the wire the moment `produce(k + 1)`
+///    has returned and slot `k`'s forwards are out (at two ranks nothing
+///    is forwarded: a rank sends at its own compression rate whatever its
+///    peer does).
+/// 3. *Deliver one behind.* A pulled block is forwarded at once and held;
+///    `deliver` takes it right before the rank's *next* pull — in front of
+///    a receive the next send has to wait for anyway, where the decode
+///    hides behind the link's drain — or once the rank has nothing left to
+///    send. At two ranks a rank pulls nothing while it has an own block
+///    to go, so no `deliver` precedes its last own send; at three and
+///    more the decodes stay spread between the forwards' receives, as in
+///    the slot loop, instead of piling up behind the last own block.
+///
+/// Against the slot-synchronous ring `send own k; produce k + 1; receive,
+/// forward and deliver slot k` the schedule only takes receives out from
+/// in front of sends (a terminal block is no longer waited for ahead of
+/// the next own block; each decode moves one pull later): every receive
+/// keeps its matching send, and no send depends on a receive it did not
+/// depend on there, so it cannot deadlock where that ring does not. A
+/// rank holds at most one block, from its receive to the next; a failed
+/// receive finds none held, so — as in the slot loop — what an abandoned
+/// attempt handed to `deliver` is the caller's to discard, and a retry
+/// never sees a block of it.
 ///
 /// `produce(g)` is called exactly once per own group, strictly in order
 /// `0..groups_per_rank[rank]` — callers that advance an RNG per group
 /// therefore consume the identical stream as a compress-then-gather
 /// loop, which is what keeps the pipelined path bit-identical.
-/// `deliver` is called exactly once per `(origin, group)` pair for every
-/// *other* rank's groups (a rank's own blocks never come back around the
-/// ring; the caller keeps its own clean copies).
+/// `deliver(origin, g, bytes)` is called exactly once per `(origin,
+/// group)` pair for every *other* rank's groups, in link order: slot by
+/// slot, nearest left origin first (a rank's own blocks never come back
+/// around the ring; the caller keeps its own clean copies).
 ///
 /// Exposed (un-overlapped) receive time accumulates in
 /// `comm/pipeline/wait`; the producer/delivery callbacks are timed under
 /// `comm/pipeline/produce` and `comm/pipeline/deliver`, and each call
-/// adds the slot count to `comm/pipeline_stages`. Transport faults from
+/// adds the slot count to `comm/pipeline_stages`. A call refused for a
+/// wrong-length `groups_per_rank` records nothing. Transport faults from
 /// an armed [`crate::fault::FaultPlane`] are absorbed by the ARQ layer
 /// exactly as for [`allgather_var`].
 pub fn pipelined_allgather(
@@ -289,9 +315,6 @@ pub fn pipelined_allgather(
     mut produce: impl FnMut(usize) -> Vec<u8>,
     mut deliver: impl FnMut(usize, usize, Vec<u8>),
 ) -> Result<(), CommError> {
-    let rec = comm.recorder().clone();
-    let _span = rec.span(names::COMM_PIPELINED_ALLGATHER);
-    rec.incr(names::COMM_PIPELINED_ALLGATHER_CALLS);
     let p = comm.size();
     let r = comm.rank();
     if groups_per_rank.len() != p {
@@ -299,17 +322,18 @@ pub fn pipelined_allgather(
             expected: "one group count per rank",
         });
     }
+    let rec = comm.recorder().clone();
+    let _span = rec.span(names::COMM_PIPELINED_ALLGATHER);
+    rec.incr(names::COMM_PIPELINED_ALLGATHER_CALLS);
     let g_me = groups_per_rank[r];
     let g_max = groups_per_rank.iter().copied().max().unwrap_or(0);
     rec.add(names::COMM_PIPELINE_STAGES, g_max as u64);
+    let since = |t0: Instant| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let mut timed_produce = |g: usize| -> Vec<u8> {
         // lint:allow(deterministic-state): span timing for obs counters; the produced bytes are clock-independent
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let block = produce(g);
-        rec.add_time_ns(
-            names::COMM_PIPELINE_PRODUCE,
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
+        rec.add_time_ns(names::COMM_PIPELINE_PRODUCE, since(t0));
         block
     };
     if p == 1 {
@@ -323,14 +347,24 @@ pub fn pipelined_allgather(
     let left = comm.left();
     let right = comm.right();
     let mut next: Option<Vec<u8>> = (g_me > 0).then(|| timed_produce(0));
+    // Blocks the left link carries that this rank has not pulled yet, in
+    // link order: `(origin, slot, forward it?)`.
+    let mut owed: VecDeque<(usize, usize, bool)> = VecDeque::new();
+    // The last block pulled: forwarded (where due), not yet delivered.
+    let mut held: Option<(usize, usize, Vec<u8>)> = None;
+    let mut deliver_held = |held: &mut Option<(usize, usize, Vec<u8>)>| {
+        if let Some((origin, slot, block)) = held.take() {
+            // lint:allow(deterministic-state): deliver timing for obs counters only
+            let t0 = Instant::now();
+            deliver(origin, slot, block);
+            rec.add_time_ns(names::COMM_PIPELINE_DELIVER, since(t0));
+        }
+    };
     for slot in 0..g_max {
         // Empty slots hop nothing: `groups_per_rank` is global
         // knowledge, so every rank derives the same schedule and skips
         // the send/recv pair outright instead of circulating filler
-        // blocks. On imbalanced ownership (one rank owning most groups,
-        // the common case that motivates pipelining) this halves the
-        // message count — slots past the small ranks' last group carry
-        // only the big owner's blocks.
+        // blocks.
         if slot < g_me {
             let own = next.take().ok_or(CommError::Protocol {
                 expected: "pipeline schedule: own block produced before its slot",
@@ -339,35 +373,43 @@ pub fn pipelined_allgather(
         }
         // The overlap: compress the next group while this slot's blocks
         // make their way around the ring.
-        if slot + 1 < g_me {
+        let sending = slot + 1 < g_me;
+        if sending {
             next = Some(timed_produce(slot + 1));
         }
         for s in 0..p - 1 {
             let origin = (r + p - s - 1) % p;
-            if slot >= groups_per_rank[origin] {
-                continue;
+            if slot < groups_per_rank[origin] {
+                owed.push_back((origin, slot, s < p - 2));
             }
+        }
+        // Rule 2: with an own block still to go out, pull only as far as
+        // the last block the link order puts ahead of it (a forward).
+        let pull = if sending {
+            owed.iter().rposition(|b| b.2).map_or(0, |i| i + 1)
+        } else {
+            owed.len()
+        };
+        for (origin, slot, forward) in owed.drain(..pull) {
+            // Rule 3: the block pulled before this one decodes here, in
+            // front of a receive the next send has to wait for anyway.
+            deliver_held(&mut held);
             // lint:allow(deterministic-state): recv-wait timing for obs counters only; never alters the bytes delivered
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             let incoming = comm
                 .recv_labeled(left, names::COMM_PIPELINED_ALLGATHER)?
                 .try_bytes()?;
-            rec.add_time_ns(
-                names::COMM_PIPELINE_WAIT,
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
-            // Forward before delivering: the downstream ranks' hop `s+1`
-            // must not wait behind this rank's decode of the block.
-            if s < p - 2 {
+            rec.add_time_ns(names::COMM_PIPELINE_WAIT, since(t0));
+            // Forward before delivering: the downstream ranks must not
+            // wait behind this rank's decode of the block.
+            if forward {
                 comm.send(right, Payload::Bytes(incoming.clone()))?;
             }
-            // lint:allow(deterministic-state): deliver timing for obs counters only
-            let t1 = std::time::Instant::now();
-            deliver(origin, slot, incoming);
-            rec.add_time_ns(
-                names::COMM_PIPELINE_DELIVER,
-                u64::try_from(t1.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
+            held = Some((origin, slot, incoming));
+        }
+        // ... or here, once nothing is left to send.
+        if !sending {
+            deliver_held(&mut held);
         }
     }
     Ok(())
@@ -459,7 +501,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlane};
     use crate::group::{run_ranks, run_ranks_with, CommConfig};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn block_ranges_cover_exactly() {
@@ -955,23 +997,175 @@ mod tests {
     /// `(origin, group, bytes)` triples delivered by a pipelined gather.
     type Delivered = Vec<(usize, usize, Vec<u8>)>;
 
+    /// Any gather with `pipelined_allgather`'s contract: the shipped
+    /// schedule or the oracle.
+    type Gather = fn(
+        &mut Communicator,
+        &[usize],
+        &mut dyn FnMut(usize) -> Vec<u8>,
+        &mut dyn FnMut(usize, usize, Vec<u8>),
+    ) -> Result<(), CommError>;
+
+    fn send_ahead(
+        comm: &mut Communicator,
+        groups: &[usize],
+        produce: &mut dyn FnMut(usize) -> Vec<u8>,
+        deliver: &mut dyn FnMut(usize, usize, Vec<u8>),
+    ) -> Result<(), CommError> {
+        pipelined_allgather(comm, groups, produce, deliver)
+    }
+
+    /// The parent commit's `pipelined_allgather` (debe79c) without its
+    /// recorder calls: a slot-synchronous ring — send own block `g`,
+    /// produce `g + 1`, then receive, forward and deliver every peer block
+    /// of slot `g` before touching slot `g + 1`. The oracle for what the
+    /// send-ahead schedule may not change: the bytes on each link and
+    /// their order, the `produce` and the `deliver` call sequences.
+    fn slot_loop(
+        comm: &mut Communicator,
+        groups_per_rank: &[usize],
+        produce: &mut dyn FnMut(usize) -> Vec<u8>,
+        deliver: &mut dyn FnMut(usize, usize, Vec<u8>),
+    ) -> Result<(), CommError> {
+        let p = comm.size();
+        let r = comm.rank();
+        let g_me = groups_per_rank[r];
+        let g_max = groups_per_rank.iter().copied().max().unwrap_or(0);
+        if p == 1 {
+            (0..g_me).for_each(|g| drop(produce(g)));
+            return Ok(());
+        }
+        let left = comm.left();
+        let right = comm.right();
+        let mut next: Option<Vec<u8>> = (g_me > 0).then(|| produce(0));
+        for slot in 0..g_max {
+            if slot < g_me {
+                let own = next.take().expect("own block produced before its slot");
+                comm.send(right, Payload::Bytes(own))?;
+            }
+            if slot + 1 < g_me {
+                next = Some(produce(slot + 1));
+            }
+            for s in 0..p - 1 {
+                let origin = (r + p - s - 1) % p;
+                if slot >= groups_per_rank[origin] {
+                    continue;
+                }
+                let incoming = comm
+                    .recv_labeled(left, names::COMM_PIPELINED_ALLGATHER)?
+                    .try_bytes()?;
+                if s < p - 2 {
+                    comm.send(right, Payload::Bytes(incoming.clone()))?;
+                }
+                deliver(origin, slot, incoming);
+            }
+        }
+        Ok(())
+    }
+
+    /// One callback of a gather, as the caller saw it.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Call {
+        Produce(usize),
+        Deliver {
+            origin: usize,
+            group: usize,
+            bytes: Vec<u8>,
+            /// Bytes this rank had put on the wire in this gather when the
+            /// block was handed over.
+            sent_before: u64,
+            /// Blocks it had pulled off its left link by then.
+            pulled_before: u64,
+        },
+    }
+
+    /// What the caller and the wire saw of one gather on one rank.
+    #[derive(Debug)]
+    struct PipeRun {
+        calls: Vec<Call>,
+        sent_bytes: u64,
+        messages: u64,
+    }
+
+    impl PipeRun {
+        fn produced(&self) -> Vec<usize> {
+            (self.calls.iter())
+                .filter_map(|c| match c {
+                    Call::Produce(g) => Some(*g),
+                    Call::Deliver { .. } => None,
+                })
+                .collect()
+        }
+
+        fn delivered(&self) -> Delivered {
+            (self.calls.iter())
+                .filter_map(|c| match c {
+                    Call::Produce(_) => None,
+                    Call::Deliver {
+                        origin,
+                        group,
+                        bytes,
+                        ..
+                    } => Some((*origin, *group, bytes.clone())),
+                })
+                .collect()
+        }
+    }
+
+    /// Runs `gather` over [`pipe_block`]s on one rank, under a recorder
+    /// of its own (the caller's is put back afterwards).
+    fn run_gather(comm: &mut Communicator, groups: &[usize], gather: Gather) -> PipeRun {
+        let me = comm.rank();
+        let outer = comm.recorder().clone();
+        let rec = compso_obs::Recorder::enabled();
+        comm.set_recorder(rec.clone());
+        let calls = std::cell::RefCell::new(Vec::new());
+        gather(
+            comm,
+            groups,
+            &mut |g| {
+                calls.borrow_mut().push(Call::Produce(g));
+                pipe_block(me, g)
+            },
+            &mut |origin, group, bytes| {
+                calls.borrow_mut().push(Call::Deliver {
+                    origin,
+                    group,
+                    bytes,
+                    sent_before: rec.counter(names::COMM_BYTES_SENT),
+                    pulled_before: (rec.snapshot().timers)
+                        .get(names::COMM_PIPELINE_WAIT)
+                        .map_or(0, |t| t.count),
+                })
+            },
+        )
+        .unwrap();
+        comm.set_recorder(outer);
+        let hists = rec.snapshot().hists;
+        PipeRun {
+            calls: calls.into_inner(),
+            sent_bytes: rec.counter(names::COMM_BYTES_SENT),
+            messages: hists.get(names::COMM_MSG_BYTES).map_or(0, |h| h.count),
+        }
+    }
+
     /// Runs `pipelined_allgather` on one rank and returns
     /// `(produce order, delivered triples)`.
     fn run_pipe(comm: &mut Communicator, groups: &[usize]) -> (Vec<usize>, Delivered) {
-        let me = comm.rank();
-        let mut order = Vec::new();
-        let mut delivered = Vec::new();
-        pipelined_allgather(
-            comm,
-            groups,
-            |g| {
-                order.push(g);
-                pipe_block(me, g)
-            },
-            |origin, g, bytes| delivered.push((origin, g, bytes)),
-        )
-        .unwrap();
-        (order, delivered)
+        let run = run_gather(comm, groups, send_ahead);
+        (run.produced(), run.delivered())
+    }
+
+    /// Group counts at `p` ranks: all equal, one rank owning most groups,
+    /// zero-group ranks, and a ragged mix.
+    fn group_shapes(p: usize) -> Vec<Vec<usize>> {
+        vec![
+            vec![3; p],
+            (0..p).map(|r| if r == p / 2 { 6 } else { 1 }).collect(),
+            (0..p).map(|r| if r % 2 == 0 { 0 } else { 4 }).collect(),
+            (0..p).map(|r| (r * 3 + 5) % 4).collect(),
+            (0..p).map(|r| usize::from(r == 0) * 5).collect(),
+        ]
     }
 
     #[test]
@@ -1004,13 +1198,169 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_allgather_rejects_wrong_group_count_vector() {
+    fn send_ahead_matches_the_slot_loop_on_every_link_and_callback() {
+        // Rule 1: the schedule moves waits, not bytes or calls. Against
+        // the parent's slot loop, on every rank: the same `produce`
+        // sequence, the same `deliver` sequence of (origin, slot, bytes),
+        // the same bytes in the same number of messages.
+        for p in [1usize, 2, 3, 4, 5] {
+            for groups in group_shapes(p) {
+                let groups_ref = &groups;
+                let results = run_ranks(p, move |comm| {
+                    let want = run_gather(comm, groups_ref, slot_loop);
+                    let got = run_gather(comm, groups_ref, send_ahead);
+                    (want, got)
+                });
+                for (rank, (want, got)) in results.iter().enumerate() {
+                    let tag = format!("p={p} groups={groups:?} rank={rank}");
+                    assert_eq!(got.produced(), want.produced(), "{tag}");
+                    assert_eq!(got.delivered(), want.delivered(), "{tag}");
+                    assert_eq!(got.sent_bytes, want.sent_bytes, "{tag}");
+                    assert_eq!(got.messages, want.messages, "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_is_delivered_after_its_forward_and_before_the_next_pull() {
+        // Rules 2 and 3. At every ring size a block this rank relays is on
+        // its way before the caller sees it, together with every own block
+        // but the one `produce` returned last (that one is behind the
+        // receive the decode sits in front of), and the rank never holds
+        // two: block j is handed over with exactly j + 1 pulled. At two
+        // ranks nothing is pulled while an own block is left, so no
+        // `deliver` precedes the last `produce`.
+        for p in [2usize, 3, 4, 5] {
+            for groups in group_shapes(p) {
+                let groups_ref = &groups;
+                let runs = run_ranks(p, move |comm| run_gather(comm, groups_ref, send_ahead));
+                for (r, run) in runs.iter().enumerate() {
+                    let tag = format!("p={p} groups={groups:?} rank={r}");
+                    let own = |n: usize| (0..n).map(|g| pipe_block(r, g).len() as u64).sum::<u64>();
+                    let (mut produced, mut delivered, mut relayed) = (0usize, 0u64, 0u64);
+                    for call in &run.calls {
+                        let Call::Deliver {
+                            origin,
+                            bytes,
+                            sent_before,
+                            pulled_before,
+                            ..
+                        } = call
+                        else {
+                            produced += 1;
+                            assert!(p > 2 || delivered == 0, "{tag}: {:?}", run.calls);
+                            continue;
+                        };
+                        if *origin != (r + 1) % p {
+                            relayed += bytes.len() as u64;
+                        }
+                        let own_out = if p == 2 {
+                            groups[r]
+                        } else {
+                            produced.saturating_sub(1)
+                        };
+                        assert!(*sent_before >= own(own_out) + relayed, "{tag}: {call:?}");
+                        delivered += 1;
+                        assert_eq!(*pulled_before, delivered, "{tag}: {call:?}");
+                    }
+                    assert_eq!(run.sent_bytes, own(groups[r]) + relayed, "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn own_blocks_go_out_without_waiting_for_a_peer_block() {
+        // Rank 1's first block does not exist until rank 0 has produced
+        // every block and put every byte of them on the wire: its
+        // `produce(0)` waits for exactly that. A rank that receives (or
+        // decodes) slot 0 before it sends slot 1 never gets there — the
+        // slot loop stalls in slot 0 — and rank 1 gives up after 5 s.
+        let groups = [4usize, 2];
+        let own: u64 = (0..groups[0]).map(|g| pipe_block(0, g).len() as u64).sum();
+        let rank0 = compso_obs::Recorder::enabled();
+        let rank0_ref = &rank0;
+        let results = run_ranks(2, move |comm| {
+            let me = comm.rank();
+            if me == 0 {
+                comm.set_recorder(rank0_ref.clone());
+            }
+            let mut delivered = 0usize;
+            pipelined_allgather(
+                comm,
+                &groups,
+                |g| {
+                    let give_up = Instant::now() + Duration::from_secs(5);
+                    while me == 1 && g == 0 && rank0_ref.counter(names::COMM_BYTES_SENT) < own {
+                        assert!(Instant::now() < give_up, "rank 0 is waiting for this block");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    pipe_block(me, g)
+                },
+                |_, _, _| delivered += 1,
+            )
+            .unwrap();
+            delivered
+        });
+        assert_eq!(results, vec![groups[1], groups[0]]);
+    }
+
+    #[test]
+    fn a_refused_call_records_nothing() {
+        // A wrong-length `groups_per_rank` is a caller bug, not a
+        // collective: it must not count as one (the call-count pins in
+        // tests/gather_modes.rs read these counters).
+        let rec = compso_obs::Recorder::enabled();
+        let rec_ref = &rec;
         let results = run_ranks(2, |comm| {
+            comm.set_recorder(rec_ref.clone());
             pipelined_allgather(comm, &[1], |_| Vec::new(), |_, _, _| {})
         });
         for res in results {
             assert!(matches!(res, Err(CommError::Protocol { .. })));
         }
+        let snap = rec.snapshot();
+        assert!(!snap.timers.contains_key(names::COMM_PIPELINED_ALLGATHER));
+        assert_eq!(snap.counter(names::COMM_PIPELINED_ALLGATHER_CALLS), 0);
+        assert_eq!(snap.counter(names::COMM_PIPELINE_STAGES), 0);
+    }
+
+    #[test]
+    fn a_failed_receive_finds_no_block_held() {
+        // Rank 2 puts its first block on the ring by hand and leaves.
+        // Rank 0 receives and relays it, sends its last own block, and
+        // fails waiting for the block rank 2 never relays — with the one
+        // block it pulled already handed over (as the slot loop would
+        // have), so nothing of the attempt outlives the error.
+        let groups = [2usize, 2, 2];
+        let config = CommConfig {
+            recv_timeout: Duration::from_secs(2),
+            ..CommConfig::default()
+        };
+        let results = run_ranks_with(3, FaultPlane::disabled(), config, move |comm| {
+            let me = comm.rank();
+            if me == 2 {
+                comm.send(0, Payload::Bytes(pipe_block(2, 0))).unwrap();
+                return (Ok(()), Vec::new(), 0);
+            }
+            let mut delivered = Vec::new();
+            let res = pipelined_allgather(
+                comm,
+                &groups,
+                |g| pipe_block(me, g),
+                |origin, g, _| delivered.push((origin, g)),
+            );
+            (res, delivered, comm.sent_bytes())
+        });
+        let (res, delivered, sent) = &results[0];
+        assert!(res.is_err(), "rank 0 cannot finish: {res:?}");
+        assert_eq!(delivered, &[(2, 0)]);
+        // Own block 0, rank 2's block relayed, own block 1.
+        let relayed =
+            (pipe_block(0, 0).len() + pipe_block(2, 0).len() + pipe_block(0, 1).len()) as u64;
+        assert_eq!(*sent, relayed);
+        assert!(results[1].0.is_err(), "rank 1 cannot finish either");
     }
 
     #[test]
@@ -1022,7 +1372,8 @@ mod tests {
         let groups_ref = &groups;
         run_ranks(3, move |comm| {
             comm.set_recorder(rec_ref.clone());
-            run_pipe(comm, groups_ref);
+            let me = comm.rank();
+            pipelined_allgather(comm, groups_ref, |g| pipe_block(me, g), |_, _, _| {}).unwrap();
         });
         let snap = rec.snapshot();
         // One span + one call per rank; each adds g_max = 3 stages.
@@ -1035,39 +1386,124 @@ mod tests {
         // every recv was waited on.
         assert_eq!(snap.timers[names::COMM_PIPELINE_PRODUCE].count, 6);
         assert_eq!(snap.timers[names::COMM_PIPELINE_DELIVER].count, 12);
-        assert!(snap.timers[names::COMM_PIPELINE_WAIT].count > 0);
+        assert_eq!(snap.timers[names::COMM_PIPELINE_WAIT].count, 12);
     }
 
     #[test]
     fn pipelined_allgather_survives_injected_transport_faults() {
-        // Drops, wire corruption, and a straggler mid-pipeline: the ARQ
-        // layer must absorb everything and the delivered blocks must be
-        // bit-identical to the fault-free run.
-        let plane = FaultPlane::new(FaultConfig {
-            seed: 7031,
-            drop_p: 0.05,
-            corrupt_wire_p: 0.05,
-            straggler: Some((2, Duration::from_micros(200))),
-            ..FaultConfig::default()
-        });
-        let ledger_plane = plane.clone();
-        let config = CommConfig {
-            recv_timeout: Duration::from_secs(30),
-            retry_initial: Duration::from_millis(40),
-            max_retries: 12,
-            ..CommConfig::default()
-        };
-        let p = 4;
-        let groups = [2usize, 3, 1, 2];
-        let groups_ref = &groups;
-        let faulty = run_ranks_with(p, plane, config, move |comm| run_pipe(comm, groups_ref));
-        let clean = run_ranks(p, move |comm| run_pipe(comm, groups_ref));
-        assert_eq!(faulty, clean);
-        let ledger = ledger_plane.ledger();
-        assert!(
-            ledger.dropped + ledger.corrupted_wire > 0,
-            "fault matrix must actually fire: {ledger:?}"
-        );
-        assert!(ledger.delayed > 0, "straggler must have delayed sends");
+        // Drops, wire corruption and a straggler at two to four ranks
+        // with uneven counts, over a modeled wire slow enough that blocks
+        // queue on their links, sent ahead of receivers that have not
+        // pulled them yet or hold one undelivered, while the faults land:
+        // the ARQ layer must absorb everything and the delivered sequence
+        // must be the fault-free run's.
+        for (p, groups, seed) in [
+            (2usize, vec![5usize, 2], 7031u64),
+            (3, vec![4, 0, 3], 7032),
+            (4, vec![2, 3, 1, 2], 7033),
+            (4, vec![1, 6, 0, 2], 7034),
+        ] {
+            let plane = FaultPlane::new(FaultConfig {
+                seed,
+                drop_p: 0.1,
+                corrupt_wire_p: 0.1,
+                straggler: Some((p - 1, Duration::from_micros(200))),
+                ..FaultConfig::default()
+            });
+            let ledger_plane = plane.clone();
+            let config = CommConfig {
+                recv_timeout: Duration::from_secs(30),
+                retry_initial: Duration::from_millis(40),
+                max_retries: 12,
+                // 20 bytes per millisecond: a block drains in 0.2–1.5 ms.
+                modeled_wire_mbps: Some(0.02),
+            };
+            let groups_ref = &groups;
+            let faulty = run_ranks_with(p, plane, config, move |comm| run_pipe(comm, groups_ref));
+            let clean = run_ranks(p, move |comm| run_pipe(comm, groups_ref));
+            assert_eq!(faulty, clean, "p={p} groups={groups:?}");
+            let ledger = ledger_plane.ledger();
+            assert!(
+                ledger.dropped + ledger.corrupted_wire > 0,
+                "p={p}: fault matrix must actually fire: {ledger:?}"
+            );
+            assert!(
+                ledger.delayed > 0,
+                "p={p}: straggler must have delayed sends"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "wall-clock A/B, run on demand: cargo test -p compso-comm --release send_ahead_walls -- --ignored --nocapture"]
+    fn send_ahead_walls_against_the_slot_loop() {
+        // The schedule against the loop it replaced where the benchmark
+        // (two ranks everywhere) cannot see: balanced and one-big-owner
+        // ownership at three and four ranks over the modeled 50 MB/s wire,
+        // `produce` and `deliver` sleeping their cost so every rank has a
+        // core of its own. Prints first-start-to-last-end walls of three
+        // alternated pairs per shape; the best send-ahead wall may not
+        // lose to the best slot-loop wall.
+        let schedules: [(&str, Gather); 2] = [("slot_loop", slot_loop), ("send_ahead", send_ahead)];
+        // (groups, produce ms, deliver ms, block KB): wire-bound,
+        // compute-bound, balanced, many small groups, one big owner, and
+        // the two-rank shape of the benchmark.
+        let shapes: [(Vec<usize>, f64, f64, usize); 9] = [
+            (vec![8; 3], 4.0, 2.0, 200),
+            (vec![8; 4], 4.0, 2.0, 200),
+            (vec![8; 3], 4.0, 2.0, 50),
+            (vec![8; 4], 4.0, 2.0, 50),
+            (vec![8; 3], 3.0, 1.5, 100),
+            (vec![8; 4], 3.0, 1.5, 100),
+            (vec![16; 4], 2.0, 1.0, 100),
+            (vec![8, 1, 1, 1], 4.0, 2.0, 200),
+            (vec![8; 2], 4.0, 2.0, 200),
+        ];
+        for (groups, produce_ms, deliver_ms, kb) in shapes {
+            let p = groups.len();
+            let mut walls = [Vec::new(), Vec::new()];
+            for _ in 0..3 {
+                for (walls, (_, gather)) in walls.iter_mut().zip(schedules) {
+                    let groups_ref = &groups;
+                    let config = CommConfig {
+                        modeled_wire_mbps: Some(50.0),
+                        ..CommConfig::default()
+                    };
+                    let spans = run_ranks_with(p, FaultPlane::disabled(), config, move |comm| {
+                        comm.barrier().unwrap();
+                        let t0 = Instant::now();
+                        gather(
+                            comm,
+                            groups_ref,
+                            &mut |_| {
+                                std::thread::sleep(Duration::from_secs_f64(produce_ms / 1e3));
+                                vec![0u8; kb * 1000]
+                            },
+                            &mut |_, _, _| {
+                                std::thread::sleep(Duration::from_secs_f64(deliver_ms / 1e3))
+                            },
+                        )
+                        .unwrap();
+                        (t0, Instant::now())
+                    });
+                    let start = spans.iter().map(|s| s.0).min().unwrap();
+                    let end = spans.iter().map(|s| s.1).max().unwrap();
+                    walls.push((end - start).as_secs_f64() * 1e3);
+                }
+            }
+            println!(
+                "groups {groups:?} produce {produce_ms} ms deliver {deliver_ms} ms block {kb} KB"
+            );
+            for ((name, _), walls) in schedules.iter().zip(&walls) {
+                println!("    {name:<10} {walls:.1?} ms");
+            }
+            let best = walls.map(|w| w.into_iter().fold(f64::INFINITY, f64::min));
+            assert!(
+                best[1] <= best[0] * 1.02,
+                "send-ahead {:.1} ms loses to the slot loop {:.1} ms on {groups:?}",
+                best[1],
+                best[0]
+            );
+        }
     }
 }

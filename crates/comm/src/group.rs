@@ -181,18 +181,28 @@ pub struct CommConfig {
     /// Maximum timeout-NACKs per missing message before
     /// [`CommError::RetriesExhausted`].
     pub max_retries: u32,
-    /// Modeled wire bandwidth in MB/s: every data message is stamped at
-    /// send time and the **receiver** sleeps until
-    /// `sent_at + payload bytes / bandwidth` before the message is
-    /// considered delivered — the bandwidth-delay of an asynchronous
-    /// NIC that drains concurrently with the sender's compute (links
-    /// drain independently; no backpressure is modeled). The sender
-    /// never blocks, so a schedule that overlaps compression with
-    /// in-flight payloads genuinely finishes earlier, which is what
-    /// makes compression–communication overlap *physically observable*
-    /// in the in-process harness. `None` (the default) keeps the wire
-    /// free and changes nothing. Control traffic (ACKs/NACKs) is not
-    /// modeled; empty payloads add zero delay.
+    /// Modeled wire bandwidth in MB/s, per directed link. A data message
+    /// starts draining when it is sent *or when the link to that peer has
+    /// finished draining everything this rank sent on it before*,
+    /// whichever is later, and the **receiver** sleeps until
+    /// `start + payload bytes / bandwidth` before the message is
+    /// considered delivered — an asynchronous NIC that drains
+    /// concurrently with the sender's compute, one message at a time per
+    /// link. Messages sent back to back on one link therefore arrive
+    /// `bytes / bandwidth` apart (a retransmission queues behind what is
+    /// already on the link), so a pass can never finish faster than its
+    /// busiest link's bytes over the bandwidth; links to different peers
+    /// drain independently. The sender never blocks, so a schedule that
+    /// overlaps compression with in-flight payloads genuinely finishes
+    /// earlier, which is what makes compression–communication overlap
+    /// *physically observable* in the in-process harness. `None` (the
+    /// default) keeps the wire free and changes nothing. A copy the fault
+    /// plane drops occupies the link like one that arrives, and so do
+    /// bytes a view change later discards at the receiver (the link clock
+    /// is never rewound). Control traffic is not modeled: ACKs/NACKs cost
+    /// nothing, and a membership frame is stamped at its send instant, so
+    /// it overtakes data queued on its link. Empty payloads add zero
+    /// delay.
     pub modeled_wire_mbps: Option<f64>,
 }
 
@@ -214,9 +224,9 @@ impl Default for CommConfig {
 struct DataMsg {
     seq: u64,
     crc: u32,
-    /// Send timestamp, set as the message goes on the wire — the
-    /// receiver turns it into a bandwidth-delay when
-    /// [`CommConfig::modeled_wire_mbps`] is set.
+    /// When the message starts draining onto its link (the send instant,
+    /// or later if the link was busy) — the receiver turns it into a
+    /// bandwidth-delay when [`CommConfig::modeled_wire_mbps`] is set.
     sent_at: Instant,
     payload: Payload,
 }
@@ -402,6 +412,7 @@ impl CommGroup {
                 barrier_gen: 0,
                 step: 0,
                 sent_bytes: 0,
+                link_free: vec![Instant::now(); size],
                 recorder: Recorder::disabled(),
             });
         }
@@ -476,6 +487,9 @@ pub struct Communicator {
     barrier_gen: u64,
     step: u64,
     sent_bytes: u64,
+    /// Per destination: when the modeled link to it has drained
+    /// everything this rank already put on it.
+    link_free: Vec<Instant>,
     recorder: Recorder,
 }
 
@@ -652,11 +666,12 @@ impl Communicator {
             self.recorder.observe(names::COMM_MSG_BYTES, bytes);
         }
         if !self.plane.is_enabled() {
+            let sent_at = self.wire_stamp(dst, &payload);
             return self.data_tx[dst]
                 .send(DataMsg {
                     seq: 0,
                     crc: 0,
-                    sent_at: Instant::now(),
+                    sent_at,
                     payload,
                 })
                 .map_err(|_| self.disconnect_error(dst));
@@ -677,19 +692,36 @@ impl Communicator {
         self.service_ctrl()
     }
 
+    /// How long `payload` occupies a modeled link; `None` without
+    /// [`CommConfig::modeled_wire_mbps`] or for an empty payload.
+    fn wire_drain(&self, payload: &Payload) -> Option<Duration> {
+        let mbps = self.config.modeled_wire_mbps.filter(|&m| m > 0.0)?;
+        let bytes = payload.wire_bytes();
+        (bytes > 0).then(|| Duration::from_secs_f64(bytes as f64 / (mbps * 1e6)))
+    }
+
+    /// The instant `payload`, sent to `dst` now, starts draining: now, or
+    /// when the link has drained what this rank put on it before — one
+    /// message at a time per link. Advances the link's clock past it.
+    fn wire_stamp(&mut self, dst: usize, payload: &Payload) -> Instant {
+        let now = Instant::now();
+        let Some(drain) = self.wire_drain(payload) else {
+            return now;
+        };
+        let start = now.max(self.link_free[dst]);
+        self.link_free[dst] = start + drain;
+        start
+    }
+
     /// Holds a just-dequeued message until its modeled wire drain
     /// completes: sleeps out the remainder of `bytes / bandwidth` past
-    /// its send stamp. No-op without [`CommConfig::modeled_wire_mbps`]
-    /// or once the drain interval has already elapsed.
+    /// its stamp. No-op without [`CommConfig::modeled_wire_mbps`] or once
+    /// the drain interval has already elapsed.
     fn wire_delay(&self, msg: &DataMsg) {
-        let Some(mbps) = self.config.modeled_wire_mbps else {
+        let Some(drain) = self.wire_drain(&msg.payload) else {
             return;
         };
-        let bytes = msg.payload.wire_bytes();
-        if bytes == 0 || mbps <= 0.0 {
-            return;
-        }
-        let ready = msg.sent_at + Duration::from_secs_f64(bytes as f64 / (mbps * 1e6));
+        let ready = msg.sent_at + drain;
         let now = Instant::now();
         if ready > now {
             std::thread::sleep(ready - now);
@@ -697,7 +729,9 @@ impl Communicator {
     }
 
     /// Puts one (possibly faulted) copy of `flight` on the wire.
-    fn transmit(&self, dst: usize, flight: &Flight) -> Result<(), CommError> {
+    fn transmit(&mut self, dst: usize, flight: &Flight) -> Result<(), CommError> {
+        // A copy lost past the NIC occupied the link all the same.
+        let sent_at = self.wire_stamp(dst, &flight.payload);
         if self
             .plane
             .should_drop(self.rank, dst, flight.seq, flight.attempt)
@@ -707,7 +741,7 @@ impl Communicator {
         let mut msg = DataMsg {
             seq: flight.seq,
             crc: flight.crc,
-            sent_at: Instant::now(),
+            sent_at,
             payload: flight.payload.clone(),
         };
         if msg.payload.wire_bits() > 0 {
@@ -767,7 +801,7 @@ impl Communicator {
         };
         self.outbox[dst][pos].attempt += 1;
         self.recorder.incr(names::COMM_RETRY_RESENDS);
-        // Clone out so `transmit` can borrow `self` immutably.
+        // Clone out: `transmit` borrows `self` to stamp the link clock.
         let flight = Flight {
             seq,
             attempt: self.outbox[dst][pos].attempt,
@@ -1837,6 +1871,114 @@ mod tests {
             recv_s >= 0.018,
             "1 MB at 50 MB/s must take ~20 ms to deliver, took {recv_s}s"
         );
+    }
+
+    /// Transport with a 50 MB/s modeled wire: 1 MB drains in 20 ms.
+    fn wire_50() -> CommConfig {
+        CommConfig {
+            modeled_wire_mbps: Some(50.0),
+            ..CommConfig::default()
+        }
+    }
+
+    #[test]
+    fn modeled_wire_carries_one_message_at_a_time_per_link() {
+        // Two 1 MB messages sent back to back on one 50 MB/s link: the
+        // second starts draining when the first is through, so it lands
+        // 40 ms after the first send, not 20.
+        let results = run_ranks_with(2, FaultPlane::disabled(), wire_50(), |comm| {
+            let t0 = Instant::now();
+            if comm.rank() == 0 {
+                comm.send(1, Payload::Bytes(vec![0u8; 1 << 20])).unwrap();
+                comm.send(1, Payload::Bytes(vec![1u8; 1 << 20])).unwrap();
+            } else {
+                comm.recv(0).unwrap();
+                comm.recv(0).unwrap();
+            }
+            (t0, Instant::now())
+        });
+        let (first_send, _) = results[0];
+        let (_, delivered) = results[1];
+        assert!(
+            delivered - first_send >= Duration::from_millis(40),
+            "2 MB on a 50 MB/s link took {:?}",
+            delivered - first_send
+        );
+    }
+
+    #[test]
+    fn modeled_links_to_different_peers_drain_independently() {
+        let mut comms = build_group_with(3, FaultPlane::disabled(), wire_50()).into_communicators();
+        let sender = &mut comms[0];
+        let drain = (sender.wire_drain(&Payload::Bytes(vec![0u8; 1 << 20]))).unwrap();
+        let t0 = Instant::now();
+        sender.send(1, Payload::Bytes(vec![0u8; 1 << 20])).unwrap();
+        sender.send(2, Payload::Bytes(vec![0u8; 1 << 20])).unwrap();
+        let second_sent = Instant::now();
+        sender.send(1, Payload::Bytes(vec![0u8; 1 << 20])).unwrap();
+        // Link 0→2 carries one message from the moment it was sent (behind
+        // link 0→1's it would be free no sooner than t0 + 2 drains); link
+        // 0→1 carries two back to back.
+        assert!(sender.link_free[2] >= t0 + drain);
+        assert!(sender.link_free[2] <= second_sent + drain);
+        assert!(sender.link_free[1] >= t0 + 2 * drain);
+    }
+
+    #[test]
+    fn a_dropped_copy_occupies_the_link() {
+        let plane = FaultPlane::new(FaultConfig {
+            seed: 3,
+            drop_p: 1.0,
+            ..FaultConfig::default()
+        });
+        let mut comms = build_group_with(2, plane, wire_50()).into_communicators();
+        let sender = &mut comms[0];
+        let t0 = Instant::now();
+        sender.send(1, Payload::Bytes(vec![7u8; 1 << 20])).unwrap();
+        sender.send(1, Payload::Bytes(vec![8u8; 1 << 20])).unwrap();
+        assert!(sender.link_free[1] >= t0 + Duration::from_millis(40));
+    }
+
+    #[test]
+    fn a_retransmission_queues_behind_what_is_on_the_link() {
+        let plane = FaultPlane::new(FaultConfig {
+            seed: 3,
+            ..FaultConfig::default()
+        });
+        let mut comms = build_group_with(2, plane, wire_50()).into_communicators();
+        let t0 = Instant::now();
+        let sender = &mut comms[0];
+        sender.send(1, Payload::Bytes(vec![7u8; 1 << 20])).unwrap();
+        sender.send(1, Payload::Bytes(vec![8u8; 1 << 20])).unwrap();
+        // A NACK for the first message arrives while both are in flight:
+        // its second copy goes out third.
+        sender.retransmit(1, 0).unwrap();
+        assert!(sender.link_free[1] >= t0 + Duration::from_millis(60));
+        let receiver = &mut comms[1];
+        assert_eq!(
+            receiver.recv(0).unwrap(),
+            Payload::Bytes(vec![7u8; 1 << 20])
+        );
+        assert_eq!(
+            receiver.recv(0).unwrap(),
+            Payload::Bytes(vec![8u8; 1 << 20])
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(40));
+    }
+
+    #[test]
+    fn an_unmodeled_wire_adds_no_delay_and_keeps_no_link_clock() {
+        let mut comms = build_group(2).into_communicators();
+        let before = comms[0].link_free.clone();
+        comms[0]
+            .send(1, Payload::Bytes(vec![0u8; 1 << 20]))
+            .unwrap();
+        comms[0]
+            .send(1, Payload::Bytes(vec![0u8; 1 << 20]))
+            .unwrap();
+        assert_eq!(comms[0].link_free, before);
+        let big = comms[1].recv(0).unwrap();
+        assert!(comms[1].wire_drain(&big).is_none());
     }
 
     #[test]

@@ -47,9 +47,11 @@
 //!    cached [`LayerSchedule`], the paper's "pre-determined layer-block
 //!    hashmap"); each group travels in its own CRC-32 checksum frame, and
 //!    a ring slot carries a *run* of consecutive frames — one group per
-//!    slot, so compression of group *k+1* overlaps the hops of group *k*
-//!    and peers validate and decode each group **as it lands**: the
-//!    paper's headline compression–communication overlap.
+//!    slot, sent the moment it is compressed, so compression overlaps
+//!    the wire, and a rank validates and decodes its peers' groups in
+//!    the waits for its left link (at two ranks: once its own last group
+//!    is out, each **as it lands** from then on): the paper's headline
+//!    compression–communication overlap.
 //!    Compress-then-gather is the degenerate run (all of a rank's groups
 //!    in one slot, [`DistKfacConfig::pipeline_gather`]): same frames,
 //!    same compression order, same RNG stream, same code;

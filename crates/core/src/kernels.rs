@@ -10,6 +10,12 @@
 //! | pre-built layer→block hashmap              | [`LayerSchedule`] built once at optimizer init, reused every iteration |
 //! | block-parallel decompression               | v2's per-chunk byte-offset index lets [`decompress_chunked`] decode every chunk concurrently |
 //!
+//! The entropy coder behind the kernels is byte-wise. Codes of up to 8
+//! bits are bit-packed at their width; wider ones (Alg. 1's conservative
+//! bound needs 9) would straddle its symbols, so they travel code-aligned
+//! instead: a low-byte stream plus a zero-centred high-bit plane stream
+//! ([`FLAG_WIDE`], DESIGN.md §8.2).
+//!
 //! Compression is memory-bound with O(1) arithmetic intensity (§4.5), so
 //! pass-count is the first-order cost and the fused/staged ablation is
 //! directly measurable (`compso-bench`'s `fig8` and `ablations`).
@@ -17,7 +23,7 @@
 //! [`ChunkedCompso`] packages these kernels behind the [`Compressor`]
 //! trait so `DistKfac` can drive them as the production compression path.
 
-use crate::bitpack::bits_for;
+use crate::bitpack::{self, bits_for, split_bias, SPLIT_MIN_WIDTH};
 use crate::encoders::Codec;
 use crate::microkernel;
 use crate::quantize::{ErrorBound, Quantized, Quantizer};
@@ -39,6 +45,12 @@ pub const MAGIC_CHUNKED: u8 = crate::wire::magic::MAGIC_STREAM_V2;
 /// its chunk's records instead of replaying every earlier chunk's
 /// variable-length headers.
 pub const CHUNKED_VERSION: u8 = 2;
+
+/// Bit 0 of the frame's `flags` byte: some chunk's codes are wider than
+/// a byte, so every offset-index row carries a third column and a third
+/// block — the plane stream — follows the bitmap and code streams. No
+/// other bit is assigned; a reader refuses any.
+pub const FLAG_WIDE: u8 = 1;
 
 /// Byte-block granularity of the parallel entropy-coding stage.
 pub const CODEC_BLOCK: usize = 256 * 1024;
@@ -197,8 +209,26 @@ impl LayerSchedule {
 struct ChunkOut {
     /// Padded bitmap bytes (empty when the filter is off).
     bitmap: Vec<u8>,
-    /// Serialized chunk header + quantized codes.
-    codes: Vec<u8>,
+    /// The chunk's code-stream record (29-byte header + code bytes), then
+    /// its plane bytes: one buffer, so the third stream costs a chunk no
+    /// allocation of its own.
+    record: Vec<u8>,
+    /// Where `record` divides between the two streams.
+    codes_len: usize,
+}
+
+impl ChunkOut {
+    /// The chunk's slice of the code stream: the record header, then the
+    /// codes packed at their width — or, past 8 bits, one low byte each.
+    fn codes(&self) -> &[u8] {
+        &self.record[..self.codes_len]
+    }
+
+    /// The chunk's slice of the plane stream: a wide chunk's high bits,
+    /// empty for every other chunk.
+    fn planes(&self) -> &[u8] {
+        &self.record[self.codes_len..]
+    }
 }
 
 /// Stage-1 product: the filter sweep over one chunk.
@@ -275,14 +305,32 @@ fn quantize_chunk(
     quantizer.quantize_with_range(kept, lo, hi, rng)
 }
 
-/// Serializes one chunk's record into the codes stream. Shared by both
-/// kernel paths.
-fn serialize_chunk(n: usize, used_filter: bool, quant: &Quantized) -> Vec<u8> {
-    let mut codes = Writer::new();
-    codes.u64(n as u64);
-    codes.u8(u8::from(used_filter));
-    quant.write(&mut codes);
-    codes.into_bytes()
+/// Serializes one chunk's record from the scalar stages' products: the
+/// staged path's third pass, and the layout oracle of
+/// [`compress_chunk_fast`]. A chunk whose codes fit a byte is
+/// [`Quantized::write`]'s record; a wider one keeps that record's header
+/// and carries [`bitpack::split`]'s two streams instead of packed codes.
+fn serialize_chunk(f: FilteredChunk, quant: &Quantized) -> ChunkOut {
+    let mut w = Writer::new();
+    w.u64(f.n as u64);
+    w.u8(u8::from(f.used_filter));
+    let codes_len = if quant.bits() >= SPLIT_MIN_WIDTH && !quant.is_empty() {
+        let bias = split_bias(quant.lo, quant.bin_width, quant.n_bins);
+        let (low, planes) = bitpack::split(&quant.codes, quant.bits(), bias);
+        quant.write_header(&mut w);
+        w.bytes(&low);
+        let codes_len = w.len();
+        w.bytes(&planes);
+        codes_len
+    } else {
+        quant.write(&mut w);
+        w.len()
+    };
+    ChunkOut {
+        bitmap: f.bitmap,
+        record: w.into_bytes(),
+        codes_len,
+    }
 }
 
 /// Compresses one chunk in a single fused sweep: filter decision,
@@ -300,16 +348,14 @@ fn compress_chunk_fused(
 ) -> ChunkOut {
     let f = filter_chunk(data, range, cfg);
     let quant = quantize_chunk(&f.kept, f.n, range, cfg, rng);
-    ChunkOut {
-        bitmap: f.bitmap,
-        codes: serialize_chunk(f.n, f.used_filter, &quant),
-    }
+    serialize_chunk(f, &quant)
 }
 
 /// The production fused sweep, rebuilt on the [`microkernel`] layer: the
 /// word-at-a-time filter kernel, the mode-hoisted (branchless-SR) quantize
-/// kernel, and the register-window bit-packer, all writing through the
-/// per-thread compress arena instead of fresh `Vec`s.
+/// kernel, and the register-window bit-packer — or, for codes wider than
+/// a byte, the byte/plane splitter — all writing through the per-thread
+/// compress arena instead of fresh `Vec`s.
 ///
 /// Bit-identical to [`compress_chunk_fused`] by construction: the
 /// threshold/range/bin arithmetic below replicates `filter_chunk` +
@@ -355,26 +401,36 @@ fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mu
             assert!(eb_abs > 0.0, "error bound collapsed to zero");
             (eb_abs, (qrange as f64 / eb_abs as f64).ceil() as u32)
         };
+        s.packed.clear();
+        s.planes.clear();
         if n_bins > 0 {
             let inv_w = 1.0 / bin_width as f64;
             microkernel::quantize_kernel(kept, lo, inv_w, n_bins, cfg.mode, rng, &mut s.codes);
-            microkernel::pack_into(&s.codes, bits_for(n_bins), &mut s.packed);
+            let bits = bits_for(n_bins);
+            if bits >= SPLIT_MIN_WIDTH {
+                let bias = split_bias(lo, bin_width, n_bins);
+                microkernel::split_into(&s.codes, bits, bias, &mut s.packed, &mut s.planes);
+            } else {
+                microkernel::pack_into(&s.codes, bits, &mut s.packed);
+            }
         }
 
-        // Serialize: same record layout as `serialize_chunk` +
-        // `Quantized::write`, straight from the arena.
-        let packed = if n_bins > 0 { s.packed.as_slice() } else { &[] };
-        let mut w = Writer::with_capacity(29 + packed.len());
+        // Serialize: same record layout as `serialize_chunk`, straight
+        // from the arena.
+        let mut w = Writer::with_capacity(29 + s.packed.len() + s.planes.len());
         w.u64(data.len() as u64);
         w.u8(u8::from(use_filter));
         w.f32(lo);
         w.f32(bin_width);
         w.u32(n_bins);
         w.u64(kept.len() as u64);
-        w.bytes(packed);
+        w.bytes(&s.packed);
+        let codes_len = w.len();
+        w.bytes(&s.planes);
         ChunkOut {
             bitmap,
-            codes: w.into_bytes(),
+            record: w.into_bytes(),
+            codes_len,
         }
     })
 }
@@ -462,50 +518,65 @@ pub fn compress_chunked(
         stage1
             .into_par_iter()
             .zip(stage2)
-            .map(|(s1, quant)| ChunkOut {
-                codes: serialize_chunk(s1.n, s1.used_filter, &quant),
-                bitmap: s1.bitmap,
-            })
+            .map(|(s1, quant)| serialize_chunk(s1, &quant))
             .collect()
     };
 
     // Gather the per-chunk products into contiguous streams, recording the
-    // byte offset of every chunk in both streams — the v2 index that makes
-    // decode chunk-parallel.
+    // byte offset of every chunk in each — the v2 index that makes decode
+    // chunk-parallel.
     let total_bitmap: usize = outs.iter().map(|o| o.bitmap.len()).sum();
-    let total_codes: usize = outs.iter().map(|o| o.codes.len()).sum();
+    let total_codes: usize = outs.iter().map(|o| o.codes_len).sum();
+    let total_planes: usize = outs.iter().map(|o| o.planes().len()).sum();
     let mut bitmaps = Vec::with_capacity(total_bitmap);
     let mut codes = Vec::with_capacity(total_codes);
-    let mut offsets: Vec<(u64, u64)> = Vec::with_capacity(outs.len());
+    let mut planes = Vec::with_capacity(total_planes);
+    let mut offsets: Vec<[u64; 3]> = Vec::with_capacity(outs.len());
     for o in &outs {
-        offsets.push((codes.len() as u64, bitmaps.len() as u64));
-        codes.extend_from_slice(&o.codes);
+        offsets.push([codes.len(), bitmaps.len(), planes.len()].map(|at| at as u64));
+        codes.extend_from_slice(o.codes());
         bitmaps.extend_from_slice(&o.bitmap);
+        planes.extend_from_slice(o.planes());
     }
+    // The plane stream — its index column and its block — exists only in
+    // a frame with a wide chunk (a wide chunk has a code, so a plane
+    // byte); every other frame is the two-stream layout, flags 0.
+    let wide = !planes.is_empty();
+    let columns = if wide { 3 } else { 2 };
     // nvCOMP-style block-parallel entropy coding (§5.2's "block
     // processing scheme") — the codec stage scales with cores like the
-    // chunk sweep does.
+    // chunk sweep does. Each stream is coded under its own model.
     let enc_bitmaps = cfg.codec.encode_blocks(&bitmaps, CODEC_BLOCK);
     let enc_codes = cfg.codec.encode_blocks(&codes, CODEC_BLOCK);
+    let enc_planes = wide.then(|| cfg.codec.encode_blocks(&planes, CODEC_BLOCK));
 
-    let mut w =
-        Writer::with_capacity(enc_bitmaps.len() + enc_codes.len() + 16 * offsets.len() + 64);
+    let mut w = Writer::with_capacity(
+        enc_bitmaps.len()
+            + enc_codes.len()
+            + enc_planes.as_ref().map_or(0, Vec::len)
+            + 8 * columns * offsets.len()
+            + 64,
+    );
     w.u8(MAGIC_CHUNKED);
     w.u8(CHUNKED_VERSION);
     w.u8(cfg.codec.tag());
-    w.u8(0);
+    w.u8(if wide { FLAG_WIDE } else { 0 });
     w.u32(schedule.layer_sizes.len() as u32);
     for &n in &schedule.layer_sizes {
         w.u64(n as u64);
     }
     w.u64(schedule.chunk_elems as u64);
     w.u32(offsets.len() as u32);
-    for &(c_off, b_off) in &offsets {
-        w.u64(c_off);
-        w.u64(b_off);
+    for row in &offsets {
+        for &off in &row[..columns] {
+            w.u64(off);
+        }
     }
     w.block(&enc_bitmaps);
     w.block(&enc_codes);
+    if let Some(enc_planes) = &enc_planes {
+        w.block(enc_planes);
+    }
     let out = w.into_bytes();
     drop(span);
     if rec.is_enabled() {
@@ -535,6 +606,7 @@ pub fn compress_chunked(
 fn decompress_chunk_into(
     c: &ChunkDesc,
     codes: &[u8],
+    planes: &[u8],
     bitmaps: &[u8],
     out: &mut [f32],
 ) -> Result<(), CompressError> {
@@ -566,10 +638,25 @@ fn decompress_chunk_into(
     // codes of value 0, backed by zero stream bytes.
     let constant = count == 0 || n_bins == 0;
     let bits = bits_for(n_bins);
-    let packed = if constant {
-        &[][..]
+    // Past 8 bits the record carries one (low) byte per code and the
+    // chunk's plane slice their high bits; every other chunk's plane
+    // slice is empty. Either way the slice is held to its exact length.
+    let wide = !constant && bits >= SPLIT_MIN_WIDTH;
+    let (packed, plane_len) = if constant {
+        (&[][..], 0)
+    } else if wide {
+        let plane_len = (count * (bits - 8) as usize).div_ceil(8);
+        (cr.bytes(count)?, plane_len)
     } else {
-        cr.bytes((count * bits as usize).div_ceil(8))?
+        (cr.bytes((count * bits as usize).div_ceil(8))?, 0)
+    };
+    if planes.len() != plane_len {
+        return Err(CompressError::Corrupt("chunk plane length"));
+    }
+    let bias = if wide {
+        split_bias(lo, bin_width, n_bins)
+    } else {
+        0
     };
     let check_max = |maxc: u32| {
         if maxc > n_bins {
@@ -587,15 +674,15 @@ fn decompress_chunk_into(
         // below, behind the checks that have always come before it).
         // Code 0 dequantizes to exactly `lo` (f32→f64→f32 is exact),
         // independent of the carried bin width.
+        let kept = &mut out[..count];
         if constant {
-            out[..count].fill(lo);
-        } else {
-            check_max(microkernel::unpack_map(
-                packed,
-                bits,
-                &mut out[..count],
-                dequantize,
+            kept.fill(lo);
+        } else if wide {
+            check_max(microkernel::unsplit_map(
+                packed, planes, bits, bias, kept, dequantize,
             )?)?;
+        } else {
+            check_max(microkernel::unpack_map(packed, bits, kept, dequantize)?)?;
         }
         if !cr.is_exhausted() {
             return Err(CompressError::Corrupt("chunk codes overrun"));
@@ -611,6 +698,17 @@ fn decompress_chunk_into(
     microkernel::with_decode_codes(|qcodes| {
         if constant {
             qcodes.clear();
+        } else if wide {
+            qcodes.clear();
+            qcodes.resize(count, 0);
+            check_max(microkernel::unsplit_map(
+                packed,
+                planes,
+                bits,
+                bias,
+                qcodes,
+                |code| code,
+            )?)?;
         } else {
             check_max(microkernel::unpack_into(packed, bits, count, qcodes)?)?;
         }
@@ -644,11 +742,44 @@ fn decompress_chunk_into(
 fn decompress_chunk(
     c: &ChunkDesc,
     codes: &[u8],
+    planes: &[u8],
     bitmaps: &[u8],
 ) -> Result<Vec<f32>, CompressError> {
     let mut out = vec![0.0f32; c.len];
-    decompress_chunk_into(c, codes, bitmaps, &mut out)?;
+    decompress_chunk_into(c, codes, planes, bitmaps, &mut out)?;
     Ok(out)
+}
+
+/// [`Quantized::read_capped`] for a wide record — the same checks in the
+/// same order — reading the codes through [`bitpack::unsplit`] from the
+/// record's low bytes and the chunk's plane slice.
+#[cfg(test)]
+fn read_wide_ref(cr: &mut Reader, planes: &[u8], cap: usize) -> Result<Quantized, CompressError> {
+    let lo = cr.f32()?;
+    let bin_width = cr.f32()?;
+    let n_bins = cr.u32()?;
+    let count = crate::wire::checked_count(cr.u64()?)?;
+    if count > cap {
+        return Err(WireError::Invalid("quantized count over cap").into());
+    }
+    if !lo.is_finite() || !bin_width.is_finite() || bin_width < 0.0 {
+        return Err(WireError::Invalid("quantized header").into());
+    }
+    let bits = bits_for(n_bins);
+    let low = cr.bytes(count)?;
+    if planes.len() != (count * (bits - 8) as usize).div_ceil(8) {
+        return Err(CompressError::Corrupt("chunk plane length"));
+    }
+    let codes = bitpack::unsplit(low, planes, bits, split_bias(lo, bin_width, n_bins))?;
+    if codes.iter().any(|&c| c > n_bins) {
+        return Err(WireError::Invalid("quantized code out of range").into());
+    }
+    Ok(Quantized {
+        codes,
+        lo,
+        bin_width,
+        n_bins,
+    })
 }
 
 /// Scalar reference decoder, retained as the bit-identity oracle for
@@ -657,6 +788,7 @@ fn decompress_chunk(
 fn decompress_chunk_ref(
     c: &ChunkDesc,
     codes: &[u8],
+    planes: &[u8],
     bitmaps: &[u8],
 ) -> Result<Vec<f32>, CompressError> {
     let mut cr = Reader::new(codes);
@@ -672,7 +804,21 @@ fn decompress_chunk_ref(
     // The chunk's element count is known from the schedule, so the
     // quantized record (whose constant-block encoding carries a count
     // backed by zero bytes) can be capped with real context.
-    let quant = Quantized::read_capped(&mut cr, c.len)?;
+    // The record header sits at a fixed offset, so whether the chunk is
+    // wide is known before the record is parsed.
+    let mut peek = Reader::new(&codes[9..]);
+    let wide = matches!(
+        (peek.f32(), peek.f32(), peek.u32(), peek.u64()),
+        (_, _, Ok(n_bins), Ok(count)) if count > 0 && bits_for(n_bins) >= SPLIT_MIN_WIDTH
+    );
+    let quant = if wide {
+        read_wide_ref(&mut cr, planes, c.len)?
+    } else {
+        if !planes.is_empty() {
+            return Err(CompressError::Corrupt("chunk plane length"));
+        }
+        Quantized::read_capped(&mut cr, c.len)?
+    };
     if !cr.is_exhausted() {
         return Err(CompressError::Corrupt("chunk codes overrun"));
     }
@@ -712,7 +858,7 @@ fn decompress_chunk_ref(
     Ok(out)
 }
 
-/// Decode scratch: the two concatenated record streams materialized
+/// Decode scratch: the concatenated record streams materialized
 /// between entropy decoding and the chunk-parallel scatter. These are the
 /// only per-call allocations whose size tracks the full gradient volume
 /// rather than one chunk; the buffers are cleared — not shrunk — between
@@ -721,13 +867,14 @@ fn decompress_chunk_ref(
 struct DecodeScratch {
     bitmaps: Vec<u8>,
     codes: Vec<u8>,
+    planes: Vec<u8>,
 }
 
 #[cfg(test)]
 impl DecodeScratch {
-    /// Bytes currently reserved across both stream buffers.
+    /// Bytes currently reserved across the stream buffers.
     fn capacity_bytes(&self) -> usize {
-        self.bitmaps.capacity() + self.codes.capacity()
+        self.bitmaps.capacity() + self.codes.capacity() + self.planes.capacity()
     }
 }
 
@@ -765,7 +912,7 @@ pub fn decompress_chunked(bytes: &[u8], rec: &Recorder) -> Result<Vec<Vec<f32>>,
 }
 
 /// [`decompress_chunked`] decoding through a given [`DecodeScratch`],
-/// reusing the bitmap/code stream buffers across calls.
+/// reusing the bitmap/code/plane stream buffers across calls.
 ///
 /// Every length field read from the (untrusted) header is validated
 /// against arithmetic identities and the bytes actually received before
@@ -786,7 +933,14 @@ fn decompress_chunked_scratch(
     }
     let codec = crate::encoders::Codec::from_tag(r.u8()?).ok_or(WireError::Invalid("codec tag"))?;
     let _ = codec; // per-frame codec tags live inside the block frames
-    let _flags = r.u8()?;
+
+    // The flags byte decides the width of the index rows and whether a
+    // third block follows, so an unassigned bit is refused, not skipped.
+    let flags = r.u8()?;
+    if flags & !FLAG_WIDE != 0 {
+        return Err(WireError::Invalid("chunked flags").into());
+    }
+    let columns = if flags & FLAG_WIDE != 0 { 3 } else { 2 };
     let n_layers = r.u32()? as usize;
     // Each layer size costs 8 header bytes, so a count the buffer cannot
     // back is corruption — checked before the sizes vector is reserved.
@@ -816,22 +970,35 @@ fn decompress_chunked_scratch(
     if n_chunks != implied_chunks {
         return Err(CompressError::Corrupt("chunk count vs schedule"));
     }
-    // Each chunk owns a 16-byte offset-index entry in what remains.
-    if n_chunks > r.remaining() / 16 {
+    // Each chunk owns one offset-index entry — a u64 per stream, so 16
+    // bytes, or 24 in a wide frame — in what remains.
+    if n_chunks > r.remaining() / (8 * columns) {
         return Err(WireError::Invalid("chunk count vs buffer").into());
     }
     let schedule = LayerSchedule::build(&layer_sizes, chunk_elems);
     debug_assert_eq!(schedule.chunks().len(), n_chunks);
-    let mut offsets: Vec<(usize, usize)> = Vec::with_capacity(n_chunks);
+    // Rows of (codes, bitmaps, planes) offsets; without the plane stream
+    // its column is all zeros over an empty stream.
+    let mut offsets: Vec<[usize; 3]> = Vec::with_capacity(n_chunks);
     for _ in 0..n_chunks {
-        let c_off = crate::wire::checked_count(r.u64()?)?;
-        let b_off = crate::wire::checked_count(r.u64()?)?;
-        offsets.push((c_off, b_off));
+        let mut row = [0usize; 3];
+        for off in &mut row[..columns] {
+            *off = crate::wire::checked_count(r.u64()?)?;
+        }
+        offsets.push(row);
     }
     crate::encoders::Codec::decode_blocks_into(r.block()?, &mut scratch.bitmaps)?;
     crate::encoders::Codec::decode_blocks_into(r.block()?, &mut scratch.codes)?;
-    let bitmaps: &[u8] = &scratch.bitmaps;
-    let codes: &[u8] = &scratch.codes;
+    if columns == 3 {
+        crate::encoders::Codec::decode_blocks_into(r.block()?, &mut scratch.planes)?;
+        // The flag is set for a wide chunk, and a wide chunk has a code.
+        if scratch.planes.is_empty() {
+            return Err(CompressError::Corrupt("wide flag without planes"));
+        }
+    } else {
+        scratch.planes.clear();
+    }
+    let streams: [&[u8]; 3] = [&scratch.codes, &scratch.bitmaps, &scratch.planes];
     if !r.is_exhausted() {
         return Err(CompressError::Corrupt("trailing bytes"));
     }
@@ -839,21 +1006,22 @@ fn decompress_chunked_scratch(
     // Validate the offset index: chunk i's records span [off(i), off(i+1))
     // in each stream; the last chunk ends at the stream length. Offsets
     // must start at zero and never run backwards or out of bounds. Gaps
-    // between records are caught per-chunk by reader-exhaustion checks.
-    let mut ends: Vec<(usize, usize)> = Vec::with_capacity(n_chunks);
+    // between records are caught per-chunk by reader-exhaustion checks
+    // (the plane slice by its exact length).
+    let lens = streams.map(<[u8]>::len);
+    let mut ends: Vec<[usize; 3]> = Vec::with_capacity(n_chunks);
     for i in 0..n_chunks {
-        let (c0, b0) = offsets[i];
-        let (c1, b1) = if i + 1 < n_chunks {
+        let end = if i + 1 < n_chunks {
             offsets[i + 1]
         } else {
-            (codes.len(), bitmaps.len())
+            lens
         };
-        if c0 > c1 || b0 > b1 || c1 > codes.len() || b1 > bitmaps.len() {
+        if (0..3).any(|k| offsets[i][k] > end[k] || end[k] > lens[k]) {
             return Err(CompressError::Corrupt("chunk offset index"));
         }
-        ends.push((c1, b1));
+        ends.push(end);
     }
-    if n_chunks > 0 && offsets[0] != (0, 0) {
+    if n_chunks > 0 && offsets[0] != [0; 3] {
         return Err(CompressError::Corrupt("chunk offset index"));
     }
 
@@ -879,9 +1047,9 @@ fn decompress_chunked_scratch(
         .into_par_iter()
         .enumerate()
         .map(|(i, dst)| {
-            let (c0, b0) = offsets[i];
-            let (c1, b1) = ends[i];
-            decompress_chunk_into(&chunks[i], &codes[c0..c1], &bitmaps[b0..b1], dst)
+            let [codes, bitmaps, planes] =
+                [0, 1, 2].map(|k| &streams[k][offsets[i][k]..ends[i][k]]);
+            decompress_chunk_into(&chunks[i], codes, planes, bitmaps, dst)
         })
         .collect::<Result<Vec<()>, CompressError>>()?;
     Ok(out)
@@ -987,6 +1155,11 @@ mod tests {
         generate_layers(&[50_000, 1234, 0, 70_001, 8], seed, GradientProfile::kfac())
     }
 
+    /// Quantizer bounds and the code width each gives: Alg. 1's aggressive
+    /// and conservative bounds (251 and 501 codes), a 10-bit bound and one
+    /// past 16 bits.
+    const WIDTH_BOUNDS: [(f32, u32); 4] = [(4e-3, 8), (2e-3, 9), (1e-3, 10), (1e-6, 20)];
+
     #[test]
     fn schedule_covers_layers_exactly() {
         let s = LayerSchedule::build(&[100, 0, 250], 64);
@@ -1044,34 +1217,32 @@ mod tests {
         // Same RNG forking discipline -> bit-identical outputs, so the
         // ablation is purely about kernel structure. The last layer's
         // range is subnormal, so `eb × range` underflows in both.
-        let mut layers = layers_fixture(3);
+        //
+        // At every width a run produces: Alg. 1's two bounds (8- and 9-bit
+        // codes), a 10-bit and a 20-bit one, with and without the filter.
+        // Past 8 bits the frame is the flagged three-stream layout, and
+        // its subnormal layer is a narrow chunk inside it.
+        let mut layers = generate_layers(&[20_000, 1234, 0, 17_001, 8], 3, GradientProfile::kfac());
         layers.push(vec![0.0, 1e-44, 4e-45]);
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
-        let cfg = CompsoConfig::aggressive(4e-3);
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 16 * 1024);
         let rng = Rng::new(4);
-        let fused = compress_quiet(
-            &refs,
-            &cfg,
-            &KernelConfig {
-                fused: true,
-                ..KernelConfig::default()
-            },
-            &schedule,
-            &rng,
-        );
-        let staged = compress_quiet(
-            &refs,
-            &cfg,
-            &KernelConfig {
-                fused: false,
-                ..KernelConfig::default()
-            },
-            &schedule,
-            &rng,
-        );
-        assert_eq!(fused, staged);
+        for (eb, bits) in WIDTH_BOUNDS {
+            for cfg in [CompsoConfig::aggressive(eb), CompsoConfig::conservative(eb)] {
+                let [fused, staged] = [true, false].map(|fused| {
+                    let kc = KernelConfig {
+                        fused,
+                        ..KernelConfig::default()
+                    };
+                    compress_quiet(&refs, &cfg, &kc, &schedule, &rng)
+                });
+                assert_eq!(fused, staged, "{cfg:?}");
+                assert_eq!(fused[3], if bits > 8 { FLAG_WIDE } else { 0 }, "{cfg:?}");
+                let back = decompress_quiet(&fused).unwrap();
+                assert_eq!(back.iter().map(Vec::len).collect::<Vec<_>>(), sizes);
+            }
+        }
     }
 
     /// Direct chunk-level pin: the microkernel fused sweep must emit the
@@ -1097,22 +1268,37 @@ mod tests {
                 RoundingMode::HalfProbability,
             ] {
                 for eb_filter in [Some(1e-3), None] {
-                    let cfg = CompsoConfig {
-                        mode,
-                        eb_filter,
-                        ..CompsoConfig::aggressive(4e-3)
-                    };
-                    let mut rng_fast = Rng::new(91);
-                    let mut rng_ref = Rng::new(91);
-                    let fast = compress_chunk_fast(data, range, &cfg, &mut rng_fast);
-                    let reference = compress_chunk_fused(data, range, &cfg, &mut rng_ref);
-                    assert_eq!(fast.bitmap, reference.bitmap, "{mode:?} {eb_filter:?}");
-                    assert_eq!(fast.codes, reference.codes, "{mode:?} {eb_filter:?}");
-                    assert_eq!(
-                        rng_fast.next_u64(),
-                        rng_ref.next_u64(),
-                        "RNG stream position diverged ({mode:?} {eb_filter:?})"
-                    );
+                    for (eb_quant, bits) in WIDTH_BOUNDS {
+                        let cfg = CompsoConfig {
+                            mode,
+                            eb_filter,
+                            ..CompsoConfig::aggressive(eb_quant)
+                        };
+                        let what = format!("{mode:?} {eb_filter:?} {eb_quant}");
+                        let mut rng_fast = Rng::new(91);
+                        let mut rng_ref = Rng::new(91);
+                        let fast = compress_chunk_fast(data, range, &cfg, &mut rng_fast);
+                        let reference = compress_chunk_fused(data, range, &cfg, &mut rng_ref);
+                        assert_eq!(fast.bitmap, reference.bitmap, "{what}");
+                        assert_eq!(fast.codes(), reference.codes(), "{what}");
+                        assert_eq!(fast.planes(), reference.planes(), "{what}");
+                        assert_eq!(
+                            rng_fast.next_u64(),
+                            rng_ref.next_u64(),
+                            "RNG stream position diverged ({what})"
+                        );
+                        // Only a record of codes wider than a byte has a
+                        // plane slice, and then a byte per code ahead of it.
+                        let n_bins = u32::from_le_bytes(fast.record[17..21].try_into().unwrap());
+                        let count = u64::from_le_bytes(fast.record[21..29].try_into().unwrap());
+                        if count > 0 && bits_for(n_bins) >= SPLIT_MIN_WIDTH {
+                            assert_eq!(bits_for(n_bins), bits, "{what}");
+                            assert_eq!(fast.codes_len as u64, 29 + count, "{what}");
+                            assert!(!fast.planes().is_empty(), "{what}");
+                        } else {
+                            assert!(fast.planes().is_empty(), "{what}");
+                        }
+                    }
                 }
             }
         }
@@ -1123,21 +1309,34 @@ mod tests {
         // Compress-side twin of the decode pool test: after one chunked
         // compress the per-thread arena holds capacity, and repeats
         // neither grow it nor change the emitted bytes.
+        // A wide frame goes first: its plane bytes live in the arena
+        // too, so the narrow frame after it finds every slot sized.
         let layers = layers_fixture(43);
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
-        let cfg = CompsoConfig::aggressive(4e-3);
         let kc = KernelConfig::default();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, kc.chunk_elems);
-        let first = compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(44));
-        let cap = microkernel::compress_scratch_capacity_bytes();
-        assert!(cap > 0, "compress arena untouched");
-        for _ in 0..3 {
-            assert_eq!(
-                compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(44)),
-                first
-            );
-            assert_eq!(microkernel::compress_scratch_capacity_bytes(), cap);
+        for cfg in [
+            CompsoConfig::conservative(2e-3),
+            CompsoConfig::aggressive(4e-3),
+        ] {
+            let first = compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(44));
+            let cap = microkernel::compress_scratch_capacity_bytes();
+            assert!(cap > 0, "compress arena untouched");
+            if cfg.eb_filter.is_none() {
+                let planes = microkernel::with_compress_scratch(|s| s.planes.capacity());
+                assert!(
+                    planes >= kc.chunk_elems / 8,
+                    "plane bytes bypassed the arena"
+                );
+            }
+            for _ in 0..3 {
+                assert_eq!(
+                    compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(44)),
+                    first
+                );
+                assert_eq!(microkernel::compress_scratch_capacity_bytes(), cap);
+            }
         }
     }
 
@@ -1152,39 +1351,44 @@ mod tests {
             n in 0usize..4000,
             seed in proptest::prelude::any::<u64>(),
             filtered in proptest::prelude::any::<bool>(),
+            width in 0usize..WIDTH_BOUNDS.len(),
             flip in proptest::prelude::any::<(usize, u8)>(),
         ) {
             let data = crate::synthetic::generate(n, seed, GradientProfile::kfac());
+            let eb = WIDTH_BOUNDS[width].0;
             let cfg = if filtered {
-                CompsoConfig::aggressive(4e-3)
+                CompsoConfig::aggressive(eb)
             } else {
-                CompsoConfig::conservative(4e-3)
+                CompsoConfig::conservative(eb)
             };
             let range = minmax_flat(&data);
             let mut rng = Rng::new(seed ^ 0x51);
             let out = compress_chunk_fast(&data, range, &cfg, &mut rng);
             let c = ChunkDesc { layer: 0, offset: 0, len: n };
-            let fast = decompress_chunk(&c, &out.codes, &out.bitmap).unwrap();
-            let reference = decompress_chunk_ref(&c, &out.codes, &out.bitmap).unwrap();
+            let fast = decompress_chunk(&c, out.codes(), out.planes(), &out.bitmap).unwrap();
+            let reference =
+                decompress_chunk_ref(&c, out.codes(), out.planes(), &out.bitmap).unwrap();
             let fast_bits: Vec<u32> = fast.iter().map(|v| v.to_bits()).collect();
             let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
             proptest::prop_assert_eq!(fast_bits, ref_bits);
 
-            // Corrupt one byte: both decoders must agree on the verdict.
-            let mut codes = out.codes.clone();
+            // Corrupt one byte of the record, the plane slice or the
+            // bitmap: both decoders must agree on the verdict.
+            let mut record = out.record.clone();
             let mut bitmap = out.bitmap.clone();
-            let total = codes.len() + bitmap.len();
+            let total = record.len() + bitmap.len();
             if total > 0 {
                 let (pos, xor) = flip;
                 let pos = pos % total;
                 let xor = xor | 1; // non-zero so the byte really changes
-                if pos < codes.len() {
-                    codes[pos] ^= xor;
+                if pos < record.len() {
+                    record[pos] ^= xor;
                 } else {
-                    bitmap[pos - codes.len()] ^= xor;
+                    bitmap[pos - record.len()] ^= xor;
                 }
-                let fast = decompress_chunk(&c, &codes, &bitmap);
-                let reference = decompress_chunk_ref(&c, &codes, &bitmap);
+                let (codes, planes) = record.split_at(out.codes_len);
+                let fast = decompress_chunk(&c, codes, planes, &bitmap);
+                let reference = decompress_chunk_ref(&c, codes, planes, &bitmap);
                 match (fast, reference) {
                     (Ok(a), Ok(b)) => {
                         let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
@@ -1346,40 +1550,234 @@ mod tests {
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 8192);
         let rng = Rng::new(16);
-        let bytes = compress_quiet(
-            &refs,
-            &CompsoConfig::aggressive(4e-3),
-            &KernelConfig::default(),
-            &schedule,
-            &rng,
-        );
-        // The index sits right after the fixed header: magic(1) ver(1)
-        // codec(1) flags(1) n_layers(4) sizes(8 each) chunk_elems(8),
-        // then n_chunks(4) and (codes_off, bitmap_off) u64 pairs.
-        let index_base = 16 + 8 * sizes.len();
-        let n_chunks =
-            u32::from_le_bytes(bytes[index_base..index_base + 4].try_into().unwrap()) as usize;
-        assert_eq!(n_chunks, schedule.chunks().len());
-        // (a) nudge a mid-index codes offset: the preceding chunk's slice
-        // grows a byte, tripping the exhaustion check (or misparsing).
-        let mut nudged = bytes.clone();
-        let mid = index_base + 4 + 16 * (n_chunks / 2);
-        nudged[mid] = nudged[mid].wrapping_add(1);
-        assert!(decompress_quiet(&nudged).is_err());
-        // (b) blow an offset out of bounds entirely.
-        let mut blown = bytes.clone();
-        for b in &mut blown[mid..mid + 8] {
-            *b = 0xFF;
+        // A narrow frame (two index columns) and a wide one (three).
+        for (cfg, columns) in [
+            (CompsoConfig::aggressive(4e-3), 2),
+            (CompsoConfig::aggressive(2e-3), 3),
+        ] {
+            let bytes = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+            assert_eq!(bytes[3], if columns == 3 { FLAG_WIDE } else { 0 });
+            // The index sits right after the fixed header: magic(1) ver(1)
+            // codec(1) flags(1) n_layers(4) sizes(8 each) chunk_elems(8),
+            // then n_chunks(4) and rows of (codes_off, bitmap_off
+            // [, planes_off]) u64s.
+            let index_base = 16 + 8 * sizes.len();
+            let n_chunks =
+                u32::from_le_bytes(bytes[index_base..index_base + 4].try_into().unwrap()) as usize;
+            assert_eq!(n_chunks, schedule.chunks().len());
+            for column in 0..columns {
+                let at = |row: usize| index_base + 4 + 8 * (columns * row + column);
+                // (a) nudge a mid-index offset: the preceding chunk's
+                // slice grows a byte, tripping its exhaustion check (the
+                // plane slice's exact length) or misparsing.
+                let mid = at(n_chunks / 2);
+                let mut nudged = bytes.clone();
+                nudged[mid] = nudged[mid].wrapping_add(1);
+                assert!(decompress_quiet(&nudged).is_err(), "{columns}/{column}");
+                // (b) blow an offset out of bounds entirely.
+                let mut blown = bytes.clone();
+                blown[mid..mid + 8].fill(0xFF);
+                assert!(decompress_quiet(&blown).is_err(), "{columns}/{column}");
+                // A run backwards, still in bounds.
+                let mut backwards = bytes.clone();
+                backwards[mid..mid + 8].fill(0);
+                assert_eq!(
+                    decompress_quiet(&backwards),
+                    Err(CompressError::Corrupt("chunk offset index")),
+                    "{columns}/{column}"
+                );
+                // (c) a non-zero first offset implies a leading gap.
+                let mut shifted = bytes.clone();
+                shifted[at(0)] = 1;
+                assert_eq!(
+                    decompress_quiet(&shifted),
+                    Err(CompressError::Corrupt("chunk offset index")),
+                    "{columns}/{column}"
+                );
+            }
+            // (d) wrong chunk count vs. the schedule implied by the header.
+            let mut miscounted = bytes;
+            miscounted[index_base] = miscounted[index_base].wrapping_add(1);
+            assert!(decompress_quiet(&miscounted).is_err());
         }
-        assert!(decompress_quiet(&blown).is_err());
-        // (c) a non-zero first offset implies a leading gap.
-        let mut shifted = bytes.clone();
-        shifted[index_base + 4] = shifted[index_base + 4].wrapping_add(1);
-        assert!(decompress_quiet(&shifted).is_err());
-        // (d) wrong chunk count vs. the schedule implied by the header.
-        let mut miscounted = bytes;
-        miscounted[index_base] = miscounted[index_base].wrapping_add(1);
-        assert!(decompress_quiet(&miscounted).is_err());
+    }
+
+    /// The `flags` byte is load-bearing: it sizes the index rows and
+    /// announces the third block, so a reader holds it to the one
+    /// assigned bit and to the frame that follows.
+    #[test]
+    fn frame_flags_are_validated() {
+        let layers = layers_fixture(27);
+        let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
+        let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
+        let schedule = LayerSchedule::build(&sizes, 8192);
+        let frame = |cfg: CompsoConfig| {
+            compress_quiet(
+                &refs,
+                &cfg,
+                &KernelConfig::default(),
+                &schedule,
+                &Rng::new(28),
+            )
+        };
+        let narrow = frame(CompsoConfig::aggressive(4e-3));
+        let wide = frame(CompsoConfig::conservative(2e-3));
+        assert_eq!((narrow[3], wide[3]), (0, FLAG_WIDE));
+        for honest in [&narrow, &wide] {
+            // Any bit but bit 0, alone or beside it.
+            for bit in 1..8 {
+                let mut flagged = honest.clone();
+                flagged[3] |= 1 << bit;
+                assert_eq!(
+                    decompress_quiet(&flagged),
+                    Err(WireError::Invalid("chunked flags").into()),
+                    "bit {bit}"
+                );
+            }
+            // Bit 0 flipped against the frame behind it: the rows and
+            // blocks no longer parse, and nothing is decoded on the way
+            // to finding that out.
+            let mut flipped = honest.clone();
+            flipped[3] ^= FLAG_WIDE;
+            let mut scratch = DecodeScratch::default();
+            assert!(decompress_chunked_scratch(&flipped, &mut scratch).is_err());
+            assert_eq!(scratch.capacity_bytes(), 0);
+        }
+
+        // The allocation guard prices a row at what the flag says it
+        // costs: a buffer that backs k two-column rows backs ⌊2k/3⌋
+        // three-column ones. (One layer of k one-element chunks.)
+        let k = 30u32;
+        let header = |flags: u8| {
+            let mut w = Writer::new();
+            w.u8(MAGIC_CHUNKED);
+            w.u8(CHUNKED_VERSION);
+            w.u8(Codec::Ans.tag());
+            w.u8(flags);
+            w.u32(1);
+            w.u64(k as u64);
+            w.u64(1);
+            w.u32(k);
+            w.bytes(&vec![0u8; 16 * k as usize]);
+            w.into_bytes()
+        };
+        assert_eq!(
+            decompress_quiet(&header(FLAG_WIDE)),
+            Err(WireError::Invalid("chunk count vs buffer").into())
+        );
+        assert!(matches!(
+            decompress_quiet(&header(0)),
+            Err(CompressError::Wire(WireError::Truncated { .. }))
+        ));
+
+        // A flagged frame whose plane stream is empty: no encoder's.
+        let zeros = vec![0.0f32; 10];
+        let constant = compress_quiet(
+            &[&zeros],
+            &CompsoConfig::conservative(2e-3),
+            &KernelConfig::default(),
+            &LayerSchedule::build(&[10], 16),
+            &Rng::new(1),
+        );
+        assert_eq!(constant[3], 0, "a constant chunk is not wide");
+        let mut w = Writer::new();
+        w.bytes(&constant[..3]);
+        w.u8(FLAG_WIDE);
+        w.bytes(&constant[4..28]); // n_layers, size, chunk_elems, n_chunks
+        w.bytes(&[0u8; 24]); // the one row, three columns
+        w.bytes(&constant[28 + 16..]); // the bitmap and code blocks
+        w.block(&Codec::Ans.encode_blocks(&[], CODEC_BLOCK));
+        assert_eq!(
+            decompress_quiet(&w.into_bytes()),
+            Err(CompressError::Corrupt("wide flag without planes"))
+        );
+    }
+
+    /// A chunk's plane slice is exactly `⌈count·(bits − 8)/8⌉` bytes —
+    /// nothing for a narrow or a constant chunk — in both decoders.
+    #[test]
+    fn plane_slice_is_held_to_its_exact_length() {
+        let data = crate::synthetic::generate(1000, 7, GradientProfile::kfac());
+        let range = minmax_flat(&data);
+        let c = ChunkDesc {
+            layer: 0,
+            offset: 0,
+            len: data.len(),
+        };
+        let refused = |codes: &[u8], planes: &[u8], bitmap: &[u8]| {
+            let err = Err(CompressError::Corrupt("chunk plane length"));
+            assert_eq!(decompress_chunk(&c, codes, planes, bitmap), err);
+            assert_eq!(decompress_chunk_ref(&c, codes, planes, bitmap), err);
+        };
+        for cfg in [
+            CompsoConfig::conservative(2e-3),
+            CompsoConfig::aggressive(1e-3),
+        ] {
+            let wide = compress_chunk_fast(&data, range, &cfg, &mut Rng::new(8));
+            let kept = u64::from_le_bytes(wide.record[21..29].try_into().unwrap()) as usize;
+            let width = if cfg.eb_filter.is_some() { 2 } else { 1 };
+            assert_eq!(wide.planes().len(), (kept * width).div_ceil(8));
+            decompress_chunk(&c, wide.codes(), wide.planes(), &wide.bitmap).unwrap();
+            let mut long = wide.planes().to_vec();
+            long.push(0);
+            refused(wide.codes(), &long, &wide.bitmap);
+            refused(wide.codes(), &long[..long.len() - 2], &wide.bitmap);
+            refused(wide.codes(), &[], &wide.bitmap);
+        }
+        // A narrow chunk and a constant one own no plane bytes, whatever
+        // the frame around them carries.
+        let narrow = compress_chunk_fast(
+            &data,
+            range,
+            &CompsoConfig::aggressive(4e-3),
+            &mut Rng::new(8),
+        );
+        assert!(narrow.planes().is_empty());
+        refused(narrow.codes(), &[0], &narrow.bitmap);
+        let flat = vec![0.5f32; data.len()];
+        let constant = compress_chunk_fast(
+            &flat,
+            minmax_flat(&flat),
+            &CompsoConfig::conservative(2e-3),
+            &mut Rng::new(8),
+        );
+        assert!(constant.planes().is_empty());
+        refused(constant.codes(), &[0], &constant.bitmap);
+    }
+
+    /// The split changes where a code's bits travel, not the code: a wide
+    /// chunk decodes to exactly the values the packed record of the same
+    /// codes ([`Quantized::write`], what a chunk carried at every width
+    /// before the split) dequantizes to.
+    #[test]
+    fn wide_chunks_decode_to_the_packed_records_values() {
+        let data = crate::synthetic::generate(5000, 51, GradientProfile::kfac());
+        let range = minmax_flat(&data);
+        let c = ChunkDesc {
+            layer: 0,
+            offset: 0,
+            len: data.len(),
+        };
+        for (eb, bits) in WIDTH_BOUNDS {
+            let cfg = CompsoConfig::conservative(eb);
+            let out = compress_chunk_fast(&data, range, &cfg, &mut Rng::new(52));
+            let split = decompress_chunk(&c, out.codes(), out.planes(), &[]).unwrap();
+            let quant = quantize_chunk(&data, data.len(), range, &cfg, &mut Rng::new(52));
+            assert_eq!(quant.bits(), bits);
+            let mut w = Writer::new();
+            quant.write(&mut w);
+            let packed = w.into_bytes();
+            let packed = Quantized::read_capped(&mut Reader::new(&packed), data.len()).unwrap();
+            assert_eq!(
+                split.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                packed
+                    .dequantize()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                "{eb}"
+            );
+        }
     }
 
     #[test]

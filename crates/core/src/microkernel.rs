@@ -17,6 +17,13 @@
 //!   the in-byte shift) stay below 32 (7), so every window fits u64
 //!   exactly; the emitted bytes are the same LSB-first layout as the
 //!   scalar packer, not merely an equivalent one.
+//! * [`split_into`] / [`unsplit_map`] are what a chunk of codes wider
+//!   than a byte runs instead: the entropy coder is byte-wise, so such a
+//!   code travels as its low byte plus `width − 8` high bits packed into
+//!   a separate plane stream, rotated first so the code of 0.0 sits
+//!   mid-byte. Eight codes' plane bits are whole bytes, so up to 16 bits
+//!   the plane moves a `u64` per group of eight; the layout is
+//!   [`crate::bitpack::split`]'s, byte for byte.
 //! * [`filter_kernel`] builds the drop bitmap 64 decisions to a word,
 //!   branchlessly, and copies the survivors out by walking the inverted
 //!   word. The bit layout (LSB-first, set ⇔ dropped) matches the scalar
@@ -34,9 +41,10 @@
 //!   count, not the chunk length — the dropped majority is covered by a
 //!   single pre-zeroed output buffer.
 //! * [`CompressScratch`] extends the PR-3 thread-local decode scratch to
-//!   the compress side: kept values, quantized codes, and packed bytes
-//!   live in per-thread arenas that are cleared, never shrunk.
+//!   the compress side: kept values, quantized codes, packed bytes and
+//!   plane bytes live in per-thread arenas that are cleared, never shrunk.
 
+use crate::bitpack::{code_mask, SPLIT_MIN_WIDTH};
 use crate::rounding::RoundingMode;
 use crate::wire::WireError;
 use compso_tensor::rng::Rng;
@@ -80,12 +88,107 @@ pub fn pack_into(codes: &[u32], width: u32, out: &mut Vec<u8>) {
         }
     }
     if over != 0 {
-        let code = codes.iter().find(|&&c| c & too_wide != 0);
-        let code = code.expect("a bit in `over` came from some code");
-        panic!("code {code} does not fit in {width} bits");
+        code_too_wide(codes, too_wide, width);
     }
     // Fewer than 32 bits are left: the last `⌈bits / 8⌉ ≤ 4` bytes.
     let tail = &mut out[pos..];
+    let n = tail.len();
+    tail.copy_from_slice(&acc.to_le_bytes()[..n]);
+}
+
+/// The packers' deferred "does not fit" panic: names the first code with
+/// a bit in `too_wide`, in the scalar packer's words.
+#[cold]
+fn code_too_wide(codes: &[u32], too_wide: u32, width: u32) -> ! {
+    let code = codes.iter().find(|&&c| c & too_wide != 0);
+    let code = code.expect("a bit in `over` came from some code");
+    panic!("code {code} does not fit in {width} bits");
+}
+
+/// How many leading groups of 8 codes of a `w`-bit stream (`w ≤ 8`) of
+/// `len` bytes lie, with their whole 8-byte window, in bounds (at most
+/// `groups`): a group is exactly `w` bytes, so group `g` starts at byte
+/// `g·w`.
+fn windowed_groups(len: usize, w: usize, groups: usize) -> usize {
+    if len >= 8 && w <= 8 {
+        ((len - 8) / w + 1).min(groups)
+    } else {
+        0
+    }
+}
+
+/// Splits `width`-bit codes (`9 ..= 32`) into the two byte-aligned
+/// streams of a wide chunk, both cleared first: `low` gets the low byte
+/// of every rotated code `(code + bias) mod 2^width`, `planes` the
+/// remaining `width − 8` bits packed LSB-first at that width.
+/// Byte-identical to [`crate::bitpack::split`].
+///
+/// One sweep; the byte store and the plane bits both hang off the one
+/// load of each code. Eight codes' plane bits are exactly `width − 8`
+/// bytes, so up to 16 bits the plane is built a group at a time: the
+/// eight fields land at fixed offsets of one `u64` — no carried bit
+/// count, no flush test — which is stored whole, and the cursor steps by
+/// the bytes that were real (the next group overwrites the rest). The
+/// groups near the end, whose store would cross it, and every code of a
+/// wider stream go through [`pack_into`]'s register window instead.
+///
+/// # Panics
+/// If `width` is outside `9 ..= 32` or a code does not fit in it, with
+/// the scalar oracle's messages.
+pub fn split_into(codes: &[u32], width: u32, bias: u32, low: &mut Vec<u8>, planes: &mut Vec<u8>) {
+    assert!(
+        (SPLIT_MIN_WIDTH..=32).contains(&width),
+        "split width {width} out of range"
+    );
+    let plane_width = width - 8;
+    let w = plane_width as usize;
+    let mask = code_mask(width);
+    low.clear();
+    low.resize(codes.len(), 0);
+    planes.clear();
+    planes.resize((codes.len() * w).div_ceil(8), 0);
+    // Bits a code must not carry; OR-accumulated and checked once.
+    let mut over = 0u32;
+    let mut pos = 0usize;
+    let grouped = 8 * windowed_groups(planes.len(), w, codes.len() / 8);
+    let (group_codes, codes_left) = codes.split_at(grouped);
+    let (group_low, low_left) = low.split_at_mut(grouped);
+    for (c8, l8) in group_codes
+        .chunks_exact(8)
+        .zip(group_low.chunks_exact_mut(8))
+    {
+        let mut acc = 0u64;
+        let mut shift = 0usize;
+        for (&code, byte) in c8.iter().zip(l8) {
+            over |= code & !mask;
+            let rotated = code.wrapping_add(bias) & mask;
+            *byte = rotated as u8;
+            acc |= ((rotated >> 8) as u64) << shift;
+            shift += w;
+        }
+        planes[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+        pos += w;
+    }
+    // A group boundary is a byte boundary, so the window starts empty.
+    let mut acc = 0u64;
+    let mut bits = 0u32;
+    for (&code, byte) in codes_left.iter().zip(low_left) {
+        over |= code & !mask;
+        let rotated = code.wrapping_add(bias) & mask;
+        *byte = rotated as u8;
+        acc |= ((rotated >> 8) as u64) << bits;
+        bits += plane_width;
+        if bits >= 32 {
+            planes[pos..pos + 4].copy_from_slice(&(acc as u32).to_le_bytes());
+            pos += 4;
+            acc >>= 32;
+            bits -= 32;
+        }
+    }
+    if over != 0 {
+        code_too_wide(codes, !mask, width);
+    }
+    let tail = &mut planes[pos..];
     let n = tail.len();
     tail.copy_from_slice(&acc.to_le_bytes()[..n]);
 }
@@ -135,54 +238,132 @@ fn check_packed(bytes: &[u8], width: u32, count: usize) -> Result<(), WireError>
     Ok(())
 }
 
+/// How many leading codes of a `w`-bit stream of `len` bytes have their
+/// whole u64 load window in bounds (at most `count`): code `i` starts in
+/// byte `i·w / 8`, so the window fits for every `i` up to this.
+fn windowed_codes(len: usize, w: usize, count: usize) -> usize {
+    if len >= 8 {
+        (((len - 8) * 8 + 7) / w + 1).min(count)
+    } else {
+        0
+    }
+}
+
+/// One code through a u64 load window; `bitpos` is inside
+/// [`windowed_codes`] (shift ≤ 7 + width ≤ 32 fits u64).
+#[inline(always)]
+fn window_code(bytes: &[u8], bitpos: usize, mask: u32) -> u32 {
+    let byte = bitpos >> 3;
+    let window = u64::from_le_bytes(bytes[byte..byte + 8].try_into().unwrap());
+    ((window >> (bitpos & 7)) as u32) & mask
+}
+
+/// One code read bit-run by bit-run, identical to the reference per-bit
+/// loop: the epilogue for the codes whose window would cross the end.
+#[inline(always)]
+fn tail_code(bytes: &[u8], bitpos: &mut usize, width: u32) -> u32 {
+    let mut value: u64 = 0;
+    let mut got: u32 = 0;
+    while got < width {
+        let byte = bytes[*bitpos / 8] as u64;
+        let offset = (*bitpos % 8) as u32;
+        let space = 8 - offset;
+        let take = (width - got).min(space);
+        let chunk = (byte >> offset) & ((1u64 << take) - 1);
+        value |= chunk << got;
+        got += take;
+        *bitpos += take as usize;
+    }
+    value as u32
+}
+
 /// The unpack loop behind [`unpack_into`] and [`unpack_map`]; the caller
 /// has run [`check_packed`].
 fn unpack_each<T>(bytes: &[u8], width: u32, out: &mut [T], map: impl Fn(u32) -> T) -> u32 {
     let w = width as usize;
-    let mask = if width == 32 {
-        u32::MAX
-    } else {
-        (1u32 << width) - 1
-    };
-    // Fast path: a code whose whole u64 window is in bounds is one
-    // unaligned load + shift + mask (shift ≤ 7 + width ≤ 32 fits u64).
-    // Code `i` starts in byte `i·w / 8`, so the window fits for every
-    // `i` up to the count below.
-    let fast = if bytes.len() >= 8 {
-        (((bytes.len() - 8) * 8 + 7) / w + 1).min(out.len())
-    } else {
-        0
-    };
+    let mask = code_mask(width);
+    let fast = windowed_codes(bytes.len(), w, out.len());
     let (head, tail) = out.split_at_mut(fast);
     let mut maxc = 0u32;
     let mut bitpos = 0usize;
     for o in head {
-        let byte = bitpos >> 3;
-        let window = u64::from_le_bytes(bytes[byte..byte + 8].try_into().unwrap());
-        let v = ((window >> (bitpos & 7)) as u32) & mask;
+        let v = window_code(bytes, bitpos, mask);
         maxc = maxc.max(v);
         *o = map(v);
         bitpos += w;
     }
-    // Scalar tail: identical to the reference per-bit loop.
     for o in tail {
-        let mut value: u64 = 0;
-        let mut got: u32 = 0;
-        while got < width {
-            let byte = bytes[bitpos / 8] as u64;
-            let offset = (bitpos % 8) as u32;
-            let space = 8 - offset;
-            let take = (width - got).min(space);
-            let chunk = (byte >> offset) & ((1u64 << take) - 1);
-            value |= chunk << got;
-            got += take;
-            bitpos += take as usize;
-        }
-        let v = value as u32;
+        let v = tail_code(bytes, &mut bitpos, width);
         maxc = maxc.max(v);
         *o = map(v);
     }
     maxc
+}
+
+/// Inverse of [`split_into`] through a per-code map, like [`unpack_map`]:
+/// code `i` is `low[i]` under its `width − 8` bits of `planes`, rotated
+/// back by `bias`, and `out[i] = map(code)` — a wide chunk dequantizes as
+/// it merges. Returns the largest *un-rotated* code, which is what the
+/// caller's range check is about. Same codes as
+/// [`crate::bitpack::unsplit`], same refusals in the same order.
+///
+/// `low` must hold exactly one byte per output.
+pub(crate) fn unsplit_map<T>(
+    low: &[u8],
+    planes: &[u8],
+    width: u32,
+    bias: u32,
+    out: &mut [T],
+    map: impl Fn(u32) -> T,
+) -> Result<u32, WireError> {
+    if !(SPLIT_MIN_WIDTH..=32).contains(&width) {
+        return Err(WireError::Invalid("bit width"));
+    }
+    let count = out.len();
+    assert_eq!(low.len(), count, "one low byte per code");
+    let plane_width = width - 8;
+    check_packed(planes, plane_width, count)?;
+    let w = plane_width as usize;
+    let mask = code_mask(width);
+    let plane_mask = code_mask(plane_width);
+    let merge = |high: u32, low: u8| (high << 8 | low as u32).wrapping_sub(bias) & mask;
+    let mut maxc = 0u32;
+    // Up to 16 bits, eight codes' plane bits are one `u64` load (a group
+    // is `width − 8` whole bytes) shifted down a field per code; the
+    // groups whose load would cross the end, and every code of a wider
+    // stream, take a window per code like [`unpack_map`]'s.
+    let grouped = 8 * windowed_groups(planes.len(), w, count / 8);
+    let (group_out, out) = out.split_at_mut(grouped);
+    let (group_low, low) = low.split_at(grouped);
+    let mut pos = 0usize;
+    for (o8, l8) in group_out.chunks_exact_mut(8).zip(group_low.chunks_exact(8)) {
+        let mut window = u64::from_le_bytes(planes[pos..pos + 8].try_into().unwrap());
+        for (o, &l) in o8.iter_mut().zip(l8) {
+            let code = merge(window as u32 & plane_mask, l);
+            window >>= w;
+            maxc = maxc.max(code);
+            *o = map(code);
+        }
+        pos += w;
+    }
+    // A group's last codes can start too near the end for a window of
+    // their own, so the windowed prefix may end inside the groups.
+    let fast = windowed_codes(planes.len(), w, count).saturating_sub(grouped);
+    let (head, tail) = out.split_at_mut(fast);
+    let (low_head, low_tail) = low.split_at(fast);
+    let mut bitpos = 8 * pos;
+    for (o, &l) in head.iter_mut().zip(low_head) {
+        let code = merge(window_code(planes, bitpos, plane_mask), l);
+        maxc = maxc.max(code);
+        *o = map(code);
+        bitpos += w;
+    }
+    for (o, &l) in tail.iter_mut().zip(low_tail) {
+        let code = merge(tail_code(planes, &mut bitpos, plane_width), l);
+        maxc = maxc.max(code);
+        *o = map(code);
+    }
+    Ok(maxc)
 }
 
 /// The filter sweep as a branchless microkernel: builds the LSB-first
@@ -341,8 +522,8 @@ pub fn scatter_kept(
 }
 
 /// Per-thread compress-side arena (the PR-3 decode scratch's sibling):
-/// the fused kernel's kept values, quantized codes, and packed bytes are
-/// materialized here instead of fresh `Vec`s per chunk. Buffers are
+/// the fused kernel's kept values, quantized codes, packed bytes and plane
+/// bytes are materialized here instead of fresh `Vec`s per chunk. Buffers are
 /// cleared between chunks, never shrunk.
 #[derive(Debug, Default)]
 pub struct CompressScratch {
@@ -350,8 +531,11 @@ pub struct CompressScratch {
     pub kept: Vec<f32>,
     /// Quantized bin indices for the kept values.
     pub codes: Vec<u32>,
-    /// Bit-packed code bytes, staged before the chunk record is written.
+    /// The record's code bytes — bit-packed, or one low byte per code
+    /// for a wide chunk — staged before the chunk record is written.
     pub packed: Vec<u8>,
+    /// A wide chunk's high-bit plane bytes, staged likewise.
+    pub planes: Vec<u8>,
 }
 
 impl CompressScratch {
@@ -363,7 +547,10 @@ impl CompressScratch {
     /// Bytes currently reserved across all arena buffers (observability
     /// for the reuse-invariant tests).
     pub fn capacity_bytes(&self) -> usize {
-        self.kept.capacity() * 4 + self.codes.capacity() * 4 + self.packed.capacity()
+        self.kept.capacity() * 4
+            + self.codes.capacity() * 4
+            + self.packed.capacity()
+            + self.planes.capacity()
     }
 }
 
@@ -510,6 +697,96 @@ mod tests {
         );
     }
 
+    /// [`pack_and_unpack_match_scalar_at_every_width_and_short_length`]'s
+    /// twin for the byte/plane split: every wide width × every short
+    /// length × every class of rotation — the ones [`split_bias`] derives
+    /// (`lo = 0`, a subnormal bin width, the code of 0.0 clamped at 0 and
+    /// at `n_bins`, mid-range) and the extremes of the mask — on random
+    /// and all-ones codes. The splitter against [`bitpack::split`], the
+    /// merger against the codes and [`bitpack::unsplit`], and the returned
+    /// maximum against the *un-rotated* codes.
+    #[test]
+    fn split_and_unsplit_match_scalar_at_every_width_and_short_length() {
+        use crate::bitpack::split_bias;
+        let mut rng = Rng::new(0x5B17);
+        let (mut low, mut planes) = (vec![1u8; 5], vec![2u8; 3]);
+        let tiny = f32::from_bits(1);
+        for width in 9u32..=32 {
+            let mask = code_mask(width);
+            let n_bins = mask - (mask >> 2); // needs all `width` bits
+            let w = 2.0 / n_bins as f32;
+            let biases = [
+                split_bias(0.0, w, n_bins),             // lo = 0: z = 0
+                split_bias(3.0, w, n_bins),             // range above zero: z clamped at 0
+                split_bias(-9.0, w, n_bins),            // range below zero: z clamped at n_bins
+                split_bias(-1.0, w, n_bins),            // zero mid-range
+                split_bias(-77.0 * tiny, tiny, n_bins), // subnormal bin width
+                0,
+                mask,
+                rng.next_u32() & mask,
+            ];
+            assert_eq!(biases[0], 128);
+            assert_eq!(biases[1], 128);
+            assert_eq!(biases[2], 128u32.wrapping_sub(n_bins) & mask);
+            assert_eq!(biases[4], 128 - 77);
+            for bias in biases {
+                for len in 0..=130usize {
+                    for all_ones in [false, true] {
+                        let codes: Vec<u32> = (0..len)
+                            .map(|_| {
+                                if all_ones {
+                                    mask
+                                } else {
+                                    rng.next_u32() & mask
+                                }
+                            })
+                            .collect();
+                        let want = bitpack::split(&codes, width, bias);
+                        split_into(&codes, width, bias, &mut low, &mut planes);
+                        assert_eq!(
+                            (&low, &planes),
+                            (&want.0, &want.1),
+                            "width={width} bias={bias} len={len}"
+                        );
+                        assert_eq!(planes.len(), (len * (width as usize - 8)).div_ceil(8));
+                        let maxc = codes.iter().copied().max().unwrap_or(0);
+                        let mut mapped = vec![0u64; len];
+                        assert_eq!(
+                            unsplit_map(&low, &planes, width, bias, &mut mapped, |c| c as u64 + 1),
+                            Ok(maxc),
+                            "width={width} bias={bias} len={len}"
+                        );
+                        assert!(
+                            mapped.iter().zip(&codes).all(|(&m, &c)| m == c as u64 + 1),
+                            "width={width} bias={bias} len={len}"
+                        );
+                        assert_eq!(
+                            bitpack::unsplit(&low, &planes, width, bias).as_ref(),
+                            Ok(&codes),
+                            "width={width} bias={bias} len={len}"
+                        );
+                    }
+                }
+            }
+        }
+        // The oracle's refusals, in its order.
+        let (low, planes) = bitpack::split(&[300u32; 16], 13, 7);
+        assert_eq!(
+            unsplit_map(&low, &planes[..9], 13, 7, &mut [0u32; 16], |c| c),
+            Err(WireError::Truncated { need: 10, have: 9 })
+        );
+        assert_eq!(
+            bitpack::unsplit(&low, &planes[..9], 13, 7),
+            Err(WireError::Truncated { need: 10, have: 9 })
+        );
+        for width in [0, 8, 33] {
+            assert_eq!(
+                unsplit_map(&low, &planes, width, 7, &mut [0u32; 16], |c| c),
+                Err(WireError::Invalid("bit width"))
+            );
+        }
+    }
+
     /// The "does not fit" check is accumulated and raised once, after the
     /// loop; the message must still name the first offender, as the
     /// scalar packer's does.
@@ -535,6 +812,26 @@ mod tests {
                 want
             );
         }
+        for (codes, width) in [
+            (vec![1u32, 511, 512, 3, 9000], 9u32),
+            (vec![0, 1 << 31], 31),
+        ] {
+            let want = {
+                let codes = codes.clone();
+                message(move || drop(bitpack::split(&codes, width, 128)))
+            };
+            assert!(want.contains("does not fit"), "{want}");
+            let (mut low, mut planes) = (Vec::new(), Vec::new());
+            assert_eq!(
+                message(move || split_into(&codes, width, 128, &mut low, &mut planes)),
+                want
+            );
+        }
+        let out_of_range = message(|| drop(bitpack::split(&[1], 8, 0)));
+        assert_eq!(
+            message(|| split_into(&[1], 8, 0, &mut Vec::new(), &mut Vec::new())),
+            out_of_range
+        );
     }
 
     /// The values the happy path never sees, against the retained scalar

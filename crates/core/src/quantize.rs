@@ -161,12 +161,17 @@ impl Quantized {
             .collect()
     }
 
-    /// Serializes header + packed codes.
-    pub fn write(&self, w: &mut Writer) {
+    /// The record header: range start, bin width, largest code, count.
+    pub(crate) fn write_header(&self, w: &mut Writer) {
         w.f32(self.lo);
         w.f32(self.bin_width);
         w.u32(self.n_bins);
         w.u64(self.codes.len() as u64);
+    }
+
+    /// Serializes header + packed codes.
+    pub fn write(&self, w: &mut Writer) {
+        self.write_header(w);
         if !self.codes.is_empty() && self.n_bins > 0 {
             w.bytes(&bitpack::pack(&self.codes, self.bits()));
         }

@@ -56,8 +56,9 @@ use compso::ckpt::{
 use compso::comm::MembershipFrame;
 use compso::core::baselines::{CocktailSgd, PowerSgd, Qsgd, Sz, TopK};
 use compso::core::kernels::{compress_chunked, decompress_chunked};
+use compso::core::synthetic::{generate_layers, GradientProfile};
 use compso::core::wire::{
-    crc32, frame_checksummed, unframe_checksummed, WireError, Writer, MAX_DECODE_ELEMS,
+    crc32, frame_checksummed, unframe_checksummed, Reader, WireError, Writer, MAX_DECODE_ELEMS,
 };
 use compso::core::{
     ChunkedCompso, Codec, CompressError, Compressor, CompsoConfig, KernelConfig, LayerSchedule,
@@ -729,6 +730,13 @@ const FAMILIES: &[Family] = &[
         contract: Contract::Within(compso_bound),
     },
     Family {
+        // Alg. 1's conservative bound: 9-bit codes, so the flagged frame
+        // — a third index column and a third block — with the subnormal
+        // layer a narrow chunk inside it.
+        make: || Box::new(ChunkedCompso::new(CompsoConfig::conservative(2e-3))),
+        contract: Contract::Within(|l| 2e-3 * value_range(l) * 1.01 + 1e-7),
+    },
+    Family {
         make: || Box::new(Qsgd::bits4()),
         contract: Contract::Within(|l| absmax_flat(l) / Qsgd::bits4().levels() as f32 * 1.001),
     },
@@ -1071,6 +1079,108 @@ fn block_encoder_output_is_pinned() {
         let enc = codec.encode_blocks(&codes, 64 * 1024);
         assert_eq!((enc.len(), crc32(&enc)), (len, crc), "{}", codec.name());
         assert_eq!(Codec::decode_blocks(&enc).unwrap(), codes);
+    }
+}
+
+/// Seeded K-FAC-like layers, several chunks each, compressed as one
+/// group under `config`.
+fn compso_group_frame(config: CompsoConfig) -> Vec<u8> {
+    let layers = generate_layers(&[40_000, 0, 1234, 20_001], 0xF4A3, GradientProfile::kfac());
+    let refs: Vec<&[f32]> = layers.iter().map(Vec::as_slice).collect();
+    ChunkedCompso::new(config).compress_group(
+        &refs,
+        None,
+        &mut Rng::new(0x5EED),
+        &Recorder::disabled(),
+    )
+}
+
+#[test]
+fn a_narrow_frame_is_the_parent_commits_frame() {
+    // Length and CRC-32 of two frames whose codes fit a byte, captured at
+    // the commit before wide chunks left the bit-packer: a frame with no
+    // wide chunk is version 2, flags 0, two index columns, two blocks —
+    // byte for byte what it was.
+    for (config, len, crc) in [
+        (
+            CompsoConfig::aggressive(4e-3),
+            12_660usize,
+            3_940_604_971u32,
+        ),
+        (CompsoConfig::conservative(4e-3), 26_109, 2_227_026_812),
+    ] {
+        let frame = compso_group_frame(config);
+        assert_eq!(frame[3], 0, "{config:?}: flags");
+        assert_eq!((frame.len(), crc32(&frame)), (len, crc), "{config:?}");
+    }
+}
+
+/// The three streams' blocks of a wide (flagged) 0xC6 frame, and the
+/// bytes ahead of them.
+fn wide_frame_blocks(frame: &[u8]) -> (&[u8], [&[u8]; 3]) {
+    assert_eq!(frame[3], 1, "not a wide frame");
+    let mut r = Reader::new(frame);
+    r.bytes(4).unwrap();
+    let n_layers = r.u32().unwrap() as usize;
+    r.bytes(8 * n_layers + 8).unwrap();
+    let n_chunks = r.u32().unwrap() as usize;
+    r.bytes(24 * n_chunks).unwrap();
+    let head = &frame[..frame.len() - r.remaining()];
+    let blocks = [(); 3].map(|()| r.block().unwrap());
+    assert!(r.is_exhausted());
+    (head, blocks)
+}
+
+#[test]
+fn a_wide_frame_is_held_to_its_flag_and_its_plane_stream() {
+    let wide = compso_group_frame(CompsoConfig::conservative(2e-3));
+    let (head, [bitmaps, codes, planes]) = wide_frame_blocks(&wide);
+    let plane_bytes = Codec::decode_blocks(planes).unwrap();
+    // One bit per 9-bit code, each 16 Ki chunk's slice padded to a byte.
+    let chunks = [16_384usize, 16_384, 7232, 1234, 16_384, 3617];
+    assert_eq!(
+        plane_bytes.len(),
+        chunks.iter().map(|n| n.div_ceil(8)).sum::<usize>()
+    );
+    // The plane block swapped for a well-formed block of another length
+    // — a byte short, a byte long, empty, a chunk's worth long: some
+    // chunk's slice is no longer the length its header implies.
+    for other in [
+        plane_bytes.len() - 1,
+        plane_bytes.len() + 1,
+        0,
+        plane_bytes.len() + 2048,
+    ] {
+        let mut w = Writer::new();
+        w.bytes(head);
+        w.block(bitmaps);
+        w.block(codes);
+        w.block(&Codec::Ans.encode_blocks(&vec![0u8; other], 256 * 1024));
+        assert!(v2_decode(&w.into_bytes()).is_err(), "planes of {other} B");
+    }
+    // The honest frame with its third block dropped, or doubled.
+    let two = wide.len() - 8 - planes.len();
+    assert!(v2_decode(&wide[..two]).is_err());
+    let mut doubled = wide.clone();
+    doubled.extend_from_slice(&wide[two..]);
+    assert!(v2_decode(&doubled).is_err());
+
+    // A narrow frame with the flag forced on, and a wide one with it
+    // forced off, no longer parse; no other flag bit is accepted on
+    // either.
+    let narrow = compso_group_frame(CompsoConfig::aggressive(4e-3));
+    assert_eq!(v2_decode(&narrow), v2_decode(&wide));
+    for honest in [&narrow, &wide] {
+        for flags in 0..=255u8 {
+            let mut forced = honest.clone();
+            forced[3] = flags;
+            assert_eq!(
+                v2_decode(&forced).is_ok(),
+                flags == honest[3],
+                "flags {flags:#x} over {:#x}",
+                honest[3]
+            );
+        }
     }
 }
 

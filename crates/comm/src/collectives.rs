@@ -6,7 +6,9 @@
 //! * **all-reduce** = ring reduce-scatter (each rank ends up owning the
 //!   fully-reduced `r`-th block) followed by ring all-gather; the first
 //!   half alone is [`reduce_scatter_sum`], over caller-chosen blocks, for
-//!   data only one rank reads (K-FAC's gradients: a layer's owner);
+//!   data only one rank reads (K-FAC's gradients: a layer's owner), and
+//!   [`reduce_scatter_pieced`] is that same ring telling its caller when
+//!   its core is idle and when each piece of its block has landed;
 //! * **all-gather** circulates blocks around the ring for `p - 1` steps,
 //!   with a variable-size variant for compressed payloads whose per-rank
 //!   sizes differ (§4.3: "KFAC uses AllGather, avoiding [ring-allreduce
@@ -63,28 +65,126 @@ fn recv_hop(
     Ok(incoming)
 }
 
-/// The reduce-scatter half of the ring: `p - 1` hops, one message each.
-/// At hop `s`, rank `r` sends block `r - s - 1` and accumulates the
-/// incoming block `r - s - 2` into its own copy, so the last hop lands
-/// the fully reduced `ranges[r]` on rank `r`.
+/// What [`reduce_scatter_pieced`] tells its caller while the ring runs.
+#[derive(Debug, PartialEq)]
+pub enum ReduceEvent<'a> {
+    /// The rank's first hop is on the wire and nothing has been received
+    /// yet: its core is free until the left neighbour's block drains.
+    /// Fires exactly once per call.
+    Idle,
+    /// A non-empty piece of this rank's own block is fully summed: its
+    /// range of the buffer and the sums there. Fires once per such piece,
+    /// in block order, the moment the piece is summed.
+    Landed(Range<usize>, &'a [f32]),
+}
+
+/// One piece per block: the plain reduce-scatter's last hop.
+fn whole(ranges: &[Range<usize>]) -> Vec<Vec<usize>> {
+    ranges.iter().map(|b| vec![b.len()]).collect()
+}
+
+/// Refuses, before anything is sent, blocks that are not one per rank,
+/// pairwise disjoint and together covering `0..len` (in any order; a
+/// block may be empty), and piece lengths that do not add up to their
+/// block. Every rank passes the same arguments, so every rank refuses.
+fn check_tiling(
+    len: usize,
+    p: usize,
+    ranges: &[Range<usize>],
+    pieces: &[Vec<usize>],
+) -> Result<(), CommError> {
+    let refuse = |expected| Err(CommError::Protocol { expected });
+    if ranges.len() != p || pieces.len() != p {
+        return refuse("one block range and one piece list per rank");
+    }
+    if ranges.iter().any(|b| b.start > b.end || b.end > len) {
+        return refuse("block ranges inside the buffer");
+    }
+    let mut blocks: Vec<&Range<usize>> = ranges.iter().filter(|b| !b.is_empty()).collect();
+    blocks.sort_unstable_by_key(|b| b.start);
+    let mut end = 0;
+    for b in blocks {
+        if b.start != end {
+            return refuse("disjoint block ranges tiling the buffer");
+        }
+        end = b.end;
+    }
+    if end != len {
+        return refuse("disjoint block ranges tiling the buffer");
+    }
+    let tiled = |(b, lens): (&Range<usize>, &Vec<usize>)| {
+        lens.iter().try_fold(0usize, |sum, &n| sum.checked_add(n)) == Some(b.len())
+    };
+    if !ranges.iter().zip(pieces).all(tiled) {
+        return refuse("piece lengths tiling their block");
+    }
+    Ok(())
+}
+
+/// The consecutive ranges `block` travels as: its `pieces` on the last
+/// hop, else whole. A hop moves every block as at least one message, so
+/// an empty block with no pieces is one empty range.
+fn hop_parts(block: &Range<usize>, pieces: &[usize], last: bool) -> Vec<Range<usize>> {
+    if !last || pieces.is_empty() {
+        return vec![block.clone()];
+    }
+    let mut start = block.start;
+    (pieces.iter())
+        .map(|&n| {
+            start += n;
+            start - n..start
+        })
+        .collect()
+}
+
+/// The reduce-scatter half of the ring: `p - 1` hops. At hop `s`, rank
+/// `r` sends block `r - s - 1` and accumulates the incoming block
+/// `r - s - 2` into its own copy, so the last hop lands the fully reduced
+/// `ranges[r]` on rank `r`. Every hop but the last moves a block as one
+/// message; the last moves it as its `pieces`, one message each, all
+/// sent before the first is received — the same bytes in the same order
+/// on every link, summed in the same order. `on_event` hears
+/// [`ReduceEvent::Idle`] after the first hop's sends and
+/// [`ReduceEvent::Landed`] after each own piece is summed (at `p = 1`:
+/// `Idle`, then every piece).
 fn ring_reduce_scatter(
     comm: &mut Communicator,
     data: &mut [f32],
     ranges: &[Range<usize>],
+    pieces: &[Vec<usize>],
+    on_event: &mut dyn FnMut(ReduceEvent<'_>),
 ) -> Result<(), CommError> {
     let p = comm.size();
     let r = comm.rank();
     let left = comm.left();
     let right = comm.right();
+    if p == 1 {
+        on_event(ReduceEvent::Idle);
+        for part in hop_parts(&ranges[r], &pieces[r], true) {
+            if !part.is_empty() {
+                on_event(ReduceEvent::Landed(part.clone(), &data[part]));
+            }
+        }
+        return Ok(());
+    }
     for s in 0..p - 1 {
+        let last = s == p - 2;
         let send_block = (r + p - s - 1) % p;
         let recv_block = (r + p - s - 2) % p;
-        let chunk = data[ranges[send_block].clone()].to_vec();
-        comm.send(right, Payload::F32(chunk))?;
-        let dst = &mut data[ranges[recv_block].clone()];
-        let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, dst.len())?;
-        for (d, v) in dst.iter_mut().zip(incoming) {
-            *d += v;
+        for part in hop_parts(&ranges[send_block], &pieces[send_block], last) {
+            comm.send(right, Payload::F32(data[part].to_vec()))?;
+        }
+        if s == 0 {
+            on_event(ReduceEvent::Idle);
+        }
+        for part in hop_parts(&ranges[recv_block], &pieces[recv_block], last) {
+            let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, part.len())?;
+            for (d, v) in data[part.clone()].iter_mut().zip(incoming) {
+                *d += v;
+            }
+            if last && !part.is_empty() {
+                on_event(ReduceEvent::Landed(part.clone(), &data[part]));
+            }
         }
     }
     Ok(())
@@ -94,32 +194,54 @@ fn ring_reduce_scatter(
 /// where only one rank reads each block: on return rank `r`'s
 /// `data[ranges[r]]` holds the elementwise sum across ranks; the rest of
 /// `data` holds partial sums and is unspecified. `ranges` gives one block
-/// per rank, in rank order; together they must tile `data`, in any
-/// order, and a block may be empty (a rank that reduces nothing still
-/// forwards). Every rank must pass the same `ranges`. Each rank sends
-/// every block but its own exactly once — `(p - 1)/p` of the buffer for
-/// even blocks, half what the all-reduce moves.
+/// per rank, in rank order; they must be disjoint and together cover
+/// `data`, in any order, and a block may be empty (a rank that reduces
+/// nothing still forwards). Every rank must pass the same `ranges`; any
+/// other tiling is refused with `Protocol` before anything is sent. Each
+/// rank sends every block but its own exactly once — `(p - 1)/p` of the
+/// buffer for even blocks, half what the all-reduce moves.
 ///
-/// Recorded like the all-reduce it is half of: the `comm/allreduce_sum`
-/// span and one `comm/allreduce_calls` per call.
+/// The no-callback, one-piece-per-block call of [`reduce_scatter_pieced`].
 pub fn reduce_scatter_sum(
     comm: &mut Communicator,
     data: &mut [f32],
     ranges: &[Range<usize>],
 ) -> Result<(), CommError> {
+    reduce_scatter_pieced(comm, data, ranges, &whole(ranges), |_| {})
+}
+
+/// [`reduce_scatter_sum`] for a caller with work to hide behind it. The
+/// last hop moves block `q` as `pieces[q]` — lengths that tile it, in
+/// order; identical on every rank — one message each, so a rank can use
+/// the first piece of its block while the rest drain; a piece of the
+/// wrong length from a peer is `Protocol`. `on_event` hears, on this
+/// rank:
+///
+/// * [`ReduceEvent::Idle`] once, after the first hop is sent and before
+///   anything is received — work that does not read the sums runs there
+///   in the wait for the left link;
+/// * [`ReduceEvent::Landed`] once per non-empty piece of `ranges[rank]`,
+///   in block order, the moment that piece is summed.
+///
+/// Sums, their order, the bytes and the per-link byte order are the
+/// plain reduce-scatter's; only the last hop's message count grows. A
+/// callback that ran before an error returns saw what it saw: an
+/// abandoned call's `Landed` values are the caller's to discard.
+///
+/// Recorded like the all-reduce it is half of: the `comm/allreduce_sum`
+/// span and one `comm/allreduce_calls` per call; a refused call records
+/// nothing.
+pub fn reduce_scatter_pieced(
+    comm: &mut Communicator,
+    data: &mut [f32],
+    ranges: &[Range<usize>],
+    pieces: &[Vec<usize>],
+    mut on_event: impl FnMut(ReduceEvent<'_>),
+) -> Result<(), CommError> {
+    check_tiling(data.len(), comm.size(), ranges, pieces)?;
     let _span = comm.recorder().span(names::COMM_ALLREDUCE);
     comm.recorder().incr(names::COMM_ALLREDUCE_CALLS);
-    let tiles = ranges.len() == comm.size()
-        && ranges
-            .iter()
-            .all(|b| b.start <= b.end && b.end <= data.len())
-        && ranges.iter().map(|b| b.len()).sum::<usize>() == data.len();
-    if !tiles {
-        return Err(CommError::Protocol {
-            expected: "one block range per rank, tiling the buffer",
-        });
-    }
-    ring_reduce_scatter(comm, data, ranges)
+    ring_reduce_scatter(comm, data, ranges, pieces, &mut on_event)
 }
 
 /// Sum all-reduce: on return every rank's `data` holds the elementwise sum
@@ -139,8 +261,8 @@ pub fn allreduce_sum(comm: &mut Communicator, data: &mut [f32]) -> Result<(), Co
     let left = comm.left();
     let right = comm.right();
 
-    // Phase 1: reduce-scatter.
-    ring_reduce_scatter(comm, data, &ranges)?;
+    // Phase 1: reduce-scatter, one piece per block.
+    ring_reduce_scatter(comm, data, &ranges, &whole(&ranges), &mut |_| {})?;
 
     // Phase 2: all-gather the reduced blocks. At step s, rank r forwards
     // rank (r - s)'s block — its own to start with — and receives rank
@@ -671,6 +793,248 @@ mod tests {
         for res in results.iter().flatten() {
             assert!(matches!(res, Err(CommError::Protocol { .. })), "{res:?}");
         }
+    }
+
+    #[test]
+    fn overlapping_blocks_gaps_and_bad_pieces_are_refused_before_any_send() {
+        // `[0..5, 0..5]` over ten values has the right lengths: the old
+        // check let it through, double-reducing 0..5 and never reducing
+        // 5..10. Every rank refuses each call, and nothing goes out.
+        let rec = compso_obs::Recorder::enabled();
+        let rec_ref = &rec;
+        let results = run_ranks(2, |comm| {
+            comm.set_recorder(rec_ref.clone());
+            let mut data = vec![1.0f32; 10];
+            let refused =
+                |res: Result<(), CommError>| matches!(res, Err(CommError::Protocol { .. }));
+            let mut all = Vec::new();
+            // Overlap and overlap + gap, both with the lengths right; a
+            // gap; a reversed range.
+            for ranges in [
+                vec![0..5, 0..5],
+                vec![0..6, 4..8],
+                vec![0..4, 5..10],
+                vec![0..10, Range { start: 7, end: 3 }],
+            ] {
+                all.push(refused(reduce_scatter_sum(comm, &mut data, &ranges)));
+            }
+            let tiling = [0..5, 5..10];
+            // Short pieces, long pieces, an overflowing sum, a piece list
+            // missing, pieces for an empty block.
+            for pieces in [
+                vec![vec![2, 2], vec![5]],
+                vec![vec![5], vec![3, 3]],
+                vec![vec![5], vec![1, usize::MAX]],
+                vec![vec![5]],
+            ] {
+                let res = reduce_scatter_pieced(comm, &mut data, &tiling, &pieces, |_| {});
+                all.push(refused(res));
+            }
+            let res = reduce_scatter_pieced(
+                comm,
+                &mut data,
+                &[0..10, 10..10],
+                &[vec![10], vec![1]],
+                |_| {},
+            );
+            all.push(refused(res));
+            (all, comm.sent_bytes(), data)
+        });
+        for (all, sent, data) in results {
+            assert!(all.iter().all(|&r| r), "{all:?}");
+            assert_eq!(sent, 0);
+            assert_eq!(data, vec![1.0f32; 10]);
+        }
+        // A refused call is not a collective.
+        assert_eq!(rec.snapshot().counter(names::COMM_ALLREDUCE_CALLS), 0);
+    }
+
+    /// The parent commit's `reduce_scatter_sum` (b3c26d5) without its span
+    /// and check: one message per block per hop. The oracle for the
+    /// pieced ring.
+    fn parent_reduce_scatter_sum(
+        comm: &mut Communicator,
+        data: &mut [f32],
+        ranges: &[Range<usize>],
+    ) -> Result<(), CommError> {
+        let p = comm.size();
+        let r = comm.rank();
+        for s in 0..p - 1 {
+            let send_block = (r + p - s - 1) % p;
+            let recv_block = (r + p - s - 2) % p;
+            let chunk = data[ranges[send_block].clone()].to_vec();
+            comm.send(comm.right(), Payload::F32(chunk))?;
+            let dst = &mut data[ranges[recv_block].clone()];
+            let incoming = recv_hop(comm, comm.left(), names::COMM_ALLREDUCE, dst.len())?;
+            for (d, v) in dst.iter_mut().zip(incoming) {
+                *d += v;
+            }
+        }
+        Ok(())
+    }
+
+    /// What a pieced reduce told its caller, as the caller saw it.
+    #[derive(Debug, PartialEq)]
+    enum Heard {
+        /// `Idle`, with the bytes the rank had sent by then.
+        Idle(u64),
+        Landed(Range<usize>, Vec<u32>),
+    }
+
+    /// Piece lists for `sizes`-long blocks: whole, and cut in four with a
+    /// zero-length piece among them (none at all for an empty block).
+    fn piece_shapes(sizes: &[usize]) -> [Vec<Vec<usize>>; 2] {
+        let cut = |n: usize| match n {
+            0 => Vec::new(),
+            n => vec![n / 3, 0, n - n / 3 - n / 4, n / 4],
+        };
+        [
+            sizes.iter().map(|&n| vec![n]).collect(),
+            sizes.iter().map(|&n| cut(n)).collect(),
+        ]
+    }
+
+    #[test]
+    fn pieced_reduce_is_the_parent_reduce_scatter_landing_piece_by_piece() {
+        for p in 1usize..=5 {
+            // Even, uneven with empty blocks, and a block order that is
+            // not the buffer's.
+            let uneven: Vec<usize> = (0..p).map(|q| 7 * ((q * 3 + 1) % 4)).collect();
+            for (sizes, rotate) in [(vec![12usize; p], 0), (uneven.clone(), 0), (uneven, 1)] {
+                let ranges = tiling(&sizes, rotate);
+                let n: usize = sizes.iter().sum();
+                // The rotated tiling keeps the size list's order per rank.
+                let sizes: Vec<usize> = ranges.iter().map(|b| b.len()).collect();
+                for pieces in piece_shapes(&sizes) {
+                    let (ranges, pieces) = (&ranges, &pieces);
+                    let runs = run_ranks(p, move |comm| {
+                        let me = comm.rank();
+                        let outer = comm.recorder().clone();
+                        let rec = compso_obs::Recorder::enabled();
+                        comm.set_recorder(rec.clone());
+                        let mut want = noisy(me, n);
+                        parent_reduce_scatter_sum(comm, &mut want, ranges).unwrap();
+                        let (sent0, msgs0) = (
+                            rec.counter(names::COMM_BYTES_SENT),
+                            rec.snapshot()
+                                .hists
+                                .get(names::COMM_MSG_BYTES)
+                                .map_or(0, |h| h.count),
+                        );
+                        let mut got = noisy(me, n);
+                        let mut heard = Vec::new();
+                        reduce_scatter_pieced(comm, &mut got, ranges, pieces, |event| {
+                            heard.push(match event {
+                                ReduceEvent::Idle => {
+                                    Heard::Idle(rec.counter(names::COMM_BYTES_SENT) - sent0)
+                                }
+                                ReduceEvent::Landed(range, sums) => {
+                                    Heard::Landed(range, bits(sums))
+                                }
+                            })
+                        })
+                        .unwrap();
+                        let sent = rec.counter(names::COMM_BYTES_SENT) - sent0;
+                        let msgs = rec
+                            .snapshot()
+                            .hists
+                            .get(names::COMM_MSG_BYTES)
+                            .map_or(0, |h| h.count)
+                            - msgs0;
+                        comm.set_recorder(outer);
+                        (want, got, heard, (sent0, sent), (msgs0, msgs))
+                    });
+                    for (me, (want, got, heard, sent, msgs)) in runs.into_iter().enumerate() {
+                        let tag = format!("p={p} sizes={sizes:?} pieces={pieces:?} rank={me}");
+                        let mine = ranges[me].clone();
+                        assert_eq!(bits(&got[mine.clone()]), bits(&want[mine.clone()]), "{tag}");
+                        assert_eq!(sent.1, sent.0, "{tag}");
+                        // The first hop is one whole block, sent before `Idle`.
+                        let first = ranges[(me + p - 1) % p].len() as u64 * 4;
+                        let idle = Heard::Idle(if p == 1 { 0 } else { first });
+                        assert_eq!(heard.first(), Some(&idle), "{tag}");
+                        let mut start = mine.start;
+                        let landed: Vec<Heard> = (pieces[me].iter())
+                            .map(|&len| {
+                                start += len;
+                                start - len..start
+                            })
+                            .filter(|part| !part.is_empty())
+                            .map(|part| Heard::Landed(part.clone(), bits(&want[part])))
+                            .collect();
+                        assert_eq!(&heard[1..], &landed[..], "{tag}");
+                        // Only the last hop's message count grows.
+                        let right = (me + 1) % p;
+                        let extra = pieces[right].len().max(1) - 1;
+                        assert_eq!(msgs.1, msgs.0 + extra as u64 * u64::from(p > 1), "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn idle_fires_before_the_first_receive() {
+        // Rank q calls only once its right neighbour has heard `Idle`, so
+        // a rank that received before `Idle` would wait for a left
+        // neighbour that is waiting for it; the chain starts at `first`,
+        // whose left neighbour has not started — two starting points
+        // cover every rank. It gives up after 5 s.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for p in 2usize..=5 {
+            for first in [0, p - 1] {
+                let idle: Vec<AtomicBool> = (0..p).map(|_| AtomicBool::new(false)).collect();
+                let idle = &idle;
+                let ranges = block_ranges(10 * p, p);
+                let ranges = &ranges;
+                run_ranks(p, move |comm| {
+                    let me = comm.rank();
+                    let give_up = Instant::now() + Duration::from_secs(5);
+                    while me != first && !idle[(me + 1) % p].load(Ordering::SeqCst) {
+                        assert!(
+                            Instant::now() < give_up,
+                            "p={p} first={first}: rank {me} waited"
+                        );
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    let mut data = noisy(me, 10 * p);
+                    reduce_scatter_pieced(comm, &mut data, ranges, &whole(ranges), |event| {
+                        if event == ReduceEvent::Idle {
+                            idle[me].store(true, Ordering::SeqCst);
+                        }
+                    })
+                    .unwrap();
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_length_piece_is_a_protocol_error_not_a_mis_sum() {
+        // The ranks disagree on how rank 0's block is cut: rank 1 sends
+        // it as 5 + 5 where rank 0 expects 3 + 7.
+        let results = run_ranks(2, |comm| {
+            let me = comm.rank();
+            let pieces = [vec![[3, 7], [5, 5]][me].to_vec(), vec![10]];
+            let mut data = noisy(me, 20);
+            let mut landed = 0;
+            let res = reduce_scatter_pieced(comm, &mut data, &[0..10, 10..20], &pieces, |event| {
+                landed += usize::from(matches!(event, ReduceEvent::Landed(..)));
+            });
+            (res, landed, data)
+        });
+        let (res, landed, data) = &results[0];
+        assert!(matches!(res, Err(CommError::Protocol { .. })), "{res:?}");
+        assert_eq!(*landed, 0);
+        assert_eq!(
+            bits(&data[..10]),
+            bits(&noisy(0, 20)[..10]),
+            "summed a bad piece"
+        );
+        assert!(
+            matches!(results[1].0, Ok(())),
+            "rank 1 agrees on its own block"
+        );
     }
 
     #[test]
@@ -1332,12 +1696,18 @@ mod tests {
         // Rank 0 receives and relays it, sends its last own block, and
         // fails waiting for the block rank 2 never relays — with the one
         // block it pulled already handed over (as the slot loop would
-        // have), so nothing of the attempt outlives the error.
+        // have), so nothing of the attempt outlives the error. Rank 1
+        // fails relaying to the departed rank 2, and stays until rank 0
+        // is done: leaving earlier would fail rank 0's relay to it, ahead
+        // of the receive this test is about (2 in 60 runs did).
+        use std::sync::atomic::{AtomicBool, Ordering};
         let groups = [2usize, 2, 2];
         let config = CommConfig {
             recv_timeout: Duration::from_secs(2),
             ..CommConfig::default()
         };
+        let rank0_done = AtomicBool::new(false);
+        let rank0_done = &rank0_done;
         let results = run_ranks_with(3, FaultPlane::disabled(), config, move |comm| {
             let me = comm.rank();
             if me == 2 {
@@ -1351,6 +1721,13 @@ mod tests {
                 |g| pipe_block(me, g),
                 |origin, g, _| delivered.push((origin, g)),
             );
+            if me == 0 {
+                rank0_done.store(true, Ordering::SeqCst);
+            }
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while !rank0_done.load(Ordering::SeqCst) && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             (res, delivered, comm.sent_bytes())
         });
         let (res, delivered, sent) = &results[0];

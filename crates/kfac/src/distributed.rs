@@ -9,37 +9,47 @@
 //!    other rank receives the layer through step 5 — so the K-FAC
 //!    layers' gradients are flattened into one reusable fusion buffer in
 //!    ownership order (rank 0's layers, rank 1's, …) and a single
-//!    `reduce_scatter_sum`, the first half of the ring all-reduce, lands
-//!    each rank's span on that rank: one collective per step instead of
-//!    one per layer (the gradient-fusion argument of the
-//!    adaptive-compression systems line of work) and half an
-//!    all-reduce's bytes. The owner's means stay in the buffer; the
-//!    model keeps each rank's local gradients until step 6 overwrites
-//!    them. Trainable layers without K-FAC statistics (`LayerNorm`)
-//!    ride at the buffer's end and keep an `allreduce_mean` of their
-//!    own;
+//!    `reduce_scatter_pieced`, the first half of the ring all-reduce,
+//!    lands each rank's span on that rank, one layer per message on the
+//!    last hop: one collective per step instead of one per layer (the
+//!    gradient-fusion argument of the adaptive-compression systems line
+//!    of work) and half an all-reduce's bytes. The owner's means stay in
+//!    the buffer; the model keeps each rank's local gradients until step
+//!    6 overwrites them. Trainable layers without K-FAC statistics
+//!    (`LayerNorm`) ride at the buffer's end and keep an `allreduce_mean`
+//!    of their own. The reduce's waits are not idle: step 3's fold runs
+//!    while the first hop drains, and step 4's preconditioning of an
+//!    owned layer runs the moment the layer lands (below);
 //! 3. per-K-FAC-layer covariances, folded **locally** into the running
-//!    factors every step with no communication, and synced **on
-//!    consume**: the EMA is linear, so the mean of the ranks' running
-//!    factors *is* the running factor of the mean covariances, and the
-//!    only reader is step 4's refresh. On a step where a layer's refresh
-//!    is due (`steps % eigen_refresh == 0`, step 0 included, identical on
-//!    every rank) the due layers' running `A`/`G` upper triangles
-//!    (n(n+1)/2 values each) are packed into one bucket, ONE
-//!    `allreduce_mean` moves the bucket, and the unpack mirrors it back —
-//!    replicated and exactly symmetric at that instant, rank-local in
-//!    between. A membership epoch change syncs *all* layers on the next
-//!    step (adoption, rejoin catch-up and cross-world restore hand out
-//!    one rank's copy);
+//!    factors every step with no communication — in step 2's first wait,
+//!    once per call however many elastic attempts it takes — and synced
+//!    **on consume**: the EMA is linear, so the mean of the ranks'
+//!    running factors *is* the running factor of the mean covariances,
+//!    and the only reader is step 4's refresh. On a step where a layer's
+//!    refresh is due (`steps % eigen_refresh == 0`, step 0 included,
+//!    identical on every rank) the due layers' running `A`/`G` upper
+//!    triangles (n(n+1)/2 values each) are packed into one bucket, ONE
+//!    `allreduce_mean` moves the bucket after the gradient reduce, and
+//!    the unpack mirrors it back — replicated and exactly symmetric at
+//!    that instant, rank-local in between. A membership epoch change
+//!    syncs *all* layers on the next step (adoption, rejoin catch-up and
+//!    cross-world restore hand out one rank's copy);
 //! 4. the *owner* of each layer (greedy cost-balanced assignment, as in
-//!    KAISA, built before step 3 from the static layer shapes) — and
+//!    KAISA, built before step 2 from the static layer shapes) — and
 //!    only the owner — refreshes the layer's inverse
 //!    (eigendecompositions or Cholesky factors) on schedule and
-//!    preconditions its gradient. Inverses are **not** replicated: a
-//!    non-owner drops its cached copy on a refresh step, so a stale one
-//!    can never be applied, and a rank that finds no inverse for a layer
-//!    it now owns (elastic reshard, rejoin catch-up) rebuilds it on
-//!    adoption from the just-synced running factors;
+//!    preconditions its gradient. An owned layer whose inverse this step
+//!    leaves as it is — one exists, its refresh is not due, the
+//!    membership epoch has not changed — is preconditioned inside step 2
+//!    as its reduced gradient lands, from the same mean the in-place
+//!    scaling computes; every other one after the reduce, so a refresh
+//!    step runs fold → reduce → factor all-reduce → refresh →
+//!    precondition. What an abandoned attempt preconditioned is dropped.
+//!    Inverses are **not** replicated: a non-owner drops its cached copy
+//!    on a refresh step, so a stale one can never be applied, and a rank
+//!    that finds no inverse for a layer it now owns (elastic reshard,
+//!    rejoin catch-up) rebuilds it on adoption from the just-synced
+//!    running factors;
 //! 5. **pipelined** ring all-gather of the preconditioned gradients — the
 //!    traffic COMPSO compresses, and the one schedule this step has.
 //!    Owners compress their layers in aggregation groups of up to
@@ -90,7 +100,7 @@
 
 use crate::kfac::{covariance, Kfac, KfacConfig};
 use compso_comm::collectives::{
-    allgather_var_quiet, allreduce_mean, pipelined_allgather, reduce_scatter_sum,
+    allgather_var_quiet, allreduce_mean, pipelined_allgather, reduce_scatter_pieced, ReduceEvent,
 };
 use compso_comm::{CommError, Communicator, Payload};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed, Reader, Writer};
@@ -176,6 +186,19 @@ fn protocol(expected: &'static str) -> CommError {
     CommError::Protocol { expected }
 }
 
+/// Folds every K-FAC layer's LOCAL covariances into its running factors
+/// (no communication: the factors are synced only when a refresh reads
+/// them) and returns, per layer, whether its refresh is due this step.
+fn fold(kfac: &mut Kfac, model: &Sequential, layers: &[usize]) -> Result<Vec<bool>, CommError> {
+    (layers.iter())
+        .map(|&idx| {
+            let s =
+                (model.kfac_stats(idx)).ok_or(protocol("kfac layer with captured statistics"))?;
+            Ok(kfac.fold_covariances(idx, &covariance(&s.a), &covariance(&s.g)))
+        })
+        .collect()
+}
+
 /// One layer of a rank's gather payload: `(layer idx, rows, cols)`.
 type LayerShape = (usize, usize, usize);
 
@@ -219,6 +242,9 @@ struct GatherPlan {
     /// the bucket is laid out in `expected` order, so what a rank must
     /// reduce is one contiguous block (empty when it owns nothing).
     spans: Vec<Range<usize>>,
+    /// Per rank, its layers' element counts in `expected` order: the
+    /// pieces the reduce's last hop lands its span in, one layer each.
+    pieces: Vec<Vec<usize>>,
     /// The trainable layers without K-FAC statistics, which nobody
     /// owns: their gradients follow the last span and are all-reduced.
     tail: Vec<usize>,
@@ -252,6 +278,16 @@ impl GatherPlan {
     /// step-2 gradient bucket.
     fn tail_start(&self) -> usize {
         self.spans.last().map_or(0, |span| span.end)
+    }
+
+    /// Which of rank `me`'s layers (its position in `expected[me]`) fills
+    /// `range` of the step-2 bucket, if one does exactly.
+    fn owned_at(&self, me: usize, range: &Range<usize>) -> Option<usize> {
+        let mut start = self.spans[me].start;
+        self.pieces[me].iter().position(|&len| {
+            start += len;
+            (start - len..start) == *range
+        })
     }
 }
 
@@ -311,7 +347,9 @@ impl DistKfac {
     /// Attaches an observability recorder. Each subsequent [`DistKfac::step`]
     /// records the `kfac/step` wall time and its sub-phases
     /// (`kfac/step/{grad_sync,factor,inverse,allgather,update}`, plus the
-    /// own-frame decode nested in `update`), and the compressor's
+    /// fold and the landed layers' preconditioning nested in `grad_sync`,
+    /// where they run, and the own-frame decode nested in `update`), and
+    /// the compressor's
     /// per-phase timers / traffic counters flow into the same registry
     /// (it is the `rec` of [`Compressor::compress_group_keyed`]).
     pub fn set_recorder(&mut self, recorder: Recorder) {
@@ -378,28 +416,37 @@ impl DistKfac {
         let _step_span = self.recorder.span(names::KFAC_STEP);
         let mut stats = StepStats::default();
         let plan = self.plan_for(comm, model, compressor)?;
-        self.sync_gradients(comm, model, &plan, &mut stats)?;
-        self.sync_factors(comm, model, &plan, &mut stats)?;
-        let owned = self.precondition_owned(comm.rank(), &plan);
+        let early = self.sync_gradients(comm, model, &plan, &mut stats)?;
+        self.sync_factors(comm, &plan, &mut stats)?;
+        let owned = self.precondition_owned(comm.rank(), &plan, early);
         let gathered = self.gather(comm, compressor, &plan, owned, step_idx, &mut stats)?;
         self.repair_and_install(comm, model, compressor, &plan, gathered, step_idx)?;
         Ok(stats)
     }
 
     /// (2) Bucketed gradient sync: flatten into the fusion buffer in
-    /// ownership order, ONE `reduce_scatter_sum` that lands each rank's
-    /// span on it, and the mean taken over that span only. The model is
-    /// not written: a retry after a shrink re-reduces the same local
-    /// gradients over the survivors. The non-K-FAC tail, when the model
-    /// has one (its structure is replicated, so every rank agrees), is
-    /// all-reduced where it lies.
+    /// ownership order, ONE `reduce_scatter_pieced` that lands each
+    /// rank's span on it a layer at a time, and the mean taken over that
+    /// span only. The model is not written: a retry after a shrink
+    /// re-reduces the same local gradients over the survivors. The
+    /// non-K-FAC tail, when the model has one (its structure is
+    /// replicated, so every rank agrees), is all-reduced where it lies.
+    ///
+    /// The reduce's waits carry the work that does not need its sums:
+    /// the covariance fold (step 3's local half) runs while the first hop
+    /// drains, and each owned layer whose inverse step 4 would leave as
+    /// it is — one exists, its refresh is not due, the membership epoch
+    /// is the one its factors were synced under — is preconditioned the
+    /// moment its piece lands, from `sums · (1/p)` exactly as the
+    /// in-place scaling computes its mean. Returns those results, per
+    /// owned layer in `expected` order; a failed attempt drops them.
     fn sync_gradients(
         &mut self,
         comm: &mut Communicator,
         model: &Sequential,
         plan: &GatherPlan,
         stats: &mut StepStats,
-    ) -> Result<(), CommError> {
+    ) -> Result<Vec<Option<Matrix>>, CommError> {
         let _span = self.recorder.span(names::KFAC_GRAD_SYNC);
         {
             let _bucket = self.recorder.span(names::KFAC_BUCKET);
@@ -412,16 +459,56 @@ impl DistKfac {
             }
         }
         stats.allreduce_bytes += self.fusion.len() as u64 * 4;
-        let (owned, tail) = self.fusion.split_at_mut(plan.tail_start());
-        reduce_scatter_sum(comm, owned, &plan.spans)?;
+        let me = comm.rank();
         let inv = 1.0 / comm.size() as f32;
-        for v in &mut owned[plan.spans[comm.rank()].clone()] {
+        let settled = comm.epoch() == self.synced_epoch;
+        let mine = &plan.expected[me];
+        let mut early: Vec<Option<Matrix>> = vec![None; mine.len()];
+        let mut fold_error = None;
+        let (kfac, due, folded) = (&mut self.kfac, &mut self.due, &mut self.folded);
+        let rec = &self.recorder;
+        let (owned, tail) = self.fusion.split_at_mut(plan.tail_start());
+        reduce_scatter_pieced(
+            comm,
+            owned,
+            &plan.spans,
+            &plan.pieces,
+            |event| match event {
+                ReduceEvent::Idle if !*folded => {
+                    let _span = rec.span(names::KFAC_FOLD);
+                    match fold(kfac, model, &plan.layers) {
+                        Ok(fresh) => (*due, *folded) = (fresh, true),
+                        Err(e) => fold_error = Some(e),
+                    }
+                }
+                ReduceEvent::Idle => {}
+                ReduceEvent::Landed(range, sums) => {
+                    let Some(k) = plan.owned_at(me, &range) else {
+                        return;
+                    };
+                    let (idx, rows, cols) = mine[k];
+                    let pos = plan.layers.iter().position(|&l| l == idx);
+                    // `due` is this call's fold: set whenever `folded` is.
+                    let not_due = *folded && pos.is_some_and(|pos| !due[pos]);
+                    if not_due && settled && kfac.has_inverse(idx) {
+                        let _span = rec.span(names::KFAC_PRECONDITION_LANDED);
+                        let mean = sums.iter().map(|v| v * inv).collect();
+                        let mean = Matrix::from_vec(rows, cols, mean);
+                        early[k] = Some(kfac.precondition_layer(idx, &mean));
+                    }
+                }
+            },
+        )?;
+        if let Some(e) = fold_error {
+            return Err(e);
+        }
+        for v in &mut owned[plan.spans[me].clone()] {
             *v *= inv;
         }
         if !tail.is_empty() {
             allreduce_mean(comm, tail)?;
         }
-        Ok(())
+        Ok(early)
     }
 
     /// The cached plan, laid out first if there is none: *before* the
@@ -455,11 +542,14 @@ impl DistKfac {
         for (&owner, &shape) in owners.iter().zip(&shapes) {
             expected[owner].push(shape);
         }
+        let pieces: Vec<Vec<usize>> = (expected.iter())
+            .map(|layers| layers.iter().map(|&(_, r, c)| r * c).collect())
+            .collect();
         let mut end = 0usize;
-        let spans = (expected.iter())
-            .map(|layers| {
+        let spans = (pieces.iter())
+            .map(|lens| {
                 let start = end;
-                end += layers.iter().map(|&(_, r, c)| r * c).sum::<usize>();
+                end += lens.iter().sum::<usize>();
                 start..end
             })
             .collect();
@@ -498,6 +588,7 @@ impl DistKfac {
             owners,
             expected,
             spans,
+            pieces,
             tail,
             m,
             slot_layers,
@@ -509,31 +600,19 @@ impl DistKfac {
         Ok(plan)
     }
 
-    /// (3) Factor statistics: fold the LOCAL covariances — once per call,
-    /// however many elastic attempts it takes — then sync the running
-    /// factors of the layers whose refresh is due (all of them after an
-    /// epoch change) with ONE `allreduce_mean` over their packed upper
-    /// triangles. The condition is replicated state, so every rank
+    /// (3) Factor statistics: step 2's wait folded the LOCAL covariances
+    /// (once per call, however many elastic attempts it takes); sync the
+    /// running factors of the layers whose refresh is due (all of them
+    /// after an epoch change) with ONE `allreduce_mean` over their packed
+    /// upper triangles. The condition is replicated state, so every rank
     /// issues the collective on the same steps.
     fn sync_factors(
         &mut self,
         comm: &mut Communicator,
-        model: &Sequential,
         plan: &GatherPlan,
         stats: &mut StepStats,
     ) -> Result<(), CommError> {
         let _span = self.recorder.span(names::KFAC_FACTOR);
-        if !self.folded {
-            self.due.clear();
-            for &idx in &plan.layers {
-                let s = (model.kfac_stats(idx))
-                    .ok_or(protocol("kfac layer with captured statistics"))?;
-                let (a_cov, g_cov) = (covariance(&s.a), covariance(&s.g));
-                self.due
-                    .push(self.kfac.fold_covariances(idx, &a_cov, &g_cov));
-            }
-            self.folded = true;
-        }
         let resync = comm.epoch() != self.synced_epoch;
         let synced = || {
             (plan.layers.iter().zip(&self.due))
@@ -570,9 +649,15 @@ impl DistKfac {
     /// refreshed on schedule, or on adoption of a layer this rank holds
     /// no inverse for (the epoch change behind it made step 3 sync every
     /// running factor), and dropped by a non-owner on a refresh step —
-    /// then rank `me`'s preconditioned gradients, in layer order, from
-    /// the means step 2 left in its span of the fusion buffer.
-    fn precondition_owned(&mut self, me: usize, plan: &GatherPlan) -> Vec<(usize, Matrix)> {
+    /// then rank `me`'s preconditioned gradients, in layer order: what
+    /// step 2 preconditioned as it landed (`early`), the rest from the
+    /// means step 2 left in its span of the fusion buffer.
+    fn precondition_owned(
+        &mut self,
+        me: usize,
+        plan: &GatherPlan,
+        early: Vec<Option<Matrix>>,
+    ) -> Vec<(usize, Matrix)> {
         let _span = self.recorder.span(names::KFAC_INVERSE);
         for (pos, &idx) in plan.layers.iter().enumerate() {
             if plan.owners[pos] != me {
@@ -586,12 +671,15 @@ impl DistKfac {
             }
         }
         let mut offset = plan.spans[me].start;
-        (plan.expected[me].iter())
-            .map(|&(idx, rows, cols)| {
-                let mean = self.fusion[offset..offset + rows * cols].to_vec();
-                offset += rows * cols;
-                let mean = Matrix::from_vec(rows, cols, mean);
-                (idx, self.kfac.precondition_layer(idx, &mean))
+        (plan.expected[me].iter().zip(early))
+            .map(|(&(idx, rows, cols), early)| {
+                let span = offset..offset + rows * cols;
+                offset = span.end;
+                let pre = early.unwrap_or_else(|| {
+                    let mean = Matrix::from_vec(rows, cols, self.fusion[span].to_vec());
+                    self.kfac.precondition_layer(idx, &mean)
+                });
+                (idx, pre)
             })
             .collect()
     }

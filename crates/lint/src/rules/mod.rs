@@ -171,6 +171,7 @@ pub const COLLECTIVES: &[&str] = &[
     "allreduce_sum",
     "allreduce_mean",
     "reduce_scatter_sum",
+    "reduce_scatter_pieced",
     "allgather",
     "allgather_var",
     "allgather_var_quiet",

@@ -139,22 +139,36 @@ pub const KFAC_REPAIR_STATUS: &str = "kfac/repair_status";
 /// `compso-kfac`: whole `DistKfac::step`.
 pub const KFAC_STEP: &str = "kfac/step";
 /// `compso-kfac`: data-parallel gradient sync: each layer's gradient
-/// reduced to its owner.
+/// reduced to its owner — including the work hidden in the reduce's
+/// waits (`fold`, `precondition` below), timed where it runs.
 pub const KFAC_GRAD_SYNC: &str = "kfac/step/grad_sync";
 /// `compso-kfac`: fusion-buffer flatten ahead of the single bucketed
 /// gradient reduce (nested inside `grad_sync`).
 pub const KFAC_BUCKET: &str = "kfac/step/grad_sync/bucket";
+/// `compso-kfac`: the local covariance fold, run in the gradient
+/// reduce's first wait (nested inside `grad_sync`; once per step call,
+/// whatever an elastic retry repeats).
+pub const KFAC_FOLD: &str = "kfac/step/grad_sync/fold";
+/// `compso-kfac`: one owned layer preconditioned the moment its reduced
+/// gradient lands, while the rest drain (nested inside `grad_sync`; none
+/// on a refresh-due layer or after a membership epoch change, which
+/// precondition under `inverse`).
+pub const KFAC_PRECONDITION_LANDED: &str = "kfac/step/grad_sync/precondition";
 /// `compso-kfac`: decode of the rank's *own* all-gather frames (nested
 /// inside `update`; the ring never brings them back, and the N−1 peers'
 /// frames decode as they land, under `comm/pipeline/deliver`). The string
 /// predates that split and is kept so reports stay comparable.
 pub const KFAC_PEER_DECODE: &str = "kfac/step/update/peer_decode";
-/// `compso-kfac`: local covariance compute + EMA fold every step, plus
-/// the packed factor all-reduce on sync steps only (Fig. 1 "KFAC
-/// Computations" + "Factor Allreduce").
+/// `compso-kfac`: the packed factor all-reduce, on sync steps only
+/// (Fig. 1 "Factor Allreduce"). The covariance compute + EMA fold (Fig. 1
+/// "KFAC Computations") runs every step hidden in the gradient reduce's
+/// wait, so it is timed under `grad_sync` (`kfac/step/grad_sync/fold`);
+/// the five phases still partition the step.
 pub const KFAC_FACTOR: &str = "kfac/step/factor";
-/// `compso-kfac`: eigendecomposition / preconditioning of owned layers
-/// (Fig. 1 "inverse").
+/// `compso-kfac`: eigendecomposition refreshes and the preconditioning
+/// of the owned layers the gradient reduce did not already precondition
+/// as they landed (Fig. 1 "inverse"; the rest is timed under
+/// `grad_sync`, `kfac/step/grad_sync/precondition`).
 pub const KFAC_INVERSE: &str = "kfac/step/inverse";
 /// `compso-kfac`: factor decompositions (`sym_eig` or Cholesky, two per
 /// layer refresh) performed by *this* rank — owners only, so the sum
@@ -288,6 +302,8 @@ pub const ALL: &[&str] = &[
     KFAC_STEP,
     KFAC_GRAD_SYNC,
     KFAC_BUCKET,
+    KFAC_FOLD,
+    KFAC_PRECONDITION_LANDED,
     KFAC_PEER_DECODE,
     KFAC_FACTOR,
     KFAC_INVERSE,

@@ -70,11 +70,14 @@ fi
 step_end
 
 step_start "one gradient collective (kfac/src/distributed.rs ahead of mod tests)"
-# Step 2 is one reduce_scatter_sum to the owners; the only all-reduces
-# left in the step are the factor bucket and the non-K-FAC tail.
-if [ "$(grep -c 'reduce_scatter_sum(' <<<"$GATHER_SRC")" -ne 1 ] \
+# Step 2 is one reduce_scatter_pieced to the owners (the reduce-scatter
+# whose waits carry the fold and the landed layers' preconditioning); the
+# only all-reduces left in the step are the factor bucket and the
+# non-K-FAC tail.
+if [ "$(grep -c 'reduce_scatter_pieced(' <<<"$GATHER_SRC")" -ne 1 ] \
+  || grep -q 'reduce_scatter_sum(' <<<"$GATHER_SRC" \
   || [ "$(grep -c 'allreduce_mean(' <<<"$GATHER_SRC")" -gt 2 ]; then
-  echo "DistKfac step 2 must stay one reduce_scatter_sum, no all-reduce of K-FAC gradients" >&2; exit 1
+  echo "DistKfac step 2 must stay one reduce_scatter_pieced, no all-reduce of K-FAC gradients" >&2; exit 1
 fi
 step_end
 

@@ -1,14 +1,18 @@
 //! Step 2 of `DistKfac::step` reduces each K-FAC layer's gradient to its
-//! owner — one `reduce_scatter_sum` over an ownership-ordered bucket —
-//! instead of all-reducing it to everyone (DESIGN.md §8.4). These tests
-//! pin, through the public API: the trajectory (replica-identical at
-//! 1–4 ranks, bit-identical to the all-reduce it replaced at 2), the
-//! bytes and collectives a step spends on gradients, the all-reduce tail
-//! that layers without K-FAC statistics keep, ranks that own nothing,
-//! and that an elastic retry reduces the local gradients afresh.
+//! owner — one `reduce_scatter_pieced` over an ownership-ordered bucket —
+//! instead of all-reducing it to everyone (DESIGN.md §8.4), and hides the
+//! covariance fold and the landed layers' preconditioning in its waits.
+//! These tests pin, through the public API: the trajectory
+//! (replica-identical at 1–4 ranks, bit-identical to the all-reduce it
+//! replaced at 2), the bytes and collectives a step spends on gradients,
+//! the all-reduce tail that layers without K-FAC statistics keep, ranks
+//! that own nothing, that an elastic retry reduces the local gradients
+//! afresh and folds once, and that preconditioning layers as they land
+//! installs what preconditioning after the reduce did — and never on a
+//! refresh step or after an epoch change.
 
 use compso::comm::collectives::reduce_scatter_sum;
-use compso::comm::{run_ranks, run_ranks_elastic, CommConfig, Communicator};
+use compso::comm::{run_ranks, run_ranks_elastic, CommConfig, Communicator, Payload};
 use compso::comm::{FaultConfig, FaultPlane};
 use compso::core::{ChunkedCompso, CompsoConfig, NoCompression};
 use compso::dnn::loss::softmax_cross_entropy;
@@ -298,54 +302,225 @@ fn owner_ordered_bucket(
     (bucket, spans)
 }
 
-/// One step of the survivor-only comparison: backward on physical rank
-/// `phys`'s batch 0, then the installed gradients.
-fn first_step_installed(comm: &mut Communicator, phys: usize, d: &data::Dataset) -> Vec<Vec<u32>> {
+/// What one step of the survivor-only comparison leaves on a rank:
+/// backward on physical rank `phys`'s batch 0, one `step_elastic`, the
+/// update. The installed gradients, the running factors, the
+/// parameters, and how often the call folded its covariances.
+type FirstStep = (Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<Vec<u32>>, u64);
+
+fn first_step(comm: &mut Communicator, phys: usize, d: &data::Dataset) -> FirstStep {
     let mut model = mlp();
     backward(&mut model, &d.shard(phys, 4), 0);
     let mut opt = DistKfac::new(config(), 7);
+    let rec = Recorder::enabled();
+    opt.set_recorder(rec.clone());
     (opt.step_elastic(comm, &mut model, &NoCompression)).unwrap();
-    grad_bits(&model, &model.trainable_indices())
+    let installed = grad_bits(&model, &model.trainable_indices());
+    let factors = (model.kfac_indices().iter())
+        .flat_map(|&idx| {
+            let (a, g) = opt.kfac().factors(idx).expect("folded");
+            [bits(a), bits(g)]
+        })
+        .collect();
+    apply(&mut model);
+    let folds = rec.snapshot().timers[names::KFAC_FOLD].count;
+    (installed, factors, param_bits(&model), folds)
 }
 
 #[test]
 fn an_elastic_retry_reduces_the_local_gradients_afresh() {
-    // Rank 1 takes part in step 0's gradient reduce and dies before the
-    // factor all-reduce, so the survivors' first attempt completes step 2
-    // over four ranks and fails in step 3. The retry must average the
+    // Rank 1 fails step 0 in two places. After the gradient reduce:
+    // it takes part in all of it and dies before the factor all-reduce,
+    // so the survivors' first attempt completes step 2 over four ranks
+    // and fails in step 3. Mid-reduce: it sends its first hop and dies,
+    // after the survivors' first sends — where the fold runs, in the
+    // wait for the left link. Either way the retry must average the
     // three survivors' LOCAL gradients — what a group that never had a
-    // fourth rank installs — not whatever the failed attempt reduced.
+    // fourth rank installs — not whatever the failed attempt reduced,
+    // and fold exactly once: the factors, too, are the fresh group's.
     let d = data::gaussian_blobs(320, 6, 3, 0.3, 96);
-    // Armed but fault-free: the failure detector and the membership
-    // protocol only run on the fault-tolerant transport.
-    let plane = FaultPlane::new(FaultConfig::default());
+    for mid_reduce in [false, true] {
+        // Armed but fault-free: the failure detector and the membership
+        // protocol only run on the fault-tolerant transport.
+        let plane = FaultPlane::new(FaultConfig::default());
+        let results = run_ranks_elastic(4, plane, CommConfig::default(), |comm, revived| {
+            if revived {
+                return None;
+            }
+            if comm.phys_rank() != 1 {
+                return Some(first_step(comm, comm.phys_rank(), &d));
+            }
+            let mut model = mlp();
+            backward(&mut model, &d.shard(1, 4), 0);
+            comm.begin_step();
+            // The ownership map every rank lays out: KAISA's greedy split
+            // over the decomposition costs a³ + g³.
+            let costs: Vec<f64> = (model.kfac_indices().iter())
+                .map(|&idx| {
+                    let s = model.kfac_stats(idx).unwrap();
+                    (s.a.cols() as f64).powi(3) + (s.g.cols() as f64).powi(3)
+                })
+                .collect();
+            let (mut bucket, spans) = owner_ordered_bucket(&model, &assign_layers(&costs, 4), 4);
+            if mid_reduce {
+                // Hop 0 of the ring: rank 1 sends block 0 rightwards.
+                let first = bucket[spans[0].clone()].to_vec();
+                comm.send(comm.right(), Payload::F32(first)).unwrap();
+                panic!("injected fault: rank 1 dies after its first hop");
+            }
+            reduce_scatter_sum(comm, &mut bucket, &spans).unwrap();
+            panic!("injected fault: rank 1 dies between the gradient and the factor reduce");
+        });
+        let survivors: Vec<_> = results.into_iter().flatten().flatten().collect();
+        assert_eq!(survivors.len(), 3);
+        let fresh = run_ranks(3, |comm| {
+            let phys = [0usize, 2, 3][comm.rank()];
+            first_step(comm, phys, &d)
+        });
+        assert_eq!(survivors, fresh, "mid_reduce = {mid_reduce}");
+        assert!(fresh.iter().all(|f| f.3 == 1), "one fold per call");
+    }
+}
+
+/// FNV-1a of `words` continued from `h`.
+fn fnv(h: u64, words: impl IntoIterator<Item = u32>) -> u64 {
+    (words.into_iter().flat_map(u32::to_le_bytes)).fold(h, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One rank's [`installed_trail`]: a digest of every gradient it
+/// installed, the layers it owns, and per step how many it preconditioned
+/// as they landed and how often it folded.
+type Trail = (u64, usize, Vec<(u64, u64)>);
+
+/// `STEPS` uncompressed steps of `model` at `ranks` ranks (refreshes at
+/// steps 0, 3 and 6), per rank.
+fn installed_trail(
+    ranks: usize,
+    model: impl Fn() -> Sequential + Sync,
+    d: &data::Dataset,
+) -> Vec<Trail> {
+    run_ranks(ranks, |comm| {
+        let mut model = model();
+        let shard = d.shard(comm.rank(), ranks);
+        let mut opt = DistKfac::new(config(), 7);
+        let rec = Recorder::enabled();
+        opt.set_recorder(rec.clone());
+        let count = |name| rec.snapshot().timers.get(name).map_or(0, |t| t.count);
+        let (mut h, mut trail) = (0xcbf2_9ce4_8422_2325, Vec::new());
+        for step in 0..STEPS {
+            backward(&mut model, &shard, step);
+            let before = (
+                count(names::KFAC_PRECONDITION_LANDED),
+                count(names::KFAC_FOLD),
+            );
+            opt.step(comm, &mut model, &NoCompression).unwrap();
+            let landed = count(names::KFAC_PRECONDITION_LANDED) - before.0;
+            trail.push((landed, count(names::KFAC_FOLD) - before.1));
+            h = fnv(h, grad_bits(&model, &model.trainable_indices()).concat());
+            apply(&mut model);
+        }
+        let owned = (opt.owners().unwrap().iter())
+            .filter(|&&o| o == comm.rank())
+            .count();
+        (h, owned, trail)
+    })
+}
+
+/// What [`installed_trail`] digests on the parent commit (b3c26d5,
+/// recorded from it), where every owned layer was preconditioned after
+/// the whole reduce: two and three ranks over four layers (two owned
+/// layers land one after the other on some rank), and four ranks over two
+/// (two ranks own nothing).
+const PARENT_INSTALLED: [(usize, &[usize], u64); 3] = [
+    (2, &[6, 16, 16, 16, 3], 0x6c87_c98f_ea1e_4dbb),
+    (3, &[6, 16, 16, 16, 3], 0x5b24_e333_8f72_3151),
+    (4, &[6, 16, 3], 0x8d89_778f_3e1c_b10c),
+];
+
+#[test]
+fn preconditioning_as_layers_land_installs_what_the_parent_installed() {
+    let d = data::gaussian_blobs(320, 6, 3, 0.3, 97);
+    for (ranks, widths, parent) in PARENT_INSTALLED {
+        let trails = installed_trail(ranks, || models::mlp(widths, &mut Rng::new(35)), &d);
+        for (r, (digest, owned, trail)) in trails.iter().enumerate() {
+            let tag = format!("{ranks} ranks, rank {r}");
+            assert_eq!(*digest, parent, "{tag}: digest {digest:#018x}");
+            // Refresh steps precondition after the refresh; every other
+            // step, each owned layer as it lands. One fold per step.
+            for (step, &(landed, folds)) in trail.iter().enumerate() {
+                let due = step % REFRESH == 0;
+                assert_eq!(
+                    landed,
+                    if due { 0 } else { *owned as u64 },
+                    "{tag} step {step}"
+                );
+                assert_eq!(folds, 1, "{tag} step {step}");
+            }
+        }
+        let owned: Vec<usize> = trails.iter().map(|t| t.1).collect();
+        assert_eq!(owned.iter().sum::<usize>(), widths.len() - 1);
+        assert_eq!(owned.contains(&0), ranks == 4, "{owned:?}");
+    }
+}
+
+#[test]
+fn after_an_epoch_change_every_layer_is_preconditioned_after_the_reduce() {
+    // Rank 1 crashes at the top of step 4, between refreshes: the
+    // survivors' step 4 runs in a new membership epoch, where the
+    // factors are synced again, so no layer may be preconditioned before
+    // the reduce completes — at steps 1, 2 and 5 every owned layer is.
+    let d = data::gaussian_blobs(320, 6, 3, 0.3, 98);
+    let plane = FaultPlane::new(FaultConfig {
+        crash_at: Some((1, 4)),
+        ..FaultConfig::default()
+    });
     let results = run_ranks_elastic(4, plane, CommConfig::default(), |comm, revived| {
         if revived {
             return None;
         }
-        if comm.phys_rank() != 1 {
-            return Some(first_step_installed(comm, comm.phys_rank(), &d));
+        let mut model = models::mlp(&[6, 16, 16, 16, 3], &mut Rng::new(36));
+        let shard = d.shard(comm.phys_rank(), 4);
+        let mut opt = DistKfac::new(config(), 7);
+        let rec = Recorder::enabled();
+        opt.set_recorder(rec.clone());
+        let count = || {
+            (rec.snapshot().timers)
+                .get(names::KFAC_PRECONDITION_LANDED)
+                .map_or(0, |t| t.count)
+        };
+        let mut trail = Vec::new();
+        for step in 0..6 {
+            backward(&mut model, &shard, step);
+            let before = count();
+            opt.step_elastic(comm, &mut model, &NoCompression).unwrap();
+            let owned = (opt.owners().unwrap().iter())
+                .filter(|&&o| o == comm.rank())
+                .count();
+            trail.push((count() - before, owned as u64, comm.size()));
+            apply(&mut model);
         }
-        let mut model = mlp();
-        backward(&mut model, &d.shard(1, 4), 0);
-        comm.begin_step();
-        // The ownership map every rank lays out: KAISA's greedy split
-        // over the decomposition costs a³ + g³.
-        let costs: Vec<f64> = (model.kfac_indices().iter())
-            .map(|&idx| {
-                let s = model.kfac_stats(idx).unwrap();
-                (s.a.cols() as f64).powi(3) + (s.g.cols() as f64).powi(3)
-            })
-            .collect();
-        let (mut bucket, spans) = owner_ordered_bucket(&model, &assign_layers(&costs, 4), 4);
-        reduce_scatter_sum(comm, &mut bucket, &spans).unwrap();
-        panic!("injected fault: rank 1 dies between the gradient and the factor reduce");
+        Some((trail, param_bits(&model)))
     });
     let survivors: Vec<_> = results.into_iter().flatten().flatten().collect();
     assert_eq!(survivors.len(), 3);
-    let fresh = run_ranks(3, |comm| {
-        let phys = [0usize, 2, 3][comm.rank()];
-        first_step_installed(comm, phys, &d)
-    });
-    assert_eq!(survivors, fresh);
+    for (trail, params) in &survivors {
+        assert_eq!(params, &survivors[0].1, "replicas diverged");
+        let sizes: Vec<usize> = trail.iter().map(|t| t.2).collect();
+        assert_eq!(sizes, [4, 4, 4, 4, 3, 3]);
+        for (step, &(landed, owned, _)) in trail.iter().enumerate() {
+            let early = matches!(step, 1 | 2 | 5);
+            assert_eq!(
+                landed,
+                if early { owned } else { 0 },
+                "step {step}: {trail:?}"
+            );
+        }
+    }
+    let early: u64 = survivors.iter().map(|(t, _)| t[5].0).sum();
+    assert_eq!(
+        early, 4,
+        "all four layers land early once the epoch settles"
+    );
 }

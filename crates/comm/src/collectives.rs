@@ -28,7 +28,6 @@ use crate::group::{CommError, Communicator, Payload};
 use compso_obs::names;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Splits `len` into `parts` contiguous block ranges, sizes differing by at
 /// most one (first `len % parts` blocks are one longer).
@@ -450,13 +449,9 @@ pub fn pipelined_allgather(
     let g_me = groups_per_rank[r];
     let g_max = groups_per_rank.iter().copied().max().unwrap_or(0);
     rec.add(names::COMM_PIPELINE_STAGES, g_max as u64);
-    let since = |t0: Instant| u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let mut timed_produce = |g: usize| -> Vec<u8> {
-        // lint:allow(deterministic-state): span timing for obs counters; the produced bytes are clock-independent
-        let t0 = Instant::now();
-        let block = produce(g);
-        rec.add_time_ns(names::COMM_PIPELINE_PRODUCE, since(t0));
-        block
+        let _t = rec.span(names::COMM_PIPELINE_PRODUCE);
+        produce(g)
     };
     if p == 1 {
         // Degenerate ring: no wire, but the producer must still run once
@@ -476,10 +471,8 @@ pub fn pipelined_allgather(
     let mut held: Option<(usize, usize, Vec<u8>)> = None;
     let mut deliver_held = |held: &mut Option<(usize, usize, Vec<u8>)>| {
         if let Some((origin, slot, block)) = held.take() {
-            // lint:allow(deterministic-state): deliver timing for obs counters only
-            let t0 = Instant::now();
+            let _t = rec.span(names::COMM_PIPELINE_DELIVER);
             deliver(origin, slot, block);
-            rec.add_time_ns(names::COMM_PIPELINE_DELIVER, since(t0));
         }
     };
     for slot in 0..g_max {
@@ -516,12 +509,16 @@ pub fn pipelined_allgather(
             // Rule 3: the block pulled before this one decodes here, in
             // front of a receive the next send has to wait for anyway.
             deliver_held(&mut held);
-            // lint:allow(deterministic-state): recv-wait timing for obs counters only; never alters the bytes delivered
-            let t0 = Instant::now();
+            // A failed receive pulled nothing: its wait is not counted.
+            let wait = rec.span(names::COMM_PIPELINE_WAIT);
             let incoming = comm
-                .recv_labeled(left, names::COMM_PIPELINED_ALLGATHER)?
-                .try_bytes()?;
-            rec.add_time_ns(names::COMM_PIPELINE_WAIT, since(t0));
+                .recv_labeled(left, names::COMM_PIPELINED_ALLGATHER)
+                .and_then(Payload::try_bytes);
+            match incoming {
+                Ok(_) => drop(wait),
+                Err(_) => wait.discard(),
+            }
+            let incoming = incoming?;
             // Forward before delivering: the downstream ranks must not
             // wait behind this rank's decode of the block.
             if forward {

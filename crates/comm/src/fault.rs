@@ -19,6 +19,7 @@
 //! `FaultPlane::disabled()` is a `None` inside and costs nothing on the
 //! hot path (a single branch per send/receive).
 
+use crate::group::Payload;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -313,6 +314,24 @@ impl FaultPlane {
 pub fn flip_bit(buf: &mut [u8], hash: u64) {
     let bit = (hash % (buf.len() as u64 * 8)) as usize;
     buf[bit / 8] ^= 1 << (bit % 8);
+}
+
+/// Flips bit `hash % wire_bits` of the payload's wire representation
+/// (never called on empty payloads).
+pub(crate) fn flip_payload_bit(p: &mut Payload, hash: u64) {
+    match p {
+        Payload::Bytes(v) => flip_bit(v, hash),
+        Payload::F32(v) => {
+            let bit = (hash % (v.len() as u64 * 32)) as usize;
+            let i = bit / 32;
+            v[i] = f32::from_bits(v[i].to_bits() ^ (1 << (bit % 32)));
+        }
+        Payload::Sizes(v) => {
+            let bit = (hash % (v.len() as u64 * 64)) as usize;
+            let i = bit / 64;
+            v[i] ^= 1 << (bit % 64);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,14 @@
 //!    with message-size-dependent effective bandwidth and node-topology
 //!    awareness, matching the "offline lookup table" of §4.4. This is what
 //!    the timing experiments (Figs. 1/7/9) query.
+//!
+//! Under the collectives the transport splits by job: `group` (view,
+//! send/receive, the one bounded wait, `run_ranks*`), `clock` (time and
+//! the modeled wire), `arq` (CRC envelope, NACK/retransmit), `membership`
+//! (shrink, rejoin, view-change glue) and `fault` (the fault plane).
 
+mod arq;
+mod clock;
 pub mod collectives;
 pub mod fault;
 pub mod group;
@@ -26,8 +33,8 @@ pub mod netmodel;
 
 pub use fault::{FaultConfig, FaultPlane, LedgerSnapshot};
 pub use group::{
-    build_group, build_group_with, run_ranks, run_ranks_elastic, run_ranks_with, CommConfig,
-    CommError, CommGroup, Communicator, Payload,
+    build_group_with, run_ranks, run_ranks_elastic, run_ranks_with, CommConfig, CommError,
+    CommGroup, Communicator, Payload,
 };
 pub use membership::{admit_pending, rejoin, MembershipFrame, ViewChange};
 pub use netmodel::{CollectiveKind, NetworkSpec, ThroughputTable};

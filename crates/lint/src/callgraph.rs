@@ -410,21 +410,22 @@ mod tests {
 
     #[test]
     fn allowlist_cuts_impurity_and_root_cone() {
-        // `recv_arq_inner` is on the audited transport allowlist: its
-        // clock read must not leak to callers, and root cones stop at it.
+        // `now` (the transport clock's entry point) is on the audited
+        // allowlist: its clock read must not leak to callers, and root
+        // cones stop at it.
         assert!(
-            determinism_allow("recv_arq_inner").is_some(),
-            "test assumes recv_arq_inner is allowlisted"
+            determinism_allow("now").is_some(),
+            "test assumes now is allowlisted"
         );
         let f = sf(
             "crates/kfac/src/distributed.rs",
-            "fn step(c: &C) -> Result<(), E> { recv_arq_inner(c) }\n\
-             fn recv_arq_inner(c: &C) -> Result<(), E> { clocky(c) }\n\
+            "fn step(c: &C) -> Result<(), E> { now(c) }\n\
+             fn now(c: &C) -> Result<(), E> { clocky(c) }\n\
              fn clocky(c: &C) -> Result<(), E> { let t = Instant::now(); c.go(t) }\n",
         );
         let facts = solve(&[summarize(&f)]);
         assert_eq!(facts["clocky"].impure, CLOCK);
-        assert_eq!(facts["recv_arq_inner"].impure, 0, "allow pins impurity");
+        assert_eq!(facts["now"].impure, 0, "allow pins impurity");
         assert_eq!(facts["step"].impure, 0, "allow cuts propagation");
         assert!(facts["step"].roots.contains("step"));
         assert!(

@@ -113,13 +113,20 @@ mod tests {
 
     #[test]
     fn allowlisted_fn_is_exempt() {
-        let out = diags(
-            "crates/comm/src/group.rs",
-            "pub fn barrier(&mut self) -> Result<(), CommError> {\n\
-                 let deadline = Instant::now() + self.config.recv_timeout;\n\
-                 self.wait(deadline)\n}\n\
-             pub fn restore_coord(&mut self) -> Result<(), CommError> { self.barrier() }\n",
+        // `encode_stamp` is a determinism-critical root (a comm codec)
+        // whose cone reaches the clock read: exempt only because `now` is
+        // the audited clock entry point.
+        let src = "pub(crate) fn now(&self) -> Instant {\n    Instant::now()\n}\n\
+                   pub fn encode_stamp(&self) -> Vec<u8> { stamp(self.now()) }\n";
+        let out = diags("crates/comm/src/clock.rs", src);
+        assert!(out.is_empty(), "audited transport clock: {out:?}");
+        let renamed = src
+            .replace("fn now", "fn read_wall")
+            .replace("self.now()", "self.read_wall()");
+        assert_eq!(
+            diags("crates/comm/src/clock.rs", &renamed).len(),
+            1,
+            "the same read outside the clock's entry point fires"
         );
-        assert!(out.is_empty(), "audited transport deadline: {out:?}");
     }
 }

@@ -289,44 +289,18 @@ pub fn is_critical_root(path: &str, fn_name: &str) -> bool {
     })
 }
 
-/// Audited allowlist for `deterministic-state`: functions where
-/// wall-clock reads are *legitimate* — ARQ retransmit deadlines, NACK
-/// backoff, recv timeouts. Their timing affects *when* bytes move,
-/// never *which* bytes move, so replicas stay bit-identical. The
-/// call-graph solver pins their impurity to zero and root cones stop at
-/// them: an entry here audits the entire subtree behind the function.
+/// Audited allowlist for `deterministic-state`: the functions where a
+/// wall-clock read is *legitimate*. compso-comm reads time in exactly one
+/// place, its transport `Clock::now` (deadlines, NACK backoff, the
+/// modeled wire's pacing), and observability times spans; both decide
+/// *when* bytes move or how long something took, never *which* bytes
+/// move, so replicas stay bit-identical. The call-graph solver pins their
+/// impurity to zero and root cones stop at them: an entry here audits the
+/// entire subtree behind the function.
 pub const DETERMINISM_ALLOWLIST: &[(&str, &str)] = &[
     (
-        "send_to_phys",
-        "ARQ flight timestamping for retransmit deadlines; payload bytes are clock-independent",
-    ),
-    (
-        "wire_delay",
-        "bandwidth-delay pacing of the modeled wire; delays delivery, never alters bytes",
-    ),
-    (
-        "transmit",
-        "ARQ retransmit timestamping (sent_at bookkeeping)",
-    ),
-    (
-        "recv_arq_inner",
-        "ARQ receive loop: NACK backoff and recv_timeout deadlines gate retries, not payloads",
-    ),
-    (
-        "barrier",
-        "barrier recv_timeout deadline; completion is rank-count based, not time based",
-    ),
-    (
-        "wait_barrier",
-        "barrier deadline bookkeeping under the caller-provided Instant",
-    ),
-    (
-        "send_raw_frame",
-        "raw membership frame ARQ timestamping",
-    ),
-    (
-        "recv_raw_membership",
-        "membership frame recv deadline; a timeout surfaces as CommError, not divergent state",
+        "now",
+        "the transport clock's one time read; deadlines, backoff and modeled-wire pacing move when bytes arrive, never which",
     ),
     (
         "span",
@@ -463,7 +437,8 @@ mod tests {
                 "allowlist entry `{name}` needs a reason"
             );
         }
-        assert!(determinism_allow("recv_arq_inner").is_some());
+        assert!(determinism_allow("now").is_some());
+        assert!(determinism_allow("recv_arq").is_none());
         assert!(determinism_allow("observe").is_none());
     }
 }

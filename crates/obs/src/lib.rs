@@ -282,6 +282,14 @@ pub struct SpanGuard {
     live: Option<(Arc<TimerCell>, Instant)>,
 }
 
+impl SpanGuard {
+    /// Ends the span without recording it: for an attempt that failed
+    /// and should not count as one.
+    pub fn discard(mut self) {
+        self.live = None;
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((cell, start)) = self.live.take() {
@@ -338,6 +346,15 @@ mod tests {
         assert!(snap.counters.is_empty());
         assert!(snap.timers.is_empty());
         assert!(snap.hists.is_empty());
+    }
+
+    #[test]
+    fn a_discarded_span_records_nothing() {
+        let rec = Recorder::enabled();
+        rec.span("s").discard();
+        assert_eq!(rec.timer_ns("s"), 0);
+        drop(rec.span("s"));
+        assert_eq!(rec.snapshot().timers["s"].count, 1);
     }
 
     #[test]

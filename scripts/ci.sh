@@ -81,6 +81,18 @@ if [ "$(grep -c 'reduce_scatter_pieced(' <<<"$GATHER_SRC")" -ne 1 ] \
 fi
 step_end
 
+step_start "one clock (comm/src ahead of mod tests)"
+# compso-comm reads time in one module: every time read, sleep and timed
+# channel wait goes through clock.rs's Clock, which also paces the
+# modeled wire. Tests keep their own stopwatches.
+for f in crates/comm/src/*.rs; do
+  [ "$f" = crates/comm/src/clock.rs ] && continue
+  if sed '/^mod tests/,$d' "$f" | grep -nE 'Instant::now|thread::sleep|recv_timeout\('; then
+    echo "$f reads time outside crates/comm/src/clock.rs" >&2; exit 1
+  fi
+done
+step_end
+
 step_start "one COMPSO (no serial pipeline, no configured kernel or tile)"
 # ChunkedCompso is the only implementation and 0xC6 the only stream; the
 # lint fixtures carry their own registry and are not searched.

@@ -15,15 +15,26 @@
 //!   buffer stops fitting the near cache. A stride-n walk in an O(n³)
 //!   loop reads 2.6 to 3.4.
 //! * `eigen.gemm_ratio_289 <= 26.5` — the same `t289` in units of one
-//!   289³ `Matrix::matmul`. Tridiagonalisation + QL reads 7.2 to 7.5, the
+//!   289³ `Matrix::matmul`. Tridiagonalisation + QL read 7.2 to 7.5, the
 //!   cyclic Jacobi it replaced 94 to 115; the ceiling is the geometric
 //!   mean of the two, so a relapse to a Jacobi-class flop count fails.
+//!   Since the GEMM core's AVX2 instance the matmul is ≈ 2× faster and QL
+//!   reads 18.4 to 23.1. Both timings run on one rayon worker: the solver
+//!   is serial, and against a two-worker matmul the ratio swung 15 to 28
+//!   with whether the second core was free.
 //! * `covariance.syrk_speedup >= 1.3` — `Matrix::gram` (the SYRK
 //!   `covariance()` runs) against `t_matmul` of the same matrix with
 //!   itself on one seeded ReLU-sparse statistics matrix at the CNN
 //!   proxy's conv-factor shape (1152 × 289), fastest of 5, interleaved,
 //!   on one rayon worker. Half the flops, so ≈ 2 in the limit; the
 //!   pack of B and the mirror are the same on both sides.
+//! * `gemm.wide_speedup >= 1.5` — the GEMM core's AVX2 instance against
+//!   its portable one on the MLP's precondition product (128 × 128 ·
+//!   128 × 129, dense, so both take the tile's dense walk), fastest of 5,
+//!   interleaved, one rayon worker. Reads 1.64 to 1.85; with the AVX2
+//!   feature on the dispatcher instead of the job body the tile runs at
+//!   baseline codegen and it reads 0.80 to 0.97. `n/a` on a host without
+//!   AVX2.
 //! * `codec.pack_speedup >= 1.5` — `microkernel::split_into` (what the
 //!   chunk kernels run on codes wider than a byte: a low-byte stream and
 //!   a packed high-bit plane) against its scalar oracle `bitpack::split`
@@ -74,7 +85,7 @@ use compso_core::{bitpack, microkernel};
 use compso_core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso_kfac::kfac::covariance;
 use compso_obs::Recorder;
-use compso_tensor::{sym_eig, Matrix, Rng};
+use compso_tensor::{sym_eig, GemmInstance, Matrix, Rng};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -373,8 +384,9 @@ fn main() {
     // t289 ≈ 8·t145 and what is left of that ratio is the price of the
     // working set (n²·8 B: 168 KB at 145, 668 KB at 289) leaving the
     // near cache; against one same-size matmul the solver's flop count
-    // shows (≈ 9n³ in f64 vs 2n³ in f32).
+    // shows (≈ 9n³ in f64 vs 2n³ in f32). One worker, as the solver has.
     {
+        let _guard = rayon::scoped_thread_override(1);
         let factor = |n: usize| {
             let mut rng = Rng::new(31 + n as u64);
             covariance(&Matrix::random_normal(4 * n, n, &mut rng))
@@ -441,6 +453,41 @@ fn main() {
             1.3,
             format!("t_matmul {t_matmul:.3} ms, gram {gram:.3} ms"),
         );
+    }
+
+    // The two GEMM instances at the MLP's precondition shape, one rayon
+    // worker.
+    {
+        let mut rng = Rng::new(128);
+        let q = Matrix::random_normal(128, 128, &mut rng);
+        let v = Matrix::random_normal(128, 129, &mut rng);
+        if GemmInstance::Avx2.available() {
+            let _guard = rayon::scoped_thread_override(1);
+            let mut best = [f64::INFINITY; 2];
+            let mut out = [Matrix::zeros(0, 0), Matrix::zeros(0, 0)];
+            for _ in 0..5 {
+                for (i, inst) in [GemmInstance::Portable, GemmInstance::Avx2]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let _pin = inst.pin();
+                    let t0 = Instant::now();
+                    out[i] = black_box(black_box(&q).matmul(&v));
+                    best[i] = best[i].min(t0.elapsed().as_secs_f64());
+                }
+                assert_eq!(out[0], out[1], "the GEMM instances diverged");
+            }
+            let [portable, avx2] = best.map(|t| t * 1e3);
+            gate(
+                "gemm.wide_speedup",
+                portable / avx2,
+                ">=",
+                1.5,
+                format!("portable {portable:.3} ms, avx2 {avx2:.3} ms"),
+            );
+        } else {
+            println!("kernel_gates: gemm.wide_speedup: n/a (no AVX2 on this host)");
+        }
     }
 
     // Byte/plane splitter: the conservative strategy's code width

@@ -145,12 +145,8 @@ impl Layer for Linear {
         let mut grad = a.t_matmul(grad_out);
         grad.scale(1.0 / batch);
         self.grad = grad;
-        // dx = g Wᵀ, dropping the bias row of W.
-        let full = grad_out.matmul_t(&self.weight);
-        let mut dx = Matrix::zeros(full.rows(), self.in_dim());
-        for r in 0..full.rows() {
-            dx.row_mut(r).copy_from_slice(&full.row(r)[..self.in_dim()]);
-        }
+        // dx = g Wᵀ over W's input rows: the bias row has no input.
+        let dx = grad_out.matmul_t_first(&self.weight, self.in_dim());
         self.cached_g = Some(grad_out.clone());
         dx
     }

@@ -24,5 +24,5 @@ pub mod stats;
 
 pub use chol::Cholesky;
 pub use eigen::{sym_eig, EigenDecomposition};
-pub use matrix::Matrix;
+pub use matrix::{GemmInstance, Matrix};
 pub use rng::Rng;

@@ -4,10 +4,14 @@
 
 use crate::rng::Rng;
 use rayon::prelude::*;
+use std::cell::Cell;
+use std::ops::Range;
 
-/// Minimum number of output elements before GEMM bothers going parallel;
-/// below this the rayon dispatch overhead dominates.
-const PAR_THRESHOLD: usize = 64 * 64;
+/// Minimum number of multiply-adds (m · n · k) before GEMM bothers going
+/// parallel; below this the rayon dispatch overhead dominates. Two workers
+/// first beat one near 128³ (0.92 of one worker's time there, 1.7 at the
+/// MLP's 32 × 129 · 129 × 128, on a 2-vCPU host).
+const PAR_THRESHOLD: usize = 128 * 128 * 128;
 
 /// Cache-block edge of the blocked transpose.
 const BLOCK: usize = 64;
@@ -23,27 +27,99 @@ const BLOCK: usize = 64;
 /// reference kernels (pinned by the `*_bit_identical_to_scalar` tests).
 const NR: usize = 16;
 
-/// Register-tile height: rows of `A` whose sums are in flight together.
-/// 2 × 16 accumulators fill half of a baseline x86-64 build's sixteen
-/// 128-bit registers; 4 × 16 measured 0–18 % slower there. Divides
-/// [`NR`], so a strip's rows share one diagonal panel in [`Matrix::gram`].
-const MR: usize = 2;
+/// Register-tile height `MR` of the portable instance: rows of `A` whose
+/// sums are in flight together. 2 × 16 accumulators fill half of a
+/// baseline x86-64 build's sixteen 128-bit registers; in that build (and
+/// only there) 4 × 16 measured 0–18 % slower.
+const MR_PORTABLE: usize = 2;
+
+/// Register-tile height `MR` of the AVX2 instance. In 256-bit registers a
+/// 2 × 16 tile has four add chains in flight and is latency-bound; 4 × 16
+/// is eight registers and eight chains.
+const MR_AVX2: usize = 4;
+
+// Each height divides `NR`, so a strip's rows share one diagonal panel in
+// `Matrix::gram`.
+const _: () = assert!(NR.is_multiple_of(MR_PORTABLE) && NR.is_multiple_of(MR_AVX2));
 
 /// Depth of a k-block: a `KC × NR` panel of packed `B` (16 KiB) stays in
 /// L1 across a strip, and a block's panels in L2 across all strips.
 const KC: usize = 256;
 
-/// The microkernel's accumulators: one output tile.
-type Tile = [[f32; NR]; MR];
+/// The microkernel's accumulators: one `MR`-row output tile.
+type Tile<const MR: usize> = [[f32; NR]; MR];
 
 /// One row of a packed `A` strip within one k-block: the values the
-/// product uses, k ascending, each with the offset of its `B` row in a
+/// product uses, k ascending, each with the index of its `B` row in a
 /// packed panel.
 #[derive(Clone, Copy)]
 struct APackRow {
     vals: [f32; KC],
     offs: [usize; KC],
     len: usize,
+}
+
+/// A compiled instance of the one GEMM core. Both run the same source —
+/// one job body, one [`tile`] — and compute the same bits; they differ in
+/// strip height and in the instructions the compiler may use.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GemmInstance {
+    /// `MR = 2`, baseline codegen: runs on every host.
+    Portable,
+    /// `MR = 4`, the job body compiled with AVX2: x86-64 hosts that have it.
+    Avx2,
+}
+
+thread_local! {
+    /// The instance a live [`GemmPin`] holds for this thread's products.
+    static PINNED: Cell<Option<GemmInstance>> = const { Cell::new(None) };
+}
+
+impl GemmInstance {
+    /// Whether this host can run `self`.
+    pub fn available(self) -> bool {
+        match self {
+            GemmInstance::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            GemmInstance::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            GemmInstance::Avx2 => false,
+        }
+    }
+
+    /// The instance a product started on this thread runs: the pinned one,
+    /// else AVX2 where the host has it — the one run-time selection.
+    fn current() -> Self {
+        PINNED.get().unwrap_or(if GemmInstance::Avx2.available() {
+            GemmInstance::Avx2
+        } else {
+            GemmInstance::Portable
+        })
+    }
+
+    /// Pins the products this thread starts to `self` until the guard
+    /// drops, so a test or a timing can run either instance on one host.
+    ///
+    /// # Panics
+    /// If this host cannot run `self`.
+    #[must_use = "the pin is released when the guard drops"]
+    pub fn pin(self) -> GemmPin {
+        assert!(self.available(), "{self:?} GEMM not available on this host");
+        GemmPin {
+            prev: PINNED.replace(Some(self)),
+        }
+    }
+}
+
+/// Guard of [`GemmInstance::pin`]; restores the previous pin on drop.
+pub struct GemmPin {
+    prev: Option<GemmInstance>,
+}
+
+impl Drop for GemmPin {
+    fn drop(&mut self) {
+        PINNED.set(self.prev);
+    }
 }
 
 /// A strided read-only GEMM operand: element `(r, c)` of its
@@ -274,12 +350,28 @@ impl Matrix {
     /// other three products it has no zero-skip: a zero in `self` against
     /// a non-finite entry of `other` yields NaN.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_t dims {}x{} * {}x{}ᵀ",
-            self.rows, self.cols, other.rows, other.cols
+        self.matmul_t_first(other, other.rows)
+    }
+
+    /// [`Matrix::matmul_t`] against `other`'s first `rows` rows only:
+    /// `self * other[..rows]ᵀ`, the same sums for the columns it keeps.
+    ///
+    /// # Panics
+    /// If `self.cols() != other.cols()` or `rows > other.rows()`.
+    pub fn matmul_t_first(&self, other: &Matrix, rows: usize) -> Matrix {
+        assert!(
+            self.cols == other.cols && rows <= other.rows,
+            "matmul_t dims {}x{} * ({rows} of {}x{})ᵀ",
+            self.rows,
+            self.cols,
+            other.rows,
+            other.cols
         );
-        gemm(self.view(), other.view().t(), false, false)
+        let head = View {
+            rows,
+            ..other.view()
+        };
+        gemm(self.view(), head.t(), false, false)
     }
 
     /// Matrix-vector product.
@@ -496,17 +588,17 @@ impl Matrix {
 /// The one GEMM core: `a` (`m × k`) times `b` (`k × n`), both strided
 /// views whose k the caller has checked. k runs in [`KC`] blocks; `b` is
 /// packed once into [`NR`]-wide k-major panels shared by every worker, its
-/// ragged edge zero-padded; each [`MR`]-row strip of `a` is packed per
+/// ragged edge zero-padded; each `MR`-row strip of `a` is packed per
 /// block into one k-ascending list per row; accumulators round-trip
 /// through `out` between blocks. `skip_zero` keeps the row kernels' skip
 /// of zero `a` values (it avoids 0 × ∞) by leaving them out of the packed
 /// lists, so a sparse `a` costs only its non-zeros; `upper` skips the
 /// panels wholly left of each strip's diagonal, leaving them zero.
-/// Workers take contiguous strip ranges of about equal panel count.
+/// Workers take contiguous strip ranges of about equal panel count; the
+/// [`GemmInstance`] this thread runs picks `MR` and the job body.
 fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
     let (m, k, n) = (a.rows, a.cols, b.cols);
-    let mut out = Matrix::zeros(m, n);
-    let (strips, panels) = (m.div_ceil(MR), n.div_ceil(NR));
+    let panels = n.div_ceil(NR);
     let mut bpack = vec![0.0f32; k * panels * NR];
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
@@ -519,9 +611,86 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
             }
         }
     }
-    let first_panel = |s: usize| if upper { s * MR / NR } else { 0 };
-    let weight = |s: usize| panels - first_panel(s);
-    let run = |(strips, out): (std::ops::Range<usize>, &mut [f32])| {
+    let p = &Product {
+        a,
+        bpack,
+        n,
+        panels,
+        skip_zero,
+        upper,
+    };
+    let mut out = Matrix::zeros(m, n);
+    match GemmInstance::current() {
+        #[cfg(target_arch = "x86_64")]
+        GemmInstance::Avx2 => p.jobs::<MR_AVX2>(&mut out.data).into_par_iter().for_each(
+            // SAFETY: `current` yields `Avx2` only where `available` saw the
+            // CPU report AVX2, the one feature `strips_avx2` is built with.
+            |(strips, out)| unsafe { strips_avx2(p, strips, out) },
+        ),
+        _ => p
+            .jobs::<MR_PORTABLE>(&mut out.data)
+            .into_par_iter()
+            .for_each(|(strips, out)| p.strips::<MR_PORTABLE>(strips, out)),
+    }
+    out
+}
+
+/// One product as every job reads it: the `a` operand, `b` packed into
+/// `panels` k-major panels per k-block, and the entry point's flags.
+struct Product<'a> {
+    a: View<'a>,
+    bpack: Vec<f32>,
+    n: usize,
+    panels: usize,
+    skip_zero: bool,
+    upper: bool,
+}
+
+impl Product<'_> {
+    /// The first panel strip `s` computes: `upper` skips those wholly left
+    /// of its diagonal.
+    fn first_panel<const MR: usize>(&self, s: usize) -> usize {
+        if self.upper {
+            s * MR / NR
+        } else {
+            0
+        }
+    }
+
+    /// Splits `out` into one job per worker: a contiguous range of
+    /// `MR`-row strips, of about equal panel count, with its rows of `out`.
+    fn jobs<'o, const MR: usize>(&self, out: &'o mut [f32]) -> Vec<(Range<usize>, &'o mut [f32])> {
+        let (m, k, n) = (self.a.rows, self.a.cols, self.n);
+        let strips = m.div_ceil(MR);
+        let weight = |s: usize| self.panels - self.first_panel::<MR>(s);
+        let workers = if m * n * k >= PAR_THRESHOLD {
+            rayon::current_num_threads().min(strips)
+        } else {
+            1
+        };
+        let total: usize = (0..strips).map(weight).sum();
+        let mut jobs = Vec::with_capacity(workers);
+        let (mut rest, mut lo, mut done) = (out, 0, 0);
+        for w in 1..=workers {
+            let mut hi = lo;
+            while hi < strips && (w == workers || done * workers < total * w) {
+                done += weight(hi);
+                hi += 1;
+            }
+            let (head, tail) = rest.split_at_mut(((hi * MR).min(m) - (lo * MR).min(m)) * n);
+            jobs.push((lo..hi, head));
+            (rest, lo) = (tail, hi);
+        }
+        jobs
+    }
+
+    /// The job body: per k-block, packs each of `strips`' `MR`-row strips
+    /// of `a` and runs [`tile`] over its panels, storing into `out` (the
+    /// strips' rows). Inlined whole into each instance, so the AVX2 one
+    /// compiles the pack, the tile and the stores with 256-bit lanes.
+    #[inline(always)]
+    fn strips<const MR: usize>(&self, strips: Range<usize>, out: &mut [f32]) {
+        let (a, m, k, n, panels) = (self.a, self.a.rows, self.a.cols, self.n, self.panels);
         let mut apack = [APackRow {
             vals: [0.0; KC],
             offs: [0; KC],
@@ -529,24 +698,26 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
         }; MR];
         for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
-            let block = &bpack[k0 * panels * NR..][..kc * panels * NR];
+            let block = &self.bpack[k0 * panels * NR..][..kc * panels * NR];
             for s in strips.clone() {
                 let i0 = s * MR;
                 let mr = MR.min(m - i0);
                 for (r, row) in apack.iter_mut().enumerate() {
-                    row.len = 0;
-                    // A ragged strip's missing rows keep empty lists.
-                    let row_k = if r < mr { kc } else { 0 };
+                    // A ragged strip's missing rows keep empty lists. The
+                    // length counts in a local: kept in the struct, it made
+                    // a store-to-load round trip per packed value.
+                    let (row_k, mut len) = (if r < mr { kc } else { 0 }, 0);
                     for p in 0..row_k {
                         let v = a.data[(i0 + r) * a.rs + (k0 + p) * a.cs];
-                        (row.vals[row.len], row.offs[row.len]) = (v, p * NR);
-                        row.len += usize::from(!(skip_zero && v == 0.0));
+                        (row.vals[len], row.offs[len]) = (v, p);
+                        len += usize::from(!(self.skip_zero && v == 0.0));
                     }
+                    row.len = len;
                 }
                 let rows = &mut out[(i0 - strips.start * MR) * n..][..mr * n];
-                for jp in first_panel(s)..panels {
+                for jp in self.first_panel::<MR>(s)..panels {
                     let (j0, w) = (jp * NR, NR.min(n - jp * NR));
-                    let mut acc: Tile = [[0.0; NR]; MR];
+                    let mut acc: Tile<MR> = [[0.0; NR]; MR];
                     for (row, acc) in rows.chunks_exact(n).zip(&mut acc) {
                         acc[..w].copy_from_slice(&row[j0..j0 + w]);
                     }
@@ -557,49 +728,49 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
                 }
             }
         }
-    };
-    let workers = if m * n >= PAR_THRESHOLD {
-        rayon::current_num_threads().min(strips)
-    } else {
-        1
-    };
-    let total: usize = (0..strips).map(weight).sum();
-    let mut jobs = Vec::with_capacity(workers);
-    let (mut rest, mut lo, mut done) = (out.data.as_mut_slice(), 0, 0);
-    for w in 1..=workers {
-        let mut hi = lo;
-        while hi < strips && (w == workers || done * workers < total * w) {
-            done += weight(hi);
-            hi += 1;
-        }
-        let (head, tail) = rest.split_at_mut(((hi * MR).min(m) - (lo * MR).min(m)) * n);
-        jobs.push((lo..hi, head));
-        (rest, lo) = (tail, hi);
     }
-    jobs.into_par_iter().for_each(run);
-    out
 }
 
-/// The one multiply-accumulate microkernel: an [`MR`] × [`NR`] register
-/// tile over one packed strip of `a` and one packed panel of `b`. Each row
-/// walks its own list — ascending k, a separate multiply and add per
-/// element — and the rows advance together while all have entries left,
-/// which keeps `MR` × `NR` independent sums in flight. The tile travels by
-/// value so it lives in registers across the loop.
+/// The AVX2 instance's job body: [`Product::strips`] at [`MR_AVX2`]. The
+/// feature sits on what a rayon job runs, not on `gemm`: a function the
+/// dispatcher calls or hands to rayon is compiled for the baseline unless
+/// it is inlined into a function that carries the feature itself.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn strips_avx2(p: &Product, strips: Range<usize>, out: &mut [f32]) {
+    p.strips::<MR_AVX2>(strips, out)
+}
+
+/// The one multiply-accumulate microkernel: an `MR` × [`NR`] register
+/// tile over one packed strip of `a` and one packed panel of `b`, ascending
+/// k, a separate multiply and add per element. When every row's list holds
+/// the whole k-block (no zero skipped: always for `matmul_t`, usually for
+/// dense products) the tile walks the panel once and each `B` row feeds
+/// all `MR` accumulator rows. Otherwise each row walks its own list through
+/// its `B`-row indices, the rows advancing together while all have entries
+/// left. Either way `MR` × `NR` independent sums are in flight; the tile
+/// travels by value so it lives in registers across the loop.
 #[inline(always)]
-fn tile(apack: &[APackRow; MR], bpanel: &[f32], mut acc: Tile) -> Tile {
-    let mut mac = |r: usize, t: usize| {
-        let (a, bv) = (apack[r].vals[t], &bpanel[apack[r].offs[t]..][..NR]);
+fn tile<const MR: usize>(apack: &[APackRow; MR], bpanel: &[f32], mut acc: Tile<MR>) -> Tile<MR> {
+    let (brows, _) = bpanel.as_chunks::<NR>();
+    let mut mac = |r: usize, a: f32, bv: &[f32; NR]| {
         for (o, &b) in acc[r].iter_mut().zip(bv) {
             *o += a * b;
         }
     };
-    let common = apack.iter().map(|row| row.len).min().unwrap_or(0);
-    for t in 0..common {
-        (0..MR).for_each(|r| mac(r, t));
-    }
-    for (r, row) in apack.iter().enumerate() {
-        (common..row.len).for_each(|t| mac(r, t));
+    if apack.iter().all(|row| row.len == brows.len()) {
+        for (t, bv) in brows.iter().enumerate() {
+            (0..MR).for_each(|r| mac(r, apack[r].vals[t], bv));
+        }
+    } else {
+        let mut step = |r: usize, t: usize| mac(r, apack[r].vals[t], &brows[apack[r].offs[t]]);
+        let common = apack.iter().map(|row| row.len).min().unwrap_or(0);
+        for t in 0..common {
+            (0..MR).for_each(|r| step(r, t));
+        }
+        for (r, row) in apack.iter().enumerate() {
+            (common..row.len).for_each(|t| step(r, t));
+        }
     }
     acc
 }
@@ -828,8 +999,9 @@ mod tests {
         // tail (not a multiple of NR or 4), with exact zeros mixed in so
         // the zero-skip path runs.
         let mut rng = Rng::new(77);
-        let mut a = Matrix::random_normal(70, 130, &mut rng);
-        let mut b = Matrix::random_normal(130, 101, &mut rng);
+        let mut a = Matrix::random_normal(70, 300, &mut rng);
+        let mut b = Matrix::random_normal(300, 101, &mut rng);
+        const { assert!(70 * 101 * 300 >= PAR_THRESHOLD && 101 * 90 * 300 >= PAR_THRESHOLD) };
         for idx in (0..a.len()).step_by(13) {
             a.as_mut_slice()[idx] = 0.0;
         }
@@ -837,13 +1009,13 @@ mod tests {
             b.as_mut_slice()[idx] = 0.0;
         }
         assert_bits_equal(&a.matmul(&b), &scalar_oracle::matmul(&a, &b), "matmul");
-        let c = Matrix::random_normal(130, 90, &mut rng);
+        let c = Matrix::random_normal(300, 90, &mut rng);
         assert_bits_equal(
             &b.t_matmul(&c),
             &scalar_oracle::t_matmul(&b, &c),
             "t_matmul",
         );
-        let d = Matrix::random_normal(99, 130, &mut rng);
+        let d = Matrix::random_normal(101, 300, &mut rng);
         assert_bits_equal(
             &a.matmul_t(&d),
             &scalar_oracle::matmul_t(&a, &d),
@@ -861,9 +1033,26 @@ mod tests {
         m
     }
 
-    /// All four entry points against the scalar oracles at `m × k × n`.
-    fn assert_entry_points_match_oracle(m: usize, k: usize, n: usize, rng: &mut Rng) {
-        let what = |name: &str| format!("{name} at m={m} k={k} n={n}");
+    /// The GEMM instances this host runs: the portable one always, AVX2
+    /// where the CPU has it.
+    fn instances() -> Vec<GemmInstance> {
+        [GemmInstance::Portable, GemmInstance::Avx2]
+            .into_iter()
+            .filter(|inst| inst.available())
+            .collect()
+    }
+
+    /// All four entry points (and `matmul_t_first` at half of `n`) on
+    /// `inst` against the scalar oracles at `m × k × n`.
+    fn assert_entry_points_match_oracle(
+        inst: GemmInstance,
+        m: usize,
+        k: usize,
+        n: usize,
+        rng: &mut Rng,
+    ) {
+        let _pin = inst.pin();
+        let what = |name: &str| format!("{name} on {inst:?} at m={m} k={k} n={n}");
         let a = sparse_normal(m, k, rng);
         let b = Matrix::random_normal(k, n, rng);
         assert_bits_equal(
@@ -883,6 +1072,12 @@ mod tests {
             &scalar_oracle::matmul_t(&a, &bt),
             &what("matmul_t"),
         );
+        let head = Matrix::from_vec(n / 2, k, bt.as_slice()[..n / 2 * k].to_vec());
+        assert_bits_equal(
+            &a.matmul_t_first(&bt, n / 2),
+            &scalar_oracle::matmul_t(&a, &head),
+            &what("matmul_t_first"),
+        );
         let mut sym = scalar_oracle::t_matmul(&at, &at);
         sym.symmetrize();
         assert_bits_equal(&at.gram(), &sym, &what("gram"));
@@ -891,32 +1086,99 @@ mod tests {
     #[test]
     fn gemm_core_edges_bit_identical_to_scalar() {
         // One k-block short of, at and past its edge, and three blocks with
-        // a ragged last one; strips and panels one short of, at and past
-        // the tile; then every way an operand can be empty.
+        // a ragged last one; strips (of either instance's height) and
+        // panels one short of, at and past the tile; then every way an
+        // operand can be empty.
         let mut rng = Rng::new(21);
-        for k in [KC - 1, KC, KC + 1, 2 * KC + 3] {
-            for m in [1, MR - 1, MR + 1] {
-                for n in [1, NR - 1, NR, NR + 1] {
-                    assert_entry_points_match_oracle(m, k, n, &mut rng);
+        for inst in instances() {
+            for k in [KC - 1, KC, KC + 1, 2 * KC + 3] {
+                for m in [1, MR_PORTABLE + 1, MR_AVX2 - 1, MR_AVX2, MR_AVX2 + 1] {
+                    for n in [1, NR - 1, NR, NR + 1] {
+                        assert_entry_points_match_oracle(inst, m, k, n, &mut rng);
+                    }
                 }
             }
+            for (m, k, n) in [(0, 5, 7), (5, 0, 7), (5, 7, 0), (0, 0, 0)] {
+                assert_entry_points_match_oracle(inst, m, k, n, &mut rng);
+            }
         }
-        for (m, k, n) in [(0, 5, 7), (5, 0, 7), (5, 7, 0), (0, 0, 0)] {
-            assert_entry_points_match_oracle(m, k, n, &mut rng);
+    }
+
+    #[test]
+    fn dense_walk_edges_bit_identical_to_scalar() {
+        // A tile walks the panel once only when all its rows' lists are
+        // full; each operand below sits at an edge of that test.
+        let mut rng = Rng::new(24);
+        let b = Matrix::random_normal(37, NR + 3, &mut rng);
+        let bt = b.transpose();
+        // One sparse row among full ones.
+        let mut one = Matrix::random_normal(2 * MR_AVX2, 37, &mut rng);
+        one.set(1, 5, 0.0);
+        // Every row sparse at the same k: equal lengths, short of the block.
+        let mut same = Matrix::random_normal(2 * MR_AVX2, 37, &mut rng);
+        for r in 0..same.rows() {
+            same.set(r, 9, 0.0);
+        }
+        // Full rows with a ragged last strip (mr = 3 at MR = 4, 1 at 2).
+        let ragged = Matrix::random_normal(MR_AVX2 + 3, 37, &mut rng);
+        // Every product underflows to -0.0 across a k-block edge: each sum
+        // stays the +0.0 it started from.
+        let tiny = Matrix::from_fn(MR_AVX2, KC + 1, |_, _| -1e-30);
+        let tiny_b = Matrix::from_fn(KC + 1, NR, |_, _| 1e-30);
+        // 0 × ∞ in a full strip: matmul skips the zero (its row leaves the
+        // dense walk), matmul_t meets it (NaN).
+        let mut zero = Matrix::random_normal(MR_AVX2, 3, &mut rng);
+        zero.set(2, 1, 0.0);
+        let mut inf = Matrix::random_normal(3, NR, &mut rng);
+        inf.set(1, 4, f32::INFINITY);
+        for inst in instances() {
+            let _pin = inst.pin();
+            let what = |name: &str| format!("{name} on {inst:?}");
+            for a in [&one, &same, &ragged] {
+                let at = a.transpose();
+                assert_bits_equal(
+                    &a.matmul(&b),
+                    &scalar_oracle::matmul(a, &b),
+                    &what("matmul"),
+                );
+                assert_bits_equal(
+                    &at.t_matmul(&b),
+                    &scalar_oracle::t_matmul(&at, &b),
+                    &what("t_matmul"),
+                );
+                assert_bits_equal(
+                    &a.matmul_t(&bt),
+                    &scalar_oracle::matmul_t(a, &bt),
+                    &what("matmul_t"),
+                );
+            }
+            let (tm, tmt) = (tiny.matmul(&tiny_b), tiny.matmul_t(&tiny_b.transpose()));
+            assert_bits_equal(&tm, &scalar_oracle::matmul(&tiny, &tiny_b), &what("matmul"));
+            for v in tm.as_slice().iter().chain(tmt.as_slice()) {
+                assert_eq!(v.to_bits(), 0.0f32.to_bits(), "{}", what("-0.0 sum"));
+            }
+            let (ab, abt) = (zero.matmul(&inf), zero.matmul_t(&inf.transpose()));
+            assert!(ab.get(2, 4).is_finite() && abt.get(2, 4).is_nan());
+            assert_bits_equal(&ab, &scalar_oracle::matmul(&zero, &inf), &what("matmul"));
+            assert_bits_equal(
+                &abt,
+                &scalar_oracle::matmul_t(&zero, &inf.transpose()),
+                &what("matmul_t"),
+            );
         }
     }
 
     #[test]
     fn entry_points_bit_identical_at_one_two_three_workers() {
-        // Past PAR_THRESHOLD in every product's output, k past KC, nothing
-        // a multiple of MR·workers or NR: the strip split and the shared
-        // packed panels must not show in the bits.
+        // Past PAR_THRESHOLD in every product, k past KC, nothing a
+        // multiple of MR·workers or NR, on each instance: the strip split
+        // and the shared packed panels must not show in the bits.
         let mut rng = Rng::new(22);
-        let a = sparse_normal(71, 300, &mut rng);
-        let b = Matrix::random_normal(300, 101, &mut rng);
-        let at = sparse_normal(300, 71, &mut rng);
-        let bt = Matrix::random_normal(101, 300, &mut rng);
-        const { assert!(71 * 71 >= PAR_THRESHOLD && 300 > KC) };
+        let a = sparse_normal(71, 430, &mut rng);
+        let b = Matrix::random_normal(430, 101, &mut rng);
+        let at = sparse_normal(430, 71, &mut rng);
+        let bt = Matrix::random_normal(101, 430, &mut rng);
+        const { assert!(71 * 71 * 430 >= PAR_THRESHOLD && 430 > KC) };
         let products = || [a.matmul(&b), at.t_matmul(&b), a.matmul_t(&bt), at.gram()];
         let mut sym = scalar_oracle::t_matmul(&at, &at);
         sym.symmetrize();
@@ -926,10 +1188,14 @@ mod tests {
             scalar_oracle::matmul_t(&a, &bt),
             sym,
         ];
-        for workers in 1..=3 {
+        for (inst, workers) in instances()
+            .into_iter()
+            .flat_map(|i| (1..=3).map(move |w| (i, w)))
+        {
+            let _pin = inst.pin();
             let _guard = rayon::scoped_thread_override(workers);
             for (got, want) in products().iter().zip(&oracles) {
-                assert_bits_equal(got, want, &format!("{workers} workers"));
+                assert_bits_equal(got, want, &format!("{inst:?} at {workers} workers"));
             }
         }
     }
@@ -1065,9 +1331,12 @@ mod tests {
                     },
                 )
             ) {
-                assert_bits_equal(&a.matmul(&b), &scalar_oracle::matmul(&a, &b), "matmul");
-                assert_bits_equal(&a.t_matmul(&d), &scalar_oracle::t_matmul(&a, &d), "t_matmul");
-                assert_bits_equal(&a.matmul_t(&c), &scalar_oracle::matmul_t(&a, &c), "matmul_t");
+                for inst in instances() {
+                    let _pin = inst.pin();
+                    assert_bits_equal(&a.matmul(&b), &scalar_oracle::matmul(&a, &b), "matmul");
+                    assert_bits_equal(&a.t_matmul(&d), &scalar_oracle::t_matmul(&a, &d), "t_matmul");
+                    assert_bits_equal(&a.matmul_t(&c), &scalar_oracle::matmul_t(&a, &c), "matmul_t");
+                }
             }
 
             /// The same bits with the common dimension of every product
@@ -1077,7 +1346,9 @@ mod tests {
             fn prop_gemm_kernels_bit_identical_to_scalar_past_kc(
                 m in 1usize..40, k in 1usize..2 * KC + 40, n in 1usize..40, seed in any::<u64>(),
             ) {
-                assert_entry_points_match_oracle(m, k, n, &mut CRng::new(seed));
+                for inst in instances() {
+                    assert_entry_points_match_oracle(inst, m, k, n, &mut CRng::new(seed));
+                }
             }
 
             /// The SYRK is `to_bits`-equal to the product it replaced in

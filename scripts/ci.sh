@@ -113,19 +113,31 @@ if grep -rnE 'BENCH_compress|bench_check|bench_snapshot|COMPSO_BENCH_|criterion|
 fi
 step_end
 
-step_start "one GEMM core (tensor/src/matrix.rs ahead of mod tests)"
-# matmul / t_matmul / gram / matmul_t are entry points of one packed
-# `gemm`, and `tile` is the only multiply-accumulate microkernel: besides
-# axpy's `scale * b` and the Gram–Schmidt norms' `v * v`, exactly one
-# line accumulates a product.
+step_start "one GEMM core, one wide instance (crates/*/src ahead of mod tests)"
+# matmul / t_matmul / gram / matmul_t (through matmul_t_first) are entry
+# points of one packed `gemm`, and `tile` is the only multiply-accumulate
+# microkernel: besides axpy's `scale * b` and the Gram–Schmidt norms'
+# `v * v`, exactly one line accumulates a product. `tile` and its job body
+# are generic over the strip height; the AVX2 instance is the workspace's
+# only `#[target_feature]`, entered through its only `unsafe` block, and
+# nothing fuses a multiply-add (that would move rounding).
 GEMM_SRC=$(sed '/^mod tests/,$d' crates/tensor/src/matrix.rs)
 GEMM_MACS=$(grep -E '\+= [a-z_0-9]+(\[[a-z_0-9]+\])? \* [a-z_0-9]+(\[[a-z_0-9]+\])?;' <<<"$GEMM_SRC" \
   | grep -vcE 'scale \* b;|v \* v;' || true)
 if grep -q 't_matmul_from' <<<"$GEMM_SRC" \
   || [ "$GEMM_MACS" -ne 1 ] \
-  || [ "$(grep -c '^fn tile(' <<<"$GEMM_SRC")" -ne 1 ] \
+  || [ "$(grep -cE '^fn tile[<(]' <<<"$GEMM_SRC")" -ne 1 ] \
   || [ "$(grep -c ' gemm(' <<<"$GEMM_SRC")" -ne 5 ]; then
   echo "a second GEMM kernel is back: one gemm, one tile, four entry points" >&2; exit 1
+fi
+# Comment lines and the lint's keyword table ("unsafe") are not code.
+CRATE_SRC=$(find crates/*/src -name '*.rs' -exec sed -s '/^mod tests/,$d' {} + \
+  | grep -vE '^[[:space:]]*//' | grep -v '"unsafe"')
+if [ "$(grep -c '#\[target_feature' <<<"$CRATE_SRC")" -ne 1 ] \
+  || [ "$(grep -cw 'unsafe' <<<"$CRATE_SRC")" -ne 1 ] \
+  || [ "$(grep -cE '\bunsafe \{' <<<"$CRATE_SRC")" -ne 1 ] \
+  || grep -qE 'mul_add|target_feature.*fma' <<<"$CRATE_SRC"; then
+  echo "one #[target_feature], one unsafe block and no fused multiply-add under crates/*/src" >&2; exit 1
 fi
 step_end
 

@@ -10,10 +10,7 @@
 //!    Kronecker factors' all-reduce traffic.
 
 use compso_bench::proxy::{run, Method, Opt, ProxyConfig, Task};
-use compso_bench::{
-    f, gbps, gpu_profile, header, measure_membw, measure_profile, row, spec_gradients,
-    SAMPLE_BUDGET,
-};
+use compso_bench::{f, gbps, header, row, spec_gradients, SAMPLE_BUDGET};
 use compso_core::factors::{compress_symmetric, decompress_symmetric};
 use compso_core::kernels::{compress_chunked, KernelConfig, LayerSchedule};
 use compso_core::synthetic::{generate, GradientProfile};
@@ -22,7 +19,7 @@ use compso_core::{ChunkedCompso, Compressor, CompsoConfig, RoundingMode};
 use compso_dnn::ModelSpec;
 use compso_kfac::kfac::covariance;
 use compso_obs::Recorder;
-use compso_sim::{IterationModel, Platform};
+use compso_sim::{gpu_profile, measure_membw, measure_profile, IterationModel, Platform};
 use compso_tensor::{Matrix, Rng};
 use std::time::Instant;
 

@@ -8,11 +8,11 @@
 //! ~7-11x on the faster one; cuSZ (4E-3) and QSGD (8-bit) are capped by
 //! their lower ratios; speedup grows with GPU count.
 
-use compso_bench::{f, header, measure_profile, row, spec_gradients, SAMPLE_BUDGET};
+use compso_bench::{f, header, row, spec_gradients, SAMPLE_BUDGET};
 use compso_core::baselines::{CocktailSgd, Qsgd, Sz};
 use compso_core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso_dnn::ModelSpec;
-use compso_sim::{comm_speedup_on, IterationModel, Platform};
+use compso_sim::{comm_speedup_on, measure_profile, IterationModel, Platform};
 
 fn main() {
     println!("# Figure 7 — communication speedup (measured CR + network model)\n");

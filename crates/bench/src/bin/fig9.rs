@@ -9,13 +9,14 @@
 //! gains grow with GPU count; cuSZ/QSGD gains are smaller; some
 //! baseline configurations dip below 1.0x (compression that doesn't pay).
 
-use compso_bench::{
-    f, gpu_profile, header, measure_membw, measure_profile, row, spec_gradients, SAMPLE_BUDGET,
-};
+use compso_bench::{f, header, row, spec_gradients, SAMPLE_BUDGET};
 use compso_core::baselines::{CocktailSgd, Qsgd, Sz};
 use compso_core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso_dnn::ModelSpec;
-use compso_sim::{end_to_end_gain_on, AggregationPolicy, IterationModel, Platform};
+use compso_sim::{
+    end_to_end_gain_on, gpu_profile, measure_membw, measure_profile, AggregationPolicy,
+    IterationModel, Platform,
+};
 
 fn main() {
     println!("# Figure 9 — end-to-end speedup over no-compression K-FAC\n");

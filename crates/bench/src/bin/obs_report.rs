@@ -19,13 +19,12 @@
 
 use compso_bench::{f, header, row};
 use compso_comm::run_ranks;
-use compso_core::perfmodel::CompressorProfile;
 use compso_core::{ChunkedCompso, CompsoConfig};
 use compso_dnn::loss::softmax_cross_entropy;
 use compso_dnn::{data, models, ModelSpec};
 use compso_kfac::{DistKfac, DistKfacConfig};
 use compso_obs::{names, Recorder, Snapshot, StepReport};
-use compso_sim::{IterationModel, Platform};
+use compso_sim::{CompressorProfile, IterationModel, Platform};
 use compso_tensor::Rng;
 
 const RANKS: usize = 4;
@@ -108,21 +107,10 @@ fn main() {
         compress_s > 0.0,
         "the step's compress span (core/chunked_compress) never fired"
     );
+    // Ranks decode their peers' frames too: price decode per wire byte.
     let decode_bytes = snap.counter(names::CORE_DECODE_BYTES_IN) as f64;
-    let decode_s = snap.timer_seconds(names::CORE_DECODE);
-    let profile = CompressorProfile {
-        ratio: if bytes_out > 0.0 {
-            bytes_in / bytes_out
-        } else {
-            1.0
-        },
-        compress_tput: bytes_in / compress_s,
-        decompress_tput: if decode_s > 0.0 {
-            decode_bytes / decode_s
-        } else {
-            1e9
-        },
-    };
+    let decode_s = snap.timer_seconds(names::CORE_DECODE) * bytes_out / decode_bytes.max(1.0);
+    let profile = CompressorProfile::from_totals(bytes_in, bytes_out, compress_s, decode_s);
     println!(
         "measured compressor profile: ratio {:.1}x, compress {:.1} MB/s, decompress {:.1} MB/s\n",
         profile.ratio,

@@ -16,16 +16,14 @@
 //! cargo run -p compso-bench --release --bin ablations
 //! ```
 //!
-//! Criterion microbenchmarks live in `benches/`.
+//! Compressor profiling and the host → A100 translation the figures use
+//! live in `compso-sim` beside the model they feed.
 
 pub mod proxy;
 
-use compso_core::perfmodel::CompressorProfile;
 use compso_core::synthetic::{generate, GradientProfile};
-use compso_core::Compressor;
 use compso_dnn::ModelSpec;
 use compso_tensor::Rng;
-use std::time::Instant;
 
 /// Default element budget for spec-shaped gradient samples. Ratio and
 /// throughput are size-stable well below full model scale; 8M elements
@@ -70,72 +68,6 @@ pub fn spec_gradient_flat(spec: &ModelSpec, budget: usize, seed: u64) -> Vec<f32
     spec_gradients(spec, budget, seed).concat()
 }
 
-/// Measures a compressor's ratio and throughput on per-layer data,
-/// producing the profile the performance model consumes.
-pub fn measure_profile(
-    compressor: &dyn Compressor,
-    layers: &[Vec<f32>],
-    seed: u64,
-) -> CompressorProfile {
-    let mut rng = Rng::new(seed);
-    let mut orig = 0u64;
-    let mut comp = 0u64;
-    let mut ct = 0.0f64;
-    let mut dt = 0.0f64;
-    for layer in layers {
-        let t0 = Instant::now();
-        let bytes = compressor.compress(layer, &mut rng);
-        ct += t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let back = compressor
-            .decompress(&bytes)
-            .expect("self-compressed stream must decode");
-        dt += t1.elapsed().as_secs_f64();
-        assert_eq!(back.len(), layer.len());
-        orig += layer.len() as u64 * 4;
-        comp += bytes.len() as u64;
-    }
-    CompressorProfile {
-        ratio: orig as f64 / comp.max(1) as f64,
-        compress_tput: orig as f64 / ct.max(1e-9),
-        decompress_tput: comp as f64 / dt.max(1e-9),
-    }
-}
-
-/// Measures this host's effective single-stream memory bandwidth
-/// (bytes/s) with a large copy — the normalizer for translating measured
-/// CPU codec throughput to the simulated A100.
-pub fn measure_membw() -> f64 {
-    let n = 64 << 20;
-    let src = vec![1u8; n];
-    let mut dst = vec![0u8; n];
-    // Warm-up + 3 timed passes.
-    dst.copy_from_slice(&src);
-    let t0 = Instant::now();
-    for _ in 0..3 {
-        dst.copy_from_slice(&src);
-        std::hint::black_box(&dst);
-    }
-    // A copy moves 2n bytes per pass.
-    (2 * 3 * n) as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// Translates a CPU-measured codec profile to the simulated GPU platform.
-///
-/// §4.5 establishes that the (de)compression kernels are memory-bound
-/// with O(1) arithmetic intensity, so their throughput scales with
-/// memory bandwidth; the simulator therefore scales measured CPU
-/// throughput by `gpu_membw / host_membw` (ratio is unchanged — it is a
-/// property of the data, not the machine).
-pub fn gpu_profile(p: &CompressorProfile, gpu_membw: f64, host_membw: f64) -> CompressorProfile {
-    let scale = (gpu_membw / host_membw).max(1.0);
-    CompressorProfile {
-        ratio: p.ratio,
-        compress_tput: p.compress_tput * scale,
-        decompress_tput: p.decompress_tput * scale,
-    }
-}
-
 /// Prints a markdown-style table row.
 pub fn row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
@@ -163,7 +95,6 @@ pub fn gbps(bytes_per_sec: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use compso_core::{ChunkedCompso, CompsoConfig, NoCompression};
 
     #[test]
     fn spec_gradients_respect_budget_and_shape() {
@@ -176,21 +107,5 @@ mod tests {
         let max = layers.iter().map(|l| l.len()).max().unwrap();
         let ffn_in = layers[4].len(); // encoder.0.ffn.in
         assert!(ffn_in >= max / 2);
-    }
-
-    #[test]
-    fn measure_profile_no_compression_is_ratio_one() {
-        let layers = spec_gradients(&ModelSpec::resnet50(), 1 << 18, 2);
-        let p = measure_profile(&NoCompression, &layers, 3);
-        assert!(p.ratio > 0.9 && p.ratio <= 1.0, "ratio {}", p.ratio);
-        assert!(p.compress_tput > 1e6);
-    }
-
-    #[test]
-    fn measure_profile_compso_beats_ten_x() {
-        let layers = spec_gradients(&ModelSpec::resnet50(), 1 << 20, 4);
-        let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
-        let p = measure_profile(&compso, &layers, 5);
-        assert!(p.ratio > 10.0, "ratio {}", p.ratio);
     }
 }

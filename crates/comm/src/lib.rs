@@ -6,17 +6,13 @@
 //! *all-reduce* for the covariance factors, *all-gather* (or broadcast) for
 //! the preconditioned gradients, and barriers for phase alignment. The
 //! paper runs them over NCCL on Slingshot fabrics; this crate substitutes
-//!
-//! 1. **functional collectives** — N ranks as OS threads exchanging real
-//!    buffers over crossbeam channels, with textbook ring algorithms
-//!    (reduce-scatter + all-gather all-reduce, ring all-gather with
-//!    variable-size blocks, flat-tree broadcast). These verify that
-//!    compressed communication is *correct*: every rank decodes the same
-//!    bits; and
-//! 2. **an analytic network model** — per-platform alpha-beta cost curves
-//!    with message-size-dependent effective bandwidth and node-topology
-//!    awareness, matching the "offline lookup table" of §4.4. This is what
-//!    the timing experiments (Figs. 1/7/9) query.
+//! functional collectives: N ranks as OS threads exchanging real buffers
+//! over crossbeam channels, with textbook ring algorithms (all-reduce as
+//! reduce-scatter then all-gather, ring all-gather with variable-size
+//! blocks, flat-tree broadcast). These verify that compressed
+//! communication is *correct*: every rank decodes the same bits. What
+//! communication would *cost* on the paper's clusters (the α–β model
+//! behind Figs. 1/7/9) is priced by `compso-sim`, not here.
 //!
 //! Under the collectives the transport splits by job: `group` (view,
 //! send/receive, the one bounded wait, `run_ranks*`), `clock` (time and
@@ -29,7 +25,6 @@ pub mod collectives;
 pub mod fault;
 pub mod group;
 pub mod membership;
-pub mod netmodel;
 
 pub use fault::{FaultConfig, FaultPlane, LedgerSnapshot};
 pub use group::{
@@ -37,4 +32,3 @@ pub use group::{
     CommGroup, Communicator, Payload,
 };
 pub use membership::{admit_pending, rejoin, MembershipFrame, ViewChange};
-pub use netmodel::{CollectiveKind, NetworkSpec, ThroughputTable};

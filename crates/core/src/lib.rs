@@ -23,8 +23,8 @@
 //!   nvCOMP families of Table 2 (ANS, Bitcomp, Cascaded, Deflate,
 //!   Gdeflate, LZ4, Snappy, Zstd);
 //! * [`adaptive`] — the iteration-wise error-bound schedule (Alg. 1);
-//! * [`perfmodel`] — the offline-online performance model (Eq. 5) that
-//!   selects the encoder and the layer-aggregation factor;
+//! * [`perfmodel`] — the codec's chunk tile and the pipelined-gather
+//!   wall clock (step pricing lives in `compso-sim`);
 //! * [`kernels`] — the end-to-end COMPSO compressor ([`ChunkedCompso`]:
 //!   layer aggregation, per-layer normalization ranges) on the fused
 //!   single-pass kernels, the CPU analogue of the paper's §4.5 GPU

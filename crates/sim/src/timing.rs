@@ -20,13 +20,24 @@
 //! * **Others** — optimizer step, host-side work, and the data-parallel
 //!   gradient all-reduce that overlaps backward.
 //!
-//! Every constant is a documented calibration knob; the unit tests pin
+//! Every constant is a documented calibration constant; the unit tests pin
 //! the resulting phase *ratios* to the bands Fig. 1 publishes rather than
 //! absolute times.
 
 use crate::platform::Platform;
-use compso_core::perfmodel::{predicted_overlap_frac, CompressorProfile};
+use crate::speedup::CompressorProfile;
+use compso_core::perfmodel::pipelined_wall;
 use compso_dnn::ModelSpec;
+
+/// Eigendecomposition refresh interval (iterations).
+const EIGEN_REFRESH: usize = 20;
+/// Factor all-reduce amortization interval (iterations).
+const FACTOR_INTERVAL: usize = 10;
+/// Fraction of communication hidden by compute overlap, `[0, 1)`.
+const OVERLAP: f64 = 0.4;
+/// Eigendecomposition efficiency relative to `gpu_flops` (dense
+/// eigensolvers run far off peak).
+const EIGEN_EFFICIENCY: f64 = 0.03;
 
 /// Phase times of one training iteration, seconds.
 #[derive(Clone, Copy, Debug, Default)]
@@ -68,33 +79,18 @@ impl Breakdown {
 pub struct IterationModel {
     /// Cluster description.
     pub platform: Platform,
-    /// Eigendecomposition refresh interval (iterations).
-    pub eigen_refresh: usize,
-    /// Factor all-reduce amortization interval (iterations).
-    pub factor_interval: usize,
-    /// Fraction of communication hidden by compute overlap, `[0, 1)`.
-    pub overlap: f64,
-    /// Eigendecomposition efficiency relative to `gpu_flops` (dense
-    /// eigensolvers run far off peak).
-    pub eigen_efficiency: f64,
 }
 
 impl IterationModel {
     /// The calibrated default model on a platform.
     pub fn new(platform: Platform) -> Self {
-        IterationModel {
-            platform,
-            eigen_refresh: 20,
-            factor_interval: 10,
-            overlap: 0.4,
-            eigen_efficiency: 0.03,
-        }
+        IterationModel { platform }
     }
 
-    /// Per-layer all-gather/broadcast time for the preconditioned
-    /// gradients, with layers grouped `m` at a time (aggregation), after
-    /// the overlap discount. Compression divides wire bytes by
-    /// `profile.ratio` and adds (de)compression overhead separately.
+    /// Per-layer all-gather/broadcast wire time for the preconditioned
+    /// gradients, with layers grouped `m` at a time (aggregation), before
+    /// the overlap discount, and the (de)compression overhead beside it.
+    /// Compression divides wire bytes by `profile.ratio`.
     fn gather_phase(
         &self,
         spec: &ModelSpec,
@@ -110,9 +106,8 @@ impl IterationModel {
             let bytes: f64 = group.iter().map(|&b| b as f64).sum();
             let wire = bytes / ratio;
             compressed_total += wire;
-            comm += self.platform.network.broadcast_time(gpus, wire);
+            comm += self.platform.broadcast_time(gpus, wire);
         }
-        comm *= 1.0 - self.overlap;
         let overhead = match profile {
             Some(p) => {
                 // Each GPU compresses its owned share and decompresses
@@ -142,19 +137,19 @@ impl IterationModel {
         // Factor GEMMs every iteration; eigendecompositions amortized and
         // split across GPUs.
         let factor_flops = 2.0 * spec.total_factor_elems() as f64 * batch;
-        let eigen_flops = spec.total_eigen_flops() / (gpus as f64 * self.eigen_refresh as f64);
+        let eigen_flops = spec.total_eigen_flops() / (gpus as f64 * EIGEN_REFRESH as f64);
         let kfac_compute = factor_flops / self.platform.gpu_flops
-            + eigen_flops / (self.platform.gpu_flops * self.eigen_efficiency);
+            + eigen_flops / (self.platform.gpu_flops * EIGEN_EFFICIENCY);
 
-        let factor_bytes = spec.total_factor_elems() as f64 * 4.0 / self.factor_interval as f64;
-        let factor_allreduce =
-            self.platform.network.allreduce_time(gpus, factor_bytes) * (1.0 - self.overlap);
+        let factor_bytes = spec.total_factor_elems() as f64 * 4.0 / FACTOR_INTERVAL as f64;
+        let factor_allreduce = self.platform.allreduce_time(gpus, factor_bytes) * (1.0 - OVERLAP);
 
-        let (grad_allgather, compression) = self.gather_phase(spec, gpus, m, profile);
+        let (wire, compression) = self.gather_phase(spec, gpus, m, profile);
+        let grad_allgather = wire * (1.0 - OVERLAP);
 
         // Host-side work + the overlapped data-parallel gradient sync.
         let grad_bytes = spec.total_grad_bytes() as f64;
-        let others = 0.35 * fwd_bwd + 0.3 * self.platform.network.allreduce_time(gpus, grad_bytes);
+        let others = 0.35 * fwd_bwd + 0.3 * self.platform.allreduce_time(gpus, grad_bytes);
 
         Breakdown {
             fwd_bwd,
@@ -183,12 +178,27 @@ impl IterationModel {
     ) -> f64 {
         let m = m.max(1);
         let stages = spec.layer_grad_bytes().chunks(m).count();
-        let (comm, compute) = self.gather_phase(spec, gpus, m, profile);
-        // gather_phase discounts the wire by the generic overlap factor;
-        // the pipeline model wants the raw wire time.
-        let raw_comm = comm / (1.0 - self.overlap).max(1e-9);
-        predicted_overlap_frac(compute, raw_comm, stages)
+        let (wire, compute) = self.gather_phase(spec, gpus, m, profile);
+        predicted_overlap_frac(compute, wire, stages)
     }
+}
+
+/// Predicted achieved overlap fraction of a pipelined gather:
+/// `1 − wait / wall`, where `wait` is the exposed wire time — the
+/// steady-state excess of communication over compute plus the fill
+/// bubble, `max(comm − compute, 0) + min(comm, compute) / stages`. This
+/// is the model-side counterpart of the measured
+/// `1 − comm/pipeline/wait ÷ kfac/step/allgather` in `StepReport`.
+/// Returns 0 when nothing runs (`wall == 0`) or when there is no compute
+/// to hide the wire behind.
+fn predicted_overlap_frac(compute_s: f64, comm_s: f64, stages: usize) -> f64 {
+    let g = stages.max(1) as f64;
+    let wall = pipelined_wall(compute_s, comm_s, stages);
+    if wall <= 0.0 {
+        return 0.0;
+    }
+    let wait = (comm_s - compute_s).max(0.0) + comm_s.min(compute_s) / g;
+    (1.0 - wait / wall).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -328,6 +338,27 @@ mod tests {
         };
         let f_slow = m.overlap_frac(&spec, 64, 4, Some(&slow));
         assert!(f_slow > f, "slow {f_slow} vs fast {f}");
+    }
+
+    #[test]
+    fn predicted_overlap_grows_with_stages_and_needs_compute() {
+        // No compute → nothing can hide the wire → zero overlap.
+        assert_eq!(predicted_overlap_frac(0.0, 3.0, 8), 0.0);
+        // Nothing running at all → zero, not NaN.
+        assert_eq!(predicted_overlap_frac(0.0, 0.0, 8), 0.0);
+        // More stages hide more of the shorter side.
+        let f2 = predicted_overlap_frac(2.0, 3.0, 2);
+        let f8 = predicted_overlap_frac(2.0, 3.0, 8);
+        assert!(f8 > f2, "{f8} vs {f2}");
+        assert!((0.0..=1.0).contains(&f2) && (0.0..=1.0).contains(&f8));
+        // Balanced compute == comm with many stages → near-total overlap.
+        assert!(predicted_overlap_frac(3.0, 3.0, 1_000_000) > 0.999);
+        // Consistency with the wall model: wall == compute + wait when
+        // comm dominates (every non-hidden wire second is a wait).
+        let (c, w, g) = (1.5, 4.0, 6);
+        let wait = (w - c) + c / g as f64;
+        let wall = pipelined_wall(c, w, g);
+        assert!((predicted_overlap_frac(c, w, g) - (1.0 - wait / wall)).abs() < 1e-12);
     }
 
     #[test]

@@ -102,6 +102,21 @@ if grep -rnE 'MAGIC_STREAM_V1|struct Compso\b|compress_layers|with_adaptive_chun
 fi
 step_end
 
+step_start "one cost model (compso-sim prices communication and the step)"
+# The alpha-beta network model, compressor profiles, Eq. 5 and the
+# encoder/aggregation choices live in compso-sim; compso-core keeps the
+# codec's tile and pipelined_wall, compso-comm prices nothing, and the
+# unqueried lookup table and the duplicate profiler stay deleted.
+# scripts/ is not searched: this line would match itself.
+CORE_SRC=$(find crates/core/src -name '*.rs' -exec sed -s '/^mod tests/,$d' {} +)
+if grep -rnE 'netmodel|NetworkSpec' crates/comm/src \
+  || grep -nE '(struct|fn) (CompressorProfile|choose_aggregation|comm_speedup|end_to_end_gain)\b' <<<"$CORE_SRC" \
+  || grep -rnE 'ThroughputTable|CollectiveKind|OnlineProfiler' crates src tests examples \
+  || grep -q 'compso-comm' crates/sim/Cargo.toml; then
+  echo "a second cost model is back: price communication and steps in compso-sim only" >&2; exit 1
+fi
+step_end
+
 step_start "one perf instrument, one rANS layout"
 # benchmark/ is the only thing that reports throughput and kernel_gates
 # carries no baseline, tolerance or env knob; rans::encode is the encoder
@@ -224,8 +239,11 @@ timeout --kill-after=10 300 \
   || { echo "benchmark selfcheck failed or timed out" >&2; exit 1; }
 step_end
 
-step_start "bench smoke: fig1"
+step_start "bench smoke: fig1, fig7, examples/performance_model"
 cargo run -p compso-bench --release --bin fig1 >/dev/null
+cargo run -p compso-bench --release --bin fig7 >/dev/null
+# The only caller of encoder selection and Eq. 5 outside tests.
+cargo run --release --example performance_model >/dev/null
 step_end
 
 step_start "bench smoke: obs_report"

@@ -9,8 +9,10 @@
 //! * [`dnn`](compso_dnn) — the DNN training substrate;
 //! * [`kfac`](compso_kfac) — (distributed) K-FAC optimizers;
 //! * [`ckpt`](compso_ckpt) — compressed, CRC-framed checkpoint/restore;
-//! * [`comm`](compso_comm) — collectives and network models;
-//! * [`sim`](compso_sim) — the cluster performance simulator;
+//! * [`comm`](compso_comm) — in-process collectives over the fault-injectable
+//!   transport;
+//! * [`sim`](compso_sim) — the cost model: network model, compressor
+//!   profiles, Eq. 5 and the cluster performance simulator;
 //! * [`obs`](compso_obs) — step-level observability (timers, counters,
 //!   per-step JSON reports).
 //!

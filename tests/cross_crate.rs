@@ -4,12 +4,11 @@
 use compso::comm::collectives::allgather_var;
 use compso::comm::run_ranks;
 use compso::core::kernels::{compress_chunked, decompress_chunked, KernelConfig, LayerSchedule};
-use compso::core::perfmodel::{comm_speedup, end_to_end_gain, CompressorProfile};
 use compso::core::synthetic::{generate, generate_layers, GradientProfile};
 use compso::core::{ChunkedCompso, Compressor, CompsoConfig};
 use compso::dnn::ModelSpec;
 use compso::obs::Recorder;
-use compso::sim::{IterationModel, Platform};
+use compso::sim::{comm_speedup, end_to_end_gain, CompressorProfile, IterationModel, Platform};
 use compso::tensor::Rng;
 
 #[test]
@@ -145,6 +144,6 @@ fn facade_reexports_are_usable_together() {
     assert_eq!(eig.values.len(), 4);
     let spec = compso::dnn::ModelSpec::bert_large();
     assert!(spec.total_grad_elems() > 100_000_000);
-    let net = compso::comm::NetworkSpec::slingshot10();
+    let net = compso::sim::Platform::platform1();
     assert!(net.allreduce_time(8, 1e6) > 0.0);
 }

@@ -233,8 +233,6 @@ impl Communicator {
                 }
                 c.send_nack(src, c.recv_expect[src])?;
                 nacks += 1;
-                c.recorder
-                    .observe(names::COMM_RETRY_BACKOFF_NS, backoff.as_nanos() as u64);
                 backoff *= 2;
                 nack_at = c.clock.now() + backoff;
             }

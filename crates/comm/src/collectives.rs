@@ -9,10 +9,9 @@
 //!   data only one rank reads (K-FAC's gradients: a layer's owner), and
 //!   [`reduce_scatter_pieced`] is that same ring telling its caller when
 //!   its core is idle and when each piece of its block has landed;
-//! * **all-gather** circulates blocks around the ring for `p - 1` steps,
-//!   with a variable-size variant for compressed payloads whose per-rank
-//!   sizes differ (§4.3: "KFAC uses AllGather, avoiding [ring-allreduce
-//!   error propagation]");
+//! * **all-gather** circulates byte blocks around the ring for `p - 1`
+//!   steps, sized per rank because compressed payloads differ (§4.3:
+//!   "KFAC uses AllGather, avoiding [ring-allreduce error propagation]");
 //! * **broadcast** (of bytes: checkpoint globals, rejoin catch-up) is a
 //!   flat fan-out from the root (some K-FAC implementations overlap
 //!   broadcasts per layer; flat is enough for the correctness role this
@@ -287,38 +286,6 @@ pub fn allreduce_mean(comm: &mut Communicator, data: &mut [f32]) -> Result<(), C
         *v *= inv;
     }
     Ok(())
-}
-
-/// Fixed-size ring all-gather of f32 blocks. Every rank contributes
-/// `mine`; returns the concatenation ordered by rank.
-pub fn allgather(comm: &mut Communicator, mine: &[f32]) -> Result<Vec<f32>, CommError> {
-    let _span = comm.recorder().span(names::COMM_ALLGATHER);
-    let p = comm.size();
-    let n = mine.len();
-    let mut out = vec![0.0f32; n * p];
-    let r = comm.rank();
-    out[r * n..(r + 1) * n].copy_from_slice(mine);
-    if p == 1 {
-        return Ok(out);
-    }
-    let left = comm.left();
-    let right = comm.right();
-    for s in 0..p - 1 {
-        let send_block = (r + p - s) % p;
-        let recv_block = (r + p - s - 1) % p;
-        comm.send(
-            right,
-            Payload::F32(out[send_block * n..(send_block + 1) * n].to_vec()),
-        )?;
-        let incoming = comm.recv_labeled(left, names::COMM_ALLGATHER)?.try_f32()?;
-        if incoming.len() != n {
-            return Err(CommError::Protocol {
-                expected: "allgather block of matching size",
-            });
-        }
-        out[recv_block * n..(recv_block + 1) * n].copy_from_slice(&incoming);
-    }
-    Ok(out)
 }
 
 /// Variable-size ring all-gather of byte blocks — the collective compressed
@@ -1106,20 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_concatenates_in_rank_order() {
-        for p in [1usize, 2, 5] {
-            let results = run_ranks(p, |comm| {
-                let mine = vec![comm.rank() as f32; 3];
-                allgather(comm, &mine).unwrap()
-            });
-            let expected: Vec<f32> = (0..p).flat_map(|r| vec![r as f32; 3]).collect();
-            for res in results {
-                assert_eq!(res, expected);
-            }
-        }
-    }
-
-    #[test]
     fn allgather_var_handles_unequal_sizes() {
         let p = 5;
         let results = run_ranks(p, |comm| {
@@ -1212,13 +1165,16 @@ mod tests {
                     .map(|i| ((comm.rank() + 1) as f32 * 0.137 + i as f32 * 0.0113).sin() * 0.1)
                     .collect();
                 // All-gather path: compress once at the source.
-                let gathered = allgather(comm, &lossy(&mine)).unwrap();
+                let bytes = lossy(&mine).iter().flat_map(|v| v.to_le_bytes()).collect();
+                let gathered = allgather_var(comm, bytes).unwrap();
                 // Error vs the exact gathered data.
                 let mut worst = 0.0f64;
-                for r in 0..p {
-                    for i in 0..n {
+                for (r, block) in gathered.iter().enumerate() {
+                    assert_eq!(block.len(), 4 * n);
+                    for (i, b) in block.chunks_exact(4).enumerate() {
+                        let got = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
                         let exact = ((r + 1) as f32 * 0.137 + i as f32 * 0.0113).sin() * 0.1;
-                        worst = worst.max(((gathered[r * n + i] - exact) as f64).abs());
+                        worst = worst.max(((got - exact) as f64).abs());
                     }
                 }
                 worst

@@ -38,8 +38,8 @@
 //!
 //! Every decision increments registered `ctrl/*` instruments and lands
 //! in a bounded in-memory trace, so a run's decision log reconciles
-//! exactly against its counters ([`Controller::reconcile`]); the
-//! per-step [`ControlBlock`] in `StepReport` carries the same numbers.
+//! exactly against its counters ([`Controller::reconcile`]), which a
+//! per-step `StepReport` carries in its counter map.
 //!
 //! Determinism: [`Controller::observe`] is a pure function of
 //! `(config, seed, signal sequence)` — no wall-clock reads, no map

@@ -18,7 +18,7 @@ pub enum Family {
 }
 
 impl Family {
-    /// Lowercase display name (also used in `ControlBlock.active`).
+    /// Lowercase display name.
     pub fn name(&self) -> &'static str {
         match self {
             Family::None => "none",
@@ -163,17 +163,6 @@ pub enum Phase {
     Steady,
     /// Temporarily pinned to a higher-fidelity rung after divergence.
     Backoff,
-}
-
-impl Phase {
-    /// Lowercase display name (also used in `ControlBlock.active`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Phase::Warmup => "warmup",
-            Phase::Steady => "steady",
-            Phase::Backoff => "backoff",
-        }
-    }
 }
 
 /// Controller configuration. Everything is deterministic; `seed` only

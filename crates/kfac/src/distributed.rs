@@ -448,15 +448,12 @@ impl DistKfac {
         stats: &mut StepStats,
     ) -> Result<Vec<Option<Matrix>>, CommError> {
         let _span = self.recorder.span(names::KFAC_GRAD_SYNC);
-        {
-            let _bucket = self.recorder.span(names::KFAC_BUCKET);
-            self.fusion.clear();
-            let by_owner = plan.expected.iter().flatten().map(|&(idx, _, _)| idx);
-            for idx in by_owner.chain(plan.tail.iter().copied()) {
-                let grad = (model.layer(idx).grads())
-                    .ok_or(protocol("trainable layer with a gradient"))?;
-                self.fusion.extend_from_slice(grad.as_slice());
-            }
+        self.fusion.clear();
+        let by_owner = plan.expected.iter().flatten().map(|&(idx, _, _)| idx);
+        for idx in by_owner.chain(plan.tail.iter().copied()) {
+            let grad =
+                (model.layer(idx).grads()).ok_or(protocol("trainable layer with a gradient"))?;
+            self.fusion.extend_from_slice(grad.as_slice());
         }
         stats.allreduce_bytes += self.fusion.len() as u64 * 4;
         let me = comm.rank();
@@ -626,10 +623,7 @@ impl DistKfac {
             g.pack_upper(&mut bucket);
         }
         if !bucket.is_empty() {
-            let fused_bytes = bucket.len() as u64 * 4;
-            stats.allreduce_bytes += fused_bytes;
-            self.recorder
-                .add(names::KFAC_FACTOR_FUSED_BYTES, fused_bytes);
+            stats.allreduce_bytes += bucket.len() as u64 * 4;
             self.recorder.incr(names::KFAC_FACTOR_SYNCS);
             allreduce_mean(comm, &mut bucket)?;
             let mut off = 0usize;
@@ -823,11 +817,7 @@ impl DistKfac {
         let (me, p, m) = (comm.rank(), comm.size(), plan.m);
         let plane = comm.fault_plane().clone();
         let rec = &self.recorder;
-        {
-            let _decode_span = rec.span(names::KFAC_PEER_DECODE);
-            gathered.results[me] =
-                decode_run(&gathered.clean, &plan.expected[me], m, compressor, rec);
-        }
+        gathered.results[me] = decode_run(&gathered.clean, &plan.expected[me], m, compressor, rec);
         let failed = |r: &Decoded| u8::from(r.is_err());
         let needs: Vec<u8> = gathered.results.iter().map(failed).collect();
         for (r, &n) in needs.iter().enumerate() {
@@ -1480,8 +1470,6 @@ mod tests {
             snap.counter(names::KFAC_FACTOR_SYNCS),
             (ranks * syncs) as u64
         );
-        // The fused factor bucket actually moved bytes.
-        assert!(snap.counter(names::KFAC_FACTOR_FUSED_BYTES) > 0);
         // One pipelined compressed all-gather per step completes the
         // picture; step 5 has no other collective.
         assert_eq!(
@@ -1489,18 +1477,6 @@ mod tests {
             (ranks * steps) as u64
         );
         assert_eq!(snap.counter(names::COMM_ALLGATHER_VAR_CALLS), 0);
-        // The bucket flatten span precedes the reduce (1 per step; the
-        // model is first written at install, so nothing is scattered back).
-        assert_eq!(
-            snap.timers[names::KFAC_BUCKET].count,
-            (ranks * steps) as u64
-        );
-        // And the own-frame decode span (peers decode inside the
-        // collective's deliver) ran once per step per rank.
-        assert_eq!(
-            snap.timers[names::KFAC_PEER_DECODE].count,
-            (ranks * steps) as u64
-        );
     }
 
     #[test]
@@ -1785,7 +1761,6 @@ mod tests {
 
     #[test]
     fn ownership_bounds_the_inverse_work_at_1_2_4_ranks() {
-        use compso_obs::StepReport;
         // Two refresh periods (steps 0 and 3 of 6): every layer is
         // decomposed (A and G) exactly once per refresh *group-wide*, by
         // its owner — not once per rank.
@@ -1810,14 +1785,14 @@ mod tests {
                     let (x, y) = shard.batch(step, 8);
                     train_step(comm, &mut opt, &mut model, &x, &y).unwrap();
                 }
-                let report = StepReport::from_snapshot(0, &rec.snapshot());
+                let decompositions = rec.snapshot().counter(names::KFAC_INVERSE_REFRESHES);
                 let holds: Vec<bool> = model
                     .kfac_indices()
                     .iter()
                     .map(|&idx| opt.kfac().has_inverse(idx))
                     .collect();
                 let owners = opt.owners().unwrap().to_vec();
-                (comm.rank(), report.inverse_refreshes, owners, holds)
+                (comm.rank(), decompositions, owners, holds)
             });
             let layers = results[0].2.len() as u64;
             let total: u64 = results.iter().map(|r| r.1).sum();

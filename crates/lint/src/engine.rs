@@ -10,7 +10,7 @@
 //! invariant surface, not an escape hatch).
 
 use crate::callgraph::{self, FileSummaries, FnFacts};
-use crate::rules::{RULES, RULE_NAMES};
+use crate::rules::{registry_entries, View, RULES, RULE_NAMES};
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -131,25 +131,12 @@ impl Context {
 /// file (token-based, so comments and test strings don't leak in).
 pub fn parse_registered_names(src: &str) -> BTreeSet<String> {
     let f = SourceFile::new("names.rs".into(), src.to_string());
-    let code = f.code_tokens();
-    let text = |ci: usize| f.tokens[code[ci]].text(&f.src);
-    let mut out = BTreeSet::new();
-    for i in 0..code.len() {
-        // const NAME : & str = "…"
-        if text(i) == "const"
-            && i + 6 < code.len()
-            && text(i + 2) == ":"
-            && text(i + 3) == "&"
-            && text(i + 4) == "str"
-            && text(i + 5) == "="
-        {
-            let lit = text(i + 6);
-            if let Some(stripped) = lit.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
-                out.insert(stripped.to_string());
-            }
-        }
-    }
-    out
+    let v = View::new(&f);
+    let entries = registry_entries(&v);
+    entries
+        .into_iter()
+        .map(|(_, _, value)| value.into())
+        .collect()
 }
 
 /// Run every applicable rule over `file`, apply suppressions, and
@@ -223,10 +210,15 @@ pub fn check_files(files: &[SourceFile], ctx: &Context) -> Vec<Diagnostic> {
     for f in files {
         check_file(f, &ctx, &mut out);
     }
-    out.sort_by(|a, b| {
+    sort(&mut out);
+    out
+}
+
+/// Path, line, column, rule: the order every report is printed in.
+pub(crate) fn sort(diags: &mut [Diagnostic]) {
+    diags.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-    out
 }
 
 #[cfg(test)]

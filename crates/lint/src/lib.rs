@@ -50,8 +50,10 @@ pub fn rules_apply_to(rel_path: &str) -> bool {
         .any(|p| rel_path.starts_with(p))
 }
 
-/// Load and check the whole workspace rooted at `root`. Returns sorted
-/// diagnostics; IO failures surface as `Err`.
+/// Load and check the whole workspace rooted at `root`, then run
+/// `counter-registry`'s unread-name pass over those files plus
+/// `benchmark/src`, which is lexed only as a reader of registered names.
+/// Returns sorted diagnostics; IO failures surface as `Err`.
 pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
     for path in walker::collect_files(root, false) {
@@ -62,5 +64,14 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         let src = std::fs::read_to_string(&path)?;
         files.push(SourceFile::new(rel, src));
     }
-    Ok(check_files(&files, &Context::from_workspace(root)?))
+    let mut diags = check_files(&files, &Context::from_workspace(root)?);
+    let mut benchmark = Vec::new();
+    walker::walk(&root.join("benchmark/src"), &mut benchmark);
+    for path in benchmark {
+        let src = std::fs::read_to_string(&path)?;
+        files.push(SourceFile::new(walker::rel_path(root, &path), src));
+    }
+    diags.extend(rules::unread_names(&files));
+    engine::sort(&mut diags);
+    Ok(diags)
 }

@@ -1,5 +1,6 @@
 //! `counter-registry`: every obs counter / span / collective-label name
-//! must be registered in `compso_obs::names`.
+//! must be registered in `compso_obs::names`, and every registered name
+//! must be read.
 //!
 //! Observability names are string-keyed: `Recorder::incr("kfac/step")`,
 //! `recv_labeled(src, "comm/barrier")`, `StepReport` phase tables, and
@@ -17,15 +18,23 @@
 //!    `observe`, `span`, `add_time_ns`, `recv_labeled`) must be
 //!    registered, whatever its shape — catching typos that dodge the
 //!    name pattern entirely.
+//! 3. Any **registered name nothing reads** fails at its `const` line
+//!    ([`unread_names`], a workspace pass). A file other than the
+//!    registry reads a name by spelling its constant or its value
+//!    anywhere except as the first argument of a recording API (`incr`,
+//!    `add`, `observe`, `span`, `add_time_ns`): a report, a test, a gate,
+//!    a collective label. The benchmark's sources are lexed as readers
+//!    only; no rule runs on them.
 //!
 //! The registry itself is parsed from `crates/obs/src/names.rs` by the
 //! engine (`const NAME: &str = "…";` entries), so its definitions
-//! trivially satisfy the rule.
+//! trivially satisfy checks 1 and 2.
 
 use super::{Rule, View};
 use crate::engine::{Context, Diagnostic};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
+use std::collections::BTreeSet;
 
 pub struct CounterRegistry;
 
@@ -43,6 +52,12 @@ const KEYED_APIS: &[&str] = &[
     "add_time_ns",
     "recv_labeled",
 ];
+
+/// The registry's defining file.
+const REGISTRY: &str = "crates/obs/src/names.rs";
+
+/// APIs whose first argument is a name being recorded, not read.
+const RECORDING_APIS: &[&str] = &["incr", "add", "observe", "span", "add_time_ns"];
 
 impl Rule for CounterRegistry {
     fn name(&self) -> &'static str {
@@ -70,7 +85,9 @@ impl Rule for CounterRegistry {
                          compso_obs::names; add it there and use the constant"
                     ),
                 ));
-            } else if is_keyed_api_arg(&v, ci) && !file.in_test(v.tok(ci).start) {
+            } else if enclosing_call(&v, ci).is_some_and(|(c, _)| KEYED_APIS.contains(&v.text(c)))
+                && !file.in_test(v.tok(ci).start)
+            {
                 out.push(v.diag(
                     NAME,
                     ci,
@@ -107,12 +124,11 @@ fn counter_shaped(s: &str) -> bool {
     })
 }
 
-/// Is the string token at `ci` an argument of a name-keyed API call?
-/// Matches `. api ( … "lit"` with the literal before the matching `)`.
-fn is_keyed_api_arg(v: &View, ci: usize) -> bool {
-    // Walk backwards to the opening `(` at depth 0, then check the two
-    // tokens before it for `.api` / `api`.
-    let mut depth = 0i32;
+/// The call whose parentheses hold token `ci`: the callee's token and
+/// whether `ci` is in the first argument. `None` outside a call or past a
+/// `;`.
+fn enclosing_call(v: &View, ci: usize) -> Option<(usize, bool)> {
+    let (mut depth, mut first) = (0i32, true);
     let mut k = ci;
     while k > 0 {
         k -= 1;
@@ -120,18 +136,68 @@ fn is_keyed_api_arg(v: &View, ci: usize) -> bool {
             depth += 1;
         } else if v.is_punct(k, "(") || v.is_punct(k, "[") {
             if depth == 0 {
-                break;
+                let callee = k.checked_sub(1).filter(|_| v.is_punct(k, "("))?;
+                return (v.kind(callee) == TokenKind::Ident).then_some((callee, first));
             }
             depth -= 1;
         } else if depth == 0 && v.is_punct(k, ";") {
-            return false;
+            return None;
+        } else if depth == 0 && v.is_punct(k, ",") {
+            first = false;
         }
     }
-    if k == 0 || !v.is_punct(k, "(") {
-        return false;
+    None
+}
+
+/// `(constant token, constant, value)` per `const NAME: &str = "value";`
+/// in the registry's token stream.
+pub(crate) fn registry_entries<'v>(v: &'v View) -> Vec<(usize, &'v str, &'v str)> {
+    let shape = [":", "&", "str", "="];
+    (0..v.len().saturating_sub(6))
+        .filter(|&i| v.is_ident(i, "const") && (0..4).all(|k| v.text(i + 2 + k) == shape[k]))
+        .filter_map(|i| Some((i + 1, v.text(i + 1), str_value(v.text(i + 6))?)))
+        .collect()
+}
+
+/// Check 3 over the workspace: the registry entries no file in `files`
+/// (the registry aside) reads, reported at their `const` line.
+pub(crate) fn unread_names(files: &[SourceFile]) -> Vec<Diagnostic> {
+    let Some(registry) = files.iter().find(|f| f.path == REGISTRY) else {
+        return Vec::new();
+    };
+    let reg = View::new(registry);
+    let entries = registry_entries(&reg);
+    let spellings: BTreeSet<&str> = entries.iter().flat_map(|&(_, c, val)| [c, val]).collect();
+    let mut read = BTreeSet::new();
+    for f in files.iter().filter(|f| f.path != REGISTRY) {
+        let v = View::new(f);
+        for ci in 0..v.len() {
+            let text = match v.kind(ci) {
+                TokenKind::Ident => Some(v.text(ci)),
+                TokenKind::Str => str_value(v.text(ci)),
+                _ => None,
+            };
+            let Some(&name) = text.and_then(|t| spellings.get(t)) else {
+                continue;
+            };
+            let recorded = enclosing_call(&v, ci)
+                .is_some_and(|(c, first)| first && RECORDING_APIS.contains(&v.text(c)));
+            if !recorded {
+                read.insert(name);
+            }
+        }
     }
-    let callee = k.checked_sub(1);
-    callee.is_some_and(|c| v.kind(c) == TokenKind::Ident && KEYED_APIS.contains(&v.text(c)))
+    (entries.iter())
+        .filter(|(_, c, val)| !read.contains(c) && !read.contains(val))
+        .map(|&(ci, c, val)| {
+            let message = format!(
+                "registered name {c} (\"{val}\") is never read outside its recording \
+                 calls; read it in a report, a test or a gate, or delete it"
+            );
+            reg.diag(NAME, ci, message)
+        })
+        .filter(|d| !registry.is_suppressed(NAME, d.line))
+        .collect()
 }
 
 #[cfg(test)]
@@ -149,5 +215,49 @@ mod tests {
         assert!(!counter_shaped("comm/Recv")); // uppercase
         assert!(!counter_shaped("comm")); // no slash
         assert!(!counter_shaped("kfac/{idx}")); // format! placeholder
+    }
+
+    #[test]
+    fn a_name_only_recorded_is_unread() {
+        let registry = "pub const A: &str = \"comm/a\";\n\
+                        pub const B: &str = \"comm/b\";\n\
+                        pub const C: &str = \"comm/c\";\n\
+                        pub const D: &str = \"comm/d\";\n\
+                        pub const E: &str = \"comm/e\";\n\
+                        pub const ALL: &[&str] = &[A, B, C, D, E];\n";
+        let unread = |readers: &[(&str, &str)]| -> Vec<(usize, usize)> {
+            let mut files = vec![SourceFile::new(REGISTRY.into(), registry.into())];
+            files.extend(
+                readers
+                    .iter()
+                    .map(|&(p, s)| SourceFile::new(p.into(), s.into())),
+            );
+            unread_names(&files)
+                .iter()
+                .map(|d| (d.line, d.col))
+                .collect()
+        };
+        let prod = (
+            "crates/comm/src/x.rs",
+            "fn f(rec: &Recorder) {\n    let _s = rec.span(names::A);\n    \
+             rec.add(names::B, rec.counter(names::C));\n    \
+             comm.recv_labeled(src, names::D);\n}\n",
+        );
+        // A is recorded, B recorded and read only by the benchmark; C is
+        // read as an argument, D as a label.
+        let bench = (
+            "benchmark/src/ledger.rs",
+            "fn g() { s.counter(names::B); }\n",
+        );
+        assert_eq!(unread(&[prod]), [(1, 11), (2, 11), (5, 11)]);
+        assert_eq!(unread(&[prod, bench]), [(1, 11), (5, 11)]);
+        // A test reading a value by its literal counts.
+        let test = (
+            "tests/t.rs",
+            "fn t() { assert_eq!(s.counter(\"comm/e\"), 0); }\n",
+        );
+        assert_eq!(unread(&[prod, bench, test]), [(1, 11)]);
+        // The registry's own `ALL` list is not a reader.
+        assert_eq!(unread(&[]).len(), 5);
     }
 }

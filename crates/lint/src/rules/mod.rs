@@ -28,7 +28,6 @@ use crate::source::SourceFile;
 mod collective_order;
 mod counter_registry;
 mod deterministic_state;
-mod float_reduction;
 mod hashmap_iter;
 pub mod length_prefix;
 mod no_unwrap;
@@ -38,13 +37,13 @@ mod wire_magic;
 pub use collective_order::CollectiveOrder;
 pub use counter_registry::CounterRegistry;
 pub use deterministic_state::DeterministicState;
-pub use float_reduction::FloatReductionOrder;
 pub use hashmap_iter::NondeterministicWireIteration;
 pub use length_prefix::UncheckedLengthPrefix;
 pub use no_unwrap::NoUnwrapOnCommPath;
 pub use swallowed::SwallowedCommError;
 pub use wire_magic::WireMagicRegistry;
 
+pub(crate) use counter_registry::{registry_entries, unread_names};
 pub(crate) use hashmap_iter::{hashmap_idents, in_for_header, is_iter_call};
 
 /// A single analysis rule.
@@ -134,14 +133,6 @@ pub const RULES: &[RuleSpec] = &[
         make: || Box::new(DeterministicState),
     },
     RuleSpec {
-        name: "float-reduction-order",
-        include: &[],
-        // The sanctioned scalar oracles: fixed-order reference
-        // reductions every parallel kernel is pinned against.
-        exclude: &["crates/tensor/src/reduce.rs"],
-        make: || Box::new(FloatReductionOrder),
-    },
-    RuleSpec {
         name: "swallowed-comm-error",
         include: &["crates/comm/src/", "crates/kfac/src/"],
         exclude: &[],
@@ -159,7 +150,6 @@ pub const RULE_NAMES: &[&str] = &[
     "nondeterministic-wire-iteration",
     "collective-order",
     "deterministic-state",
-    "float-reduction-order",
     "swallowed-comm-error",
     SUPPRESSION_HYGIENE,
 ];
@@ -407,10 +397,6 @@ mod tests {
         assert!(!spec("no-unwrap-on-comm-path").applies_to("crates/tensor/src/lib.rs"));
         assert!(spec("collective-order").applies_to("crates/kfac/src/distributed.rs"));
         assert!(!spec("collective-order").applies_to("crates/ctrl/src/controller.rs"));
-        // The oracle module is carved out of float-reduction-order only.
-        assert!(!spec("float-reduction-order").applies_to("crates/tensor/src/reduce.rs"));
-        assert!(spec("float-reduction-order").applies_to("crates/tensor/src/dense.rs"));
-        assert!(spec("deterministic-state").applies_to("crates/tensor/src/reduce.rs"));
     }
 
     #[test]

@@ -36,7 +36,9 @@ pub fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Every `.rs` file under `dir`, minus build output, fixture corpora and
+/// dot-dirs, in directory order.
+pub(crate) fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };

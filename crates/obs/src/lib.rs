@@ -33,7 +33,7 @@ mod report;
 mod snapshot;
 
 pub use json::{escape as json_escape, validate as json_validate};
-pub use report::{ActiveSetting, ControlBlock, Resilience, StepReport, PHASE_OTHER, STEP_PHASES};
+pub use report::{StepReport, PHASE_OTHER, STEP_PHASES};
 pub use snapshot::{HistStat, Snapshot, TimerStat};
 
 use std::collections::HashMap;

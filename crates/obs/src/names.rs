@@ -10,7 +10,9 @@
 //! `recv_labeled`, and any slash-namespaced name literal anywhere in the
 //! workspace (tests included) must match a registered constant, so a
 //! typo in a test pin is caught at lint time instead of silently
-//! asserting against a counter that never fires.
+//! asserting against a counter that never fires. The rule also fails on
+//! a registered name that nothing reads: every name is read by a report,
+//! a test or a gate somewhere besides its recording calls, or it goes.
 
 /// `compso-core`: whole chunked-parallel kernel sweep (filter +
 /// quantize + serialize + block encode) of one multi-layer group.
@@ -30,8 +32,6 @@ pub const CORE_DECODE_BYTES_IN: &str = "core/decode_bytes_in";
 pub const COMM_ALLREDUCE: &str = "comm/allreduce_sum";
 /// `compso-comm`: variable-size ring all-gather wall time.
 pub const COMM_ALLGATHER_VAR: &str = "comm/allgather_var";
-/// `compso-comm`: fixed-size ring all-gather wall time.
-pub const COMM_ALLGATHER: &str = "comm/allgather";
 /// `compso-comm`: compressed ring all-reduce wall time.
 pub const COMM_COMPRESSED_ALLREDUCE: &str = "comm/compressed_allreduce_mean";
 /// `compso-comm`: total bytes this rank put on the wire.
@@ -88,9 +88,6 @@ pub const COMM_RETRY_RESENDS: &str = "comm/retry/resends";
 /// `compso-comm`: NACKs sent by receivers (immediate on CRC failure,
 /// deadline-based for silent drops).
 pub const COMM_RETRY_NACKS_SENT: &str = "comm/retry/nacks_sent";
-/// `compso-comm`: exponential-backoff waits between timeout NACKs,
-/// in nanoseconds (log2 histogram).
-pub const COMM_RETRY_BACKOFF_NS: &str = "comm/retry/backoff_ns";
 /// `compso-kfac`: tiny always-on repair status exchange after the
 /// gradient all-gather (kept separate from `comm/allgather_var` so
 /// call-count invariants on the main collective stay exact).
@@ -142,9 +139,6 @@ pub const KFAC_STEP: &str = "kfac/step";
 /// reduced to its owner — including the work hidden in the reduce's
 /// waits (`fold`, `precondition` below), timed where it runs.
 pub const KFAC_GRAD_SYNC: &str = "kfac/step/grad_sync";
-/// `compso-kfac`: fusion-buffer flatten ahead of the single bucketed
-/// gradient reduce (nested inside `grad_sync`).
-pub const KFAC_BUCKET: &str = "kfac/step/grad_sync/bucket";
 /// `compso-kfac`: the local covariance fold, run in the gradient
 /// reduce's first wait (nested inside `grad_sync`; once per step call,
 /// whatever an elastic retry repeats).
@@ -154,11 +148,6 @@ pub const KFAC_FOLD: &str = "kfac/step/grad_sync/fold";
 /// on a refresh-due layer or after a membership epoch change, which
 /// precondition under `inverse`).
 pub const KFAC_PRECONDITION_LANDED: &str = "kfac/step/grad_sync/precondition";
-/// `compso-kfac`: decode of the rank's *own* all-gather frames (nested
-/// inside `update`; the ring never brings them back, and the N−1 peers'
-/// frames decode as they land, under `comm/pipeline/deliver`). The string
-/// predates that split and is kept so reports stay comparable.
-pub const KFAC_PEER_DECODE: &str = "kfac/step/update/peer_decode";
 /// `compso-kfac`: the packed factor all-reduce, on sync steps only
 /// (Fig. 1 "Factor Allreduce"). The covariance compute + EMA fold (Fig. 1
 /// "KFAC Computations") runs every step hidden in the gradient reduce's
@@ -181,10 +170,6 @@ pub const KFAC_UPDATE: &str = "kfac/step/update";
 /// Synthetic report phase covering step time outside the tracked
 /// sub-phases (computed by `StepReport`, never recorded directly).
 pub const KFAC_STEP_OTHER: &str = "kfac/step/other";
-/// `compso-kfac`: bytes moved by the fused factor all-reduce (step 3's
-/// bucket of the synced layers' packed running-factor upper triangles,
-/// n(n+1)/2 floats per factor). Zero on a step that syncs nothing.
-pub const KFAC_FACTOR_FUSED_BYTES: &str = "kfac/factor_fused_bytes";
 /// `compso-kfac`: factor all-reduces issued by *this* rank — one per
 /// step on which some layer's refresh is due, plus one after each
 /// membership epoch change; `⌈steps / eigen_refresh⌉` in a
@@ -224,10 +209,6 @@ pub const CKPT_RESTORE_RUNGS_WORLD_SIZE: &str = "ckpt/restore_rungs_world_size";
 /// `compso-ctrl`: one controller decision evaluated (every observed
 /// step, whether or not the setting changed).
 pub const CTRL_DECISIONS: &str = "ctrl/decisions";
-/// `compso-ctrl`: wall time of one `Controller::observe` evaluation —
-/// the control plane's overhead, priced per decision by the benchmark's
-/// `ctrl.decide_ns`.
-pub const CTRL_DECIDE: &str = "ctrl/decide";
 /// `compso-ctrl`: decisions that changed the active setting in any way
 /// (family, bits, threshold, rank, or chunking).
 pub const CTRL_SWITCHES: &str = "ctrl/switches";
@@ -240,15 +221,9 @@ pub const CTRL_WARMUP_STEPS: &str = "ctrl/warmup_steps";
 /// `compso-ctrl`: warmup→compressed transitions (1 per run unless the
 /// controller is reset).
 pub const CTRL_WARMUP_EXITS: &str = "ctrl/warmup_exits";
-/// `compso-ctrl`: error-feedback divergence detections (the measured
-/// residual/compression-error signal crossed the configured ceiling).
-pub const CTRL_EF_DIVERGENCE: &str = "ctrl/ef_divergence";
 /// `compso-ctrl`: backoffs to a higher-fidelity setting triggered by
 /// divergence detections.
 pub const CTRL_BACKOFFS: &str = "ctrl/backoffs";
-/// `compso-ctrl`: steps where the measured step wall exceeded the
-/// IterationModel prediction by the configured mistrust factor.
-pub const CTRL_MODEL_MISMATCH: &str = "ctrl/model_mismatch";
 /// `compso-kfac`: cached layer-schedule rebuilds forced by a
 /// controller-driven compressor switch (chunk geometry changes with
 /// the family). Zero under a static compressor.
@@ -266,7 +241,6 @@ pub const ALL: &[&str] = &[
     CORE_DECODE_BYTES_IN,
     COMM_ALLREDUCE,
     COMM_ALLGATHER_VAR,
-    COMM_ALLGATHER,
     COMM_COMPRESSED_ALLREDUCE,
     COMM_BYTES_SENT,
     COMM_MSG_BYTES,
@@ -284,7 +258,6 @@ pub const ALL: &[&str] = &[
     COMM_FAULT_CRC_DETECTED,
     COMM_RETRY_RESENDS,
     COMM_RETRY_NACKS_SENT,
-    COMM_RETRY_BACKOFF_NS,
     COMM_ALLGATHER_REPAIR,
     COMM_MEMBERSHIP,
     COMM_MEMBERSHIP_EPOCHS,
@@ -301,17 +274,14 @@ pub const ALL: &[&str] = &[
     KFAC_REPAIR_STATUS,
     KFAC_STEP,
     KFAC_GRAD_SYNC,
-    KFAC_BUCKET,
     KFAC_FOLD,
     KFAC_PRECONDITION_LANDED,
-    KFAC_PEER_DECODE,
     KFAC_FACTOR,
     KFAC_INVERSE,
     KFAC_INVERSE_REFRESHES,
     KFAC_ALLGATHER,
     KFAC_UPDATE,
     KFAC_STEP_OTHER,
-    KFAC_FACTOR_FUSED_BYTES,
     KFAC_FACTOR_SYNCS,
     KFAC_ELASTIC_RESHARDS,
     CKPT_SAVE,
@@ -322,14 +292,11 @@ pub const ALL: &[&str] = &[
     CKPT_RESTORE_RUNGS,
     CKPT_RESTORE_RUNGS_WORLD_SIZE,
     CTRL_DECISIONS,
-    CTRL_DECIDE,
     CTRL_SWITCHES,
     CTRL_FAMILY_SWITCHES,
     CTRL_WARMUP_STEPS,
     CTRL_WARMUP_EXITS,
-    CTRL_EF_DIVERGENCE,
     CTRL_BACKOFFS,
-    CTRL_MODEL_MISMATCH,
     CTRL_SCHEDULE_INVALIDATIONS,
 ];
 

@@ -27,168 +27,50 @@ pub const STEP_PHASES: &[&str] = &[
 /// sub-phases (registered as [`names::KFAC_STEP_OTHER`]).
 pub const PHASE_OTHER: &str = names::KFAC_STEP_OTHER;
 
-/// The structured resilience view of a step: transport-level fault
-/// handling (ARQ) and the K-FAC degradation-ladder activity, pulled out
-/// of the raw counter map so chaos tooling and dashboards can reconcile
-/// them against a fault-injection ledger without knowing counter names.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Resilience {
-    /// Transport envelopes whose CRC failed on receive (ARQ detected).
-    pub crc_detected: u64,
-    /// Clean-copy retransmissions the ARQ performed (drops + corruption).
-    pub resends: u64,
-    /// NACKs receivers sent to trigger those resends.
-    pub nacks_sent: u64,
-    /// Nanoseconds spent in retry backoff sleeps.
-    pub backoff_ns: u64,
-    /// All-gather payloads that failed their checksum frame or decode.
-    pub checksum_failures: u64,
-    /// Degradation-ladder repair handshakes requested (= failures).
-    pub repair_requests: u64,
-    /// Repairs satisfied by the rung-1 compressed resend.
-    pub repair_compressed_ok: u64,
-    /// Repairs satisfied by the rung-2 uncompressed resend.
-    pub repair_uncompressed_ok: u64,
-    /// Rung-3 layer groups served from the last-good store.
-    pub fallback_last_good: u64,
-    /// Rung-3 layer groups degraded to a plain-SGD step.
-    pub fallback_sgd: u64,
-    /// Coordinated checkpoints committed this step (informational: a
-    /// clean run that checkpoints is still "quiet").
-    pub ckpt_saves: u64,
-    /// Encoded checkpoint bytes written this step (informational).
-    pub ckpt_bytes: u64,
-    /// Restore attempts that skipped a torn/corrupt snapshot and fell
-    /// back to an older one. Non-zero means recovery took a degraded
-    /// path, so it counts against quietness.
-    pub ckpt_restore_rungs: u64,
-    /// Restores that resharded a snapshot taken at a different world
-    /// size across the current ownership map. The run recovered, but
-    /// through an elastic path, so it counts against quietness.
-    pub ckpt_restore_world_size: u64,
-    /// Committed membership-view changes (shrinks + rejoins).
-    pub membership_epochs: u64,
-    /// Quorum-agreed view shrinks (dead peers evicted).
-    pub membership_shrinks: u64,
-    /// Live rejoins committed (dead peers re-admitted).
-    pub membership_rejoins: u64,
-    /// Ownership/schedule rebuilds forced by an epoch change.
-    pub elastic_reshards: u64,
-}
+/// Counters that stay 0 in a fault-free step: transport recovery (ARQ),
+/// degradation-ladder activity, degraded or resharded restores and
+/// membership churn. Clean checkpoint saves (`ckpt/saves`, `ckpt/bytes`)
+/// are not on the list: a run that checkpoints is still quiet.
+pub(crate) const QUIET_COUNTERS: &[&str] = &[
+    names::COMM_FAULT_CRC_DETECTED,
+    names::COMM_RETRY_RESENDS,
+    names::COMM_RETRY_NACKS_SENT,
+    names::KFAC_DEGRADE_CHECKSUM_FAILURES,
+    names::KFAC_DEGRADE_REPAIR_REQUESTS,
+    names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK,
+    names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK,
+    names::KFAC_DEGRADE_FALLBACK_LAST_GOOD,
+    names::KFAC_DEGRADE_FALLBACK_SGD,
+    names::CKPT_RESTORE_RUNGS,
+    names::CKPT_RESTORE_RUNGS_WORLD_SIZE,
+    names::COMM_MEMBERSHIP_EPOCHS,
+    names::COMM_MEMBERSHIP_SHRINKS,
+    names::COMM_MEMBERSHIP_REJOINS,
+    names::KFAC_ELASTIC_RESHARDS,
+];
 
-impl Resilience {
-    /// Extracts the resilience counters from a (delta) snapshot.
-    pub fn from_snapshot(snap: &Snapshot) -> Self {
-        Resilience {
-            crc_detected: snap.counter(names::COMM_FAULT_CRC_DETECTED),
-            resends: snap.counter(names::COMM_RETRY_RESENDS),
-            nacks_sent: snap.counter(names::COMM_RETRY_NACKS_SENT),
-            backoff_ns: snap.counter(names::COMM_RETRY_BACKOFF_NS),
-            checksum_failures: snap.counter(names::KFAC_DEGRADE_CHECKSUM_FAILURES),
-            repair_requests: snap.counter(names::KFAC_DEGRADE_REPAIR_REQUESTS),
-            repair_compressed_ok: snap.counter(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK),
-            repair_uncompressed_ok: snap.counter(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK),
-            fallback_last_good: snap.counter(names::KFAC_DEGRADE_FALLBACK_LAST_GOOD),
-            fallback_sgd: snap.counter(names::KFAC_DEGRADE_FALLBACK_SGD),
-            ckpt_saves: snap.counter(names::CKPT_SAVES),
-            ckpt_bytes: snap.counter(names::CKPT_BYTES),
-            ckpt_restore_rungs: snap.counter(names::CKPT_RESTORE_RUNGS),
-            ckpt_restore_world_size: snap.counter(names::CKPT_RESTORE_RUNGS_WORLD_SIZE),
-            membership_epochs: snap.counter(names::COMM_MEMBERSHIP_EPOCHS),
-            membership_shrinks: snap.counter(names::COMM_MEMBERSHIP_SHRINKS),
-            membership_rejoins: snap.counter(names::COMM_MEMBERSHIP_REJOINS),
-            elastic_reshards: snap.counter(names::KFAC_ELASTIC_RESHARDS),
-        }
-    }
-
-    /// True when the step saw no transport faults, no ladder activity,
-    /// and no degraded restore (the invariant a disabled fault plane
-    /// must preserve). Clean checkpoint saves do **not** break
-    /// quietness: `ckpt_saves`/`ckpt_bytes` are informational.
+impl Snapshot {
+    /// True when every counter on the quiet list (`QUIET_COUNTERS` in
+    /// `report.rs`) is 0 — the invariant a disabled fault plane must
+    /// preserve. Clean checkpoint saves stay quiet.
     pub fn is_quiet(&self) -> bool {
-        let informational = Resilience {
-            ckpt_saves: self.ckpt_saves,
-            ckpt_bytes: self.ckpt_bytes,
-            ..Resilience::default()
-        };
-        *self == informational
+        QUIET_COUNTERS.iter().all(|n| self.counter(n) == 0)
     }
 
-    /// Degradation events that changed what got installed: every failure
-    /// minus the repairs that fully recovered it.
+    /// Degradation events that changed what got installed: every repair
+    /// request minus the repairs that fully recovered it.
     pub fn degraded_installs(&self) -> u64 {
-        self.repair_requests
-            .saturating_sub(self.repair_compressed_ok + self.repair_uncompressed_ok)
+        self.counter(names::KFAC_DEGRADE_REPAIR_REQUESTS)
+            .saturating_sub(
+                self.counter(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK)
+                    + self.counter(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK),
+            )
     }
 }
 
-/// The compressor setting the control plane held at report time —
-/// descriptive state the controller publishes alongside its counters
-/// (the counters say *how often* it acted; this says *what* it chose).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ActiveSetting {
-    /// Compressor family name (e.g. `"compso"`, `"qsgd"`, `"powersgd"`,
-    /// `"none"` during warmup).
-    pub family: String,
-    /// Quantization bit width, 0 when the family has none.
-    pub bits: u8,
-    /// Filter / error-bound threshold, 0.0 when the family has none.
-    pub threshold: f64,
-    /// Low-rank factor rank, 0 for non-low-rank families.
-    pub rank: u8,
-    /// Policy phase: `"warmup"`, `"steady"`, or `"backoff"`.
-    pub phase: String,
-}
-
-/// The adaptive-compression control-plane view of a step: every `ctrl/*`
-/// decision counter plus the setting held when the snapshot was taken.
-/// `None` on [`StepReport`] when no controller ran (all `ctrl/*`
-/// counters absent), so static-compressor reports are unchanged.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ControlBlock {
-    /// Controller decisions evaluated.
-    pub decisions: u64,
-    /// Decisions that changed the active setting.
-    pub switches: u64,
-    /// Setting changes that crossed compressor families.
-    pub family_switches: u64,
-    /// Steps held uncompressed in warmup.
-    pub warmup_steps: u64,
-    /// Warmup→compressed transitions.
-    pub warmup_exits: u64,
-    /// Error-feedback divergence detections.
-    pub ef_divergence: u64,
-    /// Backoffs to a higher-fidelity setting.
-    pub backoffs: u64,
-    /// Measured-vs-predicted step-wall mistrust events.
-    pub model_mismatch: u64,
-    /// Layer-schedule rebuilds forced by a compressor switch.
-    pub schedule_invalidations: u64,
-    /// Setting held at snapshot time, when the harness published it.
-    pub active: Option<ActiveSetting>,
-}
-
-impl ControlBlock {
-    /// Extracts the control-plane counters from a (delta) snapshot, or
-    /// `None` when no `ctrl/*` activity was recorded.
-    pub fn from_snapshot(snap: &Snapshot) -> Option<Self> {
-        let block = ControlBlock {
-            decisions: snap.counter(names::CTRL_DECISIONS),
-            switches: snap.counter(names::CTRL_SWITCHES),
-            family_switches: snap.counter(names::CTRL_FAMILY_SWITCHES),
-            warmup_steps: snap.counter(names::CTRL_WARMUP_STEPS),
-            warmup_exits: snap.counter(names::CTRL_WARMUP_EXITS),
-            ef_divergence: snap.counter(names::CTRL_EF_DIVERGENCE),
-            backoffs: snap.counter(names::CTRL_BACKOFFS),
-            model_mismatch: snap.counter(names::CTRL_MODEL_MISMATCH),
-            schedule_invalidations: snap.counter(names::CTRL_SCHEDULE_INVALIDATIONS),
-            active: None,
-        };
-        (block != ControlBlock::default()).then_some(block)
-    }
-}
-
-/// One step's measured observability report.
+/// One step's measured observability report: its counter map plus the
+/// values derived from the snapshot. A counter is read from `counters`
+/// by its [`names`] key, never copied into a field of its own.
 #[derive(Clone, Debug, Default)]
 pub struct StepReport {
     /// Step index.
@@ -200,7 +82,7 @@ pub struct StepReport {
     /// Fraction of the step per [`STEP_PHASES`] entry (plus
     /// [`PHASE_OTHER`]); sums to 1 whenever the step timer is present.
     pub fractions: BTreeMap<String, f64>,
-    /// Raw counter values.
+    /// Every counter, by registered name.
     pub counters: BTreeMap<String, u64>,
     /// Live compression ratio `core/bytes_in ÷ core/bytes_out`, when the
     /// compressor recorded traffic.
@@ -211,17 +93,6 @@ pub struct StepReport {
     /// clamped to `[0, 1]`. The measured counterpart of the §4.4 model's
     /// predicted overlap.
     pub overlap_frac: Option<f64>,
-    /// Factor decompositions this rank performed (`kfac/inverse_refreshes`:
-    /// two per refresh of a layer it owns; zero off refresh steps).
-    pub inverse_refreshes: u64,
-    /// Factor all-reduces this rank issued (`kfac/factor_syncs`: one on
-    /// a step whose refresh consumes the factors, zero otherwise).
-    pub factor_syncs: u64,
-    /// Structured fault-handling / degradation-ladder view of the step.
-    pub resilience: Resilience,
-    /// Adaptive-compression control-plane view of the step; `None` when
-    /// no controller ran.
-    pub control: Option<ControlBlock>,
 }
 
 impl StepReport {
@@ -270,10 +141,6 @@ impl StepReport {
             counters: snap.counters.clone(),
             ratio,
             overlap_frac,
-            inverse_refreshes: snap.counter(names::KFAC_INVERSE_REFRESHES),
-            factor_syncs: snap.counter(names::KFAC_FACTOR_SYNCS),
-            resilience: Resilience::from_snapshot(snap),
-            control: ControlBlock::from_snapshot(snap),
         }
     }
 
@@ -309,73 +176,6 @@ impl StepReport {
         match self.overlap_frac {
             Some(v) => out.push_str(&format!(",\"overlap_frac\":{}", fmt_f64(v))),
             None => out.push_str(",\"overlap_frac\":null"),
-        }
-        out.push_str(&format!(
-            ",\"inverse_refreshes\":{},\"factor_syncs\":{}",
-            self.inverse_refreshes, self.factor_syncs
-        ));
-        let rz = &self.resilience;
-        out.push_str(&format!(
-            ",\"resilience\":{{\"crc_detected\":{},\"resends\":{},\"nacks_sent\":{},\
-             \"backoff_ns\":{},\"checksum_failures\":{},\"repair_requests\":{},\
-             \"repair_compressed_ok\":{},\"repair_uncompressed_ok\":{},\
-             \"fallback_last_good\":{},\"fallback_sgd\":{},\
-             \"ckpt_saves\":{},\"ckpt_bytes\":{},\"ckpt_restore_rungs\":{},\
-             \"ckpt_restore_world_size\":{},\"membership_epochs\":{},\
-             \"membership_shrinks\":{},\"membership_rejoins\":{},\
-             \"elastic_reshards\":{}}}",
-            rz.crc_detected,
-            rz.resends,
-            rz.nacks_sent,
-            rz.backoff_ns,
-            rz.checksum_failures,
-            rz.repair_requests,
-            rz.repair_compressed_ok,
-            rz.repair_uncompressed_ok,
-            rz.fallback_last_good,
-            rz.fallback_sgd,
-            rz.ckpt_saves,
-            rz.ckpt_bytes,
-            rz.ckpt_restore_rungs,
-            rz.ckpt_restore_world_size,
-            rz.membership_epochs,
-            rz.membership_shrinks,
-            rz.membership_rejoins,
-            rz.elastic_reshards,
-        ));
-        match &self.control {
-            None => out.push_str(",\"control\":null"),
-            Some(c) => {
-                out.push_str(&format!(
-                    ",\"control\":{{\"decisions\":{},\"switches\":{},\
-                     \"family_switches\":{},\"warmup_steps\":{},\
-                     \"warmup_exits\":{},\"ef_divergence\":{},\"backoffs\":{},\
-                     \"model_mismatch\":{},\"schedule_invalidations\":{},\
-                     \"active\":",
-                    c.decisions,
-                    c.switches,
-                    c.family_switches,
-                    c.warmup_steps,
-                    c.warmup_exits,
-                    c.ef_divergence,
-                    c.backoffs,
-                    c.model_mismatch,
-                    c.schedule_invalidations,
-                ));
-                match &c.active {
-                    None => out.push_str("null"),
-                    Some(a) => out.push_str(&format!(
-                        "{{\"family\":\"{}\",\"bits\":{},\"threshold\":{},\
-                         \"rank\":{},\"phase\":\"{}\"}}",
-                        escape(&a.family),
-                        a.bits,
-                        fmt_f64(a.threshold),
-                        a.rank,
-                        escape(&a.phase),
-                    )),
-                }
-                out.push('}');
-            }
         }
         out.push('}');
         out
@@ -444,130 +244,41 @@ mod tests {
         let doc = report.to_json();
         validate(&doc).unwrap_or_else(|(pos, msg)| panic!("{msg} at {pos} in {doc}"));
         assert!(doc.contains("\"ratio\":2e1"), "{doc}");
-        assert_eq!(report.inverse_refreshes, 4);
-        assert!(doc.contains("\"inverse_refreshes\":4"), "{doc}");
-        assert_eq!(report.factor_syncs, 1);
-        assert!(doc.contains("\"factor_syncs\":1"), "{doc}");
+        let counters = &doc[doc.find("\"counters\":{").expect("counters")..];
+        let counters = &counters[..counters.find('}').expect("counters close")];
+        assert!(counters.contains("\"kfac/factor_syncs\":1"), "{doc}");
         assert!(doc.contains(&format!("\"{}\"", names::KFAC_FACTOR)));
     }
 
     #[test]
-    fn resilience_section_extracts_and_serializes() {
+    fn quietness_and_degraded_installs_read_the_counter_map() {
+        // Each listed counter, alone, breaks quietness...
+        for name in QUIET_COUNTERS {
+            let mut snap = Snapshot::default();
+            snap.counters.insert(name.to_string(), 1);
+            assert!(!snap.is_quiet(), "{name}");
+        }
+        // ...while a clean checkpoint save, alone, does not.
         let rec = Recorder::enabled();
-        rec.add_time_ns(names::KFAC_STEP, 1_000_000);
-        rec.add(names::COMM_FAULT_CRC_DETECTED, 3);
-        rec.add(names::COMM_RETRY_RESENDS, 5);
-        rec.add(names::KFAC_DEGRADE_CHECKSUM_FAILURES, 2);
-        rec.add(names::KFAC_DEGRADE_REPAIR_REQUESTS, 2);
-        rec.add(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK, 1);
-        rec.add(names::KFAC_DEGRADE_FALLBACK_SGD, 1);
-        let report = StepReport::from_snapshot(0, &rec.snapshot());
-        let rz = report.resilience;
-        assert!(!rz.is_quiet());
-        assert_eq!(rz.crc_detected, 3);
-        assert_eq!(rz.resends, 5);
-        assert_eq!(rz.checksum_failures, 2);
-        assert_eq!(rz.repair_compressed_ok, 1);
-        assert_eq!(rz.degraded_installs(), 1);
-        let doc = report.to_json();
-        validate(&doc).unwrap_or_else(|(pos, msg)| panic!("{msg} at {pos} in {doc}"));
-        assert!(doc.contains("\"resilience\":{\"crc_detected\":3"), "{doc}");
-        assert!(doc.contains("\"fallback_sgd\":1"), "{doc}");
-    }
-
-    #[test]
-    fn ckpt_saves_stay_quiet_but_restore_rungs_do_not() {
-        let rec = Recorder::enabled();
-        rec.add_time_ns(names::KFAC_STEP, 1_000_000);
-        rec.add(names::CKPT_SAVES, 1);
+        rec.incr(names::CKPT_SAVES);
         rec.add(names::CKPT_BYTES, 4096);
-        let report = StepReport::from_snapshot(0, &rec.snapshot());
-        assert_eq!(report.resilience.ckpt_saves, 1);
-        assert_eq!(report.resilience.ckpt_bytes, 4096);
-        // A clean run that happens to checkpoint is still quiet...
-        assert!(report.resilience.is_quiet());
-        // ...but a restore that had to skip a torn snapshot is not.
-        rec.add(names::CKPT_RESTORE_RUNGS, 1);
-        let report = StepReport::from_snapshot(1, &rec.snapshot());
-        assert!(!report.resilience.is_quiet());
-        let doc = report.to_json();
-        validate(&doc).unwrap_or_else(|(pos, msg)| panic!("{msg} at {pos} in {doc}"));
-        assert!(doc.contains("\"ckpt_restore_rungs\":1"), "{doc}");
-    }
-
-    #[test]
-    fn membership_activity_counts_against_quietness() {
-        let rec = Recorder::enabled();
-        rec.add_time_ns(names::KFAC_STEP, 1_000_000);
-        rec.add(names::COMM_MEMBERSHIP_EPOCHS, 2);
-        rec.add(names::COMM_MEMBERSHIP_SHRINKS, 1);
-        rec.add(names::COMM_MEMBERSHIP_REJOINS, 1);
-        rec.add(names::KFAC_ELASTIC_RESHARDS, 2);
-        rec.add(names::CKPT_RESTORE_RUNGS_WORLD_SIZE, 1);
-        let report = StepReport::from_snapshot(0, &rec.snapshot());
-        let rz = report.resilience;
-        assert!(!rz.is_quiet());
-        assert_eq!(rz.membership_epochs, 2);
-        assert_eq!(rz.membership_shrinks, 1);
-        assert_eq!(rz.membership_rejoins, 1);
-        assert_eq!(rz.elastic_reshards, 2);
-        assert_eq!(rz.ckpt_restore_world_size, 1);
-        let doc = report.to_json();
-        validate(&doc).unwrap_or_else(|(pos, msg)| panic!("{msg} at {pos} in {doc}"));
-        assert!(doc.contains("\"membership_epochs\":2"), "{doc}");
-        assert!(doc.contains("\"elastic_reshards\":2"), "{doc}");
-        assert!(doc.contains("\"ckpt_restore_world_size\":1"), "{doc}");
-    }
-
-    #[test]
-    fn control_block_absent_without_controller_activity() {
-        let report = StepReport::from_snapshot(0, &sample_snapshot());
-        assert_eq!(report.control, None);
-        assert!(report.to_json().contains("\"control\":null"));
-    }
-
-    #[test]
-    fn control_block_extracts_and_serializes() {
-        let rec = Recorder::enabled();
-        rec.add_time_ns(names::KFAC_STEP, 1_000_000);
-        rec.add(names::CTRL_DECISIONS, 10);
-        rec.add(names::CTRL_SWITCHES, 2);
-        rec.add(names::CTRL_FAMILY_SWITCHES, 1);
-        rec.add(names::CTRL_WARMUP_STEPS, 5);
-        rec.add(names::CTRL_WARMUP_EXITS, 1);
-        rec.add(names::CTRL_EF_DIVERGENCE, 1);
-        rec.add(names::CTRL_BACKOFFS, 1);
-        rec.add(names::CTRL_SCHEDULE_INVALIDATIONS, 2);
-        let mut report = StepReport::from_snapshot(0, &rec.snapshot());
-        let c = report.control.as_mut().expect("controller ran");
-        assert_eq!(c.decisions, 10);
-        assert_eq!(c.switches, 2);
-        assert_eq!(c.family_switches, 1);
-        assert_eq!(c.warmup_exits, 1);
-        assert_eq!(c.backoffs, 1);
-        assert_eq!(c.schedule_invalidations, 2);
-        c.active = Some(ActiveSetting {
-            family: "powersgd".to_string(),
-            bits: 0,
-            threshold: 0.0,
-            rank: 4,
-            phase: "steady".to_string(),
-        });
-        let doc = report.to_json();
-        validate(&doc).unwrap_or_else(|(pos, msg)| panic!("{msg} at {pos} in {doc}"));
-        assert!(doc.contains("\"control\":{\"decisions\":10"), "{doc}");
-        assert!(doc.contains("\"family\":\"powersgd\""), "{doc}");
-        assert!(doc.contains("\"phase\":\"steady\""), "{doc}");
-    }
-
-    #[test]
-    fn quiet_step_reports_quiet_resilience() {
-        let report = StepReport::from_snapshot(1, &sample_snapshot());
-        assert!(report.resilience.is_quiet());
-        assert_eq!(report.resilience.degraded_installs(), 0);
-        assert!(report
-            .to_json()
-            .contains("\"resilience\":{\"crc_detected\":0"));
+        assert!(rec.snapshot().is_quiet());
+        // (requests, compressed ok, uncompressed ok) -> degraded installs,
+        // saturating at 0.
+        let rows = [
+            ((2, 1, 0), 1),
+            ((2, 1, 1), 0),
+            ((1, 2, 1), 0),
+            ((0, 0, 0), 0),
+        ];
+        for ((requests, compressed, uncompressed), want) in rows {
+            let rec = Recorder::enabled();
+            rec.add(names::KFAC_DEGRADE_REPAIR_REQUESTS, requests);
+            rec.add(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK, compressed);
+            rec.add(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK, uncompressed);
+            let got = rec.snapshot().degraded_installs();
+            assert_eq!(got, want, "{requests} {compressed} {uncompressed}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use compso::dnn::loss::{accuracy, softmax_cross_entropy};
 use compso::dnn::{data, models};
 use compso::kfac::checkpoint::{catch_up_rejoined, fingerprint};
 use compso::kfac::{CheckpointConfig, CheckpointCoordinator, DistKfac, DistKfacConfig};
-use compso::obs::{Recorder, Resilience};
+use compso::obs::{names, Recorder, Snapshot};
 use compso::tensor::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -132,7 +132,7 @@ fn train_with_checkpoints(dir: &std::path::Path, resume: bool) -> f64 {
 /// its factors and parameters up from peers, and finishes in the group.
 /// Returns `(elastic loss, reference loss)` plus the membership
 /// counters; the caller compares the losses within tolerance (CI smoke).
-fn train_elastic(dir: &std::path::Path) -> (f32, f32, Resilience) {
+fn train_elastic(dir: &std::path::Path) -> (f32, f32, Snapshot) {
     const ELASTIC_STEPS: u64 = 30;
     const SAVE_AT: u64 = 10;
     const CRASH_STEP: u64 = 15;
@@ -278,11 +278,7 @@ fn train_elastic(dir: &std::path::Path) -> (f32, f32, Resilience) {
         }
         loss
     });
-    (
-        elastic_loss,
-        reference[0],
-        Resilience::from_snapshot(&rec.snapshot()),
-    )
+    (elastic_loss, reference[0], rec.snapshot())
 }
 
 fn main() {
@@ -299,10 +295,15 @@ fn main() {
         });
         let _ = std::fs::remove_dir_all(&dir);
         println!("elastic 4-rank run: rank 2 crashes mid-run, rejoins live...\n");
-        let (elastic, reference, rz) = train_elastic(&dir);
+        let (elastic, reference, snap) = train_elastic(&dir);
+        let (shrinks, rejoins) = (
+            snap.counter(names::COMM_MEMBERSHIP_SHRINKS),
+            snap.counter(names::COMM_MEMBERSHIP_REJOINS),
+        );
         println!(
-            "\nmembership: {} epochs ({} shrinks, {} rejoins), {} ownership reshards",
-            rz.membership_epochs, rz.membership_shrinks, rz.membership_rejoins, rz.elastic_reshards
+            "\nmembership: {} epochs ({shrinks} shrinks, {rejoins} rejoins), {} ownership reshards",
+            snap.counter(names::COMM_MEMBERSHIP_EPOCHS),
+            snap.counter(names::KFAC_ELASTIC_RESHARDS)
         );
         println!("final loss: elastic {elastic:.4} vs fixed-membership {reference:.4}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -310,7 +311,7 @@ fn main() {
         // step, two shrunk steps, and a restored-from-snapshot joiner —
         // it must still land within tolerance of the reference.
         let gap = (elastic - reference).abs();
-        if !(rz.membership_shrinks > 0 && rz.membership_rejoins > 0) {
+        if !(shrinks > 0 && rejoins > 0) {
             eprintln!("elastic run recorded no membership churn");
             std::process::exit(1);
         }

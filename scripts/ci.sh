@@ -43,7 +43,8 @@ step_start "compso-lint --deny"
 # Invariant lint over the whole workspace: wire magics, comm-path
 # unwraps, unchecked length prefixes, counter registry, nondeterministic
 # wire iteration, plus the call-graph rules (collective-order,
-# deterministic-state, float-reduction-order, swallowed-comm-error).
+# deterministic-state, swallowed-comm-error). counter-registry also fails
+# on a registered name nothing reads (benchmark/src counts as a reader).
 # One cold pass of the binary the release build above just produced; the
 # outer timeout is the hang backstop and the timing summary below shows
 # a slow run. The JSON report (per-rule counts) is uploaded as a CI
@@ -99,6 +100,16 @@ step_start "one COMPSO (no serial pipeline, no configured kernel or tile)"
 if grep -rnE 'MAGIC_STREAM_V1|struct Compso\b|compress_layers|with_adaptive_chunking|with_kernel' \
   crates/core crates/ctrl crates/kfac crates/bench src tests examples; then
   echo "the serial COMPSO pipeline or a ChunkedCompso kernel/tile knob is back" >&2; exit 1
+fi
+step_end
+
+step_start "one report (StepReport is its counter map plus what it derives)"
+# A counter is read from the snapshot or report map by its registered name;
+# no struct copies entries of that map field by field. The lint fixtures
+# are not searched, and scripts/ is not: this line would match itself.
+if grep -rnE --exclude-dir=fixtures 'struct Resilience|struct ControlBlock|ActiveSetting|fn describe\(' \
+  crates src tests examples; then
+  echo "a hand-kept copy of the counter map is back: read snap.counter(names::X)" >&2; exit 1
 fi
 step_end
 
@@ -207,7 +218,7 @@ step_start "elastic soak smoke (hard 240s wall-clock cap)"
 # encodes the contract — membership churn must have happened (shrinks
 # AND rejoins observed) and the elastic run's final loss must match a
 # fixed-membership reference within tolerance — so CI only needs the
-# exit status plus the counter line in the log. The ledger/Resilience
+# exit status plus the counter line in the log. The ledger and membership
 # counters are reconciled inside the run (tests/chaos.rs pins exact
 # values); the grep below keeps the CI log honest about what ran.
 ELASTIC_LOG=$(mktemp)

@@ -22,7 +22,7 @@ use compso::dnn::loss::softmax_cross_entropy;
 use compso::dnn::{data, models};
 use compso::kfac::checkpoint::{catch_up_rejoined, fingerprint};
 use compso::kfac::{CheckpointConfig, CheckpointCoordinator, DistKfac, DistKfacConfig};
-use compso::obs::{names, Recorder, Resilience, StepReport};
+use compso::obs::{names, Recorder};
 use compso::tensor::{Matrix, Rng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -163,11 +163,8 @@ fn chaos_campaign_converges_with_exact_fault_accounting() {
     assert_eq!(snap.counter(names::KFAC_DEGRADE_FALLBACK_SGD), 0);
     assert_eq!(ledger.corrupted_repair, 0);
     assert_eq!(ledger.crashes, 0);
-    // The structured report view agrees with the raw counters.
-    let rz = Resilience::from_snapshot(&snap);
-    assert_eq!(rz.checksum_failures, expected_failures);
-    assert_eq!(rz.degraded_installs(), 0);
-    assert!(!rz.is_quiet());
+    assert_eq!(snap.degraded_installs(), 0);
+    assert!(!snap.is_quiet());
 }
 
 #[test]
@@ -255,8 +252,7 @@ fn ladder_bottom_rung_degrades_locally_and_training_survives() {
         fallbacks > 0,
         "no rung-3 fallback despite unrepaired payloads"
     );
-    let rz = Resilience::from_snapshot(&snap);
-    assert_eq!(rz.degraded_installs(), failures);
+    assert_eq!(snap.degraded_installs(), failures);
 }
 
 #[test]
@@ -511,13 +507,7 @@ fn elastic_campaign_shrinks_reshards_and_readmits_the_crashed_rank() {
     // the joiner rebuilds from scratch, which is not a reshard.
     assert_eq!(snap.counter(names::KFAC_ELASTIC_RESHARDS), 6);
     assert_eq!(snap.counter(names::CKPT_SAVES), RANKS as u64);
-    // The structured report surfaces the elastic activity.
-    let rz = Resilience::from_snapshot(&snap);
-    assert_eq!(rz.membership_epochs, 7);
-    assert_eq!(rz.membership_shrinks, 3);
-    assert_eq!(rz.membership_rejoins, 4);
-    assert_eq!(rz.elastic_reshards, 6);
-    assert!(!rz.is_quiet());
+    assert!(!snap.is_quiet());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -525,8 +515,8 @@ fn elastic_campaign_shrinks_reshards_and_readmits_the_crashed_rank() {
 fn disabled_plane_is_bit_identical_and_quiet() {
     // Arming the machinery with a disabled plane must cost nothing
     // semantically: the plain run_ranks path and the run_ranks_with
-    // (disabled) path produce identical parameters, and the resilience
-    // section of the step report stays all-zero.
+    // (disabled) path produce identical parameters, and every counter
+    // on the quiet list stays zero.
     let rec = Recorder::enabled();
     let with_plane = train(FaultPlane::disabled(), &rec);
     let d = data::gaussian_blobs(320, 6, 3, 0.3, 91);
@@ -553,11 +543,11 @@ fn disabled_plane_is_bit_identical_and_quiet() {
         assert_eq!(with_plane[r].1, plain[r].1, "rank {r} params differ");
         assert_eq!(with_plane[r].0, plain[r].0, "rank {r} loss differs");
     }
-    let report = StepReport::from_snapshot(0, &rec.snapshot());
+    let snap = rec.snapshot();
     assert!(
-        report.resilience.is_quiet(),
+        snap.is_quiet(),
         "fault-free run recorded resilience activity: {:?}",
-        report.resilience
+        snap.counters
     );
 }
 
@@ -641,9 +631,8 @@ fn pipelined_gather_absorbs_drops_and_stragglers_mid_stream() {
     assert!(snap.timers[names::COMM_PIPELINE_WAIT].count > 0);
     // No payload corruption was injected, so the degradation ladder
     // stayed idle: transport recovery alone absorbed the campaign.
-    let rz = Resilience::from_snapshot(&snap);
-    assert_eq!(rz.checksum_failures, 0);
-    assert_eq!(rz.degraded_installs(), 0);
+    assert_eq!(snap.counter(names::KFAC_DEGRADE_CHECKSUM_FAILURES), 0);
+    assert_eq!(snap.degraded_installs(), 0);
     assert_eq!(snap.counter(names::KFAC_DEGRADE_REPAIR_REQUESTS), 0);
 }
 

@@ -208,10 +208,10 @@ fn one_factor_allreduce_per_refresh_period_in_both_gather_modes() {
                 "{tag}"
             );
             let report = StepReport::from_snapshot(0, &snap);
-            assert_eq!(report.factor_syncs, (ranks * syncs) as u64, "{tag}");
-            assert!(report
-                .to_json()
-                .contains(&format!("\"factor_syncs\":{}", ranks * syncs)));
+            let n = (ranks * syncs) as u64;
+            assert_eq!(report.counters[names::KFAC_FACTOR_SYNCS], n, "{tag}");
+            let key = format!("\"{}\":{n}", names::KFAC_FACTOR_SYNCS);
+            assert!(report.to_json().contains(&key), "{tag}");
         }
     }
 }

@@ -72,6 +72,21 @@
 //!   rank's sent bytes ÷ bandwidth + one rank's sleeps) ÷ wall, the
 //!   highest over the timed passes: it nears 1.0 as the hidden work
 //!   moves behind the receives.
+//! * `dnn.relu_vs_copy <= 8.0` — `Relu` forward (training, so the mask
+//!   too) + backward on one CNN activation (32 × 2304) against two
+//!   `Matrix::clone`s of it, fastest of 5, interleaved, one rayon worker.
+//!   Selects move what a copy moves; the data-dependent branch they
+//!   replaced read 56 to 67.
+//! * `dnn.glue_ratio <= 1.5` — `small_cnn(1, 12, 12, 4, 16)` forward +
+//!   backward at batch 32 against the same conv GEMMs run bare on the
+//!   operands that step captured (`patches · W`, `patchesᵀ · g`,
+//!   `g · W[..patch]ᵀ` per conv), fastest of 25, interleaved, one rayon
+//!   worker: what the step spends beyond its GEMMs. Reads 1.32 to 1.39;
+//!   with im2col/col2im redoing the bounds arithmetic per element and the
+//!   branchy ReLU 1.89 to 2.05, with only the two loops 1.52 to 1.72.
+//!   One relapsed loop (≈ 0.35 ms, a tenth of the GEMMs) is below what
+//!   this gate resolves: the bounds-checked im2col alone reads 1.39 to
+//!   1.45.
 
 use compso_comm::collectives::{
     allgather_var, block_ranges, pipelined_allgather, reduce_scatter_pieced, ReduceEvent,
@@ -83,6 +98,9 @@ use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed};
 use compso_core::{bitpack, microkernel};
 use compso_core::{ChunkedCompso, Compressor, CompsoConfig};
+use compso_dnn::layer::Relu;
+use compso_dnn::models::small_cnn;
+use compso_dnn::Layer;
 use compso_kfac::kfac::covariance;
 use compso_obs::Recorder;
 use compso_tensor::{sym_eig, GemmInstance, Matrix, Rng};
@@ -537,6 +555,82 @@ fn main() {
             "<=",
             1.45,
             format!("{wide} B at eb 2e-3, {narrow} B at eb 4e-3"),
+        );
+    }
+
+    // The conv/ReLU step's glue, one rayon worker. ReLU on `small_cnn`'s
+    // first activation (16 channels × 12 × 12 at batch 32): a select pass
+    // reads and writes what a copy does.
+    {
+        let _guard = rayon::scoped_thread_override(1);
+        let mut rng = Rng::new(2304);
+        let x = Matrix::random_normal(32, 2304, &mut rng);
+        let g = Matrix::random_normal(32, 2304, &mut rng);
+        let mut relu = Relu::new();
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            black_box(relu.forward(black_box(&x), true));
+            black_box(relu.backward(black_box(&g)));
+            best[0] = best[0].min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            black_box(black_box(&x).clone());
+            black_box(black_box(&x).clone());
+            best[1] = best[1].min(t0.elapsed().as_secs_f64());
+        }
+        let [relu, copies] = best.map(|t| t * 1e3);
+        gate(
+            "dnn.relu_vs_copy",
+            relu / copies,
+            "<=",
+            8.0,
+            format!("relu fwd + bwd {relu:.3} ms, two clones {copies:.3} ms"),
+        );
+    }
+
+    // The whole CNN step against its conv GEMMs alone, replayed on the
+    // operands the step captured (the weights do not move between steps).
+    // A round is ≈ 9 ms: five of them fit inside one burst of host load,
+    // and fastest of 5 read 1.27 to 1.75 on an unchanged tree where
+    // fastest of 25 reads 1.32 to 1.39.
+    {
+        let _guard = rayon::scoped_thread_override(1);
+        let mut rng = Rng::new(12);
+        let mut model = small_cnn(1, 12, 12, 4, 16, &mut rng);
+        let x = Matrix::random_normal(32, 144, &mut rng);
+        let probe = Matrix::random_normal(32, 4, &mut rng);
+        model.forward(&x, true);
+        model.backward(&probe);
+        let convs: Vec<(Matrix, Matrix, Matrix)> = (0..model.len())
+            .map(|i| model.layer(i))
+            .filter(|l| l.name() == "Conv2d")
+            .map(|l| {
+                let (a, g) = l.kfac_stats_ref().expect("captured conv statistics");
+                let w = l.params().expect("conv weight");
+                (a.clone(), g.clone(), w.clone())
+            })
+            .collect();
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..25 {
+            let t0 = Instant::now();
+            black_box(model.forward(black_box(&x), true));
+            black_box(model.backward(black_box(&probe)));
+            best[0] = best[0].min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            for (a, g, w) in &convs {
+                black_box(black_box(a).matmul(w));
+                black_box(black_box(a).t_matmul(g));
+                black_box(black_box(g).matmul_t_first(w, w.rows() - 1));
+            }
+            best[1] = best[1].min(t0.elapsed().as_secs_f64());
+        }
+        let [step, gemms] = best.map(|t| t * 1e3);
+        gate(
+            "dnn.glue_ratio",
+            step / gemms,
+            "<=",
+            1.5,
+            format!("small_cnn fwd + bwd {step:.3} ms, its conv GEMMs {gemms:.3} ms"),
         );
     }
 

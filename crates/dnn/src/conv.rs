@@ -4,10 +4,16 @@
 //! per sample and CHW-flattened columns. Conv2d lowers each sample to a
 //! patch matrix (im2col) and multiplies by a bias-augmented kernel
 //! matrix, which makes its K-FAC statistics the standard convolution
-//! convention: one `(a, g)` row per (sample × output position).
+//! convention: one `(a, g)` row per (sample × output position). The
+//! lowering and its adjoint (col2im) walk one index map the layer builds
+//! from its shape, so neither redoes any bounds arithmetic per element.
 
-use crate::layer::{KfacStats, Layer};
+use crate::layer::Layer;
 use compso_tensor::{Matrix, Rng};
+
+/// The index map's entry for a patch column that reads the zero padding:
+/// past every input, so `get` finds nothing there.
+const PAD: u32 = u32::MAX;
 
 /// Spatial geometry of a conv layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,24 +62,60 @@ pub struct Conv2d {
     grad: Matrix,
     cached_a: Option<Matrix>,
     cached_g: Option<Matrix>,
+    /// `out_h*out_w` rows of `patch` entries: the CHW input element each
+    /// patch column of each output position reads, or [`PAD`].
+    map: Vec<u32>,
 }
 
 impl Conv2d {
-    /// He-initialized convolution.
-    pub fn new(shape: ConvShape, rng: &mut Rng) -> Self {
-        let fan_in = shape.patch();
+    /// He-initialized convolution. Panics on a stride of 0, a kernel wider
+    /// than the padded input, or `u32::MAX` input elements or more.
+    pub fn new(s: ConvShape, rng: &mut Rng) -> Self {
+        assert!(s.stride >= 1, "ConvShape stride must be at least 1");
+        assert!(
+            s.kernel <= s.in_h + 2 * s.pad,
+            "ConvShape kernel exceeds in_h + 2*pad"
+        );
+        assert!(
+            s.kernel <= s.in_w + 2 * s.pad,
+            "ConvShape kernel exceeds in_w + 2*pad"
+        );
+        assert!(
+            s.in_elems() < PAD as usize,
+            "ConvShape in_elems must stay below the index map's padding sentinel"
+        );
+        let mut map = Vec::with_capacity(s.out_h() * s.out_w() * s.patch());
+        let tap = |o: usize, k: usize, len: usize| {
+            (o * s.stride + k).checked_sub(s.pad).filter(|&i| i < len)
+        };
+        for oy in 0..s.out_h() {
+            for ox in 0..s.out_w() {
+                for c in 0..s.in_c {
+                    for ky in 0..s.kernel {
+                        for kx in 0..s.kernel {
+                            map.push(match (tap(oy, ky, s.in_h), tap(ox, kx, s.in_w)) {
+                                (Some(iy), Some(ix)) => ((c * s.in_h + iy) * s.in_w + ix) as u32,
+                                _ => PAD,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let fan_in = s.patch();
         let std = (2.0 / fan_in as f32).sqrt();
-        let mut weight = Matrix::random_normal(fan_in + 1, shape.out_c, rng);
+        let mut weight = Matrix::random_normal(fan_in + 1, s.out_c, rng);
         weight.scale(std);
-        for c in 0..shape.out_c {
+        for c in 0..s.out_c {
             weight.set(fan_in, c, 0.0);
         }
         Conv2d {
-            shape,
+            shape: s,
             weight,
-            grad: Matrix::zeros(fan_in + 1, shape.out_c),
+            grad: Matrix::zeros(fan_in + 1, s.out_c),
             cached_a: None,
             cached_g: None,
+            map,
         }
     }
 
@@ -83,67 +125,29 @@ impl Conv2d {
     }
 
     /// Lowers one sample (CHW slice) into its rows of the bias-augmented
-    /// batch patch matrix: `patches` is `out_h*out_w` zeroed rows of
-    /// `patch+1` columns.
+    /// batch patch matrix (`out_h*out_w` zeroed rows of `patch+1` columns):
+    /// a gather through the index map, padding left at `+0.0`.
     fn im2col(&self, sample: &[f32], patches: &mut [f32]) {
-        let s = &self.shape;
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let pw = s.patch();
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = oy * ow + ox;
-                let out_row = &mut patches[row * (pw + 1)..(row + 1) * (pw + 1)];
-                let mut col = 0usize;
-                for c in 0..s.in_c {
-                    for ky in 0..s.kernel {
-                        for kx in 0..s.kernel {
-                            let iy = (oy * s.stride + ky) as isize - s.pad as isize;
-                            let ix = (ox * s.stride + kx) as isize - s.pad as isize;
-                            if iy >= 0
-                                && (iy as usize) < s.in_h
-                                && ix >= 0
-                                && (ix as usize) < s.in_w
-                            {
-                                out_row[col] = sample
-                                    [c * s.in_h * s.in_w + iy as usize * s.in_w + ix as usize];
-                            }
-                            col += 1;
-                        }
-                    }
-                }
-                out_row[pw] = 1.0;
+        let pw = self.shape.patch();
+        for (row, taps) in patches
+            .chunks_exact_mut(pw + 1)
+            .zip(self.map.chunks_exact(pw))
+        {
+            for (dst, &i) in row.iter_mut().zip(taps) {
+                *dst = sample.get(i as usize).copied().unwrap_or(0.0);
             }
+            row[pw] = 1.0;
         }
     }
 
     /// Scatter-adds one sample's patch-gradient rows (`out_h*out_w` rows of
-    /// `patch+1` columns, the bias column ignored) back into an
-    /// input-gradient CHW slice (col2im).
+    /// `patch` columns) into its `+0.0`-started input-gradient CHW slice
+    /// (col2im): positions, then columns, in order, so every element sums
+    /// its contributions in one fixed sequence.
     fn col2im(&self, dpatch: &[f32], dx: &mut [f32]) {
-        let s = &self.shape;
-        let (oh, ow) = (s.out_h(), s.out_w());
-        let pw = s.patch();
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = &dpatch[(oy * ow + ox) * (pw + 1)..][..pw];
-                let mut col = 0usize;
-                for c in 0..s.in_c {
-                    for ky in 0..s.kernel {
-                        for kx in 0..s.kernel {
-                            let iy = (oy * s.stride + ky) as isize - s.pad as isize;
-                            let ix = (ox * s.stride + kx) as isize - s.pad as isize;
-                            if iy >= 0
-                                && (iy as usize) < s.in_h
-                                && ix >= 0
-                                && (ix as usize) < s.in_w
-                            {
-                                dx[c * s.in_h * s.in_w + iy as usize * s.in_w + ix as usize] +=
-                                    row[col];
-                            }
-                            col += 1;
-                        }
-                    }
-                }
+        for (&i, &v) in self.map.iter().zip(dpatch) {
+            if let Some(d) = dx.get_mut(i as usize) {
+                *d += v;
             }
         }
     }
@@ -207,11 +211,11 @@ impl Layer for Conv2d {
         grad.scale(1.0 / batch as f32);
         self.grad = grad;
 
-        // dX: dpatch = g Wᵀ over the whole batch, col2im per sample.
-        let dpatch = g.matmul_t(&self.weight); // (batch*positions) × (patch+1)
-        let per_sample = positions * (s.patch() + 1);
+        // dX: dpatch = g Wᵀ over W's patch rows (the bias row has no
+        // input) for the whole batch, col2im per sample.
+        let dpatch = g.matmul_t_first(&self.weight, s.patch()); // (batch*positions) × patch
         let mut dx = Matrix::zeros(batch, s.in_elems());
-        for (b, rows) in dpatch.as_slice().chunks(per_sample).enumerate() {
+        for (b, rows) in dpatch.as_slice().chunks(positions * s.patch()).enumerate() {
             self.col2im(rows, dx.row_mut(b));
         }
         self.cached_g = Some(g);
@@ -243,14 +247,8 @@ impl Layer for Conv2d {
         self.grad = grads;
     }
 
-    fn kfac_stats(&self) -> Option<KfacStats> {
-        match (&self.cached_a, &self.cached_g) {
-            (Some(a), Some(g)) => Some(KfacStats {
-                a: a.clone(),
-                g: g.clone(),
-            }),
-            _ => None,
-        }
+    fn kfac_stats_ref(&self) -> Option<(&Matrix, &Matrix)> {
+        Some((self.cached_a.as_ref()?, self.cached_g.as_ref()?))
     }
 }
 
@@ -309,6 +307,223 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The direct im2col loop the index map replaced, kept as the oracle:
+    /// `patches` is `out_h*out_w` zeroed rows of `patch+1` columns.
+    fn im2col_oracle(s: &ConvShape, sample: &[f32], patches: &mut [f32]) {
+        let (oh, ow) = (s.out_h(), s.out_w());
+        let pw = s.patch();
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let row = oy * ow + ox;
+                let out_row = &mut patches[row * (pw + 1)..(row + 1) * (pw + 1)];
+                let mut col = 0usize;
+                for c in 0..s.in_c {
+                    for ky in 0..s.kernel {
+                        for kx in 0..s.kernel {
+                            let iy = (oy * s.stride + ky) as isize - s.pad as isize;
+                            let ix = (ox * s.stride + kx) as isize - s.pad as isize;
+                            if iy >= 0
+                                && (iy as usize) < s.in_h
+                                && ix >= 0
+                                && (ix as usize) < s.in_w
+                            {
+                                out_row[col] = sample
+                                    [c * s.in_h * s.in_w + iy as usize * s.in_w + ix as usize];
+                            }
+                            col += 1;
+                        }
+                    }
+                }
+                out_row[pw] = 1.0;
+            }
+        }
+    }
+
+    /// The direct col2im loop, kept as the oracle: `dpatch` rows are
+    /// `patch+1` wide, the bias column ignored.
+    fn col2im_oracle(s: &ConvShape, dpatch: &[f32], dx: &mut [f32]) {
+        let (oh, ow) = (s.out_h(), s.out_w());
+        let pw = s.patch();
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let row = &dpatch[(oy * ow + ox) * (pw + 1)..][..pw];
+                let mut col = 0usize;
+                for c in 0..s.in_c {
+                    for ky in 0..s.kernel {
+                        for kx in 0..s.kernel {
+                            let iy = (oy * s.stride + ky) as isize - s.pad as isize;
+                            let ix = (ox * s.stride + kx) as isize - s.pad as isize;
+                            if iy >= 0
+                                && (iy as usize) < s.in_h
+                                && ix >= 0
+                                && (ix as usize) < s.in_w
+                            {
+                                dx[c * s.in_h * s.in_w + iy as usize * s.in_w + ix as usize] +=
+                                    row[col];
+                            }
+                            col += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A normal draw, or `-0.0` one time in three.
+    fn signed_zeros(n: usize, rng: &mut Rng) -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.below(3) {
+                0 => -0.0,
+                _ => rng.normal_f32(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_index_map_matches_the_direct_loops(
+            (in_c, h, w) in (1usize..5, 1usize..10, 1usize..10),
+            (k, stride, pad) in (0usize..3, 1usize..4, 0usize..3),
+            (batch, seed) in (1usize..4, any::<u64>()),
+        ) {
+            // Kernel 1/3/5; an input too small for it grows just enough.
+            let kernel = [1usize, 3, 5][k];
+            let fit = kernel.saturating_sub(2 * pad);
+            let s = ConvShape { in_c, in_h: h.max(fit), in_w: w.max(fit), out_c: 3, kernel, stride, pad };
+            let (positions, pw) = (s.out_h() * s.out_w(), s.patch());
+            let mut rng = Rng::new(seed);
+            let mut conv = Conv2d::new(s, &mut rng);
+            let x = Matrix::from_vec(batch, s.in_elems(), signed_zeros(batch * s.in_elems(), &mut rng));
+
+            // Lowering: the cached patch matrix, bias column and padding included.
+            let _ = conv.forward(&x, true);
+            let mut want = Matrix::zeros(batch * positions, pw + 1);
+            for (b, rows) in want.as_mut_slice().chunks_mut(positions * (pw + 1)).enumerate() {
+                im2col_oracle(&s, x.row(b), rows);
+            }
+            prop_assert_eq!(bits(conv.cached_a.as_ref().unwrap().as_slice()), bits(want.as_slice()));
+
+            // Adjoint: `-0.0` contributions land on a `+0.0` start, so an
+            // element that receives only those must read `+0.0`.
+            let dpatch = signed_zeros(positions * pw, &mut rng);
+            let mut wide = vec![f32::NAN; positions * (pw + 1)];
+            for (row, src) in wide.chunks_exact_mut(pw + 1).zip(dpatch.chunks_exact(pw)) {
+                row[..pw].copy_from_slice(src);
+            }
+            let (mut got, mut want) = (vec![0.0; s.in_elems()], vec![0.0; s.in_elems()]);
+            conv.col2im(&dpatch, &mut got);
+            col2im_oracle(&s, &wide, &mut want);
+            prop_assert_eq!(bits(&got), bits(&want));
+
+            // Backward end to end: the patch-wide `g Wᵀ` through the map
+            // against the full product (bias column skipped) through the loop.
+            let probe = Matrix::from_vec(batch, s.out_elems(), signed_zeros(batch * s.out_elems(), &mut rng));
+            let dx = conv.backward(&probe);
+            let full = conv.cached_g.as_ref().unwrap().matmul_t(&conv.weight);
+            let mut want = Matrix::zeros(batch, s.in_elems());
+            for (b, rows) in full.as_slice().chunks(positions * (pw + 1)).enumerate() {
+                col2im_oracle(&s, rows, want.row_mut(b));
+            }
+            prop_assert_eq!(bits(dx.as_slice()), bits(want.as_slice()));
+        }
+    }
+
+    #[test]
+    fn index_map_is_positions_by_patch() {
+        // The three convs of `small_cnn(1, 12, 12, _, 16)`: 5, 20 and 41 KB.
+        let c1 = ConvShape {
+            in_c: 1,
+            in_h: 12,
+            in_w: 12,
+            out_c: 16,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let c2 = ConvShape {
+            in_c: 16,
+            out_c: 32,
+            stride: 2,
+            ..c1
+        };
+        let c3 = ConvShape {
+            in_c: 32,
+            in_h: 6,
+            in_w: 6,
+            stride: 1,
+            ..c2
+        };
+        let mut rng = Rng::new(6);
+        let bytes: Vec<usize> = [c1, c2, c3]
+            .map(|s| Conv2d::new(s, &mut rng).map.len() * 4)
+            .to_vec();
+        assert_eq!(bytes, [5184, 20736, 41472]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride")]
+    fn zero_stride_is_refused() {
+        let _ = Conv2d::new(
+            ConvShape {
+                stride: 0,
+                ..small_shape()
+            },
+            &mut Rng::new(7),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "in_h")]
+    fn kernel_taller_than_the_padded_input_is_refused() {
+        let _ = Conv2d::new(
+            ConvShape {
+                in_h: 2,
+                kernel: 5,
+                pad: 1,
+                ..small_shape()
+            },
+            &mut Rng::new(8),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "in_w")]
+    fn kernel_wider_than_the_padded_input_is_refused() {
+        let _ = Conv2d::new(
+            ConvShape {
+                in_w: 2,
+                kernel: 5,
+                pad: 1,
+                ..small_shape()
+            },
+            &mut Rng::new(9),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "in_elems")]
+    fn input_past_the_padding_sentinel_is_refused() {
+        // 2¹⁶ · 2¹⁶ · 1 = 2³² elements; a 1×1 kernel keeps the weights small.
+        let _ = Conv2d::new(
+            ConvShape {
+                in_c: 1 << 16,
+                in_h: 1 << 16,
+                in_w: 1,
+                out_c: 1,
+                kernel: 1,
+                stride: 1,
+                pad: 0,
+            },
+            &mut Rng::new(10),
+        );
+    }
 
     fn small_shape() -> ConvShape {
         ConvShape {

@@ -56,9 +56,19 @@ pub trait Layer: Send {
     /// decompression the optimizer writes the processed gradient back).
     fn set_grads(&mut self, grads: Matrix);
 
-    /// The last step's K-FAC statistics, when the layer supports K-FAC.
-    fn kfac_stats(&self) -> Option<KfacStats> {
+    /// The last step's K-FAC statistics `(a, g)`, borrowed, when the layer
+    /// supports K-FAC and has captured them.
+    fn kfac_stats_ref(&self) -> Option<(&Matrix, &Matrix)> {
         None
+    }
+
+    /// An owned copy of [`Layer::kfac_stats_ref`].
+    fn kfac_stats(&self) -> Option<KfacStats> {
+        let (a, g) = self.kfac_stats_ref()?;
+        Some(KfacStats {
+            a: a.clone(),
+            g: g.clone(),
+        })
     }
 
     /// Number of parameters.
@@ -176,14 +186,8 @@ impl Layer for Linear {
         self.grad = grads;
     }
 
-    fn kfac_stats(&self) -> Option<KfacStats> {
-        match (&self.cached_a, &self.cached_g) {
-            (Some(a), Some(g)) => Some(KfacStats {
-                a: a.clone(),
-                g: g.clone(),
-            }),
-            _ => None,
-        }
+    fn kfac_stats_ref(&self) -> Option<(&Matrix, &Matrix)> {
+        Some((self.cached_a.as_ref()?, self.cached_g.as_ref()?))
     }
 }
 
@@ -210,37 +214,21 @@ impl Layer for Relu {
         "ReLU"
     }
 
+    // Selects, not branches or products: `v > 0.0` keeps `v`, anything
+    // else (`-0.0`, NaN, -inf) becomes `+0.0`.
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut y = x.clone();
-        let mut mask = Vec::new();
         if train {
-            mask.reserve(x.len());
+            self.mask = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
         }
-        for v in y.as_mut_slice() {
-            let active = *v > 0.0;
-            if train {
-                mask.push(active);
-            }
-            if !active {
-                *v = 0.0;
-            }
-        }
-        if train {
-            self.mask = Some(mask);
-        }
-        y
+        let y = x.as_slice().iter().map(|&v| if v > 0.0 { v } else { 0.0 });
+        Matrix::from_vec(x.rows(), x.cols(), y.collect())
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         let mask = self.mask.as_ref().expect("backward without forward");
         assert_eq!(mask.len(), grad_out.len(), "ReLU shape");
-        let mut dx = grad_out.clone();
-        for (v, &m) in dx.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
-                *v = 0.0;
-            }
-        }
-        dx
+        let dx = (grad_out.as_slice().iter().zip(mask)).map(|(&g, &m)| if m { g } else { 0.0 });
+        Matrix::from_vec(grad_out.rows(), grad_out.cols(), dx.collect())
     }
 
     fn set_grads(&mut self, _grads: Matrix) {}
@@ -532,6 +520,64 @@ mod tests {
         let g = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
         let dx = relu.backward(&g);
         assert_eq!(dx.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
+    }
+
+    /// The branchy ReLU the selects replaced, kept as the oracle:
+    /// `(y, mask, dx)` for input `x` and upstream gradient `g`.
+    fn relu_oracle(x: &Matrix, g: &Matrix) -> (Matrix, Vec<bool>, Matrix) {
+        let mut y = x.clone();
+        let mut mask = Vec::with_capacity(x.len());
+        for v in y.as_mut_slice() {
+            let active = *v > 0.0;
+            mask.push(active);
+            if !active {
+                *v = 0.0;
+            }
+        }
+        let mut dx = g.clone();
+        for (v, &m) in dx.as_mut_slice().iter_mut().zip(&mask) {
+            if !m {
+                *v = 0.0;
+            }
+        }
+        (y, mask, dx)
+    }
+
+    #[test]
+    fn relu_selects_match_the_branches_on_every_special_value() {
+        let sub = f32::from_bits(1);
+        let specials = [
+            -0.0,
+            0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            sub,
+            -sub,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        // Every input against every upstream gradient.
+        let n = specials.len();
+        let x = Matrix::from_fn(n, n, |r, _| specials[r]);
+        let g = Matrix::from_fn(n, n, |_, c| specials[c]);
+        let (want_y, want_mask, want_dx) = relu_oracle(&x, &g);
+        let mut relu = Relu::new();
+        let y = relu.forward(&x, true);
+        let dx = relu.backward(&g);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&want_y));
+        assert_eq!(relu.mask.as_ref(), Some(&want_mask));
+        assert_eq!(bits(&dx), bits(&want_dx));
+        // Eval mode computes the same `y` and leaves the mask alone.
+        assert_eq!(bits(&relu.forward(&g, false)), bits(&relu_oracle(&g, &g).0));
+        assert_eq!(relu.mask.as_ref(), Some(&want_mask));
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl Sequential {
     /// step (Linear/Conv2d).
     pub fn kfac_indices(&self) -> Vec<usize> {
         (0..self.layers.len())
-            .filter(|&i| self.layers[i].kfac_stats().is_some())
+            .filter(|&i| self.layers[i].kfac_stats_ref().is_some())
             .collect()
     }
 

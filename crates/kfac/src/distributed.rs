@@ -192,9 +192,9 @@ fn protocol(expected: &'static str) -> CommError {
 fn fold(kfac: &mut Kfac, model: &Sequential, layers: &[usize]) -> Result<Vec<bool>, CommError> {
     (layers.iter())
         .map(|&idx| {
-            let s =
-                (model.kfac_stats(idx)).ok_or(protocol("kfac layer with captured statistics"))?;
-            Ok(kfac.fold_covariances(idx, &covariance(&s.a), &covariance(&s.g)))
+            let (a, g) = (model.layer(idx).kfac_stats_ref())
+                .ok_or(protocol("kfac layer with captured statistics"))?;
+            Ok(kfac.fold_covariances(idx, &covariance(a), &covariance(g)))
         })
         .collect()
 }
@@ -526,10 +526,9 @@ impl DistKfac {
         let mut costs: Vec<f64> = Vec::with_capacity(layers.len());
         let mut shapes: Vec<LayerShape> = Vec::with_capacity(layers.len());
         for &idx in &layers {
-            let s =
-                (model.kfac_stats(idx)).ok_or(protocol("kfac layer with captured statistics"))?;
-            let a = s.a.cols() as f64;
-            let g = s.g.cols() as f64;
+            let (a, g) = (model.layer(idx).kfac_stats_ref())
+                .ok_or(protocol("kfac layer with captured statistics"))?;
+            let (a, g) = (a.cols() as f64, g.cols() as f64);
             costs.push(a * a * a + g * g * g);
             let grad = (model.layer(idx).grads()).ok_or(protocol("kfac layer with a gradient"))?;
             shapes.push((idx, grad.rows(), grad.cols()));

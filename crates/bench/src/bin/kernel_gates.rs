@@ -35,6 +35,22 @@
 //!   feature on the dispatcher instead of the job body the tile runs at
 //!   baseline codegen and it reads 0.80 to 0.97. `n/a` on a host without
 //!   AVX2.
+//! * `eigen.wide_speedup >= 1.2` — `sym_eig`'s AVX2 instance against its
+//!   portable one on a seeded 289-dim factor (the CNN's conv-factor
+//!   size), fastest of 5, interleaved, one rayon worker. Reads 1.33 to
+//!   1.34; with the solver's stages compiled outside the AVX2 body (not
+//!   inlined into it) 0.96 to 1.00. `n/a` without AVX2.
+//! * `core.sr_lanes_speedup >= 1.3` — stochastic rounding of four 16 Ki
+//!   K-FAC-shaped chunks at 501 codes, each with its own stream, on the
+//!   AVX2 instance of `quantize_sr_lanes` against the portable one,
+//!   fastest of 15, interleaved. Reads 2.1 to 2.9; 1.00 to 1.10 with the
+//!   AVX2 arm running the lanes one by one in scalar code. `n/a` without
+//!   AVX2.
+//! * `codec.dequant_table_speedup >= 1.5` — merge + dequantize of 256 Ki
+//!   9-bit codes (`CodeRecord::dequantize_into`) through the chunk's
+//!   table, its fill included, against the expression it tabulates,
+//!   fastest of 15, interleaved. Reads 1.68 to 1.78; 1.27 to 1.31 with
+//!   the table path evaluating the expression per code.
 //! * `codec.pack_speedup >= 1.5` — `microkernel::split_into` (what the
 //!   chunk kernels run on codes wider than a byte: a low-byte stream and
 //!   a packed high-bit plane) against its scalar oracle `bitpack::split`
@@ -94,6 +110,7 @@ use compso_comm::collectives::{
 use compso_comm::fault::FaultPlane;
 use compso_comm::{run_ranks_with, CommConfig};
 use compso_core::kernels::{KernelConfig, LayerSchedule};
+use compso_core::microkernel::{quantize_sr_lanes, CodeRecord, DequantTable, SrLane, SR_LANES};
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed};
 use compso_core::{bitpack, microkernel};
@@ -103,7 +120,7 @@ use compso_dnn::models::small_cnn;
 use compso_dnn::Layer;
 use compso_kfac::kfac::covariance;
 use compso_obs::Recorder;
-use compso_tensor::{sym_eig, GemmInstance, Matrix, Rng};
+use compso_tensor::{sym_eig, Instance, Matrix, Rng};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -479,15 +496,12 @@ fn main() {
         let mut rng = Rng::new(128);
         let q = Matrix::random_normal(128, 128, &mut rng);
         let v = Matrix::random_normal(128, 129, &mut rng);
-        if GemmInstance::Avx2.available() {
+        if Instance::Avx2.available() {
             let _guard = rayon::scoped_thread_override(1);
             let mut best = [f64::INFINITY; 2];
             let mut out = [Matrix::zeros(0, 0), Matrix::zeros(0, 0)];
             for _ in 0..5 {
-                for (i, inst) in [GemmInstance::Portable, GemmInstance::Avx2]
-                    .into_iter()
-                    .enumerate()
-                {
+                for (i, inst) in Instance::ALL.into_iter().enumerate() {
                     let _pin = inst.pin();
                     let t0 = Instant::now();
                     out[i] = black_box(black_box(&q).matmul(&v));
@@ -506,6 +520,140 @@ fn main() {
         } else {
             println!("kernel_gates: gemm.wide_speedup: n/a (no AVX2 on this host)");
         }
+    }
+
+    // The eigensolver's two instances at the CNN's conv-factor size.
+    if Instance::Avx2.available() {
+        let _guard = rayon::scoped_thread_override(1);
+        let f = covariance(&Matrix::random_normal(4 * 289, 289, &mut Rng::new(320)));
+        let mut best = [f64::INFINITY; 2];
+        let mut values: [Vec<f32>; 2] = Default::default();
+        for _ in 0..5 {
+            for (i, inst) in Instance::ALL.into_iter().enumerate() {
+                let _pin = inst.pin();
+                let t0 = Instant::now();
+                values[i] = black_box(sym_eig(black_box(&f))).values;
+                best[i] = best[i].min(t0.elapsed().as_secs_f64());
+            }
+            assert_eq!(values[0], values[1], "the sym_eig instances diverged");
+        }
+        let [portable, avx2] = best.map(|t| t * 1e3);
+        gate(
+            "eigen.wide_speedup",
+            portable / avx2,
+            ">=",
+            1.2,
+            format!("portable {portable:.3} ms, avx2 {avx2:.3} ms at 289"),
+        );
+    } else {
+        println!("kernel_gates: eigen.wide_speedup: n/a (no AVX2 on this host)");
+    }
+
+    // Stochastic rounding of four 16 Ki chunks at the conservative
+    // strategy's 501 codes, each chunk with its own stream, on the two
+    // instances of the lane kernel.
+    if Instance::Avx2.available() {
+        const N: usize = 16 * 1024;
+        let chunks: Vec<Vec<f32>> = (0..SR_LANES as u64)
+            .map(|i| generate(N, 40 + i, GradientProfile::kfac()))
+            .collect();
+        let headers: Vec<(f32, f64)> = chunks
+            .iter()
+            .map(|c| {
+                let lo = c.iter().copied().fold(f32::INFINITY, f32::min);
+                let hi = c.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                (lo, 500.0 / (hi - lo) as f64)
+            })
+            .collect();
+        let base = Rng::new(41);
+        let mut codes = [vec![vec![0u32; N]; SR_LANES], vec![vec![0u32; N]; SR_LANES]];
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..15 {
+            for (i, inst) in Instance::ALL.into_iter().enumerate() {
+                let mut rngs: Vec<Rng> = (0..SR_LANES as u64).map(|j| base.fork(j)).collect();
+                let mut parts = chunks
+                    .iter()
+                    .zip(&headers)
+                    .zip(&mut rngs)
+                    .zip(&mut codes[i]);
+                let mut lanes = std::array::from_fn(|_| {
+                    let (((kept, &(lo, inv_w)), rng), codes) = parts.next().expect("four chunks");
+                    SrLane {
+                        kept,
+                        lo,
+                        inv_w,
+                        n_bins: 500,
+                        rng,
+                        codes,
+                    }
+                });
+                let t0 = Instant::now();
+                quantize_sr_lanes(inst, black_box(&mut lanes));
+                best[i] = best[i].min(t0.elapsed().as_secs_f64());
+            }
+            assert_eq!(codes[0], codes[1], "the SR lane instances diverged");
+        }
+        let [portable, avx2] = best.map(|t| t * 1e3);
+        gate(
+            "core.sr_lanes_speedup",
+            portable / avx2,
+            ">=",
+            1.3,
+            format!("portable {portable:.3} ms, avx2 {avx2:.3} ms"),
+        );
+    } else {
+        println!("kernel_gates: core.sr_lanes_speedup: n/a (no AVX2 on this host)");
+    }
+
+    // Merge + dequantize of 256 Ki 9-bit codes: through the chunk's table
+    // and through the expression it tabulates.
+    {
+        let mut rng = Rng::new(42);
+        let codes: Vec<u32> = (0..256 * 1024).map(|_| rng.next_u32() % 501).collect();
+        let (lo, bin_width) = (-1.0f32, 4e-3f32);
+        let bias = bitpack::split_bias(lo, bin_width, 500);
+        let (mut low, mut planes) = (Vec::new(), Vec::new());
+        microkernel::split_into(&codes, 9, bias, &mut low, &mut planes);
+        let record = CodeRecord {
+            packed: &low,
+            planes: &planes,
+            bits: 9,
+            lo,
+            bin_width,
+            n_bins: 500,
+        };
+        let mut storage = DequantTable::default();
+        let mut out = [vec![0.0f32; codes.len()], vec![0.0f32; codes.len()]];
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..15 {
+            let t0 = Instant::now();
+            record
+                .dequantize_into(black_box(&mut out[0]), None)
+                .expect("in range");
+            best[0] = best[0].min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            let table = record.table(codes.len(), &mut storage);
+            assert!(table.is_some(), "256 Ki codes outnumber 512 entries");
+            record
+                .dequantize_into(black_box(&mut out[1]), table)
+                .expect("in range");
+            best[1] = best[1].min(t0.elapsed().as_secs_f64());
+            assert!(
+                out[0]
+                    .iter()
+                    .zip(&out[1])
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "the table diverged from the expression"
+            );
+        }
+        let [expression, table] = best.map(|t| t * 1e3);
+        gate(
+            "codec.dequant_table_speedup",
+            expression / table,
+            ">=",
+            1.5,
+            format!("expression {expression:.3} ms, table {table:.3} ms"),
+        );
     }
 
     // Byte/plane splitter: the conservative strategy's code width

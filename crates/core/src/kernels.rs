@@ -25,7 +25,7 @@
 
 use crate::bitpack::{self, bits_for, split_bias, SPLIT_MIN_WIDTH};
 use crate::encoders::Codec;
-use crate::microkernel;
+use crate::microkernel::{self, CodeRecord, LaneScratch, SrLane, SR_LANES};
 use crate::quantize::{ErrorBound, Quantized, Quantizer};
 use crate::rounding::RoundingMode;
 use crate::traits::{CompressError, Compressor};
@@ -33,7 +33,9 @@ use crate::wire::{Reader, WireError, Writer};
 use compso_obs::{names, Recorder};
 use compso_tensor::reduce::{minmax_flat, minmax_hierarchical, MinMax};
 use compso_tensor::rng::Rng;
+use compso_tensor::Instance;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Magic byte of the chunked-parallel wire format (registered as
 /// [`crate::wire::magic::MAGIC_STREAM_V2`]).
@@ -351,88 +353,266 @@ fn compress_chunk_fused(
     serialize_chunk(f, &quant)
 }
 
-/// The production fused sweep, rebuilt on the [`microkernel`] layer: the
-/// word-at-a-time filter kernel, the mode-hoisted (branchless-SR) quantize
-/// kernel, and the register-window bit-packer — or, for codes wider than
-/// a byte, the byte/plane splitter — all writing through the per-thread
-/// compress arena instead of fresh `Vec`s.
-///
-/// Bit-identical to [`compress_chunk_fused`] by construction: the
-/// threshold/range/bin arithmetic below replicates `filter_chunk` +
-/// `Quantizer::quantize_with_range` exactly (f32 span, f64 coordinate,
-/// same clamp, same per-element RNG draws), and the staged ablation path
-/// still runs the scalar helpers — so the existing fused-vs-staged wire
-/// equality test doubles as the end-to-end microkernel bit-identity pin.
-fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mut Rng) -> ChunkOut {
-    microkernel::with_compress_scratch(|s| {
-        // Filter threshold: identical derivation to `filter_chunk`.
-        let span = if data.is_empty() {
-            0.0
-        } else {
-            range.max - range.min
-        };
-        let threshold = match cfg.eb_filter {
-            Some(ebf) if span > 0.0 => ebf * span,
-            _ => 0.0,
-        };
-        let use_filter = threshold > 0.0;
-        let mut bitmap = Vec::new();
-        let kept = if use_filter {
-            microkernel::filter_kernel(data, threshold, &mut bitmap, &mut s.kept);
-            s.kept.as_slice()
+/// One chunk's input to the fused sweep: its values, its layer's range
+/// and its forked stream, which the sweep leaves after its last draw.
+struct ChunkJob<'d> {
+    data: &'d [f32],
+    range: MinMax,
+    rng: Rng,
+}
+
+/// A chunk after its filter sweep: everything its record holds but the
+/// codes. Its kept values are the chunk itself, or the filter's
+/// survivors when `use_filter`.
+struct Staged {
+    n: usize,
+    use_filter: bool,
+    bitmap: Vec<u8>,
+    lo: f32,
+    bin_width: f32,
+    n_bins: u32,
+    /// How many values survived the filter.
+    n_kept: usize,
+}
+
+impl Staged {
+    /// The values to quantize: `data` itself, or the filter's survivors.
+    fn kept<'a>(&self, data: &'a [f32], survivors: &'a [f32]) -> &'a [f32] {
+        if self.use_filter {
+            survivors
         } else {
             data
-        };
+        }
+    }
 
-        // Quantizer header: identical derivation to `quantize_chunk` /
-        // `Quantizer::quantize_with_range` (layer-global range, f32 span,
-        // f64 reciprocal width).
-        let (lo, hi) = if data.is_empty() {
-            (0.0, 0.0)
+    fn inv_w(&self) -> f64 {
+        1.0 / self.bin_width as f64
+    }
+
+    /// The SR lane over positions `at` of this chunk's kept values, with
+    /// `job`'s stream and `buf`'s codes.
+    fn lane<'a>(
+        &self,
+        job: &'a mut ChunkJob<'_>,
+        buf: &'a mut LaneScratch,
+        at: Range<usize>,
+    ) -> SrLane<'a> {
+        SrLane {
+            kept: &self.kept(job.data, &buf.kept)[at.clone()],
+            lo: self.lo,
+            inv_w: self.inv_w(),
+            n_bins: self.n_bins,
+            rng: &mut job.rng,
+            codes: &mut buf.codes[at],
+        }
+    }
+}
+
+/// The filter sweep and the quantizer header of one chunk, the survivors
+/// into `survivors`. The threshold/range/bin arithmetic replicates
+/// `filter_chunk` + `Quantizer::quantize_with_range` exactly (layer-global
+/// range, f32 span, f64 reciprocal width).
+fn stage_chunk(
+    data: &[f32],
+    range: MinMax,
+    cfg: &CompsoConfig,
+    survivors: &mut Vec<f32>,
+) -> Staged {
+    let span = if data.is_empty() {
+        0.0
+    } else {
+        range.max - range.min
+    };
+    let threshold = match cfg.eb_filter {
+        Some(ebf) if span > 0.0 => ebf * span,
+        _ => 0.0,
+    };
+    let use_filter = threshold > 0.0;
+    let mut bitmap = Vec::new();
+    let n_kept = if use_filter {
+        microkernel::filter_kernel(data, threshold, &mut bitmap, survivors);
+        survivors.len()
+    } else {
+        data.len()
+    };
+    let (lo, hi) = if data.is_empty() {
+        (0.0, 0.0)
+    } else {
+        (range.min, range.max)
+    };
+    assert!(hi >= lo, "invalid range [{lo}, {hi}]");
+    let qrange = hi - lo;
+    let (bin_width, n_bins) = if qrange == 0.0 || n_kept == 0 {
+        (0.0f32, 0u32)
+    } else {
+        let eb_abs = ErrorBound::Relative(cfg.eb_quant).absolute_for_range(qrange);
+        assert!(eb_abs > 0.0, "error bound collapsed to zero");
+        (eb_abs, (qrange as f64 / eb_abs as f64).ceil() as u32)
+    };
+    Staged {
+        n: data.len(),
+        use_filter,
+        bitmap,
+        lo,
+        bin_width,
+        n_bins,
+        n_kept,
+    }
+}
+
+/// Packs (or, past 8 bits, splits) a staged chunk's codes and writes its
+/// record: the layout of [`serialize_chunk`], straight from the arena.
+fn finish_chunk(st: Staged, codes: &[u32], packed: &mut Vec<u8>, planes: &mut Vec<u8>) -> ChunkOut {
+    packed.clear();
+    planes.clear();
+    if st.n_bins > 0 {
+        let bits = bits_for(st.n_bins);
+        if bits >= SPLIT_MIN_WIDTH {
+            let bias = split_bias(st.lo, st.bin_width, st.n_bins);
+            microkernel::split_into(codes, bits, bias, packed, planes);
         } else {
-            (range.min, range.max)
-        };
-        assert!(hi >= lo, "invalid range [{lo}, {hi}]");
-        let qrange = hi - lo;
-        let (bin_width, n_bins) = if qrange == 0.0 || kept.is_empty() {
-            (0.0f32, 0u32)
-        } else {
-            let eb_abs = ErrorBound::Relative(cfg.eb_quant).absolute_for_range(qrange);
-            assert!(eb_abs > 0.0, "error bound collapsed to zero");
-            (eb_abs, (qrange as f64 / eb_abs as f64).ceil() as u32)
-        };
-        s.packed.clear();
-        s.planes.clear();
-        if n_bins > 0 {
-            let inv_w = 1.0 / bin_width as f64;
-            microkernel::quantize_kernel(kept, lo, inv_w, n_bins, cfg.mode, rng, &mut s.codes);
-            let bits = bits_for(n_bins);
-            if bits >= SPLIT_MIN_WIDTH {
-                let bias = split_bias(lo, bin_width, n_bins);
-                microkernel::split_into(&s.codes, bits, bias, &mut s.packed, &mut s.planes);
-            } else {
-                microkernel::pack_into(&s.codes, bits, &mut s.packed);
+            microkernel::pack_into(codes, bits, packed);
+        }
+    }
+    let mut w = Writer::with_capacity(29 + packed.len() + planes.len());
+    w.u64(st.n as u64);
+    w.u8(u8::from(st.use_filter));
+    w.f32(st.lo);
+    w.f32(st.bin_width);
+    w.u32(st.n_bins);
+    w.u64(st.n_kept as u64);
+    w.bytes(packed);
+    let codes_len = w.len();
+    w.bytes(planes);
+    ChunkOut {
+        bitmap: st.bitmap,
+        record: w.into_bytes(),
+        codes_len,
+    }
+}
+
+/// The production fused sweep over a run of chunks, rebuilt on the
+/// [`microkernel`] layer: the word-at-a-time filter kernel, the
+/// mode-hoisted quantize kernel, and the register-window bit-packer — or,
+/// for codes wider than a byte, the byte/plane splitter — all writing
+/// through the per-thread compress arena instead of fresh `Vec`s.
+///
+/// Stochastic rounding runs [`microkernel::SR_LANES`] chunks at once on
+/// `inst`'s [`microkernel::quantize_sr_lanes`]: each lane holds one chunk
+/// and its own stream, the lanes advance in lockstep until one runs dry,
+/// that chunk's record is written and the next chunk takes its lane. Once
+/// no chunk is left to take a lane, the rest finish one by one in scalar
+/// code. A chunk with nothing to draw (no bins, or another rounding mode)
+/// is quantized and written as it is staged. Records come back in chunk
+/// order.
+///
+/// Bit-identical to [`compress_chunk_fused`] per chunk by construction:
+/// [`stage_chunk`] replicates the scalar helpers' arithmetic, a lane
+/// consumes its chunk's stream in the order the scalar kernel does, and
+/// the staged ablation path still runs the scalar helpers — so the
+/// fused-vs-staged wire equality test doubles as the end-to-end pin.
+fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance) -> Vec<ChunkOut> {
+    /// A chunk in a lane: its index, its header and how far its SR has run.
+    struct Held {
+        idx: usize,
+        st: Staged,
+        pos: usize,
+    }
+    let mut outs: Vec<Option<ChunkOut>> = Vec::new();
+    outs.resize_with(jobs.len(), || None);
+    let lanes_draw = cfg.mode == RoundingMode::Stochastic;
+    microkernel::with_compress_scratch(|s| {
+        let mut held: [Option<Held>; SR_LANES] = Default::default();
+        let mut next = 0;
+        loop {
+            for (slot, lane) in held.iter_mut().zip(&mut s.lanes) {
+                while slot.is_none() && next < jobs.len() {
+                    let job = &mut jobs[next];
+                    let st = stage_chunk(job.data, job.range, cfg, &mut lane.kept);
+                    let kept = st.kept(job.data, &lane.kept);
+                    if lanes_draw && st.n_bins > 0 {
+                        lane.codes.clear();
+                        lane.codes.resize(kept.len(), 0);
+                        *slot = Some(Held {
+                            idx: next,
+                            st,
+                            pos: 0,
+                        });
+                    } else {
+                        if st.n_bins > 0 {
+                            let (lo, inv_w, n_bins, rng) =
+                                (st.lo, st.inv_w(), st.n_bins, &mut job.rng);
+                            microkernel::quantize_kernel(
+                                kept,
+                                lo,
+                                inv_w,
+                                n_bins,
+                                cfg.mode,
+                                rng,
+                                &mut lane.codes,
+                            );
+                        }
+                        outs[next] =
+                            Some(finish_chunk(st, &lane.codes, &mut s.packed, &mut s.planes));
+                    }
+                    next += 1;
+                }
+            }
+            // A free lane means no chunk is left to take it.
+            if held.iter().any(Option::is_none) {
+                break;
+            }
+            let now = held
+                .each_ref()
+                .map(|h| h.as_ref().expect("every lane holds a chunk"));
+            let steps = now
+                .iter()
+                .map(|h| h.st.n_kept - h.pos)
+                .min()
+                .expect("SR_LANES > 0");
+            {
+                let held_jobs = jobs.get_disjoint_mut(now.map(|h| h.idx));
+                let held_jobs = held_jobs.expect("each chunk is held by one lane");
+                let mut parts = now.into_iter().zip(&mut s.lanes).zip(held_jobs);
+                let mut lanes = std::array::from_fn(|_| {
+                    let ((h, buf), job) = parts.next().expect("one part per lane");
+                    h.st.lane(job, buf, h.pos..h.pos + steps)
+                });
+                microkernel::quantize_sr_lanes(inst, &mut lanes);
+            }
+            for (slot, lane) in held.iter_mut().zip(&s.lanes) {
+                let h = slot.as_mut().expect("every lane holds a chunk");
+                h.pos += steps;
+                if h.pos == h.st.n_kept {
+                    let Held { idx, st, .. } = slot.take().expect("every lane holds a chunk");
+                    outs[idx] = Some(finish_chunk(st, &lane.codes, &mut s.packed, &mut s.planes));
+                }
             }
         }
-
-        // Serialize: same record layout as `serialize_chunk`, straight
-        // from the arena.
-        let mut w = Writer::with_capacity(29 + s.packed.len() + s.planes.len());
-        w.u64(data.len() as u64);
-        w.u8(u8::from(use_filter));
-        w.f32(lo);
-        w.f32(bin_width);
-        w.u32(n_bins);
-        w.u64(kept.len() as u64);
-        w.bytes(&s.packed);
-        let codes_len = w.len();
-        w.bytes(&s.planes);
-        ChunkOut {
-            bitmap,
-            record: w.into_bytes(),
-            codes_len,
+        for (slot, lane) in held.iter_mut().zip(&mut s.lanes) {
+            if let Some(Held { idx, st, pos }) = slot.take() {
+                st.lane(&mut jobs[idx], lane, pos..st.n_kept).quantize();
+                outs[idx] = Some(finish_chunk(st, &lane.codes, &mut s.packed, &mut s.planes));
+            }
         }
-    })
+    });
+    outs.into_iter()
+        .map(|o| o.expect("every chunk was written"))
+        .collect()
+}
+
+/// [`compress_chunks`] over one chunk on this thread's instance — the
+/// shape the chunk-level pins drive.
+#[cfg(test)]
+fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mut Rng) -> ChunkOut {
+    let mut jobs = [ChunkJob {
+        data,
+        range,
+        rng: rng.clone(),
+    }];
+    let out = compress_chunks(&mut jobs, cfg, Instance::current());
+    *rng = jobs[0].rng.clone();
+    out.into_iter().next().expect("one chunk in, one out")
 }
 
 /// Compresses multiple layers with the chunked-parallel kernels.
@@ -481,16 +661,23 @@ pub fn compress_chunked(
 
     // Pass 2(+): the chunk sweep.
     let outs: Vec<ChunkOut> = if kc.fused {
-        schedule
-            .chunks
-            .par_iter()
-            .enumerate()
-            .map(|(idx, c)| {
-                let slice = &layers[c.layer][c.offset..c.offset + c.len];
-                let mut chunk_rng = rng.fork(idx as u64);
-                compress_chunk_fast(slice, ranges[c.layer], cfg, &mut chunk_rng)
+        // Read on the calling thread: a pin does not reach the workers.
+        let inst = Instance::current();
+        let mut jobs: Vec<ChunkJob> = (schedule.chunks.iter().enumerate())
+            .map(|(idx, c)| ChunkJob {
+                data: &layers[c.layer][c.offset..c.offset + c.len],
+                range: ranges[c.layer],
+                rng: rng.fork(idx as u64),
             })
-            .collect()
+            .collect();
+        // One contiguous run of chunks per worker, so the SR lanes stay
+        // full across chunk boundaries.
+        let run = jobs.len().div_ceil(rayon::current_num_threads()).max(1);
+        let runs: Vec<Vec<ChunkOut>> = jobs
+            .par_chunks_mut(run)
+            .map(|run| compress_chunks(run, cfg, inst))
+            .collect();
+        runs.into_iter().flatten().collect()
     } else {
         // Staged: materialize the filter products for every chunk first,
         // then quantize, then serialize — three full traversals, matching
@@ -594,13 +781,13 @@ pub fn compress_chunked(
 /// Microkernel rewrite of [`decompress_chunk_ref`] in which values
 /// materialize directly in the caller's pre-zeroed output window (the
 /// chunk's slice of the final layer buffer, so decode has no assembly
-/// copy at all). An unfiltered chunk dequantizes as it unpacks
-/// ([`microkernel::unpack_map`]); a filtered one unpacks through the
-/// u64-window [`microkernel::unpack_into`] into a per-thread code buffer
-/// (no per-chunk `Vec<u32>` churn) and fuses dequantize with the
-/// keep-mask scatter ([`microkernel::scatter_kept`]). Every validation
-/// check and error string of the scalar reference is preserved, in the
-/// same order.
+/// copy at all). Codes dequantize as they unpack or merge
+/// ([`CodeRecord::dequantize_into`]) — through a per-chunk table when the
+/// width has one and the codes outnumber its entries — straight into the
+/// window for an unfiltered chunk, and into a per-thread buffer ahead of
+/// the keep-mask scatter ([`microkernel::scatter_kept`]) for a filtered
+/// one. Every validation check and error string of the scalar reference
+/// is preserved, in the same order.
 ///
 /// `out` must be zero-filled and exactly `c.len` long.
 fn decompress_chunk_into(
@@ -622,8 +809,7 @@ fn decompress_chunk_into(
         _ => return Err(WireError::Invalid("filter flag").into()),
     };
     // Inline `Quantized::read_capped` with identical validation (the
-    // chunk's element count from the schedule caps the carried count), but
-    // unpacking into the thread-local code buffer.
+    // chunk's element count from the schedule caps the carried count).
     let lo = cr.f32()?;
     let bin_width = cr.f32()?;
     let n_bins = cr.u32()?;
@@ -653,64 +839,50 @@ fn decompress_chunk_into(
     if planes.len() != plane_len {
         return Err(CompressError::Corrupt("chunk plane length"));
     }
-    let bias = if wide {
-        split_bias(lo, bin_width, n_bins)
-    } else {
-        0
+    let record = CodeRecord {
+        packed,
+        planes,
+        bits,
+        lo,
+        bin_width,
+        n_bins,
     };
-    let check_max = |maxc: u32| {
-        if maxc > n_bins {
-            Err(WireError::Invalid("quantized code out of range"))
+    microkernel::with_chunk_decode(|scratch| {
+        let table = if constant {
+            None
         } else {
-            Ok(())
+            record.table(count, &mut scratch.table)
+        };
+        if !used_filter {
+            // Every value is kept, so the codes dequantize as they unpack
+            // (`count ≤ c.len` was checked above; a short count is
+            // refused below, behind the checks that have always come
+            // before it). Code 0 dequantizes to exactly `lo` (f32→f64→f32
+            // is exact), independent of the carried bin width.
+            let kept = &mut out[..count];
+            if constant {
+                kept.fill(lo);
+            } else {
+                record.dequantize_into(kept, table)?;
+            }
+            if !cr.is_exhausted() {
+                return Err(CompressError::Corrupt("chunk codes overrun"));
+            }
+            if !bitmaps.is_empty() {
+                return Err(CompressError::Corrupt("unexpected bitmap bytes"));
+            }
+            if count != n {
+                return Err(CompressError::Corrupt("unfiltered chunk size"));
+            }
+            return Ok(());
         }
-    };
-    let lo64 = lo as f64;
-    let bw64 = bin_width as f64;
-    let dequantize = |code: u32| (lo64 + code as f64 * bw64) as f32;
-    if !used_filter {
-        // Every value is kept, so the codes dequantize as they unpack
-        // (`count ≤ c.len` was checked above; a short count is refused
-        // below, behind the checks that have always come before it).
-        // Code 0 dequantizes to exactly `lo` (f32→f64→f32 is exact),
-        // independent of the carried bin width.
-        let kept = &mut out[..count];
+        let kept = &mut scratch.kept;
+        kept.clear();
         if constant {
-            kept.fill(lo);
-        } else if wide {
-            check_max(microkernel::unsplit_map(
-                packed, planes, bits, bias, kept, dequantize,
-            )?)?;
+            kept.resize(count, lo);
         } else {
-            check_max(microkernel::unpack_map(packed, bits, kept, dequantize)?)?;
-        }
-        if !cr.is_exhausted() {
-            return Err(CompressError::Corrupt("chunk codes overrun"));
-        }
-        if !bitmaps.is_empty() {
-            return Err(CompressError::Corrupt("unexpected bitmap bytes"));
-        }
-        if count != n {
-            return Err(CompressError::Corrupt("unfiltered chunk size"));
-        }
-        return Ok(());
-    }
-    microkernel::with_decode_codes(|qcodes| {
-        if constant {
-            qcodes.clear();
-        } else if wide {
-            qcodes.clear();
-            qcodes.resize(count, 0);
-            check_max(microkernel::unsplit_map(
-                packed,
-                planes,
-                bits,
-                bias,
-                qcodes,
-                |code| code,
-            )?)?;
-        } else {
-            check_max(microkernel::unpack_into(packed, bits, count, qcodes)?)?;
+            kept.resize(count, 0.0);
+            record.dequantize_into(kept, table)?;
         }
         if !cr.is_exhausted() {
             return Err(CompressError::Corrupt("chunk codes overrun"));
@@ -720,13 +892,7 @@ fn decompress_chunk_into(
         if !br.is_exhausted() {
             return Err(CompressError::Corrupt("chunk bitmap overrun"));
         }
-        let res = if constant {
-            microkernel::scatter_kept(bm, n, count, out, |_| lo)
-        } else {
-            let qc: &[u32] = qcodes;
-            microkernel::scatter_kept(bm, n, count, out, |k| dequantize(qc[k]))
-        };
-        match res {
+        match microkernel::scatter_kept(bm, n, count, out, |k| kept[k]) {
             Ok(()) => Ok(()),
             Err(microkernel::ScatterError::Underrun) => {
                 Err(CompressError::Corrupt("kept underrun"))
@@ -1420,30 +1586,176 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The instances this host runs.
+    fn instances() -> impl Iterator<Item = Instance> {
+        Instance::ALL.into_iter().filter(|inst| inst.available())
+    }
+
     #[test]
     fn deterministic_across_thread_counts() {
         // The tentpole invariant: with the shim's thread override pinning
         // the worker count, 1 thread and many threads must emit identical
         // bytes and identical decoded values (per-chunk forked RNG streams
-        // + order-preserving parallel collect).
+        // + order-preserving parallel collect) — on either instance, each
+        // emitting the portable instance's frames.
         let layers = layers_fixture(21);
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
-        let cfg = CompsoConfig::aggressive(4e-3);
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 4096);
         let rng = Rng::new(22);
-        let (serial_bytes, serial_back) = {
-            let _guard = rayon::scoped_thread_override(1);
-            let b = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
-            let d = decompress_quiet(&b).unwrap();
-            (b, d)
+        for cfg in [
+            CompsoConfig::aggressive(4e-3),
+            CompsoConfig::conservative(2e-3),
+        ] {
+            let (portable_bytes, portable_back) = {
+                let (_guard, _pin) = (rayon::scoped_thread_override(1), Instance::Portable.pin());
+                let b = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+                let d = decompress_quiet(&b).unwrap();
+                (b, d)
+            };
+            for (inst, threads) in instances().flat_map(|i| [1usize, 2, 3].map(|t| (i, t))) {
+                let (_guard, _pin) = (rayon::scoped_thread_override(threads), inst.pin());
+                let what = format!("{cfg:?} on {inst:?} at {threads} threads");
+                let b = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
+                assert_eq!(b, portable_bytes, "compress differs: {what}");
+                let d = decompress_quiet(&b).unwrap();
+                assert_eq!(d, portable_back, "decode differs: {what}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        /// A run of 1 to 9 chunks — 0, 1, 3, ragged or 16 Ki values, a
+        /// few NaN, some chunks ±∞ (no bins), at a bound of 1 to 2²⁰
+        /// bins — through [`compress_chunks`] on every instance this host
+        /// runs, against the scalar helpers one chunk at a time: the same
+        /// bitmap and record per chunk, and every chunk's stream left at
+        /// the same position. The lanes refill across chunk boundaries and
+        /// the last chunks finish alone, so every run length takes a
+        /// different path through them.
+        #[test]
+        fn prop_chunk_runs_match_the_scalar_chunks(
+            seed in proptest::prelude::any::<u64>(),
+            chunks in 1usize..10,
+            filtered in proptest::prelude::any::<bool>(),
+        ) {
+            let mut r = Rng::new(seed);
+            let data: Vec<Vec<f32>> = (0..chunks as u64)
+                .map(|i| {
+                    let len = [0, 1, 3, 2 + r.below(3000) as usize, 16 * 1024][r.below(5) as usize];
+                    let mut v = crate::synthetic::generate(len, seed ^ i, GradientProfile::kfac());
+                    let poison = if r.below(8) == 0 { f32::INFINITY } else { f32::NAN };
+                    for x in v.iter_mut().filter(|_| r.below(64) == 0) {
+                        *x = poison;
+                    }
+                    v
+                })
+                .collect();
+            let eb = 10f32.powf(-6.0 * r.uniform_f32());
+            let cfg = if filtered {
+                CompsoConfig::aggressive(eb)
+            } else {
+                CompsoConfig::conservative(eb)
+            };
+            // `compress_chunked`'s range: an all-NaN or empty chunk's is [0, 0].
+            let ranges: Vec<MinMax> = (data.iter().map(|d| minmax_flat(d)))
+                .map(|mm| if mm.min > mm.max { MinMax { min: 0.0, max: 0.0 } } else { mm })
+                .collect();
+            let base = Rng::new(seed ^ 0xC4);
+            let want: Vec<(ChunkOut, u64)> = (data.iter().zip(&ranges).enumerate())
+                .map(|(i, (d, &range))| {
+                    let mut rng = base.fork(i as u64);
+                    let out = compress_chunk_fused(d, range, &cfg, &mut rng);
+                    (out, rng.next_u64())
+                })
+                .collect();
+            for inst in instances() {
+                let mut jobs: Vec<ChunkJob> = (data.iter().zip(&ranges).enumerate())
+                    .map(|(i, (d, &range))| ChunkJob { data: d, range, rng: base.fork(i as u64) })
+                    .collect();
+                let outs = compress_chunks(&mut jobs, &cfg, inst);
+                proptest::prop_assert_eq!(outs.len(), chunks);
+                for (i, (out, (reference, next))) in outs.iter().zip(&want).enumerate() {
+                    let what = format!("chunk {i} of {chunks} on {inst:?}, {cfg:?}");
+                    proptest::prop_assert_eq!(&out.bitmap, &reference.bitmap, "{}", what);
+                    proptest::prop_assert_eq!(&out.record, &reference.record, "{}", what);
+                    proptest::prop_assert_eq!(out.codes_len, reference.codes_len, "{}", what);
+                    // With no bins nothing is drawn, where the scalar
+                    // quantizer still draws over an infinite range; the
+                    // stream is the chunk's own either way.
+                    let n_bins = u32::from_le_bytes(out.record[17..21].try_into().unwrap());
+                    if n_bins > 0 {
+                        proptest::prop_assert_eq!(jobs[i].rng.next_u64(), *next, "{}", what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A code past `n_bins` is refused where the decoder has always
+    /// refused it, by both decoders, when the chunk dequantizes through a
+    /// table: narrow and wide, filtered and not.
+    #[test]
+    fn an_out_of_range_code_is_refused_through_the_table() {
+        let n = 2000;
+        let c = ChunkDesc {
+            layer: 0,
+            offset: 0,
+            len: n,
         };
-        for threads in [2usize, 4, 8] {
-            let _guard = rayon::scoped_thread_override(threads);
-            let b = compress_quiet(&refs, &cfg, &KernelConfig::default(), &schedule, &rng);
-            assert_eq!(b, serial_bytes, "compress differs at {threads} threads");
-            let d = decompress_quiet(&b).unwrap();
-            assert_eq!(d, serial_back, "decode differs at {threads} threads");
+        let (lo, bin_width) = (-1.0f32, 4e-3f32);
+        for (n_bins, filtered) in [(250u32, false), (250, true), (500, false), (500, true)] {
+            let bits = bits_for(n_bins);
+            let mut rng = Rng::new(61);
+            let count = if filtered { n - 300 } else { n };
+            let bitmap = if filtered {
+                let mut bm = vec![0u8; n.div_ceil(8)];
+                for i in (0..n).step_by(7).take(n - count) {
+                    bm[i / 8] |= 1 << (i % 8);
+                }
+                bm
+            } else {
+                Vec::new()
+            };
+            for hostile in [false, true] {
+                let mut codes: Vec<u32> =
+                    (0..count).map(|_| rng.next_u32() % (n_bins + 1)).collect();
+                if hostile {
+                    codes[count / 2] = n_bins + 3;
+                }
+                let quant = Quantized {
+                    codes,
+                    lo,
+                    bin_width,
+                    n_bins,
+                };
+                let mut w = Writer::new();
+                w.u64(n as u64);
+                w.u8(u8::from(filtered));
+                let planes = if bits >= SPLIT_MIN_WIDTH {
+                    let bias = split_bias(lo, bin_width, n_bins);
+                    let (low, planes) = bitpack::split(&quant.codes, bits, bias);
+                    quant.write_header(&mut w);
+                    w.bytes(&low);
+                    planes
+                } else {
+                    quant.write(&mut w);
+                    Vec::new()
+                };
+                let record = w.into_bytes();
+                let what = format!("n_bins {n_bins} filtered {filtered} hostile {hostile}");
+                let fast = decompress_chunk(&c, &record, &planes, &bitmap);
+                let reference = decompress_chunk_ref(&c, &record, &planes, &bitmap);
+                if hostile {
+                    let refused = Err(WireError::Invalid("quantized code out of range").into());
+                    assert_eq!(fast, refused, "{what}");
+                    assert_eq!(reference, refused, "{what}");
+                } else {
+                    let bits_of = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(fast.map(bits_of), reference.map(bits_of), "{what}");
+                }
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //! What makes bit-identity possible (and cheap to maintain):
 //!
 //! * [`pack_into`] accumulates codes in a `u64` register and flushes 32
-//!   bits at a time; [`unpack_into`] reads each code through one
+//!   bits at a time; [`unpack_map`] reads each code through one
 //!   unaligned u64 load. A code is ≤ 32 bits and the pending bits (or
 //!   the in-byte shift) stay below 32 (7), so every window fits u64
 //!   exactly; the emitted bytes are the same LSB-first layout as the
@@ -36,6 +36,15 @@
 //!   uniform per element unconditionally; `P0.5` consumes randomness
 //!   conditionally (exact grid points draw nothing), so that mode keeps
 //!   the scalar rounding call per element.
+//! * [`quantize_sr_lanes`] runs four chunks' stochastic rounding side by
+//!   side, one chunk and its own stream per 64-bit lane of an AVX2
+//!   register. Each chunk already owns its stream, so a lane draws what
+//!   the scalar kernel draws, in its order, and does its arithmetic.
+//! * [`CodeRecord::dequantize_into`] reads a chunk of up to
+//!   [`TABLE_MAX_WIDTH`]-bit codes through a per-chunk table
+//!   ([`DequantTable`]) — the decoder's expression evaluated once per code
+//!   value, indexed by the code as stored — once the codes outnumber its
+//!   entries.
 //! * [`scatter_kept`] walks the keep-mask as u64 words with
 //!   `trailing_zeros`, so decode scatter cost scales with the *kept*
 //!   count, not the chunk length — the dropped majority is covered by a
@@ -48,9 +57,14 @@ use crate::bitpack::{code_mask, SPLIT_MIN_WIDTH};
 use crate::rounding::RoundingMode;
 use crate::wire::WireError;
 use compso_tensor::rng::Rng;
+use compso_tensor::Instance;
 
 /// 2⁵²: the `f64` magnitude at which the unit in the last place is 1.
 const TWO_POW_52: f64 = (1u64 << 52) as f64;
+
+/// 2⁸⁴: the `f64` magnitude at which the unit in the last place is 2³².
+#[cfg(target_arch = "x86_64")]
+const TWO_POW_84: f64 = (1u128 << 84) as f64;
 
 /// Packs `width`-bit codes LSB-first into `out` (cleared first), emitting
 /// byte-identical output to [`crate::bitpack::pack`].
@@ -193,34 +207,31 @@ pub fn split_into(codes: &[u32], width: u32, bias: u32, low: &mut Vec<u8>, plane
     tail.copy_from_slice(&acc.to_le_bytes()[..n]);
 }
 
-/// Unpacks `count` codes of `width` bits into `out` (cleared first),
-/// returning the largest code seen so callers can range-check without a
-/// second pass. Matches [`crate::bitpack::unpack`] bit for bit, including
-/// its error cases.
-pub fn unpack_into(
-    bytes: &[u8],
-    width: u32,
-    count: usize,
-    out: &mut Vec<u32>,
-) -> Result<u32, WireError> {
-    check_packed(bytes, width, count)?;
-    out.clear();
-    out.resize(count, 0);
-    Ok(unpack_each(bytes, width, out, |code| code))
-}
-
-/// [`unpack_into`] through a per-code map, straight into a caller-sized
-/// slice (`out.len()` codes): the chunk decoder dequantizes as it unpacks
-/// instead of materializing codes it would only read back. Same checks,
-/// same errors, same returned maximum (of the codes, not of `map`).
+/// Unpacks `out.len()` codes of `width` bits, straight into a
+/// caller-sized slice through a per-code map: the chunk decoder
+/// dequantizes as it unpacks instead of materializing codes it would only
+/// read back. `map` sees every code in order; the codes and the refusals
+/// (in their order) are [`crate::bitpack::unpack`]'s.
 pub(crate) fn unpack_map<T>(
     bytes: &[u8],
     width: u32,
     out: &mut [T],
-    map: impl Fn(u32) -> T,
-) -> Result<u32, WireError> {
+    mut map: impl FnMut(u32) -> T,
+) -> Result<(), WireError> {
     check_packed(bytes, width, out.len())?;
-    Ok(unpack_each(bytes, width, out, map))
+    let w = width as usize;
+    let mask = code_mask(width);
+    let fast = windowed_codes(bytes.len(), w, out.len());
+    let (head, tail) = out.split_at_mut(fast);
+    let mut bitpos = 0usize;
+    for o in head {
+        *o = map(window_code(bytes, bitpos, mask));
+        bitpos += w;
+    }
+    for o in tail {
+        *o = map(tail_code(bytes, &mut bitpos, width));
+    }
+    Ok(())
 }
 
 /// The scalar unpacker's two refusals, in its order.
@@ -277,45 +288,23 @@ fn tail_code(bytes: &[u8], bitpos: &mut usize, width: u32) -> u32 {
     value as u32
 }
 
-/// The unpack loop behind [`unpack_into`] and [`unpack_map`]; the caller
-/// has run [`check_packed`].
-fn unpack_each<T>(bytes: &[u8], width: u32, out: &mut [T], map: impl Fn(u32) -> T) -> u32 {
-    let w = width as usize;
-    let mask = code_mask(width);
-    let fast = windowed_codes(bytes.len(), w, out.len());
-    let (head, tail) = out.split_at_mut(fast);
-    let mut maxc = 0u32;
-    let mut bitpos = 0usize;
-    for o in head {
-        let v = window_code(bytes, bitpos, mask);
-        maxc = maxc.max(v);
-        *o = map(v);
-        bitpos += w;
-    }
-    for o in tail {
-        let v = tail_code(bytes, &mut bitpos, width);
-        maxc = maxc.max(v);
-        *o = map(v);
-    }
-    maxc
-}
-
-/// Inverse of [`split_into`] through a per-code map, like [`unpack_map`]:
-/// code `i` is `low[i]` under its `width − 8` bits of `planes`, rotated
-/// back by `bias`, and `out[i] = map(code)` — a wide chunk dequantizes as
-/// it merges. Returns the largest *un-rotated* code, which is what the
-/// caller's range check is about. Same codes as
-/// [`crate::bitpack::unsplit`], same refusals in the same order.
+/// Inverse of [`split_into`]'s layout through a per-code map, like
+/// [`unpack_map`]: `map` sees code `i` as stored — `low[i]` under its
+/// `width − 8` bits of `planes`, still rotated — so a wide chunk
+/// dequantizes as it merges, and a caller with a table indexed by the
+/// rotated code needs no subtract or mask per code. Un-rotated by the
+/// caller (`(stored − bias) mod 2^width`), these are
+/// [`crate::bitpack::unsplit`]'s codes; the refusals are its, in its
+/// order.
 ///
 /// `low` must hold exactly one byte per output.
 pub(crate) fn unsplit_map<T>(
     low: &[u8],
     planes: &[u8],
     width: u32,
-    bias: u32,
     out: &mut [T],
-    map: impl Fn(u32) -> T,
-) -> Result<u32, WireError> {
+    mut map: impl FnMut(u32) -> T,
+) -> Result<(), WireError> {
     if !(SPLIT_MIN_WIDTH..=32).contains(&width) {
         return Err(WireError::Invalid("bit width"));
     }
@@ -324,10 +313,8 @@ pub(crate) fn unsplit_map<T>(
     let plane_width = width - 8;
     check_packed(planes, plane_width, count)?;
     let w = plane_width as usize;
-    let mask = code_mask(width);
     let plane_mask = code_mask(plane_width);
-    let merge = |high: u32, low: u8| (high << 8 | low as u32).wrapping_sub(bias) & mask;
-    let mut maxc = 0u32;
+    let merge = |high: u32, low: u8| high << 8 | low as u32;
     // Up to 16 bits, eight codes' plane bits are one `u64` load (a group
     // is `width − 8` whole bytes) shifted down a field per code; the
     // groups whose load would cross the end, and every code of a wider
@@ -339,10 +326,8 @@ pub(crate) fn unsplit_map<T>(
     for (o8, l8) in group_out.chunks_exact_mut(8).zip(group_low.chunks_exact(8)) {
         let mut window = u64::from_le_bytes(planes[pos..pos + 8].try_into().unwrap());
         for (o, &l) in o8.iter_mut().zip(l8) {
-            let code = merge(window as u32 & plane_mask, l);
+            *o = map(merge(window as u32 & plane_mask, l));
             window >>= w;
-            maxc = maxc.max(code);
-            *o = map(code);
         }
         pos += w;
     }
@@ -353,17 +338,173 @@ pub(crate) fn unsplit_map<T>(
     let (low_head, low_tail) = low.split_at(fast);
     let mut bitpos = 8 * pos;
     for (o, &l) in head.iter_mut().zip(low_head) {
-        let code = merge(window_code(planes, bitpos, plane_mask), l);
-        maxc = maxc.max(code);
-        *o = map(code);
+        *o = map(merge(window_code(planes, bitpos, plane_mask), l));
         bitpos += w;
     }
     for (o, &l) in tail.iter_mut().zip(low_tail) {
-        let code = merge(tail_code(planes, &mut bitpos, plane_width), l);
-        maxc = maxc.max(code);
-        *o = map(code);
+        *o = map(merge(tail_code(planes, &mut bitpos, plane_width), l));
     }
-    Ok(maxc)
+    Ok(())
+}
+
+/// The decoder's value of a code: `(lo + code · bin_width)` in `f64`,
+/// rounded once to `f32`. `lo64`/`bw64` are the record's `f32` fields
+/// widened.
+#[inline(always)]
+fn dequantize(lo64: f64, bw64: f64, code: u32) -> f32 {
+    (lo64 + code as f64 * bw64) as f32
+}
+
+/// Code widths up to this dequantize through a per-chunk table
+/// ([`DequantTable`]) once the chunk has more codes than the table has
+/// entries: 4 Ki entries, 16 KiB of `f32`, at 12 bits.
+pub const TABLE_MAX_WIDTH: u32 = 12;
+
+/// Entries of a full-width table.
+const TABLE_LEN: usize = 1 << TABLE_MAX_WIDTH;
+
+/// Storage for one chunk's dequantize table, reused chunk after chunk.
+#[derive(Debug, Default)]
+pub struct DequantTable {
+    entries: Vec<f32>,
+}
+
+impl DequantTable {
+    /// Fills the table for a chunk of `width`-bit codes (`≤`
+    /// [`TABLE_MAX_WIDTH`]) stored rotated by `bias` (0 for a narrow
+    /// chunk): the entry of stored code `s` is the [`dequantize`]d value
+    /// of `c = (s − bias) mod 2^width` — the decoder's expression
+    /// evaluated once — or NaN where `c > n_bins`. From a finite `lo` and
+    /// a finite `bin_width` the expression never gives NaN, so a NaN out
+    /// of the table is an out-of-range code and nothing else.
+    ///
+    /// # Panics
+    /// If `width` is 0 or past [`TABLE_MAX_WIDTH`], or `lo` or
+    /// `bin_width` is not finite.
+    fn fill(
+        &mut self,
+        lo: f32,
+        bin_width: f32,
+        n_bins: u32,
+        width: u32,
+        bias: u32,
+    ) -> TableView<'_> {
+        assert!(
+            (1..=TABLE_MAX_WIDTH).contains(&width),
+            "table width {width} out of range"
+        );
+        assert!(lo.is_finite() && bin_width.is_finite(), "non-finite header");
+        let mask = code_mask(width);
+        let (lo64, bw64) = (lo as f64, bin_width as f64);
+        self.entries.clear();
+        self.entries.extend((0..=mask).map(|stored| {
+            let code = stored.wrapping_sub(bias) & mask;
+            if code > n_bins {
+                f32::NAN
+            } else {
+                dequantize(lo64, bw64, code)
+            }
+        }));
+        self.entries.resize(TABLE_LEN, f32::NAN);
+        TableView(self.entries[..].try_into().expect("TABLE_LEN entries"))
+    }
+}
+
+/// A filled [`DequantTable`].
+#[derive(Clone, Copy)]
+pub struct TableView<'a>(&'a [f32; TABLE_LEN]);
+
+impl TableView<'_> {
+    /// The value of stored code `stored` (below `2^width`); NaN if its
+    /// code is out of range.
+    #[inline(always)]
+    fn get(self, stored: u32) -> f32 {
+        self.0[stored as usize & (TABLE_LEN - 1)]
+    }
+}
+
+/// A chunk record's codes, with the header fields that turn them into
+/// values, as the chunk decoder has checked them: `bits` is the width of
+/// `n_bins` and at least 1; past 8 bits `packed` holds one low byte per
+/// code and `planes` the high bits ([`unsplit_map`]), otherwise `packed`
+/// holds the codes at their width ([`unpack_map`]).
+pub struct CodeRecord<'a> {
+    /// Packed codes, or a wide record's low bytes.
+    pub packed: &'a [u8],
+    /// A wide record's plane slice.
+    pub planes: &'a [u8],
+    /// The code width.
+    pub bits: u32,
+    /// The range start.
+    pub lo: f32,
+    /// The bin width.
+    pub bin_width: f32,
+    /// The largest valid code.
+    pub n_bins: u32,
+}
+
+impl CodeRecord<'_> {
+    fn wide(&self) -> bool {
+        self.bits >= SPLIT_MIN_WIDTH
+    }
+
+    /// The rotation a wide record's codes are stored under; 0 for a
+    /// narrow one.
+    fn bias(&self) -> u32 {
+        if self.wide() {
+            crate::bitpack::split_bias(self.lo, self.bin_width, self.n_bins)
+        } else {
+            0
+        }
+    }
+
+    /// This record's table of `count` codes, filled in `storage`, when
+    /// the codes outnumber its entries and the width has one.
+    pub fn table<'t>(&self, count: usize, storage: &'t mut DequantTable) -> Option<TableView<'t>> {
+        (self.bits <= TABLE_MAX_WIDTH && count > 1 << self.bits)
+            .then(|| storage.fill(self.lo, self.bin_width, self.n_bins, self.bits, self.bias()))
+    }
+
+    /// Every code, as stored, into `out` (one per code) through `map`.
+    fn each_code<T>(&self, out: &mut [T], map: impl FnMut(u32) -> T) -> Result<(), WireError> {
+        if self.wide() {
+            unsplit_map(self.packed, self.planes, self.bits, out, map)
+        } else {
+            unpack_map(self.packed, self.bits, out, map)
+        }
+    }
+
+    /// Every code dequantized into `out` (one per code), through `table`
+    /// when there is one and through [`dequantize`] otherwise — the same
+    /// value either way. The unpacker's refusals come first, then "code
+    /// out of range" if some code exceeds `n_bins`.
+    pub fn dequantize_into(
+        &self,
+        out: &mut [f32],
+        table: Option<TableView>,
+    ) -> Result<(), WireError> {
+        let in_range = if let Some(table) = table {
+            self.each_code(out, |stored| table.get(stored))?;
+            // A separate pass: it vectorizes, where a test per code would
+            // cost the loop as much as the table saves.
+            !out.iter().fold(false, |nan, v| nan | v.is_nan())
+        } else {
+            let (bias, mask) = (self.bias(), code_mask(self.bits));
+            let (lo64, bw64) = (self.lo as f64, self.bin_width as f64);
+            let mut max_code = 0u32;
+            self.each_code(out, |stored| {
+                let code = stored.wrapping_sub(bias) & mask;
+                max_code = max_code.max(code);
+                dequantize(lo64, bw64, code)
+            })?;
+            max_code <= self.n_bins
+        };
+        if in_range {
+            Ok(())
+        } else {
+            Err(WireError::Invalid("quantized code out of range"))
+        }
+    }
 }
 
 /// The filter sweep as a branchless microkernel: builds the LSB-first
@@ -394,6 +535,25 @@ pub fn filter_kernel(data: &[f32], threshold: f32, bitmap: &mut Vec<u8>, kept: &
     }
 }
 
+/// The bin coordinate of `x`, clamped to `[0, n_bins]` ahead of rounding.
+/// Both ends are integers and rounding is monotone, so this commutes with
+/// the scalar path's clamp of the rounded index: a coordinate below 0 —
+/// or NaN, which fails `> 0.0` — ends at code 0 there too, one at or
+/// above `n_bins` at `n_bins`. Written as compare-selects so each is one
+/// `maxsd`/`minsd`; what the clamp buys is a coordinate that fits a
+/// `u32`, which takes `floor` and `round_ties_even` out of libm (neither
+/// is an instruction on baseline x86-64).
+#[inline(always)]
+fn coord_of(x: f32, lo64: f64, inv_w: f64, cap64: f64) -> f64 {
+    let coord = (x as f64 - lo64) * inv_w;
+    let coord = if coord > 0.0 { coord } else { 0.0 };
+    if coord < cap64 {
+        coord
+    } else {
+        cap64
+    }
+}
+
 /// The quantize sweep with the rounding-mode dispatch hoisted out of the
 /// inner loop. Consumes the RNG stream exactly like per-element
 /// `RoundingMode::round` calls would, and emits identical codes.
@@ -415,45 +575,24 @@ pub fn quantize_kernel(
     let lo64 = lo as f64;
     let cap = n_bins as i64;
     let cap64 = n_bins as f64;
-    // The bin coordinate, clamped to `[0, n_bins]` ahead of rounding.
-    // Both ends are integers and rounding is monotone, so this commutes
-    // with the scalar path's clamp of the rounded index: a coordinate
-    // below 0 — or NaN, which fails `> 0.0` — ends at code 0 there too,
-    // one at or above `n_bins` at `n_bins`. Written as compare-selects so
-    // each is one `maxsd`/`minsd`; what the clamp buys is a coordinate
-    // that fits a `u32`, which takes `floor` and `round_ties_even` out of
-    // libm (neither is an instruction on baseline x86-64).
-    let coord_of = |x: f32| {
-        let coord = (x as f64 - lo64) * inv_w;
-        let coord = if coord > 0.0 { coord } else { 0.0 };
-        if coord < cap64 {
-            coord
-        } else {
-            cap64
-        }
-    };
     match mode {
         RoundingMode::Nearest => {
             for (c, &x) in codes.iter_mut().zip(kept) {
                 // Adding 2⁵² leaves no fraction bits, so the add itself
                 // rounds to nearest, ties to even, and the integer is the
                 // low mantissa bits.
-                *c = (coord_of(x) + TWO_POW_52).to_bits() as u32;
+                *c = (coord_of(x, lo64, inv_w, cap64) + TWO_POW_52).to_bits() as u32;
             }
         }
-        RoundingMode::Stochastic => {
-            // The scalar path draws one uniform per element no matter
-            // which way it rounds, so the branchless form below keeps the
-            // RNG stream position and every rounding decision identical.
-            for (c, &x) in codes.iter_mut().zip(kept) {
-                let coord = coord_of(x);
-                // Truncation is `floor` for a non-negative coordinate; a
-                // clamped one has fraction 0 and never rounds up.
-                let floor = coord as u32;
-                let p = coord - floor as f64;
-                *c = floor + (rng.uniform_f64() < p) as u32;
-            }
+        RoundingMode::Stochastic => SrLane {
+            kept,
+            lo,
+            inv_w,
+            n_bins,
+            rng,
+            codes,
         }
+        .quantize(),
         RoundingMode::HalfProbability => {
             // P0.5 draws randomness *conditionally* (exact grid points
             // consume nothing), so it cannot be made branchless without
@@ -464,6 +603,185 @@ pub fn quantize_kernel(
             }
         }
     }
+}
+
+/// Streams [`quantize_sr_lanes`] runs side by side: the four 64-bit
+/// lanes of a 256-bit register.
+pub const SR_LANES: usize = 4;
+
+/// One chunk's stochastic rounding, or a stretch of it: `codes[i]` gets
+/// the code of `kept[i]` under the header [`quantize_kernel`] takes,
+/// drawing one uniform from `rng` per value in order.
+pub struct SrLane<'a> {
+    /// The values to round.
+    pub kept: &'a [f32],
+    /// The chunk's range start.
+    pub lo: f32,
+    /// The reciprocal of its bin width, in `f64`.
+    pub inv_w: f64,
+    /// Its largest code.
+    pub n_bins: u32,
+    /// The chunk's stream, left after its last draw.
+    pub rng: &'a mut Rng,
+    /// Where the codes go: as long as `kept`.
+    pub codes: &'a mut [u32],
+}
+
+impl SrLane<'_> {
+    /// This lane alone, in scalar code: [`quantize_kernel`]'s Stochastic
+    /// arm, the portable instance of [`quantize_sr_lanes`] and its oracle.
+    pub fn quantize(&mut self) {
+        let (lo64, cap64) = (self.lo as f64, self.n_bins as f64);
+        // The scalar path draws one uniform per element no matter which
+        // way it rounds, so the branchless form below keeps the RNG
+        // stream position and every rounding decision identical.
+        for (c, &x) in self.codes.iter_mut().zip(self.kept) {
+            let coord = coord_of(x, lo64, self.inv_w, cap64);
+            // Truncation is `floor` for a non-negative coordinate; a
+            // clamped one has fraction 0 and never rounds up.
+            let floor = coord as u32;
+            let p = coord - floor as f64;
+            *c = floor + (self.rng.uniform_f64() < p) as u32;
+        }
+    }
+}
+
+/// Stochastic rounding of four streams at once, each lane exactly as
+/// [`SrLane::quantize`] would run it alone: same codes, same stream
+/// position after. `inst` picks the body: AVX2 runs the four lanes of
+/// one register, the portable instance one lane after another.
+///
+/// # Panics
+/// If the lanes differ in length, a lane's `codes` is not as long as its
+/// `kept`, or `inst` is not available on this host.
+pub fn quantize_sr_lanes(inst: Instance, lanes: &mut [SrLane<'_>; SR_LANES]) {
+    let steps = lanes[0].kept.len();
+    assert!(
+        lanes
+            .iter()
+            .all(|l| l.kept.len() == steps && l.codes.len() == steps),
+        "SR lanes run in lockstep over equal lengths"
+    );
+    assert!(inst.available(), "{inst:?} not available on this host");
+    match inst {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the assertion above saw the CPU report AVX2, the one
+        // feature `sr_lanes_avx2` is built with.
+        Instance::Avx2 => unsafe { sr_lanes_avx2(lanes, steps) },
+        _ => lanes.iter_mut().for_each(SrLane::quantize),
+    }
+}
+
+/// The AVX2 body of [`quantize_sr_lanes`]: lane `j` of every register
+/// is `lanes[j]` — its xoshiro256++ state, its `lo`, `1/w` and `n_bins`
+/// — and one iteration is one [`SrLane::quantize`] step in each. The
+/// uniform is `(next_u64 >> 11) · 2⁻⁵³` converted exactly in two halves,
+/// the coordinate is clamped by `maxpd`/`minpd` (the scalar selects'
+/// semantics, NaN included), truncated by `roundpd`, and the code leaves
+/// as the low mantissa bits of `floor + 2⁵² + (u < p)`. The uniform and
+/// the code are exact on both paths, and the coordinate is the scalar
+/// code's IEEE operations in its order; no FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sr_lanes_avx2(lanes: &mut [SrLane<'_>; SR_LANES], steps: usize) {
+    use std::arch::x86_64::*;
+    let [l0, l1, l2, l3] = lanes;
+    // `_mm256_set_*` lists lanes from the highest down.
+    let lo = _mm256_set_pd(l3.lo as f64, l2.lo as f64, l1.lo as f64, l0.lo as f64);
+    let inv_w = _mm256_set_pd(l3.inv_w, l2.inv_w, l1.inv_w, l0.inv_w);
+    let cap = _mm256_set_pd(
+        l3.n_bins as f64,
+        l2.n_bins as f64,
+        l1.n_bins as f64,
+        l0.n_bins as f64,
+    );
+    let (st0, st1, st2, st3) = (
+        l0.rng.state(),
+        l1.rng.state(),
+        l2.rng.state(),
+        l3.rng.state(),
+    );
+    let word = |k: usize| {
+        _mm256_set_epi64x(
+            st3.0[k] as i64,
+            st2.0[k] as i64,
+            st1.0[k] as i64,
+            st0.0[k] as i64,
+        )
+    };
+    let (mut s0, mut s1, mut s2, mut s3) = (word(0), word(1), word(2), word(3));
+    let zero = _mm256_setzero_pd();
+    let one = _mm256_set1_pd(1.0);
+    let two_52 = _mm256_set1_pd(TWO_POW_52);
+    // 2⁵² and 2⁸⁴ as bit patterns: OR-ing an integer of up to 52 bits
+    // into the mantissa of either makes a double exactly that much past
+    // it (2⁸⁴'s ulp is 2³², so there the integer counts in 2³² units).
+    let exp_52 = _mm256_set1_epi64x(TWO_POW_52.to_bits() as i64);
+    let exp_84 = _mm256_set1_epi64x(TWO_POW_84.to_bits() as i64);
+    let two_84 = _mm256_set1_pd(TWO_POW_84);
+    let low_32 = _mm256_set1_epi64x(0xFFFF_FFFF);
+    let unit = _mm256_set1_pd(1.0 / (1u64 << 53) as f64);
+    let (k0, k1, k2, k3) = (
+        &l0.kept[..steps],
+        &l1.kept[..steps],
+        &l2.kept[..steps],
+        &l3.kept[..steps],
+    );
+    let (c0, c1, c2, c3) = (
+        &mut l0.codes[..steps],
+        &mut l1.codes[..steps],
+        &mut l2.codes[..steps],
+        &mut l3.codes[..steps],
+    );
+    for i in 0..steps {
+        // xoshiro256++ (`Rng::next_u64`).
+        let sum = _mm256_add_epi64(s0, s3);
+        let rotl = _mm256_or_si256(_mm256_slli_epi64::<23>(sum), _mm256_srli_epi64::<41>(sum));
+        let next = _mm256_add_epi64(rotl, s0);
+        let t = _mm256_slli_epi64::<17>(s1);
+        s2 = _mm256_xor_si256(s2, s0);
+        s3 = _mm256_xor_si256(s3, s1);
+        s1 = _mm256_xor_si256(s1, s2);
+        s0 = _mm256_xor_si256(s0, s3);
+        s2 = _mm256_xor_si256(s2, t);
+        s3 = _mm256_or_si256(_mm256_slli_epi64::<45>(s3), _mm256_srli_epi64::<19>(s3));
+        // `Rng::uniform_f64`: the 53-bit integer as its high 21 bits
+        // · 2³² plus its low 32, each exact, their sum exact below 2⁵³.
+        let x = _mm256_srli_epi64::<11>(next);
+        let hi = _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64::<32>(x), exp_84));
+        let lo32 = _mm256_castsi256_pd(_mm256_or_si256(_mm256_and_si256(x, low_32), exp_52));
+        let u = _mm256_mul_pd(
+            _mm256_add_pd(_mm256_sub_pd(hi, two_84), _mm256_sub_pd(lo32, two_52)),
+            unit,
+        );
+        // `coord_of`, the truncation and the draw's compare.
+        let v = _mm256_set_pd(k3[i] as f64, k2[i] as f64, k1[i] as f64, k0[i] as f64);
+        let coord = _mm256_mul_pd(_mm256_sub_pd(v, lo), inv_w);
+        let coord = _mm256_min_pd(_mm256_max_pd(coord, zero), cap);
+        let floor = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(coord);
+        let up = _mm256_and_pd(
+            _mm256_cmp_pd::<_CMP_LT_OQ>(u, _mm256_sub_pd(coord, floor)),
+            one,
+        );
+        let code = _mm256_castpd_si256(_mm256_add_pd(_mm256_add_pd(floor, two_52), up));
+        c0[i] = _mm256_extract_epi64::<0>(code) as u32;
+        c1[i] = _mm256_extract_epi64::<1>(code) as u32;
+        c2[i] = _mm256_extract_epi64::<2>(code) as u32;
+        c3[i] = _mm256_extract_epi64::<3>(code) as u32;
+    }
+    let lane = |k: usize| {
+        let w = |s: __m256i| match k {
+            0 => _mm256_extract_epi64::<0>(s),
+            1 => _mm256_extract_epi64::<1>(s),
+            2 => _mm256_extract_epi64::<2>(s),
+            _ => _mm256_extract_epi64::<3>(s),
+        } as u64;
+        [w(s0), w(s1), w(s2), w(s3)]
+    };
+    *l0.rng = Rng::from_state(lane(0), st0.1);
+    *l1.rng = Rng::from_state(lane(1), st1.1);
+    *l2.rng = Rng::from_state(lane(2), st2.1);
+    *l3.rng = Rng::from_state(lane(3), st3.1);
 }
 
 /// Why [`scatter_kept`] stopped early.
@@ -527,15 +845,22 @@ pub fn scatter_kept(
 /// cleared between chunks, never shrunk.
 #[derive(Debug, Default)]
 pub struct CompressScratch {
-    /// Surviving values after the filter sweep.
-    pub kept: Vec<f32>,
-    /// Quantized bin indices for the kept values.
-    pub codes: Vec<u32>,
+    /// One per SR lane: the chunk that lane holds.
+    pub lanes: [LaneScratch; SR_LANES],
     /// The record's code bytes — bit-packed, or one low byte per code
     /// for a wide chunk — staged before the chunk record is written.
     pub packed: Vec<u8>,
     /// A wide chunk's high-bit plane bytes, staged likewise.
     pub planes: Vec<u8>,
+}
+
+/// A chunk's buffers while it is being quantized.
+#[derive(Debug, Default)]
+pub struct LaneScratch {
+    /// Surviving values after the filter sweep.
+    pub kept: Vec<f32>,
+    /// Quantized bin indices for the kept values.
+    pub codes: Vec<u32>,
 }
 
 impl CompressScratch {
@@ -547,10 +872,10 @@ impl CompressScratch {
     /// Bytes currently reserved across all arena buffers (observability
     /// for the reuse-invariant tests).
     pub fn capacity_bytes(&self) -> usize {
-        self.kept.capacity() * 4
-            + self.codes.capacity() * 4
-            + self.packed.capacity()
-            + self.planes.capacity()
+        let lanes: usize = (self.lanes.iter())
+            .map(|l| l.kept.capacity() * 4 + l.codes.capacity() * 4)
+            .sum();
+        lanes + self.packed.capacity() + self.planes.capacity()
     }
 }
 
@@ -562,8 +887,9 @@ thread_local! {
     static COMPRESS_SCRATCH: std::cell::RefCell<CompressScratch> =
         std::cell::RefCell::new(CompressScratch::new());
 
-    /// Per-thread code buffer for the chunk decoder's unpack stage.
-    static DECODE_CODES: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Per-thread buffers of the chunk decoder.
+    static CHUNK_DECODE: std::cell::RefCell<ChunkDecodeScratch> =
+        std::cell::RefCell::new(ChunkDecodeScratch::default());
 }
 
 /// Runs `f` with this thread's compress arena.
@@ -579,11 +905,20 @@ pub fn compress_scratch_capacity_bytes() -> usize {
     COMPRESS_SCRATCH.with(|p| p.borrow().capacity_bytes())
 }
 
-/// Runs `f` with this thread's decode code buffer.
-pub fn with_decode_codes<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
-    let mut s = DECODE_CODES.with(|p| std::mem::take(&mut *p.borrow_mut()));
+/// The chunk decoder's per-thread buffers.
+#[derive(Debug, Default)]
+pub struct ChunkDecodeScratch {
+    /// A filtered chunk's kept values, dequantized ahead of the scatter.
+    pub kept: Vec<f32>,
+    /// The chunk's dequantize table.
+    pub table: DequantTable,
+}
+
+/// Runs `f` with this thread's chunk-decode buffers.
+pub fn with_chunk_decode<R>(f: impl FnOnce(&mut ChunkDecodeScratch) -> R) -> R {
+    let mut s = CHUNK_DECODE.with(|p| std::mem::take(&mut *p.borrow_mut()));
     let r = f(&mut s);
-    DECODE_CODES.with(|p| *p.borrow_mut() = s);
+    CHUNK_DECODE.with(|p| *p.borrow_mut() = s);
     r
 }
 
@@ -613,31 +948,19 @@ mod tests {
     }
 
     #[test]
-    fn unpack_into_matches_scalar_and_reports_max() {
-        let codes = vec![5u32, 0, 99, 100, 127, 1];
-        let packed = bitpack::pack(&codes, 7);
-        let mut out = Vec::new();
-        let maxc = unpack_into(&packed, 7, codes.len(), &mut out).unwrap();
-        assert_eq!(out, codes);
-        assert_eq!(maxc, 127);
-    }
-
-    #[test]
-    fn unpack_into_error_cases_match_scalar() {
+    fn unpack_map_error_cases_match_scalar() {
         let packed = bitpack::pack(&[5u32; 16], 5);
-        let mut out = Vec::new();
+        let mut out = [0u32; 16];
         assert_eq!(
-            unpack_into(&packed[..packed.len() - 1], 5, 16, &mut out),
+            unpack_map(&packed[..packed.len() - 1], 5, &mut out, |c| c),
             Err(WireError::Truncated { need: 10, have: 9 })
         );
-        assert_eq!(
-            unpack_into(&[0u8; 8], 0, 1, &mut out),
-            Err(WireError::Invalid("bit width"))
-        );
-        assert_eq!(
-            unpack_into(&[0u8; 8], 33, 1, &mut out),
-            Err(WireError::Invalid("bit width"))
-        );
+        for width in [0, 33] {
+            assert_eq!(
+                unpack_map(&[0u8; 8], width, &mut out[..1], |c| c),
+                Err(WireError::Invalid("bit width"))
+            );
+        }
     }
 
     #[test]
@@ -647,13 +970,13 @@ mod tests {
     }
 
     /// Every width × every short length, random and all-ones codes: the
-    /// register-window packer against the scalar packer, and both unpack
-    /// entry points against the codes (the flush, the ≤ 4-byte tail and
-    /// the u64-window/scalar-tail split all move with `len · width`).
+    /// register-window packer against the scalar packer, and the unpacker
+    /// against the codes (the flush, the ≤ 4-byte tail and the
+    /// u64-window/scalar-tail split all move with `len · width`).
     #[test]
     fn pack_and_unpack_match_scalar_at_every_width_and_short_length() {
         let mut rng = Rng::new(0xB17);
-        let (mut packed, mut codes_back) = (Vec::new(), vec![7u32; 3]);
+        let mut packed = Vec::new();
         for width in 1u32..=32 {
             let mask = u32::MAX >> (32 - width);
             for len in 0..=130usize {
@@ -670,19 +993,15 @@ mod tests {
                     let want = bitpack::pack(&codes, width);
                     pack_into(&codes, width, &mut packed);
                     assert_eq!(packed, want, "width={width} len={len}");
-                    let maxc = codes.iter().copied().max().unwrap_or(0);
-                    assert_eq!(
-                        unpack_into(&want, width, len, &mut codes_back),
-                        Ok(maxc),
-                        "width={width} len={len}"
-                    );
-                    assert_eq!(codes_back, codes, "width={width} len={len}");
                     let mut mapped = vec![0u64; len];
                     assert_eq!(
                         unpack_map(&want, width, &mut mapped, |c| c as u64 + 1),
-                        Ok(maxc)
+                        Ok(())
                     );
-                    assert!(mapped.iter().zip(&codes).all(|(&m, &c)| m == c as u64 + 1));
+                    assert!(
+                        mapped.iter().zip(&codes).all(|(&m, &c)| m == c as u64 + 1),
+                        "width={width} len={len}"
+                    );
                 }
             }
         }
@@ -703,8 +1022,8 @@ mod tests {
     /// (`lo = 0`, a subnormal bin width, the code of 0.0 clamped at 0 and
     /// at `n_bins`, mid-range) and the extremes of the mask — on random
     /// and all-ones codes. The splitter against [`bitpack::split`], the
-    /// merger against the codes and [`bitpack::unsplit`], and the returned
-    /// maximum against the *un-rotated* codes.
+    /// merger's stored codes, un-rotated, against the codes and
+    /// [`bitpack::unsplit`].
     #[test]
     fn split_and_unsplit_match_scalar_at_every_width_and_short_length() {
         use crate::bitpack::split_bias;
@@ -749,17 +1068,14 @@ mod tests {
                             "width={width} bias={bias} len={len}"
                         );
                         assert_eq!(planes.len(), (len * (width as usize - 8)).div_ceil(8));
-                        let maxc = codes.iter().copied().max().unwrap_or(0);
-                        let mut mapped = vec![0u64; len];
+                        let mut merged = vec![0u32; len];
+                        let unrotate = |stored: u32| stored.wrapping_sub(bias) & mask;
                         assert_eq!(
-                            unsplit_map(&low, &planes, width, bias, &mut mapped, |c| c as u64 + 1),
-                            Ok(maxc),
+                            unsplit_map(&low, &planes, width, &mut merged, unrotate),
+                            Ok(()),
                             "width={width} bias={bias} len={len}"
                         );
-                        assert!(
-                            mapped.iter().zip(&codes).all(|(&m, &c)| m == c as u64 + 1),
-                            "width={width} bias={bias} len={len}"
-                        );
+                        assert_eq!(merged, codes, "width={width} bias={bias} len={len}");
                         assert_eq!(
                             bitpack::unsplit(&low, &planes, width, bias).as_ref(),
                             Ok(&codes),
@@ -772,7 +1088,7 @@ mod tests {
         // The oracle's refusals, in its order.
         let (low, planes) = bitpack::split(&[300u32; 16], 13, 7);
         assert_eq!(
-            unsplit_map(&low, &planes[..9], 13, 7, &mut [0u32; 16], |c| c),
+            unsplit_map(&low, &planes[..9], 13, &mut [0u32; 16], |c| c),
             Err(WireError::Truncated { need: 10, have: 9 })
         );
         assert_eq!(
@@ -781,7 +1097,7 @@ mod tests {
         );
         for width in [0, 8, 33] {
             assert_eq!(
-                unsplit_map(&low, &planes, width, 7, &mut [0u32; 16], |c| c),
+                unsplit_map(&low, &planes, width, &mut [0u32; 16], |c| c),
                 Err(WireError::Invalid("bit width"))
             );
         }
@@ -905,6 +1221,89 @@ mod tests {
         }
     }
 
+    /// The instances of [`quantize_sr_lanes`] this host runs.
+    fn instances() -> impl Iterator<Item = Instance> {
+        Instance::ALL.into_iter().filter(|inst| inst.available())
+    }
+
+    /// A table and the expression it tabulates decode every width a
+    /// table serves to the same bits — values that overflow to +∞ and
+    /// subnormal steps included — and refuse a code past `n_bins` with
+    /// the same error, under the rotations four headers give a wide
+    /// chunk.
+    #[test]
+    fn dequant_table_matches_the_expression_at_every_width() {
+        let mut rng = Rng::new(0x7AB1E);
+        let mut storage = DequantTable::default();
+        for bits in 1..=TABLE_MAX_WIDTH {
+            let mask = code_mask(bits);
+            let count = (1usize << bits) + 37;
+            for n_bins in [mask / 2 + 1, mask - mask / 4, mask] {
+                let headers = [
+                    (-1.0f32, 2.0 / n_bins as f32),
+                    (0.0, f32::from_bits(1)),
+                    (3.5, 0.25),
+                    (3e38, 1e38), // every code past 0 overflows to +∞
+                ];
+                for (lo, bin_width) in headers {
+                    for hostile in [false, true] {
+                        let mut codes: Vec<u32> =
+                            (0..count).map(|_| rng.next_u32() % (n_bins + 1)).collect();
+                        if hostile {
+                            if n_bins == mask {
+                                continue; // no code can exceed it
+                            }
+                            let at = rng.below(count as u64) as usize;
+                            codes[at] = n_bins + 1 + rng.next_u32() % (mask - n_bins);
+                        }
+                        let (mut packed, mut planes) = (Vec::new(), Vec::new());
+                        if bits >= SPLIT_MIN_WIDTH {
+                            let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
+                            split_into(&codes, bits, bias, &mut packed, &mut planes);
+                        } else {
+                            pack_into(&codes, bits, &mut packed);
+                        }
+                        let record = CodeRecord {
+                            packed: &packed,
+                            planes: &planes,
+                            bits,
+                            lo,
+                            bin_width,
+                            n_bins,
+                        };
+                        let what = format!("bits={bits} n_bins={n_bins} lo={lo} hostile={hostile}");
+                        let mut by_expression = vec![0.0f32; count];
+                        let want = record.dequantize_into(&mut by_expression, None);
+                        let table = record.table(count, &mut storage);
+                        assert!(table.is_some(), "{what}");
+                        let mut by_table = vec![0.0f32; count];
+                        assert_eq!(record.dequantize_into(&mut by_table, table), want, "{what}");
+                        if hostile {
+                            let refused = Err(WireError::Invalid("quantized code out of range"));
+                            assert_eq!(want, refused, "{what}");
+                        } else {
+                            let bits_of =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits_of(&by_table), bits_of(&by_expression), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+        // No table where the entries outnumber the codes, or past 12 bits.
+        let record = CodeRecord {
+            packed: &[0; 64],
+            planes: &[0; 64],
+            bits: 9,
+            lo: 0.0,
+            bin_width: 1.0,
+            n_bins: 500,
+        };
+        assert!(record.table(512, &mut storage).is_none());
+        let wide = CodeRecord { bits: 13, ..record };
+        assert!(wide.table(1 << 20, &mut storage).is_none());
+    }
+
     #[test]
     fn scatter_kept_matches_bit_semantics() {
         // n = 70 crosses a u64 word boundary; drop odd indices.
@@ -947,14 +1346,14 @@ mod tests {
         let data: Vec<f32> = (0..10_000).map(|i| (i % 83) as f32 - 41.0).collect();
         let cap_after_first = {
             with_compress_scratch(|s| {
-                filter_kernel(&data, 5.0, &mut s.packed, &mut s.kept);
+                filter_kernel(&data, 5.0, &mut s.packed, &mut s.lanes[0].kept);
             });
             compress_scratch_capacity_bytes()
         };
         assert!(cap_after_first > 0);
         for _ in 0..3 {
             with_compress_scratch(|s| {
-                filter_kernel(&data, 5.0, &mut s.packed, &mut s.kept);
+                filter_kernel(&data, 5.0, &mut s.packed, &mut s.lanes[0].kept);
             });
             assert_eq!(compress_scratch_capacity_bytes(), cap_after_first);
         }
@@ -975,11 +1374,10 @@ mod tests {
             let mut fast = Vec::new();
             pack_into(&codes, width, &mut fast);
             prop_assert_eq!(&fast, &scalar);
-            let mut out = Vec::new();
-            let maxc = unpack_into(&scalar, width, codes.len(), &mut out).unwrap();
+            let mut out = vec![0u32; codes.len()];
+            unpack_map(&scalar, width, &mut out, |c| c).unwrap();
             prop_assert_eq!(&out, &bitpack::unpack(&scalar, width, codes.len()).unwrap());
             prop_assert_eq!(&out, &codes);
-            prop_assert_eq!(maxc, codes.iter().copied().max().unwrap_or(0));
         }
 
         /// Filter bit-identity vs. the scalar reference loop.
@@ -1034,6 +1432,61 @@ mod tests {
             prop_assert_eq!(codes, ref_codes);
             // The stream positions must agree too.
             prop_assert_eq!(rng_fast.next_u64(), rng_ref.next_u64());
+        }
+
+        /// The SR lanes on every instance this host runs against
+        /// `quantize_kernel` per lane: the same codes and the same stream
+        /// position after. Each lane has its own header (1 to 2²⁰ bins),
+        /// its own stream and its own values, a few of them NaN or ±∞;
+        /// the common length is 0, 1, 3, ragged or a full 16 Ki chunk.
+        #[test]
+        fn prop_sr_lanes_match_quantize_kernel(
+            seed in any::<u64>(),
+            shape in 0usize..5,
+        ) {
+            let mut r = Rng::new(seed);
+            let len = [0, 1, 3, 2 + r.below(4000) as usize, 16 * 1024][shape];
+            let lanes: Vec<(Vec<f32>, f32, f64, u32)> = (0..SR_LANES)
+                .map(|_| {
+                    let scale = 1 + r.below(20);
+                    let n_bins = 1 + r.below(1 << scale) as u32;
+                    let (lo, w) = (r.range_f32(-4.0, 1.0), r.range_f32(1e-4, 0.5));
+                    let span = n_bins as f32 * w;
+                    let kept = (0..len)
+                        .map(|_| match r.below(64) {
+                            0 => f32::NAN,
+                            1 => f32::INFINITY,
+                            2 => f32::NEG_INFINITY,
+                            _ => lo - 0.1 * span + 1.2 * span * r.uniform_f32(),
+                        })
+                        .collect();
+                    (kept, lo, 1.0 / w as f64, n_bins)
+                })
+                .collect();
+            let want: Vec<(Vec<u32>, u64)> = (lanes.iter().enumerate())
+                .map(|(j, (kept, lo, inv_w, n_bins))| {
+                    let mut rng = Rng::new(seed).fork(j as u64);
+                    let mut codes = Vec::new();
+                    let sr = RoundingMode::Stochastic;
+                    quantize_kernel(kept, *lo, *inv_w, *n_bins, sr, &mut rng, &mut codes);
+                    (codes, rng.next_u64())
+                })
+                .collect();
+            for inst in instances() {
+                let mut rngs: Vec<Rng> =
+                    (0..SR_LANES as u64).map(|j| Rng::new(seed).fork(j)).collect();
+                let mut codes = vec![vec![u32::MAX; len]; SR_LANES];
+                let mut parts = lanes.iter().zip(&mut rngs).zip(&mut codes);
+                let mut sr = std::array::from_fn(|_| {
+                    let (((kept, lo, inv_w, n_bins), rng), codes) = parts.next().unwrap();
+                    SrLane { kept, lo: *lo, inv_w: *inv_w, n_bins: *n_bins, rng, codes }
+                });
+                quantize_sr_lanes(inst, &mut sr);
+                for (j, (want_codes, want_next)) in want.iter().enumerate() {
+                    prop_assert_eq!(&codes[j], want_codes);
+                    prop_assert_eq!(rngs[j].next_u64(), *want_next);
+                }
+            }
         }
 
         /// Scatter bit-identity vs. the scalar per-bit scatter loop.

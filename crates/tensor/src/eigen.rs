@@ -29,6 +29,7 @@
 //! stands rather than looping or panicking; non-finite input never enters
 //! the reduction.
 
+use crate::instance::Instance;
 use crate::matrix::Matrix;
 
 /// The result of a symmetric eigendecomposition `A = Q diag(λ) Qᵀ`.
@@ -81,11 +82,35 @@ impl EigenDecomposition {
 /// of the right shape, never a panic or a hang — a diverged run must fail
 /// its own finite-loss check, not abort inside the eigensolver.
 ///
+/// Runs the [`Instance`] this thread has: both compile one solver body
+/// and return the same bits.
+///
 /// # Panics
 /// If the matrix is not square. Asymmetry beyond f32 round-off should be
 /// removed with [`Matrix::symmetrize`] first; the routine symmetrizes its
 /// internal copy regardless.
 pub fn sym_eig(m: &Matrix) -> EigenDecomposition {
+    match Instance::current() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `current` yields `Avx2` only where `available` saw the
+        // CPU report AVX2, the one feature `sym_eig_avx2` is built with.
+        Instance::Avx2 => unsafe { sym_eig_avx2(m) },
+        _ => sym_eig_body(m),
+    }
+}
+
+/// The AVX2 instance of [`sym_eig`]: the whole solver inlined under the
+/// feature, so its unit-stride f64 row kernels take 256-bit lanes. No
+/// FMA: each lane rounds the multiply and the add as the portable code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sym_eig_avx2(m: &Matrix) -> EigenDecomposition {
+    sym_eig_body(m)
+}
+
+/// The solver both instances compile.
+#[inline(always)]
+fn sym_eig_body(m: &Matrix) -> EigenDecomposition {
     assert_eq!(m.rows(), m.cols(), "sym_eig needs a square matrix");
     let n = m.rows();
 
@@ -145,6 +170,7 @@ const Q_PANEL: usize = 16;
 /// (only `vt[j*n + k]`, `k ≥ j`, is read). Returns `T`'s diagonal and
 /// sub-diagonal (`e[i]` couples `i − 1` and `i`; `e[0] = 0`) and leaves
 /// `Qᵀ` in `vt`.
+#[inline(always)]
 fn tridiagonalize(vt: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>) {
     let mut e = vec![0.0f64; n];
     // Step i stores its reflector `I − u uᵀ/h` as u in vt[i*n..][..i] and
@@ -235,6 +261,7 @@ const QL_MAX_ITER: usize = 30;
 /// Implicit-shift QL on the tridiagonal `(d, e)`, every plane rotation
 /// also applied to rows `i`, `i + 1` of `vt`. On return `d` holds the
 /// eigenvalues and row `j` of `vt` the eigenvector of `d[j]`.
+#[inline(always)]
 fn ql_implicit(d: &mut [f64], e: &mut [f64], vt: &mut [f64]) {
     let n = d.len();
     if n == 0 {
@@ -297,6 +324,7 @@ fn ql_implicit(d: &mut [f64], e: &mut [f64], vt: &mut [f64]) {
 
 /// Sorts the eigenvalues descending and gathers the eigenvectors: row
 /// `src` of `vt` is the vector paired with `diag[src]`.
+#[inline(always)]
 fn extract(diag: &[f64], vt: &[f64]) -> EigenDecomposition {
     let n = diag.len();
     let mut order: Vec<usize> = (0..n).collect();
@@ -637,6 +665,35 @@ mod tests {
                 let mut all = Matrix::zeros(n, n);
                 all.as_mut_slice().fill(poison);
                 assert_eq!(sym_eig(&all).values.len(), n);
+            }
+        }
+    }
+
+    /// Every instance this host runs returns the portable instance's bits:
+    /// values and vectors, on the benchmark's factor sizes and on poisoned
+    /// input.
+    #[test]
+    fn instances_return_identical_bits() {
+        let bits = |e: &EigenDecomposition| {
+            let values = e.values.iter().map(|v| v.to_bits());
+            let vectors = e.vectors.as_slice().iter().map(|v| v.to_bits());
+            values.chain(vectors).collect::<Vec<u32>>()
+        };
+        let mut cases: Vec<Matrix> = [1usize, 2, 17, 145, 289]
+            .into_iter()
+            .map(|n| random_spd(n, 500 + n as u64))
+            .collect();
+        let mut poisoned = random_spd(9, 509);
+        poisoned.set(4, 4, f32::NAN);
+        cases.push(poisoned);
+        for m in &cases {
+            let want = {
+                let _pin = Instance::Portable.pin();
+                bits(&sym_eig(m))
+            };
+            for inst in Instance::ALL.into_iter().filter(|i| i.available()) {
+                let _pin = inst.pin();
+                assert_eq!(bits(&sym_eig(m)), want, "{inst:?} at n = {}", m.rows());
             }
         }
     }

@@ -17,6 +17,7 @@
 
 pub mod chol;
 pub mod eigen;
+pub mod instance;
 pub mod matrix;
 pub mod reduce;
 pub mod rng;
@@ -24,5 +25,6 @@ pub mod stats;
 
 pub use chol::Cholesky;
 pub use eigen::{sym_eig, EigenDecomposition};
-pub use matrix::{GemmInstance, Matrix};
+pub use instance::Instance;
+pub use matrix::Matrix;
 pub use rng::Rng;

@@ -2,9 +2,9 @@
 //! the DNN substrate need: blocked parallel GEMM, transpose, rank-k style
 //! covariance products, elementwise arithmetic, and Kronecker products.
 
+use crate::instance::Instance;
 use crate::rng::Rng;
 use rayon::prelude::*;
-use std::cell::Cell;
 use std::ops::Range;
 
 /// Minimum number of multiply-adds (m · n · k) before GEMM bothers going
@@ -57,69 +57,6 @@ struct APackRow {
     vals: [f32; KC],
     offs: [usize; KC],
     len: usize,
-}
-
-/// A compiled instance of the one GEMM core. Both run the same source —
-/// one job body, one [`tile`] — and compute the same bits; they differ in
-/// strip height and in the instructions the compiler may use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GemmInstance {
-    /// `MR = 2`, baseline codegen: runs on every host.
-    Portable,
-    /// `MR = 4`, the job body compiled with AVX2: x86-64 hosts that have it.
-    Avx2,
-}
-
-thread_local! {
-    /// The instance a live [`GemmPin`] holds for this thread's products.
-    static PINNED: Cell<Option<GemmInstance>> = const { Cell::new(None) };
-}
-
-impl GemmInstance {
-    /// Whether this host can run `self`.
-    pub fn available(self) -> bool {
-        match self {
-            GemmInstance::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            GemmInstance::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(not(target_arch = "x86_64"))]
-            GemmInstance::Avx2 => false,
-        }
-    }
-
-    /// The instance a product started on this thread runs: the pinned one,
-    /// else AVX2 where the host has it — the one run-time selection.
-    fn current() -> Self {
-        PINNED.get().unwrap_or(if GemmInstance::Avx2.available() {
-            GemmInstance::Avx2
-        } else {
-            GemmInstance::Portable
-        })
-    }
-
-    /// Pins the products this thread starts to `self` until the guard
-    /// drops, so a test or a timing can run either instance on one host.
-    ///
-    /// # Panics
-    /// If this host cannot run `self`.
-    #[must_use = "the pin is released when the guard drops"]
-    pub fn pin(self) -> GemmPin {
-        assert!(self.available(), "{self:?} GEMM not available on this host");
-        GemmPin {
-            prev: PINNED.replace(Some(self)),
-        }
-    }
-}
-
-/// Guard of [`GemmInstance::pin`]; restores the previous pin on drop.
-pub struct GemmPin {
-    prev: Option<GemmInstance>,
-}
-
-impl Drop for GemmPin {
-    fn drop(&mut self) {
-        PINNED.set(self.prev);
-    }
 }
 
 /// A strided read-only GEMM operand: element `(r, c)` of its
@@ -595,7 +532,8 @@ impl Matrix {
 /// lists, so a sparse `a` costs only its non-zeros; `upper` skips the
 /// panels wholly left of each strip's diagonal, leaving them zero.
 /// Workers take contiguous strip ranges of about equal panel count; the
-/// [`GemmInstance`] this thread runs picks `MR` and the job body.
+/// [`Instance`] this thread runs picks `MR` and the job body: `MR = 2` in
+/// baseline codegen, or `MR = 4` with the body compiled for AVX2.
 fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let panels = n.div_ceil(NR);
@@ -620,9 +558,9 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
         upper,
     };
     let mut out = Matrix::zeros(m, n);
-    match GemmInstance::current() {
+    match Instance::current() {
         #[cfg(target_arch = "x86_64")]
-        GemmInstance::Avx2 => p.jobs::<MR_AVX2>(&mut out.data).into_par_iter().for_each(
+        Instance::Avx2 => p.jobs::<MR_AVX2>(&mut out.data).into_par_iter().for_each(
             // SAFETY: `current` yields `Avx2` only where `available` saw the
             // CPU report AVX2, the one feature `strips_avx2` is built with.
             |(strips, out)| unsafe { strips_avx2(p, strips, out) },
@@ -1035,8 +973,8 @@ mod tests {
 
     /// The GEMM instances this host runs: the portable one always, AVX2
     /// where the CPU has it.
-    fn instances() -> Vec<GemmInstance> {
-        [GemmInstance::Portable, GemmInstance::Avx2]
+    fn instances() -> Vec<Instance> {
+        Instance::ALL
             .into_iter()
             .filter(|inst| inst.available())
             .collect()
@@ -1045,7 +983,7 @@ mod tests {
     /// All four entry points (and `matmul_t_first` at half of `n`) on
     /// `inst` against the scalar oracles at `m × k × n`.
     fn assert_entry_points_match_oracle(
-        inst: GemmInstance,
+        inst: Instance,
         m: usize,
         k: usize,
         n: usize,

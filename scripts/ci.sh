@@ -139,14 +139,12 @@ if grep -rnE 'BENCH_compress|bench_check|bench_snapshot|COMPSO_BENCH_|criterion|
 fi
 step_end
 
-step_start "one GEMM core, one wide instance (crates/*/src ahead of mod tests)"
+step_start "one GEMM core, one instance selection (crates/*/src ahead of mod tests)"
 # matmul / t_matmul / gram / matmul_t (through matmul_t_first) are entry
 # points of one packed `gemm`, and `tile` is the only multiply-accumulate
 # microkernel: besides axpy's `scale * b` and the Gram–Schmidt norms'
 # `v * v`, exactly one line accumulates a product. `tile` and its job body
-# are generic over the strip height; the AVX2 instance is the workspace's
-# only `#[target_feature]`, entered through its only `unsafe` block, and
-# nothing fuses a multiply-add (that would move rounding).
+# are generic over the strip height.
 GEMM_SRC=$(sed '/^mod tests/,$d' crates/tensor/src/matrix.rs)
 GEMM_MACS=$(grep -E '\+= [a-z_0-9]+(\[[a-z_0-9]+\])? \* [a-z_0-9]+(\[[a-z_0-9]+\])?;' <<<"$GEMM_SRC" \
   | grep -vcE 'scale \* b;|v \* v;' || true)
@@ -156,14 +154,27 @@ if grep -q 't_matmul_from' <<<"$GEMM_SRC" \
   || [ "$(grep -c ' gemm(' <<<"$GEMM_SRC")" -ne 5 ]; then
   echo "a second GEMM kernel is back: one gemm, one tile, four entry points" >&2; exit 1
 fi
-# Comment lines and the lint's keyword table ("unsafe") are not code.
+# compso-tensor's `Instance` is the one run-time choice of instruction
+# set: every wide job body is a `#[target_feature(enable = "avx2")]` fn
+# entered from the one `unsafe` block of its kernel's `Instance::Avx2`
+# arm (the last match arm before the block). Nothing fuses a
+# multiply-add (that would move rounding) and no intrinsic takes a
+# pointer. Comment lines and the lint's keyword table ("unsafe") are not
+# code.
 CRATE_SRC=$(find crates/*/src -name '*.rs' -exec sed -s '/^mod tests/,$d' {} + \
   | grep -vE '^[[:space:]]*//' | grep -v '"unsafe"')
-if [ "$(grep -c '#\[target_feature' <<<"$CRATE_SRC")" -ne 1 ] \
-  || [ "$(grep -cw 'unsafe' <<<"$CRATE_SRC")" -ne 1 ] \
-  || [ "$(grep -cE '\bunsafe \{' <<<"$CRATE_SRC")" -ne 1 ] \
-  || grep -qE 'mul_add|target_feature.*fma' <<<"$CRATE_SRC"; then
-  echo "one #[target_feature], one unsafe block and no fused multiply-add under crates/*/src" >&2; exit 1
+WIDE_FNS=$(grep -c '#\[target_feature' <<<"$CRATE_SRC" || true)
+AVX2_ARMS=$(awk '/=>/ { arm = $0 }
+  /(^|[^A-Za-z0-9_])unsafe \{/ && arm ~ /Instance::Avx2 =>/ { n++ }
+  END { print n + 0 }' <<<"$CRATE_SRC")
+if [ "$WIDE_FNS" -eq 0 ] \
+  || grep '#\[target_feature' <<<"$CRATE_SRC" | grep -qvF '#[target_feature(enable = "avx2")]' \
+  || [ "$(grep -cw 'unsafe' <<<"$CRATE_SRC")" -ne "$WIDE_FNS" ] \
+  || [ "$(grep -cE '\bunsafe \{' <<<"$CRATE_SRC")" -ne "$WIDE_FNS" ] \
+  || [ "$AVX2_ARMS" -ne "$WIDE_FNS" ] \
+  || grep -qE 'mul_add|\bfma\b|_fn?m(add|sub)' <<<"$CRATE_SRC" \
+  || grep -qE '_mm[0-9]*_[a-z0-9_]*(load|store|gather|lddqu|prefetch|broadcast_[sp][sd]\b)' <<<"$CRATE_SRC"; then
+  echo "one instance selection: each #[target_feature(enable = \"avx2\")] fn entered from one unsafe block in an Instance::Avx2 arm; no fused multiply-add, no pointer-taking intrinsic under crates/*/src" >&2; exit 1
 fi
 step_end
 

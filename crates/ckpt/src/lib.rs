@@ -1,4 +1,4 @@
-//! Compressed, CRC-framed checkpoint/restore for the COMPSO reproduction.
+//! CRC-checked checkpoint/restore for the COMPSO reproduction.
 //!
 //! The crate snapshots full training state — model weights, optimizer
 //! moments, K-FAC factor state (including cached eigendecompositions and
@@ -6,15 +6,15 @@
 //! streams — into a versioned on-disk format built from the same wire
 //! primitives as the training-time compression path:
 //!
-//! * Tensor payloads are the raw little-endian bytes of each buffer,
-//!   losslessly encoded with the rayon-parallel block codec
-//!   (`compso_core::encoders`) and wrapped in the `0xCF` CRC frame.
+//! * Each rank's file is the `0xCB` tensor blob ([`encode_tensors`]) —
+//!   the raw little-endian bytes of every buffer with its name, dtype
+//!   and shape — the same bytes the restore collectives carry.
 //!   Bit-exactness of every IEEE word is the contract: resume must
 //!   continue the trajectory identically.
-//! * A [`Manifest`] (magic `0xCD`) written **last** records per-rank
-//!   file lengths, CRCs, and a per-tensor byte index. Until the
-//!   manifest exists the snapshot does not exist, which makes the
-//!   tmp-dir + fsync + rename save protocol atomic.
+//! * A [`Manifest`] (magic `0xCD`) written **last** records each rank
+//!   file's length and CRC32. Until the manifest exists the snapshot
+//!   does not exist, which makes the tmp-dir + fsync + rename save
+//!   protocol atomic.
 //! * All parsers follow the hostile-length discipline of
 //!   `compso_core::wire`: every count bounded by the bytes present,
 //!   every shape product overflow-checked, trailing bytes rejected.
@@ -27,7 +27,7 @@ pub mod manifest;
 pub mod snapshot;
 pub mod store;
 
-pub use manifest::{Manifest, RankFileMeta, TensorMeta, MAGIC_MANIFEST, MANIFEST_VERSION};
+pub use manifest::{Manifest, RankFileMeta, MAGIC_MANIFEST, MANIFEST_VERSION};
 pub use snapshot::{
     decode_tensors, encode_tensors, Dtype, Snapshot, TensorData, TensorEntry, MAGIC_TENSORS,
 };
@@ -43,8 +43,8 @@ pub enum CkptError {
     /// Wire-level parse failure (truncation, bad frame CRC, ...).
     Wire(WireError),
     /// Structurally valid wire data that violates a manifest or
-    /// snapshot invariant (bad magic, non-tiling offsets, CRC
-    /// mismatch of decoded bytes, ...).
+    /// snapshot invariant (bad magic or version, rank file length or
+    /// CRC vs the manifest, ...).
     Corrupt(&'static str),
     /// No loadable snapshot exists in the store.
     NoSnapshot,

@@ -1,57 +1,35 @@
 //! The versioned checkpoint manifest.
 //!
 //! A coordinated snapshot directory holds one payload file per rank
-//! (`rank-R.bin`) plus a single `MANIFEST` written **last**: until the
-//! manifest exists the snapshot does not exist, which is what makes the
-//! tmp-dir + fsync + rename save protocol atomic (a torn save has no
-//! manifest and is never loadable).
+//! (`rank-R.bin`, the `0xCB` tensor blob of [`crate::encode_tensors`])
+//! plus a single `MANIFEST` written **last**: until the manifest exists
+//! the snapshot does not exist, which is what makes the tmp-dir + fsync +
+//! rename save protocol atomic (a torn save has no manifest and is never
+//! loadable).
 //!
-//! The manifest records, per rank file, the byte length and CRC32 of the
-//! whole file plus one [`TensorMeta`] per tensor: name, dtype, shape,
-//! byte offset / encoded length inside the file, raw (decoded) length,
-//! and the CRC32 of the raw bytes. Offsets are required to tile the file
-//! exactly (contiguous, in order, summing to `file_len`), so a hostile
-//! manifest cannot alias or leapfrog payload ranges.
+//! The manifest records, per rank file, its byte length and CRC32. The
+//! file itself is self-describing (names, dtypes and shapes live in the
+//! blob), so nothing else about it is indexed here.
 //!
 //! The parser follows the hostile-length discipline of
-//! `compso_core::wire`: magic/version checked first, every count bounded
-//! by the bytes actually present, every shape product overflow-checked,
-//! and trailing bytes rejected.
+//! `compso_core::wire`: magic/version checked first, the rank count
+//! checked against the bytes actually present, and trailing bytes
+//! rejected.
 
-use crate::snapshot::{checked_shape, Dtype, NAME_MAX, TENSORS_MAX};
 use crate::CkptError;
-use compso_core::wire::{Reader, WireError, Writer};
+use compso_core::wire::{Reader, Writer};
 
 /// Manifest magic byte (re-exported from the central
 /// `compso_core::wire::magic` registry).
 pub use compso_core::wire::magic::MAGIC_MANIFEST;
 /// Manifest format version. Version 2 added the membership `epoch`
-/// field (elastic training).
-pub const MANIFEST_VERSION: u16 = 2;
+/// field (elastic training); version 3 dropped the per-tensor index when
+/// a rank file became one tensor blob.
+pub const MANIFEST_VERSION: u16 = 3;
 /// Largest accepted world size (hostile-input cap).
 pub const WORLD_MAX: usize = 4096;
-
-/// Per-tensor index entry inside one rank's payload file.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TensorMeta {
-    /// Tensor name (matches the in-memory [`crate::TensorEntry`] name).
-    pub name: String,
-    /// Element type.
-    pub dtype: Dtype,
-    /// Rows.
-    pub rows: u64,
-    /// Columns.
-    pub cols: u64,
-    /// Byte offset of the encoded payload inside the rank file.
-    pub offset: u64,
-    /// Encoded (on-disk) payload length in bytes.
-    pub enc_len: u64,
-    /// Raw (decoded) payload length in bytes.
-    pub raw_len: u64,
-    /// CRC32 of the raw decoded bytes (end-to-end integrity, beyond the
-    /// per-payload `0xCF` frame that covers only the encoded bytes).
-    pub crc32: u32,
-}
+/// Encoded size of one [`RankFileMeta`]: rank, file length, file CRC32.
+const RANK_META_LEN: usize = 4 + 8 + 4;
 
 /// One rank's payload file description.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,8 +40,6 @@ pub struct RankFileMeta {
     pub file_len: u64,
     /// CRC32 of the whole file.
     pub file_crc32: u32,
-    /// Per-tensor index, in file order.
-    pub tensors: Vec<TensorMeta>,
 }
 
 /// The coordinated snapshot manifest.
@@ -91,7 +67,7 @@ impl RankFileMeta {
     /// Serializes one rank's file description (also used standalone for
     /// the save-time metadata all-gather).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64 + self.tensors.len() * 64);
+        let mut w = Writer::with_capacity(RANK_META_LEN);
         self.encode_into(&mut w);
         w.into_bytes()
     }
@@ -100,96 +76,21 @@ impl RankFileMeta {
         w.u32(self.rank);
         w.u64(self.file_len);
         w.u32(self.file_crc32);
-        w.u32(self.tensors.len() as u32);
-        for t in &self.tensors {
-            debug_assert!(t.name.len() <= NAME_MAX);
-            w.u16(t.name.len() as u16);
-            w.bytes(t.name.as_bytes());
-            w.u8(t.dtype.tag());
-            w.u64(t.rows);
-            w.u64(t.cols);
-            w.u64(t.offset);
-            w.u64(t.enc_len);
-            w.u64(t.raw_len);
-            w.u32(t.crc32);
-        }
     }
 
     /// Parses a standalone rank-file description.
     pub fn decode(bytes: &[u8]) -> Result<RankFileMeta, CkptError> {
-        let mut r = Reader::new(bytes);
-        let meta = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(CkptError::Wire(WireError::Invalid(
-                "trailing rank-meta bytes",
-            )));
+        if bytes.len() != RANK_META_LEN {
+            return Err(CkptError::Corrupt("rank meta length"));
         }
-        Ok(meta)
+        Self::decode_from(&mut Reader::new(bytes))
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<RankFileMeta, CkptError> {
-        let rank = r.u32()?;
-        let file_len = r.u64()?;
-        let file_crc32 = r.u32()?;
-        let n = r.u32()? as usize;
-        if n > TENSORS_MAX {
-            return Err(CkptError::Corrupt("manifest tensor count cap"));
-        }
-        // Each tensor entry costs at least 2 + 1 + 8*5 + 4 = 47 bytes.
-        if n > r.remaining() / 47 {
-            return Err(CkptError::Corrupt("manifest tensor count vs buffer"));
-        }
-        let mut tensors = Vec::with_capacity(n);
-        let mut cursor = 0u64;
-        for _ in 0..n {
-            let name_len = r.u16()? as usize;
-            if name_len > NAME_MAX {
-                return Err(CkptError::Corrupt("manifest name length"));
-            }
-            let name = std::str::from_utf8(r.bytes(name_len)?)
-                .map_err(|_| CkptError::Corrupt("manifest name utf8"))?
-                .to_string();
-            let dtype = Dtype::from_tag(r.u8()?).ok_or(CkptError::Corrupt("manifest dtype tag"))?;
-            let rows = r.u64()?;
-            let cols = r.u64()?;
-            let (_, _, elems) = checked_shape(rows, cols)?;
-            let offset = r.u64()?;
-            let enc_len = r.u64()?;
-            let raw_len = r.u64()?;
-            let crc = r.u32()?;
-            if raw_len != (elems * dtype.width()) as u64 {
-                return Err(CkptError::Corrupt("manifest raw length vs shape"));
-            }
-            // Payloads must tile the file contiguously and in order: no
-            // gaps, no overlaps, no leapfrogging.
-            if offset != cursor {
-                return Err(CkptError::Corrupt("manifest offset not contiguous"));
-            }
-            cursor = offset
-                .checked_add(enc_len)
-                .ok_or(CkptError::Corrupt("manifest offset overflow"))?;
-            if cursor > file_len {
-                return Err(CkptError::Corrupt("manifest payload past file end"));
-            }
-            tensors.push(TensorMeta {
-                name,
-                dtype,
-                rows,
-                cols,
-                offset,
-                enc_len,
-                raw_len,
-                crc32: crc,
-            });
-        }
-        if cursor != file_len {
-            return Err(CkptError::Corrupt("manifest payloads do not tile file"));
-        }
         Ok(RankFileMeta {
-            rank,
-            file_len,
-            file_crc32,
-            tensors,
+            rank: r.u32()?,
+            file_len: r.u64()?,
+            file_crc32: r.u32()?,
         })
     }
 }
@@ -211,9 +112,9 @@ impl Manifest {
         w.into_bytes()
     }
 
-    /// Parses and validates a manifest. Beyond the per-rank checks this
+    /// Parses and validates a manifest. Beyond the header checks this
     /// enforces that exactly `world_size` rank entries are present, in
-    /// rank order `0..world_size`.
+    /// rank order `0..world_size`, and nothing after them.
     pub fn decode(bytes: &[u8]) -> Result<Manifest, CkptError> {
         let mut r = Reader::new(bytes);
         if r.u8()? != MAGIC_MANIFEST {
@@ -229,8 +130,7 @@ impl Manifest {
         }
         let fingerprint = r.u64()?;
         let epoch = r.u64()?;
-        // Each rank entry costs at least 4 + 8 + 4 + 4 = 20 bytes.
-        if world_size as usize > r.remaining() / 20 + 1 {
+        if r.remaining() != world_size as usize * RANK_META_LEN {
             return Err(CkptError::Corrupt("manifest rank count vs buffer"));
         }
         let mut ranks = Vec::with_capacity(world_size as usize);
@@ -240,11 +140,6 @@ impl Manifest {
                 return Err(CkptError::Corrupt("manifest ranks out of order"));
             }
             ranks.push(meta);
-        }
-        if !r.is_exhausted() {
-            return Err(CkptError::Wire(WireError::Invalid(
-                "trailing manifest bytes",
-            )));
         }
         Ok(Manifest {
             step,
@@ -261,16 +156,6 @@ mod tests {
     use super::*;
 
     fn sample() -> Manifest {
-        let t = |name: &str, offset: u64, enc: u64, elems: u64| TensorMeta {
-            name: name.to_string(),
-            dtype: Dtype::F32,
-            rows: 1,
-            cols: elems,
-            offset,
-            enc_len: enc,
-            raw_len: elems * 4,
-            crc32: 0xDEAD_BEEF,
-        };
         Manifest {
             step: 42,
             world_size: 2,
@@ -281,13 +166,11 @@ mod tests {
                     rank: 0,
                     file_len: 30,
                     file_crc32: 1,
-                    tensors: vec![t("a", 0, 10, 4), t("b", 10, 20, 8)],
                 },
                 RankFileMeta {
                     rank: 1,
                     file_len: 5,
                     file_crc32: 2,
-                    tensors: vec![t("c", 0, 5, 1)],
                 },
             ],
         }
@@ -315,26 +198,16 @@ mod tests {
     }
 
     #[test]
-    fn manifest_rejects_non_tiling_offsets() {
-        let mut m = sample();
-        m.ranks[0].tensors[1].offset = 11; // gap after first payload
-        assert!(Manifest::decode(&m.encode()).is_err());
-        m.ranks[0].tensors[1].offset = 9; // overlap
-        assert!(Manifest::decode(&m.encode()).is_err());
-    }
-
-    #[test]
-    fn manifest_rejects_payload_past_file_end() {
-        let mut m = sample();
-        m.ranks[1].tensors[0].enc_len = 6;
-        assert!(Manifest::decode(&m.encode()).is_err());
-    }
-
-    #[test]
-    fn manifest_rejects_short_file_tiling() {
-        let mut m = sample();
-        m.ranks[1].file_len = 9; // payloads only cover 5 bytes
-        assert!(Manifest::decode(&m.encode()).is_err());
+    fn manifest_rejects_an_older_version() {
+        // A version-2 manifest indexes its tensors per rank; this build
+        // reads rank files as one blob, so the old layout is refused
+        // (restore then skips that snapshot as a rung).
+        let mut bytes = sample().encode();
+        bytes[1..3].copy_from_slice(&2u16.to_le_bytes());
+        assert!(matches!(
+            Manifest::decode(&bytes),
+            Err(CkptError::Corrupt("manifest version"))
+        ));
     }
 
     #[test]
@@ -345,6 +218,9 @@ mod tests {
         let mut m = sample();
         m.world_size = 0;
         assert!(Manifest::decode(&m.encode()).is_err());
+        let mut m = sample();
+        m.world_size = 3;
+        assert!(Manifest::decode(&m.encode()).is_err());
     }
 
     #[test]
@@ -354,12 +230,6 @@ mod tests {
         let mut bytes = meta.encode();
         bytes.push(7);
         assert!(RankFileMeta::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn manifest_rejects_raw_len_shape_mismatch() {
-        let mut m = sample();
-        m.ranks[0].tensors[0].raw_len = 15;
-        assert!(Manifest::decode(&m.encode()).is_err());
+        assert!(RankFileMeta::decode(&bytes[..RANK_META_LEN - 1]).is_err());
     }
 }

@@ -5,12 +5,12 @@
 //! factors, optimizer moments, RNG words, counters) keyed by
 //! slash-namespaced names such as `kfac/3/a` or `model/0/params`.
 //!
-//! The module also defines the **tensor-blob wire format** (`0xCB`) used
-//! when restored factor state is redistributed between ranks over the
-//! fallible collectives. Its parser follows the hostile-length rules of
-//! `compso_core::wire`: every count is validated against the bytes
-//! actually present before anything is allocated, and trailing bytes are
-//! rejected.
+//! The module also defines the **tensor-blob format** (`0xCB`): a rank's
+//! checkpoint file on disk, and what restore redistributes between ranks
+//! over the fallible collectives. Its parser follows the hostile-length
+//! rules of `compso_core::wire`: every count is validated against the
+//! bytes actually present before anything is allocated, and trailing
+//! bytes are rejected.
 
 use crate::CkptError;
 use compso_core::wire::{checked_count, Reader, WireError, Writer};
@@ -98,8 +98,8 @@ impl TensorData {
         self.len() == 0
     }
 
-    /// Little-endian raw bytes — the exact payload the lossless codec
-    /// compresses. Bit-exact by construction: no float formatting, no
+    /// Little-endian raw bytes — the payload of a tensor in the `0xCB`
+    /// blob. Bit-exact by construction: no float formatting, no
     /// rounding, just the IEEE words.
     pub fn raw_bytes(&self) -> Vec<u8> {
         match self {
@@ -273,9 +273,8 @@ impl Snapshot {
     }
 }
 
-/// Serializes a tensor list into the `0xCB` blob format (used for the
-/// restore-time redistribution collective; the on-disk path stores each
-/// tensor payload separately — see `store`).
+/// Serializes a tensor list into the `0xCB` blob format: a rank's
+/// checkpoint file, and the payload of the restore-time collectives.
 pub fn encode_tensors(tensors: &[TensorEntry]) -> Vec<u8> {
     let mut w = Writer::with_capacity(64 + tensors.iter().map(|t| t.data.len() * 8).sum::<usize>());
     w.u8(MAGIC_TENSORS);
@@ -350,7 +349,7 @@ fn decode_tensor_entry(r: &mut Reader<'_>) -> Result<TensorEntry, CkptError> {
 
 /// Validates a `rows × cols` shape: both dimensions and their product
 /// must pass the global element cap (`compso_core::wire::checked_count`).
-pub fn checked_shape(rows: u64, cols: u64) -> Result<(usize, usize, usize), CkptError> {
+fn checked_shape(rows: u64, cols: u64) -> Result<(usize, usize, usize), CkptError> {
     let rows = checked_count(rows).map_err(CkptError::Wire)?;
     let cols = checked_count(cols).map_err(CkptError::Wire)?;
     let elems = rows

@@ -5,7 +5,7 @@
 //! ```text
 //! root/
 //!   step-000000000042/          # one committed snapshot
-//!     rank-0.bin                # per-rank payload file
+//!     rank-0.bin                # per-rank `0xCB` tensor blob
 //!     rank-1.bin
 //!     MANIFEST                  # CRC-framed [`Manifest`], written LAST
 //!   .tmp-step-000000000084/     # in-flight save (never loadable)
@@ -27,25 +27,13 @@ use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::manifest::{Manifest, RankFileMeta, TensorMeta};
-use crate::snapshot::{Snapshot, TensorData, TensorEntry};
+use crate::manifest::{Manifest, RankFileMeta};
+use crate::snapshot::{decode_tensors, encode_tensors, Snapshot};
 use crate::CkptError;
-use compso_core::encoders::Codec;
-use compso_core::kernels::CODEC_BLOCK;
 use compso_core::wire::{crc32, frame_checksummed, unframe_checksummed};
-use rayon::prelude::*;
 
 /// Name of the manifest file inside a committed step directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-
-/// Accounting for one rank-file write (feeds the `ckpt/*` counters).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WriteStats {
-    /// Encoded bytes written to disk (the rank file length).
-    pub bytes_written: u64,
-    /// Raw (pre-compression) tensor bytes the file represents.
-    pub raw_bytes: u64,
-}
 
 /// A directory of coordinated snapshots with bounded retention.
 pub struct CheckpointStore {
@@ -89,64 +77,27 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Encodes and writes one rank's payload file into the in-flight
-    /// directory of `step`, fsyncing it before returning.
-    ///
-    /// Each tensor is encoded independently (and in parallel): raw
-    /// little-endian bytes → lossless block codec → `0xCF` CRC frame.
-    /// The returned [`RankFileMeta`] indexes the concatenated file and
-    /// carries the CRC of both the whole file and each tensor's raw
-    /// bytes, so load can verify end-to-end integrity.
+    /// Writes one rank's payload file — the `0xCB` tensor blob of
+    /// [`encode_tensors`], the same bytes the restore collectives carry —
+    /// into the in-flight directory of `step`, fsyncing it before
+    /// returning. The returned [`RankFileMeta`] records the file's length
+    /// and CRC32, which load checks before it parses a byte.
     pub fn write_rank_file(
         &self,
         step: u64,
         rank: u32,
         snapshot: &Snapshot,
-        codec: Codec,
-    ) -> Result<(RankFileMeta, WriteStats), CkptError> {
-        let encoded: Vec<(Vec<u8>, u64, u32)> = snapshot
-            .tensors
-            .par_iter()
-            .map(|t| {
-                let raw = t.data.raw_bytes();
-                let framed = frame_checksummed(&codec.encode_blocks(&raw, CODEC_BLOCK));
-                (framed, raw.len() as u64, crc32(&raw))
-            })
-            .collect();
-        let mut tensors = Vec::with_capacity(snapshot.tensors.len());
-        let mut file = Vec::new();
-        let mut raw_total = 0u64;
-        for (t, (framed, raw_len, raw_crc)) in snapshot.tensors.iter().zip(&encoded) {
-            tensors.push(TensorMeta {
-                name: t.name.clone(),
-                dtype: t.data.dtype(),
-                rows: t.rows as u64,
-                cols: t.cols as u64,
-                offset: file.len() as u64,
-                enc_len: framed.len() as u64,
-                raw_len: *raw_len,
-                crc32: *raw_crc,
-            });
-            file.extend_from_slice(framed);
-            raw_total += raw_len;
-        }
-        let meta = RankFileMeta {
-            rank,
-            file_len: file.len() as u64,
-            file_crc32: crc32(&file),
-            tensors,
-        };
+    ) -> Result<RankFileMeta, CkptError> {
+        let file = encode_tensors(&snapshot.tensors);
         let path = self.tmp_dir(step).join(format!("rank-{rank}.bin"));
         let mut f = File::create(&path)?;
         f.write_all(&file)?;
         f.sync_all()?;
-        Ok((
-            meta,
-            WriteStats {
-                bytes_written: file.len() as u64,
-                raw_bytes: raw_total,
-            },
-        ))
+        Ok(RankFileMeta {
+            rank,
+            file_len: file.len() as u64,
+            file_crc32: crc32(&file),
+        })
     }
 
     /// Writes the manifest (CRC-framed) into the in-flight directory,
@@ -213,9 +164,10 @@ impl CheckpointStore {
         Ok(m)
     }
 
-    /// Loads and decodes one rank's payload file of a committed
-    /// snapshot, verifying the whole-file CRC, each tensor's frame,
-    /// and each tensor's raw-byte CRC against the manifest.
+    /// Loads one rank's payload file of a committed snapshot. The
+    /// file's length and CRC32 are checked against the manifest before
+    /// [`decode_tensors`] parses it, so every stored byte is covered by
+    /// one CRC and the blob parser only ever sees bytes that were written.
     pub fn load_rank(
         &self,
         step: u64,
@@ -235,34 +187,10 @@ impl CheckpointStore {
         if crc32(&file) != meta.file_crc32 {
             return Err(CkptError::Corrupt("rank file crc"));
         }
-        let tensors: Vec<Result<TensorEntry, CkptError>> = meta
-            .tensors
-            .par_iter()
-            .map(|t| {
-                // Offsets were validated to tile the file at manifest
-                // decode, so this slice is always in bounds.
-                let framed = &file[t.offset as usize..(t.offset + t.enc_len) as usize];
-                let raw = Codec::decode_blocks(unframe_checksummed(framed)?)?;
-                if raw.len() as u64 != t.raw_len {
-                    return Err(CkptError::Corrupt("decoded length vs manifest"));
-                }
-                if crc32(&raw) != t.crc32 {
-                    return Err(CkptError::Corrupt("decoded payload crc"));
-                }
-                let data = TensorData::from_raw(t.dtype, &raw)?;
-                Ok(TensorEntry {
-                    name: t.name.clone(),
-                    rows: t.rows as usize,
-                    cols: t.cols as usize,
-                    data,
-                })
-            })
-            .collect();
-        let mut snapshot = Snapshot::new(manifest.step);
-        for t in tensors {
-            snapshot.tensors.push(t?);
-        }
-        Ok(snapshot)
+        Ok(Snapshot {
+            step: manifest.step,
+            tensors: decode_tensors(&file)?,
+        })
     }
 
     /// Removes committed snapshots beyond the newest `retain_last` and
@@ -293,6 +221,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{TensorData, TensorEntry};
     use compso_tensor::Matrix;
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -319,8 +248,7 @@ mod tests {
         store.prepare_tmp(step)?;
         let mut ranks = Vec::new();
         for (r, snap) in snaps.iter().enumerate() {
-            let (meta, _) = store.write_rank_file(step, r as u32, snap, Codec::Zstd)?;
-            ranks.push(meta);
+            ranks.push(store.write_rank_file(step, r as u32, snap)?);
         }
         let manifest = Manifest {
             step,
@@ -359,7 +287,7 @@ mod tests {
         // A crash mid-save: payload written, manifest never committed.
         store.prepare_tmp(10).unwrap();
         store
-            .write_rank_file(10, 0, &sample_snapshot(10, 4), Codec::Zstd)
+            .write_rank_file(10, 0, &sample_snapshot(10, 4))
             .unwrap();
         // The torn save is invisible...
         assert_eq!(store.list_steps().unwrap(), vec![5]);
@@ -411,6 +339,30 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let m = store.load_manifest(7).unwrap();
         assert!(store.load_rank(7, &m, 0).is_err());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn undecodable_blob_under_a_matching_crc_is_rejected() {
+        // The one case the file CRC cannot catch: bytes that match the
+        // manifest's length and CRC but are not a whole blob. The blob
+        // parser is the guard here.
+        let root = temp_root("truncblob");
+        let store = CheckpointStore::new(&root, 2).unwrap();
+        let mut m = save(&store, 8, &[sample_snapshot(8, 9)]).unwrap();
+        let dir = root.join("step-000000000008");
+        let path = dir.join("rank-0.bin");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.pop();
+        fs::write(&path, &bytes).unwrap();
+        m.ranks[0].file_len = bytes.len() as u64;
+        m.ranks[0].file_crc32 = crc32(&bytes);
+        fs::write(dir.join(MANIFEST_FILE), frame_checksummed(&m.encode())).unwrap();
+        let reread = store.load_manifest(8).unwrap();
+        assert!(matches!(
+            store.load_rank(8, &reread, 0),
+            Err(CkptError::Wire(_))
+        ));
         let _ = fs::remove_dir_all(&root);
     }
 

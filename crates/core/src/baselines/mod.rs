@@ -7,8 +7,6 @@
 //!   the tables);
 //! * [`cocktail::CocktailSgd`] — random-sampled top-k sparsification (20%)
 //!   combined with 8-bit quantization (Wang et al., ICML'23);
-//! * [`topk::TopK`] — exact fixed-density Top-k at full precision (the
-//!   Ok-topk-style rigid-sparsity comparator of §4.3/§6);
 //! * [`powersgd::PowerSgd`] — rank-r low-rank power iteration with warm
 //!   starts and error feedback (Vogels et al., NeurIPS'19), the
 //!   structurally different fourth family the adaptive control plane
@@ -17,7 +15,7 @@
 //! Each family keeps its per-layer block codec as inherent
 //! `encode`/`decode` and gets its group behaviour from the one shared
 //! framing, [`crate::wire::frame_group`] — a pure format that the
-//! independent-per-layer families (QSGD, SZ, TopK, CocktailSGD) fill one
+//! independent-per-layer families (QSGD, SZ, CocktailSGD) fill one
 //! rayon worker per layer and PowerSGD fills serially under its state
 //! lock.
 
@@ -30,13 +28,11 @@ pub mod cocktail;
 pub mod powersgd;
 pub mod qsgd;
 pub mod sz;
-pub mod topk;
 
 pub use cocktail::CocktailSgd;
 pub use powersgd::PowerSgd;
 pub use qsgd::Qsgd;
 pub use sz::Sz;
-pub use topk::TopK;
 
 /// The group path of the independent-per-layer families: the caller's
 /// generator advances exactly once and layer `i` encodes on its own rayon

@@ -29,7 +29,7 @@
 //!   layer aggregation, per-layer normalization ranges) on the fused
 //!   single-pass kernels, the CPU analogue of the paper's §4.5 GPU
 //!   optimizations, with the staged multi-pass ablation beside them;
-//! * [`baselines`] — QSGD, SZ, CocktailSGD, TopK and PowerSGD
+//! * [`baselines`] — QSGD, SZ, CocktailSGD and PowerSGD
 //!   reimplementations;
 //! * [`traits`] — the [`Compressor`] surface every family sits behind:
 //!   one keyed group encode/decode pair ([`wire`] holds the group

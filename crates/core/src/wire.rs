@@ -21,7 +21,7 @@ pub mod magic {
     /// v1 stream, stays unassigned.
     pub const MAGIC_STREAM_V2: u8 = 0xC6;
     /// Multi-layer group framing of every per-layer compressor family
-    /// (NoCompression, QSGD, SZ, TopK, CocktailSGD, PowerSGD),
+    /// (NoCompression, QSGD, SZ, CocktailSGD, PowerSGD),
     /// [`super::frame_group`]. `0xC8`, the retired layer-parallel twin of
     /// this framing, stays unassigned.
     pub const MAGIC_GROUP: u8 = 0xC7;

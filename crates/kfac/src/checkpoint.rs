@@ -42,7 +42,6 @@ use compso_ckpt::{
 };
 use compso_comm::collectives::{allgather_var, allgather_var_quiet, broadcast_bytes};
 use compso_comm::{CommError, Communicator};
-use compso_core::encoders::Codec;
 use compso_core::wire::{frame_checksummed, magic, unframe_checksummed, Reader, Writer};
 use compso_dnn::Sequential;
 use compso_obs::names;
@@ -135,13 +134,6 @@ pub struct Restored {
     pub globals: Snapshot,
 }
 
-/// Lossless codec of the snapshot tensor payloads. The interleaved
-/// entropy coder is an order of magnitude faster than the LZ+rANS chain
-/// on float tensor payloads while compressing them almost as well (raw
-/// f32 bits carry little LZ-exploitable repetition), so snapshots stop
-/// being a ~20 MB/s stall.
-const PAYLOAD_CODEC: Codec = Codec::Ans;
-
 /// The per-rank driver of coordinated snapshots.
 pub struct CheckpointCoordinator {
     store: CheckpointStore,
@@ -184,11 +176,9 @@ impl CheckpointCoordinator {
             self.store.prepare_tmp(step)?;
         }
         comm.barrier()?;
-        let (meta, stats) = self
-            .store
-            .write_rank_file(step, me as u32, &snap, PAYLOAD_CODEC)?;
-        rec.add(names::CKPT_BYTES, stats.bytes_written);
-        rec.add(names::CKPT_RAW_BYTES, stats.raw_bytes);
+        let meta = self.store.write_rank_file(step, me as u32, &snap)?;
+        rec.add(names::CKPT_BYTES, meta.file_len);
+        rec.add(names::CKPT_RAW_BYTES, snap.raw_bytes());
         let metas = allgather_var(comm, meta.encode())?;
         if me == 0 {
             let mut ranks = Vec::with_capacity(metas.len());

@@ -189,12 +189,12 @@ pub const CKPT_LOAD: &str = "ckpt/load";
 /// `compso-kfac` checkpointing: committed snapshots this rank
 /// participated in.
 pub const CKPT_SAVES: &str = "ckpt/saves";
-/// `compso-kfac` checkpointing: encoded bytes this rank wrote to
-/// its payload files (manifest bytes count on rank 0).
+/// `compso-kfac` checkpointing: bytes this rank wrote to its payload
+/// file (manifest bytes count on rank 0).
 pub const CKPT_BYTES: &str = "ckpt/bytes";
-/// `compso-kfac` checkpointing: raw (pre-compression) tensor bytes
-/// behind `ckpt/bytes` — the ratio of the two is the checkpoint
-/// compression ratio.
+/// `compso-kfac` checkpointing: raw tensor bytes behind `ckpt/bytes` —
+/// the rest of `ckpt/bytes` is blob framing (names, shapes, lengths)
+/// and the manifest.
 pub const CKPT_RAW_BYTES: &str = "ckpt/raw_bytes";
 /// `compso-kfac` checkpointing: restore attempts that had to skip a
 /// snapshot (missing/torn/corrupt manifest or payload) and fall

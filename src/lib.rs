@@ -8,7 +8,7 @@
 //! * [`tensor`](compso_tensor) — dense linear algebra and the PRNG;
 //! * [`dnn`](compso_dnn) — the DNN training substrate;
 //! * [`kfac`](compso_kfac) — (distributed) K-FAC optimizers;
-//! * [`ckpt`](compso_ckpt) — compressed, CRC-framed checkpoint/restore;
+//! * [`ckpt`](compso_ckpt) — CRC-checked checkpoint/restore;
 //! * [`comm`](compso_comm) — in-process collectives over the fault-injectable
 //!   transport;
 //! * [`sim`](compso_sim) — the cost model: network model, compressor

@@ -48,9 +48,12 @@
 //!   AVX2.
 //! * `codec.dequant_table_speedup >= 1.5` — merge + dequantize of 256 Ki
 //!   9-bit codes (`CodeRecord::dequantize_into`) through the chunk's
-//!   table, its fill included, against the expression it tabulates,
-//!   fastest of 15, interleaved. Reads 1.68 to 1.78; 1.27 to 1.31 with
-//!   the table path evaluating the expression per code.
+//!   table, its fill included, against the expression it tabulates: the
+//!   median of 31 per-pass ratios, each pass timing both back to back.
+//!   Reads 1.7 to 1.8 on a quiet host. On a busy shared 2-vCPU host
+//!   whole runs read 1.2 to 1.35 (the table path slows ≈ 1.9×, the
+//!   expression ≈ 1.35×), as the ratio of two minima did before. With the
+//!   table path evaluating the expression per code it reads 1.2 to 1.3.
 //! * `codec.pack_speedup >= 1.5` — `microkernel::split_into` (what the
 //!   chunk kernels run on codes wider than a byte: a low-byte stream and
 //!   a packed high-bit plane) against its scalar oracle `bitpack::split`
@@ -624,20 +627,24 @@ fn main() {
         };
         let mut storage = DequantTable::default();
         let mut out = [vec![0.0f32; codes.len()], vec![0.0f32; codes.len()]];
-        let mut best = [f64::INFINITY; 2];
-        for _ in 0..15 {
+        // Both timings swing with the host's load, so each pass times the
+        // two back to back and the gate reads the median of the passes'
+        // ratios, not the ratio of two minima taken in different passes.
+        const PASSES: usize = 31;
+        let mut ratios = Vec::with_capacity(PASSES);
+        for _ in 0..PASSES {
             let t0 = Instant::now();
             record
                 .dequantize_into(black_box(&mut out[0]), None)
                 .expect("in range");
-            best[0] = best[0].min(t0.elapsed().as_secs_f64());
+            let expression = t0.elapsed().as_secs_f64();
             let t0 = Instant::now();
             let table = record.table(codes.len(), &mut storage);
             assert!(table.is_some(), "256 Ki codes outnumber 512 entries");
             record
                 .dequantize_into(black_box(&mut out[1]), table)
                 .expect("in range");
-            best[1] = best[1].min(t0.elapsed().as_secs_f64());
+            ratios.push(expression / t0.elapsed().as_secs_f64());
             assert!(
                 out[0]
                     .iter()
@@ -646,13 +653,14 @@ fn main() {
                 "the table diverged from the expression"
             );
         }
-        let [expression, table] = best.map(|t| t * 1e3);
+        ratios.sort_by(f64::total_cmp);
+        let [q1, median, q3] = [PASSES / 4, PASSES / 2, 3 * PASSES / 4].map(|i| ratios[i]);
         gate(
             "codec.dequant_table_speedup",
-            expression / table,
+            median,
             ">=",
             1.5,
-            format!("expression {expression:.3} ms, table {table:.3} ms"),
+            format!("median of {PASSES} passes' ratios; quartiles {q1:.2} to {q3:.2}"),
         );
     }
 

@@ -289,8 +289,8 @@ fn is_request_from(bytes: &[u8], p: usize) -> bool {
 /// A restarted rank's re-entry: sends a [`MembershipFrame::RejoinRequest`]
 /// to every physical peer, then sweeps all channels until a
 /// [`MembershipFrame::Welcome`] arrives, adopting its view and clocks
-/// wholesale. Call *after* restoring local state from the latest
-/// checkpoint; the group-wide factor catch-up runs after this returns.
+/// wholesale. The rank's state comes from the group-wide catch-up
+/// that runs after this returns, not from a checkpoint.
 pub fn rejoin(comm: &mut Communicator) -> Result<ViewChange, CommError> {
     let me = comm.phys_rank();
     let request = MembershipFrame::RejoinRequest {

@@ -8,7 +8,7 @@
 
 /// Central registry of every wire-format magic byte in the workspace.
 ///
-/// Eight hand-rolled binary formats travel between ranks or to disk; each
+/// Seven hand-rolled binary formats travel between ranks or to disk; each
 /// one's first byte is a magic from this module, and **only** this module
 /// may spell the literal values (`compso-lint`'s `wire-magic-registry`
 /// rule rejects bare `0xC?` byte literals anywhere else in prod code, and
@@ -31,11 +31,11 @@ pub mod magic {
     /// PowerSGD low-rank factor stream (`P̂`/`Q` pair or raw escape),
     /// [`crate::baselines::PowerSgd`].
     pub const MAGIC_POWERSGD: u8 = 0xCA;
-    /// Checkpoint tensor blob (`compso-ckpt`).
+    /// Tensor blob (`compso-ckpt`): a checkpoint rank file, and every
+    /// tensor list moved between ranks (restore's shards and globals, a
+    /// rejoin's epoch-stamped catch-up). `0xCC`, the retired rejoin
+    /// delta that wrapped a second copy of this blob, stays unassigned.
     pub const MAGIC_TENSORS: u8 = 0xCB;
-    /// Rejoin catch-up delta (epoch-stamped factor-state tensors
-    /// all-gathered to a rank rejoining the group), `compso-kfac`.
-    pub const MAGIC_REJOIN: u8 = 0xCC;
     /// Checkpoint manifest, written last to commit a snapshot
     /// (`compso-ckpt`).
     pub const MAGIC_MANIFEST: u8 = 0xCD;
@@ -51,7 +51,6 @@ pub mod magic {
         ("membership", MAGIC_MEMBERSHIP),
         ("powersgd", MAGIC_POWERSGD),
         ("tensors", MAGIC_TENSORS),
-        ("rejoin", MAGIC_REJOIN),
         ("manifest", MAGIC_MANIFEST),
         ("frame", MAGIC_FRAME),
     ];
@@ -510,10 +509,9 @@ mod tests {
         assert_eq!(magic::MAGIC_MEMBERSHIP, 0xC9);
         assert_eq!(magic::MAGIC_POWERSGD, 0xCA);
         assert_eq!(magic::MAGIC_TENSORS, 0xCB);
-        assert_eq!(magic::MAGIC_REJOIN, 0xCC);
         assert_eq!(magic::MAGIC_MANIFEST, 0xCD);
         assert_eq!(magic::MAGIC_FRAME, 0xCF);
-        assert_eq!(magic::ALL.len(), 8);
+        assert_eq!(magic::ALL.len(), 7);
     }
 
     #[test]

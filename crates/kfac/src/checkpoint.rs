@@ -13,8 +13,8 @@
 //! rank also stores its copy of the others' layers as packed upper
 //! triangles under `rank/factors/<idx>`, and an equal-world restore
 //! installs them over the owners' copies — that is what keeps a resumed
-//! run bit-identical across the next sync. A cross-world or local
-//! restore drops them like every `rank/` entry: all ranks then hold the
+//! run bit-identical across the next sync. A cross-world restore drops
+//! them like every `rank/` entry: all ranks then hold the
 //! owner's copy, which is replicated and deterministic, and the next
 //! sync re-averages. Rank 0 additionally carries the globals: model
 //! parameters, the ownership map, the step counter, and any caller
@@ -42,7 +42,7 @@ use compso_ckpt::{
 };
 use compso_comm::collectives::{allgather_var, allgather_var_quiet, broadcast_bytes};
 use compso_comm::{CommError, Communicator};
-use compso_core::wire::{frame_checksummed, magic, unframe_checksummed, Reader, Writer};
+use compso_core::wire::{frame_checksummed, unframe_checksummed};
 use compso_dnn::Sequential;
 use compso_obs::names;
 use compso_tensor::{Cholesky, EigenDecomposition, Matrix};
@@ -223,7 +223,6 @@ impl CheckpointCoordinator {
     ) -> Result<Restored, CoordError> {
         let rec = dist.recorder().clone();
         let _span = rec.span(names::CKPT_LOAD);
-        let me = comm.rank();
 
         // Pick the newest snapshot every rank can fully load.
         let mut steps = self.store.list_steps()?;
@@ -255,35 +254,23 @@ impl CheckpointCoordinator {
         // then every rank imports every layer (the owner's copy; an
         // equal-world restore overlays this rank's own factors below).
         let mine: Vec<TensorEntry> = snap.with_prefix("kfac/").cloned().collect();
-        let blobs = allgather_var(comm, frame_checksummed(&encode_tensors(&mine)))?;
-        for blob in &blobs {
-            let entries = decode_tensors(unframe_checksummed(blob)?)?;
-            for (idx, state) in layer_states_from_entries(&entries)? {
+        for shard in gather_shards(comm, &mine, allgather_var)? {
+            for (idx, state) in layer_states(&shard)? {
                 dist.kfac_mut().import_layer_state(idx, state);
             }
         }
 
         // Rank 0 broadcasts the globals (model params, ownership map,
         // optimizer extras).
-        let mut gbytes = if me == 0 {
-            let globals: Vec<TensorEntry> = snap
-                .tensors
-                .iter()
-                .filter(|t| !t.name.starts_with("rank/") && !t.name.starts_with("kfac/"))
-                .cloned()
-                .collect();
-            frame_checksummed(&encode_tensors(&globals))
-        } else {
-            Vec::new()
-        };
-        broadcast_bytes(comm, 0, &mut gbytes)?;
-        let mut globals = Snapshot::new(manifest.step);
-        globals.tensors = decode_tensors(unframe_checksummed(&gbytes)?)?;
+        let mut globals = broadcast_snapshot(comm, 0, || {
+            let global =
+                |t: &&TensorEntry| !t.name.starts_with("rank/") && !t.name.starts_with("kfac/");
+            snap.tensors.iter().filter(global).cloned().collect()
+        })?;
+        globals.step = manifest.step;
         if globals.require_u64s("global/step")? != [manifest.step] {
             return Err(CkptError::Corrupt("global step vs manifest").into());
         }
-
-        // Install model parameters.
         install_model_params(&globals, model)?;
 
         // Install this rank's coordination state. Across a world-size
@@ -293,30 +280,27 @@ impl CheckpointCoordinator {
         // store starts empty, and the RNG keeps its seed-derived stream
         // (identical to a fresh process restoring the same snapshot at
         // this world size, which is the bit-identity yardstick).
-        if cross_world {
-            let rng = dist.export_state().rng;
-            dist.import_state(DistKfacState {
-                owners: None,
-                rng,
-                last_good: Vec::new(),
-            });
-        } else {
-            let owners = globals
-                .get("global/owners")
-                .map(|t| match &t.data {
-                    TensorData::U64(v) => Ok(v.iter().map(|&o| o as usize).collect::<Vec<_>>()),
-                    _ => Err(CkptError::Corrupt("owners dtype")),
-                })
-                .transpose()?;
+        let mut state = DistKfacState {
+            owners: None,
+            rng: dist.export_state().rng,
+            last_good: Vec::new(),
+        };
+        if !cross_world {
+            state.owners = match globals.get("global/owners").map(|t| &t.data) {
+                None => None,
+                Some(TensorData::U64(v)) => Some(v.iter().map(|&o| o as usize).collect()),
+                Some(_) => return Err(CkptError::Corrupt("owners dtype").into()),
+            };
             let rng = snap.require_u64s("rank/rng")?;
             if rng.len() != 6 {
                 return Err(CkptError::Corrupt("rng state arity").into());
             }
             let spare = (rng[4] == 1).then(|| f64::from_bits(rng[5]));
-            let mut last_good = Vec::new();
+            state.rng = ([rng[0], rng[1], rng[2], rng[3]], spare);
             for &idx in snap.require_u64s("rank/last_good_idx")? {
                 let idx = idx as usize;
-                last_good.push((idx, snap.require_matrix(&format!("rank/last_good/{idx}"))?));
+                let m = snap.require_matrix(&format!("rank/last_good/{idx}"))?;
+                state.last_good.push((idx, m));
             }
             // This rank's own running factors for the layers it does not
             // own, over the owners' copies the all-gather installed.
@@ -334,12 +318,8 @@ impl CheckpointCoordinator {
                 let off = a.unpack_upper(packed);
                 g.unpack_upper(&packed[off..]);
             }
-            dist.import_state(DistKfacState {
-                owners,
-                rng: ([rng[0], rng[1], rng[2], rng[3]], spare),
-                last_good,
-            });
         }
+        dist.import_state(state);
 
         Ok(Restored {
             step: manifest.step,
@@ -395,77 +375,6 @@ impl CheckpointCoordinator {
         }
         Ok(Some((manifest, merged)))
     }
-
-    /// Collective-free restore for a restarted rank that is still
-    /// *outside* the group (before [`compso_comm::rejoin`]): walks
-    /// snapshots newest-first and loads the newest one that is fully
-    /// readable locally — manifest plus **every** rank file, since with
-    /// no peers the factor shards cannot be all-gathered. Installs
-    /// every layer's owner-saved factor state and the rank-0 globals (model
-    /// parameters); the ownership map and rank-local state are dropped
-    /// exactly as in a cross-world restore, because the view this rank
-    /// will rejoin may have any size. Factor state newer than the
-    /// snapshot catches up live afterwards via [`catch_up_rejoined`].
-    pub fn restore_local(
-        &self,
-        dist: &mut DistKfac,
-        model: &mut Sequential,
-    ) -> Result<Restored, CoordError> {
-        let rec = dist.recorder().clone();
-        let _span = rec.span(names::CKPT_LOAD);
-        let mut steps = self.store.list_steps()?;
-        steps.reverse();
-        'steps: for step in steps {
-            let manifest = match self.store.load_manifest(step) {
-                Ok(m) => m,
-                Err(_) => {
-                    rec.incr(names::CKPT_RESTORE_RUNGS);
-                    continue;
-                }
-            };
-            if manifest.fingerprint != self.fingerprint {
-                return Err(CkptError::Corrupt("checkpoint fingerprint mismatch").into());
-            }
-            let mut snaps = Vec::with_capacity(manifest.world_size as usize);
-            for file in 0..manifest.world_size {
-                match self.store.load_rank(step, &manifest, file) {
-                    Ok(s) => snaps.push(s),
-                    Err(_) => {
-                        rec.incr(names::CKPT_RESTORE_RUNGS);
-                        continue 'steps;
-                    }
-                }
-            }
-            for snap in &snaps {
-                let entries: Vec<TensorEntry> = snap.with_prefix("kfac/").cloned().collect();
-                for (idx, state) in layer_states_from_entries(&entries)? {
-                    dist.kfac_mut().import_layer_state(idx, state);
-                }
-            }
-            let mut globals = Snapshot::new(step);
-            globals.tensors = snaps[0]
-                .tensors
-                .iter()
-                .filter(|t| !t.name.starts_with("rank/") && !t.name.starts_with("kfac/"))
-                .cloned()
-                .collect();
-            if globals.require_u64s("global/step")? != [manifest.step] {
-                return Err(CkptError::Corrupt("global step vs manifest").into());
-            }
-            install_model_params(&globals, model)?;
-            let rng = dist.export_state().rng;
-            dist.import_state(DistKfacState {
-                owners: None,
-                rng,
-                last_good: Vec::new(),
-            });
-            return Ok(Restored {
-                step: manifest.step,
-                globals,
-            });
-        }
-        Err(CkptError::NoSnapshot.into())
-    }
 }
 
 /// Installs the broadcast `model/<idx>` parameter matrices into the
@@ -485,59 +394,112 @@ fn install_model_params(globals: &Snapshot, model: &mut Sequential) -> Result<()
     Ok(())
 }
 
-/// Encodes one rank's factor catch-up contribution for a live rejoin: a
-/// `0xCC` frame carrying the membership epoch it was built under, the
-/// sender's physical rank, and a length-prefixed tensor block — the
-/// whole thing wrapped in a `0xCF` CRC envelope.
-pub fn encode_rejoin_delta(epoch: u64, sender: u32, entries: &[TensorEntry]) -> Vec<u8> {
-    let block = encode_tensors(entries);
-    let mut w = Writer::with_capacity(21 + block.len());
-    w.u8(magic::MAGIC_REJOIN);
-    w.u64(epoch);
-    w.u32(sender);
-    w.block(&block);
-    frame_checksummed(&w.into_bytes())
+/// The model's trainable parameters as the `model/<idx>` entries
+/// [`install_model_params`] reads back.
+fn model_entries(model: &Sequential) -> Vec<TensorEntry> {
+    let mut out = Vec::new();
+    for idx in model.trainable_indices() {
+        let name = format!("model/{idx}");
+        out.extend(
+            model
+                .layer(idx)
+                .params()
+                .map(|p| TensorEntry::matrix(name, p)),
+        );
+    }
+    out
 }
 
-/// Decodes a [`encode_rejoin_delta`] frame: CRC envelope first, then
-/// magic, epoch, sender, and the tensor block; trailing bytes rejected.
-pub fn decode_rejoin_delta(bytes: &[u8]) -> Result<(u64, u32, Vec<TensorEntry>), CkptError> {
-    let inner = unframe_checksummed(bytes)?;
-    let mut r = Reader::new(inner);
-    if r.u8()? != magic::MAGIC_REJOIN {
-        return Err(CkptError::Corrupt("rejoin delta magic"));
+/// The layer-state all-gather of [`CheckpointCoordinator::restore`] and
+/// [`catch_up_rejoined`]: this rank's shard travels in the checksummed
+/// `0xCB` envelope through `gather`, which carries the caller's
+/// collective label and counters, and every rank gets every shard back
+/// in rank order.
+fn gather_shards(
+    comm: &mut Communicator,
+    mine: &[TensorEntry],
+    gather: impl FnOnce(&mut Communicator, Vec<u8>) -> Result<Vec<Vec<u8>>, CommError>,
+) -> Result<Vec<Snapshot>, CoordError> {
+    let blobs = gather(comm, frame_checksummed(&encode_tensors(mine)))?;
+    let decode = |blob: &Vec<u8>| -> Result<Snapshot, CoordError> {
+        let tensors = decode_tensors(unframe_checksummed(blob)?)?;
+        Ok(Snapshot { step: 0, tensors })
+    };
+    blobs.iter().map(decode).collect()
+}
+
+/// The broadcast of [`CheckpointCoordinator::restore`] and
+/// [`catch_up_rejoined`]: `root` builds its entries with `mine`, they
+/// travel in the checksummed `0xCB` envelope, and every rank gets them
+/// back; both callers install the `model/<idx>` matrices among them
+/// through [`install_model_params`].
+fn broadcast_snapshot(
+    comm: &mut Communicator,
+    root: usize,
+    mine: impl FnOnce() -> Vec<TensorEntry>,
+) -> Result<Snapshot, CoordError> {
+    let mut bytes = Vec::new();
+    if comm.rank() == root {
+        bytes = frame_checksummed(&encode_tensors(&mine()));
     }
-    let epoch = r.u64()?;
-    let sender = r.u32()?;
-    let entries = decode_tensors(r.block()?)?;
-    if !r.is_exhausted() {
-        return Err(CkptError::Corrupt("trailing rejoin delta bytes"));
+    broadcast_bytes(comm, root, &mut bytes)?;
+    let tensors = decode_tensors(unframe_checksummed(&bytes)?)?;
+    Ok(Snapshot { step: 0, tensors })
+}
+
+/// The `U64` entry stamping a catch-up shard with the membership epoch
+/// it was built under.
+const CATCH_UP_EPOCH: &str = "catch_up/epoch";
+
+/// Encodes one rank's catch-up shard for a live rejoin: the given layer
+/// states under `kfac/<idx>/`, exactly as a snapshot stores them, plus
+/// the membership epoch as one `U64` entry.
+pub fn encode_catch_up_shard(epoch: u64, layers: &[(usize, LayerState)]) -> Vec<TensorEntry> {
+    let mut shard = Snapshot::new(0);
+    for (idx, state) in layers {
+        push_layer_state(&mut shard, *idx, state);
     }
-    Ok((epoch, sender, entries))
+    shard.push_u64s(CATCH_UP_EPOCH, vec![epoch]);
+    shard.tensors
+}
+
+/// Decodes the gathered catch-up shards into the layer states they
+/// carry. Every shard must be stamped with `epoch`, and every stamp is
+/// checked before any state is parsed: a stale catch-up never installs.
+fn decode_catch_up_shards(
+    epoch: u64,
+    shards: &[Snapshot],
+) -> Result<Vec<(usize, LayerState)>, CommError> {
+    let bad = |expected: &'static str| CommError::Protocol { expected };
+    if !(shards.iter()).all(|s| s.require_u64s(CATCH_UP_EPOCH).is_ok_and(|v| v == [epoch])) {
+        return Err(bad("a catch-up shard from the current epoch"));
+    }
+    let mut states = Vec::new();
+    for shard in shards {
+        states.extend(layer_states(shard).map_err(|_| bad("valid catch-up layer state"))?);
+    }
+    Ok(states)
 }
 
 /// Live factor catch-up after a rank rejoins: collective over the *new*
 /// view, called by every rank (members and the joiner alike) right
 /// after [`compso_comm::admit_pending`] / [`compso_comm::rejoin`]
-/// commit the admission.
+/// commit the admission. The joiner arrives with a freshly built model
+/// and [`DistKfac`] and restores from its peers, through the same
+/// transfers [`CheckpointCoordinator::restore`] uses.
 ///
-/// The members shard the factor state among themselves (each hands out
-/// its own copy of the running factors; the epoch change makes the next
-/// step re-average every layer) —
-/// member `k` of `m` contributes the layers at positions `pos % m == k`
-/// of [`Kfac::state_indices`] — so the joiner receives every layer
-/// exactly once while no single member uploads the whole state. The
-/// joiner contributes an empty delta (a shard carries a cached inverse
+/// Member `k` of the `m` members contributes the layers at positions
+/// `pos % m == k` of [`Kfac::state_indices`] (its own copy of the
+/// running factors; the epoch change makes the next step re-average
+/// every layer), so the joiner receives every layer exactly once while
+/// no member uploads the whole state. A shard carries a cached inverse
 /// only where its sender owns the layer; whatever the joiner ends up
-/// owning without one it rebuilds on adoption). One variable-size
-/// all-gather (`comm/allgather_rejoin`) moves the shards; the joiner
-/// imports them and counts the traffic like any collective. The
-/// members then broadcast the current model parameters from the lowest
-/// live member rank, which the joiner installs — its checkpoint restore
-/// may be several steps behind the group.
-///
-/// Deltas carry the membership epoch; a frame from a different epoch is
-/// a protocol error (a stale catch-up must never install).
+/// owning without one it rebuilds on adoption. One all-gather
+/// (`comm/allgather_rejoin`) moves the shards, each stamped with the
+/// membership epoch: a shard from another epoch is a protocol error on
+/// every rank, raised before the joiner installs anything. The lowest
+/// live member then broadcasts the model parameters, which the joiner
+/// installs.
 ///
 /// [`Kfac::state_indices`]: crate::kfac::Kfac::state_indices
 pub fn catch_up_rejoined(
@@ -546,7 +508,6 @@ pub fn catch_up_rejoined(
     model: &mut Sequential,
     joiner: usize,
 ) -> Result<(), CommError> {
-    let rec = dist.recorder().clone();
     let epoch = comm.epoch();
     let me_phys = comm.phys_rank();
     let members: Vec<usize> = comm
@@ -556,71 +517,44 @@ pub fn catch_up_rejoined(
         .filter(|&r| r != joiner)
         .collect();
     let bad = |expected: &'static str| CommError::Protocol { expected };
+    let undecodable = |e: CoordError| match e {
+        CoordError::Comm(e) => e,
+        CoordError::Ckpt(_) => bad("a decodable catch-up payload"),
+    };
 
-    // Build this rank's shard.
-    let mut entries: Vec<TensorEntry> = Vec::new();
+    // This rank's shard: none for the joiner.
+    let mut layers = Vec::new();
     if me_phys != joiner {
         let k = members
             .iter()
             .position(|&r| r == me_phys)
             .ok_or_else(|| bad("a live member of the new view"))?;
-        let mut shard = Snapshot::new(0);
         for (pos, idx) in dist.kfac().state_indices().into_iter().enumerate() {
             if pos % members.len() == k {
-                if let Some(layer) = dist.kfac().export_layer_state(idx) {
-                    push_layer_state(&mut shard, idx, &layer);
-                }
-            }
-        }
-        entries = shard.tensors;
-    }
-    let payload = encode_rejoin_delta(epoch, me_phys as u32, &entries);
-    rec.incr(names::COMM_MEMBERSHIP);
-    let deltas = allgather_var_quiet(comm, payload, names::COMM_ALLGATHER_REJOIN)?;
-
-    // The joiner installs every shard; members validate the envelopes
-    // (same epoch, sane senders) but keep their own factor state.
-    for delta in &deltas {
-        let (d_epoch, _, d_entries) =
-            decode_rejoin_delta(delta).map_err(|_| bad("a decodable rejoin delta"))?;
-        if d_epoch != epoch {
-            return Err(bad("a rejoin delta from the current epoch"));
-        }
-        if me_phys == joiner {
-            for (idx, state) in layer_states_from_entries(&d_entries)
-                .map_err(|_| bad("valid rejoin layer state"))?
-            {
-                dist.kfac_mut().import_layer_state(idx, state);
+                layers.extend(dist.kfac().export_layer_state(idx).map(|st| (idx, st)));
             }
         }
     }
-
-    // Model parameters from the lowest live member: the joiner's
-    // checkpoint may be several steps older than the group's weights.
-    let root_phys = *members.first().ok_or_else(|| bad("at least one member"))?;
-    let root_v = comm
-        .live_ranks()
-        .iter()
-        .position(|&r| r == root_phys)
-        .ok_or_else(|| bad("the root member in the live view"))?;
-    let mut pbytes = if me_phys == root_phys {
-        let mut snap = Snapshot::new(0);
-        for &idx in &model.trainable_indices() {
-            // lint:allow(no-unwrap-on-comm-path): trainable_indices only lists layers with params
-            snap.push_matrix(format!("model/{idx}"), model.layer(idx).params().unwrap());
-        }
-        frame_checksummed(&encode_tensors(&snap.tensors))
-    } else {
-        Vec::new()
-    };
-    broadcast_bytes(comm, root_v, &mut pbytes)?;
+    dist.recorder().incr(names::COMM_MEMBERSHIP);
+    let shards = gather_shards(
+        comm,
+        &encode_catch_up_shard(epoch, &layers),
+        |comm, payload| allgather_var_quiet(comm, payload, names::COMM_ALLGATHER_REJOIN),
+    )
+    .map_err(undecodable)?;
+    let states = decode_catch_up_shards(epoch, &shards)?;
     if me_phys == joiner {
-        let mut globals = Snapshot::new(0);
-        let body =
-            unframe_checksummed(&pbytes).map_err(|_| bad("a checksummed parameter frame"))?;
-        globals.tensors = decode_tensors(body).map_err(|_| bad("decodable catch-up parameters"))?;
-        install_model_params(&globals, model)
-            .map_err(|_| bad("installable catch-up parameters"))?;
+        for (idx, state) in states {
+            dist.kfac_mut().import_layer_state(idx, state);
+        }
+    }
+
+    // The lowest live member's parameters.
+    let root = (comm.live_ranks().iter().position(|&r| r != joiner))
+        .ok_or_else(|| bad("at least one member"))?;
+    let params = broadcast_snapshot(comm, root, || model_entries(model)).map_err(undecodable)?;
+    if me_phys == joiner {
+        install_model_params(&params, model).map_err(|_| bad("installable catch-up parameters"))?;
     }
     Ok(())
 }
@@ -641,17 +575,11 @@ fn build_rank_snapshot(
     // Rank-local: RNG stream, ladder last-good store, and (below) the
     // running factors of layers owned elsewhere.
     let (s, spare) = state.rng;
-    snap.push_u64s(
-        "rank/rng",
-        vec![
-            s[0],
-            s[1],
-            s[2],
-            s[3],
-            u64::from(spare.is_some()),
-            spare.map(f64::to_bits).unwrap_or(0),
-        ],
-    );
+    let spare = [
+        u64::from(spare.is_some()),
+        spare.map(f64::to_bits).unwrap_or(0),
+    ];
+    snap.push_u64s("rank/rng", [&s[..], &spare].concat());
     snap.push_u64s(
         "rank/last_good_idx",
         state.last_good.iter().map(|(i, _)| *i as u64).collect(),
@@ -671,13 +599,8 @@ fn build_rank_snapshot(
             .filter(|(pos, _)| owners[*pos] == me)
             .map(|(_, &idx)| idx)
             .collect(),
-        None => {
-            if me == 0 {
-                dist.kfac().state_indices()
-            } else {
-                Vec::new()
-            }
-        }
+        None if me == 0 => dist.kfac().state_indices(),
+        None => Vec::new(),
     };
     for &idx in &owned {
         if let Some(layer) = dist.kfac().export_layer_state(idx) {
@@ -702,10 +625,7 @@ fn build_rank_snapshot(
         if let Some(owners) = &state.owners {
             snap.push_u64s("global/owners", owners.iter().map(|&o| o as u64).collect());
         }
-        for &idx in &model.trainable_indices() {
-            let params = model.layer(idx).params().expect("trainable params");
-            snap.push_matrix(format!("model/{idx}"), params);
-        }
+        snap.tensors.extend(model_entries(model));
         for e in extras {
             snap.push(e.clone());
         }
@@ -753,15 +673,10 @@ fn push_layer_state(snap: &mut Snapshot, idx: usize, st: &LayerState) {
     }
 }
 
-/// Inverse of [`push_layer_state`] over a flat entry list (one rank's
-/// redistributed shard).
-fn layer_states_from_entries(
-    entries: &[TensorEntry],
-) -> Result<Vec<(usize, LayerState)>, CkptError> {
-    let mut lookup = Snapshot::new(0);
-    lookup.tensors = entries.to_vec();
+/// Inverse of [`push_layer_state`] over one rank's shard.
+fn layer_states(lookup: &Snapshot) -> Result<Vec<(usize, LayerState)>, CkptError> {
     let mut out = Vec::new();
-    for t in entries {
+    for t in &lookup.tensors {
         let Some(rest) = t.name.strip_prefix("kfac/") else {
             continue;
         };
@@ -911,7 +826,7 @@ mod tests {
         };
         let mut snap = Snapshot::new(0);
         push_layer_state(&mut snap, 2, &st);
-        let decoded = layer_states_from_entries(&snap.tensors).unwrap();
+        let decoded = layer_states(&snap).unwrap();
         assert_eq!(decoded.len(), 1);
         let (idx, got) = &decoded[0];
         assert_eq!(*idx, 2);
@@ -955,5 +870,61 @@ mod tests {
         assert_eq!(m, &vel[..]);
         assert_eq!(v, &vel[..]);
         assert_eq!(t, 7);
+    }
+
+    #[test]
+    fn a_catch_up_shard_from_another_epoch_is_refused_before_anything_installs() {
+        // Rank 1 rejoins; rank 0 plays its one member and sends a layer
+        // state stamped one epoch off (or not stamped at all), then its
+        // parameters. The joiner must refuse before installing either.
+        let layer = |fill: f32| LayerState {
+            a_factor: Matrix::from_fn(4, 4, |i, j| fill + (i * 4 + j) as f32),
+            g_factor: Matrix::from_fn(4, 4, |i, j| fill - (i * 4 + j) as f32),
+            eig_a: None,
+            eig_g: None,
+            chol_a: None,
+            chol_g: None,
+            steps: fill as usize,
+        };
+        for offset in [Some(1), Some(-1), None] {
+            let joiner = compso_comm::run_ranks(2, |comm| {
+                let mut model =
+                    compso_dnn::models::mlp(&[3, 4, 2], &mut Rng::new(comm.rank() as u64));
+                let mut dist = DistKfac::new(crate::DistKfacConfig::default(), 7);
+                if comm.rank() == 0 {
+                    let stamp = offset.map(|d| comm.epoch().wrapping_add_signed(d));
+                    let mut shard = encode_catch_up_shard(stamp.unwrap_or(0), &[(0, layer(9.0))]);
+                    shard.retain(|t| stamp.is_some() || t.name != CATCH_UP_EPOCH);
+                    gather_shards(comm, &shard, |comm, payload| {
+                        allgather_var_quiet(comm, payload, names::COMM_ALLGATHER_REJOIN)
+                    })
+                    .unwrap();
+                    // A joiner that refused the shard has left: the send
+                    // may find it gone.
+                    let _ = broadcast_snapshot(comm, 0, || model_entries(&model));
+                    return None;
+                }
+                dist.kfac_mut().import_layer_state(0, layer(1.0));
+                let params = model.layer(0).params().unwrap().clone();
+                let err = catch_up_rejoined(comm, &mut dist, &mut model, 1).unwrap_err();
+                let kept = dist.kfac().export_layer_state(0).unwrap();
+                assert_eq!(dist.kfac().state_indices(), [0], "stamp {offset:?}");
+                assert_eq!(kept.a_factor, layer(1.0).a_factor, "stamp {offset:?}");
+                assert_eq!(kept.steps, 1, "stamp {offset:?}");
+                assert_eq!(
+                    model.layer(0).params().unwrap(),
+                    &params,
+                    "stamp {offset:?}"
+                );
+                Some(err)
+            });
+            assert_eq!(
+                joiner[1],
+                Some(CommError::Protocol {
+                    expected: "a catch-up shard from the current epoch"
+                }),
+                "stamp {offset:?}"
+            );
+        }
     }
 }

@@ -407,7 +407,16 @@ mod tests {
             "crates/kfac/src/distributed.rs",
             "step_elastic"
         ));
-        assert!(is_critical_root("crates/ckpt/src/lib.rs", "restore_local"));
+        assert!(is_critical_root("crates/kfac/src/checkpoint.rs", "restore"));
+        // A rejoin's catch-up shard is built and parsed under a root name.
+        assert!(is_critical_root(
+            "crates/kfac/src/checkpoint.rs",
+            "encode_catch_up_shard"
+        ));
+        assert!(is_critical_root(
+            "crates/kfac/src/checkpoint.rs",
+            "decode_catch_up_shards"
+        ));
         assert!(is_critical_root("crates/comm/src/wire.rs", "encode_view"));
         assert!(!is_critical_root(
             "crates/kfac/src/distributed.rs",

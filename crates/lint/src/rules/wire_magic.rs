@@ -2,8 +2,8 @@
 //! the central `compso_core::wire::magic` module.
 //!
 //! The workspace reserves the `0xC0..=0xCF` byte range for wire magics
-//! (nine are assigned today: stream v1/v2, group, membership, PowerSGD,
-//! ckpt tensors/manifest, rejoin delta, CRC frame). A bare two-hex-digit literal in that
+//! (seven are assigned today: stream v2, group, membership, PowerSGD,
+//! ckpt tensors/manifest, CRC frame). A bare two-hex-digit literal in that
 //! range appearing in production code is either a duplicated magic
 //! (drift waiting to happen) or a new format dodging the uniqueness
 //! check — both are exactly what the central registry exists to prevent.

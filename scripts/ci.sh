@@ -113,6 +113,18 @@ if grep -rnE --exclude-dir=fixtures 'struct Resilience|struct ControlBlock|Activ
 fi
 step_end
 
+step_start "one snapshot reader, one tensor envelope"
+# Snapshots have one reader, CheckpointCoordinator::restore. A rejoining
+# rank restores from its peers through restore's own two transfers, and
+# its catch-up shard is a 0xCF-framed 0xCB blob like every other tensor
+# list. The lint fixtures are not searched, and scripts/ is not: this
+# line would match itself.
+if grep -rnE --exclude-dir=fixtures 'restore_local|encode_rejoin_delta|decode_rejoin_delta|MAGIC_REJOIN' \
+  crates src tests examples; then
+  echo "a second snapshot reader or the 0xCC rejoin delta is back" >&2; exit 1
+fi
+step_end
+
 step_start "one cost model (compso-sim prices communication and the step)"
 # The alpha-beta network model, compressor profiles, Eq. 5 and the
 # encoder/aggregation choices live in compso-sim; compso-core keeps the
@@ -224,8 +236,8 @@ step_end
 
 step_start "elastic soak smoke (hard 240s wall-clock cap)"
 # Elastic membership end-to-end: a rank crashes mid-run, survivors agree
-# a shrunk view and keep training, the crashed rank restores from the
-# latest snapshot and rejoins live. The example's exit code already
+# a shrunk view and keep training, the crashed rank rejoins live and
+# restores from its peers. The example's exit code already
 # encodes the contract — membership churn must have happened (shrinks
 # AND rejoins observed) and the elastic run's final loss must match a
 # fixed-membership reference within tolerance — so CI only needs the

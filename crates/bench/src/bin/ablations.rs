@@ -12,7 +12,7 @@
 use compso_bench::proxy::{run, Method, Opt, ProxyConfig, Task};
 use compso_bench::{f, gbps, header, row, spec_gradients, SAMPLE_BUDGET};
 use compso_core::factors::{compress_symmetric, decompress_symmetric};
-use compso_core::kernels::{compress_chunked, KernelConfig, LayerSchedule};
+use compso_core::kernels::{compress_chunked, KernelConfig, LayerSchedule, CHUNK_ELEMS};
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::tuning::{tune_bounds, TuningGrid};
 use compso_core::{ChunkedCompso, Compressor, CompsoConfig, RoundingMode};
@@ -166,9 +166,8 @@ fn kernel_ablation() {
         let kc = KernelConfig {
             fused,
             hierarchical_extrema: hier,
-            ..KernelConfig::default()
         };
-        let schedule = LayerSchedule::build(&[data.len()], kc.chunk_elems);
+        let schedule = LayerSchedule::build(&[data.len()], CHUNK_ELEMS);
         let rng = Rng::new(304);
         let off = Recorder::disabled();
         let _ = compress_chunked(&[&data], &cfg, &kc, &schedule, &rng, &off);

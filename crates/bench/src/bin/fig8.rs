@@ -17,7 +17,7 @@
 
 use compso_bench::{gbps, header, row};
 use compso_core::baselines::{CocktailSgd, Qsgd, Sz};
-use compso_core::kernels::{compress_chunked, KernelConfig, LayerSchedule};
+use compso_core::kernels::{compress_chunked, KernelConfig, LayerSchedule, CHUNK_ELEMS};
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::{Compressor, CompsoConfig};
 use compso_obs::Recorder;
@@ -40,7 +40,7 @@ fn time_chunked(data: &[f32], fused: bool, reps: usize) -> f64 {
         fused,
         ..KernelConfig::default()
     };
-    let schedule = LayerSchedule::build(&[data.len()], kc.chunk_elems);
+    let schedule = LayerSchedule::build(&[data.len()], CHUNK_ELEMS);
     let rng = Rng::new(9);
     let off = Recorder::disabled();
     let _ = compress_chunked(&[data], &cfg, &kc, &schedule, &rng, &off); // warm-up

@@ -46,14 +46,6 @@
 //!   fastest of 15, interleaved. Reads 2.1 to 2.9; 1.00 to 1.10 with the
 //!   AVX2 arm running the lanes one by one in scalar code. `n/a` without
 //!   AVX2.
-//! * `codec.dequant_table_speedup >= 1.5` — merge + dequantize of 256 Ki
-//!   9-bit codes (`CodeRecord::dequantize_into`) through the chunk's
-//!   table, its fill included, against the expression it tabulates: the
-//!   median of 31 per-pass ratios, each pass timing both back to back.
-//!   Reads 1.7 to 1.8 on a quiet host. On a busy shared 2-vCPU host
-//!   whole runs read 1.2 to 1.35 (the table path slows ≈ 1.9×, the
-//!   expression ≈ 1.35×), as the ratio of two minima did before. With the
-//!   table path evaluating the expression per code it reads 1.2 to 1.3.
 //! * `codec.pack_speedup >= 1.5` — `microkernel::split_into` (what the
 //!   chunk kernels run on codes wider than a byte: a low-byte stream and
 //!   a packed high-bit plane) against its scalar oracle `bitpack::split`
@@ -100,20 +92,24 @@
 //!   backward at batch 32 against the same conv GEMMs run bare on the
 //!   operands that step captured (`patches · W`, `patchesᵀ · g`,
 //!   `g · W[..patch]ᵀ` per conv), fastest of 25, interleaved, one rayon
-//!   worker: what the step spends beyond its GEMMs. Reads 1.32 to 1.39;
-//!   with im2col/col2im redoing the bounds arithmetic per element and the
-//!   branchy ReLU 1.89 to 2.05, with only the two loops 1.52 to 1.72.
-//!   One relapsed loop (≈ 0.35 ms, a tenth of the GEMMs) is below what
-//!   this gate resolves: the bounds-checked im2col alone reads 1.39 to
-//!   1.45.
+//!   worker: what the step spends beyond its GEMMs. Since feature maps
+//!   travel as HWC rows, so that a conv's GEMM product is its output and
+//!   `dY` its `g` with no relayout copy either way, it reads 1.21 to 1.31
+//!   standalone. Alternated runs of the CHW tree, with its two relayouts,
+//!   read 1.21 to 1.40. Their ≈ 0.27 ms is inside this gate's spread,
+//!   which is why the bound stays 1.5. With im2col/col2im redoing the
+//!   bounds arithmetic per element and the branchy ReLU it read 1.89 to
+//!   2.05, and with only the two loops 1.52 to 1.72. One relapsed loop
+//!   (≈ 0.35 ms, a tenth of the GEMMs) is below what this gate resolves:
+//!   the bounds-checked im2col alone read 1.39 to 1.45.
 
 use compso_comm::collectives::{
     allgather_var, block_ranges, pipelined_allgather, reduce_scatter_pieced, ReduceEvent,
 };
 use compso_comm::fault::FaultPlane;
 use compso_comm::{run_ranks_with, CommConfig};
-use compso_core::kernels::{KernelConfig, LayerSchedule};
-use compso_core::microkernel::{quantize_sr_lanes, CodeRecord, DequantTable, SrLane, SR_LANES};
+use compso_core::kernels::{LayerSchedule, CHUNK_ELEMS};
+use compso_core::microkernel::{quantize_sr_lanes, SrLane, SR_LANES};
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed};
 use compso_core::{bitpack, microkernel};
@@ -205,7 +201,7 @@ fn gather_walls(workers: usize) -> (f64, f64, (f64, f64)) {
             // and the A/B collapses to the rank-local compress+decode cost,
             // identical in both modes by construction.
             let compressor = ChunkedCompso::new(CompsoConfig::conservative(1e-6));
-            let chunk = KernelConfig::default().chunk_elems;
+            let chunk = CHUNK_ELEMS;
             let schedules: Vec<LayerSchedule> = mine
                 .iter()
                 .map(|l| LayerSchedule::build(&[l.len()], chunk))
@@ -608,62 +604,6 @@ fn main() {
         println!("kernel_gates: core.sr_lanes_speedup: n/a (no AVX2 on this host)");
     }
 
-    // Merge + dequantize of 256 Ki 9-bit codes: through the chunk's table
-    // and through the expression it tabulates.
-    {
-        let mut rng = Rng::new(42);
-        let codes: Vec<u32> = (0..256 * 1024).map(|_| rng.next_u32() % 501).collect();
-        let (lo, bin_width) = (-1.0f32, 4e-3f32);
-        let bias = bitpack::split_bias(lo, bin_width, 500);
-        let (mut low, mut planes) = (Vec::new(), Vec::new());
-        microkernel::split_into(&codes, 9, bias, &mut low, &mut planes);
-        let record = CodeRecord {
-            packed: &low,
-            planes: &planes,
-            bits: 9,
-            lo,
-            bin_width,
-            n_bins: 500,
-        };
-        let mut storage = DequantTable::default();
-        let mut out = [vec![0.0f32; codes.len()], vec![0.0f32; codes.len()]];
-        // Both timings swing with the host's load, so each pass times the
-        // two back to back and the gate reads the median of the passes'
-        // ratios, not the ratio of two minima taken in different passes.
-        const PASSES: usize = 31;
-        let mut ratios = Vec::with_capacity(PASSES);
-        for _ in 0..PASSES {
-            let t0 = Instant::now();
-            record
-                .dequantize_into(black_box(&mut out[0]), None)
-                .expect("in range");
-            let expression = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let table = record.table(codes.len(), &mut storage);
-            assert!(table.is_some(), "256 Ki codes outnumber 512 entries");
-            record
-                .dequantize_into(black_box(&mut out[1]), table)
-                .expect("in range");
-            ratios.push(expression / t0.elapsed().as_secs_f64());
-            assert!(
-                out[0]
-                    .iter()
-                    .zip(&out[1])
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "the table diverged from the expression"
-            );
-        }
-        ratios.sort_by(f64::total_cmp);
-        let [q1, median, q3] = [PASSES / 4, PASSES / 2, 3 * PASSES / 4].map(|i| ratios[i]);
-        gate(
-            "codec.dequant_table_speedup",
-            median,
-            ">=",
-            1.5,
-            format!("median of {PASSES} passes' ratios; quartiles {q1:.2} to {q3:.2}"),
-        );
-    }
-
     // Byte/plane splitter: the conservative strategy's code width
     // (`eb 2e-3` → 501 codes → 9 bits), rotated as a range symmetric
     // about zero is (code 250 to 128).
@@ -746,9 +686,9 @@ fn main() {
 
     // The whole CNN step against its conv GEMMs alone, replayed on the
     // operands the step captured (the weights do not move between steps).
-    // A round is ≈ 9 ms: five of them fit inside one burst of host load,
-    // and fastest of 5 read 1.27 to 1.75 on an unchanged tree where
-    // fastest of 25 reads 1.32 to 1.39.
+    // A round is 5 to 9 ms: five of them fit inside one burst of host
+    // load, and fastest of 5 read 1.27 to 1.75 on an unchanged tree where
+    // fastest of 25 read 1.32 to 1.39.
     {
         let _guard = rayon::scoped_thread_override(1);
         let mut rng = Rng::new(12);

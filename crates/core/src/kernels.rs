@@ -113,11 +113,14 @@ impl Default for CompsoConfig {
     }
 }
 
-/// Kernel structure knobs (the §4.5 ablation axes).
+/// Elements per chunk (the "thread block" tile) for groups up to 1 Mi
+/// elements, and the floor of the tile past that.
+pub const CHUNK_ELEMS: usize = 16 * 1024;
+
+/// Kernel structure knobs (the §4.5 ablation axes). The tile is not one
+/// of them: it comes with the [`LayerSchedule`].
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
-    /// Elements per chunk (the "thread block" tile).
-    pub chunk_elems: usize,
     /// One fused sweep per chunk (true) vs. staged passes with
     /// materialized intermediates (false).
     pub fused: bool,
@@ -128,7 +131,6 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
-            chunk_elems: 16 * 1024,
             fused: true,
             hierarchical_extrema: true,
         }
@@ -1236,7 +1238,7 @@ fn decompress_chunked_scratch(
 /// total element count, floored at the default tile. It is a pure
 /// function of the element count — never of live thread counts — so
 /// replicas stay bit-identical, and it *equals* the default tile for
-/// groups up to `chunk_elems × MODELED_PARALLEL_WIDTH` (1 Mi) elements.
+/// groups up to `CHUNK_ELEMS × MODELED_PARALLEL_WIDTH` (1 Mi) elements.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChunkedCompso {
     /// The active compression strategy.
@@ -1252,7 +1254,7 @@ impl ChunkedCompso {
 
 /// The chunk tile for a group of `total_elems` elements.
 fn chunk_choice(total_elems: usize) -> usize {
-    crate::perfmodel::choose_chunk_elems(total_elems, KernelConfig::default().chunk_elems)
+    crate::perfmodel::choose_chunk_elems(total_elems, CHUNK_ELEMS)
 }
 
 impl Compressor for ChunkedCompso {
@@ -1354,7 +1356,7 @@ mod tests {
         let kc = KernelConfig::default();
         let schedule = LayerSchedule::build(
             &layers.iter().map(|l| l.len()).collect::<Vec<_>>(),
-            kc.chunk_elems,
+            CHUNK_ELEMS,
         );
         let rng = Rng::new(2);
         let bytes = compress_quiet(&refs, &cfg, &kc, &schedule, &rng);
@@ -1481,7 +1483,7 @@ mod tests {
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let kc = KernelConfig::default();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
-        let schedule = LayerSchedule::build(&sizes, kc.chunk_elems);
+        let schedule = LayerSchedule::build(&sizes, CHUNK_ELEMS);
         for cfg in [
             CompsoConfig::conservative(2e-3),
             CompsoConfig::aggressive(4e-3),
@@ -1491,10 +1493,7 @@ mod tests {
             assert!(cap > 0, "compress arena untouched");
             if cfg.eb_filter.is_none() {
                 let planes = microkernel::with_compress_scratch(|s| s.planes.capacity());
-                assert!(
-                    planes >= kc.chunk_elems / 8,
-                    "plane bytes bypassed the arena"
-                );
+                assert!(planes >= CHUNK_ELEMS / 8, "plane bytes bypassed the arena");
             }
             for _ in 0..3 {
                 assert_eq!(
@@ -2120,10 +2119,7 @@ mod tests {
         // Ratio plumbing works through the trait too.
         let ratio = c.ratio(&data, &mut rng);
         assert!(ratio > 5.0, "ratio {ratio}");
-        assert_eq!(
-            c.chunk_elems_for(data.len()),
-            Some(KernelConfig::default().chunk_elems)
-        );
+        assert_eq!(c.chunk_elems_for(data.len()), Some(CHUNK_ELEMS));
     }
 
     #[test]
@@ -2132,7 +2128,7 @@ mod tests {
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let c = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
-        let schedule = LayerSchedule::build(&sizes, KernelConfig::default().chunk_elems);
+        let schedule = LayerSchedule::build(&sizes, CHUNK_ELEMS);
         let rec = Recorder::disabled();
         // Same RNG state, with vs. without a caller-provided schedule:
         // identical bytes (the schedule is a pure cache).
@@ -2242,7 +2238,7 @@ mod tests {
         let cfg = CompsoConfig::aggressive(4e-3);
         let kc = KernelConfig::default();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
-        let schedule = LayerSchedule::build(&sizes, kc.chunk_elems);
+        let schedule = LayerSchedule::build(&sizes, CHUNK_ELEMS);
         let bytes = compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(10));
 
         let mut scratch = DecodeScratch::default();
@@ -2267,7 +2263,7 @@ mod tests {
         let cfg = CompsoConfig::aggressive(4e-3);
         let kc = KernelConfig::default();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
-        let schedule = LayerSchedule::build(&sizes, kc.chunk_elems);
+        let schedule = LayerSchedule::build(&sizes, CHUNK_ELEMS);
         let bytes = compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(12));
 
         let first = decompress_quiet(&bytes).unwrap();
@@ -2303,7 +2299,7 @@ mod tests {
     #[test]
     fn computed_tile_scales_and_matches_explicit_schedule() {
         let c = ChunkedCompso::default();
-        let floor = KernelConfig::default().chunk_elems;
+        let floor = CHUNK_ELEMS;
         let data = crate::synthetic::generate((1 << 20) + 5000, 25, GradientProfile::kfac());
         let choice = c.chunk_elems_for(data.len()).unwrap();
         assert_eq!(

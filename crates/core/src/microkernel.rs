@@ -1304,6 +1304,47 @@ mod tests {
         assert!(wide.table(1 << 20, &mut storage).is_none());
     }
 
+    /// Handed a table, `dequantize_into` returns its entries, looked up by
+    /// stored code, and evaluates nothing: a doctored table's values, far
+    /// outside the header's range, come back at every width a table serves.
+    #[test]
+    fn dequantize_into_reads_the_table_it_is_handed() {
+        let doctored: [f32; TABLE_LEN] = std::array::from_fn(|s| 1e6 + s as f32);
+        let mut rng = Rng::new(0xD0C);
+        for bits in 1..=TABLE_MAX_WIDTH {
+            let mask = code_mask(bits);
+            let (lo, bin_width, n_bins) = (-1.0f32, 2.0 / mask as f32, mask);
+            let count = (1usize << bits) + 37;
+            let codes: Vec<u32> = (0..count).map(|_| rng.next_u32() & mask).collect();
+            let (mut packed, mut planes) = (Vec::new(), Vec::new());
+            let bias = if bits >= SPLIT_MIN_WIDTH {
+                let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
+                split_into(&codes, bits, bias, &mut packed, &mut planes);
+                bias
+            } else {
+                pack_into(&codes, bits, &mut packed);
+                0
+            };
+            let record = CodeRecord {
+                packed: &packed,
+                planes: &planes,
+                bits,
+                lo,
+                bin_width,
+                n_bins,
+            };
+            let mut out = vec![0.0f32; count];
+            record
+                .dequantize_into(&mut out, Some(TableView(&doctored)))
+                .unwrap();
+            let want: Vec<f32> = codes
+                .iter()
+                .map(|&c| doctored[(c.wrapping_add(bias) & mask) as usize])
+                .collect();
+            assert_eq!(out, want, "bits={bits}");
+        }
+    }
+
     #[test]
     fn scatter_kept_matches_bit_semantics() {
         // n = 70 crosses a u64 word boundary; drop odd indices.

@@ -27,7 +27,7 @@ pub const MODELED_PARALLEL_WIDTH: usize = 64;
 
 /// Chunk tile size (in elements) the §4.4 overhead model picks for a
 /// workload of `total_elems` elements, floored at `floor` (the fixed
-/// [`crate::kernels::KernelConfig`] default).
+/// [`crate::kernels::CHUNK_ELEMS`]).
 ///
 /// The model: per-chunk cost has a fixed part (header records, extrema
 /// reduction setup, RNG fork) and a linear part, so throughput rises

@@ -1,12 +1,15 @@
 //! im2col convolution and pooling.
 //!
 //! Feature maps travel between layers as row-major matrices with one row
-//! per sample and CHW-flattened columns. Conv2d lowers each sample to a
-//! patch matrix (im2col) and multiplies by a bias-augmented kernel
-//! matrix, which makes its K-FAC statistics the standard convolution
-//! convention: one `(a, g)` row per (sample × output position). The
-//! lowering and its adjoint (col2im) walk one index map the layer builds
-//! from its shape, so neither redoes any bounds arithmetic per element.
+//! per sample and HWC-flattened columns (channel fastest). Conv2d lowers
+//! each sample to a patch matrix (im2col) and multiplies by a
+//! bias-augmented kernel matrix, which makes its K-FAC statistics the
+//! standard convolution convention: one `(a, g)` row per (sample × output
+//! position). That product's `(batch·positions) × out_c` rows are the
+//! batch's HWC output as they lie, so the product is the output and `dY`
+//! is `g`. The lowering and its adjoint (col2im) walk one index map the
+//! layer builds from its shape, so neither redoes any bounds arithmetic
+//! per element.
 
 use crate::layer::Layer;
 use compso_tensor::{Matrix, Rng};
@@ -62,7 +65,7 @@ pub struct Conv2d {
     grad: Matrix,
     cached_a: Option<Matrix>,
     cached_g: Option<Matrix>,
-    /// `out_h*out_w` rows of `patch` entries: the CHW input element each
+    /// `out_h*out_w` rows of `patch` entries: the HWC input element each
     /// patch column of each output position reads, or [`PAD`].
     map: Vec<u32>,
 }
@@ -94,7 +97,7 @@ impl Conv2d {
                     for ky in 0..s.kernel {
                         for kx in 0..s.kernel {
                             map.push(match (tap(oy, ky, s.in_h), tap(ox, kx, s.in_w)) {
-                                (Some(iy), Some(ix)) => ((c * s.in_h + iy) * s.in_w + ix) as u32,
+                                (Some(iy), Some(ix)) => ((iy * s.in_w + ix) * s.in_c + c) as u32,
                                 _ => PAD,
                             });
                         }
@@ -124,7 +127,7 @@ impl Conv2d {
         self.shape
     }
 
-    /// Lowers one sample (CHW slice) into its rows of the bias-augmented
+    /// Lowers one sample (HWC slice) into its rows of the bias-augmented
     /// batch patch matrix (`out_h*out_w` zeroed rows of `patch+1` columns):
     /// a gather through the index map, padding left at `+0.0`.
     fn im2col(&self, sample: &[f32], patches: &mut [f32]) {
@@ -141,7 +144,7 @@ impl Conv2d {
     }
 
     /// Scatter-adds one sample's patch-gradient rows (`out_h*out_w` rows of
-    /// `patch` columns) into its `+0.0`-started input-gradient CHW slice
+    /// `patch` columns) into its `+0.0`-started input-gradient HWC slice
     /// (col2im): positions, then columns, in order, so every element sums
     /// its contributions in one fixed sequence.
     fn col2im(&self, dpatch: &[f32], dx: &mut [f32]) {
@@ -167,20 +170,12 @@ impl Layer for Conv2d {
         for (b, rows) in patches.as_mut_slice().chunks_mut(per_sample).enumerate() {
             self.im2col(x.row(b), rows);
         }
-        let o = patches.matmul(&self.weight); // (batch*positions) × out_c
-        let mut y = Matrix::zeros(x.rows(), s.out_elems());
-        for b in 0..x.rows() {
-            let yrow = y.row_mut(b);
-            for pos in 0..positions {
-                for (oc, &v) in o.row(b * positions + pos).iter().enumerate() {
-                    yrow[oc * positions + pos] = v;
-                }
-            }
-        }
+        // (batch*positions) × out_c rows: each sample's output, HWC.
+        let y = patches.matmul(&self.weight);
         if train {
             self.cached_a = Some(patches);
         }
-        y
+        Matrix::from_vec(x.rows(), s.out_elems(), y.into_vec())
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
@@ -194,16 +189,8 @@ impl Layer for Conv2d {
         assert_eq!(grad_out.cols(), s.out_elems(), "Conv2d grad width");
         assert_eq!(a.rows(), batch * positions, "cached patch rows");
 
-        // Re-layout dY to (batch*positions) × out_c.
-        let mut g = Matrix::zeros(batch * positions, s.out_c);
-        for b in 0..batch {
-            let grow = grad_out.row(b);
-            for pos in 0..positions {
-                for oc in 0..s.out_c {
-                    g.set(b * positions + pos, oc, grow[oc * positions + pos]);
-                }
-            }
-        }
+        // dY's HWC rows already are (batch*positions) × out_c.
+        let g = Matrix::from_vec(batch * positions, s.out_c, grad_out.as_slice().to_vec());
 
         // dW = aᵀ g / batch (gradient of the *mean* loss over samples;
         // spatial positions sum, samples average — the usual convention).
@@ -252,7 +239,7 @@ impl Layer for Conv2d {
     }
 }
 
-/// Global average pooling: `(batch, C*H*W) → (batch, C)`.
+/// Global average pooling: `(batch, H*W*C) → (batch, C)`.
 pub struct GlobalAvgPool {
     channels: usize,
     hw: usize,
@@ -279,7 +266,8 @@ impl Layer for GlobalAvgPool {
         for b in 0..x.rows() {
             let row = x.row(b);
             for c in 0..self.channels {
-                let s: f32 = row[c * self.hw..(c + 1) * self.hw].iter().sum();
+                // Channel `c` at stride `channels`, positions in order.
+                let s: f32 = row[c..].iter().step_by(self.channels).sum();
                 y.set(b, c, s / self.hw as f32);
             }
         }
@@ -291,10 +279,10 @@ impl Layer for GlobalAvgPool {
         let mut dx = Matrix::zeros(grad_out.rows(), self.channels * self.hw);
         let inv = 1.0 / self.hw as f32;
         for b in 0..grad_out.rows() {
-            for c in 0..self.channels {
-                let g = grad_out.get(b, c) * inv;
-                for p in 0..self.hw {
-                    dx.set(b, c * self.hw + p, g);
+            let g = grad_out.row(b);
+            for px in dx.row_mut(b).chunks_exact_mut(self.channels) {
+                for (d, &gc) in px.iter_mut().zip(g) {
+                    *d = gc * inv;
                 }
             }
         }
@@ -309,8 +297,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The direct im2col loop the index map replaced, kept as the oracle:
-    /// `patches` is `out_h*out_w` zeroed rows of `patch+1` columns.
+    /// The direct im2col loop the index map replaced, kept as the oracle
+    /// and reading the HWC sample: `patches` is `out_h*out_w` zeroed rows
+    /// of `patch+1` columns in `c, ky, kx` order.
     fn im2col_oracle(s: &ConvShape, sample: &[f32], patches: &mut [f32]) {
         let (oh, ow) = (s.out_h(), s.out_w());
         let pw = s.patch();
@@ -329,8 +318,8 @@ mod tests {
                                 && ix >= 0
                                 && (ix as usize) < s.in_w
                             {
-                                out_row[col] = sample
-                                    [c * s.in_h * s.in_w + iy as usize * s.in_w + ix as usize];
+                                out_row[col] =
+                                    sample[(iy as usize * s.in_w + ix as usize) * s.in_c + c];
                             }
                             col += 1;
                         }
@@ -341,8 +330,8 @@ mod tests {
         }
     }
 
-    /// The direct col2im loop, kept as the oracle: `dpatch` rows are
-    /// `patch+1` wide, the bias column ignored.
+    /// The direct col2im loop, kept as the oracle, writing the HWC
+    /// sample: `dpatch` rows are `patch+1` wide, the bias column ignored.
     fn col2im_oracle(s: &ConvShape, dpatch: &[f32], dx: &mut [f32]) {
         let (oh, ow) = (s.out_h(), s.out_w());
         let pw = s.patch();
@@ -360,8 +349,7 @@ mod tests {
                                 && ix >= 0
                                 && (ix as usize) < s.in_w
                             {
-                                dx[c * s.in_h * s.in_w + iy as usize * s.in_w + ix as usize] +=
-                                    row[col];
+                                dx[(iy as usize * s.in_w + ix as usize) * s.in_c + c] += row[col];
                             }
                             col += 1;
                         }
@@ -683,13 +671,32 @@ mod tests {
     }
 
     #[test]
+    fn conv_output_is_the_product_and_dy_is_g() {
+        // The layer's HWC rows are the GEMM's rows as they lie: no relayout
+        // either way, bit for bit.
+        let s = small_shape();
+        let mut rng = Rng::new(11);
+        let mut conv = Conv2d::new(s, &mut rng);
+        let x = Matrix::random_normal(2, s.in_elems(), &mut rng);
+        let y = conv.forward(&x, true);
+        let product = conv.cached_a.as_ref().unwrap().matmul(&conv.weight);
+        assert_eq!(bits(y.as_slice()), bits(product.as_slice()));
+        let dy = Matrix::random_normal(2, s.out_elems(), &mut rng);
+        let _ = conv.backward(&dy);
+        let g = conv.cached_g.as_ref().unwrap();
+        assert_eq!((g.rows(), g.cols()), (2 * 25, s.out_c));
+        assert_eq!(bits(g.as_slice()), bits(dy.as_slice()));
+    }
+
+    #[test]
     fn avgpool_forward_and_backward() {
+        // Two channels over four positions, HWC: channel 0 reads 1..4.
         let mut pool = GlobalAvgPool::new(2, 2, 2);
-        let x = Matrix::from_vec(1, 8, vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0]);
+        let x = Matrix::from_vec(1, 8, vec![1.0, 10.0, 2.0, 10.0, 3.0, 10.0, 4.0, 10.0]);
         let y = pool.forward(&x, true);
         assert_eq!(y.as_slice(), &[2.5, 10.0]);
         let g = Matrix::from_vec(1, 2, vec![4.0, 8.0]);
         let dx = pool.backward(&g);
-        assert_eq!(dx.as_slice(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
+        assert_eq!(dx.as_slice(), &[1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
     }
 }

@@ -117,7 +117,7 @@ pub fn spirals(n: usize, dim: usize, classes: usize, noise: f32, seed: u64) -> D
     Dataset { x, y, classes }
 }
 
-/// Image-like data: per-class CHW templates plus pixel noise, for the CNN
+/// Image-like data: per-class HWC templates plus pixel noise, for the CNN
 /// proxy.
 pub fn noisy_images(
     n: usize,

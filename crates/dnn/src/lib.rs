@@ -12,13 +12,10 @@
 //! * [`layer`] — the [`layer::Layer`] trait plus Linear (bias-augmented),
 //!   ReLU, Tanh and LayerNorm;
 //! * [`conv`] — an im2col Conv2d whose K-FAC statistics follow the
-//!   standard spatial-sum convention, plus GlobalAvgPool;
-//! * [`attention`] — a parameter-free scaled-dot-product self-attention
-//!   mixer, so transformer-style proxies keep all their parameters in
-//!   K-FAC-eligible Linear layers (the convention the BERT/GPT layer
-//!   specs follow);
+//!   standard spatial-sum convention, plus GlobalAvgPool; feature maps
+//!   travel as HWC rows;
 //! * [`seq`] — the [`seq::Sequential`] container;
-//! * [`loss`] — softmax cross-entropy and MSE with analytic gradients;
+//! * [`loss`] — softmax cross-entropy with analytic gradients, and accuracy;
 //! * [`data`] — deterministic synthetic datasets (Gaussian blobs, spirals,
 //!   image-like classes, token sequences) substituting for the paper's
 //!   ImageNet/COCO/Wiki/Pile (see DESIGN.md §1);
@@ -27,7 +24,6 @@
 //!   (ResNet-50, Mask R-CNN, BERT-large, GPT-neo-125M) driving the
 //!   simulator and compression-ratio experiments.
 
-pub mod attention;
 pub mod conv;
 pub mod data;
 pub mod layer;

@@ -53,29 +53,6 @@ pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-/// Mean-squared error. Returns `(mean loss over all elements, per-sample
-/// gradient rows)` — rows carry `2(p − t)/cols` so that the layers' batch
-/// average yields d(mean loss)/dW.
-pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
-    assert_eq!(
-        (pred.rows(), pred.cols()),
-        (target.rows(), target.cols()),
-        "mse shapes"
-    );
-    let n = pred.len().max(1) as f32;
-    let cols = pred.cols().max(1) as f32;
-    let mut grad = pred.clone();
-    grad.axpy(-1.0, target);
-    let loss: f64 = grad
-        .as_slice()
-        .iter()
-        .map(|&d| (d as f64) * (d as f64))
-        .sum::<f64>()
-        / n as f64;
-    grad.scale(2.0 / cols);
-    (loss as f32, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,15 +117,6 @@ mod tests {
         logits.set(1, 1, 1.0); // predicts 1
         logits.set(2, 0, 1.0); // predicts 0
         assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mse_known_value_and_gradient() {
-        let pred = Matrix::from_vec(1, 2, vec![1.0, 3.0]);
-        let target = Matrix::from_vec(1, 2, vec![0.0, 0.0]);
-        let (loss, grad) = mse(&pred, &target);
-        assert!((loss - 5.0).abs() < 1e-6); // (1 + 9)/2
-        assert_eq!(grad.as_slice(), &[1.0, 3.0]); // 2*(p-t)/cols
     }
 
     #[test]

@@ -87,20 +87,6 @@ pub fn mlp_lm(vocab: usize, context: usize, hidden: usize, rng: &mut Rng) -> Seq
         .push(Linear::new(hidden, vocab, rng))
 }
 
-/// A tiny transformer language model: embedding projection to
-/// `context × dim` token features, a self-attention mixing layer,
-/// LayerNorm + tanh, and a vocab head. Every parameter lives in a
-/// K-FAC-eligible Linear, matching how the BERT/GPT specs count layers.
-pub fn tiny_transformer_lm(vocab: usize, context: usize, dim: usize, rng: &mut Rng) -> Sequential {
-    use crate::attention::SelfAttention;
-    Sequential::new()
-        .push(Linear::new(vocab * context, context * dim, rng))
-        .push(SelfAttention::new(context, dim))
-        .push(LayerNorm::new(context * dim))
-        .push(Tanh::new())
-        .push(Linear::new(context * dim, vocab, rng))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,18 +155,6 @@ mod tests {
         assert_eq!(mlp(&[4, 8, 2], &mut rng).len(), 3); // lin relu lin
         assert_eq!(small_cnn(1, 8, 8, 4, 4, &mut rng).len(), 8);
         assert_eq!(mlp_lm(10, 2, 16, &mut rng).len(), 6);
-        assert_eq!(tiny_transformer_lm(10, 2, 8, &mut rng).len(), 5);
-    }
-
-    #[test]
-    fn transformer_lm_beats_chance_with_kfac_eligible_params_only() {
-        let mut rng = Rng::new(13);
-        let d = data::token_sequences(1500, 10, 3, 14);
-        let mut model = tiny_transformer_lm(10, 3, 12, &mut rng);
-        // Parameters: the two Linears plus LayerNorm's gain/bias.
-        assert_eq!(model.trainable_indices().len(), 3);
-        let acc = train_sgd(&mut model, &d, 0.01, 64, 400);
-        assert!(acc > 0.25, "accuracy {acc} vs chance 0.1");
     }
 
     #[test]

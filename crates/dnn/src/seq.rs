@@ -83,15 +83,6 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Per-trainable-layer gradient sizes in elements (the communication
-    /// volumes the compression layer sees).
-    pub fn gradient_sizes(&self) -> Vec<usize> {
-        self.trainable_indices()
-            .into_iter()
-            .map(|i| self.layers[i].param_count())
-            .collect()
-    }
-
     /// Applies `delta = -lr * grad`-style updates: `f` receives each
     /// trainable layer's parameters and gradients.
     pub fn update_params(&mut self, mut f: impl FnMut(&mut Matrix, &Matrix)) {
@@ -181,12 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn param_count_and_gradient_sizes() {
+    fn param_count() {
         let mut rng = Rng::new(4);
         let model = two_layer(&mut rng);
         // (4+1)*8 + (8+1)*3 = 67.
         assert_eq!(model.param_count(), 67);
-        assert_eq!(model.gradient_sizes(), vec![40, 27]);
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //!    the unpack mirrors it back — replicated and exactly symmetric at
 //!    that instant, rank-local in between. A membership epoch change
 //!    syncs *all* layers on the next step (adoption, rejoin catch-up and
-//!    cross-world restore hand out one rank's copy);
+//!    cross-world restore hand out one rank's copy), and with them every
+//!    rank adopts virtual rank 0's per-layer fold counts, so the refresh
+//!    schedule agrees again however the ranks' interrupted calls fell;
 //! 4. the *owner* of each layer (greedy cost-balanced assignment, as in
 //!    KAISA, built before step 2 from the static layer shapes) — and
 //!    only the owner — refreshes the layer's inverse
@@ -599,9 +601,10 @@ impl DistKfac {
     /// (3) Factor statistics: step 2's wait folded the LOCAL covariances
     /// (once per call, however many elastic attempts it takes); sync the
     /// running factors of the layers whose refresh is due (all of them
-    /// after an epoch change) with ONE `allreduce_mean` over their packed
-    /// upper triangles. The condition is replicated state, so every rank
-    /// issues the collective on the same steps.
+    /// after an epoch change, which also carries rank 0's fold counts)
+    /// with ONE `allreduce_mean` over their packed upper triangles. The
+    /// condition is replicated state, so every rank issues the collective
+    /// on the same steps.
     fn sync_factors(
         &mut self,
         comm: &mut Communicator,
@@ -621,6 +624,19 @@ impl DistKfac {
             a.pack_upper(&mut bucket);
             g.pack_upper(&mut bucket);
         }
+        // A view change also replicates virtual rank 0's fold counts, which
+        // the refresh schedule keys on: a survivor whose crash-interrupted
+        // call was an earlier one than its peers' folded once less. Only
+        // rank 0 contributes, so each mean is its count over `p`.
+        let counts_at = bucket.len();
+        if resync {
+            let lead = comm.rank() == 0;
+            for &idx in &plan.layers {
+                if let Some(n) = self.kfac.fold_count_mut(idx) {
+                    bucket.push(if lead { *n as f32 } else { 0.0 });
+                }
+            }
+        }
         if !bucket.is_empty() {
             stats.allreduce_bytes += bucket.len() as u64 * 4;
             self.recorder.incr(names::KFAC_FACTOR_SYNCS);
@@ -632,7 +648,15 @@ impl DistKfac {
                     off += g.unpack_upper(&bucket[off..]);
                 }
             }
-            debug_assert_eq!(off, bucket.len());
+            debug_assert_eq!(off, counts_at);
+            let (p, mut counts) = (comm.size() as f32, bucket[counts_at..].iter());
+            for &idx in &plan.layers {
+                if let Some(n) = self.kfac.fold_count_mut(idx) {
+                    *n = counts
+                        .next()
+                        .map_or(*n, |&mean| (mean * p).round() as usize);
+                }
+            }
         }
         self.synced_epoch = comm.epoch();
         Ok(())
@@ -1862,6 +1886,82 @@ mod tests {
             assert!(s.2, "an owner is missing an inverse after the reshard");
             assert_eq!(s.3, 3);
             assert_eq!(s.4, survivors[0].4, "replica diverged across the shrink");
+        }
+    }
+
+    #[test]
+    fn fold_counts_are_replicated_at_a_view_change() {
+        use compso_comm::{run_ranks_elastic, CommConfig, FaultConfig, FaultPlane};
+        // Rank 2 crashes at the top of step 2 and the survivors shrink
+        // 3→2. Before their retry, rank 1's fold counts are set one
+        // behind, as when a survivor's crash-interrupted call was an
+        // earlier one than its peer's. The retry's all-layer resync must
+        // hand both rank 0's counts: otherwise, at the next refresh
+        // boundary (count 3), only rank 0 issues the factor all-reduce
+        // and both ranks fail with `Protocol`.
+        let plane = FaultPlane::new(FaultConfig {
+            crash_at: Some((2, 2)),
+            ..FaultConfig::default()
+        });
+        let d = data::gaussian_blobs(240, 6, 3, 0.3, 107);
+        let results = run_ranks_elastic(3, plane, CommConfig::default(), |comm, revived| {
+            if revived {
+                return None; // stays out of the group
+            }
+            let mut rng = Rng::new(108);
+            let mut model = models::mlp(&[6, 16, 16, 3], &mut rng);
+            let shard = d.shard(comm.phys_rank(), 3);
+            let config = DistKfacConfig {
+                kfac: KfacConfig {
+                    eigen_refresh: 3,
+                    ..KfacConfig::default()
+                },
+                ..DistKfacConfig::default()
+            };
+            let mut opt = DistKfac::new(config, 7);
+            let layers = model.trainable_indices(); // all K-FAC layers
+            let mut run = || -> Result<(), CommError> {
+                while comm.current_step() < 10 {
+                    let (x, y) = shard.batch(comm.current_step() as usize, 8);
+                    let logits = model.forward(&x, true);
+                    let (_, grad) = softmax_cross_entropy(&logits, &y);
+                    model.backward(&grad);
+                    // `step_elastic`, with the skew between shrink and retry.
+                    opt.folded = false;
+                    while let Err(e) = opt.step_attempt(comm, &mut model, &NoCompression) {
+                        comm.shrink(vec![e.culprit().ok_or(e)?])?;
+                        comm.resync_view()?;
+                        if comm.rank() == 1 {
+                            for &idx in &layers {
+                                let mut state = opt.kfac().export_layer_state(idx).unwrap();
+                                state.steps -= 1;
+                                opt.kfac_mut().import_layer_state(idx, state);
+                            }
+                        }
+                    }
+                    model.update_params(|p, g| p.axpy(-0.02, g));
+                }
+                Ok(())
+            };
+            let outcome = run();
+            let counts: Vec<usize> = (layers.iter())
+                .map(|&idx| opt.kfac().export_layer_state(idx).unwrap().steps)
+                .collect();
+            let params: Vec<Matrix> = (0..model.len())
+                .filter_map(|i| model.layer(i).params().cloned())
+                .collect();
+            Some((outcome, comm.size(), counts, params))
+        });
+        let survivors: Vec<_> = results.into_iter().flatten().flatten().collect();
+        assert_eq!(survivors.len(), 2);
+        for (outcome, size, counts, params) in &survivors {
+            assert_eq!(outcome, &Ok(()), "the refresh schedule split across ranks");
+            assert_eq!(*size, 2);
+            assert_eq!(counts, &survivors[0].2, "fold counts diverged");
+            assert_eq!(
+                params, &survivors[0].3,
+                "replica diverged across the shrink"
+            );
         }
     }
 

@@ -301,6 +301,13 @@ impl Kfac {
         Some((&mut s.a_factor, &mut s.g_factor))
     }
 
+    /// Mutable access to a layer's fold count ([`LayerState::steps`], which
+    /// keys the refresh schedule): the distributed path replicates it at a
+    /// membership view change.
+    pub fn fold_count_mut(&mut self, idx: usize) -> Option<&mut usize> {
+        self.states.get_mut(&idx).map(|s| &mut s.steps)
+    }
+
     /// Layer indices with factor state, sorted ascending (a deterministic
     /// iteration order for checkpoint serialization).
     pub fn state_indices(&self) -> Vec<usize> {

@@ -96,10 +96,24 @@ step_end
 
 step_start "one COMPSO (no serial pipeline, no configured kernel or tile)"
 # ChunkedCompso is the only implementation and 0xC6 the only stream; the
-# lint fixtures carry their own registry and are not searched.
+# tile comes with the LayerSchedule (kernels::CHUNK_ELEMS up to 1 Mi
+# elements), so KernelConfig carries no chunk_elems field. The lint
+# fixtures carry their own registry and are not searched.
 if grep -rnE 'MAGIC_STREAM_V1|struct Compso\b|compress_layers|with_adaptive_chunking|with_kernel' \
-  crates/core crates/ctrl crates/kfac crates/bench src tests examples; then
+  crates/core crates/ctrl crates/kfac crates/bench src tests examples \
+  || grep -rnE 'pub chunk_elems:|KernelConfig::default\(\)\.chunk_elems|kc\.chunk_elems' \
+  crates src tests examples; then
   echo "the serial COMPSO pipeline or a ChunkedCompso kernel/tile knob is back" >&2; exit 1
+fi
+step_end
+
+step_start "one activation layout (dnn/src/conv.rs ahead of mod tests)"
+# Feature maps travel as HWC rows: Conv2d's GEMM product is its output and
+# dY is its g as they lie, so conv.rs indexes no channel-major
+# `oc * positions` slot and allocates no output-shaped relayout buffer.
+CONV_SRC=$(sed '/^mod tests/,$d' crates/dnn/src/conv.rs)
+if grep -nE 'oc \* positions|Matrix::zeros\([^;]*(out_elems|positions, s\.out_c)' <<<"$CONV_SRC"; then
+  echo "Conv2d relays its output or dY through a CHW copy again" >&2; exit 1
 fi
 step_end
 

@@ -373,7 +373,7 @@ fn reduce_overlap(workers: usize) -> (f64, f64) {
                     comm.barrier().expect("barrier");
                     let sent = comm.sent_bytes();
                     let t0 = Instant::now();
-                    reduce_scatter_pieced(comm, &mut data, ranges, pieces, |event| {
+                    reduce_scatter_pieced(comm, &mut data, ranges, pieces, None, |event| {
                         std::thread::sleep(match event {
                             ReduceEvent::Idle => idle,
                             ReduceEvent::Landed(range, _) => landed(range.len()),

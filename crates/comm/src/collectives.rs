@@ -8,7 +8,8 @@
 //!   half alone is [`reduce_scatter_sum`], over caller-chosen blocks, for
 //!   data only one rank reads (K-FAC's gradients: a layer's owner), and
 //!   [`reduce_scatter_pieced`] is that same ring telling its caller when
-//!   its core is idle and when each piece of its block has landed;
+//!   its core is idle and when each piece of its block has landed, and,
+//!   given a codec, compressing the owner-bound last hop;
 //! * **all-gather** circulates byte blocks around the ring for `p - 1`
 //!   steps, sized per rank because compressed payloads differ (§4.3:
 //!   "KFAC uses AllGather, avoiding [ring-allreduce error propagation]");
@@ -24,7 +25,9 @@
 //! NACK/retransmit layer in [`crate::group`].
 
 use crate::group::{CommError, Communicator, Payload};
+use compso_core::Compressor;
 use compso_obs::names;
+use compso_tensor::rng::Rng;
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -47,14 +50,31 @@ pub fn block_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 /// Receives one ring-reduction hop from `left` and checks it is the
 /// `len` values the schedule says it must be: a peer reducing a buffer
 /// of another size is a protocol breach, not a reason to sum garbage or
-/// panic.
+/// panic. With a `codec` (a reduce's last hop) the hop may also be one
+/// of its one-layer frames, decoded here.
 fn recv_hop(
     comm: &mut Communicator,
     left: usize,
     label: &'static str,
     len: usize,
+    codec: Option<&dyn Compressor>,
 ) -> Result<Vec<f32>, CommError> {
-    let incoming = comm.recv_labeled(left, label)?.try_f32()?;
+    let incoming = match (comm.recv_labeled(left, label)?, codec) {
+        (Payload::Bytes(frame), Some(codec)) => {
+            match codec
+                .decompress_group(&frame, comm.recorder())
+                .as_deref_mut()
+            {
+                Ok([values]) => std::mem::take(values),
+                _ => {
+                    return Err(CommError::Protocol {
+                        expected: "a last-hop frame decoding to one layer",
+                    })
+                }
+            }
+        }
+        (payload, _) => payload.try_f32()?,
+    };
     if incoming.len() != len {
         return Err(CommError::Protocol {
             expected: "reduction block of matching size",
@@ -141,15 +161,19 @@ fn hop_parts(block: &Range<usize>, pieces: &[usize], last: bool) -> Vec<Range<us
 /// `ranges[r]` on rank `r`. Every hop but the last moves a block as one
 /// message; the last moves it as its `pieces`, one message each, all
 /// sent before the first is received — the same bytes in the same order
-/// on every link, summed in the same order. `on_event` hears
-/// [`ReduceEvent::Idle`] after the first hop's sends and
-/// [`ReduceEvent::Landed`] after each own piece is summed (at `p = 1`:
-/// `Idle`, then every piece).
+/// on every link, summed in the same order. With a `codec` each
+/// non-empty, finite piece of the last hop travels as its one-layer
+/// frame (drawing from the sender's generator, in piece order) and its
+/// owner adds the decoded values; every other message is raw f32s.
+/// `on_event` hears [`ReduceEvent::Idle`] after the first hop's sends
+/// and [`ReduceEvent::Landed`] after each own piece is summed (at
+/// `p = 1`: `Idle`, then every piece).
 fn ring_reduce_scatter(
     comm: &mut Communicator,
     data: &mut [f32],
     ranges: &[Range<usize>],
     pieces: &[Vec<usize>],
+    mut codec: Option<(&dyn Compressor, &mut Rng)>,
     on_event: &mut dyn FnMut(ReduceEvent<'_>),
 ) -> Result<(), CommError> {
     let p = comm.size();
@@ -170,13 +194,26 @@ fn ring_reduce_scatter(
         let send_block = (r + p - s - 1) % p;
         let recv_block = (r + p - s - 2) % p;
         for part in hop_parts(&ranges[send_block], &pieces[send_block], last) {
-            comm.send(right, Payload::F32(data[part].to_vec()))?;
+            let values = &data[part];
+            // COMPSO's encoder is not total on ±Inf: a piece holding a
+            // non-finite value, like an empty one, goes raw and is summed
+            // as the codec-free ring sums it.
+            let payload = match codec.as_mut() {
+                Some((codec, rng))
+                    if last && !values.is_empty() && values.iter().all(|v| v.is_finite()) =>
+                {
+                    Payload::Bytes(codec.compress_group(&[values], None, rng, comm.recorder()))
+                }
+                _ => Payload::F32(values.to_vec()),
+            };
+            comm.send(right, payload)?;
         }
         if s == 0 {
             on_event(ReduceEvent::Idle);
         }
+        let decoder = codec.as_ref().filter(|_| last).map(|&(codec, _)| codec);
         for part in hop_parts(&ranges[recv_block], &pieces[recv_block], last) {
-            let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, part.len())?;
+            let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, part.len(), decoder)?;
             for (d, v) in data[part.clone()].iter_mut().zip(incoming) {
                 *d += v;
             }
@@ -205,7 +242,7 @@ pub fn reduce_scatter_sum(
     data: &mut [f32],
     ranges: &[Range<usize>],
 ) -> Result<(), CommError> {
-    reduce_scatter_pieced(comm, data, ranges, &whole(ranges), |_| {})
+    reduce_scatter_pieced(comm, data, ranges, &whole(ranges), None, |_| {})
 }
 
 /// [`reduce_scatter_sum`] for a caller with work to hide behind it. The
@@ -221,10 +258,22 @@ pub fn reduce_scatter_sum(
 /// * [`ReduceEvent::Landed`] once per non-empty piece of `ranges[rank]`,
 ///   in block order, the moment that piece is summed.
 ///
-/// Sums, their order, the bytes and the per-link byte order are the
-/// plain reduce-scatter's; only the last hop's message count grows. A
-/// callback that ran before an error returns saw what it saw: an
-/// abandoned call's `Landed` values are the caller's to discard.
+/// Without a codec, sums, their order, the bytes and the per-link byte
+/// order are the plain reduce-scatter's; only the last hop's message
+/// count grows. A callback that ran before an error returns saw what it
+/// saw: an abandoned call's `Landed` values are the caller's to discard.
+///
+/// `codec` compresses the last hop, and only it: each piece bound for
+/// its owner goes as `compress_group(&[piece])` over this rank's `Rng`
+/// (the next piece is compressed while the previous drains), and the
+/// owner adds `decompress` of it to its own values. Earlier hops stay
+/// raw, so every value is rounded exactly once, where the §4.3 per-hop
+/// requantization ([`compressed_allreduce_mean`]) rounds a sum at every
+/// hop. A piece holding ±Inf or NaN travels raw (COMPSO's encoder is
+/// not total on ±Inf). Every rank must pass the same compressor or
+/// none; a frame on any other hop, or one that does not decode to the
+/// piece, is `Protocol`. The codec's spans and counters go to the
+/// communicator's recorder.
 ///
 /// Recorded like the all-reduce it is half of: the `comm/allreduce_sum`
 /// span and one `comm/allreduce_calls` per call; a refused call records
@@ -234,12 +283,13 @@ pub fn reduce_scatter_pieced(
     data: &mut [f32],
     ranges: &[Range<usize>],
     pieces: &[Vec<usize>],
+    codec: Option<(&dyn Compressor, &mut Rng)>,
     mut on_event: impl FnMut(ReduceEvent<'_>),
 ) -> Result<(), CommError> {
     check_tiling(data.len(), comm.size(), ranges, pieces)?;
     let _span = comm.recorder().span(names::COMM_ALLREDUCE);
     comm.recorder().incr(names::COMM_ALLREDUCE_CALLS);
-    ring_reduce_scatter(comm, data, ranges, pieces, &mut on_event)
+    ring_reduce_scatter(comm, data, ranges, pieces, codec, &mut on_event)
 }
 
 /// Sum all-reduce: on return every rank's `data` holds the elementwise sum
@@ -260,7 +310,7 @@ pub fn allreduce_sum(comm: &mut Communicator, data: &mut [f32]) -> Result<(), Co
     let right = comm.right();
 
     // Phase 1: reduce-scatter, one piece per block.
-    ring_reduce_scatter(comm, data, &ranges, &whole(&ranges), &mut |_| {})?;
+    ring_reduce_scatter(comm, data, &ranges, &whole(&ranges), None, &mut |_| {})?;
 
     // Phase 2: all-gather the reduced blocks. At step s, rank r forwards
     // rank (r - s)'s block — its own to start with — and receives rank
@@ -271,7 +321,7 @@ pub fn allreduce_sum(comm: &mut Communicator, data: &mut [f32]) -> Result<(), Co
         let chunk = data[ranges[send_block].clone()].to_vec();
         comm.send(right, Payload::F32(chunk))?;
         let dst = &mut data[ranges[recv_block].clone()];
-        let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, dst.len())?;
+        let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, dst.len(), None)?;
         dst.copy_from_slice(&incoming);
     }
     Ok(())
@@ -507,6 +557,10 @@ pub fn pipelined_allgather(
 /// §4.3 observation that makes ring all-reduce a poor fit for gradient
 /// compression ("SGD relies on ring AllReduce, which has the error
 /// propagation issue; KFAC uses AllGather, avoiding this issue").
+/// The contrast is [`reduce_scatter_pieced`]'s codec: it compresses only
+/// the owner-bound last hop, whose partial sum is exact, so each value
+/// is rounded once, as in the all-gather; this routine requantizes a
+/// running sum at every hop.
 ///
 /// `codec` maps a chunk to its lossy reconstruction (a compressor's
 /// compress∘decompress); the all-gather phase also travels compressed.
@@ -533,7 +587,13 @@ pub fn compressed_allreduce_mean(
         let chunk = codec(&data[ranges[send_block].clone()]);
         comm.send(right, Payload::F32(chunk))?;
         let dst = &mut data[ranges[recv_block].clone()];
-        let incoming = recv_hop(comm, left, names::COMM_COMPRESSED_ALLREDUCE, dst.len())?;
+        let incoming = recv_hop(
+            comm,
+            left,
+            names::COMM_COMPRESSED_ALLREDUCE,
+            dst.len(),
+            None,
+        )?;
         for (d, v) in dst.iter_mut().zip(incoming) {
             *d += v;
         }
@@ -547,7 +607,13 @@ pub fn compressed_allreduce_mean(
         let chunk = codec(&data[ranges[send_block].clone()]);
         comm.send(right, Payload::F32(chunk))?;
         let dst = &mut data[ranges[recv_block].clone()];
-        let incoming = recv_hop(comm, left, names::COMM_COMPRESSED_ALLREDUCE, dst.len())?;
+        let incoming = recv_hop(
+            comm,
+            left,
+            names::COMM_COMPRESSED_ALLREDUCE,
+            dst.len(),
+            None,
+        )?;
         dst.copy_from_slice(&incoming);
     }
 
@@ -587,6 +653,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlane};
     use crate::group::{run_ranks, run_ranks_with, CommConfig};
+    use compso_core::{ChunkedCompso, CompsoConfig};
     use std::time::{Duration, Instant};
 
     #[test]
@@ -791,7 +858,7 @@ mod tests {
                 vec![vec![5], vec![1, usize::MAX]],
                 vec![vec![5]],
             ] {
-                let res = reduce_scatter_pieced(comm, &mut data, &tiling, &pieces, |_| {});
+                let res = reduce_scatter_pieced(comm, &mut data, &tiling, &pieces, None, |_| {});
                 all.push(refused(res));
             }
             let res = reduce_scatter_pieced(
@@ -799,6 +866,7 @@ mod tests {
                 &mut data,
                 &[0..10, 10..10],
                 &[vec![10], vec![1]],
+                None,
                 |_| {},
             );
             all.push(refused(res));
@@ -829,7 +897,7 @@ mod tests {
             let chunk = data[ranges[send_block].clone()].to_vec();
             comm.send(comm.right(), Payload::F32(chunk))?;
             let dst = &mut data[ranges[recv_block].clone()];
-            let incoming = recv_hop(comm, comm.left(), names::COMM_ALLREDUCE, dst.len())?;
+            let incoming = recv_hop(comm, comm.left(), names::COMM_ALLREDUCE, dst.len(), None)?;
             for (d, v) in dst.iter_mut().zip(incoming) {
                 *d += v;
             }
@@ -887,7 +955,7 @@ mod tests {
                         );
                         let mut got = noisy(me, n);
                         let mut heard = Vec::new();
-                        reduce_scatter_pieced(comm, &mut got, ranges, pieces, |event| {
+                        reduce_scatter_pieced(comm, &mut got, ranges, pieces, None, |event| {
                             heard.push(match event {
                                 ReduceEvent::Idle => {
                                     Heard::Idle(rec.counter(names::COMM_BYTES_SENT) - sent0)
@@ -962,7 +1030,7 @@ mod tests {
                         std::thread::sleep(Duration::from_millis(1));
                     }
                     let mut data = noisy(me, 10 * p);
-                    reduce_scatter_pieced(comm, &mut data, ranges, &whole(ranges), |event| {
+                    reduce_scatter_pieced(comm, &mut data, ranges, &whole(ranges), None, |event| {
                         if event == ReduceEvent::Idle {
                             idle[me].store(true, Ordering::SeqCst);
                         }
@@ -982,9 +1050,10 @@ mod tests {
             let pieces = [vec![[3, 7], [5, 5]][me].to_vec(), vec![10]];
             let mut data = noisy(me, 20);
             let mut landed = 0;
-            let res = reduce_scatter_pieced(comm, &mut data, &[0..10, 10..20], &pieces, |event| {
-                landed += usize::from(matches!(event, ReduceEvent::Landed(..)));
-            });
+            let res =
+                reduce_scatter_pieced(comm, &mut data, &[0..10, 10..20], &pieces, None, |event| {
+                    landed += usize::from(matches!(event, ReduceEvent::Landed(..)));
+                });
             (res, landed, data)
         });
         let (res, landed, data) = &results[0];
@@ -998,6 +1067,171 @@ mod tests {
         assert!(
             matches!(results[1].0, Ok(())),
             "rank 1 agrees on its own block"
+        );
+    }
+
+    /// Per rank, what the reduce's last-hop codec test feeds the ring:
+    /// smooth values with a `+Inf` and a `-Inf` in block 0's first and
+    /// last pieces on rank 1, and a NaN in block 1's last piece on rank
+    /// `2 mod p` — each on a rank that is not the block's owner, so the
+    /// partial bound for the owner carries it. From three ranks on,
+    /// block `p − 1` is all finite on every hop.
+    fn last_hop_inputs(me: usize, ranges: &[Range<usize>], n: usize) -> Vec<f32> {
+        let p = ranges.len();
+        let mut data: Vec<f32> = noisy(me, n).iter().map(|v| v * 1e-2).collect();
+        if me == 1 {
+            data[ranges[0].start] = f32::INFINITY;
+            data[ranges[0].end - 1] = f32::NEG_INFINITY;
+        }
+        if me == 2 % p {
+            data[ranges[1].end - 1] = f32::NAN;
+        }
+        data
+    }
+
+    #[test]
+    fn a_last_hop_codec_rounds_each_value_once_on_the_owner_bound_hop() {
+        // Every rank sends block `q` on its way to `q` exactly once; the
+        // last sender, `q − 1`, holds the raw partial of the other ranks
+        // and compresses it piece by piece. The oracle replays that:
+        // raw ring sums, then `decompress(compress(partial))` with the
+        // sender's generator, added to the owner's own values.
+        let codec = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+        let config = CommConfig {
+            modeled_wire_mbps: Some(1000.0),
+            ..CommConfig::default()
+        };
+        let seed = |r: usize| 0x5eed + r as u64;
+        for p in [2usize, 3, 4] {
+            // Uneven blocks, an empty one at four ranks; each cut in
+            // three with an empty piece in the middle.
+            let sizes: Vec<usize> = (0..p)
+                .map(|q| if p == 4 && q == 2 { 0 } else { 300 + 170 * q })
+                .collect();
+            let ranges = tiling(&sizes, 0);
+            let n: usize = sizes.iter().sum();
+            let pieces: Vec<Vec<usize>> = (sizes.iter())
+                .map(|&len| match len {
+                    0 => Vec::new(),
+                    len => vec![len / 3, 0, len - len / 3],
+                })
+                .collect();
+            let (ranges, pieces, codec) = (&ranges, &pieces, &codec);
+            let runs = run_ranks_with(p, FaultPlane::disabled(), config.clone(), move |comm| {
+                let me = comm.rank();
+                let local = last_hop_inputs(me, ranges, n);
+                let mut run = |codec: Option<(&dyn Compressor, &mut Rng)>| {
+                    let (mut data, before) = (local.clone(), comm.sent_bytes());
+                    reduce_scatter_pieced(comm, &mut data, ranges, pieces, codec, |_| {})
+                        .expect("no piece is a protocol error");
+                    (data, comm.sent_bytes() - before)
+                };
+                let coded = run(Some((codec, &mut Rng::new(seed(me)))));
+                let plain = run(None);
+                let mut parent = local.clone();
+                let before = comm.sent_bytes();
+                parent_reduce_scatter_sum(comm, &mut parent, ranges).unwrap();
+                (coded, plain, (parent, comm.sent_bytes() - before))
+            });
+            let local: Vec<Vec<f32>> = (0..p).map(|r| last_hop_inputs(r, ranges, n)).collect();
+            // `partial[k][q]`: what rank `q + k` holds of block `q` once it
+            // has summed the hop bringing it — its own values plus the
+            // partial of `q + 1 ..= q + k − 1`; `k = 1` is rank `q + 1`'s.
+            let partial = |k: usize, q: usize| -> Vec<f32> {
+                let block = ranges[q].clone();
+                let mut acc = local[(q + 1) % p][block.clone()].to_vec();
+                for j in 2..=k {
+                    let own = &local[(q + j) % p][block.clone()];
+                    acc = own.iter().zip(&acc).map(|(a, b)| a + b).collect();
+                }
+                acc
+            };
+            let mut sent = vec![0u64; p];
+            let mut rounded = false;
+            for (q, block) in ranges.iter().enumerate() {
+                let sender = (q + p - 1) % p;
+                let last = partial(p - 1, q);
+                let mut rng = Rng::new(seed(sender));
+                let mut start = block.start;
+                for &len in &pieces[q] {
+                    let part = start..start + len;
+                    start += len;
+                    let raw = &last[part.start - block.start..part.end - block.start];
+                    let tag = format!("p={p} block {q} piece {part:?}");
+                    let own = &runs[q].0 .0[part.clone()];
+                    let codec_free = &runs[q].1 .0[part.clone()];
+                    if len == 0 || raw.iter().any(|v| !v.is_finite()) {
+                        // Raw, as without a codec: the same sum bit for bit.
+                        sent[sender] += 4 * len as u64;
+                        assert_eq!(bits(own), bits(codec_free), "{tag}");
+                        continue;
+                    }
+                    let frame = codec.compress_group(&[raw], None, &mut rng, &Default::default());
+                    sent[sender] += frame.len() as u64;
+                    let decoded = codec.decompress(&frame).unwrap();
+                    let want: Vec<f32> = (local[q][part.clone()].iter())
+                        .zip(&decoded)
+                        .map(|(a, b)| a + b)
+                        .collect();
+                    assert_eq!(bits(own), bits(&want), "{tag}");
+                    rounded |= bits(own) != bits(codec_free);
+                }
+                // Earlier hops: rank `q + k` keeps the raw partial it sent
+                // on, summed bit for bit as the codec-free ring sums it.
+                for k in 1..p {
+                    let rank = (q + k) % p;
+                    let held = &runs[rank].0 .0[block.clone()];
+                    assert_eq!(
+                        bits(held),
+                        bits(&partial(k, q)),
+                        "p={p} block {q} rank {rank}"
+                    );
+                    if k < p - 1 {
+                        sent[rank] += 4 * block.len() as u64;
+                    }
+                }
+            }
+            assert!(rounded, "p={p}: the codec changed no sum");
+            for (r, ((_, coded), (plain, raw), (parent, parent_raw))) in runs.iter().enumerate() {
+                assert_eq!(
+                    *coded, sent[r],
+                    "p={p} rank {r}: raw earlier hops plus frames"
+                );
+                // Without a codec the ring is the parent's, bytes and bits.
+                assert_eq!(bits(plain), bits(parent), "p={p} rank {r}");
+                assert_eq!(raw, parent_raw, "p={p} rank {r}");
+                assert!(
+                    coded <= raw,
+                    "p={p} rank {r}: {coded} B against {raw} B raw"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_undecodable_last_hop_frame_is_a_protocol_error() {
+        // Rank 1 sends its last hop as bytes that are no frame.
+        let codec = ChunkedCompso::default();
+        let results = run_ranks(2, |comm| {
+            if comm.rank() == 1 {
+                comm.send(0, Payload::Bytes(vec![0xC6, 1, 2, 3]))?;
+                comm.recv_labeled(0, names::COMM_ALLREDUCE)?;
+                return Ok(());
+            }
+            let mut data = noisy(0, 20);
+            let codec: Option<(&dyn Compressor, &mut Rng)> = Some((&codec, &mut Rng::new(1)));
+            reduce_scatter_pieced(
+                comm,
+                &mut data,
+                &[0..10, 10..20],
+                &[vec![10], vec![10]],
+                codec,
+                |_| {},
+            )
+        });
+        assert!(
+            matches!(results[0], Err(CommError::Protocol { .. })),
+            "{results:?}"
         );
     }
 

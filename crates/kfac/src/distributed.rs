@@ -13,13 +13,18 @@
 //!    lands each rank's span on that rank, one layer per message on the
 //!    last hop: one collective per step instead of one per layer (the
 //!    gradient-fusion argument of the adaptive-compression systems line
-//!    of work) and half an all-reduce's bytes. The owner's means stay in
-//!    the buffer; the model keeps each rank's local gradients until step
-//!    6 overwrites them. Trainable layers without K-FAC statistics
-//!    (`LayerNorm`) ride at the buffer's end and keep an `allreduce_mean`
-//!    of their own. The reduce's waits are not idle: step 3's fold runs
-//!    while the first hop drains, and step 4's preconditioning of an
-//!    owned layer runs the moment the layer lands (below);
+//!    of work) and half an all-reduce's bytes. On a wire that prices
+//!    bytes, a tiling compressor's step also compresses that last hop,
+//!    and only it: each layer bound for its owner travels as one frame
+//!    of the step's codec, so every value is rounded once — unlike the
+//!    per-hop requantization §4.3 warns of — and a layer holding ±Inf or
+//!    NaN travels raw. The owner's means stay in the buffer; the model
+//!    keeps each rank's local gradients until step 6 overwrites them.
+//!    Trainable layers without K-FAC statistics (`LayerNorm`) ride at
+//!    the buffer's end and keep an `allreduce_mean` of their own. The
+//!    reduce's waits are not idle: step 3's fold runs while the first
+//!    hop drains, and step 4's preconditioning of an owned layer runs
+//!    the moment the layer lands (below);
 //! 3. per-K-FAC-layer covariances, folded **locally** into the running
 //!    factors every step with no communication — in step 2's first wait,
 //!    once per call however many elastic attempts it takes — and synced
@@ -418,7 +423,7 @@ impl DistKfac {
         let _step_span = self.recorder.span(names::KFAC_STEP);
         let mut stats = StepStats::default();
         let plan = self.plan_for(comm, model, compressor)?;
-        let early = self.sync_gradients(comm, model, &plan, &mut stats)?;
+        let early = self.sync_gradients(comm, model, compressor, &plan, &mut stats)?;
         self.sync_factors(comm, &plan, &mut stats)?;
         let owned = self.precondition_owned(comm.rank(), &plan, early);
         let gathered = self.gather(comm, compressor, &plan, owned, step_idx, &mut stats)?;
@@ -442,10 +447,18 @@ impl DistKfac {
     /// moment its piece lands, from `sums · (1/p)` exactly as the
     /// in-place scaling computes its mean. Returns those results, per
     /// owned layer in `expected` order; a failed attempt drops them.
+    ///
+    /// The reduce's last hop, the one into the owner, carries the step's
+    /// `compressor` (drawing from `rng`, the generator checkpoints keep)
+    /// when the compressor tiles layers — stateless, so keys and history
+    /// do not matter — and the transport prices bytes; anywhere else the
+    /// codec would cost time and move the trajectory for nothing, so the
+    /// reduce stays raw.
     fn sync_gradients(
         &mut self,
         comm: &mut Communicator,
         model: &Sequential,
+        compressor: &dyn Compressor,
         plan: &GatherPlan,
         stats: &mut StepStats,
     ) -> Result<Vec<Option<Matrix>>, CommError> {
@@ -467,11 +480,18 @@ impl DistKfac {
         let (kfac, due, folded) = (&mut self.kfac, &mut self.due, &mut self.folded);
         let rec = &self.recorder;
         let (owned, tail) = self.fusion.split_at_mut(plan.tail_start());
+        let priced = comm
+            .config()
+            .modeled_wire_mbps
+            .is_some_and(|mbps| mbps > 0.0);
+        let tiles = compressor.chunk_elems_for(owned.len()).is_some();
+        let codec = (priced && tiles).then_some((compressor, &mut self.rng));
         reduce_scatter_pieced(
             comm,
             owned,
             &plan.spans,
             &plan.pieces,
+            codec,
             |event| match event {
                 ReduceEvent::Idle if !*folded => {
                     let _span = rec.span(names::KFAC_FOLD);
@@ -1437,7 +1457,8 @@ mod tests {
                 }
             }
             let mut stats = StepStats::default();
-            opt.sync_gradients(comm, &model, &plan, &mut stats).unwrap();
+            opt.sync_gradients(comm, &model, &NoCompression, &plan, &mut stats)
+                .unwrap();
             // The model still holds the local gradients.
             let untouched =
                 (plan.layers.iter()).all(|&idx| model.layer(idx).grads().unwrap().max_abs() > 0.0);

@@ -74,11 +74,15 @@ step_start "one gradient collective (kfac/src/distributed.rs ahead of mod tests)
 # Step 2 is one reduce_scatter_pieced to the owners (the reduce-scatter
 # whose waits carry the fold and the landed layers' preconditioning); the
 # only all-reduces left in the step are the factor bucket and the
-# non-K-FAC tail.
+# non-K-FAC tail. The owner-bound hop's codec lives in that collective:
+# sync_gradients hands it the compressor and moves no bytes of its own.
+SYNC_SRC=$(awk '/fn sync_gradients\(/,/^    }$/' <<<"$GATHER_SRC")
 if [ "$(grep -c 'reduce_scatter_pieced(' <<<"$GATHER_SRC")" -ne 1 ] \
   || grep -q 'reduce_scatter_sum(' <<<"$GATHER_SRC" \
-  || [ "$(grep -c 'allreduce_mean(' <<<"$GATHER_SRC")" -gt 2 ]; then
-  echo "DistKfac step 2 must stay one reduce_scatter_pieced, no all-reduce of K-FAC gradients" >&2; exit 1
+  || [ "$(grep -c 'allreduce_mean(' <<<"$GATHER_SRC")" -gt 2 ] \
+  || [ -z "$SYNC_SRC" ] \
+  || grep -q 'Payload::Bytes' <<<"$SYNC_SRC"; then
+  echo "DistKfac step 2 must stay one reduce_scatter_pieced carrying its own codec, no all-reduce of K-FAC gradients" >&2; exit 1
 fi
 step_end
 

@@ -47,9 +47,14 @@ fn chaos_comm_config() -> CommConfig {
 /// Runs `STEPS` of 4-rank compressed distributed K-FAC training under
 /// `plane`, returning per-rank `(final loss, layer-0 params)`.
 fn train(plane: FaultPlane, rec: &Recorder) -> Vec<(f32, Matrix)> {
+    train_on(plane, chaos_comm_config(), rec)
+}
+
+/// [`train`] over the transport `config`.
+fn train_on(plane: FaultPlane, config: CommConfig, rec: &Recorder) -> Vec<(f32, Matrix)> {
     let d = data::gaussian_blobs(320, 6, 3, 0.3, 91);
     let d_ref = &d;
-    run_ranks_with(RANKS, plane, chaos_comm_config(), move |comm| {
+    run_ranks_with(RANKS, plane, config, move |comm| {
         let mut rng = Rng::new(17);
         let mut model = models::mlp(&[6, 16, 3], &mut rng);
         let shard = d_ref.shard(comm.rank(), RANKS);
@@ -563,35 +568,14 @@ fn pipelined_gather_absorbs_drops_and_stragglers_mid_stream() {
     });
     let ledger_plane = plane.clone();
     let rec = Recorder::enabled();
-    let rec_ref = &rec;
-    let d = data::gaussian_blobs(320, 6, 3, 0.3, 91);
-    let d_ref = &d;
     let config = CommConfig {
         modeled_wire_mbps: Some(200.0),
         ..chaos_comm_config()
     };
-    let chaos = run_ranks_with(RANKS, plane, config, move |comm| {
-        let mut rng = Rng::new(17);
-        let mut model = models::mlp(&[6, 16, 3], &mut rng);
-        let shard = d_ref.shard(comm.rank(), RANKS);
-        let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
-        opt.set_recorder(rec_ref.clone());
-        comm.set_recorder(rec_ref.clone());
-        let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
-        let mut loss = f32::NAN;
-        for step in 0..STEPS {
-            let (x, y) = shard.batch(step, BATCH);
-            let logits = model.forward(&x, true);
-            let (l, grad) = softmax_cross_entropy(&logits, &y);
-            loss = l;
-            model.backward(&grad);
-            opt.step(comm, &mut model, &compso)
-                .expect("mid-pipeline faults must be absorbed, not surfaced");
-            model.update_params(|p, g| p.axpy(-0.02, g));
-        }
-        (loss, model.layer(0).params().unwrap().clone())
-    });
-    let clean = baseline();
+    let chaos = train_on(plane, config.clone(), &rec);
+    // The fault-free run on the same priced wire, whose reduce carries
+    // the same last-hop codec.
+    let clean = train_on(FaultPlane::disabled(), config, &Recorder::disabled());
 
     // Transport-level faults are invisible above the ARQ: the pipelined
     // trajectory is bit-identical to fault-free on every rank.

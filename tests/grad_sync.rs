@@ -9,15 +9,20 @@
 //! that own nothing, that an elastic retry reduces the local gradients
 //! afresh and folds once, and that preconditioning layers as they land
 //! installs what preconditioning after the reduce did — and never on a
-//! refresh step or after an epoch change.
+//! refresh step or after an epoch change. On a priced wire the reduce's
+//! owner-bound hop carries the step's tiling codec: replicas stay
+//! identical, that hop's bytes shrink, and a resume from a save replays
+//! the codec's draws.
 
 use compso::comm::collectives::reduce_scatter_sum;
-use compso::comm::{run_ranks, run_ranks_elastic, CommConfig, Communicator, Payload};
-use compso::comm::{FaultConfig, FaultPlane};
-use compso::core::{ChunkedCompso, CompsoConfig, NoCompression};
+use compso::comm::{run_ranks, run_ranks_elastic, run_ranks_with, CommConfig, Communicator};
+use compso::comm::{FaultConfig, FaultPlane, Payload};
+use compso::core::{ChunkedCompso, Compressor, CompsoConfig, NoCompression};
 use compso::dnn::loss::softmax_cross_entropy;
 use compso::dnn::{data, models, Sequential};
+use compso::kfac::checkpoint::fingerprint;
 use compso::kfac::distributed::assign_layers;
+use compso::kfac::{CheckpointConfig, CheckpointCoordinator};
 use compso::kfac::{DistKfac, DistKfacConfig, KfacConfig, StepStats};
 use compso::obs::{names, Recorder};
 use compso::tensor::{Matrix, Rng};
@@ -202,6 +207,110 @@ fn gradient_phase_sends_each_layer_once_per_non_owner_hop() {
     let lm = || models::mlp_lm(4, 2, 12, &mut Rng::new(32));
     for ranks in [2usize, 3] {
         check_gradient_traffic(ranks, lm, &d, 1);
+    }
+}
+
+/// A wire that prices bytes: the one the reduce's last-hop codec rides.
+fn priced_wire() -> CommConfig {
+    CommConfig {
+        modeled_wire_mbps: Some(50.0),
+        ..CommConfig::default()
+    }
+}
+
+/// Layers wide enough that a frame's header is small beside its values.
+fn wide_mlp(seed: u64) -> Sequential {
+    models::mlp(&[24, 96, 96, 96, 3], &mut Rng::new(seed))
+}
+
+/// Per step, what one rank sent and the step's statistics; then its
+/// final parameters.
+type WireTrail = (Vec<(u64, StepStats)>, Vec<Vec<u32>>);
+
+/// `STEPS` steps of [`wide_mlp`] over [`priced_wire`] under `compressor`;
+/// with `resume_at`, the run saves after that many steps to `dir`, drops
+/// its model and optimizer, and restores fresh ones to finish.
+fn wire_run(
+    ranks: usize,
+    compressor: &(dyn Compressor + Sync),
+    resume_at: Option<(usize, &std::path::Path)>,
+) -> Vec<WireTrail> {
+    let d = data::gaussian_blobs(320, 24, 3, 0.3, 99);
+    run_ranks_with(ranks, FaultPlane::disabled(), priced_wire(), |comm| {
+        let shard = d.shard(comm.rank(), ranks);
+        let mut model = wide_mlp(37);
+        let mut opt = DistKfac::new(config(), 7);
+        let mut trail = Vec::new();
+        for step in 0..STEPS {
+            if let Some((at, dir)) = resume_at.filter(|&(at, _)| at == step) {
+                let fp = fingerprint(&["grad-sync-wire", &format!("ranks={ranks}")]);
+                let coord = CheckpointCoordinator::new(CheckpointConfig::new(dir, fp)).unwrap();
+                coord.save(comm, at as u64, &opt, &model, &[]).unwrap();
+                // Garbage weights and another seed: restore overwrites both.
+                model = wide_mlp(900 + comm.rank() as u64);
+                opt = DistKfac::new(config(), 8);
+                coord.restore(comm, &mut opt, &mut model).unwrap();
+            }
+            backward(&mut model, &shard, step);
+            let before = comm.sent_bytes();
+            let stats = opt.step(comm, &mut model, compressor).unwrap();
+            trail.push((comm.sent_bytes() - before, stats));
+            apply(&mut model);
+        }
+        (trail, param_bits(&model))
+    })
+}
+
+#[test]
+fn a_priced_wire_compresses_the_owner_bound_hop_and_resumes_exactly() {
+    // Every layer of an MLP is a K-FAC layer.
+    let model = wide_mlp(37);
+    let n_kfac: u64 = (model.trainable_indices().iter())
+        .map(|&i| model.layer(i).params().expect("parameters").len() as u64)
+        .sum();
+    let codec = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+    for ranks in [2usize, 4] {
+        let p = ranks as u64;
+        let coded = wire_run(ranks, &codec, None);
+        let plain = wire_run(ranks, &NoCompression, None);
+        for run in [&coded, &plain] {
+            for (r, (_, params)) in run.iter().enumerate() {
+                assert_eq!(params, &run[0].1, "{ranks} ranks: rank {r} diverged");
+            }
+        }
+        // Step 2 of every step: the earlier hops of a longer ring move
+        // `(p − 2)·n` raw values; the owner-bound hop is the one the
+        // codec shrinks.
+        let last_hop = |run: &[WireTrail], step: usize| {
+            let sent: u64 = run.iter().map(|t| t.0[step].0).sum();
+            let stats: Vec<StepStats> = run.iter().map(|t| t.0[step].1).collect();
+            gradient_phase_bytes(p, sent, &stats, n_kfac as usize) - (p - 2) * 4 * n_kfac
+        };
+        for step in 0..STEPS {
+            assert_eq!(
+                last_hop(&plain, step),
+                4 * n_kfac,
+                "{ranks} ranks, step {step}"
+            );
+            let hop = last_hop(&coded, step);
+            assert!(
+                3 * hop <= 4 * n_kfac,
+                "{ranks} ranks, step {step}: {hop} B against {} B raw",
+                4 * n_kfac
+            );
+        }
+        // The codec drew from the generator a checkpoint keeps.
+        let dir = std::env::temp_dir().join(format!(
+            "compso-grad-sync-wire-{ranks}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let resumed = wire_run(ranks, &codec, Some((STEPS / 2, &dir)));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (r, (trail, params)) in resumed.iter().enumerate() {
+            assert_eq!(params, &coded[r].1, "{ranks} ranks: rank {r} after resume");
+            assert_eq!(trail[STEPS - 1].0, coded[r].0[STEPS - 1].0, "{ranks} ranks");
+        }
     }
 }
 

@@ -33,7 +33,7 @@ pub const SAMPLE_BUDGET: usize = 8 << 20;
 /// The gradient value profile matching a paper model: transformers have
 /// sparser, wider-tailed K-FAC gradients than CNNs (Fig. 3's higher
 /// BERT ratios).
-pub fn profile_for(spec: &ModelSpec) -> GradientProfile {
+pub(crate) fn profile_for(spec: &ModelSpec) -> GradientProfile {
     match spec.name {
         "BERT-large" | "GPT-neo-125M" => GradientProfile::transformer(),
         _ => GradientProfile::kfac(),
@@ -61,11 +61,6 @@ pub fn spec_gradients(spec: &ModelSpec, budget: usize, seed: u64) -> Vec<Vec<f32
             generate(n, seed.wrapping_add(i as u64 * 104_729), p)
         })
         .collect()
-}
-
-/// A flattened single-buffer sample of `spec`'s gradients.
-pub fn spec_gradient_flat(spec: &ModelSpec, budget: usize, seed: u64) -> Vec<f32> {
-    spec_gradients(spec, budget, seed).concat()
 }
 
 /// Prints a markdown-style table row.

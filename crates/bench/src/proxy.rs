@@ -40,18 +40,6 @@ pub enum Method {
     Adaptive(BoundSchedule),
 }
 
-impl Method {
-    /// Display label.
-    pub fn label(&self) -> String {
-        match self {
-            Method::None => "No Comp.".into(),
-            Method::Fixed(c) => c.name().into(),
-            Method::FixedEf(c) => format!("{}+EF", c.name()),
-            Method::Adaptive(_) => "COMPSO (adaptive)".into(),
-        }
-    }
-}
-
 /// Per-layer error-feedback residual store.
 #[derive(Default)]
 pub struct EfState {

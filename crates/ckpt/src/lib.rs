@@ -27,7 +27,7 @@ pub mod manifest;
 pub mod snapshot;
 pub mod store;
 
-pub use manifest::{Manifest, RankFileMeta, MAGIC_MANIFEST, MANIFEST_VERSION};
+pub use manifest::{Manifest, RankFileMeta, MAGIC_MANIFEST};
 pub use snapshot::{
     decode_tensors, encode_tensors, Dtype, Snapshot, TensorData, TensorEntry, MAGIC_TENSORS,
 };

@@ -25,9 +25,9 @@ pub use compso_core::wire::magic::MAGIC_MANIFEST;
 /// Manifest format version. Version 2 added the membership `epoch`
 /// field (elastic training); version 3 dropped the per-tensor index when
 /// a rank file became one tensor blob.
-pub const MANIFEST_VERSION: u16 = 3;
+pub(crate) const MANIFEST_VERSION: u16 = 3;
 /// Largest accepted world size (hostile-input cap).
-pub const WORLD_MAX: usize = 4096;
+pub(crate) const WORLD_MAX: usize = 4096;
 /// Encoded size of one [`RankFileMeta`]: rank, file length, file CRC32.
 const RANK_META_LEN: usize = 4 + 8 + 4;
 

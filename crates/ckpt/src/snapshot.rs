@@ -20,11 +20,11 @@ use compso_tensor::Matrix;
 /// central `compso_core::wire::magic` registry).
 pub use compso_core::wire::magic::MAGIC_TENSORS;
 /// Tensor-blob format version.
-pub const TENSORS_VERSION: u16 = 1;
+pub(crate) const TENSORS_VERSION: u16 = 1;
 /// Longest accepted tensor name in bytes (hostile-input cap).
-pub const NAME_MAX: usize = 200;
+pub(crate) const NAME_MAX: usize = 200;
 /// Most tensors a single blob / rank file may carry (hostile-input cap).
-pub const TENSORS_MAX: usize = 1 << 16;
+pub(crate) const TENSORS_MAX: usize = 1 << 16;
 
 /// Element type of a checkpoint tensor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +76,7 @@ pub enum TensorData {
 
 impl TensorData {
     /// Element type.
-    pub fn dtype(&self) -> Dtype {
+    pub(crate) fn dtype(&self) -> Dtype {
         match self {
             TensorData::F32(_) => Dtype::F32,
             TensorData::F64(_) => Dtype::F64,
@@ -174,7 +174,7 @@ impl TensorEntry {
     }
 
     /// Reassembles a [`Matrix`] from an f32 entry.
-    pub fn to_matrix(&self) -> Result<Matrix, CkptError> {
+    pub(crate) fn to_matrix(&self) -> Result<Matrix, CkptError> {
         match &self.data {
             TensorData::F32(v) => {
                 if v.len() != self.rows * self.cols {
@@ -220,11 +220,6 @@ impl Snapshot {
         self.push(TensorEntry::vector(name, TensorData::U64(v)));
     }
 
-    /// Appends a `1 × n` f64 vector.
-    pub fn push_f64s(&mut self, name: impl Into<String>, v: Vec<f64>) {
-        self.push(TensorEntry::vector(name, TensorData::F64(v)));
-    }
-
     /// Looks an entry up by exact name.
     pub fn get(&self, name: &str) -> Option<&TensorEntry> {
         self.tensors.iter().find(|t| t.name == name)
@@ -246,14 +241,6 @@ impl Snapshot {
         match &self.require(name)?.data {
             TensorData::U64(v) => Ok(v),
             _ => Err(CkptError::Corrupt("expected a u64 tensor")),
-        }
-    }
-
-    /// Required f64 vector by name.
-    pub fn require_f64s(&self, name: &str) -> Result<&[f64], CkptError> {
-        match &self.require(name)?.data {
-            TensorData::F64(v) => Ok(v),
-            _ => Err(CkptError::Corrupt("expected an f64 tensor")),
         }
     }
 
@@ -439,10 +426,9 @@ mod tests {
         let mut s = Snapshot::new(7);
         s.push_matrix("m", &Matrix::identity(2));
         s.push_u64s("u", vec![9]);
-        s.push_f64s("f", vec![0.25]);
+        s.push(TensorEntry::vector("f", TensorData::F64(vec![0.25])));
         assert_eq!(s.require_matrix("m").unwrap(), Matrix::identity(2));
         assert_eq!(s.require_u64s("u").unwrap(), &[9]);
-        assert_eq!(s.require_f64s("f").unwrap(), &[0.25]);
         assert!(s.require("missing").is_err());
         assert_eq!(s.with_prefix("m").count(), 1);
         assert_eq!(s.raw_bytes(), 16 + 8 + 8);

@@ -25,7 +25,7 @@
 
 use std::fs::{self, File};
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::manifest::{Manifest, RankFileMeta};
 use crate::snapshot::{decode_tensors, encode_tensors, Snapshot};
@@ -33,7 +33,7 @@ use crate::CkptError;
 use compso_core::wire::{crc32, frame_checksummed, unframe_checksummed};
 
 /// Name of the manifest file inside a committed step directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
+pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
 
 /// A directory of coordinated snapshots with bounded retention.
 pub struct CheckpointStore {
@@ -51,11 +51,6 @@ impl CheckpointStore {
             root,
             retain_last: retain_last.max(1),
         })
-    }
-
-    /// The store root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn step_dir(&self, step: u64) -> PathBuf {
@@ -144,11 +139,6 @@ impl CheckpointStore {
         }
         steps.sort_unstable();
         Ok(steps)
-    }
-
-    /// The newest committed step, if any.
-    pub fn latest(&self) -> Result<Option<u64>, CkptError> {
-        Ok(self.list_steps()?.pop())
     }
 
     /// Reads and validates the manifest of a committed snapshot. A
@@ -240,7 +230,10 @@ mod tests {
             "rng",
             TensorData::U64(vec![1, 2, 3, 4]),
         ));
-        s.push_f64s("chol", vec![0.5, -1.25, f64::MIN_POSITIVE]);
+        s.push(TensorEntry::vector(
+            "chol",
+            TensorData::F64(vec![0.5, -1.25, f64::MIN_POSITIVE]),
+        ));
         s
     }
 
@@ -267,7 +260,7 @@ mod tests {
         let store = CheckpointStore::new(&root, 2).unwrap();
         let snaps = [sample_snapshot(9, 1), sample_snapshot(9, 2)];
         let manifest = save(&store, 9, &snaps).unwrap();
-        assert_eq!(store.latest().unwrap(), Some(9));
+        assert_eq!(store.list_steps().unwrap(), [9]);
         let reread = store.load_manifest(9).unwrap();
         assert_eq!(reread, manifest);
         for (r, snap) in snaps.iter().enumerate() {

@@ -8,7 +8,7 @@
 //! virtual clock would replace.
 //!
 //! [`CommConfig::modeled_wire_mbps`]: crate::CommConfig::modeled_wire_mbps
-//! [`build_group_with`]: crate::build_group_with
+//! [`build_group_with`]: crate::group::build_group_with
 //! [`Communicator`]: crate::Communicator
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};

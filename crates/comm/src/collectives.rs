@@ -225,7 +225,7 @@ fn ring_reduce_scatter(
     Ok(())
 }
 
-/// Sum reduce-scatter — the first half of [`allreduce_sum`], for callers
+/// Sum reduce-scatter — the first half of `allreduce_sum`, for callers
 /// where only one rank reads each block: on return rank `r`'s
 /// `data[ranges[r]]` holds the elementwise sum across ranks; the rest of
 /// `data` holds partial sums and is unspecified. `ranges` gives one block
@@ -268,12 +268,12 @@ pub fn reduce_scatter_sum(
 /// (the next piece is compressed while the previous drains), and the
 /// owner adds `decompress` of it to its own values. Earlier hops stay
 /// raw, so every value is rounded exactly once, where the §4.3 per-hop
-/// requantization ([`compressed_allreduce_mean`]) rounds a sum at every
-/// hop. A piece holding ±Inf or NaN travels raw (COMPSO's encoder is
-/// not total on ±Inf). Every rank must pass the same compressor or
-/// none; a frame on any other hop, or one that does not decode to the
-/// piece, is `Protocol`. The codec's spans and counters go to the
-/// communicator's recorder.
+/// requantization (`compressed_allreduce_mean` in this file's tests)
+/// rounds a sum at every hop. A piece holding ±Inf or NaN travels raw
+/// (COMPSO's encoder is not total on ±Inf). Every rank must pass the
+/// same compressor or none; a frame on any other hop, or one that does
+/// not decode to the piece, is `Protocol`. The codec's spans and
+/// counters go to the communicator's recorder.
 ///
 /// Recorded like the all-reduce it is half of: the `comm/allreduce_sum`
 /// span and one `comm/allreduce_calls` per call; a refused call records
@@ -294,7 +294,7 @@ pub fn reduce_scatter_pieced(
 
 /// Sum all-reduce: on return every rank's `data` holds the elementwise sum
 /// across ranks. Bandwidth-optimal ring (reduce-scatter + all-gather).
-pub fn allreduce_sum(comm: &mut Communicator, data: &mut [f32]) -> Result<(), CommError> {
+pub(crate) fn allreduce_sum(comm: &mut Communicator, data: &mut [f32]) -> Result<(), CommError> {
     let _span = comm.recorder().span(names::COMM_ALLREDUCE);
     comm.recorder().incr(names::COMM_ALLREDUCE_CALLS);
     let p = comm.size();
@@ -357,13 +357,12 @@ pub fn allgather_var_quiet(
     label: &'static str,
 ) -> Result<Vec<Vec<u8>>, CommError> {
     let p = comm.size();
+    if p == 1 {
+        return Ok(vec![mine]);
+    }
     let r = comm.rank();
     let mut blocks: Vec<Option<Vec<u8>>> = (0..p).map(|_| None).collect();
     blocks[r] = Some(mine);
-    if p == 1 {
-        // lint:allow(no-unwrap-on-comm-path): p == 1, so the only block is ours and was just set
-        return Ok(blocks.into_iter().map(|b| b.unwrap()).collect());
-    }
     let left = comm.left();
     let right = comm.right();
     for s in 0..p - 1 {
@@ -551,79 +550,6 @@ pub fn pipelined_allgather(
     Ok(())
 }
 
-/// Lossy-compressed ring all-reduce: every reduce-scatter hop compresses
-/// its outgoing chunk with `codec` (encode → decode at the receiver),
-/// so quantization error **accumulates across the `p − 1` hops** — the
-/// §4.3 observation that makes ring all-reduce a poor fit for gradient
-/// compression ("SGD relies on ring AllReduce, which has the error
-/// propagation issue; KFAC uses AllGather, avoiding this issue").
-/// The contrast is [`reduce_scatter_pieced`]'s codec: it compresses only
-/// the owner-bound last hop, whose partial sum is exact, so each value
-/// is rounded once, as in the all-gather; this routine requantizes a
-/// running sum at every hop.
-///
-/// `codec` maps a chunk to its lossy reconstruction (a compressor's
-/// compress∘decompress); the all-gather phase also travels compressed.
-/// Returns the per-rank reduced buffer, averaged.
-pub fn compressed_allreduce_mean(
-    comm: &mut Communicator,
-    data: &mut [f32],
-    mut codec: impl FnMut(&[f32]) -> Vec<f32>,
-) -> Result<(), CommError> {
-    let _span = comm.recorder().span(names::COMM_COMPRESSED_ALLREDUCE);
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
-    }
-    let ranges = block_ranges(data.len(), p);
-    let r = comm.rank();
-    let left = comm.left();
-    let right = comm.right();
-
-    // Reduce-scatter with per-hop lossy compression.
-    for s in 0..p - 1 {
-        let send_block = (r + p - s) % p;
-        let recv_block = (r + p - s - 1) % p;
-        let chunk = codec(&data[ranges[send_block].clone()]);
-        comm.send(right, Payload::F32(chunk))?;
-        let dst = &mut data[ranges[recv_block].clone()];
-        let incoming = recv_hop(
-            comm,
-            left,
-            names::COMM_COMPRESSED_ALLREDUCE,
-            dst.len(),
-            None,
-        )?;
-        for (d, v) in dst.iter_mut().zip(incoming) {
-            *d += v;
-        }
-    }
-
-    // All-gather of the reduced blocks, also compressed (one more hop of
-    // loss, matching compressed-allreduce implementations).
-    for s in 0..p - 1 {
-        let send_block = (r + 1 + p - s) % p;
-        let recv_block = (r + p - s) % p;
-        let chunk = codec(&data[ranges[send_block].clone()]);
-        comm.send(right, Payload::F32(chunk))?;
-        let dst = &mut data[ranges[recv_block].clone()];
-        let incoming = recv_hop(
-            comm,
-            left,
-            names::COMM_COMPRESSED_ALLREDUCE,
-            dst.len(),
-            None,
-        )?;
-        dst.copy_from_slice(&incoming);
-    }
-
-    let inv = 1.0 / p as f32;
-    for v in data.iter_mut() {
-        *v *= inv;
-    }
-    Ok(())
-}
-
 /// Broadcast opaque bytes from `root` to all ranks (flat fan-out).
 pub fn broadcast_bytes(
     comm: &mut Communicator,
@@ -655,6 +581,67 @@ mod tests {
     use crate::group::{run_ranks, run_ranks_with, CommConfig};
     use compso_core::{ChunkedCompso, CompsoConfig};
     use std::time::{Duration, Instant};
+
+    /// Lossy-compressed ring all-reduce: every reduce-scatter hop compresses
+    /// its outgoing chunk with `codec` (encode → decode at the receiver),
+    /// so quantization error **accumulates across the `p − 1` hops** — the
+    /// §4.3 observation that makes ring all-reduce a poor fit for gradient
+    /// compression ("SGD relies on ring AllReduce, which has the error
+    /// propagation issue; KFAC uses AllGather, avoiding this issue").
+    /// The contrast is [`reduce_scatter_pieced`]'s codec: it compresses only
+    /// the owner-bound last hop, whose partial sum is exact, so each value
+    /// is rounded once, as in the all-gather; this routine requantizes a
+    /// running sum at every hop.
+    ///
+    /// `codec` maps a chunk to its lossy reconstruction (a compressor's
+    /// compress∘decompress); the all-gather phase also travels compressed.
+    /// Returns the per-rank reduced buffer, averaged. Test-only: it is
+    /// the counter-example the §4.3 test below measures.
+    fn compressed_allreduce_mean(
+        comm: &mut Communicator,
+        data: &mut [f32],
+        mut codec: impl FnMut(&[f32]) -> Vec<f32>,
+    ) -> Result<(), CommError> {
+        let p = comm.size();
+        if p == 1 {
+            return Ok(());
+        }
+        let ranges = block_ranges(data.len(), p);
+        let r = comm.rank();
+        let left = comm.left();
+        let right = comm.right();
+
+        // Reduce-scatter with per-hop lossy compression.
+        for s in 0..p - 1 {
+            let send_block = (r + p - s) % p;
+            let recv_block = (r + p - s - 1) % p;
+            let chunk = codec(&data[ranges[send_block].clone()]);
+            comm.send(right, Payload::F32(chunk))?;
+            let dst = &mut data[ranges[recv_block].clone()];
+            let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, dst.len(), None)?;
+            for (d, v) in dst.iter_mut().zip(incoming) {
+                *d += v;
+            }
+        }
+
+        // All-gather of the reduced blocks, also compressed (one more hop of
+        // loss, matching compressed-allreduce implementations).
+        for s in 0..p - 1 {
+            let send_block = (r + 1 + p - s) % p;
+            let recv_block = (r + p - s) % p;
+            let chunk = codec(&data[ranges[send_block].clone()]);
+            comm.send(right, Payload::F32(chunk))?;
+            let dst = &mut data[ranges[recv_block].clone()];
+            let incoming = recv_hop(comm, left, names::COMM_ALLREDUCE, dst.len(), None)?;
+            dst.copy_from_slice(&incoming);
+        }
+
+        let inv = 1.0 / p as f32;
+        for v in data.iter_mut() {
+            *v *= inv;
+        }
+        Ok(())
+    }
 
     #[test]
     fn block_ranges_cover_exactly() {

@@ -203,7 +203,7 @@ impl FaultPlane {
 
     /// Should transmission `attempt` of data message `(src, dst, seq)` be
     /// dropped? Counts into the ledger when it fires.
-    pub fn should_drop(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> bool {
+    pub(crate) fn should_drop(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> bool {
         let Some(inner) = self.0.as_ref() else {
             return false;
         };
@@ -223,7 +223,13 @@ impl FaultPlane {
     /// in flight, returns the raw bit-position hash to flip (the caller
     /// reduces it modulo the payload's bit width) and counts the
     /// injection. Callers must only invoke this for non-empty payloads.
-    pub fn wire_corrupt_bit(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> Option<u64> {
+    pub(crate) fn wire_corrupt_bit(
+        &self,
+        src: usize,
+        dst: usize,
+        seq: u64,
+        attempt: u32,
+    ) -> Option<u64> {
         let inner = self.0.as_ref()?;
         let coords = [src as u64, dst as u64, seq, attempt as u64];
         let h = decision_hash(inner.config.seed, DOMAIN_CORRUPT_WIRE, &coords);
@@ -270,7 +276,7 @@ impl FaultPlane {
 
     /// Straggler delay to apply before a fresh data send from `rank`
     /// (ledger-counted). `None` when `rank` is not the straggler.
-    pub fn straggler_delay(&self, rank: usize) -> Option<Duration> {
+    pub(crate) fn straggler_delay(&self, rank: usize) -> Option<Duration> {
         let inner = self.0.as_ref()?;
         match inner.config.straggler {
             Some((r, d)) if r == rank => {
@@ -283,7 +289,7 @@ impl FaultPlane {
 
     /// Whether `rank` is scheduled to crash at `step` (counts when it
     /// fires).
-    pub fn crash_due(&self, rank: usize, step: u64) -> bool {
+    pub(crate) fn crash_due(&self, rank: usize, step: u64) -> bool {
         let Some(inner) = self.0.as_ref() else {
             return false;
         };
@@ -311,7 +317,7 @@ impl FaultPlane {
 }
 
 /// Flips bit `hash % (len * 8)` of `buf` (never called on empty buffers).
-pub fn flip_bit(buf: &mut [u8], hash: u64) {
+pub(crate) fn flip_bit(buf: &mut [u8], hash: u64) {
     let bit = (hash % (buf.len() as u64 * 8)) as usize;
     buf[bit / 8] ^= 1 << (bit % 8);
 }

@@ -56,7 +56,7 @@ pub enum Payload {
 
 impl Payload {
     /// Unwraps an f32 buffer; a different variant is a protocol error.
-    pub fn try_f32(self) -> Result<Vec<f32>, CommError> {
+    pub(crate) fn try_f32(self) -> Result<Vec<f32>, CommError> {
         match self {
             Payload::F32(v) => Ok(v),
             _ => Err(CommError::Protocol { expected: "F32" }),
@@ -80,7 +80,7 @@ impl Payload {
     }
 
     /// Number of wire bytes this payload represents (for traffic counters).
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         match self {
             Payload::F32(v) => v.len() * 4,
             Payload::Bytes(v) => v.len(),
@@ -249,15 +249,15 @@ pub struct CommGroup {
 
 impl CommGroup {
     /// Splits the group into per-rank communicators.
-    pub fn into_communicators(self) -> Vec<Communicator> {
+    pub(crate) fn into_communicators(self) -> Vec<Communicator> {
         self.comms
     }
 }
 
 /// One rank's endpoint into a [`CommGroup`].
 ///
-/// All public rank arithmetic ([`rank`], [`size`], [`left`], [`right`],
-/// and the `src`/`dst` arguments of [`send`]/[`recv`]) is **virtual**:
+/// All public rank arithmetic ([`rank`], [`size`], `left`, [`right`],
+/// and the `src`/`dst` arguments of [`send`]/[`recv_labeled`]) is **virtual**:
 /// positions within the current live membership view. The physical rank
 /// (channel index, fault-plane identity, error reporting) never changes
 /// and is exposed via [`phys_rank`]. With the full initial view the two
@@ -265,10 +265,9 @@ impl CommGroup {
 ///
 /// [`rank`]: Communicator::rank
 /// [`size`]: Communicator::size
-/// [`left`]: Communicator::left
 /// [`right`]: Communicator::right
 /// [`send`]: Communicator::send
-/// [`recv`]: Communicator::recv
+/// [`recv_labeled`]: Communicator::recv_labeled
 /// [`phys_rank`]: Communicator::phys_rank
 pub struct Communicator {
     /// Physical rank: fixed channel-mesh index in `[0, size)`.
@@ -354,11 +353,6 @@ impl Communicator {
         self.rank
     }
 
-    /// Physical size of the channel mesh (never shrinks).
-    pub fn phys_size(&self) -> usize {
-        self.size
-    }
-
     /// The current membership epoch (0 until the first view change).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -370,7 +364,7 @@ impl Communicator {
     }
 
     /// Physical ranks shrunk out of the view, sorted.
-    pub fn dead_ranks(&self) -> &[usize] {
+    pub(crate) fn dead_ranks(&self) -> &[usize] {
         &self.dead
     }
 
@@ -380,7 +374,7 @@ impl Communicator {
     }
 
     /// Virtual rank to this rank's left on the ring.
-    pub fn left(&self) -> usize {
+    pub(crate) fn left(&self) -> usize {
         (self.rank() + self.size() - 1) % self.size()
     }
 
@@ -446,7 +440,7 @@ impl Communicator {
 
     /// Poisons the group on behalf of this rank (normally invoked by
     /// [`run_ranks`]'s panic handler).
-    pub fn mark_poisoned(&self) {
+    pub(crate) fn mark_poisoned(&self) {
         self.poison.poison(self.rank);
     }
 
@@ -454,7 +448,7 @@ impl Communicator {
     /// harness calls this instead of [`Communicator::mark_poisoned`] so
     /// survivors' poll loops surface [`CommError::Poisoned`] naming this
     /// rank and can shrink it out instead of aborting the whole group.
-    pub fn mark_departed(&self) {
+    pub(crate) fn mark_departed(&self) {
         let mut d = self.departed_ranks();
         if !d.contains(&self.rank) {
             d.push(self.rank);
@@ -533,13 +527,15 @@ impl Communicator {
             .map_err(|_| self.disconnect_error(dst))
     }
 
-    /// Receives the next payload from **virtual** rank `src`, bounded by
-    /// the configured deadline (label [`names::COMM_RECV`] in errors).
-    pub fn recv(&mut self, src: usize) -> Result<Payload, CommError> {
+    /// [`Communicator::recv_labeled`] under the label
+    /// [`names::COMM_RECV`]; the tests' point-to-point receive.
+    #[cfg(test)]
+    pub(crate) fn recv(&mut self, src: usize) -> Result<Payload, CommError> {
         self.recv_labeled(src, names::COMM_RECV)
     }
 
-    /// [`Communicator::recv`] with the enclosing collective's name
+    /// Receives the next payload from **virtual** rank `src`, bounded by
+    /// the configured deadline, with the enclosing collective's name
     /// threaded into any [`CommError`]. Errors name the **physical**
     /// peer (the id the elastic layer shrinks by).
     pub fn recv_labeled(
@@ -838,7 +834,7 @@ where
 /// Builds the channel mesh and the clock for `size` ranks with an armed
 /// [`FaultPlane`] (or [`FaultPlane::disabled`]) and the given transport
 /// configuration.
-pub fn build_group_with(size: usize, plane: FaultPlane, config: CommConfig) -> CommGroup {
+pub(crate) fn build_group_with(size: usize, plane: FaultPlane, config: CommConfig) -> CommGroup {
     assert!(size > 0, "a group needs at least one rank");
     #[allow(clippy::type_complexity)] // src-major senders, dst-major receivers
     fn mesh<T>(size: usize) -> (Vec<Vec<Sender<T>>>, Vec<Vec<Receiver<T>>>) {

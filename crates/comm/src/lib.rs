@@ -28,7 +28,7 @@ pub mod membership;
 
 pub use fault::{FaultConfig, FaultPlane, LedgerSnapshot};
 pub use group::{
-    build_group_with, run_ranks, run_ranks_elastic, run_ranks_with, CommConfig, CommError,
-    CommGroup, Communicator, Payload,
+    run_ranks, run_ranks_elastic, run_ranks_with, CommConfig, CommError, CommGroup, Communicator,
+    Payload,
 };
 pub use membership::{admit_pending, rejoin, MembershipFrame, ViewChange};

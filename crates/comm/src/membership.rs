@@ -19,7 +19,7 @@
 //! *raw* sequence-less frames because the pairwise ARQ state is stale on
 //! one side; both sides reset to sequence 0 at the grow commit. Payload
 //! streams on an armed fault plane must therefore never begin with
-//! [`MAGIC`] unless they are membership frames — every other format in
+//! `MAGIC` unless they are membership frames — every other format in
 //! the workspace carries its own distinct magic byte.
 //!
 //! The `Communicator` half of the protocol lives here too: the shrink
@@ -37,11 +37,11 @@ use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// First byte of every membership frame (`compso_core::wire::magic::MAGIC_MEMBERSHIP`).
-pub const MAGIC: u8 = magic::MAGIC_MEMBERSHIP;
+pub(crate) const MAGIC: u8 = magic::MAGIC_MEMBERSHIP;
 
 /// Upper bound on the rank list a membership frame may carry — matches
 /// the checkpoint manifest's `WORLD_MAX`.
-pub const RANKS_MAX: usize = 4096;
+pub(crate) const RANKS_MAX: usize = 4096;
 
 const KIND_PROPOSAL: u8 = 0;
 const KIND_REJOIN_REQUEST: u8 = 1;

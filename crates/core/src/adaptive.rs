@@ -59,6 +59,7 @@ impl CompressionStrategy {
     }
 
     /// The quantizer bound in effect.
+    #[cfg(test)]
     pub fn eb_quant(self) -> f32 {
         match self {
             CompressionStrategy::Aggressive { eb_quant, .. } => eb_quant,
@@ -67,7 +68,8 @@ impl CompressionStrategy {
     }
 
     /// True when the filter branch is active.
-    pub fn is_aggressive(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_aggressive(self) -> bool {
         matches!(self, CompressionStrategy::Aggressive { .. })
     }
 }

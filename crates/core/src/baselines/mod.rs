@@ -14,7 +14,7 @@
 //!
 //! Each family keeps its per-layer block codec as inherent
 //! `encode`/`decode` and gets its group behaviour from the one shared
-//! framing, [`crate::wire::frame_group`] — a pure format that the
+//! framing, `crate::wire::frame_group` — a pure format that the
 //! independent-per-layer families (QSGD, SZ, CocktailSGD) fill one
 //! rayon worker per layer and PowerSGD fills serially under its state
 //! lock.

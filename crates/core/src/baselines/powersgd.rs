@@ -26,7 +26,7 @@
 //! cold start — a pure function of the input, which is what the
 //! round-trip and fuzz harnesses exercise.
 //!
-//! Wire format, magic [`MAGIC_POWERSGD`] (`0xCA`):
+//! Wire format, magic `MAGIC_POWERSGD` (`0xCA`):
 //!
 //! ```text
 //! u8   magic (0xCA)
@@ -52,13 +52,11 @@ use compso_obs::Recorder;
 use compso_tensor::rng::Rng;
 use compso_tensor::Matrix;
 
-/// Magic byte of the PowerSGD factor stream (re-exported from the central
-/// [`crate::wire::magic`] registry).
-pub use crate::wire::magic::MAGIC_POWERSGD;
+use crate::wire::magic::MAGIC_POWERSGD;
 
 /// Hard ceiling on the rank a frame may declare; real configurations use
 /// 1–32, anything larger is a corrupt header.
-pub const MAX_WIRE_RANK: usize = 64;
+pub(crate) const MAX_WIRE_RANK: usize = 64;
 
 /// Fixed bytes before the mode-specific payload (magic, mode, n).
 const HEADER_BYTES: usize = 1 + 1 + 8;
@@ -78,8 +76,6 @@ struct LayerState {
 pub struct PowerSgd {
     /// Target rank r of the transmitted factors.
     pub rank: usize,
-    /// Power iterations per compression (1 is the paper's setting).
-    pub power_iters: usize,
     state: Mutex<HashMap<u64, LayerState>>,
 }
 
@@ -89,19 +85,12 @@ impl PowerSgd {
     pub fn rank(r: usize) -> Self {
         PowerSgd {
             rank: r.max(1),
-            power_iters: 1,
             state: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Overrides the number of power iterations (≥ 1).
-    pub fn with_power_iters(mut self, iters: usize) -> Self {
-        self.power_iters = iters.max(1);
-        self
-    }
-
     /// Canonical near-square reshape of an `n`-element buffer.
-    pub fn shape_for(n: usize) -> (usize, usize) {
+    pub(crate) fn shape_for(n: usize) -> (usize, usize) {
         if n == 0 {
             return (0, 0);
         }
@@ -133,18 +122,13 @@ impl PowerSgd {
     /// Largest `‖residual‖/‖input‖` across all layers compressed through
     /// the keyed path so far — the error-feedback divergence signal the
     /// control plane polls. 0.0 before any stateful compression.
-    pub fn ef_residual_rel(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn ef_residual_rel(&self) -> f64 {
         let state = self.state.lock().unwrap();
         state
             .values()
             .map(|s| s.residual_rel)
             .fold(0.0f64, f64::max)
-    }
-
-    /// Drops all warm-start / error-feedback state (e.g. after the
-    /// controller switches away and back).
-    pub fn reset_state(&self) {
-        self.state.lock().unwrap().clear();
     }
 
     /// One layer's stateless block: deterministically seeded Q, no warm
@@ -185,16 +169,14 @@ impl PowerSgd {
         }
 
         // Warm-start Q when the cached factor still fits this geometry.
-        let mut q = match state.as_deref_mut() {
+        let warm = match state.as_deref_mut() {
             Some(st) if st.q.rows() == cols && st.q.cols() == r => st.q.clone(),
             _ => Self::cold_q(n, cols, r),
         };
-        let mut p = Matrix::zeros(rows, r);
-        for _ in 0..self.power_iters {
-            p = m.matmul(&q);
-            p.orthonormalize_columns();
-            q = m.t_matmul(&p);
-        }
+        // One power iteration, the paper's setting.
+        let mut p = m.matmul(&warm);
+        p.orthonormalize_columns();
+        let q = m.t_matmul(&p);
 
         if let Some(st) = state {
             let approx = p.matmul_t(&q);
@@ -378,7 +360,7 @@ mod tests {
         // A rank-2 matrix compressed at rank 4 should reconstruct to
         // f32 round-off.
         let data = lowrank_buffer(40, 40, 2, 1);
-        let c = PowerSgd::rank(4).with_power_iters(2);
+        let c = PowerSgd::rank(4);
         let bytes = c.encode(&data);
         assert_eq!(bytes[0], MAGIC_POWERSGD);
         assert_eq!(bytes[1], 1, "low-rank mode");
@@ -476,8 +458,6 @@ mod tests {
             last_rel < first_rel * 0.9,
             "no EF progress: first {first_rel} last {last_rel}"
         );
-        c.reset_state();
-        assert_eq!(c.ef_residual_rel(), 0.0);
     }
 
     #[test]

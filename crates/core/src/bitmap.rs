@@ -6,7 +6,7 @@
 //! lossless encoder before hitting the wire; on typical K-FAC gradients
 //! most bits are 1, so the bitmap is highly compressible.
 
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::WireError;
 
 /// A fixed-length bit vector.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,12 +36,14 @@ impl Bitmap {
     }
 
     /// Number of bits.
+    #[cfg(test)]
     #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// True when the bitmap has zero bits.
+    #[cfg(test)]
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -52,13 +54,6 @@ impl Bitmap {
     pub fn set(&mut self, i: usize) {
         debug_assert!(i < self.len);
         self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Clears bit `i`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
     /// Reads bit `i`.
@@ -74,13 +69,8 @@ impl Bitmap {
     }
 
     /// Number of clear bits.
-    pub fn count_zeros(&self) -> usize {
+    pub(crate) fn count_zeros(&self) -> usize {
         self.len - self.count_ones()
-    }
-
-    /// Iterator over all bit values in index order.
-    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(move |i| self.get(i))
     }
 
     /// The raw bitmap as packed little-endian bytes (`ceil(len/8)` of them).
@@ -97,7 +87,7 @@ impl Bitmap {
     }
 
     /// Rebuilds a bitmap of `len` bits from packed bytes.
-    pub fn from_bytes(len: usize, bytes: &[u8]) -> Result<Self, WireError> {
+    pub(crate) fn from_bytes(len: usize, bytes: &[u8]) -> Result<Self, WireError> {
         if bytes.len() != len.div_ceil(8) {
             return Err(WireError::Invalid("bitmap byte length"));
         }
@@ -121,24 +111,6 @@ impl Bitmap {
         }
         Ok(b)
     }
-
-    /// Serializes length + packed bytes.
-    pub fn write(&self, w: &mut Writer) {
-        w.u64(self.len as u64);
-        w.block(&self.to_bytes());
-    }
-
-    /// Deserializes a bitmap written by [`Bitmap::write`].
-    pub fn read(r: &mut Reader) -> Result<Self, WireError> {
-        let len = crate::wire::checked_count(r.u64()?)?;
-        // Sanity cap: a bitmap longer than the remaining stream could even
-        // describe is corrupt.
-        if len / 8 > r.remaining() + 16 {
-            return Err(WireError::Invalid("bitmap length"));
-        }
-        let bytes = r.block()?;
-        Bitmap::from_bytes(len, bytes)
-    }
 }
 
 #[cfg(test)]
@@ -157,9 +129,6 @@ mod tests {
         assert!(b.get(0) && b.get(63) && b.get(64) && b.get(129));
         assert!(!b.get(1) && !b.get(128));
         assert_eq!(b.count_ones(), 4);
-        b.clear(63);
-        assert!(!b.get(63));
-        assert_eq!(b.count_ones(), 3);
     }
 
     #[test]
@@ -174,16 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip() {
-        let b = Bitmap::from_fn(77, |i| i % 5 == 1);
-        let mut w = Writer::new();
-        b.write(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(Bitmap::read(&mut r).unwrap(), b);
-    }
-
-    #[test]
     fn wrong_byte_length_rejected() {
         assert!(Bitmap::from_bytes(16, &[0u8; 3]).is_err());
         assert!(Bitmap::from_bytes(16, &[0u8; 1]).is_err());
@@ -194,18 +153,6 @@ mod tests {
         // 4 valid bits but high bits of the byte set.
         assert!(Bitmap::from_bytes(4, &[0xF0]).is_err());
         assert!(Bitmap::from_bytes(4, &[0x0F]).is_ok());
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        let b = Bitmap::from_fn(100, |i| i % 2 == 0);
-        let mut w = Writer::new();
-        b.write(&mut w);
-        let bytes = w.into_bytes();
-        for cut in [0, 4, 9, bytes.len() - 1] {
-            let mut r = Reader::new(&bytes[..cut]);
-            assert!(Bitmap::read(&mut r).is_err(), "cut={cut}");
-        }
     }
 
     #[test]

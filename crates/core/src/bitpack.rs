@@ -17,7 +17,7 @@
 use crate::wire::WireError;
 
 /// Number of bits needed to represent values in `0..=max_value`.
-pub fn bits_for(max_value: u32) -> u32 {
+pub(crate) fn bits_for(max_value: u32) -> u32 {
     (32 - max_value.leading_zeros()).max(1)
 }
 
@@ -25,7 +25,7 @@ pub fn bits_for(max_value: u32) -> u32 {
 ///
 /// # Panics
 /// If `width` is 0 or > 32, or any code does not fit in `width` bits.
-pub fn pack(codes: &[u32], width: u32) -> Vec<u8> {
+pub(crate) fn pack(codes: &[u32], width: u32) -> Vec<u8> {
     assert!((1..=32).contains(&width), "width {width} out of range");
     let total_bits = codes.len() * width as usize;
     let mut out = vec![0u8; total_bits.div_ceil(8)];
@@ -53,7 +53,7 @@ pub fn pack(codes: &[u32], width: u32) -> Vec<u8> {
 }
 
 /// Unpacks `count` codes of `width` bits from a byte stream.
-pub fn unpack(bytes: &[u8], width: u32, count: usize) -> Result<Vec<u32>, WireError> {
+pub(crate) fn unpack(bytes: &[u8], width: u32, count: usize) -> Result<Vec<u32>, WireError> {
     if !(1..=32).contains(&width) {
         return Err(WireError::Invalid("bit width"));
     }
@@ -87,7 +87,7 @@ pub fn unpack(bytes: &[u8], width: u32, count: usize) -> Result<Vec<u32>, WireEr
 
 /// Narrowest code width that is split instead of packed: a chunk whose
 /// codes need more than one byte.
-pub const SPLIT_MIN_WIDTH: u32 = 9;
+pub(crate) const SPLIT_MIN_WIDTH: u32 = 9;
 
 /// The all-ones mask of a `width`-bit code (`1 ..= 32`).
 pub(crate) fn code_mask(width: u32) -> u32 {
@@ -117,7 +117,7 @@ pub fn split_bias(lo: f32, bin_width: f32, n_bins: u32) -> u32 {
 /// Splits `width`-bit codes (`9 ..= 32`) into byte-aligned streams: each
 /// code is rotated to `(code + bias) mod 2^width`, its low byte goes to
 /// the first stream (one byte per code) and its remaining `width − 8`
-/// bits are [`pack`]ed at that width into the second. The scalar oracle
+/// bits are `pack`ed at that width into the second. The scalar oracle
 /// of [`crate::microkernel::split_into`].
 ///
 /// # Panics
@@ -139,7 +139,13 @@ pub fn split(codes: &[u32], width: u32, bias: u32) -> (Vec<u8>, Vec<u8>) {
 
 /// Inverse of [`split`]: one code per byte of `low`, in order. The scalar
 /// oracle of [`crate::microkernel::unsplit_map`].
-pub fn unsplit(low: &[u8], planes: &[u8], width: u32, bias: u32) -> Result<Vec<u32>, WireError> {
+#[cfg(test)]
+pub(crate) fn unsplit(
+    low: &[u8],
+    planes: &[u8],
+    width: u32,
+    bias: u32,
+) -> Result<Vec<u32>, WireError> {
     if !(SPLIT_MIN_WIDTH..=32).contains(&width) {
         return Err(WireError::Invalid("bit width"));
     }

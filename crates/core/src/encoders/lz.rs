@@ -14,9 +14,9 @@
 use crate::wire::{Reader, WireError, Writer};
 
 /// Minimum match length worth a 3-byte token.
-pub const MIN_MATCH: usize = 4;
+pub(crate) const MIN_MATCH: usize = 4;
 /// Maximum match length encodable in one token.
-pub const MAX_MATCH: usize = MIN_MATCH + 0x7f;
+pub(crate) const MAX_MATCH: usize = MIN_MATCH + 0x7f;
 /// Maximum literal run per token.
 const MAX_LITERALS: usize = 128;
 
@@ -39,7 +39,7 @@ impl LzParams {
     }
 
     /// Snappy-like profile: smaller window, head-only probing.
-    pub fn snappy() -> Self {
+    pub(crate) fn snappy() -> Self {
         LzParams {
             window: 32_768,
             max_chain: 0,
@@ -47,7 +47,7 @@ impl LzParams {
     }
 
     /// Deflate-like ratio profile.
-    pub fn deflate() -> Self {
+    pub(crate) fn deflate() -> Self {
         LzParams {
             window: 32_768,
             max_chain: 8,
@@ -55,7 +55,7 @@ impl LzParams {
     }
 
     /// Gdeflate-like profile: full window, deeper chains.
-    pub fn gdeflate() -> Self {
+    pub(crate) fn gdeflate() -> Self {
         LzParams {
             window: 65_535,
             max_chain: 16,

@@ -22,7 +22,8 @@ pub struct Filtered {
 
 impl Filtered {
     /// Fraction of elements removed.
-    pub fn drop_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn drop_ratio(&self) -> f64 {
         if self.bitmap.is_empty() {
             return 0.0;
         }

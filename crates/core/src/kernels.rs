@@ -14,7 +14,7 @@
 //! bits are bit-packed at their width; wider ones (Alg. 1's conservative
 //! bound needs 9) would straddle its symbols, so they travel code-aligned
 //! instead: a low-byte stream plus a zero-centred high-bit plane stream
-//! ([`FLAG_WIDE`], DESIGN.md §8.2).
+//! (`FLAG_WIDE`, DESIGN.md §8.2).
 //!
 //! Compression is memory-bound with O(1) arithmetic intensity (§4.5), so
 //! pass-count is the first-order cost and the fused/staged ablation is
@@ -26,7 +26,7 @@
 use crate::bitpack::{self, bits_for, split_bias, SPLIT_MIN_WIDTH};
 use crate::encoders::Codec;
 use crate::microkernel::{self, CodeRecord, LaneScratch, SrLane, SR_LANES};
-use crate::quantize::{ErrorBound, Quantized, Quantizer};
+use crate::quantize::{bin_width_for, Quantized, Quantizer};
 use crate::rounding::RoundingMode;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
@@ -39,23 +39,23 @@ use std::ops::Range;
 
 /// Magic byte of the chunked-parallel wire format (registered as
 /// [`crate::wire::magic::MAGIC_STREAM_V2`]).
-pub const MAGIC_CHUNKED: u8 = crate::wire::magic::MAGIC_STREAM_V2;
+pub(crate) const MAGIC_CHUNKED: u8 = crate::wire::magic::MAGIC_STREAM_V2;
 
 /// Version of the chunked wire format. v2 added the per-chunk byte-offset
 /// index over the code and bitmap streams, which is what makes
 /// [`decompress_chunked`] chunk-parallel: each worker seeks straight to
 /// its chunk's records instead of replaying every earlier chunk's
 /// variable-length headers.
-pub const CHUNKED_VERSION: u8 = 2;
+pub(crate) const CHUNKED_VERSION: u8 = 2;
 
 /// Bit 0 of the frame's `flags` byte: some chunk's codes are wider than
 /// a byte, so every offset-index row carries a third column and a third
 /// block — the plane stream — follows the bitmap and code streams. No
 /// other bit is assigned; a reader refuses any.
-pub const FLAG_WIDE: u8 = 1;
+pub(crate) const FLAG_WIDE: u8 = 1;
 
 /// Byte-block granularity of the parallel entropy-coding stage.
-pub const CODEC_BLOCK: usize = 256 * 1024;
+pub(crate) const CODEC_BLOCK: usize = 256 * 1024;
 
 /// One COMPSO compression strategy.
 #[derive(Clone, Copy, Debug)]
@@ -192,21 +192,6 @@ impl LayerSchedule {
     pub fn chunks(&self) -> &[ChunkDesc] {
         &self.chunks
     }
-
-    /// Per-layer sizes the schedule was built for.
-    pub fn layer_sizes(&self) -> &[usize] {
-        &self.layer_sizes
-    }
-
-    /// The chunk tile size the schedule was built with.
-    pub fn chunk_elems(&self) -> usize {
-        self.chunk_elems
-    }
-
-    /// Whether this schedule was built for exactly these layer sizes.
-    pub fn matches(&self, layer_sizes: &[usize]) -> bool {
-        self.layer_sizes == layer_sizes
-    }
 }
 
 /// Per-chunk compression product.
@@ -298,7 +283,7 @@ fn quantize_chunk(
     rng: &mut Rng,
 ) -> Quantized {
     let quantizer = Quantizer {
-        bound: crate::quantize::ErrorBound::Relative(cfg.eb_quant),
+        eb: cfg.eb_quant,
         mode: cfg.mode,
     };
     let (lo, hi) = if n == 0 {
@@ -447,7 +432,7 @@ fn stage_chunk(
     let (bin_width, n_bins) = if qrange == 0.0 || n_kept == 0 {
         (0.0f32, 0u32)
     } else {
-        let eb_abs = ErrorBound::Relative(cfg.eb_quant).absolute_for_range(qrange);
+        let eb_abs = bin_width_for(cfg.eb_quant, qrange);
         assert!(eb_abs > 0.0, "error bound collapsed to zero");
         (eb_abs, (qrange as f64 / eb_abs as f64).ceil() as u32)
     };
@@ -620,7 +605,7 @@ fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mu
 /// Compresses multiple layers with the chunked-parallel kernels.
 ///
 /// The output is the self-describing v2 chunked format (see
-/// [`CHUNKED_VERSION`]); decode with [`decompress_chunked`]. The result is
+/// `CHUNKED_VERSION`); decode with [`decompress_chunked`]. The result is
 /// deterministic for a fixed `rng` seed regardless of thread count: each
 /// chunk forks its own RNG stream by chunk index.
 ///
@@ -1234,7 +1219,7 @@ fn decompress_chunked_scratch(
 /// shapes, and deterministic at any thread count.
 ///
 /// The chunk tile is computed, not configured: the §4.4 overhead model's
-/// choice ([`crate::perfmodel::choose_chunk_elems`]) for the group's
+/// choice (`crate::perfmodel::choose_chunk_elems`) for the group's
 /// total element count, floored at the default tile. It is a pure
 /// function of the element count — never of live thread counts — so
 /// replicas stay bit-identical, and it *equals* the default tile for
@@ -1343,9 +1328,6 @@ mod tests {
             assert_eq!(c.offset, expected_offset[c.layer]);
             expected_offset[c.layer] += c.len;
         }
-        assert_eq!(s.chunk_elems(), 64);
-        assert!(s.matches(&[100, 0, 250]));
-        assert!(!s.matches(&[100, 250]));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! What makes bit-identity possible (and cheap to maintain):
 //!
-//! * [`pack_into`] accumulates codes in a `u64` register and flushes 32
+//! * `pack_into` accumulates codes in a `u64` register and flushes 32
 //!   bits at a time; [`unpack_map`] reads each code through one
 //!   unaligned u64 load. A code is ≤ 32 bits and the pending bits (or
 //!   the in-byte shift) stay below 32 (7), so every window fits u64
@@ -24,11 +24,11 @@
 //!   mid-byte. Eight codes' plane bits are whole bytes, so up to 16 bits
 //!   the plane moves a `u64` per group of eight; the layout is
 //!   [`crate::bitpack::split`]'s, byte for byte.
-//! * [`filter_kernel`] builds the drop bitmap 64 decisions to a word,
+//! * `filter_kernel` builds the drop bitmap 64 decisions to a word,
 //!   branchlessly, and copies the survivors out by walking the inverted
 //!   word. The bit layout (LSB-first, set ⇔ dropped) matches the scalar
 //!   filter.
-//! * [`quantize_kernel`] hoists the per-element rounding-mode dispatch
+//! * `quantize_kernel` hoists the per-element rounding-mode dispatch
 //!   out of the loop and clamps the bin coordinate before rounding, which
 //!   commutes with the scalar path's clamp after it and lets `floor` and
 //!   round-to-even be a cast and an add instead of libm calls. Stochastic
@@ -40,16 +40,16 @@
 //!   side, one chunk and its own stream per 64-bit lane of an AVX2
 //!   register. Each chunk already owns its stream, so a lane draws what
 //!   the scalar kernel draws, in its order, and does its arithmetic.
-//! * [`CodeRecord::dequantize_into`] reads a chunk of up to
-//!   [`TABLE_MAX_WIDTH`]-bit codes through a per-chunk table
-//!   ([`DequantTable`]) — the decoder's expression evaluated once per code
+//! * `CodeRecord::dequantize_into` reads a chunk of up to
+//!   `TABLE_MAX_WIDTH`-bit codes through a per-chunk table
+//!   (`DequantTable`) — the decoder's expression evaluated once per code
 //!   value, indexed by the code as stored — once the codes outnumber its
 //!   entries.
-//! * [`scatter_kept`] walks the keep-mask as u64 words with
+//! * `scatter_kept` walks the keep-mask as u64 words with
 //!   `trailing_zeros`, so decode scatter cost scales with the *kept*
 //!   count, not the chunk length — the dropped majority is covered by a
 //!   single pre-zeroed output buffer.
-//! * [`CompressScratch`] extends the PR-3 thread-local decode scratch to
+//! * `CompressScratch` extends the PR-3 thread-local decode scratch to
 //!   the compress side: kept values, quantized codes, packed bytes and
 //!   plane bytes live in per-thread arenas that are cleared, never shrunk.
 
@@ -79,7 +79,7 @@ const TWO_POW_84: f64 = (1u128 << 84) as f64;
 /// If `width` is 0 or > 32, or any code does not fit in `width` bits —
 /// the same contract and message as the scalar packer (the first
 /// offending code is named; `out` is unspecified after the panic).
-pub fn pack_into(codes: &[u32], width: u32, out: &mut Vec<u8>) {
+pub(crate) fn pack_into(codes: &[u32], width: u32, out: &mut Vec<u8>) {
     assert!((1..=32).contains(&width), "width {width} out of range");
     let n_bytes = (codes.len() * width as usize).div_ceil(8);
     out.clear();
@@ -144,7 +144,7 @@ fn windowed_groups(len: usize, w: usize, groups: usize) -> usize {
 /// count, no flush test — which is stored whole, and the cursor steps by
 /// the bytes that were real (the next group overwrites the rest). The
 /// groups near the end, whose store would cross it, and every code of a
-/// wider stream go through [`pack_into`]'s register window instead.
+/// wider stream go through `pack_into`'s register window instead.
 ///
 /// # Panics
 /// If `width` is outside `9 ..= 32` or a code does not fit in it, with
@@ -293,8 +293,8 @@ fn tail_code(bytes: &[u8], bitpos: &mut usize, width: u32) -> u32 {
 /// `width − 8` bits of `planes`, still rotated — so a wide chunk
 /// dequantizes as it merges, and a caller with a table indexed by the
 /// rotated code needs no subtract or mask per code. Un-rotated by the
-/// caller (`(stored − bias) mod 2^width`), these are
-/// [`crate::bitpack::unsplit`]'s codes; the refusals are its, in its
+/// caller (`(stored − bias) mod 2^width`), these are the codes of the
+/// test-only oracle `bitpack::unsplit`; the refusals are its, in its
 /// order.
 ///
 /// `low` must hold exactly one byte per output.
@@ -358,14 +358,14 @@ fn dequantize(lo64: f64, bw64: f64, code: u32) -> f32 {
 /// Code widths up to this dequantize through a per-chunk table
 /// ([`DequantTable`]) once the chunk has more codes than the table has
 /// entries: 4 Ki entries, 16 KiB of `f32`, at 12 bits.
-pub const TABLE_MAX_WIDTH: u32 = 12;
+pub(crate) const TABLE_MAX_WIDTH: u32 = 12;
 
 /// Entries of a full-width table.
 const TABLE_LEN: usize = 1 << TABLE_MAX_WIDTH;
 
 /// Storage for one chunk's dequantize table, reused chunk after chunk.
 #[derive(Debug, Default)]
-pub struct DequantTable {
+pub(crate) struct DequantTable {
     entries: Vec<f32>,
 }
 
@@ -412,7 +412,7 @@ impl DequantTable {
 
 /// A filled [`DequantTable`].
 #[derive(Clone, Copy)]
-pub struct TableView<'a>(&'a [f32; TABLE_LEN]);
+pub(crate) struct TableView<'a>(&'a [f32; TABLE_LEN]);
 
 impl TableView<'_> {
     /// The value of stored code `stored` (below `2^width`); NaN if its
@@ -428,7 +428,7 @@ impl TableView<'_> {
 /// `n_bins` and at least 1; past 8 bits `packed` holds one low byte per
 /// code and `planes` the high bits ([`unsplit_map`]), otherwise `packed`
 /// holds the codes at their width ([`unpack_map`]).
-pub struct CodeRecord<'a> {
+pub(crate) struct CodeRecord<'a> {
     /// Packed codes, or a wide record's low bytes.
     pub packed: &'a [u8],
     /// A wide record's plane slice.
@@ -478,7 +478,7 @@ impl CodeRecord<'_> {
     /// when there is one and through [`dequantize`] otherwise — the same
     /// value either way. The unpacker's refusals come first, then "code
     /// out of range" if some code exceeds `n_bins`.
-    pub fn dequantize_into(
+    pub(crate) fn dequantize_into(
         &self,
         out: &mut [f32],
         table: Option<TableView>,
@@ -511,7 +511,12 @@ impl CodeRecord<'_> {
 /// drop bitmap (`bit set ⇔ |v| < threshold`) into `bitmap` and compacts
 /// surviving values into `kept`, both cleared first. Byte-identical to
 /// the scalar filter loop in `kernels::filter_chunk`.
-pub fn filter_kernel(data: &[f32], threshold: f32, bitmap: &mut Vec<u8>, kept: &mut Vec<f32>) {
+pub(crate) fn filter_kernel(
+    data: &[f32],
+    threshold: f32,
+    bitmap: &mut Vec<u8>,
+    kept: &mut Vec<f32>,
+) {
     bitmap.clear();
     bitmap.reserve(data.len().div_ceil(8));
     kept.clear();
@@ -561,7 +566,7 @@ fn coord_of(x: f32, lo64: f64, inv_w: f64, cap64: f64) -> f64 {
 /// `lo`, `inv_w` and `n_bins` must be derived exactly as
 /// `Quantizer::quantize_with_range` derives them; the caller owns that
 /// arithmetic so the two paths cannot drift.
-pub fn quantize_kernel(
+pub(crate) fn quantize_kernel(
     kept: &[f32],
     lo: f32,
     inv_w: f64,
@@ -610,7 +615,7 @@ pub fn quantize_kernel(
 pub const SR_LANES: usize = 4;
 
 /// One chunk's stochastic rounding, or a stretch of it: `codes[i]` gets
-/// the code of `kept[i]` under the header [`quantize_kernel`] takes,
+/// the code of `kept[i]` under the header `quantize_kernel` takes,
 /// drawing one uniform from `rng` per value in order.
 pub struct SrLane<'a> {
     /// The values to round.
@@ -628,7 +633,7 @@ pub struct SrLane<'a> {
 }
 
 impl SrLane<'_> {
-    /// This lane alone, in scalar code: [`quantize_kernel`]'s Stochastic
+    /// This lane alone, in scalar code: `quantize_kernel`'s Stochastic
     /// arm, the portable instance of [`quantize_sr_lanes`] and its oracle.
     pub fn quantize(&mut self) {
         let (lo64, cap64) = (self.lo as f64, self.n_bins as f64);
@@ -786,7 +791,7 @@ fn sr_lanes_avx2(lanes: &mut [SrLane<'_>; SR_LANES], steps: usize) {
 
 /// Why [`scatter_kept`] stopped early.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScatterError {
+pub(crate) enum ScatterError {
     /// A kept slot had no value behind it.
     Underrun,
     /// Values were left over after every kept slot was filled.
@@ -798,7 +803,7 @@ pub enum ScatterError {
 /// produces the k-th kept value. `bitmap` must hold `n.div_ceil(8)` bytes;
 /// bits past `n` in the last byte are ignored, exactly like the scalar
 /// scatter loop.
-pub fn scatter_kept(
+pub(crate) fn scatter_kept(
     bitmap: &[u8],
     n: usize,
     kept: usize,
@@ -844,7 +849,7 @@ pub fn scatter_kept(
 /// bytes are materialized here instead of fresh `Vec`s per chunk. Buffers are
 /// cleared between chunks, never shrunk.
 #[derive(Debug, Default)]
-pub struct CompressScratch {
+pub(crate) struct CompressScratch {
     /// One per SR lane: the chunk that lane holds.
     pub lanes: [LaneScratch; SR_LANES],
     /// The record's code bytes — bit-packed, or one low byte per code
@@ -856,7 +861,7 @@ pub struct CompressScratch {
 
 /// A chunk's buffers while it is being quantized.
 #[derive(Debug, Default)]
-pub struct LaneScratch {
+pub(crate) struct LaneScratch {
     /// Surviving values after the filter sweep.
     pub kept: Vec<f32>,
     /// Quantized bin indices for the kept values.
@@ -871,7 +876,8 @@ impl CompressScratch {
 
     /// Bytes currently reserved across all arena buffers (observability
     /// for the reuse-invariant tests).
-    pub fn capacity_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity_bytes(&self) -> usize {
         let lanes: usize = (self.lanes.iter())
             .map(|l| l.kept.capacity() * 4 + l.codes.capacity() * 4)
             .sum();
@@ -893,7 +899,7 @@ thread_local! {
 }
 
 /// Runs `f` with this thread's compress arena.
-pub fn with_compress_scratch<R>(f: impl FnOnce(&mut CompressScratch) -> R) -> R {
+pub(crate) fn with_compress_scratch<R>(f: impl FnOnce(&mut CompressScratch) -> R) -> R {
     let mut s = COMPRESS_SCRATCH.with(|p| std::mem::take(&mut *p.borrow_mut()));
     let r = f(&mut s);
     COMPRESS_SCRATCH.with(|p| *p.borrow_mut() = s);
@@ -901,13 +907,14 @@ pub fn with_compress_scratch<R>(f: impl FnOnce(&mut CompressScratch) -> R) -> R 
 }
 
 /// Bytes currently reserved by this thread's compress arena.
-pub fn compress_scratch_capacity_bytes() -> usize {
+#[cfg(test)]
+pub(crate) fn compress_scratch_capacity_bytes() -> usize {
     COMPRESS_SCRATCH.with(|p| p.borrow().capacity_bytes())
 }
 
 /// The chunk decoder's per-thread buffers.
 #[derive(Debug, Default)]
-pub struct ChunkDecodeScratch {
+pub(crate) struct ChunkDecodeScratch {
     /// A filtered chunk's kept values, dequantized ahead of the scatter.
     pub kept: Vec<f32>,
     /// The chunk's dequantize table.
@@ -915,7 +922,7 @@ pub struct ChunkDecodeScratch {
 }
 
 /// Runs `f` with this thread's chunk-decode buffers.
-pub fn with_chunk_decode<R>(f: impl FnOnce(&mut ChunkDecodeScratch) -> R) -> R {
+pub(crate) fn with_chunk_decode<R>(f: impl FnOnce(&mut ChunkDecodeScratch) -> R) -> R {
     let mut s = CHUNK_DECODE.with(|p| std::mem::take(&mut *p.borrow_mut()));
     let r = f(&mut s);
     CHUNK_DECODE.with(|p| *p.borrow_mut() = s);
@@ -1158,7 +1165,7 @@ mod tests {
     /// rounding without libm is the same function.
     #[test]
     fn quantize_kernel_matches_scalar_quantizer_on_edge_values() {
-        use crate::quantize::Quantizer;
+        use crate::quantize::quantize_on_grid;
         // Bin widths exact in f32 (one of them subnormal), so `lo + k·w`
         // lands on the grid exactly.
         for (lo, w) in [(-3.0f32, 0.125f32), (0.0, f32::from_bits(1))] {
@@ -1199,13 +1206,7 @@ mod tests {
                     RoundingMode::HalfProbability,
                 ] {
                     let mut rng_ref = Rng::new(0x5EED);
-                    let want = Quantizer::absolute(w, mode).quantize_with_range(
-                        &data,
-                        lo,
-                        hi,
-                        &mut rng_ref,
-                    );
-                    assert_eq!(want.n_bins, n_bins);
+                    let want = quantize_on_grid(&data, lo, w, n_bins, mode, &mut rng_ref);
                     let mut rng = Rng::new(0x5EED);
                     let mut codes = vec![9u32; 2];
                     let inv_w = 1.0 / w as f64;
@@ -1453,9 +1454,13 @@ mod tests {
             data in proptest::collection::vec(-100.0f32..100.0, 0..400),
             n_bins in 1u32..4000,
             seed in any::<u64>(),
-            mode_sel in 0u8..3,
+            mode_sel in 0usize..3,
         ) {
-            let mode = RoundingMode::from_tag(mode_sel).unwrap();
+            let mode = [
+                RoundingMode::Nearest,
+                RoundingMode::Stochastic,
+                RoundingMode::HalfProbability,
+            ][mode_sel];
             let lo = -100.0f32;
             let inv_w = n_bins as f64 / 200.0;
             // Scalar reference.

@@ -1,5 +1,5 @@
 //! The compressor's side of the §4.4 performance model: the chunk tile
-//! the codec picks for a workload ([`choose_chunk_elems`]) and the wall
+//! the codec picks for a workload (`choose_chunk_elems`) and the wall
 //! clock of a pipelined gather ([`pipelined_wall`]). Pricing a step —
 //! Eq. 5, the encoder and aggregation choices, compressor profiles — is
 //! `compso-sim`'s job.
@@ -23,7 +23,7 @@ pub fn pipelined_wall(compute_s: f64, comm_s: f64, stages: usize) -> f64 {
 /// stay bit-identical. 64 is the §4.4 model's saturation point — beyond
 /// one chunk per modeled worker, smaller tiles only add per-chunk
 /// header + extrema overhead without exposing more parallelism.
-pub const MODELED_PARALLEL_WIDTH: usize = 64;
+pub(crate) const MODELED_PARALLEL_WIDTH: usize = 64;
 
 /// Chunk tile size (in elements) the §4.4 overhead model picks for a
 /// workload of `total_elems` elements, floored at `floor` (the fixed
@@ -41,7 +41,7 @@ pub const MODELED_PARALLEL_WIDTH: usize = 64;
 /// any workload below `floor × MODELED_PARALLEL_WIDTH` elements (1 Mi
 /// with the defaults) the choice equals `floor`, so small-model
 /// training is bit-identical with and without adaptive chunking.
-pub fn choose_chunk_elems(total_elems: usize, floor: usize) -> usize {
+pub(crate) fn choose_chunk_elems(total_elems: usize, floor: usize) -> usize {
     assert!(floor > 0, "chunk floor must be positive");
     let target = total_elems.div_ceil(MODELED_PARALLEL_WIDTH).max(1);
     target.next_power_of_two().max(floor)

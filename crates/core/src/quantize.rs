@@ -10,46 +10,32 @@
 
 use crate::bitpack;
 use crate::rounding::RoundingMode;
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::Writer;
+#[cfg(test)]
+use crate::wire::{Reader, WireError};
 use compso_tensor::rng::Rng;
 
-/// How the error bound is interpreted.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ErrorBound {
-    /// Bound is `value × (data max − data min)` — the SZ convention the
-    /// paper uses for all its error-bound numbers (e.g. "4E-3, relative
-    /// to value range").
-    Relative(f32),
-    /// Bound in absolute value units.
-    Absolute(f32),
-}
-
-impl ErrorBound {
-    /// The absolute bound for a dataset with the given value range.
-    ///
-    /// A relative bound over a subnormal range (`[0.0, 1e-44]` at
-    /// `4e-3`) underflows the product to zero; the bin width is then the
-    /// smallest positive f32, the tightest bound such data can be held to.
-    pub fn absolute_for_range(self, range: f32) -> f32 {
-        match self {
-            ErrorBound::Relative(r) => {
-                let eb = r * range;
-                if eb == 0.0 && r > 0.0 && range > 0.0 {
-                    f32::from_bits(1)
-                } else {
-                    eb
-                }
-            }
-            ErrorBound::Absolute(a) => a,
-        }
+/// The bin width of a bound `eb` relative to a value range: `eb ×
+/// range`, the SZ convention the paper uses for all its error-bound
+/// numbers (e.g. "4E-3, relative to value range").
+///
+/// A bound over a subnormal range (`[0.0, 1e-44]` at `4e-3`) underflows
+/// the product to zero; the bin width is then the smallest positive f32,
+/// the tightest bound such data can be held to.
+pub(crate) fn bin_width_for(eb: f32, range: f32) -> f32 {
+    let w = eb * range;
+    if w == 0.0 && eb > 0.0 && range > 0.0 {
+        f32::from_bits(1)
+    } else {
+        w
     }
 }
 
 /// An error-bounded uniform quantizer with a pluggable rounding mode.
 #[derive(Clone, Copy, Debug)]
 pub struct Quantizer {
-    /// The error bound (see [`ErrorBound`]).
-    pub bound: ErrorBound,
+    /// The error bound, relative to the value range.
+    pub eb: f32,
     /// The rounding rule.
     pub mode: RoundingMode,
 }
@@ -74,19 +60,7 @@ impl Quantizer {
             eb > 0.0 && eb < 1.0,
             "relative error bound {eb} out of (0,1)"
         );
-        Quantizer {
-            bound: ErrorBound::Relative(eb),
-            mode,
-        }
-    }
-
-    /// Creates a quantizer with an absolute bound.
-    pub fn absolute(eb: f32, mode: RoundingMode) -> Self {
-        assert!(eb > 0.0, "absolute error bound must be positive");
-        Quantizer {
-            bound: ErrorBound::Absolute(eb),
-            mode,
-        }
+        Quantizer { eb, mode }
     }
 
     /// Quantizes `data`, computing the range internally.
@@ -103,7 +77,13 @@ impl Quantizer {
     /// Quantizes `data` against an externally supplied range — the form
     /// the fused kernel uses after its hierarchical extrema pass, and the
     /// layer-aggregation path uses to keep per-layer ranges separate.
-    pub fn quantize_with_range(&self, data: &[f32], lo: f32, hi: f32, rng: &mut Rng) -> Quantized {
+    pub(crate) fn quantize_with_range(
+        &self,
+        data: &[f32],
+        lo: f32,
+        hi: f32,
+        rng: &mut Rng,
+    ) -> Quantized {
         assert!(hi >= lo, "invalid range [{lo}, {hi}]");
         let range = hi - lo;
         if range == 0.0 || data.is_empty() {
@@ -115,34 +95,42 @@ impl Quantizer {
                 n_bins: 0,
             };
         }
-        let eb_abs = self.bound.absolute_for_range(range);
-        assert!(eb_abs > 0.0, "error bound collapsed to zero");
-        let bin_width = eb_abs;
+        let bin_width = bin_width_for(self.eb, range);
+        assert!(bin_width > 0.0, "error bound collapsed to zero");
         let n_bins = (range as f64 / bin_width as f64).ceil() as u32;
-        let inv_w = 1.0 / bin_width as f64;
-        let codes = data
-            .iter()
-            .map(|&x| {
-                let coord = (x as f64 - lo as f64) * inv_w;
-                let c = self.mode.round(coord, rng);
-                c.clamp(0, n_bins as i64) as u32
-            })
-            .collect();
-        Quantized {
-            codes,
-            lo,
-            bin_width,
-            n_bins,
-        }
+        quantize_on_grid(data, lo, bin_width, n_bins, self.mode, rng)
+    }
+}
+
+/// Rounds each value's grid coordinate `(x − lo) / bin_width` by `mode`
+/// and clamps it to `0..=n_bins`: the scalar form of
+/// `microkernel::quantize_kernel`.
+pub(crate) fn quantize_on_grid(
+    data: &[f32],
+    lo: f32,
+    bin_width: f32,
+    n_bins: u32,
+    mode: RoundingMode,
+    rng: &mut Rng,
+) -> Quantized {
+    let inv_w = 1.0 / bin_width as f64;
+    let codes = data
+        .iter()
+        .map(|&x| {
+            let coord = (x as f64 - lo as f64) * inv_w;
+            let c = mode.round(coord, rng);
+            c.clamp(0, n_bins as i64) as u32
+        })
+        .collect();
+    Quantized {
+        codes,
+        lo,
+        bin_width,
+        n_bins,
     }
 }
 
 impl Quantized {
-    /// Number of quantized elements.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
     /// True when no elements were quantized.
     pub fn is_empty(&self) -> bool {
         self.codes.is_empty()
@@ -187,7 +175,8 @@ impl Quantized {
     /// element count from outer framing (the chunked decoder knows every
     /// chunk's length from its schedule) pass it here so a hostile count
     /// in a corrupted stream cannot drive an oversized allocation.
-    pub fn read_capped(r: &mut Reader, max_count: usize) -> Result<Self, WireError> {
+    #[cfg(test)]
+    pub(crate) fn read_capped(r: &mut Reader, max_count: usize) -> Result<Self, WireError> {
         let lo = r.f32()?;
         let bin_width = r.f32()?;
         let n_bins = r.u32()?;
@@ -264,18 +253,6 @@ mod tests {
                     "{mode:?} i={i}: {x} vs {y}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn absolute_bound_contract() {
-        let eb = 0.05f32;
-        let q = Quantizer::absolute(eb, RoundingMode::Stochastic);
-        let mut rng = Rng::new(5);
-        let data = sample_data(10_000, 6, -10.0, 10.0);
-        let quant = q.quantize(&data, &mut rng);
-        for (&x, &y) in data.iter().zip(&quant.dequantize()) {
-            assert!((x - y).abs() <= eb + 1e-5, "{x} vs {y}");
         }
     }
 
@@ -384,7 +361,7 @@ mod tests {
         w.u64(1024);
         let bytes = w.into_bytes();
         let q = Quantized::read_capped(&mut Reader::new(&bytes), 1024).unwrap();
-        assert_eq!(q.len(), 1024);
+        assert_eq!(q.codes.len(), 1024);
         assert!(q.dequantize().iter().all(|&v| v == 1.0));
     }
 

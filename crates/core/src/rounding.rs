@@ -27,25 +27,6 @@ pub enum RoundingMode {
 }
 
 impl RoundingMode {
-    /// Short stable identifier (wire format, table output).
-    pub fn tag(self) -> u8 {
-        match self {
-            RoundingMode::Nearest => 0,
-            RoundingMode::Stochastic => 1,
-            RoundingMode::HalfProbability => 2,
-        }
-    }
-
-    /// Inverse of [`RoundingMode::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(RoundingMode::Nearest),
-            1 => Some(RoundingMode::Stochastic),
-            2 => Some(RoundingMode::HalfProbability),
-            _ => None,
-        }
-    }
-
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -53,11 +34,6 @@ impl RoundingMode {
             RoundingMode::Stochastic => "SR",
             RoundingMode::HalfProbability => "P0.5",
         }
-    }
-
-    /// True when the mode consumes randomness.
-    pub fn is_stochastic(self) -> bool {
-        !matches!(self, RoundingMode::Nearest)
     }
 
     /// Rounds a bin coordinate `x` (value expressed in units of the bin
@@ -94,18 +70,6 @@ impl RoundingMode {
 mod tests {
     use super::*;
     use compso_tensor::stats::{classify_error_shape, ErrorShape};
-
-    #[test]
-    fn tags_roundtrip() {
-        for m in [
-            RoundingMode::Nearest,
-            RoundingMode::Stochastic,
-            RoundingMode::HalfProbability,
-        ] {
-            assert_eq!(RoundingMode::from_tag(m.tag()), Some(m));
-        }
-        assert_eq!(RoundingMode::from_tag(99), None);
-    }
 
     #[test]
     fn nearest_is_deterministic_and_bounded() {

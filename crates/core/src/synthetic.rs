@@ -50,7 +50,8 @@ impl GradientProfile {
 
     /// SGD-gradient-like: the same shape but a much narrower range
     /// (§3's K-FAC-vs-SGD range observation).
-    pub fn sgd() -> Self {
+    #[cfg(test)]
+    pub(crate) fn sgd() -> Self {
         GradientProfile {
             scale: 0.012,
             tiny_scale: 8e-3,

@@ -180,7 +180,7 @@ impl Compressor for NoCompression {
 }
 
 /// Converts an f32 slice to raw LE bytes (used for wire-size accounting).
-pub fn f32s_to_bytes(data: &[f32]) -> Vec<u8> {
+pub(crate) fn f32s_to_bytes(data: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() * 4);
     for &v in data {
         out.extend_from_slice(&v.to_le_bytes());
@@ -189,7 +189,7 @@ pub fn f32s_to_bytes(data: &[f32]) -> Vec<u8> {
 }
 
 /// Converts raw LE bytes back to f32s.
-pub fn bytes_to_f32s(bytes: &[u8]) -> Result<Vec<f32>, WireError> {
+pub(crate) fn bytes_to_f32s(bytes: &[u8]) -> Result<Vec<f32>, WireError> {
     if !bytes.len().is_multiple_of(4) {
         return Err(WireError::Invalid("byte length not divisible by 4"));
     }

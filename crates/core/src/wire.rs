@@ -19,18 +19,18 @@ pub mod magic {
     /// The COMPSO stream: chunked-parallel (v2) with a per-chunk
     /// byte-offset index, [`crate::kernels`]. `0xC5`, the retired serial
     /// v1 stream, stays unassigned.
-    pub const MAGIC_STREAM_V2: u8 = 0xC6;
+    pub(crate) const MAGIC_STREAM_V2: u8 = 0xC6;
     /// Multi-layer group framing of every per-layer compressor family
     /// (NoCompression, QSGD, SZ, CocktailSGD, PowerSGD),
     /// [`super::frame_group`]. `0xC8`, the retired layer-parallel twin of
     /// this framing, stays unassigned.
-    pub const MAGIC_GROUP: u8 = 0xC7;
+    pub(crate) const MAGIC_GROUP: u8 = 0xC7;
     /// Elastic membership-view frame (proposal / rejoin-request /
     /// welcome), `compso-comm`'s membership protocol.
     pub const MAGIC_MEMBERSHIP: u8 = 0xC9;
     /// PowerSGD low-rank factor stream (`P̂`/`Q` pair or raw escape),
     /// [`crate::baselines::PowerSgd`].
-    pub const MAGIC_POWERSGD: u8 = 0xCA;
+    pub(crate) const MAGIC_POWERSGD: u8 = 0xCA;
     /// Tensor blob (`compso-ckpt`): a checkpoint rank file, and every
     /// tensor list moved between ranks (restore's shards and globals, a
     /// rejoin's epoch-stamped catch-up). `0xCC`, the retired rejoin
@@ -41,7 +41,7 @@ pub mod magic {
     pub const MAGIC_MANIFEST: u8 = 0xCD;
     /// CRC-32 integrity frame wrapped around compressed payloads before
     /// they enter a collective, [`super::frame_checksummed`].
-    pub const MAGIC_FRAME: u8 = 0xCF;
+    pub(crate) const MAGIC_FRAME: u8 = 0xCF;
 
     /// Every registered magic with its format name, for diagnostics and
     /// the uniqueness tests.
@@ -86,10 +86,7 @@ pub fn checked_count(n: u64) -> Result<usize, WireError> {
     Ok(n)
 }
 
-/// Magic byte of the checksum frame wrapped around every compressed
-/// payload before it enters a collective (see [`frame_checksummed`]).
-/// Re-exported from the central [`magic`] registry.
-pub use magic::MAGIC_FRAME;
+use magic::MAGIC_FRAME;
 
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
@@ -245,7 +242,7 @@ pub fn framed_len(buf: &[u8]) -> Option<usize> {
 /// format: whether the blocks were produced serially or one rayon worker
 /// per layer is the compressor family's business, and [`unframe_group`]
 /// hands them back as slices so the decode side can fan out the same way.
-pub fn frame_group(blocks: &[Vec<u8>]) -> Vec<u8> {
+pub(crate) fn frame_group(blocks: &[Vec<u8>]) -> Vec<u8> {
     let total: usize = blocks.iter().map(|b| 8 + b.len()).sum();
     let mut w = Writer::with_capacity(5 + total);
     w.u8(magic::MAGIC_GROUP);
@@ -260,7 +257,7 @@ pub fn frame_group(blocks: &[Vec<u8>]) -> Vec<u8> {
 /// `bytes`. The layer count must fit the length prefixes the buffer
 /// actually holds, every block length is checked against the bytes that
 /// remain, and trailing bytes are rejected.
-pub fn unframe_group(bytes: &[u8]) -> Result<Vec<&[u8]>, WireError> {
+pub(crate) fn unframe_group(bytes: &[u8]) -> Result<Vec<&[u8]>, WireError> {
     let mut r = Reader::new(bytes);
     if r.u8()? != magic::MAGIC_GROUP {
         return Err(WireError::Invalid("group magic"));

@@ -142,21 +142,10 @@ impl Controller {
         }
     }
 
-    /// Current phase.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
-    /// The retained decision trace (capped at an internal bound; see
-    /// [`Controller::dropped_decisions`]).
+    /// The retained decision trace (capped at an internal bound; the
+    /// decisions evicted past it are still counted).
     pub fn trace(&self) -> &[Decision] {
         &self.trace
-    }
-
-    /// Decisions evicted from the trace after it hit its cap (0 in any
-    /// normal run); counters keep counting regardless.
-    pub fn dropped_decisions(&self) -> u64 {
-        self.dropped_decisions
     }
 
     /// Checks the decision trace against a (cumulative) set of `ctrl/*`

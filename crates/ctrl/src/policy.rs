@@ -88,7 +88,7 @@ impl Setting {
     /// off to when error feedback diverges under this setting. Each rung
     /// strictly lowers the expected compression error; the ladder
     /// terminates at the identity, which cannot diverge.
-    pub fn higher_fidelity(&self) -> Setting {
+    pub(crate) fn higher_fidelity(&self) -> Setting {
         match self.family {
             Family::None => *self,
             // Quartering the error bound tightens both filter and
@@ -205,7 +205,7 @@ impl ControlConfig {
     /// deliberately conservative (well under typical measured products)
     /// so measurements, not priors, decide the winner once exploration
     /// has visited a candidate.
-    pub fn default_candidates() -> Vec<Candidate> {
+    pub(crate) fn default_candidates() -> Vec<Candidate> {
         vec![
             Candidate::new(Setting::compso(4e-3), 5.0, 1.0),
             Candidate::new(Setting::compso(4e-2), 8.0, 1.0),

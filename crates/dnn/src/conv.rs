@@ -20,7 +20,7 @@ const PAD: u32 = u32::MAX;
 
 /// Spatial geometry of a conv layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConvShape {
+pub(crate) struct ConvShape {
     pub in_c: usize,
     pub in_h: usize,
     pub in_w: usize,
@@ -32,33 +32,33 @@ pub struct ConvShape {
 
 impl ConvShape {
     /// Output height.
-    pub fn out_h(&self) -> usize {
+    pub(crate) fn out_h(&self) -> usize {
         (self.in_h + 2 * self.pad - self.kernel) / self.stride + 1
     }
 
     /// Output width.
-    pub fn out_w(&self) -> usize {
+    pub(crate) fn out_w(&self) -> usize {
         (self.in_w + 2 * self.pad - self.kernel) / self.stride + 1
     }
 
     /// Flattened input width.
-    pub fn in_elems(&self) -> usize {
+    pub(crate) fn in_elems(&self) -> usize {
         self.in_c * self.in_h * self.in_w
     }
 
     /// Flattened output width.
-    pub fn out_elems(&self) -> usize {
+    pub(crate) fn out_elems(&self) -> usize {
         self.out_c * self.out_h() * self.out_w()
     }
 
     /// Patch width (without bias).
-    pub fn patch(&self) -> usize {
+    pub(crate) fn patch(&self) -> usize {
         self.in_c * self.kernel * self.kernel
     }
 }
 
 /// A 2-D convolution layer.
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     shape: ConvShape,
     /// `(patch+1) × out_c`, bias in the last row.
     weight: Matrix,
@@ -120,11 +120,6 @@ impl Conv2d {
             cached_g: None,
             map,
         }
-    }
-
-    /// The layer's geometry.
-    pub fn shape(&self) -> ConvShape {
-        self.shape
     }
 
     /// Lowers one sample (HWC slice) into its rows of the bias-augmented
@@ -240,7 +235,7 @@ impl Layer for Conv2d {
 }
 
 /// Global average pooling: `(batch, H*W*C) → (batch, C)`.
-pub struct GlobalAvgPool {
+pub(crate) struct GlobalAvgPool {
     channels: usize,
     hw: usize,
 }

@@ -70,11 +70,6 @@ pub trait Layer: Send {
             g: g.clone(),
         })
     }
-
-    /// Number of parameters.
-    fn param_count(&self) -> usize {
-        self.params().map_or(0, |p| p.len())
-    }
 }
 
 /// A fully-connected layer with the bias folded into the weight matrix:
@@ -110,13 +105,8 @@ impl Linear {
     }
 
     /// Input width (without the bias coordinate).
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.weight.rows() - 1
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.weight.cols()
     }
 
     fn augment(x: &Matrix) -> Matrix {
@@ -235,7 +225,7 @@ impl Layer for Relu {
 }
 
 /// Elementwise tanh.
-pub struct Tanh {
+pub(crate) struct Tanh {
     cached_y: Option<Matrix>,
 }
 
@@ -285,7 +275,7 @@ impl Layer for Tanh {
 /// Parameters are stored as a 2 × dim matrix (row 0 = gain, row 1 = bias).
 /// LayerNorm is not K-FAC-eligible; its gradients ride the ordinary
 /// data-parallel path, matching practice.
-pub struct LayerNorm {
+pub(crate) struct LayerNorm {
     params: Matrix,
     grad: Matrix,
     eps: f32,

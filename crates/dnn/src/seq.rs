@@ -78,11 +78,6 @@ impl Sequential {
         self.layers[idx].kfac_stats()
     }
 
-    /// Total parameter count.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
-    }
-
     /// Applies `delta = -lr * grad`-style updates: `f` receives each
     /// trainable layer's parameters and gradients.
     pub fn update_params(&mut self, mut f: impl FnMut(&mut Matrix, &Matrix)) {
@@ -169,14 +164,6 @@ mod tests {
                 "idx {idx}"
             );
         }
-    }
-
-    #[test]
-    fn param_count() {
-        let mut rng = Rng::new(4);
-        let model = two_layer(&mut rng);
-        // (4+1)*8 + (8+1)*3 = 67.
-        assert_eq!(model.param_count(), 67);
     }
 
     #[test]

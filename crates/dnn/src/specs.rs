@@ -46,12 +46,12 @@ impl LayerSpec {
     }
 
     /// Elements of the activation factor `A` (`(in+1)²`).
-    pub fn factor_a_elems(&self) -> usize {
+    pub(crate) fn factor_a_elems(&self) -> usize {
         (self.in_dim + 1) * (self.in_dim + 1)
     }
 
     /// Elements of the gradient factor `G` (`out²`).
-    pub fn factor_g_elems(&self) -> usize {
+    pub(crate) fn factor_g_elems(&self) -> usize {
         self.out_dim * self.out_dim
     }
 
@@ -164,7 +164,7 @@ impl ModelSpec {
     }
 
     /// Mask R-CNN with the ResNet-50-FPN backbone.
-    pub fn mask_rcnn() -> ModelSpec {
+    pub(crate) fn mask_rcnn() -> ModelSpec {
         let mut layers = ModelSpec::resnet50().layers;
         // Drop the classification head; detection heads replace it.
         layers.pop();

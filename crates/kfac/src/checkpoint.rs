@@ -35,7 +35,6 @@
 
 use crate::distributed::{DistKfac, DistKfacState};
 use crate::kfac::LayerState;
-use crate::optim::{Adam, Sgd};
 use compso_ckpt::{
     decode_tensors, encode_tensors, CheckpointStore, CkptError, Manifest, RankFileMeta, Snapshot,
     TensorData, TensorEntry,
@@ -129,8 +128,7 @@ pub struct Restored {
     /// The step the snapshot was taken at; resume training at `step`.
     pub step: u64,
     /// The broadcast rank-0 globals (model params already installed;
-    /// optimizer extras still inside for [`restore_sgd`] /
-    /// [`restore_adam`] / custom lookups).
+    /// the caller's extras still inside for its own lookups).
     pub globals: Snapshot,
 }
 
@@ -149,16 +147,10 @@ impl CheckpointCoordinator {
         })
     }
 
-    /// Direct store access (tests, tooling).
-    pub fn store(&self) -> &CheckpointStore {
-        &self.store
-    }
-
     /// Takes one coordinated snapshot at `step`. Collective: every rank
     /// must call it at the same point of the training loop. `extras`
-    /// are appended to rank 0's globals (use [`sgd_entries`] /
-    /// [`adam_entries`] for the first-order moment buffers; pass `&[]`
-    /// when the loop keeps no optimizer state).
+    /// are appended to rank 0's globals (pass `&[]` when the loop keeps
+    /// no state of its own).
     pub fn save(
         &self,
         comm: &mut Communicator,
@@ -489,7 +481,7 @@ fn decode_catch_up_shards(
 /// transfers [`CheckpointCoordinator::restore`] uses.
 ///
 /// Member `k` of the `m` members contributes the layers at positions
-/// `pos % m == k` of [`Kfac::state_indices`] (its own copy of the
+/// `pos % m == k` of `Kfac::state_indices` (its own copy of the
 /// running factors; the epoch change makes the next step re-average
 /// every layer), so the joiner receives every layer exactly once while
 /// no member uploads the whole state. A shard carries a cached inverse
@@ -501,7 +493,6 @@ fn decode_catch_up_shards(
 /// live member then broadcasts the model parameters, which the joiner
 /// installs.
 ///
-/// [`Kfac::state_indices`]: crate::kfac::Kfac::state_indices
 pub fn catch_up_rejoined(
     comm: &mut Communicator,
     dist: &mut DistKfac,
@@ -737,62 +728,6 @@ fn layer_states(lookup: &Snapshot) -> Result<Vec<(usize, LayerState)>, CkptError
     Ok(out)
 }
 
-/// SGD momentum buffers as checkpoint extras (`opt/sgd/vel/{slot}`).
-pub fn sgd_entries(sgd: &Sgd) -> Vec<TensorEntry> {
-    sgd.velocities()
-        .iter()
-        .enumerate()
-        .map(|(slot, v)| TensorEntry::matrix(format!("opt/sgd/vel/{slot}"), v))
-        .collect()
-}
-
-/// Restores the SGD momentum buffers from the broadcast globals.
-pub fn restore_sgd(sgd: &mut Sgd, globals: &Snapshot) -> Result<(), CkptError> {
-    let mut velocities = Vec::new();
-    while let Some(t) = globals.get(&format!("opt/sgd/vel/{}", velocities.len())) {
-        velocities.push(t.to_matrix()?);
-    }
-    sgd.set_velocities(velocities);
-    Ok(())
-}
-
-/// Adam state as checkpoint extras (`opt/adam/{m,v}/{slot}`, `opt/adam/t`).
-pub fn adam_entries(adam: &Adam) -> Vec<TensorEntry> {
-    let (m, v, t) = adam.state();
-    let mut out = vec![TensorEntry::vector(
-        "opt/adam/t",
-        TensorData::U64(vec![t as u64]),
-    )];
-    for (slot, mm) in m.iter().enumerate() {
-        out.push(TensorEntry::matrix(format!("opt/adam/m/{slot}"), mm));
-    }
-    for (slot, vv) in v.iter().enumerate() {
-        out.push(TensorEntry::matrix(format!("opt/adam/v/{slot}"), vv));
-    }
-    out
-}
-
-/// Restores the Adam state from the broadcast globals.
-pub fn restore_adam(adam: &mut Adam, globals: &Snapshot) -> Result<(), CkptError> {
-    let t = globals.require_u64s("opt/adam/t")?;
-    if t.len() != 1 {
-        return Err(CkptError::Corrupt("adam timestep arity"));
-    }
-    let mut m = Vec::new();
-    while let Some(e) = globals.get(&format!("opt/adam/m/{}", m.len())) {
-        m.push(e.to_matrix()?);
-    }
-    let mut v = Vec::new();
-    while let Some(e) = globals.get(&format!("opt/adam/v/{}", v.len())) {
-        v.push(e.to_matrix()?);
-    }
-    if m.len() != v.len() {
-        return Err(CkptError::Corrupt("adam moment arity"));
-    }
-    adam.set_state(m, v, t[0] as i32);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -839,37 +774,6 @@ mod tests {
         assert_eq!(got.chol_a.as_ref().unwrap().raw().1, chol.raw().1);
         assert!(got.chol_g.is_none());
         assert_eq!(got.steps, 17);
-    }
-
-    #[test]
-    fn sgd_and_adam_extras_roundtrip() {
-        let mut rng = Rng::new(9);
-        let vel = vec![
-            Matrix::from_fn(2, 3, |_, _| rng.normal_f64() as f32),
-            Matrix::from_fn(1, 4, |_, _| rng.normal_f64() as f32),
-        ];
-        let mut sgd = Sgd::with_momentum(0.9);
-        sgd.set_velocities(vel.clone());
-        let mut globals = Snapshot::new(0);
-        for e in sgd_entries(&sgd) {
-            globals.push(e);
-        }
-        let mut sgd2 = Sgd::with_momentum(0.9);
-        restore_sgd(&mut sgd2, &globals).unwrap();
-        assert_eq!(sgd2.velocities(), &vel[..]);
-
-        let mut adam = Adam::new();
-        adam.set_state(vel.clone(), vel.clone(), 7);
-        let mut globals = Snapshot::new(0);
-        for e in adam_entries(&adam) {
-            globals.push(e);
-        }
-        let mut adam2 = Adam::new();
-        restore_adam(&mut adam2, &globals).unwrap();
-        let (m, v, t) = adam2.state();
-        assert_eq!(m, &vel[..]);
-        assert_eq!(v, &vel[..]);
-        assert_eq!(t, 7);
     }
 
     #[test]

@@ -158,16 +158,6 @@ pub struct StepStats {
     pub allreduce_bytes: u64,
 }
 
-impl StepStats {
-    /// Compression ratio achieved on the all-gather this step.
-    pub fn gather_ratio(&self) -> f64 {
-        if self.gather_bytes_wire == 0 {
-            return 1.0;
-        }
-        self.gather_bytes_original as f64 / self.gather_bytes_wire as f64
-    }
-}
-
 /// Greedy cost-balanced layer→rank assignment (KAISA's work split):
 /// layers sorted by descending cost land on the currently least-loaded
 /// rank. Deterministic, so every rank computes the same map.
@@ -178,10 +168,14 @@ pub fn assign_layers(costs: &[f64], ranks: usize) -> Vec<usize> {
     let mut load = vec![0.0f64; ranks];
     let mut owner = vec![0usize; costs.len()];
     for idx in order {
-        let r = (0..ranks)
-            .min_by(|&a, &b| load[a].total_cmp(&load[b]))
-            // lint:allow(no-unwrap-on-comm-path): ranks > 0 is asserted above, so the range is non-empty
-            .unwrap();
+        // The first least-loaded rank, as `min_by` would pick it.
+        let r = (1..ranks).fold(0, |best, a| {
+            if load[a].total_cmp(&load[best]).is_lt() {
+                a
+            } else {
+                best
+            }
+        });
         owner[idx] = r;
         load[r] += costs[idx];
     }
@@ -305,7 +299,8 @@ pub struct DistKfac {
     /// The cached [`GatherPlan`], shared with the running step.
     plan: Option<Arc<GatherPlan>>,
     /// Times the plan laid out layer schedules. Stays at ≤ 1 for any
-    /// fixed compressor; exposed for the reuse-invariant tests.
+    /// fixed compressor; kept for the reuse-invariant tests.
+    #[cfg(test)]
     schedule_builds: u32,
     /// Membership epoch of the last completed factor phase; until it
     /// equals [`Communicator::epoch`] that phase syncs every layer.
@@ -340,6 +335,7 @@ impl DistKfac {
             kfac: Kfac::new(config.kfac),
             config,
             plan: None,
+            #[cfg(test)]
             schedule_builds: 0,
             synced_epoch: 0,
             folded: false,
@@ -598,7 +594,10 @@ impl DistKfac {
             })
             .collect();
         let schedules = schedules.unwrap_or_default();
-        self.schedule_builds += u32::from(!schedules.is_empty());
+        #[cfg(test)]
+        {
+            self.schedule_builds += u32::from(!schedules.is_empty());
+        }
         let plan = Arc::new(GatherPlan {
             epoch: comm.epoch(),
             compressor: Some(compressor.name()),
@@ -877,12 +876,10 @@ impl DistKfac {
         let repair_from = |q: usize, o: usize| -> bool {
             q != o && statuses[q].get(o).copied().unwrap_or(0) == 1
         };
-        // Precompute the rung-2 bytes once if anyone needs my payload:
-        // the values *I installed* — decoded, not raw — so a rung-2
-        // repair keeps replicas consistent.
-        let rung2_clean = (0..p)
-            .any(|q| repair_from(q, me))
-            .then(|| frame_checksummed(&flatten_entries(&gathered.results[me], &gathered.owned)));
+        // The rung-2 bytes, built once on first use: the values *I
+        // installed* — decoded, not raw — so a rung-2 repair keeps
+        // replicas consistent. The walk below never rewrites my own slot.
+        let mut rung2_clean: Option<Vec<u8>> = None;
         // Walk every (origin, requester) repair pair in the SAME global
         // order on every rank. Each handshake involves exactly two ranks
         // and strictly alternates send/recv between them, so processing
@@ -905,8 +902,12 @@ impl DistKfac {
                         .try_sizes()?;
                     if ack.first() != Some(&1) {
                         // Rung 2: uncompressed resend.
-                        // lint:allow(no-unwrap-on-comm-path): repair_from(q, me) implies rung2_clean was precomputed above
-                        let mut r2 = rung2_clean.clone().expect("rung2 precomputed");
+                        let mut r2 = rung2_clean
+                            .get_or_insert_with(|| {
+                                let mine = &gathered.results[me];
+                                frame_checksummed(&flatten_entries(mine, &gathered.owned))
+                            })
+                            .clone();
                         plane.maybe_corrupt_repair(me, q, step_idx, 2, &mut r2);
                         comm.send(q, Payload::Bytes(r2))?;
                     }
@@ -979,7 +980,7 @@ impl DistKfac {
 
     /// Mutable access to the inner K-FAC optimizer, for factor-state
     /// import at restore.
-    pub fn kfac_mut(&mut self) -> &mut Kfac {
+    pub(crate) fn kfac_mut(&mut self) -> &mut Kfac {
         &mut self.kfac
     }
 
@@ -995,7 +996,7 @@ impl DistKfac {
     /// factor state itself travels separately via
     /// [`Kfac::export_layer_state`]; the rest of the gather plan is laid
     /// out deterministically again after a restore and is not serialized.
-    pub fn export_state(&self) -> DistKfacState {
+    pub(crate) fn export_state(&self) -> DistKfacState {
         // BTreeMap iterates in layer order, so the exported state is a
         // pure function of the map's contents.
         let last_good: Vec<(usize, Matrix)> = self
@@ -1014,7 +1015,7 @@ impl DistKfac {
     /// next [`DistKfac::step`] continues the interrupted trajectory
     /// bit-identically (given the model, factor state, and communicator
     /// step counter are restored alongside).
-    pub fn import_state(&mut self, state: DistKfacState) {
+    pub(crate) fn import_state(&mut self, state: DistKfacState) {
         // Only the map is kept — it decides who saves what until the
         // next step — and that step lays the whole plan out again: the
         // schedules key on the compressor's chunk sizes and the owned
@@ -1034,14 +1035,15 @@ impl DistKfac {
     /// How many times the owned-layer schedules have been built. For any
     /// fixed compressor this is 0 (schedule-less compressors) or 1
     /// (chunked compressors) for the optimizer's whole lifetime.
-    pub fn schedule_builds(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn schedule_builds(&self) -> u32 {
         self.schedule_builds
     }
 }
 
 /// Portable distributed-coordination state of one rank's [`DistKfac`]
 /// (everything beyond the replicated factor state), produced by
-/// [`DistKfac::export_state`] and consumed by [`DistKfac::import_state`].
+/// `DistKfac::export_state` and consumed by `DistKfac::import_state`.
 #[derive(Clone, Debug)]
 pub struct DistKfacState {
     /// Owner rank per K-FAC layer position, once built.

@@ -137,7 +137,7 @@ pub fn precondition(
 /// The Martens-Grosse norm-balancing factor π = √(tr(A)/dim_A ÷
 /// tr(G)/dim_G), which splits the damping γ between the two factors so
 /// neither dominates.
-pub fn pi_factor(a: &Matrix, g: &Matrix) -> f32 {
+pub(crate) fn pi_factor(a: &Matrix, g: &Matrix) -> f32 {
     let tr = |m: &Matrix| -> f64 {
         (0..m.rows()).map(|i| m.get(i, i) as f64).sum::<f64>() / m.rows().max(1) as f64
     };
@@ -147,7 +147,7 @@ pub fn pi_factor(a: &Matrix, g: &Matrix) -> f32 {
 
 /// KAISA's implicit preconditioner: `(A + π√γ I)⁻¹ ∇W (G + √γ/π I)⁻¹`
 /// via two Cholesky solves — no eigendecomposition needed.
-pub fn precondition_implicit(grad: &Matrix, chol_a: &Cholesky, chol_g: &Cholesky) -> Matrix {
+pub(crate) fn precondition_implicit(grad: &Matrix, chol_a: &Cholesky, chol_g: &Cholesky) -> Matrix {
     // X1 = (A + aI)^-1 grad  (solve per column of grad).
     let x1 = chol_a.solve(grad);
     // X2 = X1 (G + bI)^-1 = ((G + bI)^-1 X1ᵀ)ᵀ since G is symmetric.
@@ -185,7 +185,12 @@ impl Kfac {
     /// Like [`Kfac::update_layer`] but takes precomputed (possibly
     /// all-reduced) covariances: folds them, then refreshes the cached
     /// inverse on schedule.
-    pub fn absorb_covariances(&mut self, idx: usize, a_cov: &Matrix, g_cov: &Matrix) -> bool {
+    pub(crate) fn absorb_covariances(
+        &mut self,
+        idx: usize,
+        a_cov: &Matrix,
+        g_cov: &Matrix,
+    ) -> bool {
         if self.fold_covariances(idx, a_cov, g_cov) {
             self.refresh_inverse(idx);
         }
@@ -196,7 +201,7 @@ impl Kfac {
     /// distributed path every rank does this for every layer with its
     /// *local* covariances — and returns whether this step is on the
     /// layer's refresh schedule.
-    pub fn fold_covariances(&mut self, idx: usize, a_cov: &Matrix, g_cov: &Matrix) -> bool {
+    pub(crate) fn fold_covariances(&mut self, idx: usize, a_cov: &Matrix, g_cov: &Matrix) -> bool {
         let state = self
             .states
             .entry(idx)
@@ -215,7 +220,7 @@ impl Kfac {
     /// non-finite factor keeps the previous inverse: a diverged step
     /// must not poison the preconditioner. Returns whether the
     /// decompositions ran.
-    pub fn refresh_inverse(&mut self, idx: usize) -> bool {
+    pub(crate) fn refresh_inverse(&mut self, idx: usize) -> bool {
         let finite = |m: &Matrix| m.as_slice().iter().all(|v| v.is_finite());
         let Some(state) = self.states.get_mut(&idx) else {
             return false;
@@ -244,14 +249,14 @@ impl Kfac {
 
     /// Drops the layer's cached inverse (a distributed non-owner on a
     /// refresh step: the copy it holds just went stale).
-    pub fn drop_inverse(&mut self, idx: usize) {
+    pub(crate) fn drop_inverse(&mut self, idx: usize) {
         if let Some(state) = self.states.get_mut(&idx) {
             (state.eig_a, state.eig_g, state.chol_a, state.chol_g) = (None, None, None, None);
         }
     }
 
     /// Whether the layer has a cached inverse to precondition with.
-    pub fn has_inverse(&self, idx: usize) -> bool {
+    pub(crate) fn has_inverse(&self, idx: usize) -> bool {
         self.states
             .get(&idx)
             .is_some_and(|s| s.eig_a.is_some() || s.chol_a.is_some())
@@ -296,7 +301,7 @@ impl Kfac {
 
     /// Mutable access to a layer's running factors (the distributed
     /// factor sync and checkpoint restore overwrite them in place).
-    pub fn factors_mut(&mut self, idx: usize) -> Option<(&mut Matrix, &mut Matrix)> {
+    pub(crate) fn factors_mut(&mut self, idx: usize) -> Option<(&mut Matrix, &mut Matrix)> {
         let s = self.states.get_mut(&idx)?;
         Some((&mut s.a_factor, &mut s.g_factor))
     }
@@ -304,13 +309,13 @@ impl Kfac {
     /// Mutable access to a layer's fold count ([`LayerState::steps`], which
     /// keys the refresh schedule): the distributed path replicates it at a
     /// membership view change.
-    pub fn fold_count_mut(&mut self, idx: usize) -> Option<&mut usize> {
+    pub(crate) fn fold_count_mut(&mut self, idx: usize) -> Option<&mut usize> {
         self.states.get_mut(&idx).map(|s| &mut s.steps)
     }
 
     /// Layer indices with factor state, sorted ascending (a deterministic
     /// iteration order for checkpoint serialization).
-    pub fn state_indices(&self) -> Vec<usize> {
+    pub(crate) fn state_indices(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = self.states.keys().copied().collect();
         idx.sort_unstable();
         idx
@@ -329,7 +334,7 @@ impl Kfac {
 
     /// Installs a layer's factor state from a checkpoint, replacing any
     /// existing state for `idx`. Inverse of [`Kfac::export_layer_state`].
-    pub fn import_layer_state(&mut self, idx: usize, state: LayerState) {
+    pub(crate) fn import_layer_state(&mut self, idx: usize, state: LayerState) {
         self.states.insert(idx, state);
     }
 }

@@ -4,9 +4,8 @@
 //! optimizer (§2.1 of the paper), its KAISA-style distributed variant
 //! (§2.2) with pluggable gradient compression on the preconditioned-
 //! gradient all-gather — the communication COMPSO targets — plus the
-//! first-order baselines (SGD with momentum, Adam) and the two learning-
-//! rate schedules the adaptive compression mechanism keys off (StepLR,
-//! SmoothLR).
+//! two learning-rate schedules the adaptive compression mechanism keys
+//! off (StepLR, SmoothLR).
 //!
 //! Distributed step anatomy (Fig. 2 of the paper):
 //!
@@ -27,11 +26,9 @@
 pub mod checkpoint;
 pub mod distributed;
 pub mod kfac;
-pub mod optim;
 pub mod schedule;
 
 pub use checkpoint::{CheckpointConfig, CheckpointCoordinator, CoordError, Restored};
 pub use distributed::{DistKfac, DistKfacConfig, DistKfacState, StepStats};
 pub use kfac::{Kfac, KfacConfig, LayerState};
-pub use optim::{Adam, Sgd};
 pub use schedule::{LrSchedule, SmoothLr, StepLr};

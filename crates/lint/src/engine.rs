@@ -90,8 +90,9 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
 }
 
 /// Workspace-level facts the rules consult: the obs name registry, the
-/// length-source set (PR 8 cross-function taint), and the call-graph
-/// facts (v3 — see [`crate::callgraph`]).
+/// length-source set (cross-function taint), the call-graph
+/// facts (v3 — see [`crate::callgraph`]) and the names spelled per
+/// library crate (`reachable-pub`).
 ///
 /// The registry is recovered by lexing its defining file
 /// (`crates/obs/src/names.rs`) — the same shape its own self-parsing
@@ -102,6 +103,11 @@ pub struct Context {
     /// Workspace call-graph facts by function name (empty in
     /// single-file runs; rules union in a local per-file solve).
     pub facts: BTreeMap<String, FnFacts>,
+    /// Every identifier the workspace spells, with the library crates
+    /// whose files spell it (`""` for a file outside every library
+    /// crate). `None` in single-file runs, where `reachable-pub` cannot
+    /// judge and stays silent.
+    pub named_outside: Option<BTreeMap<String, BTreeSet<String>>>,
 }
 
 impl Context {
@@ -114,6 +120,7 @@ impl Context {
             registered_names: parse_registered_names(&names_src),
             length_sources: BTreeSet::new(),
             facts: BTreeMap::new(),
+            named_outside: None,
         })
     }
 
@@ -123,6 +130,7 @@ impl Context {
             registered_names: names.into_iter().collect(),
             length_sources: BTreeSet::new(),
             facts: BTreeMap::new(),
+            named_outside: None,
         }
     }
 }
@@ -205,6 +213,7 @@ pub fn check_files(files: &[SourceFile], ctx: &Context) -> Vec<Diagnostic> {
         registered_names: ctx.registered_names.clone(),
         length_sources,
         facts,
+        named_outside: ctx.named_outside.clone(),
     };
     let mut out = Vec::new();
     for f in files {

@@ -50,9 +50,10 @@ pub fn rules_apply_to(rel_path: &str) -> bool {
         .any(|p| rel_path.starts_with(p))
 }
 
-/// Load and check the whole workspace rooted at `root`, then run
-/// `counter-registry`'s unread-name pass over those files plus
-/// `benchmark/src`, which is lexed only as a reader of registered names.
+/// Load and check the whole workspace rooted at `root`. `benchmark/src`
+/// is lexed only as a reader: of the names `reachable-pub` looks for
+/// outside each library crate, and of registered names in
+/// `counter-registry`'s unread-name pass, which runs over the whole set.
 /// Returns sorted diagnostics; IO failures surface as `Err`.
 pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
@@ -64,13 +65,17 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         let src = std::fs::read_to_string(&path)?;
         files.push(SourceFile::new(rel, src));
     }
-    let mut diags = check_files(&files, &Context::from_workspace(root)?);
     let mut benchmark = Vec::new();
     walker::walk(&root.join("benchmark/src"), &mut benchmark);
+    let mut readers = Vec::new();
     for path in benchmark {
         let src = std::fs::read_to_string(&path)?;
-        files.push(SourceFile::new(walker::rel_path(root, &path), src));
+        readers.push(SourceFile::new(walker::rel_path(root, &path), src));
     }
+    let mut ctx = Context::from_workspace(root)?;
+    ctx.named_outside = Some(rules::outside_names(files.iter().chain(&readers)));
+    let mut diags = check_files(&files, &ctx);
+    files.extend(readers);
     diags.extend(rules::unread_names(&files));
     engine::sort(&mut diags);
     Ok(diags)

@@ -31,6 +31,7 @@ mod deterministic_state;
 mod hashmap_iter;
 pub mod length_prefix;
 mod no_unwrap;
+mod reachable_pub;
 mod swallowed;
 mod wire_magic;
 
@@ -40,11 +41,13 @@ pub use deterministic_state::DeterministicState;
 pub use hashmap_iter::NondeterministicWireIteration;
 pub use length_prefix::UncheckedLengthPrefix;
 pub use no_unwrap::NoUnwrapOnCommPath;
+pub use reachable_pub::ReachablePub;
 pub use swallowed::SwallowedCommError;
 pub use wire_magic::WireMagicRegistry;
 
 pub(crate) use counter_registry::{registry_entries, unread_names};
 pub(crate) use hashmap_iter::{hashmap_idents, in_for_header, is_iter_call};
+pub(crate) use reachable_pub::outside_names;
 
 /// A single analysis rule.
 pub trait Rule {
@@ -138,6 +141,14 @@ pub const RULES: &[RuleSpec] = &[
         exclude: &[],
         make: || Box::new(SwallowedCommError),
     },
+    RuleSpec {
+        name: "reachable-pub",
+        // Only library crates' `src/` has items to check (`library_of`);
+        // every other file is a reader.
+        include: &[],
+        exclude: &[],
+        make: || Box::new(ReachablePub),
+    },
 ];
 
 /// Rule names valid in `lint:allow(...)` (includes the hygiene rule).
@@ -151,6 +162,7 @@ pub const RULE_NAMES: &[&str] = &[
     "collective-order",
     "deterministic-state",
     "swallowed-comm-error",
+    "reachable-pub",
     SUPPRESSION_HYGIENE,
 ];
 
@@ -166,7 +178,6 @@ pub const COLLECTIVES: &[&str] = &[
     "allgather_var",
     "allgather_var_quiet",
     "pipelined_allgather",
-    "compressed_allreduce_mean",
     "barrier",
 ];
 

@@ -13,8 +13,8 @@
 //! - **`crates/kfac/src/`**: production code inside functions whose
 //!   signature mentions `Result` (the analyzer's definition of the
 //!   fallible K-FAC path — `DistKfac::step`, checkpoint restore, …).
-//!   Infallible single-process helpers (`Kfac::step`, `Sgd::step`) have
-//!   no error channel to convert into and stay out of scope.
+//!   Infallible single-process helpers (`Kfac::step`) have no error
+//!   channel to convert into and stay out of scope.
 //!
 //! Provably-infallible cases stay, but must carry an explicit
 //! `// lint:allow(no-unwrap-on-comm-path): reason` so the proof is

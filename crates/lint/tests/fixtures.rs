@@ -13,15 +13,33 @@
 //! handful of full human renderings as goldens.
 
 use compso_lint::{check_file, Context, SourceFile};
+use std::collections::BTreeSet;
 use std::path::Path;
 
-/// Names considered registered while analyzing fixtures.
-fn fixture_context() -> Context {
-    Context::with_names(
+/// Names considered registered while analyzing fixtures. The
+/// `reachable-pub` corpus, whose rule needs a workspace, also gets the
+/// names spelled outside its pretend crate: `encode_frame` by a test or
+/// bin, `FRAME_LIMIT` by another crate, `unreached_helper` only inside
+/// `crates/core/src/` itself.
+fn fixture_context(rule: &str) -> Context {
+    let mut ctx = Context::with_names(
         ["comm/recv", "comm/barrier", "kfac/step", "ctrl/decisions"]
             .into_iter()
             .map(String::from),
-    )
+    );
+    if rule == "reachable-pub" {
+        let named = [
+            ("encode_frame", ""),
+            ("FRAME_LIMIT", "crates/comm/src/"),
+            ("unreached_helper", "crates/core/src/"),
+        ];
+        ctx.named_outside = Some(
+            (named.into_iter())
+                .map(|(name, owner)| (name.to_string(), BTreeSet::from([owner.to_string()])))
+                .collect(),
+        );
+    }
+    ctx
 }
 
 fn fixture_root() -> std::path::PathBuf {
@@ -57,9 +75,13 @@ fn parse_fixture(src: &str, file: &Path) -> (String, Vec<(usize, String)>) {
 fn check_fixture(file: &Path) -> (Vec<(usize, String)>, Vec<String>) {
     let src = std::fs::read_to_string(file).expect("read fixture");
     let (pretend, expected) = parse_fixture(&src, file);
+    let rule = file
+        .parent()
+        .and_then(|d| d.file_name())
+        .unwrap_or_default();
     let sf = SourceFile::new(pretend, src);
     let mut diags = Vec::new();
-    check_file(&sf, &fixture_context(), &mut diags);
+    check_file(&sf, &fixture_context(&rule.to_string_lossy()), &mut diags);
     let mut got: Vec<(usize, String)> =
         diags.iter().map(|d| (d.line, d.rule.to_string())).collect();
     got.sort();
@@ -87,6 +109,7 @@ fn every_rule_has_firing_clean_and_suppressed_fixtures() {
         "collective-order",
         "deterministic-state",
         "swallowed-comm-error",
+        "reachable-pub",
     ];
     for rule in rules {
         let dir = root.join(rule);
@@ -143,7 +166,7 @@ fn all_fixtures_match_their_markers() {
             checked += 1;
         }
     }
-    assert!(checked >= 27, "fixture corpus shrank: {checked} files");
+    assert!(checked >= 30, "fixture corpus shrank: {checked} files");
 }
 
 #[test]
@@ -179,6 +202,13 @@ fn golden_diagnostic_renderings() {
     );
     let (_, human) = check_fixture(&root.join("swallowed-comm-error/fires.rs"));
     assert!(human[0].contains("[swallowed-comm-error]"), "{human:?}");
+    let (_, human) = check_fixture(&root.join("reachable-pub/fires.rs"));
+    assert_eq!(
+        human[0],
+        "crates/core/src/fake_api.rs:11:8: [reachable-pub] `pub fn unreached_helper` is \
+         named nowhere outside crates/core/src/; make it pub(crate) or private, and \
+         delete what rustc then reports unused"
+    );
 }
 
 #[test]
@@ -186,7 +216,7 @@ fn seeded_violation_is_detected_via_library_path() {
     // The CI gate's contract, exercised hermetically: a clean file
     // passes, and seeding a violation into the same pretend crate flips
     // it to a finding with the right location.
-    let ctx = fixture_context();
+    let ctx = fixture_context("");
     let clean = SourceFile::new(
         "crates/comm/src/seeded.rs".into(),
         "pub fn ok(x: Option<u8>) -> u8 {\n    x.unwrap_or(0)\n}\n".into(),

@@ -3,7 +3,7 @@
 //! reports are well-formed without pulling in a parser dependency.
 
 /// Escapes a string for inclusion in a JSON document (quotes not added).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

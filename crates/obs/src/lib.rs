@@ -27,13 +27,12 @@
 //!
 //! [`IterationModel::breakdown`]: ../compso_sim/timing/struct.IterationModel.html
 
-mod json;
+pub mod json;
 pub mod names;
 mod report;
 mod snapshot;
 
-pub use json::{escape as json_escape, validate as json_validate};
-pub use report::{StepReport, PHASE_OTHER, STEP_PHASES};
+pub use report::{StepReport, STEP_PHASES};
 pub use snapshot::{HistStat, Snapshot, TimerStat};
 
 use std::collections::HashMap;
@@ -44,20 +43,12 @@ use std::time::Instant;
 /// Number of log2 histogram buckets: bucket `i` holds values whose
 /// bit-length is `i` (bucket 0 is exactly zero, bucket 64 is `u64::MAX`
 /// territory).
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// Log2 bucket index of a value (0 for 0, else `64 - leading_zeros`).
 #[inline]
-pub fn bucket_of(value: u64) -> usize {
+pub(crate) fn bucket_of(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
-}
-
-/// Lower bound of a bucket (inverse of [`bucket_of`], for display).
-pub fn bucket_floor(bucket: usize) -> u64 {
-    match bucket {
-        0 => 0,
-        b => 1u64 << (b - 1),
-    }
 }
 
 #[derive(Default)]
@@ -170,17 +161,6 @@ impl Recorder {
         }
     }
 
-    /// Adds a pre-measured duration to timer `name` (for call sites that
-    /// cannot hold a guard across an await/channel boundary).
-    #[inline]
-    pub fn add_time_ns(&self, name: &'static str, ns: u64) {
-        if let Some(reg) = &self.inner {
-            let t = cell(&reg.timers, name);
-            t.total_ns.fetch_add(ns, Ordering::Relaxed);
-            t.count.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Current value of counter `name` (0 when absent or disabled).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner
@@ -191,20 +171,6 @@ impl Recorder {
                     .expect("obs registry poisoned")
                     .get(name)
                     .map(|c| c.load(Ordering::Relaxed))
-            })
-            .unwrap_or(0)
-    }
-
-    /// Accumulated nanoseconds of timer `name` (0 when absent/disabled).
-    pub fn timer_ns(&self, name: &str) -> u64 {
-        self.inner
-            .as_ref()
-            .and_then(|reg| {
-                reg.timers
-                    .read()
-                    .expect("obs registry poisoned")
-                    .get(name)
-                    .map(|t| t.total_ns.load(Ordering::Relaxed))
             })
             .unwrap_or(0)
     }
@@ -245,27 +211,6 @@ impl Recorder {
         }
         snap
     }
-
-    /// Zeroes every metric while keeping registered names (per-step reuse).
-    pub fn reset(&self) {
-        let Some(reg) = &self.inner else {
-            return;
-        };
-        for c in reg.counters.read().expect("obs registry poisoned").values() {
-            c.store(0, Ordering::Relaxed);
-        }
-        for t in reg.timers.read().expect("obs registry poisoned").values() {
-            t.total_ns.store(0, Ordering::Relaxed);
-            t.count.store(0, Ordering::Relaxed);
-        }
-        for h in reg.hists.read().expect("obs registry poisoned").values() {
-            for b in &h.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            h.count.store(0, Ordering::Relaxed);
-            h.sum.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 impl std::fmt::Debug for Recorder {
@@ -300,6 +245,33 @@ impl Drop for SpanGuard {
     }
 }
 
+/// Test helpers: timers set and read without a clock.
+#[cfg(test)]
+impl Recorder {
+    /// Adds a pre-measured duration to timer `name`.
+    pub(crate) fn add_time_ns(&self, name: &'static str, ns: u64) {
+        if let Some(reg) = &self.inner {
+            let t = cell(&reg.timers, name);
+            t.total_ns.fetch_add(ns, Ordering::Relaxed);
+            t.count.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Accumulated nanoseconds of timer `name` (0 when absent/disabled).
+    pub(crate) fn timer_ns(&self, name: &str) -> u64 {
+        self.inner
+            .as_ref()
+            .and_then(|reg| {
+                reg.timers
+                    .read()
+                    .expect("obs registry poisoned")
+                    .get(name)
+                    .map(|t| t.total_ns.load(Ordering::Relaxed))
+            })
+            .unwrap_or(0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,11 +284,6 @@ mod tests {
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), 64);
-        for b in 0..HIST_BUCKETS {
-            if b > 0 {
-                assert_eq!(bucket_of(bucket_floor(b)), b, "floor of bucket {b}");
-            }
-        }
     }
 
     #[test]
@@ -411,20 +378,6 @@ mod tests {
         assert_eq!(h.buckets[bucket_of(1)], 2);
         assert_eq!(h.buckets[bucket_of(5)], 3);
         assert_eq!(h.buckets[bucket_of(1024)], 1);
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_names() {
-        let rec = Recorder::enabled();
-        rec.add("c", 5);
-        rec.add_time_ns("t", 100);
-        rec.observe("h", 9);
-        rec.reset();
-        assert_eq!(rec.counter("c"), 0);
-        assert_eq!(rec.timer_ns("t"), 0);
-        let snap = rec.snapshot();
-        assert!(snap.counters.contains_key("c"));
-        assert_eq!(snap.hists["h"].count, 0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! This module is a **registry**, not just a bag of constants: every
 //! counter/span/histogram name and every collective label that crosses a
-//! crate boundary must be declared here and listed in [`ALL`].
+//! crate boundary must be declared here as a `const NAME: &str`, the
+//! shape `compso-lint` parses this file for.
 //! `compso-lint`'s `counter-registry` rule enforces both directions —
 //! prod code may not pass bare string literals to a `Recorder` or
 //! `recv_labeled`, and any slash-namespaced name literal anywhere in the
@@ -32,8 +33,6 @@ pub const CORE_DECODE_BYTES_IN: &str = "core/decode_bytes_in";
 pub const COMM_ALLREDUCE: &str = "comm/allreduce_sum";
 /// `compso-comm`: variable-size ring all-gather wall time.
 pub const COMM_ALLGATHER_VAR: &str = "comm/allgather_var";
-/// `compso-comm`: compressed ring all-reduce wall time.
-pub const COMM_COMPRESSED_ALLREDUCE: &str = "comm/compressed_allreduce_mean";
 /// `compso-comm`: total bytes this rank put on the wire.
 pub const COMM_BYTES_SENT: &str = "comm/bytes_sent";
 /// `compso-comm`: per-message wire sizes (log2 histogram).
@@ -66,10 +65,9 @@ pub const COMM_PIPELINE_DELIVER: &str = "comm/pipeline/deliver";
 /// `1 − wait/allgather-span` is the achieved overlap fraction.
 pub const COMM_PIPELINE_WAIT: &str = "comm/pipeline/wait";
 
-/// `compso-comm`: label of a bare point-to-point receive
-/// ([`Communicator::recv`]) in `CommError`s.
-///
-/// [`Communicator::recv`]: ../compso_comm/group/struct.Communicator.html#method.recv
+/// `compso-comm`: label of a bare point-to-point receive in `CommError`s
+/// (the tests' `Communicator::recv`; production receives carry their
+/// collective's label).
 pub const COMM_RECV: &str = "comm/recv";
 /// `compso-comm`: label of the group barrier in `CommError`s (a barrier
 /// timeout names the straggler under this collective).
@@ -169,7 +167,7 @@ pub const KFAC_ALLGATHER: &str = "kfac/step/allgather";
 pub const KFAC_UPDATE: &str = "kfac/step/update";
 /// Synthetic report phase covering step time outside the tracked
 /// sub-phases (computed by `StepReport`, never recorded directly).
-pub const KFAC_STEP_OTHER: &str = "kfac/step/other";
+pub(crate) const KFAC_STEP_OTHER: &str = "kfac/step/other";
 /// `compso-kfac`: factor all-reduces issued by *this* rank — one per
 /// step on which some layer's refresh is due, plus one after each
 /// membership epoch change; `⌈steps / eigen_refresh⌉` in a
@@ -229,98 +227,32 @@ pub const CTRL_BACKOFFS: &str = "ctrl/backoffs";
 /// the family). Zero under a static compressor.
 pub const CTRL_SCHEDULE_INVALIDATIONS: &str = "ctrl/schedule_invalidations";
 
-/// Every registered name. `compso-lint` parses this file to build the
-/// allowed set; keep the array in sync with the constants above (the
-/// `registry_lists_every_constant` test cross-checks it against the
-/// constants this module exports).
-pub const ALL: &[&str] = &[
-    CORE_CHUNKED_COMPRESS,
-    CORE_DECODE,
-    CORE_BYTES_IN,
-    CORE_BYTES_OUT,
-    CORE_DECODE_BYTES_IN,
-    COMM_ALLREDUCE,
-    COMM_ALLGATHER_VAR,
-    COMM_COMPRESSED_ALLREDUCE,
-    COMM_BYTES_SENT,
-    COMM_MSG_BYTES,
-    COMM_ALLREDUCE_CALLS,
-    COMM_ALLGATHER_VAR_CALLS,
-    COMM_PIPELINED_ALLGATHER,
-    COMM_PIPELINED_ALLGATHER_CALLS,
-    COMM_PIPELINE_STAGES,
-    COMM_PIPELINE_PRODUCE,
-    COMM_PIPELINE_DELIVER,
-    COMM_PIPELINE_WAIT,
-    COMM_RECV,
-    COMM_BARRIER,
-    COMM_BROADCAST_BYTES,
-    COMM_FAULT_CRC_DETECTED,
-    COMM_RETRY_RESENDS,
-    COMM_RETRY_NACKS_SENT,
-    COMM_ALLGATHER_REPAIR,
-    COMM_MEMBERSHIP,
-    COMM_MEMBERSHIP_EPOCHS,
-    COMM_MEMBERSHIP_SHRINKS,
-    COMM_MEMBERSHIP_REJOINS,
-    COMM_ALLGATHER_REJOIN,
-    KFAC_DEGRADE_CHECKSUM_FAILURES,
-    KFAC_DEGRADE_REPAIR_REQUESTS,
-    KFAC_DEGRADE_REPAIR_COMPRESSED_OK,
-    KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK,
-    KFAC_DEGRADE_FALLBACK_LAST_GOOD,
-    KFAC_DEGRADE_FALLBACK_SGD,
-    KFAC_REPAIR,
-    KFAC_REPAIR_STATUS,
-    KFAC_STEP,
-    KFAC_GRAD_SYNC,
-    KFAC_FOLD,
-    KFAC_PRECONDITION_LANDED,
-    KFAC_FACTOR,
-    KFAC_INVERSE,
-    KFAC_INVERSE_REFRESHES,
-    KFAC_ALLGATHER,
-    KFAC_UPDATE,
-    KFAC_STEP_OTHER,
-    KFAC_FACTOR_SYNCS,
-    KFAC_ELASTIC_RESHARDS,
-    CKPT_SAVE,
-    CKPT_LOAD,
-    CKPT_SAVES,
-    CKPT_BYTES,
-    CKPT_RAW_BYTES,
-    CKPT_RESTORE_RUNGS,
-    CKPT_RESTORE_RUNGS_WORLD_SIZE,
-    CTRL_DECISIONS,
-    CTRL_SWITCHES,
-    CTRL_FAMILY_SWITCHES,
-    CTRL_WARMUP_STEPS,
-    CTRL_WARMUP_EXITS,
-    CTRL_BACKOFFS,
-    CTRL_SCHEDULE_INVALIDATIONS,
-];
-
-/// Whether `name` is a registered metric/label name.
-pub fn is_registered(name: &str) -> bool {
-    ALL.contains(&name)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    /// Every registered value, parsed from this file the way
+    /// `compso-lint` reads it: one top-level `const NAME: &str` line each.
+    fn registered() -> Vec<&'static str> {
+        let values = include_str!("names.rs").lines().filter_map(|line| {
+            let line = (line.strip_prefix("pub const "))
+                .or_else(|| line.strip_prefix("pub(crate) const "))?;
+            let value = line.split_once(": &str = \"")?.1;
+            Some(value.split_once('"')?.0)
+        });
+        values.collect()
+    }
 
     #[test]
     fn names_are_unique() {
-        for (i, a) in ALL.iter().enumerate() {
-            for b in &ALL[i + 1..] {
-                assert_ne!(a, b, "duplicate registered name");
-            }
+        let all = registered();
+        assert!(all.len() > 40, "registry parse found {} names", all.len());
+        for (i, a) in all.iter().enumerate() {
+            assert!(!all[i + 1..].contains(a), "duplicate registered name {a}");
         }
     }
 
     #[test]
     fn names_are_slash_namespaced_lowercase() {
-        for name in ALL {
+        for name in registered() {
             assert!(
                 !name.is_empty() && name.contains('/'),
                 "{name}: registered names are namespace/segment"
@@ -340,49 +272,5 @@ mod tests {
                 "{name}: unknown namespace {ns}"
             );
         }
-    }
-
-    #[test]
-    fn is_registered_matches_membership() {
-        assert!(is_registered(KFAC_STEP));
-        assert!(is_registered(COMM_BARRIER));
-        assert!(!is_registered("zzz/unregistered"));
-        assert!(!is_registered(""));
-    }
-
-    /// The registry file is the single source of truth the lint pass
-    /// parses; this pins that [`ALL`] covers at least the names every
-    /// report path touches, so a constant added above but forgotten in
-    /// `ALL` fails here instead of silently escaping the lint.
-    #[test]
-    fn registry_lists_every_constant() {
-        // Parse our own source the same way compso-lint does: every
-        // `pub const X: &str = "...";` value must be in ALL.
-        let src = include_str!("names.rs");
-        let mut missing = Vec::new();
-        for line in src.lines() {
-            let t = line.trim();
-            let Some(rest) = t.strip_prefix("pub const ") else {
-                continue;
-            };
-            if !rest.contains(": &str") {
-                continue;
-            }
-            let Some(q0) = rest.find('"') else { continue };
-            let Some(q1) = rest[q0 + 1..].find('"') else {
-                continue;
-            };
-            let val = &rest[q0 + 1..q0 + 1 + q1];
-            if !is_registered(val) {
-                missing.push(val.to_string());
-            }
-        }
-        assert!(
-            missing.is_empty(),
-            "constants missing from ALL: {missing:?}"
-        );
-        // And the parse actually saw the constants (guards against the
-        // include_str! drifting from the real file).
-        assert!(src.contains("pub const KFAC_STEP"));
     }
 }

@@ -25,7 +25,7 @@ pub const STEP_PHASES: &[&str] = &[
 
 /// Name of the synthetic phase covering step time outside the tracked
 /// sub-phases (registered as [`names::KFAC_STEP_OTHER`]).
-pub const PHASE_OTHER: &str = names::KFAC_STEP_OTHER;
+pub(crate) const PHASE_OTHER: &str = names::KFAC_STEP_OTHER;
 
 /// Counters that stay 0 in a fault-free step: transport recovery (ARQ),
 /// degradation-ladder activity, degraded or resharded restores and
@@ -80,7 +80,7 @@ pub struct StepReport {
     /// Seconds per recorded timer.
     pub phases: BTreeMap<String, f64>,
     /// Fraction of the step per [`STEP_PHASES`] entry (plus
-    /// [`PHASE_OTHER`]); sums to 1 whenever the step timer is present.
+    /// `PHASE_OTHER`); sums to 1 whenever the step timer is present.
     pub fractions: BTreeMap<String, f64>,
     /// Every counter, by registered name.
     pub counters: BTreeMap<String, u64>,
@@ -306,7 +306,7 @@ mod tests {
         validate(&doc).unwrap_or_else(|(pos, msg)| panic!("{msg} at {pos} in {doc}"));
         assert!(doc.contains("\"overlap_frac\":8e-1"), "{doc}");
         // Wait exceeding the gather span (clock skew) clamps to 0.
-        rec.reset();
+        let rec = Recorder::enabled();
         rec.add_time_ns(names::KFAC_ALLGATHER, 10_000);
         rec.add_time_ns(names::COMM_PIPELINE_WAIT, 20_000);
         let report = StepReport::from_snapshot(1, &rec.snapshot());

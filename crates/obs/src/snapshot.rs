@@ -26,20 +26,11 @@ pub struct HistStat {
     pub count: u64,
     /// Sum of observed values.
     pub sum: u64,
-    /// Per-bucket observation counts (see [`crate::bucket_of`]).
+    /// Per-bucket observation counts (see `crate::bucket_of`).
     pub buckets: Vec<u64>,
 }
 
-impl HistStat {
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
+impl HistStat {}
 
 /// A copy of every metric at one instant, keyed by metric name.
 ///
@@ -96,29 +87,6 @@ impl Snapshot {
         out
     }
 
-    /// Accumulates `other` into `self` (for cross-rank aggregation).
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, t) in &other.timers {
-            let e = self.timers.entry(k.clone()).or_default();
-            e.total_ns += t.total_ns;
-            e.count += t.count;
-        }
-        for (k, h) in &other.hists {
-            let e = self.hists.entry(k.clone()).or_default();
-            e.count += h.count;
-            e.sum += h.sum;
-            if e.buckets.len() < h.buckets.len() {
-                e.buckets.resize(h.buckets.len(), 0);
-            }
-            for (i, &b) in h.buckets.iter().enumerate() {
-                e.buckets[i] += b;
-            }
-        }
-    }
-
     /// Seconds accumulated in timer `name` (0 when absent).
     pub fn timer_seconds(&self, name: &str) -> f64 {
         self.timers.get(name).map_or(0.0, TimerStat::seconds)
@@ -161,33 +129,5 @@ mod tests {
         let d = snap(5, 50).delta_since(&Snapshot::default());
         assert_eq!(d.counter("c"), 5);
         assert_eq!(d.timer_seconds("t"), 50e-9);
-    }
-
-    #[test]
-    fn merge_adds_across_ranks() {
-        let mut a = snap(1, 10);
-        a.hists.insert(
-            "h".into(),
-            HistStat {
-                count: 2,
-                sum: 6,
-                buckets: vec![0, 2],
-            },
-        );
-        let mut b = snap(2, 20);
-        b.hists.insert(
-            "h".into(),
-            HistStat {
-                count: 1,
-                sum: 4,
-                buckets: vec![1],
-            },
-        );
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.timers["t"].total_ns, 30);
-        assert_eq!(a.timers["t"].count, 2);
-        assert_eq!(a.hists["h"].count, 3);
-        assert_eq!(a.hists["h"].buckets, vec![1, 2]);
     }
 }

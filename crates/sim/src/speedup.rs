@@ -152,7 +152,7 @@ pub fn end_to_end_gain(r: f64, s: f64) -> f64 {
 /// wins on many small layers (per-message latency amortizes) and loses on
 /// few large ones — the behaviour COMPSO-p exploits over COMPSO-f in
 /// Fig. 9.
-pub fn choose_aggregation(
+pub(crate) fn choose_aggregation(
     layer_bytes: &[u64],
     comm_tput: impl Fn(f64) -> f64,
     profile: &CompressorProfile,

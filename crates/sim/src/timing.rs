@@ -63,7 +63,7 @@ impl Breakdown {
     }
 
     /// Fraction of the iteration spent in a phase.
-    pub fn fraction(&self, phase: f64) -> f64 {
+    pub(crate) fn fraction(&self, phase: f64) -> f64 {
         phase / self.total()
     }
 

@@ -61,11 +61,6 @@ impl Cholesky {
         Ok(Cholesky { n, l })
     }
 
-    /// Matrix order.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Raw factor state `(order, row-major lower-triangular f64 data)` —
     /// the exact internal representation, exported so checkpoints can
     /// restore a cached factorization **bit-identically** instead of
@@ -121,19 +116,6 @@ impl Cholesky {
         }
         out_t.transpose()
     }
-
-    /// The explicit inverse `A⁻¹` (use `solve` when possible).
-    pub fn inverse(&self) -> Matrix {
-        self.solve(&Matrix::identity(self.n))
-    }
-
-    /// log(det A) = 2 Σ log L_ii — handy for sanity checks on damping.
-    pub fn log_det(&self) -> f64 {
-        (0..self.n)
-            .map(|i| self.l[i * self.n + i].ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -177,14 +159,6 @@ mod tests {
         for (i, &xi) in x.iter().enumerate() {
             assert!((xi - x_true.get(i, 0)).abs() < 1e-2, "i={i}");
         }
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = random_spd(8, 4);
-        let inv = Cholesky::new(&a).unwrap().inverse();
-        let prod = a.matmul(&inv);
-        assert!(prod.max_diff(&Matrix::identity(8)) < 1e-3);
     }
 
     /// The pre-panel scalar factorization, retained as the bit-identity
@@ -235,13 +209,6 @@ mod tests {
     fn rejects_non_square() {
         let m = Matrix::zeros(2, 3);
         assert!(Cholesky::new(&m).is_err());
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let m = Matrix::from_vec(2, 2, vec![4.0, 0.0, 0.0, 9.0]);
-        let ch = Cholesky::new(&m).unwrap();
-        assert!((ch.log_det() - (36.0f64).ln()).abs() < 1e-9);
     }
 
     #[test]

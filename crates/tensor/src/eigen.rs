@@ -41,9 +41,11 @@ pub struct EigenDecomposition {
     pub vectors: Matrix,
 }
 
+/// Test oracles: the factorization validated by reconstruction.
+#[cfg(test)]
 impl EigenDecomposition {
-    /// Reconstructs `Q diag(λ) Qᵀ` — used by tests to validate the factorization.
-    pub fn reconstruct(&self) -> Matrix {
+    /// Reconstructs `Q diag(λ) Qᵀ`.
+    fn reconstruct(&self) -> Matrix {
         let n = self.values.len();
         let mut scaled = self.vectors.clone();
         // scaled[:, j] *= λ_j
@@ -56,9 +58,9 @@ impl EigenDecomposition {
         scaled.matmul_t(&self.vectors)
     }
 
-    /// Applies `f` to each eigenvalue and reconstructs — the spectral
-    /// function machinery K-FAC uses for `(A + γI)^{-1}` and friends.
-    pub fn map_spectrum(&self, f: impl Fn(f32) -> f32) -> Matrix {
+    /// Applies `f` to each eigenvalue and reconstructs `Q f(Λ) Qᵀ`, the
+    /// spectral function K-FAC's `precondition` applies without forming.
+    fn map_spectrum(&self, f: impl Fn(f32) -> f32) -> Matrix {
         let mapped = EigenDecomposition {
             values: self.values.iter().map(|&v| f(v)).collect(),
             vectors: self.vectors.clone(),
@@ -72,10 +74,9 @@ impl EigenDecomposition {
 ///
 /// Eigenvectors are determined up to sign, and up to the choice of basis
 /// inside a cluster of equal eigenvalues. Negating a column is exact and
-/// cancels in `Q f(Λ) Qᵀ`, so [`EigenDecomposition::map_spectrum`] and
-/// K-FAC's `precondition` do not depend on the signs chosen here (pinned
-/// bit for bit in `compso-kfac`); against another correct solver their
-/// results differ only where entries round differently or a cluster is
+/// cancels in `Q f(Λ) Qᵀ`, so K-FAC's `precondition` does not depend on
+/// the signs chosen here (pinned bit for bit in `compso-kfac`); against
+/// another correct solver its results differ only where entries round differently or a cluster is
 /// degenerate.
 ///
 /// Total on non-finite input: a NaN/Inf matrix yields all-NaN eigenpairs

@@ -311,15 +311,6 @@ impl Matrix {
         gemm(self.view(), head.t(), false, false)
     }
 
-    /// Matrix-vector product.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(self.cols, x.len(), "matvec dims");
-        self.data
-            .chunks(self.cols)
-            .map(|row| row.iter().zip(x).map(|(&a, &b)| a * b).sum())
-            .collect()
-    }
-
     /// Elementwise in-place addition of `other * scale`.
     pub fn axpy(&mut self, scale: f32, other: &Matrix) {
         assert_eq!(
@@ -788,18 +779,6 @@ mod tests {
         let fused = a.matmul_t(&b);
         let explicit = a.matmul(&b.transpose());
         assert!(fused.max_diff(&explicit) < 1e-4);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let mut rng = Rng::new(6);
-        let a = Matrix::random_normal(9, 6, &mut rng);
-        let x = Matrix::random_normal(6, 1, &mut rng);
-        let via_mm = a.matmul(&x);
-        let via_mv = a.matvec(x.as_slice());
-        for (i, &v) in via_mv.iter().enumerate() {
-            assert!((via_mm.get(i, 0) - v).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rayon::prelude::*;
 
 /// Chunk size of the hierarchical reduction; plays the role of the CUDA
 /// thread-block tile. 16 KiB of f32s — comfortably inside L1.
-pub const REDUCE_CHUNK: usize = 4096;
+pub(crate) const REDUCE_CHUNK: usize = 4096;
 
 /// Min/max pair produced by range scans.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -24,7 +24,7 @@ pub struct MinMax {
 
 impl MinMax {
     /// The neutral element of the min/max monoid.
-    pub const EMPTY: MinMax = MinMax {
+    pub(crate) const EMPTY: MinMax = MinMax {
         min: f32::INFINITY,
         max: f32::NEG_INFINITY,
     };
@@ -66,7 +66,7 @@ pub fn minmax_flat(xs: &[f32]) -> MinMax {
 /// scalar oracle — for every input the pipeline feeds it (gradients are
 /// NaN-free by construction; `prop_minmax_lanes_matches_flat` pins the
 /// equivalence, signed zeros included).
-pub fn minmax_lanes(xs: &[f32]) -> MinMax {
+pub(crate) fn minmax_lanes(xs: &[f32]) -> MinMax {
     let mut lo = [f32::INFINITY; 8];
     let mut hi = [f32::NEG_INFINITY; 8];
     let mut it = xs.chunks_exact(8);
@@ -100,40 +100,8 @@ pub fn absmax_flat(xs: &[f32]) -> f32 {
     xs.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
 }
 
-/// Hierarchical parallel largest-absolute-value scan.
-pub fn absmax_hierarchical(xs: &[f32]) -> f32 {
-    if xs.len() <= REDUCE_CHUNK {
-        return absmax_flat(xs);
-    }
-    xs.par_chunks(REDUCE_CHUNK)
-        .map(absmax_flat)
-        .reduce(|| 0.0f32, f32::max)
-}
-
-/// Kahan-compensated sequential sum (f64 accumulator), used as the exact
-/// reference for parallel sums.
-pub fn sum_flat(xs: &[f32]) -> f64 {
-    let mut sum = 0.0f64;
-    let mut c = 0.0f64;
-    for &x in xs {
-        let y = x as f64 - c;
-        let t = sum + y;
-        c = (t - sum) - y;
-        sum = t;
-    }
-    sum
-}
-
-/// Hierarchical parallel sum with f64 chunk accumulators.
-pub fn sum_hierarchical(xs: &[f32]) -> f64 {
-    if xs.len() <= REDUCE_CHUNK {
-        return sum_flat(xs);
-    }
-    xs.par_chunks(REDUCE_CHUNK).map(sum_flat).sum()
-}
-
 /// Squared L2 norm in f64.
-pub fn sum_squares(xs: &[f32]) -> f64 {
+pub(crate) fn sum_squares(xs: &[f32]) -> f64 {
     if xs.len() <= REDUCE_CHUNK {
         return xs.iter().map(|&v| v as f64 * v as f64).sum();
     }
@@ -145,35 +113,6 @@ pub fn sum_squares(xs: &[f32]) -> f64 {
 /// L2 norm.
 pub fn l2_norm(xs: &[f32]) -> f64 {
     sum_squares(xs).sqrt()
-}
-
-/// Mean and (population) variance in one pass per chunk.
-pub fn mean_var(xs: &[f32]) -> (f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = xs.len() as f64;
-    let mean = sum_hierarchical(xs) / n;
-    let ssq = if xs.len() <= REDUCE_CHUNK {
-        xs.iter()
-            .map(|&v| {
-                let d = v as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-    } else {
-        xs.par_chunks(REDUCE_CHUNK)
-            .map(|c| {
-                c.iter()
-                    .map(|&v| {
-                        let d = v as f64 - mean;
-                        d * d
-                    })
-                    .sum::<f64>()
-            })
-            .sum()
-    };
-    (mean, ssq / n)
 }
 
 /// Counts elements with `|x| < threshold` — the filter-selectivity probe the
@@ -238,29 +177,8 @@ mod tests {
     }
 
     #[test]
-    fn absmax_agrees_and_is_nonnegative() {
-        let xs = data(50_000, 2);
-        let a = absmax_flat(&xs);
-        let b = absmax_hierarchical(&xs);
-        assert_eq!(a, b);
-        assert!(a >= 0.0);
-        assert!(xs.iter().all(|&v| v.abs() <= a));
-    }
-
-    #[test]
     fn empty_slices() {
         assert_eq!(minmax_flat(&[]), MinMax::EMPTY);
-        assert_eq!(absmax_hierarchical(&[]), 0.0);
-        assert_eq!(sum_hierarchical(&[]), 0.0);
-        assert_eq!(mean_var(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn sum_matches_reference_closely() {
-        let xs = data(200_000, 3);
-        let flat = sum_flat(&xs);
-        let hier = sum_hierarchical(&xs);
-        assert!((flat - hier).abs() < 1e-6 * xs.len() as f64);
     }
 
     #[test]
@@ -269,14 +187,6 @@ mod tests {
         xs[3] = 3.0;
         xs[10] = 4.0;
         assert!((l2_norm(&xs) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_var_of_standard_normal() {
-        let xs = data(300_000, 4);
-        let (m, v) = mean_var(&xs);
-        assert!(m.abs() < 0.01, "mean {m}");
-        assert!((v - 1.0).abs() < 0.02, "var {v}");
     }
 
     #[test]

@@ -164,12 +164,6 @@ impl Rng {
         self.normal_f64() as f32
     }
 
-    /// Normal with given mean and standard deviation.
-    #[inline]
-    pub fn normal(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal_f32()
-    }
-
     /// Fills `out` with standard-normal samples.
     pub fn fill_normal(&mut self, out: &mut [f32]) {
         for v in out {
@@ -202,20 +196,6 @@ impl Rng {
             let j = self.below((i + 1) as u64) as usize;
             xs.swap(i, j);
         }
-    }
-
-    /// Samples `k` distinct indices from `[0, n)` (k <= n), in arbitrary order.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} of {n}");
-        // Partial Fisher-Yates over an index vector; O(n) setup is fine for
-        // the sparsifier sizes we use.
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.below((n - i) as u64) as usize;
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
     }
 }
 
@@ -318,19 +298,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(xs, (0..100).collect::<Vec<_>>(), "astronomically unlikely");
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut r = Rng::new(17);
-        let k = 50;
-        let idx = r.sample_indices(200, k);
-        assert_eq!(idx.len(), k);
-        let mut sorted = idx.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), k);
-        assert!(sorted.iter().all(|&i| i < 200));
     }
 
     #[test]

@@ -54,32 +54,6 @@ impl Histogram {
         }
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Raw counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Samples that fell outside the range.
-    pub fn outliers(&self) -> u64 {
-        self.outliers
-    }
-
-    /// In-range sample count.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Bin center of bin `i`.
-    pub fn center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
     /// Normalized densities (sum to 1 over in-range mass).
     pub fn densities(&self) -> Vec<f64> {
         if self.total == 0 {
@@ -92,21 +66,21 @@ impl Histogram {
     }
 
     /// Total-variation distance to a given probability mass function.
-    pub fn tv_distance(&self, pmf: &[f64]) -> f64 {
+    pub(crate) fn tv_distance(&self, pmf: &[f64]) -> f64 {
         assert_eq!(pmf.len(), self.counts.len(), "pmf length");
         let d = self.densities();
         0.5 * d.iter().zip(pmf).map(|(a, b)| (a - b).abs()).sum::<f64>()
     }
 
     /// The uniform reference pmf over this histogram's bins.
-    pub fn uniform_pmf(&self) -> Vec<f64> {
+    pub(crate) fn uniform_pmf(&self) -> Vec<f64> {
         let n = self.counts.len();
         vec![1.0 / n as f64; n]
     }
 
     /// The symmetric-triangular reference pmf centered on the range midpoint
     /// (the shape stochastic rounding induces on quantization error).
-    pub fn triangular_pmf(&self) -> Vec<f64> {
+    pub(crate) fn triangular_pmf(&self) -> Vec<f64> {
         let n = self.counts.len();
         let mid = (n as f64 - 1.0) / 2.0;
         let mut pmf: Vec<f64> = (0..n)
@@ -148,16 +122,6 @@ pub fn classify_error_shape(errors: &[f32], bound: f64, bins: usize) -> (ErrorSh
     (shape, d_uni, d_tri)
 }
 
-/// Simple quantile (nearest-rank) of a data sample; `q` in `[0,1]`.
-pub fn quantile(xs: &[f32], q: f64) -> f32 {
-    assert!(!xs.is_empty(), "quantile of empty sample");
-    assert!((0.0..=1.0).contains(&q), "q out of range");
-    let mut sorted: Vec<f32> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[rank]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,9 +135,9 @@ mod tests {
         h.add(0.51); // bin 2
         h.add(1.0); // clamps to bin 3
         h.add(2.0); // outlier
-        assert_eq!(h.counts(), &[1, 1, 1, 1]);
-        assert_eq!(h.outliers(), 1);
-        assert_eq!(h.total(), 4);
+        assert_eq!(h.counts, [1, 1, 1, 1]);
+        assert_eq!(h.outliers, 1);
+        assert_eq!(h.total, 4);
     }
 
     #[test]
@@ -215,20 +179,5 @@ mod tests {
         // Peak at middle, symmetric.
         assert!(pmf[4] > pmf[0]);
         assert!((pmf[1] - pmf[7]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles() {
-        let xs: Vec<f32> = (0..101).map(|i| i as f32).collect();
-        assert_eq!(quantile(&xs, 0.0), 0.0);
-        assert_eq!(quantile(&xs, 0.5), 50.0);
-        assert_eq!(quantile(&xs, 1.0), 100.0);
-    }
-
-    #[test]
-    fn bin_centers() {
-        let h = Histogram::new(0.0, 1.0, 2);
-        assert!((h.center(0) - 0.25).abs() < 1e-12);
-        assert!((h.center(1) - 0.75).abs() < 1e-12);
     }
 }

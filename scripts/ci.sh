@@ -44,7 +44,9 @@ step_start "compso-lint --deny"
 # unwraps, unchecked length prefixes, counter registry, nondeterministic
 # wire iteration, plus the call-graph rules (collective-order,
 # deterministic-state, swallowed-comm-error). counter-registry also fails
-# on a registered name nothing reads (benchmark/src counts as a reader).
+# on a registered name nothing reads, and reachable-pub on a library pub
+# fn/const/static nothing outside its crate names (benchmark/src counts as
+# a reader for both).
 # One cold pass of the binary the release build above just produced; the
 # outer timeout is the hang backstop and the timing summary below shows
 # a slow run. The JSON report (per-rule counts) is uploaded as a CI
@@ -59,6 +61,17 @@ step_start "one lint pass (no cache, no rewriter, no millisecond budget)"
 if grep -rnE -e 'check_workspace_cached|CacheStats|run_fix|--cache|--fix|--budget-ms' \
   crates/lint/src README.md DESIGN.md .github .claude; then
   echo "compso-lint's incremental cache, --fix or --budget-ms is back" >&2; exit 1
+fi
+step_end
+
+step_start "rustc's dead-code analysis stays on (program code)"
+# compso-lint's reachable-pub takes `pub` from an item nothing outside its
+# crate names; rustc's dead_code (the clippy step above, -D warnings) then
+# reports what nothing reaches, and it is deleted. An allow or expect of
+# dead_code or unused lints in program code would switch that half off.
+# scripts/ is not searched: this line would match itself.
+if grep -rnE '#!?\[.*\b(allow|expect)\([^]]*\b(dead_code|unused)' src crates/*/src examples; then
+  echo "program code silences dead_code or unused lints; delete what rustc reports instead" >&2; exit 1
 fi
 step_end
 

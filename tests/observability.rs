@@ -8,7 +8,7 @@ use compso::core::{ChunkedCompso, CompsoConfig};
 use compso::dnn::loss::softmax_cross_entropy;
 use compso::dnn::{data, models};
 use compso::kfac::{DistKfac, DistKfacConfig};
-use compso::obs::{json_validate, names, Recorder, Snapshot, StepReport};
+use compso::obs::{json, names, Recorder, Snapshot, StepReport};
 use compso::tensor::Rng;
 
 const RANKS: usize = 3;
@@ -71,7 +71,7 @@ fn step_reports_are_well_formed_json_with_partitioning_fractions() {
     assert_eq!(reports.len(), STEPS);
     for r in &reports {
         let doc = r.to_json();
-        json_validate(&doc).unwrap_or_else(|(pos, msg)| panic!("{msg} at byte {pos} in {doc}"));
+        json::validate(&doc).unwrap_or_else(|(pos, msg)| panic!("{msg} at byte {pos} in {doc}"));
         assert!(r.wall_s > 0.0, "step {} has no wall time", r.step);
         let sum = r.fraction_sum();
         assert!(

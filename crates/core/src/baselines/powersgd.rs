@@ -119,9 +119,9 @@ impl PowerSgd {
         q
     }
 
-    /// Largest `‖residual‖/‖input‖` across all layers compressed through
-    /// the keyed path so far — the error-feedback divergence signal the
-    /// control plane polls. 0.0 before any stateful compression.
+    /// Test-only view: largest `‖residual‖/‖input‖` across all layers
+    /// compressed through the keyed path so far, so the tests can watch
+    /// the error-feedback residual. 0.0 before any stateful compression.
     #[cfg(test)]
     pub(crate) fn ef_residual_rel(&self) -> f64 {
         let state = self.state.lock().unwrap();

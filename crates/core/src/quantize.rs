@@ -165,16 +165,16 @@ impl Quantized {
         }
     }
 
-    /// Deserializes a block written by [`Quantized::write`], refusing an
-    /// element count above the caller's cap.
+    /// Test oracle: deserializes a block written by [`Quantized::write`],
+    /// refusing an element count above `max_count`.
     ///
     /// The degenerate `n_bins == 0` encoding (constant-valued blocks)
     /// carries *no* code bytes — that is the whole point of the encoding —
     /// so its element count cannot be validated against the remaining
-    /// buffer the way packed codes can. Callers that know the expected
-    /// element count from outer framing (the chunked decoder knows every
-    /// chunk's length from its schedule) pass it here so a hostile count
-    /// in a corrupted stream cannot drive an oversized allocation.
+    /// buffer the way packed codes can; the cap keeps a hostile count in
+    /// a corrupted stream from driving an oversized allocation. The
+    /// chunked decoder inlines these checks; the tests hold it to this
+    /// reader.
     #[cfg(test)]
     pub(crate) fn read_capped(r: &mut Reader, max_count: usize) -> Result<Self, WireError> {
         let lo = r.f32()?;

@@ -12,7 +12,7 @@
 use crate::callgraph::{self, FileSummaries, FnFacts};
 use crate::rules::{registry_entries, View, RULES, RULE_NAMES};
 use crate::source::SourceFile;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -103,11 +103,11 @@ pub struct Context {
     /// Workspace call-graph facts by function name (empty in
     /// single-file runs; rules union in a local per-file solve).
     pub facts: BTreeMap<String, FnFacts>,
-    /// Every identifier the workspace spells, with the library crates
-    /// whose files spell it (`""` for a file outside every library
-    /// crate). `None` in single-file runs, where `reachable-pub` cannot
-    /// judge and stays silent.
-    pub named_outside: Option<BTreeMap<String, BTreeSet<String>>>,
+    /// The name of every library `pub` item `reachable-pub` checks, with
+    /// the library crates whose files spell it (`""` for a file outside
+    /// every library crate). `None` in single-file runs, where
+    /// `reachable-pub` cannot judge and stays silent.
+    pub named_outside: Option<HashMap<String, BTreeSet<String>>>,
 }
 
 impl Context {
@@ -199,22 +199,15 @@ pub fn check_file(file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
 /// Runs the call-graph pre-pass first ([`crate::callgraph::summarize`]
 /// per file, one [`crate::callgraph::solve`] over the set) so the
 /// cross-function rules see helpers defined in *other* files.
-pub fn check_files(files: &[SourceFile], ctx: &Context) -> Vec<Diagnostic> {
+pub fn check_files(files: &[SourceFile], mut ctx: Context) -> Vec<Diagnostic> {
     let summaries: Vec<FileSummaries> = files.iter().map(callgraph::summarize).collect();
-    let facts = callgraph::solve(&summaries);
-    let mut length_sources = ctx.length_sources.clone();
-    length_sources.extend(
-        facts
+    ctx.facts = callgraph::solve(&summaries);
+    ctx.length_sources.extend(
+        ctx.facts
             .iter()
             .filter(|(_, f)| f.length_source)
             .map(|(n, _)| n.clone()),
     );
-    let ctx = Context {
-        registered_names: ctx.registered_names.clone(),
-        length_sources,
-        facts,
-        named_outside: ctx.named_outside.clone(),
-    };
     let mut out = Vec::new();
     for f in files {
         check_file(f, &ctx, &mut out);
@@ -291,7 +284,7 @@ mod tests {
                 ("crates/foo/src/leaf.rs", helper_b),
             ]
             .map(|(path, src)| SourceFile::new(path.into(), src.into()));
-            check_files(&files, &Context::with_names(Vec::new()))
+            check_files(&files, Context::with_names(Vec::new()))
                 .into_iter()
                 .map(|d| (d.rule, d.path))
                 .collect()

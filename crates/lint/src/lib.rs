@@ -74,7 +74,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     }
     let mut ctx = Context::from_workspace(root)?;
     ctx.named_outside = Some(rules::outside_names(files.iter().chain(&readers)));
-    let mut diags = check_files(&files, &ctx);
+    let mut diags = check_files(&files, ctx);
     files.extend(readers);
     diags.extend(rules::unread_names(&files));
     engine::sort(&mut diags);

@@ -27,7 +27,7 @@ use super::{Rule, View};
 use crate::engine::{Context, Diagnostic};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 pub struct ReachablePub;
 
@@ -46,13 +46,7 @@ impl Rule for ReachablePub {
             return;
         };
         let v = View::new(file);
-        for ci in 0..v.len() {
-            if !v.is_ident(ci, "pub") || file.in_test(v.tok(ci).start) {
-                continue;
-            }
-            let Some((kind, name_ci)) = pub_item(&v, ci + 1) else {
-                continue;
-            };
+        for (kind, name_ci) in checked_items(&v) {
             let name = v.text(name_ci);
             let reached = named
                 .get(name)
@@ -69,6 +63,15 @@ impl Rule for ReachablePub {
             }
         }
     }
+}
+
+/// Every item of `v`'s file the rule checks: each `pub` function,
+/// constant or static outside `#[cfg(test)]`, as its kind and the token
+/// of its name.
+fn checked_items<'v>(v: &'v View) -> impl Iterator<Item = (&'static str, usize)> + 'v {
+    (0..v.len())
+        .filter(|&ci| v.is_ident(ci, "pub") && !v.file.in_test(v.tok(ci).start))
+        .filter_map(|ci| pub_item(v, ci + 1))
 }
 
 /// The item a `pub` at token `ci - 1` introduces, when it is a function,
@@ -106,18 +109,31 @@ fn library_of(path: &str) -> Option<&str> {
     (inner != "main.rs" && !inner.starts_with("bin/")).then_some(lib)
 }
 
-/// Every identifier spelled in `files`, with the library crates (by
-/// [`library_of`]; `""` for none) whose files spell it.
+/// The name of every library `pub` item [`ReachablePub`] checks, with
+/// the library crates (by [`library_of`]; `""` for none) whose files in
+/// `files` spell it. Two passes: the items' names first, so the scan of
+/// every identifier token allocates only on a new owner of one of them.
 pub(crate) fn outside_names<'a>(
-    files: impl IntoIterator<Item = &'a SourceFile>,
-) -> BTreeMap<String, BTreeSet<String>> {
-    let mut named: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    files: impl IntoIterator<Item = &'a SourceFile> + Clone,
+) -> HashMap<String, BTreeSet<String>> {
+    let mut named: HashMap<String, BTreeSet<String>> = HashMap::new();
+    for f in files.clone() {
+        if library_of(&f.path).is_some() {
+            let v = View::new(f);
+            for (_, name_ci) in checked_items(&v) {
+                named.entry(v.text(name_ci).to_string()).or_default();
+            }
+        }
+    }
     for f in files {
         let owner = library_of(&f.path).unwrap_or_default();
-        let v = View::new(f);
-        for ci in (0..v.len()).filter(|&ci| v.kind(ci) == TokenKind::Ident) {
-            let owners = named.entry(v.text(ci).to_string()).or_default();
-            owners.insert(owner.to_string());
+        for tok in f.tokens.iter().filter(|t| t.kind == TokenKind::Ident) {
+            match named.get_mut(tok.text(&f.src)) {
+                Some(owners) if !owners.contains(owner) => {
+                    owners.insert(owner.to_string());
+                }
+                _ => {}
+            }
         }
     }
     named

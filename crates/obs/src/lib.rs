@@ -284,6 +284,9 @@ mod tests {
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), 64);
+        for b in 1..HIST_BUCKETS {
+            assert_eq!(bucket_of(1u64 << (b - 1)), b, "floor of bucket {b}");
+        }
     }
 
     #[test]

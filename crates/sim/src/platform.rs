@@ -2,8 +2,6 @@
 //!
 //! Collective costs are the standard expressions:
 //!
-//! * ring all-gather of per-rank blocks `m` over `p` ranks:
-//!   `T = (p-1)·α + (p-1)·m / B_eff`
 //! * ring all-reduce of a buffer `M` over `p` ranks:
 //!   `T = 2(p-1)·α + 2·(p-1)/p·M / B_eff`
 //! * pipelined tree broadcast: `T = ⌈log₂p⌉·α + M / B_eff`
@@ -132,6 +130,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn platform_capacities_match_paper() {
+        let gpus = |p: Platform| p.nodes * p.gpus_per_node;
+        assert_eq!(gpus(Platform::platform1()), 64);
+        assert_eq!(gpus(Platform::platform2()), 256);
+    }
+
+    #[test]
     fn platform2_has_faster_network() {
         assert!(Platform::platform2().internode_bw > Platform::platform1().internode_bw);
     }
@@ -145,10 +150,35 @@ mod tests {
     }
 
     #[test]
+    fn more_gpus_cost_more_time_for_the_same_message() {
+        let s = Platform::platform1();
+        let bytes = 4.0 * 1024.0 * 1024.0;
+        assert!(s.broadcast_time(16, bytes) < s.broadcast_time(64, bytes));
+        assert!(s.allreduce_time(16, bytes) < s.allreduce_time(64, bytes));
+    }
+
+    #[test]
     fn single_gpu_is_free() {
         let s = Platform::platform1();
         assert_eq!(s.allreduce_time(1, 1e9), 0.0);
         assert_eq!(s.broadcast_time(1, 1e9), 0.0);
+    }
+
+    #[test]
+    fn small_messages_are_latency_bound() {
+        let s = Platform::platform1();
+        // A tiny message's time should be close to the pure-latency term.
+        // The bandwidth ramp also penalizes tiny messages, so allow a few
+        // multiples of the pure alpha term — but the time must be nowhere
+        // near what naive peak-bandwidth extrapolation would suggest.
+        let t = s.broadcast_time(8, 64.0);
+        let latency_only = 3.0 * s.latency_s; // ⌈log₂ 8⌉ tree levels
+        assert!(t < 5.0 * latency_only, "t={t} lat={latency_only}");
+        assert!(t >= latency_only);
+        let t = s.allreduce_time(8, 64.0);
+        let latency_only = 2.0 * 7.0 * s.latency_s;
+        assert!(t < 5.0 * latency_only, "t={t} lat={latency_only}");
+        assert!(t >= latency_only);
     }
 
     #[test]
@@ -167,5 +197,17 @@ mod tests {
         let t_intra = s.allreduce_time(4, 1e8);
         let t_inter = s.allreduce_time(8, 1e8);
         assert!(t_intra * 4.0 < t_inter, "intra {t_intra} inter {t_inter}");
+    }
+
+    #[test]
+    fn compression_reduces_modeled_time_proportionally() {
+        // §4.4's throughput lookup: a 20× smaller message broadcasts
+        // roughly 20× faster once both sizes are past the ramp's knee.
+        let s = Platform::platform2();
+        let original = 128.0 * 1024.0 * 1024.0;
+        let t_full = s.broadcast_time(64, original);
+        let t_compressed = s.broadcast_time(64, original / 20.0);
+        let speedup = t_full / t_compressed;
+        assert!(speedup > 10.0 && speedup < 25.0, "speedup {speedup}");
     }
 }

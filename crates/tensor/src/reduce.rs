@@ -177,8 +177,18 @@ mod tests {
     }
 
     #[test]
+    fn absmax_agrees_and_is_nonnegative() {
+        let xs = data(50_000, 2);
+        let a = absmax_flat(&xs);
+        assert_eq!(a, minmax_hierarchical(&xs).abs_max());
+        assert!(a >= 0.0);
+        assert!(xs.iter().all(|&v| v.abs() <= a));
+    }
+
+    #[test]
     fn empty_slices() {
         assert_eq!(minmax_flat(&[]), MinMax::EMPTY);
+        assert_eq!(absmax_flat(&[]), 0.0);
     }
 
     #[test]

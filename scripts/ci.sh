@@ -68,10 +68,22 @@ step_start "rustc's dead-code analysis stays on (program code)"
 # compso-lint's reachable-pub takes `pub` from an item nothing outside its
 # crate names; rustc's dead_code (the clippy step above, -D warnings) then
 # reports what nothing reaches, and it is deleted. An allow or expect of
-# dead_code or unused lints in program code would switch that half off.
-# scripts/ is not searched: this line would match itself.
-if grep -rnE '#!?\[.*\b(allow|expect)\([^]]*\b(dead_code|unused)' src crates/*/src examples; then
+# dead_code, unused or all warnings would switch that half off: in the
+# code (an attribute, also split across lines or inside cfg_attr), in a
+# manifest's [lints] table, or as a -A/--allow/--cap-lints flag in a
+# .cargo config, this script or the CI workflow.
+# scripts/ is not searched by the first grep: its pattern would match itself.
+if grep -rlPz '#!?\[[^\]]*\b(allow|expect)\s*\([^\]]*\b(dead_code|unused\w*|warnings)\b' \
+  src crates/*/src examples; then
   echo "program code silences dead_code or unused lints; delete what rustc reports instead" >&2; exit 1
+fi
+LINT_LEVEL='^\s*([\w.]*\.)?"?(dead_code|unused\w*|warnings)"?\s*=.*"allow"'
+SILENCE='(-A|--allow|--cap-lints)[ =",]*(dead[_-]code|unused|warnings|allow)'
+MANIFESTS=$(find . -path ./target -prune -o \( -name Cargo.toml -o -path '*/.cargo/config*' \) -print)
+# shellcheck disable=SC2086 # one path per line, none with spaces
+if grep -nPH "$LINT_LEVEL|$SILENCE" $MANIFESTS \
+  || grep -nPH "$SILENCE" scripts/*.sh .github/workflows/* | grep -vP '^[^:]+:\d+:\s*#'; then
+  echo "a manifest, cargo config or CI flag silences dead_code or unused lints" >&2; exit 1
 fi
 step_end
 

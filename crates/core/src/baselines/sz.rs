@@ -22,6 +22,7 @@ use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
 use compso_obs::Recorder;
 use compso_tensor::rng::Rng;
+use compso_tensor::Instance;
 
 /// Code values are zigzag-mapped into u16; this sentinel marks outliers.
 const OUTLIER: u16 = u16::MAX;
@@ -102,7 +103,7 @@ impl Sz {
         for c in &codes {
             code_bytes.extend_from_slice(&c.to_le_bytes());
         }
-        let enc_codes = rans::encode(&code_bytes);
+        let enc_codes = rans::encode(Instance::current(), &code_bytes);
 
         let mut w = Writer::with_capacity(enc_codes.len() + outliers.len() * 4 + 32);
         w.u64(data.len() as u64);
@@ -123,7 +124,7 @@ impl Sz {
         if !eb.is_finite() || eb < 0.0 {
             return Err(WireError::Invalid("sz eb").into());
         }
-        let code_bytes = rans::decode(r.block()?)?;
+        let code_bytes = rans::decode(Instance::current(), r.block()?)?;
         if code_bytes.len() != n * 2 {
             return Err(CompressError::Corrupt("sz code stream length"));
         }

@@ -25,6 +25,7 @@ pub mod rans;
 pub mod rle;
 
 use crate::wire::WireError;
+use compso_tensor::Instance;
 use lz::LzParams;
 
 /// The lossless codec menu (mirrors Table 2 of the paper).
@@ -99,29 +100,39 @@ impl Codec {
 
     /// Compresses a byte block. Output is self-describing.
     pub fn encode(self, input: &[u8]) -> Vec<u8> {
+        self.encode_on(Instance::current(), input)
+    }
+
+    /// [`Codec::encode`] with the entropy coder on instance `inst`.
+    fn encode_on(self, inst: Instance, input: &[u8]) -> Vec<u8> {
         match self {
-            Codec::Ans => rans::encode(input),
+            Codec::Ans => rans::encode(inst, input),
             Codec::Bitcomp => bitcomp::encode(input),
             Codec::Cascaded => rle::encode(input),
             Codec::Deflate => huffman::encode(&lz::encode(input, LzParams::deflate())),
             Codec::Gdeflate => huffman::encode(&lz::encode(input, LzParams::gdeflate())),
             Codec::Lz4 => lz::encode(input, LzParams::fast()),
             Codec::Snappy => lz::encode(input, LzParams::snappy()),
-            Codec::Zstd => rans::encode(&lz::encode(input, LzParams::gdeflate())),
+            Codec::Zstd => rans::encode(inst, &lz::encode(input, LzParams::gdeflate())),
         }
     }
 
     /// Inverse of [`Codec::encode`]; errors on corrupt or truncated input.
     pub fn decode(self, input: &[u8]) -> Result<Vec<u8>, WireError> {
+        self.decode_on(Instance::current(), input)
+    }
+
+    /// [`Codec::decode`] with the entropy coder on instance `inst`.
+    fn decode_on(self, inst: Instance, input: &[u8]) -> Result<Vec<u8>, WireError> {
         match self {
-            Codec::Ans => rans::decode(input),
+            Codec::Ans => rans::decode(inst, input),
             Codec::Bitcomp => bitcomp::decode(input),
             Codec::Cascaded => rle::decode(input),
             Codec::Deflate => lz::decode(&huffman::decode(input)?, LzParams::deflate()),
             Codec::Gdeflate => lz::decode(&huffman::decode(input)?, LzParams::gdeflate()),
             Codec::Lz4 => lz::decode(input, LzParams::fast()),
             Codec::Snappy => lz::decode(input, LzParams::snappy()),
-            Codec::Zstd => lz::decode(&rans::decode(input)?, LzParams::gdeflate()),
+            Codec::Zstd => lz::decode(&rans::decode(inst, input)?, LzParams::gdeflate()),
         }
     }
 
@@ -129,11 +140,16 @@ impl Codec {
     /// chunks, each encoded independently (rayon), concatenated with a
     /// small frame header. This is nvCOMP's execution model — "parallel
     /// execution on GPUs via a block processing scheme" (§5.2) — at the
-    /// cost of per-block table overhead.
+    /// cost of per-block table overhead. The entropy coder's instance is
+    /// read on the calling thread: a pin does not reach the workers.
     pub fn encode_blocks(self, input: &[u8], block: usize) -> Vec<u8> {
         use rayon::prelude::*;
         assert!(block > 0, "block size must be positive");
-        let encoded: Vec<Vec<u8>> = input.par_chunks(block).map(|c| self.encode(c)).collect();
+        let inst = Instance::current();
+        let encoded: Vec<Vec<u8>> = input
+            .par_chunks(block)
+            .map(|c| self.encode_on(inst, c))
+            .collect();
         let mut w = crate::wire::Writer::with_capacity(input.len() / 2 + 32);
         w.u8(self.tag());
         w.u64(input.len() as u64);
@@ -164,9 +180,10 @@ impl Codec {
     /// Every block decodes into its own window of the buffer —
     /// `min(block, total − i·block)` bytes, fixed by the frame header —
     /// and a block that declares any other length is refused; no block's
-    /// own header sizes anything.
+    /// own header sizes anything. The entropy coder's instance is read on
+    /// the calling thread, as [`Codec::encode_blocks`] reads it.
     pub fn decode_blocks_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
-        let result = Self::decode_blocks_windowed(input, out);
+        let result = Self::decode_blocks_windowed(Instance::current(), input, out);
         if result.is_err() {
             out.clear();
         }
@@ -174,7 +191,11 @@ impl Codec {
     }
 
     /// [`Codec::decode_blocks_into`], leaving `out` unspecified on error.
-    fn decode_blocks_windowed(input: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
+    fn decode_blocks_windowed(
+        inst: Instance,
+        input: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
         use rayon::prelude::*;
         let mut r = crate::wire::Reader::new(input);
         let codec = Codec::from_tag(r.u8()?).ok_or(WireError::Invalid("codec tag"))?;
@@ -210,9 +231,9 @@ impl Codec {
         out.par_chunks_mut(block)
             .zip(frames)
             .map(|(window, frame)| match codec {
-                Codec::Ans => rans::decode_into(frame, window),
+                Codec::Ans => rans::decode_into(inst, frame, window),
                 _ => {
-                    let bytes = codec.decode(frame)?;
+                    let bytes = codec.decode_on(inst, frame)?;
                     if bytes.len() != window.len() {
                         return Err(WireError::Invalid("block payload length"));
                     }

@@ -4,9 +4,10 @@
 //! source: a portable instance in baseline codegen, and an AVX2 instance
 //! whose job body carries `#[target_feature(enable = "avx2")]` and is
 //! entered from that kernel's `Instance::Avx2` arm. Both compute the same
-//! bits. The GEMM core (`matrix.rs`), the eigensolver (`eigen.rs`) and
-//! compso-core's stochastic-rounding lanes read [`Instance::current`]
-//! once per call on the calling thread and run that instance's body.
+//! bits (the rANS coder: the same bytes). The GEMM core (`matrix.rs`),
+//! the eigensolver (`eigen.rs`), compso-core's stochastic-rounding lanes
+//! and its rANS coder read [`Instance::current`] once per call on the
+//! calling thread and run that instance's body.
 
 use std::cell::Cell;
 

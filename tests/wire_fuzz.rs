@@ -69,7 +69,7 @@ use compso::kfac::checkpoint::encode_catch_up_shard;
 use compso::kfac::LayerState;
 use compso::obs::Recorder;
 use compso::tensor::reduce::{absmax_flat, minmax_flat};
-use compso::tensor::{Matrix, Rng};
+use compso::tensor::{Instance, Matrix, Rng};
 use proptest::prelude::*;
 
 /// How many extra elements a mutated-but-`Ok` decode may report beyond
@@ -941,21 +941,39 @@ fn retired_rans_layout_is_rejected_in_every_container() {
     }
 }
 
-/// A well-formed block of the live eight-lane layout (stream mode 2)
-/// that decodes to `n` copies of `symbol` from an empty stream: the whole
-/// frequency table sits on the symbol, so no lane's state ever moves.
+/// A well-formed block of the live 32-lane layout (stream mode 3) that
+/// decodes to `n` copies of `symbol` from an empty stream: the whole
+/// model sits on the symbol, so no lane's state ever moves.
 fn constant_rans_block(n: u64, symbol: u8) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u8(2); // mode: eight-lane rANS
+    w.u8(3); // mode: 32-lane rANS
     w.u64(n);
-    for s in 0..=255u8 {
-        w.u16(if s == symbol { 4096 } else { 0 });
-    }
-    for _ in 0..8 {
-        w.u32(1 << 23);
+    let mut map = [0u8; 32]; // presence map: one symbol
+    map[symbol as usize / 8] = 1 << (symbol % 8);
+    w.bytes(&map);
+    w.bytes(&[0x80, 32]); // its frequency, 4096 = 32·128 + 0, in two bytes
+    for _ in 0..32 {
+        w.u32(1 << 15); // every lane at the lower renormalization bound
     }
     w.block(&[]);
     w.into_bytes()
+}
+
+/// `f`'s result on every rANS instance this host has — each run with the
+/// calling thread pinned to it — after checking that they all agree.
+fn on_every_instance<T: PartialEq + std::fmt::Debug>(what: &str, f: impl Fn() -> T) -> T {
+    let mut runs = Instance::ALL
+        .into_iter()
+        .filter(|inst| inst.available())
+        .map(|inst| {
+            let _pin = inst.pin();
+            (inst, f())
+        });
+    let (_, first) = runs.next().expect("the portable instance runs everywhere");
+    for (inst, other) in runs {
+        assert_eq!(other, first, "{what}: {inst:?} against Portable");
+    }
+    first
 }
 
 #[test]
@@ -1000,20 +1018,52 @@ fn a_block_is_held_to_its_window_not_to_its_own_header() {
 #[test]
 fn block_encoder_output_is_pinned() {
     // Length and CRC-32 of `encode_blocks` over a seeded code stream,
-    // captured at the commit before the single-lane coder was retired:
-    // the bytes production puts on the wire and into checkpoints did not
-    // move when the eight-lane coder took the `rans::encode` name.
+    // captured when the 32-lane layout (stream mode 3) replaced the
+    // eight-lane byte-wise one, and emitted alike by both instances: the
+    // bytes production puts on the wire and into checkpoints.
     let mut rng = Rng::new(0xB10C);
     let codes: Vec<u8> = (0..300_000)
         .map(|_| (64.0 + rng.laplace(3.0)).clamp(0.0, 127.0) as u8)
         .collect();
     for (codec, len, crc) in [
-        (Codec::Ans, 154_298usize, 3_520_547_638u32),
-        (Codec::Zstd, 217_074, 462_161_131),
+        (Codec::Ans, 152_570usize, 3_954_847_987u32),
+        (Codec::Zstd, 216_332, 3_380_537_727),
     ] {
-        let enc = codec.encode_blocks(&codes, 64 * 1024);
+        let enc = on_every_instance(codec.name(), || codec.encode_blocks(&codes, 64 * 1024));
         assert_eq!((enc.len(), crc32(&enc)), (len, crc), "{}", codec.name());
-        assert_eq!(Codec::decode_blocks(&enc).unwrap(), codes);
+        let back = on_every_instance(codec.name(), || Codec::decode_blocks(&enc));
+        assert_eq!(back.unwrap(), codes);
+    }
+}
+
+#[test]
+fn rans_instances_agree_through_the_block_codec() {
+    // Both rANS instances behind the public block codec: byte-identical
+    // frames at every tail length of two lane groups and across a block
+    // boundary, and the same bytes or the same error from every
+    // truncated or mutated frame.
+    let mut rng = Rng::new(0x1A7E);
+    let codes: Vec<u8> = (0..70_000)
+        .map(|_| (128.0 + rng.laplace(2.0)).clamp(0.0, 255.0) as u8)
+        .collect();
+    for n in (0..=64).chain([4096, 20_000, 70_000]) {
+        let enc = on_every_instance("encode", || {
+            Codec::Ans.encode_blocks(&codes[..n], 32 * 1024)
+        });
+        let back = on_every_instance("decode", || Codec::decode_blocks(&enc));
+        assert_eq!(back.unwrap(), &codes[..n], "n={n}");
+    }
+    let enc = Codec::Ans.encode_blocks(&codes[..20_000], 32 * 1024);
+    for cut in (0..enc.len()).step_by(97) {
+        let _ = on_every_instance("truncated", || Codec::decode_blocks(&enc[..cut]));
+    }
+    for _ in 0..600 {
+        let mut bad = enc.clone();
+        for _ in 0..1 + rng.next_u32() % 3 {
+            let i = rng.next_u32() as usize % bad.len();
+            bad[i] ^= 1 << (rng.next_u32() % 8);
+        }
+        let _ = on_every_instance("mutated", || Codec::decode_blocks(&bad));
     }
 }
 
@@ -1032,19 +1082,16 @@ fn compso_group_frame(config: CompsoConfig) -> Vec<u8> {
 
 #[test]
 fn a_narrow_frame_is_the_parent_commits_frame() {
-    // Length and CRC-32 of two frames whose codes fit a byte, captured at
-    // the commit before wide chunks left the bit-packer: a frame with no
-    // wide chunk is version 2, flags 0, two index columns, two blocks —
-    // byte for byte what it was.
+    // Length and CRC-32 of two frames whose codes fit a byte: version 2,
+    // flags 0, two index columns, two blocks. Captured when the 32-lane
+    // rANS layout replaced the eight-lane one (the frame around the
+    // blocks is the one the commit before wide chunks wrote), and
+    // emitted alike by both rANS instances.
     for (config, len, crc) in [
-        (
-            CompsoConfig::aggressive(4e-3),
-            12_660usize,
-            3_940_604_971u32,
-        ),
-        (CompsoConfig::conservative(4e-3), 26_109, 2_227_026_812),
+        (CompsoConfig::aggressive(4e-3), 12_262usize, 250_903_416u32),
+        (CompsoConfig::conservative(4e-3), 25_938, 3_040_534_880),
     ] {
-        let frame = compso_group_frame(config);
+        let frame = on_every_instance("frame", || compso_group_frame(config));
         assert_eq!(frame[3], 0, "{config:?}: flags");
         assert_eq!((frame.len(), crc32(&frame)), (len, crc), "{config:?}");
     }

@@ -341,11 +341,14 @@ fn compress_chunk_fused(
 }
 
 /// One chunk's input to the fused sweep: its values, its layer's range
-/// and its forked stream, which the sweep leaves after its last draw.
+/// and its forked stream, which the sweep leaves after its last draw —
+/// and, when the group's reconstruction is wanted, the chunk's window of
+/// it (zero-filled, as long as the chunk).
 struct ChunkJob<'d> {
     data: &'d [f32],
     range: MinMax,
     rng: Rng,
+    out: Option<&'d mut [f32]>,
 }
 
 /// A chunk after its filter sweep: everything its record holds but the
@@ -449,7 +452,49 @@ fn stage_chunk(
 
 /// Packs (or, past 8 bits, splits) a staged chunk's codes and writes its
 /// record: the layout of [`serialize_chunk`], straight from the arena.
-fn finish_chunk(st: Staged, codes: &[u32], packed: &mut Vec<u8>, planes: &mut Vec<u8>) -> ChunkOut {
+/// With an `out` window it also writes there the values
+/// [`decompress_chunk_into`] gives that record: its codes dequantized as
+/// the decoder dequantizes them ([`microkernel::dequantize_codes`]), `lo`
+/// for a constant chunk, a filtered chunk's values scattered by its
+/// bitmap ([`microkernel::scatter_kept`]) with 0.0 where one was dropped.
+/// A window is handed in only where the layer's range is finite: the
+/// decoder refuses any other header, so no value would stand for it.
+fn finish_chunk(
+    st: Staged,
+    codes: &[u32],
+    packed: &mut Vec<u8>,
+    planes: &mut Vec<u8>,
+    out: Option<&mut [f32]>,
+) -> ChunkOut {
+    if let Some(out) = out {
+        microkernel::with_chunk_decode(|scratch| {
+            let (lo, bin_width, n_bins) = (st.lo, st.bin_width, st.n_bins);
+            let kept = if st.use_filter {
+                scratch.kept.clear();
+                scratch.kept.resize(st.n_kept, 0.0);
+                &mut scratch.kept[..]
+            } else {
+                &mut out[..]
+            };
+            if n_bins == 0 {
+                kept.fill(lo);
+            } else {
+                microkernel::dequantize_codes(
+                    codes,
+                    lo,
+                    bin_width,
+                    n_bins,
+                    &mut scratch.table,
+                    kept,
+                );
+            }
+            if st.use_filter {
+                let kept = &scratch.kept;
+                microkernel::scatter_kept(&st.bitmap, st.n, st.n_kept, out, |k| kept[k])
+                    .expect("the bitmap keeps exactly the survivors");
+            }
+        });
+    }
     packed.clear();
     planes.clear();
     if st.n_bins > 0 {
@@ -539,8 +584,14 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
                                 &mut lane.codes,
                             );
                         }
-                        outs[next] =
-                            Some(finish_chunk(st, &lane.codes, &mut s.packed, &mut s.planes));
+                        let out = job.out.as_deref_mut();
+                        outs[next] = Some(finish_chunk(
+                            st,
+                            &lane.codes,
+                            &mut s.packed,
+                            &mut s.planes,
+                            out,
+                        ));
                     }
                     next += 1;
                 }
@@ -572,14 +623,28 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
                 h.pos += steps;
                 if h.pos == h.st.n_kept {
                     let Held { idx, st, .. } = slot.take().expect("every lane holds a chunk");
-                    outs[idx] = Some(finish_chunk(st, &lane.codes, &mut s.packed, &mut s.planes));
+                    let out = jobs[idx].out.as_deref_mut();
+                    outs[idx] = Some(finish_chunk(
+                        st,
+                        &lane.codes,
+                        &mut s.packed,
+                        &mut s.planes,
+                        out,
+                    ));
                 }
             }
         }
         for (slot, lane) in held.iter_mut().zip(&mut s.lanes) {
             if let Some(Held { idx, st, pos }) = slot.take() {
                 st.lane(&mut jobs[idx], lane, pos..st.n_kept).quantize();
-                outs[idx] = Some(finish_chunk(st, &lane.codes, &mut s.packed, &mut s.planes));
+                let out = jobs[idx].out.as_deref_mut();
+                outs[idx] = Some(finish_chunk(
+                    st,
+                    &lane.codes,
+                    &mut s.packed,
+                    &mut s.planes,
+                    out,
+                ));
             }
         }
     });
@@ -596,6 +661,7 @@ fn compress_chunk_fast(data: &[f32], range: MinMax, cfg: &CompsoConfig, rng: &mu
         data,
         range,
         rng: rng.clone(),
+        out: None,
     }];
     let out = compress_chunks(&mut jobs, cfg, Instance::current());
     *rng = jobs[0].rng.clone();
@@ -620,6 +686,23 @@ pub fn compress_chunked(
     rng: &Rng,
     rec: &Recorder,
 ) -> Vec<u8> {
+    compress_chunked_reconstructing(layers, cfg, kc, schedule, rng, rec, false).0
+}
+
+/// [`compress_chunked`], and — when `reconstruct`, the fused kernels run
+/// and every layer's range is finite (`max − min`, so the decoder accepts
+/// every header) — the values [`decompress_chunked`] gives the stream,
+/// one buffer per layer, written by the chunk sweep as it writes the
+/// codes (see [`finish_chunk`]).
+fn compress_chunked_reconstructing(
+    layers: &[&[f32]],
+    cfg: &CompsoConfig,
+    kc: &KernelConfig,
+    schedule: &LayerSchedule,
+    rng: &Rng,
+    rec: &Recorder,
+    reconstruct: bool,
+) -> (Vec<u8>, Option<Vec<Vec<f32>>>) {
     let span = rec.span(names::CORE_CHUNKED_COMPRESS);
     assert_eq!(
         schedule.layer_sizes,
@@ -647,24 +730,41 @@ pub fn compress_chunked(
         .collect();
 
     // Pass 2(+): the chunk sweep.
+    let mut recon = None;
     let outs: Vec<ChunkOut> = if kc.fused {
         // Read on the calling thread: a pin does not reach the workers.
         let inst = Instance::current();
-        let mut jobs: Vec<ChunkJob> = (schedule.chunks.iter().enumerate())
-            .map(|(idx, c)| ChunkJob {
-                data: &layers[c.layer][c.offset..c.offset + c.len],
-                range: ranges[c.layer],
-                rng: rng.fork(idx as u64),
-            })
-            .collect();
-        // One contiguous run of chunks per worker, so the SR lanes stay
-        // full across chunk boundaries.
-        let run = jobs.len().div_ceil(rayon::current_num_threads()).max(1);
-        let runs: Vec<Vec<ChunkOut>> = jobs
-            .par_chunks_mut(run)
-            .map(|run| compress_chunks(run, cfg, inst))
-            .collect();
-        runs.into_iter().flatten().collect()
+        let sweep = |windows: Option<Vec<&mut [f32]>>| {
+            let mut windows = windows.map(Vec::into_iter);
+            let mut jobs: Vec<ChunkJob> = (schedule.chunks.iter().enumerate())
+                .map(|(idx, c)| ChunkJob {
+                    data: &layers[c.layer][c.offset..c.offset + c.len],
+                    range: ranges[c.layer],
+                    rng: rng.fork(idx as u64),
+                    out: windows
+                        .as_mut()
+                        .map(|w| w.next().expect("one window per chunk")),
+                })
+                .collect();
+            // One contiguous run of chunks per worker, so the SR lanes
+            // stay full across chunk boundaries.
+            let run = jobs.len().div_ceil(rayon::current_num_threads()).max(1);
+            let runs: Vec<Vec<ChunkOut>> = jobs
+                .par_chunks_mut(run)
+                .map(|run| compress_chunks(run, cfg, inst))
+                .collect();
+            runs.into_iter().flatten().collect()
+        };
+        if reconstruct && ranges.iter().all(|r| (r.max - r.min).is_finite()) {
+            let (layers, outs) =
+                with_chunk_windows(&schedule.layer_sizes, schedule.chunk_elems, |windows| {
+                    sweep(Some(windows))
+                });
+            recon = Some(layers);
+            outs
+        } else {
+            sweep(None)
+        }
     } else {
         // Staged: materialize the filter products for every chunk first,
         // then quantize, then serialize — three full traversals, matching
@@ -758,7 +858,34 @@ pub fn compress_chunked(
         rec.add(names::CORE_BYTES_IN, (n * 4) as u64);
         rec.add(names::CORE_BYTES_OUT, out.len() as u64);
     }
-    out
+    (out, recon)
+}
+
+/// Runs `f` over the windows of zero-filled buffers of `layer_sizes`
+/// tiled by `chunk_elems` — one per chunk, in [`LayerSchedule`] order,
+/// and one empty window for a zero-length layer, which still carries one
+/// (empty) chunk record — and returns the buffers with `f`'s result.
+/// Chunks tile each layer contiguously, so every chunk owns a disjoint
+/// window of its layer's buffer and values land in place, with no
+/// assembly copy; the zero fill is what leaves a filtered chunk's
+/// dropped values exactly 0.0. The decoder and the reconstruction the
+/// compressor writes share it.
+fn with_chunk_windows<R>(
+    layer_sizes: &[usize],
+    chunk_elems: usize,
+    f: impl FnOnce(Vec<&mut [f32]>) -> R,
+) -> (Vec<Vec<f32>>, R) {
+    let mut out: Vec<Vec<f32>> = layer_sizes.iter().map(|&n| vec![0.0f32; n]).collect();
+    let mut windows: Vec<&mut [f32]> = Vec::new();
+    for buf in out.iter_mut() {
+        if buf.is_empty() {
+            windows.push(&mut []);
+        } else {
+            windows.extend(buf.chunks_mut(chunk_elems));
+        }
+    }
+    let r = f(windows);
+    (out, r)
 }
 
 /// Decodes one chunk's record from its exact byte slices. Both readers
@@ -1178,33 +1305,21 @@ fn decompress_chunked_scratch(
         return Err(CompressError::Corrupt("chunk offset index"));
     }
 
-    // Chunk-parallel decode, straight into the layer buffers: chunks are
-    // in layer-then-offset order and tile each layer contiguously, so
-    // every chunk owns a disjoint window of its layer's output and the
-    // old gather-and-copy assembly stage disappears. The buffers come
-    // from the zeroed allocator, which is what the scatter path's
-    // "dropped values are exactly 0.0" contract needs.
-    let mut out: Vec<Vec<f32>> = layer_sizes.iter().map(|&n| vec![0.0f32; n]).collect();
-    let mut windows: Vec<&mut [f32]> = Vec::with_capacity(n_chunks);
-    for buf in out.iter_mut() {
-        if buf.is_empty() {
-            // A zero-length layer still carries one (empty) chunk record.
-            windows.push(&mut []);
-        } else {
-            windows.extend(buf.chunks_mut(chunk_elems));
-        }
-    }
-    debug_assert_eq!(windows.len(), n_chunks);
+    // Chunk-parallel decode, straight into the layer buffers.
     let chunks = schedule.chunks();
-    windows
-        .into_par_iter()
-        .enumerate()
-        .map(|(i, dst)| {
-            let [codes, bitmaps, planes] =
-                [0, 1, 2].map(|k| &streams[k][offsets[i][k]..ends[i][k]]);
-            decompress_chunk_into(&chunks[i], codes, planes, bitmaps, dst)
-        })
-        .collect::<Result<Vec<()>, CompressError>>()?;
+    let (out, decoded) = with_chunk_windows(&layer_sizes, chunk_elems, |windows| {
+        debug_assert_eq!(windows.len(), n_chunks);
+        windows
+            .into_par_iter()
+            .enumerate()
+            .map(|(i, dst)| {
+                let [codes, bitmaps, planes] =
+                    [0, 1, 2].map(|k| &streams[k][offsets[i][k]..ends[i][k]]);
+                decompress_chunk_into(&chunks[i], codes, planes, bitmaps, dst)
+            })
+            .collect::<Result<Vec<()>, CompressError>>()
+    });
+    decoded?;
     Ok(out)
 }
 
@@ -1242,6 +1357,52 @@ fn chunk_choice(total_elems: usize) -> usize {
     crate::perfmodel::choose_chunk_elems(total_elems, CHUNK_ELEMS)
 }
 
+/// Most frames one thread keeps for [`OWN_FRAMES`]; past it the oldest
+/// goes first.
+const OWN_FRAMES_CAP: usize = 32;
+
+/// A stream this thread compressed, with the values
+/// [`decompress_chunked`] gives it.
+struct OwnFrame {
+    stream: Vec<u8>,
+    layers: Vec<Vec<f32>>,
+}
+
+thread_local! {
+    /// The frames [`ChunkedCompso::compress_group_keyed`] compressed on
+    /// this thread with a schedule and has not yet seen decoded, oldest
+    /// first. The recurring gather decodes its own frames on the thread
+    /// that compressed them; a [`ChunkedCompso::decompress_group`] of the
+    /// same bytes takes its entry instead of running the decoder. The
+    /// list is borrowed only to push, pop or take an entry — never across
+    /// a call that can re-enter.
+    static OWN_FRAMES: std::cell::RefCell<std::collections::VecDeque<OwnFrame>> =
+        const { std::cell::RefCell::new(std::collections::VecDeque::new()) };
+}
+
+/// Keeps `stream` with its decoded `layers`, dropping the oldest entry
+/// at the cap.
+fn keep_own_frame(stream: &[u8], layers: Vec<Vec<f32>>) {
+    let stream = stream.to_vec();
+    OWN_FRAMES.with(|f| {
+        let mut f = f.borrow_mut();
+        if f.len() == OWN_FRAMES_CAP {
+            f.pop_front();
+        }
+        f.push_back(OwnFrame { stream, layers });
+    });
+}
+
+/// The decoded layers of the entry whose stream is `bytes`, byte for
+/// byte, taken out of the list.
+fn take_own_frame(bytes: &[u8]) -> Option<Vec<Vec<f32>>> {
+    OWN_FRAMES.with(|f| {
+        let mut f = f.borrow_mut();
+        let at = f.iter().position(|e| e.stream == bytes)?;
+        f.remove(at).map(|e| e.layers)
+    })
+}
+
 impl Compressor for ChunkedCompso {
     fn name(&self) -> &'static str {
         "COMPSO-chunked"
@@ -1261,7 +1422,23 @@ impl Compressor for ChunkedCompso {
         let base = Rng::new(rng.next_u64());
         let kc = KernelConfig::default();
         match schedule {
-            Some(s) => compress_chunked(&layers, &self.config, &kc, s, &base, rec),
+            // A cached schedule marks the recurring gather, whose origin
+            // installs its own groups: keep what every peer will decode.
+            Some(s) => {
+                let (stream, recon) = compress_chunked_reconstructing(
+                    &layers,
+                    &self.config,
+                    &kc,
+                    s,
+                    &base,
+                    rec,
+                    true,
+                );
+                if let Some(layers) = recon {
+                    keep_own_frame(&stream, layers);
+                }
+                stream
+            }
             None => {
                 let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
                 let s = LayerSchedule::build(&sizes, chunk_choice(sizes.iter().sum()));
@@ -1270,11 +1447,20 @@ impl Compressor for ChunkedCompso {
         }
     }
 
+    /// [`decompress_chunked`], unless this thread compressed exactly
+    /// these bytes with a schedule and has not decoded them since: then
+    /// the values its compressor wrote, which equal the decoder's bit for
+    /// bit. A hand-back counts in `core/own_frame_hits` and opens no
+    /// `core/decode` span, which times decoder work only.
     fn decompress_group(
         &self,
         bytes: &[u8],
         rec: &Recorder,
     ) -> Result<Vec<Vec<f32>>, CompressError> {
+        if let Some(layers) = take_own_frame(bytes) {
+            rec.incr(names::CORE_OWN_FRAME_HITS);
+            return Ok(layers);
+        }
         decompress_chunked(bytes, rec)
     }
 
@@ -1652,8 +1838,14 @@ mod tests {
                 })
                 .collect();
             for inst in instances() {
-                let mut jobs: Vec<ChunkJob> = (data.iter().zip(&ranges).enumerate())
-                    .map(|(i, (d, &range))| ChunkJob { data: d, range, rng: base.fork(i as u64) })
+                let mut windows: Vec<Vec<f32>> = data.iter().map(|d| vec![0.0; d.len()]).collect();
+                let mut jobs: Vec<ChunkJob> = (data.iter().zip(&ranges).zip(&mut windows).enumerate())
+                    .map(|(i, ((d, &range), w))| ChunkJob {
+                        data: d,
+                        range,
+                        rng: base.fork(i as u64),
+                        out: (range.max - range.min).is_finite().then_some(&mut w[..]),
+                    })
                     .collect();
                 let outs = compress_chunks(&mut jobs, &cfg, inst);
                 proptest::prop_assert_eq!(outs.len(), chunks);
@@ -1662,6 +1854,15 @@ mod tests {
                     proptest::prop_assert_eq!(&out.bitmap, &reference.bitmap, "{}", what);
                     proptest::prop_assert_eq!(&out.record, &reference.record, "{}", what);
                     proptest::prop_assert_eq!(out.codes_len, reference.codes_len, "{}", what);
+                    // A finite-range chunk's window holds the decoder's
+                    // values of its record.
+                    if let Some(window) = jobs[i].out.as_deref() {
+                        let c = ChunkDesc { layer: 0, offset: 0, len: data[i].len() };
+                        let decoded = decompress_chunk(&c, out.codes(), out.planes(), &out.bitmap);
+                        let decoded = decoded.expect("a finite-range record decodes");
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        proptest::prop_assert_eq!(bits(window), bits(&decoded), "{}", what);
+                    }
                     // With no bins nothing is drawn, where the scalar
                     // quantizer still draws over an infinite range; the
                     // stream is the chunk's own either way.
@@ -2351,5 +2552,172 @@ mod tests {
         let data = crate::synthetic::generate(200_000, 5, GradientProfile::kfac());
         let headline = ratio(CompsoConfig::aggressive(4e-3), &data);
         assert!(headline > 10.0, "ratio {headline}");
+    }
+
+    /// The own-frame hand-back's edges. Each runs on a thread of its own,
+    /// so the list starts empty.
+    mod own_frames {
+        use super::*;
+
+        fn held() -> usize {
+            OWN_FRAMES.with(|f| f.borrow().len())
+        }
+
+        fn on_fresh_thread(f: impl FnOnce() + Send) {
+            std::thread::scope(|s| {
+                s.spawn(f).join().expect("the test body passes");
+            });
+        }
+
+        /// `layers` compressed as the recurring gather does: with a
+        /// schedule.
+        fn compress_scheduled(c: &ChunkedCompso, layers: &[Vec<f32>], seed: u64) -> Vec<u8> {
+            let refs: Vec<&[f32]> = layers.iter().map(Vec::as_slice).collect();
+            let sizes: Vec<usize> = layers.iter().map(Vec::len).collect();
+            let schedule = LayerSchedule::build(&sizes, 1024);
+            let mut rng = Rng::new(seed);
+            c.compress_group(&refs, Some(&schedule), &mut rng, &Recorder::disabled())
+        }
+
+        /// The decode's values, whether it was a hand-back, and how many
+        /// times the decoder ran.
+        fn decode(
+            c: &ChunkedCompso,
+            bytes: &[u8],
+        ) -> (Result<Vec<Vec<f32>>, CompressError>, u64, u64) {
+            let rec = Recorder::enabled();
+            let out = c.decompress_group(bytes, &rec);
+            let snap = rec.snapshot();
+            let decodes = snap.timers.get(names::CORE_DECODE).map_or(0, |t| t.count);
+            (out, snap.counter(names::CORE_OWN_FRAME_HITS), decodes)
+        }
+
+        fn bits(layers: &[Vec<f32>]) -> Vec<Vec<u32>> {
+            layers
+                .iter()
+                .map(|l| l.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        }
+
+        fn group(seed: u64) -> Vec<Vec<f32>> {
+            generate_layers(&[3000, 0, 700], seed, GradientProfile::kfac())
+        }
+
+        #[test]
+        fn an_infinite_layer_leaves_no_entry_and_decodes_as_the_decoder_does() {
+            on_fresh_thread(|| {
+                let c = ChunkedCompso::default();
+                for poison in [f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut layers = group(1);
+                    layers[2][5] = poison;
+                    let bytes = compress_scheduled(&c, &layers, 2);
+                    assert_eq!(held(), 0, "{poison}");
+                    let (out, hits, decodes) = decode(&c, &bytes);
+                    assert_eq!((hits, decodes), (0, 1), "{poison}");
+                    assert_eq!(out, decompress_chunked(&bytes, &Recorder::disabled()));
+                    assert!(out.is_err(), "{poison}: the decoder refuses the header");
+                }
+            });
+        }
+
+        #[test]
+        fn a_stream_differing_in_one_byte_never_hits() {
+            on_fresh_thread(|| {
+                let c = ChunkedCompso::default();
+                let layers = generate_layers(&[300, 0, 40], 3, GradientProfile::kfac());
+                let bytes = compress_scheduled(&c, &layers, 4);
+                let cold = decompress_chunked(&bytes, &Recorder::disabled()).unwrap();
+                let mut shorter = bytes.clone();
+                shorter.pop();
+                let mut longer = bytes.clone();
+                longer.push(0);
+                let flipped = (0..bytes.len()).map(|at| {
+                    let mut b = bytes.clone();
+                    b[at] ^= 1;
+                    b
+                });
+                for other in flipped.chain([shorter, longer]) {
+                    let (_, hits, decodes) = decode(&c, &other);
+                    assert_eq!((hits, decodes), (0, 1));
+                }
+                assert_eq!(held(), 1);
+                let (out, hits, decodes) = decode(&c, &bytes);
+                assert_eq!((hits, decodes), (1, 0));
+                assert_eq!(bits(&out.unwrap()), bits(&cold));
+            });
+        }
+
+        #[test]
+        fn a_second_decode_of_the_same_bytes_runs_the_decoder() {
+            on_fresh_thread(|| {
+                let c = ChunkedCompso::new(CompsoConfig::conservative(2e-3));
+                let bytes = compress_scheduled(&c, &group(5), 6);
+                let (first, hits, decodes) = decode(&c, &bytes);
+                assert_eq!((hits, decodes), (1, 0));
+                assert_eq!(held(), 0);
+                let (second, hits, decodes) = decode(&c, &bytes);
+                assert_eq!((hits, decodes), (0, 1));
+                assert_eq!(bits(&first.unwrap()), bits(&second.unwrap()));
+            });
+        }
+
+        #[test]
+        fn past_the_cap_the_oldest_frame_goes_first() {
+            on_fresh_thread(|| {
+                let c = ChunkedCompso::default();
+                let layers = group(7);
+                let frames: Vec<Vec<u8>> = (0..=OWN_FRAMES_CAP as u64)
+                    .map(|seed| compress_scheduled(&c, &layers, seed))
+                    .collect();
+                assert_eq!(held(), OWN_FRAMES_CAP);
+                let (oldest, hits, decodes) = decode(&c, &frames[0]);
+                assert_eq!((hits, decodes), (0, 1));
+                assert!(oldest.is_ok());
+                for frame in &frames[1..] {
+                    let (_, hits, decodes) = decode(&c, frame);
+                    assert_eq!((hits, decodes), (1, 0));
+                }
+                assert_eq!(held(), 0);
+            });
+        }
+
+        #[test]
+        fn a_schedule_less_compress_leaves_no_entry() {
+            on_fresh_thread(|| {
+                let c = ChunkedCompso::default();
+                let layers = group(8);
+                let refs: Vec<&[f32]> = layers.iter().map(Vec::as_slice).collect();
+                let bytes = c.compress_group(&refs, None, &mut Rng::new(9), &Recorder::disabled());
+                assert_eq!(held(), 0);
+                let (_, hits, decodes) = decode(&c, &bytes);
+                assert_eq!((hits, decodes), (0, 1));
+            });
+        }
+
+        #[test]
+        fn a_frame_compressed_on_another_thread_misses() {
+            on_fresh_thread(|| {
+                let c = ChunkedCompso::default();
+                let layers = group(10);
+                let (bytes, own) = std::thread::scope(|s| {
+                    // That thread hands the frame back and then keeps the
+                    // same bytes again, so it holds them while this one
+                    // decodes.
+                    let elsewhere = s.spawn(|| {
+                        let bytes = compress_scheduled(&c, &layers, 11);
+                        let (own, hits, _) = decode(&c, &bytes);
+                        assert_eq!(hits, 1, "handed back on the thread that compressed");
+                        assert_eq!(compress_scheduled(&c, &layers, 11), bytes);
+                        assert_eq!(held(), 1);
+                        (bytes, own.unwrap())
+                    });
+                    elsewhere.join().expect("the compressing thread passes")
+                });
+                assert_eq!(held(), 0);
+                let (out, hits, decodes) = decode(&c, &bytes);
+                assert_eq!((hits, decodes), (0, 1));
+                assert_eq!(bits(&out.unwrap()), bits(&own));
+            });
+        }
     }
 }

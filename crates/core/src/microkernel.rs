@@ -408,6 +408,50 @@ impl DequantTable {
         self.entries.resize(TABLE_LEN, f32::NAN);
         TableView(self.entries[..].try_into().expect("TABLE_LEN entries"))
     }
+
+    /// The table the chunk decoder reads `count` codes of `width` bits
+    /// stored under `bias` through, filled here — or `None` where it
+    /// evaluates [`dequantize`] per code: past [`TABLE_MAX_WIDTH`], or
+    /// when the codes do not outnumber the entries.
+    fn for_codes(
+        &mut self,
+        lo: f32,
+        bin_width: f32,
+        n_bins: u32,
+        width: u32,
+        bias: u32,
+        count: usize,
+    ) -> Option<TableView<'_>> {
+        (width <= TABLE_MAX_WIDTH && count > 1 << width)
+            .then(|| self.fill(lo, bin_width, n_bins, width, bias))
+    }
+}
+
+/// The values the chunk decoder gives `codes` — a chunk's codes as the
+/// quantizer emitted them, none past `n_bins` and at least one bin —
+/// under the record header `lo`, `bin_width`, `n_bins`, into `out` (one
+/// per code): through the decoder's table where it would read one, else
+/// through [`dequantize`]. The table is filled unrotated, so its entry of
+/// a code is the one the decoder reads for that code's stored form.
+pub(crate) fn dequantize_codes(
+    codes: &[u32],
+    lo: f32,
+    bin_width: f32,
+    n_bins: u32,
+    table: &mut DequantTable,
+    out: &mut [f32],
+) {
+    let width = crate::bitpack::bits_for(n_bins);
+    if let Some(table) = table.for_codes(lo, bin_width, n_bins, width, 0, codes.len()) {
+        for (o, &c) in out.iter_mut().zip(codes) {
+            *o = table.get(c);
+        }
+    } else {
+        let (lo64, bw64) = (lo as f64, bin_width as f64);
+        for (o, &c) in out.iter_mut().zip(codes) {
+            *o = dequantize(lo64, bw64, c);
+        }
+    }
 }
 
 /// A filled [`DequantTable`].
@@ -461,8 +505,8 @@ impl CodeRecord<'_> {
     /// This record's table of `count` codes, filled in `storage`, when
     /// the codes outnumber its entries and the width has one.
     pub fn table<'t>(&self, count: usize, storage: &'t mut DequantTable) -> Option<TableView<'t>> {
-        (self.bits <= TABLE_MAX_WIDTH && count > 1 << self.bits)
-            .then(|| storage.fill(self.lo, self.bin_width, self.n_bins, self.bits, self.bias()))
+        let (lo, bin_width, n_bins) = (self.lo, self.bin_width, self.n_bins);
+        storage.for_codes(lo, bin_width, n_bins, self.bits, self.bias(), count)
     }
 
     /// Every code, as stored, into `out` (one per code) through `map`.

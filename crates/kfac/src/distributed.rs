@@ -1525,6 +1525,54 @@ mod tests {
         assert_eq!(snap.counter(names::COMM_ALLGATHER_VAR_CALLS), 0);
     }
 
+    /// Step 6 installs a rank's own groups through `decode_run` like
+    /// every other origin's, and with `ChunkedCompso` each of those
+    /// decodes is the compressor handing back the values it wrote — one
+    /// hit per own group per step, on every rank. A family that keeps
+    /// nothing hands nothing back.
+    #[test]
+    fn own_groups_are_handed_back_not_decoded() {
+        use compso_obs::{names, Recorder};
+        let (ranks, steps) = (2, 4);
+        let d = data::gaussian_blobs(200, 6, 3, 0.3, 81);
+        let run = |chunked: bool| {
+            run_ranks(ranks, |comm| {
+                let rec = Recorder::enabled();
+                let mut rng = Rng::new(82);
+                let mut model = models::mlp(&[6, 16, 16, 16, 3], &mut rng);
+                let shard = d.shard(comm.rank(), ranks);
+                let config = DistKfacConfig {
+                    aggregation: 1,
+                    ..Default::default()
+                };
+                let mut opt = DistKfac::new(config, 7);
+                opt.set_recorder(rec.clone());
+                let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+                let compressor: &dyn Compressor = if chunked { &compso } else { &NoCompression };
+                let mut own_groups = 0;
+                for step in 0..steps {
+                    let (x, y) = shard.batch(step, 8);
+                    let logits = model.forward(&x, true);
+                    let (_, grad) = softmax_cross_entropy(&logits, &y);
+                    model.backward(&grad);
+                    opt.step(comm, &mut model, compressor).unwrap();
+                    model.update_params(|p, g| p.axpy(-0.02, g));
+                    let plan = opt.plan.as_ref().expect("a stepped optimizer has a plan");
+                    own_groups += plan.expected[comm.rank()].len().div_ceil(plan.m) as u64;
+                }
+                let snap = rec.snapshot();
+                (snap.counter(names::CORE_OWN_FRAME_HITS), own_groups)
+            })
+        };
+        for (r, (hits, own_groups)) in run(true).into_iter().enumerate() {
+            assert!(own_groups >= steps as u64, "rank {r} owns no group");
+            assert_eq!(hits, own_groups, "rank {r}");
+        }
+        for (r, (hits, _)) in run(false).into_iter().enumerate() {
+            assert_eq!(hits, 0, "rank {r}: NoCompression handed a frame back");
+        }
+    }
+
     #[test]
     fn chunked_compressed_training_bit_identical_across_thread_counts() {
         // Full-stack determinism: DistKfac + ChunkedCompso must produce

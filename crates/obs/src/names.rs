@@ -26,6 +26,9 @@ pub const CORE_BYTES_IN: &str = "core/bytes_in";
 pub const CORE_BYTES_OUT: &str = "core/bytes_out";
 /// `compso-core`: wire bytes entering the decompressor.
 pub const CORE_DECODE_BYTES_IN: &str = "core/decode_bytes_in";
+/// `compso-core`: group decodes answered with the values the same thread
+/// wrote while compressing those bytes, the decoder not run.
+pub const CORE_OWN_FRAME_HITS: &str = "core/own_frame_hits";
 
 /// `compso-comm`: wall time of the ring reductions: reduce-scatter,
 /// optionally followed by the all-gather half (`reduce_scatter_sum`,

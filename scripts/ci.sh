@@ -136,6 +136,24 @@ if grep -rnE 'MAGIC_STREAM_V1|struct Compso\b|compress_layers|with_adaptive_chun
 fi
 step_end
 
+step_start "one hand-back of own frames (no Compressor method, no decode twin)"
+# An origin installs its own groups from the values ChunkedCompso wrote
+# while compressing them, handed back by decompress_group: the Compressor
+# trait keeps its four overridable methods (name, compress_group_keyed,
+# decompress_group, chunk_elems_for) and its four provided ones, the
+# own-frame list is named in crates/core/src/kernels.rs alone, and DistKfac
+# still installs its own groups through decode_run like any origin's.
+# scripts/ is not searched: this line would match itself.
+TRAIT_FNS=$(awk '/^pub trait Compressor/,/^}/' crates/core/src/traits.rs \
+  | grep -oE '^    fn [a-z_]+' | awk '{print $2}' | sort | tr '\n' ' ')
+if [ "$TRAIT_FNS" != "chunk_elems_for compress compress_group compress_group_keyed decompress decompress_group name ratio " ] \
+  || grep -rn 'OWN_FRAMES' crates src tests examples benchmark/src | grep -v '^crates/core/src/kernels.rs:' \
+  || [ "$(grep -c 'decode_run(&gathered.clean' <<<"$GATHER_SRC")" -ne 1 ] \
+  || grep -nE 'decode_own|reconstruct' <<<"$GATHER_SRC"; then
+  echo "the own-frame hand-back grew a Compressor method, a second list or a decode twin in DistKfac" >&2; exit 1
+fi
+step_end
+
 step_start "one activation layout (dnn/src/conv.rs ahead of mod tests)"
 # Feature maps travel as HWC rows: Conv2d's GEMM product is its output and
 # dY is its g as they lie, so conv.rs indexes no channel-major

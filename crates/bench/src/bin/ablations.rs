@@ -3,7 +3,9 @@
 //!
 //! 1. rounding mode (SR vs RN vs P0.5) — accuracy on the proxy task;
 //! 2. filter on/off — compression ratio contribution;
-//! 3. kernel fusion and extrema-reduction structure — throughput;
+//! 3. kernel fusion and extrema-reduction structure — throughput (staged
+//!    runs the fused sweep's microkernels in three materialized passes,
+//!    so only the pass structure differs);
 //! 4. aggregation factor sweep — modeled all-gather time;
 //! 5. threshold auto-tuning (future work §7.1) — tuned vs hand-set bounds;
 //! 6. factor-matrix compression (future work §7.2) — ratio on the

@@ -7,8 +7,10 @@
 //! COMPSO, the staged kernels pinned to one thread, unfused and
 //! unparallel — and the chunked-parallel kernels of
 //! `compso_core::kernels` play the "CUDA" role, with the fused/staged
-//! toggle reproducing the kernel-fusion ablation. Sizes sweep
-//! 1 MB – 128 MB as in the figure.
+//! toggle reproducing the kernel-fusion ablation. Staged runs the fused
+//! sweep's own microkernels in three passes over every chunk, each
+//! materializing its product, so the two columns differ in pass
+//! structure alone. Sizes sweep 1 MB – 128 MB as in the figure.
 //!
 //! Paper shape: the parallel fused pipeline dominates the serial
 //! implementations and its own staged variant; CocktailSGD (top-k with

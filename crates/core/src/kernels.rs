@@ -4,7 +4,7 @@
 //!
 //! | paper (CUDA)                               | this module (rayon)       |
 //! |--------------------------------------------|---------------------------|
-//! | fuse filter/quantize/pack into one kernel  | [`KernelConfig::fused`]: one data sweep per chunk vs. staged passes with materialized intermediates |
+//! | fuse filter/quantize/pack into one kernel  | [`KernelConfig::fused`]: one data sweep per chunk vs. the same kernels in three passes with materialized intermediates |
 //! | block reduction + warp shuffle for extrema | [`KernelConfig::hierarchical_extrema`]: chunk-local scans merged in a reduction tree vs. a flat serial scan |
 //! | padded shared-memory buffers per layer     | chunks never span layers; each chunk's bitmap is padded to a byte boundary |
 //! | pre-built layer→block hashmap              | [`LayerSchedule`] built once at optimizer init, reused every iteration |
@@ -23,13 +23,15 @@
 //! [`ChunkedCompso`] packages these kernels behind the [`Compressor`]
 //! trait so `DistKfac` can drive them as the production compression path.
 
-use crate::bitpack::{self, bits_for, split_bias, SPLIT_MIN_WIDTH};
+use crate::bitpack::{bits_for, split_bias, SPLIT_MIN_WIDTH};
 use crate::encoders::Codec;
 use crate::microkernel::{self, CodeRecord, LaneScratch, SrLane, SR_LANES};
-use crate::quantize::{bin_width_for, Quantized, Quantizer};
+use crate::quantize::grid;
 use crate::rounding::RoundingMode;
 use crate::traits::{CompressError, Compressor};
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{Reader, WireError, Writer, MAX_DECODE_ELEMS};
+#[cfg(test)]
+use crate::{bitpack, quantize::Quantized};
 use compso_obs::{names, Recorder};
 use compso_tensor::reduce::{minmax_flat, minmax_hierarchical, MinMax};
 use compso_tensor::rng::Rng;
@@ -121,8 +123,9 @@ pub const CHUNK_ELEMS: usize = 16 * 1024;
 /// of them: it comes with the [`LayerSchedule`].
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
-    /// One fused sweep per chunk (true) vs. staged passes with
-    /// materialized intermediates (false).
+    /// One fused sweep per chunk (true) vs. the same kernels in three
+    /// passes over every chunk, each materializing its product (false).
+    /// Both emit the same bytes.
     pub fused: bool,
     /// Tree-reduction extrema (true) vs. flat serial scan (false).
     pub hierarchical_extrema: bool,
@@ -220,126 +223,6 @@ impl ChunkOut {
     }
 }
 
-/// Stage-1 product: the filter sweep over one chunk.
-struct FilteredChunk {
-    /// Padded bitmap bytes (empty when the filter is off).
-    bitmap: Vec<u8>,
-    /// Surviving (unfiltered) values.
-    kept: Vec<f32>,
-    /// Original chunk element count.
-    n: usize,
-    /// Whether the filter branch ran.
-    used_filter: bool,
-}
-
-/// The filter sweep of one chunk against the *layer-global* range. Shared
-/// verbatim by the fused and staged kernel paths, so the §4.5 ablation
-/// stays bit-identical by construction.
-fn filter_chunk(data: &[f32], range: MinMax, cfg: &CompsoConfig) -> FilteredChunk {
-    let span = if data.is_empty() {
-        0.0
-    } else {
-        range.max - range.min
-    };
-    let threshold = match cfg.eb_filter {
-        Some(ebf) if span > 0.0 => ebf * span,
-        _ => 0.0,
-    };
-    let use_filter = threshold > 0.0;
-
-    let mut bitmap = if use_filter {
-        vec![0u8; data.len().div_ceil(8)]
-    } else {
-        Vec::new()
-    };
-    let mut kept: Vec<f32> = Vec::with_capacity(data.len());
-    if use_filter {
-        for (i, &v) in data.iter().enumerate() {
-            if v.abs() < threshold {
-                bitmap[i / 8] |= 1 << (i % 8);
-            } else {
-                kept.push(v);
-            }
-        }
-    } else {
-        kept.extend_from_slice(data);
-    }
-    FilteredChunk {
-        bitmap,
-        kept,
-        n: data.len(),
-        used_filter: use_filter,
-    }
-}
-
-/// The quantize sweep of one chunk. Quantizes against the LAYER range
-/// (not the chunk range): every chunk of a layer shares one
-/// normalization, matching the GPU kernel. Shared by both kernel paths.
-fn quantize_chunk(
-    kept: &[f32],
-    n: usize,
-    range: MinMax,
-    cfg: &CompsoConfig,
-    rng: &mut Rng,
-) -> Quantized {
-    let quantizer = Quantizer {
-        eb: cfg.eb_quant,
-        mode: cfg.mode,
-    };
-    let (lo, hi) = if n == 0 {
-        (0.0, 0.0)
-    } else {
-        (range.min, range.max)
-    };
-    quantizer.quantize_with_range(kept, lo, hi, rng)
-}
-
-/// Serializes one chunk's record from the scalar stages' products: the
-/// staged path's third pass, and the layout oracle of
-/// [`compress_chunk_fast`]. A chunk whose codes fit a byte is
-/// [`Quantized::write`]'s record; a wider one keeps that record's header
-/// and carries [`bitpack::split`]'s two streams instead of packed codes.
-fn serialize_chunk(f: FilteredChunk, quant: &Quantized) -> ChunkOut {
-    let mut w = Writer::new();
-    w.u64(f.n as u64);
-    w.u8(u8::from(f.used_filter));
-    let codes_len = if quant.bits() >= SPLIT_MIN_WIDTH && !quant.is_empty() {
-        let bias = split_bias(quant.lo, quant.bin_width, quant.n_bins);
-        let (low, planes) = bitpack::split(&quant.codes, quant.bits(), bias);
-        quant.write_header(&mut w);
-        w.bytes(&low);
-        let codes_len = w.len();
-        w.bytes(&planes);
-        codes_len
-    } else {
-        quant.write(&mut w);
-        w.len()
-    };
-    ChunkOut {
-        bitmap: f.bitmap,
-        record: w.into_bytes(),
-        codes_len,
-    }
-}
-
-/// Compresses one chunk in a single fused sweep: filter decision,
-/// kept-value collection, quantization, and serialization without
-/// materializing cross-chunk intermediates.
-///
-/// Scalar composition of the shared per-stage helpers, retained as the
-/// bit-identity oracle for [`compress_chunk_fast`] (§12 of DESIGN.md).
-#[cfg(test)]
-fn compress_chunk_fused(
-    data: &[f32],
-    range: MinMax,
-    cfg: &CompsoConfig,
-    rng: &mut Rng,
-) -> ChunkOut {
-    let f = filter_chunk(data, range, cfg);
-    let quant = quantize_chunk(&f.kept, f.n, range, cfg, rng);
-    serialize_chunk(f, &quant)
-}
-
 /// One chunk's input to the fused sweep: its values, its layer's range
 /// and its forked stream, which the sweep leaves after its last draw —
 /// and, when the group's reconstruction is wanted, the chunk's window of
@@ -399,9 +282,8 @@ impl Staged {
 }
 
 /// The filter sweep and the quantizer header of one chunk, the survivors
-/// into `survivors`. The threshold/range/bin arithmetic replicates
-/// `filter_chunk` + `Quantizer::quantize_with_range` exactly (layer-global
-/// range, f32 span, f64 reciprocal width).
+/// into `survivors`: the layer-global range, an f32 span and the
+/// [`grid`] the [`crate::Quantizer`] also quantizes on.
 fn stage_chunk(
     data: &[f32],
     range: MinMax,
@@ -430,15 +312,7 @@ fn stage_chunk(
     } else {
         (range.min, range.max)
     };
-    assert!(hi >= lo, "invalid range [{lo}, {hi}]");
-    let qrange = hi - lo;
-    let (bin_width, n_bins) = if qrange == 0.0 || n_kept == 0 {
-        (0.0f32, 0u32)
-    } else {
-        let eb_abs = bin_width_for(cfg.eb_quant, qrange);
-        assert!(eb_abs > 0.0, "error bound collapsed to zero");
-        (eb_abs, (qrange as f64 / eb_abs as f64).ceil() as u32)
-    };
+    let (bin_width, n_bins) = grid(cfg.eb_quant, lo, hi, n_kept);
     Staged {
         n: data.len(),
         use_filter,
@@ -451,7 +325,9 @@ fn stage_chunk(
 }
 
 /// Packs (or, past 8 bits, splits) a staged chunk's codes and writes its
-/// record: the layout of [`serialize_chunk`], straight from the arena.
+/// record, straight from the arena: a chunk whose codes fit a byte
+/// carries them bit-packed at their width, a wider one a low byte each
+/// and its high bits in the plane stream.
 /// With an `out` window it also writes there the values
 /// [`decompress_chunk_into`] gives that record: its codes dequantized as
 /// the decoder dequantizes them ([`microkernel::dequantize_codes`]), `lo`
@@ -538,11 +414,11 @@ fn finish_chunk(
 /// is quantized and written as it is staged. Records come back in chunk
 /// order.
 ///
-/// Bit-identical to [`compress_chunk_fused`] per chunk by construction:
-/// [`stage_chunk`] replicates the scalar helpers' arithmetic, a lane
-/// consumes its chunk's stream in the order the scalar kernel does, and
-/// the staged ablation path still runs the scalar helpers — so the
-/// fused-vs-staged wire equality test doubles as the end-to-end pin.
+/// Bit-identical per chunk to the tests' scalar oracle, which rounds each
+/// value alone on its own grid arithmetic: a lane consumes its chunk's
+/// stream in the order the scalar rounding does. The staged ablation path
+/// runs the same kernels, and the whole-stream pin holds both paths to the
+/// frame of the oracle's records.
 fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance) -> Vec<ChunkOut> {
     /// A chunk in a lane: its index, its header and how far its SR has run.
     struct Held {
@@ -709,6 +585,11 @@ fn compress_chunked_reconstructing(
         layers.iter().map(|l| l.len()).collect::<Vec<_>>(),
         "schedule does not match layer sizes"
     );
+    let n: usize = layers.iter().map(|l| l.len()).sum();
+    assert!(
+        n <= MAX_DECODE_ELEMS,
+        "{n} elements is a stream the decoder refuses"
+    );
 
     // Pass 1: per-layer extrema. min/max skip NaN, so an all-NaN layer
     // comes back unordered like an empty one; both take the [0, 0] range
@@ -730,6 +611,7 @@ fn compress_chunked_reconstructing(
         .collect();
 
     // Pass 2(+): the chunk sweep.
+    let chunk = |c: &ChunkDesc| &layers[c.layer][c.offset..c.offset + c.len];
     let mut recon = None;
     let outs: Vec<ChunkOut> = if kc.fused {
         // Read on the calling thread: a pin does not reach the workers.
@@ -738,7 +620,7 @@ fn compress_chunked_reconstructing(
             let mut windows = windows.map(Vec::into_iter);
             let mut jobs: Vec<ChunkJob> = (schedule.chunks.iter().enumerate())
                 .map(|(idx, c)| ChunkJob {
-                    data: &layers[c.layer][c.offset..c.offset + c.len],
+                    data: chunk(c),
                     range: ranges[c.layer],
                     rng: rng.fork(idx as u64),
                     out: windows
@@ -766,36 +648,58 @@ fn compress_chunked_reconstructing(
             sweep(None)
         }
     } else {
-        // Staged: materialize the filter products for every chunk first,
-        // then quantize, then serialize — three full traversals, matching
-        // an unfused multi-kernel GPU pipeline. Each stage reuses the same
-        // per-chunk helpers as the fused path, so both paths emit
-        // bit-identical bytes.
-        let stage1: Vec<FilteredChunk> = schedule
+        // Staged: the fused sweep's kernels in three passes over every
+        // chunk, each materializing its product for the next — headers
+        // and survivors, then codes, then records — as an unfused
+        // multi-kernel GPU pipeline does. Only the pass structure differs,
+        // so both paths emit the same bytes.
+        let staged: Vec<(Staged, Vec<f32>)> = schedule
             .chunks
             .par_iter()
             .map(|c| {
-                let slice = &layers[c.layer][c.offset..c.offset + c.len];
-                filter_chunk(slice, ranges[c.layer], cfg)
+                let mut survivors = Vec::new();
+                let st = stage_chunk(chunk(c), ranges[c.layer], cfg, &mut survivors);
+                (st, survivors)
             })
             .collect();
-        let stage2: Vec<Quantized> = schedule
-            .chunks
-            .par_iter()
-            .enumerate()
-            .map(|(idx, c)| {
-                let s1 = &stage1[idx];
-                let mut chunk_rng = rng.fork(idx as u64);
-                quantize_chunk(&s1.kept, s1.n, ranges[c.layer], cfg, &mut chunk_rng)
+        let codes: Vec<Vec<u32>> = (staged.par_iter().zip(&schedule.chunks).enumerate())
+            .map(|(idx, ((st, survivors), c))| {
+                let mut codes = Vec::new();
+                if st.n_bins > 0 {
+                    microkernel::quantize_kernel(
+                        st.kept(chunk(c), survivors),
+                        st.lo,
+                        st.inv_w(),
+                        st.n_bins,
+                        cfg.mode,
+                        &mut rng.fork(idx as u64),
+                        &mut codes,
+                    );
+                }
+                codes
             })
             .collect();
-        stage1
-            .into_par_iter()
-            .zip(stage2)
-            .map(|(s1, quant)| serialize_chunk(s1, &quant))
+        (staged.into_par_iter().zip(codes))
+            .map(|((st, _), codes)| {
+                microkernel::with_compress_scratch(|s| {
+                    finish_chunk(st, &codes, &mut s.packed, &mut s.planes, None)
+                })
+            })
             .collect()
     };
 
+    let out = write_frame(&outs, schedule, cfg.codec);
+    drop(span);
+    if rec.is_enabled() {
+        rec.add(names::CORE_BYTES_IN, (n * 4) as u64);
+        rec.add(names::CORE_BYTES_OUT, out.len() as u64);
+    }
+    (out, recon)
+}
+
+/// The 0xC6 frame of `schedule`'s chunk records, in chunk order, with
+/// their streams entropy-coded by `codec`.
+fn write_frame(outs: &[ChunkOut], schedule: &LayerSchedule, codec: Codec) -> Vec<u8> {
     // Gather the per-chunk products into contiguous streams, recording the
     // byte offset of every chunk in each — the v2 index that makes decode
     // chunk-parallel.
@@ -806,7 +710,7 @@ fn compress_chunked_reconstructing(
     let mut codes = Vec::with_capacity(total_codes);
     let mut planes = Vec::with_capacity(total_planes);
     let mut offsets: Vec<[u64; 3]> = Vec::with_capacity(outs.len());
-    for o in &outs {
+    for o in outs {
         offsets.push([codes.len(), bitmaps.len(), planes.len()].map(|at| at as u64));
         codes.extend_from_slice(o.codes());
         bitmaps.extend_from_slice(&o.bitmap);
@@ -820,9 +724,9 @@ fn compress_chunked_reconstructing(
     // nvCOMP-style block-parallel entropy coding (§5.2's "block
     // processing scheme") — the codec stage scales with cores like the
     // chunk sweep does. Each stream is coded under its own model.
-    let enc_bitmaps = cfg.codec.encode_blocks(&bitmaps, CODEC_BLOCK);
-    let enc_codes = cfg.codec.encode_blocks(&codes, CODEC_BLOCK);
-    let enc_planes = wide.then(|| cfg.codec.encode_blocks(&planes, CODEC_BLOCK));
+    let enc_bitmaps = codec.encode_blocks(&bitmaps, CODEC_BLOCK);
+    let enc_codes = codec.encode_blocks(&codes, CODEC_BLOCK);
+    let enc_planes = wide.then(|| codec.encode_blocks(&planes, CODEC_BLOCK));
 
     let mut w = Writer::with_capacity(
         enc_bitmaps.len()
@@ -833,7 +737,7 @@ fn compress_chunked_reconstructing(
     );
     w.u8(MAGIC_CHUNKED);
     w.u8(CHUNKED_VERSION);
-    w.u8(cfg.codec.tag());
+    w.u8(codec.tag());
     w.u8(if wide { FLAG_WIDE } else { 0 });
     w.u32(schedule.layer_sizes.len() as u32);
     for &n in &schedule.layer_sizes {
@@ -851,14 +755,7 @@ fn compress_chunked_reconstructing(
     if let Some(enc_planes) = &enc_planes {
         w.block(enc_planes);
     }
-    let out = w.into_bytes();
-    drop(span);
-    if rec.is_enabled() {
-        let n: usize = layers.iter().map(|l| l.len()).sum();
-        rec.add(names::CORE_BYTES_IN, (n * 4) as u64);
-        rec.add(names::CORE_BYTES_OUT, out.len() as u64);
-    }
-    (out, recon)
+    w.into_bytes()
 }
 
 /// Runs `f` over the windows of zero-filled buffers of `layer_sizes`
@@ -1197,9 +1094,10 @@ pub fn decompress_chunked(bytes: &[u8], rec: &Recorder) -> Result<Vec<Vec<f32>>,
 /// Every length field read from the (untrusted) header is validated
 /// against arithmetic identities and the bytes actually received before
 /// any allocation sized by it: the layer count must fit in the remaining
-/// header bytes, the chunk count must equal the count the layer sizes
-/// imply *and* fit the offset index that follows, so a corrupted stream
-/// can never drive an allocation larger than the buffer it arrived in.
+/// header bytes, the layer sizes' sum in [`MAX_DECODE_ELEMS`], and the
+/// chunk count must equal the count the layer sizes imply *and* fit the
+/// offset index that follows, so a corrupted stream can never drive an
+/// allocation larger than the buffer it arrived in or the element cap.
 fn decompress_chunked_scratch(
     bytes: &[u8],
     scratch: &mut DecodeScratch,
@@ -1227,9 +1125,16 @@ fn decompress_chunked_scratch(
     if n_layers > 1_000_000 || n_layers > r.remaining() / 8 {
         return Err(WireError::Invalid("layer count").into());
     }
+    // Decode zero-fills every layer before it reads a chunk, so the
+    // sizes' sum is held to the cap each size is held to.
     let mut layer_sizes = Vec::with_capacity(n_layers);
+    let mut total: usize = 0;
     for _ in 0..n_layers {
-        layer_sizes.push(crate::wire::checked_count(r.u64()?)?);
+        let n = crate::wire::checked_count(r.u64()?)?;
+        total = (total.checked_add(n))
+            .filter(|&t| t <= MAX_DECODE_ELEMS)
+            .ok_or(WireError::Invalid("layer sizes over cap"))?;
+        layer_sizes.push(n);
     }
     let chunk_elems = crate::wire::checked_count(r.u64()?)?;
     if chunk_elems == 0 {
@@ -1472,6 +1377,7 @@ impl Compressor for ChunkedCompso {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantize::quantize_on_grid;
     use crate::synthetic::{generate_layers, GradientProfile};
 
     /// [`compress_chunked`] with recording off.
@@ -1492,6 +1398,133 @@ mod tests {
 
     fn layers_fixture(seed: u64) -> Vec<Vec<f32>> {
         generate_layers(&[50_000, 1234, 0, 70_001, 8], seed, GradientProfile::kfac())
+    }
+
+    // The scalar oracle: one chunk through plain loops and
+    // `quantize_on_grid`, with its own grid arithmetic, written as the
+    // record layout reads. The chunk pins hold the kernels to it, and the
+    // whole-stream pin assembles a frame from it.
+
+    /// The filter sweep's product over one chunk.
+    struct FilteredChunk {
+        /// Padded bitmap bytes (empty when the filter is off).
+        bitmap: Vec<u8>,
+        /// Surviving (unfiltered) values.
+        kept: Vec<f32>,
+        /// Original chunk element count.
+        n: usize,
+        /// Whether the filter branch ran.
+        used_filter: bool,
+    }
+
+    /// The filter sweep of one chunk against the *layer-global* range.
+    fn filter_chunk(data: &[f32], range: MinMax, cfg: &CompsoConfig) -> FilteredChunk {
+        let span = if data.is_empty() {
+            0.0
+        } else {
+            range.max - range.min
+        };
+        let threshold = match cfg.eb_filter {
+            Some(ebf) if span > 0.0 => ebf * span,
+            _ => 0.0,
+        };
+        let use_filter = threshold > 0.0;
+
+        let mut bitmap = if use_filter {
+            vec![0u8; data.len().div_ceil(8)]
+        } else {
+            Vec::new()
+        };
+        let mut kept: Vec<f32> = Vec::with_capacity(data.len());
+        if use_filter {
+            for (i, &v) in data.iter().enumerate() {
+                if v.abs() < threshold {
+                    bitmap[i / 8] |= 1 << (i % 8);
+                } else {
+                    kept.push(v);
+                }
+            }
+        } else {
+            kept.extend_from_slice(data);
+        }
+        FilteredChunk {
+            bitmap,
+            kept,
+            n: data.len(),
+            used_filter: use_filter,
+        }
+    }
+
+    /// The quantize sweep of one chunk. Quantizes against the LAYER range
+    /// (not the chunk range): every chunk of a layer shares one
+    /// normalization, matching the GPU kernel. The bin width is `eb ×
+    /// range`, or the smallest positive f32 where that underflows.
+    fn quantize_chunk(
+        kept: &[f32],
+        n: usize,
+        range: MinMax,
+        cfg: &CompsoConfig,
+        rng: &mut Rng,
+    ) -> Quantized {
+        let (lo, hi) = if n == 0 {
+            (0.0, 0.0)
+        } else {
+            (range.min, range.max)
+        };
+        let span = hi - lo;
+        if span == 0.0 || kept.is_empty() {
+            return Quantized {
+                codes: vec![0; kept.len()],
+                lo,
+                bin_width: 0.0,
+                n_bins: 0,
+            };
+        }
+        let w = cfg.eb_quant * span;
+        let bin_width = if w == 0.0 { f32::from_bits(1) } else { w };
+        let n_bins = (span as f64 / bin_width as f64).ceil() as u32;
+        quantize_on_grid(kept, lo, bin_width, n_bins, cfg.mode, rng)
+    }
+
+    /// Serializes one chunk's record from the scalar stages' products. A
+    /// chunk whose codes fit a byte is [`Quantized::write`]'s record; a
+    /// wider one keeps that record's header and carries
+    /// [`bitpack::split`]'s two streams instead of packed codes.
+    fn serialize_chunk(f: FilteredChunk, quant: &Quantized) -> ChunkOut {
+        let mut w = Writer::new();
+        w.u64(f.n as u64);
+        w.u8(u8::from(f.used_filter));
+        let codes_len = if quant.bits() >= SPLIT_MIN_WIDTH && !quant.codes.is_empty() {
+            let bias = split_bias(quant.lo, quant.bin_width, quant.n_bins);
+            let (low, planes) = bitpack::split(&quant.codes, quant.bits(), bias);
+            quant.write_header(&mut w);
+            w.bytes(&low);
+            let codes_len = w.len();
+            w.bytes(&planes);
+            codes_len
+        } else {
+            quant.write(&mut w);
+            w.len()
+        };
+        ChunkOut {
+            bitmap: f.bitmap,
+            record: w.into_bytes(),
+            codes_len,
+        }
+    }
+
+    /// One chunk through the three scalar stages: the bit-identity oracle
+    /// of [`compress_chunk_fast`] and of both kernel paths (§12 of
+    /// DESIGN.md).
+    fn compress_chunk_fused(
+        data: &[f32],
+        range: MinMax,
+        cfg: &CompsoConfig,
+        rng: &mut Rng,
+    ) -> ChunkOut {
+        let f = filter_chunk(data, range, cfg);
+        let quant = quantize_chunk(&f.kept, f.n, range, cfg, rng);
+        serialize_chunk(f, &quant)
     }
 
     /// Quantizer bounds and the code width each gives: Alg. 1's aggressive
@@ -1551,31 +1584,55 @@ mod tests {
     #[test]
     fn fused_and_staged_produce_identical_bytes() {
         // Same RNG forking discipline -> bit-identical outputs, so the
-        // ablation is purely about kernel structure. The last layer's
-        // range is subnormal, so `eb × range` underflows in both.
+        // ablation is purely about pass structure; and both are the frame
+        // of the scalar oracle's chunk records. The last layer's range is
+        // subnormal, so `eb × range` underflows in all three.
         //
         // At every width a run produces: Alg. 1's two bounds (8- and 9-bit
-        // codes), a 10-bit and a 20-bit one, with and without the filter.
-        // Past 8 bits the frame is the flagged three-stream layout, and
-        // its subnormal layer is a narrow chunk inside it.
+        // codes), a 10-bit and a 20-bit one, with and without the filter,
+        // under every rounding mode. Past 8 bits the frame is the flagged
+        // three-stream layout, and its subnormal layer is a narrow chunk
+        // inside it.
         let mut layers = generate_layers(&[20_000, 1234, 0, 17_001, 8], 3, GradientProfile::kfac());
         layers.push(vec![0.0, 1e-44, 4e-45]);
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 16 * 1024);
         let rng = Rng::new(4);
-        for (eb, bits) in WIDTH_BOUNDS {
+        let ranges: Vec<MinMax> = (layers.iter().map(|l| minmax_flat(l)))
+            .map(|mm| {
+                if mm.min > mm.max {
+                    MinMax { min: 0.0, max: 0.0 }
+                } else {
+                    mm
+                }
+            })
+            .collect();
+        let modes = [
+            RoundingMode::Nearest,
+            RoundingMode::Stochastic,
+            RoundingMode::HalfProbability,
+        ];
+        for ((eb, bits), mode) in WIDTH_BOUNDS.into_iter().flat_map(|w| modes.map(|m| (w, m))) {
             for cfg in [CompsoConfig::aggressive(eb), CompsoConfig::conservative(eb)] {
-                let [fused, staged] = [true, false].map(|fused| {
+                let cfg = cfg.with_mode(mode);
+                let records: Vec<ChunkOut> = (schedule.chunks().iter().enumerate())
+                    .map(|(idx, c)| {
+                        let data = &layers[c.layer][c.offset..c.offset + c.len];
+                        compress_chunk_fused(data, ranges[c.layer], &cfg, &mut rng.fork(idx as u64))
+                    })
+                    .collect();
+                let scalar = write_frame(&records, &schedule, cfg.codec);
+                for fused in [true, false] {
                     let kc = KernelConfig {
                         fused,
                         ..KernelConfig::default()
                     };
-                    compress_quiet(&refs, &cfg, &kc, &schedule, &rng)
-                });
-                assert_eq!(fused, staged, "{cfg:?}");
-                assert_eq!(fused[3], if bits > 8 { FLAG_WIDE } else { 0 }, "{cfg:?}");
-                let back = decompress_quiet(&fused).unwrap();
+                    let stream = compress_quiet(&refs, &cfg, &kc, &schedule, &rng);
+                    assert_eq!(stream, scalar, "{cfg:?}, fused: {fused}");
+                }
+                assert_eq!(scalar[3], if bits > 8 { FLAG_WIDE } else { 0 }, "{cfg:?}");
+                let back = decompress_quiet(&scalar).unwrap();
                 assert_eq!(back.iter().map(Vec::len).collect::<Vec<_>>(), sizes);
             }
         }

@@ -554,7 +554,8 @@ impl CodeRecord<'_> {
 /// The filter sweep as a branchless microkernel: builds the LSB-first
 /// drop bitmap (`bit set ⇔ |v| < threshold`) into `bitmap` and compacts
 /// surviving values into `kept`, both cleared first. Byte-identical to
-/// the scalar filter loop in `kernels::filter_chunk`.
+/// a scalar loop that sets one bit per dropped value and pushes each
+/// survivor (the compressor tests' oracle).
 pub(crate) fn filter_kernel(
     data: &[f32],
     threshold: f32,
@@ -607,9 +608,9 @@ fn coord_of(x: f32, lo64: f64, inv_w: f64, cap64: f64) -> f64 {
 /// inner loop. Consumes the RNG stream exactly like per-element
 /// `RoundingMode::round` calls would, and emits identical codes.
 ///
-/// `lo`, `inv_w` and `n_bins` must be derived exactly as
-/// `Quantizer::quantize_with_range` derives them; the caller owns that
-/// arithmetic so the two paths cannot drift.
+/// `lo` is the range start, and `inv_w` and `n_bins` the reciprocal bin
+/// width and the largest code of `quantize::grid`, the one grid the chunk
+/// kernels and the `Quantizer` both derive.
 pub(crate) fn quantize_kernel(
     kept: &[f32],
     lo: f32,
@@ -1472,7 +1473,7 @@ mod tests {
             data in proptest::collection::vec(-10.0f32..10.0, 0..500),
             threshold in 0.0f32..5.0,
         ) {
-            // Scalar reference: the loop `kernels::filter_chunk` runs.
+            // Scalar reference: the loop the compressor tests' oracle runs.
             let mut ref_bitmap = vec![0u8; data.len().div_ceil(8)];
             let mut ref_kept = Vec::new();
             for (i, &v) in data.iter().enumerate() {

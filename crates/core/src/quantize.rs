@@ -9,26 +9,36 @@
 //! RN by half a bin).
 
 use crate::bitpack;
+use crate::microkernel;
 use crate::rounding::RoundingMode;
 use crate::wire::Writer;
 #[cfg(test)]
 use crate::wire::{Reader, WireError};
 use compso_tensor::rng::Rng;
 
-/// The bin width of a bound `eb` relative to a value range: `eb ×
-/// range`, the SZ convention the paper uses for all its error-bound
-/// numbers (e.g. "4E-3, relative to value range").
+/// The grid of a bound `eb` over `[lo, hi]` for `n` values: the bin
+/// width and the largest code. The width is `eb × (hi − lo)`, the SZ
+/// convention the paper uses for all its error-bound numbers (e.g.
+/// "4E-3, relative to value range"); a constant range or no values is the
+/// degenerate grid `(0.0, 0)`.
 ///
 /// A bound over a subnormal range (`[0.0, 1e-44]` at `4e-3`) underflows
 /// the product to zero; the bin width is then the smallest positive f32,
 /// the tightest bound such data can be held to.
-pub(crate) fn bin_width_for(eb: f32, range: f32) -> f32 {
+pub(crate) fn grid(eb: f32, lo: f32, hi: f32, n: usize) -> (f32, u32) {
+    assert!(hi >= lo, "invalid range [{lo}, {hi}]");
+    let range = hi - lo;
+    if range == 0.0 || n == 0 {
+        return (0.0, 0);
+    }
     let w = eb * range;
-    if w == 0.0 && eb > 0.0 && range > 0.0 {
+    let bin_width = if w == 0.0 && eb > 0.0 {
         f32::from_bits(1)
     } else {
         w
-    }
+    };
+    assert!(bin_width > 0.0, "error bound collapsed to zero");
+    (bin_width, (range as f64 / bin_width as f64).ceil() as u32)
 }
 
 /// An error-bounded uniform quantizer with a pluggable rounding mode.
@@ -74,9 +84,9 @@ impl Quantizer {
         self.quantize_with_range(data, lo, hi, rng)
     }
 
-    /// Quantizes `data` against an externally supplied range — the form
-    /// the fused kernel uses after its hierarchical extrema pass, and the
-    /// layer-aggregation path uses to keep per-layer ranges separate.
+    /// Quantizes `data` against an externally supplied range with
+    /// [`microkernel::quantize_kernel`], on the grid the chunk kernels
+    /// use. A degenerate grid draws nothing: every code is 0, `lo`.
     pub(crate) fn quantize_with_range(
         &self,
         data: &[f32],
@@ -84,27 +94,25 @@ impl Quantizer {
         hi: f32,
         rng: &mut Rng,
     ) -> Quantized {
-        assert!(hi >= lo, "invalid range [{lo}, {hi}]");
-        let range = hi - lo;
-        if range == 0.0 || data.is_empty() {
-            // Degenerate: every value equals `lo`; one bin, all-zero codes.
-            return Quantized {
-                codes: vec![0; data.len()],
-                lo,
-                bin_width: 0.0,
-                n_bins: 0,
-            };
+        let (bin_width, n_bins) = grid(self.eb, lo, hi, data.len());
+        let mut codes = vec![0; data.len()];
+        if bin_width > 0.0 {
+            let inv_w = 1.0 / bin_width as f64;
+            microkernel::quantize_kernel(data, lo, inv_w, n_bins, self.mode, rng, &mut codes);
         }
-        let bin_width = bin_width_for(self.eb, range);
-        assert!(bin_width > 0.0, "error bound collapsed to zero");
-        let n_bins = (range as f64 / bin_width as f64).ceil() as u32;
-        quantize_on_grid(data, lo, bin_width, n_bins, self.mode, rng)
+        Quantized {
+            codes,
+            lo,
+            bin_width,
+            n_bins,
+        }
     }
 }
 
 /// Rounds each value's grid coordinate `(x − lo) / bin_width` by `mode`
-/// and clamps it to `0..=n_bins`: the scalar form of
-/// `microkernel::quantize_kernel`.
+/// and clamps it to `0..=n_bins`: the scalar oracle of
+/// [`microkernel::quantize_kernel`].
+#[cfg(test)]
 pub(crate) fn quantize_on_grid(
     data: &[f32],
     lo: f32,
@@ -131,11 +139,6 @@ pub(crate) fn quantize_on_grid(
 }
 
 impl Quantized {
-    /// True when no elements were quantized.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
     /// Bits per packed code.
     pub fn bits(&self) -> u32 {
         bitpack::bits_for(self.n_bins)
@@ -300,7 +303,7 @@ mod tests {
         let q = Quantizer::relative(0.01, RoundingMode::Nearest);
         let mut rng = Rng::new(12);
         let quant = q.quantize(&[], &mut rng);
-        assert!(quant.is_empty());
+        assert!(quant.codes.is_empty());
         assert!(quant.dequantize().is_empty());
     }
 
@@ -363,6 +366,44 @@ mod tests {
         let q = Quantized::read_capped(&mut Reader::new(&bytes), 1024).unwrap();
         assert_eq!(q.codes.len(), 1024);
         assert!(q.dequantize().iter().all(|&v| v == 1.0));
+    }
+
+    #[test]
+    fn quantizer_rounds_as_the_scalar_oracle_on_its_grid() {
+        // Codes and RNG position against `quantize_on_grid`, for every
+        // mode: a wide range, a subnormal one, an infinite one (no bins,
+        // yet SR still draws per value) and a constant block (no draws).
+        let datasets = [
+            sample_data(5000, 19, -2.0, 3.0),
+            vec![0.0, 1e-44, 4e-45],
+            vec![1.0, f32::INFINITY, -1.0],
+            vec![0.5; 9],
+        ];
+        for data in &datasets {
+            for mode in [
+                RoundingMode::Nearest,
+                RoundingMode::Stochastic,
+                RoundingMode::HalfProbability,
+            ] {
+                let (mut rng, mut rng_ref) = (Rng::new(20), Rng::new(20));
+                let got = Quantizer::relative(2e-3, mode).quantize(data, &mut rng);
+                let mm = compso_tensor::reduce::minmax_flat(data);
+                let (bin_width, n_bins) = grid(2e-3, mm.min, mm.max, data.len());
+                let want = if bin_width > 0.0 {
+                    quantize_on_grid(data, mm.min, bin_width, n_bins, mode, &mut rng_ref)
+                } else {
+                    let codes = vec![0; data.len()];
+                    Quantized {
+                        codes,
+                        lo: mm.min,
+                        bin_width,
+                        n_bins,
+                    }
+                };
+                assert_eq!(got, want, "{mode:?} over {} values", data.len());
+                assert_eq!(rng.next_u64(), rng_ref.next_u64(), "{mode:?} RNG position");
+            }
+        }
     }
 
     #[test]

@@ -123,16 +123,23 @@ for f in crates/comm/src/*.rs; do
 done
 step_end
 
-step_start "one COMPSO (no serial pipeline, no configured kernel or tile)"
+step_start "one COMPSO (no serial pipeline, no configured kernel or tile, one set of kernels)"
 # ChunkedCompso is the only implementation and 0xC6 the only stream; the
 # tile comes with the LayerSchedule (kernels::CHUNK_ELEMS up to 1 Mi
 # elements), so KernelConfig carries no chunk_elems field. The lint
-# fixtures carry their own registry and are not searched.
+# fixtures carry their own registry and are not searched. The staged
+# ablation path and the Quantizer run the production microkernels: the
+# scalar chunk compressor is the tests' oracle, and neither body names it.
+COMPRESS_SRC=$(awk '/^fn compress_chunked_reconstructing/,/^}/' crates/core/src/kernels.rs)
+QUANTIZE_SRC=$(awk '/^    pub\(crate\) fn quantize_with_range/,/^    }/' crates/core/src/quantize.rs)
 if grep -rnE 'MAGIC_STREAM_V1|struct Compso\b|compress_layers|with_adaptive_chunking|with_kernel' \
   crates/core crates/ctrl crates/kfac crates/bench src tests examples \
   || grep -rnE 'pub chunk_elems:|KernelConfig::default\(\)\.chunk_elems|kc\.chunk_elems' \
-  crates src tests examples; then
-  echo "the serial COMPSO pipeline or a ChunkedCompso kernel/tile knob is back" >&2; exit 1
+  crates src tests examples \
+  || [ -z "$COMPRESS_SRC" ] || [ -z "$QUANTIZE_SRC" ] \
+  || grep -nE 'filter_chunk|quantize_chunk|serialize_chunk|FilteredChunk|quantize_on_grid' \
+    <<<"$COMPRESS_SRC$QUANTIZE_SRC"; then
+  echo "the serial COMPSO pipeline, a ChunkedCompso kernel/tile knob or the scalar chunk compressor is back" >&2; exit 1
 fi
 step_end
 

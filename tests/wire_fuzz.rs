@@ -1166,6 +1166,45 @@ fn a_wide_frame_is_held_to_its_flag_and_its_plane_stream() {
     }
 }
 
+/// A 0xC6 frame declaring `layers` layers of [`MAX_DECODE_ELEMS`]
+/// elements, one chunk each, with an all-zero offset index over empty
+/// streams.
+fn oversized_frame(layers: u32) -> Vec<u8> {
+    let mut w = Writer::new();
+    // Magic, version, codec tag and flags of an honest narrow frame.
+    w.bytes(&v2_stream(&[1.0, 2.0], 1)[..4]);
+    w.u32(layers);
+    for _ in 0..layers {
+        w.u64(MAX_DECODE_ELEMS as u64);
+    }
+    w.u64(MAX_DECODE_ELEMS as u64);
+    w.u32(layers);
+    for _ in 0..2 * layers {
+        w.u64(0);
+    }
+    let empty = Codec::Ans.encode_blocks(&[], 256 * 1024);
+    w.block(&empty);
+    w.block(&empty);
+    w.into_bytes()
+}
+
+#[test]
+fn a_header_is_held_to_the_element_cap_across_its_layers() {
+    // Every layer size is at the cap, so each passes on its own; their
+    // sum is refused before the decoder zero-fills a layer. Each layer
+    // alone is 1 GiB of zeros, so 200 000 of them must not reach an
+    // allocation: a failed one aborts the process.
+    for layers in [2, 200_000] {
+        assert_eq!(
+            decompress_chunked(&oversized_frame(layers), &Recorder::disabled()).map(|_| ()),
+            Err(CompressError::Wire(WireError::Invalid(
+                "layer sizes over cap"
+            ))),
+            "{layers} layers"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -400,7 +400,7 @@ impl Communicator {
     }
 
     /// The recorder this communicator reports into.
-    pub fn recorder(&self) -> &Recorder {
+    pub(crate) fn recorder(&self) -> &Recorder {
         &self.recorder
     }
 

@@ -62,7 +62,7 @@ impl CocktailSgd {
     /// One layer's block: count, scale, bit width, the Huffman-coded
     /// position bitmap, then one quantized byte per kept value. `rng`
     /// draws the threshold sample.
-    pub fn encode(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
+    pub(crate) fn encode(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
         let thr = self.threshold(data, rng);
         let mut kept: Vec<f32> = Vec::new();
         let bitmap = Bitmap::from_fn(data.len(), |i| {
@@ -106,7 +106,7 @@ impl CocktailSgd {
 
     /// Inverse of [`CocktailSgd::encode`] (the block carries its own
     /// bit width).
-    pub fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
         let mut r = Reader::new(bytes);
         let n = crate::wire::checked_count(r.u64()?)?;
         let scale = r.f32()?;

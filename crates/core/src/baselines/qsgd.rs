@@ -124,7 +124,7 @@ impl<'a> BitReader<'a> {
 impl Qsgd {
     /// One layer's block: bit width, count, L∞ scale, then the
     /// gamma-coded levels and sign bits.
-    pub fn encode(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
+    pub(crate) fn encode(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
         let s = self.levels();
         let scale = compso_tensor::reduce::absmax_flat(data);
         let mut bits = BitWriter::new();
@@ -162,7 +162,7 @@ impl Qsgd {
     }
 
     /// Inverse of [`Qsgd::encode`] (the block carries its own bit width).
-    pub fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
         let mut r = Reader::new(bytes);
         let bits_field = r.u8()? as u32;
         if !(2..=16).contains(&bits_field) {

@@ -60,7 +60,7 @@ fn unzigzag(v: u16) -> i64 {
 impl Sz {
     /// One layer's block: count, absolute bound, the rANS-coded
     /// prediction-error codes, then the raw outliers.
-    pub fn encode(&self, data: &[f32]) -> Vec<u8> {
+    pub(crate) fn encode(&self, data: &[f32]) -> Vec<u8> {
         let mm = compso_tensor::reduce::minmax_flat(data);
         let range = if data.is_empty() {
             0.0

@@ -17,7 +17,7 @@ pub struct Bitmap {
 
 impl Bitmap {
     /// An all-zero bitmap of `len` bits.
-    pub fn zeros(len: usize) -> Self {
+    pub(crate) fn zeros(len: usize) -> Self {
         Bitmap {
             len,
             words: vec![0; len.div_ceil(64)],
@@ -25,7 +25,7 @@ impl Bitmap {
     }
 
     /// Builds a bitmap from a predicate over `0..len`.
-    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Self {
+    pub(crate) fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Self {
         let mut b = Bitmap::zeros(len);
         for i in 0..len {
             if f(i) {
@@ -51,20 +51,20 @@ impl Bitmap {
 
     /// Sets bit `i`.
     #[inline]
-    pub fn set(&mut self, i: usize) {
+    pub(crate) fn set(&mut self, i: usize) {
         debug_assert!(i < self.len);
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Reads bit `i`.
     #[inline]
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    pub(crate) fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 

@@ -14,7 +14,7 @@ use crate::wire::{Reader, WireError, Writer};
 const BLOCK: usize = 4096;
 
 /// Compresses `input` with per-block frame-of-reference packing.
-pub fn encode(input: &[u8]) -> Vec<u8> {
+pub(crate) fn encode(input: &[u8]) -> Vec<u8> {
     let mut w = Writer::with_capacity(input.len() + 16);
     w.u64(input.len() as u64);
     for chunk in input.chunks(BLOCK) {
@@ -36,7 +36,7 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
 }
 
 /// Inverse of [`encode`].
-pub fn decode(input: &[u8]) -> Result<Vec<u8>, WireError> {
+pub(crate) fn decode(input: &[u8]) -> Result<Vec<u8>, WireError> {
     let mut r = Reader::new(input);
     let n = crate::wire::checked_count(r.u64()?)?;
     let mut out = Vec::with_capacity(n);

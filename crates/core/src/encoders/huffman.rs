@@ -226,7 +226,7 @@ impl<'a> BitReader<'a> {
 }
 
 /// Compresses `input` with canonical Huffman coding.
-pub fn encode(input: &[u8]) -> Vec<u8> {
+pub(crate) fn encode(input: &[u8]) -> Vec<u8> {
     let mut counts = [0u64; 256];
     for &b in input {
         counts[b as usize] += 1;
@@ -269,7 +269,7 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
 }
 
 /// Inverse of [`encode`].
-pub fn decode(input: &[u8]) -> Result<Vec<u8>, WireError> {
+pub(crate) fn decode(input: &[u8]) -> Result<Vec<u8>, WireError> {
     let mut r = Reader::new(input);
     match r.u8()? {
         MODE_STORED => Ok(r.block()?.to_vec()),

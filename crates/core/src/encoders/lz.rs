@@ -31,7 +31,7 @@ pub struct LzParams {
 
 impl LzParams {
     /// LZ4-like speed profile.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         LzParams {
             window: 65_535,
             max_chain: 0,
@@ -72,7 +72,7 @@ fn hash4(bytes: &[u8]) -> usize {
 }
 
 /// Compresses `input` into the token stream (length header included).
-pub fn encode(input: &[u8], params: LzParams) -> Vec<u8> {
+pub(crate) fn encode(input: &[u8], params: LzParams) -> Vec<u8> {
     assert!(params.window <= 65_535, "window exceeds u16 offsets");
     let mut w = Writer::with_capacity(input.len() / 2 + 16);
     w.u64(input.len() as u64);
@@ -147,7 +147,7 @@ pub fn encode(input: &[u8], params: LzParams) -> Vec<u8> {
 }
 
 /// Inverse of [`encode`].
-pub fn decode(input: &[u8], params: LzParams) -> Result<Vec<u8>, WireError> {
+pub(crate) fn decode(input: &[u8], params: LzParams) -> Result<Vec<u8>, WireError> {
     let _ = params; // decoding is parameter-independent
     let mut r = Reader::new(input);
     let n = crate::wire::checked_count(r.u64()?)?;

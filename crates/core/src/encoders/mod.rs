@@ -85,7 +85,7 @@ impl Codec {
     }
 
     /// Inverse of [`Codec::tag`].
-    pub fn from_tag(tag: u8) -> Option<Codec> {
+    pub(crate) fn from_tag(tag: u8) -> Option<Codec> {
         Codec::all().into_iter().find(|c| c.tag() == tag)
     }
 

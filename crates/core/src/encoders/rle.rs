@@ -37,7 +37,7 @@ fn read_varint(r: &mut Reader) -> Result<u64, WireError> {
 }
 
 /// Compresses `input` with delta + RLE.
-pub fn encode(input: &[u8]) -> Vec<u8> {
+pub(crate) fn encode(input: &[u8]) -> Vec<u8> {
     let mut w = Writer::with_capacity(input.len() / 4 + 16);
     w.u64(input.len() as u64);
     let mut body = Writer::new();
@@ -63,7 +63,7 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
 }
 
 /// Inverse of [`encode`].
-pub fn decode(input: &[u8]) -> Result<Vec<u8>, WireError> {
+pub(crate) fn decode(input: &[u8]) -> Result<Vec<u8>, WireError> {
     let mut r = Reader::new(input);
     let n = crate::wire::checked_count(r.u64()?)?;
     let body = r.block()?;

@@ -192,7 +192,7 @@ impl LayerSchedule {
     }
 
     /// The chunks, in layer-then-offset order.
-    pub fn chunks(&self) -> &[ChunkDesc] {
+    pub(crate) fn chunks(&self) -> &[ChunkDesc] {
         &self.chunks
     }
 }

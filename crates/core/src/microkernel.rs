@@ -504,7 +504,11 @@ impl CodeRecord<'_> {
 
     /// This record's table of `count` codes, filled in `storage`, when
     /// the codes outnumber its entries and the width has one.
-    pub fn table<'t>(&self, count: usize, storage: &'t mut DequantTable) -> Option<TableView<'t>> {
+    pub(crate) fn table<'t>(
+        &self,
+        count: usize,
+        storage: &'t mut DequantTable,
+    ) -> Option<TableView<'t>> {
         let (lo, bin_width, n_bins) = (self.lo, self.bin_width, self.n_bins);
         storage.for_codes(lo, bin_width, n_bins, self.bits, self.bias(), count)
     }
@@ -680,7 +684,7 @@ pub struct SrLane<'a> {
 impl SrLane<'_> {
     /// This lane alone, in scalar code: `quantize_kernel`'s Stochastic
     /// arm, the portable instance of [`quantize_sr_lanes`] and its oracle.
-    pub fn quantize(&mut self) {
+    pub(crate) fn quantize(&mut self) {
         let (lo64, cap64) = (self.lo as f64, self.n_bins as f64);
         // The scalar path draws one uniform per element no matter which
         // way it rounds, so the branchless form below keeps the RNG
@@ -915,7 +919,7 @@ pub(crate) struct LaneScratch {
 
 impl CompressScratch {
     /// A fresh, empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

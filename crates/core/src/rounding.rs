@@ -39,7 +39,7 @@ impl RoundingMode {
     /// Rounds a bin coordinate `x` (value expressed in units of the bin
     /// width) to an integer bin index.
     #[inline]
-    pub fn round(self, x: f64, rng: &mut Rng) -> i64 {
+    pub(crate) fn round(self, x: f64, rng: &mut Rng) -> i64 {
         match self {
             RoundingMode::Nearest => x.round_ties_even() as i64,
             RoundingMode::Stochastic => {

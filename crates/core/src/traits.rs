@@ -133,7 +133,7 @@ pub struct NoCompression;
 
 impl NoCompression {
     /// One layer's block: `u64 n` then `n` little-endian f32s.
-    pub fn encode(data: &[f32]) -> Vec<u8> {
+    pub(crate) fn encode(data: &[f32]) -> Vec<u8> {
         let mut w = Writer::with_capacity(data.len() * 4 + 8);
         w.u64(data.len() as u64);
         w.bytes(&f32s_to_bytes(data));
@@ -141,7 +141,7 @@ impl NoCompression {
     }
 
     /// Inverse of [`NoCompression::encode`].
-    pub fn decode(block: &[u8]) -> Result<Vec<f32>, CompressError> {
+    pub(crate) fn decode(block: &[u8]) -> Result<Vec<f32>, CompressError> {
         let mut r = Reader::new(block);
         let n = checked_count(r.u64()?)?;
         if r.remaining() != n * 4 {

@@ -45,7 +45,7 @@ pub mod magic {
 
     /// Every registered magic with its format name, for diagnostics and
     /// the uniqueness tests.
-    pub const ALL: &[(&str, u8)] = &[
+    pub(crate) const ALL: &[(&str, u8)] = &[
         ("stream_v2", MAGIC_STREAM_V2),
         ("group", MAGIC_GROUP),
         ("membership", MAGIC_MEMBERSHIP),
@@ -57,7 +57,7 @@ pub mod magic {
 
     /// Compile-time uniqueness proof: building this crate fails if two
     /// registered magics collide.
-    const _UNIQUE: () = {
+    const _: () = {
         let mut i = 0;
         while i < ALL.len() {
             let mut j = i + 1;
@@ -317,13 +317,8 @@ impl Writer {
     }
 
     /// Current length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Finishes and returns the buffer.
@@ -413,7 +408,7 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn f32(&mut self) -> Result<f32, WireError> {
+    pub(crate) fn f32(&mut self) -> Result<f32, WireError> {
         Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 

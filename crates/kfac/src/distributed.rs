@@ -985,7 +985,7 @@ impl DistKfac {
     }
 
     /// The attached observability recorder.
-    pub fn recorder(&self) -> &Recorder {
+    pub(crate) fn recorder(&self) -> &Recorder {
         &self.recorder
     }
 

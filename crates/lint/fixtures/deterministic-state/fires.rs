@@ -5,10 +5,16 @@
 impl Controller {
     pub fn observe(&mut self, s: &Signals) -> Decision {
         let jitter = sample_jitter();
-        self.decide_with(s, jitter)
+        self.decide_with(s, jitter, now())
     }
 }
 
 fn sample_jitter() -> u64 {
+    Instant::now().elapsed().as_nanos() as u64 //~ deterministic-state
+}
+
+// A helper named like the transport clock's entry point is no one's
+// audit outside crates/comm/src/clock.rs.
+fn now() -> u64 {
     Instant::now().elapsed().as_nanos() as u64 //~ deterministic-state
 }

@@ -239,16 +239,18 @@ pub fn solve(files: &[FileSummaries]) -> BTreeMap<String, FnFacts> {
     let mut impure = vec![0u8; n];
     let mut collective = vec![false; n];
     let mut length_source = vec![false; n];
-    let mut allowed = vec![false; n];
+    // A name is allowed only if every definition of it is allowlisted at
+    // its own path (cleared below by any other definition).
+    let mut allowed = vec![true; n];
     let mut root = vec![false; n];
     let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (name, &i) in &ids {
         names[i] = name;
-        allowed[i] = determinism_allow(name).is_some();
     }
     for fs in files {
         for f in &fs.fns {
             let i = ids[f.name.as_str()];
+            allowed[i] &= determinism_allow(&fs.path, &f.name).is_some();
             impure[i] |= f.direct_impure;
             length_source[i] |= f.length_source;
             collective[i] |= COLLECTIVES.contains(&f.name.as_str())
@@ -410,20 +412,19 @@ mod tests {
 
     #[test]
     fn allowlist_cuts_impurity_and_root_cone() {
-        // `now` (the transport clock's entry point) is on the audited
-        // allowlist: its clock read must not leak to callers, and root
-        // cones stop at it.
-        assert!(
-            determinism_allow("now").is_some(),
-            "test assumes now is allowlisted"
-        );
-        let f = sf(
+        // `now` in the clock module (the transport clock's entry point) is
+        // on the audited allowlist: its clock read must not leak to
+        // callers, and root cones stop at it.
+        let step = sf(
             "crates/kfac/src/distributed.rs",
             "fn step(c: &C) -> Result<(), E> { now(c) }\n\
-             fn now(c: &C) -> Result<(), E> { clocky(c) }\n\
              fn clocky(c: &C) -> Result<(), E> { let t = Instant::now(); c.go(t) }\n",
         );
-        let facts = solve(&[summarize(&f)]);
+        let clock = |path: &str| sf(path, "fn now(c: &C) -> Result<(), E> { clocky(c) }\n");
+        let facts = solve(&[
+            summarize(&step),
+            summarize(&clock(crate::rules::CLOCK_MODULE)),
+        ]);
         assert_eq!(facts["clocky"].impure, CLOCK);
         assert_eq!(facts["now"].impure, 0, "allow pins impurity");
         assert_eq!(facts["step"].impure, 0, "allow cuts propagation");
@@ -432,6 +433,24 @@ mod tests {
             !facts["clocky"].roots.contains("step"),
             "root cone must not pass through an allowlisted node"
         );
+        // The same `now` defined anywhere else is no one's audit, and a
+        // second definition beside the audited one un-allows the merged
+        // node.
+        for files in [
+            vec![
+                summarize(&step),
+                summarize(&clock("crates/kfac/src/doctored.rs")),
+            ],
+            vec![
+                summarize(&step),
+                summarize(&clock(crate::rules::CLOCK_MODULE)),
+                summarize(&clock("crates/kfac/src/doctored.rs")),
+            ],
+        ] {
+            let facts = solve(&files);
+            assert_eq!(facts["step"].impure, CLOCK);
+            assert!(facts["clocky"].roots.contains("step"));
+        }
     }
 
     #[test]

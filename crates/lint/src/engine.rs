@@ -10,7 +10,7 @@
 //! invariant surface, not an escape hatch).
 
 use crate::callgraph::{self, FileSummaries, FnFacts};
-use crate::rules::{registry_entries, View, RULES, RULE_NAMES};
+use crate::rules::{registry_entries, rule_names, View, RULES};
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -76,16 +76,14 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
         out.push_str(if i + 1 < diags.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n  \"by_rule\": {\n");
-    for (i, name) in RULE_NAMES.iter().enumerate() {
-        let n = diags.iter().filter(|d| d.rule == *name).count();
-        let _ = write!(out, "    \"{name}\": {n}");
-        out.push_str(if i + 1 < RULE_NAMES.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = write!(out, "  }},\n  \"count\": {}\n}}\n", diags.len());
+    let counts: Vec<String> = rule_names()
+        .map(|name| {
+            let n = diags.iter().filter(|d| d.rule == name).count();
+            format!("    \"{name}\": {n}")
+        })
+        .collect();
+    out.push_str(&counts.join(",\n"));
+    let _ = write!(out, "\n  }},\n  \"count\": {}\n}}\n", diags.len());
     out
 }
 
@@ -161,7 +159,7 @@ pub fn check_file(file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
     out.extend(raw);
 
     for s in &file.suppressions {
-        if !RULE_NAMES.contains(&s.rule.as_str()) {
+        if !rule_names().any(|n| n == s.rule) {
             out.push(Diagnostic {
                 rule: SUPPRESSION_HYGIENE,
                 path: file.path.clone(),
@@ -170,7 +168,7 @@ pub fn check_file(file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
                 message: format!(
                     "lint:allow names unknown rule `{}` (known: {})",
                     s.rule,
-                    RULE_NAMES.join(", ")
+                    rule_names().collect::<Vec<_>>().join(", ")
                 ),
             });
         } else if !s.has_reason {

@@ -14,12 +14,17 @@
 //! cone reaches it — so a legitimate site can carry an inline
 //! `lint:allow(deterministic-state): reason` right where the claim is
 //! made. Reachability comes from the workspace call graph
-//! ([`crate::callgraph`]); transport deadline/backoff functions on the
-//! audited [`super::DETERMINISM_ALLOWLIST`] are exempt and cut the cone
-//! for everything behind them.
+//! ([`crate::callgraph`]); the functions on the audited
+//! [`super::DETERMINISM_ALLOWLIST`], each named with its defining file,
+//! are exempt and cut the cone for everything behind them.
+//!
+//! One clause needs no root: compso-comm reads time through its `Clock`
+//! ([`super::CLOCK_MODULE`]) alone, so in `crates/comm/src/` a time read
+//! anywhere else (`Instant::now`, `SystemTime::now`, `thread::sleep`, a
+//! `recv_timeout(` wait) fires whether or not a root reaches it.
 
-use super::{determinism_allow, Rule, View};
-use crate::callgraph::{file_facts, impurity_name, impurity_sites};
+use super::{determinism_allow, Rule, View, CLOCK_MODULE};
+use crate::callgraph::{file_facts, impurity_name, impurity_sites, CLOCK};
 use crate::engine::{Context, Diagnostic};
 use crate::source::SourceFile;
 
@@ -34,17 +39,26 @@ impl Rule for DeterministicState {
 
     fn check(&self, file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
         let v = View::new(file);
+        let one_clock = file.path.starts_with("crates/comm/src/") && file.path != CLOCK_MODULE;
+        let msg = format!("time read outside {CLOCK_MODULE}, compso-comm's one reader of time");
+        for ci in (0..v.len()).filter(|&ci| one_clock && is_wait(&v, ci)) {
+            out.push(v.diag(NAME, ci, msg.clone()));
+        }
         let sites = impurity_sites(&v);
         if sites.is_empty() {
             return;
         }
         let facts = file_facts(file, ctx);
         for site in sites {
+            if one_clock && site.kind == CLOCK {
+                out.push(v.diag(NAME, site.ci, msg.clone()));
+                continue;
+            }
             let at = v.tok(site.ci).start;
             let Some(f) = file.enclosing_fn(at) else {
                 continue; // impurity in const/static init: out of scope
             };
-            if determinism_allow(&f.name).is_some() {
+            if determinism_allow(&file.path, &f.name).is_some() {
                 continue;
             }
             let roots = facts.get(&f.name).roots;
@@ -70,6 +84,14 @@ impl Rule for DeterministicState {
             ));
         }
     }
+}
+
+/// Is the production token at `ci` a timed wait, `thread::sleep` or a
+/// `recv_timeout(` call? (The clock reads are [`impurity_sites`]' `CLOCK`.)
+fn is_wait(v: &View, ci: usize) -> bool {
+    let sleep = v.is_ident(ci, "thread") && v.is_punct(ci + 1, ":") && v.is_ident(ci + 3, "sleep");
+    (sleep || v.is_ident(ci, "recv_timeout") && v.is_punct(ci + 1, "("))
+        && !v.file.in_test(v.tok(ci).start)
 }
 
 #[cfg(test)]
@@ -128,5 +150,34 @@ mod tests {
             1,
             "the same read outside the clock's entry point fires"
         );
+        // The allowlist names a file as well as a function: a `now` helper
+        // anywhere else is no one's audit.
+        let out = diags(
+            "crates/kfac/src/doctored.rs",
+            "pub fn step_probe() -> u64 { now() }\n\
+             fn now() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("in `now`"), "{out:?}");
+    }
+
+    #[test]
+    fn comm_reads_time_only_in_its_clock() {
+        // No critical root reaches `poll`: the one-clock clause fires on
+        // every time read in compso-comm outside clock.rs all the same.
+        let src = "fn poll(rx: &Receiver<u8>) {\n\
+                   let t = Instant::now();\n\
+                   std::thread::sleep(d);\n\
+                   let _ = rx.recv_timeout(d);\n\
+                   let _ = SystemTime::now();\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { let _ = Instant::now(); }\n}\n";
+        let lines = |path: &str| {
+            let mut lines: Vec<_> = diags(path, src).iter().map(|d| d.line).collect();
+            lines.sort();
+            lines
+        };
+        assert_eq!(lines("crates/comm/src/arq.rs"), [2, 3, 4, 5]);
+        assert!(lines(CLOCK_MODULE).is_empty());
+        assert!(lines("crates/kfac/src/poll.rs").is_empty());
     }
 }

@@ -29,6 +29,7 @@ mod collective_order;
 mod counter_registry;
 mod deterministic_state;
 mod hashmap_iter;
+mod instance_selection;
 pub mod length_prefix;
 mod no_unwrap;
 mod reachable_pub;
@@ -39,6 +40,7 @@ pub use collective_order::CollectiveOrder;
 pub use counter_registry::CounterRegistry;
 pub use deterministic_state::DeterministicState;
 pub use hashmap_iter::NondeterministicWireIteration;
+pub use instance_selection::InstanceSelection;
 pub use length_prefix::UncheckedLengthPrefix;
 pub use no_unwrap::NoUnwrapOnCommPath;
 pub use reachable_pub::ReachablePub;
@@ -149,22 +151,19 @@ pub const RULES: &[RuleSpec] = &[
         exclude: &[],
         make: || Box::new(ReachablePub),
     },
+    RuleSpec {
+        name: "instance-selection",
+        include: &[],
+        exclude: &[],
+        make: || Box::new(InstanceSelection),
+    },
 ];
 
-/// Rule names valid in `lint:allow(...)` (includes the hygiene rule).
-/// Pinned equal to the table by `rule_names_match_table`.
-pub const RULE_NAMES: &[&str] = &[
-    "wire-magic-registry",
-    "no-unwrap-on-comm-path",
-    "unchecked-length-prefix",
-    "counter-registry",
-    "nondeterministic-wire-iteration",
-    "collective-order",
-    "deterministic-state",
-    "swallowed-comm-error",
-    "reachable-pub",
-    SUPPRESSION_HYGIENE,
-];
+/// Rule names valid in `lint:allow(...)`: the table's, then the hygiene
+/// rule's.
+pub fn rule_names() -> impl Iterator<Item = &'static str> {
+    RULES.iter().map(|r| r.name).chain([SUPPRESSION_HYGIENE])
+}
 
 /// The workspace's collective-call vocabulary: a call to any of these
 /// names is a synchronization point every rank must reach in the same
@@ -290,37 +289,47 @@ pub fn is_critical_root(path: &str, fn_name: &str) -> bool {
     })
 }
 
-/// Audited allowlist for `deterministic-state`: the functions where a
-/// wall-clock read is *legitimate*. compso-comm reads time in exactly one
-/// place, its transport `Clock::now` (deadlines, NACK backoff, the
-/// modeled wire's pacing), and observability times spans; both decide
-/// *when* bytes move or how long something took, never *which* bytes
-/// move, so replicas stay bit-identical. The call-graph solver pins their
-/// impurity to zero and root cones stop at them: an entry here audits the
-/// entire subtree behind the function.
-pub const DETERMINISM_ALLOWLIST: &[(&str, &str)] = &[
+/// compso-comm's one reader of time: `deterministic-state` fires on a
+/// time read anywhere else in `crates/comm/src/`.
+pub const CLOCK_MODULE: &str = "crates/comm/src/clock.rs";
+
+/// Audited allowlist for `deterministic-state`, keyed by (defining file,
+/// fn name): the functions where a wall-clock read is *legitimate*.
+/// compso-comm reads time in exactly one place, its transport
+/// `Clock::now` (deadlines, NACK backoff, the modeled wire's pacing), and
+/// observability times spans; both decide *when* bytes move or how long
+/// something took, never *which* bytes move, so replicas stay
+/// bit-identical. The call-graph solver pins their impurity to zero and
+/// root cones stop at them: an entry here audits the entire subtree
+/// behind the function. A same-named function in any other file is not
+/// covered, and the name-keyed graph node it merges into loses the
+/// exemption.
+pub const DETERMINISM_ALLOWLIST: &[(&str, &str, &str)] = &[
     (
+        CLOCK_MODULE,
         "now",
         "the transport clock's one time read; deadlines, backoff and modeled-wire pacing move when bytes arrive, never which",
     ),
     (
+        "crates/obs/src/lib.rs",
         "span",
         "wall-time observability span; the elapsed duration lands in timer counters and never feeds the value path",
     ),
 ];
 
-/// Allowlist lookup: `Some(audit reason)` when `fn_name` is covered.
-pub fn determinism_allow(fn_name: &str) -> Option<&'static str> {
+/// Allowlist lookup: `Some(audit reason)` when `fn_name` defined in
+/// `path` is covered.
+pub fn determinism_allow(path: &str, fn_name: &str) -> Option<&'static str> {
     DETERMINISM_ALLOWLIST
         .iter()
-        .find(|(n, _)| *n == fn_name)
-        .map(|(_, reason)| *reason)
+        .find(|(p, n, _)| *p == path && *n == fn_name)
+        .map(|(_, _, reason)| *reason)
 }
 
 /// A non-trivia view over a file's tokens, shared by the rules.
 pub struct View<'a> {
     pub file: &'a SourceFile,
-    pub code: Vec<usize>,
+    pub code: &'a [usize],
 }
 
 impl<'a> View<'a> {
@@ -386,13 +395,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rule_names_match_table() {
-        let mut from_table: Vec<&str> = RULES.iter().map(|r| r.name).collect();
-        from_table.push(SUPPRESSION_HYGIENE);
-        assert_eq!(RULE_NAMES, from_table.as_slice());
+    fn every_constructor_carries_its_table_name() {
         for spec in RULES {
             assert_eq!(spec.rule().name(), spec.name, "constructor/name drift");
         }
+        assert_eq!(rule_names().last(), Some(SUPPRESSION_HYGIENE));
     }
 
     #[test]
@@ -437,14 +444,16 @@ mod tests {
 
     #[test]
     fn allowlist_is_audited() {
-        for (name, reason) in DETERMINISM_ALLOWLIST {
+        for (path, name, reason) in DETERMINISM_ALLOWLIST {
             assert!(
                 !reason.is_empty(),
-                "allowlist entry `{name}` needs a reason"
+                "allowlist entry `{path}::{name}` needs a reason"
             );
         }
-        assert!(determinism_allow("now").is_some());
-        assert!(determinism_allow("recv_arq").is_none());
-        assert!(determinism_allow("observe").is_none());
+        assert!(determinism_allow(CLOCK_MODULE, "now").is_some());
+        assert!(determinism_allow("crates/obs/src/lib.rs", "span").is_some());
+        assert!(determinism_allow("crates/kfac/src/doctored.rs", "now").is_none());
+        assert!(determinism_allow("crates/comm/src/clock.rs", "span").is_none());
+        assert!(determinism_allow(CLOCK_MODULE, "recv_arq").is_none());
     }
 }

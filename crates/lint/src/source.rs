@@ -48,6 +48,8 @@ pub struct SourceFile {
     pub path: String,
     pub src: String,
     pub tokens: Vec<Token>,
+    /// Indices of the non-trivia tokens (rules operate on this view).
+    code: Vec<usize>,
     line_starts: Vec<usize>,
     test_ranges: Vec<Range<usize>>,
     file_is_test: bool,
@@ -71,13 +73,17 @@ impl SourceFile {
                 || p.contains("/benches/")
                 || p.contains("/fixtures/")
         };
-        let test_ranges = cfg_test_ranges(&src, &tokens);
+        let code: Vec<usize> = (0..tokens.len())
+            .filter(|&i| !tokens[i].is_trivia())
+            .collect();
+        let test_ranges = cfg_test_ranges(&src, &tokens, &code);
         let suppressions = parse_suppressions(&src, &tokens, &line_starts);
-        let fns = find_fns(&src, &tokens);
+        let fns = find_fns(&src, &tokens, &code);
         SourceFile {
             path,
             src,
             tokens,
+            code,
             line_starts,
             test_ranges,
             file_is_test,
@@ -118,10 +124,8 @@ impl SourceFile {
     }
 
     /// Indices of non-trivia tokens (rules operate on this view).
-    pub fn code_tokens(&self) -> Vec<usize> {
-        (0..self.tokens.len())
-            .filter(|&i| !self.tokens[i].is_trivia())
-            .collect()
+    pub fn code_tokens(&self) -> &[usize] {
+        &self.code
     }
 }
 
@@ -131,10 +135,7 @@ impl SourceFile {
 /// include both `cfg` and `test`), then extends the range across any
 /// further attributes and the following item up to its matching `}` (or
 /// `;` for bodyless items).
-fn cfg_test_ranges(src: &str, tokens: &[Token]) -> Vec<Range<usize>> {
-    let code: Vec<usize> = (0..tokens.len())
-        .filter(|&i| !tokens[i].is_trivia())
-        .collect();
+fn cfg_test_ranges(src: &str, tokens: &[Token], code: &[usize]) -> Vec<Range<usize>> {
     let tok = |ci: usize| -> &Token { &tokens[code[ci]] };
     let text = |ci: usize| -> &str { tok(ci).text(src) };
     let mut ranges = Vec::new();
@@ -255,10 +256,7 @@ fn parse_suppressions(src: &str, tokens: &[Token], line_starts: &[usize]) -> Vec
 /// whether the signature mentions `Result`. Nested functions appear as
 /// separate (overlapping) entries; [`SourceFile::enclosing_fn`] picks
 /// the innermost.
-fn find_fns(src: &str, tokens: &[Token]) -> Vec<FnSpan> {
-    let code: Vec<usize> = (0..tokens.len())
-        .filter(|&i| !tokens[i].is_trivia())
-        .collect();
+fn find_fns(src: &str, tokens: &[Token], code: &[usize]) -> Vec<FnSpan> {
     let tok = |ci: usize| -> &Token { &tokens[code[ci]] };
     let text = |ci: usize| -> &str { tok(ci).text(src) };
     let mut out = Vec::new();

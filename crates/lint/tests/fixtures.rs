@@ -82,6 +82,8 @@ fn check_fixture(file: &Path) -> (Vec<(usize, String)>, Vec<String>) {
     let sf = SourceFile::new(pretend, src);
     let mut diags = Vec::new();
     check_file(&sf, &fixture_context(&rule.to_string_lossy()), &mut diags);
+    // Line and column: the order the CLI prints a file's findings in.
+    diags.sort_by_key(|d| (d.line, d.col));
     let mut got: Vec<(usize, String)> =
         diags.iter().map(|d| (d.line, d.rule.to_string())).collect();
     got.sort();
@@ -100,18 +102,7 @@ fn check_fixture(file: &Path) -> (Vec<(usize, String)>, Vec<String>) {
 #[test]
 fn every_rule_has_firing_clean_and_suppressed_fixtures() {
     let root = fixture_root();
-    let rules = [
-        "wire-magic-registry",
-        "no-unwrap-on-comm-path",
-        "unchecked-length-prefix",
-        "counter-registry",
-        "nondeterministic-wire-iteration",
-        "collective-order",
-        "deterministic-state",
-        "swallowed-comm-error",
-        "reachable-pub",
-    ];
-    for rule in rules {
+    for rule in compso_lint::rules::RULES.iter().map(|r| r.name) {
         let dir = root.join(rule);
         for required in ["fires.rs", "clean.rs", "suppressed.rs"] {
             assert!(
@@ -152,7 +143,7 @@ fn all_fixtures_match_their_markers() {
             let stem = file.file_stem().unwrap().to_string_lossy().to_string();
             match stem.as_str() {
                 // Firing fixtures must fire; clean/suppressed must not.
-                "fires" | "kfac_scope" => assert!(
+                "fires" | "kfac_scope" | "one_clock" => assert!(
                     !got.is_empty(),
                     "{}: expected at least one finding",
                     file.display()
@@ -194,6 +185,20 @@ fn golden_diagnostic_renderings() {
          `observe`; replicas must compute identical state — hoist the impurity out \
          of the cone or annotate lint:allow(deterministic-state): <why this cannot \
          diverge replicas>"
+    );
+    let (_, human) = check_fixture(&root.join("deterministic-state/one_clock.rs"));
+    assert_eq!(
+        human[0],
+        "crates/comm/src/fake_arq.rs:7:17: [deterministic-state] time read outside \
+         crates/comm/src/clock.rs, compso-comm's one reader of time"
+    );
+    let (_, human) = check_fixture(&root.join("instance-selection/fires.rs"));
+    assert_eq!(
+        human[0],
+        "crates/tensor/src/fake_wide.rs:9:14: [instance-selection] `unsafe` other than \
+         `unsafe { wide(…) }` in an `Instance::Avx2 =>` arm, one call of this file's \
+         `target_feature` fn on plain places; every instance emits the portable \
+         instance's bits"
     );
     let (_, human) = check_fixture(&root.join("collective-order/fires.rs"));
     assert!(

@@ -40,13 +40,9 @@ cargo test -q --workspace
 step_end
 
 step_start "compso-lint --deny"
-# Invariant lint over the whole workspace: wire magics, comm-path
-# unwraps, unchecked length prefixes, counter registry, nondeterministic
-# wire iteration, plus the call-graph rules (collective-order,
-# deterministic-state, swallowed-comm-error). counter-registry also fails
-# on a registered name nothing reads, and reachable-pub on a library pub
-# fn/const/static nothing outside its crate names (benchmark/src counts as
-# a reader for both).
+# Invariant lint over the whole workspace: its rules are the table
+# `rules::RULES` in crates/lint/src/rules/mod.rs (DESIGN.md §11.2), each
+# with firing, clean and suppressed fixtures under crates/lint/fixtures/.
 # One cold pass of the binary the release build above just produced; the
 # outer timeout is the hang backstop and the timing summary below shows
 # a slow run. The JSON report (per-rule counts) is uploaded as a CI
@@ -54,14 +50,6 @@ step_start "compso-lint --deny"
 timeout --kill-after=5 10 \
   target/release/compso-lint --deny --json-out target/lint-report.json \
   || { echo "compso-lint: violations (or the 10s hang backstop fired)" >&2; exit 1; }
-step_end
-
-step_start "one lint pass (no cache, no rewriter, no millisecond budget)"
-# scripts/ is not searched: this line would match itself.
-if grep -rnE -e 'check_workspace_cached|CacheStats|run_fix|--cache|--fix|--budget-ms' \
-  crates/lint/src README.md DESIGN.md .github .claude; then
-  echo "compso-lint's incremental cache, --fix or --budget-ms is back" >&2; exit 1
-fi
 step_end
 
 step_start "rustc's dead-code analysis stays on (program code)"
@@ -87,175 +75,45 @@ if grep -nPH "$LINT_LEVEL|$SILENCE" $MANIFESTS \
 fi
 step_end
 
-step_start "one gather path (kfac/src/distributed.rs ahead of mod tests)"
-GATHER_SRC=$(sed '/^mod tests/,$d' crates/kfac/src/distributed.rs)
-if grep -Eq 'allgather_var\(|par_iter|use rayon' <<<"$GATHER_SRC" \
-  || [ "$(grep -c 'pipelined_allgather(' <<<"$GATHER_SRC")" -ne 1 ]; then
-  echo "DistKfac step 5 must stay one pipelined_allgather call, no serial twin" >&2; exit 1
-fi
-step_end
-
-step_start "one gradient collective (kfac/src/distributed.rs ahead of mod tests)"
-# Step 2 is one reduce_scatter_pieced to the owners (the reduce-scatter
-# whose waits carry the fold and the landed layers' preconditioning); the
-# only all-reduces left in the step are the factor bucket and the
-# non-K-FAC tail. The owner-bound hop's codec lives in that collective:
-# sync_gradients hands it the compressor and moves no bytes of its own.
-SYNC_SRC=$(awk '/fn sync_gradients\(/,/^    }$/' <<<"$GATHER_SRC")
-if [ "$(grep -c 'reduce_scatter_pieced(' <<<"$GATHER_SRC")" -ne 1 ] \
-  || grep -q 'reduce_scatter_sum(' <<<"$GATHER_SRC" \
-  || [ "$(grep -c 'allreduce_mean(' <<<"$GATHER_SRC")" -gt 2 ] \
-  || [ -z "$SYNC_SRC" ] \
-  || grep -q 'Payload::Bytes' <<<"$SYNC_SRC"; then
-  echo "DistKfac step 2 must stay one reduce_scatter_pieced carrying its own codec, no all-reduce of K-FAC gradients" >&2; exit 1
-fi
-step_end
-
-step_start "one clock (comm/src ahead of mod tests)"
-# compso-comm reads time in one module: every time read, sleep and timed
-# channel wait goes through clock.rs's Clock, which also paces the
-# modeled wire. Tests keep their own stopwatches.
-for f in crates/comm/src/*.rs; do
-  [ "$f" = crates/comm/src/clock.rs ] && continue
-  if sed '/^mod tests/,$d' "$f" | grep -nE 'Instant::now|thread::sleep|recv_timeout\('; then
-    echo "$f reads time outside crates/comm/src/clock.rs" >&2; exit 1
-  fi
-done
-step_end
-
-step_start "one COMPSO (no serial pipeline, no configured kernel or tile, one set of kernels)"
-# ChunkedCompso is the only implementation and 0xC6 the only stream; the
-# tile comes with the LayerSchedule (kernels::CHUNK_ELEMS up to 1 Mi
-# elements), so KernelConfig carries no chunk_elems field. The lint
-# fixtures carry their own registry and are not searched. The staged
-# ablation path and the Quantizer run the production microkernels: the
-# scalar chunk compressor is the tests' oracle, and neither body names it.
-COMPRESS_SRC=$(awk '/^fn compress_chunked_reconstructing/,/^}/' crates/core/src/kernels.rs)
-QUANTIZE_SRC=$(awk '/^    pub\(crate\) fn quantize_with_range/,/^    }/' crates/core/src/quantize.rs)
-if grep -rnE 'MAGIC_STREAM_V1|struct Compso\b|compress_layers|with_adaptive_chunking|with_kernel' \
-  crates/core crates/ctrl crates/kfac crates/bench src tests examples \
-  || grep -rnE 'pub chunk_elems:|KernelConfig::default\(\)\.chunk_elems|kc\.chunk_elems' \
-  crates src tests examples \
-  || [ -z "$COMPRESS_SRC" ] || [ -z "$QUANTIZE_SRC" ] \
-  || grep -nE 'filter_chunk|quantize_chunk|serialize_chunk|FilteredChunk|quantize_on_grid' \
-    <<<"$COMPRESS_SRC$QUANTIZE_SRC"; then
-  echo "the serial COMPSO pipeline, a ChunkedCompso kernel/tile knob or the scalar chunk compressor is back" >&2; exit 1
-fi
-step_end
-
-step_start "one hand-back of own frames (no Compressor method, no decode twin)"
-# An origin installs its own groups from the values ChunkedCompso wrote
-# while compressing them, handed back by decompress_group: the Compressor
-# trait keeps its four overridable methods (name, compress_group_keyed,
-# decompress_group, chunk_elems_for) and its four provided ones, the
-# own-frame list is named in crates/core/src/kernels.rs alone, and DistKfac
-# still installs its own groups through decode_run like any origin's.
-# scripts/ is not searched: this line would match itself.
+step_start "what no compiler, lint or test check sees"
+# Each "one X" contract is pinned where it can be tested (DESIGN.md §5,
+# "Contracts and their pins"): lint rules, counter and bit-for-bit tests,
+# and reachable-pub plus dead_code for a deleted fn or const. These come
+# back unflagged: rustc's dead_code stops at `pub` and reachable-pub
+# checks fns, consts and statics by name, so a deleted type or field,
+# or a pricing fn that compso-sim also names, compiles unseen; so do a
+# provided trait method, a second thread-local own-frame list, a manifest
+# dependency, an env knob or shim, and a second kernel that is as
+# bit-identical to its oracle as the production one: a GEMM loop, or the
+# scalar chunk compressor (the tests' oracle) called from the staged path
+# or the Quantizer. The lint fixtures and this script are not searched:
+# they spell these names.
+fence() { echo "$1" >&2; exit 1; }
 TRAIT_FNS=$(awk '/^pub trait Compressor/,/^}/' crates/core/src/traits.rs \
   | grep -oE '^    fn [a-z_]+' | awk '{print $2}' | sort | tr '\n' ' ')
-if [ "$TRAIT_FNS" != "chunk_elems_for compress compress_group compress_group_keyed decompress decompress_group name ratio " ] \
-  || grep -rn 'OWN_FRAMES' crates src tests examples benchmark/src | grep -v '^crates/core/src/kernels.rs:' \
-  || [ "$(grep -c 'decode_run(&gathered.clean' <<<"$GATHER_SRC")" -ne 1 ] \
-  || grep -nE 'decode_own|reconstruct' <<<"$GATHER_SRC"; then
-  echo "the own-frame hand-back grew a Compressor method, a second list or a decode twin in DistKfac" >&2; exit 1
-fi
-step_end
-
-step_start "one activation layout (dnn/src/conv.rs ahead of mod tests)"
-# Feature maps travel as HWC rows: Conv2d's GEMM product is its output and
-# dY is its g as they lie, so conv.rs indexes no channel-major
-# `oc * positions` slot and allocates no output-shaped relayout buffer.
-CONV_SRC=$(sed '/^mod tests/,$d' crates/dnn/src/conv.rs)
-if grep -nE 'oc \* positions|Matrix::zeros\([^;]*(out_elems|positions, s\.out_c)' <<<"$CONV_SRC"; then
-  echo "Conv2d relays its output or dY through a CHW copy again" >&2; exit 1
-fi
-step_end
-
-step_start "one report (StepReport is its counter map plus what it derives)"
-# A counter is read from the snapshot or report map by its registered name;
-# no struct copies entries of that map field by field. The lint fixtures
-# are not searched, and scripts/ is not: this line would match itself.
-if grep -rnE --exclude-dir=fixtures 'struct Resilience|struct ControlBlock|ActiveSetting|fn describe\(' \
-  crates src tests examples; then
-  echo "a hand-kept copy of the counter map is back: read snap.counter(names::X)" >&2; exit 1
-fi
-step_end
-
-step_start "one snapshot reader, one tensor envelope"
-# Snapshots have one reader, CheckpointCoordinator::restore. A rejoining
-# rank restores from its peers through restore's own two transfers, and
-# its catch-up shard is a 0xCF-framed 0xCB blob like every other tensor
-# list. The lint fixtures are not searched, and scripts/ is not: this
-# line would match itself.
-if grep -rnE --exclude-dir=fixtures 'restore_local|encode_rejoin_delta|decode_rejoin_delta|MAGIC_REJOIN' \
-  crates src tests examples; then
-  echo "a second snapshot reader or the 0xCC rejoin delta is back" >&2; exit 1
-fi
-step_end
-
-step_start "one cost model (compso-sim prices communication and the step)"
-# The alpha-beta network model, compressor profiles, Eq. 5 and the
-# encoder/aggregation choices live in compso-sim; compso-core keeps the
-# codec's tile and pipelined_wall, compso-comm prices nothing, and the
-# unqueried lookup table and the duplicate profiler stay deleted.
-# scripts/ is not searched: this line would match itself.
-CORE_SRC=$(find crates/core/src -name '*.rs' -exec sed -s '/^mod tests/,$d' {} +)
-if grep -rnE 'netmodel|NetworkSpec' crates/comm/src \
-  || grep -nE '(struct|fn) (CompressorProfile|choose_aggregation|comm_speedup|end_to_end_gain)\b' <<<"$CORE_SRC" \
-  || grep -rnE 'ThroughputTable|CollectiveKind|OnlineProfiler' crates src tests examples \
-  || grep -q 'compso-comm' crates/sim/Cargo.toml; then
-  echo "a second cost model is back: price communication and steps in compso-sim only" >&2; exit 1
-fi
-step_end
-
-step_start "one perf instrument, one rANS layout"
-# benchmark/ is the only thing that reports throughput and kernel_gates
-# carries no baseline, tolerance or env knob; rans::encode is the encoder
-# production runs. scripts/ci.sh is not searched: this line would match
-# itself.
-if grep -rnE 'BENCH_compress|bench_check|bench_snapshot|COMPSO_BENCH_|criterion|encode_fast|encode_interleaved' \
-  crates shims scripts .github Cargo.toml --exclude=ci.sh; then
-  echo "the snapshot bench, its knobs, the criterion shim or the second rANS encoder is back" >&2; exit 1
-fi
-step_end
-
-step_start "one GEMM core, one instance selection (crates/*/src ahead of mod tests)"
-# matmul / t_matmul / gram / matmul_t (through matmul_t_first) are entry
-# points of one packed `gemm`, and `tile` is the only multiply-accumulate
-# microkernel: besides axpy's `scale * b` and the Gram–Schmidt norms'
-# `v * v`, exactly one line accumulates a product. `tile` and its job body
-# are generic over the strip height.
+COMPRESS_SRC=$(awk '/^fn compress_chunked_reconstructing/,/^}/' crates/core/src/kernels.rs)
+QUANTIZE_SRC=$(awk '/^    pub\(crate\) fn quantize_with_range/,/^    }/' crates/core/src/quantize.rs)
 GEMM_SRC=$(sed '/^mod tests/,$d' crates/tensor/src/matrix.rs)
 GEMM_MACS=$(grep -E '\+= [a-z_0-9]+(\[[a-z_0-9]+\])? \* [a-z_0-9]+(\[[a-z_0-9]+\])?;' <<<"$GEMM_SRC" \
   | grep -vcE 'scale \* b;|v \* v;' || true)
-if grep -q 't_matmul_from' <<<"$GEMM_SRC" \
-  || [ "$GEMM_MACS" -ne 1 ] \
-  || [ "$(grep -cE '^fn tile[<(]' <<<"$GEMM_SRC")" -ne 1 ] \
-  || [ "$(grep -c ' gemm(' <<<"$GEMM_SRC")" -ne 5 ]; then
-  echo "a second GEMM kernel is back: one gemm, one tile, four entry points" >&2; exit 1
-fi
-# compso-tensor's `Instance` is the one run-time choice of instruction
-# set: every wide job body is a `#[target_feature(enable = "avx2")]` fn
-# entered from the one `unsafe` block of its kernel's `Instance::Avx2`
-# arm (the last match arm before the block). Nothing fuses a
-# multiply-add (that would move rounding) and no intrinsic takes a
-# pointer. Comment lines and the lint's keyword table ("unsafe") are not
-# code.
-CRATE_SRC=$(find crates/*/src -name '*.rs' -exec sed -s '/^mod tests/,$d' {} + \
-  | grep -vE '^[[:space:]]*//' | grep -v '"unsafe"')
-WIDE_FNS=$(grep -c '#\[target_feature' <<<"$CRATE_SRC" || true)
-AVX2_ARMS=$(awk '/=>/ { arm = $0 }
-  /(^|[^A-Za-z0-9_])unsafe \{/ && arm ~ /Instance::Avx2 =>/ { n++ }
-  END { print n + 0 }' <<<"$CRATE_SRC")
-if [ "$WIDE_FNS" -eq 0 ] \
-  || grep '#\[target_feature' <<<"$CRATE_SRC" | grep -qvF '#[target_feature(enable = "avx2")]' \
-  || [ "$(grep -cw 'unsafe' <<<"$CRATE_SRC")" -ne "$WIDE_FNS" ] \
-  || [ "$(grep -cE '\bunsafe \{' <<<"$CRATE_SRC")" -ne "$WIDE_FNS" ] \
-  || [ "$AVX2_ARMS" -ne "$WIDE_FNS" ] \
-  || grep -qE 'mul_add|\bfma\b|_fn?m(add|sub)' <<<"$CRATE_SRC" \
-  || grep -qE '_mm[0-9]*_[a-z0-9_]*(load|store|gather|lddqu|prefetch|broadcast_[sp][sd]\b)' <<<"$CRATE_SRC"; then
-  echo "one instance selection: each #[target_feature(enable = \"avx2\")] fn entered from one unsafe block in an Instance::Avx2 arm; no fused multiply-add, no pointer-taking intrinsic under crates/*/src" >&2; exit 1
-fi
+GEMM_COUNTS="$GEMM_MACS:$(grep -cE '^fn tile[<(]' <<<"$GEMM_SRC" || true):$(grep -c ' gemm(' <<<"$GEMM_SRC" || true)"
+grep -rnE --exclude-dir=fixtures 'struct (Compso|Resilience|ControlBlock)\b|ActiveSetting|ThroughputTable|CollectiveKind|OnlineProfiler|pub chunk_elems:|KernelConfig::default\(\)\.chunk_elems|kc\.chunk_elems' \
+  crates src tests examples && fence "a deleted type, field or knob is back"
+grep -rnE 'netmodel|NetworkSpec' crates/comm/src \
+  || grep -rnE '(struct|fn) (CompressorProfile|choose_aggregation|comm_speedup|end_to_end_gain)\b' crates/core/src \
+  || grep -n 'compso-comm' crates/sim/Cargo.toml && fence "a second cost model is back: price in compso-sim only"
+grep -rnE 'BENCH_compress|bench_check|bench_snapshot|COMPSO_BENCH_|criterion' crates shims scripts .github Cargo.toml \
+  --exclude=ci.sh && fence "the snapshot bench, its knobs or the criterion shim is back"
+grep -rn 'OWN_FRAMES' crates src tests examples benchmark/src | grep -v '^crates/core/src/kernels.rs:' \
+  && fence "a second own-frame list: OWN_FRAMES belongs to crates/core/src/kernels.rs"
+[ "$TRAIT_FNS" != "chunk_elems_for compress compress_group compress_group_keyed decompress decompress_group name ratio " ] \
+  && fence "the Compressor trait's methods are now: $TRAIT_FNS"
+{ [ -z "$COMPRESS_SRC" ] || [ -z "$QUANTIZE_SRC" ]; } \
+  && fence "compress_chunked_reconstructing or Quantizer::quantize_with_range not found"
+grep -nE 'filter_chunk|quantize_chunk|serialize_chunk|FilteredChunk|quantize_on_grid' <<<"$COMPRESS_SRC$QUANTIZE_SRC" \
+  && fence "the scalar chunk compressor runs in a production body again"
+[ "$GEMM_COUNTS" != 1:1:5 ] \
+  && fence "matrix.rs: multiply-accumulate lines:fn tile:gemm( calls read $GEMM_COUNTS, not 1:1:5"
 step_end
 
 step_start "gradient sync smoke (tests/grad_sync.rs)"

@@ -162,9 +162,9 @@ fn hop_parts(block: &Range<usize>, pieces: &[usize], last: bool) -> Vec<Range<us
 /// message; the last moves it as its `pieces`, one message each, all
 /// sent before the first is received — the same bytes in the same order
 /// on every link, summed in the same order. With a `codec` each
-/// non-empty, finite piece of the last hop travels as its one-layer
-/// frame (drawing from the sender's generator, in piece order) and its
-/// owner adds the decoded values; every other message is raw f32s.
+/// non-empty piece of the last hop travels as its one-layer frame
+/// (drawing from the sender's generator, in piece order) and its owner
+/// adds the decoded values; every other message is raw f32s.
 /// `on_event` hears [`ReduceEvent::Idle`] after the first hop's sends
 /// and [`ReduceEvent::Landed`] after each own piece is summed (at
 /// `p = 1`: `Idle`, then every piece).
@@ -195,13 +195,8 @@ fn ring_reduce_scatter(
         let recv_block = (r + p - s - 2) % p;
         for part in hop_parts(&ranges[send_block], &pieces[send_block], last) {
             let values = &data[part];
-            // COMPSO's encoder is not total on ±Inf: a piece holding a
-            // non-finite value, like an empty one, goes raw and is summed
-            // as the codec-free ring sums it.
             let payload = match codec.as_mut() {
-                Some((codec, rng))
-                    if last && !values.is_empty() && values.iter().all(|v| v.is_finite()) =>
-                {
+                Some((codec, rng)) if last && !values.is_empty() => {
                     Payload::Bytes(codec.compress_group(&[values], None, rng, comm.recorder()))
                 }
                 _ => Payload::F32(values.to_vec()),
@@ -269,11 +264,10 @@ pub fn reduce_scatter_sum(
 /// owner adds `decompress` of it to its own values. Earlier hops stay
 /// raw, so every value is rounded exactly once, where the §4.3 per-hop
 /// requantization (`compressed_allreduce_mean` in this file's tests)
-/// rounds a sum at every hop. A piece holding ±Inf or NaN travels raw
-/// (COMPSO's encoder is not total on ±Inf). Every rank must pass the
-/// same compressor or none; a frame on any other hop, or one that does
-/// not decode to the piece, is `Protocol`. The codec's spans and
-/// counters go to the communicator's recorder.
+/// rounds a sum at every hop. An empty piece travels raw. Every rank
+/// must pass the same compressor or none; a frame on any other hop, or
+/// one that does not decode to the piece, is `Protocol`. The codec's
+/// spans and counters go to the communicator's recorder.
 ///
 /// Recorded like the all-reduce it is half of: the `comm/allreduce_sum`
 /// span and one `comm/allreduce_calls` per call; a refused call records
@@ -1147,7 +1141,7 @@ mod tests {
                     let tag = format!("p={p} block {q} piece {part:?}");
                     let own = &runs[q].0 .0[part.clone()];
                     let codec_free = &runs[q].1 .0[part.clone()];
-                    if len == 0 || raw.iter().any(|v| !v.is_finite()) {
+                    if len == 0 {
                         // Raw, as without a codec: the same sum bit for bit.
                         sent[sender] += 4 * len as u64;
                         assert_eq!(bits(own), bits(codec_free), "{tag}");

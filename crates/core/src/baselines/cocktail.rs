@@ -13,9 +13,11 @@
 use crate::bitmap::Bitmap;
 use crate::encoders::huffman;
 use crate::kernels::LayerSchedule;
+use crate::quantize::codable_range;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
 use compso_obs::Recorder;
+use compso_tensor::reduce::minmax_flat;
 use compso_tensor::rng::Rng;
 
 /// Sample size used for threshold estimation.
@@ -73,9 +75,11 @@ impl CocktailSgd {
             !keep
         });
 
-        // 8-bit RN quantization of the kept values (symmetric levels).
+        // 8-bit RN quantization of the kept values (symmetric levels),
+        // scaled to the L∞ norm of their codable range: a larger
+        // magnitude takes the top level.
         let levels = (1u32 << (self.bits - 1)) - 1;
-        let scale = compso_tensor::reduce::absmax_flat(&kept);
+        let scale = codable_range(&kept, minmax_flat(&kept)).abs_max();
         let codes: Vec<u8> = if scale > 0.0 {
             let sf = levels as f64 / scale as f64;
             kept.iter()

@@ -7,9 +7,11 @@
 //! SR-based quantization and Elias Encoding".
 
 use crate::kernels::LayerSchedule;
+use crate::quantize::codable_range;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
 use compso_obs::Recorder;
+use compso_tensor::reduce::minmax_flat;
 use compso_tensor::rng::Rng;
 
 /// The QSGD compressor at a fixed bit width.
@@ -123,10 +125,12 @@ impl<'a> BitReader<'a> {
 
 impl Qsgd {
     /// One layer's block: bit width, count, L∞ scale, then the
-    /// gamma-coded levels and sign bits.
+    /// gamma-coded levels and sign bits. The scale is the L∞ norm of the
+    /// layer's [`codable_range`]: a larger magnitude takes the top level,
+    /// NaN level 0.
     pub(crate) fn encode(&self, data: &[f32], rng: &mut Rng) -> Vec<u8> {
         let s = self.levels();
-        let scale = compso_tensor::reduce::absmax_flat(data);
+        let scale = codable_range(data, minmax_flat(data)).abs_max();
         let mut bits = BitWriter::new();
         // An all-zero layer still spends its one bit per element (every
         // level is 0), so the count a block declares is always backed by

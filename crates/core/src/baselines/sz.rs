@@ -18,9 +18,11 @@
 
 use crate::encoders::rans;
 use crate::kernels::LayerSchedule;
+use crate::quantize::codable_range;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer};
 use compso_obs::Recorder;
+use compso_tensor::reduce::minmax_flat;
 use compso_tensor::rng::Rng;
 use compso_tensor::Instance;
 
@@ -59,15 +61,13 @@ fn unzigzag(v: u16) -> i64 {
 
 impl Sz {
     /// One layer's block: count, absolute bound, the rANS-coded
-    /// prediction-error codes, then the raw outliers.
+    /// prediction-error codes, then the raw outliers. The bound is
+    /// relative to the layer's [`codable_range`]; a value no code
+    /// reaches from its prediction — an infinity, and the value after
+    /// it — is an outlier, and NaN takes the prediction.
     pub(crate) fn encode(&self, data: &[f32]) -> Vec<u8> {
-        let mm = compso_tensor::reduce::minmax_flat(data);
-        let range = if data.is_empty() {
-            0.0
-        } else {
-            mm.max - mm.min
-        };
-        let eb = (self.eb_rel * range).max(0.0);
+        let range = codable_range(data, minmax_flat(data));
+        let eb = self.eb_rel * (range.max - range.min);
 
         let mut codes: Vec<u16> = Vec::with_capacity(data.len());
         let mut outliers: Vec<f32> = Vec::new();
@@ -77,7 +77,7 @@ impl Sz {
             for &v in data {
                 let diff = v as f64 - prev;
                 let code = (diff / bin).round_ties_even() as i64;
-                if code.abs() > MAX_CODE {
+                if code.unsigned_abs() > MAX_CODE as u64 {
                     codes.push(OUTLIER);
                     outliers.push(v);
                     prev = v as f64;
@@ -87,11 +87,12 @@ impl Sz {
                 }
             }
         } else {
-            // Degenerate range: all values identical (or empty) — store
-            // the first value as a single outlier.
+            // Degenerate range: every finite value identical (or none) —
+            // store the first value, saturated to the range, as a single
+            // outlier.
             if let Some(&v0) = data.first() {
                 codes.push(OUTLIER);
-                outliers.push(v0);
+                outliers.push(v0.clamp(range.min, range.max));
                 codes.extend(std::iter::repeat_n(zigzag(0), data.len() - 1));
             }
         }

@@ -26,7 +26,7 @@
 use crate::bitpack::{bits_for, split_bias, SPLIT_MIN_WIDTH};
 use crate::encoders::Codec;
 use crate::microkernel::{self, CodeRecord, LaneScratch, SrLane, SR_LANES};
-use crate::quantize::grid;
+use crate::quantize::{codable_range, grid};
 use crate::rounding::RoundingMode;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer, MAX_DECODE_ELEMS};
@@ -290,11 +290,7 @@ fn stage_chunk(
     cfg: &CompsoConfig,
     survivors: &mut Vec<f32>,
 ) -> Staged {
-    let span = if data.is_empty() {
-        0.0
-    } else {
-        range.max - range.min
-    };
+    let span = range.max - range.min;
     let threshold = match cfg.eb_filter {
         Some(ebf) if span > 0.0 => ebf * span,
         _ => 0.0,
@@ -307,17 +303,12 @@ fn stage_chunk(
     } else {
         data.len()
     };
-    let (lo, hi) = if data.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (range.min, range.max)
-    };
-    let (bin_width, n_bins) = grid(cfg.eb_quant, lo, hi, n_kept);
+    let (bin_width, n_bins) = grid(cfg.eb_quant, range.min, range.max, n_kept);
     Staged {
         n: data.len(),
         use_filter,
         bitmap,
-        lo,
+        lo: range.min,
         bin_width,
         n_bins,
         n_kept,
@@ -333,8 +324,6 @@ fn stage_chunk(
 /// the decoder dequantizes them ([`microkernel::dequantize_codes`]), `lo`
 /// for a constant chunk, a filtered chunk's values scattered by its
 /// bitmap ([`microkernel::scatter_kept`]) with 0.0 where one was dropped.
-/// A window is handed in only where the layer's range is finite: the
-/// decoder refuses any other header, so no value would stand for it.
 fn finish_chunk(
     st: Staged,
     codes: &[u32],
@@ -565,11 +554,10 @@ pub fn compress_chunked(
     compress_chunked_reconstructing(layers, cfg, kc, schedule, rng, rec, false).0
 }
 
-/// [`compress_chunked`], and — when `reconstruct`, the fused kernels run
-/// and every layer's range is finite (`max − min`, so the decoder accepts
-/// every header) — the values [`decompress_chunked`] gives the stream,
-/// one buffer per layer, written by the chunk sweep as it writes the
-/// codes (see [`finish_chunk`]).
+/// [`compress_chunked`], and — when `reconstruct` and the fused kernels
+/// run — the values [`decompress_chunked`] gives the stream, one buffer
+/// per layer, written by the chunk sweep as it writes the codes (see
+/// [`finish_chunk`]).
 fn compress_chunked_reconstructing(
     layers: &[&[f32]],
     cfg: &CompsoConfig,
@@ -591,22 +579,16 @@ fn compress_chunked_reconstructing(
         "{n} elements is a stream the decoder refuses"
     );
 
-    // Pass 1: per-layer extrema. min/max skip NaN, so an all-NaN layer
-    // comes back unordered like an empty one; both take the [0, 0] range
-    // (no filter, zero bins) the chunk kernels give an empty chunk.
+    // Pass 1: per-layer extrema, each layer's codable range.
     let ranges: Vec<MinMax> = layers
         .iter()
         .map(|l| {
-            let mm = if kc.hierarchical_extrema {
+            let scan = if kc.hierarchical_extrema {
                 minmax_hierarchical(l)
             } else {
                 minmax_flat(l)
             };
-            if mm.min > mm.max {
-                MinMax { min: 0.0, max: 0.0 }
-            } else {
-                mm
-            }
+            codable_range(l, scan)
         })
         .collect();
 
@@ -637,7 +619,7 @@ fn compress_chunked_reconstructing(
                 .collect();
             runs.into_iter().flatten().collect()
         };
-        if reconstruct && ranges.iter().all(|r| (r.max - r.min).is_finite()) {
+        if reconstruct {
             let (layers, outs) =
                 with_chunk_windows(&schedule.layer_sizes, schedule.chunk_elems, |windows| {
                     sweep(Some(windows))
@@ -1599,14 +1581,8 @@ mod tests {
         let sizes: Vec<usize> = layers.iter().map(|l| l.len()).collect();
         let schedule = LayerSchedule::build(&sizes, 16 * 1024);
         let rng = Rng::new(4);
-        let ranges: Vec<MinMax> = (layers.iter().map(|l| minmax_flat(l)))
-            .map(|mm| {
-                if mm.min > mm.max {
-                    MinMax { min: 0.0, max: 0.0 }
-                } else {
-                    mm
-                }
-            })
+        let ranges: Vec<MinMax> = (layers.iter())
+            .map(|l| codable_range(l, minmax_flat(l)))
             .collect();
         let modes = [
             RoundingMode::Nearest,
@@ -1654,7 +1630,7 @@ mod tests {
             vec![0.0, 1e-44, 4e-45], // subnormal span: eb × range underflows
         ];
         for data in &datasets {
-            let range = minmax_flat(data);
+            let range = codable_range(data, minmax_flat(data));
             for mode in [
                 RoundingMode::Nearest,
                 RoundingMode::Stochastic,
@@ -1751,7 +1727,7 @@ mod tests {
             } else {
                 CompsoConfig::conservative(eb)
             };
-            let range = minmax_flat(&data);
+            let range = codable_range(&data, minmax_flat(&data));
             let mut rng = Rng::new(seed ^ 0x51);
             let out = compress_chunk_fast(&data, range, &cfg, &mut rng);
             let c = ChunkDesc { layer: 0, offset: 0, len: n };
@@ -1851,13 +1827,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
         /// A run of 1 to 9 chunks — 0, 1, 3, ragged or 16 Ki values, a
-        /// few NaN, some chunks ±∞ (no bins), at a bound of 1 to 2²⁰
+        /// few NaN, in some chunks +∞ instead, at a bound of 1 to 2²⁰
         /// bins — through [`compress_chunks`] on every instance this host
-        /// runs, against the scalar helpers one chunk at a time: the same
-        /// bitmap and record per chunk, and every chunk's stream left at
-        /// the same position. The lanes refill across chunk boundaries and
-        /// the last chunks finish alone, so every run length takes a
-        /// different path through them.
+        /// runs, against the scalar helpers one chunk at a time over each
+        /// chunk's codable range: the same bitmap and record per chunk,
+        /// every chunk's stream left at the same position, and its window
+        /// holding what the decoder gives its record. The lanes refill
+        /// across chunk boundaries and the last chunks finish alone, so
+        /// every run length takes a different path through them.
         #[test]
         fn prop_chunk_runs_match_the_scalar_chunks(
             seed in proptest::prelude::any::<u64>(),
@@ -1882,9 +1859,9 @@ mod tests {
             } else {
                 CompsoConfig::conservative(eb)
             };
-            // `compress_chunked`'s range: an all-NaN or empty chunk's is [0, 0].
-            let ranges: Vec<MinMax> = (data.iter().map(|d| minmax_flat(d)))
-                .map(|mm| if mm.min > mm.max { MinMax { min: 0.0, max: 0.0 } } else { mm })
+            // `compress_chunked`'s range: each chunk's codable range.
+            let ranges: Vec<MinMax> = (data.iter())
+                .map(|d| codable_range(d, minmax_flat(d)))
                 .collect();
             let base = Rng::new(seed ^ 0xC4);
             let want: Vec<(ChunkOut, u64)> = (data.iter().zip(&ranges).enumerate())
@@ -1901,7 +1878,7 @@ mod tests {
                         data: d,
                         range,
                         rng: base.fork(i as u64),
-                        out: (range.max - range.min).is_finite().then_some(&mut w[..]),
+                        out: Some(&mut w[..]),
                     })
                     .collect();
                 let outs = compress_chunks(&mut jobs, &cfg, inst);
@@ -1911,22 +1888,15 @@ mod tests {
                     proptest::prop_assert_eq!(&out.bitmap, &reference.bitmap, "{}", what);
                     proptest::prop_assert_eq!(&out.record, &reference.record, "{}", what);
                     proptest::prop_assert_eq!(out.codes_len, reference.codes_len, "{}", what);
-                    // A finite-range chunk's window holds the decoder's
-                    // values of its record.
-                    if let Some(window) = jobs[i].out.as_deref() {
-                        let c = ChunkDesc { layer: 0, offset: 0, len: data[i].len() };
-                        let decoded = decompress_chunk(&c, out.codes(), out.planes(), &out.bitmap);
-                        let decoded = decoded.expect("a finite-range record decodes");
-                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        proptest::prop_assert_eq!(bits(window), bits(&decoded), "{}", what);
-                    }
-                    // With no bins nothing is drawn, where the scalar
-                    // quantizer still draws over an infinite range; the
-                    // stream is the chunk's own either way.
-                    let n_bins = u32::from_le_bytes(out.record[17..21].try_into().unwrap());
-                    if n_bins > 0 {
-                        proptest::prop_assert_eq!(jobs[i].rng.next_u64(), *next, "{}", what);
-                    }
+                    // Every chunk's window holds the decoder's values of
+                    // its record.
+                    let window = jobs[i].out.as_deref().expect("every chunk has a window");
+                    let c = ChunkDesc { layer: 0, offset: 0, len: data[i].len() };
+                    let decoded = decompress_chunk(&c, out.codes(), out.planes(), &out.bitmap);
+                    let decoded = decoded.expect("every record decodes");
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(bits(window), bits(&decoded), "{}", what);
+                    proptest::prop_assert_eq!(jobs[i].rng.next_u64(), *next, "{}", what);
                 }
             }
         }
@@ -2658,23 +2628,6 @@ mod tests {
 
         fn group(seed: u64) -> Vec<Vec<f32>> {
             generate_layers(&[3000, 0, 700], seed, GradientProfile::kfac())
-        }
-
-        #[test]
-        fn an_infinite_layer_leaves_no_entry_and_decodes_as_the_decoder_does() {
-            on_fresh_thread(|| {
-                let c = ChunkedCompso::default();
-                for poison in [f32::INFINITY, f32::NEG_INFINITY] {
-                    let mut layers = group(1);
-                    layers[2][5] = poison;
-                    let bytes = compress_scheduled(&c, &layers, 2);
-                    assert_eq!(held(), 0, "{poison}");
-                    let (out, hits, decodes) = decode(&c, &bytes);
-                    assert_eq!((hits, decodes), (0, 1), "{poison}");
-                    assert_eq!(out, decompress_chunked(&bytes, &Recorder::disabled()));
-                    assert!(out.is_err(), "{poison}: the decoder refuses the header");
-                }
-            });
         }
 
         #[test]

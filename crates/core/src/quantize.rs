@@ -14,6 +14,7 @@ use crate::rounding::RoundingMode;
 use crate::wire::Writer;
 #[cfg(test)]
 use crate::wire::{Reader, WireError};
+use compso_tensor::reduce::{minmax_flat, MinMax};
 use compso_tensor::rng::Rng;
 
 /// The grid of a bound `eb` over `[lo, hi]` for `n` values: the bin
@@ -39,6 +40,36 @@ pub(crate) fn grid(eb: f32, lo: f32, hi: f32, n: usize) -> (f32, u32) {
     };
     assert!(bin_width > 0.0, "error bound collapsed to zero");
     (bin_width, (range as f64 / bin_width as f64).ceil() as u32)
+}
+
+/// The range a codec codes `data` over, from `scan`, a min/max scan of
+/// it: the min and max of its finite values, `[0, 0]` where it has none
+/// (empty, all NaN, all ±Inf), and both ends clamped to ±`f32::MAX / 2`
+/// where their span overflows, so `hi − lo` is always finite and every
+/// header an encoder derives from it decodes. The quantizers saturate a
+/// value outside the range to its nearer end and give NaN the lowest
+/// code (DESIGN.md §9.7). A finite `scan` span is the range as it
+/// stands, so only a layer holding an infinity (or nothing but NaN) is
+/// scanned again.
+pub(crate) fn codable_range(data: &[f32], scan: MinMax) -> MinMax {
+    if (scan.max - scan.min).is_finite() {
+        return scan;
+    }
+    let (min, max) = (data.iter().filter(|x| x.is_finite()))
+        .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &x| {
+            (lo.min(x), hi.max(x))
+        });
+    if min > max {
+        MinMax { min: 0.0, max: 0.0 }
+    } else if (max - min).is_finite() {
+        MinMax { min, max }
+    } else {
+        let half = f32::MAX / 2.0;
+        MinMax {
+            min: min.max(-half),
+            max: max.min(half),
+        }
+    }
 }
 
 /// An error-bounded uniform quantizer with a pluggable rounding mode.
@@ -73,15 +104,10 @@ impl Quantizer {
         Quantizer { eb, mode }
     }
 
-    /// Quantizes `data`, computing the range internally.
+    /// Quantizes `data` over its [`codable_range`].
     pub fn quantize(&self, data: &[f32], rng: &mut Rng) -> Quantized {
-        let mm = compso_tensor::reduce::minmax_flat(data);
-        let (lo, hi) = if data.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (mm.min, mm.max)
-        };
-        self.quantize_with_range(data, lo, hi, rng)
+        let range = codable_range(data, minmax_flat(data));
+        self.quantize_with_range(data, range.min, range.max, rng)
     }
 
     /// Quantizes `data` against an externally supplied range with
@@ -370,13 +396,14 @@ mod tests {
 
     #[test]
     fn quantizer_rounds_as_the_scalar_oracle_on_its_grid() {
-        // Codes and RNG position against `quantize_on_grid`, for every
-        // mode: a wide range, a subnormal one, an infinite one (no bins,
-        // yet SR still draws per value) and a constant block (no draws).
+        // Codes and RNG position against `quantize_on_grid` over the
+        // codable range, for every mode: a wide range, a subnormal one,
+        // one holding ±Inf (coded over its finite values, the infinities
+        // saturating) and a constant block (no draws).
         let datasets = [
             sample_data(5000, 19, -2.0, 3.0),
             vec![0.0, 1e-44, 4e-45],
-            vec![1.0, f32::INFINITY, -1.0],
+            vec![1.0, f32::INFINITY, -1.0, f32::NEG_INFINITY, 0.25],
             vec![0.5; 9],
         ];
         for data in &datasets {
@@ -387,7 +414,7 @@ mod tests {
             ] {
                 let (mut rng, mut rng_ref) = (Rng::new(20), Rng::new(20));
                 let got = Quantizer::relative(2e-3, mode).quantize(data, &mut rng);
-                let mm = compso_tensor::reduce::minmax_flat(data);
+                let mm = codable_range(data, minmax_flat(data));
                 let (bin_width, n_bins) = grid(2e-3, mm.min, mm.max, data.len());
                 let want = if bin_width > 0.0 {
                     quantize_on_grid(data, mm.min, bin_width, n_bins, mode, &mut rng_ref)
@@ -404,6 +431,30 @@ mod tests {
                 assert_eq!(rng.next_u64(), rng_ref.next_u64(), "{mode:?} RNG position");
             }
         }
+    }
+
+    #[test]
+    fn the_codable_range_spans_the_finite_values_and_stays_finite() {
+        let range = |data: &[f32]| {
+            let r = codable_range(data, minmax_flat(data));
+            (r.min, r.max)
+        };
+        let (inf, nan, max) = (f32::INFINITY, f32::NAN, f32::MAX);
+        assert_eq!(range(&[0.5, -2.0, 3.0]), (-2.0, 3.0));
+        assert_eq!(range(&[-1.0, max]), (-1.0, max), "a finite span stays");
+        for none in [
+            &[][..],
+            &[nan, nan],
+            &[inf, inf],
+            &[-inf],
+            &[inf, nan, -inf],
+        ] {
+            assert_eq!(range(none), (0.0, 0.0), "{none:?}");
+        }
+        assert_eq!(range(&[1.0, inf, nan, -1.0, -inf]), (-1.0, 1.0));
+        assert_eq!(range(&[max, 0.0, f32::MIN]), (-max / 2.0, max / 2.0));
+        assert_eq!(range(&[max, -0.75 * max]), (-max / 2.0, max / 2.0));
+        assert_eq!(range(&[0.75 * max, -0.4 * max]), (-0.4 * max, max / 2.0));
     }
 
     #[test]

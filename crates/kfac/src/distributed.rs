@@ -17,11 +17,11 @@
 //!    bytes, a tiling compressor's step also compresses that last hop,
 //!    and only it: each layer bound for its owner travels as one frame
 //!    of the step's codec, so every value is rounded once — unlike the
-//!    per-hop requantization §4.3 warns of — and a layer holding ±Inf or
-//!    NaN travels raw. The owner's means stay in the buffer; the model
-//!    keeps each rank's local gradients until step 6 overwrites them.
-//!    Trainable layers without K-FAC statistics (`LayerNorm`) ride at
-//!    the buffer's end and keep an `allreduce_mean` of their own. The
+//!    per-hop requantization §4.3 warns of. The owner's means stay in
+//!    the buffer; the model keeps each rank's local gradients until
+//!    step 6 overwrites them. Trainable layers without K-FAC statistics
+//!    (`LayerNorm`) ride at the buffer's end and keep an
+//!    `allreduce_mean` of their own. The
 //!    reduce's waits are not idle: step 3's fold runs while the first
 //!    hop drains, and step 4's preconditioning of an owned layer runs
 //!    the moment the layer lands (below);
@@ -208,8 +208,6 @@ type Decoded = Result<Vec<(usize, Matrix)>, CompressError>;
 
 /// What step 5 hands to step 6.
 struct Gathered {
-    /// This rank's preconditioned gradients, in layer order.
-    owned: Vec<(usize, Matrix)>,
     /// Clean copy of the frames this rank sent: the source of its own
     /// decode and the ladder's rung-1 resend body.
     clean: Vec<u8>,
@@ -773,11 +771,7 @@ impl DistKfac {
         stats.gather_bytes_original += elems as u64 * 4;
         // The canonical wire payload: the frames, however spread over slots.
         stats.gather_bytes_wire += clean.len() as u64;
-        Ok(Gathered {
-            owned,
-            clean,
-            results,
-        })
+        Ok(Gathered { clean, results })
     }
 
     /// (6) Complete every rank's contribution — our own decodes from the
@@ -847,7 +841,9 @@ impl DistKfac {
     /// status exchange tells every rank which (requester, origin) pairs
     /// need repair — the schedule stays deterministic, so the
     /// point-to-point repair handshakes cannot deadlock. What is still an
-    /// `Err` afterwards takes rung 3 at install.
+    /// `Err` afterwards takes rung 3 at install. Every codec encodes
+    /// every f32, so this rank's own clean frames decode; where they do
+    /// not, the step is `Protocol`.
     fn repair(
         &mut self,
         comm: &mut Communicator,
@@ -859,15 +855,13 @@ impl DistKfac {
         let (me, p, m) = (comm.rank(), comm.size(), plan.m);
         let plane = comm.fault_plane().clone();
         let rec = &self.recorder;
-        gathered.results[me] = decode_run(&gathered.clean, &plan.expected[me], m, compressor, rec);
+        let mine = decode_run(&gathered.clean, &plan.expected[me], m, compressor, rec)
+            .map_err(|_| protocol("own clean frames that decode"))?;
         let failed = |r: &Decoded| u8::from(r.is_err());
         let needs: Vec<u8> = gathered.results.iter().map(failed).collect();
-        for (r, &n) in needs.iter().enumerate() {
-            if n == 1 {
-                debug_assert_ne!(r, me, "own clean payload failed to decode");
-                rec.incr(names::KFAC_DEGRADE_CHECKSUM_FAILURES);
-                rec.incr(names::KFAC_DEGRADE_REPAIR_REQUESTS);
-            }
+        for _ in needs.iter().filter(|&&n| n == 1) {
+            rec.incr(names::KFAC_DEGRADE_CHECKSUM_FAILURES);
+            rec.incr(names::KFAC_DEGRADE_REPAIR_REQUESTS);
         }
         let statuses = {
             let _repair_span = rec.span(names::COMM_ALLGATHER_REPAIR);
@@ -878,7 +872,7 @@ impl DistKfac {
         };
         // The rung-2 bytes, built once on first use: the values *I
         // installed* — decoded, not raw — so a rung-2 repair keeps
-        // replicas consistent. The walk below never rewrites my own slot.
+        // replicas consistent.
         let mut rung2_clean: Option<Vec<u8>> = None;
         // Walk every (origin, requester) repair pair in the SAME global
         // order on every rank. Each handshake involves exactly two ranks
@@ -903,10 +897,7 @@ impl DistKfac {
                     if ack.first() != Some(&1) {
                         // Rung 2: uncompressed resend.
                         let mut r2 = rung2_clean
-                            .get_or_insert_with(|| {
-                                let mine = &gathered.results[me];
-                                frame_checksummed(&flatten_entries(mine, &gathered.owned))
-                            })
+                            .get_or_insert_with(|| frame_checksummed(&flatten_entries(&mine)))
                             .clone();
                         plane.maybe_corrupt_repair(me, q, step_idx, 2, &mut r2);
                         comm.send(q, Payload::Bytes(r2))?;
@@ -933,6 +924,7 @@ impl DistKfac {
                 }
             }
         }
+        gathered.results[me] = Ok(mine);
         Ok(())
     }
 
@@ -1160,16 +1152,11 @@ fn decode_uncompressed(frame: &[u8], expected: &[LayerShape]) -> Decoded {
     Ok(expected.iter().map(layer).collect())
 }
 
-/// Serializes the values this rank *installed* for its owned layers (the
-/// decoded, possibly-lossy entries when its own decode succeeded, the raw
-/// preconditioned matrices otherwise) as raw little-endian f32s — the
-/// rung-2 repair body. Sending installed values keeps a repaired replica
-/// bit-identical to the origin.
-fn flatten_entries(result: &Decoded, owned: &[(usize, Matrix)]) -> Vec<u8> {
-    let entries: &[(usize, Matrix)] = match result {
-        Ok(entries) => entries,
-        Err(_) => owned,
-    };
+/// Serializes the values this rank *installed* for its owned layers (its
+/// own decode of its frames, possibly lossy) as raw little-endian f32s —
+/// the rung-2 repair body. Sending installed values keeps a repaired
+/// replica bit-identical to the origin.
+fn flatten_entries(entries: &[(usize, Matrix)]) -> Vec<u8> {
     let floats = entries.iter().flat_map(|(_, m)| m.as_slice());
     floats.flat_map(|v| v.to_le_bytes()).collect()
 }

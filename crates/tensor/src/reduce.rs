@@ -60,12 +60,12 @@ pub fn minmax_flat(xs: &[f32]) -> MinMax {
 ///
 /// Eight independent accumulator lanes strip-mine the slice (breaking the
 /// serial min/max dependency chain so the ALUs pipeline), then the lanes
-/// and the scalar remainder merge in a fixed order. `min`/`max` are
-/// commutative and associative over the totally-ordered non-NaN floats,
-/// so the result is value-identical to [`minmax_flat`] — the retained
-/// scalar oracle — for every input the pipeline feeds it (gradients are
-/// NaN-free by construction; `prop_minmax_lanes_matches_flat` pins the
-/// equivalence, signed zeros included).
+/// and the scalar remainder merge in a fixed order. `f32::min`/`max`
+/// skip a NaN operand and are commutative and associative over the
+/// others, so the result is value-identical to [`minmax_flat`] — the
+/// retained scalar oracle — for every input, NaN included
+/// (`prop_minmax_lanes_matches_flat` pins the equivalence, signed zeros
+/// included).
 pub(crate) fn minmax_lanes(xs: &[f32]) -> MinMax {
     let mut lo = [f32::INFINITY; 8];
     let mut hi = [f32::NEG_INFINITY; 8];
@@ -157,21 +157,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Lane-vs-flat value identity over arbitrary finite floats,
-        /// signed zeros and subnormals included (NaN excluded: min/max
-        /// over NaN is not order-independent, and the pipeline never
-        /// feeds NaN gradients).
+        /// Lane-vs-flat value identity over arbitrary floats: NaN (which
+        /// `f32::min`/`max` skip, so the lane order cannot matter), ±Inf,
+        /// signed zeros and subnormals included.
         #[test]
         fn prop_minmax_lanes_matches_flat(
             bits in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..600),
         ) {
-            let xs: Vec<f32> = bits
-                .iter()
-                .map(|&b| {
-                    let v = f32::from_bits(b);
-                    if v.is_nan() { 0.0 } else { v }
-                })
-                .collect();
+            let xs: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
             proptest::prop_assert_eq!(minmax_lanes(&xs), minmax_flat(&xs));
         }
     }

@@ -11,8 +11,9 @@
 //! installs what preconditioning after the reduce did — and never on a
 //! refresh step or after an epoch change. On a priced wire the reduce's
 //! owner-bound hop carries the step's tiling codec: replicas stay
-//! identical, that hop's bytes shrink, and a resume from a save replays
-//! the codec's draws.
+//! identical, that hop's bytes shrink, a resume from a save replays
+//! the codec's draws, and one rank's +Inf gradients are coded like any
+//! value.
 
 use compso::comm::collectives::reduce_scatter_sum;
 use compso::comm::{run_ranks, run_ranks_elastic, run_ranks_with, CommConfig, Communicator};
@@ -311,6 +312,45 @@ fn a_priced_wire_compresses_the_owner_bound_hop_and_resumes_exactly() {
             assert_eq!(params, &coded[r].1, "{ranks} ranks: rank {r} after resume");
             assert_eq!(trail[STEPS - 1].0, coded[r].0[STEPS - 1].0, "{ranks} ranks");
         }
+    }
+}
+
+#[test]
+fn an_infinite_gradient_on_one_rank_is_coded_like_any_value() {
+    // Rank 0 writes +Inf into the first element of every K-FAC layer's
+    // gradient. The owner-bound hop and the gather code it as they code
+    // any value: no rank panics, both install the same gradients, and
+    // no rung of the degradation ladder runs.
+    let d = data::gaussian_blobs(320, 24, 3, 0.3, 99);
+    let codec = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+    let results = run_ranks_with(2, FaultPlane::disabled(), priced_wire(), |comm| {
+        let rec = Recorder::enabled();
+        let shard = d.shard(comm.rank(), 2);
+        let mut model = wide_mlp(37);
+        let mut opt = DistKfac::new(config(), 7);
+        opt.set_recorder(rec.clone());
+        backward(&mut model, &shard, 0);
+        let kfac = model.kfac_indices();
+        if comm.rank() == 0 {
+            for &idx in &kfac {
+                let grad = model.layer_mut(idx).grads_mut().expect("gradient");
+                grad.as_mut_slice()[0] = f32::INFINITY;
+            }
+        }
+        let step = opt.step(comm, &mut model, &codec).map(|_| ());
+        let snap = rec.snapshot();
+        let degrade: Vec<(String, u64)> = (snap.counters.into_iter())
+            .filter(|(name, _)| name.starts_with("kfac/degrade/"))
+            .collect();
+        (step, grad_bits(&model, &kfac), degrade)
+    });
+    for (r, (step, grads, degrade)) in results.iter().enumerate() {
+        assert!(step.is_ok(), "rank {r}: {step:?}");
+        assert_eq!(grads, &results[0].1, "rank {r} installed other gradients");
+        assert!(
+            degrade.iter().all(|(_, n)| *n == 0),
+            "rank {r}: {degrade:?}"
+        );
     }
 }
 

@@ -25,6 +25,10 @@ fn layers(seed: u64) -> Vec<Vec<f32>> {
         *v = f32::NAN;
     }
     let wide: Vec<f32> = (0..3 * TILE).map(|_| rng.range_f32(-10.0, 10.0)).collect();
+    // Coded over its finite values, the infinities saturating.
+    let mut with_inf: Vec<f32> = (0..1500).map(|_| rng.laplace(0.01)).collect();
+    with_inf[100] = f32::INFINITY;
+    with_inf[1200] = f32::NEG_INFINITY;
     vec![
         split,
         Vec::new(),
@@ -34,6 +38,8 @@ fn layers(seed: u64) -> Vec<Vec<f32>> {
         // `eb × range` underflows: the bin width is the least subnormal.
         vec![0.0, 1e-44, 4e-45, 1e-45],
         wide,
+        with_inf,
+        vec![f32::INFINITY; 50],
     ]
 }
 
@@ -84,7 +90,7 @@ fn a_handed_back_group_equals_a_cold_decode_bit_for_bit() {
                 .join()
                 .expect("the cold decode does not panic")
         })
-        .expect("a finite group decodes");
+        .expect("every group decodes");
 
         let rec = Recorder::enabled();
         let own = c

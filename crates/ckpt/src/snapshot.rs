@@ -39,7 +39,7 @@ pub enum Dtype {
 
 impl Dtype {
     /// Stable wire id.
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             Dtype::F32 => 0,
             Dtype::F64 => 1,
@@ -48,7 +48,7 @@ impl Dtype {
     }
 
     /// Inverse of [`Dtype::tag`].
-    pub fn from_tag(tag: u8) -> Option<Dtype> {
+    pub(crate) fn from_tag(tag: u8) -> Option<Dtype> {
         match tag {
             0 => Some(Dtype::F32),
             1 => Some(Dtype::F64),
@@ -58,7 +58,7 @@ impl Dtype {
     }
 
     /// Bytes per element.
-    pub fn width(self) -> usize {
+    pub(crate) fn width(self) -> usize {
         match self {
             Dtype::F32 => 4,
             Dtype::F64 | Dtype::U64 => 8,
@@ -85,7 +85,7 @@ impl TensorData {
     }
 
     /// Element count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             TensorData::F32(v) => v.len(),
             TensorData::F64(v) => v.len(),
@@ -93,15 +93,10 @@ impl TensorData {
         }
     }
 
-    /// True when the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Little-endian raw bytes — the payload of a tensor in the `0xCB`
     /// blob. Bit-exact by construction: no float formatting, no
     /// rounding, just the IEEE words.
-    pub fn raw_bytes(&self) -> Vec<u8> {
+    pub(crate) fn raw_bytes(&self) -> Vec<u8> {
         match self {
             TensorData::F32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
             TensorData::F64(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
@@ -111,7 +106,7 @@ impl TensorData {
 
     /// Inverse of [`TensorData::raw_bytes`]; errors when the byte length
     /// is not a multiple of the element width.
-    pub fn from_raw(dtype: Dtype, bytes: &[u8]) -> Result<TensorData, CkptError> {
+    pub(crate) fn from_raw(dtype: Dtype, bytes: &[u8]) -> Result<TensorData, CkptError> {
         if !bytes.len().is_multiple_of(dtype.width()) {
             return Err(CkptError::Corrupt("tensor byte length vs dtype width"));
         }

@@ -72,12 +72,6 @@ pub(crate) fn payload_crc(p: &Payload) -> u32 {
             feed(&[0x02]);
             feed(v);
         }
-        Payload::Sizes(v) => {
-            feed(&[0x03]);
-            for x in v {
-                feed(&x.to_le_bytes());
-            }
-        }
     }
     !crc
 }
@@ -334,7 +328,8 @@ mod tests {
             comm.set_recorder(rec_ref.clone());
             if comm.rank() == 0 {
                 for i in 0..n_msgs {
-                    comm.send(1, Payload::Sizes(vec![i, i * i])).unwrap();
+                    let body = [i.to_le_bytes(), (i * i).to_le_bytes()].concat();
+                    comm.send(1, Payload::Bytes(body)).unwrap();
                 }
                 // Stay alive until the receiver confirms delivery, so
                 // late NACKs still find a live sender.
@@ -342,7 +337,10 @@ mod tests {
                 Vec::new()
             } else {
                 let got: Vec<u64> = (0..n_msgs)
-                    .map(|_| comm.recv(0).unwrap().try_sizes().unwrap()[0])
+                    .map(|_| {
+                        let body = comm.recv(0).unwrap().try_bytes().unwrap();
+                        u64::from_le_bytes(body[..8].try_into().unwrap())
+                    })
                     .collect();
                 comm.barrier().unwrap();
                 got

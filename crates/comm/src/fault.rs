@@ -82,11 +82,11 @@ pub struct FaultConfig {
     /// Crash `(rank, step)`: that rank panics at the top of that step
     /// (0-based), exercising group poisoning.
     pub crash_at: Option<(usize, u64)>,
-    /// How many repair rungs get their resends corrupted. `0` (default)
-    /// leaves repair traffic pristine; `1` corrupts the rung-1 compressed
-    /// resend (forcing the ladder down to the uncompressed rung); `2`
-    /// corrupts the uncompressed resend as well, forcing the bottom rung
-    /// (last-good / plain-SGD fallback).
+    /// How many repair rungs get their resends corrupted. Both rungs
+    /// resend the origin's clean frames. `0` (default) leaves repair
+    /// traffic pristine; `1` corrupts the first resend (forcing the
+    /// ladder down to rung 2); `2` corrupts the second as well, forcing
+    /// the bottom rung (last-good / plain-SGD fallback).
     pub corrupt_repair_rungs: u8,
 }
 
@@ -170,8 +170,8 @@ impl FaultPlane {
 
     /// Origin-side corruption of a degradation-ladder repair resend:
     /// flips one deterministic bit of `payload` when the campaign corrupts
-    /// rung `rung` (1 = compressed resend, 2 = uncompressed resend) and
-    /// counts the injection. Deterministic in `(origin, requester, step,
+    /// rung `rung` (1 = first resend, 2 = second resend) and counts the
+    /// injection. Deterministic in `(origin, requester, step,
     /// rung)`, always fires when armed — repair corruption exists to march
     /// tests down the ladder, not to model a probabilistic channel.
     pub fn maybe_corrupt_repair(
@@ -332,11 +332,6 @@ pub(crate) fn flip_payload_bit(p: &mut Payload, hash: u64) {
             let i = bit / 32;
             v[i] = f32::from_bits(v[i].to_bits() ^ (1 << (bit % 32)));
         }
-        Payload::Sizes(v) => {
-            let bit = (hash % (v.len() as u64 * 64)) as usize;
-            let i = bit / 64;
-            v[i] ^= 1 << (bit % 64);
-        }
     }
 }
 
@@ -452,7 +447,7 @@ mod tests {
         assert!(!off.maybe_corrupt_repair(0, 1, 0, 1, &mut buf));
         assert!(!off.maybe_corrupt_repair(0, 1, 0, 2, &mut buf));
         assert_eq!(buf, vec![0u8; 32]);
-        // Rung 1 only: compressed resends flip, uncompressed do not.
+        // Rung 1 only: first resends flip, second ones do not.
         let one = mk(1);
         assert!(one.maybe_corrupt_repair(0, 1, 0, 1, &mut buf));
         let mut buf2 = vec![0u8; 32];

@@ -43,15 +43,14 @@ const MIN_BLOCK: Duration = Duration::from_micros(50);
 /// A message exchanged between ranks.
 ///
 /// Typed variants avoid round-tripping gradient buffers through byte
-/// serialization; compressed traffic travels as `Bytes`.
+/// serialization; compressed traffic and control metadata travel as
+/// `Bytes`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
     /// A dense f32 buffer (gradients, covariance factors).
     F32(Vec<f32>),
-    /// An opaque compressed byte stream.
+    /// An opaque byte stream: compressed frames or control metadata.
     Bytes(Vec<u8>),
-    /// Small control metadata (e.g. per-rank block sizes).
-    Sizes(Vec<u64>),
 }
 
 impl Payload {
@@ -71,20 +70,11 @@ impl Payload {
         }
     }
 
-    /// Unwraps a size vector; a different variant is a protocol error.
-    pub fn try_sizes(self) -> Result<Vec<u64>, CommError> {
-        match self {
-            Payload::Sizes(v) => Ok(v),
-            _ => Err(CommError::Protocol { expected: "Sizes" }),
-        }
-    }
-
     /// Number of wire bytes this payload represents (for traffic counters).
     pub(crate) fn wire_bytes(&self) -> usize {
         match self {
             Payload::F32(v) => v.len() * 4,
             Payload::Bytes(v) => v.len(),
-            Payload::Sizes(v) => v.len() * 8,
         }
     }
 }
@@ -925,18 +915,18 @@ mod tests {
     fn messages_from_distinct_sources_do_not_mix() {
         let results = run_ranks(3, |comm| match comm.rank() {
             0 => {
-                comm.send(2, Payload::Sizes(vec![0])).unwrap();
+                comm.send(2, Payload::Bytes(vec![0])).unwrap();
                 0
             }
             1 => {
-                comm.send(2, Payload::Sizes(vec![1])).unwrap();
+                comm.send(2, Payload::Bytes(vec![1])).unwrap();
                 0
             }
             _ => {
                 // Receive in the opposite order of likely arrival; per-source
                 // channels mean ordering across sources cannot interfere.
-                let from1 = comm.recv(1).unwrap().try_sizes().unwrap();
-                let from0 = comm.recv(0).unwrap().try_sizes().unwrap();
+                let from1 = comm.recv(1).unwrap().try_bytes().unwrap();
+                let from0 = comm.recv(0).unwrap().try_bytes().unwrap();
                 (from0[0] * 10 + from1[0]) as i32
             }
         });
@@ -947,17 +937,17 @@ mod tests {
     fn fifo_per_channel() {
         let results = run_ranks(2, |comm| {
             if comm.rank() == 0 {
-                for i in 0..10u64 {
-                    comm.send(1, Payload::Sizes(vec![i])).unwrap();
+                for i in 0..10u8 {
+                    comm.send(1, Payload::Bytes(vec![i])).unwrap();
                 }
                 Vec::new()
             } else {
                 (0..10)
-                    .map(|_| comm.recv(0).unwrap().try_sizes().unwrap()[0])
+                    .map(|_| comm.recv(0).unwrap().try_bytes().unwrap()[0])
                     .collect()
             }
         });
-        assert_eq!(results[1], (0..10).collect::<Vec<u64>>());
+        assert_eq!(results[1], (0..10).collect::<Vec<u8>>());
     }
 
     #[test]
@@ -1019,10 +1009,6 @@ mod tests {
             Payload::F32(vec![]).try_bytes(),
             Err(CommError::Protocol { expected: "Bytes" })
         );
-        assert_eq!(
-            Payload::Bytes(vec![]).try_sizes(),
-            Err(CommError::Protocol { expected: "Sizes" })
-        );
     }
 
     #[test]
@@ -1032,7 +1018,7 @@ mod tests {
                 // Never send, but stay alive past rank 1's deadline so
                 // the failure is a timeout, not a disconnect.
                 std::thread::sleep(Duration::from_millis(150));
-                Ok(Payload::Sizes(vec![]))
+                Ok(Payload::Bytes(vec![]))
             } else {
                 let short = CommConfig {
                     recv_timeout: Duration::from_millis(50),

@@ -1070,6 +1070,16 @@ pub fn decompress_chunked(bytes: &[u8], rec: &Recorder) -> Result<Vec<Vec<f32>>,
     result
 }
 
+/// The next stream block of a 0xC6 frame, refused unless its own codec
+/// tag is the one the frame's header names.
+fn stream_block<'a>(r: &mut Reader<'a>, codec: Codec) -> Result<&'a [u8], CompressError> {
+    let block = r.block()?;
+    if block.first() != Some(&codec.tag()) {
+        return Err(WireError::Invalid("stream codec vs header").into());
+    }
+    Ok(block)
+}
+
 /// [`decompress_chunked`] decoding through a given [`DecodeScratch`],
 /// reusing the bitmap/code/plane stream buffers across calls.
 ///
@@ -1091,8 +1101,7 @@ fn decompress_chunked_scratch(
     if r.u8()? != CHUNKED_VERSION {
         return Err(WireError::Invalid("chunked version").into());
     }
-    let codec = crate::encoders::Codec::from_tag(r.u8()?).ok_or(WireError::Invalid("codec tag"))?;
-    let _ = codec; // per-frame codec tags live inside the block frames
+    let codec = Codec::from_tag(r.u8()?).ok_or(WireError::Invalid("codec tag"))?;
 
     // The flags byte decides the width of the index rows and whether a
     // third block follows, so an unassigned bit is refused, not skipped.
@@ -1154,10 +1163,10 @@ fn decompress_chunked_scratch(
         }
         offsets.push(row);
     }
-    crate::encoders::Codec::decode_blocks_into(r.block()?, &mut scratch.bitmaps)?;
-    crate::encoders::Codec::decode_blocks_into(r.block()?, &mut scratch.codes)?;
+    Codec::decode_blocks_into(stream_block(&mut r, codec)?, &mut scratch.bitmaps)?;
+    Codec::decode_blocks_into(stream_block(&mut r, codec)?, &mut scratch.codes)?;
     if columns == 3 {
-        crate::encoders::Codec::decode_blocks_into(r.block()?, &mut scratch.planes)?;
+        Codec::decode_blocks_into(stream_block(&mut r, codec)?, &mut scratch.planes)?;
         // The flag is set for a wide chunk, and a wide chunk has a code.
         if scratch.planes.is_empty() {
             return Err(CompressError::Corrupt("wide flag without planes"));
@@ -2120,6 +2129,37 @@ mod tests {
             let mut miscounted = bytes;
             miscounted[index_base] = miscounted[index_base].wrapping_add(1);
             assert!(decompress_quiet(&miscounted).is_err());
+        }
+    }
+
+    /// The header's codec byte names the codec of every stream block
+    /// behind it: rewritten to any other codec's tag, a frame that would
+    /// still decode (each block carries its own tag) is refused.
+    #[test]
+    fn header_codec_names_every_stream_block() {
+        let layers = generate_layers(&[5000, 300], 31, GradientProfile::kfac());
+        let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
+        let schedule = LayerSchedule::build(&[5000, 300], 2048);
+        let kc = KernelConfig::default();
+        for cfg in [
+            CompsoConfig::aggressive(4e-3),
+            CompsoConfig::conservative(2e-3),
+        ] {
+            for codec in Codec::all() {
+                let cfg = cfg.with_codec(codec);
+                let honest = compress_quiet(&refs, &cfg, &kc, &schedule, &Rng::new(3));
+                assert_eq!(honest[2], codec.tag());
+                assert!(decompress_quiet(&honest).is_ok(), "{codec:?}");
+                for other in Codec::all().into_iter().filter(|&c| c != codec) {
+                    let mut renamed = honest.clone();
+                    renamed[2] = other.tag();
+                    assert_eq!(
+                        decompress_quiet(&renamed),
+                        Err(WireError::Invalid("stream codec vs header").into()),
+                        "{codec:?} framed as {other:?}"
+                    );
+                }
+            }
         }
     }
 

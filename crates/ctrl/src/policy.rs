@@ -45,7 +45,7 @@ pub struct Setting {
 
 impl Setting {
     /// The warmup identity setting.
-    pub fn uncompressed() -> Self {
+    pub(crate) fn uncompressed() -> Self {
         Setting {
             family: Family::None,
             bits: 0,

@@ -73,7 +73,7 @@ pub(crate) struct Conv2d {
 impl Conv2d {
     /// He-initialized convolution. Panics on a stride of 0, a kernel wider
     /// than the padded input, or `u32::MAX` input elements or more.
-    pub fn new(s: ConvShape, rng: &mut Rng) -> Self {
+    pub(crate) fn new(s: ConvShape, rng: &mut Rng) -> Self {
         assert!(s.stride >= 1, "ConvShape stride must be at least 1");
         assert!(
             s.kernel <= s.in_h + 2 * s.pad,
@@ -242,7 +242,7 @@ pub(crate) struct GlobalAvgPool {
 
 impl GlobalAvgPool {
     /// Pool over `h*w` positions per channel.
-    pub fn new(channels: usize, h: usize, w: usize) -> Self {
+    pub(crate) fn new(channels: usize, h: usize, w: usize) -> Self {
         GlobalAvgPool {
             channels,
             hw: h * w,

@@ -231,7 +231,7 @@ pub(crate) struct Tanh {
 
 impl Tanh {
     /// A tanh layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Tanh { cached_y: None }
     }
 }
@@ -284,7 +284,7 @@ pub(crate) struct LayerNorm {
 
 impl LayerNorm {
     /// A LayerNorm over feature width `dim`.
-    pub fn new(dim: usize) -> Self {
+    pub(crate) fn new(dim: usize) -> Self {
         let mut params = Matrix::zeros(2, dim);
         for c in 0..dim {
             params.set(0, c, 1.0);

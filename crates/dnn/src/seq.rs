@@ -10,12 +10,12 @@ pub struct Sequential {
 
 impl Sequential {
     /// An empty model.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sequential { layers: Vec::new() }
     }
 
     /// Appends a layer (builder style).
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
+    pub(crate) fn push(mut self, layer: impl Layer + 'static) -> Self {
         self.layers.push(Box::new(layer));
         self
     }

@@ -87,11 +87,11 @@
 //! or does not decode walks a **degradation ladder** (DESIGN.md §9)
 //! instead of panicking:
 //!
-//! * **rung 1** — request a compressed resend from the origin (the origin
-//!   keeps a clean framed copy of what it sent);
-//! * **rung 2** — request an *uncompressed* resend of the values the
-//!   origin itself installed (so a successful rung 2 keeps replicas
-//!   consistent);
+//! * **rung 1** — request a resend from the origin, which keeps a clean
+//!   copy of the frames it sent; they decode the same on every rank, so
+//!   a repaired replica installs exactly what the origin installed;
+//! * **rung 2** — when that resend does not decode either, ask for the
+//!   same clean frames once more;
 //! * **rung 3** — degrade locally: reuse the last good preconditioned
 //!   gradient for the affected layer group, or — when none exists yet —
 //!   leave this rank's local raw gradient in place (step 2 averages a
@@ -209,7 +209,7 @@ type Decoded = Result<Vec<(usize, Matrix)>, CompressError>;
 /// What step 5 hands to step 6.
 struct Gathered {
     /// Clean copy of the frames this rank sent: the source of its own
-    /// decode and the ladder's rung-1 resend body.
+    /// decode and the body of every ladder resend.
     clean: Vec<u8>,
     /// Per origin, what its slots decoded to as they landed (this rank's
     /// own entry is filled in by step 6).
@@ -840,10 +840,13 @@ impl DistKfac {
     /// walks degradation ladder rungs 1–2 over it: a tiny always-on
     /// status exchange tells every rank which (requester, origin) pairs
     /// need repair — the schedule stays deterministic, so the
-    /// point-to-point repair handshakes cannot deadlock. What is still an
-    /// `Err` afterwards takes rung 3 at install. Every codec encodes
-    /// every f32, so this rank's own clean frames decode; where they do
-    /// not, the step is `Protocol`.
+    /// point-to-point repair handshakes cannot deadlock. Each rung is one
+    /// resend of the origin's clean frames and a one-byte ack; the
+    /// frames decode the same on every rank, so a repair installs what
+    /// the origin installed. What is still an `Err` afterwards takes
+    /// rung 3 at install. Every codec encodes every f32, so this rank's
+    /// own clean frames decode; where they do not, the step is
+    /// `Protocol`.
     fn repair(
         &mut self,
         comm: &mut Communicator,
@@ -870,10 +873,6 @@ impl DistKfac {
         let repair_from = |q: usize, o: usize| -> bool {
             q != o && statuses[q].get(o).copied().unwrap_or(0) == 1
         };
-        // The rung-2 bytes, built once on first use: the values *I
-        // installed* — decoded, not raw — so a rung-2 repair keeps
-        // replicas consistent.
-        let mut rung2_clean: Option<Vec<u8>> = None;
         // Walk every (origin, requester) repair pair in the SAME global
         // order on every rank. Each handshake involves exactly two ranks
         // and strictly alternates send/recv between them, so processing
@@ -882,44 +881,28 @@ impl DistKfac {
         // needs A's) or chained across several ranks.
         for o in 0..p {
             for q in 0..p {
-                if !repair_from(q, o) {
+                if !repair_from(q, o) || (me != o && me != q) {
                     continue;
                 }
-                if me == o {
-                    // Origin side. Rung 1: compressed resend of the
-                    // clean framed copy (all groups, concatenated).
-                    let mut r1 = gathered.clean.clone();
-                    plane.maybe_corrupt_repair(me, q, step_idx, 1, &mut r1);
-                    comm.send(q, Payload::Bytes(r1))?;
-                    let ack = comm
-                        .recv_labeled(q, names::KFAC_REPAIR_STATUS)?
-                        .try_sizes()?;
-                    if ack.first() != Some(&1) {
-                        // Rung 2: uncompressed resend.
-                        let mut r2 = rung2_clean
-                            .get_or_insert_with(|| frame_checksummed(&flatten_entries(&mine)))
-                            .clone();
-                        plane.maybe_corrupt_repair(me, q, step_idx, 2, &mut r2);
-                        comm.send(q, Payload::Bytes(r2))?;
-                    }
-                } else if me == q {
-                    // Requester side.
-                    let r1 = comm.recv_labeled(o, names::KFAC_REPAIR)?.try_bytes()?;
-                    match decode_run(&r1, &plan.expected[o], m, compressor, rec) {
-                        Ok(entries) => {
-                            comm.send(o, Payload::Sizes(vec![1]))?;
-                            rec.incr(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK);
+                for rung in 1..=2 {
+                    if me == o {
+                        let mut resend = gathered.clean.clone();
+                        plane.maybe_corrupt_repair(me, q, step_idx, rung, &mut resend);
+                        comm.send(q, Payload::Bytes(resend))?;
+                        let ack = comm.recv_labeled(q, names::KFAC_REPAIR_STATUS)?;
+                        if ack.try_bytes()? == [1] {
+                            break;
+                        }
+                    } else {
+                        let resend = comm.recv_labeled(o, names::KFAC_REPAIR)?.try_bytes()?;
+                        let decoded = decode_run(&resend, &plan.expected[o], m, compressor, rec);
+                        comm.send(o, Payload::Bytes(vec![u8::from(decoded.is_ok())]))?;
+                        if let Ok(entries) = decoded {
+                            rec.incr(names::KFAC_DEGRADE_REPAIR_OK);
                             gathered.results[o] = Ok(entries);
+                            break;
                         }
-                        Err(_) => {
-                            comm.send(o, Payload::Sizes(vec![0]))?;
-                            let r2 = comm.recv_labeled(o, names::KFAC_REPAIR)?.try_bytes()?;
-                            if let Ok(entries) = decode_uncompressed(&r2, &plan.expected[o]) {
-                                rec.incr(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK);
-                                gathered.results[o] = Ok(entries);
-                            }
-                            // Still broken: rung 3 handles it at install.
-                        }
+                        // Still broken: the next rung, or rung 3 at install.
                     }
                 }
             }
@@ -1090,7 +1073,7 @@ fn encode_run(
 /// expectation `expected`, grouped by `m` — every header field *before*
 /// any decode work, so a hostile or bit-flipped run fails fast instead of
 /// driving allocations. Ring slots as they land, a rank's own clean
-/// frames and the ladder's rung-1 resend (one run holding all of a rank's
+/// frames and the ladder's resends (one run holding all of a rank's
 /// groups) all decode through here.
 fn decode_run(
     bytes: &[u8],
@@ -1133,32 +1116,6 @@ fn decode_run(
         return Err(CompressError::Corrupt("trailing payload bytes"));
     }
     Ok(out)
-}
-
-/// Decodes a rung-2 (uncompressed) repair frame: the origin's installed
-/// values as raw little-endian f32s, in `expected` order.
-fn decode_uncompressed(frame: &[u8], expected: &[LayerShape]) -> Decoded {
-    let payload = unframe_checksummed(frame)?;
-    let total: usize = expected.iter().map(|&(_, r, c)| r * c).sum();
-    if payload.len() != total * 4 {
-        return Err(CompressError::Corrupt("uncompressed repair size mismatch"));
-    }
-    let mut floats =
-        (payload.chunks_exact(4)).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-    let layer = |&(idx, rows, cols): &LayerShape| {
-        let flat = floats.by_ref().take(rows * cols).collect();
-        (idx, Matrix::from_vec(rows, cols, flat))
-    };
-    Ok(expected.iter().map(layer).collect())
-}
-
-/// Serializes the values this rank *installed* for its owned layers (its
-/// own decode of its frames, possibly lossy) as raw little-endian f32s —
-/// the rung-2 repair body. Sending installed values keeps a repaired
-/// replica bit-identical to the origin.
-fn flatten_entries(entries: &[(usize, Matrix)]) -> Vec<u8> {
-    let floats = entries.iter().flat_map(|(_, m)| m.as_slice());
-    floats.flat_map(|v| v.to_le_bytes()).collect()
 }
 
 #[cfg(test)]
@@ -1733,7 +1690,7 @@ mod tests {
     #[test]
     fn run_decoder_rejects_every_prefix_mutation_and_trailing_byte() {
         // Two groups of two layers: the unit a ring slot carries when
-        // `pipeline_gather` is off, and the ladder's rung-1 body.
+        // `pipeline_gather` is off, and the body of every ladder resend.
         let mut rng = Rng::new(5);
         let layers: Vec<(usize, Matrix)> =
             [(0usize, 3usize, 4usize), (2, 4, 2), (5, 2, 2), (7, 1, 6)]

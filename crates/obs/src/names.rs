@@ -116,10 +116,9 @@ pub const COMM_ALLGATHER_REJOIN: &str = "comm/allgather_rejoin";
 pub const KFAC_DEGRADE_CHECKSUM_FAILURES: &str = "kfac/degrade/checksum_failures";
 /// `compso-kfac`: repair requests issued to payload origins (rung 1).
 pub const KFAC_DEGRADE_REPAIR_REQUESTS: &str = "kfac/degrade/repair_requests";
-/// `compso-kfac`: repairs satisfied by a compressed resend (rung 1).
-pub const KFAC_DEGRADE_REPAIR_COMPRESSED_OK: &str = "kfac/degrade/repair_compressed_ok";
-/// `compso-kfac`: repairs satisfied by an uncompressed resend (rung 2).
-pub const KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK: &str = "kfac/degrade/repair_uncompressed_ok";
+/// `compso-kfac`: repairs satisfied by a resend of the origin's clean
+/// frames, at rung 1 or rung 2.
+pub const KFAC_DEGRADE_REPAIR_OK: &str = "kfac/degrade/repair_ok";
 /// `compso-kfac`: layer groups that fell back to the last good
 /// preconditioned gradient (rung 3a).
 pub const KFAC_DEGRADE_FALLBACK_LAST_GOOD: &str = "kfac/degrade/fallback_last_good";
@@ -128,7 +127,7 @@ pub const KFAC_DEGRADE_FALLBACK_LAST_GOOD: &str = "kfac/degrade/fallback_last_go
 pub const KFAC_DEGRADE_FALLBACK_SGD: &str = "kfac/degrade/fallback_sgd";
 
 /// `compso-kfac`: label of the degradation ladder's rung-1/rung-2
-/// point-to-point repair payload receives in `CommError`s.
+/// resend receives in `CommError`s.
 pub const KFAC_REPAIR: &str = "kfac/repair";
 /// `compso-kfac`: label of the repair-handshake status acknowledgement
 /// receives in `CommError`s.

@@ -37,8 +37,7 @@ pub(crate) const QUIET_COUNTERS: &[&str] = &[
     names::COMM_RETRY_NACKS_SENT,
     names::KFAC_DEGRADE_CHECKSUM_FAILURES,
     names::KFAC_DEGRADE_REPAIR_REQUESTS,
-    names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK,
-    names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK,
+    names::KFAC_DEGRADE_REPAIR_OK,
     names::KFAC_DEGRADE_FALLBACK_LAST_GOOD,
     names::KFAC_DEGRADE_FALLBACK_SGD,
     names::CKPT_RESTORE_RUNGS,
@@ -61,10 +60,7 @@ impl Snapshot {
     /// request minus the repairs that fully recovered it.
     pub fn degraded_installs(&self) -> u64 {
         self.counter(names::KFAC_DEGRADE_REPAIR_REQUESTS)
-            .saturating_sub(
-                self.counter(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK)
-                    + self.counter(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK),
-            )
+            .saturating_sub(self.counter(names::KFAC_DEGRADE_REPAIR_OK))
     }
 }
 
@@ -263,21 +259,14 @@ mod tests {
         rec.incr(names::CKPT_SAVES);
         rec.add(names::CKPT_BYTES, 4096);
         assert!(rec.snapshot().is_quiet());
-        // (requests, compressed ok, uncompressed ok) -> degraded installs,
-        // saturating at 0.
-        let rows = [
-            ((2, 1, 0), 1),
-            ((2, 1, 1), 0),
-            ((1, 2, 1), 0),
-            ((0, 0, 0), 0),
-        ];
-        for ((requests, compressed, uncompressed), want) in rows {
+        // (requests, repairs ok) -> degraded installs, saturating at 0.
+        let rows = [((2, 1), 1), ((2, 2), 0), ((1, 3), 0), ((0, 0), 0)];
+        for ((requests, repaired), want) in rows {
             let rec = Recorder::enabled();
             rec.add(names::KFAC_DEGRADE_REPAIR_REQUESTS, requests);
-            rec.add(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK, compressed);
-            rec.add(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK, uncompressed);
+            rec.add(names::KFAC_DEGRADE_REPAIR_OK, repaired);
             let got = rec.snapshot().degraded_installs();
-            assert_eq!(got, want, "{requests} {compressed} {uncompressed}");
+            assert_eq!(got, want, "{requests} {repaired}");
         }
     }
 

@@ -31,7 +31,7 @@ impl MinMax {
 
     /// Merges two partial results.
     #[inline]
-    pub fn merge(self, other: MinMax) -> MinMax {
+    pub(crate) fn merge(self, other: MinMax) -> MinMax {
         MinMax {
             min: self.min.min(other.min),
             max: self.max.max(other.max),

@@ -33,7 +33,7 @@ impl Histogram {
     }
 
     /// Adds one sample.
-    pub fn add(&mut self, x: f64) {
+    pub(crate) fn add(&mut self, x: f64) {
         if !x.is_finite() || x < self.lo || x > self.hi {
             self.outliers += 1;
             return;

@@ -123,11 +123,15 @@ step_end
 step_start "chaos smoke (hard 300s wall-clock cap)"
 # The chaos campaigns assert liveness ("no collective can block
 # forever"); a regression there would otherwise hang CI instead of
-# failing it, so the smoke runs under a hard external timeout.
+# failing it, so the smoke runs under a hard external timeout. The
+# ladder campaigns drive both repair rungs' resend/ack handshake.
 timeout --kill-after=10 300 \
   cargo test --release --test chaos -q -- \
   chaos_campaign_converges_with_exact_fault_accounting \
   scheduled_crash_poisons_the_group_and_names_the_rank \
+  ladder_rung_two_absorbs_corrupted_compressed_resends \
+  ladder_rung_two_resends_the_clean_frames_and_a_one_byte_ack \
+  ladder_bottom_rung_degrades_locally_and_training_survives \
   || { echo "chaos smoke failed or timed out" >&2; exit 1; }
 step_end
 

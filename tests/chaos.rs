@@ -149,7 +149,7 @@ fn chaos_campaign_converges_with_exact_fault_accounting() {
     );
     // Each origin-corrupted payload failed on every *other* rank (the
     // origin decodes its clean copy), each failure filed one repair
-    // request, and every repair succeeded on the compressed resend.
+    // request, and every repair succeeded on the first resend.
     let expected_failures = ledger.corrupted_payload * (RANKS as u64 - 1);
     assert_eq!(
         snap.counter(names::KFAC_DEGRADE_CHECKSUM_FAILURES),
@@ -160,10 +160,9 @@ fn chaos_campaign_converges_with_exact_fault_accounting() {
         expected_failures
     );
     assert_eq!(
-        snap.counter(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK),
+        snap.counter(names::KFAC_DEGRADE_REPAIR_OK),
         expected_failures
     );
-    assert_eq!(snap.counter(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK), 0);
     assert_eq!(snap.counter(names::KFAC_DEGRADE_FALLBACK_LAST_GOOD), 0);
     assert_eq!(snap.counter(names::KFAC_DEGRADE_FALLBACK_SGD), 0);
     assert_eq!(ledger.corrupted_repair, 0);
@@ -175,9 +174,10 @@ fn chaos_campaign_converges_with_exact_fault_accounting() {
 #[test]
 fn ladder_rung_two_absorbs_corrupted_compressed_resends() {
     // corrupt_repair_rungs = 1: every rung-1 resend is bit-flipped, so
-    // every repair must fall through to the uncompressed rung — and the
-    // uncompressed resend carries the origin's *installed* values, so
-    // the trajectory still matches fault-free exactly.
+    // every repair must fall through to rung 2 — which resends the
+    // origin's clean frames again, and they decode on every rank to what
+    // the origin installed, so the trajectory still matches fault-free
+    // exactly.
     let plane = FaultPlane::new(FaultConfig {
         seed: 0xBEEF,
         corrupt_payload_p: 0.30,
@@ -200,16 +200,84 @@ fn ladder_rung_two_absorbs_corrupted_compressed_resends() {
     let failures = ledger.corrupted_payload * (RANKS as u64 - 1);
     assert!(failures > 0, "campaign never fired");
     assert_eq!(snap.counter(names::KFAC_DEGRADE_REPAIR_REQUESTS), failures);
-    // Every compressed resend was corrupted (one injection per repair),
-    // so zero rung-1 successes and all-rung-2 successes.
+    // Every first resend was corrupted (one injection per repair), and
+    // every second one repaired.
     assert_eq!(ledger.corrupted_repair, failures);
-    assert_eq!(snap.counter(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK), 0);
-    assert_eq!(
-        snap.counter(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK),
-        failures
-    );
+    assert_eq!(snap.counter(names::KFAC_DEGRADE_REPAIR_OK), failures);
     assert_eq!(snap.counter(names::KFAC_DEGRADE_FALLBACK_LAST_GOOD), 0);
     assert_eq!(snap.counter(names::KFAC_DEGRADE_FALLBACK_SGD), 0);
+}
+
+/// One 2-rank step under `plane`: per rank, the bits of every installed
+/// gradient, the bytes of the clean frames it gathered and its
+/// `sent_bytes`.
+fn one_two_rank_step(plane: FaultPlane, rec: &Recorder) -> Vec<(Vec<Vec<u32>>, u64, u64)> {
+    let d = data::gaussian_blobs(64, 6, 3, 0.3, 91);
+    let d_ref = &d;
+    run_ranks_with(2, plane, chaos_comm_config(), move |comm| {
+        let mut rng = Rng::new(17);
+        let mut model = models::mlp(&[6, 16, 3], &mut rng);
+        let (x, y) = d_ref.shard(comm.rank(), 2).batch(0, BATCH);
+        let logits = model.forward(&x, true);
+        let (_, grad) = softmax_cross_entropy(&logits, &y);
+        model.backward(&grad);
+        let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
+        opt.set_recorder(rec.clone());
+        let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+        let stats = opt.step(comm, &mut model, &compso).unwrap();
+        let grads = (model.trainable_indices().into_iter())
+            .map(|idx| {
+                let grad = model.layer(idx).grads().unwrap().as_slice();
+                grad.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        (grads, stats.gather_bytes_wire, comm.sent_bytes())
+    })
+}
+
+#[test]
+fn ladder_rung_two_resends_the_clean_frames_and_a_one_byte_ack() {
+    // Every gather payload is corrupted at its origin, so each of the two
+    // ranks repairs the other's. With `corrupt_repair_rungs: 1` the first
+    // resend is corrupted too and rung 2 runs: its whole cost over a
+    // rung-1 repair is one more copy of the origin's clean frames and one
+    // more one-byte ack.
+    let plane = |rungs: u8| {
+        FaultPlane::new(FaultConfig {
+            seed: 0xF00D,
+            corrupt_payload_p: 1.0,
+            corrupt_repair_rungs: rungs,
+            ..FaultConfig::default()
+        })
+    };
+    let clean = one_two_rank_step(FaultPlane::disabled(), &Recorder::disabled());
+    let [rung1, rung2] = [0u8, 1].map(|rungs| {
+        let (faulted, rec) = (plane(rungs), Recorder::enabled());
+        let ranks = one_two_rank_step(faulted.clone(), &rec);
+        let ledger = faulted.ledger();
+        assert_eq!(ledger.corrupted_payload, 2, "rungs {rungs}");
+        assert_eq!(ledger.corrupted_repair, 2 * u64::from(rungs));
+        let snap = rec.snapshot();
+        assert_eq!(
+            snap.counter(names::KFAC_DEGRADE_REPAIR_OK),
+            2,
+            "rungs {rungs}"
+        );
+        assert_eq!(snap.degraded_installs(), 0, "rungs {rungs}");
+        for r in 0..2 {
+            assert_eq!(ranks[r].0, clean[r].0, "rank {r}, rungs {rungs}: installs");
+        }
+        ranks
+    });
+    for r in 0..2 {
+        let frames = rung1[r].1;
+        assert_eq!(rung2[r].1, frames, "rank {r}");
+        assert_eq!(
+            rung2[r].2 - rung1[r].2,
+            frames + 1,
+            "rank {r}: rung 2's bytes"
+        );
+    }
 }
 
 #[test]
@@ -249,8 +317,7 @@ fn ladder_bottom_rung_degrades_locally_and_training_survives() {
     // Both rungs corrupted per repair: two injections each, no repair
     // successes, and every failure landed on a rung-3 fallback.
     assert_eq!(ledger.corrupted_repair, 2 * failures);
-    assert_eq!(snap.counter(names::KFAC_DEGRADE_REPAIR_COMPRESSED_OK), 0);
-    assert_eq!(snap.counter(names::KFAC_DEGRADE_REPAIR_UNCOMPRESSED_OK), 0);
+    assert_eq!(snap.counter(names::KFAC_DEGRADE_REPAIR_OK), 0);
     let fallbacks = snap.counter(names::KFAC_DEGRADE_FALLBACK_LAST_GOOD)
         + snap.counter(names::KFAC_DEGRADE_FALLBACK_SGD);
     assert!(

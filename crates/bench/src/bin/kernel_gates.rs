@@ -1,13 +1,14 @@
 //! Back-to-back ratio gates: the perf checks that no row of the
-//! `benchmark/` ledger can express. Each gate is a ratio of two timings
-//! taken next to each other in one process, so it holds through a noisy
-//! host where a millisecond or MB/s floor would not, and needs neither a
-//! committed baseline nor a tolerance. Throughput itself is reported by
-//! `benchmark/` alone (see `BENCHMARK.json`).
+//! `benchmark/` ledger can express. Each gate but the two `codec.*_cost`
+//! byte counts is a ratio of two timings taken next to each other in one
+//! process, so it holds through a noisy host where a millisecond or MB/s
+//! floor would not, and needs neither a committed baseline nor a
+//! tolerance. Throughput itself is reported by `benchmark/` alone (see
+//! `BENCHMARK.json`).
 //!
 //! Prints one `kernel_gates: <name>: <value> <bound> -> ok|REGRESSION`
-//! line per gate (the two timings behind the ratio follow in brackets)
-//! and exits 1 if any gate failed:
+//! line per gate (the two timings or sizes behind the ratio follow in
+//! brackets) and exits 1 if any gate failed:
 //!
 //! * `eigen.cliff_289 <= 2.0` — `sym_eig` on seeded K-FAC-shaped factors
 //!   at n = 145 and 289 (fastest of 5): `t289 / (8·t145)` is the
@@ -50,10 +51,10 @@
 //!   chunk kernels run on codes wider than a byte: a low-byte stream and
 //!   a packed high-bit plane) against its scalar oracle `bitpack::split`
 //!   on one seeded stream of 256 Ki 9-bit codes, fastest of 5,
-//!   interleaved. The plane goes through `pack_into`'s register window;
-//!   a packer that reads its own output back (a load–or–store of a
-//!   memory window per code) read 0.68 against the per-bit loop it
-//!   exists to replace.
+//!   interleaved. The plane is built eight codes to a `u64` store, its
+//!   tail through a register window; a packer that reads its own output
+//!   back (a load–or–store of a memory window per code) read 0.68
+//!   against the per-bit loop it exists to replace.
 //! * `codec.rans_decode_speedup >= 1.4`, `codec.rans_encode_speedup >=
 //!   1.4` — the rANS coder's AVX2 instance against its portable one on
 //!   one seeded 256 KiB low-byte stream of `eb 2e-3` codes (one codec
@@ -68,6 +69,11 @@
 //!   per element (≈ 1.28). Bit-packing the 9-bit codes ahead of the
 //!   byte-wise entropy coder read 2.75; the byte/plane split without
 //!   the zero-centring rotation 1.38.
+//! * `codec.narrow_cost <= 1.0` — frame bytes at `eb 1e-2` (7-bit codes)
+//!   ÷ frame bytes at `eb 4e-3` on the same layer, seed and generator: one
+//!   fewer bit of resolution must never cost more bytes. A count, not a
+//!   timing. With codes of up to 7 bits bit-packed ahead of the
+//!   byte-wise coder (every symbol straddling two codes) it read 1.73.
 //! * `pipeline.speedup_2w >= 1.0`, `pipeline.speedup_4w >= 1.0` — the
 //!   step-5 gather scheduling A/B: compress-then-`allgather_var` against
 //!   `pipelined_allgather` (each group on the wire as soon as it is
@@ -690,8 +696,9 @@ fn main() {
         }
     }
 
-    // What the ninth bit costs on the wire: the same layer, the same
-    // seed, SR only, at Alg. 1's two bounds.
+    // What the ninth bit costs on the wire, and what dropping the eighth
+    // saves: the same layer, the same seed, SR only, at Alg. 1's two
+    // bounds and §4.3's 7-bit example.
     {
         let layer = generate(256 * 1024, 24, GradientProfile::kfac());
         let frame_bytes = |eb: f32| {
@@ -705,6 +712,14 @@ fn main() {
             "<=",
             1.45,
             format!("{wide} B at eb 2e-3, {narrow} B at eb 4e-3"),
+        );
+        let loose = frame_bytes(1e-2);
+        gate(
+            "codec.narrow_cost",
+            loose as f64 / narrow as f64,
+            "<=",
+            1.0,
+            format!("{loose} B at eb 1e-2, {narrow} B at eb 4e-3"),
         );
     }
 

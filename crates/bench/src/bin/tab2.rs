@@ -3,7 +3,7 @@
 //! K-FAC gradient data for ResNet-50 and BERT-large.
 //!
 //! The measured bytes are exactly what COMPSO's encoder stage sees: the
-//! concatenated filter bitmaps and packed SR codes.
+//! concatenated filter bitmaps and SR code records (one byte per code).
 //!
 //! Paper shape: entropy coders (ANS, Deflate, Gdeflate, Zstd) reach the
 //! highest ratios on this data; ANS pairs a top-tier ratio with the best
@@ -19,7 +19,7 @@ use compso_tensor::Rng;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Produces the encoder-stage byte stream (bitmaps + packed codes) for a
+/// Produces the encoder-stage byte stream (bitmaps + code records) for a
 /// model's gradients at the paper's aggressive setting.
 fn encoder_input(spec: &ModelSpec, seed: u64) -> Vec<u8> {
     let layers = spec_gradients(spec, SAMPLE_BUDGET, seed);
@@ -40,8 +40,9 @@ fn encoder_input(spec: &ModelSpec, seed: u64) -> Vec<u8> {
         bytes.extend_from_slice(&filtered.bitmap.to_bytes());
         let quant = quantizer.quantize(&filtered.kept, &mut rng);
         let mut w = compso_core::wire::Writer::new();
-        quant.write(&mut w);
+        let planes = quant.write(&mut w);
         bytes.extend_from_slice(&w.into_bytes());
+        bytes.extend_from_slice(&planes);
     }
     bytes
 }

@@ -50,8 +50,9 @@ pub fn block_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 /// Receives one ring-reduction hop from `left` and checks it is the
 /// `len` values the schedule says it must be: a peer reducing a buffer
 /// of another size is a protocol breach, not a reason to sum garbage or
-/// panic. With a `codec` (a reduce's last hop) the hop may also be one
-/// of its one-layer frames, decoded here.
+/// panic. With a `codec` (a reduce's last hop) a non-empty piece must
+/// be one of its one-layer frames, decoded here; only an empty one
+/// travels raw.
 fn recv_hop(
     comm: &mut Communicator,
     left: usize,
@@ -72,6 +73,11 @@ fn recv_hop(
                     })
                 }
             }
+        }
+        (_, Some(_)) if len > 0 => {
+            return Err(CommError::Protocol {
+                expected: "a last-hop frame for a non-empty piece",
+            })
         }
         (payload, _) => payload.try_f32()?,
     };
@@ -265,8 +271,10 @@ pub fn reduce_scatter_sum(
 /// raw, so every value is rounded exactly once, where the §4.3 per-hop
 /// requantization (`compressed_allreduce_mean` in this file's tests)
 /// rounds a sum at every hop. An empty piece travels raw. Every rank
-/// must pass the same compressor or none; a frame on any other hop, or
-/// one that does not decode to the piece, is `Protocol`. The codec's
+/// must pass the same compressor or none: with a codec, a non-empty
+/// last-hop piece that arrives raw is `Protocol`, as is, on any rank, a
+/// frame on any other hop or one that does not decode to the piece — so
+/// ranks that disagree on the codec both refuse the call. The codec's
 /// spans and counters go to the communicator's recorder.
 ///
 /// Recorded like the all-reduce it is half of: the `comm/allreduce_sum`
@@ -1214,6 +1222,35 @@ mod tests {
             matches!(results[0], Err(CommError::Protocol { .. })),
             "{results:?}"
         );
+    }
+
+    #[test]
+    fn a_raw_last_hop_piece_under_a_codec_is_a_protocol_error() {
+        // Rank 0 passes the codec and rank 1 none: rank 1 refuses the
+        // frame it is sent, and rank 0 the raw piece — neither sums.
+        let codec = ChunkedCompso::default();
+        let results = run_ranks(2, |comm| {
+            let mut data = noisy(comm.rank(), 20);
+            let mut rng = Rng::new(1);
+            let codec: Option<(&dyn Compressor, &mut Rng)> = match comm.rank() {
+                0 => Some((&codec, &mut rng)),
+                _ => None,
+            };
+            reduce_scatter_pieced(
+                comm,
+                &mut data,
+                &[0..10, 10..20],
+                &[vec![10], vec![10]],
+                codec,
+                |_| {},
+            )
+        });
+        for (rank, result) in results.iter().enumerate() {
+            assert!(
+                matches!(result, Err(CommError::Protocol { .. })),
+                "rank {rank}: {result:?}"
+            );
+        }
     }
 
     #[test]

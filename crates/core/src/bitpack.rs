@@ -1,18 +1,17 @@
-//! Variable-width bit packing.
+//! Bit packing, and the one code layout the chunk records carry.
 //!
-//! §4.3: "our fine-grained algorithm features tunable error bounds ...
-//! accomplished by packing bits into bytes based on the specified error
-//! bound. For instance, with an error bound set at 1e-2 ... a maximum of
-//! 100 quantization bins, corresponding to a 7-bit representation. Each
-//! 7-bit group is then packed into bytes." This module is that packer:
-//! `width`-bit unsigned codes (1..=32 bits) laid out LSB-first in a byte
-//! stream, plus the exact inverse.
+//! §4.3 packs each chunk's ⌈log₂ bins⌉-bit codes into bytes ("each 7-bit
+//! group is then packed into bytes"). Here the entropy coder behind the
+//! codes is byte-wise, and a byte-wise coder fed bit-packed codes models
+//! symbols that straddle two codes. So codes reach it one byte each
+//! instead ([`split`]): the low byte of every code, rotated first
+//! ([`split_bias`]) so the code of 0.0 sits mid-byte, and — only for
+//! codes wider than a byte — the remaining `width − 8` bits packed at
+//! that width into a second (plane) stream. The coder does the packing
+//! §4.3 describes, at the rate the codes' distribution allows.
 //!
-//! Codes wider than a byte do not reach the entropy coder packed — a
-//! byte-wise coder would model symbols that straddle two codes. They are
-//! [`split`] instead: a low-byte stream, one byte per code, and the
-//! remaining `width − 8` bits packed at that width, after a rotation
-//! ([`split_bias`]) that puts the code of 0.0 mid-byte.
+//! [`pack`] / [`unpack`] are the plane stream's packer and the
+//! `width`-bit LSB-first layout the Bitcomp codec also writes.
 
 use crate::wire::WireError;
 
@@ -85,21 +84,32 @@ pub(crate) fn unpack(bytes: &[u8], width: u32, count: usize) -> Result<Vec<u32>,
     Ok(out)
 }
 
-/// Narrowest code width that is split instead of packed: a chunk whose
-/// codes need more than one byte.
-pub(crate) const SPLIT_MIN_WIDTH: u32 = 9;
+/// The width of a `width`-bit code's plane field: its bits past the low
+/// byte, 0 for a code that fits one.
+pub(crate) fn plane_width(width: u32) -> u32 {
+    width.saturating_sub(8)
+}
 
 /// The all-ones mask of a `width`-bit code (`1 ..= 32`).
 pub(crate) fn code_mask(width: u32) -> u32 {
     u32::MAX >> (32 - width)
 }
 
-/// The rotation a wide chunk applies to its codes before [`split`]:
-/// `128 − z` reduced to the code width, where
+/// The all-ones mask of a `width`-bit code as stored: its low byte
+/// travels whole, so a stored code is at least 8 bits, and a rotation
+/// wraps at that width. A low byte that sets a bit past a narrower code
+/// is a code past `2^width − 1`.
+pub(crate) fn stored_mask(width: u32) -> u32 {
+    code_mask(width.max(8))
+}
+
+/// The rotation a chunk applies to its codes before [`split`]: for codes
+/// wider than a byte, `128 − z` reduced to the code width, where
 /// `z = clamp(round(−lo / bin_width), 0, n_bins)` is the code of 0.0.
 /// Gradient codes pile up around `z`; rotated, the pile sits mid-byte
 /// (around 128) with one value of the high bits under all of it, wherever
-/// `z` fell against the multiples of 256.
+/// `z` fell against the multiples of 256. Codes of up to 8 bits have no
+/// high bits to steady, so their rotation is 0.
 ///
 /// A pure function of three record-header fields, so the encoder and
 /// the decoder derive it instead of carrying it; total on hostile ones
@@ -111,30 +121,39 @@ pub fn split_bias(lo: f32, bin_width: f32, n_bins: u32) -> u32 {
     } else {
         0
     };
-    128u32.wrapping_sub(z) & code_mask(bits_for(n_bins))
+    let width = bits_for(n_bins);
+    if plane_width(width) == 0 {
+        return 0;
+    }
+    128u32.wrapping_sub(z) & code_mask(width)
 }
 
-/// Splits `width`-bit codes (`9 ..= 32`) into byte-aligned streams: each
-/// code is rotated to `(code + bias) mod 2^width`, its low byte goes to
-/// the first stream (one byte per code) and its remaining `width − 8`
-/// bits are `pack`ed at that width into the second. The scalar oracle
-/// of [`crate::microkernel::split_into`].
+/// Splits `width`-bit codes (`1 ..= 32`) into the record's byte-aligned
+/// streams: each code is rotated to `(code + bias) mod 2^max(width, 8)`
+/// (a stored code is at least a byte), its low byte goes to the first
+/// stream (one byte per code) and its remaining `width − 8` bits, if it
+/// has any, are `pack`ed at that width into the second. The scalar
+/// oracle of [`crate::microkernel::split_into`].
 ///
 /// # Panics
-/// If `width` is outside `9 ..= 32` or a code does not fit in it.
+/// If `width` is outside `1 ..= 32` or a code does not fit in it.
 pub fn split(codes: &[u32], width: u32, bias: u32) -> (Vec<u8>, Vec<u8>) {
     assert!(
-        (SPLIT_MIN_WIDTH..=32).contains(&width),
+        (1..=32).contains(&width),
         "split width {width} out of range"
     );
     let mask = code_mask(width);
     let rotated = |code: u32| {
         assert!(code <= mask, "code {code} does not fit in {width} bits");
-        code.wrapping_add(bias) & mask
+        code.wrapping_add(bias) & stored_mask(width)
     };
     let low = codes.iter().map(|&c| rotated(c) as u8).collect();
     let high: Vec<u32> = codes.iter().map(|&c| rotated(c) >> 8).collect();
-    (low, pack(&high, width - 8))
+    let planes = match plane_width(width) {
+        0 => Vec::new(),
+        w => pack(&high, w),
+    };
+    (low, planes)
 }
 
 /// Inverse of [`split`]: one code per byte of `low`, in order. The scalar
@@ -146,11 +165,14 @@ pub(crate) fn unsplit(
     width: u32,
     bias: u32,
 ) -> Result<Vec<u32>, WireError> {
-    if !(SPLIT_MIN_WIDTH..=32).contains(&width) {
+    if !(1..=32).contains(&width) {
         return Err(WireError::Invalid("bit width"));
     }
-    let mask = code_mask(width);
-    let high = unpack(planes, width - 8, low.len())?;
+    let mask = stored_mask(width);
+    let high = match plane_width(width) {
+        0 => vec![0; low.len()],
+        w => unpack(planes, w, low.len())?,
+    };
     Ok(low
         .iter()
         .zip(high)
@@ -211,10 +233,29 @@ mod tests {
             unsplit(&low, &planes[..0], 10, 0x100),
             Err(WireError::Truncated { need: 1, have: 0 })
         );
-        assert_eq!(
-            unsplit(&low, &planes, 8, 0),
-            Err(WireError::Invalid("bit width"))
-        );
+        for width in [0, 33] {
+            assert_eq!(
+                unsplit(&low, &planes, width, 0),
+                Err(WireError::Invalid("bit width"))
+            );
+        }
+    }
+
+    #[test]
+    fn codes_that_fit_a_byte_are_their_own_low_bytes() {
+        // No plane and no rotation: 7-bit codes travel as themselves.
+        assert_eq!(split_bias(-1.0, 1e-2, 200), 0);
+        assert_eq!(split_bias(-1.0, 8e-3, 250), 0);
+        let codes = [0, 1, 64, 99, 127];
+        let (low, planes) = split(&codes, 7, 0);
+        assert_eq!(low, [0, 1, 64, 99, 127]);
+        assert!(planes.is_empty());
+        assert_eq!(unsplit(&low, &[], 7, 0).unwrap(), codes);
+        // A rotation wraps at the byte the code travels in, and a bit set
+        // past the width in a low byte is a code past the width.
+        assert_eq!(split(&[1, 0, 1], 1, 255).0, [0, 255, 0]);
+        assert_eq!(unsplit(&[0, 255, 0], &[], 1, 255).unwrap(), [1, 0, 1]);
+        assert_eq!(unsplit(&[2, 200], &[], 1, 0).unwrap(), [2, 200]);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! | pre-built layer→block hashmap              | [`LayerSchedule`] built once at optimizer init, reused every iteration |
 //! | block-parallel decompression               | v2's per-chunk byte-offset index lets [`decompress_chunked`] decode every chunk concurrently |
 //!
-//! The entropy coder behind the kernels is byte-wise. Codes of up to 8
-//! bits are bit-packed at their width; wider ones (Alg. 1's conservative
-//! bound needs 9) would straddle its symbols, so they travel code-aligned
-//! instead: a low-byte stream plus a zero-centred high-bit plane stream
-//! (`FLAG_WIDE`, DESIGN.md §8.2).
+//! The entropy coder behind the kernels is byte-wise, so codes reach it
+//! code-aligned, never bit-packed (whose symbols would straddle two
+//! codes): one low byte per code, and for codes wider than a byte (Alg.
+//! 1's conservative bound needs 9) a zero-centred high-bit plane stream
+//! beside it (`FLAG_WIDE`, DESIGN.md §8.2). The coder does the packing
+//! §4.3 does by hand.
 //!
 //! Compression is memory-bound with O(1) arithmetic intensity (§4.5), so
 //! pass-count is the first-order cost and the fused/staged ablation is
@@ -23,15 +24,15 @@
 //! [`ChunkedCompso`] packages these kernels behind the [`Compressor`]
 //! trait so `DistKfac` can drive them as the production compression path.
 
-use crate::bitpack::{bits_for, split_bias, SPLIT_MIN_WIDTH};
+use crate::bitpack::{bits_for, plane_width, split_bias};
 use crate::encoders::Codec;
 use crate::microkernel::{self, CodeRecord, LaneScratch, SrLane, SR_LANES};
+#[cfg(test)]
+use crate::quantize::Quantized;
 use crate::quantize::{codable_range, grid};
 use crate::rounding::RoundingMode;
 use crate::traits::{CompressError, Compressor};
 use crate::wire::{Reader, WireError, Writer, MAX_DECODE_ELEMS};
-#[cfg(test)]
-use crate::{bitpack, quantize::Quantized};
 use compso_obs::{names, Recorder};
 use compso_tensor::reduce::{minmax_flat, minmax_hierarchical, MinMax};
 use compso_tensor::rng::Rng;
@@ -70,7 +71,7 @@ pub struct CompsoConfig {
     /// Rounding rule for the quantizer (SR for COMPSO proper; RN and P0.5
     /// exist for the §4.2 ablation).
     pub mode: RoundingMode,
-    /// Lossless encoder applied to the bitmap and the packed codes.
+    /// Lossless encoder applied to the bitmap and the code streams.
     pub codec: Codec,
 }
 
@@ -210,14 +211,14 @@ struct ChunkOut {
 }
 
 impl ChunkOut {
-    /// The chunk's slice of the code stream: the record header, then the
-    /// codes packed at their width — or, past 8 bits, one low byte each.
+    /// The chunk's slice of the code stream: the record header, then one
+    /// low byte per code.
     fn codes(&self) -> &[u8] {
         &self.record[..self.codes_len]
     }
 
-    /// The chunk's slice of the plane stream: a wide chunk's high bits,
-    /// empty for every other chunk.
+    /// The chunk's slice of the plane stream: its codes' bits past 8,
+    /// empty for a chunk whose codes fit a byte.
     fn planes(&self) -> &[u8] {
         &self.record[self.codes_len..]
     }
@@ -315,10 +316,9 @@ fn stage_chunk(
     }
 }
 
-/// Packs (or, past 8 bits, splits) a staged chunk's codes and writes its
-/// record, straight from the arena: a chunk whose codes fit a byte
-/// carries them bit-packed at their width, a wider one a low byte each
-/// and its high bits in the plane stream.
+/// Splits a staged chunk's codes and writes its record, straight from the
+/// arena: a low byte per code in the record, and the bits past 8 of codes
+/// wider than a byte in the plane stream.
 /// With an `out` window it also writes there the values
 /// [`decompress_chunk_into`] gives that record: its codes dequantized as
 /// the decoder dequantizes them ([`microkernel::dequantize_codes`]), `lo`
@@ -327,7 +327,7 @@ fn stage_chunk(
 fn finish_chunk(
     st: Staged,
     codes: &[u32],
-    packed: &mut Vec<u8>,
+    low: &mut Vec<u8>,
     planes: &mut Vec<u8>,
     out: Option<&mut [f32]>,
 ) -> ChunkOut {
@@ -360,25 +360,20 @@ fn finish_chunk(
             }
         });
     }
-    packed.clear();
+    low.clear();
     planes.clear();
     if st.n_bins > 0 {
-        let bits = bits_for(st.n_bins);
-        if bits >= SPLIT_MIN_WIDTH {
-            let bias = split_bias(st.lo, st.bin_width, st.n_bins);
-            microkernel::split_into(codes, bits, bias, packed, planes);
-        } else {
-            microkernel::pack_into(codes, bits, packed);
-        }
+        let bias = split_bias(st.lo, st.bin_width, st.n_bins);
+        microkernel::split_into(codes, bits_for(st.n_bins), bias, low, planes);
     }
-    let mut w = Writer::with_capacity(29 + packed.len() + planes.len());
+    let mut w = Writer::with_capacity(29 + low.len() + planes.len());
     w.u64(st.n as u64);
     w.u8(u8::from(st.use_filter));
     w.f32(st.lo);
     w.f32(st.bin_width);
     w.u32(st.n_bins);
     w.u64(st.n_kept as u64);
-    w.bytes(packed);
+    w.bytes(low);
     let codes_len = w.len();
     w.bytes(planes);
     ChunkOut {
@@ -390,8 +385,7 @@ fn finish_chunk(
 
 /// The production fused sweep over a run of chunks, rebuilt on the
 /// [`microkernel`] layer: the word-at-a-time filter kernel, the
-/// mode-hoisted quantize kernel, and the register-window bit-packer — or,
-/// for codes wider than a byte, the byte/plane splitter — all writing
+/// mode-hoisted quantize kernel and the byte/plane splitter, all writing
 /// through the per-thread compress arena instead of fresh `Vec`s.
 ///
 /// Stochastic rounding runs [`microkernel::SR_LANES`] chunks at once on
@@ -453,7 +447,7 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
                         outs[next] = Some(finish_chunk(
                             st,
                             &lane.codes,
-                            &mut s.packed,
+                            &mut s.low,
                             &mut s.planes,
                             out,
                         ));
@@ -492,7 +486,7 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
                     outs[idx] = Some(finish_chunk(
                         st,
                         &lane.codes,
-                        &mut s.packed,
+                        &mut s.low,
                         &mut s.planes,
                         out,
                     ));
@@ -506,7 +500,7 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
                 outs[idx] = Some(finish_chunk(
                     st,
                     &lane.codes,
-                    &mut s.packed,
+                    &mut s.low,
                     &mut s.planes,
                     out,
                 ));
@@ -664,7 +658,7 @@ fn compress_chunked_reconstructing(
         (staged.into_par_iter().zip(codes))
             .map(|((st, _), codes)| {
                 microkernel::with_compress_scratch(|s| {
-                    finish_chunk(st, &codes, &mut s.packed, &mut s.planes, None)
+                    finish_chunk(st, &codes, &mut s.low, &mut s.planes, None)
                 })
             })
             .collect()
@@ -774,7 +768,7 @@ fn with_chunk_windows<R>(
 /// Microkernel rewrite of [`decompress_chunk_ref`] in which values
 /// materialize directly in the caller's pre-zeroed output window (the
 /// chunk's slice of the final layer buffer, so decode has no assembly
-/// copy at all). Codes dequantize as they unpack or merge
+/// copy at all). Codes dequantize as they merge
 /// ([`CodeRecord::dequantize_into`]) — through a per-chunk table when the
 /// width has one and the codes outnumber its entries — straight into the
 /// window for an unfiltered chunk, and into a per-thread buffer ahead of
@@ -814,26 +808,17 @@ fn decompress_chunk_into(
         return Err(WireError::Invalid("quantized header").into());
     }
     // A zero-bin or zero-count record is the constant block: `count`
-    // codes of value 0, backed by zero stream bytes.
+    // codes of value 0, backed by zero stream bytes. Any other carries a
+    // low byte per code, and its plane slice the codes' bits past 8 —
+    // held to its exact length, nothing where they fit a byte.
     let constant = count == 0 || n_bins == 0;
-    let bits = bits_for(n_bins);
-    // Past 8 bits the record carries one (low) byte per code and the
-    // chunk's plane slice their high bits; every other chunk's plane
-    // slice is empty. Either way the slice is held to its exact length.
-    let wide = !constant && bits >= SPLIT_MIN_WIDTH;
-    let (packed, plane_len) = if constant {
-        (&[][..], 0)
-    } else if wide {
-        let plane_len = (count * (bits - 8) as usize).div_ceil(8);
-        (cr.bytes(count)?, plane_len)
-    } else {
-        (cr.bytes((count * bits as usize).div_ceil(8))?, 0)
-    };
-    if planes.len() != plane_len {
+    let (bits, stored) = (bits_for(n_bins), if constant { 0 } else { count });
+    let low = cr.bytes(stored)?;
+    if planes.len() != (stored * plane_width(bits) as usize).div_ceil(8) {
         return Err(CompressError::Corrupt("chunk plane length"));
     }
     let record = CodeRecord {
-        packed,
+        low,
         planes,
         bits,
         lo,
@@ -847,7 +832,7 @@ fn decompress_chunk_into(
             record.table(count, &mut scratch.table)
         };
         if !used_filter {
-            // Every value is kept, so the codes dequantize as they unpack
+            // Every value is kept, so the codes dequantize as they merge
             // (`count ≤ c.len` was checked above; a short count is
             // refused below, behind the checks that have always come
             // before it). Code 0 dequantizes to exactly `lo` (f32→f64→f32
@@ -909,38 +894,6 @@ fn decompress_chunk(
     Ok(out)
 }
 
-/// [`Quantized::read_capped`] for a wide record — the same checks in the
-/// same order — reading the codes through [`bitpack::unsplit`] from the
-/// record's low bytes and the chunk's plane slice.
-#[cfg(test)]
-fn read_wide_ref(cr: &mut Reader, planes: &[u8], cap: usize) -> Result<Quantized, CompressError> {
-    let lo = cr.f32()?;
-    let bin_width = cr.f32()?;
-    let n_bins = cr.u32()?;
-    let count = crate::wire::checked_count(cr.u64()?)?;
-    if count > cap {
-        return Err(WireError::Invalid("quantized count over cap").into());
-    }
-    if !lo.is_finite() || !bin_width.is_finite() || bin_width < 0.0 {
-        return Err(WireError::Invalid("quantized header").into());
-    }
-    let bits = bits_for(n_bins);
-    let low = cr.bytes(count)?;
-    if planes.len() != (count * (bits - 8) as usize).div_ceil(8) {
-        return Err(CompressError::Corrupt("chunk plane length"));
-    }
-    let codes = bitpack::unsplit(low, planes, bits, split_bias(lo, bin_width, n_bins))?;
-    if codes.iter().any(|&c| c > n_bins) {
-        return Err(WireError::Invalid("quantized code out of range").into());
-    }
-    Ok(Quantized {
-        codes,
-        lo,
-        bin_width,
-        n_bins,
-    })
-}
-
 /// Scalar reference decoder, retained as the bit-identity oracle for
 /// [`decompress_chunk`] (pinned by `prop_decompress_chunk_matches_ref`).
 #[cfg(test)]
@@ -963,21 +916,7 @@ fn decompress_chunk_ref(
     // The chunk's element count is known from the schedule, so the
     // quantized record (whose constant-block encoding carries a count
     // backed by zero bytes) can be capped with real context.
-    // The record header sits at a fixed offset, so whether the chunk is
-    // wide is known before the record is parsed.
-    let mut peek = Reader::new(&codes[9..]);
-    let wide = matches!(
-        (peek.f32(), peek.f32(), peek.u32(), peek.u64()),
-        (_, _, Ok(n_bins), Ok(count)) if count > 0 && bits_for(n_bins) >= SPLIT_MIN_WIDTH
-    );
-    let quant = if wide {
-        read_wide_ref(&mut cr, planes, c.len)?
-    } else {
-        if !planes.is_empty() {
-            return Err(CompressError::Corrupt("chunk plane length"));
-        }
-        Quantized::read_capped(&mut cr, c.len)?
-    };
+    let quant = Quantized::read_capped(&mut cr, planes, c.len)?;
     if !cr.is_exhausted() {
         return Err(CompressError::Corrupt("chunk codes overrun"));
     }
@@ -1477,26 +1416,15 @@ mod tests {
         quantize_on_grid(kept, lo, bin_width, n_bins, cfg.mode, rng)
     }
 
-    /// Serializes one chunk's record from the scalar stages' products. A
-    /// chunk whose codes fit a byte is [`Quantized::write`]'s record; a
-    /// wider one keeps that record's header and carries
-    /// [`bitpack::split`]'s two streams instead of packed codes.
+    /// Serializes one chunk's record from the scalar stages' products:
+    /// [`Quantized::write`]'s record, its plane bytes after it.
     fn serialize_chunk(f: FilteredChunk, quant: &Quantized) -> ChunkOut {
         let mut w = Writer::new();
         w.u64(f.n as u64);
         w.u8(u8::from(f.used_filter));
-        let codes_len = if quant.bits() >= SPLIT_MIN_WIDTH && !quant.codes.is_empty() {
-            let bias = split_bias(quant.lo, quant.bin_width, quant.n_bins);
-            let (low, planes) = bitpack::split(&quant.codes, quant.bits(), bias);
-            quant.write_header(&mut w);
-            w.bytes(&low);
-            let codes_len = w.len();
-            w.bytes(&planes);
-            codes_len
-        } else {
-            quant.write(&mut w);
-            w.len()
-        };
+        let planes = quant.write(&mut w);
+        let codes_len = w.len();
+        w.bytes(&planes);
         ChunkOut {
             bitmap: f.bitmap,
             record: w.into_bytes(),
@@ -1518,10 +1446,56 @@ mod tests {
         serialize_chunk(f, &quant)
     }
 
+    /// The header fields `n_bins` and `count` of a chunk record.
+    fn record_bins_and_count(out: &ChunkOut) -> (u32, usize) {
+        let n_bins = u32::from_le_bytes(out.record[17..21].try_into().unwrap());
+        let count = u64::from_le_bytes(out.record[21..29].try_into().unwrap());
+        (n_bins, count as usize)
+    }
+
+    /// How many code bytes a record carries: one per code, none for a
+    /// constant chunk.
+    fn stored_codes(out: &ChunkOut) -> usize {
+        match record_bins_and_count(out) {
+            (0, _) => 0,
+            (_, count) => count,
+        }
+    }
+
+    /// `⌈count · max(bits − 8, 0) / 8⌉`: the plane bytes a record's codes
+    /// need.
+    fn plane_bytes(out: &ChunkOut) -> usize {
+        let (n_bins, _) = record_bins_and_count(out);
+        (stored_codes(out) * bits_for(n_bins).saturating_sub(8) as usize).div_ceil(8)
+    }
+
     /// Quantizer bounds and the code width each gives: Alg. 1's aggressive
     /// and conservative bounds (251 and 501 codes), a 10-bit bound and one
     /// past 16 bits.
     const WIDTH_BOUNDS: [(f32, u32); 4] = [(4e-3, 8), (2e-3, 9), (1e-3, 10), (1e-6, 20)];
+
+    /// A bound for every code width a chunk dequantizes through a table,
+    /// 1 to 12 bits: `conservative(4e-2)`'s 25 or 26 bins are 5-bit codes,
+    /// §4.3's `1e-2` example 7-bit ones.
+    const EVERY_WIDTH: [(f32, u32); 12] = [
+        (1.0, 1),
+        (0.4, 2),
+        (0.2, 3),
+        (0.1, 4),
+        (4e-2, 5),
+        (2e-2, 6),
+        (1e-2, 7),
+        (4e-3, 8),
+        (2e-3, 9),
+        (1e-3, 10),
+        (6e-4, 11),
+        (3e-4, 12),
+    ];
+
+    /// [`EVERY_WIDTH`], then [`WIDTH_BOUNDS`]' bound past 16 bits.
+    fn every_bound() -> impl Iterator<Item = (f32, u32)> {
+        EVERY_WIDTH.into_iter().chain([WIDTH_BOUNDS[3]])
+    }
 
     #[test]
     fn schedule_covers_layers_exactly() {
@@ -1646,7 +1620,7 @@ mod tests {
                 RoundingMode::HalfProbability,
             ] {
                 for eb_filter in [Some(1e-3), None] {
-                    for (eb_quant, bits) in WIDTH_BOUNDS {
+                    for (eb_quant, _) in every_bound() {
                         let cfg = CompsoConfig {
                             mode,
                             eb_filter,
@@ -1665,17 +1639,11 @@ mod tests {
                             rng_ref.next_u64(),
                             "RNG stream position diverged ({what})"
                         );
-                        // Only a record of codes wider than a byte has a
-                        // plane slice, and then a byte per code ahead of it.
-                        let n_bins = u32::from_le_bytes(fast.record[17..21].try_into().unwrap());
-                        let count = u64::from_le_bytes(fast.record[21..29].try_into().unwrap());
-                        if count > 0 && bits_for(n_bins) >= SPLIT_MIN_WIDTH {
-                            assert_eq!(bits_for(n_bins), bits, "{what}");
-                            assert_eq!(fast.codes_len as u64, 29 + count, "{what}");
-                            assert!(!fast.planes().is_empty(), "{what}");
-                        } else {
-                            assert!(fast.planes().is_empty(), "{what}");
-                        }
+                        // Every record but a constant one carries a byte
+                        // per code, its plane slice the codes' bits past 8.
+                        let stored = stored_codes(&fast);
+                        assert_eq!(fast.codes_len, 29 + stored, "{what}");
+                        assert_eq!(fast.planes().len(), plane_bytes(&fast), "{what}");
                     }
                 }
             }
@@ -1726,11 +1694,11 @@ mod tests {
             n in 0usize..4000,
             seed in proptest::prelude::any::<u64>(),
             filtered in proptest::prelude::any::<bool>(),
-            width in 0usize..WIDTH_BOUNDS.len(),
+            width in 0usize..EVERY_WIDTH.len() + 1,
             flip in proptest::prelude::any::<(usize, u8)>(),
         ) {
             let data = crate::synthetic::generate(n, seed, GradientProfile::kfac());
-            let eb = WIDTH_BOUNDS[width].0;
+            let eb = every_bound().nth(width).unwrap().0;
             let cfg = if filtered {
                 CompsoConfig::aggressive(eb)
             } else {
@@ -1913,7 +1881,7 @@ mod tests {
 
     /// A code past `n_bins` is refused where the decoder has always
     /// refused it, by both decoders, when the chunk dequantizes through a
-    /// table: narrow and wide, filtered and not.
+    /// table: 7-, 8- and 9-bit codes, filtered and not.
     #[test]
     fn an_out_of_range_code_is_refused_through_the_table() {
         let n = 2000;
@@ -1923,8 +1891,10 @@ mod tests {
             len: n,
         };
         let (lo, bin_width) = (-1.0f32, 4e-3f32);
-        for (n_bins, filtered) in [(250u32, false), (250, true), (500, false), (500, true)] {
-            let bits = bits_for(n_bins);
+        for (n_bins, filtered) in [100u32, 250, 500]
+            .into_iter()
+            .flat_map(|n_bins| [(n_bins, false), (n_bins, true)])
+        {
             let mut rng = Rng::new(61);
             let count = if filtered { n - 300 } else { n };
             let bitmap = if filtered {
@@ -1951,16 +1921,7 @@ mod tests {
                 let mut w = Writer::new();
                 w.u64(n as u64);
                 w.u8(u8::from(filtered));
-                let planes = if bits >= SPLIT_MIN_WIDTH {
-                    let bias = split_bias(lo, bin_width, n_bins);
-                    let (low, planes) = bitpack::split(&quant.codes, bits, bias);
-                    quant.write_header(&mut w);
-                    w.bytes(&low);
-                    planes
-                } else {
-                    quant.write(&mut w);
-                    Vec::new()
-                };
+                let planes = quant.write(&mut w);
                 let record = w.into_bytes();
                 let what = format!("n_bins {n_bins} filtered {filtered} hostile {hostile}");
                 let fast = decompress_chunk(&c, &record, &planes, &bitmap);
@@ -2285,16 +2246,16 @@ mod tests {
             refused(wide.codes(), &long[..long.len() - 2], &wide.bitmap);
             refused(wide.codes(), &[], &wide.bitmap);
         }
-        // A narrow chunk and a constant one own no plane bytes, whatever
-        // the frame around them carries.
-        let narrow = compress_chunk_fast(
-            &data,
-            range,
-            &CompsoConfig::aggressive(4e-3),
-            &mut Rng::new(8),
-        );
-        assert!(narrow.planes().is_empty());
-        refused(narrow.codes(), &[0], &narrow.bitmap);
+        // A chunk of codes that fit a byte and a constant one own no
+        // plane bytes, whatever the frame around them carries.
+        for cfg in [
+            CompsoConfig::aggressive(4e-3),
+            CompsoConfig::conservative(1e-2),
+        ] {
+            let narrow = compress_chunk_fast(&data, range, &cfg, &mut Rng::new(8));
+            assert!(narrow.planes().is_empty());
+            refused(narrow.codes(), &[0], &narrow.bitmap);
+        }
         let flat = vec![0.5f32; data.len()];
         let constant = compress_chunk_fast(
             &flat,
@@ -2306,38 +2267,79 @@ mod tests {
         refused(constant.codes(), &[0], &constant.bitmap);
     }
 
-    /// The split changes where a code's bits travel, not the code: a wide
-    /// chunk decodes to exactly the values the packed record of the same
-    /// codes ([`Quantized::write`], what a chunk carried at every width
-    /// before the split) dequantizes to.
+    /// One record layout at every width a table serves, 1 to 12 bits,
+    /// and for a constant layer: each non-constant chunk's code record is
+    /// its 29-byte header and one byte per code, its plane slice the
+    /// codes' bits past 8 (nothing up to 8 bits, so no flag), whatever
+    /// the filter kept. The fused sweep's records are the scalar
+    /// oracle's, the frame is theirs and the staged path's, and it
+    /// decodes within the bound — an unfiltered chunk to exactly the
+    /// values of its codes.
     #[test]
-    fn wide_chunks_decode_to_the_packed_records_values() {
-        let data = crate::synthetic::generate(5000, 51, GradientProfile::kfac());
-        let range = minmax_flat(&data);
-        let c = ChunkDesc {
-            layer: 0,
-            offset: 0,
-            len: data.len(),
-        };
-        for (eb, bits) in WIDTH_BOUNDS {
-            let cfg = CompsoConfig::conservative(eb);
-            let out = compress_chunk_fast(&data, range, &cfg, &mut Rng::new(52));
-            let split = decompress_chunk(&c, out.codes(), out.planes(), &[]).unwrap();
-            let quant = quantize_chunk(&data, data.len(), range, &cfg, &mut Rng::new(52));
-            assert_eq!(quant.bits(), bits);
-            let mut w = Writer::new();
-            quant.write(&mut w);
-            let packed = w.into_bytes();
-            let packed = Quantized::read_capped(&mut Reader::new(&packed), data.len()).unwrap();
-            assert_eq!(
-                split.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                packed
-                    .dequantize()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "{eb}"
-            );
+    fn every_width_stores_a_byte_per_code_and_the_bits_past_8_as_planes() {
+        let data = crate::synthetic::generate(40_000, 71, GradientProfile::kfac());
+        let flat = vec![0.75f32; 20_000];
+        let (kc, rng) = (KernelConfig::default(), Rng::new(72));
+        let staged = KernelConfig { fused: false, ..kc };
+        let every = (EVERY_WIDTH
+            .into_iter()
+            .map(|(eb, bits)| (&data[..], eb, bits)))
+        .chain([(&flat[..], 4e-2, 0)]);
+        for (layer, eb, bits) in every {
+            let range = minmax_flat(layer);
+            let span = range.max - range.min;
+            let schedule = LayerSchedule::build(&[layer.len()], CHUNK_ELEMS);
+            for cfg in [CompsoConfig::aggressive(eb), CompsoConfig::conservative(eb)] {
+                let what = format!("{cfg:?} over {} values", layer.len());
+                let mut jobs: Vec<ChunkJob> = (schedule.chunks().iter().enumerate())
+                    .map(|(idx, c)| ChunkJob {
+                        data: &layer[c.offset..c.offset + c.len],
+                        range,
+                        rng: rng.fork(idx as u64),
+                        out: None,
+                    })
+                    .collect();
+                let outs = compress_chunks(&mut jobs, &cfg, Instance::current());
+                for (idx, (out, c)) in outs.iter().zip(schedule.chunks()).enumerate() {
+                    let (n_bins, count) = record_bins_and_count(out);
+                    let values = &layer[c.offset..c.offset + c.len];
+                    let oracle =
+                        compress_chunk_fused(values, range, &cfg, &mut rng.fork(idx as u64));
+                    assert_eq!(out.record, oracle.record, "{what}");
+                    assert_eq!(out.codes_len, oracle.codes_len, "{what}");
+                    if bits == 0 {
+                        assert_eq!((n_bins, out.codes_len, out.planes()), (0, 29, &[][..]));
+                        continue;
+                    }
+                    assert_eq!(bits_for(n_bins), bits, "{what}");
+                    assert_eq!(out.codes_len, 29 + count, "{what}");
+                    let plane_width = bits.saturating_sub(8) as usize;
+                    assert_eq!(
+                        out.planes().len(),
+                        (count * plane_width).div_ceil(8),
+                        "{what}"
+                    );
+                    if cfg.eb_filter.is_none() {
+                        let quant =
+                            quantize_chunk(values, c.len, range, &cfg, &mut rng.fork(idx as u64));
+                        let decoded = decompress_chunk(c, out.codes(), out.planes(), &[]).unwrap();
+                        let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits_of(&decoded), bits_of(&quant.dequantize()), "{what}");
+                    }
+                }
+                let stream = compress_quiet(&[layer], &cfg, &kc, &schedule, &rng);
+                assert_eq!(stream, write_frame(&outs, &schedule, cfg.codec), "{what}");
+                assert_eq!(
+                    stream,
+                    compress_quiet(&[layer], &cfg, &staged, &schedule, &rng)
+                );
+                assert_eq!(stream[3], if bits > 8 { FLAG_WIDE } else { 0 }, "{what}");
+                let back = decompress_quiet(&stream).unwrap();
+                let bound = eb * span * 1.01 + 1e-7;
+                for (&x, &y) in layer.iter().zip(&back[0]) {
+                    assert!((x - y).abs() <= bound, "{what}: {x} decoded as {y}");
+                }
+            }
         }
     }
 

@@ -11,19 +11,17 @@
 //!
 //! What makes bit-identity possible (and cheap to maintain):
 //!
-//! * `pack_into` accumulates codes in a `u64` register and flushes 32
-//!   bits at a time; [`unpack_map`] reads each code through one
-//!   unaligned u64 load. A code is ≤ 32 bits and the pending bits (or
-//!   the in-byte shift) stay below 32 (7), so every window fits u64
-//!   exactly; the emitted bytes are the same LSB-first layout as the
-//!   scalar packer, not merely an equivalent one.
-//! * [`split_into`] / [`unsplit_map`] are what a chunk of codes wider
-//!   than a byte runs instead: the entropy coder is byte-wise, so such a
-//!   code travels as its low byte plus `width − 8` high bits packed into
-//!   a separate plane stream, rotated first so the code of 0.0 sits
-//!   mid-byte. Eight codes' plane bits are whole bytes, so up to 16 bits
-//!   the plane moves a `u64` per group of eight; the layout is
-//!   [`crate::bitpack::split`]'s, byte for byte.
+//! * [`split_into`] / [`unsplit_map`] lay out and read back a chunk's
+//!   codes: the entropy coder is byte-wise, so every code travels as its
+//!   low byte, and a code wider than a byte also as `width − 8` high bits
+//!   packed into a separate plane stream, rotated first so the code of
+//!   0.0 sits mid-byte. Codes of up to 8 bits are a plain byte copy.
+//!   Eight codes' plane bits are whole bytes, so up to 16 bits the plane
+//!   moves a `u64` per group of eight; past that (and for the last
+//!   groups) a `u64` register window flushes 32 bits at a time on the
+//!   write side and reads each plane field through one unaligned u64
+//!   load on the read side. The layout is [`crate::bitpack::split`]'s,
+//!   byte for byte.
 //! * `filter_kernel` builds the drop bitmap 64 decisions to a word,
 //!   branchlessly, and copies the survivors out by walking the inverted
 //!   word. The bit layout (LSB-first, set ⇔ dropped) matches the scalar
@@ -50,10 +48,10 @@
 //!   count, not the chunk length — the dropped majority is covered by a
 //!   single pre-zeroed output buffer.
 //! * `CompressScratch` extends the PR-3 thread-local decode scratch to
-//!   the compress side: kept values, quantized codes, packed bytes and
+//!   the compress side: kept values, quantized codes, low bytes and
 //!   plane bytes live in per-thread arenas that are cleared, never shrunk.
 
-use crate::bitpack::{code_mask, SPLIT_MIN_WIDTH};
+use crate::bitpack::{code_mask, plane_width, stored_mask};
 use crate::rounding::RoundingMode;
 use crate::wire::WireError;
 use compso_tensor::rng::Rng;
@@ -66,55 +64,11 @@ const TWO_POW_52: f64 = (1u64 << 52) as f64;
 #[cfg(target_arch = "x86_64")]
 const TWO_POW_84: f64 = (1u128 << 84) as f64;
 
-/// Packs `width`-bit codes LSB-first into `out` (cleared first), emitting
-/// byte-identical output to [`crate::bitpack::pack`].
-///
-/// The bit window lives in a `u64` register: a code is OR-ed in above the
-/// `bits < 32` pending bits (a code is ≤ 32 bits, so the window never
-/// overflows) and the low 32 bits are flushed whenever that many are
-/// ready. Nothing is read back from `out`, so consecutive codes do not
-/// wait on each other's stores.
-///
-/// # Panics
-/// If `width` is 0 or > 32, or any code does not fit in `width` bits —
-/// the same contract and message as the scalar packer (the first
-/// offending code is named; `out` is unspecified after the panic).
-pub(crate) fn pack_into(codes: &[u32], width: u32, out: &mut Vec<u8>) {
-    assert!((1..=32).contains(&width), "width {width} out of range");
-    let n_bytes = (codes.len() * width as usize).div_ceil(8);
-    out.clear();
-    out.resize(n_bytes, 0);
-    // Bits a code must not carry; OR-accumulated and checked once.
-    let too_wide = if width == 32 { 0 } else { u32::MAX << width };
-    let mut over = 0u32;
-    let mut acc = 0u64;
-    let mut bits = 0u32;
-    let mut pos = 0usize;
-    for &code in codes {
-        over |= code & too_wide;
-        acc |= (code as u64) << bits;
-        bits += width;
-        if bits >= 32 {
-            out[pos..pos + 4].copy_from_slice(&(acc as u32).to_le_bytes());
-            pos += 4;
-            acc >>= 32;
-            bits -= 32;
-        }
-    }
-    if over != 0 {
-        code_too_wide(codes, too_wide, width);
-    }
-    // Fewer than 32 bits are left: the last `⌈bits / 8⌉ ≤ 4` bytes.
-    let tail = &mut out[pos..];
-    let n = tail.len();
-    tail.copy_from_slice(&acc.to_le_bytes()[..n]);
-}
-
-/// The packers' deferred "does not fit" panic: names the first code with
-/// a bit in `too_wide`, in the scalar packer's words.
+/// The splitter's deferred "does not fit" panic: names the first code
+/// wider than `width` bits, in the scalar splitter's words.
 #[cold]
-fn code_too_wide(codes: &[u32], too_wide: u32, width: u32) -> ! {
-    let code = codes.iter().find(|&&c| c & too_wide != 0);
+fn code_too_wide(codes: &[u32], width: u32) -> ! {
+    let code = codes.iter().find(|&&c| c > code_mask(width));
     let code = code.expect("a bit in `over` came from some code");
     panic!("code {code} does not fit in {width} bits");
 }
@@ -131,30 +85,31 @@ fn windowed_groups(len: usize, w: usize, groups: usize) -> usize {
     }
 }
 
-/// Splits `width`-bit codes (`9 ..= 32`) into the two byte-aligned
-/// streams of a wide chunk, both cleared first: `low` gets the low byte
-/// of every rotated code `(code + bias) mod 2^width`, `planes` the
-/// remaining `width − 8` bits packed LSB-first at that width.
-/// Byte-identical to [`crate::bitpack::split`].
+/// Splits `width`-bit codes (`1 ..= 32`) into a chunk record's two
+/// byte-aligned streams, both cleared first: `low` gets the low byte of
+/// every rotated code `(code + bias) mod 2^max(width, 8)`, `planes` the
+/// remaining `width − 8` bits packed LSB-first at that width — nothing
+/// for codes of up to 8 bits. Byte-identical to [`crate::bitpack::split`].
 ///
 /// One sweep; the byte store and the plane bits both hang off the one
-/// load of each code. Eight codes' plane bits are exactly `width − 8`
-/// bytes, so up to 16 bits the plane is built a group at a time: the
-/// eight fields land at fixed offsets of one `u64` — no carried bit
-/// count, no flush test — which is stored whole, and the cursor steps by
-/// the bytes that were real (the next group overwrites the rest). The
-/// groups near the end, whose store would cross it, and every code of a
-/// wider stream go through `pack_into`'s register window instead.
+/// load of each code, and without a plane the sweep is a narrowing copy.
+/// Eight codes' plane bits are exactly `width − 8` bytes, so up to 16
+/// bits the plane is built a group at a time: the eight fields land at
+/// fixed offsets of one `u64` — no carried bit count, no flush test —
+/// which is stored whole, and the cursor steps by the bytes that were
+/// real (the next group overwrites the rest). The groups near the end,
+/// whose store would cross it, and every code of a wider stream go
+/// through a register window that flushes 32 bits at a time.
 ///
 /// # Panics
-/// If `width` is outside `9 ..= 32` or a code does not fit in it, with
+/// If `width` is outside `1 ..= 32` or a code does not fit in it, with
 /// the scalar oracle's messages.
 pub fn split_into(codes: &[u32], width: u32, bias: u32, low: &mut Vec<u8>, planes: &mut Vec<u8>) {
     assert!(
-        (SPLIT_MIN_WIDTH..=32).contains(&width),
+        (1..=32).contains(&width),
         "split width {width} out of range"
     );
-    let plane_width = width - 8;
+    let plane_width = plane_width(width);
     let w = plane_width as usize;
     let mask = code_mask(width);
     low.clear();
@@ -164,89 +119,56 @@ pub fn split_into(codes: &[u32], width: u32, bias: u32, low: &mut Vec<u8>, plane
     // Bits a code must not carry; OR-accumulated and checked once.
     let mut over = 0u32;
     let mut pos = 0usize;
-    let grouped = 8 * windowed_groups(planes.len(), w, codes.len() / 8);
-    let (group_codes, codes_left) = codes.split_at(grouped);
-    let (group_low, low_left) = low.split_at_mut(grouped);
-    for (c8, l8) in group_codes
-        .chunks_exact(8)
-        .zip(group_low.chunks_exact_mut(8))
-    {
-        let mut acc = 0u64;
-        let mut shift = 0usize;
-        for (&code, byte) in c8.iter().zip(l8) {
+    // The register window of the codes past the groups.
+    let mut acc = 0u64;
+    if w == 0 {
+        // No plane: a code's low byte is all of it.
+        for (&code, byte) in codes.iter().zip(low.iter_mut()) {
+            over |= code & !mask;
+            *byte = code.wrapping_add(bias) as u8;
+        }
+    } else {
+        let grouped = 8 * windowed_groups(planes.len(), w, codes.len() / 8);
+        let (group_codes, codes_left) = codes.split_at(grouped);
+        let (group_low, low_left) = low.split_at_mut(grouped);
+        for (c8, l8) in group_codes
+            .chunks_exact(8)
+            .zip(group_low.chunks_exact_mut(8))
+        {
+            let mut fields = 0u64;
+            let mut shift = 0usize;
+            for (&code, byte) in c8.iter().zip(l8) {
+                over |= code & !mask;
+                let rotated = code.wrapping_add(bias) & mask;
+                *byte = rotated as u8;
+                fields |= ((rotated >> 8) as u64) << shift;
+                shift += w;
+            }
+            planes[pos..pos + 8].copy_from_slice(&fields.to_le_bytes());
+            pos += w;
+        }
+        // A group boundary is a byte boundary, so the window starts empty.
+        let mut bits = 0u32;
+        for (&code, byte) in codes_left.iter().zip(low_left) {
             over |= code & !mask;
             let rotated = code.wrapping_add(bias) & mask;
             *byte = rotated as u8;
-            acc |= ((rotated >> 8) as u64) << shift;
-            shift += w;
-        }
-        planes[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
-        pos += w;
-    }
-    // A group boundary is a byte boundary, so the window starts empty.
-    let mut acc = 0u64;
-    let mut bits = 0u32;
-    for (&code, byte) in codes_left.iter().zip(low_left) {
-        over |= code & !mask;
-        let rotated = code.wrapping_add(bias) & mask;
-        *byte = rotated as u8;
-        acc |= ((rotated >> 8) as u64) << bits;
-        bits += plane_width;
-        if bits >= 32 {
-            planes[pos..pos + 4].copy_from_slice(&(acc as u32).to_le_bytes());
-            pos += 4;
-            acc >>= 32;
-            bits -= 32;
+            acc |= ((rotated >> 8) as u64) << bits;
+            bits += plane_width;
+            if bits >= 32 {
+                planes[pos..pos + 4].copy_from_slice(&(acc as u32).to_le_bytes());
+                pos += 4;
+                acc >>= 32;
+                bits -= 32;
+            }
         }
     }
     if over != 0 {
-        code_too_wide(codes, !mask, width);
+        code_too_wide(codes, width);
     }
     let tail = &mut planes[pos..];
     let n = tail.len();
     tail.copy_from_slice(&acc.to_le_bytes()[..n]);
-}
-
-/// Unpacks `out.len()` codes of `width` bits, straight into a
-/// caller-sized slice through a per-code map: the chunk decoder
-/// dequantizes as it unpacks instead of materializing codes it would only
-/// read back. `map` sees every code in order; the codes and the refusals
-/// (in their order) are [`crate::bitpack::unpack`]'s.
-pub(crate) fn unpack_map<T>(
-    bytes: &[u8],
-    width: u32,
-    out: &mut [T],
-    mut map: impl FnMut(u32) -> T,
-) -> Result<(), WireError> {
-    check_packed(bytes, width, out.len())?;
-    let w = width as usize;
-    let mask = code_mask(width);
-    let fast = windowed_codes(bytes.len(), w, out.len());
-    let (head, tail) = out.split_at_mut(fast);
-    let mut bitpos = 0usize;
-    for o in head {
-        *o = map(window_code(bytes, bitpos, mask));
-        bitpos += w;
-    }
-    for o in tail {
-        *o = map(tail_code(bytes, &mut bitpos, width));
-    }
-    Ok(())
-}
-
-/// The scalar unpacker's two refusals, in its order.
-fn check_packed(bytes: &[u8], width: u32, count: usize) -> Result<(), WireError> {
-    if !(1..=32).contains(&width) {
-        return Err(WireError::Invalid("bit width"));
-    }
-    let need = (count * width as usize).div_ceil(8);
-    if bytes.len() < need {
-        return Err(WireError::Truncated {
-            need,
-            have: bytes.len(),
-        });
-    }
-    Ok(())
 }
 
 /// How many leading codes of a `w`-bit stream of `len` bytes have their
@@ -288,14 +210,14 @@ fn tail_code(bytes: &[u8], bitpos: &mut usize, width: u32) -> u32 {
     value as u32
 }
 
-/// Inverse of [`split_into`]'s layout through a per-code map, like
-/// [`unpack_map`]: `map` sees code `i` as stored — `low[i]` under its
-/// `width − 8` bits of `planes`, still rotated — so a wide chunk
-/// dequantizes as it merges, and a caller with a table indexed by the
-/// rotated code needs no subtract or mask per code. Un-rotated by the
-/// caller (`(stored − bias) mod 2^width`), these are the codes of the
-/// test-only oracle `bitpack::unsplit`; the refusals are its, in its
-/// order.
+/// Inverse of [`split_into`]'s layout through a per-code map: `map` sees
+/// code `i` as stored — `low[i]` under its `width − 8` bits of `planes`
+/// if it has any, still rotated — so the chunk decoder dequantizes as it
+/// merges instead of materializing codes it would only read back, and a
+/// caller with a table indexed by the stored code needs no subtract or
+/// mask per code. Un-rotated by the caller (`(stored − bias) mod
+/// 2^max(width, 8)`), these are the codes of the test-only oracle
+/// `bitpack::unsplit`; the refusals are its, in its order.
 ///
 /// `low` must hold exactly one byte per output.
 pub(crate) fn unsplit_map<T>(
@@ -305,20 +227,33 @@ pub(crate) fn unsplit_map<T>(
     out: &mut [T],
     mut map: impl FnMut(u32) -> T,
 ) -> Result<(), WireError> {
-    if !(SPLIT_MIN_WIDTH..=32).contains(&width) {
+    if !(1..=32).contains(&width) {
         return Err(WireError::Invalid("bit width"));
     }
     let count = out.len();
     assert_eq!(low.len(), count, "one low byte per code");
-    let plane_width = width - 8;
-    check_packed(planes, plane_width, count)?;
+    let plane_width = plane_width(width);
     let w = plane_width as usize;
+    if w == 0 {
+        // No plane: the low byte is all of the stored code.
+        for (o, &l) in out.iter_mut().zip(low) {
+            *o = map(l as u32);
+        }
+        return Ok(());
+    }
+    let need = (count * w).div_ceil(8);
+    if planes.len() < need {
+        return Err(WireError::Truncated {
+            need,
+            have: planes.len(),
+        });
+    }
     let plane_mask = code_mask(plane_width);
     let merge = |high: u32, low: u8| high << 8 | low as u32;
     // Up to 16 bits, eight codes' plane bits are one `u64` load (a group
     // is `width − 8` whole bytes) shifted down a field per code; the
     // groups whose load would cross the end, and every code of a wider
-    // stream, take a window per code like [`unpack_map`]'s.
+    // stream, take a u64 load window per code.
     let grouped = 8 * windowed_groups(planes.len(), w, count / 8);
     let (group_out, out) = out.split_at_mut(grouped);
     let (group_low, low) = low.split_at(grouped);
@@ -371,8 +306,8 @@ pub(crate) struct DequantTable {
 
 impl DequantTable {
     /// Fills the table for a chunk of `width`-bit codes (`≤`
-    /// [`TABLE_MAX_WIDTH`]) stored rotated by `bias` (0 for a narrow
-    /// chunk): the entry of stored code `s` is the [`dequantize`]d value
+    /// [`TABLE_MAX_WIDTH`]) stored rotated by `bias` (0 for codes that
+    /// fit a byte): the entry of stored code `s` is the [`dequantize`]d value
     /// of `c = (s − bias) mod 2^width` — the decoder's expression
     /// evaluated once — or NaN where `c > n_bins`. From a finite `lo` and
     /// a finite `bin_width` the expression never gives NaN, so a NaN out
@@ -469,13 +404,12 @@ impl TableView<'_> {
 
 /// A chunk record's codes, with the header fields that turn them into
 /// values, as the chunk decoder has checked them: `bits` is the width of
-/// `n_bins` and at least 1; past 8 bits `packed` holds one low byte per
-/// code and `planes` the high bits ([`unsplit_map`]), otherwise `packed`
-/// holds the codes at their width ([`unpack_map`]).
+/// `n_bins` and at least 1, `low` holds one low byte per code and
+/// `planes` their bits past 8, if they have any ([`unsplit_map`]).
 pub(crate) struct CodeRecord<'a> {
-    /// Packed codes, or a wide record's low bytes.
-    pub packed: &'a [u8],
-    /// A wide record's plane slice.
+    /// One low byte per code.
+    pub low: &'a [u8],
+    /// The record's plane slice.
     pub planes: &'a [u8],
     /// The code width.
     pub bits: u32,
@@ -488,18 +422,9 @@ pub(crate) struct CodeRecord<'a> {
 }
 
 impl CodeRecord<'_> {
-    fn wide(&self) -> bool {
-        self.bits >= SPLIT_MIN_WIDTH
-    }
-
-    /// The rotation a wide record's codes are stored under; 0 for a
-    /// narrow one.
+    /// The rotation the record's codes are stored under.
     fn bias(&self) -> u32 {
-        if self.wide() {
-            crate::bitpack::split_bias(self.lo, self.bin_width, self.n_bins)
-        } else {
-            0
-        }
+        crate::bitpack::split_bias(self.lo, self.bin_width, self.n_bins)
     }
 
     /// This record's table of `count` codes, filled in `storage`, when
@@ -515,11 +440,7 @@ impl CodeRecord<'_> {
 
     /// Every code, as stored, into `out` (one per code) through `map`.
     fn each_code<T>(&self, out: &mut [T], map: impl FnMut(u32) -> T) -> Result<(), WireError> {
-        if self.wide() {
-            unsplit_map(self.packed, self.planes, self.bits, out, map)
-        } else {
-            unpack_map(self.packed, self.bits, out, map)
-        }
+        unsplit_map(self.low, self.planes, self.bits, out, map)
     }
 
     /// Every code dequantized into `out` (one per code), through `table`
@@ -537,7 +458,7 @@ impl CodeRecord<'_> {
             // cost the loop as much as the table saves.
             !out.iter().fold(false, |nan, v| nan | v.is_nan())
         } else {
-            let (bias, mask) = (self.bias(), code_mask(self.bits));
+            let (bias, mask) = (self.bias(), stored_mask(self.bits));
             let (lo64, bw64) = (self.lo as f64, self.bin_width as f64);
             let mut max_code = 0u32;
             self.each_code(out, |stored| {
@@ -894,17 +815,17 @@ pub(crate) fn scatter_kept(
 }
 
 /// Per-thread compress-side arena (the PR-3 decode scratch's sibling):
-/// the fused kernel's kept values, quantized codes, packed bytes and plane
+/// the fused kernel's kept values, quantized codes, low bytes and plane
 /// bytes are materialized here instead of fresh `Vec`s per chunk. Buffers are
 /// cleared between chunks, never shrunk.
 #[derive(Debug, Default)]
 pub(crate) struct CompressScratch {
     /// One per SR lane: the chunk that lane holds.
     pub lanes: [LaneScratch; SR_LANES],
-    /// The record's code bytes — bit-packed, or one low byte per code
-    /// for a wide chunk — staged before the chunk record is written.
-    pub packed: Vec<u8>,
-    /// A wide chunk's high-bit plane bytes, staged likewise.
+    /// The record's code bytes, one low byte per code, staged before the
+    /// chunk record is written.
+    pub low: Vec<u8>,
+    /// The codes' bits past 8, if they have any, staged likewise.
     pub planes: Vec<u8>,
 }
 
@@ -930,7 +851,7 @@ impl CompressScratch {
         let lanes: usize = (self.lanes.iter())
             .map(|l| l.kept.capacity() * 4 + l.codes.capacity() * 4)
             .sum();
-        lanes + self.packed.capacity() + self.planes.capacity()
+        lanes + self.low.capacity() + self.planes.capacity()
     }
 }
 
@@ -986,107 +907,21 @@ mod tests {
     // Explicit import: proptest's prelude also globs a `Rng` trait.
     use compso_tensor::rng::Rng;
 
-    #[test]
-    fn pack_into_matches_scalar_on_awkward_widths() {
-        for width in [1u32, 3, 7, 8, 9, 13, 17, 31, 32] {
-            let mask = if width == 32 {
-                u32::MAX
-            } else {
-                (1u32 << width) - 1
-            };
-            let codes: Vec<u32> = (0..257u32)
-                .map(|i| i.wrapping_mul(2654435761) & mask)
-                .collect();
-            let mut fast = Vec::new();
-            pack_into(&codes, width, &mut fast);
-            assert_eq!(fast, bitpack::pack(&codes, width), "width={width}");
-        }
-    }
-
-    #[test]
-    fn unpack_map_error_cases_match_scalar() {
-        let packed = bitpack::pack(&[5u32; 16], 5);
-        let mut out = [0u32; 16];
-        assert_eq!(
-            unpack_map(&packed[..packed.len() - 1], 5, &mut out, |c| c),
-            Err(WireError::Truncated { need: 10, have: 9 })
-        );
-        for width in [0, 33] {
-            assert_eq!(
-                unpack_map(&[0u8; 8], width, &mut out[..1], |c| c),
-                Err(WireError::Invalid("bit width"))
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn pack_into_oversized_code_panics_like_scalar() {
-        pack_into(&[8u32], 3, &mut Vec::new());
-    }
-
-    /// Every width × every short length, random and all-ones codes: the
-    /// register-window packer against the scalar packer, and the unpacker
-    /// against the codes (the flush, the ≤ 4-byte tail and the
-    /// u64-window/scalar-tail split all move with `len · width`).
-    #[test]
-    fn pack_and_unpack_match_scalar_at_every_width_and_short_length() {
-        let mut rng = Rng::new(0xB17);
-        let mut packed = Vec::new();
-        for width in 1u32..=32 {
-            let mask = u32::MAX >> (32 - width);
-            for len in 0..=130usize {
-                for all_ones in [false, true] {
-                    let codes: Vec<u32> = (0..len)
-                        .map(|_| {
-                            if all_ones {
-                                mask
-                            } else {
-                                rng.next_u32() & mask
-                            }
-                        })
-                        .collect();
-                    let want = bitpack::pack(&codes, width);
-                    pack_into(&codes, width, &mut packed);
-                    assert_eq!(packed, want, "width={width} len={len}");
-                    let mut mapped = vec![0u64; len];
-                    assert_eq!(
-                        unpack_map(&want, width, &mut mapped, |c| c as u64 + 1),
-                        Ok(())
-                    );
-                    assert!(
-                        mapped.iter().zip(&codes).all(|(&m, &c)| m == c as u64 + 1),
-                        "width={width} len={len}"
-                    );
-                }
-            }
-        }
-        let short = bitpack::pack(&[5u32; 16], 5);
-        assert_eq!(
-            unpack_map(&short[..9], 5, &mut [0u32; 16], |c| c),
-            Err(WireError::Truncated { need: 10, have: 9 })
-        );
-        assert_eq!(
-            unpack_map(&short, 33, &mut [0u32; 1], |c| c),
-            Err(WireError::Invalid("bit width"))
-        );
-    }
-
-    /// [`pack_and_unpack_match_scalar_at_every_width_and_short_length`]'s
-    /// twin for the byte/plane split: every wide width × every short
+    /// The splitter against [`bitpack::split`] and the merger against
+    /// the codes and [`bitpack::unsplit`], at every width × every short
     /// length × every class of rotation — the ones [`split_bias`] derives
     /// (`lo = 0`, a subnormal bin width, the code of 0.0 clamped at 0 and
-    /// at `n_bins`, mid-range) and the extremes of the mask — on random
-    /// and all-ones codes. The splitter against [`bitpack::split`], the
-    /// merger's stored codes, un-rotated, against the codes and
-    /// [`bitpack::unsplit`].
+    /// at `n_bins`, mid-range; all 0 up to 8 bits) and the extremes of
+    /// the mask — on random and all-ones codes: the plane-free copy, the
+    /// plane's groups of eight, its register-window tail and the ≤ 4-byte
+    /// flush all move with `len · (width − 8)`.
     #[test]
     fn split_and_unsplit_match_scalar_at_every_width_and_short_length() {
         use crate::bitpack::split_bias;
         let mut rng = Rng::new(0x5B17);
         let (mut low, mut planes) = (vec![1u8; 5], vec![2u8; 3]);
         let tiny = f32::from_bits(1);
-        for width in 9u32..=32 {
+        for width in 1u32..=32 {
             let mask = code_mask(width);
             let n_bins = mask - (mask >> 2); // needs all `width` bits
             let w = 2.0 / n_bins as f32;
@@ -1100,10 +935,14 @@ mod tests {
                 mask,
                 rng.next_u32() & mask,
             ];
-            assert_eq!(biases[0], 128);
-            assert_eq!(biases[1], 128);
-            assert_eq!(biases[2], 128u32.wrapping_sub(n_bins) & mask);
-            assert_eq!(biases[4], 128 - 77);
+            if width > 8 {
+                assert_eq!(biases[0], 128);
+                assert_eq!(biases[1], 128);
+                assert_eq!(biases[2], 128u32.wrapping_sub(n_bins) & mask);
+                assert_eq!(biases[4], 128 - 77);
+            } else {
+                assert_eq!(biases[..5], [0; 5], "width={width}");
+            }
             for bias in biases {
                 for len in 0..=130usize {
                     for all_ones in [false, true] {
@@ -1123,7 +962,8 @@ mod tests {
                             (&want.0, &want.1),
                             "width={width} bias={bias} len={len}"
                         );
-                        assert_eq!(planes.len(), (len * (width as usize - 8)).div_ceil(8));
+                        let plane_bytes = (len * plane_width(width) as usize).div_ceil(8);
+                        assert_eq!(planes.len(), plane_bytes);
                         let mut merged = vec![0u32; len];
                         let unrotate = |stored: u32| stored.wrapping_sub(bias) & mask;
                         assert_eq!(
@@ -1151,7 +991,7 @@ mod tests {
             bitpack::unsplit(&low, &planes[..9], 13, 7),
             Err(WireError::Truncated { need: 10, have: 9 })
         );
-        for width in [0, 8, 33] {
+        for width in [0, 33] {
             assert_eq!(
                 unsplit_map(&low, &planes, width, &mut [0u32; 16], |c| c),
                 Err(WireError::Invalid("bit width"))
@@ -1161,9 +1001,9 @@ mod tests {
 
     /// The "does not fit" check is accumulated and raised once, after the
     /// loop; the message must still name the first offender, as the
-    /// scalar packer's does.
+    /// scalar splitter's does.
     #[test]
-    fn pack_into_names_the_first_oversized_code_like_scalar() {
+    fn split_into_names_the_first_oversized_code_like_scalar() {
         fn message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
             let payload = std::panic::catch_unwind(f).expect_err("must panic");
             payload.downcast_ref::<String>().expect("formatted").clone()
@@ -1171,21 +1011,8 @@ mod tests {
         for (codes, width) in [
             (vec![1u32, 7, 9, 3, 200], 3u32),
             (vec![8], 3),
-            (vec![0, 1 << 31], 31),
+            (vec![1u32, 511, 512, 3, 9000], 9),
             (vec![u32::MAX; 40], 9),
-        ] {
-            let want = {
-                let codes = codes.clone();
-                message(move || drop(bitpack::pack(&codes, width)))
-            };
-            assert!(want.contains("does not fit"), "{want}");
-            assert_eq!(
-                message(move || pack_into(&codes, width, &mut Vec::new())),
-                want
-            );
-        }
-        for (codes, width) in [
-            (vec![1u32, 511, 512, 3, 9000], 9u32),
             (vec![0, 1 << 31], 31),
         ] {
             let want = {
@@ -1199,11 +1026,13 @@ mod tests {
                 want
             );
         }
-        let out_of_range = message(|| drop(bitpack::split(&[1], 8, 0)));
-        assert_eq!(
-            message(|| split_into(&[1], 8, 0, &mut Vec::new(), &mut Vec::new())),
-            out_of_range
-        );
+        for width in [0, 33] {
+            let out_of_range = message(move || drop(bitpack::split(&[1], width, 0)));
+            assert_eq!(
+                message(move || split_into(&[1], width, 0, &mut Vec::new(), &mut Vec::new())),
+                out_of_range
+            );
+        }
     }
 
     /// The values the happy path never sees, against the retained scalar
@@ -1279,8 +1108,7 @@ mod tests {
     /// A table and the expression it tabulates decode every width a
     /// table serves to the same bits — values that overflow to +∞ and
     /// subnormal steps included — and refuse a code past `n_bins` with
-    /// the same error, under the rotations four headers give a wide
-    /// chunk.
+    /// the same error, under the rotations four headers give a chunk.
     #[test]
     fn dequant_table_matches_the_expression_at_every_width() {
         let mut rng = Rng::new(0x7AB1E);
@@ -1306,15 +1134,11 @@ mod tests {
                             let at = rng.below(count as u64) as usize;
                             codes[at] = n_bins + 1 + rng.next_u32() % (mask - n_bins);
                         }
-                        let (mut packed, mut planes) = (Vec::new(), Vec::new());
-                        if bits >= SPLIT_MIN_WIDTH {
-                            let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
-                            split_into(&codes, bits, bias, &mut packed, &mut planes);
-                        } else {
-                            pack_into(&codes, bits, &mut packed);
-                        }
+                        let (mut low, mut planes) = (Vec::new(), Vec::new());
+                        let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
+                        split_into(&codes, bits, bias, &mut low, &mut planes);
                         let record = CodeRecord {
-                            packed: &packed,
+                            low: &low,
                             planes: &planes,
                             bits,
                             lo,
@@ -1340,9 +1164,38 @@ mod tests {
                 }
             }
         }
+        // A low byte with a bit set past a narrower code's width holds a
+        // code past `n_bins`, through the table and the expression alike.
+        for bits in 1..8 {
+            let count = (1usize << bits) + 37;
+            let mut low = vec![0u8; count];
+            low[count / 2] = 1 << bits;
+            let record = CodeRecord {
+                low: &low,
+                planes: &[],
+                bits,
+                lo: -1.0,
+                bin_width: 0.5,
+                n_bins: code_mask(bits),
+            };
+            let refused = Err(WireError::Invalid("quantized code out of range"));
+            let mut out = vec![0.0f32; count];
+            assert_eq!(
+                record.dequantize_into(&mut out, None),
+                refused,
+                "bits={bits}"
+            );
+            let table = record.table(count, &mut storage);
+            assert!(table.is_some(), "bits={bits}");
+            assert_eq!(
+                record.dequantize_into(&mut out, table),
+                refused,
+                "bits={bits}"
+            );
+        }
         // No table where the entries outnumber the codes, or past 12 bits.
         let record = CodeRecord {
-            packed: &[0; 64],
+            low: &[0; 64],
             planes: &[0; 64],
             bits: 9,
             lo: 0.0,
@@ -1366,17 +1219,11 @@ mod tests {
             let (lo, bin_width, n_bins) = (-1.0f32, 2.0 / mask as f32, mask);
             let count = (1usize << bits) + 37;
             let codes: Vec<u32> = (0..count).map(|_| rng.next_u32() & mask).collect();
-            let (mut packed, mut planes) = (Vec::new(), Vec::new());
-            let bias = if bits >= SPLIT_MIN_WIDTH {
-                let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
-                split_into(&codes, bits, bias, &mut packed, &mut planes);
-                bias
-            } else {
-                pack_into(&codes, bits, &mut packed);
-                0
-            };
+            let (mut low, mut planes) = (Vec::new(), Vec::new());
+            let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
+            split_into(&codes, bits, bias, &mut low, &mut planes);
             let record = CodeRecord {
-                packed: &packed,
+                low: &low,
                 planes: &planes,
                 bits,
                 lo,
@@ -1437,37 +1284,38 @@ mod tests {
         let data: Vec<f32> = (0..10_000).map(|i| (i % 83) as f32 - 41.0).collect();
         let cap_after_first = {
             with_compress_scratch(|s| {
-                filter_kernel(&data, 5.0, &mut s.packed, &mut s.lanes[0].kept);
+                filter_kernel(&data, 5.0, &mut s.low, &mut s.lanes[0].kept);
             });
             compress_scratch_capacity_bytes()
         };
         assert!(cap_after_first > 0);
         for _ in 0..3 {
             with_compress_scratch(|s| {
-                filter_kernel(&data, 5.0, &mut s.packed, &mut s.lanes[0].kept);
+                filter_kernel(&data, 5.0, &mut s.low, &mut s.lanes[0].kept);
             });
             assert_eq!(compress_scratch_capacity_bytes(), cap_after_first);
         }
     }
 
     proptest! {
-        /// Bitpack bit-identity: the u64-window packer emits the exact
-        /// bytes of the scalar packer, and the window unpacker recovers
-        /// the exact codes, for every width.
+        /// Split bit-identity: the splitter emits the exact streams of
+        /// the scalar splitter, and the merger recovers the exact codes,
+        /// for every width and rotation.
         #[test]
-        fn prop_pack_unpack_bit_identical(
+        fn prop_split_unsplit_bit_identical(
             width in 1u32..=32,
+            bias in any::<u32>(),
             raw in proptest::collection::vec(any::<u32>(), 0..400),
         ) {
-            let mask = if width == 32 { u32::MAX } else { (1u32 << width) - 1 };
-            let codes: Vec<u32> = raw.iter().map(|&v| v & mask).collect();
-            let scalar = bitpack::pack(&codes, width);
-            let mut fast = Vec::new();
-            pack_into(&codes, width, &mut fast);
-            prop_assert_eq!(&fast, &scalar);
+            let mask = code_mask(width);
+            let (bias, codes) = (bias & mask, raw.iter().map(|&v| v & mask).collect::<Vec<_>>());
+            let scalar = bitpack::split(&codes, width, bias);
+            let (mut low, mut planes) = (Vec::new(), Vec::new());
+            split_into(&codes, width, bias, &mut low, &mut planes);
+            prop_assert_eq!((&low, &planes), (&scalar.0, &scalar.1));
             let mut out = vec![0u32; codes.len()];
-            unpack_map(&scalar, width, &mut out, |c| c).unwrap();
-            prop_assert_eq!(&out, &bitpack::unpack(&scalar, width, codes.len()).unwrap());
+            let unrotate = |stored: u32| stored.wrapping_sub(bias) & mask;
+            unsplit_map(&low, &planes, width, &mut out, unrotate).unwrap();
             prop_assert_eq!(&out, &codes);
         }
 

@@ -13,7 +13,10 @@ use crate::microkernel;
 use crate::rounding::RoundingMode;
 use crate::wire::Writer;
 #[cfg(test)]
-use crate::wire::{Reader, WireError};
+use crate::{
+    traits::CompressError,
+    wire::{Reader, WireError},
+};
 use compso_tensor::reduce::{minmax_flat, MinMax};
 use compso_tensor::rng::Rng;
 
@@ -165,7 +168,7 @@ pub(crate) fn quantize_on_grid(
 }
 
 impl Quantized {
-    /// Bits per packed code.
+    /// Bits per code.
     pub fn bits(&self) -> u32 {
         bitpack::bits_for(self.n_bins)
     }
@@ -178,56 +181,65 @@ impl Quantized {
             .collect()
     }
 
-    /// The record header: range start, bin width, largest code, count.
-    pub(crate) fn write_header(&self, w: &mut Writer) {
+    /// Writes the record (DESIGN.md §8.2) — range start, bin width,
+    /// largest code, count, then one low byte per code — and returns the
+    /// codes' bits past 8 ([`bitpack::split`]), which travel in a plane
+    /// stream of their own: empty for codes that fit a byte. A constant
+    /// block (no bins) carries no code bytes at all.
+    #[must_use = "the plane bytes are the codes' high bits"]
+    pub fn write(&self, w: &mut Writer) -> Vec<u8> {
         w.f32(self.lo);
         w.f32(self.bin_width);
         w.u32(self.n_bins);
         w.u64(self.codes.len() as u64);
-    }
-
-    /// Serializes header + packed codes.
-    pub fn write(&self, w: &mut Writer) {
-        self.write_header(w);
-        if !self.codes.is_empty() && self.n_bins > 0 {
-            w.bytes(&bitpack::pack(&self.codes, self.bits()));
+        if self.n_bins == 0 {
+            return Vec::new();
         }
+        let bias = bitpack::split_bias(self.lo, self.bin_width, self.n_bins);
+        let (low, planes) = bitpack::split(&self.codes, self.bits(), bias);
+        w.bytes(&low);
+        planes
     }
 
-    /// Test oracle: deserializes a block written by [`Quantized::write`],
-    /// refusing an element count above `max_count`.
+    /// Test oracle: reads a record written by [`Quantized::write`] from
+    /// `r` and its plane bytes, which must be exactly as long as its
+    /// codes need, refusing an element count above `max_count`.
     ///
     /// The degenerate `n_bins == 0` encoding (constant-valued blocks)
     /// carries *no* code bytes — that is the whole point of the encoding —
     /// so its element count cannot be validated against the remaining
-    /// buffer the way packed codes can; the cap keeps a hostile count in
+    /// buffer the way stored codes can; the cap keeps a hostile count in
     /// a corrupted stream from driving an oversized allocation. The
     /// chunked decoder inlines these checks; the tests hold it to this
     /// reader.
     #[cfg(test)]
-    pub(crate) fn read_capped(r: &mut Reader, max_count: usize) -> Result<Self, WireError> {
+    pub(crate) fn read_capped(
+        r: &mut Reader,
+        planes: &[u8],
+        max_count: usize,
+    ) -> Result<Self, CompressError> {
         let lo = r.f32()?;
         let bin_width = r.f32()?;
         let n_bins = r.u32()?;
         let count = crate::wire::checked_count(r.u64()?)?;
         if count > max_count {
-            return Err(WireError::Invalid("quantized count over cap"));
+            return Err(WireError::Invalid("quantized count over cap").into());
         }
         if !lo.is_finite() || !bin_width.is_finite() || bin_width < 0.0 {
-            return Err(WireError::Invalid("quantized header"));
+            return Err(WireError::Invalid("quantized header").into());
         }
-        let codes = if count == 0 || n_bins == 0 {
-            vec![0; count]
-        } else {
-            let bits = bitpack::bits_for(n_bins);
-            let need = (count * bits as usize).div_ceil(8);
-            let bytes = r.bytes(need)?;
-            let codes = bitpack::unpack(bytes, bits, count)?;
-            if codes.iter().any(|&c| c > n_bins) {
-                return Err(WireError::Invalid("quantized code out of range"));
-            }
-            codes
-        };
+        let bits = bitpack::bits_for(n_bins);
+        let stored = if n_bins == 0 { 0 } else { count };
+        let low = r.bytes(stored)?;
+        if planes.len() != (stored * bitpack::plane_width(bits) as usize).div_ceil(8) {
+            return Err(CompressError::Corrupt("chunk plane length"));
+        }
+        let bias = bitpack::split_bias(lo, bin_width, n_bins);
+        let mut codes = bitpack::unsplit(low, planes, bits, bias)?;
+        if codes.iter().any(|&c| c > n_bins) {
+            return Err(WireError::Invalid("quantized code out of range").into());
+        }
+        codes.resize(count, 0);
         Ok(Quantized {
             codes,
             lo,
@@ -339,11 +351,16 @@ mod tests {
         let mut rng = Rng::new(13);
         let data = sample_data(777, 14, -5.0, 2.0);
         let quant = q.quantize(&data, &mut rng);
+        assert_eq!(quant.bits(), 9);
         let mut w = Writer::new();
-        quant.write(&mut w);
+        let planes = quant.write(&mut w);
         let bytes = w.into_bytes();
+        assert_eq!(
+            (bytes.len(), planes.len()),
+            (20 + 777, 777usize.div_ceil(8))
+        );
         let mut r = Reader::new(&bytes);
-        let back = Quantized::read_capped(&mut r, data.len()).unwrap();
+        let back = Quantized::read_capped(&mut r, &planes, data.len()).unwrap();
         assert_eq!(back, quant);
         assert!(r.is_exhausted());
     }
@@ -355,12 +372,12 @@ mod tests {
         let data = sample_data(100, 16, -1.0, 1.0);
         let quant = q.quantize(&data, &mut rng);
         let mut w = Writer::new();
-        quant.write(&mut w);
+        let planes = quant.write(&mut w);
         let bytes = w.into_bytes();
         for cut in [0usize, 3, 8, 15, bytes.len() - 1] {
             let mut r = Reader::new(&bytes[..cut]);
             assert!(
-                Quantized::read_capped(&mut r, data.len()).is_err(),
+                Quantized::read_capped(&mut r, &planes, data.len()).is_err(),
                 "cut={cut}"
             );
         }
@@ -379,8 +396,8 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(
-            Quantized::read_capped(&mut r, 1024),
-            Err(WireError::Invalid("quantized count over cap"))
+            Quantized::read_capped(&mut r, &[], 1024),
+            Err(WireError::Invalid("quantized count over cap").into())
         );
         // The honest count decodes fine under the same cap.
         let mut w = Writer::new();
@@ -389,7 +406,7 @@ mod tests {
         w.u32(0);
         w.u64(1024);
         let bytes = w.into_bytes();
-        let q = Quantized::read_capped(&mut Reader::new(&bytes), 1024).unwrap();
+        let q = Quantized::read_capped(&mut Reader::new(&bytes), &[], 1024).unwrap();
         assert_eq!(q.codes.len(), 1024);
         assert!(q.dequantize().iter().all(|&v| v == 1.0));
     }
@@ -495,10 +512,10 @@ mod tests {
             let q = Quantizer::relative(0.01, RoundingMode::Stochastic);
             let quant = q.quantize(&data, &mut rng);
             let mut w = Writer::new();
-            quant.write(&mut w);
+            let planes = quant.write(&mut w);
             let bytes = w.into_bytes();
-            let back = Quantized::read_capped(&mut Reader::new(&bytes), data.len()).unwrap();
-            prop_assert_eq!(back, quant);
+            let back = Quantized::read_capped(&mut Reader::new(&bytes), &planes, data.len());
+            prop_assert_eq!(back.unwrap(), quant);
         }
     }
 }

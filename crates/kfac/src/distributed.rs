@@ -150,11 +150,12 @@ pub struct StepStats {
     pub gather_bytes_original: u64,
     /// Bytes actually all-gathered (equals original without compression).
     pub gather_bytes_wire: u64,
-    /// Reduction volume in bytes *this step* — the size of the buffers
-    /// reduced, not the wire bytes a ring spends reducing them: the
-    /// step-2 gradient bucket plus, on a factor-sync step only, the
-    /// step-3 bucket of packed upper triangles (both always travel
-    /// uncompressed).
+    /// Reduction volume in bytes *this step*: 4 bytes per f32 of the
+    /// buffers reduced — the step-2 gradient bucket plus, on a
+    /// factor-sync step only, the step-3 bucket of packed upper
+    /// triangles. A buffer size, not what a ring spends reducing it: the
+    /// hops' wire bytes, compressed or not, are the communicator's
+    /// `sent_bytes`.
     pub allreduce_bytes: u64,
 }
 

@@ -82,6 +82,8 @@ step_start "what no compiler, lint or test check sees"
 # back unflagged: rustc's dead_code stops at `pub` and reachable-pub
 # checks fns, consts and statics by name, so a deleted type or field,
 # or a pricing fn that compso-sim also names, compiles unseen; so do a
+# sub-byte bit-packer and its unpacker back beside the one code layout
+# under their old names (a test-only caller keeps them alive), a
 # provided trait method, a second thread-local own-frame list, a manifest
 # dependency, an env knob or shim, and a second kernel that is as
 # bit-identical to its oracle as the production one: a GEMM loop, or the
@@ -99,6 +101,8 @@ GEMM_MACS=$(grep -E '\+= [a-z_0-9]+(\[[a-z_0-9]+\])? \* [a-z_0-9]+(\[[a-z_0-9]+\
 GEMM_COUNTS="$GEMM_MACS:$(grep -cE '^fn tile[<(]' <<<"$GEMM_SRC" || true):$(grep -c ' gemm(' <<<"$GEMM_SRC" || true)"
 grep -rnE --exclude-dir=fixtures 'struct (Compso|Resilience|ControlBlock)\b|ActiveSetting|ThroughputTable|CollectiveKind|OnlineProfiler|pub chunk_elems:|KernelConfig::default\(\)\.chunk_elems|kc\.chunk_elems' \
   crates src tests examples && fence "a deleted type, field or knob is back"
+grep -rnE 'pack_into|unpack_map|SPLIT_MIN_WIDTH|read_wide_ref' crates src tests examples \
+  && fence "a second code layout is back: every chunk's codes reach the coder one byte each"
 grep -rnE 'netmodel|NetworkSpec' crates/comm/src \
   || grep -rnE '(struct|fn) (CompressorProfile|choose_aggregation|comm_speedup|end_to_end_gain)\b' crates/core/src \
   || grep -n 'compso-comm' crates/sim/Cargo.toml && fence "a second cost model is back: price in compso-sim only"

@@ -44,8 +44,8 @@ fn layers(seed: u64) -> Vec<Vec<f32>> {
 }
 
 /// Both strategies of Alg. 1's step schedule under every rounding mode,
-/// and a bound fine enough for more than 2¹⁶ bins: ⌈1 / 1e-5⌉ = 100 000,
-/// 17-bit codes.
+/// a bound fine enough for more than 2¹⁶ bins: ⌈1 / 1e-5⌉ = 100 000,
+/// 17-bit codes, and a loose one: ⌈1 / 4e-2⌉ = 25 bins, 5-bit codes.
 fn configs() -> Vec<CompsoConfig> {
     let schedule = BoundSchedule::step_paper(1);
     let modes = [
@@ -60,6 +60,8 @@ fn configs() -> Vec<CompsoConfig> {
     configs.extend([
         CompsoConfig::conservative(1e-5),
         CompsoConfig::aggressive(1e-5),
+        CompsoConfig::conservative(4e-2),
+        CompsoConfig::aggressive(4e-2),
     ]);
     configs
 }

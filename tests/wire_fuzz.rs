@@ -671,9 +671,16 @@ const FAMILIES: &[Family] = &[
     Family {
         // Alg. 1's conservative bound: 9-bit codes, so the flagged frame
         // — a third index column and a third block — with the subnormal
-        // layer a narrow chunk inside it.
+        // layer's 3-bit codes inside it, a low byte each and no plane
+        // slice.
         make: || Box::new(ChunkedCompso::new(CompsoConfig::conservative(2e-3))),
         contract: Contract::Within(|l| 2e-3 * value_range(l) * 1.01 + 1e-7),
+    },
+    Family {
+        // A loose bound an adaptive controller picks: 25 or 26 bins, 5-bit
+        // codes, one low byte each in an unflagged frame.
+        make: || Box::new(ChunkedCompso::new(CompsoConfig::conservative(4e-2))),
+        contract: Contract::Within(|l| 4e-2 * value_range(l) * 1.01 + 1e-7),
     },
     Family {
         make: || Box::new(Qsgd::bits4()),

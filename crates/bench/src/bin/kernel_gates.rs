@@ -47,14 +47,26 @@
 //!   fastest of 15, interleaved. Reads 2.1 to 2.9; 1.00 to 1.10 with the
 //!   AVX2 arm running the lanes one by one in scalar code. `n/a` without
 //!   AVX2.
-//! * `codec.pack_speedup >= 1.5` — `microkernel::split_into` (what the
-//!   chunk kernels run on codes wider than a byte: a low-byte stream and
-//!   a packed high-bit plane) against its scalar oracle `bitpack::split`
-//!   on one seeded stream of 256 Ki 9-bit codes, fastest of 5,
-//!   interleaved. The plane is built eight codes to a `u64` store, its
-//!   tail through a register window; a packer that reads its own output
-//!   back (a load–or–store of a memory window per code) read 0.68
-//!   against the per-bit loop it exists to replace.
+//! * `core.extrema_speedup >= 1.5`, `core.drop_mask_speedup >= 1.5`,
+//!   `codec.dequant_speedup >= 1.5` — the AVX2 instances of three
+//!   per-element passes of the chunk kernels against their portable ones
+//!   on one seeded 256 Ki K-FAC-like layer, fastest of 15, interleaved,
+//!   one rayon worker: `minmax_hierarchical` (pass 1's extrema),
+//!   `filter_kernel` at the aggressive strategy's threshold (`4e-3 ×` the
+//!   range) and `CodeRecord::dequantize_into` over the layer's
+//!   conservative (`eb 2e-3`, 9-bit) codes split into 16 Ki chunk
+//!   records, each with its table on the portable side. Outputs are
+//!   asserted equal. They read 2.1 to 2.5; 0.99, 0.99 and 0.72 with the
+//!   `Avx2` arms running the portable bodies. `n/a` without AVX2.
+//! * `codec.pack_speedup >= 1.5` — `microkernel::split_into` on the
+//!   instance production runs (what the chunk kernels run on every code:
+//!   a low-byte stream and, past 8 bits, a packed high-bit plane) against
+//!   its scalar oracle `bitpack::split` on one seeded stream of 256 Ki
+//!   9-bit codes, fastest of 5, interleaved. The portable instance builds
+//!   the plane eight codes to a `u64` store, its tail through a register
+//!   window; a packer that reads its own output back (a load–or–store of
+//!   a memory window per code) read 0.68 against the per-bit loop it
+//!   exists to replace.
 //! * `codec.rans_decode_speedup >= 1.4`, `codec.rans_encode_speedup >=
 //!   1.4` — the rANS coder's AVX2 instance against its portable one on
 //!   one seeded 256 KiB low-byte stream of `eb 2e-3` codes (one codec
@@ -123,7 +135,7 @@ use compso_comm::fault::FaultPlane;
 use compso_comm::{run_ranks_with, CommConfig};
 use compso_core::encoders::rans;
 use compso_core::kernels::{LayerSchedule, CHUNK_ELEMS};
-use compso_core::microkernel::{quantize_sr_lanes, SrLane, SR_LANES};
+use compso_core::microkernel::{quantize_sr_lanes, CodeRecord, DequantTable, SrLane, SR_LANES};
 use compso_core::quantize::Quantizer;
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed};
@@ -134,6 +146,7 @@ use compso_dnn::models::small_cnn;
 use compso_dnn::Layer;
 use compso_kfac::kfac::covariance;
 use compso_obs::Recorder;
+use compso_tensor::reduce::minmax_hierarchical;
 use compso_tensor::{sym_eig, Instance, Matrix, Rng};
 use std::hint::black_box;
 use std::time::Instant;
@@ -633,7 +646,8 @@ fn main() {
             let scalar = black_box(bitpack::split(black_box(&codes), 9, bias));
             best[0] = best[0].min(t0.elapsed().as_secs_f64());
             let t0 = Instant::now();
-            microkernel::split_into(black_box(&codes), 9, bias, &mut low, &mut planes);
+            let inst = Instance::current();
+            microkernel::split_into(inst, black_box(&codes), 9, bias, &mut low, &mut planes);
             best[1] = best[1].min(t0.elapsed().as_secs_f64());
             assert_eq!(
                 (black_box(&low), black_box(&planes)),
@@ -649,6 +663,93 @@ fn main() {
             1.5,
             format!("bitpack::split {scalar:.3} ms, split_into {fast:.3} ms"),
         );
+    }
+
+    // Pass 1's extrema, the drop mask and the decoder's dequantize on
+    // their two instances, over one layer.
+    if Instance::Avx2.available() {
+        let _guard = rayon::scoped_thread_override(1);
+        let layer = generate(256 * 1024, 24, GradientProfile::kfac());
+        let range = minmax_hierarchical(&layer);
+        let threshold = 4e-3 * (range.max - range.min);
+        let q =
+            Quantizer::relative(2e-3, RoundingMode::Stochastic).quantize(&layer, &mut Rng::new(25));
+        let bias = bitpack::split_bias(q.lo, q.bin_width, q.n_bins);
+        let (low, planes) = bitpack::split(&q.codes, q.bits(), bias);
+        let records: Vec<CodeRecord> = (0..layer.len())
+            .step_by(CHUNK_ELEMS)
+            .map(|at| {
+                let end = (at + CHUNK_ELEMS).min(layer.len());
+                CodeRecord {
+                    low: &low[at..end],
+                    planes: &planes[at / 8..end.div_ceil(8)],
+                    bits: q.bits(),
+                    lo: q.lo,
+                    bin_width: q.bin_width,
+                    n_bins: q.n_bins,
+                }
+            })
+            .collect();
+        let mut storage = DequantTable::default();
+        let mut kept: [(Vec<u8>, Vec<f32>); 2] = Default::default();
+        let mut values = [vec![0.0f32; layer.len()], vec![0.0f32; layer.len()]];
+        // [extrema, drop mask, dequantize] × [portable, avx2]
+        let mut best = [[f64::INFINITY; 2]; 3];
+        for _ in 0..15 {
+            let mut ranges = Vec::new();
+            for (i, inst) in Instance::ALL.into_iter().enumerate() {
+                let _pin = inst.pin();
+                let t0 = Instant::now();
+                ranges.push(black_box(minmax_hierarchical(black_box(&layer))));
+                best[0][i] = best[0][i].min(t0.elapsed().as_secs_f64());
+                let (bitmap, survivors) = &mut kept[i];
+                let t0 = Instant::now();
+                microkernel::filter_kernel(inst, black_box(&layer), threshold, bitmap, survivors);
+                best[1][i] = best[1][i].min(t0.elapsed().as_secs_f64());
+                let t0 = Instant::now();
+                for (record, out) in records.iter().zip(values[i].chunks_mut(CHUNK_ELEMS)) {
+                    let table = record.table(inst, out.len(), &mut storage);
+                    record
+                        .dequantize_into(inst, black_box(out), table)
+                        .expect("the quantizer's codes are in range");
+                }
+                best[2][i] = best[2][i].min(t0.elapsed().as_secs_f64());
+            }
+            let bits = |r: &compso_tensor::reduce::MinMax| (r.min.to_bits(), r.max.to_bits());
+            assert_eq!(
+                bits(&ranges[0]),
+                bits(&ranges[1]),
+                "the extrema instances diverged"
+            );
+            assert_eq!(kept[0], kept[1], "the drop mask instances diverged");
+            assert_eq!(values[0], values[1], "the dequantize instances diverged");
+        }
+        let ns = |t: f64| t * 1e9 / layer.len() as f64;
+        for (name, [portable, avx2]) in [
+            ("core.extrema_speedup", best[0]),
+            ("core.drop_mask_speedup", best[1]),
+            ("codec.dequant_speedup", best[2]),
+        ] {
+            gate(
+                name,
+                portable / avx2,
+                ">=",
+                1.5,
+                format!(
+                    "portable {:.3} ns/elem, avx2 {:.3} ns/elem",
+                    ns(portable),
+                    ns(avx2)
+                ),
+            );
+        }
+    } else {
+        for name in [
+            "core.extrema_speedup",
+            "core.drop_mask_speedup",
+            "codec.dequant_speedup",
+        ] {
+            println!("kernel_gates: {name}: n/a (no AVX2 on this host)");
+        }
     }
 
     // The rANS coder's two instances on what `encode_blocks` feeds it

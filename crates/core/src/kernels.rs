@@ -284,8 +284,10 @@ impl Staged {
 
 /// The filter sweep and the quantizer header of one chunk, the survivors
 /// into `survivors`: the layer-global range, an f32 span and the
-/// [`grid`] the [`crate::Quantizer`] also quantizes on.
+/// [`grid`] the [`crate::Quantizer`] also quantizes on. The filter runs
+/// on `inst`.
 fn stage_chunk(
+    inst: Instance,
     data: &[f32],
     range: MinMax,
     cfg: &CompsoConfig,
@@ -299,7 +301,7 @@ fn stage_chunk(
     let use_filter = threshold > 0.0;
     let mut bitmap = Vec::new();
     let n_kept = if use_filter {
-        microkernel::filter_kernel(data, threshold, &mut bitmap, survivors);
+        microkernel::filter_kernel(inst, data, threshold, &mut bitmap, survivors);
         survivors.len()
     } else {
         data.len()
@@ -324,7 +326,9 @@ fn stage_chunk(
 /// the decoder dequantizes them ([`microkernel::dequantize_codes`]), `lo`
 /// for a constant chunk, a filtered chunk's values scattered by its
 /// bitmap ([`microkernel::scatter_kept`]) with 0.0 where one was dropped.
+/// The split and the dequantize run on `inst`.
 fn finish_chunk(
+    inst: Instance,
     st: Staged,
     codes: &[u32],
     low: &mut Vec<u8>,
@@ -345,6 +349,7 @@ fn finish_chunk(
                 kept.fill(lo);
             } else {
                 microkernel::dequantize_codes(
+                    inst,
                     codes,
                     lo,
                     bin_width,
@@ -364,7 +369,7 @@ fn finish_chunk(
     planes.clear();
     if st.n_bins > 0 {
         let bias = split_bias(st.lo, st.bin_width, st.n_bins);
-        microkernel::split_into(codes, bits_for(st.n_bins), bias, low, planes);
+        microkernel::split_into(inst, codes, bits_for(st.n_bins), bias, low, planes);
     }
     let mut w = Writer::with_capacity(29 + low.len() + planes.len());
     w.u64(st.n as u64);
@@ -419,7 +424,7 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
             for (slot, lane) in held.iter_mut().zip(&mut s.lanes) {
                 while slot.is_none() && next < jobs.len() {
                     let job = &mut jobs[next];
-                    let st = stage_chunk(job.data, job.range, cfg, &mut lane.kept);
+                    let st = stage_chunk(inst, job.data, job.range, cfg, &mut lane.kept);
                     let kept = st.kept(job.data, &lane.kept);
                     if lanes_draw && st.n_bins > 0 {
                         lane.codes.clear();
@@ -445,6 +450,7 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
                         }
                         let out = job.out.as_deref_mut();
                         outs[next] = Some(finish_chunk(
+                            inst,
                             st,
                             &lane.codes,
                             &mut s.low,
@@ -484,6 +490,7 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
                     let Held { idx, st, .. } = slot.take().expect("every lane holds a chunk");
                     let out = jobs[idx].out.as_deref_mut();
                     outs[idx] = Some(finish_chunk(
+                        inst,
                         st,
                         &lane.codes,
                         &mut s.low,
@@ -498,6 +505,7 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
                 st.lane(&mut jobs[idx], lane, pos..st.n_kept).quantize();
                 let out = jobs[idx].out.as_deref_mut();
                 outs[idx] = Some(finish_chunk(
+                    inst,
                     st,
                     &lane.codes,
                     &mut s.low,
@@ -586,12 +594,12 @@ fn compress_chunked_reconstructing(
         })
         .collect();
 
-    // Pass 2(+): the chunk sweep.
+    // Pass 2(+): the chunk sweep, on the instance read on the calling
+    // thread: a pin does not reach the workers.
+    let inst = Instance::current();
     let chunk = |c: &ChunkDesc| &layers[c.layer][c.offset..c.offset + c.len];
     let mut recon = None;
     let outs: Vec<ChunkOut> = if kc.fused {
-        // Read on the calling thread: a pin does not reach the workers.
-        let inst = Instance::current();
         let sweep = |windows: Option<Vec<&mut [f32]>>| {
             let mut windows = windows.map(Vec::into_iter);
             let mut jobs: Vec<ChunkJob> = (schedule.chunks.iter().enumerate())
@@ -634,7 +642,7 @@ fn compress_chunked_reconstructing(
             .par_iter()
             .map(|c| {
                 let mut survivors = Vec::new();
-                let st = stage_chunk(chunk(c), ranges[c.layer], cfg, &mut survivors);
+                let st = stage_chunk(inst, chunk(c), ranges[c.layer], cfg, &mut survivors);
                 (st, survivors)
             })
             .collect();
@@ -658,7 +666,7 @@ fn compress_chunked_reconstructing(
         (staged.into_par_iter().zip(codes))
             .map(|((st, _), codes)| {
                 microkernel::with_compress_scratch(|s| {
-                    finish_chunk(st, &codes, &mut s.low, &mut s.planes, None)
+                    finish_chunk(inst, st, &codes, &mut s.low, &mut s.planes, None)
                 })
             })
             .collect()
@@ -776,8 +784,10 @@ fn with_chunk_windows<R>(
 /// one. Every validation check and error string of the scalar reference
 /// is preserved, in the same order.
 ///
-/// `out` must be zero-filled and exactly `c.len` long.
+/// `out` must be zero-filled and exactly `c.len` long. The codes
+/// dequantize on `inst`.
 fn decompress_chunk_into(
+    inst: Instance,
     c: &ChunkDesc,
     codes: &[u8],
     planes: &[u8],
@@ -829,7 +839,7 @@ fn decompress_chunk_into(
         let table = if constant {
             None
         } else {
-            record.table(count, &mut scratch.table)
+            record.table(inst, count, &mut scratch.table)
         };
         if !used_filter {
             // Every value is kept, so the codes dequantize as they merge
@@ -841,7 +851,7 @@ fn decompress_chunk_into(
             if constant {
                 kept.fill(lo);
             } else {
-                record.dequantize_into(kept, table)?;
+                record.dequantize_into(inst, kept, table)?;
             }
             if !cr.is_exhausted() {
                 return Err(CompressError::Corrupt("chunk codes overrun"));
@@ -860,7 +870,7 @@ fn decompress_chunk_into(
             kept.resize(count, lo);
         } else {
             kept.resize(count, 0.0);
-            record.dequantize_into(kept, table)?;
+            record.dequantize_into(inst, kept, table)?;
         }
         if !cr.is_exhausted() {
             return Err(CompressError::Corrupt("chunk codes overrun"));
@@ -890,7 +900,7 @@ fn decompress_chunk(
     bitmaps: &[u8],
 ) -> Result<Vec<f32>, CompressError> {
     let mut out = vec![0.0f32; c.len];
-    decompress_chunk_into(c, codes, planes, bitmaps, &mut out)?;
+    decompress_chunk_into(Instance::current(), c, codes, planes, bitmaps, &mut out)?;
     Ok(out)
 }
 
@@ -1140,8 +1150,10 @@ fn decompress_chunked_scratch(
         return Err(CompressError::Corrupt("chunk offset index"));
     }
 
-    // Chunk-parallel decode, straight into the layer buffers.
-    let chunks = schedule.chunks();
+    // Chunk-parallel decode, straight into the layer buffers. The
+    // instance is read on the calling thread: a pin does not reach the
+    // workers.
+    let (chunks, inst) = (schedule.chunks(), Instance::current());
     let (out, decoded) = with_chunk_windows(&layer_sizes, chunk_elems, |windows| {
         debug_assert_eq!(windows.len(), n_chunks);
         windows
@@ -1150,7 +1162,7 @@ fn decompress_chunked_scratch(
             .map(|(i, dst)| {
                 let [codes, bitmaps, planes] =
                     [0, 1, 2].map(|k| &streams[k][offsets[i][k]..ends[i][k]]);
-                decompress_chunk_into(&chunks[i], codes, planes, bitmaps, dst)
+                decompress_chunk_into(inst, &chunks[i], codes, planes, bitmaps, dst)
             })
             .collect::<Result<Vec<()>, CompressError>>()
     });

@@ -21,11 +21,14 @@
 //!   groups) a `u64` register window flushes 32 bits at a time on the
 //!   write side and reads each plane field through one unaligned u64
 //!   load on the read side. The layout is [`crate::bitpack::split`]'s,
-//!   byte for byte.
+//!   byte for byte. Up to 9 bits an AVX2 instance splits eight codes to
+//!   a register: one byte shuffle for the low bytes, one `movemask` for
+//!   the plane bits.
 //! * `filter_kernel` builds the drop bitmap 64 decisions to a word,
 //!   branchlessly, and copies the survivors out by walking the inverted
 //!   word. The bit layout (LSB-first, set ⇔ dropped) matches the scalar
-//!   filter.
+//!   filter. Its AVX2 instance makes a word's decisions eight to a
+//!   `movemask`.
 //! * `quantize_kernel` hoists the per-element rounding-mode dispatch
 //!   out of the loop and clamps the bin coordinate before rounding, which
 //!   commutes with the scalar path's clamp after it and lets `floor` and
@@ -42,7 +45,9 @@
 //!   `TABLE_MAX_WIDTH`-bit codes through a per-chunk table
 //!   (`DequantTable`) — the decoder's expression evaluated once per code
 //!   value, indexed by the code as stored — once the codes outnumber its
-//!   entries.
+//!   entries. That is the portable instance; up to 9 bits the AVX2
+//!   instance evaluates the expression in f64 lanes instead, its range
+//!   check a running maximum of the codes.
 //! * `scatter_kept` walks the keep-mask as u64 words with
 //!   `trailing_zeros`, so decode scatter cost scales with the *kept*
 //!   count, not the chunk length — the dropped majority is covered by a
@@ -85,38 +90,80 @@ fn windowed_groups(len: usize, w: usize, groups: usize) -> usize {
     }
 }
 
+/// Code widths up to this have an AVX2 instance of [`split_into`] and of
+/// the dequantizers: at most one plane bit per code, so eight codes'
+/// plane bits are one byte and their codes and values fit 256-bit lanes.
+const WIDE_MAX_WIDTH: u32 = 9;
+
+/// The instance that runs a `width`-bit kernel picked on `inst`: `inst`
+/// up to [`WIDE_MAX_WIDTH`], the portable instance past it.
+fn at_width(inst: Instance, width: u32) -> Instance {
+    if width <= WIDE_MAX_WIDTH {
+        inst
+    } else {
+        Instance::Portable
+    }
+}
+
 /// Splits `width`-bit codes (`1 ..= 32`) into a chunk record's two
 /// byte-aligned streams, both cleared first: `low` gets the low byte of
 /// every rotated code `(code + bias) mod 2^max(width, 8)`, `planes` the
 /// remaining `width − 8` bits packed LSB-first at that width — nothing
 /// for codes of up to 8 bits. Byte-identical to [`crate::bitpack::split`].
 ///
-/// One sweep; the byte store and the plane bits both hang off the one
-/// load of each code, and without a plane the sweep is a narrowing copy.
-/// Eight codes' plane bits are exactly `width − 8` bytes, so up to 16
-/// bits the plane is built a group at a time: the eight fields land at
-/// fixed offsets of one `u64` — no carried bit count, no flush test —
-/// which is stored whole, and the cursor steps by the bytes that were
-/// real (the next group overwrites the rest). The groups near the end,
-/// whose store would cross it, and every code of a wider stream go
-/// through a register window that flushes 32 bits at a time.
+/// `inst` picks the body up to [`WIDE_MAX_WIDTH`] bits; wider codes take
+/// the portable one. The portable body is one sweep: the byte store and
+/// the plane bits both hang off the one load of each code, and without a
+/// plane the sweep is a narrowing copy. Eight codes' plane bits are
+/// exactly `width − 8` bytes, so up to 16 bits the plane is built a group
+/// at a time: the eight fields land at fixed offsets of one `u64` — no
+/// carried bit count, no flush test — which is stored whole, and the
+/// cursor steps by the bytes that were real (the next group overwrites
+/// the rest). The groups near the end, whose store would cross it, and
+/// every code of a wider stream go through a register window that
+/// flushes 32 bits at a time. The AVX2 body rotates eight codes in one
+/// register, gathers their low bytes with one byte shuffle and their
+/// plane bits, if any, with one `movemask`.
 ///
 /// # Panics
-/// If `width` is outside `1 ..= 32` or a code does not fit in it, with
-/// the scalar oracle's messages.
-pub fn split_into(codes: &[u32], width: u32, bias: u32, low: &mut Vec<u8>, planes: &mut Vec<u8>) {
+/// If `width` is outside `1 ..= 32`, a code does not fit in it, with the
+/// scalar oracle's messages, or `inst` is not available on this host.
+pub fn split_into(
+    inst: Instance,
+    codes: &[u32],
+    width: u32,
+    bias: u32,
+    low: &mut Vec<u8>,
+    planes: &mut Vec<u8>,
+) {
     assert!(
         (1..=32).contains(&width),
         "split width {width} out of range"
     );
-    let plane_width = plane_width(width);
-    let w = plane_width as usize;
-    let mask = code_mask(width);
+    assert!(inst.available(), "{inst:?} not available on this host");
     low.clear();
     low.resize(codes.len(), 0);
     planes.clear();
-    planes.resize((codes.len() * w).div_ceil(8), 0);
+    planes.resize((codes.len() * plane_width(width) as usize).div_ceil(8), 0);
     // Bits a code must not carry; OR-accumulated and checked once.
+    let over = match at_width(inst, width) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the assertion above saw the CPU report AVX2, the one
+        // feature `split_avx2` is built with.
+        Instance::Avx2 => unsafe { split_avx2(codes, width, bias, low, planes) },
+        _ => split_portable(codes, width, bias, low, planes),
+    };
+    if over != 0 {
+        code_too_wide(codes, width);
+    }
+}
+
+/// The portable body of [`split_into`] into its sized, zero-filled
+/// streams; returns the bits some code carries past `width`.
+fn split_portable(codes: &[u32], width: u32, bias: u32, low: &mut [u8], planes: &mut [u8]) -> u32 {
+    let plane_width = plane_width(width);
+    let w = plane_width as usize;
+    let mask = code_mask(width);
     let mut over = 0u32;
     let mut pos = 0usize;
     // The register window of the codes past the groups.
@@ -163,12 +210,87 @@ pub fn split_into(codes: &[u32], width: u32, bias: u32, low: &mut Vec<u8>, plane
             }
         }
     }
-    if over != 0 {
-        code_too_wide(codes, width);
-    }
     let tail = &mut planes[pos..];
     let n = tail.len();
     tail.copy_from_slice(&acc.to_le_bytes()[..n]);
+    over
+}
+
+/// The AVX2 body of [`split_into`] at up to [`WIDE_MAX_WIDTH`] bits:
+/// eight codes to a register, rotated by a 32-bit add (bits 0–8
+/// of the sum are those of the sum reduced to the stored width), their
+/// low bytes gathered by a byte shuffle and stored as one `u64`, and,
+/// when the codes have a plane, bit 8 of each shifted to its lane's sign
+/// so one `movemask` is the group's plane byte, LSB-first. The codes past
+/// the last group are the portable body's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn split_avx2(codes: &[u32], width: u32, bias: u32, low: &mut [u8], planes: &mut [u8]) -> u32 {
+    use std::arch::x86_64::*;
+    let mask = code_mask(width);
+    let grouped = codes.len() / 8 * 8;
+    let (group_codes, codes_left) = codes.split_at(grouped);
+    let (group_low, low_left) = low.split_at_mut(grouped);
+    let wide = width > 8;
+    let (group_planes, planes_left) = planes.split_at_mut(if wide { grouped / 8 } else { 0 });
+    let (maskv, biasv) = (
+        _mm256_set1_epi32(mask as i32),
+        _mm256_set1_epi32(bias as i32),
+    );
+    // Byte 0 of each 32-bit lane to the lane's first four bytes.
+    let first_bytes = _mm256_setr_epi8(
+        0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, //
+        0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    );
+    let mut over = _mm256_setzero_si256();
+    for (g, (c, l)) in group_codes
+        .chunks_exact(8)
+        .zip(group_low.chunks_exact_mut(8))
+        .enumerate()
+    {
+        let v = set8(c);
+        over = _mm256_or_si256(over, _mm256_andnot_si256(maskv, v));
+        let rotated = _mm256_add_epi32(v, biasv);
+        let bytes = _mm256_shuffle_epi8(rotated, first_bytes);
+        let (lo4, hi4) = (
+            _mm256_extract_epi32::<0>(bytes) as u32 as u64,
+            _mm256_extract_epi32::<4>(bytes) as u32 as u64,
+        );
+        l.copy_from_slice(&(lo4 | hi4 << 32).to_le_bytes());
+        if wide {
+            let bit8 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(rotated));
+            group_planes[g] = _mm256_movemask_ps(bit8) as u8;
+        }
+    }
+    let over = lanes8(over).into_iter().fold(0, |o, x| o | x);
+    over | split_portable(codes_left, width, bias, low_left, planes_left)
+}
+
+/// Eight codes into a register, `c[j]` in lane `j`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn set8(c: &[u32]) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let [c0, c1, c2, c3, c4, c5, c6, c7] = [0, 1, 2, 3, 4, 5, 6, 7].map(|j| c[j] as i32);
+    _mm256_set_epi32(c7, c6, c5, c4, c3, c2, c1, c0)
+}
+
+/// A register's eight 32-bit lanes, lane `j` at `[j]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lanes8(v: std::arch::x86_64::__m256i) -> [u32; 8] {
+    use std::arch::x86_64::*;
+    [
+        _mm256_extract_epi32::<0>(v),
+        _mm256_extract_epi32::<1>(v),
+        _mm256_extract_epi32::<2>(v),
+        _mm256_extract_epi32::<3>(v),
+        _mm256_extract_epi32::<4>(v),
+        _mm256_extract_epi32::<5>(v),
+        _mm256_extract_epi32::<6>(v),
+        _mm256_extract_epi32::<7>(v),
+    ]
+    .map(|x| x as u32)
 }
 
 /// How many leading codes of a `w`-bit stream of `len` bytes have their
@@ -210,6 +332,27 @@ fn tail_code(bytes: &[u8], bitpos: &mut usize, width: u32) -> u32 {
     value as u32
 }
 
+/// What [`unsplit_map`] refuses before it reads a code of `count`: a
+/// width outside `1 ..= 32`, then a plane slice short of the codes' bits
+/// past 8.
+///
+/// # Panics
+/// If `low` does not hold one byte per code.
+fn unsplit_refusals(low: &[u8], planes: &[u8], width: u32, count: usize) -> Result<(), WireError> {
+    if !(1..=32).contains(&width) {
+        return Err(WireError::Invalid("bit width"));
+    }
+    assert_eq!(low.len(), count, "one low byte per code");
+    let need = (count * plane_width(width) as usize).div_ceil(8);
+    if planes.len() < need {
+        return Err(WireError::Truncated {
+            need,
+            have: planes.len(),
+        });
+    }
+    Ok(())
+}
+
 /// Inverse of [`split_into`]'s layout through a per-code map: `map` sees
 /// code `i` as stored — `low[i]` under its `width − 8` bits of `planes`
 /// if it has any, still rotated — so the chunk decoder dequantizes as it
@@ -227,11 +370,8 @@ pub(crate) fn unsplit_map<T>(
     out: &mut [T],
     mut map: impl FnMut(u32) -> T,
 ) -> Result<(), WireError> {
-    if !(1..=32).contains(&width) {
-        return Err(WireError::Invalid("bit width"));
-    }
+    unsplit_refusals(low, planes, width, out.len())?;
     let count = out.len();
-    assert_eq!(low.len(), count, "one low byte per code");
     let plane_width = plane_width(width);
     let w = plane_width as usize;
     if w == 0 {
@@ -240,13 +380,6 @@ pub(crate) fn unsplit_map<T>(
             *o = map(l as u32);
         }
         return Ok(());
-    }
-    let need = (count * w).div_ceil(8);
-    if planes.len() < need {
-        return Err(WireError::Truncated {
-            need,
-            have: planes.len(),
-        });
     }
     let plane_mask = code_mask(plane_width);
     let merge = |high: u32, low: u8| high << 8 | low as u32;
@@ -300,7 +433,7 @@ const TABLE_LEN: usize = 1 << TABLE_MAX_WIDTH;
 
 /// Storage for one chunk's dequantize table, reused chunk after chunk.
 #[derive(Debug, Default)]
-pub(crate) struct DequantTable {
+pub struct DequantTable {
     entries: Vec<f32>,
 }
 
@@ -365,10 +498,17 @@ impl DequantTable {
 /// The values the chunk decoder gives `codes` — a chunk's codes as the
 /// quantizer emitted them, none past `n_bins` and at least one bin —
 /// under the record header `lo`, `bin_width`, `n_bins`, into `out` (one
-/// per code): through the decoder's table where it would read one, else
-/// through [`dequantize`]. The table is filled unrotated, so its entry of
-/// a code is the one the decoder reads for that code's stored form.
+/// per code), on `inst` up to [`WIDE_MAX_WIDTH`] bits: in the portable
+/// instance through the decoder's table where it would read one, else
+/// through [`dequantize`]; in AVX2 as [`dequantize`] in f64 lanes. The
+/// table is filled unrotated, so its entry of a code is the one the
+/// decoder reads for that code's stored form.
+///
+/// # Panics
+/// If `out` is not as long as `codes`, or `inst` is not available on
+/// this host.
 pub(crate) fn dequantize_codes(
+    inst: Instance,
     codes: &[u32],
     lo: f32,
     bin_width: f32,
@@ -376,22 +516,82 @@ pub(crate) fn dequantize_codes(
     table: &mut DequantTable,
     out: &mut [f32],
 ) {
+    assert_eq!(codes.len(), out.len(), "one value per code");
+    assert!(inst.available(), "{inst:?} not available on this host");
     let width = crate::bitpack::bits_for(n_bins);
-    if let Some(table) = table.for_codes(lo, bin_width, n_bins, width, 0, codes.len()) {
-        for (o, &c) in out.iter_mut().zip(codes) {
-            *o = table.get(c);
-        }
-    } else {
-        let (lo64, bw64) = (lo as f64, bin_width as f64);
-        for (o, &c) in out.iter_mut().zip(codes) {
-            *o = dequantize(lo64, bw64, c);
+    match at_width(inst, width) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the assertion above saw the CPU report AVX2, the one
+        // feature `dequantize_codes_avx2` is built with.
+        Instance::Avx2 => unsafe { dequantize_codes_avx2(codes, lo, bin_width, out) },
+        _ => {
+            if let Some(table) = table.for_codes(lo, bin_width, n_bins, width, 0, codes.len()) {
+                for (o, &c) in out.iter_mut().zip(codes) {
+                    *o = table.get(c);
+                }
+            } else {
+                let (lo64, bw64) = (lo as f64, bin_width as f64);
+                for (o, &c) in out.iter_mut().zip(codes) {
+                    *o = dequantize(lo64, bw64, c);
+                }
+            }
         }
     }
 }
 
+/// The AVX2 body of [`dequantize_codes`]: eight codes to a register, the
+/// codes past the last eight through [`dequantize`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dequantize_codes_avx2(codes: &[u32], lo: f32, bin_width: f32, out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let (lo64, bw64) = (lo as f64, bin_width as f64);
+    let (lov, bwv) = (_mm256_set1_pd(lo64), _mm256_set1_pd(bw64));
+    let (mut cs, mut os) = (codes.chunks_exact(8), out.chunks_exact_mut(8));
+    for (c, o) in cs.by_ref().zip(os.by_ref()) {
+        o.copy_from_slice(&dequantize8(set8(c), lov, bwv));
+    }
+    for (o, &c) in os.into_remainder().iter_mut().zip(cs.remainder()) {
+        *o = dequantize(lo64, bw64, c);
+    }
+}
+
+/// [`dequantize`] of eight codes below 2³¹ in f64 lanes, with `lo` and
+/// `bw` the header fields widened in every lane: an exact conversion, a
+/// rounded multiply, a rounded add (no FMA, so the two roundings of the
+/// scalar expression) and `cvtpd2ps`'s round to nearest even, as `as f32`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dequantize8(
+    codes: std::arch::x86_64::__m256i,
+    lo: std::arch::x86_64::__m256d,
+    bw: std::arch::x86_64::__m256d,
+) -> [f32; 8] {
+    use std::arch::x86_64::*;
+    let half =
+        |c: __m128i| _mm256_cvtpd_ps(_mm256_add_pd(lo, _mm256_mul_pd(_mm256_cvtepi32_pd(c), bw)));
+    let (a, b) = (
+        half(_mm256_castsi256_si128(codes)),
+        half(_mm256_extracti128_si256::<1>(codes)),
+    );
+    let v = _mm256_castps_si256(_mm256_set_m128(b, a));
+    let pairs = [
+        _mm256_extract_epi64::<0>(v),
+        _mm256_extract_epi64::<1>(v),
+        _mm256_extract_epi64::<2>(v),
+        _mm256_extract_epi64::<3>(v),
+    ];
+    let mut values = [0.0f32; 8];
+    for (two, pair) in values.chunks_exact_mut(2).zip(pairs) {
+        two[0] = f32::from_bits(pair as u32);
+        two[1] = f32::from_bits((pair as u64 >> 32) as u32);
+    }
+    values
+}
+
 /// A filled [`DequantTable`].
 #[derive(Clone, Copy)]
-pub(crate) struct TableView<'a>(&'a [f32; TABLE_LEN]);
+pub struct TableView<'a>(&'a [f32; TABLE_LEN]);
 
 impl TableView<'_> {
     /// The value of stored code `stored` (below `2^width`); NaN if its
@@ -406,7 +606,7 @@ impl TableView<'_> {
 /// values, as the chunk decoder has checked them: `bits` is the width of
 /// `n_bins` and at least 1, `low` holds one low byte per code and
 /// `planes` their bits past 8, if they have any ([`unsplit_map`]).
-pub(crate) struct CodeRecord<'a> {
+pub struct CodeRecord<'a> {
     /// One low byte per code.
     pub low: &'a [u8],
     /// The record's plane slice.
@@ -428,14 +628,18 @@ impl CodeRecord<'_> {
     }
 
     /// This record's table of `count` codes, filled in `storage`, when
-    /// the codes outnumber its entries and the width has one.
-    pub(crate) fn table<'t>(
+    /// `inst`'s decode of the record reads one: the portable instance's,
+    /// when the codes outnumber its entries and the width has one.
+    pub fn table<'t>(
         &self,
+        inst: Instance,
         count: usize,
         storage: &'t mut DequantTable,
     ) -> Option<TableView<'t>> {
         let (lo, bin_width, n_bins) = (self.lo, self.bin_width, self.n_bins);
-        storage.for_codes(lo, bin_width, n_bins, self.bits, self.bias(), count)
+        (at_width(inst, self.bits) == Instance::Portable)
+            .then(|| storage.for_codes(lo, bin_width, n_bins, self.bits, self.bias(), count))
+            .flatten()
     }
 
     /// Every code, as stored, into `out` (one per code) through `map`.
@@ -443,30 +647,40 @@ impl CodeRecord<'_> {
         unsplit_map(self.low, self.planes, self.bits, out, map)
     }
 
-    /// Every code dequantized into `out` (one per code), through `table`
-    /// when there is one and through [`dequantize`] otherwise — the same
-    /// value either way. The unpacker's refusals come first, then "code
-    /// out of range" if some code exceeds `n_bins`.
-    pub(crate) fn dequantize_into(
+    /// Every code dequantized into `out` (one per code) on `inst` up to
+    /// [`WIDE_MAX_WIDTH`] bits — the same value on every path: in the
+    /// portable instance through `table` when there is one and through
+    /// [`dequantize`] otherwise, in AVX2 as [`dequantize`] in f64 lanes
+    /// (`table` is `None` there, see [`CodeRecord::table`]). The
+    /// unpacker's refusals come first, then "code out of range" if some
+    /// code exceeds `n_bins`.
+    ///
+    /// # Panics
+    /// If `inst` is not available on this host.
+    pub fn dequantize_into(
         &self,
+        inst: Instance,
         out: &mut [f32],
         table: Option<TableView>,
     ) -> Result<(), WireError> {
-        let in_range = if let Some(table) = table {
-            self.each_code(out, |stored| table.get(stored))?;
-            // A separate pass: it vectorizes, where a test per code would
-            // cost the loop as much as the table saves.
-            !out.iter().fold(false, |nan, v| nan | v.is_nan())
-        } else {
-            let (bias, mask) = (self.bias(), stored_mask(self.bits));
-            let (lo64, bw64) = (self.lo as f64, self.bin_width as f64);
-            let mut max_code = 0u32;
-            self.each_code(out, |stored| {
-                let code = stored.wrapping_sub(bias) & mask;
-                max_code = max_code.max(code);
-                dequantize(lo64, bw64, code)
-            })?;
-            max_code <= self.n_bins
+        assert!(inst.available(), "{inst:?} not available on this host");
+        let in_range = match at_width(inst, self.bits) {
+            #[cfg(target_arch = "x86_64")]
+            Instance::Avx2 => {
+                unsplit_refusals(self.low, self.planes, self.bits, out.len())?;
+                // SAFETY: the assertion above saw the CPU report AVX2, the
+                // one feature `record_avx2` is built with.
+                unsafe { record_avx2(self, out) }
+            }
+            _ => match table {
+                Some(table) => {
+                    self.each_code(out, |stored| table.get(stored))?;
+                    // A separate pass: it vectorizes, where a test per code
+                    // would cost the loop as much as the table saves.
+                    !out.iter().fold(false, |nan, v| nan | v.is_nan())
+                }
+                None => self.max_code_into(out)? <= self.n_bins,
+            },
         };
         if in_range {
             Ok(())
@@ -474,6 +688,74 @@ impl CodeRecord<'_> {
             Err(WireError::Invalid("quantized code out of range"))
         }
     }
+
+    /// Every code through [`dequantize`] into `out` (one per code), and
+    /// the largest code; the unpacker's refusals.
+    fn max_code_into(&self, out: &mut [f32]) -> Result<u32, WireError> {
+        let (bias, mask) = (self.bias(), stored_mask(self.bits));
+        let (lo64, bw64) = (self.lo as f64, self.bin_width as f64);
+        let mut max_code = 0u32;
+        self.each_code(out, |stored| {
+            let code = stored.wrapping_sub(bias) & mask;
+            max_code = max_code.max(code);
+            dequantize(lo64, bw64, code)
+        })?;
+        Ok(max_code)
+    }
+}
+
+/// The AVX2 body of [`CodeRecord::dequantize_into`] at up to
+/// [`WIDE_MAX_WIDTH`] bits, its refusals checked: whether every code is
+/// in range. Eight codes to a register: their low bytes widened from one
+/// `u64`, a ninth bit, if any, from the group's plane byte (bit `j` to
+/// lane `j`), un-rotated and masked as stored, their running maximum in
+/// a register — the range check, where the table path tests its output
+/// for NaN — and their values by [`dequantize8`]. The codes past the last
+/// eight are [`CodeRecord::max_code_into`]'s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn record_avx2(record: &CodeRecord<'_>, out: &mut [f32]) -> bool {
+    use std::arch::x86_64::*;
+    let grouped = out.len() / 8 * 8;
+    let (group_out, out_left) = out.split_at_mut(grouped);
+    let (group_low, low_left) = record.low.split_at(grouped);
+    let wide = record.bits > 8;
+    let (biasv, maskv) = (
+        _mm256_set1_epi32(record.bias() as i32),
+        _mm256_set1_epi32(stored_mask(record.bits) as i32),
+    );
+    let (lov, bwv) = (
+        _mm256_set1_pd(record.lo as f64),
+        _mm256_set1_pd(record.bin_width as f64),
+    );
+    let lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    let bit8 = _mm256_set1_epi32(256);
+    let mut maxv = _mm256_setzero_si256();
+    for (g, (l, o)) in group_low
+        .chunks_exact(8)
+        .zip(group_out.chunks_exact_mut(8))
+        .enumerate()
+    {
+        let bytes = u64::from_le_bytes(l.try_into().expect("eight low bytes"));
+        let mut stored = _mm256_cvtepu8_epi32(_mm_set_epi64x(0, bytes as i64));
+        if wide {
+            let plane = _mm256_set1_epi32(record.planes[g] as i32);
+            let set = _mm256_cmpeq_epi32(_mm256_and_si256(plane, lane_bit), lane_bit);
+            stored = _mm256_or_si256(stored, _mm256_and_si256(set, bit8));
+        }
+        let code = _mm256_and_si256(_mm256_sub_epi32(stored, biasv), maskv);
+        maxv = _mm256_max_epu32(maxv, code);
+        o.copy_from_slice(&dequantize8(code, lov, bwv));
+    }
+    let tail = CodeRecord {
+        low: low_left,
+        planes: &record.planes[if wide { grouped / 8 } else { 0 }..],
+        ..*record
+    };
+    let tail_max = tail
+        .max_code_into(out_left)
+        .expect("the caller checked the refusals");
+    lanes8(maxv).into_iter().fold(tail_max, u32::max) <= record.n_bins
 }
 
 /// The filter sweep as a branchless microkernel: builds the LSB-first
@@ -481,26 +763,60 @@ impl CodeRecord<'_> {
 /// surviving values into `kept`, both cleared first. Byte-identical to
 /// a scalar loop that sets one bit per dropped value and pushes each
 /// survivor (the compressor tests' oracle).
-pub(crate) fn filter_kernel(
+///
+/// `inst` picks how a whole word of 64 decisions is made: one compare
+/// per value in the portable instance, eight `cmpps` + `movemask`s in
+/// AVX2 (`|v|` as a cleared sign bit, an ordered `<`, so NaN is kept in
+/// both); a short last word is the portable loop's in both.
+///
+/// # Panics
+/// If `inst` is not available on this host.
+pub fn filter_kernel(
+    inst: Instance,
     data: &[f32],
     threshold: f32,
     bitmap: &mut Vec<u8>,
     kept: &mut Vec<f32>,
 ) {
+    assert!(inst.available(), "{inst:?} not available on this host");
     bitmap.clear();
     bitmap.reserve(data.len().div_ceil(8));
     kept.clear();
     kept.reserve(data.len());
+    match inst {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the assertion above saw the CPU report AVX2, the one
+        // feature `filter_avx2` is built with.
+        Instance::Avx2 => unsafe { filter_avx2(data, threshold, bitmap, kept) },
+        _ => filter_words(data, bitmap, kept, |c| drop_word(c, threshold)),
+    }
+}
+
+/// The drop word of up to 64 values: bit `j` set ⇔ `|c[j]| < threshold`.
+#[inline(always)]
+fn drop_word(c: &[f32], threshold: f32) -> u64 {
+    let mut word = 0u64;
+    for (j, &v) in c.iter().enumerate() {
+        word |= ((v.abs() < threshold) as u64) << j;
+    }
+    word
+}
+
+/// [`filter_kernel`]'s sweep with `word` making each 64-value drop word.
+#[inline(always)]
+fn filter_words(
+    data: &[f32],
+    bitmap: &mut Vec<u8>,
+    kept: &mut Vec<f32>,
+    mut word: impl FnMut(&[f32]) -> u64,
+) {
     // 64 values at a time: the comparisons build one bitmap word with no
     // branch per element, and the survivors are then picked off the
     // inverted word, so the copy costs per kept value — the filter's
     // point is that those are the minority — and `kept` is never
     // zero-filled.
     for chunk in data.chunks(64) {
-        let mut word = 0u64;
-        for (j, &v) in chunk.iter().enumerate() {
-            word |= ((v.abs() < threshold) as u64) << j;
-        }
+        let word = word(chunk);
         bitmap.extend_from_slice(&word.to_le_bytes()[..chunk.len().div_ceil(8)]);
         let mut keep = !word & (u64::MAX >> (64 - chunk.len()));
         while keep != 0 {
@@ -508,6 +824,30 @@ pub(crate) fn filter_kernel(
             keep &= keep - 1;
         }
     }
+}
+
+/// The AVX2 body of [`filter_kernel`]: a whole word is eight groups of
+/// eight, each `|v| < threshold` as `andps` (the sign bit cleared, as
+/// `f32::abs` does) and `cmpps` LT_OQ (false on NaN, as `<` is), its
+/// sign bits gathered by one `movemask` into the group's byte.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn filter_avx2(data: &[f32], threshold: f32, bitmap: &mut Vec<u8>, kept: &mut Vec<f32>) {
+    use std::arch::x86_64::*;
+    let abs = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MAX));
+    let thr = _mm256_set1_ps(threshold);
+    filter_words(data, bitmap, kept, |chunk| {
+        if chunk.len() < 64 {
+            return drop_word(chunk, threshold);
+        }
+        let mut word = 0u64;
+        for (k, c) in chunk.chunks_exact(8).enumerate() {
+            let v = _mm256_set_ps(c[7], c[6], c[5], c[4], c[3], c[2], c[1], c[0]);
+            let below = _mm256_cmp_ps::<_CMP_LT_OQ>(_mm256_and_ps(v, abs), thr);
+            word |= (_mm256_movemask_ps(below) as u8 as u64) << (8 * k);
+        }
+        word
+    });
 }
 
 /// The bin coordinate of `x`, clamped to `[0, n_bins]` ahead of rounding.
@@ -907,9 +1247,22 @@ mod tests {
     // Explicit import: proptest's prelude also globs a `Rng` trait.
     use compso_tensor::rng::Rng;
 
-    /// The splitter against [`bitpack::split`] and the merger against
-    /// the codes and [`bitpack::unsplit`], at every width × every short
-    /// length × every class of rotation — the ones [`split_bias`] derives
+    /// The instances this host runs.
+    fn instances() -> impl Iterator<Item = Instance> {
+        Instance::ALL.into_iter().filter(|inst| inst.available())
+    }
+
+    /// The instance every host runs: the oracle of the others.
+    const PORTABLE: Instance = Instance::Portable;
+
+    /// Values as bits, so that NaNs compare and signed zeros differ.
+    fn bits_of(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The splitter on every instance against [`bitpack::split`] and the
+    /// merger against the codes and [`bitpack::unsplit`], at every width
+    /// × every short length × every class of rotation — the ones [`split_bias`] derives
     /// (`lo = 0`, a subnormal bin width, the code of 0.0 clamped at 0 and
     /// at `n_bins`, mid-range; all 0 up to 8 bits) and the extremes of
     /// the mask — on random and all-ones codes: the plane-free copy, the
@@ -956,12 +1309,14 @@ mod tests {
                             })
                             .collect();
                         let want = bitpack::split(&codes, width, bias);
-                        split_into(&codes, width, bias, &mut low, &mut planes);
-                        assert_eq!(
-                            (&low, &planes),
-                            (&want.0, &want.1),
-                            "width={width} bias={bias} len={len}"
-                        );
+                        for inst in instances() {
+                            split_into(inst, &codes, width, bias, &mut low, &mut planes);
+                            assert_eq!(
+                                (&low, &planes),
+                                (&want.0, &want.1),
+                                "width={width} bias={bias} len={len} {inst:?}"
+                            );
+                        }
                         let plane_bytes = (len * plane_width(width) as usize).div_ceil(8);
                         assert_eq!(planes.len(), plane_bytes);
                         let mut merged = vec![0u32; len];
@@ -1001,7 +1356,8 @@ mod tests {
 
     /// The "does not fit" check is accumulated and raised once, after the
     /// loop; the message must still name the first offender, as the
-    /// scalar splitter's does.
+    /// scalar splitter's does, on every instance — an offender in a group
+    /// of eight, past the last group, or both.
     #[test]
     fn split_into_names_the_first_oversized_code_like_scalar() {
         fn message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
@@ -1014,24 +1370,38 @@ mod tests {
             (vec![1u32, 511, 512, 3, 9000], 9),
             (vec![u32::MAX; 40], 9),
             (vec![0, 1 << 31], 31),
+            (
+                (0..40)
+                    .map(|i| if i == 17 || i == 38 { 1 << 9 } else { 5 })
+                    .collect(),
+                9,
+            ),
+            ((0..13).map(|i| if i == 11 { 256 } else { 3 }).collect(), 8),
         ] {
             let want = {
                 let codes = codes.clone();
                 message(move || drop(bitpack::split(&codes, width, 128)))
             };
             assert!(want.contains("does not fit"), "{want}");
-            let (mut low, mut planes) = (Vec::new(), Vec::new());
-            assert_eq!(
-                message(move || split_into(&codes, width, 128, &mut low, &mut planes)),
-                want
-            );
+            for inst in instances() {
+                let codes = codes.clone();
+                let (mut low, mut planes) = (Vec::new(), Vec::new());
+                assert_eq!(
+                    message(move || split_into(inst, &codes, width, 128, &mut low, &mut planes)),
+                    want,
+                    "{inst:?}"
+                );
+            }
         }
         for width in [0, 33] {
             let out_of_range = message(move || drop(bitpack::split(&[1], width, 0)));
-            assert_eq!(
-                message(move || split_into(&[1], width, 0, &mut Vec::new(), &mut Vec::new())),
-                out_of_range
-            );
+            for inst in instances() {
+                let (mut low, mut planes) = (Vec::new(), Vec::new());
+                assert_eq!(
+                    message(move || split_into(inst, &[1], width, 0, &mut low, &mut planes)),
+                    out_of_range
+                );
+            }
         }
     }
 
@@ -1100,11 +1470,6 @@ mod tests {
         }
     }
 
-    /// The instances of [`quantize_sr_lanes`] this host runs.
-    fn instances() -> impl Iterator<Item = Instance> {
-        Instance::ALL.into_iter().filter(|inst| inst.available())
-    }
-
     /// A table and the expression it tabulates decode every width a
     /// table serves to the same bits — values that overflow to +∞ and
     /// subnormal steps included — and refuse a code past `n_bins` with
@@ -1136,7 +1501,7 @@ mod tests {
                         }
                         let (mut low, mut planes) = (Vec::new(), Vec::new());
                         let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
-                        split_into(&codes, bits, bias, &mut low, &mut planes);
+                        split_into(PORTABLE, &codes, bits, bias, &mut low, &mut planes);
                         let record = CodeRecord {
                             low: &low,
                             planes: &planes,
@@ -1147,18 +1512,29 @@ mod tests {
                         };
                         let what = format!("bits={bits} n_bins={n_bins} lo={lo} hostile={hostile}");
                         let mut by_expression = vec![0.0f32; count];
-                        let want = record.dequantize_into(&mut by_expression, None);
-                        let table = record.table(count, &mut storage);
+                        let want = record.dequantize_into(PORTABLE, &mut by_expression, None);
+                        let table = record.table(PORTABLE, count, &mut storage);
                         assert!(table.is_some(), "{what}");
                         let mut by_table = vec![0.0f32; count];
-                        assert_eq!(record.dequantize_into(&mut by_table, table), want, "{what}");
+                        let by_table_result =
+                            record.dequantize_into(PORTABLE, &mut by_table, table);
+                        assert_eq!(by_table_result, want, "{what}");
                         if hostile {
                             let refused = Err(WireError::Invalid("quantized code out of range"));
                             assert_eq!(want, refused, "{what}");
                         } else {
-                            let bits_of =
-                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                             assert_eq!(bits_of(&by_table), bits_of(&by_expression), "{what}");
+                        }
+                        // Each instance's own decode: AVX2's f64 lanes up
+                        // to 9 bits, the table past them.
+                        for inst in instances() {
+                            let mut by_inst = vec![0.0f32; count];
+                            let table = record.table(inst, count, &mut storage);
+                            let result = record.dequantize_into(inst, &mut by_inst, table);
+                            assert_eq!(result, want, "{what} {inst:?}");
+                            if !hostile {
+                                assert_eq!(bits_of(&by_inst), bits_of(&by_expression), "{what}");
+                            }
                         }
                     }
                 }
@@ -1181,17 +1557,22 @@ mod tests {
             let refused = Err(WireError::Invalid("quantized code out of range"));
             let mut out = vec![0.0f32; count];
             assert_eq!(
-                record.dequantize_into(&mut out, None),
+                record.dequantize_into(PORTABLE, &mut out, None),
                 refused,
                 "bits={bits}"
             );
-            let table = record.table(count, &mut storage);
+            let table = record.table(PORTABLE, count, &mut storage);
             assert!(table.is_some(), "bits={bits}");
             assert_eq!(
-                record.dequantize_into(&mut out, table),
+                record.dequantize_into(PORTABLE, &mut out, table),
                 refused,
                 "bits={bits}"
             );
+            for inst in instances() {
+                let table = record.table(inst, count, &mut storage);
+                let result = record.dequantize_into(inst, &mut out, table);
+                assert_eq!(result, refused, "bits={bits} {inst:?}");
+            }
         }
         // No table where the entries outnumber the codes, or past 12 bits.
         let record = CodeRecord {
@@ -1202,14 +1583,26 @@ mod tests {
             bin_width: 1.0,
             n_bins: 500,
         };
-        assert!(record.table(512, &mut storage).is_none());
+        assert!(record.table(PORTABLE, 512, &mut storage).is_none());
         let wide = CodeRecord { bits: 13, ..record };
-        assert!(wide.table(1 << 20, &mut storage).is_none());
+        assert!(wide.table(PORTABLE, 1 << 20, &mut storage).is_none());
+        // Nor where the AVX2 decode runs: up to 9 bits.
+        assert!(record
+            .table(Instance::Avx2, 1 << 20, &mut storage)
+            .is_none());
+        let ten = CodeRecord {
+            bits: 10,
+            n_bins: 1000,
+            ..record
+        };
+        assert!(ten.table(Instance::Avx2, 1 << 20, &mut storage).is_some());
     }
 
     /// Handed a table, `dequantize_into` returns its entries, looked up by
     /// stored code, and evaluates nothing: a doctored table's values, far
     /// outside the header's range, come back at every width a table serves.
+    /// On the portable instance: the one that reads a table at up to 9
+    /// bits (AVX2 is handed none there, and reads none).
     #[test]
     fn dequantize_into_reads_the_table_it_is_handed() {
         let doctored: [f32; TABLE_LEN] = std::array::from_fn(|s| 1e6 + s as f32);
@@ -1221,7 +1614,7 @@ mod tests {
             let codes: Vec<u32> = (0..count).map(|_| rng.next_u32() & mask).collect();
             let (mut low, mut planes) = (Vec::new(), Vec::new());
             let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
-            split_into(&codes, bits, bias, &mut low, &mut planes);
+            split_into(PORTABLE, &codes, bits, bias, &mut low, &mut planes);
             let record = CodeRecord {
                 low: &low,
                 planes: &planes,
@@ -1232,13 +1625,189 @@ mod tests {
             };
             let mut out = vec![0.0f32; count];
             record
-                .dequantize_into(&mut out, Some(TableView(&doctored)))
+                .dequantize_into(PORTABLE, &mut out, Some(TableView(&doctored)))
                 .unwrap();
             let want: Vec<f32> = codes
                 .iter()
                 .map(|&c| doctored[(c.wrapping_add(bias) & mask) as usize])
                 .collect();
             assert_eq!(out, want, "bits={bits}");
+        }
+    }
+
+    /// The twin of `dequantize_into_reads_the_table_it_is_handed` for the
+    /// AVX2 decode, which has no table to read and checks the range on a
+    /// running maximum of the codes instead: a code one past `n_bins` —
+    /// in a group of eight, past the last group, at every position of
+    /// every length 0..=130 and of one that outnumbers the table — is the
+    /// table path's refusal, and an in-range record the table's values.
+    #[test]
+    fn avx2_dequantize_refuses_an_out_of_range_code_like_the_table() {
+        if !Instance::Avx2.available() {
+            return;
+        }
+        let mut storage = DequantTable::default();
+        let mut rng = Rng::new(0xA72);
+        let refused = Err(WireError::Invalid("quantized code out of range"));
+        for bits in 2..=WIDE_MAX_WIDTH {
+            let mask = code_mask(bits);
+            let (lo, bin_width, n_bins) = (-0.75f32, 1.5 / (mask - 1) as f32, mask - 1);
+            let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
+            let lens = (0..=130).chain([(1usize << bits) + 37]);
+            for len in lens {
+                let codes: Vec<u32> = (0..len).map(|_| rng.next_u32() % (n_bins + 1)).collect();
+                let (mut low, mut planes) = (Vec::new(), Vec::new());
+                let mut decode = |inst: Instance, codes: &[u32], out: &mut [f32]| {
+                    split_into(PORTABLE, codes, bits, bias, &mut low, &mut planes);
+                    let record = CodeRecord {
+                        low: &low,
+                        planes: &planes,
+                        bits,
+                        lo,
+                        bin_width,
+                        n_bins,
+                    };
+                    let table = record.table(inst, len, &mut storage);
+                    record.dequantize_into(inst, out, table)
+                };
+                let (mut want, mut got) = (vec![0.0f32; len], vec![0.0f32; len]);
+                let what = format!("bits={bits} len={len}");
+                assert_eq!(decode(PORTABLE, &codes, &mut want), Ok(()), "{what}");
+                assert_eq!(decode(Instance::Avx2, &codes, &mut got), Ok(()), "{what}");
+                assert_eq!(bits_of(&got), bits_of(&want), "{what}");
+                for at in 0..len {
+                    let mut hostile = codes.clone();
+                    hostile[at] = mask;
+                    let what = format!("{what} at={at}");
+                    assert_eq!(decode(PORTABLE, &hostile, &mut want), refused, "{what}");
+                    assert_eq!(
+                        decode(Instance::Avx2, &hostile, &mut got),
+                        refused,
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The hand-back's values on every instance against the portable
+    /// table or expression, bit for bit, at every width a table serves and
+    /// a wider one, on lengths 0..=130 and one that outnumbers the table,
+    /// under headers whose values overflow to ±∞ or step by a subnormal —
+    /// and against the decoder's values of the same codes.
+    #[test]
+    fn dequantize_codes_instances_agree_bit_for_bit() {
+        let mut rng = Rng::new(0xDE0);
+        let mut storage = DequantTable::default();
+        for bits in 1..=TABLE_MAX_WIDTH + 1 {
+            let mask = code_mask(bits);
+            for n_bins in [mask / 2 + 1, mask] {
+                let headers = [
+                    (-1.0f32, 2.0 / n_bins as f32),
+                    (0.0, f32::from_bits(1)),
+                    (3e38, 1e38),
+                    (-3e38, 1e38),
+                ];
+                for (lo, bin_width) in headers {
+                    for len in (0..=130).chain([(1usize << bits) + 37]) {
+                        let codes: Vec<u32> =
+                            (0..len).map(|_| rng.next_u32() % (n_bins + 1)).collect();
+                        let what = format!("bits={bits} n_bins={n_bins} lo={lo} len={len}");
+                        let mut want = vec![0.0f32; len];
+                        dequantize_codes(
+                            PORTABLE,
+                            &codes,
+                            lo,
+                            bin_width,
+                            n_bins,
+                            &mut storage,
+                            &mut want,
+                        );
+                        for inst in instances() {
+                            let mut got = vec![f32::NAN; len];
+                            dequantize_codes(
+                                inst,
+                                &codes,
+                                lo,
+                                bin_width,
+                                n_bins,
+                                &mut storage,
+                                &mut got,
+                            );
+                            assert_eq!(bits_of(&got), bits_of(&want), "{what} {inst:?}");
+                        }
+                        let (mut low, mut planes) = (Vec::new(), Vec::new());
+                        let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
+                        split_into(PORTABLE, &codes, bits, bias, &mut low, &mut planes);
+                        let record = CodeRecord {
+                            low: &low,
+                            planes: &planes,
+                            bits,
+                            lo,
+                            bin_width,
+                            n_bins,
+                        };
+                        let mut decoded = vec![0.0f32; len];
+                        record
+                            .dequantize_into(PORTABLE, &mut decoded, None)
+                            .unwrap();
+                        assert_eq!(bits_of(&decoded), bits_of(&want), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The drop mask on every instance against the scalar reference loop
+    /// at every length 0..=130 — whole words, a short last word, both —
+    /// on values at exactly ±threshold and one ulp either side, NaN of
+    /// both signs, ±0.0, ±∞ and subnormals, under a normal, a subnormal
+    /// and a zero threshold.
+    #[test]
+    fn drop_mask_instances_agree_on_ties_nan_and_short_words() {
+        let mut rng = Rng::new(0xF17);
+        for threshold in [0.375f32, f32::from_bits(3), 0.0] {
+            let ulp = |v: f32, d: i32| f32::from_bits(v.to_bits().wrapping_add_signed(d));
+            let pool = [
+                threshold,
+                -threshold,
+                ulp(threshold, 1),
+                ulp(threshold, -1),
+                -ulp(threshold, 1),
+                -ulp(threshold, -1),
+                f32::NAN,
+                -f32::NAN,
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::from_bits(1),
+                -f32::from_bits(2),
+                5.0,
+            ];
+            for len in 0..=130usize {
+                for _ in 0..4 {
+                    let data: Vec<f32> = (0..len)
+                        .map(|_| pool[rng.below(pool.len() as u64) as usize])
+                        .collect();
+                    let mut want_bitmap = vec![0u8; len.div_ceil(8)];
+                    let mut want_kept = Vec::new();
+                    for (i, &v) in data.iter().enumerate() {
+                        if v.abs() < threshold {
+                            want_bitmap[i / 8] |= 1 << (i % 8);
+                        } else {
+                            want_kept.push(v);
+                        }
+                    }
+                    for inst in instances() {
+                        let (mut bitmap, mut kept) = (vec![7u8; 3], vec![1.0f32; 2]);
+                        filter_kernel(inst, &data, threshold, &mut bitmap, &mut kept);
+                        let what = format!("threshold={threshold} len={len} {inst:?}");
+                        assert_eq!(bitmap, want_bitmap, "{what}");
+                        assert_eq!(bits_of(&kept), bits_of(&want_kept), "{what}");
+                    }
+                }
+            }
         }
     }
 
@@ -1284,22 +1853,34 @@ mod tests {
         let data: Vec<f32> = (0..10_000).map(|i| (i % 83) as f32 - 41.0).collect();
         let cap_after_first = {
             with_compress_scratch(|s| {
-                filter_kernel(&data, 5.0, &mut s.low, &mut s.lanes[0].kept);
+                filter_kernel(
+                    Instance::current(),
+                    &data,
+                    5.0,
+                    &mut s.low,
+                    &mut s.lanes[0].kept,
+                );
             });
             compress_scratch_capacity_bytes()
         };
         assert!(cap_after_first > 0);
         for _ in 0..3 {
             with_compress_scratch(|s| {
-                filter_kernel(&data, 5.0, &mut s.low, &mut s.lanes[0].kept);
+                filter_kernel(
+                    Instance::current(),
+                    &data,
+                    5.0,
+                    &mut s.low,
+                    &mut s.lanes[0].kept,
+                );
             });
             assert_eq!(compress_scratch_capacity_bytes(), cap_after_first);
         }
     }
 
     proptest! {
-        /// Split bit-identity: the splitter emits the exact streams of
-        /// the scalar splitter, and the merger recovers the exact codes,
+        /// Split bit-identity: the splitter on every instance emits the
+        /// exact streams of the scalar splitter, and the merger recovers the exact codes,
         /// for every width and rotation.
         #[test]
         fn prop_split_unsplit_bit_identical(
@@ -1311,15 +1892,18 @@ mod tests {
             let (bias, codes) = (bias & mask, raw.iter().map(|&v| v & mask).collect::<Vec<_>>());
             let scalar = bitpack::split(&codes, width, bias);
             let (mut low, mut planes) = (Vec::new(), Vec::new());
-            split_into(&codes, width, bias, &mut low, &mut planes);
-            prop_assert_eq!((&low, &planes), (&scalar.0, &scalar.1));
+            for inst in instances() {
+                split_into(inst, &codes, width, bias, &mut low, &mut planes);
+                prop_assert_eq!((&low, &planes), (&scalar.0, &scalar.1));
+            }
             let mut out = vec![0u32; codes.len()];
             let unrotate = |stored: u32| stored.wrapping_sub(bias) & mask;
             unsplit_map(&low, &planes, width, &mut out, unrotate).unwrap();
             prop_assert_eq!(&out, &codes);
         }
 
-        /// Filter bit-identity vs. the scalar reference loop.
+        /// Filter bit-identity vs. the scalar reference loop, on every
+        /// instance.
         #[test]
         fn prop_filter_kernel_bit_identical(
             data in proptest::collection::vec(-10.0f32..10.0, 0..500),
@@ -1335,13 +1919,12 @@ mod tests {
                     ref_kept.push(v);
                 }
             }
-            let (mut bitmap, mut kept) = (Vec::new(), Vec::new());
-            filter_kernel(&data, threshold, &mut bitmap, &mut kept);
-            prop_assert_eq!(bitmap, ref_bitmap);
-            prop_assert_eq!(
-                kept.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                ref_kept.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+            for inst in instances() {
+                let (mut bitmap, mut kept) = (Vec::new(), Vec::new());
+                filter_kernel(inst, &data, threshold, &mut bitmap, &mut kept);
+                prop_assert_eq!(&bitmap, &ref_bitmap);
+                prop_assert_eq!(bits_of(&kept), bits_of(&ref_kept));
+            }
         }
 
         /// Quantize bit-identity: same codes AND same RNG stream position

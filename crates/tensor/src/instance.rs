@@ -5,9 +5,10 @@
 //! whose job body carries `#[target_feature(enable = "avx2")]` and is
 //! entered from that kernel's `Instance::Avx2` arm. Both compute the same
 //! bits (the rANS coder: the same bytes). The GEMM core (`matrix.rs`),
-//! the eigensolver (`eigen.rs`), compso-core's stochastic-rounding lanes
-//! and its rANS coder read [`Instance::current`] once per call on the
-//! calling thread and run that instance's body.
+//! the eigensolver (`eigen.rs`), the extrema scan (`reduce.rs`), and
+//! compso-core's stochastic-rounding lanes, drop mask, code splitter,
+//! dequantize and rANS coder read [`Instance::current`] once per call on
+//! the calling thread and run that instance's body.
 
 use std::cell::Cell;
 

@@ -793,52 +793,59 @@ fn every_family_roundtrips_within_its_contract() {
     });
 }
 
+/// The campaign runs once per instance this host has, the decoding
+/// thread pinned to it: the portable decoder stays covered on an AVX2
+/// host, and the AVX2 decode (the rANS coder's and the chunk records'
+/// dequantize) gets the same totality check.
 #[test]
 fn every_family_is_total_on_hostile_bytes() {
-    for_every_family(|_, c, layers, stream| {
-        let name = c.name();
-        // Truncation at every strict prefix errs; so does one trailing
-        // byte.
-        for cut in 0..stream.len() {
-            assert!(
-                group_decode(c, &stream[..cut]).is_err(),
-                "{name}: prefix {cut}/{} decoded Ok",
-                stream.len()
-            );
-        }
-        let mut padded = stream.to_vec();
-        padded.push(0);
-        assert!(
-            group_decode(c, &padded).is_err(),
-            "{name}: trailing byte accepted"
-        );
-        // The retired magics (the serial v1 stream, the layer-parallel
-        // group framing) open no family's stream.
-        for retired in [0xC5u8, 0xC8] {
-            let mut reopened = stream.to_vec();
-            reopened[0] = retired;
-            assert!(
-                group_decode(c, &reopened).is_err(),
-                "{name}: retired magic {retired:#x} accepted"
-            );
-        }
-
-        // A single-byte mutation anywhere never panics and never
-        // amplifies (values may silently change: that is the 0xCF
-        // frame's job).
-        let mut xors = Rng::new(stream.len() as u64);
-        for at in 0..stream.len() {
-            let mut mutated = stream.to_vec();
-            flip_byte(&mut mutated, at as u64, xors.next_u64() as u8);
-            if let Ok(n) = group_decode(c, &mutated) {
+    for inst in Instance::ALL.into_iter().filter(|inst| inst.available()) {
+        let _pin = inst.pin();
+        for_every_family(|_, c, layers, stream| {
+            let name = format!("{} on {inst:?}", c.name());
+            // Truncation at every strict prefix errs; so does one trailing
+            // byte.
+            for cut in 0..stream.len() {
                 assert!(
-                    n <= total_elems(layers) + SLACK_ELEMS,
-                    "{name}: byte {at} amplified {} -> {n} elems",
-                    total_elems(layers)
+                    group_decode(c, &stream[..cut]).is_err(),
+                    "{name}: prefix {cut}/{} decoded Ok",
+                    stream.len()
                 );
             }
-        }
-    });
+            let mut padded = stream.to_vec();
+            padded.push(0);
+            assert!(
+                group_decode(c, &padded).is_err(),
+                "{name}: trailing byte accepted"
+            );
+            // The retired magics (the serial v1 stream, the layer-parallel
+            // group framing) open no family's stream.
+            for retired in [0xC5u8, 0xC8] {
+                let mut reopened = stream.to_vec();
+                reopened[0] = retired;
+                assert!(
+                    group_decode(c, &reopened).is_err(),
+                    "{name}: retired magic {retired:#x} accepted"
+                );
+            }
+
+            // A single-byte mutation anywhere never panics and never
+            // amplifies (values may silently change: that is the 0xCF
+            // frame's job).
+            let mut xors = Rng::new(stream.len() as u64);
+            for at in 0..stream.len() {
+                let mut mutated = stream.to_vec();
+                flip_byte(&mut mutated, at as u64, xors.next_u64() as u8);
+                if let Ok(n) = group_decode(c, &mutated) {
+                    assert!(
+                        n <= total_elems(layers) + SLACK_ELEMS,
+                        "{name}: byte {at} amplified {} -> {n} elems",
+                        total_elems(layers)
+                    );
+                }
+            }
+        });
+    }
 }
 
 #[test]

@@ -26,9 +26,11 @@
 //! * `covariance.syrk_speedup >= 1.3` — `Matrix::gram` (the SYRK
 //!   `covariance()` runs) against `t_matmul` of the same matrix with
 //!   itself on one seeded ReLU-sparse statistics matrix at the CNN
-//!   proxy's conv-factor shape (1152 × 289), fastest of 5, interleaved,
+//!   proxy's conv-factor shape (1152 × 289), fastest of 25, interleaved,
 //!   on one rayon worker. Half the flops, so ≈ 2 in the limit; the
-//!   pack of B and the mirror are the same on both sides.
+//!   pack of B and the mirror are the same on both sides. Reads 1.32 to
+//!   1.57, lowest when the host runs slow (`t_matmul` 9 to 11 ms, not
+//!   5); fastest of 5 read 1.29 once on an unchanged tree.
 //! * `gemm.wide_speedup >= 1.5` — the GEMM core's AVX2 instance against
 //!   its portable one on the MLP's precondition product (128 × 128 ·
 //!   128 × 129, dense, so both take the tile's dense walk), fastest of 5,
@@ -55,9 +57,10 @@
 //!   `filter_kernel` at the aggressive strategy's threshold (`4e-3 ×` the
 //!   range) and `CodeRecord::dequantize_into` over the layer's
 //!   conservative (`eb 2e-3`, 9-bit) codes split into 16 Ki chunk
-//!   records, each with its table on the portable side. Outputs are
-//!   asserted equal. They read 2.1 to 2.5; 0.99, 0.99 and 0.72 with the
-//!   `Avx2` arms running the portable bodies. `n/a` without AVX2.
+//!   records, the decoder's expression per code on the portable side.
+//!   Outputs are asserted equal. The first two read 2.1 to 2.7, the
+//!   dequantize 3.2 to 3.4; 0.99, 0.99 and 0.96 to 0.99 with the `Avx2`
+//!   arms running the portable bodies. `n/a` without AVX2.
 //! * `codec.pack_speedup >= 1.5` — `microkernel::split_into` on the
 //!   instance production runs (what the chunk kernels run on every code:
 //!   a low-byte stream and, past 8 bits, a packed high-bit plane) against
@@ -135,7 +138,7 @@ use compso_comm::fault::FaultPlane;
 use compso_comm::{run_ranks_with, CommConfig};
 use compso_core::encoders::rans;
 use compso_core::kernels::{LayerSchedule, CHUNK_ELEMS};
-use compso_core::microkernel::{quantize_sr_lanes, CodeRecord, DequantTable, SrLane, SR_LANES};
+use compso_core::microkernel::{quantize_sr_lanes, CodeRecord, SrLane, SR_LANES};
 use compso_core::quantize::Quantizer;
 use compso_core::synthetic::{generate, GradientProfile};
 use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed};
@@ -498,7 +501,7 @@ fn main() {
             *v = v.max(0.0);
         }
         let mut best = [f64::INFINITY; 2];
-        for _ in 0..5 {
+        for _ in 0..25 {
             let t0 = Instant::now();
             let full = black_box(black_box(&s).t_matmul(&s));
             best[0] = best[0].min(t0.elapsed().as_secs_f64());
@@ -690,7 +693,6 @@ fn main() {
                 }
             })
             .collect();
-        let mut storage = DequantTable::default();
         let mut kept: [(Vec<u8>, Vec<f32>); 2] = Default::default();
         let mut values = [vec![0.0f32; layer.len()], vec![0.0f32; layer.len()]];
         // [extrema, drop mask, dequantize] × [portable, avx2]
@@ -708,9 +710,8 @@ fn main() {
                 best[1][i] = best[1][i].min(t0.elapsed().as_secs_f64());
                 let t0 = Instant::now();
                 for (record, out) in records.iter().zip(values[i].chunks_mut(CHUNK_ELEMS)) {
-                    let table = record.table(inst, out.len(), &mut storage);
                     record
-                        .dequantize_into(inst, black_box(out), table)
+                        .dequantize_into(inst, black_box(out))
                         .expect("the quantizer's codes are in range");
                 }
                 best[2][i] = best[2][i].min(t0.elapsed().as_secs_f64());

@@ -17,6 +17,8 @@
 //! `Avx2`, which holds the 32 states in four registers. Both emit and
 //! accept exactly the same bytes, and fail with the same [`WireError`].
 
+#[cfg(target_arch = "x86_64")]
+use crate::microkernel::{lanes8, set8};
 use crate::wire::{Reader, WireError, Writer};
 use compso_tensor::Instance;
 use std::hint::select_unpredictable;
@@ -537,35 +539,6 @@ const ENC_LUT: [u64; 256] = {
     lut
 };
 
-/// `_mm256_set_epi32` of `f(0), …, f(7)`, lane 0 lowest: eight scalar
-/// loads into a register, the AVX2 bodies' gather (no intrinsic there
-/// takes a pointer).
-#[cfg(target_arch = "x86_64")]
-macro_rules! set_lanes {
-    ($f:expr) => {{
-        let f = $f;
-        _mm256_set_epi32(f(7), f(6), f(5), f(4), f(3), f(2), f(1), f(0))
-    }};
-}
-
-/// The eight 32-bit lanes of `v`, lane 0 first.
-#[cfg(target_arch = "x86_64")]
-macro_rules! lanes_of {
-    ($v:expr) => {{
-        let v = $v;
-        [
-            _mm256_extract_epi32::<0>(v),
-            _mm256_extract_epi32::<1>(v),
-            _mm256_extract_epi32::<2>(v),
-            _mm256_extract_epi32::<3>(v),
-            _mm256_extract_epi32::<4>(v),
-            _mm256_extract_epi32::<5>(v),
-            _mm256_extract_epi32::<6>(v),
-            _mm256_extract_epi32::<7>(v),
-        ]
-    }};
-}
-
 /// The AVX2 group loop of [`Lanes::decode`]: register `k` holds lanes
 /// `8k..8k + 8`. Per register, the eight slot-table entries are loaded
 /// from the eight slots the states name (their low bytes are the
@@ -585,7 +558,7 @@ fn decode_groups_avx2(
 ) -> usize {
     use std::arch::x86_64::*;
     let mut x: [__m256i; LANES / REG] =
-        std::array::from_fn(|k| set_lanes!(|j: usize| states[REG * k + j] as i32));
+        std::array::from_fn(|k| set8(&states[REG * k..REG * (k + 1)]));
     let slot_mask = _mm256_set1_epi32((SCALE - 1) as i32);
     let one = _mm256_set1_epi32(1);
     let zero = _mm256_setzero_si256();
@@ -609,7 +582,7 @@ fn decode_groups_avx2(
             for (o, e) in syms.iter_mut().zip(ent) {
                 *o = e as u8;
             }
-            let ent = set_lanes!(|j: usize| ent[j] as i32);
+            let ent = set8(&ent);
             let freq = _mm256_add_epi32(_mm256_srli_epi32::<20>(ent), one);
             let offset = _mm256_and_si256(_mm256_srli_epi32::<8>(ent), slot_mask);
             let xx = _mm256_add_epi32(
@@ -653,9 +626,7 @@ fn decode_groups_avx2(
         done += LANES;
     }
     for (v, s) in x.iter().zip(states.chunks_exact_mut(REG)) {
-        for (x, l) in s.iter_mut().zip(lanes_of!(*v)) {
-            *x = l as u32;
-        }
+        s.copy_from_slice(&lanes8(*v));
     }
     done
 }
@@ -679,7 +650,7 @@ fn encode_groups_avx2(
 ) {
     use std::arch::x86_64::*;
     let mut x: [__m256i; LANES / REG] =
-        std::array::from_fn(|k| set_lanes!(|j: usize| states[REG * k + j] as i32));
+        std::array::from_fn(|k| set8(&states[REG * k..REG * (k + 1)]));
     let freq_mask = _mm256_set1_epi32((1 << FREQ_BITS) - 1);
     let cum_mask = _mm256_set1_epi32((SCALE - 1) as i32);
     let scale = _mm256_set1_epi32(SCALE as i32);
@@ -696,8 +667,8 @@ fn encode_groups_avx2(
     macro_rules! step {
         ($v:expr, $syms:expr) => {{
             let (v, syms): (__m256i, &[u8; REG]) = ($v, $syms);
-            let pk = set_lanes!(|j: usize| model.packed[syms[j] as usize] as i32);
-            let rc = set_lanes!(|j: usize| model.recip[syms[j] as usize] as i32);
+            let pk = set8(&syms.map(|s| model.packed[s as usize]));
+            let rc = set8(&syms.map(|s| model.recip[s as usize]));
             let freq = _mm256_and_si256(pk, freq_mask);
             let x_max = _mm256_slli_epi32::<19>(freq);
             let emit = _mm256_cmpeq_epi32(_mm256_max_epu32(v, x_max), v);
@@ -744,9 +715,7 @@ fn encode_groups_avx2(
         }
     }
     for (v, s) in x.iter().zip(states.chunks_exact_mut(REG)) {
-        for (x, l) in s.iter_mut().zip(lanes_of!(*v)) {
-            *x = l as u32;
-        }
+        s.copy_from_slice(&lanes8(*v));
     }
 }
 

@@ -322,11 +322,11 @@ fn stage_chunk(
 /// arena: a low byte per code in the record, and the bits past 8 of codes
 /// wider than a byte in the plane stream.
 /// With an `out` window it also writes there the values
-/// [`decompress_chunk_into`] gives that record: its codes dequantized as
-/// the decoder dequantizes them ([`microkernel::dequantize_codes`]), `lo`
-/// for a constant chunk, a filtered chunk's values scattered by its
-/// bitmap ([`microkernel::scatter_kept`]) with 0.0 where one was dropped.
-/// The split and the dequantize run on `inst`.
+/// [`decompress_chunk_into`] gives that record, through the decoder's own
+/// dequantize ([`CodeRecord::dequantize_into`]) of the streams it just
+/// split: `lo` for a constant chunk, a filtered chunk's values scattered
+/// by its bitmap ([`microkernel::scatter_kept`]) with 0.0 where one was
+/// dropped. The split and the dequantize run on `inst`.
 fn finish_chunk(
     inst: Instance,
     st: Staged,
@@ -335,41 +335,42 @@ fn finish_chunk(
     planes: &mut Vec<u8>,
     out: Option<&mut [f32]>,
 ) -> ChunkOut {
+    low.clear();
+    planes.clear();
+    let bits = bits_for(st.n_bins);
+    if st.n_bins > 0 {
+        let bias = split_bias(st.lo, st.bin_width, st.n_bins);
+        microkernel::split_into(inst, codes, bits, bias, low, planes);
+    }
     if let Some(out) = out {
-        microkernel::with_chunk_decode(|scratch| {
-            let (lo, bin_width, n_bins) = (st.lo, st.bin_width, st.n_bins);
+        microkernel::with_chunk_kept(|scratch| {
             let kept = if st.use_filter {
-                scratch.kept.clear();
-                scratch.kept.resize(st.n_kept, 0.0);
-                &mut scratch.kept[..]
+                scratch.clear();
+                scratch.resize(st.n_kept, 0.0);
+                &mut scratch[..]
             } else {
                 &mut out[..]
             };
-            if n_bins == 0 {
-                kept.fill(lo);
+            if st.n_bins == 0 {
+                kept.fill(st.lo);
             } else {
-                microkernel::dequantize_codes(
-                    inst,
-                    codes,
-                    lo,
-                    bin_width,
-                    n_bins,
-                    &mut scratch.table,
-                    kept,
-                );
+                let record = CodeRecord {
+                    low,
+                    planes,
+                    bits,
+                    lo: st.lo,
+                    bin_width: st.bin_width,
+                    n_bins: st.n_bins,
+                };
+                record
+                    .dequantize_into(inst, kept)
+                    .expect("the quantizer's codes are in range");
             }
             if st.use_filter {
-                let kept = &scratch.kept;
-                microkernel::scatter_kept(&st.bitmap, st.n, st.n_kept, out, |k| kept[k])
+                microkernel::scatter_kept(&st.bitmap, st.n, st.n_kept, out, |k| scratch[k])
                     .expect("the bitmap keeps exactly the survivors");
             }
         });
-    }
-    low.clear();
-    planes.clear();
-    if st.n_bins > 0 {
-        let bias = split_bias(st.lo, st.bin_width, st.n_bins);
-        microkernel::split_into(inst, codes, bits_for(st.n_bins), bias, low, planes);
     }
     let mut w = Writer::with_capacity(29 + low.len() + planes.len());
     w.u64(st.n as u64);
@@ -777,12 +778,11 @@ fn with_chunk_windows<R>(
 /// materialize directly in the caller's pre-zeroed output window (the
 /// chunk's slice of the final layer buffer, so decode has no assembly
 /// copy at all). Codes dequantize as they merge
-/// ([`CodeRecord::dequantize_into`]) — through a per-chunk table when the
-/// width has one and the codes outnumber its entries — straight into the
-/// window for an unfiltered chunk, and into a per-thread buffer ahead of
-/// the keep-mask scatter ([`microkernel::scatter_kept`]) for a filtered
-/// one. Every validation check and error string of the scalar reference
-/// is preserved, in the same order.
+/// ([`CodeRecord::dequantize_into`]) straight into the window for an
+/// unfiltered chunk, and into a per-thread buffer ahead of the keep-mask
+/// scatter ([`microkernel::scatter_kept`]) for a filtered one. Every
+/// validation check and error string of the scalar reference is
+/// preserved, in the same order.
 ///
 /// `out` must be zero-filled and exactly `c.len` long. The codes
 /// dequantize on `inst`.
@@ -835,12 +835,7 @@ fn decompress_chunk_into(
         bin_width,
         n_bins,
     };
-    microkernel::with_chunk_decode(|scratch| {
-        let table = if constant {
-            None
-        } else {
-            record.table(inst, count, &mut scratch.table)
-        };
+    microkernel::with_chunk_kept(|scratch| {
         if !used_filter {
             // Every value is kept, so the codes dequantize as they merge
             // (`count ≤ c.len` was checked above; a short count is
@@ -851,7 +846,7 @@ fn decompress_chunk_into(
             if constant {
                 kept.fill(lo);
             } else {
-                record.dequantize_into(inst, kept, table)?;
+                record.dequantize_into(inst, kept)?;
             }
             if !cr.is_exhausted() {
                 return Err(CompressError::Corrupt("chunk codes overrun"));
@@ -864,13 +859,13 @@ fn decompress_chunk_into(
             }
             return Ok(());
         }
-        let kept = &mut scratch.kept;
+        let kept = scratch;
         kept.clear();
         if constant {
             kept.resize(count, lo);
         } else {
             kept.resize(count, 0.0);
-            record.dequantize_into(inst, kept, table)?;
+            record.dequantize_into(inst, kept)?;
         }
         if !cr.is_exhausted() {
             return Err(CompressError::Corrupt("chunk codes overrun"));
@@ -1486,9 +1481,9 @@ mod tests {
     /// past 16 bits.
     const WIDTH_BOUNDS: [(f32, u32); 4] = [(4e-3, 8), (2e-3, 9), (1e-3, 10), (1e-6, 20)];
 
-    /// A bound for every code width a chunk dequantizes through a table,
-    /// 1 to 12 bits: `conservative(4e-2)`'s 25 or 26 bins are 5-bit codes,
-    /// §4.3's `1e-2` example 7-bit ones.
+    /// A bound for every code width from 1 to 12 bits:
+    /// `conservative(4e-2)`'s 25 or 26 bins are 5-bit codes, §4.3's
+    /// `1e-2` example 7-bit ones.
     const EVERY_WIDTH: [(f32, u32); 12] = [
         (1.0, 1),
         (0.4, 2),
@@ -1892,10 +1887,10 @@ mod tests {
     }
 
     /// A code past `n_bins` is refused where the decoder has always
-    /// refused it, by both decoders, when the chunk dequantizes through a
-    /// table: 7-, 8- and 9-bit codes, filtered and not.
+    /// refused it, by the scalar reference and by the chunk decoder on
+    /// every instance: 7- to 10-bit codes, filtered and not.
     #[test]
-    fn an_out_of_range_code_is_refused_through_the_table() {
+    fn an_out_of_range_code_is_refused_on_every_instance() {
         let n = 2000;
         let c = ChunkDesc {
             layer: 0,
@@ -1903,7 +1898,7 @@ mod tests {
             len: n,
         };
         let (lo, bin_width) = (-1.0f32, 4e-3f32);
-        for (n_bins, filtered) in [100u32, 250, 500]
+        for (n_bins, filtered) in [100u32, 250, 500, 1000]
             .into_iter()
             .flat_map(|n_bins| [(n_bins, false), (n_bins, true)])
         {
@@ -1936,15 +1931,54 @@ mod tests {
                 let planes = quant.write(&mut w);
                 let record = w.into_bytes();
                 let what = format!("n_bins {n_bins} filtered {filtered} hostile {hostile}");
-                let fast = decompress_chunk(&c, &record, &planes, &bitmap);
-                let reference = decompress_chunk_ref(&c, &record, &planes, &bitmap);
+                let bits_of = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let reference = decompress_chunk_ref(&c, &record, &planes, &bitmap).map(bits_of);
                 if hostile {
                     let refused = Err(WireError::Invalid("quantized code out of range").into());
-                    assert_eq!(fast, refused, "{what}");
                     assert_eq!(reference, refused, "{what}");
-                } else {
-                    let bits_of = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(fast.map(bits_of), reference.map(bits_of), "{what}");
+                }
+                for inst in instances() {
+                    let mut out = vec![0.0f32; n];
+                    let fast = decompress_chunk_into(inst, &c, &record, &planes, &bitmap, &mut out)
+                        .map(|()| bits_of(out));
+                    assert_eq!(fast, reference, "{what} {inst:?}");
+                }
+            }
+        }
+    }
+
+    /// The own-frame hand-back against a cold [`decompress_chunked`] of its
+    /// stream, bit for bit, at every width 1 to 16, filtered and not, on
+    /// every instance, beside a constant and an empty layer: the values
+    /// [`finish_chunk`] writes are the decoder's dequantize of the record
+    /// it has just split.
+    #[test]
+    fn the_hand_back_is_the_decoder_at_every_width_on_every_instance() {
+        let data = crate::synthetic::generate(20_000, 73, GradientProfile::kfac());
+        let flat = vec![0.75f32; 300];
+        let layers: [&[f32]; 3] = [&data, &flat, &[]];
+        let schedule = LayerSchedule::build(&[data.len(), flat.len(), 0], 4096);
+        let (kc, rng, range) = (KernelConfig::default(), Rng::new(74), minmax_flat(&data));
+        let wider = [(1.5e-4, 13), (7.5e-5, 14), (4e-5, 15), (2e-5, 16)];
+        let bits_of = |l: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            l.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        for (eb, bits) in EVERY_WIDTH.into_iter().chain(wider) {
+            let (_, n_bins) = grid(eb, range.min, range.max, 1);
+            assert_eq!(bits_for(n_bins), bits, "eb {eb}");
+            for cfg in [CompsoConfig::aggressive(eb), CompsoConfig::conservative(eb)] {
+                for inst in instances() {
+                    let _pin = inst.pin();
+                    let rec = Recorder::disabled();
+                    let (stream, back) = compress_chunked_reconstructing(
+                        &layers, &cfg, &kc, &schedule, &rng, &rec, true,
+                    );
+                    let back = back.expect("the fused sweep reconstructs");
+                    let cold = decompress_quiet(&stream).unwrap();
+                    let what = format!("{cfg:?} at {bits} bits on {inst:?}");
+                    assert_eq!(bits_of(&back), bits_of(&cold), "{what}");
                 }
             }
         }
@@ -2279,11 +2313,11 @@ mod tests {
         refused(constant.codes(), &[0], &constant.bitmap);
     }
 
-    /// One record layout at every width a table serves, 1 to 12 bits,
-    /// and for a constant layer: each non-constant chunk's code record is
-    /// its 29-byte header and one byte per code, its plane slice the
-    /// codes' bits past 8 (nothing up to 8 bits, so no flag), whatever
-    /// the filter kept. The fused sweep's records are the scalar
+    /// One record layout at every width from 1 to 12 bits, and for a
+    /// constant layer: each non-constant chunk's code record is its
+    /// 29-byte header and one byte per code, its plane slice the codes'
+    /// bits past 8 (nothing up to 8 bits, so no flag), whatever the
+    /// filter kept. The fused sweep's records are the scalar
     /// oracle's, the frame is theirs and the staged path's, and it
     /// decodes within the bound — an unfiltered chunk to exactly the
     /// values of its codes.

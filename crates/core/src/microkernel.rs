@@ -41,13 +41,11 @@
 //!   side, one chunk and its own stream per 64-bit lane of an AVX2
 //!   register. Each chunk already owns its stream, so a lane draws what
 //!   the scalar kernel draws, in its order, and does its arithmetic.
-//! * `CodeRecord::dequantize_into` reads a chunk of up to
-//!   `TABLE_MAX_WIDTH`-bit codes through a per-chunk table
-//!   (`DequantTable`) — the decoder's expression evaluated once per code
-//!   value, indexed by the code as stored — once the codes outnumber its
-//!   entries. That is the portable instance; up to 9 bits the AVX2
-//!   instance evaluates the expression in f64 lanes instead, its range
-//!   check a running maximum of the codes.
+//! * `CodeRecord::dequantize_into` is the one way from a chunk record's
+//!   codes to values, for the decoder and the own-frame hand-back alike:
+//!   the portable instance evaluates the decoder's expression per code as
+//!   it merges, up to 9 bits the AVX2 instance evaluates it in f64 lanes;
+//!   both check the range on the largest code.
 //! * `scatter_kept` walks the keep-mask as u64 words with
 //!   `trailing_zeros`, so decode scatter cost scales with the *kept*
 //!   count, not the chunk length — the dropped majority is covered by a
@@ -91,8 +89,9 @@ fn windowed_groups(len: usize, w: usize, groups: usize) -> usize {
 }
 
 /// Code widths up to this have an AVX2 instance of [`split_into`] and of
-/// the dequantizers: at most one plane bit per code, so eight codes'
-/// plane bits are one byte and their codes and values fit 256-bit lanes.
+/// [`CodeRecord::dequantize_into`]: at most one plane bit per code, so
+/// eight codes' plane bits are one byte and their codes and values fit
+/// 256-bit lanes.
 const WIDE_MAX_WIDTH: u32 = 9;
 
 /// The instance that runs a `width`-bit kernel picked on `inst`: `inst`
@@ -266,10 +265,12 @@ fn split_avx2(codes: &[u32], width: u32, bias: u32, low: &mut [u8], planes: &mut
     over | split_portable(codes_left, width, bias, low_left, planes_left)
 }
 
-/// Eight codes into a register, `c[j]` in lane `j`.
+/// Eight values into a register, `c[j]` in lane `j` (`c` holds at least
+/// eight): eight scalar loads, the AVX2 bodies' gather, since no intrinsic
+/// there takes a pointer.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn set8(c: &[u32]) -> std::arch::x86_64::__m256i {
+pub(crate) fn set8(c: &[u32]) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
     let [c0, c1, c2, c3, c4, c5, c6, c7] = [0, 1, 2, 3, 4, 5, 6, 7].map(|j| c[j] as i32);
     _mm256_set_epi32(c7, c6, c5, c4, c3, c2, c1, c0)
@@ -278,7 +279,7 @@ fn set8(c: &[u32]) -> std::arch::x86_64::__m256i {
 /// A register's eight 32-bit lanes, lane `j` at `[j]`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn lanes8(v: std::arch::x86_64::__m256i) -> [u32; 8] {
+pub(crate) fn lanes8(v: std::arch::x86_64::__m256i) -> [u32; 8] {
     use std::arch::x86_64::*;
     [
         _mm256_extract_epi32::<0>(v),
@@ -356,11 +357,10 @@ fn unsplit_refusals(low: &[u8], planes: &[u8], width: u32, count: usize) -> Resu
 /// Inverse of [`split_into`]'s layout through a per-code map: `map` sees
 /// code `i` as stored — `low[i]` under its `width − 8` bits of `planes`
 /// if it has any, still rotated — so the chunk decoder dequantizes as it
-/// merges instead of materializing codes it would only read back, and a
-/// caller with a table indexed by the stored code needs no subtract or
-/// mask per code. Un-rotated by the caller (`(stored − bias) mod
-/// 2^max(width, 8)`), these are the codes of the test-only oracle
-/// `bitpack::unsplit`; the refusals are its, in its order.
+/// merges instead of materializing codes it would only read back.
+/// Un-rotated by the caller (`(stored − bias) mod 2^max(width, 8)`),
+/// these are the codes of the test-only oracle `bitpack::unsplit`; the
+/// refusals are its, in its order.
 ///
 /// `low` must hold exactly one byte per output.
 pub(crate) fn unsplit_map<T>(
@@ -423,139 +423,6 @@ fn dequantize(lo64: f64, bw64: f64, code: u32) -> f32 {
     (lo64 + code as f64 * bw64) as f32
 }
 
-/// Code widths up to this dequantize through a per-chunk table
-/// ([`DequantTable`]) once the chunk has more codes than the table has
-/// entries: 4 Ki entries, 16 KiB of `f32`, at 12 bits.
-pub(crate) const TABLE_MAX_WIDTH: u32 = 12;
-
-/// Entries of a full-width table.
-const TABLE_LEN: usize = 1 << TABLE_MAX_WIDTH;
-
-/// Storage for one chunk's dequantize table, reused chunk after chunk.
-#[derive(Debug, Default)]
-pub struct DequantTable {
-    entries: Vec<f32>,
-}
-
-impl DequantTable {
-    /// Fills the table for a chunk of `width`-bit codes (`≤`
-    /// [`TABLE_MAX_WIDTH`]) stored rotated by `bias` (0 for codes that
-    /// fit a byte): the entry of stored code `s` is the [`dequantize`]d value
-    /// of `c = (s − bias) mod 2^width` — the decoder's expression
-    /// evaluated once — or NaN where `c > n_bins`. From a finite `lo` and
-    /// a finite `bin_width` the expression never gives NaN, so a NaN out
-    /// of the table is an out-of-range code and nothing else.
-    ///
-    /// # Panics
-    /// If `width` is 0 or past [`TABLE_MAX_WIDTH`], or `lo` or
-    /// `bin_width` is not finite.
-    fn fill(
-        &mut self,
-        lo: f32,
-        bin_width: f32,
-        n_bins: u32,
-        width: u32,
-        bias: u32,
-    ) -> TableView<'_> {
-        assert!(
-            (1..=TABLE_MAX_WIDTH).contains(&width),
-            "table width {width} out of range"
-        );
-        assert!(lo.is_finite() && bin_width.is_finite(), "non-finite header");
-        let mask = code_mask(width);
-        let (lo64, bw64) = (lo as f64, bin_width as f64);
-        self.entries.clear();
-        self.entries.extend((0..=mask).map(|stored| {
-            let code = stored.wrapping_sub(bias) & mask;
-            if code > n_bins {
-                f32::NAN
-            } else {
-                dequantize(lo64, bw64, code)
-            }
-        }));
-        self.entries.resize(TABLE_LEN, f32::NAN);
-        TableView(self.entries[..].try_into().expect("TABLE_LEN entries"))
-    }
-
-    /// The table the chunk decoder reads `count` codes of `width` bits
-    /// stored under `bias` through, filled here — or `None` where it
-    /// evaluates [`dequantize`] per code: past [`TABLE_MAX_WIDTH`], or
-    /// when the codes do not outnumber the entries.
-    fn for_codes(
-        &mut self,
-        lo: f32,
-        bin_width: f32,
-        n_bins: u32,
-        width: u32,
-        bias: u32,
-        count: usize,
-    ) -> Option<TableView<'_>> {
-        (width <= TABLE_MAX_WIDTH && count > 1 << width)
-            .then(|| self.fill(lo, bin_width, n_bins, width, bias))
-    }
-}
-
-/// The values the chunk decoder gives `codes` — a chunk's codes as the
-/// quantizer emitted them, none past `n_bins` and at least one bin —
-/// under the record header `lo`, `bin_width`, `n_bins`, into `out` (one
-/// per code), on `inst` up to [`WIDE_MAX_WIDTH`] bits: in the portable
-/// instance through the decoder's table where it would read one, else
-/// through [`dequantize`]; in AVX2 as [`dequantize`] in f64 lanes. The
-/// table is filled unrotated, so its entry of a code is the one the
-/// decoder reads for that code's stored form.
-///
-/// # Panics
-/// If `out` is not as long as `codes`, or `inst` is not available on
-/// this host.
-pub(crate) fn dequantize_codes(
-    inst: Instance,
-    codes: &[u32],
-    lo: f32,
-    bin_width: f32,
-    n_bins: u32,
-    table: &mut DequantTable,
-    out: &mut [f32],
-) {
-    assert_eq!(codes.len(), out.len(), "one value per code");
-    assert!(inst.available(), "{inst:?} not available on this host");
-    let width = crate::bitpack::bits_for(n_bins);
-    match at_width(inst, width) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the assertion above saw the CPU report AVX2, the one
-        // feature `dequantize_codes_avx2` is built with.
-        Instance::Avx2 => unsafe { dequantize_codes_avx2(codes, lo, bin_width, out) },
-        _ => {
-            if let Some(table) = table.for_codes(lo, bin_width, n_bins, width, 0, codes.len()) {
-                for (o, &c) in out.iter_mut().zip(codes) {
-                    *o = table.get(c);
-                }
-            } else {
-                let (lo64, bw64) = (lo as f64, bin_width as f64);
-                for (o, &c) in out.iter_mut().zip(codes) {
-                    *o = dequantize(lo64, bw64, c);
-                }
-            }
-        }
-    }
-}
-
-/// The AVX2 body of [`dequantize_codes`]: eight codes to a register, the
-/// codes past the last eight through [`dequantize`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn dequantize_codes_avx2(codes: &[u32], lo: f32, bin_width: f32, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let (lo64, bw64) = (lo as f64, bin_width as f64);
-    let (lov, bwv) = (_mm256_set1_pd(lo64), _mm256_set1_pd(bw64));
-    let (mut cs, mut os) = (codes.chunks_exact(8), out.chunks_exact_mut(8));
-    for (c, o) in cs.by_ref().zip(os.by_ref()) {
-        o.copy_from_slice(&dequantize8(set8(c), lov, bwv));
-    }
-    for (o, &c) in os.into_remainder().iter_mut().zip(cs.remainder()) {
-        *o = dequantize(lo64, bw64, c);
-    }
-}
-
 /// [`dequantize`] of eight codes below 2³¹ in f64 lanes, with `lo` and
 /// `bw` the header fields widened in every lane: an exact conversion, a
 /// rounded multiply, a rounded add (no FMA, so the two roundings of the
@@ -589,22 +456,9 @@ fn dequantize8(
     values
 }
 
-/// A filled [`DequantTable`].
-#[derive(Clone, Copy)]
-pub struct TableView<'a>(&'a [f32; TABLE_LEN]);
-
-impl TableView<'_> {
-    /// The value of stored code `stored` (below `2^width`); NaN if its
-    /// code is out of range.
-    #[inline(always)]
-    fn get(self, stored: u32) -> f32 {
-        self.0[stored as usize & (TABLE_LEN - 1)]
-    }
-}
-
 /// A chunk record's codes, with the header fields that turn them into
-/// values, as the chunk decoder has checked them: `bits` is the width of
-/// `n_bins` and at least 1, `low` holds one low byte per code and
+/// values, as the chunk decoder has checked them or the compressor has
+/// just split them: `bits` is the width of `n_bins` and at least 1, `low` holds one low byte per code and
 /// `planes` their bits past 8, if they have any ([`unsplit_map`]).
 pub struct CodeRecord<'a> {
     /// One low byte per code.
@@ -627,42 +481,16 @@ impl CodeRecord<'_> {
         crate::bitpack::split_bias(self.lo, self.bin_width, self.n_bins)
     }
 
-    /// This record's table of `count` codes, filled in `storage`, when
-    /// `inst`'s decode of the record reads one: the portable instance's,
-    /// when the codes outnumber its entries and the width has one.
-    pub fn table<'t>(
-        &self,
-        inst: Instance,
-        count: usize,
-        storage: &'t mut DequantTable,
-    ) -> Option<TableView<'t>> {
-        let (lo, bin_width, n_bins) = (self.lo, self.bin_width, self.n_bins);
-        (at_width(inst, self.bits) == Instance::Portable)
-            .then(|| storage.for_codes(lo, bin_width, n_bins, self.bits, self.bias(), count))
-            .flatten()
-    }
-
-    /// Every code, as stored, into `out` (one per code) through `map`.
-    fn each_code<T>(&self, out: &mut [T], map: impl FnMut(u32) -> T) -> Result<(), WireError> {
-        unsplit_map(self.low, self.planes, self.bits, out, map)
-    }
-
-    /// Every code dequantized into `out` (one per code) on `inst` up to
-    /// [`WIDE_MAX_WIDTH`] bits — the same value on every path: in the
-    /// portable instance through `table` when there is one and through
-    /// [`dequantize`] otherwise, in AVX2 as [`dequantize`] in f64 lanes
-    /// (`table` is `None` there, see [`CodeRecord::table`]). The
+    /// Every code dequantized into `out` (one per code) — the decoder's
+    /// values, which the own-frame hand-back also writes: [`dequantize`]
+    /// per code in the portable instance, the same expression in f64 lanes
+    /// in AVX2, which runs up to [`WIDE_MAX_WIDTH`] bits on `inst`. The
     /// unpacker's refusals come first, then "code out of range" if some
     /// code exceeds `n_bins`.
     ///
     /// # Panics
     /// If `inst` is not available on this host.
-    pub fn dequantize_into(
-        &self,
-        inst: Instance,
-        out: &mut [f32],
-        table: Option<TableView>,
-    ) -> Result<(), WireError> {
+    pub fn dequantize_into(&self, inst: Instance, out: &mut [f32]) -> Result<(), WireError> {
         assert!(inst.available(), "{inst:?} not available on this host");
         let in_range = match at_width(inst, self.bits) {
             #[cfg(target_arch = "x86_64")]
@@ -672,15 +500,7 @@ impl CodeRecord<'_> {
                 // one feature `record_avx2` is built with.
                 unsafe { record_avx2(self, out) }
             }
-            _ => match table {
-                Some(table) => {
-                    self.each_code(out, |stored| table.get(stored))?;
-                    // A separate pass: it vectorizes, where a test per code
-                    // would cost the loop as much as the table saves.
-                    !out.iter().fold(false, |nan, v| nan | v.is_nan())
-                }
-                None => self.max_code_into(out)? <= self.n_bins,
-            },
+            _ => self.max_code_into(out)? <= self.n_bins,
         };
         if in_range {
             Ok(())
@@ -695,7 +515,7 @@ impl CodeRecord<'_> {
         let (bias, mask) = (self.bias(), stored_mask(self.bits));
         let (lo64, bw64) = (self.lo as f64, self.bin_width as f64);
         let mut max_code = 0u32;
-        self.each_code(out, |stored| {
+        unsplit_map(self.low, self.planes, self.bits, out, |stored| {
             let code = stored.wrapping_sub(bias) & mask;
             max_code = max_code.max(code);
             dequantize(lo64, bw64, code)
@@ -709,9 +529,8 @@ impl CodeRecord<'_> {
 /// in range. Eight codes to a register: their low bytes widened from one
 /// `u64`, a ninth bit, if any, from the group's plane byte (bit `j` to
 /// lane `j`), un-rotated and masked as stored, their running maximum in
-/// a register — the range check, where the table path tests its output
-/// for NaN — and their values by [`dequantize8`]. The codes past the last
-/// eight are [`CodeRecord::max_code_into`]'s.
+/// a register — the range check — and their values by [`dequantize8`].
+/// The codes past the last eight are [`CodeRecord::max_code_into`]'s.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn record_avx2(record: &CodeRecord<'_>, out: &mut [f32]) -> bool {
@@ -1203,9 +1022,10 @@ thread_local! {
     static COMPRESS_SCRATCH: std::cell::RefCell<CompressScratch> =
         std::cell::RefCell::new(CompressScratch::new());
 
-    /// Per-thread buffers of the chunk decoder.
-    static CHUNK_DECODE: std::cell::RefCell<ChunkDecodeScratch> =
-        std::cell::RefCell::new(ChunkDecodeScratch::default());
+    /// A filtered chunk's kept values, dequantized ahead of the scatter,
+    /// per thread.
+    static CHUNK_KEPT: std::cell::RefCell<Vec<f32>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` with this thread's compress arena.
@@ -1222,20 +1042,11 @@ pub(crate) fn compress_scratch_capacity_bytes() -> usize {
     COMPRESS_SCRATCH.with(|p| p.borrow().capacity_bytes())
 }
 
-/// The chunk decoder's per-thread buffers.
-#[derive(Debug, Default)]
-pub(crate) struct ChunkDecodeScratch {
-    /// A filtered chunk's kept values, dequantized ahead of the scatter.
-    pub kept: Vec<f32>,
-    /// The chunk's dequantize table.
-    pub table: DequantTable,
-}
-
-/// Runs `f` with this thread's chunk-decode buffers.
-pub(crate) fn with_chunk_decode<R>(f: impl FnOnce(&mut ChunkDecodeScratch) -> R) -> R {
-    let mut s = CHUNK_DECODE.with(|p| std::mem::take(&mut *p.borrow_mut()));
+/// Runs `f` with this thread's buffer for a filtered chunk's kept values.
+pub(crate) fn with_chunk_kept<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+    let mut s = CHUNK_KEPT.with(|p| std::mem::take(&mut *p.borrow_mut()));
     let r = f(&mut s);
-    CHUNK_DECODE.with(|p| *p.borrow_mut() = s);
+    CHUNK_KEPT.with(|p| *p.borrow_mut() = s);
     r
 }
 
@@ -1470,80 +1281,102 @@ mod tests {
         }
     }
 
-    /// A table and the expression it tabulates decode every width a
-    /// table serves to the same bits — values that overflow to +∞ and
-    /// subnormal steps included — and refuse a code past `n_bins` with
-    /// the same error, under the rotations four headers give a chunk.
+    /// A chunk record of `codes` at `bits` under a header, split as the
+    /// compressor splits it, into `low` and `planes`.
+    fn record_of<'a>(
+        codes: &[u32],
+        bits: u32,
+        (lo, bin_width, n_bins): (f32, f32, u32),
+        low: &'a mut Vec<u8>,
+        planes: &'a mut Vec<u8>,
+    ) -> CodeRecord<'a> {
+        let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
+        split_into(PORTABLE, codes, bits, bias, low, planes);
+        CodeRecord {
+            low,
+            planes,
+            bits,
+            lo,
+            bin_width,
+            n_bins,
+        }
+    }
+
+    /// Each instance's `dequantize_into` against the [`dequantize`]
+    /// expression of the codes, bit for bit, at every width 1 to 16 — the
+    /// AVX2 body up to 9 bits, the portable one past them — on every
+    /// length 0..=130 (whole groups of eight, a tail, both) and one of
+    /// 1037, under headers whose values overflow to ±∞ (`3e38`) or step
+    /// by a subnormal, and the rotations those headers give a chunk.
     #[test]
-    fn dequant_table_matches_the_expression_at_every_width() {
-        let mut rng = Rng::new(0x7AB1E);
-        let mut storage = DequantTable::default();
-        for bits in 1..=TABLE_MAX_WIDTH {
+    fn dequantize_into_is_the_expression_at_every_width_on_every_instance() {
+        let mut rng = Rng::new(0xDE0);
+        let (mut low, mut planes) = (Vec::new(), Vec::new());
+        for bits in 1..=16 {
             let mask = code_mask(bits);
-            let count = (1usize << bits) + 37;
             for n_bins in [mask / 2 + 1, mask - mask / 4, mask] {
                 let headers = [
                     (-1.0f32, 2.0 / n_bins as f32),
                     (0.0, f32::from_bits(1)),
                     (3.5, 0.25),
                     (3e38, 1e38), // every code past 0 overflows to +∞
+                    (-3e38, 1e38),
                 ];
                 for (lo, bin_width) in headers {
-                    for hostile in [false, true] {
-                        let mut codes: Vec<u32> =
-                            (0..count).map(|_| rng.next_u32() % (n_bins + 1)).collect();
-                        if hostile {
-                            if n_bins == mask {
-                                continue; // no code can exceed it
-                            }
-                            let at = rng.below(count as u64) as usize;
-                            codes[at] = n_bins + 1 + rng.next_u32() % (mask - n_bins);
-                        }
-                        let (mut low, mut planes) = (Vec::new(), Vec::new());
-                        let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
-                        split_into(PORTABLE, &codes, bits, bias, &mut low, &mut planes);
-                        let record = CodeRecord {
-                            low: &low,
-                            planes: &planes,
-                            bits,
-                            lo,
-                            bin_width,
-                            n_bins,
-                        };
-                        let what = format!("bits={bits} n_bins={n_bins} lo={lo} hostile={hostile}");
-                        let mut by_expression = vec![0.0f32; count];
-                        let want = record.dequantize_into(PORTABLE, &mut by_expression, None);
-                        let table = record.table(PORTABLE, count, &mut storage);
-                        assert!(table.is_some(), "{what}");
-                        let mut by_table = vec![0.0f32; count];
-                        let by_table_result =
-                            record.dequantize_into(PORTABLE, &mut by_table, table);
-                        assert_eq!(by_table_result, want, "{what}");
-                        if hostile {
-                            let refused = Err(WireError::Invalid("quantized code out of range"));
-                            assert_eq!(want, refused, "{what}");
-                        } else {
-                            assert_eq!(bits_of(&by_table), bits_of(&by_expression), "{what}");
-                        }
-                        // Each instance's own decode: AVX2's f64 lanes up
-                        // to 9 bits, the table past them.
+                    for len in (0..=130).chain([1037]) {
+                        let codes: Vec<u32> =
+                            (0..len).map(|_| rng.next_u32() % (n_bins + 1)).collect();
+                        let (lo64, bw64) = (lo as f64, bin_width as f64);
+                        let want: Vec<f32> =
+                            codes.iter().map(|&c| dequantize(lo64, bw64, c)).collect();
+                        let header = (lo, bin_width, n_bins);
+                        let record = record_of(&codes, bits, header, &mut low, &mut planes);
                         for inst in instances() {
-                            let mut by_inst = vec![0.0f32; count];
-                            let table = record.table(inst, count, &mut storage);
-                            let result = record.dequantize_into(inst, &mut by_inst, table);
-                            assert_eq!(result, want, "{what} {inst:?}");
-                            if !hostile {
-                                assert_eq!(bits_of(&by_inst), bits_of(&by_expression), "{what}");
-                            }
+                            let what = format!("bits={bits} n_bins={n_bins} lo={lo} len={len}");
+                            let mut got = vec![f32::NAN; len];
+                            assert_eq!(record.dequantize_into(inst, &mut got), Ok(()), "{what}");
+                            assert_eq!(bits_of(&got), bits_of(&want), "{what} {inst:?}");
                         }
                     }
                 }
             }
         }
-        // A low byte with a bit set past a narrower code's width holds a
-        // code past `n_bins`, through the table and the expression alike.
+    }
+
+    /// A code one past `n_bins` is refused with the decoder's error on
+    /// every instance, at every width 2 to 16, at every position of every
+    /// length 0..=130 — in a group of eight or past the last — while the
+    /// same codes in range decode; and a low byte with a bit set past a
+    /// narrower code's width holds a code past `n_bins` at 1 to 7 bits.
+    #[test]
+    fn a_code_past_n_bins_is_refused_on_every_instance() {
+        let mut rng = Rng::new(0xA72);
+        let refused = Err(WireError::Invalid("quantized code out of range"));
+        let (mut low, mut planes) = (Vec::new(), Vec::new());
+        for bits in 2..=16 {
+            let mask = code_mask(bits);
+            let header = (-0.75f32, 1.5 / (mask - 1) as f32, mask - 1);
+            for len in 0..=130 {
+                let codes: Vec<u32> = (0..len).map(|_| rng.next_u32() % mask).collect();
+                let mut out = vec![0.0f32; len];
+                let record = record_of(&codes, bits, header, &mut low, &mut planes);
+                for inst in instances() {
+                    let result = record.dequantize_into(inst, &mut out);
+                    assert_eq!(result, Ok(()), "bits={bits} len={len} {inst:?}");
+                }
+                for at in 0..len {
+                    let mut hostile = codes.clone();
+                    hostile[at] = mask;
+                    let record = record_of(&hostile, bits, header, &mut low, &mut planes);
+                    for inst in instances() {
+                        let what = format!("bits={bits} len={len} at={at} {inst:?}");
+                        assert_eq!(record.dequantize_into(inst, &mut out), refused, "{what}");
+                    }
+                }
+            }
+        }
         for bits in 1..8 {
-            let count = (1usize << bits) + 37;
+            let count = 300;
             let mut low = vec![0u8; count];
             low[count / 2] = 1 << bits;
             let record = CodeRecord {
@@ -1554,206 +1387,10 @@ mod tests {
                 bin_width: 0.5,
                 n_bins: code_mask(bits),
             };
-            let refused = Err(WireError::Invalid("quantized code out of range"));
             let mut out = vec![0.0f32; count];
-            assert_eq!(
-                record.dequantize_into(PORTABLE, &mut out, None),
-                refused,
-                "bits={bits}"
-            );
-            let table = record.table(PORTABLE, count, &mut storage);
-            assert!(table.is_some(), "bits={bits}");
-            assert_eq!(
-                record.dequantize_into(PORTABLE, &mut out, table),
-                refused,
-                "bits={bits}"
-            );
             for inst in instances() {
-                let table = record.table(inst, count, &mut storage);
-                let result = record.dequantize_into(inst, &mut out, table);
+                let result = record.dequantize_into(inst, &mut out);
                 assert_eq!(result, refused, "bits={bits} {inst:?}");
-            }
-        }
-        // No table where the entries outnumber the codes, or past 12 bits.
-        let record = CodeRecord {
-            low: &[0; 64],
-            planes: &[0; 64],
-            bits: 9,
-            lo: 0.0,
-            bin_width: 1.0,
-            n_bins: 500,
-        };
-        assert!(record.table(PORTABLE, 512, &mut storage).is_none());
-        let wide = CodeRecord { bits: 13, ..record };
-        assert!(wide.table(PORTABLE, 1 << 20, &mut storage).is_none());
-        // Nor where the AVX2 decode runs: up to 9 bits.
-        assert!(record
-            .table(Instance::Avx2, 1 << 20, &mut storage)
-            .is_none());
-        let ten = CodeRecord {
-            bits: 10,
-            n_bins: 1000,
-            ..record
-        };
-        assert!(ten.table(Instance::Avx2, 1 << 20, &mut storage).is_some());
-    }
-
-    /// Handed a table, `dequantize_into` returns its entries, looked up by
-    /// stored code, and evaluates nothing: a doctored table's values, far
-    /// outside the header's range, come back at every width a table serves.
-    /// On the portable instance: the one that reads a table at up to 9
-    /// bits (AVX2 is handed none there, and reads none).
-    #[test]
-    fn dequantize_into_reads_the_table_it_is_handed() {
-        let doctored: [f32; TABLE_LEN] = std::array::from_fn(|s| 1e6 + s as f32);
-        let mut rng = Rng::new(0xD0C);
-        for bits in 1..=TABLE_MAX_WIDTH {
-            let mask = code_mask(bits);
-            let (lo, bin_width, n_bins) = (-1.0f32, 2.0 / mask as f32, mask);
-            let count = (1usize << bits) + 37;
-            let codes: Vec<u32> = (0..count).map(|_| rng.next_u32() & mask).collect();
-            let (mut low, mut planes) = (Vec::new(), Vec::new());
-            let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
-            split_into(PORTABLE, &codes, bits, bias, &mut low, &mut planes);
-            let record = CodeRecord {
-                low: &low,
-                planes: &planes,
-                bits,
-                lo,
-                bin_width,
-                n_bins,
-            };
-            let mut out = vec![0.0f32; count];
-            record
-                .dequantize_into(PORTABLE, &mut out, Some(TableView(&doctored)))
-                .unwrap();
-            let want: Vec<f32> = codes
-                .iter()
-                .map(|&c| doctored[(c.wrapping_add(bias) & mask) as usize])
-                .collect();
-            assert_eq!(out, want, "bits={bits}");
-        }
-    }
-
-    /// The twin of `dequantize_into_reads_the_table_it_is_handed` for the
-    /// AVX2 decode, which has no table to read and checks the range on a
-    /// running maximum of the codes instead: a code one past `n_bins` —
-    /// in a group of eight, past the last group, at every position of
-    /// every length 0..=130 and of one that outnumbers the table — is the
-    /// table path's refusal, and an in-range record the table's values.
-    #[test]
-    fn avx2_dequantize_refuses_an_out_of_range_code_like_the_table() {
-        if !Instance::Avx2.available() {
-            return;
-        }
-        let mut storage = DequantTable::default();
-        let mut rng = Rng::new(0xA72);
-        let refused = Err(WireError::Invalid("quantized code out of range"));
-        for bits in 2..=WIDE_MAX_WIDTH {
-            let mask = code_mask(bits);
-            let (lo, bin_width, n_bins) = (-0.75f32, 1.5 / (mask - 1) as f32, mask - 1);
-            let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
-            let lens = (0..=130).chain([(1usize << bits) + 37]);
-            for len in lens {
-                let codes: Vec<u32> = (0..len).map(|_| rng.next_u32() % (n_bins + 1)).collect();
-                let (mut low, mut planes) = (Vec::new(), Vec::new());
-                let mut decode = |inst: Instance, codes: &[u32], out: &mut [f32]| {
-                    split_into(PORTABLE, codes, bits, bias, &mut low, &mut planes);
-                    let record = CodeRecord {
-                        low: &low,
-                        planes: &planes,
-                        bits,
-                        lo,
-                        bin_width,
-                        n_bins,
-                    };
-                    let table = record.table(inst, len, &mut storage);
-                    record.dequantize_into(inst, out, table)
-                };
-                let (mut want, mut got) = (vec![0.0f32; len], vec![0.0f32; len]);
-                let what = format!("bits={bits} len={len}");
-                assert_eq!(decode(PORTABLE, &codes, &mut want), Ok(()), "{what}");
-                assert_eq!(decode(Instance::Avx2, &codes, &mut got), Ok(()), "{what}");
-                assert_eq!(bits_of(&got), bits_of(&want), "{what}");
-                for at in 0..len {
-                    let mut hostile = codes.clone();
-                    hostile[at] = mask;
-                    let what = format!("{what} at={at}");
-                    assert_eq!(decode(PORTABLE, &hostile, &mut want), refused, "{what}");
-                    assert_eq!(
-                        decode(Instance::Avx2, &hostile, &mut got),
-                        refused,
-                        "{what}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The hand-back's values on every instance against the portable
-    /// table or expression, bit for bit, at every width a table serves and
-    /// a wider one, on lengths 0..=130 and one that outnumbers the table,
-    /// under headers whose values overflow to ±∞ or step by a subnormal —
-    /// and against the decoder's values of the same codes.
-    #[test]
-    fn dequantize_codes_instances_agree_bit_for_bit() {
-        let mut rng = Rng::new(0xDE0);
-        let mut storage = DequantTable::default();
-        for bits in 1..=TABLE_MAX_WIDTH + 1 {
-            let mask = code_mask(bits);
-            for n_bins in [mask / 2 + 1, mask] {
-                let headers = [
-                    (-1.0f32, 2.0 / n_bins as f32),
-                    (0.0, f32::from_bits(1)),
-                    (3e38, 1e38),
-                    (-3e38, 1e38),
-                ];
-                for (lo, bin_width) in headers {
-                    for len in (0..=130).chain([(1usize << bits) + 37]) {
-                        let codes: Vec<u32> =
-                            (0..len).map(|_| rng.next_u32() % (n_bins + 1)).collect();
-                        let what = format!("bits={bits} n_bins={n_bins} lo={lo} len={len}");
-                        let mut want = vec![0.0f32; len];
-                        dequantize_codes(
-                            PORTABLE,
-                            &codes,
-                            lo,
-                            bin_width,
-                            n_bins,
-                            &mut storage,
-                            &mut want,
-                        );
-                        for inst in instances() {
-                            let mut got = vec![f32::NAN; len];
-                            dequantize_codes(
-                                inst,
-                                &codes,
-                                lo,
-                                bin_width,
-                                n_bins,
-                                &mut storage,
-                                &mut got,
-                            );
-                            assert_eq!(bits_of(&got), bits_of(&want), "{what} {inst:?}");
-                        }
-                        let (mut low, mut planes) = (Vec::new(), Vec::new());
-                        let bias = crate::bitpack::split_bias(lo, bin_width, n_bins);
-                        split_into(PORTABLE, &codes, bits, bias, &mut low, &mut planes);
-                        let record = CodeRecord {
-                            low: &low,
-                            planes: &planes,
-                            bits,
-                            lo,
-                            bin_width,
-                            n_bins,
-                        };
-                        let mut decoded = vec![0.0f32; len];
-                        record
-                            .dequantize_into(PORTABLE, &mut decoded, None)
-                            .unwrap();
-                        assert_eq!(bits_of(&decoded), bits_of(&want), "{what}");
-                    }
-                }
             }
         }
     }

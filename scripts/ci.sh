@@ -99,7 +99,7 @@ GEMM_SRC=$(sed '/^mod tests/,$d' crates/tensor/src/matrix.rs)
 GEMM_MACS=$(grep -E '\+= [a-z_0-9]+(\[[a-z_0-9]+\])? \* [a-z_0-9]+(\[[a-z_0-9]+\])?;' <<<"$GEMM_SRC" \
   | grep -vcE 'scale \* b;|v \* v;' || true)
 GEMM_COUNTS="$GEMM_MACS:$(grep -cE '^fn tile[<(]' <<<"$GEMM_SRC" || true):$(grep -c ' gemm(' <<<"$GEMM_SRC" || true)"
-grep -rnE --exclude-dir=fixtures 'struct (Compso|Resilience|ControlBlock)\b|ActiveSetting|ThroughputTable|CollectiveKind|OnlineProfiler|pub chunk_elems:|KernelConfig::default\(\)\.chunk_elems|kc\.chunk_elems' \
+grep -rnE --exclude-dir=fixtures 'struct (Compso|Resilience|ControlBlock)\b|ActiveSetting|ThroughputTable|CollectiveKind|OnlineProfiler|DequantTable|TableView|dequantize_codes|pub chunk_elems:|KernelConfig::default\(\)\.chunk_elems|kc\.chunk_elems' \
   crates src tests examples && fence "a deleted type, field or knob is back"
 grep -rnE 'pack_into|unpack_map|SPLIT_MIN_WIDTH|read_wide_ref' crates src tests examples \
   && fence "a second code layout is back: every chunk's codes reach the coder one byte each"

@@ -1033,7 +1033,11 @@ mod tests {
     #[test]
     fn a_wrong_length_piece_is_a_protocol_error_not_a_mis_sum() {
         // The ranks disagree on how rank 0's block is cut: rank 1 sends
-        // it as 5 + 5 where rank 0 expects 3 + 7.
+        // it as 5 + 5 where rank 0 expects 3 + 7. Rank 0 refuses the first
+        // 5 after it has sent rank 1's block; both then wait for the other
+        // to return, since a rank that leaves drops its end of the link
+        // and rank 1's second 5 would find no receiver (`Disconnected`).
+        let done = std::sync::Barrier::new(2);
         let results = run_ranks(2, |comm| {
             let me = comm.rank();
             let pieces = [vec![[3, 7], [5, 5]][me].to_vec(), vec![10]];
@@ -1043,11 +1047,20 @@ mod tests {
                 reduce_scatter_pieced(comm, &mut data, &[0..10, 10..20], &pieces, None, |event| {
                     landed += usize::from(matches!(event, ReduceEvent::Landed(..)));
                 });
+            done.wait();
             (res, landed, data)
         });
+        // Every rank's outcome, for a failure message that shows them all.
+        let outcomes: Vec<_> = results
+            .iter()
+            .map(|(res, landed, _)| (res, landed))
+            .collect();
         let (res, landed, data) = &results[0];
-        assert!(matches!(res, Err(CommError::Protocol { .. })), "{res:?}");
-        assert_eq!(*landed, 0);
+        assert!(
+            matches!(res, Err(CommError::Protocol { .. })),
+            "rank 0 refuses the piece; (result, pieces landed) per rank: {outcomes:?}"
+        );
+        assert_eq!(*landed, 0, "per rank: {outcomes:?}");
         assert_eq!(
             bits(&data[..10]),
             bits(&noisy(0, 20)[..10]),
@@ -1055,7 +1068,7 @@ mod tests {
         );
         assert!(
             matches!(results[1].0, Ok(())),
-            "rank 1 agrees on its own block"
+            "rank 1 agrees on its own block; (result, pieces landed) per rank: {outcomes:?}"
         );
     }
 

@@ -270,10 +270,12 @@ fn encode_lanes(inst: Instance, input: &[u8]) -> Option<Vec<u8>> {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assertion above saw the CPU report AVX2, the one
         // feature `encode_groups_avx2` is built with.
-        Instance::Avx2 => unsafe {
+        Instance::Avx2 | Instance::Avx512 => unsafe {
             encode_groups_avx2(&model, groups, &mut states, &mut buf, &mut pos)
         },
-        _ => {
+        #[cfg(not(target_arch = "x86_64"))]
+        Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
+        Instance::Portable => {
             for group in groups.chunks_exact(LANES).rev() {
                 for lane in (0..LANES).rev() {
                     states[lane] = model.put(states[lane], group[lane], &mut buf, &mut pos);
@@ -421,10 +423,12 @@ impl<'a> Lanes<'a> {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the assertion above saw the CPU report AVX2, the one
             // feature `decode_groups_avx2` is built with.
-            Instance::Avx2 => unsafe {
+            Instance::Avx2 | Instance::Avx512 => unsafe {
                 decode_groups_avx2(&tab, &mut states, stream, &mut pos, out)
             },
-            _ => decode_groups(&tab, &mut states, stream, &mut pos, out),
+            #[cfg(not(target_arch = "x86_64"))]
+            Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
+            Instance::Portable => decode_groups(&tab, &mut states, stream, &mut pos, out),
         };
         for (i, o) in out[done..].iter_mut().enumerate() {
             *o = step_checked(&mut states[i % LANES], stream, &mut pos, &tab)?;

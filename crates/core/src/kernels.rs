@@ -282,6 +282,11 @@ impl Staged {
     }
 }
 
+/// Lanes the held chunks of [`compress_chunks`] step down to once no
+/// chunk is left to refill a free lane: one AVX2 register. Fewer than
+/// this finish in scalar code.
+const TAIL_LANES: usize = 4;
+
 /// The filter sweep and the quantizer header of one chunk, the survivors
 /// into `survivors`: the layer-global range, an f32 span and the
 /// [`grid`] the [`crate::Quantizer`] also quantizes on. The filter runs
@@ -394,14 +399,15 @@ fn finish_chunk(
 /// mode-hoisted quantize kernel and the byte/plane splitter, all writing
 /// through the per-thread compress arena instead of fresh `Vec`s.
 ///
-/// Stochastic rounding runs [`microkernel::SR_LANES`] chunks at once on
-/// `inst`'s [`microkernel::quantize_sr_lanes`]: each lane holds one chunk
-/// and its own stream, the lanes advance in lockstep until one runs dry,
-/// that chunk's record is written and the next chunk takes its lane. Once
-/// no chunk is left to take a lane, the rest finish one by one in scalar
-/// code. A chunk with nothing to draw (no bins, or another rounding mode)
-/// is quantized and written as it is staged. Records come back in chunk
-/// order.
+/// Stochastic rounding runs up to [`microkernel::SR_LANES`] chunks at once
+/// on `inst`'s [`microkernel::quantize_sr_lanes`]: each lane holds one
+/// chunk and its own stream, the lanes advance in lockstep until one runs
+/// dry, that chunk's record is written and the next chunk takes its lane.
+/// Once no chunk is left to take a lane, the held chunks step down to
+/// [`TAIL_LANES`] lanes (one AVX2 register) while they fill them, and the
+/// last few finish one by one in scalar code. A chunk with nothing to
+/// draw (no bins, or another rounding mode) is quantized and written as
+/// it is staged. Records come back in chunk order.
 ///
 /// Bit-identical per chunk to the tests' scalar oracle, which rounds each
 /// value alone on its own grid arithmetic: a lane consumes its chunk's
@@ -414,6 +420,26 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
         idx: usize,
         st: Staged,
         pos: usize,
+    }
+    /// The chunks held in lanes `slots` side by side, `steps` values on.
+    fn run_lanes<const W: usize>(
+        inst: Instance,
+        held: &[Option<Held>; SR_LANES],
+        slots: [usize; W],
+        jobs: &mut [ChunkJob<'_>],
+        bufs: &mut [LaneScratch; SR_LANES],
+        steps: usize,
+    ) {
+        let now = slots.map(|j| held[j].as_ref().expect("the lane holds a chunk"));
+        let held_jobs = jobs.get_disjoint_mut(now.map(|h| h.idx));
+        let held_jobs = held_jobs.expect("each chunk is held by one lane");
+        let bufs = bufs.get_disjoint_mut(slots).expect("one buffer per lane");
+        let mut parts = now.into_iter().zip(held_jobs).zip(bufs);
+        let mut lanes: [SrLane; W] = std::array::from_fn(|_| {
+            let ((h, job), buf) = parts.next().expect("one part per lane");
+            h.st.lane(job, buf, h.pos..h.pos + steps)
+        });
+        microkernel::quantize_sr_lanes(inst, &mut lanes);
     }
     let mut outs: Vec<Option<ChunkOut>> = Vec::new();
     outs.resize_with(jobs.len(), || None);
@@ -462,38 +488,40 @@ fn compress_chunks(jobs: &mut [ChunkJob<'_>], cfg: &CompsoConfig, inst: Instance
                     next += 1;
                 }
             }
-            // A free lane means no chunk is left to take it.
-            if held.iter().any(Option::is_none) {
+            // The lane group: all lanes while chunks are left to take them,
+            // then the first `TAIL_LANES` held ones while that many are.
+            let mut slots = [0; SR_LANES];
+            let mut live = 0;
+            for (j, slot) in held.iter().enumerate() {
+                if slot.is_some() {
+                    slots[live] = j;
+                    live += 1;
+                }
+            }
+            let Some(width) = [SR_LANES, TAIL_LANES].into_iter().find(|&w| w <= live) else {
                 break;
+            };
+            let group = &slots[..width];
+            let remaining = |j: usize| held[j].as_ref().map_or(0, |h| h.st.n_kept - h.pos);
+            let steps = group.iter().map(|&j| remaining(j)).min().unwrap_or(0);
+            if width == SR_LANES {
+                run_lanes(inst, &held, slots, jobs, &mut s.lanes, steps);
+            } else {
+                let tail = *slots
+                    .first_chunk::<TAIL_LANES>()
+                    .expect("the tail is a prefix");
+                run_lanes(inst, &held, tail, jobs, &mut s.lanes, steps);
             }
-            let now = held
-                .each_ref()
-                .map(|h| h.as_ref().expect("every lane holds a chunk"));
-            let steps = now
-                .iter()
-                .map(|h| h.st.n_kept - h.pos)
-                .min()
-                .expect("SR_LANES > 0");
-            {
-                let held_jobs = jobs.get_disjoint_mut(now.map(|h| h.idx));
-                let held_jobs = held_jobs.expect("each chunk is held by one lane");
-                let mut parts = now.into_iter().zip(&mut s.lanes).zip(held_jobs);
-                let mut lanes = std::array::from_fn(|_| {
-                    let ((h, buf), job) = parts.next().expect("one part per lane");
-                    h.st.lane(job, buf, h.pos..h.pos + steps)
-                });
-                microkernel::quantize_sr_lanes(inst, &mut lanes);
-            }
-            for (slot, lane) in held.iter_mut().zip(&s.lanes) {
-                let h = slot.as_mut().expect("every lane holds a chunk");
+            for &j in group {
+                let h = held[j].as_mut().expect("the lane holds a chunk");
                 h.pos += steps;
                 if h.pos == h.st.n_kept {
-                    let Held { idx, st, .. } = slot.take().expect("every lane holds a chunk");
+                    let Held { idx, st, .. } = held[j].take().expect("the lane holds a chunk");
                     let out = jobs[idx].out.as_deref_mut();
                     outs[idx] = Some(finish_chunk(
                         inst,
                         st,
-                        &lane.codes,
+                        &s.lanes[j].codes,
                         &mut s.low,
                         &mut s.planes,
                         out,
@@ -1810,19 +1838,20 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-        /// A run of 1 to 9 chunks — 0, 1, 3, ragged or 16 Ki values, a
+        /// A run of 1 to 19 chunks — 0, 1, 3, ragged or 16 Ki values, a
         /// few NaN, in some chunks +∞ instead, at a bound of 1 to 2²⁰
         /// bins — through [`compress_chunks`] on every instance this host
         /// runs, against the scalar helpers one chunk at a time over each
         /// chunk's codable range: the same bitmap and record per chunk,
         /// every chunk's stream left at the same position, and its window
         /// holding what the decoder gives its record. The lanes refill
-        /// across chunk boundaries and the last chunks finish alone, so
+        /// across chunk boundaries, the held chunks step down to the tail's
+        /// lanes when the run is dry and the last ones finish alone, so
         /// every run length takes a different path through them.
         #[test]
         fn prop_chunk_runs_match_the_scalar_chunks(
             seed in proptest::prelude::any::<u64>(),
-            chunks in 1usize..10,
+            chunks in 1usize..20,
             filtered in proptest::prelude::any::<bool>(),
         ) {
             let mut r = Rng::new(seed);

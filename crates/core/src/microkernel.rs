@@ -37,10 +37,11 @@
 //!   uniform per element unconditionally; `P0.5` consumes randomness
 //!   conditionally (exact grid points draw nothing), so that mode keeps
 //!   the scalar rounding call per element.
-//! * [`quantize_sr_lanes`] runs four chunks' stochastic rounding side by
-//!   side, one chunk and its own stream per 64-bit lane of an AVX2
-//!   register. Each chunk already owns its stream, so a lane draws what
-//!   the scalar kernel draws, in its order, and does its arithmetic.
+//! * [`quantize_sr_lanes`] runs up to eight chunks' stochastic rounding
+//!   side by side, one chunk and its own stream per 64-bit lane of an
+//!   AVX-512 register (or of two AVX2 ones). Each chunk already owns its
+//!   stream, so a lane draws what the scalar kernel draws, in its order,
+//!   and does its arithmetic.
 //! * `CodeRecord::dequantize_into` is the one way from a chunk record's
 //!   codes to values, for the decoder and the own-frame hand-back alike:
 //!   the portable instance evaluates the decoder's expression per code as
@@ -149,8 +150,10 @@ pub fn split_into(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assertion above saw the CPU report AVX2, the one
         // feature `split_avx2` is built with.
-        Instance::Avx2 => unsafe { split_avx2(codes, width, bias, low, planes) },
-        _ => split_portable(codes, width, bias, low, planes),
+        Instance::Avx2 | Instance::Avx512 => unsafe { split_avx2(codes, width, bias, low, planes) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
+        Instance::Portable => split_portable(codes, width, bias, low, planes),
     };
     if over != 0 {
         code_too_wide(codes, width);
@@ -494,13 +497,15 @@ impl CodeRecord<'_> {
         assert!(inst.available(), "{inst:?} not available on this host");
         let in_range = match at_width(inst, self.bits) {
             #[cfg(target_arch = "x86_64")]
-            Instance::Avx2 => {
+            Instance::Avx2 | Instance::Avx512 => {
                 unsplit_refusals(self.low, self.planes, self.bits, out.len())?;
                 // SAFETY: the assertion above saw the CPU report AVX2, the
                 // one feature `record_avx2` is built with.
                 unsafe { record_avx2(self, out) }
             }
-            _ => self.max_code_into(out)? <= self.n_bins,
+            #[cfg(not(target_arch = "x86_64"))]
+            Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
+            Instance::Portable => self.max_code_into(out)? <= self.n_bins,
         };
         if in_range {
             Ok(())
@@ -606,8 +611,10 @@ pub fn filter_kernel(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assertion above saw the CPU report AVX2, the one
         // feature `filter_avx2` is built with.
-        Instance::Avx2 => unsafe { filter_avx2(data, threshold, bitmap, kept) },
-        _ => filter_words(data, bitmap, kept, |c| drop_word(c, threshold)),
+        Instance::Avx2 | Instance::Avx512 => unsafe { filter_avx2(data, threshold, bitmap, kept) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
+        Instance::Portable => filter_words(data, bitmap, kept, |c| drop_word(c, threshold)),
     }
 }
 
@@ -739,9 +746,9 @@ pub(crate) fn quantize_kernel(
     }
 }
 
-/// Streams [`quantize_sr_lanes`] runs side by side: the four 64-bit
-/// lanes of a 256-bit register.
-pub const SR_LANES: usize = 4;
+/// Streams [`quantize_sr_lanes`] runs side by side at most: the eight
+/// 64-bit lanes of a 512-bit register.
+pub const SR_LANES: usize = 8;
 
 /// One chunk's stochastic rounding, or a stretch of it: `codes[i]` gets
 /// the code of `kept[i]` under the header `quantize_kernel` takes,
@@ -780,16 +787,18 @@ impl SrLane<'_> {
     }
 }
 
-/// Stochastic rounding of four streams at once, each lane exactly as
-/// [`SrLane::quantize`] would run it alone: same codes, same stream
-/// position after. `inst` picks the body: AVX2 runs the four lanes of
-/// one register, the portable instance one lane after another.
+/// Stochastic rounding of up to [`SR_LANES`] streams at once, each lane
+/// exactly as [`SrLane::quantize`] would run it alone: same codes, same
+/// stream position after. `inst` picks the body: AVX-512 runs eight lanes
+/// in one register and four more as AVX2 does, AVX2 runs each four lanes
+/// in one register, and the portable instance — and any lane left over
+/// from those groups — one lane after another.
 ///
 /// # Panics
 /// If the lanes differ in length, a lane's `codes` is not as long as its
 /// `kept`, or `inst` is not available on this host.
-pub fn quantize_sr_lanes(inst: Instance, lanes: &mut [SrLane<'_>; SR_LANES]) {
-    let steps = lanes[0].kept.len();
+pub fn quantize_sr_lanes(inst: Instance, lanes: &mut [SrLane<'_>]) {
+    let steps = lanes.first().map_or(0, |l| l.kept.len());
     assert!(
         lanes
             .iter()
@@ -799,25 +808,42 @@ pub fn quantize_sr_lanes(inst: Instance, lanes: &mut [SrLane<'_>; SR_LANES]) {
     assert!(inst.available(), "{inst:?} not available on this host");
     match inst {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the assertion above saw the CPU report AVX-512 F and DQ,
+        // the features `sr_lanes_avx512` is built with.
+        Instance::Avx512 => unsafe { sr_lanes_avx512(lanes, steps) },
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: the assertion above saw the CPU report AVX2, the one
         // feature `sr_lanes_avx2` is built with.
         Instance::Avx2 => unsafe { sr_lanes_avx2(lanes, steps) },
-        _ => lanes.iter_mut().for_each(SrLane::quantize),
+        #[cfg(not(target_arch = "x86_64"))]
+        Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
+        Instance::Portable => lanes.iter_mut().for_each(SrLane::quantize),
     }
 }
 
-/// The AVX2 body of [`quantize_sr_lanes`]: lane `j` of every register
-/// is `lanes[j]` — its xoshiro256++ state, its `lo`, `1/w` and `n_bins`
-/// — and one iteration is one [`SrLane::quantize`] step in each. The
-/// uniform is `(next_u64 >> 11) · 2⁻⁵³` converted exactly in two halves,
-/// the coordinate is clamped by `maxpd`/`minpd` (the scalar selects'
-/// semantics, NaN included), truncated by `roundpd`, and the code leaves
-/// as the low mantissa bits of `floor + 2⁵² + (u < p)`. The uniform and
-/// the code are exact on both paths, and the coordinate is the scalar
+/// The AVX2 body of [`quantize_sr_lanes`]: each four lanes in one
+/// register ([`sr_quad_avx2`]), the rest in scalar code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sr_lanes_avx2(lanes: &mut [SrLane<'_>], steps: usize) {
+    let (quads, rest) = lanes.as_chunks_mut::<4>();
+    quads.iter_mut().for_each(|quad| sr_quad_avx2(quad, steps));
+    rest.iter_mut().for_each(SrLane::quantize);
+}
+
+/// Four lanes of [`quantize_sr_lanes`] in one AVX2 register: lane `j` of
+/// every register is `lanes[j]` — its xoshiro256++ state, its `lo`, `1/w`
+/// and `n_bins` — and one iteration is one [`SrLane::quantize`] step in
+/// each. The uniform is `(next_u64 >> 11) · 2⁻⁵³` converted exactly in two
+/// halves, the coordinate is clamped by `maxpd`/`minpd` (the scalar
+/// selects' semantics, NaN included), truncated by `roundpd`, and the code
+/// leaves as the low mantissa bits of `floor + 2⁵² + (u < p)`. The uniform
+/// and the code are exact on both paths, and the coordinate is the scalar
 /// code's IEEE operations in its order; no FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sr_lanes_avx2(lanes: &mut [SrLane<'_>; SR_LANES], steps: usize) {
+#[inline]
+fn sr_quad_avx2(lanes: &mut [SrLane<'_>; 4], steps: usize) {
     use std::arch::x86_64::*;
     let [l0, l1, l2, l3] = lanes;
     // `_mm256_set_*` lists lanes from the highest down.
@@ -916,6 +942,181 @@ fn sr_lanes_avx2(lanes: &mut [SrLane<'_>; SR_LANES], steps: usize) {
     *l1.rng = Rng::from_state(lane(1), st1.1);
     *l2.rng = Rng::from_state(lane(2), st2.1);
     *l3.rng = Rng::from_state(lane(3), st3.1);
+}
+
+/// The AVX-512 body of [`quantize_sr_lanes`]: each eight lanes in one
+/// register ([`sr_eight_avx512`]), four more as the AVX2 body runs them,
+/// the rest in scalar code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn sr_lanes_avx512(lanes: &mut [SrLane<'_>], steps: usize) {
+    let (eights, rest) = lanes.as_chunks_mut::<8>();
+    eights
+        .iter_mut()
+        .for_each(|eight| sr_eight_avx512(eight, steps));
+    sr_lanes_avx2(rest, steps);
+}
+
+/// Eight lanes of [`quantize_sr_lanes`] in one AVX-512 register, lane `j`
+/// of every register `lanes[j]`, four steps of every lane per iteration.
+/// Each lane's four values come in as one 128-bit set and are transposed
+/// into one register per step; each step is [`sr_quad_avx2`]'s, with the
+/// uniform converted by `vcvtuqq2pd` (exact below 2⁵³), the rotations by
+/// `vprolq` and the draw's `+ 1` under the compare's mask; each lane's four
+/// codes leave as two `u64` extracts. The last `steps % 4` steps go one at
+/// a time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+#[inline]
+fn sr_eight_avx512(lanes: &mut [SrLane<'_>; 8], steps: usize) {
+    use std::arch::x86_64::*;
+    // `_mm512_set_*` lists lanes from the highest down.
+    let per_lane = |f: &dyn Fn(&SrLane<'_>) -> f64| {
+        let l = &*lanes;
+        _mm512_set_pd(
+            f(&l[7]),
+            f(&l[6]),
+            f(&l[5]),
+            f(&l[4]),
+            f(&l[3]),
+            f(&l[2]),
+            f(&l[1]),
+            f(&l[0]),
+        )
+    };
+    let lo = per_lane(&|l| l.lo as f64);
+    let inv_w = per_lane(&|l| l.inv_w);
+    let cap = per_lane(&|l| l.n_bins as f64);
+    let st = lanes.each_ref().map(|l| l.rng.state());
+    let word = |k: usize| {
+        let w = |j: usize| st[j].0[k] as i64;
+        _mm512_set_epi64(w(7), w(6), w(5), w(4), w(3), w(2), w(1), w(0))
+    };
+    let mut s = [word(0), word(1), word(2), word(3)];
+    let zero = _mm512_setzero_pd();
+    let one = _mm512_set1_pd(1.0);
+    let two_52 = _mm512_set1_pd(TWO_POW_52);
+    let unit = _mm512_set1_pd(1.0 / (1u64 << 53) as f64);
+    // One step in every lane: `Rng::next_u64`, `Rng::uniform_f64`,
+    // `coord_of`, the truncation and the draw's compare; the code in the
+    // low 32 bits of each 64-bit lane.
+    let one_step = |s: &mut [__m512i; 4], v: __m512d| {
+        let next = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s[0], s[3])), s[0]);
+        let t = _mm512_slli_epi64::<17>(s[1]);
+        s[2] = _mm512_xor_si512(s[2], s[0]);
+        s[3] = _mm512_xor_si512(s[3], s[1]);
+        s[1] = _mm512_xor_si512(s[1], s[2]);
+        s[0] = _mm512_xor_si512(s[0], s[3]);
+        s[2] = _mm512_xor_si512(s[2], t);
+        s[3] = _mm512_rol_epi64::<45>(s[3]);
+        let u = _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(next)), unit);
+        let coord = _mm512_mul_pd(_mm512_sub_pd(v, lo), inv_w);
+        let coord = _mm512_min_pd(_mm512_max_pd(coord, zero), cap);
+        let floor = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(coord);
+        let up = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(u, _mm512_sub_pd(coord, floor));
+        let code = _mm512_add_pd(floor, two_52);
+        _mm512_castpd_si512(_mm512_mask_add_pd(code, up, code, one))
+    };
+    // 64-bit lane `j` of `v`.
+    let lane = |v: __m512i, j: usize| {
+        let pair = match j / 2 {
+            0 => _mm512_extracti32x4_epi32::<0>(v),
+            1 => _mm512_extracti32x4_epi32::<1>(v),
+            2 => _mm512_extracti32x4_epi32::<2>(v),
+            _ => _mm512_extracti32x4_epi32::<3>(v),
+        };
+        (match j % 2 {
+            0 => _mm_extract_epi64::<0>(pair),
+            _ => _mm_extract_epi64::<1>(pair),
+        }) as u64
+    };
+    // Each lane's values and codes four steps at a time, then the rest.
+    let (quads, full) = (steps / 4, steps / 4 * 4);
+    let kept: [&[[f32; 4]]; 8] = std::array::from_fn(|j| &lanes[j].kept.as_chunks().0[..quads]);
+    let tail: [&[f32]; 8] = std::array::from_fn(|j| &lanes[j].kept[full..steps]);
+    {
+        let mut codes = lanes
+            .each_mut()
+            .map(|l| l.codes[..steps].split_at_mut(full));
+        // Steps `t` and `t + 1` of all eight lanes from lanes 0..4's
+        // (`a`) and 4..8's (`b`) four values each: 32-bit lane `4j + t`
+        // of `a` is lane j's step t.
+        let pick = |t: i32| {
+            let at = |j: i32| {
+                if j < 4 {
+                    4 * j + t
+                } else {
+                    16 + 4 * (j - 4) + t
+                }
+            };
+            let next = |j: i32| at(j) + 1;
+            _mm512_set_epi32(
+                next(7),
+                next(6),
+                next(5),
+                next(4),
+                next(3),
+                next(2),
+                next(1),
+                next(0),
+                at(7),
+                at(6),
+                at(5),
+                at(4),
+                at(3),
+                at(2),
+                at(1),
+                at(0),
+            )
+        };
+        let (pick01, pick23) = (pick(0), pick(2));
+        // Lane j's steps t and t + 1 as one 64-bit lane: the low 32 bits
+        // of 64-bit lane j of either register.
+        let pair = _mm512_set_epi32(30, 14, 28, 12, 26, 10, 24, 8, 22, 6, 20, 4, 18, 2, 16, 0);
+        for q in 0..quads {
+            let x = |j: usize| {
+                let v = kept[j][q];
+                _mm_set_ps(v[3], v[2], v[1], v[0])
+            };
+            let a = _mm512_insertf32x4::<1>(_mm512_castps128_ps512(x(0)), x(1));
+            let a = _mm512_insertf32x4::<3>(_mm512_insertf32x4::<2>(a, x(2)), x(3));
+            let b = _mm512_insertf32x4::<1>(_mm512_castps128_ps512(x(4)), x(5));
+            let b = _mm512_insertf32x4::<3>(_mm512_insertf32x4::<2>(b, x(6)), x(7));
+            let (v01, v23) = (
+                _mm512_permutex2var_ps(a, pick01, b),
+                _mm512_permutex2var_ps(a, pick23, b),
+            );
+            let c0 = one_step(&mut s, _mm512_cvtps_pd(_mm512_castps512_ps256(v01)));
+            let c1 = one_step(&mut s, _mm512_cvtps_pd(_mm512_extractf32x8_ps::<1>(v01)));
+            let c2 = one_step(&mut s, _mm512_cvtps_pd(_mm512_castps512_ps256(v23)));
+            let c3 = one_step(&mut s, _mm512_cvtps_pd(_mm512_extractf32x8_ps::<1>(v23)));
+            let (p01, p23) = (
+                _mm512_permutex2var_epi32(c0, pair, c1),
+                _mm512_permutex2var_epi32(c2, pair, c3),
+            );
+            for (j, (c, _)) in codes.iter_mut().enumerate() {
+                let (w01, w23) = (lane(p01, j), lane(p23, j));
+                let four = [
+                    w01 as u32,
+                    (w01 >> 32) as u32,
+                    w23 as u32,
+                    (w23 >> 32) as u32,
+                ];
+                c[4 * q..4 * q + 4].copy_from_slice(&four);
+            }
+        }
+        for i in 0..steps - full {
+            let k = |j: usize| tail[j][i] as f64;
+            let v = _mm512_set_pd(k(7), k(6), k(5), k(4), k(3), k(2), k(1), k(0));
+            let code = one_step(&mut s, v);
+            for (j, (_, c)) in codes.iter_mut().enumerate() {
+                c[i] = lane(code, j) as u32;
+            }
+        }
+    }
+    for (j, l) in lanes.iter_mut().enumerate() {
+        *l.rng = Rng::from_state(s.map(|w| lane(w, j)), st[j].1);
+    }
 }
 
 /// Why [`scatter_kept`] stopped early.
@@ -1069,6 +1270,54 @@ mod tests {
     /// Values as bits, so that NaNs compare and signed zeros differ.
     fn bits_of(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The SR lanes on every instance against [`SrLane::quantize`] lane
+    /// by lane — the same codes and the same end stream state — at every
+    /// length up to 130 and at 1037: every tail the four-step loop of the
+    /// AVX-512 body leaves, over 13 lanes (a register of eight, one of
+    /// four and a scalar lane).
+    #[test]
+    fn sr_lanes_match_the_scalar_lane_at_every_tail_length() {
+        let mut r = Rng::new(0x5A11);
+        for len in (0..=130).chain([1037]) {
+            let lanes: Vec<(Vec<f32>, f32, f64, u32)> = (0..13)
+                .map(|_| {
+                    let n_bins = 1 + r.below(1 << 12) as u32;
+                    let (lo, w) = (r.range_f32(-2.0, 0.0), r.range_f32(1e-3, 0.1));
+                    let span = n_bins as f32 * w;
+                    let kept = (0..len)
+                        .map(|_| lo - 0.1 * span + 1.2 * span * r.uniform_f32())
+                        .collect();
+                    (kept, lo, 1.0 / w as f64, n_bins)
+                })
+                .collect();
+            let base = Rng::new(len as u64);
+            let run = |inst: Option<Instance>| {
+                let mut rngs: Vec<Rng> = (0..13).map(|j| base.fork(j)).collect();
+                let mut codes = vec![vec![u32::MAX; len]; 13];
+                let mut sr: Vec<SrLane> = (lanes.iter().zip(&mut rngs).zip(&mut codes))
+                    .map(|(((kept, lo, inv_w, n_bins), rng), codes)| SrLane {
+                        kept,
+                        lo: *lo,
+                        inv_w: *inv_w,
+                        n_bins: *n_bins,
+                        rng,
+                        codes,
+                    })
+                    .collect();
+                match inst {
+                    Some(inst) => quantize_sr_lanes(inst, &mut sr),
+                    None => sr.iter_mut().for_each(SrLane::quantize),
+                }
+                let states: Vec<[u64; 4]> = rngs.iter().map(|g| g.state().0).collect();
+                (codes, states)
+            };
+            let want = run(None);
+            for inst in instances() {
+                assert_eq!(run(Some(inst)), want, "{inst:?} at length {len}");
+            }
+        }
     }
 
     /// The splitter on every instance against [`bitpack::split`] and the
@@ -1601,15 +1850,18 @@ mod tests {
         /// `quantize_kernel` per lane: the same codes and the same stream
         /// position after. Each lane has its own header (1 to 2²⁰ bins),
         /// its own stream and its own values, a few of them NaN or ±∞;
-        /// the common length is 0, 1, 3, ragged or a full 16 Ki chunk.
+        /// the common length is 0, 1, 3, ragged or a full 16 Ki chunk,
+        /// and 1 to 13 lanes run (a register of eight, one of four and
+        /// scalar lanes left over).
         #[test]
         fn prop_sr_lanes_match_quantize_kernel(
             seed in any::<u64>(),
             shape in 0usize..5,
+            n_lanes in 1usize..=13,
         ) {
             let mut r = Rng::new(seed);
             let len = [0, 1, 3, 2 + r.below(4000) as usize, 16 * 1024][shape];
-            let lanes: Vec<(Vec<f32>, f32, f64, u32)> = (0..SR_LANES)
+            let lanes: Vec<(Vec<f32>, f32, f64, u32)> = (0..n_lanes)
                 .map(|_| {
                     let scale = 1 + r.below(20);
                     let n_bins = 1 + r.below(1 << scale) as u32;
@@ -1637,13 +1889,13 @@ mod tests {
                 .collect();
             for inst in instances() {
                 let mut rngs: Vec<Rng> =
-                    (0..SR_LANES as u64).map(|j| Rng::new(seed).fork(j)).collect();
-                let mut codes = vec![vec![u32::MAX; len]; SR_LANES];
-                let mut parts = lanes.iter().zip(&mut rngs).zip(&mut codes);
-                let mut sr = std::array::from_fn(|_| {
-                    let (((kept, lo, inv_w, n_bins), rng), codes) = parts.next().unwrap();
-                    SrLane { kept, lo: *lo, inv_w: *inv_w, n_bins: *n_bins, rng, codes }
-                });
+                    (0..n_lanes as u64).map(|j| Rng::new(seed).fork(j)).collect();
+                let mut codes = vec![vec![u32::MAX; len]; n_lanes];
+                let mut sr: Vec<SrLane> = (lanes.iter().zip(&mut rngs).zip(&mut codes))
+                    .map(|(((kept, lo, inv_w, n_bins), rng), codes)| {
+                        SrLane { kept, lo: *lo, inv_w: *inv_w, n_bins: *n_bins, rng, codes }
+                    })
+                    .collect();
                 quantize_sr_lanes(inst, &mut sr);
                 for (j, (want_codes, want_next)) in want.iter().enumerate() {
                     prop_assert_eq!(&codes[j], want_codes);

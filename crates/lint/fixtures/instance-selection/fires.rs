@@ -1,7 +1,9 @@
 //# path: crates/tensor/src/fake_wide.rs
 // Fixture: a wide body entered from a portable arm, entered outside any
 // match, built for a second feature, fused and reading through pointers,
-// and Avx2-arm blocks that do more than enter a wide fn.
+// Avx2-arm blocks that do more than enter a wide fn, an AVX-512 body
+// entered from an arm of an instance without AVX-512, and a feature
+// string that is neither set.
 
 pub fn dot(inst: Instance, a: &[f64], b: &[f64]) -> f64 {
     match inst {
@@ -49,5 +51,23 @@ fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
 
 #[target_feature(enable = "avx2")]
 fn sum_avx2(a: &[f64]) -> f64 {
+    horizontal(a)
+}
+
+pub fn wider(inst: Instance, a: &[f64]) -> f64 {
+    match inst {
+        Instance::Avx2 => unsafe { sum_avx512(a) }, //~ instance-selection
+        Instance::Avx512 => unsafe { sum_avx512(a) },
+        Instance::Portable => a.iter().sum(),
+    }
+}
+
+#[target_feature(enable = "avx512f,avx512dq")]
+fn sum_avx512(a: &[f64]) -> f64 {
+    horizontal(a)
+}
+
+#[target_feature(enable = "avx512f")] //~ instance-selection
+fn sum_avx512f(a: &[f64]) -> f64 {
     horizontal(a)
 }

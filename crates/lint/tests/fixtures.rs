@@ -195,10 +195,10 @@ fn golden_diagnostic_renderings() {
     let (_, human) = check_fixture(&root.join("instance-selection/fires.rs"));
     assert_eq!(
         human[0],
-        "crates/tensor/src/fake_wide.rs:9:14: [instance-selection] `unsafe` other than \
-         `unsafe { wide(…) }` in an `Instance::Avx2 =>` arm, one call of this file's \
-         `target_feature` fn on plain places; every instance emits the portable \
-         instance's bits"
+        "crates/tensor/src/fake_wide.rs:11:14: [instance-selection] `unsafe` other than \
+         `unsafe { wide(…) }` in an arm of instances that have its features, one call \
+         of this file's `target_feature` fn on plain places; every instance emits the \
+         portable instance's bits"
     );
     let (_, human) = check_fixture(&root.join("collective-order/fires.rs"));
     assert!(

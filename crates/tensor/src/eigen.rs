@@ -93,10 +93,13 @@ impl EigenDecomposition {
 pub fn sym_eig(m: &Matrix) -> EigenDecomposition {
     match Instance::current() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `current` yields `Avx2` only where `available` saw the
-        // CPU report AVX2, the one feature `sym_eig_avx2` is built with.
-        Instance::Avx2 => unsafe { sym_eig_avx2(m) },
-        _ => sym_eig_body(m),
+        // SAFETY: `current` yields `Avx2` or `Avx512` only where
+        // `available` saw the CPU report AVX2, the one feature
+        // `sym_eig_avx2` is built with.
+        Instance::Avx2 | Instance::Avx512 => unsafe { sym_eig_avx2(m) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
+        Instance::Portable => sym_eig_body(m),
     }
 }
 

@@ -18,7 +18,7 @@ const BLOCK: usize = 64;
 
 /// Register-tile width of the GEMM microkernel: output columns per
 /// accumulator row, and the width of a packed `B` panel. 16 f32 lanes =
-/// four 128-bit (or two 256-bit) vector registers per tile row.
+/// four 128-bit, two 256-bit or one 512-bit vector register per tile row.
 ///
 /// Bit-identity note (DESIGN.md §12.4): packing and tiling only move
 /// operands and hoist `out[i][j]` into a register — each output element
@@ -38,9 +38,16 @@ const MR_PORTABLE: usize = 2;
 /// is eight registers and eight chains.
 const MR_AVX2: usize = 4;
 
+/// Register-tile height `MR` of the AVX-512 instance: a tile row is one
+/// 512-bit register, so 8 × 16 is again eight registers and eight chains,
+/// each twice as wide.
+const MR_AVX512: usize = 8;
+
 // Each height divides `NR`, so a strip's rows share one diagonal panel in
 // `Matrix::gram`.
-const _: () = assert!(NR.is_multiple_of(MR_PORTABLE) && NR.is_multiple_of(MR_AVX2));
+const _: () = assert!(
+    NR.is_multiple_of(MR_PORTABLE) && NR.is_multiple_of(MR_AVX2) && NR.is_multiple_of(MR_AVX512)
+);
 
 /// Depth of a k-block: a `KC × NR` panel of packed `B` (16 KiB) stays in
 /// L1 across a strip, and a block's panels in L2 across all strips.
@@ -524,7 +531,8 @@ impl Matrix {
 /// panels wholly left of each strip's diagonal, leaving them zero.
 /// Workers take contiguous strip ranges of about equal panel count; the
 /// [`Instance`] this thread runs picks `MR` and the job body: `MR = 2` in
-/// baseline codegen, or `MR = 4` with the body compiled for AVX2.
+/// baseline codegen, `MR = 4` with the body compiled for AVX2, or
+/// `MR = 8` with [`tile_avx512`] in a body compiled for AVX-512.
 fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let panels = n.div_ceil(NR);
@@ -551,15 +559,24 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
     let mut out = Matrix::zeros(m, n);
     match Instance::current() {
         #[cfg(target_arch = "x86_64")]
+        Instance::Avx512 => p.jobs::<MR_AVX512>(&mut out.data).into_par_iter().for_each(
+            // SAFETY: `current` yields `Avx512` only where `available` saw
+            // the CPU report AVX-512 F and DQ, the features `strips_avx512`
+            // is built with.
+            |(strips, out)| unsafe { strips_avx512(p, strips, out) },
+        ),
+        #[cfg(target_arch = "x86_64")]
         Instance::Avx2 => p.jobs::<MR_AVX2>(&mut out.data).into_par_iter().for_each(
             // SAFETY: `current` yields `Avx2` only where `available` saw the
             // CPU report AVX2, the one feature `strips_avx2` is built with.
             |(strips, out)| unsafe { strips_avx2(p, strips, out) },
         ),
-        _ => p
+        #[cfg(not(target_arch = "x86_64"))]
+        Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
+        Instance::Portable => p
             .jobs::<MR_PORTABLE>(&mut out.data)
             .into_par_iter()
-            .for_each(|(strips, out)| p.strips::<MR_PORTABLE>(strips, out)),
+            .for_each(|(strips, out)| p.strips(strips, out, tile::<MR_PORTABLE>)),
     }
     out
 }
@@ -614,11 +631,17 @@ impl Product<'_> {
     }
 
     /// The job body: per k-block, packs each of `strips`' `MR`-row strips
-    /// of `a` and runs [`tile`] over its panels, storing into `out` (the
-    /// strips' rows). Inlined whole into each instance, so the AVX2 one
-    /// compiles the pack, the tile and the stores with 256-bit lanes.
+    /// of `a` and runs `tile` ([`tile`], or [`tile_avx512`]) over its
+    /// panels, storing into `out` (the strips' rows). Inlined whole into
+    /// each instance, so the AVX2 one compiles the pack, the tile and the
+    /// stores with 256-bit lanes.
     #[inline(always)]
-    fn strips<const MR: usize>(&self, strips: Range<usize>, out: &mut [f32]) {
+    fn strips<const MR: usize>(
+        &self,
+        strips: Range<usize>,
+        out: &mut [f32],
+        tile: impl Fn(&[APackRow; MR], &[f32], Tile<MR>) -> Tile<MR>,
+    ) {
         let (a, m, k, n, panels) = (self.a, self.a.rows, self.a.cols, self.n, self.panels);
         let mut apack = [APackRow {
             vals: [0.0; KC],
@@ -667,7 +690,80 @@ impl Product<'_> {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn strips_avx2(p: &Product, strips: Range<usize>, out: &mut [f32]) {
-    p.strips::<MR_AVX2>(strips, out)
+    p.strips(strips, out, tile::<MR_AVX2>)
+}
+
+/// The AVX-512 instance's job body: [`Product::strips`] at [`MR_AVX512`]
+/// with [`tile_avx512`], which LLVM does not vectorize from [`tile`]'s
+/// arrays by itself (it compiled to scalar multiplies and adds).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn strips_avx512(p: &Product, strips: Range<usize>, out: &mut [f32]) {
+    p.strips(strips, out, |apack, bpanel, acc| {
+        tile_avx512(apack, bpanel, acc)
+    })
+}
+
+/// [`tile`] at [`MR_AVX512`] in intrinsics: each accumulator row is one
+/// 512-bit register of [`NR`] sums, and every step is `_mm512_mul_ps`
+/// then `_mm512_add_ps` — the portable tile's separate multiply and add
+/// per element, in its order, so the sums keep their bits. Values move
+/// in and out through `set` and `extract`, never through a pointer.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+#[inline]
+fn tile_avx512(
+    apack: &[APackRow; MR_AVX512],
+    bpanel: &[f32],
+    acc: Tile<MR_AVX512>,
+) -> Tile<MR_AVX512> {
+    use std::arch::x86_64::*;
+    let (brows, _) = bpanel.as_chunks::<NR>();
+    // `_mm512_set_ps` lists lanes from the highest down.
+    let reg = |v: &[f32; NR]| {
+        _mm512_set_ps(
+            v[15], v[14], v[13], v[12], v[11], v[10], v[9], v[8], v[7], v[6], v[5], v[4], v[3],
+            v[2], v[1], v[0],
+        )
+    };
+    let mut sums = acc.each_ref().map(reg);
+    let mut mac = |r: usize, a: f32, b: __m512| {
+        sums[r] = _mm512_add_ps(sums[r], _mm512_mul_ps(_mm512_set1_ps(a), b));
+    };
+    if apack.iter().all(|row| row.len == brows.len()) {
+        for (t, bv) in brows.iter().enumerate() {
+            let b = reg(bv);
+            (0..MR_AVX512).for_each(|r| mac(r, apack[r].vals[t], b));
+        }
+    } else {
+        let mut mac_at =
+            |r: usize, t: usize| mac(r, apack[r].vals[t], reg(&brows[apack[r].offs[t]]));
+        let common = apack.iter().map(|row| row.len).min().unwrap_or(0);
+        for t in 0..common {
+            (0..MR_AVX512).for_each(|r| mac_at(r, t));
+        }
+        for (r, row) in apack.iter().enumerate() {
+            (common..row.len).for_each(|t| mac_at(r, t));
+        }
+    }
+    sums.map(|s| {
+        let quarters = [
+            _mm512_extractf32x4_ps::<0>(s),
+            _mm512_extractf32x4_ps::<1>(s),
+            _mm512_extractf32x4_ps::<2>(s),
+            _mm512_extractf32x4_ps::<3>(s),
+        ];
+        std::array::from_fn(|j| {
+            let q = quarters[j / 4];
+            let bits = match j % 4 {
+                0 => _mm_extract_ps::<0>(q),
+                1 => _mm_extract_ps::<1>(q),
+                2 => _mm_extract_ps::<2>(q),
+                _ => _mm_extract_ps::<3>(q),
+            };
+            f32::from_bits(bits as u32)
+        })
+    })
 }
 
 /// The one multiply-accumulate microkernel: an `MR` × [`NR`] register
@@ -692,13 +788,13 @@ fn tile<const MR: usize>(apack: &[APackRow; MR], bpanel: &[f32], mut acc: Tile<M
             (0..MR).for_each(|r| mac(r, apack[r].vals[t], bv));
         }
     } else {
-        let mut step = |r: usize, t: usize| mac(r, apack[r].vals[t], &brows[apack[r].offs[t]]);
+        let mut mac_at = |r: usize, t: usize| mac(r, apack[r].vals[t], &brows[apack[r].offs[t]]);
         let common = apack.iter().map(|row| row.len).min().unwrap_or(0);
         for t in 0..common {
-            (0..MR).for_each(|r| step(r, t));
+            (0..MR).for_each(|r| mac_at(r, t));
         }
         for (r, row) in apack.iter().enumerate() {
-            (common..row.len).for_each(|t| step(r, t));
+            (common..row.len).for_each(|t| mac_at(r, t));
         }
     }
     acc
@@ -951,7 +1047,7 @@ mod tests {
     }
 
     /// The GEMM instances this host runs: the portable one always, AVX2
-    /// where the CPU has it.
+    /// and AVX-512 where the CPU has them.
     fn instances() -> Vec<Instance> {
         Instance::ALL
             .into_iter()
@@ -1009,7 +1105,14 @@ mod tests {
         let mut rng = Rng::new(21);
         for inst in instances() {
             for k in [KC - 1, KC, KC + 1, 2 * KC + 3] {
-                for m in [1, MR_PORTABLE + 1, MR_AVX2 - 1, MR_AVX2, MR_AVX2 + 1] {
+                for m in [
+                    1,
+                    MR_PORTABLE + 1,
+                    MR_AVX2 - 1,
+                    MR_AVX2,
+                    MR_AVX2 + 1,
+                    MR_AVX512 + 1,
+                ] {
                     for n in [1, NR - 1, NR, NR + 1] {
                         assert_entry_points_match_oracle(inst, m, k, n, &mut rng);
                     }
@@ -1017,6 +1120,27 @@ mod tests {
             }
             for (m, k, n) in [(0, 5, 7), (5, 0, 7), (5, 7, 0), (0, 0, 0)] {
                 assert_entry_points_match_oracle(inst, m, k, n, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn eight_row_strips_bit_identical_to_scalar() {
+        // The AVX-512 instance's strips: m ragged against MR = 8 and a
+        // multiple of it, n one panel (the conv products' N = 16) and past
+        // it, so `gram`'s upper triangle starts each strip at its diagonal
+        // panel — the strip's own, or the second of a two-strip panel.
+        let mut rng = Rng::new(23);
+        for inst in instances() {
+            for m in [
+                MR_AVX512 - 1,
+                MR_AVX512 + 3,
+                2 * MR_AVX512,
+                3 * MR_AVX512 + 5,
+            ] {
+                for n in [NR, 3 * NR - 1] {
+                    assert_entry_points_match_oracle(inst, m, 45, n, &mut rng);
+                }
             }
         }
     }
@@ -1036,8 +1160,10 @@ mod tests {
         for r in 0..same.rows() {
             same.set(r, 9, 0.0);
         }
-        // Full rows with a ragged last strip (mr = 3 at MR = 4, 1 at 2).
+        // Full rows with a ragged last strip (mr = 3 at MR = 4, 1 at 2, 7
+        // at 8), and a second one past a full strip at MR = 8 (mr = 3).
         let ragged = Matrix::random_normal(MR_AVX2 + 3, 37, &mut rng);
+        let ragged8 = Matrix::random_normal(MR_AVX512 + 3, 37, &mut rng);
         // Every product underflows to -0.0 across a k-block edge: each sum
         // stays the +0.0 it started from.
         let tiny = Matrix::from_fn(MR_AVX2, KC + 1, |_, _| -1e-30);
@@ -1051,7 +1177,7 @@ mod tests {
         for inst in instances() {
             let _pin = inst.pin();
             let what = |name: &str| format!("{name} on {inst:?}");
-            for a in [&one, &same, &ragged] {
+            for a in [&one, &same, &ragged, &ragged8] {
                 let at = a.transpose();
                 assert_bits_equal(
                     &a.matmul(&b),

@@ -85,8 +85,10 @@ pub(crate) fn minmax_lanes(inst: Instance, xs: &[f32]) -> MinMax {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assertion above saw the CPU report AVX2, the one
         // feature `lanes_avx2` is built with.
-        Instance::Avx2 => unsafe { lanes_avx2(body, &mut lo, &mut hi) },
-        _ => {
+        Instance::Avx2 | Instance::Avx512 => unsafe { lanes_avx2(body, &mut lo, &mut hi) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
+        Instance::Portable => {
             for c in body.chunks_exact(8) {
                 for j in 0..8 {
                     lo[j] = lo[j].min(c[j]);

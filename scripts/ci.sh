@@ -37,6 +37,9 @@ step_end
 
 step_start "cargo test"
 cargo test -q --workspace
+# The per-instance tests run every instance this host has (one line).
+cargo test -q -p compso-tensor --lib current_is_the_widest_available_instance -- --nocapture \
+  | grep 'instances this host runs'
 step_end
 
 step_start "compso-lint --deny"

@@ -794,9 +794,10 @@ fn every_family_roundtrips_within_its_contract() {
 }
 
 /// The campaign runs once per instance this host has, the decoding
-/// thread pinned to it: the portable decoder stays covered on an AVX2
+/// thread pinned to it: the portable decoder stays covered on a wide
 /// host, and the AVX2 decode (the rANS coder's and the chunk records'
-/// dequantize) gets the same totality check.
+/// dequantize, which the AVX-512 instance runs too) gets the same
+/// totality check.
 #[test]
 fn every_family_is_total_on_hostile_bytes() {
     for inst in Instance::ALL.into_iter().filter(|inst| inst.available()) {

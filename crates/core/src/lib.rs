@@ -9,7 +9,7 @@
 //! ```text
 //!           ┌─ |g| <  eb_f ──→ bitmap ──→ lossless encoder ─┐
 //!  KFAC ────┤                                               ├──→ bytes
-//!  gradient └─ |g| >= eb_f ──→ SR quantizer → bit-pack →
+//!  gradient └─ |g| >= eb_f ──→ SR quantizer → byte/plane split →
 //!                                              lossless encoder ─┘
 //! ```
 //!
@@ -17,8 +17,10 @@
 //!   records them in a [`bitmap::Bitmap`];
 //! * [`rounding`] / [`quantize`] — round-to-nearest, stochastic rounding
 //!   (Eq. 4) and P0.5 rounding over an error-bounded uniform quantizer;
-//! * [`bitpack`] — packs ⌈log₂ bins⌉-bit codes into bytes (the "7-bit for
-//!   eb 1e-2" trick of §4.3);
+//! * [`bitpack`] — the chunk records' code layout: every code reaches the
+//!   byte-wise coder as one (rotated) byte, and a code wider than 8 bits
+//!   also as its `width − 8` high bits in a packed plane stream, so the
+//!   coder does §4.3's bit packing at the rate the codes allow;
 //! * [`encoders`] — eight from-scratch lossless codecs mirroring the
 //!   nvCOMP families of Table 2 (ANS, Bitcomp, Cascaded, Deflate,
 //!   Gdeflate, LZ4, Snappy, Zstd);

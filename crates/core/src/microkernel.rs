@@ -5,9 +5,11 @@
 //! holds the u64-lane rewrites the fused kernel path runs in production
 //! (DESIGN.md §12). Every kernel here is pinned **bit-identical** to its
 //! scalar oracle by the equivalence proptests below, and at the wire
-//! level by `fused_and_staged_produce_identical_bytes`: the staged
-//! ablation path still runs the scalar helpers, so any divergence in a
-//! microkernel shows up as a byte diff there.
+//! level by `fused_and_staged_produce_identical_bytes`: the fused sweep
+//! and the staged ablation both run these kernels (the staged one in
+//! three passes), and both must equal the frame of the scalar oracle's
+//! chunk records, so any divergence in a microkernel shows up as a byte
+//! diff there.
 //!
 //! What makes bit-identity possible (and cheap to maintain):
 //!

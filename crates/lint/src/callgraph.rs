@@ -33,9 +33,11 @@
 //! precision back. Test code never contributes summaries.
 
 use crate::engine::Context;
+use crate::lexer::TokenKind;
 use crate::rules::{determinism_allow, is_critical_root, View, COLLECTIVES};
-use crate::source::SourceFile;
+use crate::source::{FnSpan, SourceFile};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 /// Impurity kind: reads the wall clock (`Instant::now`, `SystemTime`).
 pub const CLOCK: u8 = 1;
@@ -107,6 +109,10 @@ const NOT_CALLEES: &[&str] = &[
     "unsafe", "Some", "None", "Ok", "Err", "Self", "self",
 ];
 
+/// Tokens a closure's opening `|` follows: where an expression starts.
+/// After anything else a `|` is a bitwise or a pattern alternative.
+const CLOSURE_AFTER: &[&str] = &["(", ",", "=", "{", ";", ">", ":", "move", "return"];
+
 /// Direct impurity sites in a file's production code, in token order.
 ///
 /// - `Instant :: now` / `SystemTime :: now` → [`CLOCK`] (at the type
@@ -118,7 +124,6 @@ const NOT_CALLEES: &[&str] = &[
 pub fn impurity_sites(v: &View) -> Vec<ImpuritySite> {
     let mut out = Vec::new();
     let maps = crate::rules::hashmap_idents(v);
-    let all: Vec<usize> = (0..v.len()).collect();
     for ci in 0..v.len() {
         if v.file.in_test(v.tok(ci).start) {
             continue;
@@ -133,7 +138,7 @@ pub fn impurity_sites(v: &View) -> Vec<ImpuritySite> {
         } else if RNG_IDENTS.contains(&text) {
             out.push(ImpuritySite { ci, kind: RNG });
         } else if maps.contains(text)
-            && (crate::rules::is_iter_call(v, &all, ci) || crate::rules::in_for_header(v, &all, ci))
+            && (crate::rules::is_iter_call(v, ci) || crate::rules::in_for_header(v, ci))
         {
             out.push(ImpuritySite { ci, kind: MAP_ITER });
         }
@@ -170,14 +175,16 @@ pub fn summarize(file: &SourceFile) -> FileSummaries {
             .map(|(i, _)| i)
     };
 
-    // Callee edges: `ident (` pairs in prod code, minus keywords and
-    // definition sites (`fn name(`).
+    // Callee edges: `ident (` pairs in prod code, minus keywords,
+    // definition sites (`fn name(`) and calls of a name the fn binds
+    // itself.
+    let locals: Vec<_> = file.fns.iter().map(|f| local_bindings(&v, f)).collect();
     for ci in 0..v.len().saturating_sub(1) {
         if !v.is_punct(ci + 1, "(") {
             continue;
         }
         let t = v.tok(ci);
-        if t.kind != crate::lexer::TokenKind::Ident {
+        if t.kind != TokenKind::Ident {
             continue;
         }
         let name = v.text(ci);
@@ -190,7 +197,16 @@ pub fn summarize(file: &SourceFile) -> FileSummaries {
         if file.in_test(t.start) {
             continue;
         }
-        if let Some(slot) = slot_of(t.start) {
+        let Some(slot) = slot_of(t.start) else {
+            continue;
+        };
+        // `.name(` and `path::name(` never call a local.
+        let path = v.is_punct(ci - 1, ".") || v.is_punct(ci - 1, ":");
+        if path
+            || !locals[slot]
+                .iter()
+                .any(|(n, r)| *n == name && r.contains(&ci))
+        {
             fns[slot].callees.insert(name.to_string());
         }
     }
@@ -220,6 +236,58 @@ pub fn summarize(file: &SourceFile) -> FileSummaries {
         path: file.path.clone(),
         fns,
     }
+}
+
+/// The names `f` binds in its own blocks, each with the code tokens it
+/// is in scope over: a parameter (`name:`) over the whole body, a
+/// `let [mut] name` from the end of its statement to the end of its
+/// block, and a closure parameter (`|name|`, `|a, name: T|`) over the
+/// closure's body, up to the next `,` or `;` at the closure's level or
+/// the end of its group. A nested fn's calls are checked against its own
+/// bindings only, as it cannot see these.
+fn local_bindings<'v>(v: &'v View, f: &FnSpan) -> Vec<(&'v str, Range<usize>)> {
+    let mut out = Vec::new();
+    // An identifier in binding position: after one of `before`, before
+    // one of `after`.
+    let binds = |ci: usize, before: &[&str], after: &[&str]| {
+        ci > 0
+            && after.iter().any(|a| v.is_punct(ci + 1, a))
+            && v.kind(ci) == TokenKind::Ident
+            && before.iter().any(|b| v.text(ci - 1) == *b)
+    };
+    for ci in f.sig.clone() {
+        if binds(ci, &["(", ",", "mut"], &[":"]) && !v.is_punct(ci + 2, ":") {
+            out.push((v.text(ci), f.body_tokens.clone()));
+        }
+    }
+    for ci in f.body_tokens.clone() {
+        if v.is_ident(ci, "let") {
+            let name = ci + 1 + usize::from(v.is_ident(ci + 1, "mut"));
+            if !binds(name, &["let", "mut"], &["=", ":", ";"]) {
+                continue;
+            }
+            let Some(semi) = v.next_at_level(name, |k| v.is_punct(k, ";")) else {
+                continue;
+            };
+            let block = v.prev_outward(ci, |k| v.is_open(k));
+            let end = block.and_then(|open| v.partner(open)).unwrap_or(v.len());
+            out.push((v.text(name), semi..end));
+        } else if v.is_punct(ci, "|") && CLOSURE_AFTER.contains(&v.text(ci - 1)) {
+            let Some(close) = v.next_at_level(ci + 1, |k| v.is_punct(k, "|")) else {
+                continue;
+            };
+            let end = v.next_at_level(close + 1, |k| {
+                v.is_punct(k, ",") || v.is_punct(k, ";") || v.is_close(k)
+            });
+            let scope = close..end.unwrap_or(v.len());
+            for p in ci + 1..close {
+                if binds(p, &["|", ",", "(", "&", "mut"], &[":", ",", "|", ")"]) {
+                    out.push((v.text(p), scope.clone()));
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Pass 2: merge summaries into the name-keyed graph and run the
@@ -481,6 +549,38 @@ mod tests {
         let facts = solve(&[s]);
         assert!(!facts.contains_key("t"));
         assert_eq!(facts["prod"].impure, 0);
+    }
+
+    #[test]
+    fn a_local_binding_hides_the_global_fn_of_its_name() {
+        let step = sf(
+            "crates/kfac/src/distributed.rs",
+            "fn step(c: &C) -> Result<(), E> { c.allreduce_sum(&mut [0.0]) }\n",
+        );
+        let matrix = sf(
+            "crates/tensor/src/matrix.rs",
+            "fn tile(x: &[f32]) -> f32 { let step = |a: f32| a * 2.0; step(x[0]) }\n\
+             fn by_param(step: &dyn Fn(f32) -> f32) -> f32 { step(1.0) }\n\
+             fn by_closure(x: &[f32]) -> f32 { x.iter().map(|step| step(0.0)).sum() }\n\
+             fn global(c: &C) -> f32 { step(c); 0.0 }\n\
+             fn shadowed_later(c: &C) -> f32 { let step = step(c); step }\n\
+             fn block_ended(c: &C) -> f32 { { let step = 1.0; } step(c) }\n\
+             fn closure_ended(c: &C) { let f = |step: u8| step; step(c); }\n\
+             fn method(c: &C) { let step = 1; c.step(); }\n",
+        );
+        let facts = solve(&[summarize(&step), summarize(&matrix)]);
+        for local in ["tile", "by_param", "by_closure"] {
+            assert!(!facts[local].collective, "{local} calls its own `step`");
+        }
+        for global in [
+            "global",
+            "shadowed_later",
+            "block_ended",
+            "closure_ended",
+            "method",
+        ] {
+            assert!(facts[global].collective, "{global} calls the global `step`");
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! - [`lexer`] — a real Rust lexer whose token spans exactly tile every
 //!   input file (property-tested over the whole workspace);
-//! - [`source`] — per-file context: line table, prod-vs-`#[cfg(test)]`
-//!   classification, `lint:allow` suppressions, a function map;
+//! - [`source`] — per-file context: line table, the token tree (every
+//!   bracket matched once), prod-vs-`#[cfg(test)]` classification,
+//!   `lint:allow` suppressions, a function map;
 //! - [`callgraph`] — the workspace symbol table + call graph: per-fn
 //!   summaries (callees, impurity sources, collectives, length
 //!   sources) and a fixpoint solver for transitive facts;

@@ -31,6 +31,7 @@ use crate::callgraph::file_facts;
 use crate::engine::{Context, Diagnostic};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
+use std::ops::Range;
 
 pub struct CollectiveOrder;
 
@@ -67,19 +68,15 @@ impl Rule for CollectiveOrder {
             if COLLECTIVES.contains(&f.name.as_str()) {
                 continue;
             }
-            let body = v.in_range(&f.body);
-            for chain in rank_conditional_chains(&v, &body) {
-                let chain_end = chain.end;
-                let mut saw_return = false;
-                for i in chain.clone() {
-                    let ci = body[i];
+            let body = f.body_tokens.clone();
+            for chain in rank_conditional_chains(&v, body.clone()) {
+                let mut saw_return = None;
+                for ci in chain.clone() {
                     if v.is_ident(ci, "return") {
-                        saw_return = true;
+                        saw_return.get_or_insert(ci);
                     }
                     // Callee position: `ident (`.
-                    if v.kind(ci) != TokenKind::Ident
-                        || !body.get(i + 1).is_some_and(|&p| v.is_punct(p, "("))
-                    {
+                    if v.kind(ci) != TokenKind::Ident || !v.is_punct(ci + 1, "(") {
                         continue;
                     }
                     let callee = v.text(ci);
@@ -111,150 +108,96 @@ impl Rule for CollectiveOrder {
                 }
                 // Early-return shape: a rank-conditional return while the
                 // function issues a collective later in the body.
-                if saw_return {
-                    if let Some(after) = first_collective_after(&v, &body, chain_end, &facts) {
-                        let ret = chain
-                            .clone()
-                            .find(|&i| v.is_ident(body[i], "return"))
-                            .expect("saw_return");
-                        out.push(v.diag(
-                            NAME,
-                            body[ret],
-                            format!(
-                                "rank-conditional early return in `{}` skips the \
-                                 collective `{}` issued later in the function; \
-                                 returning ranks leave their peers blocked — \
-                                 restructure, or annotate lint:allow({NAME}): <proof>",
-                                f.name,
-                                v.text(body[after]),
-                            ),
-                        ));
-                    }
+                let Some(ret) = saw_return else {
+                    continue;
+                };
+                if let Some(after) = first_collective_after(&v, chain.end..body.end, &facts) {
+                    out.push(v.diag(
+                        NAME,
+                        ret,
+                        format!(
+                            "rank-conditional early return in `{}` skips the \
+                             collective `{}` issued later in the function; \
+                             returning ranks leave their peers blocked — \
+                             restructure, or annotate lint:allow({NAME}): <proof>",
+                            f.name,
+                            v.text(after),
+                        ),
+                    ));
                 }
             }
         }
     }
 }
 
-/// Body-index ranges (into `body`) covering each rank-conditional
-/// `if … { } else if … { } else { }` chain: from the first branch body's
-/// `{` through the last branch body's `}`. The *whole* chain is
-/// rank-conditional if any branch condition in it is.
-fn rank_conditional_chains(v: &View, body: &[usize]) -> Vec<std::ops::Range<usize>> {
+/// Code-token ranges of each rank-conditional `if … { } else if … { }
+/// else { }` chain in `body`: from the first branch's `{` through the
+/// last branch's `}`. The *whole* chain is rank-conditional if any
+/// branch condition in it is.
+fn rank_conditional_chains(v: &View, body: Range<usize>) -> Vec<Range<usize>> {
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < body.len() {
-        if !v.is_ident(body[i], "if") {
-            i += 1;
-            continue;
-        }
-        // One chain: alternating conditions and brace-matched blocks.
-        let chain_start_cond = i;
-        let mut rankish = false;
-        let mut chain_body_start: Option<usize> = None;
-        let mut j = i;
-        loop {
-            // Condition: tokens from after `if` to its block `{` at
-            // paren/bracket depth 0.
-            let mut depth = 0i32;
-            let mut k = j + 1;
-            let mut open = None;
-            while k < body.len() {
-                let ci = body[k];
-                if v.is_punct(ci, "(") || v.is_punct(ci, "[") {
-                    depth += 1;
-                } else if v.is_punct(ci, ")") || v.is_punct(ci, "]") {
-                    depth -= 1;
-                } else if v.is_punct(ci, "{") && depth == 0 {
-                    open = Some(k);
-                    break;
-                }
-                k += 1;
+    let mut ci = body.start;
+    while ci < body.end {
+        let chain = if v.is_ident(ci, "if") {
+            if_chain(v, ci)
+        } else {
+            None
+        };
+        match chain {
+            // The whole chain is covered; skip past it (nested ifs inside
+            // are already in the range).
+            Some((first, last, true)) => {
+                out.push(first..last + 1);
+                ci = last + 1;
             }
-            let Some(open) = open else {
-                break;
-            };
-            rankish |= body[j + 1..open]
-                .iter()
-                .any(|&ci| v.kind(ci) == TokenKind::Ident && RANK_IDENTS.contains(&v.text(ci)));
-            chain_body_start.get_or_insert(open);
-            // Match the block.
-            let mut brace = 0i32;
-            let mut close = open;
-            while close < body.len() {
-                if v.is_punct(body[close], "{") {
-                    brace += 1;
-                } else if v.is_punct(body[close], "}") {
-                    brace -= 1;
-                    if brace == 0 {
-                        break;
-                    }
-                }
-                close += 1;
-            }
-            // `else if` continues the chain; `else { }` ends it.
-            if close + 1 < body.len() && v.is_ident(body[close + 1], "else") {
-                if close + 2 < body.len() && v.is_ident(body[close + 2], "if") {
-                    j = close + 2;
-                    continue;
-                }
-                // Plain else block.
-                if close + 2 < body.len() && v.is_punct(body[close + 2], "{") {
-                    let mut b = 0i32;
-                    let mut e = close + 2;
-                    while e < body.len() {
-                        if v.is_punct(body[e], "{") {
-                            b += 1;
-                        } else if v.is_punct(body[e], "}") {
-                            b -= 1;
-                            if b == 0 {
-                                break;
-                            }
-                        }
-                        e += 1;
-                    }
-                    close = e;
-                }
-            }
-            if rankish {
-                if let Some(start) = chain_body_start {
-                    out.push(start..close.min(body.len() - 1) + 1);
-                }
-                // The whole chain is covered; skip past it (nested ifs
-                // inside are already in the range).
-                i = close.max(chain_start_cond) + 1;
-            } else {
-                // Not rank-conditional: step *into* the first block so
-                // nested rank-conditional ifs still get scanned.
-                i = chain_body_start.unwrap_or(close).max(chain_start_cond) + 1;
-            }
-            break;
-        }
-        if i <= chain_start_cond {
-            i = chain_start_cond + 1;
+            // Not rank-conditional: step *into* the first block so nested
+            // rank-conditional ifs still get scanned.
+            Some((first, _, false)) => ci = first + 1,
+            None => ci += 1,
         }
     }
     out
 }
 
-/// First body index `> from` holding a collective call (direct or via
+/// The `if` chain whose first `if` is at `at`: its first block's `{`,
+/// its last block's `}`, and whether any branch condition names a rank
+/// identity. Each condition runs from its `if` to the first `{` at its
+/// level; `else if` continues the chain and `else { }` ends it.
+fn if_chain(v: &View, at: usize) -> Option<(usize, usize, bool)> {
+    let (mut cond, mut start, mut rankish) = (at + 1, None, false);
+    loop {
+        let open = v.next_at_level(cond, |k| v.is_punct(k, "{"))?;
+        rankish |= (cond..open)
+            .any(|ci| v.kind(ci) == TokenKind::Ident && RANK_IDENTS.contains(&v.text(ci)));
+        let first = *start.get_or_insert(open);
+        let close = v.partner(open)?;
+        if !v.is_ident(close + 1, "else") {
+            return Some((first, close, rankish));
+        }
+        if v.is_ident(close + 2, "if") {
+            cond = close + 3;
+            continue;
+        }
+        let last = match v.partner(close + 2) {
+            Some(end) if v.is_punct(close + 2, "{") => end,
+            _ => close,
+        };
+        return Some((first, last, rankish));
+    }
+}
+
+/// The first token in `span` holding a collective call (direct or via
 /// facts), if any.
 fn first_collective_after(
     v: &View,
-    body: &[usize],
-    from: usize,
+    span: Range<usize>,
     facts: &crate::callgraph::Facts<'_>,
 ) -> Option<usize> {
-    for i in from..body.len().saturating_sub(1) {
-        let ci = body[i];
-        if v.kind(ci) == TokenKind::Ident && v.is_punct(body[i + 1], "(") {
-            let callee = v.text(ci);
-            if COLLECTIVES.contains(&callee) || facts.collective(callee) {
-                return Some(i);
-            }
-        }
-    }
-    None
+    span.into_iter().find(|&ci| {
+        v.kind(ci) == TokenKind::Ident
+            && v.is_punct(ci + 1, "(")
+            && (COLLECTIVES.contains(&v.text(ci)) || facts.collective(v.text(ci)))
+    })
 }
 
 #[cfg(test)]

@@ -124,29 +124,17 @@ fn counter_shaped(s: &str) -> bool {
     })
 }
 
-/// The call whose parentheses hold token `ci`: the callee's token and
-/// whether `ci` is in the first argument. `None` outside a call or past a
-/// `;`.
+/// The call whose parentheses hold token `ci`, through any block between
+/// (`incr(if c { "a" } else { "b" })`): the callee's token and whether
+/// `ci` is in the first argument. `None` outside a call or past a `;`.
 fn enclosing_call(v: &View, ci: usize) -> Option<(usize, bool)> {
-    let (mut depth, mut first) = (0i32, true);
-    let mut k = ci;
-    while k > 0 {
-        k -= 1;
-        if v.is_punct(k, ")") || v.is_punct(k, "]") {
-            depth += 1;
-        } else if v.is_punct(k, "(") || v.is_punct(k, "[") {
-            if depth == 0 {
-                let callee = k.checked_sub(1).filter(|_| v.is_punct(k, "("))?;
-                return (v.kind(callee) == TokenKind::Ident).then_some((callee, first));
-            }
-            depth -= 1;
-        } else if depth == 0 && v.is_punct(k, ";") {
-            return None;
-        } else if depth == 0 && v.is_punct(k, ",") {
-            first = false;
-        }
-    }
-    None
+    let mut first = true;
+    let open = v.prev_outward(ci, |k| {
+        first &= !v.is_punct(k, ",");
+        v.is_punct(k, "(") || v.is_punct(k, "[") || v.is_punct(k, ";")
+    })?;
+    let callee = open.checked_sub(1).filter(|_| v.is_punct(open, "("))?;
+    (v.kind(callee) == TokenKind::Ident).then_some((callee, first))
 }
 
 /// `(constant token, constant, value)` per `const NAME: &str = "value";`

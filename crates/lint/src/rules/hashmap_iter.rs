@@ -76,14 +76,11 @@ impl Rule for NondeterministicWireIteration {
             if !WIRE_FNS.iter().any(|w| fname.contains(w)) {
                 continue;
             }
-            let body: Vec<usize> = (0..v.len())
-                .filter(|&ci| f.body.contains(&v.tok(ci).start))
-                .collect();
-            for (pos, &ci) in body.iter().enumerate() {
+            for ci in f.body_tokens.clone() {
                 if v.kind(ci) != TokenKind::Ident || !maps.contains(v.text(ci)) {
                     continue;
                 }
-                let fire = is_iter_call(&v, &body, pos) || in_for_header(&v, &body, pos);
+                let fire = is_iter_call(&v, ci) || in_for_header(&v, ci);
                 if fire {
                     let map = v.text(ci).to_string();
                     out.push(v.diag(
@@ -130,33 +127,27 @@ pub(crate) fn hashmap_idents(v: &View) -> BTreeSet<String> {
     out
 }
 
-/// `map . iter (` style call at body position `pos`.
-pub(crate) fn is_iter_call(v: &View, body: &[usize], pos: usize) -> bool {
-    if pos + 3 > body.len() {
-        return false;
-    }
-    let (dot, method) = (body[pos + 1], body[pos + 2]);
-    v.is_punct(dot, ".")
-        && v.kind(method) == TokenKind::Ident
-        && ITER_METHODS.contains(&v.text(method))
-        && body.get(pos + 3).is_some_and(|&p| v.is_punct(p, "("))
+/// `map . iter (` style call at token `ci`.
+pub(crate) fn is_iter_call(v: &View, ci: usize) -> bool {
+    v.is_punct(ci + 1, ".")
+        && ci + 2 < v.len()
+        && v.kind(ci + 2) == TokenKind::Ident
+        && ITER_METHODS.contains(&v.text(ci + 2))
+        && v.is_punct(ci + 3, "(")
 }
 
-/// Is `pos` inside a `for … in … { ` header (between `for` and its `{`)?
-pub(crate) fn in_for_header(v: &View, body: &[usize], pos: usize) -> bool {
+/// Is `ci` inside a `for … in … { ` header (between `for` and its `{`)?
+pub(crate) fn in_for_header(v: &View, ci: usize) -> bool {
     // Walk back looking for `for` before any `{`/`;`/`}` boundary.
     let mut saw_in = false;
-    let mut k = pos;
-    while k > 0 {
-        k -= 1;
-        let ci = body[k];
-        if v.is_punct(ci, "{") || v.is_punct(ci, "}") || v.is_punct(ci, ";") {
+    for k in (0..ci).rev() {
+        if v.is_punct(k, "{") || v.is_punct(k, "}") || v.is_punct(k, ";") {
             return false;
         }
-        if v.is_ident(ci, "in") {
+        if v.is_ident(k, "in") {
             saw_in = true;
         }
-        if v.is_ident(ci, "for") {
+        if v.is_ident(k, "for") {
             return saw_in;
         }
     }

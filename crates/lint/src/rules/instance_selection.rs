@@ -126,22 +126,13 @@ fn enters_wide_fn(v: &View, at: usize, wide: &[Wide]) -> bool {
 
 /// The instances of the match arm the `unsafe` at `at` sits in, if its
 /// pattern is `Instance::A | Instance::B …`; empty otherwise. Walking
-/// back, the first `=>` at the outermost nesting level reached so far is
-/// the arm it belongs to.
+/// back, the first `=>` outside every group closed on the way is the arm
+/// it belongs to.
 fn arm_instances<'v>(v: &'v View, at: usize) -> Vec<&'v str> {
-    let (mut level, mut floor) = (0i32, 0i32);
-    for ci in (1..at).rev() {
-        match v.text(ci) {
-            ")" | "]" | "}" => level += 1,
-            "(" | "[" | "{" => {
-                level -= 1;
-                floor = floor.min(level);
-            }
-            ">" if level == floor && v.is_punct(ci - 1, "=") => return pattern(v, ci - 1),
-            _ => {}
-        }
-    }
-    Vec::new()
+    let arrow = v.prev_outward(at, |k| {
+        k > 0 && v.is_punct(k, ">") && v.is_punct(k - 1, "=")
+    });
+    arrow.map_or_else(Vec::new, |k| pattern(v, k - 1))
 }
 
 /// The variants of an `Instance::A | Instance::B …` pattern ending just

@@ -42,6 +42,7 @@ use crate::engine::{Context, Diagnostic};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 pub struct UncheckedLengthPrefix;
 
@@ -68,10 +69,7 @@ impl Rule for UncheckedLengthPrefix {
             if sources.contains(&f.name) {
                 continue;
             }
-            let body: Vec<usize> = (0..v.len())
-                .filter(|&ci| f.body.contains(&v.tok(ci).start))
-                .collect();
-            check_body(&v, &body, &sources, out);
+            check_body(&v, f.body_tokens.clone(), &sources, out);
         }
     }
 }
@@ -89,19 +87,11 @@ pub fn collect_length_sources(file: &SourceFile) -> Vec<String> {
         if f.body.is_empty() || file.in_test(f.kw_start) {
             continue;
         }
-        let sig: Vec<usize> = (0..v.len())
-            .filter(|&ci| {
-                let start = v.tok(ci).start;
-                start >= f.kw_start && start < f.body.start
-            })
-            .collect();
-        if !returns_integer(&v, &sig) {
+        if !returns_integer(&v, f.sig.clone()) {
             continue;
         }
-        let body: Vec<usize> = (0..v.len())
-            .filter(|&ci| f.body.contains(&v.tok(ci).start))
-            .collect();
-        if reads_wire_len(&v, &body) && !has_guard(&v, &body) {
+        let body = f.body_tokens.clone();
+        if reads_wire_len(&v, body.clone()) && !has_guard(&v, body) {
             out.push(f.name.clone());
         }
     }
@@ -110,37 +100,34 @@ pub fn collect_length_sources(file: &SourceFile) -> Vec<String> {
 
 /// Does the signature's return type (tokens after `->`) mention an
 /// integer width a length could travel through?
-fn returns_integer(v: &View, sig: &[usize]) -> bool {
-    let arrow = sig
-        .windows(2)
-        .position(|w| v.is_punct(w[0], "-") && v.is_punct(w[1], ">"));
-    let Some(at) = arrow else {
+fn returns_integer(v: &View, sig: Range<usize>) -> bool {
+    let Some(arrow) = sig
+        .clone()
+        .find(|&ci| v.is_punct(ci, "-") && v.is_punct(ci + 1, ">"))
+    else {
         return false;
     };
-    sig[at + 2..]
-        .iter()
-        .any(|&ci| v.kind(ci) == TokenKind::Ident && matches!(v.text(ci), "usize" | "u32" | "u64"))
+    (arrow + 2..sig.end)
+        .any(|ci| v.kind(ci) == TokenKind::Ident && matches!(v.text(ci), "usize" | "u32" | "u64"))
 }
 
-fn check_body(v: &View, body: &[usize], sources: &BTreeSet<String>, out: &mut Vec<Diagnostic>) {
+fn check_body(v: &View, body: Range<usize>, sources: &BTreeSet<String>, out: &mut Vec<Diagnostic>) {
     // Statements: body token runs split on `;` — except inside `[...]`,
-    // so `vec![0u8; n]` stays one statement (brace-depth agnostic
-    // otherwise, which is good enough for a taint heuristic).
-    let mut stmts: Vec<&[usize]> = Vec::new();
-    let mut start = 0;
-    let mut brackets = 0i32;
-    for (i, &ci) in body.iter().enumerate() {
+    // so `vec![0u8; n]` stays one statement (nested blocks split like
+    // the body, which is good enough for a taint heuristic).
+    let mut stmts = Vec::new();
+    let (mut start, mut ci) = (body.start, body.start);
+    while ci < body.end {
         if v.is_punct(ci, "[") {
-            brackets += 1;
-        } else if v.is_punct(ci, "]") {
-            brackets -= 1;
-        } else if v.is_punct(ci, ";") && brackets == 0 {
-            stmts.push(&body[start..i]);
-            start = i + 1;
+            ci = v.partner(ci).unwrap_or(body.end);
+        } else if v.is_punct(ci, ";") {
+            stmts.push(start..ci);
+            start = ci + 1;
         }
+        ci += 1;
     }
-    if start < body.len() {
-        stmts.push(&body[start..]);
+    if start < body.end {
+        stmts.push(start..body.end);
     }
 
     let mut tainted: Vec<String> = Vec::new();
@@ -148,22 +135,19 @@ fn check_body(v: &View, body: &[usize], sources: &BTreeSet<String>, out: &mut Ve
         // Trim block-structure tokens: the body's own `{`, nested block
         // openers (`if ok { let n = ... }`), and closers, so `let` is
         // the statement's first meaningful token when present.
-        while let Some((&first, rest)) = stmt.split_first() {
-            if v.is_punct(first, "{") || v.is_punct(first, "}") {
-                stmt = rest;
-            } else {
-                break;
-            }
+        while stmt.start < stmt.end && (v.is_punct(stmt.start, "{") || v.is_punct(stmt.start, "}"))
+        {
+            stmt.start += 1;
         }
         let mentions = |name: &str| {
-            stmt.iter()
-                .any(|&ci| v.kind(ci) == TokenKind::Ident && v.text(ci) == name)
+            stmt.clone()
+                .any(|ci| v.kind(ci) == TokenKind::Ident && v.text(ci) == name)
         };
-        let guarded = has_guard(v, stmt);
+        let guarded = has_guard(v, stmt.clone());
 
         // Allocation check first: a statement like `let m = vec![0; n]`
         // must fire on the *old* taint of `n` before `m` bookkeeping.
-        if let Some(flag_ci) = alloc_use(v, stmt, &tainted) {
+        if let Some(flag_ci) = alloc_use(v, stmt.clone(), &tainted) {
             if !guarded {
                 let name = v.text(flag_ci).to_string();
                 out.push(v.diag(
@@ -185,9 +169,9 @@ fn check_body(v: &View, body: &[usize], sources: &BTreeSet<String>, out: &mut Ve
 
         // New taints: `let [mut] X … = … .u32()/.u64() …` without a guard
         // in the same statement. Re-binding clears the old taint either way.
-        if let Some(name) = let_binding(v, stmt) {
+        if let Some(name) = let_binding(v, stmt.clone()) {
             tainted.retain(|t| t != &name);
-            if (reads_wire_len(v, stmt) || calls_source(v, stmt, sources)) && !guarded {
+            if (reads_wire_len(v, stmt.clone()) || calls_source(v, stmt, sources)) && !guarded {
                 tainted.push(name);
             }
         }
@@ -195,115 +179,89 @@ fn check_body(v: &View, body: &[usize], sources: &BTreeSet<String>, out: &mut Ve
 }
 
 /// `let [mut] X` at the start of a statement → `Some(X)`.
-fn let_binding(v: &View, stmt: &[usize]) -> Option<String> {
-    let mut it = stmt.iter().copied();
-    let first = it.next()?;
-    if !v.is_ident(first, "let") {
+fn let_binding(v: &View, stmt: Range<usize>) -> Option<String> {
+    if stmt.is_empty() || !v.is_ident(stmt.start, "let") {
         return None;
     }
-    let mut next = it.next()?;
-    if v.is_ident(next, "mut") {
-        next = it.next()?;
-    }
-    (v.kind(next) == TokenKind::Ident).then(|| v.text(next).to_string())
+    let at = stmt.start + 1 + usize::from(v.is_ident(stmt.start + 1, "mut"));
+    (at < stmt.end && v.kind(at) == TokenKind::Ident).then(|| v.text(at).to_string())
 }
 
 /// Does this statement call `.u32()` or `.u64()` (a wire length read)?
-fn reads_wire_len(v: &View, stmt: &[usize]) -> bool {
-    stmt.windows(3).any(|w| {
-        v.is_punct(w[0], ".")
-            && (v.is_ident(w[1], "u32") || v.is_ident(w[1], "u64"))
-            && v.is_punct(w[2], "(")
+fn reads_wire_len(v: &View, stmt: Range<usize>) -> bool {
+    (stmt.start..stmt.end.saturating_sub(2)).any(|ci| {
+        v.is_punct(ci, ".")
+            && (v.is_ident(ci + 1, "u32") || v.is_ident(ci + 1, "u64"))
+            && v.is_punct(ci + 2, "(")
     })
 }
 
 /// Does this statement call a known length-source helper (`name(…)`)?
 /// Those return unclamped wire lengths and taint like a direct read.
-fn calls_source(v: &View, stmt: &[usize], sources: &BTreeSet<String>) -> bool {
-    if sources.is_empty() {
-        return false;
-    }
-    stmt.windows(2).any(|w| {
-        v.kind(w[0]) == TokenKind::Ident && v.is_punct(w[1], "(") && sources.contains(v.text(w[0]))
-    })
+fn calls_source(v: &View, stmt: Range<usize>, sources: &BTreeSet<String>) -> bool {
+    !sources.is_empty()
+        && (stmt.start..stmt.end.saturating_sub(1)).any(|ci| {
+            v.kind(ci) == TokenKind::Ident
+                && v.is_punct(ci + 1, "(")
+                && sources.contains(v.text(ci))
+        })
 }
 
 /// Does this statement contain a bound-check marker?
-fn has_guard(v: &View, stmt: &[usize]) -> bool {
-    // `==` / `!=` lex as two adjacent Punct tokens.
-    let eq_cmp = stmt
-        .windows(2)
-        .any(|w| (v.is_punct(w[0], "=") || v.is_punct(w[0], "!")) && v.is_punct(w[1], "="));
-    eq_cmp
-        || stmt.iter().any(|&ci| match v.kind(ci) {
-            TokenKind::Punct => {
-                let t = v.text(ci);
-                t == "<" || t == ">"
-            }
-            TokenKind::Ident => {
-                let t = v.text(ci);
-                t == "min"
-                    || t == "max"
-                    || t.starts_with("MAX")
-                    || t.contains("check")
-                    || t.contains("ensure")
-                    || t.contains("remaining")
-                    || t.contains("bound")
-                    || t.contains("assert")
-            }
-            _ => false,
-        })
+fn has_guard(v: &View, stmt: Range<usize>) -> bool {
+    stmt.clone().any(|ci| match v.kind(ci) {
+        // `==` / `!=` lex as two adjacent Punct tokens.
+        TokenKind::Punct => {
+            let t = v.text(ci);
+            t == "<"
+                || t == ">"
+                || ((t == "=" || t == "!") && ci + 1 < stmt.end && v.is_punct(ci + 1, "="))
+        }
+        TokenKind::Ident => {
+            let t = v.text(ci);
+            t == "min"
+                || t == "max"
+                || t.starts_with("MAX")
+                || t.contains("check")
+                || t.contains("ensure")
+                || t.contains("remaining")
+                || t.contains("bound")
+                || t.contains("assert")
+        }
+        _ => false,
+    })
 }
 
 /// If this statement uses a tainted identifier as an allocation *size*,
 /// return the token index of that identifier.
-fn alloc_use(v: &View, stmt: &[usize], tainted: &[String]) -> Option<usize> {
+fn alloc_use(v: &View, stmt: Range<usize>, tainted: &[String]) -> Option<usize> {
     if tainted.is_empty() {
         return None;
     }
     let is_tainted =
         |ci: usize| v.kind(ci) == TokenKind::Ident && tainted.iter().any(|t| t == v.text(ci));
-    for pos in 0..stmt.len() {
+    // The group opened at `open`, cut at the statement's end.
+    let close = |open: usize| v.partner(open).unwrap_or(stmt.end).min(stmt.end);
+    for pos in stmt.clone() {
         // `with_capacity( … )` and `.take( … )`: tainted ident anywhere
         // in the argument list.
-        let callee = v.is_ident(stmt[pos], "with_capacity")
-            || (v.is_ident(stmt[pos], "take") && pos > 0 && v.is_punct(stmt[pos - 1], "."));
-        if callee && pos + 1 < stmt.len() && v.is_punct(stmt[pos + 1], "(") {
-            let mut depth = 0i32;
-            for &ci in &stmt[pos + 1..] {
-                if v.is_punct(ci, "(") {
-                    depth += 1;
-                } else if v.is_punct(ci, ")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if is_tainted(ci) {
-                    return Some(ci);
-                }
+        let callee = v.is_ident(pos, "with_capacity")
+            || (v.is_ident(pos, "take") && pos > stmt.start && v.is_punct(pos - 1, "."));
+        if callee && pos + 1 < stmt.end && v.is_punct(pos + 1, "(") {
+            if let Some(ci) = (pos + 2..close(pos + 1)).find(|&ci| is_tainted(ci)) {
+                return Some(ci);
             }
         }
         // `vec![ … ; LEN ]`: tainted ident in the length position only.
-        if v.is_ident(stmt[pos], "vec")
-            && pos + 2 < stmt.len()
-            && v.is_punct(stmt[pos + 1], "!")
-            && v.is_punct(stmt[pos + 2], "[")
+        if v.is_ident(pos, "vec")
+            && pos + 2 < stmt.end
+            && v.is_punct(pos + 1, "!")
+            && v.is_punct(pos + 2, "[")
         {
-            let mut depth = 0i32;
-            let mut in_len = false;
-            for &ci in &stmt[pos + 2..] {
-                if v.is_punct(ci, "[") {
-                    depth += 1;
-                } else if v.is_punct(ci, "]") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if depth == 1 && v.is_punct(ci, ";") {
-                    in_len = true;
-                } else if in_len && is_tainted(ci) {
-                    return Some(ci);
-                }
+            let end = close(pos + 2);
+            let semi = v.next_at_level(pos + 3, |k| v.is_punct(k, ";"));
+            if let Some(ci) = semi.and_then(|semi| (semi + 1..end).find(|&ci| is_tainted(ci))) {
+                return Some(ci);
             }
         }
     }

@@ -22,8 +22,8 @@
 //!   [`crate::callgraph`]).
 
 use crate::engine::{Context, Diagnostic, SUPPRESSION_HYGIENE};
-use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
+pub use crate::source::View;
 
 mod collective_order;
 mod counter_registry;
@@ -324,70 +324,6 @@ pub fn determinism_allow(path: &str, fn_name: &str) -> Option<&'static str> {
         .iter()
         .find(|(p, n, _)| *p == path && *n == fn_name)
         .map(|(_, _, reason)| *reason)
-}
-
-/// A non-trivia view over a file's tokens, shared by the rules.
-pub struct View<'a> {
-    pub file: &'a SourceFile,
-    pub code: &'a [usize],
-}
-
-impl<'a> View<'a> {
-    pub fn new(file: &'a SourceFile) -> Self {
-        View {
-            file,
-            code: file.code_tokens(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
-    }
-
-    pub fn tok(&self, ci: usize) -> &Token {
-        &self.file.tokens[self.code[ci]]
-    }
-
-    pub fn text(&self, ci: usize) -> &str {
-        self.tok(ci).text(&self.file.src)
-    }
-
-    pub fn kind(&self, ci: usize) -> TokenKind {
-        self.tok(ci).kind
-    }
-
-    /// Is the non-trivia token at `ci` exactly `Punct(p)`?
-    pub fn is_punct(&self, ci: usize, p: &str) -> bool {
-        ci < self.len() && self.kind(ci) == TokenKind::Punct && self.text(ci) == p
-    }
-
-    /// Is the non-trivia token at `ci` exactly `Ident(name)`?
-    pub fn is_ident(&self, ci: usize, name: &str) -> bool {
-        ci < self.len() && self.kind(ci) == TokenKind::Ident && self.text(ci) == name
-    }
-
-    /// Build a diagnostic pointing at token `ci`.
-    pub fn diag(&self, rule: &'static str, ci: usize, message: String) -> Diagnostic {
-        let (line, col) = self.file.line_col(self.tok(ci).start);
-        Diagnostic {
-            rule,
-            path: self.file.path.clone(),
-            line,
-            col,
-            message,
-        }
-    }
-
-    /// Code-token indices whose span starts inside `range`.
-    pub fn in_range(&self, range: &std::ops::Range<usize>) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&ci| range.contains(&self.tok(ci).start))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -75,30 +75,12 @@ impl Rule for SwallowedCommError {
 }
 
 /// Code-index ranges of `let _ = … ;` statements: from the `let` token
-/// through the terminating `;` (exclusive), tracked at bracket depth 0.
+/// through the terminating `;` (exclusive) at the `let`'s level.
 fn let_underscore_stmts(v: &View) -> Vec<std::ops::Range<usize>> {
-    let mut out = Vec::new();
-    for ci in 0..v.len().saturating_sub(2) {
-        if !(v.is_ident(ci, "let") && v.text(ci + 1) == "_" && v.is_punct(ci + 2, "=")) {
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut end = ci + 3;
-        while end < v.len() {
-            if v.is_punct(end, "(") || v.is_punct(end, "[") || v.is_punct(end, "{") {
-                depth += 1;
-            } else if v.is_punct(end, ")") || v.is_punct(end, "]") || v.is_punct(end, "}") {
-                depth -= 1;
-            } else if v.is_punct(end, ";") && depth == 0 {
-                break;
-            }
-            end += 1;
-        }
-        if end < v.len() {
-            out.push(ci..end);
-        }
-    }
-    out
+    (0..v.len().saturating_sub(2))
+        .filter(|&ci| v.is_ident(ci, "let") && v.text(ci + 1) == "_" && v.is_punct(ci + 2, "="))
+        .filter_map(|ci| Some(ci..v.next_at_level(ci + 3, |k| v.is_punct(k, ";"))?))
+        .collect()
 }
 
 #[cfg(test)]

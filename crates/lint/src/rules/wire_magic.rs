@@ -85,24 +85,13 @@ fn wire_magic_value(text: &str) -> Option<u8> {
 /// Byte range of a `mod magic { … }` block in this file, if any — the
 /// one sanctioned home for bare magic literals.
 fn magic_module_range(v: &View) -> Option<Range<usize>> {
-    for ci in 0..v.len().saturating_sub(2) {
-        if v.is_ident(ci, "mod") && v.is_ident(ci + 1, "magic") && v.is_punct(ci + 2, "{") {
-            let start = v.tok(ci).start;
-            let mut depth = 0i32;
-            for k in (ci + 2)..v.len() {
-                if v.is_punct(k, "{") {
-                    depth += 1;
-                } else if v.is_punct(k, "}") {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(start..v.tok(k).end);
-                    }
-                }
-            }
-            return Some(start..v.file.src.len());
-        }
-    }
-    None
+    let ci = (0..v.len().saturating_sub(2)).find(|&ci| {
+        v.is_ident(ci, "mod") && v.is_ident(ci + 1, "magic") && v.is_punct(ci + 2, "{")
+    })?;
+    let end = v
+        .partner(ci + 2)
+        .map_or(v.file.src.len(), |close| v.tok(close).end);
+    Some(v.tok(ci).start..end)
 }
 
 #[cfg(test)]

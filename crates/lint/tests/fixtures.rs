@@ -143,7 +143,7 @@ fn all_fixtures_match_their_markers() {
             let stem = file.file_stem().unwrap().to_string_lossy().to_string();
             match stem.as_str() {
                 // Firing fixtures must fire; clean/suppressed must not.
-                "fires" | "kfac_scope" | "one_clock" => assert!(
+                "fires" | "kfac_scope" | "one_clock" | "brackets" => assert!(
                     !got.is_empty(),
                     "{}: expected at least one finding",
                     file.display()

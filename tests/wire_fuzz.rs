@@ -683,6 +683,17 @@ const FAMILIES: &[Family] = &[
         contract: Contract::Within(|l| 4e-2 * value_range(l) * 1.01 + 1e-7),
     },
     Family {
+        // Past 9 bits no AVX2 body runs: 1000 bins, 10-bit codes, merged
+        // by the portable `unsplit_map`'s plane-group path.
+        make: || Box::new(ChunkedCompso::new(CompsoConfig::conservative(1e-3))),
+        contract: Contract::Within(|l| 1e-3 * value_range(l) * 1.01 + 1e-7),
+    },
+    Family {
+        // 100 000 bins, 17-bit codes: past the plane-group path's 16 bits.
+        make: || Box::new(ChunkedCompso::new(CompsoConfig::conservative(1e-5))),
+        contract: Contract::Within(|l| 1e-5 * value_range(l) * 1.01 + 1e-7),
+    },
+    Family {
         make: || Box::new(Qsgd::bits4()),
         contract: Contract::Within(|l| absmax_flat(l) / Qsgd::bits4().levels() as f32 * 1.001),
     },

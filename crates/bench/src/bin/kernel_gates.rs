@@ -32,9 +32,9 @@
 //!   itself on one seeded ReLU-sparse statistics matrix at the CNN
 //!   proxy's conv-factor shape (1152 × 289), fastest of 25, interleaved,
 //!   on one rayon worker. Half the flops, so ≈ 2 in the limit; the
-//!   pack of B and the mirror are the same on both sides. Reads 1.32 to
-//!   1.57, lowest when the host runs slow (`t_matmul` 9 to 11 ms, not
-//!   5); fastest of 5 read 1.29 once on an unchanged tree.
+//!   pack of B and the mirror are the same on both sides, and the data
+//!   are finite, so both sides walk the zeros like any value. Reads 1.39
+//!   to 1.62, lowest when the host runs slow.
 //! * `gemm.wide_speedup >= 1.5` — the GEMM core's AVX2 instance against
 //!   its portable one on the MLP's precondition product (128 × 128 ·
 //!   128 × 129, dense, so both take the tile's dense walk), fastest of 5,
@@ -134,14 +134,15 @@
 //!   `g · W[..patch]ᵀ` per conv), fastest of 25, interleaved, one rayon
 //!   worker: what the step spends beyond its GEMMs. Since feature maps
 //!   travel as HWC rows, so that a conv's GEMM product is its output and
-//!   `dY` its `g` with no relayout copy either way, it reads 1.21 to 1.31
-//!   standalone. Alternated runs of the CHW tree, with its two relayouts,
-//!   read 1.21 to 1.40. Their ≈ 0.27 ms is inside this gate's spread,
-//!   which is why the bound stays 1.5. With im2col/col2im redoing the
-//!   bounds arithmetic per element and the branchy ReLU it read 1.89 to
-//!   2.05, and with only the two loops 1.52 to 1.72. One relapsed loop
-//!   (≈ 0.35 ms, a tenth of the GEMMs) is below what this gate resolves:
-//!   the bounds-checked im2col alone read 1.39 to 1.45.
+//!   `dY` its `g` with no relayout copy either way, it reads 1.23 to 1.47
+//!   standalone, highest when the host runs slow. Alternated runs of the
+//!   CHW tree, with its two relayouts, read 1.21 to 1.40. Their ≈ 0.27 ms
+//!   is inside this gate's spread, which is why the bound stays 1.5. With
+//!   im2col/col2im redoing the bounds arithmetic per element and the
+//!   branchy ReLU it read 1.89 to 2.05, and with only the two loops 1.52
+//!   to 1.72. One relapsed loop (≈ 0.35 ms, a tenth of the GEMMs) is
+//!   below what this gate resolves: the bounds-checked im2col alone read
+//!   1.39 to 1.45.
 
 use compso_comm::collectives::{
     allgather_var, block_ranges, pipelined_allgather, reduce_scatter_pieced, ReduceEvent,
@@ -558,12 +559,13 @@ fn main() {
 
     // Covariance kernel: 32 samples × 36 positions of a 3×3 patch over
     // 32 channels + bias, behind a ReLU (so about half the entries are
-    // exact zeros and take the kernels' zero-skip). One rayon worker: the
-    // gate prices the kernel's flop count. gram's triangle is split
-    // between workers by area, but at two workers both sides also pay
-    // the shim's thread spawn and the serial pack of B, and on a shared
-    // 2-core host the second core is not always there: ten runs read
-    // 1.26-1.62, one below the floor, where one worker reads 1.55-1.76.
+    // exact zeros, which the dense walk meets: the data are finite). One
+    // rayon worker: the gate prices the kernel's flop count. gram's
+    // triangle is split between workers by area, but at two workers both
+    // sides also pay the shim's thread spawn and the serial pack of B,
+    // and on a shared 2-core host the second core is not always there:
+    // ten runs read 1.26-1.62, one below the floor, where one worker
+    // reads 1.55-1.76.
     {
         let _guard = rayon::scoped_thread_override(1);
         let mut s = Matrix::random_normal(1152, 289, &mut Rng::new(289));

@@ -123,18 +123,16 @@ impl Conv2d {
     }
 
     /// Lowers one sample (HWC slice) into its rows of the bias-augmented
-    /// batch patch matrix (`out_h*out_w` zeroed rows of `patch+1` columns):
-    /// a gather through the index map, padding left at `+0.0`.
-    fn im2col(&self, sample: &[f32], patches: &mut [f32]) {
-        let pw = self.shape.patch();
-        for (row, taps) in patches
-            .chunks_exact_mut(pw + 1)
-            .zip(self.map.chunks_exact(pw))
-        {
-            for (dst, &i) in row.iter_mut().zip(taps) {
-                *dst = sample.get(i as usize).copied().unwrap_or(0.0);
-            }
-            row[pw] = 1.0;
+    /// batch patch matrix (`out_h*out_w` rows of `patch+1` columns),
+    /// appended to `patches`: a gather through the index map, padding read
+    /// as `+0.0`.
+    fn im2col(&self, sample: &[f32], patches: &mut Vec<f32>) {
+        for taps in self.map.chunks_exact(self.shape.patch()) {
+            patches.extend(
+                taps.iter()
+                    .map(|&i| sample.get(i as usize).copied().unwrap_or(0.0)),
+            );
+            patches.push(1.0);
         }
     }
 
@@ -159,12 +157,12 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         let s = self.shape;
         assert_eq!(x.cols(), s.in_elems(), "Conv2d input width");
-        let positions = s.out_h() * s.out_w();
-        let per_sample = positions * (s.patch() + 1);
-        let mut patches = Matrix::zeros(x.rows() * positions, s.patch() + 1);
-        for (b, rows) in patches.as_mut_slice().chunks_mut(per_sample).enumerate() {
-            self.im2col(x.row(b), rows);
+        let rows = x.rows() * s.out_h() * s.out_w();
+        let mut patches = Vec::with_capacity(rows * (s.patch() + 1));
+        for b in 0..x.rows() {
+            self.im2col(x.row(b), &mut patches);
         }
+        let patches = Matrix::from_vec(rows, s.patch() + 1, patches);
         // (batch*positions) × out_c rows: each sample's output, HWC.
         let y = patches.matmul(&self.weight);
         if train {

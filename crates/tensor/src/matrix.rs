@@ -22,9 +22,13 @@ const BLOCK: usize = 64;
 ///
 /// Bit-identity note (DESIGN.md §12.4): packing and tiling only move
 /// operands and hoist `out[i][j]` into a register — each output element
-/// still accumulates the same multiply-then-add sequence in ascending k,
-/// with the same zero-skip, so the result is bit-identical to the scalar
-/// reference kernels (pinned by the `*_bit_identical_to_scalar` tests).
+/// still accumulates the same multiply-then-add sequence in ascending k.
+/// Against a finite `B` the tile also adds the ±0 products of zero `a`
+/// values the scalar kernels skip: a sum starts at +0.0 and never reaches
+/// −0.0, so adding ±0 leaves its bits as they are. Against a `B` with a
+/// ±∞ or NaN the zeros are skipped as there. Either way the result is
+/// bit-identical to the scalar reference kernels (pinned by the
+/// `*_bit_identical_to_scalar` tests).
 const NR: usize = 16;
 
 /// Register-tile height `MR` of the portable instance: rows of `A` whose
@@ -56,15 +60,9 @@ const KC: usize = 256;
 /// The microkernel's accumulators: one `MR`-row output tile.
 type Tile<const MR: usize> = [[f32; NR]; MR];
 
-/// One row of a packed `A` strip within one k-block: the values the
-/// product uses, k ascending, each with the index of its `B` row in a
-/// packed panel.
-#[derive(Clone, Copy)]
-struct APackRow {
-    vals: [f32; KC],
-    offs: [usize; KC],
-    len: usize,
-}
+/// One row of a packed `A` strip within one k-block: its values, k
+/// ascending, the first `kc` of them in use.
+type APackRow = [f32; KC];
 
 /// A strided read-only GEMM operand: element `(r, c)` of its
 /// `rows × cols` is `data[r * rs + c * cs]`.
@@ -291,8 +289,8 @@ impl Matrix {
     }
 
     /// `self * otherᵀ` without materializing the transpose. Unlike the
-    /// other three products it has no zero-skip: a zero in `self` against
-    /// a non-finite entry of `other` yields NaN.
+    /// other three products it never skips a zero: a zero in `self`
+    /// against a non-finite entry of `other` yields NaN.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         self.matmul_t_first(other, other.rows)
     }
@@ -523,12 +521,13 @@ impl Matrix {
 /// The one GEMM core: `a` (`m × k`) times `b` (`k × n`), both strided
 /// views whose k the caller has checked. k runs in [`KC`] blocks; `b` is
 /// packed once into [`NR`]-wide k-major panels shared by every worker, its
-/// ragged edge zero-padded; each `MR`-row strip of `a` is packed per
-/// block into one k-ascending list per row; accumulators round-trip
-/// through `out` between blocks. `skip_zero` keeps the row kernels' skip
-/// of zero `a` values (it avoids 0 × ∞) by leaving them out of the packed
-/// lists, so a sparse `a` costs only its non-zeros; `upper` skips the
-/// panels wholly left of each strip's diagonal, leaving them zero.
+/// ragged edge zero-padded, and the pack notes whether every entry is
+/// finite; each `MR`-row strip of `a` is packed per block, k ascending;
+/// accumulators round-trip through `out` between blocks. `skip_zero`
+/// keeps the row kernels' skip of zero `a` values, which only changes a
+/// bit where `b` holds a ±∞ or NaN (0 × ∞ is NaN), so the tiles skip
+/// zeros there and nowhere else. `upper` skips the panels wholly left
+/// of each strip's diagonal, leaving them zero.
 /// Workers take contiguous strip ranges of about equal panel count; the
 /// [`Instance`] this thread runs picks `MR` and the job body: `MR = 2` in
 /// baseline codegen, `MR = 4` with the body compiled for AVX2, or
@@ -537,6 +536,7 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let panels = n.div_ceil(NR);
     let mut bpack = vec![0.0f32; k * panels * NR];
+    let mut finite = true;
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
         let block = &mut bpack[k0 * panels * NR..][..kc * panels * NR];
@@ -544,6 +544,7 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
             for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
                 for (jj, d) in dst.iter_mut().take(n - jp * NR).enumerate() {
                     *d = b.data[(k0 + p) * b.rs + (jp * NR + jj) * b.cs];
+                    finite &= d.is_finite();
                 }
             }
         }
@@ -553,7 +554,7 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
         bpack,
         n,
         panels,
-        skip_zero,
+        skip_zero: skip_zero && !finite,
         upper,
     };
     let mut out = Matrix::zeros(m, n);
@@ -582,7 +583,8 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
 }
 
 /// One product as every job reads it: the `a` operand, `b` packed into
-/// `panels` k-major panels per k-block, and the entry point's flags.
+/// `panels` k-major panels per k-block, whether the tiles skip zero `a`
+/// values (only where `b` holds a ±∞ or NaN), and `upper`.
 struct Product<'a> {
     a: View<'a>,
     bpack: Vec<f32>,
@@ -640,14 +642,10 @@ impl Product<'_> {
         &self,
         strips: Range<usize>,
         out: &mut [f32],
-        tile: impl Fn(&[APackRow; MR], &[f32], Tile<MR>) -> Tile<MR>,
+        tile: impl Fn(&[APackRow; MR], &[f32], Tile<MR>, bool) -> Tile<MR>,
     ) {
         let (a, m, k, n, panels) = (self.a, self.a.rows, self.a.cols, self.n, self.panels);
-        let mut apack = [APackRow {
-            vals: [0.0; KC],
-            offs: [0; KC],
-            len: 0,
-        }; MR];
+        let mut apack = [[0.0; KC]; MR];
         for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
             let block = &self.bpack[k0 * panels * NR..][..kc * panels * NR];
@@ -655,16 +653,15 @@ impl Product<'_> {
                 let i0 = s * MR;
                 let mr = MR.min(m - i0);
                 for (r, row) in apack.iter_mut().enumerate() {
-                    // A ragged strip's missing rows keep empty lists. The
-                    // length counts in a local: kept in the struct, it made
-                    // a store-to-load round trip per packed value.
-                    let (row_k, mut len) = (if r < mr { kc } else { 0 }, 0);
-                    for p in 0..row_k {
-                        let v = a.data[(i0 + r) * a.rs + (k0 + p) * a.cs];
-                        (row.vals[len], row.offs[len]) = (v, p);
-                        len += usize::from(!(self.skip_zero && v == 0.0));
+                    // A ragged strip's missing rows are zeros: computed
+                    // like the others, never stored.
+                    let vals = &mut row[..kc];
+                    if r < mr {
+                        let at = |p: usize| a.data[(i0 + r) * a.rs + (k0 + p) * a.cs];
+                        vals.iter_mut().enumerate().for_each(|(p, v)| *v = at(p));
+                    } else {
+                        vals.fill(0.0);
                     }
-                    row.len = len;
                 }
                 let rows = &mut out[(i0 - strips.start * MR) * n..][..mr * n];
                 for jp in self.first_panel::<MR>(s)..panels {
@@ -673,7 +670,8 @@ impl Product<'_> {
                     for (row, acc) in rows.chunks_exact(n).zip(&mut acc) {
                         acc[..w].copy_from_slice(&row[j0..j0 + w]);
                     }
-                    let acc = tile(&apack, &block[jp * kc * NR..][..kc * NR], acc);
+                    let bpanel = &block[jp * kc * NR..][..kc * NR];
+                    let acc = tile(&apack, bpanel, acc, self.skip_zero);
                     for (row, acc) in rows.chunks_exact_mut(n).zip(&acc) {
                         row[j0..j0 + w].copy_from_slice(&acc[..w]);
                     }
@@ -699,8 +697,8 @@ fn strips_avx2(p: &Product, strips: Range<usize>, out: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
 fn strips_avx512(p: &Product, strips: Range<usize>, out: &mut [f32]) {
-    p.strips(strips, out, |apack, bpanel, acc| {
-        tile_avx512(apack, bpanel, acc)
+    p.strips(strips, out, |apack, bpanel, acc, skip_zero| {
+        tile_avx512(apack, bpanel, acc, skip_zero)
     })
 }
 
@@ -716,6 +714,7 @@ fn tile_avx512(
     apack: &[APackRow; MR_AVX512],
     bpanel: &[f32],
     acc: Tile<MR_AVX512>,
+    skip_zero: bool,
 ) -> Tile<MR_AVX512> {
     use std::arch::x86_64::*;
     let (brows, _) = bpanel.as_chunks::<NR>();
@@ -730,20 +729,18 @@ fn tile_avx512(
     let mut mac = |r: usize, a: f32, b: __m512| {
         sums[r] = _mm512_add_ps(sums[r], _mm512_mul_ps(_mm512_set1_ps(a), b));
     };
-    if apack.iter().all(|row| row.len == brows.len()) {
+    if skip_zero {
+        count_zero_skip_walk();
         for (t, bv) in brows.iter().enumerate() {
             let b = reg(bv);
-            (0..MR_AVX512).for_each(|r| mac(r, apack[r].vals[t], b));
+            (0..MR_AVX512)
+                .filter(|&r| apack[r][t] != 0.0)
+                .for_each(|r| mac(r, apack[r][t], b));
         }
     } else {
-        let mut mac_at =
-            |r: usize, t: usize| mac(r, apack[r].vals[t], reg(&brows[apack[r].offs[t]]));
-        let common = apack.iter().map(|row| row.len).min().unwrap_or(0);
-        for t in 0..common {
-            (0..MR_AVX512).for_each(|r| mac_at(r, t));
-        }
-        for (r, row) in apack.iter().enumerate() {
-            (common..row.len).for_each(|t| mac_at(r, t));
+        for (t, bv) in brows.iter().enumerate() {
+            let b = reg(bv);
+            (0..MR_AVX512).for_each(|r| mac(r, apack[r][t], b));
         }
     }
     sums.map(|s| {
@@ -768,36 +765,51 @@ fn tile_avx512(
 
 /// The one multiply-accumulate microkernel: an `MR` × [`NR`] register
 /// tile over one packed strip of `a` and one packed panel of `b`, ascending
-/// k, a separate multiply and add per element. When every row's list holds
-/// the whole k-block (no zero skipped: always for `matmul_t`, usually for
-/// dense products) the tile walks the panel once and each `B` row feeds
-/// all `MR` accumulator rows. Otherwise each row walks its own list through
-/// its `B`-row indices, the rows advancing together while all have entries
-/// left. Either way `MR` × `NR` independent sums are in flight; the tile
-/// travels by value so it lives in registers across the loop.
+/// k, a separate multiply and add per element. The tile walks the panel
+/// once, each `B` row feeding all `MR` accumulator rows, with `MR` × `NR`
+/// independent sums in flight; with `skip_zero` (a `b` holding a ±∞ or
+/// NaN) a row meets no product of a zero `a`. The tile travels by value
+/// so it lives in registers across the loop.
 #[inline(always)]
-fn tile<const MR: usize>(apack: &[APackRow; MR], bpanel: &[f32], mut acc: Tile<MR>) -> Tile<MR> {
+fn tile<const MR: usize>(
+    apack: &[APackRow; MR],
+    bpanel: &[f32],
+    mut acc: Tile<MR>,
+    skip_zero: bool,
+) -> Tile<MR> {
     let (brows, _) = bpanel.as_chunks::<NR>();
     let mut mac = |r: usize, a: f32, bv: &[f32; NR]| {
         for (o, &b) in acc[r].iter_mut().zip(bv) {
             *o += a * b;
         }
     };
-    if apack.iter().all(|row| row.len == brows.len()) {
+    if skip_zero {
+        count_zero_skip_walk();
         for (t, bv) in brows.iter().enumerate() {
-            (0..MR).for_each(|r| mac(r, apack[r].vals[t], bv));
+            (0..MR)
+                .filter(|&r| apack[r][t] != 0.0)
+                .for_each(|r| mac(r, apack[r][t], bv));
         }
     } else {
-        let mut mac_at = |r: usize, t: usize| mac(r, apack[r].vals[t], &brows[apack[r].offs[t]]);
-        let common = apack.iter().map(|row| row.len).min().unwrap_or(0);
-        for t in 0..common {
-            (0..MR).for_each(|r| mac_at(r, t));
-        }
-        for (r, row) in apack.iter().enumerate() {
-            (common..row.len).for_each(|t| mac_at(r, t));
+        for (t, bv) in brows.iter().enumerate() {
+            (0..MR).for_each(|r| mac(r, apack[r][t], bv));
         }
     }
     acc
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tiles this thread ran skipping zeros: what a test reads to see
+    /// which walk a product took.
+    static ZERO_SKIP_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one zero-skipping tile in tests; nothing outside them.
+#[inline(always)]
+fn count_zero_skip_walk() {
+    #[cfg(test)]
+    ZERO_SKIP_WALKS.set(ZERO_SKIP_WALKS.get() + 1);
 }
 
 #[cfg(test)]
@@ -1147,11 +1159,14 @@ mod tests {
 
     #[test]
     fn dense_walk_edges_bit_identical_to_scalar() {
-        // A tile walks the panel once only when all its rows' lists are
-        // full; each operand below sits at an edge of that test.
+        // Against the finite `b` every tile meets its zeros; against
+        // `b_inf` (one +∞, in the row `same` zeroes) it skips them. Each
+        // operand below puts its zeros, or a ragged strip, where one of
+        // the two walks could slip.
         let mut rng = Rng::new(24);
         let b = Matrix::random_normal(37, NR + 3, &mut rng);
-        let bt = b.transpose();
+        let mut b_inf = b.clone();
+        b_inf.set(9, 2, f32::INFINITY);
         // One sparse row among full ones.
         let mut one = Matrix::random_normal(2 * MR_AVX2, 37, &mut rng);
         one.set(1, 5, 0.0);
@@ -1164,6 +1179,19 @@ mod tests {
         // at 8), and a second one past a full strip at MR = 8 (mr = 3).
         let ragged = Matrix::random_normal(MR_AVX2 + 3, 37, &mut rng);
         let ragged8 = Matrix::random_normal(MR_AVX512 + 3, 37, &mut rng);
+        // −0.0 entries and a whole −0.0 row, which the scalar kernels skip
+        // (−0.0 == 0.0) and the dense walk adds: each ±0 product leaves
+        // its sum's bits, as the sum is never −0.0.
+        let mut neg = Matrix::random_normal(MR_AVX512 + 3, 37, &mut rng);
+        for idx in (0..neg.len()).step_by(3) {
+            neg.as_mut_slice()[idx] = -0.0;
+        }
+        for c in 0..37 {
+            neg.set(2, c, -0.0);
+        }
+        // A NaN in `A`, which no path skips.
+        let mut nan = Matrix::random_normal(MR_AVX2 + 1, 37, &mut rng);
+        nan.set(3, 20, f32::NAN);
         // Every product underflows to -0.0 across a k-block edge: each sum
         // stays the +0.0 it started from.
         let tiny = Matrix::from_fn(MR_AVX2, KC + 1, |_, _| -1e-30);
@@ -1174,19 +1202,25 @@ mod tests {
         zero.set(2, 1, 0.0);
         let mut inf = Matrix::random_normal(3, NR, &mut rng);
         inf.set(1, 4, f32::INFINITY);
+        // Zeros against a `B` whose only ∞ lies past the first k-block: a
+        // finiteness scan that stopped early would pack them dense.
+        let mut deep = Matrix::random_normal(MR_AVX2, KC + 5, &mut rng);
+        deep.set(1, KC + 2, 0.0);
+        let mut deep_b = Matrix::random_normal(KC + 5, NR, &mut rng);
+        deep_b.set(KC + 2, 3, f32::INFINITY);
         for inst in instances() {
             let _pin = inst.pin();
             let what = |name: &str| format!("{name} on {inst:?}");
-            for a in [&one, &same, &ragged, &ragged8] {
-                let at = a.transpose();
+            for (a, b) in [&one, &same, &ragged, &ragged8, &neg, &nan]
+                .into_iter()
+                .flat_map(|a| [(a, &b), (a, &b_inf)])
+                .chain([(&deep, &deep_b)])
+            {
+                let (at, bt) = (a.transpose(), b.transpose());
+                assert_bits_equal(&a.matmul(b), &scalar_oracle::matmul(a, b), &what("matmul"));
                 assert_bits_equal(
-                    &a.matmul(&b),
-                    &scalar_oracle::matmul(a, &b),
-                    &what("matmul"),
-                );
-                assert_bits_equal(
-                    &at.t_matmul(&b),
-                    &scalar_oracle::t_matmul(&at, &b),
+                    &at.t_matmul(b),
+                    &scalar_oracle::t_matmul(&at, b),
                     &what("t_matmul"),
                 );
                 assert_bits_equal(
@@ -1195,6 +1229,7 @@ mod tests {
                     &what("matmul_t"),
                 );
             }
+            assert!(deep.matmul(&deep_b).get(1, 3).is_finite());
             let (tm, tmt) = (tiny.matmul(&tiny_b), tiny.matmul_t(&tiny_b.transpose()));
             assert_bits_equal(&tm, &scalar_oracle::matmul(&tiny, &tiny_b), &what("matmul"));
             for v in tm.as_slice().iter().chain(tmt.as_slice()) {
@@ -1208,6 +1243,77 @@ mod tests {
                 &scalar_oracle::matmul_t(&zero, &inf.transpose()),
                 &what("matmul_t"),
             );
+        }
+    }
+
+    /// Runs `f` and returns how many tiles skipped zeros on this thread
+    /// meanwhile, with `f`'s result.
+    fn zero_skip_walks<T>(f: impl FnOnce() -> T) -> (usize, T) {
+        let before = ZERO_SKIP_WALKS.get();
+        let out = f();
+        (ZERO_SKIP_WALKS.get() - before, out)
+    }
+
+    #[test]
+    fn relu_sparse_products_skip_zeros_only_against_a_non_finite_b() {
+        // k past two k-blocks, m ragged against every MR and n against
+        // NR, below PAR_THRESHOLD: one worker, so every tile runs on this
+        // thread and the count sees it.
+        const M: usize = 2 * MR_AVX512 + 5;
+        const K: usize = 2 * KC + 3;
+        const N: usize = NR + 5;
+        const { assert!(M * M * K < PAR_THRESHOLD && M * N * K < PAR_THRESHOLD) };
+        const {
+            assert!(
+                !M.is_multiple_of(MR_PORTABLE)
+                    && !M.is_multiple_of(MR_AVX2)
+                    && !M.is_multiple_of(MR_AVX512)
+            )
+        };
+        let mut rng = Rng::new(25);
+        // ReLU statistics with one dead row and one dead column.
+        let mut a = Matrix::random_normal(M, K, &mut rng);
+        for v in a.as_mut_slice() {
+            *v = v.max(0.0);
+        }
+        (0..K).for_each(|c| a.set(3, c, 0.0));
+        (0..M).for_each(|r| a.set(r, KC + 7, 0.0));
+        let zeros = a.as_slice().iter().filter(|&&v| v == 0.0).count();
+        assert!(2 * zeros >= a.len(), "{zeros} zeros of {}", a.len());
+        let at = a.transpose();
+        let b = Matrix::random_normal(K, N, &mut rng);
+        // One +∞, in the last k-block and the last (ragged) panel.
+        let mut b_inf = b.clone();
+        b_inf.set(K - 2, N - 1, f32::INFINITY);
+        let mut sym = scalar_oracle::t_matmul(&at, &at);
+        sym.symmetrize();
+        let oracles = [
+            scalar_oracle::matmul(&a, &b),
+            scalar_oracle::t_matmul(&at, &b),
+            sym,
+        ];
+        let oracles_inf = [
+            scalar_oracle::matmul(&a, &b_inf),
+            scalar_oracle::t_matmul(&at, &b_inf),
+        ];
+        let names = ["matmul", "t_matmul", "gram"];
+        for inst in instances() {
+            let _pin = inst.pin();
+            let (walks, got) = zero_skip_walks(|| [a.matmul(&b), at.t_matmul(&b), at.gram()]);
+            assert_eq!(
+                walks, 0,
+                "zero-skipping tiles against a finite b on {inst:?}"
+            );
+            for ((got, want), name) in got.iter().zip(&oracles).zip(names) {
+                assert_bits_equal(got, want, &format!("{name} on {inst:?}"));
+            }
+            let (walks, got) = zero_skip_walks(|| [a.matmul(&b_inf), at.t_matmul(&b_inf)]);
+            assert!(walks > 0, "no zero-skipping tile against an ∞ on {inst:?}");
+            for ((got, want), name) in got.iter().zip(&oracles_inf).zip(names) {
+                assert_bits_equal(got, want, &format!("{name} against ∞ on {inst:?}"));
+            }
+            // The dead row skipped the ∞.
+            assert_eq!(got[0].get(3, N - 1), 0.0);
         }
     }
 

@@ -26,7 +26,7 @@ use compso::kfac::distributed::assign_layers;
 use compso::kfac::{CheckpointConfig, CheckpointCoordinator};
 use compso::kfac::{DistKfac, DistKfacConfig, KfacConfig, StepStats};
 use compso::obs::{names, Recorder};
-use compso::tensor::{Matrix, Rng};
+use compso::tensor::{Instance, Matrix, Rng};
 use std::ops::Range;
 
 const REFRESH: usize = 3;
@@ -87,10 +87,13 @@ fn digest(model: &Sequential) -> u64 {
         })
 }
 
-/// The digest script: `STEPS` compressed steps of the shared MLP.
-fn train(ranks: usize) -> Vec<(Vec<Vec<u32>>, u64)> {
+/// The digest script: `STEPS` compressed steps of the shared MLP, rank
+/// `r` running its kernels on `pins[r]` (the widest instance where
+/// `pins` names none).
+fn train(ranks: usize, pins: &[Instance]) -> Vec<(Vec<Vec<u32>>, u64)> {
     let d = data::gaussian_blobs(320, 6, 3, 0.3, 91);
     run_ranks(ranks, |comm| {
+        let _pin = pins.get(comm.rank()).map(|inst| inst.pin());
         let mut model = mlp();
         let shard = d.shard(comm.rank(), ranks);
         let mut opt = DistKfac::new(config(), 7);
@@ -113,7 +116,7 @@ const PARENT_TWO_RANK_DIGEST: u64 = 0xbdbf_4367_1774_2ba3;
 #[test]
 fn replicas_agree_at_1_to_4_ranks_and_two_ranks_match_the_all_reduce_bit_for_bit() {
     for ranks in [1usize, 2, 3, 4] {
-        let results = train(ranks);
+        let results = train(ranks, &[]);
         for (r, (params, _)) in results.iter().enumerate() {
             assert_eq!(params, &results[0].0, "{ranks} ranks: rank {r} diverged");
         }
@@ -124,6 +127,32 @@ fn replicas_agree_at_1_to_4_ranks_and_two_ranks_match_the_all_reduce_bit_for_bit
                 results[0].1
             );
         }
+    }
+}
+
+/// Every instance computes the same bits, so two ranks land on the
+/// parent's digest whichever instance each runs — alike or mixed. The
+/// script's MLP has ReLUs, so its products meet zeros in `A` on every
+/// instance. What this pins is the digest across instance pairs: a
+/// worker that ran another instance would reach the same bits, so it
+/// cannot show where a pin reaches. That the pin reaches the rayon
+/// workers rests on the code: the kernels on this script's path (GEMM,
+/// eigensolver, COMPSO chunk kernels) read the instance on the rank's
+/// thread and hand it to their jobs.
+#[test]
+fn two_ranks_land_on_the_parent_digest_on_every_instance_pair() {
+    use Instance::{Avx2 as A2, Avx512 as A512, Portable as P};
+    for pins in [[P, P], [A2, A2], [A512, A512], [P, A512], [A2, P]] {
+        if !pins.iter().all(|inst| inst.available()) {
+            continue;
+        }
+        let results = train(2, &pins);
+        assert_eq!(results[1].0, results[0].0, "{pins:?}: rank 1 diverged");
+        assert_eq!(
+            results[0].1, PARENT_TWO_RANK_DIGEST,
+            "{pins:?}: digest {:#018x}",
+            results[0].1
+        );
     }
 }
 

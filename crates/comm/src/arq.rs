@@ -174,7 +174,10 @@ impl Communicator {
     /// ACK failures are benign (the sender may have finished and torn
     /// down), NACK failures are not (we still need its data).
     fn send_ack(&self, dst: usize, upto: u64) {
-        // lint:allow(swallowed-comm-error): ACK failures are benign — the sender may have finished and torn down; NACK timers cover the gap
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "ACK failures are benign — the sender may have finished and torn down; NACK timers cover the gap"
+        )]
         let _ = self.ctrl_tx[dst].send(Ctrl::Ack { upto });
     }
 

@@ -204,6 +204,10 @@ struct PoisonCell {
 
 impl PoisonCell {
     fn poison(&self, rank: usize) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the first poisoner wins: a later rank's failed exchange leaves the first one's id in place"
+        )]
         let _ = self
             .who
             .compare_exchange(0, rank + 1, Ordering::AcqRel, Ordering::Acquire);
@@ -325,11 +329,14 @@ impl Communicator {
     /// # Panics
     /// If this rank has been shrunk out of the view (it must
     /// [`crate::membership::rejoin`] first).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic — a shrunk-out rank calling rank() without rejoin() is a caller bug"
+    )]
     pub fn rank(&self) -> usize {
         self.live
             .iter()
             .position(|&r| r == self.rank)
-            // lint:allow(no-unwrap-on-comm-path): documented panic — a shrunk-out rank calling rank() without rejoin() is a caller bug
             .expect("rank no longer in the live view")
     }
 
@@ -739,11 +746,15 @@ where
             .unwrap_or_default();
         panic!("rank {rank} panicked: {msg}");
     }
-    slots
+    #[expect(
+        clippy::expect_used,
+        reason = "every rank either filled its slot or poisoned the group, and poison panics above"
+    )]
+    let results = slots
         .into_iter()
-        // lint:allow(no-unwrap-on-comm-path): every rank either filled its slot or poisoned the group, and poison panics above
         .map(|s| s.expect("rank produced no result"))
-        .collect()
+        .collect();
+    results
 }
 
 /// [`run_ranks_with`] for the elastic fault domain: a rank whose closure
@@ -810,8 +821,12 @@ where
             scope.spawn(move || {
                 if let Some((mut comm, v)) = rank(comm) {
                     if comm.plane.is_enabled() && !comm.departed_ranks().contains(&comm.rank) {
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "best-effort quiesce; a poisoned or torn group must unblock immediately"
+                        )]
                         // lint:allow(collective-order): every live rank evaluates the same fault-plane and departed view, so all branch identically
-                        let _ = comm.barrier(); // lint:allow(swallowed-comm-error): best-effort quiesce; a poisoned or torn group must unblock immediately
+                        let _ = comm.barrier();
                     }
                     *slot = Some(v);
                 }
@@ -841,9 +856,12 @@ pub(crate) fn build_group_with(size: usize, plane: FaultPlane, config: CommConfi
                 pending_row[src] = Some(r);
             }
         }
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the loop above fills pending[dst][src] for every (src, dst) pair"
+        )]
         let rx = pending
             .into_iter()
-            // lint:allow(no-unwrap-on-comm-path): the loop above fills pending[dst][src] for every (src, dst) pair
             .map(|row| row.into_iter().map(|r| r.unwrap()).collect())
             .collect();
         (tx, rx)

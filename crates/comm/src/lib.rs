@@ -19,6 +19,19 @@
 //! the modeled wire), `arq` (CRC envelope, NACK/retransmit), `membership`
 //! (shrink, rejoin, view-change glue) and `fault` (the fault plane).
 
+// The comm stack is fallible end to end: a peer failure surfaces as a
+// `CommError`, never as a panic or a dropped `Result`. Test code may
+// unwrap; a provably infallible site carries an `#[expect]` of the lint
+// with its proof as the `reason`, and rustc checks that the lint still fires.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use
+    )
+)]
+
 mod arq;
 mod clock;
 pub mod collectives;

@@ -309,7 +309,10 @@ pub fn rejoin(comm: &mut Communicator) -> Result<ViewChange, CommError> {
     comm.wait_for(me, names::COMM_MEMBERSHIP, deadline, sleep, |c, _| {
         if c.clock.now() >= advertise_at {
             for p in (0..c.size).filter(|&p| p != me) {
-                // lint:allow(swallowed-comm-error): best-effort advertisement — a dead peer cannot be reached, and the interval timer re-advertises
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort advertisement — a dead peer cannot be reached, and the interval timer re-advertises"
+                )]
                 let _ = c.send_raw_frame(p, request.clone());
             }
             advertise_at = c.clock.now() + Duration::from_millis(50);

@@ -54,7 +54,7 @@ where
 /// Inverse of [`compress_per_layer`]: the blocks decode on rayon workers.
 fn decompress_per_layer(
     bytes: &[u8],
-    decode: fn(&[u8]) -> Result<Vec<f32>, CompressError>,
+    decode: impl Fn(&[u8]) -> Result<Vec<f32>, CompressError> + Sync,
 ) -> Result<Vec<Vec<f32>>, CompressError> {
     unframe_group(bytes)?
         .par_iter()

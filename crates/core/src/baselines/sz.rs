@@ -64,8 +64,9 @@ impl Sz {
     /// prediction-error codes, then the raw outliers. The bound is
     /// relative to the layer's [`codable_range`]; a value no code
     /// reaches from its prediction — an infinity, and the value after
-    /// it — is an outlier, and NaN takes the prediction.
-    pub(crate) fn encode(&self, data: &[f32]) -> Vec<u8> {
+    /// it — is an outlier, and NaN takes the prediction. `inst` runs the
+    /// rANS coder; every instance writes the same bytes.
+    pub(crate) fn encode(&self, inst: Instance, data: &[f32]) -> Vec<u8> {
         let range = codable_range(data, minmax_flat(data));
         let eb = self.eb_rel * (range.max - range.min);
 
@@ -104,7 +105,7 @@ impl Sz {
         for c in &codes {
             code_bytes.extend_from_slice(&c.to_le_bytes());
         }
-        let enc_codes = rans::encode(Instance::current(), &code_bytes);
+        let enc_codes = rans::encode(inst, &code_bytes);
 
         let mut w = Writer::with_capacity(enc_codes.len() + outliers.len() * 4 + 32);
         w.u64(data.len() as u64);
@@ -118,14 +119,14 @@ impl Sz {
     }
 
     /// Inverse of [`Sz::encode`] (the block carries its own bound).
-    pub fn decode(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
+    pub fn decode(inst: Instance, bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
         let mut r = Reader::new(bytes);
         let n = crate::wire::checked_count(r.u64()?)?;
         let eb = r.f32()?;
         if !eb.is_finite() || eb < 0.0 {
             return Err(WireError::Invalid("sz eb").into());
         }
-        let code_bytes = rans::decode(Instance::current(), r.block()?)?;
+        let code_bytes = rans::decode(inst, r.block()?)?;
         if code_bytes.len() != n * 2 {
             return Err(CompressError::Corrupt("sz code stream length"));
         }
@@ -167,7 +168,8 @@ impl Compressor for Sz {
 
     /// Layer-parallel ([`super::compress_per_layer`]): SZ's predictor is per
     /// layer (the first value always predicts from 0) and deterministic,
-    /// so the per-layer generators go unused.
+    /// so the per-layer generators go unused. The instance is read once, on
+    /// the calling thread, so [`Instance::pin`] reaches every layer.
     fn compress_group_keyed(
         &self,
         layers: &[(u64, &[f32])],
@@ -175,7 +177,8 @@ impl Compressor for Sz {
         rng: &mut Rng,
         _rec: &Recorder,
     ) -> Vec<u8> {
-        super::compress_per_layer(layers, rng, |layer, _| self.encode(layer))
+        let inst = Instance::current();
+        super::compress_per_layer(layers, rng, |layer, _| self.encode(inst, layer))
     }
 
     fn decompress_group(
@@ -183,7 +186,8 @@ impl Compressor for Sz {
         bytes: &[u8],
         _rec: &Recorder,
     ) -> Result<Vec<Vec<f32>>, CompressError> {
-        super::decompress_per_layer(bytes, Self::decode)
+        let inst = Instance::current();
+        super::decompress_per_layer(bytes, |block| Self::decode(inst, block))
     }
 }
 
@@ -310,15 +314,21 @@ mod tests {
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
         let sz = Sz::new(4e-3);
         let rec = Recorder::disabled();
-        let run = |threads: usize| {
+        let run = |inst: Instance, threads: usize| {
+            let _pin = inst.pin();
             let _guard = rayon::scoped_thread_override(threads);
             let mut rng = Rng::new(22);
             sz.compress_group(&refs, None, &mut rng, &rec)
         };
-        let bytes = run(1);
+        let bytes = run(Instance::Portable, 1);
         assert_eq!(bytes[0], crate::wire::magic::MAGIC_GROUP);
-        for threads in [2usize, 4] {
-            assert_eq!(run(threads), bytes, "threads={threads}");
+        // Every instance's rANS coder writes the portable bytes, at every
+        // worker count.
+        let here = Instance::ALL.into_iter().filter(|inst| inst.available());
+        for inst in here.clone() {
+            for threads in [1usize, 2, 4] {
+                assert_eq!(run(inst, threads), bytes, "{inst:?}, threads={threads}");
+            }
         }
         // One RNG rule for every layer-parallel family: the caller's
         // generator advances exactly once per group, even though SZ never
@@ -329,6 +339,10 @@ mod tests {
         once.next_u64();
         assert_eq!(rng.next_u64(), once.next_u64());
         let back = sz.decompress_group(&bytes, &rec).unwrap();
+        for inst in here {
+            let _pin = inst.pin();
+            assert_eq!(sz.decompress_group(&bytes, &rec).unwrap(), back, "{inst:?}");
+        }
         assert_eq!(back.len(), layers.len());
         for (li, (orig, dec)) in layers.iter().zip(&back).enumerate() {
             assert_eq!(orig.len(), dec.len(), "layer {li}");

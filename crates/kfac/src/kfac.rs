@@ -283,6 +283,10 @@ impl Kfac {
     /// Full single-process step: capture statistics, precondition every
     /// K-FAC layer's gradient in place, leaving non-K-FAC layers' raw
     /// gradients intact. The caller then applies its update rule.
+    #[expect(
+        clippy::expect_used,
+        reason = "single-process step with no error channel: a K-FAC index without stats or gradient is a model bug"
+    )]
     pub fn step(&mut self, model: &mut Sequential) {
         let kfac_layers = model.kfac_indices();
         for &idx in &kfac_layers {

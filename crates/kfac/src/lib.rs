@@ -23,6 +23,19 @@
 //!    with any [`compso_core::Compressor`];
 //! 6. identical parameter update on every rank.
 
+// The distributed step threads `CommError` up instead of panicking or
+// dropping it (as compso-comm does). Test code may unwrap; a provably
+// infallible site carries an `#[expect]` of the lint with its proof as
+// the `reason`.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use
+    )
+)]
+
 pub mod checkpoint;
 pub mod distributed;
 pub mod kfac;

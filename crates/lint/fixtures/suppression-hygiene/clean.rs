@@ -1,7 +1,12 @@
 //# path: crates/comm/src/fake_hygiene_clean.rs
 // Fixture: a well-formed allow (known rule, non-empty reason) is clean.
 
-pub fn annotated(x: Option<u32>) -> u32 {
-    // lint:allow(no-unwrap-on-comm-path): x is Some by construction in the only caller
-    x.unwrap()
+impl Group {
+    pub fn annotated(&mut self) -> Result<(), CommError> {
+        if self.my_rank == 0 {
+            // lint:allow(collective-order): a one-rank group by construction in the only caller
+            self.barrier()?;
+        }
+        Ok(())
+    }
 }

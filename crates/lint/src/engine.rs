@@ -246,17 +246,22 @@ mod tests {
 
     #[test]
     fn unknown_rule_and_missing_reason_are_flagged() {
+        // A rule the table no longer has is as unknown as one it never had.
         let src = "// lint:allow(no-such-rule): whatever\n\
-                   // lint:allow(no-unwrap-on-comm-path)\n\
+                   // lint:allow(swallowed-comm-error): clippy holds this now\n\
+                   // lint:allow(collective-order)\n\
                    fn f() {}\n";
         let f = SourceFile::new("crates/comm/src/x.rs".into(), src.into());
         let ctx = Context::with_names(Vec::new());
         let mut out = Vec::new();
         check_file(&f, &ctx, &mut out);
-        assert_eq!(out.len(), 2, "{out:?}");
+        assert_eq!(out.len(), 3, "{out:?}");
         assert!(out.iter().all(|d| d.rule == SUPPRESSION_HYGIENE));
         assert!(out[0].message.contains("no-such-rule"));
-        assert!(out[1].message.contains("without a reason"));
+        assert!(out[1]
+            .message
+            .contains("unknown rule `swallowed-comm-error`"));
+        assert!(out[2].message.contains("without a reason"));
     }
 
     #[test]

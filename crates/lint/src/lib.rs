@@ -1,11 +1,13 @@
 //! **compso-lint** — in-repo static analysis for the COMPSO workspace.
 //!
 //! Clippy cannot express this project's invariants: which byte values
-//! are wire magics, which crates form the fallible comm path, which
-//! string literals are obs counter names, which functions must stay
-//! deterministic, and which calls synchronize every rank. This crate is
-//! a std-only analyzer (no `syn`, no registry deps — the build
-//! environment is offline) built from these layers:
+//! are wire magics, which string literals are obs counter names, which
+//! functions must stay deterministic, and which calls synchronize every
+//! rank. (The fallible comm path is clippy's: compso-comm and compso-kfac
+//! warn on `unwrap_used`, `expect_used` and `let_underscore_must_use`
+//! outside tests.) This crate is a std-only analyzer (no `syn`, no
+//! registry deps — the build environment is offline) built from these
+//! layers:
 //!
 //! - [`lexer`] — a real Rust lexer whose token spans exactly tile every
 //!   input file (property-tested over the whole workspace);

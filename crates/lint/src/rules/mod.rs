@@ -31,9 +31,7 @@ mod deterministic_state;
 mod hashmap_iter;
 mod instance_selection;
 pub mod length_prefix;
-mod no_unwrap;
 mod reachable_pub;
-mod swallowed;
 mod wire_magic;
 
 pub use collective_order::CollectiveOrder;
@@ -42,9 +40,7 @@ pub use deterministic_state::DeterministicState;
 pub use hashmap_iter::NondeterministicWireIteration;
 pub use instance_selection::InstanceSelection;
 pub use length_prefix::UncheckedLengthPrefix;
-pub use no_unwrap::NoUnwrapOnCommPath;
 pub use reachable_pub::ReachablePub;
-pub use swallowed::SwallowedCommError;
 pub use wire_magic::WireMagicRegistry;
 
 pub(crate) use counter_registry::{registry_entries, unread_names};
@@ -98,15 +94,6 @@ pub const RULES: &[RuleSpec] = &[
         make: || Box::new(WireMagicRegistry),
     },
     RuleSpec {
-        name: "no-unwrap-on-comm-path",
-        // The comm crate *is* the fallible path; kfac is in scope only
-        // inside Result-returning fns (a behavioral refinement the rule
-        // keeps — it is not a path scope).
-        include: &["crates/comm/src/", "crates/kfac/src/"],
-        exclude: &[],
-        make: || Box::new(NoUnwrapOnCommPath),
-    },
-    RuleSpec {
         name: "unchecked-length-prefix",
         include: &[],
         exclude: &[],
@@ -136,12 +123,6 @@ pub const RULES: &[RuleSpec] = &[
         include: &[],
         exclude: &[],
         make: || Box::new(DeterministicState),
-    },
-    RuleSpec {
-        name: "swallowed-comm-error",
-        include: &["crates/comm/src/", "crates/kfac/src/"],
-        exclude: &[],
-        make: || Box::new(SwallowedCommError),
     },
     RuleSpec {
         name: "reachable-pub",
@@ -347,8 +328,8 @@ mod tests {
             assert!(!r.applies_to("crates/lint/fixtures/wire-magic-registry/fires.rs"));
         }
         // Path-confined rules.
-        assert!(spec("no-unwrap-on-comm-path").applies_to("crates/comm/src/group.rs"));
-        assert!(!spec("no-unwrap-on-comm-path").applies_to("crates/tensor/src/lib.rs"));
+        assert!(spec("collective-order").applies_to("crates/comm/src/group.rs"));
+        assert!(!spec("collective-order").applies_to("crates/tensor/src/lib.rs"));
         assert!(spec("collective-order").applies_to("crates/kfac/src/distributed.rs"));
         assert!(!spec("collective-order").applies_to("crates/ctrl/src/controller.rs"));
     }

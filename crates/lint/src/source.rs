@@ -49,9 +49,6 @@ pub struct FnSpan {
     /// Byte range of the body, `{` through `}` inclusive. Empty range at
     /// the signature end for bodyless (trait) declarations.
     pub body: Range<usize>,
-    /// Whether `Result` appears in the signature (return type or
-    /// parameters) — the analyzer's definition of a *fallible* function.
-    pub returns_result: bool,
 }
 
 /// One workspace source file plus everything the rules need to know
@@ -380,10 +377,9 @@ fn parse_suppressions(src: &str, tokens: &[Token], line_starts: &[usize]) -> Vec
 }
 
 /// A flat function map: each `fn name … { body }` with its signature and
-/// body spans and whether the signature mentions `Result`. The signature
-/// runs to the first `{` or `;` at its level. Nested functions appear as
-/// separate (overlapping) entries; [`SourceFile::enclosing_fn`] picks
-/// the innermost.
+/// body spans. The signature runs to the first `{` or `;` at its level.
+/// Nested functions appear as separate (overlapping) entries;
+/// [`SourceFile::enclosing_fn`] picks the innermost.
 fn find_fns(v: &View) -> Vec<FnSpan> {
     let mut out = Vec::new();
     for ci in 0..v.len().saturating_sub(1) {
@@ -409,7 +405,6 @@ fn find_fns(v: &View) -> Vec<FnSpan> {
             name: v.text(ci + 1).to_string(),
             kw_start: v.tok(ci).start,
             sig: ci..stop,
-            returns_result: (ci..stop).any(|k| v.is_ident(k, "Result")),
             body_tokens,
             body,
         });
@@ -493,14 +488,14 @@ mod tests {
 
     #[test]
     fn suppressions_cover_own_and_next_line() {
-        let src = "// lint:allow(no-unwrap-on-comm-path): provably infallible\n\
+        let src = "// lint:allow(collective-order): every rank branches alike\n\
                    x.unwrap();\n\
                    y.unwrap();\n\
                    z.unwrap(); // lint:allow(other-rule)\n";
         let f = SourceFile::new("crates/comm/src/x.rs".into(), src.into());
-        assert!(f.is_suppressed("no-unwrap-on-comm-path", 1));
-        assert!(f.is_suppressed("no-unwrap-on-comm-path", 2));
-        assert!(!f.is_suppressed("no-unwrap-on-comm-path", 3));
+        assert!(f.is_suppressed("collective-order", 1));
+        assert!(f.is_suppressed("collective-order", 2));
+        assert!(!f.is_suppressed("collective-order", 3));
         assert!(f.is_suppressed("other-rule", 4));
         assert!(f
             .suppressions
@@ -509,13 +504,11 @@ mod tests {
     }
 
     #[test]
-    fn fn_map_tracks_result_signatures() {
+    fn fn_map_finds_the_enclosing_fn() {
         let src = "fn plain(x: u32) -> u32 { x }\n\
                    fn fallible() -> Result<(), E> { inner();\n Ok(()) }\n";
         let f = SourceFile::new("crates/kfac/src/x.rs".into(), src.into());
         assert_eq!(f.fns.len(), 2);
-        assert!(!f.fns[0].returns_result);
-        assert!(f.fns[1].returns_result);
         let inner_at = src.find("inner").unwrap();
         assert_eq!(f.enclosing_fn(inner_at).unwrap().name, "fallible");
     }

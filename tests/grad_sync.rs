@@ -87,17 +87,17 @@ fn digest(model: &Sequential) -> u64 {
         })
 }
 
-/// The digest script: `STEPS` compressed steps of the shared MLP, rank
-/// `r` running its kernels on `pins[r]` (the widest instance where
-/// `pins` names none).
-fn train(ranks: usize, pins: &[Instance]) -> Vec<(Vec<Vec<u32>>, u64)> {
+/// The digest script: `STEPS` steps of the shared MLP compressed with
+/// `codec`, rank `r` running its kernels on `pins[r]` (the widest
+/// instance where `pins` names none).
+fn train(ranks: usize, pins: &[Instance], codec: CompsoConfig) -> Vec<(Vec<Vec<u32>>, u64)> {
     let d = data::gaussian_blobs(320, 6, 3, 0.3, 91);
     run_ranks(ranks, |comm| {
         let _pin = pins.get(comm.rank()).map(|inst| inst.pin());
         let mut model = mlp();
         let shard = d.shard(comm.rank(), ranks);
         let mut opt = DistKfac::new(config(), 7);
-        let compso = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+        let compso = ChunkedCompso::new(codec);
         for step in 0..STEPS {
             backward(&mut model, &shard, step);
             opt.step(comm, &mut model, &compso).unwrap();
@@ -116,7 +116,7 @@ const PARENT_TWO_RANK_DIGEST: u64 = 0xbdbf_4367_1774_2ba3;
 #[test]
 fn replicas_agree_at_1_to_4_ranks_and_two_ranks_match_the_all_reduce_bit_for_bit() {
     for ranks in [1usize, 2, 3, 4] {
-        let results = train(ranks, &[]);
+        let results = train(ranks, &[], CompsoConfig::aggressive(4e-3));
         for (r, (params, _)) in results.iter().enumerate() {
             assert_eq!(params, &results[0].0, "{ranks} ranks: rank {r} diverged");
         }
@@ -138,21 +138,29 @@ fn replicas_agree_at_1_to_4_ranks_and_two_ranks_match_the_all_reduce_bit_for_bit
 /// cannot show where a pin reaches. That the pin reaches the rayon
 /// workers rests on the code: the kernels on this script's path (GEMM,
 /// eigensolver, COMPSO chunk kernels) read the instance on the rank's
-/// thread and hand it to their jobs.
+/// thread and hand it to their jobs. `conservative(1e-3)` writes 10-bit
+/// codes, which take the portable path past 9 bits on every instance;
+/// its pairs land on the `[P, P]` run's parameters.
 #[test]
 fn two_ranks_land_on_the_parent_digest_on_every_instance_pair() {
     use Instance::{Avx2 as A2, Avx512 as A512, Portable as P};
+    let wide = CompsoConfig::conservative(1e-3);
+    let portable = train(2, &[P, P], wide);
     for pins in [[P, P], [A2, A2], [A512, A512], [P, A512], [A2, P]] {
         if !pins.iter().all(|inst| inst.available()) {
             continue;
         }
-        let results = train(2, &pins);
+        let results = train(2, &pins, CompsoConfig::aggressive(4e-3));
         assert_eq!(results[1].0, results[0].0, "{pins:?}: rank 1 diverged");
         assert_eq!(
             results[0].1, PARENT_TWO_RANK_DIGEST,
             "{pins:?}: digest {:#018x}",
             results[0].1
         );
+        let results = train(2, &pins, wide);
+        for (r, (params, _)) in results.iter().enumerate() {
+            assert_eq!(params, &portable[0].0, "{pins:?}, 10-bit codes: rank {r}");
+        }
     }
 }
 

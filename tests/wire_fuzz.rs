@@ -969,7 +969,7 @@ const RANS_CONTAINERS: &[RansContainer] = &[
             w.u64(0); // no outliers
             w.into_bytes()
         },
-        decode: |bytes| Sz::decode(bytes).map(|v| v.len()),
+        decode: |bytes| Sz::decode(Instance::current(), bytes).map(|v| v.len()),
     },
 ];
 

@@ -22,7 +22,9 @@
 //!   cyclic Jacobi it replaced 94 to 115; the ceiling is the geometric
 //!   mean of the two, so a relapse to a Jacobi-class flop count fails.
 //!   Since the GEMM core's AVX2 instance the matmul is ≈ 2× faster and QL
-//!   read 18.4 to 23.1 in wall time, 12.1 to 13.8 in thread CPU time.
+//!   read 18.4 to 23.1 in wall time, 12.1 to 13.8 in thread CPU time;
+//!   with `A` read where it lies and an aligned `B` pack, 13.0 to 16.9
+//!   (the AVX2 matmul ≈ 20 % faster).
 //!   Both timings run on one rayon worker — the solver is serial, and
 //!   against a two-worker matmul the ratio swung 15 to 28 with whether
 //!   the second core was free — and on the AVX2 instance the ceiling was
@@ -33,19 +35,32 @@
 //!   proxy's conv-factor shape (1152 × 289), fastest of 25, interleaved,
 //!   on one rayon worker. Half the flops, so ≈ 2 in the limit; the
 //!   pack of B and the mirror are the same on both sides, and the data
-//!   are finite, so both sides walk the zeros like any value. Reads 1.39
-//!   to 1.62, lowest when the host runs slow.
+//!   are finite, so both sides walk the zeros like any value. Reads 1.52
+//!   to 1.72, lowest when the host runs slow.
+//! * `covariance.tall_gram_vs_copy <= 13.0` — `Matrix::gram` of the CNN's
+//!   first conv statistics (4608 × 10: 9 taps and the bias column, so a
+//!   10 × 10 output of one or two strips whose walk runs all 4608 k)
+//!   against one `clone` of that operand, fastest of 25, interleaved, one
+//!   rayon worker: what the product spends beyond reading its operand.
+//!   Reads 8.8 to 11.9; with every strip of `A` gathered element by
+//!   element per k-block and `B` packed element by element into a fresh
+//!   zero-filled buffer it read 13.4 to 18.7. The ceiling is ≈ 10 % over
+//!   the highest reading, the margin the speedup floors keep under their
+//!   lowest.
 //! * `gemm.wide_speedup >= 1.5` — the GEMM core's AVX2 instance against
 //!   its portable one on the MLP's precondition product (128 × 128 ·
 //!   128 × 129, dense, so both take the tile's dense walk), fastest of 5,
-//!   interleaved, one rayon worker. Reads 1.64 to 1.85; with the AVX2
+//!   interleaved, one rayon worker. Reads 1.60 to 2.02; with the AVX2
 //!   feature on the dispatcher instead of the job body the tile runs at
 //!   baseline codegen and it reads 0.80 to 0.97. `n/a` on a host without
 //!   AVX2.
 //! * `gemm.avx512_speedup >= 1.2` — the GEMM core's AVX-512 instance (the
 //!   8 × 16 `tile_avx512`) against its AVX2 one at 289³, fastest of 15,
-//!   interleaved, one rayon worker. Reads 1.30 to 1.43; 0.96 to 1.02 with
-//!   the `Avx512` arm running the AVX2 job body. `n/a` without AVX-512.
+//!   interleaved, one rayon worker. Reads 1.13 to 1.42 (under 1.20
+//!   mostly beside other load, the parent alike); 0.96 to 1.02 with
+//!   the `Avx512` arm running the AVX2 job body, and 1.11 to 1.17 with
+//!   the held `B` pack starting mid-line (every 64-byte panel load split
+//!   two lines). `n/a` without AVX-512.
 //! * `eigen.wide_speedup >= 1.2` — `sym_eig`'s AVX2 instance against its
 //!   portable one on a seeded 289-dim factor (the CNN's conv-factor
 //!   size), fastest of 5, interleaved, one rayon worker. Reads 1.33 to
@@ -134,8 +149,13 @@
 //!   `g · W[..patch]ᵀ` per conv), fastest of 25, interleaved, one rayon
 //!   worker: what the step spends beyond its GEMMs. Since feature maps
 //!   travel as HWC rows, so that a conv's GEMM product is its output and
-//!   `dY` its `g` with no relayout copy either way, it reads 1.23 to 1.47
-//!   standalone, highest when the host runs slow. Alternated runs of the
+//!   `dY` its `g` with no relayout copy either way, it read 1.23 to 1.47
+//!   standalone, highest when the host runs slow. With the conv GEMMs
+//!   ≈ 35 % faster (operands read where they lie) and the patch matrix
+//!   and `g` refilled in the last step's allocations it reads 1.34 to
+//!   1.46, once 1.56: the glue (≈ 0.8 ms, mostly im2col and col2im, one
+//!   gather or scatter-add per patch element) did not shrink with the
+//!   GEMMs. Alternated runs of the
 //!   CHW tree, with its two relayouts, read 1.21 to 1.40. Their ≈ 0.27 ms
 //!   is inside this gate's spread, which is why the bound stays 1.5. With
 //!   im2col/col2im redoing the bounds arithmetic per element and the
@@ -589,6 +609,36 @@ fn main() {
             ">=",
             1.3,
             format!("t_matmul {t_matmul:.3} ms, gram {gram:.3} ms"),
+        );
+    }
+
+    // The tall covariance: `small_cnn`'s first conv statistics at batch 32
+    // (4608 patch rows of 9 taps and the bias column) give a 10 × 10
+    // gram, one or two strips whose walk runs all 4608 k. Against one
+    // clone of the operand, which reads and writes each value once, it
+    // prices what the product spends beyond reading its operand: the
+    // strips' reads of `A` and the pack of `B`. One rayon worker, as the
+    // fold runs per layer.
+    {
+        let _guard = rayon::scoped_thread_override(1);
+        let mut a = Matrix::random_normal(4608, 10, &mut Rng::new(4608));
+        (0..a.rows()).for_each(|r| a.set(r, 9, 1.0));
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..25 {
+            let t0 = Stopwatch::start();
+            black_box(black_box(&a).gram());
+            best[0] = best[0].min(t0.secs());
+            let t0 = Stopwatch::start();
+            black_box(black_box(&a).clone());
+            best[1] = best[1].min(t0.secs());
+        }
+        let [gram, copy] = best.map(|t| t * 1e3);
+        gate(
+            "covariance.tall_gram_vs_copy",
+            gram / copy,
+            "<=",
+            13.0,
+            format!("gram {gram:.3} ms, clone {copy:.3} ms"),
         );
     }
 

@@ -158,7 +158,12 @@ impl Layer for Conv2d {
         let s = self.shape;
         assert_eq!(x.cols(), s.in_elems(), "Conv2d input width");
         let rows = x.rows() * s.out_h() * s.out_w();
-        let mut patches = Vec::with_capacity(rows * (s.patch() + 1));
+        // A training forward refills the last one's patch matrix, whose
+        // allocation is already as large as this one's.
+        let last = if train { self.cached_a.take() } else { None };
+        let mut patches = last.map_or_else(Vec::new, Matrix::into_vec);
+        patches.clear();
+        patches.reserve(rows * (s.patch() + 1));
         for b in 0..x.rows() {
             self.im2col(x.row(b), &mut patches);
         }
@@ -182,8 +187,12 @@ impl Layer for Conv2d {
         assert_eq!(grad_out.cols(), s.out_elems(), "Conv2d grad width");
         assert_eq!(a.rows(), batch * positions, "cached patch rows");
 
-        // dY's HWC rows already are (batch*positions) × out_c.
-        let g = Matrix::from_vec(batch * positions, s.out_c, grad_out.as_slice().to_vec());
+        // dY's HWC rows already are (batch*positions) × out_c, copied into
+        // the last backward's `g` allocation.
+        let mut g = self.cached_g.take().map_or_else(Vec::new, Matrix::into_vec);
+        g.clear();
+        g.extend_from_slice(grad_out.as_slice());
+        let g = Matrix::from_vec(batch * positions, s.out_c, g);
 
         // dW = aᵀ g / batch (gradient of the *mean* loss over samples;
         // spatial positions sum, samples average — the usual convention).
@@ -256,13 +265,19 @@ impl Layer for GlobalAvgPool {
     fn forward(&mut self, x: &Matrix, _train: bool) -> Matrix {
         assert_eq!(x.cols(), self.channels * self.hw, "pool input width");
         let mut y = Matrix::zeros(x.rows(), self.channels);
+        // The empty sum, so each channel's sum starts where `Iterator::sum`
+        // starts and adds its positions in order, a whole position's
+        // channels at a time.
+        let start: f32 = std::iter::empty::<f32>().sum();
         for b in 0..x.rows() {
-            let row = x.row(b);
-            for c in 0..self.channels {
-                // Channel `c` at stride `channels`, positions in order.
-                let s: f32 = row[c..].iter().step_by(self.channels).sum();
-                y.set(b, c, s / self.hw as f32);
+            let sums = y.row_mut(b);
+            sums.fill(start);
+            for px in x.row(b).chunks_exact(self.channels) {
+                for (s, &v) in sums.iter_mut().zip(px) {
+                    *s += v;
+                }
             }
+            sums.iter_mut().for_each(|s| *s /= self.hw as f32);
         }
         y
     }
@@ -679,6 +694,71 @@ mod tests {
         let g = conv.cached_g.as_ref().unwrap();
         assert_eq!((g.rows(), g.cols()), (2 * 25, s.out_c));
         assert_eq!(bits(g.as_slice()), bits(dy.as_slice()));
+    }
+
+    #[test]
+    fn a_training_step_refills_the_last_steps_statistics() {
+        // The second step's patch matrix and `g` land in the first step's
+        // allocations and hold the second step's values; an eval forward
+        // in between leaves the statistics as they were.
+        let s = small_shape();
+        let mut rng = Rng::new(12);
+        let mut conv = Conv2d::new(s, &mut rng);
+        let step = |conv: &mut Conv2d, rng: &mut Rng| {
+            let x = Matrix::random_normal(2, s.in_elems(), rng);
+            conv.forward(&x, true);
+            let dy = Matrix::random_normal(2, s.out_elems(), rng);
+            conv.backward(&dy);
+            (x, dy)
+        };
+        step(&mut conv, &mut rng);
+        let held = |conv: &Conv2d| {
+            let (a, g) = conv.kfac_stats_ref().unwrap();
+            (
+                a.as_slice().as_ptr(),
+                g.as_slice().as_ptr(),
+                bits(a.as_slice()),
+            )
+        };
+        let first = held(&conv);
+        conv.forward(&Matrix::random_normal(2, s.in_elems(), &mut rng), false);
+        assert_eq!(held(&conv), first, "an eval forward moved the statistics");
+        let (x, dy) = step(&mut conv, &mut rng);
+        let second = held(&conv);
+        assert_eq!((second.0, second.1), (first.0, first.1));
+        let mut want = vec![0.0; 2 * 25 * (s.patch() + 1)];
+        for (b, rows) in want.chunks_mut(25 * (s.patch() + 1)).enumerate() {
+            im2col_oracle(&s, x.row(b), rows);
+        }
+        assert_eq!(second.2, bits(&want));
+        let g = conv.kfac_stats_ref().unwrap().1;
+        assert_eq!(bits(g.as_slice()), bits(dy.as_slice()));
+    }
+
+    #[test]
+    fn avgpool_sums_each_channel_as_the_strided_sum_does() {
+        // Channel 0 all `-0.0` (the empty sum's start decides its sign),
+        // channel 1 with `-0.0` among values, channel 2 cancelling exactly.
+        let (channels, hw) = (3, 4);
+        let x = Matrix::from_vec(
+            2,
+            channels * hw,
+            vec![
+                -0.0, 1.0, 1e-30, -0.0, -0.5, -1e-30, -0.0, 2.0, 1.0, -0.0, 3.0, -1.0, //
+                -0.0, -0.0, -3.0, -0.0, 0.25, 3.0, -0.0, -0.0, 7.0, -0.0, 1e30, -1e30,
+            ],
+        );
+        let y = GlobalAvgPool::new(channels, 2, 2).forward(&x, false);
+        for b in 0..2 {
+            for c in 0..channels {
+                let s: f32 = x.row(b)[c..].iter().step_by(channels).sum();
+                assert_eq!(
+                    y.get(b, c).to_bits(),
+                    (s / hw as f32).to_bits(),
+                    "row {b} channel {c}"
+                );
+            }
+        }
     }
 
     #[test]

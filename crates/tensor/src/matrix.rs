@@ -5,6 +5,7 @@
 use crate::instance::Instance;
 use crate::rng::Rng;
 use rayon::prelude::*;
+use std::cell::Cell;
 use std::ops::Range;
 
 /// Minimum number of multiply-adds (m · n · k) before GEMM bothers going
@@ -20,9 +21,10 @@ const BLOCK: usize = 64;
 /// accumulator row, and the width of a packed `B` panel. 16 f32 lanes =
 /// four 128-bit, two 256-bit or one 512-bit vector register per tile row.
 ///
-/// Bit-identity note (DESIGN.md §12.4): packing and tiling only move
-/// operands and hoist `out[i][j]` into a register — each output element
-/// still accumulates the same multiply-then-add sequence in ascending k.
+/// Bit-identity note (DESIGN.md §12.4): packing, tiling and reading a
+/// strip of `A` where it lies only move operands and hoist `out[i][j]`
+/// into a register — each output element still accumulates the same
+/// multiply-then-add sequence in ascending k, whichever loads fed it.
 /// Against a finite `B` the tile also adds the ±0 products of zero `a`
 /// values the scalar kernels skip: a sum starts at +0.0 and never reaches
 /// −0.0, so adding ±0 leaves its bits as they are. Against a `B` with a
@@ -59,10 +61,6 @@ const KC: usize = 256;
 
 /// The microkernel's accumulators: one `MR`-row output tile.
 type Tile<const MR: usize> = [[f32; NR]; MR];
-
-/// One row of a packed `A` strip within one k-block: its values, k
-/// ascending, the first `kc` of them in use.
-type APackRow = [f32; KC];
 
 /// A strided read-only GEMM operand: element `(r, c)` of its
 /// `rows × cols` is `data[r * rs + c * cs]`.
@@ -280,9 +278,15 @@ impl Matrix {
     pub fn gram(&self) -> Matrix {
         let n = self.cols;
         let mut out = gemm(self.view().t(), self.view(), true, true);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                out.data[j * n + i] = out.data[i * n + j];
+        // The upper triangle mirrored a BLOCK × BLOCK tile at a time, so
+        // the column-wise writes stay in cache.
+        for ib in (0..n).step_by(BLOCK) {
+            for jb in (ib..n).step_by(BLOCK) {
+                for i in ib..(ib + BLOCK).min(n) {
+                    for j in jb.max(i + 1)..(jb + BLOCK).min(n) {
+                        out.data[j * n + i] = out.data[i * n + j];
+                    }
+                }
             }
         }
         out
@@ -520,14 +524,18 @@ impl Matrix {
 
 /// The one GEMM core: `a` (`m × k`) times `b` (`k × n`), both strided
 /// views whose k the caller has checked. k runs in [`KC`] blocks; `b` is
-/// packed once into [`NR`]-wide k-major panels shared by every worker, its
-/// ragged edge zero-padded, and the pack notes whether every entry is
-/// finite; each `MR`-row strip of `a` is packed per block, k ascending;
-/// accumulators round-trip through `out` between blocks. `skip_zero`
-/// keeps the row kernels' skip of zero `a` values, which only changes a
-/// bit where `b` holds a ±∞ or NaN (0 × ∞ is NaN), so the tiles skip
-/// zeros there and nowhere else. `upper` skips the panels wholly left
-/// of each strip's diagonal, leaving them zero.
+/// packed once into [`NR`]-wide k-major panels shared by every worker
+/// ([`pack_b`]), in a buffer this thread holds across calls ([`BPACK`]),
+/// and one reduction over the pack says whether every entry is finite.
+/// Each `MR`-row strip of `a` is read where it lies when it is whole and
+/// one of its strides is 1 ([`Strip`]: rows along k in `matmul` and
+/// `matmul_t`, the `MR` values of one k side by side in `t_matmul` and
+/// `gram`); a ragged strip, or one of a view with no unit stride, is
+/// packed per block. Accumulators round-trip through `out` between
+/// blocks. `skip_zero` keeps the row kernels' skip of zero `a` values,
+/// which only changes a bit where `b` holds a ±∞ or NaN (0 × ∞ is NaN),
+/// so the tiles skip zeros there and nowhere else. `upper` skips the
+/// panels wholly left of each strip's diagonal, leaving them zero.
 /// Workers take contiguous strip ranges of about equal panel count; the
 /// [`Instance`] this thread runs picks `MR` and the job body: `MR = 2` in
 /// baseline codegen, `MR = 4` with the body compiled for AVX2, or
@@ -535,20 +543,21 @@ impl Matrix {
 fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let panels = n.div_ceil(NR);
-    let mut bpack = vec![0.0f32; k * panels * NR];
-    let mut finite = true;
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
-        let block = &mut bpack[k0 * panels * NR..][..kc * panels * NR];
-        for (jp, panel) in block.chunks_exact_mut(kc * NR).enumerate() {
-            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
-                for (jj, d) in dst.iter_mut().take(n - jp * NR).enumerate() {
-                    *d = b.data[(k0 + p) * b.rs + (jp * NR + jj) * b.cs];
-                    finite &= d.is_finite();
-                }
-            }
-        }
+    // Taken out for the call, not borrowed: a product started while this
+    // one runs finds the slot empty and packs into its own allocation.
+    let mut held = BPACK.take();
+    let len = k * panels * NR;
+    if held.len() < len + NR {
+        held.resize(len + NR, 0.0);
     }
+    // The pack starts on a 64-byte line, so no panel row's load straddles
+    // two: a held buffer keeps its address, so one that did would slow
+    // every product after it.
+    let line = held.as_ptr().align_offset(64) % NR;
+    let bpack = &mut held[line..line + len];
+    pack_b(b, panels, bpack);
+    // A fold, not an early exit, so it runs in vector lanes.
+    let finite = bpack.iter().fold(true, |all, v| all & v.is_finite());
     let p = &Product {
         a,
         bpack,
@@ -556,6 +565,8 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
         panels,
         skip_zero: skip_zero && !finite,
         upper,
+        #[cfg(test)]
+        tiles: Default::default(),
     };
     let mut out = Matrix::zeros(m, n);
     match Instance::current() {
@@ -579,7 +590,56 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
             .into_par_iter()
             .for_each(|(strips, out)| p.strips(strips, out, tile::<MR_PORTABLE>)),
     }
+    #[cfg(test)]
+    p.log_tiles();
+    BPACK.set(held);
     out
+}
+
+thread_local! {
+    /// The `B` pack's buffer, held across this thread's products: as long
+    /// as the largest pack so far and a panel row more, and only a stretch
+    /// from its first 64-byte line in use. Every lane of that stretch is
+    /// written by each pack, so what an earlier product left there is
+    /// never read.
+    static BPACK: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Packs `b` into `bpack`: per [`KC`]-deep k-block, `panels` panels of
+/// [`NR`]-wide rows, k ascending, the last panel's lanes past `n` zeroed.
+/// Where `b`'s rows are contiguous (`cs == 1`: `matmul`, `t_matmul`,
+/// `gram`) a panel row is one `NR`-wide read of a `b` row, its lanes past
+/// `n` selected to zero (a short read only where the window would run
+/// past the data); otherwise a panel's columns are walked, each
+/// contiguous where `rs == 1` (`matmul_t`).
+fn pack_b(b: View, panels: usize, bpack: &mut [f32]) {
+    let (k, n) = (b.rows, b.cols);
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        let block = &mut bpack[k0 * panels * NR..][..kc * panels * NR];
+        for (jp, panel) in block.chunks_exact_mut(kc * NR).enumerate() {
+            let (j0, w) = (jp * NR, NR.min(n - jp * NR));
+            let (rows, _) = panel.as_chunks_mut::<NR>();
+            if b.cs == 1 {
+                let lane = |jj: usize, v: f32| if jj < w { v } else { 0.0 };
+                for (p, row) in rows.iter_mut().enumerate() {
+                    let src = &b.data[(k0 + p) * b.rs + j0..];
+                    *row = match src.first_chunk::<NR>() {
+                        Some(window) => std::array::from_fn(|jj| lane(jj, window[jj])),
+                        None => std::array::from_fn(|jj| lane(jj, src.get(jj).map_or(0.0, |&v| v))),
+                    };
+                }
+            } else {
+                for jj in 0..w {
+                    let col = b.data[(j0 + jj) * b.cs + k0 * b.rs..].iter().step_by(b.rs);
+                    rows.iter_mut().zip(col).for_each(|(row, &v)| row[jj] = v);
+                }
+                if w < NR {
+                    rows.iter_mut().for_each(|row| row[w..].fill(0.0));
+                }
+            }
+        }
+    }
 }
 
 /// One product as every job reads it: the `a` operand, `b` packed into
@@ -587,11 +647,15 @@ fn gemm(a: View, b: View, skip_zero: bool, upper: bool) -> Matrix {
 /// values (only where `b` holds a ±∞ or NaN), and `upper`.
 struct Product<'a> {
     a: View<'a>,
-    bpack: Vec<f32>,
+    bpack: &'a [f32],
     n: usize,
     panels: usize,
     skip_zero: bool,
     upper: bool,
+    /// Tiles each job ran, by the thread it ran on and its tile height
+    /// (one height per instance body).
+    #[cfg(test)]
+    tiles: std::sync::Mutex<Vec<TileRun>>,
 }
 
 impl Product<'_> {
@@ -632,53 +696,162 @@ impl Product<'_> {
         jobs
     }
 
-    /// The job body: per k-block, packs each of `strips`' `MR`-row strips
-    /// of `a` and runs `tile` ([`tile`], or [`tile_avx512`]) over its
-    /// panels, storing into `out` (the strips' rows). Inlined whole into
-    /// each instance, so the AVX2 one compiles the pack, the tile and the
-    /// stores with 256-bit lanes.
+    /// The job body: per k-block, reads each of `strips`' `MR`-row strips
+    /// of `a` in place or packs it, and runs `tile` ([`tile`], or
+    /// [`tile_avx512`]) over its panels, storing into `out` (the strips'
+    /// rows). Inlined whole into each instance, so the AVX2 one compiles
+    /// the pack, the tile and the stores with 256-bit lanes.
     #[inline(always)]
     fn strips<const MR: usize>(
         &self,
         strips: Range<usize>,
         out: &mut [f32],
-        tile: impl Fn(&[APackRow; MR], &[f32], Tile<MR>, bool) -> Tile<MR>,
+        tile: impl Fn(Strip<MR>, &[f32], Tile<MR>, bool) -> Tile<MR>,
     ) {
         let (a, m, k, n, panels) = (self.a, self.a.rows, self.a.cols, self.n, self.panels);
-        let mut apack = [[0.0; KC]; MR];
+        let mut apack = [[0.0; MR]; KC];
         for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
             let block = &self.bpack[k0 * panels * NR..][..kc * panels * NR];
             for s in strips.clone() {
                 let i0 = s * MR;
                 let mr = MR.min(m - i0);
-                for (r, row) in apack.iter_mut().enumerate() {
+                let strip = if mr == MR && a.cs == 1 {
+                    Strip::Rows(std::array::from_fn(|r| {
+                        &a.data[(i0 + r) * a.rs + k0..][..kc]
+                    }))
+                } else if mr == MR && a.rs == 1 {
+                    Strip::Cols(&a.data[k0 * a.cs + i0..], a.cs)
+                } else {
                     // A ragged strip's missing rows are zeros: computed
-                    // like the others, never stored.
-                    let vals = &mut row[..kc];
-                    if r < mr {
-                        let at = |p: usize| a.data[(i0 + r) * a.rs + (k0 + p) * a.cs];
-                        vals.iter_mut().enumerate().for_each(|(p, v)| *v = at(p));
-                    } else {
-                        vals.fill(0.0);
+                    // like the others, never stored. Where one k's values
+                    // lie side by side (`rs == 1`), they are one read.
+                    for (t, col) in apack[..kc].iter_mut().enumerate() {
+                        let at = (k0 + t) * a.cs + i0 * a.rs;
+                        let window = a.data[at..].first_chunk::<MR>().filter(|_| a.rs == 1);
+                        *col = std::array::from_fn(|r| match (r < mr, window) {
+                            (false, _) => 0.0,
+                            (true, Some(window)) => window[r],
+                            (true, None) => a.data[at + r * a.rs],
+                        });
                     }
-                }
+                    Strip::Cols(apack.as_flattened(), MR)
+                };
                 let rows = &mut out[(i0 - strips.start * MR) * n..][..mr * n];
                 for jp in self.first_panel::<MR>(s)..panels {
                     let (j0, w) = (jp * NR, NR.min(n - jp * NR));
+                    // A whole panel's row moves as one array, not as a
+                    // slice of a length only known at run time (a call).
                     let mut acc: Tile<MR> = [[0.0; NR]; MR];
                     for (row, acc) in rows.chunks_exact(n).zip(&mut acc) {
-                        acc[..w].copy_from_slice(&row[j0..j0 + w]);
+                        match row[j0..].first_chunk().filter(|_| w == NR) {
+                            Some(whole) => *acc = *whole,
+                            None => acc[..w].copy_from_slice(&row[j0..j0 + w]),
+                        }
                     }
                     let bpanel = &block[jp * kc * NR..][..kc * NR];
-                    let acc = tile(&apack, bpanel, acc, self.skip_zero);
+                    let acc = tile(strip, bpanel, acc, self.skip_zero);
+                    self.count_tile::<MR>();
                     for (row, acc) in rows.chunks_exact_mut(n).zip(&acc) {
-                        row[j0..j0 + w].copy_from_slice(&acc[..w]);
+                        match row[j0..].first_chunk_mut().filter(|_| w == NR) {
+                            Some(whole) => *whole = *acc,
+                            None => row[j0..j0 + w].copy_from_slice(&acc[..w]),
+                        }
                     }
                 }
             }
         }
     }
+
+    /// Counts one tile of height `MR` (one instance body's) on this
+    /// thread in tests; nothing outside them.
+    #[inline(always)]
+    fn count_tile<const MR: usize>(&self) {
+        #[cfg(test)]
+        {
+            let me = std::thread::current().id();
+            let mut runs = self.tiles.lock().expect("tile count");
+            match runs.iter_mut().find(|run| run.thread == me && run.mr == MR) {
+                Some(run) => run.tiles += 1,
+                None => runs.push(TileRun {
+                    thread: me,
+                    mr: MR,
+                    tiles: 1,
+                }),
+            }
+        }
+    }
+
+    /// Adds this product's tile counts to the calling thread's log, where
+    /// a test has opened one.
+    #[cfg(test)]
+    fn log_tiles(&self) {
+        let runs = std::mem::take(&mut *self.tiles.lock().expect("tile count"));
+        TILE_RUNS.with_borrow_mut(|log| log.as_mut().map(|log| log.extend(runs)));
+    }
+}
+
+/// How a tile reads its `MR`-row strip of `a` within one k-block: the
+/// strip's `MR` values at each k, k ascending.
+#[derive(Clone, Copy)]
+enum Strip<'a, const MR: usize> {
+    /// In place from an `a` whose rows run along k (`matmul`,
+    /// `matmul_t`): each row's values of the block.
+    Rows([&'a [f32]; MR]),
+    /// The `MR` values of each k side by side, that many apart: in place
+    /// from an `a` whose k runs across rows (`t_matmul`, `gram`), or from
+    /// the strip's pack.
+    Cols(&'a [f32], usize),
+}
+
+/// Runs `$step` once per k of the [`Strip`] `$strip`, k ascending, with
+/// `$col` bound to the strip's `MR` values at that k and `$bv` to the
+/// panel's row there (`$brows`). A macro, not a function taking a closure,
+/// so the step is written out at each of the walks' loops and compiled in
+/// the caller's instruction set: passed as a closure it was called from
+/// three loops and LLVM kept it out of line, in baseline code.
+macro_rules! walk_strip {
+    ($strip:expr, $brows:expr, |$col:ident, $bv:ident| $step:expr) => {
+        match $strip {
+            Strip::Rows(rows) => {
+                // Eight k at a time, each row's eight read as one array, so
+                // a row's bounds are checked once per eight k, not per k.
+                // Loops, not `map` or `from_fn`: a closure written in a
+                // wide body and handed to those stayed a call.
+                let (bchunks, btail) = $brows.as_chunks::<8>();
+                let mut heads: [(&[[f32; 8]], &[f32]); MR] = [(&[], &[]); MR];
+                for (head, row) in heads.iter_mut().zip(rows) {
+                    *head = row[..$brows.len()].as_chunks::<8>();
+                }
+                for (c, bchunk) in bchunks.iter().enumerate() {
+                    let mut block = [&[0.0; 8]; MR];
+                    for (block, head) in block.iter_mut().zip(&heads) {
+                        *block = &head.0[c];
+                    }
+                    for (t, $bv) in bchunk.iter().enumerate() {
+                        let mut $col = [0.0; MR];
+                        for (v, block) in $col.iter_mut().zip(&block) {
+                            *v = block[t];
+                        }
+                        $step;
+                    }
+                }
+                for (t, $bv) in btail.iter().enumerate() {
+                    let mut $col = [0.0; MR];
+                    for (v, head) in $col.iter_mut().zip(&heads) {
+                        *v = head.1[t];
+                    }
+                    $step;
+                }
+            }
+            Strip::Cols(data, stride) => {
+                for (col, $bv) in data.chunks(stride).zip($brows) {
+                    let $col: [f32; MR] = *col.first_chunk().expect("a whole strip");
+                    $step;
+                }
+            }
+        }
+    };
 }
 
 /// The AVX2 instance's job body: [`Product::strips`] at [`MR_AVX2`]. The
@@ -697,8 +870,8 @@ fn strips_avx2(p: &Product, strips: Range<usize>, out: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
 fn strips_avx512(p: &Product, strips: Range<usize>, out: &mut [f32]) {
-    p.strips(strips, out, |apack, bpanel, acc, skip_zero| {
-        tile_avx512(apack, bpanel, acc, skip_zero)
+    p.strips(strips, out, |a, bpanel, acc, skip_zero| {
+        tile_avx512(a, bpanel, acc, skip_zero)
     })
 }
 
@@ -711,37 +884,46 @@ fn strips_avx512(p: &Product, strips: Range<usize>, out: &mut [f32]) {
 #[target_feature(enable = "avx512f,avx512dq")]
 #[inline]
 fn tile_avx512(
-    apack: &[APackRow; MR_AVX512],
+    a: Strip<MR_AVX512>,
     bpanel: &[f32],
     acc: Tile<MR_AVX512>,
     skip_zero: bool,
 ) -> Tile<MR_AVX512> {
     use std::arch::x86_64::*;
     let (brows, _) = bpanel.as_chunks::<NR>();
-    // `_mm512_set_ps` lists lanes from the highest down.
-    let reg = |v: &[f32; NR]| {
-        _mm512_set_ps(
-            v[15], v[14], v[13], v[12], v[11], v[10], v[9], v[8], v[7], v[6], v[5], v[4], v[3],
-            v[2], v[1], v[0],
-        )
-    };
-    let mut sums = acc.each_ref().map(reg);
-    let mut mac = |r: usize, a: f32, b: __m512| {
-        sums[r] = _mm512_add_ps(sums[r], _mm512_mul_ps(_mm512_set1_ps(a), b));
-    };
+    // `_mm512_set_ps` lists lanes from the highest down. A macro, not a
+    // closure, for the reason `walk_strip!` gives.
+    macro_rules! reg {
+        ($v:expr) => {{
+            let v: &[f32; NR] = $v;
+            _mm512_set_ps(
+                v[15], v[14], v[13], v[12], v[11], v[10], v[9], v[8], v[7], v[6], v[5], v[4], v[3],
+                v[2], v[1], v[0],
+            )
+        }};
+    }
+    const MR: usize = MR_AVX512;
+    let mut sums = [_mm512_setzero_ps(); MR];
+    for (sum, row) in sums.iter_mut().zip(&acc) {
+        *sum = reg!(row);
+    }
     if skip_zero {
         count_zero_skip_walk();
-        for (t, bv) in brows.iter().enumerate() {
-            let b = reg(bv);
-            (0..MR_AVX512)
-                .filter(|&r| apack[r][t] != 0.0)
-                .for_each(|r| mac(r, apack[r][t], b));
-        }
+        walk_strip!(a, brows, |col, bv| {
+            let b = reg!(bv);
+            for (sum, a) in sums.iter_mut().zip(col) {
+                if a != 0.0 {
+                    *sum = _mm512_add_ps(*sum, _mm512_mul_ps(_mm512_set1_ps(a), b));
+                }
+            }
+        });
     } else {
-        for (t, bv) in brows.iter().enumerate() {
-            let b = reg(bv);
-            (0..MR_AVX512).for_each(|r| mac(r, apack[r][t], b));
-        }
+        walk_strip!(a, brows, |col, bv| {
+            let b = reg!(bv);
+            for (sum, a) in sums.iter_mut().zip(col) {
+                *sum = _mm512_add_ps(*sum, _mm512_mul_ps(_mm512_set1_ps(a), b));
+            }
+        });
     }
     sums.map(|s| {
         let quarters = [
@@ -764,35 +946,44 @@ fn tile_avx512(
 }
 
 /// The one multiply-accumulate microkernel: an `MR` × [`NR`] register
-/// tile over one packed strip of `a` and one packed panel of `b`, ascending
-/// k, a separate multiply and add per element. The tile walks the panel
-/// once, each `B` row feeding all `MR` accumulator rows, with `MR` × `NR`
+/// tile over one strip of `a` and one packed panel of `b`, ascending k, a
+/// separate multiply and add per element. The tile walks the panel once,
+/// each `B` row feeding all `MR` accumulator rows, with `MR` × `NR`
 /// independent sums in flight; with `skip_zero` (a `b` holding a ±∞ or
-/// NaN) a row meets no product of a zero `a`. The tile travels by value
-/// so it lives in registers across the loop.
+/// NaN) a row meets no product of a zero `a`. How the strip lies in
+/// memory changes which loads feed the rows, not the sums. The tile
+/// travels by value so it lives in registers across the loop.
 #[inline(always)]
 fn tile<const MR: usize>(
-    apack: &[APackRow; MR],
+    a: Strip<MR>,
     bpanel: &[f32],
     mut acc: Tile<MR>,
     skip_zero: bool,
 ) -> Tile<MR> {
     let (brows, _) = bpanel.as_chunks::<NR>();
-    let mut mac = |r: usize, a: f32, bv: &[f32; NR]| {
-        for (o, &b) in acc[r].iter_mut().zip(bv) {
-            *o += a * b;
-        }
-    };
     if skip_zero {
         count_zero_skip_walk();
-        for (t, bv) in brows.iter().enumerate() {
-            (0..MR)
-                .filter(|&r| apack[r][t] != 0.0)
-                .for_each(|r| mac(r, apack[r][t], bv));
-        }
+        walk_strip!(a, brows, |col, bv| acc = step::<MR, true>(acc, col, bv));
     } else {
-        for (t, bv) in brows.iter().enumerate() {
-            (0..MR).for_each(|r| mac(r, apack[r][t], bv));
+        walk_strip!(a, brows, |col, bv| acc = step::<MR, false>(acc, col, bv));
+    }
+    acc
+}
+
+/// One k of [`tile`]: each accumulator row adds its `a` value times the
+/// panel's row at that k, a separate multiply and add per element; with
+/// `SKIP_ZERO` a zero `a` adds nothing.
+#[inline(always)]
+fn step<const MR: usize, const SKIP_ZERO: bool>(
+    mut acc: Tile<MR>,
+    col: [f32; MR],
+    bv: &[f32; NR],
+) -> Tile<MR> {
+    for (acc, a) in acc.iter_mut().zip(col) {
+        if !(SKIP_ZERO && a == 0.0) {
+            for (o, &b) in acc.iter_mut().zip(bv) {
+                *o += a * b;
+            }
         }
     }
     acc
@@ -802,7 +993,21 @@ fn tile<const MR: usize>(
 thread_local! {
     /// Tiles this thread ran skipping zeros: what a test reads to see
     /// which walk a product took.
-    static ZERO_SKIP_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static ZERO_SKIP_WALKS: Cell<usize> = const { Cell::new(0) };
+    /// The tiles of the products this thread started, while a test has
+    /// opened the log: per worker thread and tile height.
+    static TILE_RUNS: std::cell::RefCell<Option<Vec<TileRun>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// Tiles of one height (one instance body's) that one thread ran for one
+/// product.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct TileRun {
+    thread: std::thread::ThreadId,
+    mr: usize,
+    tiles: usize,
 }
 
 /// Counts one zero-skipping tile in tests; nothing outside them.
@@ -1314,6 +1519,240 @@ mod tests {
             }
             // The dead row skipped the ∞.
             assert_eq!(got[0].get(3, N - 1), 0.0);
+        }
+    }
+
+    #[test]
+    fn operand_paths_bit_identical_to_scalar() {
+        // k past two k-blocks; strips whole and ragged at every
+        // instance's height (16 rows are whole strips of 2, 4 and 8; 19
+        // leave 1, 3 and 3), so a whole strip is read where it lies — its
+        // rows along k in matmul / matmul_t / matmul_t_first, the MR
+        // values of one k side by side in t_matmul / gram — and a ragged
+        // one is packed; `B` copied by rows (matmul, t_matmul, gram) and
+        // read by columns (matmul_t, matmul_t_first), its last panel
+        // ragged or whole.
+        const K: usize = 2 * KC + 3;
+        let mut rng = Rng::new(26);
+        for inst in instances() {
+            for m in [2 * MR_AVX512, 2 * MR_AVX512 + 3] {
+                for n in [NR + 3, 3 * NR] {
+                    assert_entry_points_match_oracle(inst, m, K, n, &mut rng);
+                }
+            }
+        }
+        // General strides: every other row and column of larger matrices,
+        // so each strip of `A` is packed and `B`'s panels are gathered.
+        let (m, n) = (2 * MR_AVX512 + 3, NR + 3);
+        let big_a = sparse_normal(2 * m, 2 * K, &mut rng);
+        let big_b = Matrix::random_normal(2 * K, 2 * n, &mut rng);
+        fn every_other(big: &Matrix, rows: usize, cols: usize) -> (View<'_>, Matrix) {
+            let view = View {
+                data: big.as_slice(),
+                rows,
+                cols,
+                rs: 2 * big.cols(),
+                cs: 2,
+            };
+            (
+                view,
+                Matrix::from_fn(rows, cols, |r, c| big.get(2 * r, 2 * c)),
+            )
+        }
+        let ((av, a), (bv, b)) = (every_other(&big_a, m, K), every_other(&big_b, K, n));
+        // The ±∞ that moves the skip-zero walk sits in the last k-block.
+        let mut b_inf = b.clone();
+        b_inf.set(K - 2, 4, f32::NEG_INFINITY);
+        let (at, bt) = (a.transpose(), b.transpose());
+        let mut sym = scalar_oracle::t_matmul(&a, &a);
+        sym.symmetrize();
+        for inst in instances() {
+            let _pin = inst.pin();
+            let what = |name: &str| format!("{name} over general strides on {inst:?}");
+            assert_bits_equal(
+                &gemm(av, bv, true, false),
+                &scalar_oracle::matmul(&a, &b),
+                &what("matmul"),
+            );
+            assert_bits_equal(
+                &gemm(av, bt.view().t(), false, false),
+                &scalar_oracle::matmul_t(&a, &bt),
+                &what("matmul_t"),
+            );
+            assert_bits_equal(
+                &gemm(a.view(), bv, true, false),
+                &scalar_oracle::matmul(&a, &b),
+                &what("matmul, only B"),
+            );
+            let (walks, got) = zero_skip_walks(|| {
+                [
+                    a.matmul(&b_inf),
+                    at.t_matmul(&b_inf),
+                    a.matmul_t(&b_inf.transpose()),
+                ]
+            });
+            assert!(walks > 0, "no zero-skipping tile against an ∞ on {inst:?}");
+            assert_bits_equal(
+                &got[0],
+                &scalar_oracle::matmul(&a, &b_inf),
+                &what("matmul ∞"),
+            );
+            assert_bits_equal(
+                &got[1],
+                &scalar_oracle::t_matmul(&at, &b_inf),
+                &what("t_matmul ∞"),
+            );
+            assert_bits_equal(
+                &got[2],
+                &scalar_oracle::matmul_t(&a, &b_inf.transpose()),
+                &what("matmul_t ∞"),
+            );
+            assert_bits_equal(&a.gram(), &sym, &what("gram"));
+        }
+    }
+
+    #[test]
+    fn a_ragged_panel_after_a_wider_product_reads_no_stale_lane() {
+        // A `B` read by columns (rs == 1) writes only its panels' first n
+        // lanes, so the pack must zero the rest: the wider product leaves
+        // an ∞ in the held buffer where the next product's last panel has
+        // lanes past n (column NR + 9 of k-row 5, lane 9 of a panel 3
+        // wide). Unzeroed, the finiteness fold reads it and the finite
+        // product's tiles skip zeros. `matmul_t` reads `B` this way but
+        // never skips, so the core is driven directly with the skip on.
+        // Both run below PAR_THRESHOLD, on this thread.
+        const K: usize = 2 * KC + 3;
+        let mut rng = Rng::new(27);
+        let a = sparse_normal(2 * MR_AVX512 + 3, K, &mut rng);
+        let mut wide = Matrix::random_normal(3 * NR, K, &mut rng);
+        wide.set(NR + 9, 5, f32::INFINITY);
+        let bt = Matrix::random_normal(NR + 3, K, &mut rng);
+        const { assert!((2 * MR_AVX512 + 3) * 3 * NR * K < PAR_THRESHOLD) };
+        let want = scalar_oracle::matmul(&a, &bt.transpose());
+        for inst in instances() {
+            let _pin = inst.pin();
+            let (walks, _) = zero_skip_walks(|| gemm(a.view(), wide.view().t(), true, false));
+            assert!(walks > 0, "the wider product skipped no zero on {inst:?}");
+            let (walks, got) = zero_skip_walks(|| gemm(a.view(), bt.view().t(), true, false));
+            assert_eq!(walks, 0, "a stale lane read as ∞ on {inst:?}");
+            assert_bits_equal(
+                &got,
+                &want,
+                &format!("product after a wider one on {inst:?}"),
+            );
+            // A `B` read by rows is read NR lanes at a time, past n into
+            // the columns a narrower view leaves out (here the ∞ of the
+            // wider matrix): those lanes are selected to zero.
+            let wt = wide.transpose();
+            let head = View {
+                cols: NR + 3,
+                ..wt.view()
+            };
+            let finite = Matrix::from_fn(K, NR + 3, |r, c| wt.get(r, c));
+            let (walks, got) = zero_skip_walks(|| gemm(a.view(), head, true, false));
+            assert_eq!(walks, 0, "a lane past n read as ∞ on {inst:?}");
+            assert_bits_equal(
+                &got,
+                &scalar_oracle::matmul(&a, &finite),
+                &format!("product over a narrower view on {inst:?}"),
+            );
+        }
+    }
+
+    /// The length of this thread's held `B` buffer (its whole allocation
+    /// in use so far), and its address.
+    fn held_b() -> (usize, usize) {
+        let held = BPACK.take();
+        let seen = (held.len(), held.as_ptr() as usize);
+        BPACK.set(held);
+        seen
+    }
+
+    #[test]
+    fn held_b_buffer_is_reused_and_never_shared() {
+        // Repeat products on one thread pack into one held buffer, which
+        // stops growing, and keep their bits.
+        let mut rng = Rng::new(28);
+        let a = sparse_normal(40, 300, &mut rng);
+        let b = Matrix::random_normal(300, 50, &mut rng);
+        let want = scalar_oracle::matmul(&a, &b);
+        assert_bits_equal(&a.matmul(&b), &want, "first product");
+        let held = held_b();
+        assert!(held.0 >= 300 * 4 * NR, "held {} values", held.0);
+        for _ in 0..3 {
+            assert_bits_equal(&a.matmul(&b), &want, "repeat product");
+            assert_eq!(held_b(), held, "the held buffer moved or grew");
+        }
+        // While a product holds the buffer — the slot taken as `gemm`
+        // takes it — products in rayon jobs, one of them on this thread,
+        // pack into their own, and the held one comes back as it was.
+        let outer = BPACK.take();
+        let before = outer.clone();
+        let inner: Vec<Matrix> = {
+            let _guard = rayon::scoped_thread_override(2);
+            vec![(); 2].into_par_iter().map(|()| a.matmul(&b)).collect()
+        };
+        for got in &inner {
+            assert_bits_equal(got, &want, "product nested in another");
+        }
+        assert_eq!(outer.as_ptr() as usize, held.1);
+        assert!(outer
+            .iter()
+            .zip(&before)
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        BPACK.set(outer);
+        // Products on two threads at once: one held buffer each.
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..3 {
+                        assert_bits_equal(&a.matmul(&b), &want, "product on another thread");
+                    }
+                    assert!(held_b().1 != held.1, "a thread borrowed another's buffer");
+                });
+            }
+        });
+        assert_eq!(held_b(), held);
+    }
+
+    /// Runs `f` with this thread's tile log open and returns what it
+    /// logged, with `f`'s result.
+    fn tile_runs<T>(f: impl FnOnce() -> T) -> (Vec<TileRun>, T) {
+        TILE_RUNS.set(Some(Vec::new()));
+        let out = f();
+        (TILE_RUNS.take().expect("the log was opened"), out)
+    }
+
+    #[test]
+    fn a_pinned_instance_runs_its_tile_on_every_worker() {
+        // Past PAR_THRESHOLD at two workers, so the product splits into
+        // two jobs and the shim runs the second on a thread it spawns:
+        // under each pin, every tile on both threads is that instance's.
+        // The worker override is process-wide and other tests set it too,
+        // so a run that did not land on two threads is run again; every
+        // run's tiles must be the pinned instance's.
+        const N: usize = 130;
+        const { assert!(N * N * N >= PAR_THRESHOLD && N <= KC) };
+        let mut rng = Rng::new(29);
+        let a = sparse_normal(N, N, &mut rng);
+        let b = Matrix::random_normal(N, N, &mut rng);
+        let want = scalar_oracle::matmul(&a, &b);
+        for (inst, mr) in instances()
+            .into_iter()
+            .zip([MR_PORTABLE, MR_AVX2, MR_AVX512])
+        {
+            let _pin = inst.pin();
+            let two_threads = (0..20).any(|_| {
+                let _guard = rayon::scoped_thread_override(2);
+                let (runs, got) = tile_runs(|| a.matmul(&b));
+                assert_bits_equal(&got, &want, &format!("matmul on {inst:?}"));
+                assert!(runs.iter().all(|r| r.mr == mr), "{inst:?} ran {runs:?}");
+                let tiles: usize = runs.iter().map(|r| r.tiles).sum();
+                assert_eq!(tiles, N.div_ceil(mr) * N.div_ceil(NR));
+                let threads: std::collections::HashSet<_> = runs.iter().map(|r| r.thread).collect();
+                threads.len() == 2
+            });
+            assert!(two_threads, "no run of {inst:?} spread over two threads");
         }
     }
 

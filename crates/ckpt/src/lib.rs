@@ -29,7 +29,7 @@ pub mod store;
 
 pub use manifest::{Manifest, RankFileMeta, MAGIC_MANIFEST};
 pub use snapshot::{
-    decode_tensors, encode_tensors, Dtype, Snapshot, TensorData, TensorEntry, MAGIC_TENSORS,
+    decode_tensors, encode_tensors, Snapshot, TensorData, TensorEntry, MAGIC_TENSORS,
 };
 pub use store::CheckpointStore;
 

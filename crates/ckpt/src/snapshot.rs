@@ -28,7 +28,7 @@ pub(crate) const TENSORS_MAX: usize = 1 << 16;
 
 /// Element type of a checkpoint tensor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dtype {
+pub(crate) enum Dtype {
     /// 32-bit float (weights, factors, moments).
     F32,
     /// 64-bit float (Cholesky factors, Box-Muller spares).

@@ -237,7 +237,7 @@ pub(crate) type Served<T> = Result<ControlFlow<T, Option<Instant>>, CommError>;
 /// Shared construction handle for a fixed-size group of ranks: its
 /// communicators, wired into one channel mesh and sharing one poison
 /// cell, one departure list and one clock.
-pub struct CommGroup {
+pub(crate) struct CommGroup {
     comms: Vec<Communicator>,
 }
 

@@ -41,7 +41,6 @@ pub mod membership;
 
 pub use fault::{FaultConfig, FaultPlane, LedgerSnapshot};
 pub use group::{
-    run_ranks, run_ranks_elastic, run_ranks_with, CommConfig, CommError, CommGroup, Communicator,
-    Payload,
+    run_ranks, run_ranks_elastic, run_ranks_with, CommConfig, CommError, Communicator, Payload,
 };
 pub use membership::{admit_pending, rejoin, MembershipFrame, ViewChange};

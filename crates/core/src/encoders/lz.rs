@@ -22,7 +22,7 @@ const MAX_LITERALS: usize = 128;
 
 /// Tuning knobs distinguishing the codec family members.
 #[derive(Clone, Copy, Debug)]
-pub struct LzParams {
+pub(crate) struct LzParams {
     /// Match window (max back-offset), at most 65535.
     pub window: usize,
     /// Extra previous-occurrence probes per position (0 = head only).

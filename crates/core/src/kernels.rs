@@ -143,7 +143,7 @@ impl Default for KernelConfig {
 
 /// One chunk of the precomputed layer→block schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkDesc {
+pub(crate) struct ChunkDesc {
     /// Layer index the chunk belongs to.
     pub layer: usize,
     /// Element offset within the layer.
@@ -1801,6 +1801,38 @@ mod tests {
     /// The instances this host runs.
     fn instances() -> impl Iterator<Item = Instance> {
         Instance::ALL.into_iter().filter(|inst| inst.available())
+    }
+
+    #[test]
+    fn a_pinned_instance_runs_its_sr_lanes_on_every_worker() {
+        // `compress_group` reads the instance on the calling thread and
+        // hands it to the chunk workers: at two workers, every SR lane
+        // call over this test's layers, on the calling thread and on the
+        // one the shim spawns, takes the pinned instance's arm. Calls of
+        // tests running beside it are told apart by the values their
+        // lanes read: a conservative config filters nothing, so a lane
+        // reads the layers where they lie. The worker override is
+        // process-wide and other tests set it too, so a run that did not
+        // land on two threads is run again.
+        let layers = layers_fixture(23);
+        let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
+        let ours =
+            |at: usize| (layers.iter()).any(|l| l.as_ptr_range().contains(&(at as *const f32)));
+        let comp = ChunkedCompso::new(CompsoConfig::conservative(2e-3));
+        for inst in instances() {
+            let _pin = inst.pin();
+            let two_threads = (0..20).any(|_| {
+                let _guard = rayon::scoped_thread_override(2);
+                *microkernel::SR_RUNS.lock().unwrap() = Some(Vec::new());
+                comp.compress_group(&refs, None, &mut Rng::new(24), &Recorder::disabled());
+                let runs = microkernel::SR_RUNS.lock().unwrap().take().unwrap();
+                let runs: Vec<_> = runs.into_iter().filter(|r| ours(r.values)).collect();
+                assert!(runs.iter().all(|r| r.inst == inst), "{inst:?} ran {runs:?}");
+                let threads: std::collections::HashSet<_> = runs.iter().map(|r| r.thread).collect();
+                threads.len() == 2
+            });
+            assert!(two_threads, "no run of {inst:?} spread over two threads");
+        }
     }
 
     #[test]

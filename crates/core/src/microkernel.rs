@@ -808,6 +808,14 @@ pub fn quantize_sr_lanes(inst: Instance, lanes: &mut [SrLane<'_>]) {
         "SR lanes run in lockstep over equal lengths"
     );
     assert!(inst.available(), "{inst:?} not available on this host");
+    #[cfg(test)]
+    if let Some(log) = SR_RUNS.lock().expect("SR log").as_mut() {
+        log.push(SrRun {
+            thread: std::thread::current().id(),
+            inst,
+            values: lanes.first().map_or(0, |l| l.kept.as_ptr() as usize),
+        });
+    }
     match inst {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assertion above saw the CPU report AVX-512 F and DQ,
@@ -821,6 +829,22 @@ pub fn quantize_sr_lanes(inst: Instance, lanes: &mut [SrLane<'_>]) {
         Instance::Avx2 | Instance::Avx512 => unreachable!("no wide instance off x86-64"),
         Instance::Portable => lanes.iter_mut().for_each(SrLane::quantize),
     }
+}
+
+/// The calls of [`quantize_sr_lanes`] on any thread while a test has the
+/// log open.
+#[cfg(test)]
+pub(crate) static SR_RUNS: std::sync::Mutex<Option<Vec<SrRun>>> = std::sync::Mutex::new(None);
+
+/// One call of [`quantize_sr_lanes`]: its thread, the instance whose arm
+/// it took, and the address of its first lane's first value, which tells
+/// one test's calls from another's.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct SrRun {
+    pub(crate) thread: std::thread::ThreadId,
+    pub(crate) inst: Instance,
+    pub(crate) values: usize,
 }
 
 /// The AVX2 body of [`quantize_sr_lanes`]: each four lanes in one

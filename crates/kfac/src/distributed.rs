@@ -1021,7 +1021,7 @@ impl DistKfac {
 /// (everything beyond the replicated factor state), produced by
 /// `DistKfac::export_state` and consumed by `DistKfac::import_state`.
 #[derive(Clone, Debug)]
-pub struct DistKfacState {
+pub(crate) struct DistKfacState {
     /// Owner rank per K-FAC layer position, once built.
     pub owners: Option<Vec<usize>>,
     /// The stochastic-compression RNG stream `(xoshiro state, cached

@@ -42,6 +42,6 @@ pub mod kfac;
 pub mod schedule;
 
 pub use checkpoint::{CheckpointConfig, CheckpointCoordinator, CoordError, Restored};
-pub use distributed::{DistKfac, DistKfacConfig, DistKfacState, StepStats};
+pub use distributed::{DistKfac, DistKfacConfig, StepStats};
 pub use kfac::{Kfac, KfacConfig, LayerState};
 pub use schedule::{LrSchedule, SmoothLr, StepLr};

@@ -1,8 +1,9 @@
 //# path: crates/core/src/fake_api.rs
-// Fixture: a public function, constant or static of a library crate that
-// no file outside the crate names fires at its name. The fixture context
-// has `unreached_helper` spelled only inside crates/core/src/, which does
-// not count.
+// Fixture: a public function, constant, static or type of a library
+// crate that nothing outside the crate reaches fires at its name. The
+// fixture context reaches `encode_frame` alone here; `Codec` is spelled
+// only inside this file, and `Header` only in the interface of an item
+// that is not reached.
 
 pub fn encode_frame(data: &[u8]) -> Vec<u8> {
     data.to_vec()
@@ -20,10 +21,22 @@ pub const fn unreached_const_fn() -> u8 { //~ reachable-pub
     1
 }
 
-pub struct Codec;
+pub struct Codec; //~ reachable-pub
 
 impl Codec {
-    pub fn unreached_method(&self) -> u8 { //~ reachable-pub
-        unreached_helper()
+    pub fn unreached_method(&self) -> Header { //~ reachable-pub
+        Header(unreached_helper())
     }
 }
+
+pub struct Header(pub u8); //~ reachable-pub
+
+pub enum Mode { //~ reachable-pub
+    Plain,
+}
+
+pub trait Encode { //~ reachable-pub
+    fn encode(&self) -> Vec<u8>;
+}
+
+pub type Bytes = Vec<u8>; //~ reachable-pub

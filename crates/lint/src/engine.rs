@@ -89,7 +89,7 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
 
 /// Workspace-level facts the rules consult: the obs name registry, the
 /// length-source set (cross-function taint), the call-graph
-/// facts (v3 — see [`crate::callgraph`]) and the names spelled per
+/// facts (v3 — see [`crate::callgraph`]) and the reached `pub` names per
 /// library crate (`reachable-pub`).
 ///
 /// The registry is recovered by lexing its defining file
@@ -101,11 +101,11 @@ pub struct Context {
     /// Workspace call-graph facts by function name (empty in
     /// single-file runs; rules union in a local per-file solve).
     pub facts: BTreeMap<String, FnFacts>,
-    /// The name of every library `pub` item `reachable-pub` checks, with
-    /// the library crates whose files spell it (`""` for a file outside
-    /// every library crate). `None` in single-file runs, where
-    /// `reachable-pub` cannot judge and stays silent.
-    pub named_outside: Option<HashMap<String, BTreeSet<String>>>,
+    /// For each library crate, the names of its `pub` items that
+    /// `reachable-pub` finds reached from outside it. `None` in
+    /// single-file runs, where `reachable-pub` cannot judge and stays
+    /// silent.
+    pub reached: Option<HashMap<String, BTreeSet<String>>>,
 }
 
 impl Context {
@@ -118,7 +118,7 @@ impl Context {
             registered_names: parse_registered_names(&names_src),
             length_sources: BTreeSet::new(),
             facts: BTreeMap::new(),
-            named_outside: None,
+            reached: None,
         })
     }
 
@@ -128,7 +128,7 @@ impl Context {
             registered_names: names.into_iter().collect(),
             length_sources: BTreeSet::new(),
             facts: BTreeMap::new(),
-            named_outside: None,
+            reached: None,
         }
     }
 }

@@ -76,7 +76,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         readers.push(SourceFile::new(walker::rel_path(root, &path), src));
     }
     let mut ctx = Context::from_workspace(root)?;
-    ctx.named_outside = Some(rules::outside_names(files.iter().chain(&readers)));
+    ctx.reached = Some(rules::reached_names(files.iter().chain(&readers)));
     let mut diags = check_files(&files, ctx);
     files.extend(readers);
     diags.extend(rules::unread_names(&files));

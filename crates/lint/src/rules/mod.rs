@@ -45,7 +45,7 @@ pub use wire_magic::WireMagicRegistry;
 
 pub(crate) use counter_registry::{registry_entries, unread_names};
 pub(crate) use hashmap_iter::{hashmap_idents, in_for_header, is_iter_call};
-pub(crate) use reachable_pub::outside_names;
+pub(crate) use reachable_pub::reached_names;
 
 /// A single analysis rule.
 pub trait Rule {

@@ -196,11 +196,11 @@ impl<'a> View<'a> {
         self.code.is_empty()
     }
 
-    pub fn tok(&self, ci: usize) -> &Token {
+    pub fn tok(&self, ci: usize) -> &'a Token {
         &self.file.tokens[self.code[ci]]
     }
 
-    pub fn text(&self, ci: usize) -> &str {
+    pub fn text(&self, ci: usize) -> &'a str {
         self.tok(ci).text(&self.file.src)
     }
 

@@ -13,14 +13,13 @@
 //! handful of full human renderings as goldens.
 
 use compso_lint::{check_file, Context, SourceFile};
-use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Names considered registered while analyzing fixtures. The
 /// `reachable-pub` corpus, whose rule needs a workspace, also gets the
-/// names spelled outside its pretend crate: `encode_frame` by a test or
-/// bin, `FRAME_LIMIT` by another crate, `unreached_helper` only inside
-/// `crates/core/src/` itself.
+/// `pub` names its pretend crate has reached from outside: `encode_frame`
+/// and `FRAME_LIMIT` by name, `Frame` through `encode_frame`'s signature,
+/// `Kind` through a `pub` field of `Frame`.
 fn fixture_context(rule: &str) -> Context {
     let mut ctx = Context::with_names(
         ["comm/recv", "comm/barrier", "kfac/step", "ctrl/decisions"]
@@ -28,15 +27,13 @@ fn fixture_context(rule: &str) -> Context {
             .map(String::from),
     );
     if rule == "reachable-pub" {
-        let named = [
-            ("encode_frame", ""),
-            ("FRAME_LIMIT", "crates/comm/src/"),
-            ("unreached_helper", "crates/core/src/"),
-        ];
-        ctx.named_outside = Some(
-            (named.into_iter())
-                .map(|(name, owner)| (name.to_string(), BTreeSet::from([owner.to_string()])))
-                .collect(),
+        let reached = ["encode_frame", "FRAME_LIMIT", "Frame", "Kind"];
+        ctx.reached = Some(
+            [(
+                "crates/core/src/".to_string(),
+                reached.into_iter().map(String::from).collect(),
+            )]
+            .into(),
         );
     }
     ctx
@@ -206,9 +203,14 @@ fn golden_diagnostic_renderings() {
     let (_, human) = check_fixture(&root.join("reachable-pub/fires.rs"));
     assert_eq!(
         human[0],
-        "crates/core/src/fake_api.rs:11:8: [reachable-pub] `pub fn unreached_helper` is \
-         named nowhere outside crates/core/src/; make it pub(crate) or private, and \
-         delete what rustc then reports unused"
+        "crates/core/src/fake_api.rs:12:8: [reachable-pub] `pub fn unreached_helper` is \
+         named nowhere outside crates/core/src/, nor in the interface of an item that \
+         is; make it pub(crate) or private, and delete what rustc then reports unused"
+    );
+    assert!(
+        human[4]
+            .starts_with("crates/core/src/fake_api.rs:24:12: [reachable-pub] `pub struct Codec`"),
+        "{human:?}"
     );
 }
 

@@ -109,12 +109,16 @@ pub fn sym_eig(m: &Matrix) -> EigenDecomposition {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn sym_eig_avx2(m: &Matrix) -> EigenDecomposition {
+    #[cfg(test)]
+    AVX2_SOLVES.set(AVX2_SOLVES.get() + 1);
     sym_eig_body(m)
 }
 
 /// The solver both instances compile.
 #[inline(always)]
 fn sym_eig_body(m: &Matrix) -> EigenDecomposition {
+    #[cfg(test)]
+    SOLVES.set(SOLVES.get() + 1);
     assert_eq!(m.rows(), m.cols(), "sym_eig needs a square matrix");
     let n = m.rows();
 
@@ -342,6 +346,15 @@ fn extract(diag: &[f64], vt: &[f64]) -> EigenDecomposition {
         }
     }
     EigenDecomposition { values, vectors }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Solves this thread ran, in either body: what a test reads, with
+    /// [`AVX2_SOLVES`], to see which body a solve took.
+    static SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Solves this thread ran in the AVX2 body.
+    static AVX2_SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -699,6 +712,21 @@ mod tests {
                 let _pin = inst.pin();
                 assert_eq!(bits(&sym_eig(m)), want, "{inst:?} at n = {}", m.rows());
             }
+        }
+    }
+
+    #[test]
+    fn a_pinned_instance_runs_its_solver_body() {
+        // On the calling thread, the portable instance solves in the
+        // portable body and the two wide ones in the AVX2 body, once each.
+        let m = random_spd(17, 517);
+        for inst in Instance::ALL.into_iter().filter(|i| i.available()) {
+            let _pin = inst.pin();
+            let before = [SOLVES.get(), AVX2_SOLVES.get()];
+            sym_eig(&m);
+            let ran = [SOLVES.get() - before[0], AVX2_SOLVES.get() - before[1]];
+            let wide = usize::from(inst != Instance::Portable);
+            assert_eq!(ran, [1, wide], "{inst:?} ran [all, avx2] = {ran:?}");
         }
     }
 

@@ -1757,6 +1757,54 @@ mod tests {
     }
 
     #[test]
+    fn every_entry_point_runs_only_the_pinned_instance_tile() {
+        // Each product entry point does all its work as tiles of the
+        // pinned instance's height: one per k-block, strip and panel it
+        // computes (`gram` skips the panels wholly left of each strip's
+        // diagonal). An entry point that computed any part outside `tile`,
+        // or in another instance's body, would log fewer or other tiles.
+        let mut rng = Rng::new(31);
+        let (m, k, n) = (37, KC + 9, 2 * NR + 3);
+        let a = sparse_normal(m, k, &mut rng);
+        let at = sparse_normal(k, m, &mut rng);
+        let b = Matrix::random_normal(k, n, &mut rng);
+        let bt = Matrix::random_normal(n, k, &mut rng);
+        let product = |name: &str| match name {
+            "matmul" => a.matmul(&b),
+            "t_matmul" => at.t_matmul(&b),
+            "matmul_t" => a.matmul_t(&bt),
+            "matmul_t_first" => a.matmul_t_first(&bt, n / 2),
+            _ => at.gram(),
+        };
+        let entry_points = [
+            ("matmul", n, false),
+            ("t_matmul", n, false),
+            ("matmul_t", n, false),
+            ("matmul_t_first", n / 2, false),
+            ("gram", m, true),
+        ];
+        for (inst, mr) in instances()
+            .into_iter()
+            .zip([MR_PORTABLE, MR_AVX2, MR_AVX512])
+        {
+            let _pin = inst.pin();
+            for (name, cols, upper) in entry_points {
+                let panels = cols.div_ceil(NR);
+                let per_block: usize = (0..m.div_ceil(mr))
+                    .map(|s| panels - if upper { s * mr / NR } else { 0 })
+                    .sum();
+                let (runs, _) = tile_runs(|| product(name));
+                assert!(
+                    runs.iter().all(|r| r.mr == mr),
+                    "{name} on {inst:?} ran {runs:?}"
+                );
+                let tiles: usize = runs.iter().map(|r| r.tiles).sum();
+                assert_eq!(tiles, k.div_ceil(KC) * per_block, "{name} on {inst:?}");
+            }
+        }
+    }
+
+    #[test]
     fn entry_points_bit_identical_at_one_two_three_workers() {
         // Past PAR_THRESHOLD in every product, k past KC, nothing a
         // multiple of MR·workers or NR, on each instance: the strip split

@@ -80,30 +80,27 @@ step_end
 
 step_start "what no compiler, lint or test check sees"
 # Each "one X" contract is pinned where it can be tested (DESIGN.md §5,
-# "Contracts and their pins"): lint rules, counter and bit-for-bit tests,
-# and reachable-pub plus dead_code for a deleted fn or const. These come
-# back unflagged: rustc's dead_code stops at `pub` and reachable-pub
-# checks fns, consts and statics by name, so a deleted type or field,
-# or a pricing fn that compso-sim also names, compiles unseen; so do a
+# "Contracts and their pins"): lint rules, counter, tile-log and
+# bit-for-bit tests, and reachable-pub plus dead_code for a deleted fn,
+# const, static or type. These come back unflagged: reachable-pub is
+# keyed on names and checks no field, so a deleted field or knob, a type
+# whose name a live item spells (`Compso`: ctrl's `Family::Compso`), or a
+# pricing fn that compso-sim also names, compiles unseen; so do a
 # sub-byte bit-packer and its unpacker back beside the one code layout
 # under their old names (a test-only caller keeps them alive), a
 # provided trait method, a second thread-local own-frame list, a manifest
 # dependency, an env knob or shim, and a second kernel that is as
-# bit-identical to its oracle as the production one: a GEMM loop, or the
-# scalar chunk compressor (the tests' oracle) called from the staged path
-# or the Quantizer. The lint fixtures and this script are not searched:
-# they spell these names.
+# bit-identical to its oracle as the production one: the scalar chunk
+# compressor (the tests' oracle) called from the staged path or the
+# Quantizer. The lint fixtures and this script are not searched: they
+# spell these names.
 fence() { echo "$1" >&2; exit 1; }
 TRAIT_FNS=$(awk '/^pub trait Compressor/,/^}/' crates/core/src/traits.rs \
   | grep -oE '^    fn [a-z_]+' | awk '{print $2}' | sort | tr '\n' ' ')
 COMPRESS_SRC=$(awk '/^fn compress_chunked_reconstructing/,/^}/' crates/core/src/kernels.rs)
 QUANTIZE_SRC=$(awk '/^    pub\(crate\) fn quantize_with_range/,/^    }/' crates/core/src/quantize.rs)
-GEMM_SRC=$(sed '/^mod tests/,$d' crates/tensor/src/matrix.rs)
-GEMM_MACS=$(grep -E '\+= [a-z_0-9]+(\[[a-z_0-9]+\])? \* [a-z_0-9]+(\[[a-z_0-9]+\])?;' <<<"$GEMM_SRC" \
-  | grep -vcE 'scale \* b;|v \* v;' || true)
-GEMM_COUNTS="$GEMM_MACS:$(grep -cE '^fn tile[<(]' <<<"$GEMM_SRC" || true):$(grep -c ' gemm(' <<<"$GEMM_SRC" || true)"
-grep -rnE --exclude-dir=fixtures 'struct (Compso|Resilience|ControlBlock)\b|ActiveSetting|ThroughputTable|CollectiveKind|OnlineProfiler|DequantTable|TableView|dequantize_codes|pub chunk_elems:|KernelConfig::default\(\)\.chunk_elems|kc\.chunk_elems' \
-  crates src tests examples && fence "a deleted type, field or knob is back"
+grep -rnE --exclude-dir=fixtures 'struct Compso\b|dequantize_codes|pub chunk_elems:|KernelConfig::default\(\)\.chunk_elems|kc\.chunk_elems' \
+  crates src tests examples && fence "a deleted type, fn, field or knob is back"
 grep -rnE 'pack_into|unpack_map|SPLIT_MIN_WIDTH|read_wide_ref' crates src tests examples \
   && fence "a second code layout is back: every chunk's codes reach the coder one byte each"
 grep -rnE 'netmodel|NetworkSpec' crates/comm/src \
@@ -119,8 +116,6 @@ grep -rn 'OWN_FRAMES' crates src tests examples benchmark/src | grep -v '^crates
   && fence "compress_chunked_reconstructing or Quantizer::quantize_with_range not found"
 grep -nE 'filter_chunk|quantize_chunk|serialize_chunk|FilteredChunk|quantize_on_grid' <<<"$COMPRESS_SRC$QUANTIZE_SRC" \
   && fence "the scalar chunk compressor runs in a production body again"
-[ "$GEMM_COUNTS" != 1:1:5 ] \
-  && fence "matrix.rs: multiply-accumulate lines:fn tile:gemm( calls read $GEMM_COUNTS, not 1:1:5"
 step_end
 
 step_start "gradient sync smoke (tests/grad_sync.rs)"

@@ -43,7 +43,7 @@ pub enum Method {
 /// Per-layer error-feedback residual store.
 #[derive(Default)]
 pub struct EfState {
-    residuals: std::collections::HashMap<usize, Matrix>,
+    residuals: std::collections::BTreeMap<usize, Matrix>,
 }
 
 impl EfState {

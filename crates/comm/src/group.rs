@@ -25,7 +25,7 @@ use crate::clock::Clock;
 use crate::fault::FaultPlane;
 use compso_obs::{names, Recorder};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -299,7 +299,7 @@ pub struct Communicator {
     /// Unacknowledged clean copies per destination (fault plane only).
     pub(crate) outbox: Vec<VecDeque<Flight>>,
     /// Out-of-order arrivals per source (fault plane only).
-    pub(crate) stash: Vec<HashMap<u64, Payload>>,
+    pub(crate) stash: Vec<BTreeMap<u64, Payload>>,
     /// Membership frames that arrived inside a data receive, per source:
     /// a peer already in its shrink round may inject a proposal into a
     /// stream we are still reading as collective traffic. Diverting here
@@ -897,7 +897,7 @@ pub(crate) fn build_group_with(size: usize, plane: FaultPlane, config: CommConfi
                 send_seq: vec![0; size],
                 recv_expect: vec![0; size],
                 outbox: (0..size).map(|_| VecDeque::new()).collect(),
-                stash: (0..size).map(|_| HashMap::new()).collect(),
+                stash: (0..size).map(|_| BTreeMap::new()).collect(),
                 membership_stash: (0..size).map(|_| VecDeque::new()).collect(),
                 rejoin_stash: (0..size).map(|_| VecDeque::new()).collect(),
                 barrier_stash: (0..size).map(|_| VecDeque::new()).collect(),

@@ -42,7 +42,7 @@
 //! at the last `Q` float — a frame can never make it allocate more than
 //! the declared (checked) `n` plus one padding row.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::kernels::LayerSchedule;
@@ -76,7 +76,7 @@ struct LayerState {
 pub struct PowerSgd {
     /// Target rank r of the transmitted factors.
     pub rank: usize,
-    state: Mutex<HashMap<u64, LayerState>>,
+    state: Mutex<BTreeMap<u64, LayerState>>,
 }
 
 impl PowerSgd {
@@ -85,7 +85,7 @@ impl PowerSgd {
     pub fn rank(r: usize) -> Self {
         PowerSgd {
             rank: r.max(1),
-            state: Mutex::new(HashMap::new()),
+            state: Mutex::new(BTreeMap::new()),
         }
     }
 

@@ -1803,35 +1803,84 @@ mod tests {
         Instance::ALL.into_iter().filter(|inst| inst.available())
     }
 
+    /// Runs `f` with the kernel log open: its result and the calls it
+    /// logged, with those of any test running beside it.
+    fn logged<T>(f: impl FnOnce() -> T) -> (T, Vec<microkernel::KernelRun>) {
+        *microkernel::KERNEL_RUNS.lock().unwrap() = Some(Vec::new());
+        let out = f();
+        let runs = microkernel::KERNEL_RUNS.lock().unwrap().take().unwrap();
+        (out, runs)
+    }
+
+    /// Per kernel, how many threads ran it for the test that owns `ours`,
+    /// each of those calls asserted to have run `inst`'s body. A call is
+    /// that test's when its thread also ran a logged call on `ours`: the
+    /// calling thread is the test's own, and a worker the shim spawns
+    /// runs only the job it was handed.
+    fn threads_per_kernel(
+        inst: Instance,
+        runs: &[microkernel::KernelRun],
+        ours: &[&[f32]],
+    ) -> std::collections::BTreeMap<&'static str, usize> {
+        let touches =
+            |at: usize| (ours.iter()).any(|v| v.as_ptr_range().contains(&(at as *const f32)));
+        let threads: Vec<_> = (runs.iter())
+            .filter(|r| touches(r.values))
+            .map(|r| r.thread)
+            .collect();
+        let mut by_kernel = std::collections::BTreeMap::<_, Vec<_>>::new();
+        for run in runs.iter().filter(|r| threads.contains(&r.thread)) {
+            assert_eq!(run.inst, inst, "{run:?}");
+            let on = by_kernel.entry(run.kernel).or_default();
+            if !on.contains(&run.thread) {
+                on.push(run.thread);
+            }
+        }
+        by_kernel.into_iter().map(|(k, on)| (k, on.len())).collect()
+    }
+
     #[test]
-    fn a_pinned_instance_runs_its_sr_lanes_on_every_worker() {
-        // `compress_group` reads the instance on the calling thread and
-        // hands it to the chunk workers: at two workers, every SR lane
-        // call over this test's layers, on the calling thread and on the
-        // one the shim spawns, takes the pinned instance's arm. Calls of
-        // tests running beside it are told apart by the values their
-        // lanes read: a conservative config filters nothing, so a lane
-        // reads the layers where they lie. The worker override is
-        // process-wide and other tests set it too, so a run that did not
-        // land on two threads is run again.
+    fn a_pinned_instance_runs_every_logged_kernel_on_both_workers() {
+        // `compress_group` and `decompress_group` read the instance on the
+        // calling thread and hand it to the chunk workers: at two workers,
+        // each kernel a call runs takes the pinned instance's body on the
+        // calling thread and on the one the shim spawns. The conservative
+        // config filters nothing, so its SR lanes read the layers where
+        // they lie and its decode writes the decoded layers in place; the
+        // aggressive config's filter reads the layers. The worker override
+        // is process-wide and other tests set it too, so a run that did
+        // not land on two threads is run again.
         let layers = layers_fixture(23);
         let refs: Vec<&[f32]> = layers.iter().map(|l| l.as_slice()).collect();
-        let ours =
-            |at: usize| (layers.iter()).any(|l| l.as_ptr_range().contains(&(at as *const f32)));
-        let comp = ChunkedCompso::new(CompsoConfig::conservative(2e-3));
+        let (rec, rng) = (Recorder::disabled(), || Rng::new(24));
+        let conservative = ChunkedCompso::new(CompsoConfig::conservative(2e-3));
+        let aggressive = ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+        let both = |kernels: &[&'static str]| kernels.iter().map(|&k| (k, 2)).collect();
+        let (sr, split) = ("quantize_sr_lanes", "split_into");
+        let want = [
+            both(&[sr, split]),
+            both(&["dequantize_into"]),
+            both(&["filter_kernel", sr, split]),
+        ];
         for inst in instances() {
             let _pin = inst.pin();
+            let mut got = Vec::new();
             let two_threads = (0..20).any(|_| {
                 let _guard = rayon::scoped_thread_override(2);
-                *microkernel::SR_RUNS.lock().unwrap() = Some(Vec::new());
-                comp.compress_group(&refs, None, &mut Rng::new(24), &Recorder::disabled());
-                let runs = microkernel::SR_RUNS.lock().unwrap().take().unwrap();
-                let runs: Vec<_> = runs.into_iter().filter(|r| ours(r.values)).collect();
-                assert!(runs.iter().all(|r| r.inst == inst), "{inst:?} ran {runs:?}");
-                let threads: std::collections::HashSet<_> = runs.iter().map(|r| r.thread).collect();
-                threads.len() == 2
+                let compress = |comp: &ChunkedCompso| {
+                    let (frame, runs) =
+                        logged(|| comp.compress_group(&refs, None, &mut rng(), &rec));
+                    (frame, threads_per_kernel(inst, &runs, &refs))
+                };
+                let (frame, coded) = compress(&conservative);
+                let (decoded, runs) =
+                    logged(|| conservative.decompress_group(&frame, &rec).unwrap());
+                let decoded: Vec<&[f32]> = decoded.iter().map(Vec::as_slice).collect();
+                let decoded = threads_per_kernel(inst, &runs, &decoded);
+                got = vec![coded, decoded, compress(&aggressive).1];
+                got == want
             });
-            assert!(two_threads, "no run of {inst:?} spread over two threads");
+            assert!(two_threads, "{inst:?}: threads per kernel {got:?}");
         }
     }
 

@@ -143,6 +143,8 @@ pub fn split_into(
         "split width {width} out of range"
     );
     assert!(inst.available(), "{inst:?} not available on this host");
+    #[cfg(test)]
+    log_run("split_into", at_width(inst, width), codes.as_ptr());
     low.clear();
     low.resize(codes.len(), 0);
     planes.clear();
@@ -497,6 +499,8 @@ impl CodeRecord<'_> {
     /// If `inst` is not available on this host.
     pub fn dequantize_into(&self, inst: Instance, out: &mut [f32]) -> Result<(), WireError> {
         assert!(inst.available(), "{inst:?} not available on this host");
+        #[cfg(test)]
+        log_run("dequantize_into", at_width(inst, self.bits), out.as_ptr());
         let in_range = match at_width(inst, self.bits) {
             #[cfg(target_arch = "x86_64")]
             Instance::Avx2 | Instance::Avx512 => {
@@ -605,6 +609,8 @@ pub fn filter_kernel(
     kept: &mut Vec<f32>,
 ) {
     assert!(inst.available(), "{inst:?} not available on this host");
+    #[cfg(test)]
+    log_run("filter_kernel", inst, data.as_ptr());
     bitmap.clear();
     bitmap.reserve(data.len().div_ceil(8));
     kept.clear();
@@ -809,13 +815,11 @@ pub fn quantize_sr_lanes(inst: Instance, lanes: &mut [SrLane<'_>]) {
     );
     assert!(inst.available(), "{inst:?} not available on this host");
     #[cfg(test)]
-    if let Some(log) = SR_RUNS.lock().expect("SR log").as_mut() {
-        log.push(SrRun {
-            thread: std::thread::current().id(),
-            inst,
-            values: lanes.first().map_or(0, |l| l.kept.as_ptr() as usize),
-        });
-    }
+    log_run(
+        "quantize_sr_lanes",
+        inst,
+        lanes.first().map_or(std::ptr::null(), |l| l.kept.as_ptr()),
+    );
     match inst {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assertion above saw the CPU report AVX-512 F and DQ,
@@ -831,20 +835,37 @@ pub fn quantize_sr_lanes(inst: Instance, lanes: &mut [SrLane<'_>]) {
     }
 }
 
-/// The calls of [`quantize_sr_lanes`] on any thread while a test has the
+/// The calls of [`filter_kernel`], [`quantize_sr_lanes`], [`split_into`]
+/// and [`CodeRecord::dequantize_into`] on any thread while a test has the
 /// log open.
 #[cfg(test)]
-pub(crate) static SR_RUNS: std::sync::Mutex<Option<Vec<SrRun>>> = std::sync::Mutex::new(None);
+pub(crate) static KERNEL_RUNS: std::sync::Mutex<Option<Vec<KernelRun>>> =
+    std::sync::Mutex::new(None);
 
-/// One call of [`quantize_sr_lanes`]: its thread, the instance whose arm
-/// it took, and the address of its first lane's first value, which tells
-/// one test's calls from another's.
+/// One call of a logged kernel: its name, its thread, the instance whose
+/// body it ran, and the address of the values it reads or writes (the
+/// filter's input, the first SR lane's kept values, the split's codes,
+/// the dequantize's output), which tells one test's calls from another's.
 #[cfg(test)]
 #[derive(Debug)]
-pub(crate) struct SrRun {
+pub(crate) struct KernelRun {
+    pub(crate) kernel: &'static str,
     pub(crate) thread: std::thread::ThreadId,
     pub(crate) inst: Instance,
     pub(crate) values: usize,
+}
+
+/// Logs a call of `kernel` where a test has opened [`KERNEL_RUNS`].
+#[cfg(test)]
+fn log_run<T>(kernel: &'static str, inst: Instance, values: *const T) {
+    if let Some(log) = KERNEL_RUNS.lock().expect("kernel log").as_mut() {
+        log.push(KernelRun {
+            kernel,
+            thread: std::thread::current().id(),
+            inst,
+            values: values as usize,
+        });
+    }
 }
 
 /// The AVX2 body of [`quantize_sr_lanes`]: each four lanes in one

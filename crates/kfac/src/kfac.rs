@@ -14,7 +14,7 @@
 
 use compso_dnn::{KfacStats, Sequential};
 use compso_tensor::{sym_eig, Cholesky, EigenDecomposition, Matrix};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How the damped Fisher factors are inverted (§2.2: KAISA "employs an
 /// alternate implicit inversion method for FIM").
@@ -161,7 +161,7 @@ pub(crate) fn precondition_implicit(grad: &Matrix, chol_a: &Cholesky, chol_g: &C
 pub struct Kfac {
     /// Hyperparameters.
     pub config: KfacConfig,
-    states: HashMap<usize, LayerState>,
+    states: BTreeMap<usize, LayerState>,
 }
 
 impl Kfac {
@@ -169,7 +169,7 @@ impl Kfac {
     pub fn new(config: KfacConfig) -> Self {
         Kfac {
             config,
-            states: HashMap::new(),
+            states: BTreeMap::new(),
         }
     }
 
@@ -320,9 +320,7 @@ impl Kfac {
     /// Layer indices with factor state, sorted ascending (a deterministic
     /// iteration order for checkpoint serialization).
     pub(crate) fn state_indices(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = self.states.keys().copied().collect();
-        idx.sort_unstable();
-        idx
+        self.states.keys().copied().collect()
     }
 
     /// Exports one layer's complete factor state — running covariances,

@@ -6,12 +6,12 @@
 //! function and records a [`FnSummary`]: the set of callee names it
 //! mentions (`ident (` pairs — method calls and free calls look the same
 //! at token level), which *impurity sources* it touches directly
-//! (wall-clock reads, RNG, `HashMap` iteration), whether it names a
-//! collective, and whether it is a length-source (PR 8's definition).
-//! Pass 2 ([`solve`]) merges the summaries into a name-keyed graph and
-//! runs a monotone fixpoint:
+//! (wall-clock reads, RNG), whether it names a collective, and whether
+//! it is a length source (`unchecked-length-prefix`'s definition). Pass 2
+//! ([`solve`]) merges the summaries into a name-keyed graph and runs a
+//! monotone fixpoint:
 //!
-//! - `impure`: a bitmask of [`CLOCK`]/[`RNG`]/[`MAP_ITER`], OR-folded
+//! - `impure`: a bitmask of [`CLOCK`]/[`RNG`], OR-folded
 //!   over callees — except through *allowlisted* functions (audited
 //!   transport deadlines/backoff, see
 //!   [`crate::rules::determinism_allow`]), whose impurity is pinned to
@@ -31,8 +31,13 @@
 //! is the sound direction for every consumer: more reachability can only
 //! add findings, never hide one, and audited `lint:allow` carries the
 //! precision back. Test code never contributes summaries.
+//!
+//! Every run solves once, over the set it checks
+//! ([`crate::engine::check_files`]), and the rules read the result from
+//! the [`crate::engine::Context`]. A one-file set is that file's own
+//! solve, which is how fixtures and the rules' unit tests see
+//! transitivity within a file.
 
-use crate::engine::Context;
 use crate::lexer::TokenKind;
 use crate::rules::{determinism_allow, is_critical_root, View, COLLECTIVES};
 use crate::source::{FnSpan, SourceFile};
@@ -40,20 +45,16 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
 /// Impurity kind: reads the wall clock (`Instant::now`, `SystemTime`).
-pub const CLOCK: u8 = 1;
+pub(crate) const CLOCK: u8 = 1;
 /// Impurity kind: nondeterministic randomness (`thread_rng`, `OsRng`…).
-pub const RNG: u8 = 2;
-/// Impurity kind: iterates a `HashMap` (order is per-process random).
-pub const MAP_ITER: u8 = 4;
+pub(crate) const RNG: u8 = 2;
 
 /// Human name for the lowest set impurity bit (diagnostics).
-pub fn impurity_name(mask: u8) -> &'static str {
+pub(crate) fn impurity_name(mask: u8) -> &'static str {
     if mask & CLOCK != 0 {
         "wall-clock read"
     } else if mask & RNG != 0 {
         "nondeterministic RNG"
-    } else if mask & MAP_ITER != 0 {
-        "HashMap iteration order"
     } else {
         "impurity"
     }
@@ -65,7 +66,7 @@ pub struct FnSummary {
     pub name: String,
     /// Names this function mentions in call position (`ident (`).
     pub callees: BTreeSet<String>,
-    /// Direct impurity sources in the body (CLOCK | RNG | MAP_ITER).
+    /// Direct impurity sources in the body (CLOCK | RNG).
     pub direct_impure: u8,
     /// PR 8 length-source: returns an unclamped wire-read length.
     pub length_source: bool,
@@ -80,7 +81,7 @@ pub struct FileSummaries {
 }
 
 /// Transitive facts for one function name after [`solve`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct FnFacts {
     /// Reachable impurity kinds (cut at allowlisted functions).
     pub impure: u8,
@@ -93,7 +94,7 @@ pub struct FnFacts {
 }
 
 /// One direct impurity site in a file: `(code-token index, kind)`.
-pub struct ImpuritySite {
+pub(crate) struct ImpuritySite {
     pub ci: usize,
     pub kind: u8,
 }
@@ -117,13 +118,9 @@ const CLOSURE_AFTER: &[&str] = &["(", ",", "=", "{", ";", ">", ":", "move", "ret
 ///
 /// - `Instant :: now` / `SystemTime :: now` → [`CLOCK`] (at the type
 ///   ident, so the diagnostic points at the read);
-/// - an RNG identifier ([`RNG_IDENTS`]) → [`RNG`];
-/// - an iteration call or `for`-header use of a `HashMap`-typed
-///   identifier → [`MAP_ITER`] (same detection the
-///   `nondeterministic-wire-iteration` rule uses, but in any function).
-pub fn impurity_sites(v: &View) -> Vec<ImpuritySite> {
+/// - an RNG identifier ([`RNG_IDENTS`]) → [`RNG`].
+pub(crate) fn impurity_sites(v: &View) -> Vec<ImpuritySite> {
     let mut out = Vec::new();
-    let maps = crate::rules::hashmap_idents(v);
     for ci in 0..v.len() {
         if v.file.in_test(v.tok(ci).start) {
             continue;
@@ -137,10 +134,6 @@ pub fn impurity_sites(v: &View) -> Vec<ImpuritySite> {
             out.push(ImpuritySite { ci, kind: CLOCK });
         } else if RNG_IDENTS.contains(&text) {
             out.push(ImpuritySite { ci, kind: RNG });
-        } else if maps.contains(text)
-            && (crate::rules::is_iter_call(v, ci) || crate::rules::in_for_header(v, ci))
-        {
-            out.push(ImpuritySite { ci, kind: MAP_ITER });
         }
     }
     out
@@ -400,42 +393,6 @@ pub fn solve(files: &[FileSummaries]) -> BTreeMap<String, FnFacts> {
         .collect()
 }
 
-/// Rule-side view over facts: the file's own local solve unioned with
-/// the workspace-wide solve from the engine [`Context`]. Single-file
-/// entry points (fixtures, direct `check_file`) still get intra-file
-/// transitivity; workspace runs see the full graph.
-pub struct Facts<'a> {
-    local: BTreeMap<String, FnFacts>,
-    global: &'a BTreeMap<String, FnFacts>,
-}
-
-impl Facts<'_> {
-    /// Union of the local and global facts for `name`.
-    pub fn get(&self, name: &str) -> FnFacts {
-        let mut out = self.local.get(name).cloned().unwrap_or_default();
-        if let Some(g) = self.global.get(name) {
-            out.impure |= g.impure;
-            out.collective |= g.collective;
-            out.length_source |= g.length_source;
-            out.roots.extend(g.roots.iter().cloned());
-        }
-        out
-    }
-
-    pub fn collective(&self, name: &str) -> bool {
-        self.local.get(name).is_some_and(|f| f.collective)
-            || self.global.get(name).is_some_and(|f| f.collective)
-    }
-}
-
-/// Build the merged facts view for one file under `ctx`.
-pub fn file_facts<'a>(file: &SourceFile, ctx: &'a Context) -> Facts<'a> {
-    Facts {
-        local: solve(&[summarize(file)]),
-        global: &ctx.facts,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,18 +538,5 @@ mod tests {
         ] {
             assert!(facts[global].collective, "{global} calls the global `step`");
         }
-    }
-
-    #[test]
-    fn hashmap_iteration_is_an_impurity_source() {
-        let f = sf(
-            "crates/ckpt/src/x.rs",
-            "fn snapshot(m: HashMap<u32, u32>) -> Vec<u8> {\n\
-                 let mut out = Vec::new();\n\
-                 for (k, v) in m.iter() { out.push(*k as u8); }\n\
-                 out\n}\n",
-        );
-        let facts = solve(&[summarize(&f)]);
-        assert_eq!(facts["snapshot"].impure & MAP_ITER, MAP_ITER);
     }
 }

@@ -12,12 +12,12 @@
 use crate::callgraph::{self, FileSummaries, FnFacts};
 use crate::rules::{registry_entries, rule_names, View, RULES};
 use crate::source::SourceFile;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// The rule name used for suppression-hygiene findings.
-pub const SUPPRESSION_HYGIENE: &str = "suppression-hygiene";
+pub(crate) const SUPPRESSION_HYGIENE: &str = "suppression-hygiene";
 
 /// One finding, pointing at a workspace-relative `path:line:col`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,21 +98,21 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
 pub struct Context {
     pub registered_names: BTreeSet<String>,
     pub length_sources: BTreeSet<String>,
-    /// Workspace call-graph facts by function name (empty in
-    /// single-file runs; rules union in a local per-file solve).
+    /// Call-graph facts by function name, solved once over the checked
+    /// set by [`check_files`].
     pub facts: BTreeMap<String, FnFacts>,
     /// For each library crate, the names of its `pub` items that
     /// `reachable-pub` finds reached from outside it. `None` in
     /// single-file runs, where `reachable-pub` cannot judge and stays
     /// silent.
-    pub reached: Option<HashMap<String, BTreeSet<String>>>,
+    pub reached: Option<BTreeMap<String, BTreeSet<String>>>,
 }
 
 impl Context {
     /// Build the context from a workspace root on disk. Length sources
     /// and call-graph facts start empty; [`check_files`] fills them in
     /// from the summary pre-pass.
-    pub fn from_workspace(root: &Path) -> std::io::Result<Context> {
+    pub(crate) fn from_workspace(root: &Path) -> std::io::Result<Context> {
         let names_src = std::fs::read_to_string(root.join("crates/obs/src/names.rs"))?;
         Ok(Context {
             registered_names: parse_registered_names(&names_src),
@@ -135,7 +135,7 @@ impl Context {
 
 /// Extract every `const IDENT: &str = "value";` string from a source
 /// file (token-based, so comments and test strings don't leak in).
-pub fn parse_registered_names(src: &str) -> BTreeSet<String> {
+pub(crate) fn parse_registered_names(src: &str) -> BTreeSet<String> {
     let f = SourceFile::new("names.rs".into(), src.to_string());
     let v = View::new(&f);
     let entries = registry_entries(&v);
@@ -148,7 +148,7 @@ pub fn parse_registered_names(src: &str) -> BTreeSet<String> {
 /// Run every applicable rule over `file`, apply suppressions, and
 /// append suppression-hygiene findings. Scope comes from the rule
 /// table; a file no rule covers yields only hygiene findings.
-pub fn check_file(file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
+fn check_file(file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
     let mut raw = Vec::new();
     for spec in RULES {
         if spec.applies_to(&file.path) {
@@ -249,19 +249,21 @@ mod tests {
         // A rule the table no longer has is as unknown as one it never had.
         let src = "// lint:allow(no-such-rule): whatever\n\
                    // lint:allow(swallowed-comm-error): clippy holds this now\n\
+                   // lint:allow(nondeterministic-wire-iteration): so does this\n\
                    // lint:allow(collective-order)\n\
                    fn f() {}\n";
         let f = SourceFile::new("crates/comm/src/x.rs".into(), src.into());
-        let ctx = Context::with_names(Vec::new());
-        let mut out = Vec::new();
-        check_file(&f, &ctx, &mut out);
-        assert_eq!(out.len(), 3, "{out:?}");
+        let out = check_files(&[f], Context::with_names(Vec::new()));
+        assert_eq!(out.len(), 4, "{out:?}");
         assert!(out.iter().all(|d| d.rule == SUPPRESSION_HYGIENE));
         assert!(out[0].message.contains("no-such-rule"));
-        assert!(out[1]
-            .message
-            .contains("unknown rule `swallowed-comm-error`"));
-        assert!(out[2].message.contains("without a reason"));
+        for (d, retired) in out[1..3]
+            .iter()
+            .zip(["swallowed-comm-error", "nondeterministic-wire-iteration"])
+        {
+            assert!(d.message.contains(&format!("unknown rule `{retired}`")));
+        }
+        assert!(out[3].message.contains("without a reason"));
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl Token {
     }
 
     /// True for trivia (whitespace and comments) that rules skip over.
-    pub fn is_trivia(&self) -> bool {
+    pub(crate) fn is_trivia(&self) -> bool {
         matches!(
             self.kind,
             TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment

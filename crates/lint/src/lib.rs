@@ -5,9 +5,10 @@
 //! functions must stay deterministic, and which calls synchronize every
 //! rank. (The fallible comm path is clippy's: compso-comm and compso-kfac
 //! warn on `unwrap_used`, `expect_used` and `let_underscore_must_use`
-//! outside tests.) This crate is a std-only analyzer (no `syn`, no
-//! registry deps — the build environment is offline) built from these
-//! layers:
+//! outside tests. So is iteration order: the root `clippy.toml` disallows
+//! `HashMap` and `HashSet` in every target.) This crate is a std-only
+//! analyzer (no `syn`, no registry deps — the build environment is
+//! offline) built from these layers:
 //!
 //! - [`lexer`] — a real Rust lexer whose token spans exactly tile every
 //!   input file (property-tested over the whole workspace);
@@ -23,7 +24,9 @@
 //!   suppression hygiene, and deterministic file discovery.
 //!
 //! Every run is one cold pass ([`check_workspace`]): lex each file,
-//! summarize it, solve the call graph once, run the rule table. The
+//! summarize it, solve the call graph once, run the rule table.
+//! [`check_files`] is that pass over any file set, and a fixture is a
+//! one-file set, so its call graph is solved over that file alone. The
 //! binary (`cargo run -p compso-lint`) does that over the workspace and
 //! in `--deny` mode exits non-zero on any finding — wired into
 //! `scripts/ci.sh`. Fixture corpora under `fixtures/` pin each rule's
@@ -36,7 +39,7 @@ pub mod rules;
 pub mod source;
 pub mod walker;
 
-pub use engine::{check_file, check_files, to_json, Context, Diagnostic};
+pub use engine::{check_files, to_json, Context, Diagnostic};
 pub use source::SourceFile;
 
 use std::path::Path;
@@ -47,7 +50,7 @@ use std::path::Path;
 /// subtree (its rule tables spell out the byte ranges and name shapes
 /// they hunt for, and its fixtures contain deliberate violations). The
 /// lexer tiling property still covers excluded files.
-pub fn rules_apply_to(rel_path: &str) -> bool {
+pub(crate) fn rules_apply_to(rel_path: &str) -> bool {
     !rules::GLOBAL_EXCLUDE
         .iter()
         .any(|p| rel_path.starts_with(p))

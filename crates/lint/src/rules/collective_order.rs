@@ -27,13 +27,12 @@
 //! branch>`.
 
 use super::{Rule, View, COLLECTIVES};
-use crate::callgraph::file_facts;
 use crate::engine::{Context, Diagnostic};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 use std::ops::Range;
 
-pub struct CollectiveOrder;
+pub(crate) struct CollectiveOrder;
 
 const NAME: &str = "collective-order";
 
@@ -56,7 +55,6 @@ impl Rule for CollectiveOrder {
 
     fn check(&self, file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
         let v = View::new(file);
-        let facts = file_facts(file, ctx);
         for f in &file.fns {
             if f.body.is_empty() || file.in_test(f.body.start) {
                 continue;
@@ -93,7 +91,7 @@ impl Rule for CollectiveOrder {
                                 f.name
                             ),
                         ));
-                    } else if facts.collective(callee) {
+                    } else if reaches_collective(ctx, callee) {
                         out.push(v.diag(
                             NAME,
                             ci,
@@ -111,7 +109,7 @@ impl Rule for CollectiveOrder {
                 let Some(ret) = saw_return else {
                     continue;
                 };
-                if let Some(after) = first_collective_after(&v, chain.end..body.end, &facts) {
+                if let Some(after) = first_collective_after(&v, chain.end..body.end, ctx) {
                     out.push(v.diag(
                         NAME,
                         ret,
@@ -186,30 +184,29 @@ fn if_chain(v: &View, at: usize) -> Option<(usize, usize, bool)> {
     }
 }
 
+/// Does `name` issue a collective transitively (call-graph facts)?
+fn reaches_collective(ctx: &Context, name: &str) -> bool {
+    ctx.facts.get(name).is_some_and(|f| f.collective)
+}
+
 /// The first token in `span` holding a collective call (direct or via
 /// facts), if any.
-fn first_collective_after(
-    v: &View,
-    span: Range<usize>,
-    facts: &crate::callgraph::Facts<'_>,
-) -> Option<usize> {
+fn first_collective_after(v: &View, span: Range<usize>, ctx: &Context) -> Option<usize> {
     span.into_iter().find(|&ci| {
         v.kind(ci) == TokenKind::Ident
             && v.is_punct(ci + 1, "(")
-            && (COLLECTIVES.contains(&v.text(ci)) || facts.collective(v.text(ci)))
+            && (COLLECTIVES.contains(&v.text(ci)) || reaches_collective(ctx, v.text(ci)))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::check_file;
+    use crate::engine::check_files;
 
     fn diags(path: &str, src: &str) -> Vec<Diagnostic> {
         let f = SourceFile::new(path.into(), src.into());
-        let ctx = Context::with_names(Vec::new());
-        let mut out = Vec::new();
-        check_file(&f, &ctx, &mut out);
+        let mut out = check_files(&[f], Context::with_names(Vec::new()));
         out.retain(|d| d.rule == NAME);
         out
     }

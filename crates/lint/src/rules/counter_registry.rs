@@ -36,7 +36,7 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 use std::collections::BTreeSet;
 
-pub struct CounterRegistry;
+pub(crate) struct CounterRegistry;
 
 const NAME: &str = "counter-registry";
 

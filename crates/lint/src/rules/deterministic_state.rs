@@ -10,7 +10,7 @@
 //! `observe` breaks replicas just as surely as one in `observe` itself.
 //!
 //! The rule fires **at the impurity site** (the clock read, the RNG
-//! call, the HashMap iteration), naming the critical root whose call
+//! call), naming the critical root whose call
 //! cone reaches it — so a legitimate site can carry an inline
 //! `lint:allow(deterministic-state): reason` right where the claim is
 //! made. Reachability comes from the workspace call graph
@@ -24,11 +24,11 @@
 //! `recv_timeout(` wait) fires whether or not a root reaches it.
 
 use super::{determinism_allow, Rule, View, CLOCK_MODULE};
-use crate::callgraph::{file_facts, impurity_name, impurity_sites, CLOCK};
+use crate::callgraph::{impurity_name, impurity_sites, CLOCK};
 use crate::engine::{Context, Diagnostic};
 use crate::source::SourceFile;
 
-pub struct DeterministicState;
+pub(crate) struct DeterministicState;
 
 const NAME: &str = "deterministic-state";
 
@@ -44,12 +44,7 @@ impl Rule for DeterministicState {
         for ci in (0..v.len()).filter(|&ci| one_clock && is_wait(&v, ci)) {
             out.push(v.diag(NAME, ci, msg.clone()));
         }
-        let sites = impurity_sites(&v);
-        if sites.is_empty() {
-            return;
-        }
-        let facts = file_facts(file, ctx);
-        for site in sites {
+        for site in impurity_sites(&v) {
             if one_clock && site.kind == CLOCK {
                 out.push(v.diag(NAME, site.ci, msg.clone()));
                 continue;
@@ -61,8 +56,10 @@ impl Rule for DeterministicState {
             if determinism_allow(&file.path, &f.name).is_some() {
                 continue;
             }
-            let roots = facts.get(&f.name).roots;
-            let Some(root) = roots.iter().next() else {
+            let Some(roots) = ctx.facts.get(&f.name).map(|f| &f.roots) else {
+                continue;
+            };
+            let Some(root) = roots.first() else {
                 continue; // not reachable from any critical root
             };
             out.push(v.diag(
@@ -97,13 +94,11 @@ fn is_wait(v: &View, ci: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::check_file;
+    use crate::engine::check_files;
 
     fn diags(path: &str, src: &str) -> Vec<Diagnostic> {
         let f = SourceFile::new(path.into(), src.into());
-        let ctx = Context::with_names(Vec::new());
-        let mut out = Vec::new();
-        check_file(&f, &ctx, &mut out);
+        let mut out = check_files(&[f], Context::with_names(Vec::new()));
         out.retain(|d| d.rule == NAME);
         out
     }

@@ -26,7 +26,7 @@ use crate::engine::{Context, Diagnostic};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
-pub struct InstanceSelection;
+pub(crate) struct InstanceSelection;
 
 const NAME: &str = "instance-selection";
 
@@ -158,13 +158,12 @@ fn pattern<'v>(v: &'v View, eq: usize) -> Vec<&'v str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::check_file;
+    use crate::engine::check_files;
 
     fn lines(src: &str) -> Vec<usize> {
         let f = SourceFile::new("crates/tensor/src/x.rs".into(), src.into());
-        let mut out = Vec::new();
-        check_file(&f, &Context::with_names(Vec::new()), &mut out);
-        out.iter()
+        check_files(&[f], Context::with_names(Vec::new()))
+            .iter()
             .filter(|d| d.rule == NAME)
             .map(|d| d.line)
             .collect()

@@ -31,11 +31,10 @@
 //! ([`collect_length_sources`]) finds every function whose signature
 //! returns an integer width, whose body reads `.u32()`/`.u64()`, and
 //! whose body contains *no* guard marker: its return value is an
-//! unclamped wire length. The engine unions these names workspace-wide
-//! into [`Context::length_sources`]; pass 2 treats a call to any such
+//! unclamped wire length. The engine unions these names over the checked
+//! set into [`Context::length_sources`]; pass 2 treats a call to any such
 //! function exactly like a direct `.u32()` read when tainting a `let`
-//! binding. Same-file sources are folded in even when the rule runs on
-//! a single file (fixtures, `check_file`).
+//! binding.
 
 use super::{Rule, View};
 use crate::engine::{Context, Diagnostic};
@@ -44,7 +43,7 @@ use crate::source::SourceFile;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-pub struct UncheckedLengthPrefix;
+pub(crate) struct UncheckedLengthPrefix;
 
 const NAME: &str = "unchecked-length-prefix";
 
@@ -55,11 +54,7 @@ impl Rule for UncheckedLengthPrefix {
 
     fn check(&self, file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
         let v = View::new(file);
-        // Workspace-wide length sources plus this file's own: the
-        // single-file entry points (fixtures, direct check_file) still
-        // see intra-file cross-function taint.
-        let mut sources = ctx.length_sources.clone();
-        sources.extend(collect_length_sources(file));
+        let sources = &ctx.length_sources;
         for f in &file.fns {
             if f.body.is_empty() || file.in_test(f.body.start) {
                 continue;
@@ -69,7 +64,7 @@ impl Rule for UncheckedLengthPrefix {
             if sources.contains(&f.name) {
                 continue;
             }
-            check_body(&v, f.body_tokens.clone(), &sources, out);
+            check_body(&v, f.body_tokens.clone(), sources, out);
         }
     }
 }
@@ -80,7 +75,7 @@ impl Rule for UncheckedLengthPrefix {
 /// `Result<…>`), body calls `.u32()`/`.u64()`, and no guard marker
 /// appears anywhere in the body. Callers must treat these like direct
 /// wire reads. Test code never contributes sources.
-pub fn collect_length_sources(file: &SourceFile) -> Vec<String> {
+pub(crate) fn collect_length_sources(file: &SourceFile) -> Vec<String> {
     let v = View::new(file);
     let mut out = Vec::new();
     for f in &file.fns {

@@ -9,8 +9,8 @@
 //!
 //! v3 moved all scoping out of the rule bodies and into data:
 //!
-//! - [`RULES`] — one [`RuleSpec`] per rule: include/exclude path
-//!   prefixes, constructor. The engine consults `applies_to`
+//! - [`RULES`] — one [`RuleSpec`] per rule: include path prefixes,
+//!   constructor. The engine consults `applies_to`
 //!   before running a rule on a file, so rules no longer hard-code
 //!   their own path checks or self-exclusion carve-outs.
 //! - [`GLOBAL_EXCLUDE`] — paths no rule ever runs on (the analyzer
@@ -23,28 +23,25 @@
 
 use crate::engine::{Context, Diagnostic, SUPPRESSION_HYGIENE};
 use crate::source::SourceFile;
-pub use crate::source::View;
+pub(crate) use crate::source::View;
 
 mod collective_order;
 mod counter_registry;
 mod deterministic_state;
-mod hashmap_iter;
 mod instance_selection;
-pub mod length_prefix;
+pub(crate) mod length_prefix;
 mod reachable_pub;
 mod wire_magic;
 
-pub use collective_order::CollectiveOrder;
-pub use counter_registry::CounterRegistry;
-pub use deterministic_state::DeterministicState;
-pub use hashmap_iter::NondeterministicWireIteration;
-pub use instance_selection::InstanceSelection;
-pub use length_prefix::UncheckedLengthPrefix;
-pub use reachable_pub::ReachablePub;
-pub use wire_magic::WireMagicRegistry;
+use collective_order::CollectiveOrder;
+use counter_registry::CounterRegistry;
+use deterministic_state::DeterministicState;
+use instance_selection::InstanceSelection;
+use length_prefix::UncheckedLengthPrefix;
+use reachable_pub::ReachablePub;
+use wire_magic::WireMagicRegistry;
 
 pub(crate) use counter_registry::{registry_entries, unread_names};
-pub(crate) use hashmap_iter::{hashmap_idents, in_for_header, is_iter_call};
 pub(crate) use reachable_pub::reached_names;
 
 /// A single analysis rule.
@@ -60,18 +57,13 @@ pub struct RuleSpec {
     pub name: &'static str,
     /// Path prefixes the rule is confined to; empty = whole workspace.
     pub include: &'static [&'static str],
-    /// Path prefixes excluded on top of [`GLOBAL_EXCLUDE`].
-    pub exclude: &'static [&'static str],
     make: fn() -> Box<dyn Rule>,
 }
 
 impl RuleSpec {
     /// Does this rule run on `path` (workspace-relative, `/`-separated)?
-    pub fn applies_to(&self, path: &str) -> bool {
+    pub(crate) fn applies_to(&self, path: &str) -> bool {
         if GLOBAL_EXCLUDE.iter().any(|p| path.starts_with(p)) {
-            return false;
-        }
-        if self.exclude.iter().any(|p| path.starts_with(p)) {
             return false;
         }
         self.include.is_empty() || self.include.iter().any(|p| path.starts_with(p))
@@ -83,45 +75,34 @@ impl RuleSpec {
 }
 
 /// Paths no rule ever runs on: the analyzer's own sources and fixtures.
-pub const GLOBAL_EXCLUDE: &[&str] = &["crates/lint/"];
+pub(crate) const GLOBAL_EXCLUDE: &[&str] = &["crates/lint/"];
 
 /// The rule table, in catalogue order (DESIGN.md §11.2).
 pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         name: "wire-magic-registry",
         include: &[],
-        exclude: &[],
         make: || Box::new(WireMagicRegistry),
     },
     RuleSpec {
         name: "unchecked-length-prefix",
         include: &[],
-        exclude: &[],
         make: || Box::new(UncheckedLengthPrefix),
     },
     RuleSpec {
         name: "counter-registry",
         include: &[],
-        exclude: &[],
         make: || Box::new(CounterRegistry),
-    },
-    RuleSpec {
-        name: "nondeterministic-wire-iteration",
-        include: &[],
-        exclude: &[],
-        make: || Box::new(NondeterministicWireIteration),
     },
     RuleSpec {
         name: "collective-order",
         // Deadlocks need a group: only comm/kfac issue collectives.
         include: &["crates/comm/src/", "crates/kfac/src/"],
-        exclude: &[],
         make: || Box::new(CollectiveOrder),
     },
     RuleSpec {
         name: "deterministic-state",
         include: &[],
-        exclude: &[],
         make: || Box::new(DeterministicState),
     },
     RuleSpec {
@@ -129,27 +110,25 @@ pub const RULES: &[RuleSpec] = &[
         // Only library crates' `src/` has items to check (`library_of`);
         // every other file is a reader.
         include: &[],
-        exclude: &[],
         make: || Box::new(ReachablePub),
     },
     RuleSpec {
         name: "instance-selection",
         include: &[],
-        exclude: &[],
         make: || Box::new(InstanceSelection),
     },
 ];
 
 /// Rule names valid in `lint:allow(...)`: the table's, then the hygiene
 /// rule's.
-pub fn rule_names() -> impl Iterator<Item = &'static str> {
+pub(crate) fn rule_names() -> impl Iterator<Item = &'static str> {
     RULES.iter().map(|r| r.name).chain([SUPPRESSION_HYGIENE])
 }
 
 /// The workspace's collective-call vocabulary: a call to any of these
 /// names is a synchronization point every rank must reach in the same
 /// order (`crates/comm/src/collectives.rs` + `CommGroup`).
-pub const COLLECTIVES: &[&str] = &[
+pub(crate) const COLLECTIVES: &[&str] = &[
     "allreduce_sum",
     "allreduce_mean",
     "reduce_scatter_sum",
@@ -164,7 +143,7 @@ pub const COLLECTIVES: &[&str] = &[
 /// A determinism-critical root: replicas must compute bit-identical
 /// state through this function, so no impurity source may be reachable
 /// from it (outside the audited allowlist).
-pub struct CriticalRoot {
+pub(crate) struct CriticalRoot {
     pub path_prefix: &'static str,
     pub fn_name: &'static str,
     /// `fn_name` is a prefix match (`encode*`) instead of exact.
@@ -174,7 +153,7 @@ pub struct CriticalRoot {
 /// The determinism-critical roots (ISSUE/DESIGN.md §11.3): controller
 /// decisions, wire codecs, checkpoint snapshot/restore, and the
 /// distributed step itself. Matching is `(defining path, fn name)`.
-pub const CRITICAL_ROOTS: &[CriticalRoot] = &[
+pub(crate) const CRITICAL_ROOTS: &[CriticalRoot] = &[
     // Controller: every rank replays identical decisions without
     // consensus.
     CriticalRoot {
@@ -259,7 +238,7 @@ pub const CRITICAL_ROOTS: &[CriticalRoot] = &[
 ];
 
 /// Does `(path, fn_name)` match a critical root?
-pub fn is_critical_root(path: &str, fn_name: &str) -> bool {
+pub(crate) fn is_critical_root(path: &str, fn_name: &str) -> bool {
     CRITICAL_ROOTS.iter().any(|r| {
         path.starts_with(r.path_prefix)
             && if r.prefix {
@@ -272,7 +251,7 @@ pub fn is_critical_root(path: &str, fn_name: &str) -> bool {
 
 /// compso-comm's one reader of time: `deterministic-state` fires on a
 /// time read anywhere else in `crates/comm/src/`.
-pub const CLOCK_MODULE: &str = "crates/comm/src/clock.rs";
+pub(crate) const CLOCK_MODULE: &str = "crates/comm/src/clock.rs";
 
 /// Audited allowlist for `deterministic-state`, keyed by (defining file,
 /// fn name): the functions where a wall-clock read is *legitimate*.
@@ -285,7 +264,7 @@ pub const CLOCK_MODULE: &str = "crates/comm/src/clock.rs";
 /// behind the function. A same-named function in any other file is not
 /// covered, and the name-keyed graph node it merges into loses the
 /// exemption.
-pub const DETERMINISM_ALLOWLIST: &[(&str, &str, &str)] = &[
+pub(crate) const DETERMINISM_ALLOWLIST: &[(&str, &str, &str)] = &[
     (
         CLOCK_MODULE,
         "now",
@@ -300,7 +279,7 @@ pub const DETERMINISM_ALLOWLIST: &[(&str, &str, &str)] = &[
 
 /// Allowlist lookup: `Some(audit reason)` when `fn_name` defined in
 /// `path` is covered.
-pub fn determinism_allow(path: &str, fn_name: &str) -> Option<&'static str> {
+pub(crate) fn determinism_allow(path: &str, fn_name: &str) -> Option<&'static str> {
     DETERMINISM_ALLOWLIST
         .iter()
         .find(|(p, n, _)| *p == path && *n == fn_name)

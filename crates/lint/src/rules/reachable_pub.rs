@@ -36,10 +36,10 @@ use super::{Rule, View};
 use crate::engine::{Context, Diagnostic};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-pub struct ReachablePub;
+pub(crate) struct ReachablePub;
 
 const NAME: &str = "reachable-pub";
 
@@ -188,7 +188,7 @@ fn library_of(path: &str) -> Option<&str> {
 /// that spell an item's name, then the exemption to a fixed point.
 pub(crate) fn reached_names<'a>(
     files: impl IntoIterator<Item = &'a SourceFile> + Clone,
-) -> HashMap<String, BTreeSet<String>> {
+) -> BTreeMap<String, BTreeSet<String>> {
     let mut items = Vec::new();
     for f in files.clone() {
         if let Some(lib) = library_of(&f.path) {
@@ -199,7 +199,7 @@ pub(crate) fn reached_names<'a>(
             }
         }
     }
-    let mut owners: HashMap<&str, BTreeSet<&str>> =
+    let mut owners: BTreeMap<&str, BTreeSet<&str>> =
         items.iter().map(|i| (i.1, BTreeSet::new())).collect();
     for f in files {
         let owner = library_of(&f.path).unwrap_or_default();
@@ -209,8 +209,9 @@ pub(crate) fn reached_names<'a>(
             }
         }
     }
-    let types: HashSet<(&str, &str)> = (items.iter().filter(|i| i.2)).map(|i| (i.0, i.1)).collect();
-    let mut reached: HashSet<(&str, &str)> = (items.iter())
+    let types: BTreeSet<(&str, &str)> =
+        (items.iter().filter(|i| i.2)).map(|i| (i.0, i.1)).collect();
+    let mut reached: BTreeSet<(&str, &str)> = (items.iter())
         .filter(|(lib, name, ..)| owners[name].iter().any(|o| o != lib))
         .map(|i| (i.0, i.1))
         .collect();
@@ -225,7 +226,7 @@ pub(crate) fn reached_names<'a>(
         }
         reached.extend(exempt);
     }
-    let mut by_lib: HashMap<String, BTreeSet<String>> = HashMap::new();
+    let mut by_lib: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for (lib, name) in reached {
         by_lib.entry(lib.into()).or_default().insert(name.into());
     }
@@ -374,5 +375,38 @@ mod tests {
         // field and `OnlyInAnUnreachedFn` in the signature of a function that
         // is not reached.
         assert_eq!(fired, [at(1), at(2), at(7), at(8), at(11), at(13)]);
+    }
+
+    #[test]
+    fn compso_lint_names_every_pub_item_it_keeps() {
+        // No rule runs on the analyzer itself (`GLOBAL_EXCLUDE`: its rule
+        // tables spell what they hunt), so its own surface is checked
+        // here: each `pub` item of its library is named by its binary or
+        // its tests, or carried by one that is.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut paths = Vec::new();
+        crate::walker::walk(&dir.join("src"), &mut paths);
+        crate::walker::walk(&dir.join("tests"), &mut paths);
+        let files: Vec<SourceFile> = (paths.iter())
+            .map(|p| {
+                let rel = format!("crates/lint/{}", crate::walker::rel_path(dir, p));
+                SourceFile::new(rel, std::fs::read_to_string(p).unwrap())
+            })
+            .collect();
+        let ctx = Context {
+            reached: Some(reached_names(&files)),
+            ..Context::with_names(Vec::new())
+        };
+        let mut out = Vec::new();
+        for f in &files {
+            ReachablePub.check(f, &ctx, &mut out);
+        }
+        let found: Vec<String> = out.iter().map(Diagnostic::human).collect();
+        assert!(
+            found.is_empty(),
+            "{} findings:\n{}",
+            found.len(),
+            found.join("\n")
+        );
     }
 }

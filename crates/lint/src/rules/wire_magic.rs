@@ -18,7 +18,7 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 use std::ops::Range;
 
-pub struct WireMagicRegistry;
+pub(crate) struct WireMagicRegistry;
 
 const NAME: &str = "wire-magic-registry";
 

@@ -112,7 +112,7 @@ impl SourceFile {
     }
 
     /// 1-based (line, column) of a byte offset.
-    pub fn line_col(&self, byte: usize) -> (usize, usize) {
+    pub(crate) fn line_col(&self, byte: usize) -> (usize, usize) {
         let line = match self.line_starts.binary_search(&byte) {
             Ok(i) => i,
             Err(i) => i - 1,
@@ -122,20 +122,20 @@ impl SourceFile {
 
     /// Is this byte inside test context (test file or `#[cfg(test)]`
     /// item)?
-    pub fn in_test(&self, byte: usize) -> bool {
+    pub(crate) fn in_test(&self, byte: usize) -> bool {
         self.file_is_test || self.test_ranges.iter().any(|r| r.contains(&byte))
     }
 
     /// Is `rule` suppressed at (1-based) `line` by a `lint:allow` on
     /// this or the previous line?
-    pub fn is_suppressed(&self, rule: &str, line: usize) -> bool {
+    pub(crate) fn is_suppressed(&self, rule: &str, line: usize) -> bool {
         self.suppressions
             .iter()
             .any(|s| s.rule == rule && (s.line == line || s.line + 1 == line))
     }
 
     /// The innermost function whose body contains `byte`.
-    pub fn enclosing_fn(&self, byte: usize) -> Option<&FnSpan> {
+    pub(crate) fn enclosing_fn(&self, byte: usize) -> Option<&FnSpan> {
         self.fns
             .iter()
             .filter(|f| f.body.contains(&byte))
@@ -175,7 +175,7 @@ fn match_brackets(src: &str, tokens: &[Token], code: &[usize]) -> Vec<Option<usi
 
 /// A non-trivia view over a file's tokens and its token tree, shared by
 /// the rules. `ci` below is a code-token index.
-pub struct View<'a> {
+pub(crate) struct View<'a> {
     pub file: &'a SourceFile,
     pub code: &'a [usize],
 }
@@ -192,11 +192,7 @@ impl<'a> View<'a> {
         self.code.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
-    }
-
-    pub fn tok(&self, ci: usize) -> &'a Token {
+    pub(crate) fn tok(&self, ci: usize) -> &'a Token {
         &self.file.tokens[self.code[ci]]
     }
 
@@ -204,33 +200,33 @@ impl<'a> View<'a> {
         self.tok(ci).text(&self.file.src)
     }
 
-    pub fn kind(&self, ci: usize) -> TokenKind {
+    pub(crate) fn kind(&self, ci: usize) -> TokenKind {
         self.tok(ci).kind
     }
 
     /// Is the non-trivia token at `ci` exactly `Punct(p)`?
-    pub fn is_punct(&self, ci: usize, p: &str) -> bool {
+    pub(crate) fn is_punct(&self, ci: usize, p: &str) -> bool {
         ci < self.len() && self.kind(ci) == TokenKind::Punct && self.text(ci) == p
     }
 
     /// Is the non-trivia token at `ci` exactly `Ident(name)`?
-    pub fn is_ident(&self, ci: usize, name: &str) -> bool {
+    pub(crate) fn is_ident(&self, ci: usize, name: &str) -> bool {
         ci < self.len() && self.kind(ci) == TokenKind::Ident && self.text(ci) == name
     }
 
     /// Is the token at `ci` a `(`, `[` or `{`?
-    pub fn is_open(&self, ci: usize) -> bool {
+    pub(crate) fn is_open(&self, ci: usize) -> bool {
         OPEN.iter().any(|o| self.is_punct(ci, o))
     }
 
     /// Is the token at `ci` a `)`, `]` or `}`?
-    pub fn is_close(&self, ci: usize) -> bool {
+    pub(crate) fn is_close(&self, ci: usize) -> bool {
         CLOSE.iter().any(|c| self.is_punct(ci, c))
     }
 
     /// The bracket that pairs with the one at `ci`; `None` for any other
     /// token and for an unmatched bracket.
-    pub fn partner(&self, ci: usize) -> Option<usize> {
+    pub(crate) fn partner(&self, ci: usize) -> Option<usize> {
         self.file.partner.get(ci).copied().flatten()
     }
 
@@ -239,7 +235,11 @@ impl<'a> View<'a> {
     /// at its opener and otherwise skipped whole. `None` once the walk
     /// reaches any other bracket (the close of the enclosing group, or an
     /// unmatched one) or the end of the file.
-    pub fn next_at_level(&self, from: usize, mut pred: impl FnMut(usize) -> bool) -> Option<usize> {
+    pub(crate) fn next_at_level(
+        &self,
+        from: usize,
+        mut pred: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
         let mut k = from;
         while k < self.len() {
             if pred(k) {
@@ -258,7 +258,11 @@ impl<'a> View<'a> {
     /// `pred`. A bracket group closed before `at` is skipped whole; the
     /// opener of each group `at` sits in is offered to `pred` as the walk
     /// climbs out through it.
-    pub fn prev_outward(&self, at: usize, mut pred: impl FnMut(usize) -> bool) -> Option<usize> {
+    pub(crate) fn prev_outward(
+        &self,
+        at: usize,
+        mut pred: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
         let mut k = at;
         while k > 0 {
             k -= 1;
@@ -272,7 +276,7 @@ impl<'a> View<'a> {
     }
 
     /// Build a diagnostic pointing at token `ci`.
-    pub fn diag(&self, rule: &'static str, ci: usize, message: String) -> Diagnostic {
+    pub(crate) fn diag(&self, rule: &'static str, ci: usize, message: String) -> Diagnostic {
         let (line, col) = self.file.line_col(self.tok(ci).start);
         Diagnostic {
             rule,

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 
 /// Source roots that carry first-party code subject to the rules.
-pub const RULE_ROOTS: &[&str] = &["crates", "src", "examples", "tests"];
+pub(crate) const RULE_ROOTS: &[&str] = &["crates", "src", "examples", "tests"];
 
 /// Collect workspace `.rs` files under `root`. With `include_shims`,
 /// the vendored `shims/` crates are included too (used by the lexer
@@ -27,7 +27,7 @@ pub fn collect_files(root: &Path, include_shims: bool) -> Vec<PathBuf> {
 }
 
 /// Workspace-relative path with `/` separators (diagnostic identity).
-pub fn rel_path(root: &Path, path: &Path) -> String {
+pub(crate) fn rel_path(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .components()

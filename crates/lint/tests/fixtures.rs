@@ -12,7 +12,7 @@
 //! fixture — extra findings fail as loudly as missing ones — and pins a
 //! handful of full human renderings as goldens.
 
-use compso_lint::{check_file, Context, SourceFile};
+use compso_lint::{check_files, Context, SourceFile};
 use std::path::Path;
 
 /// Names considered registered while analyzing fixtures. The
@@ -77,10 +77,8 @@ fn check_fixture(file: &Path) -> (Vec<(usize, String)>, Vec<String>) {
         .and_then(|d| d.file_name())
         .unwrap_or_default();
     let sf = SourceFile::new(pretend, src);
-    let mut diags = Vec::new();
-    check_file(&sf, &fixture_context(&rule.to_string_lossy()), &mut diags);
-    // Line and column: the order the CLI prints a file's findings in.
-    diags.sort_by_key(|d| (d.line, d.col));
+    // A one-file set: the call graph is solved over this file alone.
+    let diags = check_files(&[sf], fixture_context(&rule.to_string_lossy()));
     let mut got: Vec<(usize, String)> =
         diags.iter().map(|d| (d.line, d.rule.to_string())).collect();
     got.sort();
@@ -219,20 +217,13 @@ fn seeded_violation_is_detected_via_library_path() {
     // The CI gate's contract, exercised hermetically: a clean file
     // passes, and seeding a violation into the same pretend crate flips
     // it to a finding with the right location.
-    let ctx = fixture_context("");
-    let clean = SourceFile::new(
-        "crates/comm/src/seeded.rs".into(),
-        "pub fn ok(magic: u8) -> u8 {\n    magic\n}\n".into(),
-    );
-    let mut diags = Vec::new();
-    check_file(&clean, &ctx, &mut diags);
-    assert!(diags.is_empty());
+    let check = |src: &str| {
+        let file = SourceFile::new("crates/comm/src/seeded.rs".into(), src.into());
+        check_files(&[file], fixture_context(""))
+    };
+    assert!(check("pub fn ok(magic: u8) -> u8 {\n    magic\n}\n").is_empty());
 
-    let seeded = SourceFile::new(
-        "crates/comm/src/seeded.rs".into(),
-        "pub fn bad() -> u8 {\n    0xC9\n}\n".into(),
-    );
-    check_file(&seeded, &ctx, &mut diags);
+    let diags = check("pub fn bad() -> u8 {\n    0xC9\n}\n");
     assert_eq!(diags.len(), 1);
     assert_eq!(diags[0].rule, "wire-magic-registry");
     assert_eq!((diags[0].line, diags[0].col), (2, 5));

@@ -35,7 +35,7 @@ mod snapshot;
 pub use report::{StepReport, STEP_PHASES};
 pub use snapshot::{HistStat, Snapshot, TimerStat};
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -80,12 +80,12 @@ impl Default for HistCell {
 /// lossless and nearly contention-free once a cell exists.
 #[derive(Default)]
 struct Registry {
-    counters: RwLock<HashMap<&'static str, Arc<AtomicU64>>>,
-    timers: RwLock<HashMap<&'static str, Arc<TimerCell>>>,
-    hists: RwLock<HashMap<&'static str, Arc<HistCell>>>,
+    counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
+    timers: RwLock<BTreeMap<&'static str, Arc<TimerCell>>>,
+    hists: RwLock<BTreeMap<&'static str, Arc<HistCell>>>,
 }
 
-fn cell<T: Default>(map: &RwLock<HashMap<&'static str, Arc<T>>>, name: &'static str) -> Arc<T> {
+fn cell<T: Default>(map: &RwLock<BTreeMap<&'static str, Arc<T>>>, name: &'static str) -> Arc<T> {
     if let Some(c) = map.read().expect("obs registry poisoned").get(name) {
         return Arc::clone(c);
     }

@@ -1749,8 +1749,8 @@ mod tests {
                 assert!(runs.iter().all(|r| r.mr == mr), "{inst:?} ran {runs:?}");
                 let tiles: usize = runs.iter().map(|r| r.tiles).sum();
                 assert_eq!(tiles, N.div_ceil(mr) * N.div_ceil(NR));
-                let threads: std::collections::HashSet<_> = runs.iter().map(|r| r.thread).collect();
-                threads.len() == 2
+                // One run per thread and tile height, and every height is `mr`.
+                runs.len() == 2
             });
             assert!(two_threads, "no run of {inst:?} spread over two threads");
         }

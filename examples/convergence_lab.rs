@@ -33,7 +33,7 @@ use compso::dnn::{data, models};
 use compso::kfac::{Kfac, KfacConfig};
 use compso::obs::{names, Recorder};
 use compso::tensor::{Matrix, Rng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const ITERS: usize = 240;
 
@@ -150,7 +150,7 @@ fn train_adaptive(seed: u64) -> AdaptiveRun {
     let mut ctl = Controller::new(lab_control_config(seed));
     // One live instance per setting: PowerSGD's warm-start/EF state must
     // survive across the steps a setting is held.
-    let mut bank: HashMap<String, Box<dyn Compressor>> = HashMap::new();
+    let mut bank: BTreeMap<String, Box<dyn Compressor>> = BTreeMap::new();
     let mut curve = Vec::new();
 
     for step in 0..ITERS {

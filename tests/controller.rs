@@ -31,7 +31,7 @@ use compso::dnn::{data, models};
 use compso::kfac::{DistKfac, DistKfacConfig};
 use compso::obs::{names, Recorder};
 use compso::tensor::Rng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// A scripted 64-step signal tape that walks the whole state machine:
@@ -198,7 +198,7 @@ fn controller_driven_training_survives_chaos_without_deadlock() {
             let mut ctl = Controller::new(cfg_ref.clone());
             // Live instance per setting: PowerSGD keyed state must
             // survive while its setting is held.
-            let mut bank: HashMap<String, Box<dyn Compressor>> = HashMap::new();
+            let mut bank: BTreeMap<String, Box<dyn Compressor>> = BTreeMap::new();
             for step in 0..STEPS {
                 let (x, y) = shard.batch(step, 8);
                 let logits = model.forward(&x, true);
@@ -247,7 +247,7 @@ fn controller_driven_training_survives_chaos_without_deadlock() {
         );
     }
     let trace = &results[0].1;
-    let families: std::collections::HashSet<&'static str> = trace
+    let families: std::collections::BTreeSet<&'static str> = trace
         .iter()
         .filter(|d| d.setting.family != Family::None)
         .map(|d| d.setting.family.name())
